@@ -234,15 +234,6 @@ pub struct SchemeConfig {
     /// events. The *logical* paper counters are byte-identical at every
     /// level — only physical telemetry changes.
     pub observability: sks_storage::ObsLevel,
-    /// Batch-sealed group commits on the engine's WAL: when on (the
-    /// default) every commit seals its whole staged group as one
-    /// Speck-CTR body + CRC instead of one frame per record, and the log
-    /// writer runs double-buffered so sealing the next batch overlaps
-    /// the previous batch's device write and fsync. Durability points
-    /// under each `SyncPolicy` are unchanged, logical `wal_appends` /
-    /// `wal_bytes` stay per-record byte-identical, and replay accepts
-    /// both framings. Standalone trees ignore it.
-    pub seal_batch: bool,
     /// Write-behind budget for node re-sealing: up to this many dirty
     /// B-tree nodes are held decoded *above* the crypto boundary,
     /// absorbing multiple mutations before being re-enciphered (on
@@ -294,7 +285,6 @@ impl SchemeConfig {
             global_dirty_budget: 0,
             global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
-            seal_batch: true,
             write_behind: 0,
             index_delta: true,
             index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
@@ -330,7 +320,6 @@ impl SchemeConfig {
             global_dirty_budget: 0,
             global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
-            seal_batch: true,
             write_behind: 0,
             index_delta: true,
             index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
@@ -377,13 +366,6 @@ impl SchemeConfig {
     /// `index_rewrite_period` field; 0 rewrites every persist).
     pub fn index_rewrite_period(mut self, segments: u32) -> Self {
         self.index_rewrite_period = segments;
-        self
-    }
-
-    /// Builder-style batch-sealed group-commit knob (see the
-    /// `seal_batch` field).
-    pub fn seal_batch(mut self, on: bool) -> Self {
-        self.seal_batch = on;
         self
     }
 

@@ -37,14 +37,15 @@ use sks_core::{
     CompactionReport, EncipheredBTree, KeyDisguise, SchemeConfig, SharedRecordCache, StorageBackend,
 };
 use sks_storage::{
-    Event, EventKind, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy, NO_PARTITION,
+    Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy,
+    NO_PARTITION,
 };
 
 use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
 use crate::txn::{KeyPriors, Txn, TxnManager};
-use crate::wal::{EngineWalDisk, SyncTicket, Wal, WalOp};
+use crate::wal::{SyncTicket, Wal, WalOp, WalReplay, STREAM_GROUP_RECORDS};
 
 use std::collections::BTreeMap;
 
@@ -57,13 +58,6 @@ pub struct EngineConfig {
     pub sync: SyncPolicy,
     /// Block size of the WAL's backing [`sks_storage::FileDisk`].
     pub wal_block_size: usize,
-    /// Overlap group-commit fsyncs with sealing the next group: when the
-    /// WAL pipeline is on, a policy-mandated fsync runs on the writer
-    /// thread while the committing thread waits outside the WAL lock, so
-    /// another partition's commit can seal meanwhile. Every durability
-    /// barrier holds — a write is acknowledged only after its fsync
-    /// completes. Default on; turn off to force inline fsyncs.
-    pub overlap: bool,
     /// Memory backend only: checkpoint by re-streaming *only* the
     /// partitions mutated since their last snapshot file, so checkpoint
     /// cost is O(changed partitions) instead of O(dataset). Off forces
@@ -88,7 +82,6 @@ impl EngineConfig {
             scheme,
             sync: SyncPolicy::default(),
             wal_block_size: 4096,
-            overlap: true,
             incremental_checkpoints: true,
             wal_fault: None,
         }
@@ -96,12 +89,6 @@ impl EngineConfig {
 
     pub fn sync(mut self, sync: SyncPolicy) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Sets [`EngineConfig::overlap`].
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
         self
     }
 
@@ -207,7 +194,7 @@ impl OpHist {
 pub struct SksDb {
     partitions: Vec<RwLock<EncipheredBTree>>,
     router: Router,
-    wal: Mutex<Wal<EngineWalDisk>>,
+    wal: Mutex<Wal>,
     counters: OpCounters,
     /// Per-partition get/put/delete/batch latency histograms.
     op_hist: Vec<OpHist>,
@@ -492,18 +479,12 @@ impl SksDb {
                     .into(),
             ));
         }
-        let (mut wal, recovery) = if wal_path.exists() {
+        let (wal, recovery) = if wal_path.exists() {
             counters
                 .obs()
                 .note(EventKind::RecoveryStart, NO_PARTITION, 0, 0, 0);
             let recovery_timer = counters.obs().start();
-            let (wal, mut replay) = Wal::open_engine(
-                &wal_path,
-                config.wal_key(),
-                config.sync,
-                counters.clone(),
-                config.wal_fault.as_ref(),
-            )?;
+            let (wal, mut replay) = open_wal(&wal_path, &config, counters.clone())?;
             if !persisted && !snaps.is_empty() {
                 // Snapshot records replay before the log: a snapshot is
                 // one partition's state at its stream point, and every
@@ -548,29 +529,15 @@ impl SksDb {
             }
             (wal, report)
         } else {
-            let wal = Wal::create_engine(
-                &wal_path,
-                config.wal_block_size,
-                config.wal_key(),
-                config.sync,
-                counters.clone(),
-                config.wal_fault.as_ref(),
-            )?;
+            let wal = create_wal(&wal_path, &config, counters.clone())?;
             // The file's directory entry must be durable too, or a crash
             // could leave a database directory with no log at all.
             sync_dir(db_dir)?;
             (wal, RecoveryReport::default())
         };
-        // The pipelined write path: group commits seal one batch frame per
-        // commit, and a writer thread overlaps the next batch's sealing
-        // with the previous batch's device write + fsync. Both preserve
-        // the logical counters byte-identically and replay accepts both
-        // framings, so the knob only moves physical work.
-        if config.scheme.seal_batch {
-            wal.set_seal_batch(true);
-            wal.enable_pipeline();
-            wal.set_overlap(config.overlap);
-        }
+        // The pipelined write path: a writer thread overlaps the next
+        // group's sealing with the previous group's device write + fsync.
+        let wal = wal.enable_pipeline();
 
         // Persist the layout facts (last, once stores + log exist) so the
         // next open can refuse incompatible configurations.
@@ -915,7 +882,7 @@ impl SksDb {
     }
 
     /// Completes an overlapped group commit: waits for the fsync ticket
-    /// (when [`Wal::commit_pipelined`] handed one out) with the WAL lock
+    /// (when [`Wal::commit`] handed one out) with the WAL lock
     /// already released, so another partition's writer can seal the next
     /// group while this group's fsync is in flight. The wait is this
     /// thread's durability barrier — charged to the same `WalFsync`
@@ -941,12 +908,12 @@ impl SksDb {
     /// atomic commit frame.
     fn log_autocommit(
         &self,
-        append: impl FnOnce(&mut Wal<EngineWalDisk>) -> Result<(), EngineError>,
+        append: impl FnOnce(&mut Wal) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
         let ticket = {
             let mut wal = self.wal.lock().expect("wal lock");
             append(&mut wal)?;
-            wal.commit_pipelined()?
+            wal.commit()?
         };
         self.wait_durable(ticket)
     }
@@ -1037,7 +1004,7 @@ impl SksDb {
     /// lock is released, so no reader ever sees a half-applied commit.
     ///
     /// Framing and durability: a single-key transaction degenerates to
-    /// the autocommit sequence exactly (legacy frame, policy-driven
+    /// the autocommit sequence exactly (a group of one, policy-driven
     /// commit). A multi-key frame is all-or-nothing under torn-tail
     /// replay by construction; when it spans ≥ 2 partitions the commit
     /// additionally *forces* its fsync before the apply, so a checkpoint
@@ -1085,13 +1052,13 @@ impl SksDb {
         let ticket = {
             let mut wal = self.wal.lock().expect("wal lock");
             if keys == 1 {
-                // Single-key commit: byte-identical autocommit framing.
+                // Single-key commit: exactly the autocommit sequence.
                 let (key, value) = &by_part.values().next().expect("one group")[0];
                 match value {
                     Some(v) => wal.append_insert(*key, v)?,
                     None => wal.append_delete(*key)?,
                 };
-                wal.commit_pipelined()?
+                wal.commit()?
             } else {
                 let ops: Vec<WalOp> = by_part
                     .values()
@@ -1108,7 +1075,7 @@ impl SksDb {
                 if parts > 1 {
                     wal.commit_durable()?
                 } else {
-                    wal.commit_pipelined()?
+                    wal.commit()?
                 }
             }
         };
@@ -1459,20 +1426,8 @@ impl SksDb {
         // overwritten by the next checkpoint.
         let fresh_handle = std::thread::spawn({
             let tmp = tmp_path.clone();
-            let block_size = self.config.wal_block_size;
-            let key = self.config.wal_key();
-            let sync = self.config.sync;
-            let fault = self.config.wal_fault.clone();
-            move || {
-                Wal::create_engine(
-                    &tmp,
-                    block_size,
-                    key,
-                    sync,
-                    OpCounters::new(),
-                    fault.as_ref(),
-                )
-            }
+            let config = self.config.clone();
+            move || create_wal(&tmp, &config, OpCounters::new())
         });
         let mut written = 0u64;
 
@@ -1573,12 +1528,17 @@ impl SksDb {
                     OpCounters::new(),
                 )?;
                 // Stream without materialising: memory stays O(height +
-                // one record) regardless of partition size. Keys live in
-                // `0..=capacity` by construction (SchemeConfig's domain).
+                // one group) regardless of partition size — a group ends
+                // every STREAM_GROUP_RECORDS, which bounds the log's
+                // plaintext staging. Keys live in `0..=capacity` by
+                // construction (SchemeConfig's domain).
                 for item in guard.iter_range(0, max_key) {
                     let (key, value) = item?;
                     snap.append_insert(key, &value)?;
                     written += 1;
+                    if written.is_multiple_of(STREAM_GROUP_RECORDS) {
+                        snap.commit()?;
+                    }
                 }
                 snap.flush()?;
                 drop(snap);
@@ -1630,26 +1590,13 @@ impl SksDb {
         let cut_timer = self.counters.obs().start();
         let mut fresh = fresh_handle.join().expect("wal create thread")?;
         let mut wal = self.wal.lock().expect("wal lock");
-        // Transaction groups must survive the cut as single frames — the
-        // frame boundary *is* the atomicity guarantee a reopen relies on.
-        // Batch groups were only a physical optimisation and re-append as
-        // plain records.
+        // Every tail frame is re-sealed as one frame: the frame boundary
+        // *is* the atomicity guarantee a reopen relies on, so no commit
+        // unit (a transaction least of all) is split or merged by the
+        // rewrite. A failed scan returns here, before the rename, and the
+        // old log stands.
         for group in wal.records_since(mark_seq, mark_offset)? {
-            if group.txn {
-                let ops: Vec<WalOp> = group.records.into_iter().map(|r| r.op).collect();
-                fresh.append_txn(&ops)?;
-            } else {
-                for rec in group.records {
-                    match rec.op {
-                        WalOp::Insert { key, value } => {
-                            fresh.append_insert(key, &value)?;
-                        }
-                        WalOp::Delete { key } => {
-                            fresh.append_delete(key)?;
-                        }
-                    }
-                }
-            }
+            fresh.append_txn(&group)?;
         }
         fresh.flush()?;
         std::fs::rename(&tmp_path, &self.wal_path)?;
@@ -1659,17 +1606,9 @@ impl SksDb {
         sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
         // The fresh Wal's file handle survives the rename (same inode);
         // from here on it carries client traffic, so it re-adopts the
-        // engine's shared counters — and the pipelined write path. Batch
-        // sealing is enabled only now, at a commit boundary: during the
-        // snapshot rewrite it would have staged the entire snapshot as
-        // one unbounded batch.
+        // engine's shared counters — and the pipelined write path.
         fresh.adopt_counters(self.counters.clone());
-        if self.config.scheme.seal_batch {
-            fresh.set_seal_batch(true);
-            fresh.enable_pipeline();
-            fresh.set_overlap(self.config.overlap);
-        }
-        *wal = fresh;
+        *wal = fresh.enable_pipeline();
         self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
         drop(wal);
         if self.config.scheme.backend.is_file() {
@@ -1776,6 +1715,41 @@ impl SksDb {
             guard.flush()?;
         }
         self.wal.lock().expect("wal lock").flush()
+    }
+}
+
+/// Creates one of the engine's logs at `path`: on the plain
+/// [`FileDisk`], or on the same disk behind a [`FailStore`] when the
+/// config carries a fault plan — so the plan covers every engine WAL,
+/// including the fresh log each checkpoint cuts to.
+fn create_wal(
+    path: &Path,
+    config: &EngineConfig,
+    counters: OpCounters,
+) -> Result<Wal, EngineError> {
+    let disk = FileDisk::create_with_counters(path, config.wal_block_size, counters.clone())?;
+    match &config.wal_fault {
+        None => Wal::create_on_device(disk, config.wal_key(), config.sync, counters),
+        Some(plan) => {
+            let disk = FailStore::with_plan(disk, plan.clone());
+            Wal::create_on_device(disk, config.wal_key(), config.sync, counters)
+        }
+    }
+}
+
+/// [`create_wal`]'s counterpart for an existing log.
+fn open_wal(
+    path: &Path,
+    config: &EngineConfig,
+    counters: OpCounters,
+) -> Result<(Wal, WalReplay), EngineError> {
+    let disk = FileDisk::open_with_counters(path, counters.clone())?;
+    match &config.wal_fault {
+        None => Wal::open_on_device(disk, config.wal_key(), config.sync, counters),
+        Some(plan) => {
+            let disk = FailStore::with_plan(disk, plan.clone());
+            Wal::open_on_device(disk, config.wal_key(), config.sync, counters)
+        }
     }
 }
 

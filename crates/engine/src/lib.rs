@@ -61,7 +61,7 @@ pub use error::EngineError;
 pub use recovery::{RecoveryPath, RecoveryReport};
 pub use stats::{PartitionStats, StatsSnapshot, OPS, WRITE_PATH_STAGES};
 pub use txn::Txn;
-pub use wal::{EngineWalDisk, SyncTicket, Wal, WalDevice, WalOp, WalRecord, WalReplay};
+pub use wal::{SyncTicket, Wal, WalDevice, WalOp, WalRecord, WalReplay};
 
 // The observability vocabulary the stats surface speaks, re-exported so
 // engine users never need a direct sks-storage dependency.

@@ -268,7 +268,7 @@ enum TxnState {
 /// observes half of it. Dropping an uncommitted transaction aborts it.
 ///
 /// A single-key commit degenerates to exactly the autocommit write path
-/// — same legacy WAL framing, same counters — plus the conflict check.
+/// — same WAL frame, same counters — plus the conflict check.
 pub struct Txn {
     db: Arc<SksDb>,
     snapshot: u64,

@@ -230,6 +230,60 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The cut fails closed. If the log device no longer holds the tail the
+/// checkpoint is about to carry over (here: one rotted byte in a full,
+/// already rotated-out tail block), the checkpoint must error *before*
+/// renaming the fresh log over the old one — a short tail would silently
+/// drop acknowledged records. The old log stands: with the rot undone, a
+/// reopen still replays every acknowledged record.
+#[test]
+fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
+    const WAL_BLOCK: u64 = 4096;
+    let dir = tmpdir("cut_fails_closed");
+    let wal_path = dir.join("wal.sks");
+    let flip = |at: u64| {
+        let mut raw = std::fs::read(&wal_path).unwrap();
+        raw[at as usize] ^= 0x01;
+        std::fs::write(&wal_path, &raw).unwrap();
+    };
+    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
+    for k in 0..100u64 {
+        db.insert(k, record_for(k)).unwrap();
+    }
+    // The tail is what lands after the checkpoint's mark: write several
+    // WAL blocks of it from the mid-checkpoint hook, then rot the first
+    // block that lies wholly inside it (past the FileDisk's 8 KiB header).
+    let mark = db.wal_len_bytes();
+    let mut rotted = 0;
+    let err = db
+        .checkpoint_with_hook(|| {
+            for k in 100..400u64 {
+                db.insert(k, record_for(k)).unwrap();
+            }
+            db.flush().unwrap();
+            assert!(db.wal_len_bytes() > mark + 3 * WAL_BLOCK, "tail too short");
+            rotted = 8192 + (mark / WAL_BLOCK + 1) * WAL_BLOCK + 100;
+            flip(rotted);
+        })
+        .expect_err("a cut over a rotted tail must fail");
+    assert!(
+        err.to_string().contains("tail scan stopped"),
+        "unexpected error: {err}"
+    );
+    flip(rotted);
+    drop(db);
+
+    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
+    assert!(!db.recovery_report().torn_tail);
+    assert_eq!(db.len(), 400);
+    for k in 0..400u64 {
+        assert_eq!(db.get(k).unwrap().unwrap(), record_for(k), "key {k}");
+    }
+    // And the recovered database checkpoints cleanly.
+    db.checkpoint().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn concurrent_sessions_readers_and_writers() {
     let dir = tmpdir("concurrent");

@@ -344,8 +344,7 @@ fn txn_commit_kill_point_sweep_is_all_or_nothing() {
         let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
         let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
         let mut wal =
-            Wal::create_on_device(fail, BLOCK, cfg.wal_key(), SyncPolicy::Always, counters)
-                .unwrap();
+            Wal::create_on_device(fail, cfg.wal_key(), SyncPolicy::Always, counters).unwrap();
 
         // Committed autocommit prelude, then arm the fault and drive txn
         // commit frames into it.

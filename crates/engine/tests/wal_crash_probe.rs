@@ -27,14 +27,8 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
     let counters = OpCounters::new();
     let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
     let (fail, plan) = FailStore::new(disk);
-    let mut wal = Wal::create_on_device(
-        fail,
-        BLOCK,
-        config.wal_key(),
-        SyncPolicy::EveryN(8),
-        counters,
-    )
-    .unwrap();
+    let mut wal =
+        Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(8), counters).unwrap();
 
     // A short committed prefix, durably flushed (well under half a
     // block, so the torn write below cuts inside the *next* record).
@@ -102,14 +96,13 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
     assert_eq!(db.get(3).unwrap().unwrap(), b"after-recovery".to_vec());
 }
 
-/// Crash-probe sweep over the *pipelined* write path: batch sealing and
-/// the double-buffered writer thread both on, a fault — torn write,
-/// clean write error, or a killed fsync — armed at a seed-derived stage
-/// boundary, twelve seeds, with fsync-overlapped sealing both off and
-/// on. Every reopen must recover a *consistent prefix* of the logical
-/// stream: some whole number of leading group commits, never a partial
-/// batch, never a record out of order, and a log that accepts writes
-/// again.
+/// Crash-probe sweep over the *pipelined* write path: group sealing over
+/// the double-buffered writer thread, a fault — torn write, clean write
+/// error, or a killed fsync — armed at a seed-derived stage boundary,
+/// twelve seeds. Every reopen must recover a *consistent prefix* of the
+/// logical stream: some whole number of leading group commits, never a
+/// partial group, never a record out of order, and a log that accepts
+/// writes again.
 #[test]
 fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
     const BLOCK: usize = 512;
@@ -118,9 +111,8 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
     let value = |k: u64| format!("sweep-record-{k:04}").into_bytes();
 
     let mut faults_fired = 0u32;
-    for run in 0..24u64 {
-        let (overlap, seed) = (run >= 12, run % 12);
-        let dir = tmpdir(&format!("sweep_{overlap}_{seed}"));
+    for seed in 0..12u64 {
+        let dir = tmpdir(&format!("sweep_{seed}"));
         let config = EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096))
             .sync(SyncPolicy::EveryN(4));
         let wal_path = dir.join("wal.sks");
@@ -128,23 +120,15 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
         let counters = OpCounters::new();
         let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
         let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
-        let mut wal = Wal::create_on_device(
-            fail,
-            BLOCK,
-            config.wal_key(),
-            SyncPolicy::EveryN(4),
-            counters,
-        )
-        .unwrap();
-        wal.set_seal_batch(true);
-        wal.enable_pipeline();
-        wal.set_overlap(overlap);
+        let mut wal =
+            Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(4), counters)
+                .unwrap()
+                .enable_pipeline();
 
         // Seed-derived fault: two thirds hit a block write (alternating
-        // torn and clean-error — the batch-seal/device-write boundary),
-        // one third kills an fsync (the group-commit barrier; with
-        // overlap on it dies on the writer thread and must surface
-        // through the sync ticket).
+        // torn and clean-error — the group-seal/device-write boundary),
+        // one third kills an fsync (the group-commit barrier; it dies on
+        // the writer thread and must surface through the sync ticket).
         match seed % 3 {
             0 => drop(plan.arm_from_seed(seed, 35, FailMode::Torn)),
             1 => drop(plan.arm_from_seed(seed, 35, FailMode::Error)),
@@ -160,14 +144,10 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
                     break 'workload;
                 }
             }
-            let committed = if overlap {
-                match wal.commit_pipelined() {
-                    Ok(Some(ticket)) => ticket.wait().is_ok(),
-                    Ok(None) => true,
-                    Err(_) => false,
-                }
-            } else {
-                wal.commit().is_ok()
+            let committed = match wal.commit() {
+                Ok(Some(ticket)) => ticket.wait().is_ok(),
+                Ok(None) => true,
+                Err(_) => false,
             };
             if !committed {
                 break 'workload;
@@ -180,8 +160,7 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
         drop(wal);
 
         // "Reboot": recover through the engine over whatever the medium
-        // holds, with the same knobs (the reopened WAL re-enters batch +
-        // pipeline mode).
+        // holds.
         let db = SksDb::open(&dir, config).unwrap();
         let report = db.recovery_report();
         let n = report.records_replayed;
@@ -189,7 +168,7 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
         assert_eq!(
             n % PER_BATCH,
             0,
-            "seed {seed}: a sealed batch replays all-or-nothing, got {n} records"
+            "seed {seed}: a sealed group replays all-or-nothing, got {n} records"
         );
         // The replayed set is exactly the leading keys — a prefix, no
         // holes, no reordering, no resurrections past the cut.
@@ -230,8 +209,8 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
         std::fs::remove_dir_all(&dir).ok();
     }
     assert!(
-        faults_fired >= 20,
-        "the sweep must actually exercise the fault plans: {faults_fired}/24 fired"
+        faults_fired >= 10,
+        "the sweep must actually exercise the fault plans: {faults_fired}/12 fired"
     );
 }
 
@@ -240,7 +219,7 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
 /// it. The failure must surface on N's ticket (a killed overlapped fsync
 /// is never silently acked), every commit behind it must fail through
 /// the sticky error, and the reopened log must hold a consistent
-/// whole-batch prefix containing everything that was acked durable.
+/// whole-group prefix containing everything that was acked durable.
 #[test]
 fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
     const BLOCK: usize = 512;
@@ -253,18 +232,16 @@ fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
     let counters = OpCounters::new();
     let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
     let (fail, plan) = FailStore::new(disk);
-    let mut wal =
-        Wal::create_on_device(fail, BLOCK, config.wal_key(), SyncPolicy::Always, counters).unwrap();
-    wal.set_seal_batch(true);
-    wal.enable_pipeline();
-    wal.set_overlap(true);
+    let mut wal = Wal::create_on_device(fail, config.wal_key(), SyncPolicy::Always, counters)
+        .unwrap()
+        .enable_pipeline();
 
     // Group 0: committed, fsync overlapped, acked durable.
     for k in 0..3u64 {
         wal.append_insert(k, &value(k)).unwrap();
     }
     let t0 = wal
-        .commit_pipelined()
+        .commit()
         .unwrap()
         .expect("Always policy syncs every commit");
     t0.wait().unwrap();
@@ -277,10 +254,7 @@ fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
     for k in 3..6u64 {
         wal.append_insert(k, &value(k)).unwrap();
     }
-    let t1 = wal
-        .commit_pipelined()
-        .unwrap()
-        .expect("ticket for the doomed sync");
+    let t1 = wal.commit().unwrap().expect("ticket for the doomed sync");
 
     // …and group 2 seals behind it while that fsync is in flight (or
     // already dead — the race is the point: whichever side observes the
@@ -289,7 +263,7 @@ fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
         for k in 6..9u64 {
             wal.append_insert(k, &value(k))?;
         }
-        wal.commit_pipelined()
+        wal.commit()
     })();
 
     // The doomed group's waiter sees the failure.
@@ -306,12 +280,12 @@ fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
     // The handle fail-stops rather than acking over the hole.
     let _ = wal.append_insert(99, b"must-not-commit");
     assert!(
-        wal.commit_pipelined().is_err(),
+        wal.commit().is_err(),
         "the stream is poisoned after the kill"
     );
     drop(wal);
 
-    // Reopen through the engine: a whole-batch prefix that includes at
+    // Reopen through the engine: a whole-group prefix that includes at
     // least the acked group and nothing past the poison point.
     let db = SksDb::open(&dir, config).unwrap();
     let report = db.recovery_report();

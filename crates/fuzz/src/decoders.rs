@@ -1,5 +1,5 @@
-//! Corrupt-ciphertext fuzzing of every sealed decoder: WAL streams (all
-//! three frame framings), node codecs for every disguise scheme,
+//! Corrupt-ciphertext fuzzing of every sealed decoder: WAL streams
+//! (single-record, group and txn frames), node codecs for every scheme,
 //! record-store pages and reverse-index chains behind a tree directory,
 //! and whole engine directories (WAL + snapshot streams + store files).
 //!
@@ -60,11 +60,9 @@ pub fn run_wal_stream_case(seed: u64) -> Result<(), String> {
     let scratch = ScratchDir::new("dec-wal", seed);
     let path = scratch.path().join("wal.sks");
 
-    // Build a log mixing all three framings.
+    // Build a log mixing single-record, multi-record and txn frames.
     let mut wal = Wal::create(&path, 256, WAL_KEY, SyncPolicy::Always, OpCounters::new())
         .map_err(|e| format!("create wal: {e}"))?;
-    let seal_batch = rng.chance(50);
-    wal.set_seal_batch(seal_batch);
     let mut written: Vec<WalOp> = Vec::new();
     for _ in 0..6 + rng.below(6) {
         let ops: Vec<WalOp> = (0..1 + rng.below(4))

@@ -13,9 +13,8 @@
 //!   lost.
 //! - [`wal_fault`]: the bare WAL under arbitrary fuzzed op sequences and
 //!   seeded write/flush faults, generalising the fixed-workload
-//!   `pipelined_wal_fault_sweep` to all three frame framings (legacy
-//!   `0xA5`, batch `0xB5`, txn `0xC5`) across sync-policy / seal-batch /
-//!   pipeline / overlap configurations.
+//!   `pipelined_wal_fault_sweep` to single-record, multi-record and txn
+//!   frames across block-size / sync-policy / pipeline configurations.
 //! - [`decoders`]: corrupt-ciphertext fuzzing of every sealed decoder —
 //!   WAL streams, node codecs for every disguise scheme, record-store
 //!   pages, reverse-index chains, tree manifests — asserting the

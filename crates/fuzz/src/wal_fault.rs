@@ -1,18 +1,18 @@
 //! The bare-WAL fault fuzzer: generalises the engine's fixed-workload
 //! `pipelined_wal_fault_sweep` to *arbitrary fuzzed op sequences*. Each
-//! seed draws a log configuration (block size, sync policy, batch
-//! sealing, pipelining, fsync overlap), a mixed stream of legacy /
-//! batch / txn commit units, and one [`KillPoint`] on the underlying
+//! seed draws a log configuration (block size, sync policy, pipelining),
+//! a mixed stream of single-record / multi-record / txn commit units,
+//! and one [`KillPoint`] on the underlying
 //! [`FileDisk`]; after the kill the log is reopened with the plain
 //! (fault-free) device and checked for:
 //!
 //! - **prefix recovery**: the replayed records are exactly a prefix of
 //!   the submitted stream (payload-for-payload);
-//! - **frame atomicity**: the prefix ends on a frame boundary — a batch
-//!   (`0xB5`) or txn (`0xC5`) body never resurfaces half-applied;
+//! - **frame atomicity**: the prefix ends on a frame boundary — a commit
+//!   group or txn body never resurfaces half-applied;
 //! - **durability floor**: everything covered by a successful fsync
-//!   barrier (an `Ok(true)` commit, a waited overlap ticket, an explicit
-//!   flush) is in the prefix;
+//!   barrier (a commit that paid its fsync inline, a waited sync ticket,
+//!   an explicit flush) is in the prefix;
 //! - **usability**: the recovered log accepts appends and survives a
 //!   second clean reopen.
 //!
@@ -47,9 +47,7 @@ pub struct WalFaultReport {
 struct LogShape {
     block_size: usize,
     policy: SyncPolicy,
-    seal_batch: bool,
     pipeline: bool,
-    overlap: bool,
 }
 
 fn draw_shape(rng: &mut FuzzRng) -> LogShape {
@@ -58,14 +56,10 @@ fn draw_shape(rng: &mut FuzzRng) -> LogShape {
         1 => SyncPolicy::EveryN(2 + rng.below(3) as u32),
         _ => SyncPolicy::Never,
     };
-    let pipeline = rng.chance(50);
     LogShape {
         block_size: if rng.chance(50) { 256 } else { 512 },
         policy,
-        seal_batch: rng.chance(60),
-        pipeline,
-        // Overlapped fsync only exists on the pipelined device.
-        overlap: pipeline && rng.chance(50),
+        pipeline: rng.chance(50),
     }
 }
 
@@ -93,12 +87,10 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
     let disk = FileDisk::create_with_counters(&path, shape.block_size, counters.clone())
         .map_err(|e| format!("create disk: {e}"))?;
     let (store, plan) = FailStore::new(disk);
-    let mut wal = Wal::create_on_device(store, shape.block_size, WAL_KEY, shape.policy, counters)
+    let mut wal = Wal::create_on_device(store, WAL_KEY, shape.policy, counters.clone())
         .map_err(|e| format!("create wal: {e}"))?;
-    wal.set_seal_batch(shape.seal_batch);
     if shape.pipeline {
-        wal.enable_pipeline();
-        wal.set_overlap(shape.overlap);
+        wal = wal.enable_pipeline();
     }
 
     // Arm only after the sentinel is durably down: a kill during the
@@ -113,7 +105,6 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
     let mut boundaries: Vec<usize> = vec![0];
     let mut committed = 0usize; // records whose commit() returned Ok
     let mut floor = 0usize; // records fsync-acknowledged durable
-    let mut pending_ticket: Option<(sks_engine::SyncTicket, usize)> = None;
     let mut fired = false;
 
     let total_units = 16 + rng.below(17) as usize; // 16..=32
@@ -130,15 +121,8 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
         // Record the unit as submitted up front: once an append call is
         // made, its frame may land even if the call errors.
         submitted.extend(ops.iter().cloned());
-        if is_txn || (shape.seal_batch && ops.len() > 1) {
-            // One frame for the whole unit.
-            boundaries.push(submitted.len());
-        } else {
-            // One legacy frame per record.
-            for i in (submitted.len() - ops.len() + 1)..=submitted.len() {
-                boundaries.push(i);
-            }
-        }
+        // One frame for the whole unit.
+        boundaries.push(submitted.len());
 
         // Append.
         let append_result: Result<(), sks_engine::EngineError> = if is_txn {
@@ -157,19 +141,15 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
             break 'units;
         }
 
-        // Commit, tracking the durability floor.
-        let commit_result: Result<bool, sks_engine::EngineError> =
-            if shape.pipeline && shape.overlap {
-                wal.commit_pipelined().map(|ticket| {
-                    if let Some(t) = ticket {
-                        pending_ticket = Some((t, submitted.len()));
-                    }
-                    false
-                })
-            } else {
-                wal.commit()
-            };
-        match commit_result {
+        // Commit, tracking the durability floor: a due fsync either comes
+        // back as a ticket to wait on (pipelined device) or was paid
+        // inline, which shows as a `wal_fsyncs` bump with no ticket.
+        let fsyncs_before = counters.snapshot().wal_fsyncs;
+        let synced = wal.commit().and_then(|ticket| match ticket {
+            Some(t) => t.wait().map(|()| true).map_err(Into::into),
+            None => Ok(counters.snapshot().wal_fsyncs > fsyncs_before),
+        });
+        match synced {
             Ok(synced) => {
                 committed = submitted.len();
                 if synced {
@@ -182,23 +162,6 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
                 }
                 fired = true;
                 break 'units;
-            }
-        }
-
-        // Retire at most one in-flight overlapped fsync per unit, so a
-        // ticketed barrier's durability is enforced before long.
-        if let Some((t, n)) = pending_ticket.take() {
-            match t.wait() {
-                Ok(()) => floor = floor.max(n),
-                Err(e) => {
-                    if !plan.tripped() {
-                        return Err(format!(
-                            "overlapped fsync failed without injected fault: {e}"
-                        ));
-                    }
-                    fired = true;
-                    break 'units;
-                }
             }
         }
 
@@ -230,7 +193,6 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
             }
         }
     }
-    drop(pending_ticket);
     drop(wal);
 
     // Reopen with the plain device: recovery must hold.

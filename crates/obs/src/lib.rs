@@ -327,8 +327,9 @@ pub enum Stage {
     CheckpointFlush,
     /// Checkpoint phase 3: WAL cut + swap.
     CheckpointCut,
-    /// Sealing one staged group-commit batch into its WAL frame (one
-    /// Speck-CTR pass over the whole batch body instead of per record).
+    /// Sealing the records staged since the last commit boundary into
+    /// their one WAL frame — a group of one included (one Speck-CTR pass
+    /// and one CRC over the whole group body).
     SealBatch,
     /// Waiting for a free swap buffer in the double-buffered WAL writer
     /// (back-pressure from the in-flight write/fsync of the other buffer).

@@ -150,9 +150,9 @@ counters! {
     wal_fsyncs,
     /// Write-ahead-log records replayed during crash recovery.
     wal_replayed,
-    /// Multi-record WAL frames sealed by batch group commit (each covers
-    /// ≥2 staged records under one CTR body + CRC; single-record commits
-    /// keep the legacy framing and are not counted here).
+    /// Multi-record WAL frames sealed by group commit (each covers ≥2
+    /// staged records under one CTR body + CRC; a commit of one record
+    /// is a frame too but not counted here).
     wal_sealed_batches,
     /// Node writes absorbed by the write-behind set instead of paying a
     /// physical re-encipherment (the *logical* encode counters are still
@@ -186,8 +186,8 @@ counters! {
     /// Commits refused by first-committer-wins validation: a written key
     /// was overwritten by another commit after this txn's snapshot.
     txn_conflicts,
-    /// Multi-key transaction WAL frames sealed (one atomic commit record
-    /// per multi-key txn; single-key txns keep the legacy framing).
+    /// Multi-key transaction WAL frames sealed (one atomic frame per
+    /// multi-key txn; single-key txns take the autocommit path).
     wal_txn_frames,
 }
 

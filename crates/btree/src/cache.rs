@@ -14,16 +14,20 @@
 //! version), so an entry is present exactly when it decodes the page's
 //! current content; a stale plaintext image can never serve a probe.
 //!
+//! Bound and eviction: eight mutex shards, each an [`LruMap`] — the same
+//! O(1) recency list every cache in the workspace runs on — holding an
+//! eighth of the capacity; a shard over its share drops its least recently
+//! used node.
+//!
 //! Security model: entries live in RAM only. Nothing here ever reaches
 //! the medium (the stores below continue to hold only enciphered bytes),
 //! and entry contents are zeroized when the last reference drops
 //! (eviction, invalidation, or cache drop), so later heap re-use cannot
 //! scrape decoded keys out of dead memory.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use sks_storage::BlockId;
+use sks_storage::{wipe, BlockId, LruMap};
 
 use crate::node::Node;
 
@@ -42,50 +46,20 @@ pub struct CachedNode {
     pub page_len: usize,
 }
 
-fn zeroize_u64s(v: &mut [u64]) {
-    for x in v.iter_mut() {
-        // Volatile so the wipe of soon-to-be-freed memory is not elided.
-        unsafe { std::ptr::write_volatile(x, 0) };
-    }
-}
-
 impl Drop for CachedNode {
     fn drop(&mut self) {
-        zeroize_u64s(&mut self.node.keys);
+        wipe::words(&mut self.node.keys);
         for p in self.node.data_ptrs.iter_mut() {
-            unsafe { std::ptr::write_volatile(&mut p.0, 0) };
+            wipe::words(std::slice::from_mut(&mut p.0));
         }
         for c in self.node.children.iter_mut() {
-            unsafe { std::ptr::write_volatile(&mut c.0, 0) };
+            wipe::words(std::slice::from_mut(&mut c.0));
         }
-        zeroize_u64s(&mut self.raw_keys);
+        wipe::words(&mut self.raw_keys);
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<u32, Arc<CachedNode>>,
-    /// LRU order, least recently used first (small shards; a Vec scan is
-    /// fine and keeps the policy obviously correct).
-    lru: Vec<u32>,
-}
-
-impl Shard {
-    fn touch(&mut self, id: u32) {
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(id);
-    }
-
-    fn forget(&mut self, id: u32) {
-        if self.map.remove(&id).is_some() {
-            if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-                self.lru.remove(pos);
-            }
-        }
-    }
-}
+type Shard = LruMap<u32, Arc<CachedNode>>;
 
 /// Sharded LRU over decoded nodes. Interior-mutable so the read path can
 /// fill it behind `&self`; shards keep lock hold times short when several
@@ -93,7 +67,6 @@ impl Shard {
 #[derive(Debug)]
 pub struct NodeCache {
     shards: Box<[Mutex<Shard>]>,
-    per_shard: usize,
 }
 
 const SHARDS: usize = 8;
@@ -104,49 +77,42 @@ impl NodeCache {
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         NodeCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard,
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(LruMap::new(per_shard)))
+                .collect(),
         }
     }
 
-    fn shard(&self, id: BlockId) -> &Mutex<Shard> {
-        &self.shards[id.0 as usize % SHARDS]
+    fn shard(&self, id: BlockId) -> MutexGuard<'_, Shard> {
+        self.shards[id.0 as usize % SHARDS]
+            .lock()
+            .expect("node cache shard")
     }
 
     /// Returns the cached decoding of `id`, if present.
     pub fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
-        let mut shard = self.shard(id).lock().expect("node cache shard");
-        let entry = shard.map.get(&id.0).map(Arc::clone)?;
-        shard.touch(id.0);
-        Some(entry)
+        self.shard(id).get(&id.0).map(Arc::clone)
     }
 
     /// Inserts (or replaces) the decoding of `id`, evicting the least
     /// recently used entry of the shard when full.
     pub fn insert(&self, id: BlockId, entry: CachedNode) {
-        let mut shard = self.shard(id).lock().expect("node cache shard");
-        shard.map.insert(id.0, Arc::new(entry));
-        shard.touch(id.0);
-        while shard.map.len() > self.per_shard {
-            let victim = shard.lru.remove(0);
-            shard.map.remove(&victim);
-        }
+        let mut shard = self.shard(id);
+        shard.insert(id.0, Arc::new(entry));
+        while shard.evict().is_some() {}
     }
 
     /// Drops the entry for `id` (node re-encoded or freed). The plaintext
     /// is zeroized when the last outstanding reference drops.
     pub fn invalidate(&self, id: BlockId) {
-        self.shard(id)
-            .lock()
-            .expect("node cache shard")
-            .forget(id.0);
+        self.shard(id).remove(&id.0);
     }
 
     /// Number of cached nodes across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("node cache shard").map.len())
+            .map(|s| s.lock().expect("node cache shard").len())
             .sum()
     }
 
@@ -156,7 +122,10 @@ impl NodeCache {
 
     /// Maximum nodes the cache will hold.
     pub fn capacity(&self) -> usize {
-        self.per_shard * SHARDS
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("node cache shard").capacity())
+            .sum()
     }
 }
 
@@ -209,6 +178,43 @@ mod tests {
         cache.insert(BlockId(4), entry(4, 2));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(BlockId(4)).unwrap().node.keys, vec![2]);
+    }
+
+    #[test]
+    fn replays_a_trace_exactly_like_the_vec_scan_lru() {
+        // The sharded Vec-scan LRU this cache used to be, as the oracle:
+        // per shard, resident ids with the least recently used first.
+        let mut model: Vec<Vec<u32>> = vec![Vec::new(); SHARDS];
+        let cache = NodeCache::new(24); // 3 per shard
+        let mut rng = 0x5EED_u64;
+        for step in 0..10_000 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = (rng >> 40) as u32 % 64;
+            let lru = &mut model[id as usize % SHARDS];
+            let resident = lru.iter().position(|&x| x == id).map(|pos| lru.remove(pos));
+            match (rng >> 33) % 8 {
+                0..=4 => {
+                    let hit = cache.get(BlockId(id)).is_some();
+                    assert_eq!(hit, resident.is_some(), "step {step}: get {id}");
+                    lru.extend(resident);
+                }
+                5 | 6 => {
+                    cache.insert(BlockId(id), entry(id, step));
+                    lru.push(id);
+                    if lru.len() > 3 {
+                        let victim = lru.remove(0);
+                        assert!(
+                            cache.shard(BlockId(victim)).peek(&victim).is_none(),
+                            "step {step}: {victim} should have been evicted"
+                        );
+                    }
+                }
+                _ => cache.invalidate(BlockId(id)),
+            }
+            assert_eq!(cache.len(), model.iter().map(Vec::len).sum::<usize>());
+        }
     }
 
     #[test]

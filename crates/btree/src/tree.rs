@@ -11,10 +11,9 @@
 //! The balancing algorithm is the classic preemptive-split/merge B-tree
 //! (CLRS ch. 18) with minimum degree `t` derived from the codec's fanout.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use sks_storage::{BlockId, BlockStore, OpCounters, PageReader, PageWriter, Stage, StorageError};
+use sks_storage::{
+    BlockId, BlockStore, LruMap, OpCounters, PageReader, PageWriter, Stage, StorageError,
+};
 
 use crate::cache::{CachedNode, NodeCache};
 use crate::codec::{CodecError, NodeCodec, Probe};
@@ -68,116 +67,14 @@ impl From<CodecError> for TreeError {
 const SUPER_MAGIC: u64 = 0x534b_5342_5452_4545; // "SKSBTREE"
 
 /// Dirty plaintext nodes whose physical re-encipherment has been deferred
-/// (see [`BTree::enable_write_behind`]). Unlike the read cache this is not
+/// (see [`BTree::enable_write_behind`]), bounded by the budget: an
+/// [`LruMap`] of block number → node. Unlike the read cache this is not
 /// interior-mutable: only `&mut self` tree paths insert, evict or seal;
-/// `&self` read paths merely look entries up — a dirty node's disk page is
-/// *stale*, so reads must be served from here first.
-#[derive(Debug, Default)]
-struct WriteBehindSet {
-    /// Block id → slot in `slots`.
-    map: HashMap<u32, usize>,
-    slots: Vec<WbSlot>,
-    /// Slots emptied by `forget`/eviction, reused before the ring grows.
-    vacant: Vec<usize>,
-    /// Clock hand: the next slot the eviction sweep examines. Eviction
-    /// is second-chance: every (re-)deferral sets the slot's referenced
-    /// bit, the sweep clears bits until it meets a cold entry — a node
-    /// re-dirtied every ring revolution (a hot leaf absorbing a run of
-    /// inserts) keeps absorbing instead of being re-sealed per round.
-    hand: usize,
-    budget: usize,
-}
-
-/// One clock slot of the write-behind ring.
-#[derive(Debug)]
-struct WbSlot {
-    id: u32,
-    /// `None` = vacant (forgotten or evicted, awaiting reuse).
-    entry: Option<Arc<CachedNode>>,
-    referenced: bool,
-}
-
-impl WriteBehindSet {
-    fn new(budget: usize) -> Self {
-        WriteBehindSet {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            vacant: Vec::new(),
-            hand: 0,
-            budget,
-        }
-    }
-
-    fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
-        let idx = *self.map.get(&id.0)?;
-        self.slots[idx].entry.as_ref().map(Arc::clone)
-    }
-
-    fn insert(&mut self, id: BlockId, entry: CachedNode) {
-        let entry = Arc::new(entry);
-        if let Some(&idx) = self.map.get(&id.0) {
-            let slot = &mut self.slots[idx];
-            slot.entry = Some(entry);
-            slot.referenced = true; // the second chance
-            return;
-        }
-        let slot = WbSlot {
-            id: id.0,
-            entry: Some(entry),
-            referenced: true,
-        };
-        let idx = match self.vacant.pop() {
-            Some(i) => {
-                self.slots[i] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(id.0, idx);
-    }
-
-    /// Drops `id` without sealing (the node was freed; its plaintext is
-    /// zeroized when the last reference drops).
-    fn forget(&mut self, id: BlockId) {
-        if let Some(idx) = self.map.remove(&id.0) {
-            self.slots[idx].entry = None;
-            self.vacant.push(idx);
-        }
-    }
-
-    /// Removes and returns the eviction victim, for sealing: the first
-    /// entry at the hand whose referenced bit is already clear. Entries
-    /// passed on the way lose their bit, so a full revolution always
-    /// produces a victim.
-    fn pop_victim(&mut self) -> Option<(BlockId, Arc<CachedNode>)> {
-        if self.map.is_empty() {
-            return None;
-        }
-        loop {
-            let idx = self.hand % self.slots.len();
-            self.hand = (idx + 1) % self.slots.len();
-            let slot = &mut self.slots[idx];
-            if slot.entry.is_none() {
-                continue;
-            }
-            if slot.referenced {
-                slot.referenced = false;
-                continue;
-            }
-            let entry = slot.entry.take().expect("occupied slot");
-            self.map.remove(&slot.id);
-            self.vacant.push(idx);
-            return Some((BlockId(slot.id), entry));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
+/// `&self` read paths merely peek — a dirty node's disk page is *stale*,
+/// so reads must be served from here first. Every (re-)deferral makes the
+/// node the most recently used, so a hot leaf absorbing a run of inserts
+/// keeps absorbing while colder nodes are sealed under budget pressure.
+type WriteBehindSet = LruMap<u32, CachedNode>;
 
 /// A disk B-tree parameterised by block store and node codec.
 #[derive(Debug)]
@@ -440,8 +337,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// (counter-silent apart from `node_reseals`; the logical cost was
     /// charged per mutation).
     pub fn seal_all_deferred(&mut self) -> Result<(), TreeError> {
-        while let Some((id, entry)) = self.wb.as_mut().and_then(WriteBehindSet::pop_victim) {
-            self.seal_entry(id, &entry)?;
+        while let Some((id, entry)) = self.wb.as_mut().and_then(WriteBehindSet::pop_lru) {
+            self.seal_entry(BlockId(id), &entry)?;
         }
         Ok(())
     }
@@ -496,8 +393,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // A write-behind node's disk page is stale: the dirty set is the
         // authoritative copy and must be consulted before cache and disk.
         // `decode_cached` replays the raw decode's exact logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.get(id)) {
-            return Ok(self.codec.decode_cached(&entry)?);
+        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.peek(&id.0)) {
+            return Ok(self.codec.decode_cached(entry)?);
         }
         let Some(cache) = &self.cache else {
             let t = self.counters().obs().start();
@@ -537,19 +434,13 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             // Defer the physical seal: charge the full logical encode
             // profile now (and surface every encode error — shape, key
             // domain, fit — at mutation time), park the plaintext entry,
-            // and seal a clock-chosen cold node once over budget.
+            // and seal the least recently deferred node once over budget.
             let entry = self.codec.encode_to_cache(node, self.store.block_size())?;
             let wb = self.wb.as_mut().expect("checked above");
-            wb.insert(node.id, entry);
+            wb.insert(node.id.0, entry);
             self.counters().bump(|c| &c.node_writes_deferred);
-            while let Some((id, victim)) = self.wb.as_mut().and_then(|wb| {
-                if wb.len() > wb.budget {
-                    wb.pop_victim()
-                } else {
-                    None
-                }
-            }) {
-                self.seal_entry(id, &victim)?;
+            while let Some((id, victim)) = self.wb.as_mut().and_then(WriteBehindSet::evict) {
+                self.seal_entry(BlockId(id), &victim)?;
             }
             return Ok(());
         }
@@ -584,7 +475,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         if let Some(wb) = &mut self.wb {
             // A freed node never needs its deferred seal; the plaintext is
             // zeroized when the last reference drops.
-            wb.forget(id);
+            wb.remove(&id.0);
         }
         if let Some(cache) = &self.cache {
             cache.invalidate(id);
@@ -665,8 +556,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // Dirty-first, like `read_node`: the disk page of a write-behind
         // node is stale. `probe_cached` replays the raw probe's exact
         // logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.get(id)) {
-            return Ok(self.codec.probe_cached(&entry, key)?);
+        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.peek(&id.0)) {
+            return Ok(self.codec.probe_cached(entry, key)?);
         }
         let Some(cache) = &self.cache else {
             let page = self.store.read_block_vec(id)?;
@@ -1375,5 +1266,47 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             self.push_node(child);
             // A failed push left pending_err set; the loop head yields it.
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::PlainCodec;
+    use sks_storage::MemDisk;
+
+    #[test]
+    fn write_behind_seals_the_coldest_node_not_a_re_deferred_one() {
+        let counters = OpCounters::new();
+        let disk = MemDisk::with_counters(256, counters.clone());
+        let mut tree = BTree::create(disk, PlainCodec::new(counters.clone())).unwrap();
+        tree.enable_write_behind(2);
+        let leaf = |id: BlockId, keys: &[u64]| {
+            let mut node = Node::leaf(id);
+            node.keys = keys.to_vec();
+            node.data_ptrs = keys.iter().map(|&k| RecordPtr(k)).collect();
+            node
+        };
+        let [a, b, c] = [(); 3].map(|()| tree.allocate_node().unwrap());
+        tree.write_node(&leaf(a, &[1])).unwrap();
+        tree.write_node(&leaf(b, &[2])).unwrap();
+        tree.write_node(&leaf(a, &[1, 11])).unwrap(); // a absorbs a second write
+        assert_eq!(counters.snapshot().node_reseals, 0, "within budget");
+        tree.write_node(&leaf(c, &[3])).unwrap();
+
+        assert_eq!(counters.snapshot().node_reseals, 1);
+        assert_eq!(tree.deferred_nodes(), 2);
+        let on_medium = |id| tree.store().read_block_vec(id).unwrap();
+        assert_eq!(
+            tree.codec().decode(b, &on_medium(b)).unwrap().keys,
+            vec![2],
+            "b, deferred once and never touched again, is the one sealed"
+        );
+        assert!(
+            on_medium(a).iter().all(|&x| x == 0),
+            "a was re-deferred after b and must still be absorbing in RAM"
+        );
+        assert_eq!(tree.read_node(a).unwrap().keys, vec![1, 11]);
+        assert_eq!(tree.read_node(c).unwrap().keys, vec![3]);
     }
 }

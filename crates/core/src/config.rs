@@ -220,13 +220,6 @@ pub struct SchemeConfig {
     /// trigger still applies independently). `0` disables the global
     /// budget; standalone trees ignore it.
     pub global_dirty_budget: usize,
-    /// Process-wide decoded-record cache capacity shared across *all*
-    /// engine partitions: one clock, one budget, so total plaintext-record
-    /// RAM is bounded for the process instead of per partition. When
-    /// non-zero the engine replaces each partition's per-tree
-    /// [`SchemeConfig::record_cache`] with the shared one. `0` keeps
-    /// per-partition caches; standalone trees ignore it.
-    pub global_record_cache: usize,
     /// Physical observability level (see [`sks_storage::ObsLevel`]):
     /// `Off` strips every probe to a `None` check, `Counters` (default)
     /// keeps counting plus rare flight-recorder events, `Histograms` adds
@@ -283,7 +276,6 @@ impl SchemeConfig {
             compaction: Self::DEFAULT_COMPACTION,
             compaction_floor: Self::DEFAULT_COMPACTION_FLOOR,
             global_dirty_budget: 0,
-            global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
             write_behind: 0,
             index_delta: true,
@@ -318,7 +310,6 @@ impl SchemeConfig {
             compaction: Self::DEFAULT_COMPACTION,
             compaction_floor: Self::DEFAULT_COMPACTION_FLOOR,
             global_dirty_budget: 0,
-            global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
             write_behind: 0,
             index_delta: true,
@@ -413,13 +404,6 @@ impl SchemeConfig {
     /// all engine partitions; 0 disables the global trigger).
     pub fn global_dirty_budget(mut self, pages: usize) -> Self {
         self.global_dirty_budget = pages;
-        self
-    }
-
-    /// Builder-style process-wide record-cache knob (decoded records
-    /// shared across all engine partitions; 0 keeps per-partition caches).
-    pub fn global_record_cache(mut self, records: usize) -> Self {
-        self.global_record_cache = records;
         self
     }
 

@@ -48,7 +48,7 @@ pub use error::CoreError;
 pub use filter::{FilterSecrets, SecurityFilter};
 pub use layout::{layouts_at, SchemeLayout};
 pub use mls::MultilevelRecordStore;
-pub use records::{RecordStore, SharedRecordCache};
+pub use records::RecordStore;
 pub use tree::{CompactionReport, EncipheredBTree};
 
 // The observability level knob `SchemeConfig::observability` takes,

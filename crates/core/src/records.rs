@@ -21,11 +21,12 @@
 //! * **A bounded decoded-record LRU** above the CTR unseal — read-mostly
 //!   `get`s of hot records pay zero physical unseals while the *logical*
 //!   `data_decrypts` counter keeps reporting the paper's per-get cost.
-//!   Entries are RAM-only, invalidated on delete/compaction, and zeroized
-//!   when the last reference drops. The cache can be process-wide: a
-//!   [`SharedRecordCache`] hands several stores (engine partitions) one
-//!   clock, each keyed under its own namespace, so total plaintext-record
-//!   RAM is bounded for the whole process.
+//!   It is the workspace's one [`LruMap`] behind a mutex, keyed by record
+//!   pointer: a hit is an O(1) look-up-and-touch, a store over its bound
+//!   drops its least recently used record. Entries are RAM-only,
+//!   invalidated on delete/compaction, and zeroized when the last
+//!   reference drops. Each store (engine partition) has its own, so the
+//!   plaintext-record RAM of a process is `record_cache × partitions`.
 //! * **A persistent `block → (slot, key)` reverse index** — maintained
 //!   incrementally on every keyed insert/delete/compaction move, persisted
 //!   at flush as a chain of *sealed* index pages hanging off the
@@ -41,12 +42,12 @@
 //!   and the epochs always match.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sks_btree_core::RecordPtr;
 use sks_crypto::modes::ctr_xor;
 use sks_crypto::speck::Speck64;
-use sks_storage::{BlockId, BlockStore, PageReader, PageWriter};
+use sks_storage::{wipe, BlockId, BlockStore, LruMap, PageReader, PageWriter};
 
 use crate::error::CoreError;
 
@@ -100,187 +101,55 @@ struct CachedRecord {
 
 impl Drop for CachedRecord {
     fn drop(&mut self) {
-        for b in self.bytes.iter_mut() {
-            // Volatile so the wipe of soon-to-be-freed memory is not elided.
-            unsafe { std::ptr::write_volatile(b, 0) };
-        }
+        wipe::bytes(&mut self.bytes);
     }
 }
 
-/// One occupied clock slot.
+/// Bounded LRU of *decoded* records keyed by record pointer,
+/// interior-mutable so the read path can fill it behind `&self`. Capacity
+/// is a record count. Entries are RAM-only and zeroized on drop.
 #[derive(Debug)]
-struct CacheSlot {
-    key: u64,
-    entry: Arc<CachedRecord>,
-    /// Second-chance bit: set on every hit, cleared by the sweeping hand.
-    referenced: bool,
-}
-
-#[derive(Debug, Default)]
-struct RecordCacheInner {
-    /// Record pointer → ring slot index.
-    map: HashMap<u64, usize>,
-    ring: Vec<Option<CacheSlot>>,
-    /// Slots emptied by invalidation, reused before eviction.
-    vacant: Vec<usize>,
-    hand: usize,
-}
-
-impl RecordCacheInner {
-    fn forget(&mut self, ptr: u64) {
-        if let Some(i) = self.map.remove(&ptr) {
-            self.ring[i] = None;
-            self.vacant.push(i);
-        }
-    }
-}
-
-/// Bounded cache of *decoded* records, interior-mutable so the read path
-/// can fill it behind `&self`. Capacity is a record count; eviction is
-/// clock / second-chance (an O(1) LRU approximation — a true recency list
-/// would put a scan on every hot-path hit). Entries are RAM-only and
-/// zeroized on drop.
-///
-/// Entries are keyed by `(namespace << 48) | record pointer` — a
-/// [`RecordPtr`] packs a `u32` block and `u16` slot into 48 bits — so one
-/// cache (and one eviction clock) can serve several stores at once; see
-/// [`SharedRecordCache`].
-#[derive(Debug)]
-struct RecordCache {
-    inner: Mutex<RecordCacheInner>,
-    capacity: usize,
-}
+struct RecordCache(Mutex<LruMap<u64, Arc<CachedRecord>>>);
 
 impl RecordCache {
     fn new(capacity: usize) -> Self {
-        RecordCache {
-            inner: Mutex::new(RecordCacheInner::default()),
-            capacity,
-        }
+        RecordCache(Mutex::new(LruMap::new(capacity)))
     }
 
-    fn key_of(ns: u64, ptr: RecordPtr) -> u64 {
-        debug_assert!(ns < (1 << 16), "namespace must fit 16 bits");
-        debug_assert!(ptr.0 < (1 << 48), "record pointers pack into 48 bits");
-        (ns << 48) | ptr.0
+    fn lock(&self) -> MutexGuard<'_, LruMap<u64, Arc<CachedRecord>>> {
+        self.0.lock().expect("record cache")
     }
 
-    fn get(&self, ns: u64, ptr: RecordPtr) -> Option<Arc<CachedRecord>> {
-        let key = Self::key_of(ns, ptr);
-        let mut inner = self.inner.lock().expect("record cache");
-        let &i = inner.map.get(&key)?;
-        let slot = inner.ring[i].as_mut().expect("mapped slot is occupied");
-        slot.referenced = true;
-        Some(Arc::clone(&slot.entry))
+    fn get(&self, ptr: RecordPtr) -> Option<Arc<CachedRecord>> {
+        self.lock().get(&ptr.0).map(Arc::clone)
     }
 
-    fn insert(&self, ns: u64, ptr: RecordPtr, bytes: Vec<u8>) {
-        let key = Self::key_of(ns, ptr);
-        let entry = Arc::new(CachedRecord { bytes });
-        let mut inner = self.inner.lock().expect("record cache");
-        if let Some(&i) = inner.map.get(&key) {
-            inner.ring[i] = Some(CacheSlot {
-                key,
-                entry,
-                referenced: true,
-            });
-            return;
-        }
-        let i = if let Some(i) = inner.vacant.pop() {
-            i
-        } else if inner.ring.len() < self.capacity {
-            inner.ring.push(None);
-            inner.ring.len() - 1
-        } else {
-            // Clock sweep: clear second-chance bits until a cold slot
-            // turns up (at most two revolutions).
-            loop {
-                let h = inner.hand;
-                inner.hand = (inner.hand + 1) % inner.ring.len();
-                match &mut inner.ring[h] {
-                    Some(slot) if slot.referenced => slot.referenced = false,
-                    Some(slot) => {
-                        let old = slot.key;
-                        inner.map.remove(&old);
-                        break h;
-                    }
-                    None => break h,
-                }
-            }
-        };
-        inner.ring[i] = Some(CacheSlot {
-            key,
-            entry,
-            referenced: true,
-        });
-        inner.map.insert(key, i);
+    fn insert(&self, ptr: RecordPtr, bytes: Vec<u8>) {
+        let mut lru = self.lock();
+        lru.insert(ptr.0, Arc::new(CachedRecord { bytes }));
+        while lru.evict().is_some() {}
     }
 
-    fn invalidate(&self, ns: u64, ptr: RecordPtr) {
-        self.inner
-            .lock()
-            .expect("record cache")
-            .forget(Self::key_of(ns, ptr));
+    fn invalidate(&self, ptr: RecordPtr) {
+        self.lock().remove(&ptr.0);
     }
 
-    /// Drops every entry of namespace `ns` living in `block` (the block is
-    /// being freed; its slots will be reincarnated under a fresh
-    /// generation).
-    fn invalidate_block(&self, ns: u64, block: BlockId) {
-        let mut inner = self.inner.lock().expect("record cache");
-        let doomed: Vec<u64> = inner
-            .map
-            .keys()
-            .copied()
-            .filter(|&k| k >> 48 == ns && RecordPtr(k & ((1 << 48) - 1)).block() == block)
+    /// Drops every entry living in `block` (the block is being freed; its
+    /// slots will be reincarnated under a fresh generation).
+    fn invalidate_block(&self, block: BlockId) {
+        let mut lru = self.lock();
+        let doomed: Vec<u64> = lru
+            .iter()
+            .map(|(&ptr, _)| ptr)
+            .filter(|&ptr| RecordPtr(ptr).block() == block)
             .collect();
-        for k in doomed {
-            inner.forget(k);
+        for ptr in doomed {
+            lru.remove(&ptr);
         }
-    }
-
-    /// Entries currently held for namespace `ns` (observability; O(cache)).
-    fn len_of(&self, ns: u64) -> usize {
-        self.inner
-            .lock()
-            .expect("record cache")
-            .map
-            .keys()
-            .filter(|&&k| k >> 48 == ns)
-            .count()
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().expect("record cache").map.len()
-    }
-}
-
-/// A process-wide decoded-record cache: one bounded clock shared by every
-/// store (engine partition) that adopts it, so the *total* plaintext
-/// record RAM of the process is capped by a single budget instead of one
-/// budget per partition. Cheap to clone; entries are RAM-only and
-/// zeroized on drop exactly like the per-store cache.
-#[derive(Debug, Clone)]
-pub struct SharedRecordCache {
-    cache: Arc<RecordCache>,
-}
-
-impl SharedRecordCache {
-    /// A shared cache bounded at `capacity` decoded records *in total*
-    /// across every adopting store.
-    pub fn new(capacity: usize) -> Self {
-        SharedRecordCache {
-            cache: Arc::new(RecordCache::new(capacity.max(1))),
-        }
-    }
-
-    /// Total decoded records currently held, across all namespaces.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lock().len()
     }
 }
 
@@ -292,10 +161,8 @@ pub struct RecordStore<S: BlockStore> {
     open_block: Option<BlockId>,
     /// Next page generation (mirrors the superblock).
     next_gen: u64,
-    /// Decoded-record LRU (None = disabled) and the namespace this store's
-    /// entries live under (non-zero only for engine-shared caches).
-    cache: Option<Arc<RecordCache>>,
-    cache_ns: u64,
+    /// Decoded-record LRU (None = disabled).
+    cache: Option<RecordCache>,
     /// Tombstoned-slot count per block. Complete only when
     /// `accounting_complete`.
     dead: HashMap<u32, u32>,
@@ -373,8 +240,7 @@ impl<S: BlockStore> RecordStore<S> {
             cipher: Speck64::from_u128(data_key),
             open_block: None,
             next_gen: 1,
-            cache: (cache_capacity > 0).then(|| Arc::new(RecordCache::new(cache_capacity))),
-            cache_ns: 0,
+            cache: (cache_capacity > 0).then(|| RecordCache::new(cache_capacity)),
             dead: HashMap::new(),
             live: HashMap::new(),
             accounting_complete: true,
@@ -427,8 +293,7 @@ impl<S: BlockStore> RecordStore<S> {
             cipher: Speck64::from_u128(data_key),
             open_block: None,
             next_gen,
-            cache: (cache_capacity > 0).then(|| Arc::new(RecordCache::new(cache_capacity))),
-            cache_ns: 0,
+            cache: (cache_capacity > 0).then(|| RecordCache::new(cache_capacity)),
             dead: HashMap::new(),
             live: HashMap::new(),
             accounting_complete: false,
@@ -515,20 +380,6 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(())
     }
 
-    /// Adopts a process-wide decoded-record cache (replacing any per-store
-    /// cache), keying this store's entries under namespace `ns`. The
-    /// namespace must fit 16 bits — cache keys pack `(ns << 48) | ptr`,
-    /// and a wider value would alias another store's entries (wrong
-    /// plaintext served across stores), so it is rejected loudly.
-    pub fn use_shared_cache(&mut self, shared: &SharedRecordCache, ns: u64) {
-        assert!(
-            ns < (1 << 16),
-            "shared record-cache namespace {ns} does not fit 16 bits"
-        );
-        self.cache = Some(Arc::clone(&shared.cache));
-        self.cache_ns = ns;
-    }
-
     /// Largest storable record.
     pub fn max_record_len(&self) -> usize {
         self.store.block_size() - PAGE_HEADER - SLOT_ENTRY
@@ -549,13 +400,9 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(self.store.flush()?)
     }
 
-    /// Records currently held decoded in the record cache (this store's
-    /// namespace only, when the cache is shared).
+    /// Records currently held decoded in the record cache.
     pub fn cached_records(&self) -> usize {
-        self.cache
-            .as_ref()
-            .map(|c| c.len_of(self.cache_ns))
-            .unwrap_or(0)
+        self.cache.as_ref().map(RecordCache::len).unwrap_or(0)
     }
 
     /// The generation ceiling: a nonce is `gen << 16 | slot`, so
@@ -713,7 +560,7 @@ impl<S: BlockStore> RecordStore<S> {
                 // gets. Compaction moves skip this — flooding the bounded
                 // cache with relocated records would evict the genuinely
                 // hot set.
-                cache.insert(self.cache_ns, ptr, record.to_vec());
+                cache.insert(ptr, record.to_vec());
             }
         }
         self.store
@@ -757,7 +604,7 @@ impl<S: BlockStore> RecordStore<S> {
     /// skips the *physical* work, tracked by `record_cache_hits`).
     pub fn get(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
         if let Some(cache) = &self.cache {
-            if let Some(entry) = cache.get(self.cache_ns, ptr) {
+            if let Some(entry) = cache.get(ptr) {
                 self.store.counters().bump(|c| &c.record_cache_hits);
                 self.store.counters().bump(|c| &c.data_decrypts);
                 return Ok(Some(entry.bytes.clone()));
@@ -790,7 +637,7 @@ impl<S: BlockStore> RecordStore<S> {
         let plain = ctr_xor(&self.cipher, Self::nonce(generation, ptr.slot()), ct);
         if let Some(cache) = &self.cache {
             self.store.counters().bump(|c| &c.record_cache_misses);
-            cache.insert(self.cache_ns, ptr, plain.clone());
+            cache.insert(ptr, plain.clone());
         }
         self.store
             .counters()
@@ -824,7 +671,7 @@ impl<S: BlockStore> RecordStore<S> {
         page[dir_off..dir_off + 2].copy_from_slice(&TOMBSTONE.to_be_bytes());
         self.store.write_block(ptr.block(), &page)?;
         if let Some(cache) = &self.cache {
-            cache.invalidate(self.cache_ns, ptr);
+            cache.invalidate(ptr);
         }
         if was_live {
             let b = ptr.block().0;
@@ -1032,7 +879,7 @@ impl<S: BlockStore> RecordStore<S> {
     /// dead).
     fn free_block(&mut self, block: BlockId, reclaimed: bool) -> Result<(), CoreError> {
         if let Some(cache) = &self.cache {
-            cache.invalidate_block(self.cache_ns, block);
+            cache.invalidate_block(block);
         }
         self.dead.remove(&block.0);
         self.live.remove(&block.0);
@@ -1901,35 +1748,6 @@ mod tests {
             "a lightly-dead block is deferred by the floor"
         );
         assert_eq!(rs.victims(10, 80).unwrap(), []);
-    }
-
-    #[test]
-    fn shared_cache_namespaces_are_isolated_and_jointly_bounded() {
-        let shared = SharedRecordCache::new(8);
-        let mk = || {
-            RecordStore::create(MemDisk::new(256), KEY, 0).unwrap() // no per-store cache
-        };
-        let mut a = mk();
-        let mut b = mk();
-        a.use_shared_cache(&shared, 0);
-        b.use_shared_cache(&shared, 1);
-        let pa = a.insert_keyed(1, b"store-a-record").unwrap();
-        let pb = b.insert_keyed(1, b"store-b-record").unwrap();
-        assert_eq!(pa, pb, "same pointer value in both stores");
-        // Same ptr, different namespaces: no cross-talk.
-        assert_eq!(a.get(pa).unwrap().unwrap(), b"store-a-record");
-        assert_eq!(b.get(pb).unwrap().unwrap(), b"store-b-record");
-        // Delete in a must not evict b's entry (and vice versa serve).
-        a.delete(pa).unwrap();
-        assert_eq!(a.get(pa).unwrap(), None);
-        assert_eq!(b.get(pb).unwrap().unwrap(), b"store-b-record");
-        // Joint bound: 20 hot records across both stores, one 8-slot clock.
-        for k in 0..10u64 {
-            a.insert_keyed(100 + k, &[k as u8; 40]).unwrap();
-            b.insert_keyed(100 + k, &[k as u8; 40]).unwrap();
-        }
-        assert!(shared.len() <= 8, "{} > 8", shared.len());
-        assert_eq!(shared.len(), a.cached_records() + b.cached_records());
     }
 
     #[test]

@@ -667,19 +667,9 @@ impl EncipheredBTree {
         self.tree.deferred_nodes()
     }
 
-    /// Records currently held decoded in the record cache (this tree's
-    /// namespace only, when the cache is process-wide).
+    /// Records currently held decoded in the record cache.
     pub fn cached_records(&self) -> usize {
         self.records.cached_records()
-    }
-
-    /// Adopts a process-wide decoded-record cache (see
-    /// [`crate::records::SharedRecordCache`]), replacing this tree's
-    /// per-tree cache. `ns` must be unique among the adopting trees (the
-    /// engine uses the partition number). Logical counters are unaffected;
-    /// only *where* the bounded plaintext RAM lives changes.
-    pub fn use_shared_record_cache(&mut self, cache: &crate::records::SharedRecordCache, ns: u64) {
-        self.records.use_shared_cache(cache, ns);
     }
 
     /// Data-store footprint: `(total blocks ever allocated, blocks on the

@@ -33,9 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
-use sks_core::{
-    CompactionReport, EncipheredBTree, KeyDisguise, SchemeConfig, SharedRecordCache, StorageBackend,
-};
+use sks_core::{CompactionReport, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend};
 use sks_storage::{
     Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy,
     NO_PARTITION,
@@ -229,9 +227,6 @@ pub struct SksDb {
     /// Handle back to the owning `Arc`, so a dirty high-water breach can
     /// hand a background thread its own reference to the engine.
     self_ref: Weak<SksDb>,
-    /// The process-wide decoded-record cache shared by every partition
-    /// (None when `SchemeConfig::global_record_cache` is 0).
-    shared_record_cache: Option<SharedRecordCache>,
     /// Mutation counter throttling the global-budget probe (the budget is
     /// a soft bound; probing every mutation would put an O(partitions)
     /// read-lock sweep on the hot path).
@@ -445,11 +440,6 @@ impl SksDb {
                     .into(),
             ));
         }
-        // One process-wide record-cache clock across every partition: the
-        // total decoded-record RAM of the engine is bounded by a single
-        // budget instead of `record_cache × partitions`.
-        let shared_record_cache = (config.scheme.global_record_cache > 0)
-            .then(|| SharedRecordCache::new(config.scheme.global_record_cache));
         let mut partitions = Vec::with_capacity(n);
         for i in 0..n {
             let part_config = partition_config(&config.scheme, db_dir, i);
@@ -457,15 +447,11 @@ impl SksDb {
             // router already built one: share the Arc so the open pays
             // one difference-set construction, not one per partition.
             let shared = router.disguise.clone();
-            let mut tree = if persisted {
+            partitions.push(if persisted {
                 EncipheredBTree::open_with_shared_disguise(part_config, counters.clone(), shared)?
             } else {
                 EncipheredBTree::create_with_shared_disguise(part_config, counters.clone(), shared)?
-            };
-            if let Some(cache) = &shared_record_cache {
-                tree.use_shared_record_cache(cache, i as u64);
-            }
-            partitions.push(tree);
+            });
         }
 
         // Per-partition snapshot files: with incremental checkpoints the
@@ -562,7 +548,6 @@ impl SksDb {
             partition_epochs: (0..n).map(|_| AtomicU64::new(0)).collect(),
             snap_epochs: Mutex::new(vec![None; n]),
             last_compaction: Mutex::new(CompactionReport::default()),
-            shared_record_cache,
             governance_tick: AtomicU64::new(0),
             self_ref: self_ref.clone(),
             auto_ckpt_running: AtomicBool::new(false),
@@ -641,7 +626,6 @@ impl SksDb {
             partitions,
             stages: self.counters.obs().stages_snapshot(),
             wal_len_bytes: self.wal_len_bytes(),
-            shared_record_cache_len: self.shared_record_cache_len(),
             last_compaction: self.last_compaction_report(),
         }
     }
@@ -1285,15 +1269,6 @@ impl SksDb {
     /// pattern carries no key order — it hashes the disguised key).
     pub fn partition_of(&self, key: u64) -> Result<usize, EngineError> {
         self.router.partition_of(key)
-    }
-
-    /// Total decoded records held by the process-wide record cache
-    /// (None when `global_record_cache` is 0 and each partition budgets
-    /// its own).
-    pub fn shared_record_cache_len(&self) -> Option<usize> {
-        self.shared_record_cache
-            .as_ref()
-            .map(SharedRecordCache::len)
     }
 
     /// Dirty pages currently buffered per partition (file backend; all

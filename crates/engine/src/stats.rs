@@ -63,9 +63,6 @@ pub struct StatsSnapshot {
     pub stages: Vec<(Stage, HistogramSnapshot)>,
     /// Current logical WAL length in bytes.
     pub wal_len_bytes: u64,
-    /// Records held by the process-wide decoded-record cache, when
-    /// configured.
-    pub shared_record_cache_len: Option<usize>,
     /// What the most recent checkpoint's compaction passes reclaimed.
     pub last_compaction: CompactionReport,
 }
@@ -123,11 +120,6 @@ impl StatsSnapshot {
         out.push_str("{\n");
         out.push_str(&format!("  \"level\": \"{}\",\n", self.level.name()));
         out.push_str(&format!("  \"wal_len_bytes\": {},\n", self.wal_len_bytes));
-        match self.shared_record_cache_len {
-            Some(n) => out.push_str(&format!("  \"shared_record_cache_len\": {n},\n")),
-            None => out.push_str("  \"shared_record_cache_len\": null,\n"),
-        }
-
         out.push_str("  \"counters\": {");
         let fields = self.counters.fields();
         for (i, (name, value)) in fields.iter().enumerate() {

@@ -34,22 +34,16 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sks_storage::{EventKind, NO_PARTITION};
+use sks_storage::{wipe, EventKind, NO_PARTITION};
 
 use crate::db::SksDb;
 use crate::error::EngineError;
 
-/// Volatile zero of plaintext bytes buffered by the overlay or a
-/// transaction's write set (same discipline as the WAL staging buffer).
-fn wipe(buf: &mut [u8]) {
-    for b in buf.iter_mut() {
-        unsafe { std::ptr::write_volatile(b, 0) };
-    }
-}
-
+/// Wipes the plaintext a prior value held (same discipline as the WAL
+/// staging buffer).
 fn wipe_prior(prior: &mut Option<Vec<u8>>) {
     if let Some(v) = prior {
-        wipe(v);
+        wipe::bytes(v);
     }
 }
 
@@ -348,7 +342,7 @@ impl Txn {
         let p = self.db.partition_of(key)?; // domain check before buffering
         if let Some((_, Some(old))) = self.writes.insert(key, (p, Some(value))) {
             let mut old = old;
-            wipe(&mut old);
+            wipe::bytes(&mut old);
         }
         Ok(())
     }
@@ -359,7 +353,7 @@ impl Txn {
         let p = self.db.partition_of(key)?;
         if let Some((_, Some(old))) = self.writes.insert(key, (p, None)) {
             let mut old = old;
-            wipe(&mut old);
+            wipe::bytes(&mut old);
         }
         Ok(())
     }
@@ -437,7 +431,7 @@ impl Txn {
     fn discard_writes(&mut self) {
         for (_, (_, value)) in self.writes.iter_mut() {
             if let Some(v) = value {
-                wipe(v);
+                wipe::bytes(v);
             }
         }
         self.writes.clear();

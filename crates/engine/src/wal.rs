@@ -67,8 +67,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use sks_crypto::modes::ctr_xor;
 use sks_crypto::speck::Speck64;
 use sks_storage::{
-    crc32, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters, Stage, StorageError,
-    SyncPolicy, NO_PARTITION,
+    crc32, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters, Stage,
+    StorageError, SyncPolicy, NO_PARTITION,
 };
 
 use crate::error::EngineError;
@@ -507,14 +507,6 @@ fn nonce_seed() -> u64 {
     splitmix64(t ^ addr.rotate_left(32) ^ u64::from(std::process::id()))
 }
 
-/// Volatile zero of a plaintext scratch buffer (never elided).
-fn wipe(buf: &mut [u8]) {
-    for b in buf.iter_mut() {
-        // SAFETY: `b` is a valid, aligned, exclusive reference into `buf`.
-        unsafe { std::ptr::write_volatile(b, 0) };
-    }
-}
-
 /// One record staged for sealing. The plaintext value is wiped when the
 /// entry drops (after the group body is sealed), so the staging buffer
 /// can never leak record bytes through freed heap memory — the same
@@ -528,7 +520,7 @@ struct StagedOp {
 
 impl Drop for StagedOp {
     fn drop(&mut self) {
-        wipe(&mut self.value);
+        wipe::bytes(&mut self.value);
     }
 }
 
@@ -1250,7 +1242,10 @@ fn build_frame(cipher: &Speck64, first_seq: u64, nonce: u64, group: &[StagedOp])
         body.extend_from_slice(&s.value);
     }
     let sealed = ctr_xor(cipher, nonce, &body);
-    wipe(&mut body);
+    wipe::bytes(&mut body);
+    // A bulk load seals tens of megabytes as one group: free the wiped
+    // plaintext before the frame, a third buffer of that size, is built.
+    drop(body);
     finish_frame(first_seq, nonce, &sealed)
 }
 

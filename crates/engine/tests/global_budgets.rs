@@ -1,6 +1,5 @@
-//! Process-wide governance at the engine level: one record-cache clock
-//! across all partitions, one dirty-page budget for the whole process,
-//! and node-device compaction riding every checkpoint.
+//! Process-wide governance at the engine level: one dirty-page budget for
+//! the whole process, and node-device compaction riding every checkpoint.
 
 use sks_core::{Scheme, SchemeConfig, StorageBackend};
 use sks_engine::{EngineConfig, SksDb};
@@ -26,60 +25,6 @@ fn file_config(dir: &std::path::Path, partitions: usize) -> EngineConfig {
 
 fn rec(k: u64) -> Vec<u8> {
     format!("global-budget-record-{k:06}").into_bytes()
-}
-
-/// One shared clock: the total decoded-record RAM across every partition
-/// obeys a single process-wide budget, reads stay correct, and
-/// cross-partition traffic cannot leak records between namespaces.
-#[test]
-fn global_record_cache_bounds_the_whole_process() {
-    let dir = tmpdir("shared_cache");
-    let cfg = {
-        let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
-            .partitions(4)
-            .global_record_cache(64);
-        EngineConfig::new(scheme)
-    };
-    let db = SksDb::open(&dir, cfg).unwrap();
-    let session = db.session();
-    for k in 0..500u64 {
-        session.insert(k, rec(k)).unwrap();
-    }
-    for k in 0..500u64 {
-        assert_eq!(session.get(k).unwrap().unwrap(), rec(k));
-    }
-    let held = db.shared_record_cache_len().expect("shared cache is on");
-    assert!(held <= 64, "global budget breached: {held}");
-    assert!(held > 0, "hot records are cached");
-    // Overwrites invalidate exactly the right namespace entry.
-    for k in (0..500u64).step_by(7) {
-        session.insert(k, b"rewritten".to_vec()).unwrap();
-    }
-    for k in 0..500u64 {
-        let want = if k % 7 == 0 {
-            b"rewritten".to_vec()
-        } else {
-            rec(k)
-        };
-        assert_eq!(session.get(k).unwrap().unwrap(), want, "key {k}");
-    }
-    // A hot set smaller than the global budget is served from the shared
-    // clock across partitions: round one fills, round two hits.
-    let before = db.snapshot();
-    for _ in 0..3 {
-        for k in 0..20u64 {
-            assert!(session.get(k).unwrap().is_some());
-        }
-    }
-    let delta = db.snapshot().delta(&before);
-    assert!(
-        delta.record_cache_hits >= 20,
-        "the shared cache served the hot set: {} hits",
-        delta.record_cache_hits
-    );
-    drop(session);
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The process-wide dirty budget sheds pinned pages in the background:

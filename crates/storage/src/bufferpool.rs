@@ -5,22 +5,26 @@
 //! images — decryption happens above, in the node codecs — so cache hits
 //! save physical I/O but **not** decryption work, exactly as in the paper's
 //! model where the hardware crypto unit sits at the disk interface.
-
-use std::collections::HashMap;
+//!
+//! Frames live in one [`LruMap`]: a hit, a miss, a discard and the choice
+//! of a victim are O(1) whatever the pool holds. Under the no-steal policy
+//! a dirty frame is *pinned* — in the map, off the recency list — so the
+//! least recently used clean frame is simply the head of the list, however
+//! many thousand dirty pages a bulk load has parked between checkpoints.
 
 use crate::block::{BlockId, BlockStore, StorageError};
+use crate::lru::LruMap;
 
 /// Write-back LRU cache of whole blocks.
 #[derive(Debug)]
 pub struct BufferPool<S: BlockStore> {
     store: S,
-    capacity: usize,
-    frames: HashMap<BlockId, Frame>,
-    /// LRU order: front = least recently used. Small capacities only, so a
-    /// Vec scan is fine (and keeps the structure obviously correct).
-    lru: Vec<BlockId>,
+    /// Cached frames in recency order; no-steal dirty frames are pinned.
+    frames: LruMap<BlockId, Frame>,
+    /// Frames with `dirty` set.
+    dirty: usize,
     /// No-steal policy: dirty frames are pinned and never written back by
-    /// eviction. The pool then exceeds `capacity` rather than flush — the
+    /// eviction. The pool then exceeds its capacity rather than flush — the
     /// discipline checkpointed file backends need, where the on-disk image
     /// must stay a consistent snapshot between explicit checkpoints.
     no_steal: bool,
@@ -37,9 +41,8 @@ impl<S: BlockStore> BufferPool<S> {
         assert!(capacity >= 1);
         BufferPool {
             store,
-            capacity,
-            frames: HashMap::with_capacity(capacity),
-            lru: Vec::with_capacity(capacity),
+            frames: LruMap::new(capacity),
+            dirty: 0,
             no_steal: false,
         }
     }
@@ -53,41 +56,27 @@ impl<S: BlockStore> BufferPool<S> {
         pool
     }
 
-    fn touch(&mut self, id: BlockId) {
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(id);
-    }
-
-    fn evict_if_needed(&mut self) -> Result<(), StorageError> {
-        while self.frames.len() > self.capacity {
-            let victim = if self.no_steal {
-                // Least-recently-used *clean* frame — excluding the MRU
-                // slot, which is the frame the caller is in the middle of
-                // handing out (a just-missed read) and must stay resident.
-                // With no other clean frame the pool grows past capacity
-                // until the next checkpoint.
-                let candidates = &self.lru[..self.lru.len() - 1];
-                match candidates.iter().position(|id| !self.frames[id].dirty) {
-                    Some(pos) => self.lru.remove(pos),
-                    None => return Ok(()),
-                }
-            } else {
-                self.lru.remove(0)
+    /// Evicts least-recently-used frames down to capacity, sparing `keep`:
+    /// the frame the caller is in the middle of handing out. Under
+    /// no-steal only clean frames are on the recency list, so when `keep`
+    /// is the one clean frame among pinned dirty ones the pool stays over
+    /// capacity until the next checkpoint.
+    fn evict_if_needed(&mut self, keep: BlockId) -> Result<(), StorageError> {
+        while self.frames.peek_lru().is_some_and(|&id| id != keep) {
+            let Some((victim, frame)) = self.frames.evict() else {
+                break;
             };
-            if let Some(frame) = self.frames.remove(&victim) {
-                self.store.counters().bump(|c| &c.cache_evicts);
-                if frame.dirty {
-                    self.store.write_block(victim, &frame.data)?;
-                    self.store.counters().obs().note(
-                        sks_obs::EventKind::Eviction,
-                        sks_obs::NO_PARTITION,
-                        victim.0 as u64,
-                        0,
-                        0,
-                    );
-                }
+            self.store.counters().bump(|c| &c.cache_evicts);
+            if frame.dirty {
+                self.dirty -= 1;
+                self.store.write_block(victim, &frame.data)?;
+                self.store.counters().obs().note(
+                    sks_obs::EventKind::Eviction,
+                    sks_obs::NO_PARTITION,
+                    victim.0 as u64,
+                    0,
+                    0,
+                );
             }
         }
         Ok(())
@@ -95,17 +84,19 @@ impl<S: BlockStore> BufferPool<S> {
 
     /// Reads through the cache.
     pub fn read(&mut self, id: BlockId) -> Result<&[u8], StorageError> {
-        if self.frames.contains_key(&id) {
+        if self.frames.get(&id).is_some() {
             self.store.counters().bump(|c| &c.cache_hits);
-            self.touch(id);
-            return Ok(&self.frames[&id].data);
+        } else {
+            self.store.counters().bump(|c| &c.cache_misses);
+            let data = self.store.read_block_vec(id)?;
+            self.frames.insert(id, Frame { data, dirty: false });
+            self.evict_if_needed(id)?;
         }
-        self.store.counters().bump(|c| &c.cache_misses);
-        let data = self.store.read_block_vec(id)?;
-        self.frames.insert(id, Frame { data, dirty: false });
-        self.touch(id);
-        self.evict_if_needed()?;
-        Ok(&self.frames[&id].data)
+        Ok(&self
+            .frames
+            .peek(&id)
+            .expect("resident: hit or just read")
+            .data)
     }
 
     /// Writes through the cache (write-back: dirty until flush/eviction).
@@ -116,15 +107,17 @@ impl<S: BlockStore> BufferPool<S> {
                 got: data.len(),
             });
         }
-        self.frames.insert(
-            id,
-            Frame {
-                data: data.to_vec(),
-                dirty: true,
-            },
-        );
-        self.touch(id);
-        self.evict_if_needed()
+        let frame = Frame {
+            data: data.to_vec(),
+            dirty: true,
+        };
+        if !self.frames.insert(id, frame).is_some_and(|old| old.dirty) {
+            self.dirty += 1;
+        }
+        if self.no_steal {
+            self.frames.pin(&id);
+        }
+        self.evict_if_needed(id)
     }
 
     /// Flushes all dirty frames to the store.
@@ -137,9 +130,11 @@ impl<S: BlockStore> BufferPool<S> {
             .collect();
         dirty.sort_unstable();
         for id in dirty {
-            let frame = self.frames.get_mut(&id).expect("collected above");
+            let frame = self.frames.peek_mut(&id).expect("collected above");
             self.store.write_block(id, &frame.data)?;
             frame.dirty = false;
+            self.dirty -= 1;
+            self.frames.unpin(&id);
         }
         self.store.flush()
     }
@@ -147,9 +142,8 @@ impl<S: BlockStore> BufferPool<S> {
     /// Drops a block from the cache without writing it back (used after
     /// `free`).
     pub fn discard(&mut self, id: BlockId) {
-        self.frames.remove(&id);
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
+        if self.frames.remove(&id).is_some_and(|f| f.dirty) {
+            self.dirty -= 1;
         }
     }
 
@@ -166,18 +160,20 @@ impl<S: BlockStore> BufferPool<S> {
         dirty
     }
 
-    /// Number of dirty frames, without cloning their contents (the cheap
-    /// form of [`BufferPool::dirty_frames`] for high-water checks).
+    /// Number of dirty frames (the cheap form of
+    /// [`BufferPool::dirty_frames`] for high-water checks).
     pub fn dirty_count(&self) -> usize {
-        self.frames.values().filter(|f| f.dirty).count()
+        self.dirty
     }
 
     /// Declares every cached frame clean *without* writing anything — the
     /// checkpoint already persisted the dirty set through its own path.
     pub fn mark_all_clean(&mut self) {
-        for frame in self.frames.values_mut() {
+        for (_, frame) in self.frames.iter_mut() {
             frame.dirty = false;
         }
+        self.dirty = 0;
+        self.frames.unpin_all();
     }
 
     /// Number of cached frames (may exceed `capacity` under no-steal).
@@ -190,7 +186,7 @@ impl<S: BlockStore> BufferPool<S> {
     }
 
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.frames.capacity()
     }
 
     pub fn store(&self) -> &S {
@@ -353,6 +349,100 @@ mod tests {
         assert_eq!(dirty, vec![0, 2], "sorted, clean read frame excluded");
         pool.mark_all_clean();
         assert!(pool.dirty_frames().is_empty());
+    }
+
+    #[test]
+    fn steal_mode_replays_a_trace_exactly_like_the_vec_scan_lru() {
+        use crate::lru::tests::{splitmix64, VecLru};
+        const BLOCKS: u32 = 40;
+        const CAPACITY: usize = 7;
+        let mut pool = BufferPool::new(disk_with_blocks(BLOCKS), CAPACITY);
+        // The oracle holds each resident block's dirty bit.
+        let mut model = VecLru::<bool>::new();
+        let mut rng = 0x5EED;
+        let mut before = pool.store().counters().snapshot();
+        for step in 0..10_000 {
+            let r = splitmix64(&mut rng);
+            let id = (r >> 8) as u32 % BLOCKS;
+            let (mut hits, mut misses, mut evicts, mut write_backs) = (0, 0, 0, 0);
+            match r % 8 {
+                0..=4 => {
+                    let _ = pool.read(BlockId(id)).unwrap();
+                    if model.get(id).is_some() {
+                        hits = 1;
+                    } else {
+                        misses = 1;
+                        model.insert(id, false);
+                    }
+                }
+                5 | 6 => {
+                    pool.write(BlockId(id), &[step as u8; 64]).unwrap();
+                    model.insert(id, true);
+                }
+                _ => {
+                    pool.discard(BlockId(id));
+                    model.remove(id);
+                }
+            }
+            while model.map.len() > CAPACITY {
+                let (_, dirty) = model.pop_lru().expect("over capacity");
+                evicts += 1;
+                write_backs += dirty as u64;
+            }
+            let after = pool.store().counters().snapshot();
+            assert_eq!(
+                (
+                    after.cache_hits - before.cache_hits,
+                    after.cache_misses - before.cache_misses,
+                    after.cache_evicts - before.cache_evicts,
+                    after.block_writes - before.block_writes,
+                ),
+                (hits, misses, evicts, write_backs),
+                "step {step}"
+            );
+            assert_eq!(pool.len(), model.map.len(), "step {step}");
+            let dirty = model.map.values().filter(|&&d| d).count();
+            assert_eq!(pool.dirty_count(), dirty, "step {step}");
+            before = after;
+        }
+    }
+
+    #[test]
+    fn no_steal_holds_fifty_thousand_pinned_frames_and_sheds_them_after_flush() {
+        const N: u32 = 50_000;
+        let mut disk = MemDisk::new(64);
+        for _ in 0..=N {
+            disk.allocate().unwrap();
+        }
+        let mut pool = BufferPool::new_no_steal(disk, 16);
+        let page = |i: u32, round: u8| {
+            let mut p = [round; 64];
+            p[..4].copy_from_slice(&i.to_be_bytes());
+            p
+        };
+        for i in 0..N {
+            pool.write(BlockId(i), &page(i, 1)).unwrap();
+        }
+        assert_eq!(pool.len(), N as usize, "every dirty frame stays resident");
+        assert_eq!(pool.dirty_count(), N as usize);
+        for i in 0..N {
+            pool.write(BlockId(i), &page(i, 2)).unwrap();
+        }
+        assert_eq!(pool.len(), N as usize);
+        assert_eq!(pool.dirty_count(), N as usize);
+        assert_eq!(pool.store().counters().snapshot().block_writes, 0);
+        pool.flush().unwrap();
+        assert_eq!(pool.dirty_count(), 0);
+        assert_eq!(pool.store().counters().snapshot().block_writes, N as u64);
+        // Unpinned by the flush, the frames are ordinary clean victims of
+        // the next miss.
+        assert_eq!(pool.read(BlockId(N)).unwrap(), &[0u8; 64][..]);
+        assert!(pool.len() <= pool.capacity());
+        for i in 0..N {
+            assert_eq!(pool.read(BlockId(i)).unwrap(), &page(i, 2)[..], "block {i}");
+            assert!(pool.len() <= pool.capacity());
+        }
+        assert_eq!(pool.dirty_count(), 0);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`memdisk`] — in-memory device; [`MemDisk::raw_image`] is the
 //!   opponent's view of the stolen medium.
 //! * [`filedisk`] — file-backed device with a persistent free list.
+//! * [`lru`] — [`LruMap`], the one bounded map (O(1) recency list with
+//!   pinning) behind every cache in the workspace.
 //! * [`bufferpool`] — write-back LRU cache at the memory↔disk boundary,
 //!   with an optional no-steal (pin-dirty) policy.
 //! * [`failstore`] — fault-injection wrapper failing (or tearing) the Nth
@@ -22,22 +24,26 @@
 //! * [`pagerw`] — bounds-checked big-endian page cursors for node codecs.
 //! * [`sync`] — the commit-time durability policy ([`SyncPolicy`]) the
 //!   engine's write-ahead log honours (fsync-per-commit vs group commit).
+//! * [`wipe`] — the volatile zeroing every plaintext buffer gets on drop.
 
 pub mod block;
 pub mod bufferpool;
 pub mod counters;
 pub mod failstore;
 pub mod filedisk;
+pub mod lru;
 pub mod memdisk;
 pub mod paged;
 pub mod pagerw;
 pub mod sync;
+pub mod wipe;
 
 pub use block::{BlockId, BlockStore, DynBlockStore, StorageError};
 pub use bufferpool::BufferPool;
 pub use counters::{OpCounters, OpCountersInner, OpSnapshot};
 pub use failstore::{FailMode, FailPlan, FailStore, KillPoint};
 pub use filedisk::{crc32, sync_dir, FileDisk};
+pub use lru::LruMap;
 pub use memdisk::MemDisk;
 pub use paged::PagedFileStore;
 pub use pagerw::{PageOverflow, PageReader, PageWriter};

@@ -346,16 +346,19 @@ impl BlockStore for PagedFileStore {
             // header + fsync so callers get the durability they asked for.
             return inner.pool.store_mut().flush();
         }
-        Journal {
+        // The journal owns the one copy of the dirty set: a bulk load
+        // checkpoints tens of megabytes of pages, and a second copy of
+        // them sets the process's peak memory.
+        let journal = Journal {
             block_size: self.block_size,
             num_blocks: inner.num_blocks,
             free: inner.free.clone(),
-            pages: dirty.clone(),
-        }
-        .write(&self.journal_path, &self.dir)?;
+            pages: dirty,
+        };
+        journal.write(&self.journal_path, &self.dir)?;
         let disk = inner.pool.store_mut();
         disk.restore_allocation(inner.num_blocks, &inner.free)?;
-        for (id, data) in &dirty {
+        for (id, data) in &journal.pages {
             disk.write_block(*id, data)?;
         }
         disk.flush()?;

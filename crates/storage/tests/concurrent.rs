@@ -152,9 +152,12 @@ fn filedisk_free_list_reuse_under_contention() {
                             "stamp torn on block {}",
                             id.0
                         );
+                        // Give the block up in `held` before the free list
+                        // can hand it on: once the disk lock drops, another
+                        // thread may legitimately be allocated this id.
+                        held.lock().unwrap().remove(&id.0);
                         disk.free(id).unwrap();
                     }
-                    held.lock().unwrap().remove(&id.0);
                 }
             })
         })

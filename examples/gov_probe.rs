@@ -1,5 +1,5 @@
 //! SIGKILL probe for space governance: `write` churns forever with
-//! dead-ratio compaction + node shrinking + global budgets on; `check`
+//! dead-ratio compaction + node shrinking + the global dirty budget on; `check`
 //! reopens the killed directory, validates, and reports device usage.
 use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
 use sks_btree::engine::{EngineConfig, SksDb};
@@ -13,8 +13,7 @@ fn config(dir: &std::path::Path) -> EngineConfig {
             pool_pages: 128,
         })
         .compaction(32)
-        .global_dirty_budget(24)
-        .global_record_cache(256);
+        .global_dirty_budget(24);
     EngineConfig::new(scheme).sync(SyncPolicy::Always)
 }
 

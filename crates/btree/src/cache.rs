@@ -1,18 +1,28 @@
-//! The plaintext node cache: a bounded, sharded LRU of *decoded* nodes.
+//! The node cache: a bounded, sharded LRU of nodes *as stored*, each
+//! carrying the triplets its probes have deciphered so far.
 //!
 //! The paper's cost model charges every node visit the decipherments the
 //! scheme requires; a real engine does not have to pay them twice for the
-//! same unchanged page. This cache keeps recently probed nodes in their
-//! decoded (plaintext) form so a repeated point read costs zero physical
-//! cryptography — while the *logical* operation counters keep reporting
-//! the paper's per-scheme cost (see [`crate::NodeCodec::probe_cached`]),
-//! so every comparative claim stays measurable with the cache on.
+//! same unchanged page — nor pay for triplets no search ever follows. A
+//! miss caches the page's header, raw key fields and triplet cryptograms
+//! with no cryptography at all; a probe then deciphers only the slot its
+//! answer lives in and memoises it in the entry, so a repeated point read
+//! costs zero physical cryptography and a cold one exactly what the scheme
+//! promises (one pointer per node under key substitution). The *logical*
+//! operation counters keep reporting the paper's per-scheme cost either
+//! way (see [`crate::NodeCodec::probe_cached`]), so every comparative
+//! claim stays measurable with the cache on. Only an update, scan or
+//! validation — which needs the whole node — deciphers the remainder
+//! ([`crate::NodeCodec::decode_cached`]). Codecs with nothing to be lazy
+//! about (whole-page encipherment, plaintext) and the write-behind set
+//! build their entries complete; the Bayer–Metzger baseline still fills
+//! its entries whole.
 //!
 //! Keying: an entry is logically keyed by `(page, version)` — the version
 //! being "the bytes currently on the page". The tree invalidates eagerly
 //! on every node re-encode and free (the only sites that change a page's
-//! version), so an entry is present exactly when it decodes the page's
-//! current content; a stale plaintext image can never serve a probe.
+//! version), so an entry is present exactly when it images the page's
+//! current content; a stale image can never serve a probe.
 //!
 //! Bound and eviction: eight mutex shards, each an [`LruMap`] — the same
 //! O(1) recency list every cache in the workspace runs on — holding an
@@ -20,48 +30,247 @@
 //! used node.
 //!
 //! Security model: entries live in RAM only. Nothing here ever reaches
-//! the medium (the stores below continue to hold only enciphered bytes),
-//! and entry contents are zeroized when the last reference drops
-//! (eviction, invalidation, or cache drop), so later heap re-use cannot
-//! scrape decoded keys out of dead memory.
+//! the medium (the stores below continue to hold only enciphered bytes).
+//! Under key substitution an entry holds in plaintext only the pointers
+//! searches actually followed — the rest of the node stays as enciphered
+//! as it is on the medium — and those, with the raw key fields, are
+//! zeroized when the last reference drops (eviction, invalidation, or
+//! cache drop), so later heap re-use cannot scrape them out of dead
+//! memory.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use sks_storage::{wipe, BlockId, LruMap};
+use sks_storage::{wipe, BlockId, LruMap, Obs, Stage};
 
-use crate::node::Node;
+use crate::codec::CodecError;
+use crate::node::{Node, RecordPtr};
 
-/// A decoded node plus the codec-specific sidecar needed to replay a
-/// probe's logical cost from RAM (see [`crate::NodeCodec::probe_cached`]).
-#[derive(Debug)]
-pub struct CachedNode {
-    /// The plaintext node.
-    pub node: Node,
-    /// Raw on-medium key-field values (e.g. disguised keys), for codecs
-    /// whose probe path recovers or compares them per step. Empty for
-    /// codecs that do not need them.
-    pub raw_keys: Vec<u64>,
-    /// Length in bytes of the page this node was decoded from (page-wide
-    /// schemes charge decryptions proportional to it).
-    pub page_len: usize,
+/// One deciphered slot of a [`CachedNode`]. `key` is 0 under schemes that
+/// keep the key outside the cryptogram (substitution: it sits disguised in
+/// [`CachedNode::raw_keys`]); `child` is 0 in a leaf, and an internal
+/// node's lone leftmost-pointer slot carries only `child`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Triplet {
+    pub key: u64,
+    pub data_ptr: u64,
+    pub child: u32,
 }
 
-impl Drop for CachedNode {
-    fn drop(&mut self) {
-        wipe::words(&mut self.node.keys);
-        for p in self.node.data_ptrs.iter_mut() {
-            wipe::words(std::slice::from_mut(&mut p.0));
+/// A node as stored plus what has been deciphered of it.
+///
+/// Slots are the page's cryptograms in page order: a leaf's slot `i` is
+/// triplet `i`; an internal node's slot 0 is the leftmost tree pointer and
+/// slot `i + 1` triplet `i` — so child `c` of an internal node always sits
+/// in slot `c`. Each slot has a write-once memo cell that readers sharing
+/// the entry through its `Arc` fill without a lock.
+#[derive(Debug)]
+pub struct CachedNode {
+    id: BlockId,
+    is_leaf: bool,
+    /// Length in bytes of the page this node images (page-wide schemes
+    /// charge decryptions proportional to it).
+    page_len: usize,
+    /// The key fields the codec's in-node search compares, in triplet
+    /// order, contiguous: as stored where the scheme keeps them outside
+    /// the cryptograms (disguised under substitution), empty where they
+    /// are sealed inside (Bayer–Metzger).
+    raw_keys: Vec<u64>,
+    /// The slots' cryptograms as stored, back to back, `sealed_len` bytes
+    /// each. Empty for an entry born complete.
+    sealed: Vec<u8>,
+    sealed_len: usize,
+    memo: Box<[OnceLock<Triplet>]>,
+    /// Where the time of each physical unseal is recorded (off unless the
+    /// tree installs its channel, see [`CachedNode::timed`]).
+    obs: Obs,
+}
+
+/// The `unseal` argument for entries born complete, whose slots never
+/// need one.
+pub fn never_sealed(_: &[u8]) -> Result<Triplet, CodecError> {
+    Err(CodecError::Corrupt(
+        "cache entry slot holds neither a triplet nor a cryptogram".into(),
+    ))
+}
+
+impl CachedNode {
+    /// A lazy entry: the node as stored, nothing deciphered. `sealed`
+    /// holds one `sealed_len`-byte cryptogram per slot.
+    pub fn sealed(
+        id: BlockId,
+        is_leaf: bool,
+        page_len: usize,
+        raw_keys: Vec<u64>,
+        sealed: Vec<u8>,
+        sealed_len: usize,
+    ) -> Self {
+        let slots = sealed.len().checked_div(sealed_len).unwrap_or(0);
+        CachedNode {
+            id,
+            is_leaf,
+            page_len,
+            raw_keys,
+            sealed,
+            sealed_len,
+            memo: (0..slots).map(|_| OnceLock::new()).collect(),
+            obs: Obs::default(),
         }
-        for c in self.node.children.iter_mut() {
-            wipe::words(std::slice::from_mut(&mut c.0));
+    }
+
+    /// An entry born complete from a plaintext `node` (write-behind, and
+    /// codecs that decipher a page all at once): every slot known, no
+    /// sealed image.
+    pub fn complete(node: &Node, raw_keys: Vec<u64>, page_len: usize) -> Self {
+        let lead = node.children.first().map(|c| Triplet {
+            child: c.0,
+            ..Triplet::default()
+        });
+        let keyed = node.keys.iter().zip(&node.data_ptrs).enumerate();
+        let keyed = keyed.map(|(i, (&key, a))| Triplet {
+            key,
+            data_ptr: a.0,
+            child: node.children.get(i + 1).map_or(0, |c| c.0),
+        });
+        CachedNode {
+            id: node.id,
+            is_leaf: node.is_leaf(),
+            page_len,
+            raw_keys,
+            sealed: Vec::new(),
+            sealed_len: 0,
+            memo: lead.into_iter().chain(keyed).map(OnceLock::from).collect(),
+            obs: Obs::default(),
+        }
+    }
+
+    /// Records every physical unseal this entry performs from now on as a
+    /// [`Stage::NodeUnseal`] sample on `obs`. The clock is read only when
+    /// a cryptogram is actually deciphered, never on a memoised slot.
+    pub(crate) fn timed(mut self, obs: &Obs) -> Self {
+        self.obs = obs.clone();
+        self
+    }
+
+    pub fn id(&self) -> BlockId {
+        self.id
+    }
+
+    pub fn is_leaf(&self) -> bool {
+        self.is_leaf
+    }
+
+    /// Number of triplets `n`.
+    pub fn n(&self) -> usize {
+        self.memo.len().saturating_sub(self.key_slot(0))
+    }
+
+    /// Number of slots (cryptograms on the page): `n`, plus the leftmost
+    /// pointer of an internal node.
+    pub fn slots(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// The slot of triplet `i`.
+    fn key_slot(&self, i: usize) -> usize {
+        i + usize::from(!self.is_leaf)
+    }
+
+    pub fn page_len(&self) -> usize {
+        self.page_len
+    }
+
+    pub fn raw_keys(&self) -> &[u64] {
+        &self.raw_keys
+    }
+
+    /// The deciphered content of `slot`. The first call on a slot hands
+    /// its cryptogram to `unseal` and memoises the answer; later calls —
+    /// from any thread sharing the entry — are served from the memo. A
+    /// failed unseal is returned and never memoised.
+    #[inline]
+    pub fn triplet(
+        &self,
+        slot: usize,
+        unseal: impl FnOnce(&[u8]) -> Result<Triplet, CodecError>,
+    ) -> Result<Triplet, CodecError> {
+        // The memoised case is the whole hot path of a cached search: keep
+        // it a load and a copy, with the first touch out of line.
+        match self.memo.get(slot).and_then(OnceLock::get) {
+            Some(t) => Ok(*t),
+            None => self.unseal_slot(slot, unseal),
+        }
+    }
+
+    /// First touch of `slot`: deciphers its cryptogram, timed, and
+    /// memoises the answer.
+    #[cold]
+    fn unseal_slot(
+        &self,
+        slot: usize,
+        unseal: impl FnOnce(&[u8]) -> Result<Triplet, CodecError>,
+    ) -> Result<Triplet, CodecError> {
+        let missing = || CodecError::Corrupt(format!("node {} has no slot {slot}", self.id));
+        let cell = self.memo.get(slot).ok_or_else(missing)?;
+        let at = slot * self.sealed_len;
+        let ct = self.sealed.get(at..at + self.sealed_len);
+        let clock = self.obs.start();
+        let t = unseal(ct.ok_or_else(missing)?)?;
+        self.obs.stage(Stage::NodeUnseal, clock);
+        // Readers racing to this point deciphered the same cryptogram to
+        // the same triplet; whichever `set` lands, the cell holds it.
+        let _ = cell.set(t);
+        Ok(t)
+    }
+
+    /// The whole plaintext node: every slot not yet memoised is unsealed
+    /// (and memoised) first. Keys are the slots' `key` fields — codecs
+    /// that keep keys outside the cryptograms fill them in afterwards.
+    pub fn node(
+        &self,
+        mut unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
+    ) -> Result<Node, CodecError> {
+        for (slot, cell) in self.memo.iter().enumerate() {
+            if cell.get().is_none() {
+                self.unseal_slot(slot, &mut unseal)?;
+            }
+        }
+        // Every cell is set now (cells are write-once), so the columns
+        // are straight copies out of the memo.
+        let known = |cell: &OnceLock<Triplet>| cell.get().copied().unwrap_or_default();
+        let keyed = self.memo.get(self.key_slot(0)..).unwrap_or_default();
+        let children = match self.is_leaf {
+            true => Vec::new(),
+            false => self.memo.iter().map(|c| BlockId(known(c).child)).collect(),
+        };
+        Ok(Node {
+            id: self.id,
+            keys: keyed.iter().map(|c| known(c).key).collect(),
+            data_ptrs: (keyed.iter().map(|c| RecordPtr(known(c).data_ptr))).collect(),
+            children,
+        })
+    }
+
+    /// Zeroes everything deciphered or key-derived in place (the sealed
+    /// image is ciphertext, as public as the medium).
+    fn scrub(&mut self) {
+        for cell in self.memo.iter_mut() {
+            if let Some(t) = cell.get_mut() {
+                wipe::words(std::slice::from_mut(t));
+            }
         }
         wipe::words(&mut self.raw_keys);
     }
 }
 
+impl Drop for CachedNode {
+    fn drop(&mut self) {
+        self.scrub();
+    }
+}
+
 type Shard = LruMap<u32, Arc<CachedNode>>;
 
-/// Sharded LRU over decoded nodes. Interior-mutable so the read path can
+/// Sharded LRU over cached nodes. Interior-mutable so the read path can
 /// fill it behind `&self`; shards keep lock hold times short when several
 /// readers share one tree.
 #[derive(Debug)]
@@ -72,7 +281,7 @@ pub struct NodeCache {
 const SHARDS: usize = 8;
 
 impl NodeCache {
-    /// A cache holding at most `capacity` decoded nodes (rounded up to a
+    /// A cache holding at most `capacity` nodes (rounded up to a
     /// multiple of the shard count).
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
@@ -89,12 +298,12 @@ impl NodeCache {
             .expect("node cache shard")
     }
 
-    /// Returns the cached decoding of `id`, if present.
+    /// Returns the cached image of `id`, if present.
     pub fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
         self.shard(id).get(&id.0).map(Arc::clone)
     }
 
-    /// Inserts (or replaces) the decoding of `id`, evicting the least
+    /// Inserts (or replaces) the image of `id`, evicting the least
     /// recently used entry of the shard when full.
     pub fn insert(&self, id: BlockId, entry: CachedNode) {
         let mut shard = self.shard(id);
@@ -102,8 +311,8 @@ impl NodeCache {
         while shard.evict().is_some() {}
     }
 
-    /// Drops the entry for `id` (node re-encoded or freed). The plaintext
-    /// is zeroized when the last outstanding reference drops.
+    /// Drops the entry for `id` (node re-encoded or freed). What it had
+    /// deciphered is zeroized when the last outstanding reference drops.
     pub fn invalidate(&self, id: BlockId) {
         self.shard(id).remove(&id.0);
     }
@@ -132,18 +341,35 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::RecordPtr;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn entry(id: u32, key: u64) -> CachedNode {
-        CachedNode {
-            node: Node {
-                id: BlockId(id),
-                keys: vec![key],
-                data_ptrs: vec![RecordPtr(key * 10)],
-                children: vec![],
-            },
-            raw_keys: vec![key ^ 0xAA],
-            page_len: 256,
+        let node = Node {
+            id: BlockId(id),
+            keys: vec![key],
+            data_ptrs: vec![RecordPtr(key * 10)],
+            children: vec![],
+        };
+        CachedNode::complete(&node, vec![key ^ 0xAA], 256)
+    }
+
+    /// A lazy internal node with keys 10, 20, 30 whose "cryptograms" are
+    /// the slot number: the test unseal maps slot `s` to a triplet derived
+    /// from it and counts how often it runs.
+    fn lazy_internal() -> CachedNode {
+        let sealed = (0u8..4).collect();
+        CachedNode::sealed(BlockId(7), false, 256, vec![10, 20, 30], sealed, 1)
+    }
+
+    fn unseal_counting(calls: &AtomicUsize) -> impl Fn(&[u8]) -> Result<Triplet, CodecError> + '_ {
+        move |ct| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok(Triplet {
+                key: u64::from(ct[0]) * 10,
+                data_ptr: u64::from(ct[0]) * 100,
+                child: u32::from(ct[0]) + 40,
+            })
         }
     }
 
@@ -153,7 +379,7 @@ mod tests {
         assert!(cache.get(BlockId(3)).is_none());
         cache.insert(BlockId(3), entry(3, 7));
         let got = cache.get(BlockId(3)).unwrap();
-        assert_eq!(got.node.keys, vec![7]);
+        assert_eq!(got.raw_keys(), [7 ^ 0xAA]);
         cache.invalidate(BlockId(3));
         assert!(cache.get(BlockId(3)).is_none());
         assert!(cache.is_empty());
@@ -177,7 +403,7 @@ mod tests {
         cache.insert(BlockId(4), entry(4, 1));
         cache.insert(BlockId(4), entry(4, 2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(BlockId(4)).unwrap().node.keys, vec![2]);
+        assert_eq!(cache.get(BlockId(4)).unwrap().raw_keys(), [2 ^ 0xAA]);
     }
 
     #[test]
@@ -218,10 +444,103 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_unsealed_once_and_completion_unseals_only_the_remainder() {
+        let calls = AtomicUsize::new(0);
+        let e = lazy_internal();
+        assert_eq!((e.n(), e.slots(), e.key_slot(1)), (3, 4, 2));
+        let t = e.triplet(2, unseal_counting(&calls)).unwrap();
+        assert_eq!((t.data_ptr, t.child), (200, 42));
+        assert_eq!(e.triplet(2, unseal_counting(&calls)).unwrap(), t);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "memoised after the first");
+
+        let node = e.node(unseal_counting(&calls)).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 4, "the three other slots");
+        assert_eq!(node.keys, vec![10, 20, 30]);
+        assert_eq!(node.data_ptrs, [100, 200, 300].map(RecordPtr));
+        assert_eq!(node.children, [40, 41, 42, 43].map(BlockId));
+        assert_eq!(e.node(never_sealed).unwrap(), node, "complete now");
+    }
+
+    #[test]
+    fn a_failed_unseal_is_surfaced_and_never_memoised() {
+        let calls = AtomicUsize::new(0);
+        let e = lazy_internal();
+        let err = e.triplet(1, |_| Err(CodecError::Corrupt("bad seal".into())));
+        assert_eq!(err, Err(CodecError::Corrupt("bad seal".into())));
+        assert!(e.node(never_sealed).is_err(), "slot 0 has no memo yet");
+        assert_eq!(e.triplet(1, unseal_counting(&calls)).unwrap().child, 41);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "the retry did unseal");
+        assert!(e.triplet(4, unseal_counting(&calls)).is_err(), "no slot 4");
+    }
+
+    #[test]
+    fn an_entry_born_complete_needs_no_unseal() {
+        let node = Node {
+            id: BlockId(9),
+            keys: vec![10, 20],
+            data_ptrs: vec![RecordPtr(1), RecordPtr(2)],
+            children: vec![BlockId(4), BlockId(5), BlockId(6)],
+        };
+        let e = CachedNode::complete(&node, vec![], 256);
+        assert_eq!(
+            (e.id(), e.is_leaf(), e.n(), e.slots()),
+            (BlockId(9), false, 2, 3)
+        );
+        assert_eq!(e.triplet(0, never_sealed).unwrap().child, 4);
+        assert_eq!(e.node(never_sealed).unwrap(), node);
+        let leaf = Node::leaf(BlockId(3));
+        let e = CachedNode::complete(&leaf, vec![], 256);
+        assert_eq!((e.n(), e.slots()), (0, 0));
+        assert_eq!(e.node(never_sealed).unwrap(), leaf);
+    }
+
+    #[test]
+    fn two_threads_sharing_an_entry_agree_with_one() {
+        let expect = lazy_internal().node(unseal_counting(&AtomicUsize::new(0)));
+        let expect = expect.unwrap();
+        let calls = AtomicUsize::new(0);
+        let shared = Arc::new(lazy_internal());
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let probers: Vec<_> = [[0usize, 1, 2, 3], [3, 2, 1, 0]]
+                .into_iter()
+                .map(|order| {
+                    let (entry, start, calls) = (Arc::clone(&shared), &start, &calls);
+                    s.spawn(move || {
+                        start.wait();
+                        order.map(|slot| entry.triplet(slot, unseal_counting(calls)).unwrap())
+                    })
+                })
+                .collect();
+            let mut backward = probers.into_iter().map(|p| p.join().expect("prober"));
+            let forward = backward.next().unwrap();
+            let mut backward = backward.next().unwrap();
+            backward.reverse();
+            assert_eq!(forward, backward);
+            assert_eq!(forward[0].child, expect.children[0].0);
+            for (t, i) in forward[1..].iter().zip(0..) {
+                assert_eq!((t.key, t.data_ptr), (expect.keys[i], expect.data_ptrs[i].0));
+                assert_eq!(t.child, expect.children[i + 1].0);
+            }
+        });
+        let unseals = calls.load(Ordering::Relaxed);
+        assert!((4..=8).contains(&unseals), "a lost race may repeat one");
+        assert_eq!(shared.node(never_sealed).unwrap(), expect);
+    }
+
+    #[test]
     fn entries_zeroize_on_drop() {
-        // The Drop impl wipes in place; this exercises it directly (the
-        // wipe also runs on every eviction above).
-        let e = entry(1, 42);
-        drop(e);
+        // What `Drop` runs (on every eviction above too), run in place so
+        // its effect can be read back.
+        let mut e = lazy_internal();
+        e.triplet(2, unseal_counting(&AtomicUsize::new(0))).unwrap();
+        e.scrub();
+        assert_eq!(e.triplet(2, never_sealed).unwrap(), Triplet::default());
+        assert!(e.raw_keys().iter().all(|&k| k == 0));
+        assert!(e.triplet(1, never_sealed).is_err(), "never deciphered");
+        let mut e = entry(1, 42);
+        e.scrub();
+        assert_eq!(e.triplet(0, never_sealed).unwrap(), Triplet::default());
+        assert_eq!(e.raw_keys(), [0]);
     }
 }

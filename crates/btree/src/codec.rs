@@ -10,7 +10,7 @@
 
 use sks_storage::{BlockId, OpCounters, PageOverflow, PageReader, PageWriter};
 
-use crate::cache::CachedNode;
+use crate::cache::{never_sealed, CachedNode, Triplet};
 use crate::node::{Node, RecordPtr};
 
 /// Errors from node encoding/decoding.
@@ -62,6 +62,29 @@ pub enum Probe {
     Missing,
 }
 
+impl Probe {
+    /// Turns an in-node search outcome — `Ok(i)`: triplet `i` holds the
+    /// key; `Err(c)`: it belongs under child `c` — into the probe's answer,
+    /// reading (deciphering) only the one slot that answer lives in. Slots
+    /// number the page's cryptograms as [`CachedNode`] does; a leaf that
+    /// lacks the key reads none.
+    pub fn resolve(
+        found: Result<usize, usize>,
+        is_leaf: bool,
+        slot: impl FnOnce(usize) -> Result<Triplet, CodecError>,
+    ) -> Result<Probe, CodecError> {
+        match found {
+            Ok(i) => Ok(Probe::Found {
+                data_ptr: RecordPtr(slot(i + usize::from(!is_leaf))?.data_ptr),
+            }),
+            Err(_) if is_leaf => Ok(Probe::Missing),
+            Err(c) => Ok(Probe::Descend {
+                child: BlockId(slot(c)?.child),
+            }),
+        }
+    }
+}
+
 /// Encodes/decodes nodes to raw pages and searches within raw pages.
 pub trait NodeCodec {
     /// Serialises (and enciphers/disguises) `node` into `page`.
@@ -83,16 +106,26 @@ pub trait NodeCodec {
     /// Human-readable scheme name for reports.
     fn name(&self) -> &'static str;
 
-    /// Whether this codec implements the plaintext-node-cache hooks
-    /// ([`NodeCodec::decode_for_cache`] / [`NodeCodec::probe_cached`]).
-    /// Codecs that do not opt in are simply never cached.
+    /// Whether this codec implements the node-cache hooks
+    /// ([`NodeCodec::decode_for_cache`] / [`NodeCodec::probe_cached`] /
+    /// [`NodeCodec::decode_cached`]). Codecs that do not opt in are simply
+    /// never cached.
     fn supports_node_cache(&self) -> bool {
         false
     }
 
-    /// Decodes a page into a cacheable plaintext entry *without bumping
-    /// any operation counters*: cache maintenance is physical work outside
-    /// the paper's cost model, which charges only the probes themselves.
+    /// Wraps a page in a cacheable entry *without bumping any operation
+    /// counters*: cache maintenance is physical work outside the paper's
+    /// cost model, which charges only the probes themselves. A scheme whose
+    /// triplets are sealed one by one returns the node *as stored* —
+    /// header, raw key fields and cryptograms copied out, no cryptography —
+    /// and leaves the deciphering to the two hooks below; a scheme with
+    /// nothing to be lazy about (whole-page, plaintext) returns an entry
+    /// born complete. (Bayer–Metzger returns the lazy kind but deciphers
+    /// it whole here, as it did before entries were lazy; a slot that
+    /// does not unseal is left for the probe that crosses it to fail on.)
+    /// A page whose header does not parse, or whose entry count outruns
+    /// the page, is an error and is never cached.
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         let _ = (id, page);
         Err(CodecError::Corrupt(
@@ -100,10 +133,12 @@ pub trait NodeCodec {
         ))
     }
 
-    /// Searches a cached plaintext node, bumping *exactly* the counters a
-    /// raw-page [`NodeCodec::probe`] of the same page would bump — the
-    /// logical paper cost — while skipping the cryptographic work. The
-    /// returned [`Probe`] must be identical to the raw probe's.
+    /// Searches a cached node, bumping *exactly* the counters a raw-page
+    /// [`NodeCodec::probe`] of the same page would bump — the logical paper
+    /// cost — and returning the identical [`Probe`], error cases included.
+    /// Physically it deciphers only the slots the search reads that the
+    /// entry has not memoised yet ([`CachedNode::triplet`]): under key
+    /// substitution the one pointer followed, once per entry lifetime.
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
         let _ = (entry, key);
         Err(CodecError::Corrupt(
@@ -114,9 +149,10 @@ pub trait NodeCodec {
     /// Materialises the plaintext node from a cached entry, bumping
     /// *exactly* the counters a raw-page [`NodeCodec::decode`] of the same
     /// page would bump — so range scans and update-path descents served
-    /// from the cache report the identical logical cost — while skipping
-    /// the cryptographic work. The returned node must equal the raw
-    /// decode's.
+    /// from the cache report the identical logical cost — and returning
+    /// the node the raw decode returns. Physically it deciphers only what
+    /// the entry still lacks ([`CachedNode::node`]): nothing for an entry
+    /// born or already made complete.
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         let _ = entry;
         Err(CodecError::Corrupt(
@@ -136,10 +172,10 @@ pub trait NodeCodec {
     /// (shape, key domain, fit — same error cases), bumps *exactly* the
     /// logical counters that encode would bump, but performs no
     /// cryptography and produces no ciphertext. Returns a [`CachedNode`]
-    /// equal to what decoding the would-be page yields (including any
-    /// codec-specific raw-key sidecar), so reads can serve the dirty node
+    /// born complete ([`CachedNode::complete`], with the raw key fields
+    /// the would-be page would carry), so reads can serve the dirty node
     /// through [`NodeCodec::probe_cached`] / [`NodeCodec::decode_cached`]
-    /// and the eventual seal can reuse the sidecar.
+    /// and the eventual seal can reuse those fields.
     fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
         let _ = (node, page_len);
         Err(CodecError::Corrupt(
@@ -152,7 +188,7 @@ pub trait NodeCodec {
     /// logical cost was already charged per mutation by
     /// [`NodeCodec::encode_to_cache`]; this is maintenance work below the
     /// paper's cost model. The page bytes must equal what a plain
-    /// [`NodeCodec::encode`] of `entry.node` would produce.
+    /// [`NodeCodec::encode`] of the entry's node would produce.
     fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
         let _ = (entry, page);
         Err(CodecError::Corrupt(
@@ -228,6 +264,29 @@ impl PlainCodec {
     pub fn new(counters: OpCounters) -> Self {
         PlainCodec { counters }
     }
+
+    /// The binary search `probe` (keys read off the raw page) and
+    /// `probe_cached` (keys from the entry) both run, compare for compare:
+    /// `Ok(i)` when triplet `i` holds `key`, else `Err(c)`, the child slot
+    /// it belongs under.
+    fn search(
+        &self,
+        n: usize,
+        key: u64,
+        key_at: impl Fn(usize) -> Result<u64, CodecError>,
+    ) -> Result<Result<usize, usize>, CodecError> {
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            self.counters.bump(|c| &c.key_compares);
+            match key_at(mid)?.cmp(&key) {
+                std::cmp::Ordering::Equal => return Ok(Ok(mid)),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Ok(Err(lo))
+    }
 }
 
 impl NodeCodec for PlainCodec {
@@ -275,36 +334,21 @@ impl NodeCodec for PlainCodec {
         // Plaintext keys: binary search directly on the page.
         let mut r = PageReader::new(page);
         let (is_leaf, n) = read_header(&mut r, PLAIN_TAG, id)?;
-        let key_at = |i: usize| -> Result<u64, CodecError> {
+        let at = |offset: usize| -> Result<PageReader<'_>, CodecError> {
             let mut rr = PageReader::new(page);
-            rr.seek(NODE_HEADER_LEN + i * 16)?;
-            Ok(rr.get_u64()?)
+            rr.seek(offset)?;
+            Ok(rr)
         };
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.counters.bump(|c| &c.key_compares);
-            let k = key_at(mid)?;
-            if k == key {
-                let mut rr = PageReader::new(page);
-                rr.seek(NODE_HEADER_LEN + mid * 16 + 8)?;
-                return Ok(Probe::Found {
-                    data_ptr: RecordPtr(rr.get_u64()?),
-                });
-            } else if k < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+        let found = self.search(n, key, |i| Ok(at(NODE_HEADER_LEN + i * 16)?.get_u64()?))?;
+        match found {
+            Ok(i) => Ok(Probe::Found {
+                data_ptr: RecordPtr(at(NODE_HEADER_LEN + i * 16 + 8)?.get_u64()?),
+            }),
+            Err(_) if is_leaf => Ok(Probe::Missing),
+            Err(c) => Ok(Probe::Descend {
+                child: BlockId(at(NODE_HEADER_LEN + n * 16 + c * 4)?.get_u32()?),
+            }),
         }
-        if is_leaf {
-            return Ok(Probe::Missing);
-        }
-        let mut rr = PageReader::new(page);
-        rr.seek(NODE_HEADER_LEN + n * 16 + lo * 4)?;
-        Ok(Probe::Descend {
-            child: BlockId(rr.get_u32()?),
-        })
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -324,45 +368,24 @@ impl NodeCodec for PlainCodec {
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // Plain decoding touches no counters, so the normal path is
-        // already silent.
-        let page_len = page.len();
-        Ok(CachedNode {
-            node: self.decode(id, page)?,
-            raw_keys: Vec::new(),
-            page_len,
-        })
+        // Nothing to be lazy about, and plain decoding touches no
+        // counters: the entry is born complete, its search keys the
+        // plaintext ones.
+        let node = self.decode(id, page)?;
+        Ok(CachedNode::complete(&node, node.keys.clone(), page.len()))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        // The same binary search as `probe`, compare for compare.
-        let node = &entry.node;
-        let (mut lo, mut hi) = (0usize, node.n());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.counters.bump(|c| &c.key_compares);
-            let k = node.keys[mid];
-            if k == key {
-                return Ok(Probe::Found {
-                    data_ptr: node.data_ptrs[mid],
-                });
-            } else if k < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if node.is_leaf() {
-            return Ok(Probe::Missing);
-        }
-        Ok(Probe::Descend {
-            child: node.children[lo],
+        let keys = entry.raw_keys();
+        let found = self.search(keys.len(), key, |i| Ok(keys[i]))?;
+        Probe::resolve(found, entry.is_leaf(), |slot| {
+            entry.triplet(slot, never_sealed)
         })
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw plaintext decode touches no counters either.
-        Ok(entry.node.clone())
+        entry.node(never_sealed)
     }
 
     fn supports_write_behind(&self) -> bool {
@@ -374,16 +397,12 @@ impl NodeCodec for PlainCodec {
         // validation (shape + fit), then the plaintext node is the entry.
         let mut scratch = vec![0u8; page_len];
         self.encode(node, &mut scratch)?;
-        Ok(CachedNode {
-            node: node.clone(),
-            raw_keys: Vec::new(),
-            page_len,
-        })
+        Ok(CachedNode::complete(node, node.keys.clone(), page_len))
     }
 
     fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
         // Counter-free already.
-        self.encode(&entry.node, page)
+        self.encode(&entry.node(never_sealed)?, page)
     }
 }
 

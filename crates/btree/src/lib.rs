@@ -14,9 +14,10 @@
 //!
 //! * [`node`] — plaintext node representation and in-node search.
 //! * [`codec`] — the [`NodeCodec`] boundary, probe semantics, [`PlainCodec`].
-//! * [`cache`] — the bounded plaintext node cache (RAM-only, zeroized on
-//!   evict) that lets repeated probes skip physical decipherments while
-//!   the logical counters keep reporting the paper's cost.
+//! * [`cache`] — the bounded node cache (RAM-only, zeroized on evict):
+//!   nodes as stored plus the triplets probes have deciphered, so a search
+//!   pays each physical decipherment once and only for what it follows,
+//!   while the logical counters keep reporting the paper's cost.
 //! * [`tree`] — create/open, get/insert/delete/range, validation; CLRS
 //!   preemptive split/merge balancing; every access counted.
 //! * [`render`] — ASCII renderings for the paper's figures.
@@ -30,7 +31,7 @@ pub mod tree;
 #[cfg(test)]
 mod tree_tests;
 
-pub use cache::{CachedNode, NodeCache};
+pub use cache::{never_sealed, CachedNode, NodeCache, Triplet};
 pub use codec::{CodecError, NodeCodec, PlainCodec, Probe, NODE_HEADER_LEN};
 pub use node::{Node, NodeSearch, RecordPtr};
 pub use render::{render_logical, render_with};

@@ -92,9 +92,9 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     /// at each flush, so a reopen can tell whether the two devices
     /// committed in step.
     stamp: u64,
-    /// Plaintext node cache for the probe path (None = disabled). Entries
-    /// are invalidated on every node re-encode/free, so a cached decoding
-    /// always matches the page's current content.
+    /// Node cache for the read paths (None = disabled). Entries are
+    /// invalidated on every node re-encode/free, so a cached image always
+    /// matches the page's current content.
     cache: Option<NodeCache>,
     /// Write-behind set of dirty nodes awaiting their physical seal
     /// (None = every mutation re-seals immediately). Logical encode
@@ -294,8 +294,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         })
     }
 
-    /// Enables the plaintext node cache with room for `capacity` decoded
-    /// nodes (0 disables it). Only effective for codecs that implement the
+    /// Enables the node cache with room for `capacity` nodes (0 disables
+    /// it). Only effective for codecs that implement the
     /// cache hooks ([`NodeCodec::supports_node_cache`]); the logical
     /// operation counters are unaffected either way.
     pub fn enable_node_cache(&mut self, capacity: usize) {
@@ -306,7 +306,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         };
     }
 
-    /// Nodes currently held decoded in the plaintext cache.
+    /// Nodes currently held in the node cache.
     pub fn cached_nodes(&self) -> usize {
         self.cache.as_ref().map(NodeCache::len).unwrap_or(0)
     }
@@ -381,13 +381,14 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- node I/O ------------------------------------------------------
 
-    /// Reads and fully materialises a node. With the plaintext cache
-    /// enabled, a hit serves the decoded node from RAM while the codec
-    /// replays a raw decode's exact logical counter profile
-    /// ([`NodeCodec::decode_cached`]); a miss decodes the page once,
-    /// counter-silently, fills the cache and replays the same profile —
-    /// so range scans, update-path descents and validation walks report
-    /// identical logical costs with the cache on or off.
+    /// Reads and fully materialises a node. With the node cache enabled
+    /// the codec completes the cached entry — deciphering whatever its
+    /// probes have not yet — while replaying a raw decode's exact logical
+    /// counter profile ([`NodeCodec::decode_cached`]); a miss first caches
+    /// the page as stored ([`BTree::fill`]). Range scans, update-path
+    /// descents and validation walks thus report identical logical costs
+    /// with the cache on or off, and pay a node's decipherment at most
+    /// once while it stays cached.
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
         self.counters().bump(|c| &c.node_visits);
         // A write-behind node's disk page is stale: the dirty set is the
@@ -407,27 +408,34 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             self.counters().bump(|c| &c.node_cache_hits);
             return Ok(self.codec.decode_cached(&entry)?);
         }
+        let entry = self.fill(id)?;
+        let node = self.codec.decode_cached(&entry)?;
+        cache.insert(id, entry);
+        Ok(node)
+    }
+
+    /// The cache-miss half of a node visit: fetches page `id` and wraps
+    /// it, as stored, in a cache entry ([`NodeCodec::decode_for_cache`] —
+    /// counter-silent, and for per-triplet schemes free of cryptography).
+    /// The caller inserts the entry once its own probe or decode of it
+    /// succeeded, so a page that fails either is never cached. Timing:
+    /// the fill is one [`Stage::NodeUnseal`] sample and every physical
+    /// unseal the entry performs from here on another, so nothing on a
+    /// memoised path reads a clock.
+    fn fill(&self, id: BlockId) -> Result<CachedNode, TreeError> {
         self.counters().bump(|c| &c.node_cache_misses);
-        let t = self.counters().obs().start();
+        let obs = self.counters().obs();
+        let t = obs.start();
         let page = self.store.read_block_vec(id)?;
-        let out = match self.codec.decode_for_cache(id, &page) {
-            Ok(entry) => {
-                let node = self.codec.decode_cached(&entry)?;
-                cache.insert(id, entry);
-                Ok(node)
-            }
-            // E.g. a page the cache hooks cannot represent: fall back to
-            // the plain (counted) decode.
-            Err(_) => Ok(self.codec.decode(id, &page)?),
-        };
-        self.counters().obs().stage(Stage::NodeUnseal, t);
-        out
+        let entry = self.codec.decode_for_cache(id, &page)?.timed(obs);
+        obs.stage(Stage::NodeUnseal, t);
+        Ok(entry)
     }
 
     fn write_node(&mut self, node: &Node) -> Result<(), TreeError> {
         if let Some(cache) = &self.cache {
-            // Re-encoding changes the page's version: the old decoding
-            // must never serve another probe.
+            // Re-encoding changes the page's version: the old image must
+            // never serve another probe.
             cache.invalidate(node.id);
         }
         if self.wb.is_some() {
@@ -535,9 +543,10 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     /// Point lookup via raw-page probes — the paper's search path. Costs
     /// exactly the decryptions the codec's scheme requires per node
-    /// *logically*; with the plaintext node cache enabled, a cached node
-    /// serves the probe from RAM (zero physical decipherments) while the
-    /// counters still record the same logical cost.
+    /// *logically*; with the node cache enabled, a cached node serves the
+    /// probe from RAM — physically deciphering a triplet only the first
+    /// time a probe reads it — while the counters still record the same
+    /// logical cost.
     pub fn get(&self, key: u64) -> Result<Option<RecordPtr>, TreeError> {
         let mut cur = self.root;
         loop {
@@ -550,8 +559,9 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         }
     }
 
-    /// One node visit of the search path: served from the plaintext cache
-    /// on a hit, otherwise a raw-page probe that also fills the cache.
+    /// One node visit of the search path: a cached entry serves the probe
+    /// (deciphering at most the slots it reads, once), a miss caches the
+    /// page as stored first, and without a cache it is a raw-page probe.
     fn probe_node(&self, id: BlockId, key: u64) -> Result<Probe, TreeError> {
         // Dirty-first, like `read_node`: the disk page of a write-behind
         // node is stale. `probe_cached` replays the raw probe's exact
@@ -567,15 +577,9 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             self.counters().bump(|c| &c.node_cache_hits);
             return Ok(self.codec.probe_cached(&entry, key)?);
         }
-        self.counters().bump(|c| &c.node_cache_misses);
-        let page = self.store.read_block_vec(id)?;
-        let probe = self.codec.probe(id, &page, key)?;
-        // Fill for the next probe. Decoding is counter-silent (physical
-        // work, not a logical operation); a decode failure — e.g. a
-        // corrupt entry the probe never crossed — just skips the fill.
-        if let Ok(entry) = self.codec.decode_for_cache(id, &page) {
-            cache.insert(id, entry);
-        }
+        let entry = self.fill(id)?;
+        let probe = self.codec.probe_cached(&entry, key)?;
+        cache.insert(id, entry);
         Ok(probe)
     }
 
@@ -1019,8 +1023,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// memory stays O(tree height) however wide the range. This is the
     /// operation §1 motivates and §4.3 preserves: whole-subtree access
     /// works because triplet *positions* are never based on disguised
-    /// values. Node visits go through the plaintext node cache when
-    /// enabled (identical logical counters either way).
+    /// values. Node visits go through the node cache when enabled
+    /// (identical logical counters either way).
     pub fn iter_range(&self, lo: u64, hi: u64) -> RangeIter<'_, S, C> {
         let mut iter = RangeIter {
             tree: self,

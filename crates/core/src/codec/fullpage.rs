@@ -7,7 +7,7 @@
 //! each probe pays `B/8` block decryptions versus `log₂ n` triplets
 //! (Bayer–Metzger refined) versus one pointer seal (the paper's scheme).
 
-use sks_btree_core::{CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr};
+use sks_btree_core::{never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr};
 use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::pagekey::PageKeyScheme;
 use sks_storage::{BlockId, OpCounters, PageReader, PageWriter};
@@ -134,23 +134,9 @@ impl NodeCodec for FullPageCodec {
     }
 
     fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
-        // No partial access is possible: the whole page must be decrypted.
-        let node = self.decode(id, page)?;
-        match node.search(key) {
-            sks_btree_core::NodeSearch::Here(i) => Ok(Probe::Found {
-                data_ptr: node.data_ptrs[i],
-            }),
-            sks_btree_core::NodeSearch::Child(i) => {
-                self.counters.bump(|c| &c.key_compares);
-                if node.is_leaf() {
-                    Ok(Probe::Missing)
-                } else {
-                    Ok(Probe::Descend {
-                        child: node.children[i],
-                    })
-                }
-            }
-        }
+        // No partial access is possible: the whole page must be decrypted,
+        // which is all a cache entry of this scheme is.
+        self.probe_cached(&self.decode_for_cache(id, page)?, key)
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -169,6 +155,8 @@ impl NodeCodec for FullPageCodec {
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
+        // Nothing to be lazy about — one cryptogram holds everything — so
+        // the entry is born complete, its search keys the deciphered ones.
         if !page.len().is_multiple_of(8) {
             return Err(CodecError::Corrupt(
                 "page size must be a multiple of the cipher block (8)".into(),
@@ -176,41 +164,29 @@ impl NodeCodec for FullPageCodec {
         }
         let cipher = self.pages.page_cipher(id.as_u64());
         let plain = Self::decrypt_page_silent(cipher.as_ref(), page);
-        Ok(CachedNode {
-            node: self.decode_plain(id, &plain)?,
-            raw_keys: Vec::new(),
-            page_len: page.len(),
-        })
+        let node = self.decode_plain(id, &plain)?;
+        Ok(CachedNode::complete(&node, node.keys.clone(), page.len()))
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw decode deciphers the whole page.
         self.counters
-            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len));
-        Ok(entry.node.clone())
+            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
+        entry.node(never_sealed)
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
         // A raw probe has no partial access: it always charges the whole
         // page's worth of block decryptions before searching.
         self.counters
-            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len));
-        let node = &entry.node;
-        match node.search(key) {
-            sks_btree_core::NodeSearch::Here(i) => Ok(Probe::Found {
-                data_ptr: node.data_ptrs[i],
-            }),
-            sks_btree_core::NodeSearch::Child(i) => {
-                self.counters.bump(|c| &c.key_compares);
-                if node.is_leaf() {
-                    Ok(Probe::Missing)
-                } else {
-                    Ok(Probe::Descend {
-                        child: node.children[i],
-                    })
-                }
-            }
+            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
+        let found = entry.raw_keys().binary_search(&key);
+        if found.is_err() {
+            self.counters.bump(|c| &c.key_compares);
         }
+        Probe::resolve(found, entry.is_leaf(), |slot| {
+            entry.triplet(slot, never_sealed)
+        })
     }
 
     fn supports_write_behind(&self) -> bool {
@@ -231,11 +207,7 @@ impl NodeCodec for FullPageCodec {
         self.encode_plain(node, &mut scratch)?;
         self.counters
             .bump_by(|c| &c.page_encrypts, Self::cipher_blocks(page_len));
-        Ok(CachedNode {
-            node: node.clone(),
-            raw_keys: Vec::new(),
-            page_len,
-        })
+        Ok(CachedNode::complete(node, node.keys.clone(), page_len))
     }
 
     fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
@@ -246,8 +218,8 @@ impl NodeCodec for FullPageCodec {
                 "page size must be a multiple of the cipher block (8)".into(),
             ));
         }
-        self.encode_plain(&entry.node, page)?;
-        let cipher = self.pages.page_cipher(entry.node.id.as_u64());
+        self.encode_plain(&entry.node(never_sealed)?, page)?;
+        let cipher = self.pages.page_cipher(entry.id().as_u64());
         Self::encrypt_page_silent(cipher.as_ref(), page);
         Ok(())
     }

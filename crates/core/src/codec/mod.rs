@@ -336,8 +336,11 @@ impl sks_btree_core::NodeCodec for AnyCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Scheme, SchemeConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use sks_btree_core::{Node, NodeCodec, RecordPtr};
+    use sks_storage::{BlockId, OpCounters, OpSnapshot};
 
     fn sealers() -> Vec<Box<dyn TripletSealer>> {
         let mut rng = StdRng::seed_from_u64(7);
@@ -408,6 +411,66 @@ mod tests {
             assert_eq!(sealer.sealed_len(), bits / 8);
             let ct = sealer.seal(&pack_payload(3, 4, 5));
             assert_eq!(ct.len(), bits / 8);
+        }
+    }
+
+    /// Runs `op` and returns its result with the counters it moved.
+    fn charged<T>(counters: &OpCounters, op: impl FnOnce() -> T) -> (T, OpSnapshot) {
+        let before = counters.snapshot();
+        let out = op();
+        (out, counters.snapshot().delta(&before))
+    }
+
+    /// The cache entry's contract, for every scheme: whatever mix of
+    /// probes and whole-node decodes an entry has served, each answer and
+    /// each counter delta is the raw page operation's — for an entry
+    /// filled lazily from the page and for one born complete alike.
+    #[test]
+    fn cached_entries_replay_raw_probe_and_decode_exactly_for_every_scheme() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for scheme in Scheme::ALL {
+            let counters = OpCounters::new();
+            let config = SchemeConfig::with_capacity(scheme, 64);
+            let (codec, _) = config.build_codec(&counters).unwrap();
+            for round in 0..10u32 {
+                // Keys inside every scheme's disguise domain (the
+                // figure-literal ExponentiationPaper caps it at 13).
+                let keys: Vec<u64> = (1..=12).filter(|_| rng.gen_bool(0.6)).collect();
+                let children = match round % 2 {
+                    0 => Vec::new(),
+                    _ => (0..=keys.len() as u32).map(|c| BlockId(100 + c)).collect(),
+                };
+                let node = Node {
+                    id: BlockId(5 + round),
+                    data_ptrs: keys.iter().map(|k| RecordPtr(k * 1000 + 7)).collect(),
+                    keys,
+                    children,
+                };
+                let mut page = vec![0u8; config.block_size];
+                codec.encode(&node, &mut page).unwrap();
+                let lazy = codec.decode_for_cache(node.id, &page).unwrap();
+                let born = codec.encode_to_cache(&node, page.len()).unwrap();
+                for step in 0..40 {
+                    let what = format!("{scheme:?} round {round} step {step}");
+                    if rng.gen_bool(0.15) {
+                        let raw = charged(&counters, || codec.decode(node.id, &page));
+                        // (Not `== node`: the figure-literal construction
+                        // is not injective, with or without a cache.)
+                        assert!(raw.0.is_ok(), "{what}");
+                        for entry in [&lazy, &born] {
+                            let cached = charged(&counters, || codec.decode_cached(entry));
+                            assert_eq!(cached, raw, "{what}: decode");
+                        }
+                    } else {
+                        let key = rng.gen_range(0..15u64);
+                        let raw = charged(&counters, || codec.probe(node.id, &page, key));
+                        for entry in [&lazy, &born] {
+                            let cached = charged(&counters, || codec.probe_cached(entry, key));
+                            assert_eq!(cached, raw, "{what}: probe {key}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

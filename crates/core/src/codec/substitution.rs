@@ -16,10 +16,12 @@
 
 use std::sync::Arc;
 
-use sks_btree_core::{CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr, NODE_HEADER_LEN};
+use sks_btree_core::{
+    never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe, Triplet, NODE_HEADER_LEN,
+};
 use sks_storage::{BlockId, OpCounters, PageReader, PageWriter};
 
-use crate::codec::{pack_payload, unpack_payload, TripletSealer, SEAL_PAYLOAD_LEN};
+use crate::codec::{pack_payload, unpack_payload, TripletSealer};
 use crate::disguise::KeyDisguise;
 
 const TAG: u8 = 0x53; // 'S'
@@ -52,12 +54,16 @@ impl SubstitutionCodec {
         8 + self.sealer.sealed_len()
     }
 
-    fn seal_at(&self, page: &[u8], offset: usize) -> Result<[u8; SEAL_PAYLOAD_LEN], CodecError> {
-        let mut r = PageReader::new(page);
-        r.seek(offset)?;
-        let ct = r.get_bytes(self.sealer.sealed_len())?;
-        self.counters.bump(|c| &c.ptr_decrypts);
-        self.sealer.unseal(ct)
+    /// Deciphers one pointer cryptogram of block `id` (the physical work;
+    /// callers charge `ptr_decrypts`). The block number bound inside must
+    /// be `id`.
+    fn unseal(&self, id: BlockId, ct: &[u8]) -> Result<Triplet, CodecError> {
+        let (data_ptr, child) = unpack_payload(&self.sealer.unseal(ct)?, id.0)?;
+        Ok(Triplet {
+            key: 0,
+            data_ptr,
+            child,
+        })
     }
 
     /// Offset of the disguised key of entry `i`.
@@ -71,6 +77,56 @@ impl SubstitutionCodec {
         let mut r = PageReader::new(page);
         r.seek(self.key_offset(is_leaf, i))?;
         Ok(r.get_u64()?)
+    }
+
+    /// The in-node search — comparisons on (dis)guised values only, no
+    /// pointer deciphered — over key fields read through `raw_at`: the raw
+    /// page for `probe`, the cache entry for `probe_cached`, so both run
+    /// the identical disguise/recover/compare sequence. `Ok(i)` when
+    /// triplet `i` holds `key`, else `Err(c)`, the child slot it belongs
+    /// under.
+    fn locate(
+        &self,
+        n: usize,
+        key: u64,
+        raw_at: impl Fn(usize) -> Result<u64, CodecError>,
+    ) -> Result<Result<usize, usize>, CodecError> {
+        // Order-preserving: disguise the query once and compare against
+        // raw on-disk values. Otherwise recover each probed key (cheap
+        // integer inverse, counted as recover_ops) — triplet positions are
+        // in plaintext order, so the binary search is sound either way.
+        let query = if self.disguise.order_preserving() {
+            match self.disguise.disguise(key) {
+                Ok(dq) => Some(dq),
+                // Query key outside the disguise domain cannot be stored.
+                Err(_) => return Ok(Err(n)),
+            }
+        } else {
+            None
+        };
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            self.counters.bump(|c| &c.key_compares);
+            let raw = raw_at(mid)?;
+            let order = match query {
+                Some(dq) => raw.cmp(&dq),
+                None => self.recover(raw)?.cmp(&key),
+            };
+            match order {
+                std::cmp::Ordering::Equal => return Ok(Ok(mid)),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Ok(Err(lo))
+    }
+
+    /// `f⁻¹` of a raw key field, counted.
+    fn recover(&self, raw: u64) -> Result<u64, CodecError> {
+        self.disguise
+            .recover(raw)
+            .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))
     }
 
     fn map_disguise_err(e: crate::disguise::DisguiseError) -> CodecError {
@@ -120,136 +176,24 @@ impl NodeCodec for SubstitutionCodec {
     }
 
     fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
-        let mut r = PageReader::new(page);
-        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-        let mut keys = Vec::with_capacity(n);
-        let mut data_ptrs = Vec::with_capacity(n);
-        let mut children = Vec::new();
-        if !is_leaf {
-            let ct = r.get_bytes(self.sealer.sealed_len())?;
-            self.counters.bump(|c| &c.ptr_decrypts);
-            let payload = self.sealer.unseal(ct)?;
-            let (_, p0) = unpack_payload(&payload, id.0)?;
-            children.push(BlockId(p0));
-        }
-        for _ in 0..n {
-            let disguised = r.get_u64()?;
-            let key = self
-                .disguise
-                .recover(disguised)
-                .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))?;
-            keys.push(key);
-            let ct = r.get_bytes(self.sealer.sealed_len())?;
-            self.counters.bump(|c| &c.ptr_decrypts);
-            let payload = self.sealer.unseal(ct)?;
-            let (a, p) = unpack_payload(&payload, id.0)?;
-            data_ptrs.push(RecordPtr(a));
-            if !is_leaf {
-                children.push(BlockId(p));
-            }
-        }
-        let node = Node {
-            id,
-            keys,
-            data_ptrs,
-            children,
-        };
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        Ok(node)
+        self.decode_cached(&self.decode_for_cache(id, page)?)
     }
 
     fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
         let mut r = PageReader::new(page);
         let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-
-        // Locate the key by comparisons on (dis)guised values — no pointer
-        // decryption yet.
-        let found: Result<usize, usize> = if self.disguise.order_preserving() {
-            // Disguise the query once; compare against raw on-disk values.
-            match self.disguise.disguise(key) {
-                Ok(dq) => {
-                    let mut lo = 0usize;
-                    let mut hi = n;
-                    let mut hit = None;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        self.counters.bump(|c| &c.key_compares);
-                        let raw = self.raw_key_at(page, is_leaf, mid)?;
-                        match raw.cmp(&dq) {
-                            std::cmp::Ordering::Equal => {
-                                hit = Some(mid);
-                                break;
-                            }
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                        }
-                    }
-                    match hit {
-                        Some(i) => Ok(i),
-                        None => Err(lo),
-                    }
-                }
-                // Query key outside the disguise domain cannot be stored.
-                Err(_) => Err(if n == 0 { 0 } else { n }),
-            }
-        } else {
-            // Recover each probed key (cheap integer inverse, counted as
-            // recover_ops) — triplet positions are in plaintext order, so
-            // binary search over recovered values is sound.
-            let mut lo = 0usize;
-            let mut hi = n;
-            let mut hit = None;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                self.counters.bump(|c| &c.key_compares);
-                let raw = self.raw_key_at(page, is_leaf, mid)?;
-                let recovered = self
-                    .disguise
-                    .recover(raw)
-                    .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))?;
-                match recovered.cmp(&key) {
-                    std::cmp::Ordering::Equal => {
-                        hit = Some(mid);
-                        break;
-                    }
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                }
-            }
-            match hit {
-                Some(i) => Ok(i),
-                None => Err(lo),
-            }
-        };
-
-        match found {
-            Ok(i) => {
-                // Exactly one pointer decryption: entry i's seal.
-                let off = self.key_offset(is_leaf, i) + 8;
-                let payload = self.seal_at(page, off)?;
-                let (a, _) = unpack_payload(&payload, id.0)?;
-                Ok(Probe::Found {
-                    data_ptr: RecordPtr(a),
-                })
-            }
-            Err(slot) => {
-                if is_leaf {
-                    return Ok(Probe::Missing);
-                }
-                // Child `slot`: p₀ lives in the leftmost seal, child i+1 in
-                // entry i's seal. One pointer decryption either way.
-                if slot == 0 {
-                    let payload = self.seal_at(page, NODE_HEADER_LEN)?;
-                    let (_, p0) = unpack_payload(&payload, id.0)?;
-                    Ok(Probe::Descend { child: BlockId(p0) })
-                } else {
-                    let off = self.key_offset(is_leaf, slot - 1) + 8;
-                    let payload = self.seal_at(page, off)?;
-                    let (_, p) = unpack_payload(&payload, id.0)?;
-                    Ok(Probe::Descend { child: BlockId(p) })
-                }
-            }
-        }
+        let found = self.locate(n, key, |i| self.raw_key_at(page, is_leaf, i))?;
+        // Exactly one pointer decryption: the slot the answer lives in
+        // (p₀ in the leftmost seal, aᵢ and child i+1 in entry i's).
+        Probe::resolve(found, is_leaf, |slot| {
+            self.counters.bump(|c| &c.ptr_decrypts);
+            // An internal node's slot 0 follows the header and its slot
+            // i+1 key i; a leaf's slot i follows key i.
+            let after_key = if is_leaf { 8 } else { 0 };
+            let mut r = PageReader::new(page);
+            r.seek(NODE_HEADER_LEN + slot * self.entry_len() + after_key)?;
+            self.unseal(id, r.get_bytes(self.sealer.sealed_len())?)
+        })
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -270,148 +214,61 @@ impl NodeCodec for SubstitutionCodec {
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // `decode`, counter-silent, additionally retaining the raw
-        // disguised key fields so `probe_cached` can replay the probe's
-        // exact recover/compare sequence.
+        // The node as stored: disguised key fields and pointer cryptograms
+        // copied out, nothing deciphered.
         let mut r = PageReader::new(page);
         let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-        let mut keys = Vec::with_capacity(n);
+        if self.key_offset(is_leaf, n) > page.len() {
+            return Err(CodecError::Corrupt(format!(
+                "entry count {n} overruns the {}-byte page",
+                page.len()
+            )));
+        }
+        let sealed_len = self.sealer.sealed_len();
         let mut raw_keys = Vec::with_capacity(n);
-        let mut data_ptrs = Vec::with_capacity(n);
-        let mut children = Vec::new();
+        let mut sealed = Vec::with_capacity((n + 1) * sealed_len);
         if !is_leaf {
-            let ct = r.get_bytes(self.sealer.sealed_len())?;
-            let payload = self.sealer.unseal(ct)?;
-            let (_, p0) = unpack_payload(&payload, id.0)?;
-            children.push(BlockId(p0));
+            sealed.extend_from_slice(r.get_bytes(sealed_len)?);
         }
         for _ in 0..n {
-            let disguised = r.get_u64()?;
-            let key = self
-                .disguise
-                .recover_uncounted(disguised)
-                .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))?;
-            raw_keys.push(disguised);
-            keys.push(key);
-            let ct = r.get_bytes(self.sealer.sealed_len())?;
-            let payload = self.sealer.unseal(ct)?;
-            let (a, p) = unpack_payload(&payload, id.0)?;
-            data_ptrs.push(RecordPtr(a));
-            if !is_leaf {
-                children.push(BlockId(p));
-            }
+            raw_keys.push(r.get_u64()?);
+            sealed.extend_from_slice(r.get_bytes(sealed_len)?);
         }
-        let node = Node {
+        Ok(CachedNode::sealed(
             id,
-            keys,
-            data_ptrs,
-            children,
-        };
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        Ok(CachedNode {
-            node,
+            is_leaf,
+            page.len(),
             raw_keys,
-            page_len: page.len(),
-        })
+            sealed,
+            sealed_len,
+        ))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        let node = &entry.node;
-        let n = node.n();
-        let is_leaf = node.is_leaf();
-
-        // The same in-node search as `probe`, over the retained raw key
-        // fields — including the real disguise/recover calls, so their
-        // counter profile (disguise_ops, recover_ops, dlog_ops …) is
-        // identical step for step. Only the pointer unseals are skipped.
-        let found: Result<usize, usize> = if self.disguise.order_preserving() {
-            match self.disguise.disguise(key) {
-                Ok(dq) => {
-                    let mut lo = 0usize;
-                    let mut hi = n;
-                    let mut hit = None;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        self.counters.bump(|c| &c.key_compares);
-                        match entry.raw_keys[mid].cmp(&dq) {
-                            std::cmp::Ordering::Equal => {
-                                hit = Some(mid);
-                                break;
-                            }
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                        }
-                    }
-                    match hit {
-                        Some(i) => Ok(i),
-                        None => Err(lo),
-                    }
-                }
-                Err(_) => Err(if n == 0 { 0 } else { n }),
-            }
-        } else {
-            let mut lo = 0usize;
-            let mut hi = n;
-            let mut hit = None;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                self.counters.bump(|c| &c.key_compares);
-                let recovered = self
-                    .disguise
-                    .recover(entry.raw_keys[mid])
-                    .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))?;
-                match recovered.cmp(&key) {
-                    std::cmp::Ordering::Equal => {
-                        hit = Some(mid);
-                        break;
-                    }
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                }
-            }
-            match hit {
-                Some(i) => Ok(i),
-                None => Err(lo),
-            }
-        };
-
-        match found {
-            Ok(i) => {
-                // The probe would unseal exactly entry i's pointer.
-                self.counters.bump(|c| &c.ptr_decrypts);
-                Ok(Probe::Found {
-                    data_ptr: node.data_ptrs[i],
-                })
-            }
-            Err(slot) => {
-                if is_leaf {
-                    return Ok(Probe::Missing);
-                }
-                // One pointer decryption either way (leftmost seal for
-                // slot 0, entry slot-1's seal otherwise).
-                self.counters.bump(|c| &c.ptr_decrypts);
-                Ok(Probe::Descend {
-                    child: node.children[slot],
-                })
-            }
-        }
+        let raw_keys = entry.raw_keys();
+        let found = self.locate(raw_keys.len(), key, |i| Ok(raw_keys[i]))?;
+        // The raw probe's one logical pointer decryption; physically the
+        // slot is unsealed only the first time a probe follows it.
+        Probe::resolve(found, entry.is_leaf(), |slot| {
+            self.counters.bump(|c| &c.ptr_decrypts);
+            entry.triplet(slot, |ct| self.unseal(entry.id(), ct))
+        })
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw decode unseals every pointer cryptogram (plus the lone
         // leftmost one on internal nodes) and runs the *real* disguise
-        // recovery per key — replay the recoveries against the retained
-        // raw key fields so their counter profile (recover_ops, dlog_ops
-        // …) is identical step for step, and charge the pointer unseals.
-        let node = &entry.node;
-        let seals = node.n() + usize::from(!node.is_leaf());
-        self.counters.bump_by(|c| &c.ptr_decrypts, seals as u64);
-        for &raw in &entry.raw_keys {
-            self.disguise
-                .recover(raw)
-                .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))?;
+        // recovery per key: charge the unseals, physically unseal what no
+        // probe has yet, and run the recoveries against the raw key fields
+        // — their counter profile (recover_ops, dlog_ops …) is the raw
+        // decode's step for step, and their results are the node's keys.
+        self.counters
+            .bump_by(|c| &c.ptr_decrypts, entry.slots() as u64);
+        let mut node = entry.node(|ct| self.unseal(entry.id(), ct))?;
+        for (key, &raw) in node.keys.iter_mut().zip(entry.raw_keys()) {
+            *key = self.recover(raw)?;
         }
-        Ok(node.clone())
+        Ok(node)
     }
 
     fn supports_write_behind(&self) -> bool {
@@ -446,19 +303,15 @@ impl NodeCodec for SubstitutionCodec {
             raw_keys.push(disguised);
             self.counters.bump(|c| &c.ptr_encrypts);
         }
-        Ok(CachedNode {
-            node: node.clone(),
-            raw_keys,
-            page_len,
-        })
+        Ok(CachedNode::complete(node, raw_keys, page_len))
     }
 
     fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
         // Counter-silent physical seal: same page bytes as `encode`, with
         // the disguised key fields replayed from the sidecar instead of
         // re-running the (already charged) disguise.
-        let node = &entry.node;
-        if entry.raw_keys.len() != node.n() {
+        let node = &entry.node(never_sealed)?;
+        if entry.raw_keys().len() != node.n() {
             return Err(CodecError::Corrupt(format!(
                 "write-behind entry for block {} lacks its disguised keys",
                 node.id
@@ -472,7 +325,7 @@ impl NodeCodec for SubstitutionCodec {
             w.put_bytes(&ct)?;
         }
         for i in 0..node.n() {
-            w.put_u64(entry.raw_keys[i])?;
+            w.put_u64(entry.raw_keys()[i])?;
             let p = if node.is_leaf() {
                 0
             } else {
@@ -491,6 +344,7 @@ mod tests {
     use super::*;
     use crate::codec::BlockCipherSealer;
     use crate::disguise::{IdentityDisguise, OvalSubstitution, SumSubstitution};
+    use sks_btree_core::RecordPtr;
 
     /// Builds a codec whose disguise shares the codec's counter set, so
     /// tests observe disguise/recover ops alongside seal ops.
@@ -695,5 +549,169 @@ mod tests {
             let mut page = vec![0u8; page_size];
             codec.encode(&node, &mut page).unwrap();
         }
+    }
+
+    /// DES sealer that records how often each cryptogram is physically
+    /// unsealed.
+    struct CountingSealer {
+        inner: BlockCipherSealer<sks_crypto::des::Des>,
+        unsealed: std::sync::Mutex<std::collections::HashMap<Vec<u8>, u32>>,
+    }
+
+    impl CountingSealer {
+        fn total(&self) -> u64 {
+            self.unsealed
+                .lock()
+                .unwrap()
+                .values()
+                .map(|&c| c as u64)
+                .sum()
+        }
+    }
+
+    impl TripletSealer for CountingSealer {
+        fn sealed_len(&self) -> usize {
+            self.inner.sealed_len()
+        }
+        fn seal(&self, payload: &[u8; crate::codec::SEAL_PAYLOAD_LEN]) -> Vec<u8> {
+            self.inner.seal(payload)
+        }
+        fn unseal(&self, ct: &[u8]) -> Result<[u8; crate::codec::SEAL_PAYLOAD_LEN], CodecError> {
+            *self
+                .unsealed
+                .lock()
+                .unwrap()
+                .entry(ct.to_vec())
+                .or_default() += 1;
+            self.inner.unseal(ct)
+        }
+        fn name(&self) -> &'static str {
+            "counting-des"
+        }
+    }
+
+    /// The paper's claim as physical work: through the node cache a search
+    /// deciphers one pointer per node visited, each at most once while its
+    /// node stays cached, and only completing a node deciphers the rest.
+    #[test]
+    fn cached_gets_physically_unseal_one_pointer_per_node_visited() {
+        use sks_btree_core::BTree;
+        use sks_storage::MemDisk;
+
+        let counters = OpCounters::new();
+        let (_, disguise) = crate::SchemeConfig::with_capacity(crate::Scheme::Oval, 1100)
+            .build_codec(&counters)
+            .unwrap();
+        let sealer = Arc::new(CountingSealer {
+            inner: BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0),
+            unsealed: Default::default(),
+        });
+        let codec = SubstitutionCodec::new(disguise.unwrap(), sealer.clone(), counters.clone());
+        let items: Vec<(u64, RecordPtr)> = (1..=500).map(|k| (2 * k, RecordPtr(k))).collect();
+        let disk = MemDisk::with_counters(256, counters.clone());
+        let mut tree = BTree::bulk_load(disk, codec, &items).unwrap();
+        tree.enable_node_cache(1024);
+        assert_eq!(tree.height(), 3);
+
+        // (physical unseals, logical counter delta) of one get.
+        let get = |key: u64| {
+            let (unseals, before) = (sealer.total(), counters.snapshot());
+            let found = tree.get(key).unwrap().is_some();
+            let logical = counters.snapshot().delta(&before);
+            (found, sealer.total() - unseals, logical)
+        };
+        // Cold entries: physical = logical = one per node visited.
+        let (found, physical, logical) = get(2 * 137);
+        assert!(found);
+        assert_eq!(physical, logical.ptr_decrypts);
+        assert_eq!(logical.ptr_decrypts, logical.node_visits);
+        // The same key again: the same logical cost, no physical work.
+        let (_, physical, again) = get(2 * 137);
+        assert_eq!((physical, again.ptr_decrypts), (0, logical.ptr_decrypts));
+        // An absent key: the leaf answers `Missing` without a pointer.
+        let (found, physical, logical) = get(2 * 401 + 1);
+        assert!(!found);
+        assert_eq!(logical.node_visits, 3);
+        assert_eq!(logical.ptr_decrypts, 2);
+        assert!(physical <= 2, "the root's pointer may be memoised already");
+
+        // A third of the keys, twice over, then a whole-tree walk that
+        // completes every entry: no cryptogram is ever unsealed a second
+        // time, and in the end each of the tree's was unsealed once.
+        for _ in 0..2 {
+            for &(k, ptr) in items.iter().step_by(3) {
+                assert_eq!(tree.get(k).unwrap(), Some(ptr));
+            }
+        }
+        let before_walk = sealer.total();
+        tree.validate().unwrap();
+        assert!(sealer.total() > before_walk, "the walk had a remainder");
+        tree.validate().unwrap();
+        // One cryptogram per key, plus each internal node's leftmost.
+        let (mut cryptograms, mut todo) = (items.len(), vec![tree.root_id()]);
+        while let Some(id) = todo.pop() {
+            let node = tree.inspect_node(id).unwrap();
+            cryptograms += usize::from(!node.is_leaf());
+            todo.extend(node.children);
+        }
+        let unsealed = sealer.unsealed.lock().unwrap();
+        assert!(unsealed.values().all(|&c| c == 1), "unsealed twice");
+        assert_eq!(unsealed.len(), cryptograms);
+    }
+
+    #[test]
+    fn completing_an_entry_unseals_exactly_the_unmemoised_remainder() {
+        let sealer = Arc::new(CountingSealer {
+            inner: BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0),
+            unsealed: Default::default(),
+        });
+        let disguise = Arc::new(OvalSubstitution::paper_example(OpCounters::new()));
+        let codec = SubstitutionCodec::new(disguise, sealer.clone(), OpCounters::new());
+        let node = sample_internal();
+        let mut page = vec![0u8; 256];
+        codec.encode(&node, &mut page).unwrap();
+
+        let entry = codec.decode_for_cache(BlockId(7), &page).unwrap();
+        assert_eq!(sealer.total(), 0, "caching a node deciphers nothing");
+        codec.probe_cached(&entry, 5).unwrap();
+        codec.probe_cached(&entry, 1).unwrap();
+        codec.probe_cached(&entry, 5).unwrap();
+        assert_eq!(sealer.total(), 2);
+        assert_eq!(codec.decode_cached(&entry).unwrap(), node);
+        assert_eq!(sealer.total(), 4, "3 triplets + the leftmost pointer");
+        assert_eq!(codec.decode_cached(&entry).unwrap(), node);
+        codec.probe_cached(&entry, 9).unwrap();
+        assert_eq!(sealer.total(), 4, "complete: nothing left to unseal");
+    }
+
+    #[test]
+    fn a_failed_unseal_surfaces_like_the_raw_probe_and_is_never_memoised() {
+        let (codec, _) = codec_with(Arc::new(OvalSubstitution::paper_example(OpCounters::new())));
+        let node = sample_internal();
+        let mut page = vec![0u8; 256];
+        codec.encode(&node, &mut page).unwrap();
+        // Corrupt entry 1's pointer cryptogram (key 5); leave the rest.
+        let at = codec.key_offset(false, 1) + 8;
+        page[at] ^= 0x40;
+
+        let entry = codec.decode_for_cache(BlockId(7), &page).unwrap();
+        for key in [2, 1, 9] {
+            let raw = codec.probe(BlockId(7), &page, key);
+            assert!(raw.is_ok(), "the probe never crosses the bad triplet");
+            assert_eq!(codec.probe_cached(&entry, key), raw);
+        }
+        for _ in 0..2 {
+            let raw = codec.probe(BlockId(7), &page, 5);
+            assert!(raw.is_err());
+            assert_eq!(codec.probe_cached(&entry, 5), raw, "no memo of a failure");
+        }
+        assert_eq!(
+            codec.decode_cached(&entry),
+            codec.decode(BlockId(7), &page),
+            "the whole-node decode does cross it"
+        );
+        // A header that does not parse is never wrapped at all.
+        page[0] ^= 0xFF;
+        assert!(codec.decode_for_cache(BlockId(7), &page).is_err());
     }
 }

@@ -172,8 +172,10 @@ pub struct SchemeConfig {
     /// `create_in_memory*` constructors ignore this; the backend-aware
     /// [`crate::EncipheredBTree::create`]/`open` and the engine honour it.
     pub backend: StorageBackend,
-    /// Capacity (in nodes) of the plaintext node cache serving the probe
-    /// path: repeated point reads of a cached node pay zero *physical*
+    /// Capacity (in nodes) of the node cache serving the read paths. A
+    /// node is cached as stored and a probe deciphers only the triplet it
+    /// follows, once: a cold search pays what the scheme promises, and
+    /// repeated point reads of a cached node pay zero *physical*
     /// decipherments, while the logical operation counters keep reporting
     /// the paper's per-scheme cost. Entries are RAM-only and zeroized on
     /// eviction; the medium still holds only enciphered bytes. `0`
@@ -317,8 +319,8 @@ impl SchemeConfig {
         }
     }
 
-    /// Default plaintext node-cache capacity: enough to keep the hot upper
-    /// levels of a large tree decoded without unbounded memory.
+    /// Default node-cache capacity: enough to keep the hot upper levels of
+    /// a large tree cached without unbounded memory.
     pub const DEFAULT_NODE_CACHE: usize = 1024;
 
     /// Default decoded-record cache capacity (records).

@@ -139,13 +139,6 @@ impl KeyDisguise for ExpSubstitution {
         Ok(pow_mod(disguised, self.t_inv, self.n))
     }
 
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
-        if disguised == 0 || disguised >= self.n {
-            return Err(DisguiseError::NotInImage { value: disguised });
-        }
-        Ok(pow_mod(disguised, self.t_inv, self.n))
-    }
-
     fn order_preserving(&self) -> bool {
         false
     }

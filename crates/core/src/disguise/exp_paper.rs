@@ -71,19 +71,11 @@ impl PaperExpSubstitution {
     /// matches `key`, exactly as §4.2 prescribes. Returns
     /// `(line, point index within line, treatment)`.
     pub fn scan_for_treatment(&self, key: u64) -> Result<(u64, usize, u64), DisguiseError> {
-        self.scan_inner(key, true)
-    }
-
-    fn scan_inner(&self, key: u64, count: bool) -> Result<(u64, usize, u64), DisguiseError> {
-        if count {
-            self.counters.bump(|c| &c.dlog_ops);
-        }
+        self.counters.bump(|c| &c.dlog_ops);
         for y in 0..self.design.v() {
             let line = self.design.line_in_base_order(y);
             for (idx, &treatment) in line.iter().enumerate() {
-                if count {
-                    self.counters.bump(|c| &c.key_compares);
-                }
+                self.counters.bump(|c| &c.key_compares);
                 if pow_mod(self.g, treatment, self.n) == key {
                     return Ok((y, idx, treatment));
                 }
@@ -147,15 +139,6 @@ impl KeyDisguise for PaperExpSubstitution {
         // Find the oval exponent by the same scan, invert the oval map mod
         // v, and re-exponentiate.
         let (_, _, e_prime) = self.scan_for_treatment(disguised)?;
-        let e = mul_mod(e_prime, self.t_inv_mod_v, self.design.v());
-        Ok(pow_mod(self.g, e, self.n))
-    }
-
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
-        if disguised == 0 || disguised >= self.n {
-            return Err(DisguiseError::NotInImage { value: disguised });
-        }
-        let (_, _, e_prime) = self.scan_inner(disguised, false)?;
         let e = mul_mod(e_prime, self.t_inv_mod_v, self.design.v());
         Ok(pow_mod(self.g, e, self.n))
     }

@@ -70,15 +70,6 @@ pub trait KeyDisguise: Send + Sync {
     /// `f⁻¹(k̂)`: recovers the original key.
     fn recover(&self, disguised: u64) -> Result<u64, DisguiseError>;
 
-    /// [`KeyDisguise::recover`] without touching the operation counters.
-    /// The plaintext node cache uses this to materialise entries: cache
-    /// maintenance is physical work outside the paper's cost model, which
-    /// charges only the probes themselves. Counting disguises must
-    /// override this with a silent computation.
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
-        self.recover(disguised)
-    }
-
     /// Whether `a < b ⇒ f(a) < f(b)` — the property that keeps the B-tree
     /// shape identical to the plaintext tree (§4.3) and allows direct
     /// comparisons against on-disk values.

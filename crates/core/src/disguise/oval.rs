@@ -85,14 +85,6 @@ impl KeyDisguise for OvalSubstitution {
         Ok(mul_mod(disguised, self.t_inv, v))
     }
 
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
-        let v = self.design.v();
-        if disguised >= v {
-            return Err(DisguiseError::NotInImage { value: disguised });
-        }
-        Ok(mul_mod(disguised, self.t_inv, v))
-    }
-
     fn order_preserving(&self) -> bool {
         false
     }

@@ -106,10 +106,6 @@ impl KeyDisguise for SumSubstitution {
 
     fn recover(&self, disguised: u64) -> Result<u64, DisguiseError> {
         bump_recover(&self.counters);
-        self.recover_uncounted(disguised)
-    }
-
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
         match self.prefix.binary_search(&disguised) {
             Ok(i) => Ok(i as u64),
             Err(_) => Err(DisguiseError::NotInImage { value: disguised }),

@@ -82,10 +82,6 @@ impl KeyDisguise for TableDisguise {
 
     fn recover(&self, disguised: u64) -> Result<u64, DisguiseError> {
         bump_recover(&self.counters);
-        self.recover_uncounted(disguised)
-    }
-
-    fn recover_uncounted(&self, disguised: u64) -> Result<u64, DisguiseError> {
         self.inverse
             .get(&disguised)
             .copied()

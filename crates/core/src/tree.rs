@@ -656,7 +656,7 @@ impl EncipheredBTree {
             + self.tree.deferred_nodes()
     }
 
-    /// Nodes currently held decoded in the plaintext node cache.
+    /// Nodes currently held in the node cache.
     pub fn cached_nodes(&self) -> usize {
         self.tree.cached_nodes()
     }

@@ -6,10 +6,21 @@
 //! counters alike — to be byte-identical across levels.
 
 use sks_core::{EncipheredBTree, ObsLevel, Scheme, SchemeConfig};
+use sks_storage::Stage;
+
+/// `node_unseal` samples recorded so far (0 below `Histograms`).
+fn node_unseal_samples(tree: &EncipheredBTree) -> u64 {
+    let stages = tree.counters().obs().stages_snapshot();
+    let node_unseal = stages.iter().find(|(s, _)| *s == Stage::NodeUnseal);
+    node_unseal.map_or(0, |(_, h)| h.count)
+}
 
 /// A workload touching every counted path: inserts (with replaces),
 /// gets (hits and misses), deletes, range scans, compaction sweeps and
-/// node-device passes, and a flush.
+/// node-device passes, and a flush. The gets run through the node cache
+/// (on by default) over leaves the inserts just invalidated, so they
+/// cross the get path's timed sites — the miss fill and each physical
+/// lazy unseal — at every level that reads a clock.
 fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
     let cfg = SchemeConfig::with_capacity(scheme, 512).observability(level);
     let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
@@ -21,9 +32,16 @@ fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
     for k in (1..=120u64).step_by(3) {
         tree.insert(k, vec![0xC3; 64]).unwrap(); // replaces
     }
+    let timed_before = node_unseal_samples(&tree);
     for k in 1..=160u64 {
         let _ = tree.get(k); // hits and (beyond 120) misses
     }
+    assert_eq!(
+        node_unseal_samples(&tree) > timed_before,
+        level >= ObsLevel::Histograms,
+        "{}: the get path is timed exactly when clocks are on",
+        scheme.name()
+    );
     for k in (1..=120u64).step_by(2) {
         tree.delete(k).unwrap();
     }

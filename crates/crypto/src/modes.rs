@@ -118,16 +118,22 @@ pub fn cbc_decrypt<C: BlockCipher64>(
 /// padding, output length equals input length. This is the "progressive
 /// cipher" stand-in.
 pub fn ctr_xor<C: BlockCipher64>(cipher: &C, nonce: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    for (i, chunk) in data.chunks(BLOCK).enumerate() {
+    let mut out = data.to_vec();
+    ctr_xor_in_place(cipher, nonce, &mut out);
+    out
+}
+
+/// [`ctr_xor`] over a buffer the caller owns, for data too large to hold
+/// twice (the plaintext is overwritten, so there is no copy left to wipe).
+pub fn ctr_xor_in_place<C: BlockCipher64>(cipher: &C, nonce: u64, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(BLOCK).enumerate() {
         let ks = cipher
             .encrypt_block(nonce.wrapping_add(i as u64))
             .to_be_bytes();
-        for (j, &b) in chunk.iter().enumerate() {
-            out.push(b ^ ks[j]);
+        for (b, k) in chunk.iter_mut().zip(ks) {
+            *b ^= k;
         }
     }
-    out
 }
 
 /// CBC-MAC over the data with a zero IV — Denning-style cryptographic
@@ -212,6 +218,9 @@ mod tests {
         assert_eq!(ct.len(), data.len());
         assert_eq!(ctr_xor(&c, 99, &ct), data);
         assert_ne!(ctr_xor(&c, 100, &ct), data); // nonce matters
+        let mut in_place = data.to_vec();
+        ctr_xor_in_place(&c, 99, &mut in_place);
+        assert_eq!(in_place, ct);
     }
 
     #[test]

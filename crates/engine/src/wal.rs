@@ -32,7 +32,7 @@
 //! their commit boundary in a plaintext staging buffer that is wiped as
 //! soon as the group is sealed; callers that stream unboundedly many
 //! records through one handle end a group every
-//! [`STREAM_GROUP_RECORDS`] so that buffer stays bounded.
+//! `STREAM_GROUP_RECORDS` (256) so that buffer stays bounded.
 //!
 //! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
 //! record sealing a constant, written at creation. Opening with the wrong
@@ -64,7 +64,7 @@
 use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use sks_crypto::modes::ctr_xor;
+use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 use sks_storage::{
     crc32, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters, Stage,
@@ -1233,30 +1233,38 @@ fn build_frame(cipher: &Speck64, first_seq: u64, nonce: u64, group: &[StagedOp])
             .iter()
             .map(|s| ENTRY_HEADER + s.value.len())
             .sum::<usize>();
-    let mut body = Vec::with_capacity(body_len);
-    body.extend_from_slice(&(group.len() as u32).to_be_bytes());
+    // The body is serialised straight behind the header and sealed where
+    // it lies. A bulk load seals tens of megabytes as one group; separate
+    // plaintext, sealed and framed buffers of that size were the engine's
+    // peak memory. The exact capacity means no reallocation ever leaves a
+    // plaintext copy behind, and the in-place pass overwrites the only one.
+    let mut frame = frame_header(first_seq, nonce, body_len);
+    frame.extend_from_slice(&(group.len() as u32).to_be_bytes());
     for s in group {
-        body.push(s.op);
-        body.extend_from_slice(&s.key.to_be_bytes());
-        body.extend_from_slice(&(s.value.len() as u32).to_be_bytes());
-        body.extend_from_slice(&s.value);
+        frame.push(s.op);
+        frame.extend_from_slice(&s.key.to_be_bytes());
+        frame.extend_from_slice(&(s.value.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&s.value);
     }
-    let sealed = ctr_xor(cipher, nonce, &body);
-    wipe::bytes(&mut body);
-    // A bulk load seals tens of megabytes as one group: free the wiped
-    // plaintext before the frame, a third buffer of that size, is built.
-    drop(body);
-    finish_frame(first_seq, nonce, &sealed)
+    debug_assert_eq!(frame.len(), HEADER_LEN + body_len);
+    seal_frame(cipher, nonce, frame)
 }
 
-fn finish_frame(first_seq: u64, nonce: u64, sealed: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + sealed.len());
+/// A frame's header (CRC still blank) with room reserved for its body.
+fn frame_header(first_seq: u64, nonce: u64, body_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + body_len);
     frame.push(TAG);
     frame.extend_from_slice(&[0u8; 4]); // crc placeholder
     frame.extend_from_slice(&first_seq.to_be_bytes());
     frame.extend_from_slice(&nonce.to_be_bytes());
-    frame.extend_from_slice(&(sealed.len() as u32).to_be_bytes());
-    frame.extend_from_slice(sealed);
+    frame.extend_from_slice(&(body_len as u32).to_be_bytes());
+    frame
+}
+
+/// Seals the plaintext body lying behind `frame`'s header, in place, and
+/// fills in the CRC over the sealed frame.
+fn seal_frame(cipher: &Speck64, nonce: u64, mut frame: Vec<u8>) -> Vec<u8> {
+    ctr_xor_in_place(cipher, nonce, &mut frame[HEADER_LEN..]);
     let crc = crc32(&frame[5..]);
     frame[1..5].copy_from_slice(&crc.to_be_bytes());
     frame
@@ -1755,7 +1763,9 @@ mod tests {
         let nonce = 0xDEAD_BEEF_u64;
         let mut body = vec![0u8; COUNT_LEN + 2 * ENTRY_HEADER];
         body[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let frame = finish_frame(2, nonce, &ctr_xor(&cipher, nonce, &body));
+        let mut frame = frame_header(2, nonce, body.len());
+        frame.extend_from_slice(&body);
+        let frame = seal_frame(&cipher, nonce, frame);
 
         // Splice it in right after the sentinel (the stream starts after
         // the FileDisk's fixed 8 KiB header).

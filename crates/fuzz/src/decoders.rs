@@ -113,8 +113,9 @@ pub fn run_wal_stream_case(seed: u64) -> Result<(), String> {
 }
 
 /// Encodes one node under every scheme's codec, then decodes / probes
-/// seeded corruptions of the page: must never panic, and whatever `Ok`
-/// decode survives must uphold basic node invariants.
+/// seeded corruptions of the page — raw, and through a cache entry
+/// wrapping the corrupt bytes: must never panic, and whatever `Ok` decode
+/// survives must uphold basic node invariants.
 pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0002);
     for scheme in Scheme::ALL {
@@ -150,7 +151,20 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let decoded = codec.decode(node.id, &corrupt);
                     let probed = codec.probe(node.id, &corrupt, probe_key);
-                    let cached = codec.decode_for_cache(node.id, &corrupt);
+                    // The same bytes through a cache entry: it must fail
+                    // closed wherever a probe or the whole-node decode
+                    // crosses the damage, exactly as the raw page does.
+                    let cached = codec.decode_for_cache(node.id, &corrupt).map(|entry| {
+                        let same_key = codec.probe_cached(&entry, probe_key);
+                        let mut errors: Vec<String> = (1..4)
+                            .map(|i| 1 + (probe_key + 3 * i) % 12)
+                            .filter_map(|key| codec.probe_cached(&entry, key).err())
+                            .chain(codec.decode_cached(&entry).err())
+                            .map(|e| format!("{e}"))
+                            .collect();
+                        errors.extend(same_key.as_ref().err().map(|e| format!("{e}")));
+                        (same_key, errors)
+                    });
                     (decoded, probed, cached)
                 }));
                 let (decoded, probed, cached) = match outcome {
@@ -172,13 +186,22 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                         ));
                     }
                 }
-                for text in [
-                    probed.err().map(|e| format!("{e}")),
-                    cached.err().map(|e| format!("{e}")),
-                ]
-                .into_iter()
-                .flatten()
-                {
+                let mut texts = Vec::new();
+                match cached {
+                    Ok((same_key, errors)) => {
+                        if same_key != probed {
+                            return Err(format!(
+                                "{scheme:?}: cached probe diverged from the raw probe of \
+                                 the same corrupt page (node {})",
+                                node.id.0
+                            ));
+                        }
+                        texts = errors;
+                    }
+                    Err(e) => texts.push(format!("{e}")),
+                }
+                texts.extend(probed.err().map(|e| format!("{e}")));
+                for text in texts {
                     assert_sealed_error(&format!("{scheme:?} codec"), &text)?;
                 }
             }

@@ -1,6 +1,6 @@
 //! The op-sequence crash fuzzer: drives a full [`SksDb`] with a seeded
 //! arbitrary mix of engine operations, kills it at seeded
-//! [`FailStore`] kill points on the WAL device, reopens, and cross-checks
+//! [`sks_storage::FailStore`] kill points on the WAL device, reopens, and cross-checks
 //! the recovered image against a shadow [`ShadowModel`].
 //!
 //! The contract checked after every crash-and-reopen:

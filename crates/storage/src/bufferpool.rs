@@ -122,14 +122,7 @@ impl<S: BlockStore> BufferPool<S> {
 
     /// Flushes all dirty frames to the store.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        let mut dirty: Vec<BlockId> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        dirty.sort_unstable();
-        for id in dirty {
+        for id in self.dirty_ids() {
             let frame = self.frames.peek_mut(&id).expect("collected above");
             self.store.write_block(id, &frame.data)?;
             frame.dirty = false;
@@ -147,21 +140,39 @@ impl<S: BlockStore> BufferPool<S> {
         }
     }
 
-    /// Snapshot of every dirty frame, in block order — the write set a
-    /// journaled checkpoint must make durable.
-    pub fn dirty_frames(&self) -> Vec<(BlockId, Vec<u8>)> {
-        let mut dirty: Vec<(BlockId, Vec<u8>)> = self
+    /// The dirty frames' ids, in block order — the write set a journaled
+    /// checkpoint must make durable. Ids, not images: a bulk load leaves
+    /// tens of megabytes dirty, and the checkpoint reads them in place
+    /// ([`BufferPool::peek`], [`BufferPool::write_through`]).
+    pub fn dirty_ids(&self) -> Vec<BlockId> {
+        let mut dirty: Vec<BlockId> = self
             .frames
             .iter()
             .filter(|(_, f)| f.dirty)
-            .map(|(&id, f)| (id, f.data.clone()))
+            .map(|(&id, _)| id)
             .collect();
-        dirty.sort_unstable_by_key(|&(id, _)| id);
+        dirty.sort_unstable();
         dirty
     }
 
+    /// The cached image of `id`, recency and counters untouched.
+    pub fn peek(&self, id: BlockId) -> Option<&[u8]> {
+        self.frames.peek(&id).map(|f| f.data.as_slice())
+    }
+
+    /// Writes the cached images of `ids` to the store as they are; the
+    /// frames stay as dirty and as recent as they were.
+    pub fn write_through(&mut self, ids: &[BlockId]) -> Result<(), StorageError> {
+        for id in ids {
+            if let Some(frame) = self.frames.peek(id) {
+                self.store.write_block(*id, &frame.data)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Number of dirty frames (the cheap form of
-    /// [`BufferPool::dirty_frames`] for high-water checks).
+    /// [`BufferPool::dirty_ids`] for high-water checks).
     pub fn dirty_count(&self) -> usize {
         self.dirty
     }
@@ -345,10 +356,10 @@ mod tests {
         pool.write(BlockId(2), &[2; 64]).unwrap();
         pool.write(BlockId(0), &[0; 64]).unwrap();
         let _ = pool.read(BlockId(1)).unwrap();
-        let dirty: Vec<u32> = pool.dirty_frames().iter().map(|(id, _)| id.0).collect();
+        let dirty: Vec<u32> = pool.dirty_ids().iter().map(|id| id.0).collect();
         assert_eq!(dirty, vec![0, 2], "sorted, clean read frame excluded");
         pool.mark_all_clean();
-        assert!(pool.dirty_frames().is_empty());
+        assert!(pool.dirty_ids().is_empty());
     }
 
     #[test]

@@ -56,11 +56,20 @@ const CRC_TABLE: [u32; 256] = {
 
 /// IEEE CRC-32 over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    !crc32_fold(CRC32_INIT, data)
+}
+
+/// The CRC-32 register before any input; its complement after the last
+/// [`crc32_fold`] is the checksum.
+pub(crate) const CRC32_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `data` into a running CRC-32 register, for input that arrives in
+/// pieces.
+pub(crate) fn crc32_fold(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// File-backed block device.
@@ -582,6 +591,10 @@ mod tests {
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The same input folded in pieces.
+        let pieces = [&b"1234"[..], b"", b"56789"];
+        let folded = pieces.iter().fold(CRC32_INIT, |c, p| crc32_fold(c, p));
+        assert_eq!(!folded, 0xCBF4_3926);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::bufferpool::BufferPool;
 use crate::counters::OpCounters;
-use crate::filedisk::{crc32, sync_dir, FileDisk};
+use crate::filedisk::{crc32, crc32_fold, sync_dir, FileDisk, CRC32_INIT};
 
 const JOURNAL_MAGIC: &[u8; 8] = b"SKSJRNL1";
 const JOURNAL_VERSION: u32 = 1;
@@ -340,28 +340,33 @@ impl BlockStore for PagedFileStore {
     /// The checkpoint: journal → apply in place → clear the journal.
     fn flush(&mut self) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        let dirty = inner.pool.dirty_frames();
+        let dirty = inner.pool.dirty_ids();
         if dirty.is_empty() && !inner.alloc_dirty {
             // Nothing changed since the last checkpoint; still push the
             // header + fsync so callers get the durability they asked for.
             return inner.pool.store_mut().flush();
         }
-        // The journal owns the one copy of the dirty set: a bulk load
-        // checkpoints tens of megabytes of pages, and a second copy of
-        // them sets the process's peak memory.
-        let journal = Journal {
-            block_size: self.block_size,
-            num_blocks: inner.num_blocks,
-            free: inner.free.clone(),
-            pages: dirty,
-        };
-        journal.write(&self.journal_path, &self.dir)?;
-        let disk = inner.pool.store_mut();
-        disk.restore_allocation(inner.num_blocks, &inner.free)?;
-        for (id, data) in &journal.pages {
-            disk.write_block(*id, data)?;
-        }
-        disk.flush()?;
+        // The dirty set is journaled and applied from the pool's frames,
+        // never copied: a bulk load checkpoints tens of megabytes of
+        // pages, and a copy of them sets the process's peak memory.
+        let pool = &inner.pool;
+        let pages = dirty
+            .iter()
+            .map(|&id| (id, pool.peek(id).expect("a dirty frame is resident")));
+        Journal::write_pages(
+            &self.journal_path,
+            &self.dir,
+            self.block_size,
+            inner.num_blocks,
+            &inner.free,
+            pages,
+        )?;
+        inner
+            .pool
+            .store_mut()
+            .restore_allocation(inner.num_blocks, &inner.free)?;
+        inner.pool.write_through(&dirty)?;
+        inner.pool.store_mut().flush()?;
         inner.pool.mark_all_clean();
         inner.alloc_dirty = false;
         // Retire the journal by truncating it in place instead of
@@ -390,6 +395,24 @@ impl BlockStore for PagedFileStore {
     }
 }
 
+/// A writer that folds every byte it passes on into a CRC-32 register.
+struct CrcWriter<W> {
+    inner: W,
+    crc: u32,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_fold(self.crc, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// The checkpoint journal: allocation end-state plus full images of every
 /// dirty page, committed by a trailing CRC. Torn writes fail the CRC and
 /// the whole journal is discarded — the previous checkpoint still stands.
@@ -401,29 +424,42 @@ struct Journal {
 }
 
 impl Journal {
-    fn write(&self, path: &Path, dir: &Path) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(
-            8 + 4 + 8 + 4 + 4 + self.free.len() * 4 + 4 + self.pages.len() * (4 + self.block_size),
-        );
-        buf.extend_from_slice(JOURNAL_MAGIC);
-        buf.extend_from_slice(&JOURNAL_VERSION.to_be_bytes());
-        buf.extend_from_slice(&(self.block_size as u64).to_be_bytes());
-        buf.extend_from_slice(&self.num_blocks.to_be_bytes());
-        buf.extend_from_slice(&(self.free.len() as u32).to_be_bytes());
-        for &id in &self.free {
-            buf.extend_from_slice(&id.to_be_bytes());
-        }
-        buf.extend_from_slice(&(self.pages.len() as u32).to_be_bytes());
-        for (id, data) in &self.pages {
-            debug_assert_eq!(data.len(), self.block_size);
-            buf.extend_from_slice(&id.0.to_be_bytes());
-            buf.extend_from_slice(data);
-        }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_be_bytes());
+    /// Writes and fsyncs a journal of `pages` (block order) and the
+    /// allocation end-state.
+    fn write_pages<'a>(
+        path: &Path,
+        dir: &Path,
+        block_size: usize,
+        num_blocks: u32,
+        free: &[u32],
+        pages: impl ExactSizeIterator<Item = (BlockId, &'a [u8])>,
+    ) -> Result<(), StorageError> {
         let entry_is_new = !path.exists();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&buf)?;
+        // Streamed, never assembled: a bulk load journals tens of
+        // megabytes of page images, and a buffer holding them a second
+        // time sets the process's peak memory.
+        let mut out = CrcWriter {
+            inner: std::io::BufWriter::with_capacity(1 << 16, std::fs::File::create(path)?),
+            crc: CRC32_INIT,
+        };
+        out.write_all(JOURNAL_MAGIC)?;
+        out.write_all(&JOURNAL_VERSION.to_be_bytes())?;
+        out.write_all(&(block_size as u64).to_be_bytes())?;
+        out.write_all(&num_blocks.to_be_bytes())?;
+        out.write_all(&(free.len() as u32).to_be_bytes())?;
+        for &id in free {
+            out.write_all(&id.to_be_bytes())?;
+        }
+        out.write_all(&(pages.len() as u32).to_be_bytes())?;
+        for (id, data) in pages {
+            debug_assert_eq!(data.len(), block_size);
+            out.write_all(&id.0.to_be_bytes())?;
+            out.write_all(data)?;
+        }
+        let CrcWriter { mut inner, crc } = out;
+        inner.write_all(&(!crc).to_be_bytes())?;
+        // `into_inner` flushes and, unlike a drop, reports a failed flush.
+        let file = inner.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         drop(file);
         // The journal's directory entry must be durable before any
@@ -507,6 +543,20 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Journal {
+        fn write(&self, path: &Path, dir: &Path) -> Result<(), StorageError> {
+            let pages = self.pages.iter().map(|(id, data)| (*id, data.as_slice()));
+            Self::write_pages(
+                path,
+                dir,
+                self.block_size,
+                self.num_blocks,
+                &self.free,
+                pages,
+            )
+        }
+    }
 
     fn tmpfile(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

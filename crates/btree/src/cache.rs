@@ -5,18 +5,18 @@
 //! scheme requires; a real engine does not have to pay them twice for the
 //! same unchanged page — nor pay for triplets no search ever follows. A
 //! miss caches the page's header, raw key fields and triplet cryptograms
-//! with no cryptography at all; a probe then deciphers only the slot its
-//! answer lives in and memoises it in the entry, so a repeated point read
+//! with no cryptography at all; a probe then deciphers only the slots its
+//! search reads and memoises them in the entry, so a repeated point read
 //! costs zero physical cryptography and a cold one exactly what the scheme
-//! promises (one pointer per node under key substitution). The *logical*
-//! operation counters keep reporting the paper's per-scheme cost either
-//! way (see [`crate::NodeCodec::probe_cached`]), so every comparative
-//! claim stays measurable with the cache on. Only an update, scan or
-//! validation — which needs the whole node — deciphers the remainder
-//! ([`crate::NodeCodec::decode_cached`]). Codecs with nothing to be lazy
-//! about (whole-page encipherment, plaintext) and the write-behind set
-//! build their entries complete; the Bayer–Metzger baseline still fills
-//! its entries whole.
+//! promises (one pointer per node under key substitution, the ~log₂ n
+//! triplets of §3's binary search-and-decrypt under Bayer–Metzger). The
+//! *logical* operation counters keep reporting the paper's per-scheme
+//! cost either way (see [`crate::NodeCodec::probe_cached`]), so every
+//! comparative claim stays measurable with the cache on. Only an update,
+//! scan or validation — which needs the whole node — deciphers the
+//! remainder ([`crate::NodeCodec::decode_cached`]). Codecs with nothing
+//! to be lazy about (whole-page encipherment, plaintext) and the
+//! write-behind set build their entries complete.
 //!
 //! Keying: an entry is logically keyed by `(page, version)` — the version
 //! being "the bytes currently on the page". The tree invalidates eagerly
@@ -31,12 +31,13 @@
 //!
 //! Security model: entries live in RAM only. Nothing here ever reaches
 //! the medium (the stores below continue to hold only enciphered bytes).
-//! Under key substitution an entry holds in plaintext only the pointers
-//! searches actually followed — the rest of the node stays as enciphered
-//! as it is on the medium — and those, with the raw key fields, are
-//! zeroized when the last reference drops (eviction, invalidation, or
-//! cache drop), so later heap re-use cannot scrape them out of dead
-//! memory.
+//! A per-triplet scheme's entry holds in plaintext only what searches
+//! actually deciphered — the pointers they followed under key
+//! substitution, the triplets they crossed under Bayer–Metzger; the rest
+//! of the node stays as enciphered as it is on the medium — and that,
+//! with the raw key fields, is zeroized when the last reference drops
+//! (eviction, invalidation, or cache drop), so later heap re-use cannot
+//! scrape it out of dead memory.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 

@@ -121,11 +121,8 @@ pub trait NodeCodec {
     /// header, raw key fields and cryptograms copied out, no cryptography —
     /// and leaves the deciphering to the two hooks below; a scheme with
     /// nothing to be lazy about (whole-page, plaintext) returns an entry
-    /// born complete. (Bayer–Metzger returns the lazy kind but deciphers
-    /// it whole here, as it did before entries were lazy; a slot that
-    /// does not unseal is left for the probe that crosses it to fail on.)
-    /// A page whose header does not parse, or whose entry count outruns
-    /// the page, is an error and is never cached.
+    /// born complete. A page whose header does not parse, or whose entry
+    /// count outruns the page, is an error and is never cached.
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         let _ = (id, page);
         Err(CodecError::Corrupt(

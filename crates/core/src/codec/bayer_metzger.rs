@@ -223,28 +223,21 @@ impl NodeCodec for BayerMetzgerCodec {
                     page.len()
                 ))
             })?;
-        let entry = CachedNode::sealed(
+        Ok(CachedNode::sealed(
             id,
             is_leaf,
             page.len(),
             Vec::new(),
             sealed.to_vec(),
             SEALED_TRIPLET_LEN,
-        );
-        // Deciphered whole at fill, as this baseline's entries always
-        // were: probe-first entries are the substitution codecs' gain,
-        // and `read_cold_bm` is the benchmark's control for it. A triplet
-        // that does not unseal stays unmemoised and raises its error at
-        // the probe that crosses it, exactly where the raw probe would.
-        let mut cipher = None;
-        let _ = entry.node(|ct| self.unseal_triplet(&mut cipher, id, ct));
-        Ok(entry)
+        ))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        // Physically, only a slot the entry holds no triplet for is
-        // deciphered: one whose unseal failed at fill, so that it fails
-        // again here, on the probe that crosses it.
+        // Physically, only the slots the binary search crosses that no
+        // earlier probe of this entry deciphered. One that does not
+        // unseal is never memoised, so it fails again on every probe that
+        // crosses it — where the raw probe fails.
         let mut cipher = None;
         self.search(entry.n(), entry.is_leaf(), key, |slot| {
             entry.triplet(slot, |ct| self.unseal_triplet(&mut cipher, entry.id(), ct))
@@ -468,16 +461,47 @@ mod tests {
         assert!(codec.decode(BlockId(9), &page).is_err());
     }
 
+    /// Slots of `entry` that hold a deciphered triplet.
+    fn memoised(entry: &CachedNode) -> usize {
+        (0..entry.slots())
+            .filter(|&slot| entry.triplet(slot, never_sealed).is_ok())
+            .count()
+    }
+
     #[test]
-    fn entries_are_filled_whole_and_a_corrupt_triplet_fails_where_the_raw_probe_does() {
-        let (codec, _) = codec();
+    fn a_probe_memoises_exactly_the_triplets_its_search_crosses() {
+        let (codec, counters) = codec();
         let node = sample_internal();
         let mut page = vec![0u8; 512];
         codec.encode(&node, &mut page).unwrap();
         let entry = codec.decode_for_cache(BlockId(7), &page).unwrap();
-        for slot in 0..entry.slots() {
-            assert!(entry.triplet(slot, never_sealed).is_ok(), "slot {slot}");
-        }
+        assert_eq!(memoised(&entry), 0, "caching a node deciphers nothing");
+
+        // (logical key + pointer decipherments, slots newly memoised).
+        let probe = |key: u64| {
+            let (before, held) = (counters.snapshot(), memoised(&entry));
+            codec.probe_cached(&entry, key).unwrap();
+            let d = counters.snapshot().delta(&before);
+            (d.key_decrypts + d.ptr_decrypts, memoised(&entry) - held)
+        };
+        // Below every key: ⌈log₂ n⌉ triplets, then the leftmost pointer.
+        let (logical, physical) = probe(5);
+        assert_eq!((logical, physical), (4, 4));
+        assert_eq!(probe(5), (logical, 0), "the same key deciphers nothing");
+        // Another key pays only for the steps no earlier probe crossed.
+        let (logical, physical) = probe(45);
+        assert_eq!((logical, physical), (3, 2), "the root step is shared");
+
+        assert_eq!(codec.decode_cached(&entry).unwrap(), node);
+        assert_eq!(memoised(&entry), entry.slots());
+    }
+
+    #[test]
+    fn a_corrupt_triplet_fails_where_the_raw_probe_does() {
+        let (codec, _) = codec();
+        let node = sample_internal();
+        let mut page = vec![0u8; 512];
+        codec.encode(&node, &mut page).unwrap();
         // Corrupt the last triplet (key 50) in the cipher block that holds
         // its binding check: the fill still succeeds, and only a probe
         // whose binary search crosses it fails — as raw.
@@ -490,6 +514,66 @@ mod tests {
         }
         assert!(codec.probe_cached(&entry, 55).is_err());
         assert!(codec.probe_cached(&entry, 5).is_ok());
+        assert!(entry.triplet(5, never_sealed).is_err(), "never memoised");
+    }
+
+    /// §3's baseline as physical work: through the node cache a search
+    /// deciphers the triplets its binary searches cross, each at most once
+    /// while its node stays cached, and only completing a node deciphers
+    /// the rest.
+    #[test]
+    fn cached_gets_physically_decipher_only_the_triplets_searches_cross() {
+        use sks_btree_core::BTree;
+        use sks_storage::{MemDisk, ObsLevel, Stage};
+
+        let counters = OpCounters::with_observability(ObsLevel::Histograms);
+        let codec = BayerMetzgerCodec::new(
+            PageKeyScheme::new(0xDEAD_BEEF_F00D_CAFE, PageCipherKind::Des),
+            counters.clone(),
+        );
+        let items: Vec<(u64, RecordPtr)> = (1..=500).map(|k| (2 * k, RecordPtr(k))).collect();
+        let disk = MemDisk::with_counters(256, counters.clone());
+        let mut tree = BTree::bulk_load(disk, codec, &items).unwrap();
+        tree.enable_node_cache(1024);
+        assert_eq!(tree.height(), 3);
+
+        // Every triplet deciphered so far: a timed entry records one
+        // `NodeUnseal` sample per slot it memoises, a miss one per fill.
+        let deciphered = || {
+            let stages = counters.obs().stages_snapshot();
+            stages[Stage::NodeUnseal as usize].1.count - counters.snapshot().node_cache_misses
+        };
+        // (triplets deciphered, logical counter delta) of one get.
+        let get = |key: u64| {
+            let (held, before) = (deciphered(), counters.snapshot());
+            assert!(tree.get(key).unwrap().is_some());
+            (deciphered() - held, counters.snapshot().delta(&before))
+        };
+        // Cold entries: physical = logical, ~log₂ n per node visited.
+        let (physical, logical) = get(2 * 137);
+        assert_eq!(physical, logical.key_decrypts + logical.ptr_decrypts);
+        assert!(physical > logical.node_visits);
+        // The same key again: the same logical cost, no physical work.
+        let (physical, again) = get(2 * 137);
+        assert_eq!(physical, 0);
+        assert_eq!(
+            (again.key_decrypts, again.ptr_decrypts),
+            (logical.key_decrypts, logical.ptr_decrypts)
+        );
+
+        // Two whole-tree walks complete every entry, once: one cryptogram
+        // per key, plus each internal node's leftmost.
+        tree.validate().unwrap();
+        let complete = deciphered();
+        tree.validate().unwrap();
+        assert_eq!(deciphered(), complete);
+        let (mut cryptograms, mut todo) = (items.len() as u64, vec![tree.root_id()]);
+        while let Some(id) = todo.pop() {
+            let node = tree.inspect_node(id).unwrap();
+            cryptograms += u64::from(!node.is_leaf());
+            todo.extend(node.children);
+        }
+        assert_eq!(deciphered(), cryptograms);
     }
 
     #[test]

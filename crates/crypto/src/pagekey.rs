@@ -20,24 +20,47 @@ pub enum PageCipherKind {
 }
 
 /// Derives per-page keys and ciphers from a single secret file key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PageKeyScheme {
-    file_key: u64,
-    kind: PageCipherKind,
+    file: FileKey,
+}
+
+/// `K_E` in the form `PK` uses it.
+#[derive(Clone)]
+enum FileKey {
+    /// DES keyed under `K_E`, once: `PK` is one block encipherment.
+    Des(Des),
+    /// Speck's `PK` folds the page id into the cipher key, so it keys
+    /// per page.
+    Speck(u64),
+}
+
+impl std::fmt::Debug for PageKeyScheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = self.kind();
+        write!(
+            f,
+            "PageKeyScheme {{ kind: {kind:?}, file_key: <redacted> }}"
+        )
+    }
 }
 
 impl PageKeyScheme {
     pub fn new(file_key: u64, kind: PageCipherKind) -> Self {
-        PageKeyScheme { file_key, kind }
+        let file = match kind {
+            PageCipherKind::Des => FileKey::Des(Des::new(file_key)),
+            PageCipherKind::Speck => FileKey::Speck(file_key),
+        };
+        PageKeyScheme { file }
     }
 
     /// `PK(K_E, P_id)`: the page key is the encipherment of the page id
     /// under the file key (a standard realisation of Bayer–Metzger's `PK`).
     pub fn page_key(&self, page_id: u64) -> u64 {
-        match self.kind {
-            PageCipherKind::Des => Des::new(self.file_key).encrypt_block(page_id),
-            PageCipherKind::Speck => {
-                Speck64::from_u128(((self.file_key as u128) << 64) | page_id as u128 ^ 0x5a5a)
+        match &self.file {
+            FileKey::Des(file_cipher) => file_cipher.encrypt_block(page_id),
+            FileKey::Speck(file_key) => {
+                Speck64::from_u128(((*file_key as u128) << 64) | page_id as u128 ^ 0x5a5a)
                     .encrypt_block(page_id)
             }
         }
@@ -46,7 +69,7 @@ impl PageKeyScheme {
     /// Builds the text cipher `T` keyed for page `page_id`.
     pub fn page_cipher(&self, page_id: u64) -> Box<dyn BlockCipher64 + Send + Sync> {
         let key = self.page_key(page_id);
-        match self.kind {
+        match self.kind() {
             PageCipherKind::Des => Box::new(Des::new(key)),
             PageCipherKind::Speck => {
                 Box::new(Speck64::from_u128(((key as u128) << 64) | (!key as u128)))
@@ -55,7 +78,10 @@ impl PageKeyScheme {
     }
 
     pub fn kind(&self) -> PageCipherKind {
-        self.kind
+        match self.file {
+            FileKey::Des(_) => PageCipherKind::Des,
+            FileKey::Speck(_) => PageCipherKind::Speck,
+        }
     }
 }
 
@@ -87,6 +113,17 @@ mod tests {
         let a = PageKeyScheme::new(1, PageCipherKind::Des);
         let b = PageKeyScheme::new(2, PageCipherKind::Des);
         assert_ne!(a.page_key(7), b.page_key(7));
+    }
+
+    #[test]
+    fn debug_redacts_the_file_key() {
+        let key = 0xA5A5_5A5A_DEAD_BEEFu64;
+        for kind in [PageCipherKind::Des, PageCipherKind::Speck] {
+            let shown = format!("{:?}", PageKeyScheme::new(key, kind)).to_lowercase();
+            assert!(shown.contains("redacted"), "{shown}");
+            assert!(!shown.contains(&key.to_string()), "{shown}");
+            assert!(!shown.contains(&format!("{key:x}")), "{shown}");
+        }
     }
 
     #[test]

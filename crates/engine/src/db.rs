@@ -745,12 +745,7 @@ impl SksDb {
             let count = group.len();
             let over_high_water = {
                 let mut tree = self.partitions[p].write().expect("partition lock");
-                self.log_autocommit(|wal| {
-                    for (key, value) in &group {
-                        wal.append_insert(*key, value)?;
-                    }
-                    Ok(())
-                })?;
+                self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
                 self.partition_epochs[p].fetch_add(1, Ordering::Release);
                 let mut priors = Vec::with_capacity(group.len());
                 for (key, value) in group {
@@ -816,12 +811,7 @@ impl SksDb {
             let count = group.len();
             let over_high_water = {
                 let mut tree = self.partitions[p].write().expect("partition lock");
-                self.log_autocommit(|wal| {
-                    for (key, value) in &group {
-                        wal.append_insert(*key, value)?;
-                    }
-                    Ok(())
-                })?;
+                self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
                 self.partition_epochs[p].fetch_add(1, Ordering::Release);
                 tree.bulk_load(&group)?;
                 // Loaded into an empty tree: every prior is `None`.

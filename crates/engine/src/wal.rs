@@ -507,6 +507,10 @@ fn nonce_seed() -> u64 {
     splitmix64(t ^ addr.rotate_left(32) ^ u64::from(std::process::id()))
 }
 
+/// One record of a group as [`build_frame`] reads it: `(op, key, value)`,
+/// the value borrowed from wherever the caller holds it.
+type Entry<'a> = (u8, u64, &'a [u8]);
+
 /// One record staged for sealing. The plaintext value is wiped when the
 /// entry drops (after the group body is sealed), so the staging buffer
 /// can never leak record bytes through freed heap memory — the same
@@ -799,30 +803,57 @@ impl Wal {
     /// physical `wal_txn_frames` telemetry records the grouping. Returns
     /// the first seq of the frame.
     pub fn append_txn(&mut self, ops: &[WalOp]) -> Result<u64, EngineError> {
+        let group = ops.iter().map(|op| match op {
+            WalOp::Insert { key, value } => (OP_INSERT, *key, &value[..]),
+            WalOp::Delete { key } => (OP_DELETE, *key, &[][..]),
+        });
+        let first_seq = self.append_group(group, Stage::WalAppend)?;
+        if !ops.is_empty() {
+            self.counters.bump(|c| &c.wal_txn_frames);
+        }
+        Ok(first_seq)
+    }
+
+    /// Appends `items` as inserts forming one group, sealed on its own
+    /// straight from the caller's values — a bulk load's tens of megabytes
+    /// are never staged. Charged exactly as the same records appended one
+    /// by one and sealed by the next commit. Anything staged before is
+    /// sealed first so frames stay in seq order. Returns the first seq of
+    /// the frame.
+    pub fn append_insert_group(&mut self, items: &[(u64, Vec<u8>)]) -> Result<u64, EngineError> {
+        let group = items
+            .iter()
+            .map(|(key, value)| (OP_INSERT, *key, &value[..]));
+        let first_seq = self.append_group(group, Stage::SealBatch)?;
+        if items.len() >= 2 {
+            self.counters.bump(|c| &c.wal_sealed_batches);
+        }
+        Ok(first_seq)
+    }
+
+    /// Seals `group` as one frame of its own behind whatever was staged,
+    /// charging each record as if framed alone and timing the whole as
+    /// `stage`. An empty group writes nothing (the grammar has no empty
+    /// frame). Returns the first seq of the frame.
+    fn append_group<'a>(
+        &mut self,
+        group: impl Iterator<Item = Entry<'a>> + Clone,
+        stage: Stage,
+    ) -> Result<u64, EngineError> {
         self.check_poison()?;
         self.seal_staged()?;
         let first_seq = self.next_seq;
-        if ops.is_empty() {
-            return Ok(first_seq); // the grammar has no empty frame
-        }
         let timer = self.counters.obs().start();
-        let group: Vec<StagedOp> = ops
-            .iter()
-            .map(|op| {
-                let (op, key, value) = match op {
-                    WalOp::Insert { key, value } => (OP_INSERT, *key, value.clone()),
-                    WalOp::Delete { key } => (OP_DELETE, *key, Vec::new()),
-                };
-                StagedOp { op, key, value }
-            })
-            .collect();
-        for s in &group {
-            self.charge(s.value.len());
+        let mut count = 0;
+        for (_, _, value) in group.clone() {
+            self.charge(value.len());
+            count += 1;
         }
-        self.counters.bump(|c| &c.wal_txn_frames);
-        self.write_frame(first_seq, &group)?;
-        self.next_seq += group.len() as u64;
-        self.counters.obs().stage(Stage::WalAppend, timer);
+        if count > 0 {
+            self.write_frame(first_seq, group)?;
+            self.next_seq += count;
+            self.counters.obs().stage(stage, timer);
+        }
         Ok(first_seq)
     }
 
@@ -830,12 +861,7 @@ impl Wal {
     /// append counters).
     fn append_keycheck(&mut self) -> Result<(), EngineError> {
         debug_assert_eq!(self.next_seq, 1);
-        let sentinel = StagedOp {
-            op: OP_KEYCHECK,
-            key: 0,
-            value: KEYCHECK_MAGIC.to_vec(),
-        };
-        self.write_frame(1, &[sentinel])?;
+        self.write_frame(1, [(OP_KEYCHECK, 0, &KEYCHECK_MAGIC[..])].into_iter())?;
         self.next_seq = 2;
         self.flush()
     }
@@ -881,14 +907,19 @@ impl Wal {
         if staged.len() >= 2 {
             self.counters.bump(|c| &c.wal_sealed_batches);
         }
-        self.write_frame(self.next_seq - staged.len() as u64, &staged)?;
+        let group = staged.iter().map(|s| (s.op, s.key, &s.value[..]));
+        self.write_frame(self.next_seq - staged.len() as u64, group)?;
         self.counters.obs().stage(Stage::SealBatch, timer);
         Ok(())
     }
 
     /// Seals `group` as the frame starting at `first_seq` and appends it
     /// to the stream.
-    fn write_frame(&mut self, first_seq: u64, group: &[StagedOp]) -> Result<(), EngineError> {
+    fn write_frame<'a>(
+        &mut self,
+        first_seq: u64,
+        group: impl Iterator<Item = Entry<'a>> + Clone,
+    ) -> Result<(), EngineError> {
         let nonce = self.next_nonce();
         let frame = build_frame(&self.cipher, first_seq, nonce, group);
         if let Err(e) = self.append_bytes(&frame) {
@@ -1226,25 +1257,31 @@ impl<'a> FrameReader<'a> {
 
 /// One frame sealing the whole group under a single nonce: `tag ‖ crc ‖
 /// first_seq ‖ nonce ‖ blen ‖ E(count ‖ (op ‖ key ‖ vlen ‖ value)*)`.
-fn build_frame(cipher: &Speck64, first_seq: u64, nonce: u64, group: &[StagedOp]) -> Vec<u8> {
-    debug_assert!(!group.is_empty(), "the grammar has no empty frame");
-    let body_len: usize = COUNT_LEN
-        + group
-            .iter()
-            .map(|s| ENTRY_HEADER + s.value.len())
-            .sum::<usize>();
-    // The body is serialised straight behind the header and sealed where
-    // it lies. A bulk load seals tens of megabytes as one group; separate
+fn build_frame<'a>(
+    cipher: &Speck64,
+    first_seq: u64,
+    nonce: u64,
+    group: impl Iterator<Item = Entry<'a>> + Clone,
+) -> Vec<u8> {
+    let (mut count, mut body_len) = (0u32, COUNT_LEN);
+    for (_, _, value) in group.clone() {
+        count += 1;
+        body_len += ENTRY_HEADER + value.len();
+    }
+    debug_assert!(count > 0, "the grammar has no empty frame");
+    // The body is serialised straight behind the header, from values
+    // borrowed where they already lie, and sealed where it lies. A bulk
+    // load seals tens of megabytes as one group; separate staged,
     // plaintext, sealed and framed buffers of that size were the engine's
     // peak memory. The exact capacity means no reallocation ever leaves a
     // plaintext copy behind, and the in-place pass overwrites the only one.
     let mut frame = frame_header(first_seq, nonce, body_len);
-    frame.extend_from_slice(&(group.len() as u32).to_be_bytes());
-    for s in group {
-        frame.push(s.op);
-        frame.extend_from_slice(&s.key.to_be_bytes());
-        frame.extend_from_slice(&(s.value.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&s.value);
+    frame.extend_from_slice(&count.to_be_bytes());
+    for (op, key, value) in group {
+        frame.push(op);
+        frame.extend_from_slice(&key.to_be_bytes());
+        frame.extend_from_slice(&(value.len() as u32).to_be_bytes());
+        frame.extend_from_slice(value);
     }
     debug_assert_eq!(frame.len(), HEADER_LEN + body_len);
     seal_frame(cipher, nonce, frame)
@@ -1702,6 +1739,48 @@ mod tests {
         assert_eq!(replay.records[4].op, ops[2]);
         assert!(!replay.torn_tail);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_borrowed_insert_group_is_the_frame_its_records_staged_would_be() {
+        let items: Vec<(u64, Vec<u8>)> = (0..5u64).map(|k| (k, vec![k as u8; 40])).collect();
+        // The same five inserts behind one staged record, appended one by
+        // one or as one borrowed group: same charge, same stream length,
+        // same seqs, same two frames.
+        let run = |grouped: bool| {
+            let path = tmpfile(if grouped {
+                "group_borrowed"
+            } else {
+                "group_staged"
+            });
+            let counters = OpCounters::new();
+            let mut wal =
+                Wal::create(&path, 128, KEY, SyncPolicy::Always, counters.clone()).unwrap();
+            wal.append_insert(99, b"ahead").unwrap();
+            if grouped {
+                assert_eq!(wal.append_insert_group(&[]).unwrap(), 3, "sealed 'ahead'");
+                assert_eq!(wal.append_insert_group(&items).unwrap(), 3);
+            } else {
+                wal.commit().unwrap();
+                for (k, v) in &items {
+                    wal.append_insert(*k, v).unwrap();
+                }
+            }
+            wal.commit().unwrap();
+            let groups = wal.records_since(1, 0).unwrap();
+            let shape = (counters.snapshot(), wal.len_bytes(), wal.next_seq(), groups);
+            std::fs::remove_file(&path).ok();
+            shape
+        };
+        let (staged, borrowed) = (run(false), run(true));
+        assert_eq!(staged.0.wal_appends, borrowed.0.wal_appends);
+        assert_eq!(staged.0.wal_bytes, borrowed.0.wal_bytes);
+        assert_eq!(staged.0.wal_sealed_batches, 1);
+        assert_eq!(borrowed.0.wal_sealed_batches, 1);
+        assert_eq!((staged.1, staged.2), (borrowed.1, borrowed.2));
+        assert_eq!(staged.3, borrowed.3);
+        assert_eq!(borrowed.3.len(), 2);
+        assert_eq!(borrowed.3[1].len(), items.len());
     }
 
     #[test]

@@ -127,10 +127,13 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
         .observability(ObsLevel::FullTrace);
     let db = SksDb::open(&dir, EngineConfig::new(cfg).sync(SyncPolicy::EveryN(8))).unwrap();
 
-    // Group commits stage multi-record plaintext bodies; the small fsync
+    // Bulk loads and batches seal multi-record plaintext bodies borrowed
+    // from the caller, single inserts stage theirs; the small fsync
     // period leaves committed-but-unsynced tails; write-behind holds the
     // mutated nodes unsealed. Scan the medium in exactly that state.
-    db.insert_batch((0..60u64).map(|k| (k, needle.to_vec())).collect())
+    db.bulk_load((0..30u64).map(|k| (k, needle.to_vec())).collect())
+        .unwrap();
+    db.insert_batch((30..60u64).map(|k| (k, needle.to_vec())).collect())
         .unwrap();
     for k in 60..90u64 {
         db.insert(k, needle.to_vec()).unwrap();

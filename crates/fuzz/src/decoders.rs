@@ -163,7 +163,11 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                             .map(|e| format!("{e}"))
                             .collect();
                         errors.extend(same_key.as_ref().err().map(|e| format!("{e}")));
-                        (same_key, errors)
+                        // Once more, after those probes and the decode have
+                        // memoised all they could: a failed unseal must not
+                        // have been kept, a kept one must not move the answer.
+                        let again = codec.probe_cached(&entry, probe_key);
+                        (same_key, again, errors)
                     });
                     (decoded, probed, cached)
                 }));
@@ -188,8 +192,8 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                 }
                 let mut texts = Vec::new();
                 match cached {
-                    Ok((same_key, errors)) => {
-                        if same_key != probed {
+                    Ok((same_key, again, errors)) => {
+                        if same_key != probed || again != probed {
                             return Err(format!(
                                 "{scheme:?}: cached probe diverged from the raw probe of \
                                  the same corrupt page (node {})",

@@ -142,3 +142,44 @@ fn design_is_projective_plane_order_3() {
     let dev = sks_btree::designs::BlockDesign::develop(&ds);
     dev.verify_bibd().unwrap();
 }
+
+/// §3's comparison as physical work, through the node cache: a cold search
+/// under key substitution deciphers one pointer per node visited, the
+/// Bayer–Metzger baseline the triplets each node's binary
+/// search-and-decrypt crosses.
+#[test]
+fn section_3_cold_search_deciphers_fewer_triplets_under_substitution() {
+    use sks_btree::core::{EncipheredBTree, ObsLevel, Scheme, SchemeConfig};
+    use sks_btree::storage::Stage;
+
+    let n = 2_000u64;
+    let items: Vec<(u64, Vec<u8>)> = (0..n).map(|k| (k, vec![7])).collect();
+    // (triplets physically deciphered, logical counter delta) of the same
+    // cold point searches under `scheme`.
+    let search = |scheme| {
+        let cfg = SchemeConfig::with_capacity(scheme, n + 2)
+            .node_cache(4096)
+            .observability(ObsLevel::Histograms);
+        let tree = EncipheredBTree::bulk_create(cfg, &items).unwrap();
+        // A miss is one `NodeUnseal` sample, each triplet a cached node
+        // deciphers another.
+        let deciphered = || {
+            let stages = tree.counters().obs().stages_snapshot();
+            stages[Stage::NodeUnseal as usize].1.count - tree.snapshot().node_cache_misses
+        };
+        let (held, before) = (deciphered(), tree.snapshot());
+        for k in (0..n).step_by(97) {
+            assert!(tree.get_pointer(k).unwrap().is_some());
+        }
+        (deciphered() - held, tree.snapshot().delta(&before))
+    };
+    let (oval, logical) = search(Scheme::Oval);
+    assert_eq!(logical.key_decrypts, 0);
+    assert!(oval <= logical.ptr_decrypts && logical.ptr_decrypts <= logical.node_visits);
+    let (bm, logical) = search(Scheme::BayerMetzger);
+    assert!(bm <= logical.key_decrypts + logical.ptr_decrypts);
+    assert!(
+        bm > 2 * oval,
+        "substitution {oval} triplets, search-and-decrypt {bm}"
+    );
+}

@@ -18,11 +18,20 @@
 //! to be lazy about (whole-page encipherment, plaintext) and the
 //! write-behind set build their entries complete.
 //!
+//! The write side is the mirror image: the entry an update has just
+//! completed is the image its write replaces, so the tree hands it to the
+//! codec ([`crate::NodeCodec::encode_over`]), which copies the stored
+//! cryptogram of every triplet the update left unchanged
+//! ([`CachedNode::stored_cryptogram`]) and seals only the rest — the bytes
+//! a from-scratch seal would produce, because a per-triplet cryptogram is
+//! a deterministic function of the block number and the triplet's content.
+//!
 //! Keying: an entry is logically keyed by `(page, version)` — the version
 //! being "the bytes currently on the page". The tree invalidates eagerly
 //! on every node re-encode and free (the only sites that change a page's
 //! version), so an entry is present exactly when it images the page's
-//! current content; a stale image can never serve a probe.
+//! current content; a stale image can never serve a probe. (The image a
+//! write takes out of the cache serves that one encode and is dropped.)
 //!
 //! Bound and eviction: eight mutex shards, each an [`LruMap`] — the same
 //! O(1) recency list every cache in the workspace runs on — holding an
@@ -122,16 +131,6 @@ impl CachedNode {
     /// codecs that decipher a page all at once): every slot known, no
     /// sealed image.
     pub fn complete(node: &Node, raw_keys: Vec<u64>, page_len: usize) -> Self {
-        let lead = node.children.first().map(|c| Triplet {
-            child: c.0,
-            ..Triplet::default()
-        });
-        let keyed = node.keys.iter().zip(&node.data_ptrs).enumerate();
-        let keyed = keyed.map(|(i, (&key, a))| Triplet {
-            key,
-            data_ptr: a.0,
-            child: node.children.get(i + 1).map_or(0, |c| c.0),
-        });
         CachedNode {
             id: node.id,
             is_leaf: node.is_leaf(),
@@ -139,7 +138,7 @@ impl CachedNode {
             raw_keys,
             sealed: Vec::new(),
             sealed_len: 0,
-            memo: lead.into_iter().chain(keyed).map(OnceLock::from).collect(),
+            memo: node.slots().map(OnceLock::from).collect(),
             obs: Obs::default(),
         }
     }
@@ -251,6 +250,24 @@ impl CachedNode {
         })
     }
 
+    /// The stored `len`-byte cryptogram of the first slot at or after
+    /// `*from` that was deciphered to exactly `want`, advancing `*from`
+    /// past it — so successive calls match a rewritten node's slots against
+    /// this image in page (key) order, through insert and delete shifts.
+    /// `None`, and `*from` unmoved, when no such slot remains: a slot never
+    /// deciphered, or whose unseal failed, matches nothing, and an entry
+    /// born complete (or of another cryptogram width) stores none.
+    pub fn stored_cryptogram(&self, from: &mut usize, want: &Triplet, len: usize) -> Option<&[u8]> {
+        if self.sealed_len != len {
+            return None;
+        }
+        let held = |cell: &OnceLock<Triplet>| cell.get() == Some(want);
+        let slot = *from + self.memo.get(*from..)?.iter().position(held)?;
+        let ct = self.sealed.get(slot * len..(slot + 1) * len)?;
+        *from = slot + 1;
+        Some(ct)
+    }
+
     /// Zeroes everything deciphered or key-derived in place (the sealed
     /// image is ciphertext, as public as the medium).
     fn scrub(&mut self) {
@@ -312,10 +329,11 @@ impl NodeCache {
         while shard.evict().is_some() {}
     }
 
-    /// Drops the entry for `id` (node re-encoded or freed). What it had
-    /// deciphered is zeroized when the last outstanding reference drops.
-    pub fn invalidate(&self, id: BlockId) {
-        self.shard(id).remove(&id.0);
+    /// Drops the entry for `id` (node re-encoded or freed) and returns it:
+    /// it images the page about to be replaced. What it had deciphered is
+    /// zeroized when the last outstanding reference drops.
+    pub fn invalidate(&self, id: BlockId) -> Option<Arc<CachedNode>> {
+        self.shard(id).remove(&id.0)
     }
 
     /// Number of cached nodes across all shards.
@@ -438,7 +456,7 @@ mod tests {
                         );
                     }
                 }
-                _ => cache.invalidate(BlockId(id)),
+                _ => drop(cache.invalidate(BlockId(id))),
             }
             assert_eq!(cache.len(), model.iter().map(Vec::len).sum::<usize>());
         }

@@ -87,8 +87,29 @@ impl Probe {
 
 /// Encodes/decodes nodes to raw pages and searches within raw pages.
 pub trait NodeCodec {
-    /// Serialises (and enciphers/disguises) `node` into `page`.
+    /// Serialises (and enciphers/disguises) `node` into `page`, from
+    /// scratch: [`NodeCodec::encode_over`] with no previous image.
     fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError>;
+
+    /// [`NodeCodec::encode`] for a write that replaces a page whose image
+    /// `prev` the caller still holds: the same page bytes, the same
+    /// counters charged, but a scheme that seals triplet by triplet copies
+    /// from `prev` the stored cryptogram of every triplet the write leaves
+    /// unchanged ([`CachedNode::stored_cryptogram`], matched in key order)
+    /// and seals only the rest. That is sound because such a cryptogram is
+    /// a deterministic function of the block number and the triplet's
+    /// content, and fail-closed: a slot `prev` never deciphered, one whose
+    /// unseal failed, and every slot of an image of another block are
+    /// sealed afresh. Schemes with nothing to copy ignore `prev`.
+    fn encode_over(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
+        let _ = prev;
+        self.encode(node, page)
+    }
 
     /// Fully materialises the plaintext node from a page, decrypting
     /// whatever the scheme requires. Update paths (insert/delete/split)

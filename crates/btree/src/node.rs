@@ -8,6 +8,8 @@
 
 use sks_storage::BlockId;
 
+use crate::cache::Triplet;
+
 /// Pointer to a record in a data block (opaque to the tree; the record
 /// store packs block number and slot into it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,6 +67,23 @@ impl Node {
     /// Number of triplets `n`.
     pub fn n(&self) -> usize {
         self.keys.len()
+    }
+
+    /// The node's slots in page order — as every per-triplet codec lays
+    /// them out and [`crate::CachedNode`] numbers them: an internal node's
+    /// leftmost tree pointer alone in slot 0, then `(kᵢ, aᵢ, pᵢ)` per key
+    /// (`child` 0 in a leaf).
+    pub fn slots(&self) -> impl Iterator<Item = Triplet> + '_ {
+        let lead = self.children.first().map(|c| Triplet {
+            child: c.0,
+            ..Triplet::default()
+        });
+        let keyed = self.keys.iter().zip(&self.data_ptrs).enumerate();
+        lead.into_iter().chain(keyed.map(|(i, (&key, a))| Triplet {
+            key,
+            data_ptr: a.0,
+            child: self.children.get(i + 1).map_or(0, |c| c.0),
+        }))
     }
 
     /// Structural well-formedness (shape only; ordering is checked by

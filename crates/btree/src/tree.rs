@@ -433,11 +433,11 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     fn write_node(&mut self, node: &Node) -> Result<(), TreeError> {
-        if let Some(cache) = &self.cache {
-            // Re-encoding changes the page's version: the old image must
-            // never serve another probe.
-            cache.invalidate(node.id);
-        }
+        // Re-encoding changes the page's version: the old image must
+        // never serve another probe. It is still the image this write
+        // replaces — completed by the update path's `read_node` — so the
+        // codec may copy from it the cryptograms of unchanged triplets.
+        let prev = self.cache.as_ref().and_then(|c| c.invalidate(node.id));
         if self.wb.is_some() {
             // Defer the physical seal: charge the full logical encode
             // profile now (and surface every encode error — shape, key
@@ -454,7 +454,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         }
         let t = self.counters().obs().start();
         let mut page = vec![0u8; self.store.block_size()];
-        self.codec.encode(node, &mut page)?;
+        self.codec.encode_over(node, prev.as_deref(), &mut page)?;
         self.store.write_block(node.id, &page)?;
         self.counters().obs().stage(Stage::NodeSeal, t);
         Ok(())

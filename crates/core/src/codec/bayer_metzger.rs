@@ -35,15 +35,13 @@ impl BayerMetzgerCodec {
     fn seal_triplet(
         &self,
         cipher: &dyn BlockCipher64,
-        k: u64,
-        a: u64,
-        p: u32,
+        t: Triplet,
         block: u32,
     ) -> [u8; SEALED_TRIPLET_LEN] {
         let mut pt = [0u8; SEALED_TRIPLET_LEN];
-        pt[0..8].copy_from_slice(&k.to_be_bytes());
-        pt[8..16].copy_from_slice(&a.to_be_bytes());
-        pt[16..20].copy_from_slice(&p.to_be_bytes());
+        pt[0..8].copy_from_slice(&t.key.to_be_bytes());
+        pt[8..16].copy_from_slice(&t.data_ptr.to_be_bytes());
+        pt[16..20].copy_from_slice(&t.child.to_be_bytes());
         pt[20..24].copy_from_slice(&block.to_be_bytes());
         let mut out = [0u8; SEALED_TRIPLET_LEN];
         let mut prev = 0u64;
@@ -102,6 +100,42 @@ impl BayerMetzgerCodec {
         base + i * SEALED_TRIPLET_LEN
     }
 
+    /// The one page writer: header, then one cryptogram per slot — the
+    /// keyless leftmost pointer of an internal node, then every triplet,
+    /// key included — copied from `prev` where that image of this block
+    /// holds a slot deciphered to the same triplet, sealed otherwise (the
+    /// page cipher is keyed only if something is). Charges no logical
+    /// counter.
+    fn write_page(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
+        let mut w = PageWriter::new(page);
+        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
+        let prev = prev.filter(|image| image.id() == node.id);
+        let mut cipher: Option<PageCipher> = None;
+        let (mut from, mut reused) = (0, 0);
+        for t in node.slots() {
+            let len = SEALED_TRIPLET_LEN;
+            match prev.and_then(|image| image.stored_cryptogram(&mut from, &t, len)) {
+                Some(ct) => {
+                    reused += 1;
+                    w.put_bytes(ct)?;
+                }
+                None => {
+                    let cipher =
+                        cipher.get_or_insert_with(|| self.pages.page_cipher(node.id.as_u64()));
+                    w.put_bytes(&self.seal_triplet(cipher.as_ref(), t, node.id.0))?;
+                }
+            }
+        }
+        w.pad_remaining();
+        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
+        Ok(())
+    }
+
     /// §3's binary search-and-decrypt over slots read through `slot`: the
     /// raw page for `probe`, the cache entry for `probe_cached`, charged
     /// alike. A binary search never revisits a triplet, so each step is
@@ -152,31 +186,25 @@ type PageCipher = Box<dyn BlockCipher64 + Send + Sync>;
 
 impl NodeCodec for BayerMetzgerCodec {
     fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+        self.encode_over(node, None, page)
+    }
+
+    fn encode_over(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
+        // One ptr_encrypts for the lone leftmost pointer, and one
+        // key_encrypts per triplet — the whole triplet, key included, is
+        // one cryptogram: the key re-encipherment §3 complains about —
+        // copied or sealed alike.
         node.check_shape().map_err(CodecError::Corrupt)?;
-        let cipher = self.pages.page_cipher(node.id.as_u64());
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let b = node.id.0;
         if !node.is_leaf() {
-            // The lone leftmost pointer, sealed without a key.
             self.counters.bump(|c| &c.ptr_encrypts);
-            let ct = self.seal_triplet(cipher.as_ref(), 0, 0, node.children[0].0, b);
-            w.put_bytes(&ct)?;
         }
-        for i in 0..node.n() {
-            let p = if node.is_leaf() {
-                0
-            } else {
-                node.children[i + 1].0
-            };
-            // The whole triplet — key included — is one cryptogram; this is
-            // the key re-encipherment §3 complains about.
-            self.counters.bump(|c| &c.key_encrypts);
-            let ct = self.seal_triplet(cipher.as_ref(), node.keys[i], node.data_ptrs[i].0, p, b);
-            w.put_bytes(&ct)?;
-        }
-        w.pad_remaining();
-        Ok(())
+        self.counters.bump_by(|c| &c.key_encrypts, node.n() as u64);
+        self.write_page(node, prev, page)
     }
 
     fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
@@ -285,26 +313,7 @@ impl NodeCodec for BayerMetzgerCodec {
     fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
         // Counter-silent physical seal producing `encode`'s exact page
         // bytes (the cryptograms are deterministic under the page key).
-        let node = &entry.node(never_sealed)?;
-        let cipher = self.pages.page_cipher(node.id.as_u64());
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let b = node.id.0;
-        if !node.is_leaf() {
-            let ct = self.seal_triplet(cipher.as_ref(), 0, 0, node.children[0].0, b);
-            w.put_bytes(&ct)?;
-        }
-        for i in 0..node.n() {
-            let p = if node.is_leaf() {
-                0
-            } else {
-                node.children[i + 1].0
-            };
-            let ct = self.seal_triplet(cipher.as_ref(), node.keys[i], node.data_ptrs[i].0, p, b);
-            w.put_bytes(&ct)?;
-        }
-        w.pad_remaining();
-        Ok(())
+        self.write_page(&entry.node(never_sealed)?, None, page)
     }
 }
 
@@ -574,6 +583,25 @@ mod tests {
             todo.extend(node.children);
         }
         assert_eq!(deciphered(), cryptograms);
+    }
+
+    /// The write side: through the node cache a write physically seals
+    /// only the triplets it changed. This codec has no sealer seam to
+    /// count at, so seals are the logical encipherments charged minus the
+    /// cryptograms reported copied.
+    #[test]
+    fn cached_writes_physically_seal_only_the_triplets_they_change() {
+        crate::codec::tests::check_writes_seal_only_what_they_change(&|| {
+            let (codec, counters) = codec();
+            let sealed = {
+                let counters = counters.clone();
+                move || {
+                    let s = counters.snapshot();
+                    s.key_encrypts + s.ptr_encrypts - s.triplet_seals_reused
+                }
+            };
+            (codec, counters, Box::new(sealed))
+        });
     }
 
     #[test]

@@ -31,6 +31,7 @@ use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::des::Des;
 use sks_crypto::rsa::RsaKey;
 use sks_crypto::speck::Speck64;
+use sks_crypto::BigUint;
 
 /// Fixed pointer-seal payload: `b(4) ‖ a(8) ‖ p(4)` = 16 bytes.
 pub const SEAL_PAYLOAD_LEN: usize = 16;
@@ -147,12 +148,29 @@ impl TripletSealer for RsaSealer {
     }
 
     fn unseal(&self, ct: &[u8]) -> Result<[u8; SEAL_PAYLOAD_LEN], CodecError> {
-        let pt = self
+        if ct.len() != self.sealed_len() {
+            return Err(CodecError::Corrupt(format!(
+                "rsa seal must be {} bytes, got {}",
+                self.sealed_len(),
+                ct.len()
+            )));
+        }
+        let frame = self
             .key
-            .decrypt_bytes(ct)
-            .map_err(|e| CodecError::Corrupt(format!("rsa unseal: {e}")))?;
-        pt.try_into()
-            .map_err(|_| CodecError::Corrupt("rsa unseal produced wrong payload width".into()))
+            .decrypt_value(&BigUint::from_bytes_be(ct))
+            .map_err(|e| CodecError::Corrupt(format!("rsa unseal: {e}")))?
+            .to_bytes_be();
+        // Only the frame `seal` builds is accepted — the length byte, then
+        // the payload — so unseal is seal's exact inverse: a cryptogram
+        // that unseals is the one its payload seals to, which is what lets
+        // a node write copy it instead of sealing the payload again.
+        match frame.split_first() {
+            Some((&len, payload)) if usize::from(len) == SEAL_PAYLOAD_LEN => {
+                payload.try_into().ok()
+            }
+            _ => None,
+        }
+        .ok_or_else(|| CodecError::Corrupt("rsa unseal produced wrong payload width".into()))
     }
 
     fn name(&self) -> &'static str {
@@ -202,6 +220,20 @@ impl sks_btree_core::NodeCodec for AnyCodec {
             AnyCodec::Substitution(c) => c.encode(node, page),
             AnyCodec::BayerMetzger(c) => c.encode(node, page),
             AnyCodec::FullPage(c) => c.encode(node, page),
+        }
+    }
+
+    fn encode_over(
+        &self,
+        node: &sks_btree_core::Node,
+        prev: Option<&sks_btree_core::CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
+        match self {
+            AnyCodec::Plain(c) => c.encode_over(node, prev, page),
+            AnyCodec::Substitution(c) => c.encode_over(node, prev, page),
+            AnyCodec::BayerMetzger(c) => c.encode_over(node, prev, page),
+            AnyCodec::FullPage(c) => c.encode_over(node, prev, page),
         }
     }
 
@@ -336,11 +368,12 @@ impl sks_btree_core::NodeCodec for AnyCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scheme, SchemeConfig};
+    use crate::{Scheme, SchemeConfig, SealerKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sks_btree_core::{Node, NodeCodec, RecordPtr};
-    use sks_storage::{BlockId, OpCounters, OpSnapshot};
+    use sks_btree_core::{BTree, Node, NodeCodec, RecordPtr};
+    use sks_crypto::pagekey::{PageCipherKind, PageKeyScheme};
+    use sks_storage::{BlockId, MemDisk, OpCounters, OpSnapshot};
 
     fn sealers() -> Vec<Box<dyn TripletSealer>> {
         let mut rng = StdRng::seed_from_u64(7);
@@ -472,5 +505,353 @@ mod tests {
                 }
             }
         }
+    }
+
+    type CodecMaker = Box<dyn Fn() -> (AnyCodec, OpCounters)>;
+
+    /// Every scheme that seals triplet by triplet, along each axis: every
+    /// disguise under DES, the paper's oval scheme under each sealer, and
+    /// Bayer–Metzger under both page ciphers. Each entry builds a fresh
+    /// codec on a fresh counter set for a page of the given size (small,
+    /// so a few hundred keys make a height-3 tree).
+    fn per_triplet_codecs() -> Vec<(String, usize, CodecMaker)> {
+        let substitution = |scheme: Scheme, sealer: SealerKind| {
+            let mut config = SchemeConfig::with_capacity(scheme, 700);
+            config.sealer = sealer;
+            config.block_size = 256;
+            let maker: CodecMaker = Box::new({
+                let config = config.clone();
+                move || {
+                    let counters = OpCounters::new();
+                    (config.build_codec(&counters).unwrap().0, counters)
+                }
+            });
+            (format!("{scheme:?}/{sealer:?}"), config.block_size, maker)
+        };
+        let bayer_metzger = |kind: PageCipherKind| {
+            let maker: CodecMaker = Box::new(move || {
+                let counters = OpCounters::new();
+                let pages = PageKeyScheme::new(0xDEAD_BEEF_F00D_CAFE, kind);
+                let codec = BayerMetzgerCodec::new(pages, counters.clone());
+                (AnyCodec::BayerMetzger(codec), counters)
+            });
+            (format!("BayerMetzger/{kind:?}"), 256, maker)
+        };
+        vec![
+            substitution(Scheme::Oval, SealerKind::Des),
+            substitution(Scheme::Exponentiation, SealerKind::Des),
+            substitution(Scheme::SumOfTreatments, SealerKind::Des),
+            substitution(Scheme::ConversionTable, SealerKind::Des),
+            substitution(Scheme::Oval, SealerKind::Speck),
+            substitution(Scheme::Oval, SealerKind::Rsa(192)),
+            bayer_metzger(PageCipherKind::Des),
+            bayer_metzger(PageCipherKind::Speck),
+        ]
+    }
+
+    /// `snapshot` with the physical telemetry a node cache is allowed to
+    /// move zeroed, leaving the logical cost model.
+    fn logical(mut snapshot: OpSnapshot) -> OpSnapshot {
+        snapshot.block_reads = 0;
+        snapshot.node_cache_hits = 0;
+        snapshot.node_cache_misses = 0;
+        snapshot.triplet_seals_reused = 0;
+        snapshot
+    }
+
+    /// The write side of the entry's contract: encoding a node over the
+    /// image of the page it replaces writes the from-scratch page and
+    /// charges the from-scratch logical cost — whatever was edited, and
+    /// however much of the image had been deciphered — and what it copied
+    /// it reports.
+    #[test]
+    fn encoding_over_the_replaced_image_equals_encoding_from_scratch() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (name, block_size, make) in per_triplet_codecs() {
+            let (codec, counters) = make();
+            let rounds = if name.contains("Rsa") { 6 } else { 40 };
+            for round in 0..rounds {
+                let what = format!("{name} round {round}");
+                let keys: Vec<u64> = (1..=5).map(|k| 3 * k).collect();
+                let is_leaf = round % 2 == 0;
+                let before = Node {
+                    id: BlockId(5 + round),
+                    data_ptrs: keys.iter().map(|k| RecordPtr(k * 1000 + 7)).collect(),
+                    children: match is_leaf {
+                        true => Vec::new(),
+                        false => (0..=keys.len() as u32).map(|c| BlockId(100 + c)).collect(),
+                    },
+                    keys,
+                };
+                let mut page = vec![0u8; block_size];
+                codec.encode(&before, &mut page).unwrap();
+                let image = codec.decode_for_cache(before.id, &page).unwrap();
+                // An update completes the image; otherwise only what a
+                // few probes happened to read is deciphered.
+                let complete = round % 4 < 3;
+                if complete {
+                    assert_eq!(codec.decode_cached(&image).unwrap(), before, "{what}");
+                } else {
+                    for _ in 0..3 {
+                        codec.probe_cached(&image, rng.gen_range(0..20)).unwrap();
+                    }
+                }
+
+                // One to three edits: overwrites, inserts, deletes and (in
+                // an internal node) repointed children, keys kept sorted.
+                let mut after = before.clone();
+                let (mut overwrites, mut other_edits) = (0, 0);
+                for _ in 0..rng.gen_range(1..4) {
+                    let i = rng.gen_range(0..after.n());
+                    match rng.gen_range(0..4) {
+                        0 => {
+                            after.data_ptrs[i] = RecordPtr(rng.gen());
+                            overwrites += 1;
+                            continue;
+                        }
+                        1 if after.keys[i].is_multiple_of(3) => {
+                            after.keys.insert(i + 1, after.keys[i] + 1);
+                            after.data_ptrs.insert(i + 1, RecordPtr(rng.gen()));
+                            if !is_leaf {
+                                after.children.insert(i + 1, BlockId(rng.gen()));
+                            }
+                        }
+                        2 if after.n() > 2 => {
+                            after.keys.remove(i);
+                            after.data_ptrs.remove(i);
+                            if !is_leaf {
+                                after.children.remove(i);
+                            }
+                        }
+                        _ if !is_leaf => after.children[i] = BlockId(rng.gen()),
+                        _ => continue,
+                    }
+                    other_edits += 1;
+                }
+
+                let mut scratch = vec![0u8; block_size];
+                let (_, from_scratch) = charged(&counters, || {
+                    codec.encode(&after, &mut scratch).unwrap();
+                });
+                let mut over = vec![0u8; block_size];
+                let (_, copied) = charged(&counters, || {
+                    codec.encode_over(&after, Some(&image), &mut over).unwrap();
+                });
+                assert!(over == scratch, "{what}: the medium differs");
+                assert_eq!(logical(copied), logical(from_scratch), "{what}");
+                assert_eq!(from_scratch.triplet_seals_reused, 0, "{what}");
+                assert_eq!(codec.decode(after.id, &over).unwrap(), after, "{what}");
+                let slots = after.slots().count() as u64;
+                assert!(copied.triplet_seals_reused <= slots, "{what}");
+                if complete && other_edits == 0 {
+                    // Only the overwritten slots are sealed (one slot may
+                    // have been overwritten twice).
+                    let sealed = slots - copied.triplet_seals_reused;
+                    assert!(sealed <= overwrites, "{what}: sealed {sealed}");
+                    assert_eq!(sealed > 0, overwrites > 0, "{what}");
+                }
+
+                // Nothing is copied from an image of another block, nor
+                // from one born complete (it stores no cryptograms).
+                let mut moved = after.clone();
+                moved.id = BlockId(after.id.0 + 1);
+                let born = codec.encode_to_cache(&after, block_size).unwrap();
+                for (node, image) in [(&moved, &image), (&after, &born)] {
+                    codec.encode(node, &mut scratch).unwrap();
+                    let (_, copied) = charged(&counters, || {
+                        codec.encode_over(node, Some(image), &mut over).unwrap();
+                    });
+                    assert!(over == scratch, "{what}: the medium differs");
+                    assert_eq!(copied.triplet_seals_reused, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The optimisation is invisible on the medium: one seeded sequence of
+    /// inserts, overwrites, `replace_ptr`s, deletes (borrows, merges, a
+    /// shrinking root), splits and node relocations, driven through two
+    /// trees — node cache off, so every write seals its whole node, and
+    /// node cache on, so a write seals only what it changed — leaves every
+    /// block of the two media byte-identical after every operation, and
+    /// the two logical cost models equal.
+    #[test]
+    fn the_medium_is_bit_identical_with_and_without_per_triplet_reseal() {
+        for (name, block_size, make) in per_triplet_codecs() {
+            let trees = [0usize, 1024].map(|node_cache| {
+                let (codec, counters) = make();
+                let disk = MemDisk::with_counters(block_size, counters);
+                let mut tree = BTree::create(disk, codec).unwrap();
+                tree.enable_node_cache(node_cache);
+                tree
+            });
+            let [mut sealed_whole, mut resealed] = trees;
+            let mut rng = StdRng::seed_from_u64(29);
+            let mut live: Vec<u64> = Vec::new();
+            // (A debug-build RSA seal costs a millisecond: that leg is short.)
+            let rsa = name.contains("Rsa");
+            let (grow, churn) = if rsa { (24, 16) } else { (200, 250) };
+            for step in 0..grow + churn + 10_000 {
+                let what = format!("{name} step {step}");
+                // Grow to height 3, churn, then drain to an empty root,
+                // sliding nodes into freed blocks along the way.
+                let op = match step {
+                    s if s < grow => 0,
+                    s if s % 8 == 0 => 6,
+                    s if s < grow + churn => rng.gen_range(0..6),
+                    _ if live.is_empty() => break,
+                    _ => rng.gen_range(3..6),
+                };
+                let (key, ptr) = match op {
+                    0 | 1 => (rng.gen_range(1..600), RecordPtr(rng.gen())),
+                    _ if live.is_empty() => continue,
+                    _ => (live[rng.gen_range(0..live.len())], RecordPtr(rng.gen())),
+                };
+                for tree in [&mut sealed_whole, &mut resealed] {
+                    let old = match op {
+                        0..=2 => tree.insert(key, ptr),
+                        3 => tree.replace_ptr(key, ptr),
+                        4 | 5 => tree.delete(key),
+                        _ => tree.compact_nodes(2).map(|_| None),
+                    };
+                    let was_live = op == 6 || old.expect(&what).is_some();
+                    assert_eq!(was_live, op == 6 || live.contains(&key), "{what}");
+                }
+                match op {
+                    0 | 1 if !live.contains(&key) => live.push(key),
+                    4 | 5 => live.retain(|&k| k != key),
+                    _ => {}
+                }
+                assert!(
+                    sealed_whole.store().raw_image() == resealed.store().raw_image(),
+                    "{what}: the media differ"
+                );
+                if step == grow {
+                    assert_eq!(resealed.height(), if rsa { 2 } else { 3 }, "{name}");
+                }
+            }
+            sealed_whole.validate().unwrap();
+            resealed.validate().unwrap();
+            let (whole, reused) = (
+                sealed_whole.counters().snapshot(),
+                resealed.counters().snapshot(),
+            );
+            assert_eq!(logical(reused), logical(whole), "{name}");
+            assert_eq!(whole.triplet_seals_reused, 0, "{name}");
+            assert!(reused.triplet_seals_reused > 0, "{name}");
+            let exercised = [reused.splits, reused.merges, reused.borrows];
+            assert!(exercised.iter().all(|&n| n > 0), "{name}: {exercised:?}");
+            assert!(reused.compact_moved_nodes > 0, "{name}");
+            assert_eq!(resealed.len(), 0, "{name}: drained");
+        }
+    }
+    /// What a node write costs in physical seals, pinned on a height-3
+    /// tree for any per-triplet codec: `make` builds the codec, its
+    /// counters and a reader of the triplets physically sealed so far.
+    /// Through the node cache a write seals only the triplets it changed;
+    /// without it, the whole node as ever.
+    pub(super) fn check_writes_seal_only_what_they_change<C: NodeCodec>(
+        make: &dyn Fn() -> (C, OpCounters, Box<dyn Fn() -> u64>),
+    ) {
+        let build = |node_cache: usize| {
+            let (codec, counters, sealed) = make();
+            let disk = MemDisk::with_counters(256, counters);
+            let mut tree = BTree::create(disk, codec).unwrap();
+            tree.enable_node_cache(node_cache);
+            // Even keys in a scattered order, so odd ones are free and
+            // nodes fill unevenly.
+            for i in 1..=250u64 {
+                let key = 2 * (i * 211 % 503);
+                tree.insert(key, RecordPtr(key)).unwrap();
+            }
+            assert_eq!(tree.height(), 3);
+            (tree, sealed)
+        };
+        // A leaf an update reaches without rebalancing anything — neither
+        // full nor minimal (or, for the split, full), under such a parent
+        // and a root with room — with its parent's key count.
+        let quiet_leaf = |tree: &BTree<MemDisk, C>, full: bool| {
+            let (t, max) = (tree.min_degree(), tree.max_keys_per_node());
+            let roomy = |n: usize| (t..max).contains(&n);
+            let root = tree.inspect_node(tree.root_id()).unwrap();
+            assert!(root.n() < max);
+            let parents = root.children.iter().map(|&c| tree.inspect_node(c).unwrap());
+            let leaves = parents.filter(|p| roomy(p.n())).flat_map(|p| {
+                let n = p.n() as u64;
+                (p.children.into_iter()).map(move |c| (n, tree.inspect_node(c).unwrap()))
+            });
+            let wanted = |leaf: &Node| match full {
+                true => leaf.n() == max,
+                false => roomy(leaf.n()),
+            };
+            let mut leaves = leaves.filter(|(_, leaf)| wanted(leaf));
+            leaves.next().expect("250 scattered keys leave such a leaf")
+        };
+        let logical = |s: OpSnapshot| s.key_encrypts + s.ptr_encrypts;
+
+        let (mut tree, sealed) = build(1024);
+        // (triplets physically sealed, logical encipherments) of one op.
+        type Op<'a, C> = &'a dyn Fn(&mut BTree<MemDisk, C>);
+        let cost = |tree: &mut BTree<MemDisk, C>, op: Op<C>| {
+            let (held, before) = (sealed(), tree.counters().snapshot());
+            op(tree);
+            let delta = tree.counters().snapshot().delta(&before);
+            let physical = sealed() - held;
+            assert_eq!(physical, logical(delta) - delta.triplet_seals_reused);
+            (physical, logical(delta))
+        };
+        let (_, leaf) = quiet_leaf(&tree, false);
+        let (key, n) = (leaf.keys[0], leaf.n() as u64);
+        let overwrite = cost(&mut tree, &|tree| {
+            assert!(tree.insert(key, RecordPtr(1)).unwrap().is_some());
+        });
+        assert_eq!(overwrite, (1, n), "an overwrite seals its one triplet");
+        let fresh = cost(&mut tree, &|tree| {
+            assert!(tree.insert(key + 1, RecordPtr(2)).unwrap().is_none());
+        });
+        assert_eq!(fresh, (1, n + 1), "an insert seals the new triplet");
+        let delete = cost(&mut tree, &|tree| {
+            assert!(tree.delete(key + 1).unwrap().is_some());
+        });
+        assert_eq!(
+            delete,
+            (0, n),
+            "a delete that rebalances nothing seals none"
+        );
+        let repoint = cost(&mut tree, &|tree| {
+            assert!(tree.replace_ptr(key, RecordPtr(3)).unwrap().is_some());
+        });
+        assert_eq!(repoint, (1, n), "replace_ptr seals its one triplet");
+
+        // A leaf split: the right half changes block and is sealed under
+        // the new one (t − 1 triplets), the parent gains one triplet — the
+        // separator with its pointers — and the key lands in one half. The
+        // kept half is copied whole.
+        let (parent_n, leaf) = quiet_leaf(&tree, true);
+        let t = tree.min_degree() as u64;
+        let splits = tree.counters().snapshot().splits;
+        let split = cost(&mut tree, &|tree| {
+            assert!(tree
+                .insert(leaf.keys[0] + 1, RecordPtr(4))
+                .unwrap()
+                .is_none());
+        });
+        let rewritten = (t - 1) + (t - 1) + (parent_n + 2) + t;
+        assert_eq!(split, ((t - 1) + 1 + 1, rewritten), "a leaf split");
+        assert_eq!(tree.counters().snapshot().splits, splits + 1);
+        tree.validate().unwrap();
+
+        // Without the cache there is no previous image: every write seals
+        // its whole node, as it always has.
+        let (mut tree, sealed) = build(0);
+        let (_, leaf) = quiet_leaf(&tree, false);
+        let (held, before) = (sealed(), tree.counters().snapshot());
+        tree.insert(leaf.keys[0], RecordPtr(1)).unwrap();
+        let delta = tree.counters().snapshot().delta(&before);
+        assert_eq!(delta.triplet_seals_reused, 0);
+        assert_eq!(
+            (sealed() - held, logical(delta)),
+            (leaf.n() as u64, leaf.n() as u64)
+        );
     }
 }

@@ -129,6 +129,45 @@ impl SubstitutionCodec {
             .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))
     }
 
+    /// The one page writer: header, then per slot the raw key field
+    /// `raw_key(i)` yields (none for an internal node's leftmost pointer)
+    /// and the pointer cryptogram `E(b ‖ a ‖ p)` — copied from `prev`
+    /// where that image of this block holds a slot deciphered to the same
+    /// `(a, p)`, sealed otherwise. Charges no logical counter.
+    fn write_page(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+        mut raw_key: impl FnMut(usize) -> Result<u64, CodecError>,
+    ) -> Result<(), CodecError> {
+        let mut w = PageWriter::new(page);
+        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
+        let prev = prev.filter(|image| image.id() == node.id);
+        let (mut from, mut reused) = (0, 0);
+        for (slot, t) in node.slots().enumerate() {
+            if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
+                w.put_u64(raw_key(i)?)?;
+            }
+            // The key sits outside the cryptogram, as in the image's memo.
+            let want = Triplet { key: 0, ..t };
+            let len = self.sealer.sealed_len();
+            match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
+                Some(ct) => {
+                    reused += 1;
+                    w.put_bytes(ct)?;
+                }
+                None => {
+                    let payload = pack_payload(node.id.0, t.data_ptr, t.child);
+                    w.put_bytes(&self.sealer.seal(&payload))?;
+                }
+            }
+        }
+        w.pad_remaining();
+        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
+        Ok(())
+    }
+
     fn map_disguise_err(e: crate::disguise::DisguiseError) -> CodecError {
         match e {
             crate::disguise::DisguiseError::OutOfDomain { key, domain } => CodecError::KeyDomain {
@@ -146,33 +185,28 @@ impl SubstitutionCodec {
 
 impl NodeCodec for SubstitutionCodec {
     fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+        self.encode_over(node, None, page)
+    }
+
+    fn encode_over(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
+        // One ptr_encrypts per pointer cryptogram on the page — the lone
+        // leftmost tree pointer `E(b ‖ 0 ‖ p₀)`, then each entry's — copied
+        // or sealed alike, and the real *counted* disguise per key.
         node.check_shape().map_err(CodecError::Corrupt)?;
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let b = node.id.0;
         if !node.is_leaf() {
-            // The lone leftmost tree pointer: E(b ‖ 0 ‖ p₀).
             self.counters.bump(|c| &c.ptr_encrypts);
-            let ct = self.sealer.seal(&pack_payload(b, 0, node.children[0].0));
-            w.put_bytes(&ct)?;
         }
-        for i in 0..node.n() {
-            let disguised = self
-                .disguise
-                .disguise(node.keys[i])
-                .map_err(Self::map_disguise_err)?;
-            w.put_u64(disguised)?;
-            let p = if node.is_leaf() {
-                0
-            } else {
-                node.children[i + 1].0
-            };
+        self.write_page(node, prev, page, |i| {
+            let disguised = self.disguise.disguise(node.keys[i]);
+            let disguised = disguised.map_err(Self::map_disguise_err)?;
             self.counters.bump(|c| &c.ptr_encrypts);
-            let ct = self.sealer.seal(&pack_payload(b, node.data_ptrs[i].0, p));
-            w.put_bytes(&ct)?;
-        }
-        w.pad_remaining();
-        Ok(())
+            Ok(disguised)
+        })
     }
 
     fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
@@ -311,31 +345,14 @@ impl NodeCodec for SubstitutionCodec {
         // the disguised key fields replayed from the sidecar instead of
         // re-running the (already charged) disguise.
         let node = &entry.node(never_sealed)?;
-        if entry.raw_keys().len() != node.n() {
+        let raw_keys = entry.raw_keys();
+        if raw_keys.len() != node.n() {
             return Err(CodecError::Corrupt(format!(
                 "write-behind entry for block {} lacks its disguised keys",
                 node.id
             )));
         }
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let b = node.id.0;
-        if !node.is_leaf() {
-            let ct = self.sealer.seal(&pack_payload(b, 0, node.children[0].0));
-            w.put_bytes(&ct)?;
-        }
-        for i in 0..node.n() {
-            w.put_u64(entry.raw_keys()[i])?;
-            let p = if node.is_leaf() {
-                0
-            } else {
-                node.children[i + 1].0
-            };
-            let ct = self.sealer.seal(&pack_payload(b, node.data_ptrs[i].0, p));
-            w.put_bytes(&ct)?;
-        }
-        w.pad_remaining();
-        Ok(())
+        self.write_page(node, None, page, |i| Ok(raw_keys[i]))
     }
 }
 
@@ -552,13 +569,22 @@ mod tests {
     }
 
     /// DES sealer that records how often each cryptogram is physically
-    /// unsealed.
+    /// unsealed, and how many payloads are physically sealed.
     struct CountingSealer {
         inner: BlockCipherSealer<sks_crypto::des::Des>,
         unsealed: std::sync::Mutex<std::collections::HashMap<Vec<u8>, u32>>,
+        sealed: std::sync::atomic::AtomicU64,
     }
 
     impl CountingSealer {
+        fn des() -> Arc<Self> {
+            Arc::new(CountingSealer {
+                inner: BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0),
+                unsealed: Default::default(),
+                sealed: Default::default(),
+            })
+        }
+
         fn total(&self) -> u64 {
             self.unsealed
                 .lock()
@@ -574,6 +600,8 @@ mod tests {
             self.inner.sealed_len()
         }
         fn seal(&self, payload: &[u8; crate::codec::SEAL_PAYLOAD_LEN]) -> Vec<u8> {
+            self.sealed
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.seal(payload)
         }
         fn unseal(&self, ct: &[u8]) -> Result<[u8; crate::codec::SEAL_PAYLOAD_LEN], CodecError> {
@@ -602,10 +630,7 @@ mod tests {
         let (_, disguise) = crate::SchemeConfig::with_capacity(crate::Scheme::Oval, 1100)
             .build_codec(&counters)
             .unwrap();
-        let sealer = Arc::new(CountingSealer {
-            inner: BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0),
-            unsealed: Default::default(),
-        });
+        let sealer = CountingSealer::des();
         let codec = SubstitutionCodec::new(disguise.unwrap(), sealer.clone(), counters.clone());
         let items: Vec<(u64, RecordPtr)> = (1..=500).map(|k| (2 * k, RecordPtr(k))).collect();
         let disk = MemDisk::with_counters(256, counters.clone());
@@ -659,12 +684,26 @@ mod tests {
         assert_eq!(unsealed.len(), cryptograms);
     }
 
+    /// The write side of the same claim: through the node cache a write
+    /// physically seals only the pointers it changed (counted at the
+    /// sealer, and agreeing with the `triplet_seals_reused` telemetry).
+    #[test]
+    fn cached_writes_physically_seal_only_the_pointers_they_change() {
+        crate::codec::tests::check_writes_seal_only_what_they_change(&|| {
+            let counters = OpCounters::new();
+            let (_, disguise) = crate::SchemeConfig::with_capacity(crate::Scheme::Oval, 1100)
+                .build_codec(&counters)
+                .unwrap();
+            let sealer = CountingSealer::des();
+            let codec = SubstitutionCodec::new(disguise.unwrap(), sealer.clone(), counters.clone());
+            let sealed = move || sealer.sealed.load(std::sync::atomic::Ordering::Relaxed);
+            (codec, counters, Box::new(sealed))
+        });
+    }
+
     #[test]
     fn completing_an_entry_unseals_exactly_the_unmemoised_remainder() {
-        let sealer = Arc::new(CountingSealer {
-            inner: BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0),
-            unsealed: Default::default(),
-        });
+        let sealer = CountingSealer::des();
         let disguise = Arc::new(OvalSubstitution::paper_example(OpCounters::new()));
         let codec = SubstitutionCodec::new(disguise, sealer.clone(), OpCounters::new());
         let node = sample_internal();

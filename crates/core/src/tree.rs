@@ -1293,6 +1293,7 @@ mod tests {
             on_masked.node_cache_misses = off.node_cache_misses;
             on_masked.node_writes_deferred = off.node_writes_deferred;
             on_masked.node_reseals = off.node_reseals;
+            on_masked.triplet_seals_reused = off.triplet_seals_reused;
             assert_eq!(
                 on_masked,
                 off,

@@ -59,6 +59,14 @@ fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
 fn observability_preserves_logical_counters_exactly() {
     for scheme in Scheme::MEASURED {
         let baseline = run_workload(scheme, ObsLevel::Off);
+        // The physical reuse telemetry is pinned with the rest: per-triplet
+        // schemes copy cryptograms on this workload's writes, page-wide and
+        // plaintext ones have none to copy.
+        let reused = baseline
+            .iter()
+            .find(|(name, _)| *name == "triplet_seals_reused");
+        let per_triplet = !matches!(scheme, Scheme::Plaintext | Scheme::BayerMetzgerPage);
+        assert_eq!(reused.unwrap().1 > 0, per_triplet, "{}", scheme.name());
         for level in [
             ObsLevel::Counters,
             ObsLevel::Histograms,

@@ -174,7 +174,7 @@ pub struct Des {
 
 impl std::fmt::Debug for Des {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Des {{ subkeys: <redacted> }}")
+        f.write_str("Des { subkeys: <redacted> }")
     }
 }
 
@@ -278,6 +278,21 @@ mod tests {
         // "Now is t" under the sequential key.
         (0x0123456789ABCDEF, 0x4E6F772069732074, 0x3FA40E8A984D4815),
     ];
+
+    #[test]
+    fn debug_redacts_the_key() {
+        let key = 0xA5A5_5A5A_DEAD_BEEFu64;
+        let shown = [
+            format!("{:?}", Des::new(key)),
+            format!("{:?}", TripleDes::new(key, !key, key)),
+        ];
+        for shown in shown.map(|s| s.to_lowercase()) {
+            assert!(shown.contains("des { subkeys: <redacted> }"), "{shown}");
+            assert!(!shown.contains("{{"), "{shown}");
+            assert!(!shown.contains(&key.to_string()), "{shown}");
+            assert!(!shown.contains(&format!("{key:x}")), "{shown}");
+        }
+    }
 
     #[test]
     fn known_answer_tests() {

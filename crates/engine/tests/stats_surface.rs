@@ -116,6 +116,11 @@ fn telemetry_leaks_no_key_or_value_plaintext() {
         db.insert(k, sentinel.clone()).unwrap();
     }
     db.get(SPY_KEY).unwrap();
+    // Overwrites: each copies its leaf's unchanged cryptograms, so the
+    // reuse counter is live on the surface being swept.
+    for k in 0..10u64 {
+        db.insert(k, sentinel.clone()).unwrap();
+    }
     db.range(0, 50).unwrap();
     for k in (0..40u64).step_by(2) {
         db.delete(k).unwrap();
@@ -133,7 +138,10 @@ fn telemetry_leaks_no_key_or_value_plaintext() {
         .map(|e| e.render())
         .collect::<Vec<_>>()
         .join("\n");
-    let json = db.stats().to_json();
+    let stats = db.stats();
+    assert!(stats.counters.triplet_seals_reused > 0);
+    let json = stats.to_json();
+    assert!(json.contains("\"triplet_seals_reused\""), "{json}");
 
     for doc in [&rendered, &json] {
         assert!(

@@ -115,7 +115,10 @@ pub fn run_wal_stream_case(seed: u64) -> Result<(), String> {
 /// Encodes one node under every scheme's codec, then decodes / probes
 /// seeded corruptions of the page — raw, and through a cache entry
 /// wrapping the corrupt bytes: must never panic, and whatever `Ok` decode
-/// survives must uphold basic node invariants.
+/// survives must uphold basic node invariants. The node is then written
+/// back over that entry: a write copies from the image it replaces only
+/// cryptograms that unsealed, under this block's binding, to the very
+/// triplets it writes, so the page must be the from-scratch one.
 pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0002);
     for scheme in Scheme::ALL {
@@ -145,6 +148,29 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
             codec
                 .encode(node, &mut page)
                 .map_err(|e| format!("{scheme:?}: encode: {e}"))?;
+            // The pristine page under another block's header: every
+            // cryptogram is bound to the wrong block, so none unseals and
+            // a write of that block over the image must copy none.
+            let mut moved = node.clone();
+            moved.id = BlockId(node.id.0 + 100);
+            let mut foreign = page.clone();
+            foreign[4..8].copy_from_slice(&moved.id.0.to_be_bytes());
+            if let Ok(entry) = codec.decode_for_cache(moved.id, &foreign) {
+                let _ = codec.decode_cached(&entry);
+                for key in 1..13 {
+                    let _ = codec.probe_cached(&entry, key);
+                }
+                let (mut over, mut scratch) = (vec![0u8; page.len()], vec![0u8; page.len()]);
+                let wrote = codec.encode_over(&moved, Some(&entry), &mut over);
+                if wrote.is_err() || wrote != codec.encode(&moved, &mut scratch) || over != scratch
+                {
+                    return Err(format!(
+                        "{scheme:?}: a write over an image bound to another block \
+                         differs from the from-scratch page (node {})",
+                        node.id.0
+                    ));
+                }
+            }
             for _ in 0..8 {
                 let corrupt = mutate(&mut rng, &page, 3);
                 let probe_key = 1 + rng.below(11);
@@ -167,7 +193,9 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                         // memoised all they could: a failed unseal must not
                         // have been kept, a kept one must not move the answer.
                         let again = codec.probe_cached(&entry, probe_key);
-                        (same_key, again, errors)
+                        let mut over = vec![0u8; page.len()];
+                        let wrote = codec.encode_over(node, Some(&entry), &mut over);
+                        (same_key, again, errors, wrote.map(|()| over))
                     });
                     (decoded, probed, cached)
                 }));
@@ -192,11 +220,18 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                 }
                 let mut texts = Vec::new();
                 match cached {
-                    Ok((same_key, again, errors)) => {
+                    Ok((same_key, again, errors, wrote)) => {
                         if same_key != probed || again != probed {
                             return Err(format!(
                                 "{scheme:?}: cached probe diverged from the raw probe of \
                                  the same corrupt page (node {})",
+                                node.id.0
+                            ));
+                        }
+                        if wrote.as_ref() != Ok(&page) {
+                            return Err(format!(
+                                "{scheme:?}: a write over the corrupt page's image differs \
+                                 from the from-scratch page (node {})",
                                 node.id.0
                             ));
                         }

@@ -161,6 +161,11 @@ counters! {
     /// Physical node re-encipherments paid when a write-behind node is
     /// finally sealed (eviction, cache pressure, flush, checkpoint).
     node_reseals,
+    /// Triplet cryptograms a node write copied from the image it replaced
+    /// instead of sealing again (the *logical* encrypt counters are still
+    /// charged per triplet — logical encrypts minus this is the number of
+    /// physical seals).
+    triplet_seals_reused,
     /// Reverse-index persists that wrote only the changed block entries
     /// as a delta segment prepended to the existing chain.
     index_delta_flushes,

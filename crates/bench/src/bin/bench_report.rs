@@ -211,8 +211,8 @@ fn obs_overhead() -> (f64, f64) {
 
 /// Inserts/second through a checkpoint-heavy workload (a checkpoint
 /// every 500 inserts, memory backend) — the maintenance-path companion
-/// to the plain obs-overhead smoke, covering the incremental-checkpoint
-/// and index-flush stages under tracing.
+/// to the plain obs-overhead smoke, covering the checkpoint's compaction
+/// and flush stages under tracing.
 fn checkpoint_heavy_throughput_at(level: ObsLevel) -> f64 {
     let mut per_run = Vec::with_capacity(RUNS);
     for run in 0..RUNS {

@@ -104,13 +104,14 @@ pub enum SealerKind {
 /// Where the enciphered node/record blocks live.
 ///
 /// The paper's threat model is an opponent holding the *storage medium*;
-/// `Memory` simulates that medium in RAM (every byte lost on restart,
-/// durability only via an engine's WAL), while `File` puts the same
-/// enciphered blocks on an actual on-disk device behind a no-steal buffer
-/// pool with journaled checkpoints — datasets larger than RAM, restarts
-/// that replay only the WAL tail. Only enciphered bytes ever reach the
-/// file either way; the backend changes *where* the opponent's view
-/// lives, never *what* it contains.
+/// `Memory` simulates that medium in RAM (every byte lost on restart;
+/// under an engine the WAL is the whole durable state, never cut, and a
+/// restart replays all of it — the test and experiment backend), while
+/// `File` puts the same enciphered blocks on an actual on-disk device
+/// behind a no-steal buffer pool with journaled checkpoints — datasets
+/// larger than RAM, restarts that replay only the WAL tail. Only
+/// enciphered bytes ever reach the file either way; the backend changes
+/// *where* the opponent's view lives, never *what* it contains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageBackend {
     /// Simulated in-RAM device (the paper's experimental setup).

@@ -43,7 +43,7 @@ use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
 use crate::txn::{KeyPriors, Txn, TxnManager};
-use crate::wal::{SyncTicket, Wal, WalOp, WalReplay, STREAM_GROUP_RECORDS};
+use crate::wal::{SyncTicket, Wal, WalOp, WalReplay};
 
 use std::collections::BTreeMap;
 
@@ -54,15 +54,6 @@ pub struct EngineConfig {
     pub scheme: SchemeConfig,
     /// Commit durability (see [`SyncPolicy`]); default is group commit.
     pub sync: SyncPolicy,
-    /// Block size of the WAL's backing [`sks_storage::FileDisk`].
-    pub wal_block_size: usize,
-    /// Memory backend only: checkpoint by re-streaming *only* the
-    /// partitions mutated since their last snapshot file, so checkpoint
-    /// cost is O(changed partitions) instead of O(dataset). Off forces
-    /// every partition to re-stream each checkpoint (the full-rewrite
-    /// cost, kept as a comparison baseline); durability is identical
-    /// either way. Default on.
-    pub incremental_checkpoints: bool,
     /// Fault-injection plan for the engine's WAL device. `None` (the
     /// default, and the only production setting) runs the WAL directly on
     /// its [`sks_storage::FileDisk`]; `Some(plan)` wraps every WAL the
@@ -79,20 +70,12 @@ impl EngineConfig {
         EngineConfig {
             scheme,
             sync: SyncPolicy::default(),
-            wal_block_size: 4096,
-            incremental_checkpoints: true,
             wal_fault: None,
         }
     }
 
     pub fn sync(mut self, sync: SyncPolicy) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Sets [`EngineConfig::incremental_checkpoints`].
-    pub fn incremental_checkpoints(mut self, on: bool) -> Self {
-        self.incremental_checkpoints = on;
         self
     }
 
@@ -211,17 +194,6 @@ pub struct SksDb {
     /// Serialises whole checkpoints against each other (manual and
     /// background); readers and writers are *not* behind this lock.
     checkpoint_serial: Mutex<()>,
-    /// Per-partition mutation epoch: bumped under the partition write
-    /// lock on every logically mutating operation. A checkpoint compares
-    /// it against [`SksDb::snap_epochs`] to find the partitions whose
-    /// snapshot must be re-streamed.
-    partition_epochs: Vec<AtomicU64>,
-    /// The mutation epoch each partition's on-disk snapshot file
-    /// (`snap-NNN.sks`) captured; `None` means no trusted snapshot (the
-    /// next checkpoint must write one). Reset to all-`None` at open, so
-    /// the first checkpoint of every process re-establishes — and thereby
-    /// re-verifies — every snapshot.
-    snap_epochs: Mutex<Vec<Option<u64>>>,
     /// What the most recent checkpoint's compaction passes reclaimed.
     last_compaction: Mutex<CompactionReport>,
     /// Handle back to the owning `Arc`, so a dirty high-water breach can
@@ -244,6 +216,8 @@ pub struct SksDb {
 }
 
 const WAL_FILE: &str = "wal.sks";
+/// Block size of the WAL's backing [`FileDisk`].
+const WAL_BLOCK_SIZE: usize = 4096;
 const META_FILE: &str = "engine.sks";
 const LOCK_FILE: &str = "engine.lock";
 const META_MAGIC: &[u8; 8] = b"SKSENGN1";
@@ -341,33 +315,24 @@ fn partition_dir(db_dir: &Path, i: usize) -> PathBuf {
     db_dir.join(format!("part-{i:03}"))
 }
 
-/// Partition `i`'s snapshot file (memory backend): its record set as of
-/// the last checkpoint that found it dirty, in WAL format.
-fn snap_path(db_dir: &Path, i: usize) -> PathBuf {
-    db_dir.join(format!("snap-{i:03}.sks"))
-}
-
-/// The partition index a `snap-NNN.sks` file name carries, if it is one.
-fn snap_index(name: &str) -> Option<usize> {
-    name.strip_prefix("snap-")?
-        .strip_suffix(".sks")?
-        .parse()
-        .ok()
-}
-
-/// Every snapshot file in the directory, ordered by partition index.
-fn snap_files(db_dir: &Path) -> Result<Vec<PathBuf>, EngineError> {
-    let mut found = Vec::new();
+/// Refuses a directory holding a `snap-*` entry. Older engines
+/// checkpointed the memory backend by writing the live set to
+/// `snap-NNN.sks` files and cutting the log down to the tail, so the log
+/// beside such a file is not the whole history: replaying it alone would
+/// silently drop every record older than that cut.
+fn refuse_legacy_snapshots(db_dir: &Path) -> Result<(), EngineError> {
     for entry in std::fs::read_dir(db_dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(idx) = snap_index(name) {
-            found.push((idx, entry.path()));
+        let name = entry?.file_name();
+        if name.to_string_lossy().starts_with("snap-") {
+            return Err(EngineError::Config(format!(
+                "{} holds {name:?}, a partition snapshot written by an older engine whose \
+                 checkpoints cut the log; the log alone no longer reconstructs this \
+                 database — refusing to open",
+                db_dir.display()
+            )));
         }
     }
-    found.sort();
-    Ok(found.into_iter().map(|(_, p)| p).collect())
+    Ok(())
 }
 
 /// The per-partition scheme config: on the file backend each partition's
@@ -390,11 +355,14 @@ impl SksDb {
     /// intact records are replayed; a torn tail is detected, reported via
     /// [`SksDb::recovery_report`], and scrubbed.
     ///
-    /// On the memory backend every tree is rebuilt from the full log
-    /// ([`RecoveryPath::FullReplay`]). On the file backend persisted
-    /// partitions are reopened from their checkpointed pages and only the
-    /// log tail is replayed ([`RecoveryPath::TailReplay`]) — an O(tail)
-    /// restart instead of an O(dataset) one.
+    /// On the memory backend the log is the database — no checkpoint cuts
+    /// it — and every tree is rebuilt from all of it
+    /// ([`RecoveryPath::FullReplay`]), an O(history) restart. On the file
+    /// backend persisted partitions are reopened from their checkpointed
+    /// pages and only the log tail is replayed
+    /// ([`RecoveryPath::TailReplay`]) — an O(tail) restart. A directory
+    /// holding a partition snapshot of an older engine (`snap-*`), whose
+    /// log is tail-only, is refused before anything in it is touched.
     pub fn open<P: AsRef<Path>>(dir: P, config: EngineConfig) -> Result<Arc<Self>, EngineError> {
         if config.scheme.partitions == 0 {
             return Err(EngineError::Config("partitions must be >= 1".into()));
@@ -416,6 +384,8 @@ impl SksDb {
                 db_dir.display()
             )));
         }
+
+        refuse_legacy_snapshots(db_dir)?;
 
         let stored_meta = EngineMeta::read(db_dir)?;
         if let Some(meta) = &stored_meta {
@@ -454,40 +424,12 @@ impl SksDb {
             });
         }
 
-        // Per-partition snapshot files: with incremental checkpoints the
-        // log holds only the tail since the last cut, and the snapshots
-        // hold everything older.
-        let snaps = snap_files(db_dir)?;
-        if !snaps.is_empty() && !wal_path.exists() {
-            return Err(EngineError::Config(
-                "partition snapshots exist but wal.sks is missing; the snapshots \
-                 alone cannot reconstruct a consistent state — refusing to open"
-                    .into(),
-            ));
-        }
         let (wal, recovery) = if wal_path.exists() {
             counters
                 .obs()
                 .note(EventKind::RecoveryStart, NO_PARTITION, 0, 0, 0);
             let recovery_timer = counters.obs().start();
-            let (wal, mut replay) = open_wal(&wal_path, &config, counters.clone())?;
-            if !persisted && !snaps.is_empty() {
-                // Snapshot records replay before the log: a snapshot is
-                // one partition's state at its stream point, and every
-                // mutation after that point is still in the log (a cut
-                // never discards a record its checkpoint's snapshots do
-                // not already cover), so re-applying the tail on top
-                // converges — the same argument as tail replay over a
-                // fuzzy page checkpoint.
-                let mut combined = Vec::new();
-                for snap in &snaps {
-                    let (_snap_wal, mut snap_replay) =
-                        Wal::open(snap, config.wal_key(), config.sync, counters.clone())?;
-                    combined.append(&mut snap_replay.records);
-                }
-                combined.append(&mut replay.records);
-                replay.records = combined;
-            }
+            let (wal, replay) = open_wal(&wal_path, &config, counters.clone())?;
             let mut report = apply_replay(&mut partitions, &router, replay)?;
             report.path = if persisted {
                 RecoveryPath::TailReplay
@@ -504,15 +446,6 @@ impl SksDb {
             // The recovery timeline (including any torn-tail scrub the
             // log open recorded) travels with the report.
             report.events = counters.obs().recent_events();
-            if config.scheme.backend.is_file() && !persisted && !snaps.is_empty() {
-                // Backend upgrade over a snapshot-backed database: the
-                // tail-only log cannot re-create this state on its own,
-                // so the rebuilt pages must be durable before a crash
-                // could force the (persisted) tail-replay path.
-                for tree in &mut partitions {
-                    tree.flush()?;
-                }
-            }
             (wal, report)
         } else {
             let wal = create_wal(&wal_path, &config, counters.clone())?;
@@ -545,8 +478,6 @@ impl SksDb {
             wal_path,
             config,
             checkpoint_serial: Mutex::new(()),
-            partition_epochs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            snap_epochs: Mutex::new(vec![None; n]),
             last_compaction: Mutex::new(CompactionReport::default()),
             governance_tick: AtomicU64::new(0),
             self_ref: self_ref.clone(),
@@ -708,7 +639,6 @@ impl SksDb {
         let (result, over_high_water) = {
             let mut tree = self.partitions[p].write().expect("partition lock");
             self.log_autocommit(|wal| wal.append_insert(key, &value).map(|_| ()))?;
-            self.partition_epochs[p].fetch_add(1, Ordering::Release);
             let result = tree.insert(key, value)?;
             self.txns.note_commit_with(|| vec![(key, result.clone())]);
             (result, self.over_high_water(&tree))
@@ -746,7 +676,6 @@ impl SksDb {
             let over_high_water = {
                 let mut tree = self.partitions[p].write().expect("partition lock");
                 self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
-                self.partition_epochs[p].fetch_add(1, Ordering::Release);
                 let mut priors = Vec::with_capacity(group.len());
                 for (key, value) in group {
                     priors.push((key, tree.insert(key, value)?));
@@ -812,7 +741,6 @@ impl SksDb {
             let over_high_water = {
                 let mut tree = self.partitions[p].write().expect("partition lock");
                 self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
-                self.partition_epochs[p].fetch_add(1, Ordering::Release);
                 tree.bulk_load(&group)?;
                 // Loaded into an empty tree: every prior is `None`.
                 self.txns
@@ -839,7 +767,6 @@ impl SksDb {
         let (result, over_high_water) = {
             let mut tree = self.partitions[p].write().expect("partition lock");
             self.log_autocommit(|wal| wal.append_delete(key).map(|_| ()))?;
-            self.partition_epochs[p].fetch_add(1, Ordering::Release);
             let result = tree.delete(key)?;
             self.txns.note_commit_with(|| vec![(key, result.clone())]);
             (result, self.over_high_water(&tree))
@@ -1059,7 +986,6 @@ impl SksDb {
         let mut over = false;
         for (p, tree) in guards.iter_mut() {
             let group = by_part.remove(p).expect("group for locked partition");
-            self.partition_epochs[*p].fetch_add(1, Ordering::Release);
             for (key, value) in group {
                 let old = match value {
                     Some(v) => tree.insert(key, v)?,
@@ -1192,7 +1118,7 @@ impl SksDb {
         let handle = std::thread::spawn(move || {
             let timer = db.counters.obs().start();
             let result = match job {
-                AutoJob::Checkpoint => db.checkpoint().map(|_| ()),
+                AutoJob::Checkpoint => db.checkpoint(),
                 AutoJob::FlushDirtiest => db.flush_dirtiest_partition(),
             };
             db.counters.obs().note(
@@ -1302,25 +1228,26 @@ impl SksDb {
         Ok(())
     }
 
-    /// Fuzzy checkpoint: truncates the replay work a reopen must do, then
-    /// resumes logging in a fresh WAL — *without* stalling the engine.
-    /// Clients keep reading and writing throughout; a writer blocks only
-    /// while its own partition is being flushed/snapshotted, and readers
-    /// only on a file-backend partition mid-flush.
+    /// Fuzzy checkpoint: partition maintenance and — on the file backend —
+    /// a cut of the replay work a reopen must do, *without* stalling the
+    /// engine. Clients keep reading and writing throughout; a client
+    /// blocks only while its own partition is being compacted and flushed.
     ///
-    /// Three phases:
+    /// Three phases, of which the memory backend runs only the second: it
+    /// has no page image to cut the log against, so its log is the
+    /// database and is never cut.
     ///
     /// 1. **Mark** the dirty epoch: note the WAL sequence number; every
     ///    record from it onward will survive the cut.
-    /// 2. **Flush/snapshot partitions** — file backend: each partition's
-    ///    dirty pages go through the journaled page-store checkpoint, all
-    ///    partitions *in parallel* (one thread each, write-locking only
-    ///    that partition); memory backend: each partition is streamed as
-    ///    insert records into the fresh log under its *read* lock, one
-    ///    partition at a time.
+    /// 2. **Compact and flush partitions**, all *in parallel* (one thread
+    ///    each, write-locking only that partition): the bounded
+    ///    record-store and node-device compaction passes, then the flush
+    ///    — on the file backend the journaled page-store checkpoint of
+    ///    the partition's dirty pages, on the memory backend the release
+    ///    of the blocks the pass freed.
     /// 3. **Cut the WAL** — only after every partition committed: the
     ///    records appended since the mark (the fuzzy tail) are carried
-    ///    into the fresh log, which atomically renames over the old one.
+    ///    into a fresh log, which atomically renames over the old one.
     ///
     /// Convergence: an operation between the mark and its partition's
     /// flush is captured twice (flushed image *and* retained tail) and
@@ -1335,281 +1262,136 @@ impl SksDb {
     /// fsync; a crash anywhere earlier recovers from the old log over the
     /// (possibly partially newer) images, which converges as above.
     ///
-    /// Returns the number of snapshot records written (memory backend;
-    /// the file backend's durability lives in the pages, so 0). Whole
-    /// checkpoints are serialised against each other.
-    pub fn checkpoint(&self) -> Result<u64, EngineError> {
+    /// Whole checkpoints are serialised against each other.
+    pub fn checkpoint(&self) -> Result<(), EngineError> {
         self.checkpoint_with_hook(|| {})
     }
 
     /// [`SksDb::checkpoint`] with a test hook invoked mid-checkpoint —
-    /// after the epoch mark, while partition flushing is in flight (file
-    /// backend) or between partition snapshots (memory backend), with no
-    /// partition lock held by the calling thread. Concurrency tests use
-    /// it to *require* reader/writer progress before the checkpoint may
-    /// complete.
+    /// after the epoch mark, while the partition flushes are in flight,
+    /// with no partition lock held by the calling thread. Concurrency
+    /// tests use it to *require* reader/writer progress before the
+    /// checkpoint may complete.
     #[doc(hidden)]
-    pub fn checkpoint_with_hook(&self, mid: impl FnOnce()) -> Result<u64, EngineError> {
+    pub fn checkpoint_with_hook(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
         let obs = self.counters.obs();
         obs.note(EventKind::CheckpointBegin, NO_PARTITION, 0, 0, 0);
         let begin = obs.start();
-        match self.checkpoint_inner(mid) {
-            Ok(written) => {
-                let ns = begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                obs.note(EventKind::CheckpointEnd, NO_PARTITION, written, 0, ns);
-                Ok(written)
-            }
-            Err(e) => {
-                let ns = begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                obs.note(EventKind::CheckpointEnd, NO_PARTITION, 0, 1, ns);
-                // A failed maintenance pass carries its flight-recorder
-                // dump: the event tail that led up to the error.
-                Err(e.with_trace(self.flight_dump()))
-            }
-        }
-    }
-
-    fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<u64, EngineError> {
-        let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
-
-        // Phase 1: mark the fuzzy epoch — the sequence number and byte
-        // offset where the retained tail will begin, so the cut scans
-        // O(tail) instead of re-reading the whole log.
-        let (mark_seq, mark_offset) = {
-            let wal = self.wal.lock().expect("wal lock");
-            (wal.next_seq(), wal.len_bytes())
-        };
-
-        let tmp_path = self.wal_path.with_extension("tmp");
-        // Detached counters while the snapshot is written: the internal
-        // rewrite is not client traffic and must not inflate
-        // wal_appends/wal_bytes. Created on its own thread so the fresh
-        // log's durability work (header write + fsync + directory sync)
-        // overlaps the partition flush phase below — the cut is the only
-        // consumer and joins right before it needs the handle. An early
-        // error return simply detaches the thread; the stray `.tmp` is
-        // overwritten by the next checkpoint.
-        let fresh_handle = std::thread::spawn({
-            let tmp = tmp_path.clone();
-            let config = self.config.clone();
-            move || create_wal(&tmp, &config, OpCounters::new())
-        });
-        let mut written = 0u64;
-
-        // Phase 2. Each partition first runs its bounded record-store
-        // compaction pass and then the node-device sliding pass, both
-        // under the write lock (crash-safe because on the file backend
-        // nothing reaches the medium until the journaled page-store
-        // checkpoint below commits, and on the memory backend state is
-        // reconstructed from the WAL anyway). The truncated devices
-        // physically shrink at the flush.
-        let flush_timer = self.counters.obs().start();
-        let compaction_budget = self.config.scheme.compaction;
-        let compaction_floor = self.config.scheme.compaction_floor;
-        let mut compacted = CompactionReport::default();
-        if self.config.scheme.backend.is_file() {
-            // Durability lives in the tree pages: journal every
-            // partition's dirty set, partitions in parallel.
-            let mut results: Vec<Result<CompactionReport, EngineError>> = std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .partitions
-                    .iter()
-                    .map(|p| {
-                        s.spawn(move || -> Result<CompactionReport, EngineError> {
-                            let mut guard = p.write().expect("partition lock");
-                            // Floored: checkpoint maintenance only
-                            // rewrites blocks churn has made worth
-                            // reclaiming (SksDb::compact still drains).
-                            let mut report =
-                                guard.compact_step_floored(compaction_budget, compaction_floor)?;
-                            report.absorb(guard.compact_nodes(compaction_budget)?);
-                            guard.flush()?;
-                            Ok(report)
-                        })
-                    })
-                    .collect();
-                mid();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition flush thread"))
-                    .collect()
-            });
-            for r in results.drain(..) {
-                compacted.absorb(r?);
-            }
-        } else {
-            // Memory backend: durability lives in per-partition snapshot
-            // files plus the log tail. Only partitions whose mutation
-            // epoch moved since their last snapshot re-stream — the
-            // checkpoint costs O(changed partitions), not O(dataset).
-            // Each dirty partition compacts under its write lock, then
-            // streams its snapshot under its *read* lock — readers run
-            // freely, writers stall only on the partition being worked
-            // on. Clean partitions are not even locked for writing.
-            let max_key = self.config.scheme.capacity;
-            let db_dir = self
-                .wal_path
-                .parent()
-                .expect("wal lives in the db dir")
-                .to_path_buf();
-            let mut mid = Some(mid);
-            let mut snapped = 0u64;
-            for (i, part) in self.partitions.iter().enumerate() {
-                {
-                    let mut guard = part.write().expect("partition lock");
-                    let epoch = self.partition_epochs[i].load(Ordering::Acquire);
-                    let clean = self.config.incremental_checkpoints
-                        && self.snap_epochs.lock().expect("snap epochs")[i] == Some(epoch);
-                    if clean {
-                        // Logically untouched since its snapshot: nothing
-                        // to compact (churn is what creates dead blocks)
-                        // and nothing to re-stream.
-                        drop(guard);
-                        if let Some(mid) = mid.take() {
-                            mid();
-                        }
-                        continue;
-                    }
-                    compacted
-                        .absorb(guard.compact_step_floored(compaction_budget, compaction_floor)?);
-                    compacted.absorb(guard.compact_nodes(compaction_budget)?);
-                    // Applies the pass's quarantined frees (a memory
-                    // device has no cross-device crash window to wait
-                    // out — durability lives in the WAL).
-                    guard.flush()?;
-                }
-                let guard = part.read().expect("partition lock");
-                // The epoch this snapshot captures: re-read under the
-                // read lock, where no mutation can be in flight.
-                let epoch = self.partition_epochs[i].load(Ordering::Acquire);
-                let tmp = snap_path(&db_dir, i).with_extension("sks.tmp");
-                // Detached counters: the snapshot rewrite is maintenance,
-                // not client traffic.
-                let mut snap = Wal::create(
-                    &tmp,
-                    self.config.wal_block_size,
-                    self.config.wal_key(),
-                    SyncPolicy::Never,
-                    OpCounters::new(),
-                )?;
-                // Stream without materialising: memory stays O(height +
-                // one group) regardless of partition size — a group ends
-                // every STREAM_GROUP_RECORDS, which bounds the log's
-                // plaintext staging. Keys live in `0..=capacity` by
-                // construction (SchemeConfig's domain).
-                for item in guard.iter_range(0, max_key) {
-                    let (key, value) = item?;
-                    snap.append_insert(key, &value)?;
-                    written += 1;
-                    if written.is_multiple_of(STREAM_GROUP_RECORDS) {
-                        snap.commit()?;
-                    }
-                }
-                snap.flush()?;
-                drop(snap);
-                drop(guard);
-                std::fs::rename(&tmp, snap_path(&db_dir, i))?;
-                snapped += 1;
-                self.snap_epochs.lock().expect("snap epochs")[i] = Some(epoch);
-                if let Some(mid) = mid.take() {
-                    mid();
-                }
-            }
-            if let Some(mid) = mid.take() {
-                mid(); // all-partitions-clean case must still run it
-            }
-            if snapped > 0 {
-                // The snapshots' directory entries must be durable before
-                // the cut discards the log records they supersede.
-                sync_dir(&db_dir)?;
-            }
-            self.counters.obs().note(
-                EventKind::CheckpointPhase,
-                NO_PARTITION,
-                1, // snapshot phase: partitions re-streamed
-                snapped,
-                0,
-            );
-            // Snapshots from a larger partition count of a previous
-            // incarnation are superseded the moment every current
-            // partition has a fresh snapshot (all-`None` epochs at open
-            // force exactly that on the first checkpoint); remove them
-            // *before* the cut — after it they would replay stale values
-            // over the current snapshots.
-            self.remove_snaps(false)?;
-        }
-        *self.last_compaction.lock().expect("compaction report") = compacted;
-        self.counters
-            .obs()
-            .stage(Stage::CheckpointFlush, flush_timer);
-        self.counters.obs().note(
-            EventKind::CheckpointPhase,
+        let result = self.checkpoint_inner(mid);
+        let ns = begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        obs.note(
+            EventKind::CheckpointEnd,
             NO_PARTITION,
-            2, // flush/snapshot phase
-            written,
             0,
+            result.is_err() as u64,
+            ns,
         );
-
-        // Phase 3: cut the log, carrying the fuzzy tail. Writers are
-        // blocked only for this re-append + rename.
-        let cut_timer = self.counters.obs().start();
-        let mut fresh = fresh_handle.join().expect("wal create thread")?;
-        let mut wal = self.wal.lock().expect("wal lock");
-        // Every tail frame is re-sealed as one frame: the frame boundary
-        // *is* the atomicity guarantee a reopen relies on, so no commit
-        // unit (a transaction least of all) is split or merged by the
-        // rewrite. A failed scan returns here, before the rename, and the
-        // old log stands.
-        for group in wal.records_since(mark_seq, mark_offset)? {
-            fresh.append_txn(&group)?;
-        }
-        fresh.flush()?;
-        std::fs::rename(&tmp_path, &self.wal_path)?;
-        // fsync the directory: without it the rename itself is not
-        // durable, and a power failure could revert to the old log even
-        // though later commits fsynced the new inode's data.
-        sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
-        // The fresh Wal's file handle survives the rename (same inode);
-        // from here on it carries client traffic, so it re-adopts the
-        // engine's shared counters — and the pipelined write path.
-        fresh.adopt_counters(self.counters.clone());
-        *wal = fresh.enable_pipeline();
-        self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
-        drop(wal);
-        if self.config.scheme.backend.is_file() {
-            // Durability lives in the pages now; a lingering snapshot
-            // (from a memory-backend incarnation) would replay stale —
-            // even resurrected — values into a later full replay.
-            self.remove_snaps(true)?;
-        }
-        Ok(written)
+        // A failed maintenance pass carries its flight-recorder dump: the
+        // event tail that led up to the error.
+        result.map_err(|e| e.with_trace(self.flight_dump()))
     }
 
-    /// Removes snapshot files the current checkpoint has made stale:
-    /// every snapshot when `all`, otherwise snapshots for partition
-    /// indices the current configuration no longer has — plus, either
-    /// way, `.tmp` strays an interrupted snapshot stream left behind.
-    fn remove_snaps(&self, all: bool) -> Result<(), EngineError> {
-        let db_dir = self.wal_path.parent().expect("wal lives in the db dir");
-        let n = self.partitions.len();
-        let mut removed = false;
-        for entry in std::fs::read_dir(db_dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale = match snap_index(name) {
-                Some(idx) => all || idx >= n,
-                None => name.starts_with("snap-") && name.ends_with(".tmp"),
-            };
-            if stale {
-                std::fs::remove_file(entry.path())?;
-                removed = true;
+    fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
+        let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
+        let tmp_path = self.wal_path.with_extension("tmp");
+        // One scope around every thread the checkpoint starts, so each is
+        // joined on every exit: `checkpoint_serial` is released when this
+        // function returns, and a fresh-log helper still running past an
+        // early error would truncate the `wal.tmp` of the next checkpoint
+        // under its handle.
+        std::thread::scope(|s| {
+            // Phase 1, only with a page image to cut the log against (the
+            // one place the checkpoint asks which backend it runs on):
+            // mark the fuzzy epoch — the sequence number and byte offset
+            // where the retained tail will begin, so the cut scans
+            // O(tail) instead of re-reading the whole log — and start the
+            // fresh log on its own thread, so its durability work (header
+            // write + fsync) overlaps the partition flushes below. A
+            // `.tmp` left by a failed checkpoint is overwritten by the
+            // next one. Detached counters: the rewrite is not client
+            // traffic and must not inflate wal_appends/wal_bytes.
+            let cut = self.config.scheme.backend.is_file().then(|| {
+                let mark = {
+                    let wal = self.wal.lock().expect("wal lock");
+                    (wal.next_seq(), wal.len_bytes())
+                };
+                let fresh = s.spawn(|| create_wal(&tmp_path, &self.config, OpCounters::new()));
+                (mark, fresh)
+            });
+
+            // Phase 2. Each partition first runs its bounded record-store
+            // compaction pass and then the node-device sliding pass, both
+            // under the write lock (crash-safe because on the file
+            // backend nothing reaches the medium until the journaled
+            // page-store checkpoint commits, and on the memory backend
+            // state is reconstructed from the WAL anyway). The truncated
+            // devices physically shrink at the flush, which on a memory
+            // device applies the pass's quarantined frees at once (no
+            // cross-device crash window to wait out).
+            let flush_timer = self.counters.obs().start();
+            let compaction_budget = self.config.scheme.compaction;
+            let compaction_floor = self.config.scheme.compaction_floor;
+            let handles: Vec<_> = self
+                .partitions
+                .iter()
+                .map(|p| {
+                    s.spawn(move || -> Result<CompactionReport, EngineError> {
+                        let mut guard = p.write().expect("partition lock");
+                        // Floored: checkpoint maintenance only rewrites
+                        // blocks churn has made worth reclaiming
+                        // (SksDb::compact still drains).
+                        let mut report =
+                            guard.compact_step_floored(compaction_budget, compaction_floor)?;
+                        report.absorb(guard.compact_nodes(compaction_budget)?);
+                        guard.flush()?;
+                        Ok(report)
+                    })
+                })
+                .collect();
+            mid();
+            let mut compacted = CompactionReport::default();
+            for h in handles {
+                compacted.absorb(h.join().expect("partition flush thread")?);
             }
-        }
-        if removed {
-            sync_dir(db_dir)?;
-        }
-        Ok(())
+            *self.last_compaction.lock().expect("compaction report") = compacted;
+            self.counters
+                .obs()
+                .stage(Stage::CheckpointFlush, flush_timer);
+            self.counters
+                .obs()
+                .note(EventKind::CheckpointPhase, NO_PARTITION, 2, 0, 0);
+            let Some(((mark_seq, mark_offset), fresh)) = cut else {
+                return Ok(());
+            };
+
+            // Phase 3: cut the log, carrying the fuzzy tail. Writers are
+            // blocked only for this re-append + rename.
+            let cut_timer = self.counters.obs().start();
+            let mut fresh = fresh.join().expect("wal create thread")?;
+            let mut wal = self.wal.lock().expect("wal lock");
+            // Every tail frame is re-sealed as one frame: the frame
+            // boundary *is* the atomicity guarantee a reopen relies on,
+            // so no commit unit (a transaction least of all) is split or
+            // merged by the rewrite. A failed scan returns here, before
+            // the rename, and the old log stands.
+            for group in wal.records_since(mark_seq, mark_offset)? {
+                fresh.append_txn(&group)?;
+            }
+            fresh.flush()?;
+            std::fs::rename(&tmp_path, &self.wal_path)?;
+            // fsync the directory: without it the rename itself is not
+            // durable, and a power failure could revert to the old log
+            // even though later commits fsynced the new inode's data.
+            sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
+            // The fresh Wal's file handle survives the rename (same
+            // inode); from here on it carries client traffic, so it
+            // re-adopts the engine's shared counters — and the pipelined
+            // write path.
+            fresh.adopt_counters(self.counters.clone());
+            *wal = fresh.enable_pipeline();
+            self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
+            Ok(())
+        })
     }
 
     /// One manual space-governance pass over every partition: up to
@@ -1692,7 +1474,7 @@ fn create_wal(
     config: &EngineConfig,
     counters: OpCounters,
 ) -> Result<Wal, EngineError> {
-    let disk = FileDisk::create_with_counters(path, config.wal_block_size, counters.clone())?;
+    let disk = FileDisk::create_with_counters(path, WAL_BLOCK_SIZE, counters.clone())?;
     match &config.wal_fault {
         None => Wal::create_on_device(disk, config.wal_key(), config.sync, counters),
         Some(plan) => {

@@ -28,10 +28,11 @@
 //!
 //! The backing store for the trees themselves is pluggable through
 //! [`sks_core::StorageBackend`]: `Memory` reproduces the paper's
-//! simulated-device experiments (durability via full log replay), while
-//! `File` puts the enciphered node/record pages on disk behind a no-steal
-//! buffer pool, turning checkpoints into page flushes + log truncation
-//! and restarts into O(tail) instead of O(dataset).
+//! simulated-device experiments (the log is the database: never cut,
+//! replayed whole on every open), while `File` puts the enciphered
+//! node/record pages on disk behind a no-steal buffer pool, turning
+//! checkpoints into page flushes + log truncation and restarts into
+//! O(tail) instead of O(history).
 //!
 //! ```
 //! use sks_core::{Scheme, SchemeConfig};

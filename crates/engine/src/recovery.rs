@@ -1,8 +1,8 @@
 //! Crash recovery: replaying a WAL into the partitioned tree on open.
 //!
 //! What replay costs depends on the backend. With memory-backed trees
-//! (the paper's experimental setup) the log is the *only* durable state,
-//! so the entire history since the last checkpoint rewrite is replayed —
+//! (the paper's experimental setup) the log is the *only* durable state
+//! and no checkpoint ever cuts it, so the entire history is replayed —
 //! [`RecoveryPath::FullReplay`]. With the file backend the checkpointed
 //! tree pages are already on disk; the persisted partitions are opened
 //! and only the WAL *tail* (writes since the last checkpoint) is

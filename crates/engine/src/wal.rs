@@ -30,9 +30,7 @@
 //! disguised tree withholds; sealing it keeps the §5 discipline that
 //! stored key material is never readable off the medium. Records wait for
 //! their commit boundary in a plaintext staging buffer that is wiped as
-//! soon as the group is sealed; callers that stream unboundedly many
-//! records through one handle end a group every
-//! `STREAM_GROUP_RECORDS` (256) so that buffer stays bounded.
+//! soon as the group is sealed.
 //!
 //! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
 //! record sealing a constant, written at creation. Opening with the wrong
@@ -449,13 +447,6 @@ const BODY_MIN: usize = 1 + 8;
 const COUNT_LEN: usize = 4;
 /// `op ‖ key ‖ vlen` heading each record inside a sealed group body.
 const ENTRY_HEADER: usize = 1 + 8 + 4;
-
-/// Records per group for callers that stream an unbounded run of records
-/// through one [`Wal`] (the memory backend's snapshot writer): they
-/// commit every this many appends, which bounds the plaintext staging
-/// buffer. A constant, not a knob — any value in the hundreds amortises
-/// the frame header to noise.
-pub(crate) const STREAM_GROUP_RECORDS: u64 = 256;
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -1862,53 +1853,5 @@ mod tests {
         let (_, replay) = Wal::open(&path, KEY, SyncPolicy::Always, OpCounters::new()).unwrap();
         assert_eq!(replay.records.len(), 1);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn memory_checkpoint_stages_at_most_one_stream_group() {
-        // Every frame is one staged group sealed whole, so the largest
-        // record count in any frame of a snapshot file *is* the snapshot
-        // writer's staging high-water.
-        use sks_core::{Scheme, SchemeConfig};
-        const N: u64 = 5_000;
-        let dir = tmpfile("bounded_staging_db");
-        std::fs::remove_dir_all(&dir).ok();
-        let config =
-            crate::EngineConfig::new(SchemeConfig::with_capacity(Scheme::Plaintext, 2 * N));
-        let db = crate::SksDb::open(&dir, config.clone()).unwrap();
-        for chunk in (1..=N).collect::<Vec<_>>().chunks(500) {
-            db.insert_batch(
-                chunk
-                    .iter()
-                    .map(|&k| (k, k.to_be_bytes().to_vec()))
-                    .collect(),
-            )
-            .unwrap();
-        }
-        assert_eq!(db.checkpoint().unwrap(), N);
-        drop(db);
-
-        let snap = dir.join("snap-000.sks");
-        let disk = FileDisk::open_with_counters(&snap, OpCounters::new()).unwrap();
-        let cipher = Speck64::from_u128(config.wal_key());
-        let mut reader = FrameReader::new(&disk, &cipher, 1, 0);
-        let mut high_water = 0;
-        while let Some(records) = reader.next_frame().unwrap() {
-            high_water = high_water.max(records.len() as u64);
-        }
-        assert_eq!(
-            high_water, STREAM_GROUP_RECORDS,
-            "the snapshot writer ends a group every STREAM_GROUP_RECORDS"
-        );
-        drop(disk);
-        let (_, replay) = Wal::open(
-            &snap,
-            config.wal_key(),
-            SyncPolicy::Never,
-            OpCounters::new(),
-        )
-        .unwrap();
-        assert_eq!(replay.records.len() as u64, N);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

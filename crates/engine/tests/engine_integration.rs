@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use sks_core::{Scheme, SchemeConfig, StorageBackend};
-use sks_engine::{EngineConfig, RecoveryPath, SksDb};
+use sks_engine::{EngineConfig, EngineError, RecoveryPath, SksDb};
 use sks_storage::SyncPolicy;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -46,8 +46,8 @@ fn config(partitions: usize, capacity: u64) -> EngineConfig {
 }
 
 /// Memory-backend config for tests that assert memory-specific semantics
-/// (full WAL replay, snapshot checkpoints, repartitioning) regardless of
-/// the matrix axis.
+/// (full WAL replay, a log no checkpoint cuts, repartitioning) regardless
+/// of the matrix axis.
 fn memory_config(partitions: usize, capacity: u64) -> EngineConfig {
     EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions))
 }
@@ -204,17 +204,19 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
             s.delete(k).unwrap();
         }
         let before = db.wal_len_bytes();
-        let live = db.checkpoint().unwrap();
-        // Memory backend: the snapshot streams the live set into the
-        // fresh log. File backend: durability lives in the pages.
-        let want_snapshot = if env_is_file_backend() { 0 } else { 100 };
-        assert_eq!(live, want_snapshot);
+        db.checkpoint().unwrap();
         let after = db.wal_len_bytes();
-        assert!(
-            after < before / 4,
-            "checkpoint must compact ({before} -> {after} bytes)"
-        );
-        // Post-checkpoint writes land in the fresh log.
+        if env_is_file_backend() {
+            // Durability lives in the pages: the cut leaves an empty tail.
+            assert!(
+                after < before / 4,
+                "checkpoint must compact ({before} -> {after} bytes)"
+            );
+        } else {
+            // The log is the database: a checkpoint never cuts it.
+            assert_eq!(after, before, "memory-backend log must stand");
+        }
+        // Post-checkpoint writes land in the log the checkpoint left.
         s.insert(499, b"post-checkpoint".to_vec()).unwrap();
     }
     let db = SksDb::open(&dir, config(4, 512)).unwrap();
@@ -235,7 +237,8 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
 /// already rotated-out tail block), the checkpoint must error *before*
 /// renaming the fresh log over the old one — a short tail would silently
 /// drop acknowledged records. The old log stands: with the rot undone, a
-/// reopen still replays every acknowledged record.
+/// reopen still replays every acknowledged record. (File backend: the
+/// memory backend never cuts its log.)
 #[test]
 fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
     const WAL_BLOCK: u64 = 4096;
@@ -246,7 +249,7 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
         raw[at as usize] ^= 0x01;
         std::fs::write(&wal_path, &raw).unwrap();
     };
-    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
+    let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
     for k in 0..100u64 {
         db.insert(k, record_for(k)).unwrap();
     }
@@ -273,7 +276,7 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
     flip(rotted);
     drop(db);
 
-    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
+    let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
     assert!(!db.recovery_report().torn_tail);
     assert_eq!(db.len(), 400);
     for k in 0..400u64 {
@@ -440,11 +443,7 @@ fn file_backend_recovers_tail_only_after_checkpoint() {
             s.delete(k).unwrap();
         }
         // Checkpoint flushes the tree pages and truncates the WAL.
-        assert_eq!(
-            db.checkpoint().unwrap(),
-            0,
-            "file backend writes no snapshot log"
-        );
+        db.checkpoint().unwrap();
         // Post-checkpoint tail: some fresh keys, one overwrite, one delete.
         for k in N..N + TAIL {
             s.insert(k, record_for(k)).unwrap();
@@ -499,6 +498,171 @@ fn memory_backend_reports_full_replay() {
     }
     let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
     assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On the memory backend the log is the database: no checkpoint cuts it,
+/// nothing else is ever written beside it, and a kill + reopen — under a
+/// different partition count, even — replays the whole history.
+#[test]
+fn memory_backend_log_is_the_database() {
+    let dir = tmpdir("memory_log_is_db");
+    let only_the_log = |when: &str| {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(
+                !name.starts_with("snap-") && !name.ends_with(".tmp"),
+                "{when}: {name} appeared beside the log"
+            );
+        }
+    };
+    let mut model = BTreeMap::new();
+    let mut appended = 0u64;
+    {
+        let db = SksDb::open(&dir, memory_config(3, 1024).sync(SyncPolicy::Always)).unwrap();
+        for round in 0..3u64 {
+            for k in round * 100..round * 100 + 100 {
+                db.insert(k, record_for(k)).unwrap();
+                model.insert(k, record_for(k));
+                appended += 1;
+            }
+            for k in (round..round * 100 + 100).step_by(7) {
+                db.insert(k, record_for(k + round)).unwrap();
+                model.insert(k, record_for(k + round));
+                appended += 1;
+            }
+            for k in (round..round * 100 + 100).step_by(11) {
+                db.delete(k).unwrap();
+                model.remove(&k);
+                appended += 1;
+            }
+            let before = db.wal_len_bytes();
+            db.checkpoint().unwrap();
+            assert_eq!(db.wal_len_bytes(), before, "round {round}: log was cut");
+            only_the_log(&format!("checkpoint {round}"));
+        }
+        // The kill: drop without flush (Always made every commit durable).
+    }
+    let db = SksDb::open(&dir, memory_config(5, 1024)).unwrap();
+    let report = db.recovery_report();
+    assert_eq!(report.path, RecoveryPath::FullReplay);
+    assert_eq!(report.records_replayed, appended, "the whole history");
+    assert_eq!(report.records_skipped, 0);
+    assert_eq!(db.len(), model.len() as u64);
+    for k in 0..300u64 {
+        assert_eq!(db.get(k).unwrap(), model.get(&k).cloned(), "key {k}");
+    }
+    db.validate().unwrap();
+    only_the_log("reopen");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill after a checkpoint — with post-checkpoint inserts, overwrites
+/// *and deletions of checkpointed keys* in the tail — must converge on
+/// exactly the pre-kill state on either backend: the tail's deletes
+/// override the checkpointed state (the resurrection hazard), and a second
+/// checkpoint cycle over the recovered database survives another reopen.
+#[test]
+fn tail_overrides_checkpointed_state_after_kill() {
+    let dir = tmpdir("tail_overrides");
+    let make = || config(3, 4096).sync(SyncPolicy::Always);
+    let mut model = BTreeMap::new();
+    {
+        let db = SksDb::open(&dir, make()).unwrap();
+        for k in 0..200u64 {
+            db.insert(k, record_for(k)).unwrap();
+            model.insert(k, record_for(k));
+        }
+        for k in (0..200u64).step_by(3) {
+            db.delete(k).unwrap();
+            model.remove(&k);
+        }
+        db.checkpoint().unwrap();
+        // Post-checkpoint churn that dies with the process: new keys,
+        // overwrites of checkpointed keys, and deletes of checkpointed
+        // keys — the tail must win for all three.
+        for k in 200..260u64 {
+            db.insert(k, record_for(k)).unwrap();
+            model.insert(k, record_for(k));
+        }
+        for k in (1..200u64).step_by(10) {
+            db.insert(k, record_for(k + 7)).unwrap();
+            model.insert(k, record_for(k + 7));
+        }
+        for k in (2..200u64).step_by(7) {
+            if db.delete(k).unwrap().is_some() {
+                model.remove(&k);
+            } else {
+                assert!(!model.contains_key(&k));
+            }
+        }
+        // The kill: drop without checkpoint or flush (SyncPolicy::Always
+        // already made every commit durable).
+    }
+    let db = SksDb::open(&dir, make()).unwrap();
+    let want = if env_is_file_backend() {
+        RecoveryPath::TailReplay
+    } else {
+        RecoveryPath::FullReplay
+    };
+    assert_eq!(db.recovery_report().path, want);
+    assert_eq!(db.len(), model.len() as u64);
+    for (k, v) in &model {
+        assert_eq!(db.get(*k).unwrap().as_ref(), Some(v), "key {k}");
+    }
+    for k in (0..200u64).step_by(3) {
+        if !model.contains_key(&k) {
+            assert_eq!(db.get(k).unwrap(), None, "key {k} resurrected");
+        }
+    }
+    db.validate().unwrap();
+    // The recovered database checkpoints and survives another reopen.
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = SksDb::open(&dir, make()).unwrap();
+    assert_eq!(db.len(), model.len() as u64);
+    for (k, v) in model.iter().step_by(7) {
+        assert_eq!(db.get(*k).unwrap().as_ref(), Some(v), "key {k}");
+    }
+    db.validate().unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory an older engine's memory backend checkpointed holds
+/// `snap-NNN.sks` files and a log cut down to the tail. Replaying that
+/// log alone would silently drop everything older than the cut, so any
+/// `snap-*` entry refuses the open — on both backends, before the log or
+/// anything else in the directory is touched.
+#[test]
+fn directory_with_legacy_snapshot_is_refused() {
+    let dir = tmpdir("legacy_snap");
+    {
+        let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
+        for k in 0..40u64 {
+            db.insert(k, record_for(k)).unwrap();
+        }
+    }
+    let wal_path = dir.join("wal.sks");
+    let log = std::fs::read(&wal_path).unwrap();
+    let snap = dir.join("snap-000.sks");
+    std::fs::write(&snap, b"").unwrap();
+    for cfg in [memory_config(2, 256), file_config(&dir, 2, 256)] {
+        let err = SksDb::open(&dir, cfg).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Config(_)) && err.to_string().contains("snap-000.sks"),
+            "the refusal must name its cause, got: {err}"
+        );
+        assert_eq!(std::fs::read(&wal_path).unwrap(), log, "log was touched");
+        assert!(!dir.join("part-000").exists(), "stores were created");
+    }
+    // Nothing was damaged: without the stray file the log replays whole.
+    std::fs::remove_file(&snap).unwrap();
+    let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
+    assert_eq!(db.recovery_report().records_replayed, 40);
+    assert_eq!(db.get(7).unwrap().unwrap(), record_for(7));
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -717,10 +881,14 @@ fn memory_database_upgrades_to_file_backend() {
         for k in 0..200u64 {
             s.insert(k, record_for(k)).unwrap();
         }
+        // A checkpoint before the upgrade changes nothing about that: the
+        // memory backend's log is never cut, so it still holds all 200.
+        db.checkpoint().unwrap();
     }
     {
         let db = SksDb::open(&dir, file_config(&dir, 4, 512)).unwrap();
         assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
+        assert_eq!(db.recovery_report().records_replayed, 200);
         assert_eq!(db.len(), 200);
         db.checkpoint().unwrap();
     }

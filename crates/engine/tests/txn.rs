@@ -270,7 +270,15 @@ fn snapshot_reader_progresses_while_commit_holds_its_locks() {
 #[test]
 fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
     let dir = tmpdir("ckpt");
-    let make = || config(3, 4096).sync(SyncPolicy::Always);
+    // Pinned to the file backend: the memory backend never cuts its log.
+    let make = || {
+        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 4096).partitions(3);
+        EngineConfig::new(scheme.backend(StorageBackend::File {
+            dir: std::env::temp_dir(),
+            pool_pages: 64,
+        }))
+        .sync(SyncPolicy::Always)
+    };
     let keys;
     {
         let db = SksDb::open(&dir, make()).unwrap();

@@ -1,7 +1,7 @@
 //! Corrupt-ciphertext fuzzing of every sealed decoder: WAL streams
 //! (single-record, group and txn frames), node codecs for every scheme,
 //! record-store pages and reverse-index chains behind a tree directory,
-//! and whole engine directories (WAL + snapshot streams + store files).
+//! and whole engine directories (WAL + store files).
 //!
 //! The fail-closed contract every case asserts:
 //!
@@ -313,10 +313,10 @@ pub fn run_tree_dir_case(seed: u64) -> Result<(), String> {
     }
 }
 
-/// Builds a full engine directory (WAL, snapshots after a checkpoint,
-/// store files on the file backend), corrupts one file, and reopens the
-/// database: recovery must fail closed or come up readable — no panic,
-/// no marker plaintext in errors.
+/// Builds a full engine directory (WAL, plus checkpointed store files on
+/// the file backend), corrupts one file, and reopens the database:
+/// recovery must fail closed or come up readable — no panic, no marker
+/// plaintext in errors.
 pub fn run_engine_dir_case(seed: u64, backend: Backend) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0004);
     let scratch = ScratchDir::new(&format!("dec-eng-{}", backend.name()), seed);
@@ -343,7 +343,7 @@ pub fn run_engine_dir_case(seed: u64, backend: Backend) -> Result<(), String> {
             db.insert(key, format!("{MARKER}-{key}").into_bytes())
                 .map_err(|e| format!("insert: {e}"))?;
         }
-        // A checkpoint so snapshot streams exist alongside the WAL.
+        // A checkpoint so flushed store files exist alongside the WAL.
         db.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
         for key in 32..40u64 {
             db.insert(key, format!("{MARKER}-{key}").into_bytes())

@@ -89,9 +89,9 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
     let mut unit_no = 0;
     while unit_no < total_units {
         unit_no += 1;
-        // A mid-sequence checkpoint is guaranteed so the cut path (and
-        // its fresh fault-wrapped WAL) is always exercised; the rest of
-        // the mix is drawn from the seed.
+        // A mid-sequence checkpoint is guaranteed so the file backend's
+        // cut path (and its fresh fault-wrapped WAL) is always exercised;
+        // the rest of the mix is drawn from the seed.
         let roll = if unit_no == total_units / 2 {
             90
         } else {
@@ -186,10 +186,11 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
                     Err(e) => Err(format!("range failed (reads must survive faults): {e}")),
                 }
             }
-            // Checkpoint: cuts the WAL; no logical change. A fault here
-            // fires inside the cut (old log stays authoritative) and the
-            // crash path below must still land on the full acked image.
-            89..=93 => step_noop(db.checkpoint().map(|_| ()), &mut model),
+            // Checkpoint: no logical change. On the file backend it cuts
+            // the WAL; a fault here fires inside the cut (old log stays
+            // authoritative) and the crash path below must still land on
+            // the full acked image.
+            89..=93 => step_noop(db.checkpoint(), &mut model),
             // Compaction: physical-only; no logical change.
             94..=95 => step_noop(db.compact(4).map(|_| ()), &mut model),
             // Explicit flush: a durability barrier with no logical change.

@@ -44,7 +44,7 @@ proptest! {
         }
     }
 
-    /// Engine recovery (WAL + snapshot streams + store superblocks) fails
+    /// Engine recovery (WAL + store superblocks) fails
     /// closed on both backends when any sealed file is corrupted.
     #[test]
     fn engine_recovery_fails_closed_on_both_backends(seed in 0u64..1_000_000) {

@@ -42,7 +42,7 @@ fn decoder_seeds_fail_closed() {
 
 /// Both engine backends get direct op-sequence coverage regardless of the
 /// env axis — crash-and-reopen semantics differ materially between them
-/// (snapshot streams vs store files).
+/// (full-log replay vs store files + tail).
 #[test]
 fn op_sequence_covers_both_backends() {
     for backend in [Backend::Memory, Backend::File] {

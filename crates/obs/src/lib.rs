@@ -419,7 +419,7 @@ pub enum EventKind {
     CheckpointBegin,
     /// One checkpoint phase finished. `a` = phase ordinal (1-based).
     CheckpointPhase,
-    /// Checkpoint finished. `a` = WAL records carried over the cut.
+    /// Checkpoint finished. `b` = 1 if it failed.
     CheckpointEnd,
     /// Compaction pass finished. `a` = records moved, `b` = blocks freed.
     Compaction,

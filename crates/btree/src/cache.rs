@@ -15,8 +15,8 @@
 //! comparative claim stays measurable with the cache on. Only an update,
 //! scan or validation — which needs the whole node — deciphers the
 //! remainder ([`crate::NodeCodec::decode_cached`]). Codecs with nothing
-//! to be lazy about (whole-page encipherment, plaintext) and the
-//! write-behind set build their entries complete.
+//! to be lazy about (whole-page encipherment, plaintext) build their
+//! entries complete.
 //!
 //! The write side is the mirror image: the entry an update has just
 //! completed is the image its write replaces, so the tree hands it to the
@@ -127,15 +127,15 @@ impl CachedNode {
         }
     }
 
-    /// An entry born complete from a plaintext `node` (write-behind, and
-    /// codecs that decipher a page all at once): every slot known, no
-    /// sealed image.
-    pub fn complete(node: &Node, raw_keys: Vec<u64>, page_len: usize) -> Self {
+    /// An entry born complete from a plaintext `node` (codecs that
+    /// decipher a page all at once): every slot known, no sealed image,
+    /// the node's own keys as the search keys.
+    pub fn complete(node: &Node, page_len: usize) -> Self {
         CachedNode {
             id: node.id,
             is_leaf: node.is_leaf(),
             page_len,
-            raw_keys,
+            raw_keys: node.keys.clone(),
             sealed: Vec::new(),
             sealed_len: 0,
             memo: node.slots().map(OnceLock::from).collect(),
@@ -370,7 +370,7 @@ mod tests {
             data_ptrs: vec![RecordPtr(key * 10)],
             children: vec![],
         };
-        CachedNode::complete(&node, vec![key ^ 0xAA], 256)
+        CachedNode::complete(&node, 256)
     }
 
     /// A lazy internal node with keys 10, 20, 30 whose "cryptograms" are
@@ -398,7 +398,7 @@ mod tests {
         assert!(cache.get(BlockId(3)).is_none());
         cache.insert(BlockId(3), entry(3, 7));
         let got = cache.get(BlockId(3)).unwrap();
-        assert_eq!(got.raw_keys(), [7 ^ 0xAA]);
+        assert_eq!(got.raw_keys(), [7]);
         cache.invalidate(BlockId(3));
         assert!(cache.get(BlockId(3)).is_none());
         assert!(cache.is_empty());
@@ -422,7 +422,7 @@ mod tests {
         cache.insert(BlockId(4), entry(4, 1));
         cache.insert(BlockId(4), entry(4, 2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(BlockId(4)).unwrap().raw_keys(), [2 ^ 0xAA]);
+        assert_eq!(cache.get(BlockId(4)).unwrap().raw_keys(), [2]);
     }
 
     #[test]
@@ -500,7 +500,7 @@ mod tests {
             data_ptrs: vec![RecordPtr(1), RecordPtr(2)],
             children: vec![BlockId(4), BlockId(5), BlockId(6)],
         };
-        let e = CachedNode::complete(&node, vec![], 256);
+        let e = CachedNode::complete(&node, 256);
         assert_eq!(
             (e.id(), e.is_leaf(), e.n(), e.slots()),
             (BlockId(9), false, 2, 3)
@@ -508,7 +508,7 @@ mod tests {
         assert_eq!(e.triplet(0, never_sealed).unwrap().child, 4);
         assert_eq!(e.node(never_sealed).unwrap(), node);
         let leaf = Node::leaf(BlockId(3));
-        let e = CachedNode::complete(&leaf, vec![], 256);
+        let e = CachedNode::complete(&leaf, 256);
         assert_eq!((e.n(), e.slots()), (0, 0));
         assert_eq!(e.node(never_sealed).unwrap(), leaf);
     }

@@ -177,42 +177,6 @@ pub trait NodeCodec {
             "codec does not support the node cache".into(),
         ))
     }
-
-    /// Whether this codec implements the write-behind hooks
-    /// ([`NodeCodec::encode_to_cache`] / [`NodeCodec::encode_from_cache`]).
-    /// Codecs that do not opt in re-seal on every mutation.
-    fn supports_write_behind(&self) -> bool {
-        false
-    }
-
-    /// The deferral half of write-behind sealing: validates `node` exactly
-    /// as [`NodeCodec::encode`] into a page of `page_len` bytes would
-    /// (shape, key domain, fit — same error cases), bumps *exactly* the
-    /// logical counters that encode would bump, but performs no
-    /// cryptography and produces no ciphertext. Returns a [`CachedNode`]
-    /// born complete ([`CachedNode::complete`], with the raw key fields
-    /// the would-be page would carry), so reads can serve the dirty node
-    /// through [`NodeCodec::probe_cached`] / [`NodeCodec::decode_cached`]
-    /// and the eventual seal can reuse those fields.
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        let _ = (node, page_len);
-        Err(CodecError::Corrupt(
-            "codec does not support write-behind sealing".into(),
-        ))
-    }
-
-    /// The seal half of write-behind: physically enciphers a deferred
-    /// entry into `page` *without touching any operation counters* — the
-    /// logical cost was already charged per mutation by
-    /// [`NodeCodec::encode_to_cache`]; this is maintenance work below the
-    /// paper's cost model. The page bytes must equal what a plain
-    /// [`NodeCodec::encode`] of the entry's node would produce.
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        let _ = (entry, page);
-        Err(CodecError::Corrupt(
-            "codec does not support write-behind sealing".into(),
-        ))
-    }
 }
 
 /// Header layout shared by the provided codecs:
@@ -390,7 +354,7 @@ impl NodeCodec for PlainCodec {
         // counters: the entry is born complete, its search keys the
         // plaintext ones.
         let node = self.decode(id, page)?;
-        Ok(CachedNode::complete(&node, node.keys.clone(), page.len()))
+        Ok(CachedNode::complete(&node, page.len()))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
@@ -404,23 +368,6 @@ impl NodeCodec for PlainCodec {
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw plaintext decode touches no counters either.
         entry.node(never_sealed)
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
-    }
-
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        // Plain encoding touches no counters; a scratch encode is the
-        // validation (shape + fit), then the plaintext node is the entry.
-        let mut scratch = vec![0u8; page_len];
-        self.encode(node, &mut scratch)?;
-        Ok(CachedNode::complete(node, node.keys.clone(), page_len))
-    }
-
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        // Counter-free already.
-        self.encode(&entry.node(never_sealed)?, page)
     }
 }
 

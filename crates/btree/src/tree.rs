@@ -11,9 +11,7 @@
 //! The balancing algorithm is the classic preemptive-split/merge B-tree
 //! (CLRS ch. 18) with minimum degree `t` derived from the codec's fanout.
 
-use sks_storage::{
-    BlockId, BlockStore, LruMap, OpCounters, PageReader, PageWriter, Stage, StorageError,
-};
+use sks_storage::{BlockId, BlockStore, OpCounters, PageReader, PageWriter, Stage, StorageError};
 
 use crate::cache::{CachedNode, NodeCache};
 use crate::codec::{CodecError, NodeCodec, Probe};
@@ -66,16 +64,6 @@ impl From<CodecError> for TreeError {
 
 const SUPER_MAGIC: u64 = 0x534b_5342_5452_4545; // "SKSBTREE"
 
-/// Dirty plaintext nodes whose physical re-encipherment has been deferred
-/// (see [`BTree::enable_write_behind`]), bounded by the budget: an
-/// [`LruMap`] of block number → node. Unlike the read cache this is not
-/// interior-mutable: only `&mut self` tree paths insert, evict or seal;
-/// `&self` read paths merely peek — a dirty node's disk page is *stale*,
-/// so reads must be served from here first. Every (re-)deferral makes the
-/// node the most recently used, so a hot leaf absorbing a run of inserts
-/// keeps absorbing while colder nodes are sealed under budget pressure.
-type WriteBehindSet = LruMap<u32, CachedNode>;
-
 /// A disk B-tree parameterised by block store and node codec.
 #[derive(Debug)]
 pub struct BTree<S: BlockStore, C: NodeCodec> {
@@ -96,11 +84,6 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     /// invalidated on every node re-encode/free, so a cached image always
     /// matches the page's current content.
     cache: Option<NodeCache>,
-    /// Write-behind set of dirty nodes awaiting their physical seal
-    /// (None = every mutation re-seals immediately). Logical encode
-    /// counters are charged at mutation time by the codec's
-    /// [`NodeCodec::encode_to_cache`]; the seal itself is counter-silent.
-    wb: Option<WriteBehindSet>,
 }
 
 impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
@@ -249,7 +232,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             t,
             stamp: 0,
             cache: None,
-            wb: None,
         };
         let root = Node::leaf(root_id);
         tree.write_node(&root)?;
@@ -290,7 +272,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             t,
             stamp,
             cache: None,
-            wb: None,
         })
     }
 
@@ -309,38 +290,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// Nodes currently held in the node cache.
     pub fn cached_nodes(&self) -> usize {
         self.cache.as_ref().map(NodeCache::len).unwrap_or(0)
-    }
-
-    /// Enables write-behind node re-sealing with room for `budget` dirty
-    /// nodes (0 disables it). A mutated node then absorbs further
-    /// mutations in plaintext above the crypto boundary and is physically
-    /// re-enciphered only on budget pressure, [`BTree::flush`] or an
-    /// explicit [`BTree::seal_all_deferred`]. Only effective for codecs
-    /// implementing the write-behind hooks
-    /// ([`NodeCodec::supports_write_behind`]); the logical operation
-    /// counters are unaffected either way — each mutation is still charged
-    /// its full encode profile at mutation time.
-    pub fn enable_write_behind(&mut self, budget: usize) {
-        self.wb = if budget > 0 && self.codec.supports_write_behind() {
-            Some(WriteBehindSet::new(budget))
-        } else {
-            None
-        };
-    }
-
-    /// Dirty nodes currently awaiting their physical seal.
-    pub fn deferred_nodes(&self) -> usize {
-        self.wb.as_ref().map(WriteBehindSet::len).unwrap_or(0)
-    }
-
-    /// Physically seals every deferred dirty node back to the store
-    /// (counter-silent apart from `node_reseals`; the logical cost was
-    /// charged per mutation).
-    pub fn seal_all_deferred(&mut self) -> Result<(), TreeError> {
-        while let Some((id, entry)) = self.wb.as_mut().and_then(WriteBehindSet::pop_lru) {
-            self.seal_entry(BlockId(id), &entry)?;
-        }
-        Ok(())
     }
 
     fn write_superblock(&mut self) -> Result<(), TreeError> {
@@ -370,10 +319,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         self.stamp = stamp;
     }
 
-    /// Persists metadata and flushes the store. Deferred dirty nodes are
-    /// sealed first, so a flushed tree is fully enciphered on the medium.
+    /// Persists metadata and flushes the store.
     pub fn flush(&mut self) -> Result<(), TreeError> {
-        self.seal_all_deferred()?;
         self.write_superblock()?;
         self.store.flush()?;
         Ok(())
@@ -391,12 +338,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// once while it stays cached.
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
         self.counters().bump(|c| &c.node_visits);
-        // A write-behind node's disk page is stale: the dirty set is the
-        // authoritative copy and must be consulted before cache and disk.
-        // `decode_cached` replays the raw decode's exact logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.peek(&id.0)) {
-            return Ok(self.codec.decode_cached(entry)?);
-        }
         let Some(cache) = &self.cache else {
             let t = self.counters().obs().start();
             let page = self.store.read_block_vec(id)?;
@@ -438,37 +379,10 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // replaces — completed by the update path's `read_node` — so the
         // codec may copy from it the cryptograms of unchanged triplets.
         let prev = self.cache.as_ref().and_then(|c| c.invalidate(node.id));
-        if self.wb.is_some() {
-            // Defer the physical seal: charge the full logical encode
-            // profile now (and surface every encode error — shape, key
-            // domain, fit — at mutation time), park the plaintext entry,
-            // and seal the least recently deferred node once over budget.
-            let entry = self.codec.encode_to_cache(node, self.store.block_size())?;
-            let wb = self.wb.as_mut().expect("checked above");
-            wb.insert(node.id.0, entry);
-            self.counters().bump(|c| &c.node_writes_deferred);
-            while let Some((id, victim)) = self.wb.as_mut().and_then(WriteBehindSet::evict) {
-                self.seal_entry(BlockId(id), &victim)?;
-            }
-            return Ok(());
-        }
         let t = self.counters().obs().start();
         let mut page = vec![0u8; self.store.block_size()];
         self.codec.encode_over(node, prev.as_deref(), &mut page)?;
         self.store.write_block(node.id, &page)?;
-        self.counters().obs().stage(Stage::NodeSeal, t);
-        Ok(())
-    }
-
-    /// Physically enciphers one deferred entry back to the store. Apart
-    /// from `node_reseals` this touches no counters — the logical encode
-    /// cost was charged when the mutation was deferred.
-    fn seal_entry(&mut self, id: BlockId, entry: &CachedNode) -> Result<(), TreeError> {
-        let t = self.counters().obs().start();
-        let mut page = vec![0u8; self.store.block_size()];
-        self.codec.encode_from_cache(entry, &mut page)?;
-        self.store.write_block(id, &page)?;
-        self.counters().bump(|c| &c.node_reseals);
         self.counters().obs().stage(Stage::NodeSeal, t);
         Ok(())
     }
@@ -480,11 +394,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     fn free_node(&mut self, id: BlockId) -> Result<(), TreeError> {
-        if let Some(wb) = &mut self.wb {
-            // A freed node never needs its deferred seal; the plaintext is
-            // zeroized when the last reference drops.
-            wb.remove(&id.0);
-        }
         if let Some(cache) = &self.cache {
             cache.invalidate(id);
         }
@@ -563,12 +472,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// (deciphering at most the slots it reads, once), a miss caches the
     /// page as stored first, and without a cache it is a raw-page probe.
     fn probe_node(&self, id: BlockId, key: u64) -> Result<Probe, TreeError> {
-        // Dirty-first, like `read_node`: the disk page of a write-behind
-        // node is stale. `probe_cached` replays the raw probe's exact
-        // logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.peek(&id.0)) {
-            return Ok(self.codec.probe_cached(entry, key)?);
-        }
         let Some(cache) = &self.cache else {
             let page = self.store.read_block_vec(id)?;
             return Ok(self.codec.probe(id, &page, key)?);
@@ -1270,47 +1173,5 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             self.push_node(child);
             // A failed push left pending_err set; the loop head yields it.
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::codec::PlainCodec;
-    use sks_storage::MemDisk;
-
-    #[test]
-    fn write_behind_seals_the_coldest_node_not_a_re_deferred_one() {
-        let counters = OpCounters::new();
-        let disk = MemDisk::with_counters(256, counters.clone());
-        let mut tree = BTree::create(disk, PlainCodec::new(counters.clone())).unwrap();
-        tree.enable_write_behind(2);
-        let leaf = |id: BlockId, keys: &[u64]| {
-            let mut node = Node::leaf(id);
-            node.keys = keys.to_vec();
-            node.data_ptrs = keys.iter().map(|&k| RecordPtr(k)).collect();
-            node
-        };
-        let [a, b, c] = [(); 3].map(|()| tree.allocate_node().unwrap());
-        tree.write_node(&leaf(a, &[1])).unwrap();
-        tree.write_node(&leaf(b, &[2])).unwrap();
-        tree.write_node(&leaf(a, &[1, 11])).unwrap(); // a absorbs a second write
-        assert_eq!(counters.snapshot().node_reseals, 0, "within budget");
-        tree.write_node(&leaf(c, &[3])).unwrap();
-
-        assert_eq!(counters.snapshot().node_reseals, 1);
-        assert_eq!(tree.deferred_nodes(), 2);
-        let on_medium = |id| tree.store().read_block_vec(id).unwrap();
-        assert_eq!(
-            tree.codec().decode(b, &on_medium(b)).unwrap().keys,
-            vec![2],
-            "b, deferred once and never touched again, is the one sealed"
-        );
-        assert!(
-            on_medium(a).iter().all(|&x| x == 0),
-            "a was re-deferred after b and must still be absorbing in RAM"
-        );
-        assert_eq!(tree.read_node(a).unwrap().keys, vec![1, 11]);
-        assert_eq!(tree.read_node(c).unwrap().keys, vec![3]);
     }
 }

@@ -624,38 +624,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Node cache and write-behind entries
+// Node cache entries
 // ---------------------------------------------------------------------------
-
-#[test]
-fn dirty_nodes_are_served_from_their_born_complete_entries() {
-    // With write-behind on, a mutated node's page is stale until sealed:
-    // probes and whole-node reads must come from the deferred entry, which
-    // is born complete (nothing to unseal, no page image behind it).
-    let mut tree = make_tree(256);
-    tree.enable_node_cache(64);
-    tree.enable_write_behind(1 << 20);
-    for k in 0..300u64 {
-        tree.insert(k, RecordPtr(k + 1)).unwrap();
-    }
-    assert!(tree.deferred_nodes() > 1, "nothing was sealed yet");
-    for k in 0..300u64 {
-        assert_eq!(tree.get(k).unwrap(), Some(RecordPtr(k + 1)));
-    }
-    assert_eq!(tree.get(300).unwrap(), None);
-    assert_eq!(tree.scan_all().unwrap().len(), 300);
-    tree.validate().unwrap();
-    assert_eq!(tree.cached_nodes(), 0, "the dirty set answered every read");
-
-    // Sealed, the same reads are served by entries filled from the pages.
-    tree.seal_all_deferred().unwrap();
-    assert_eq!(tree.deferred_nodes(), 0);
-    for k in 0..300u64 {
-        assert_eq!(tree.get(k).unwrap(), Some(RecordPtr(k + 1)));
-    }
-    assert!(tree.cached_nodes() > 1);
-    tree.validate().unwrap();
-}
 
 #[test]
 fn a_rewritten_node_is_invalidated_and_refilled_from_its_new_page() {

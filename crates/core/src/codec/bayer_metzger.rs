@@ -8,8 +8,7 @@
 //! — the overhead the paper's scheme removes.
 
 use sks_btree_core::{
-    never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr, Triplet,
-    NODE_HEADER_LEN,
+    CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr, Triplet, NODE_HEADER_LEN,
 };
 use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::pagekey::PageKeyScheme;
@@ -100,42 +99,6 @@ impl BayerMetzgerCodec {
         base + i * SEALED_TRIPLET_LEN
     }
 
-    /// The one page writer: header, then one cryptogram per slot — the
-    /// keyless leftmost pointer of an internal node, then every triplet,
-    /// key included — copied from `prev` where that image of this block
-    /// holds a slot deciphered to the same triplet, sealed otherwise (the
-    /// page cipher is keyed only if something is). Charges no logical
-    /// counter.
-    fn write_page(
-        &self,
-        node: &Node,
-        prev: Option<&CachedNode>,
-        page: &mut [u8],
-    ) -> Result<(), CodecError> {
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let prev = prev.filter(|image| image.id() == node.id);
-        let mut cipher: Option<PageCipher> = None;
-        let (mut from, mut reused) = (0, 0);
-        for t in node.slots() {
-            let len = SEALED_TRIPLET_LEN;
-            match prev.and_then(|image| image.stored_cryptogram(&mut from, &t, len)) {
-                Some(ct) => {
-                    reused += 1;
-                    w.put_bytes(ct)?;
-                }
-                None => {
-                    let cipher =
-                        cipher.get_or_insert_with(|| self.pages.page_cipher(node.id.as_u64()));
-                    w.put_bytes(&self.seal_triplet(cipher.as_ref(), t, node.id.0))?;
-                }
-            }
-        }
-        w.pad_remaining();
-        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
-        Ok(())
-    }
-
     /// §3's binary search-and-decrypt over slots read through `slot`: the
     /// raw page for `probe`, the cache entry for `probe_cached`, charged
     /// alike. A binary search never revisits a triplet, so each step is
@@ -204,7 +167,33 @@ impl NodeCodec for BayerMetzgerCodec {
             self.counters.bump(|c| &c.ptr_encrypts);
         }
         self.counters.bump_by(|c| &c.key_encrypts, node.n() as u64);
-        self.write_page(node, prev, page)
+        // Header, then one cryptogram per slot — the keyless leftmost
+        // pointer of an internal node, then every triplet — copied from
+        // `prev` where that image of this block holds a slot deciphered to
+        // the same triplet, sealed otherwise (the page cipher is keyed only
+        // if something is).
+        let mut w = PageWriter::new(page);
+        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
+        let prev = prev.filter(|image| image.id() == node.id);
+        let mut cipher: Option<PageCipher> = None;
+        let (mut from, mut reused) = (0, 0);
+        for t in node.slots() {
+            let len = SEALED_TRIPLET_LEN;
+            match prev.and_then(|image| image.stored_cryptogram(&mut from, &t, len)) {
+                Some(ct) => {
+                    reused += 1;
+                    w.put_bytes(ct)?;
+                }
+                None => {
+                    let cipher =
+                        cipher.get_or_insert_with(|| self.pages.page_cipher(node.id.as_u64()));
+                    w.put_bytes(&self.seal_triplet(cipher.as_ref(), t, node.id.0))?;
+                }
+            }
+        }
+        w.pad_remaining();
+        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
+        Ok(())
     }
 
     fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
@@ -283,43 +272,12 @@ impl NodeCodec for BayerMetzgerCodec {
         let mut cipher = None;
         entry.node(|ct| self.unseal_triplet(&mut cipher, entry.id(), ct))
     }
-
-    fn supports_write_behind(&self) -> bool {
-        true
-    }
-
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        // `encode`'s exact validation and counter profile with the CBC
-        // work skipped: shape check, fit check, one ptr_encrypts for the
-        // leftmost-pointer seal and one key_encrypts per keyed triplet.
-        // No sidecar is needed — the eventual seal re-derives every
-        // cryptogram from the plaintext node.
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        let end = Self::triplet_offset(node.is_leaf(), node.n());
-        if end > page_len {
-            return Err(CodecError::Overflow(sks_storage::PageOverflow {
-                offset: page_len,
-                requested: end - page_len,
-                page_len,
-            }));
-        }
-        if !node.is_leaf() {
-            self.counters.bump(|c| &c.ptr_encrypts);
-        }
-        self.counters.bump_by(|c| &c.key_encrypts, node.n() as u64);
-        Ok(CachedNode::complete(node, Vec::new(), page_len))
-    }
-
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        // Counter-silent physical seal producing `encode`'s exact page
-        // bytes (the cryptograms are deterministic under the page key).
-        self.write_page(&entry.node(never_sealed)?, None, page)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sks_btree_core::never_sealed;
     use sks_crypto::pagekey::PageCipherKind;
 
     fn codec() -> (BayerMetzgerCodec, OpCounters) {

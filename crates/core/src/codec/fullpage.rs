@@ -32,7 +32,13 @@ impl FullPageCodec {
     fn encrypt_page(&self, cipher: &dyn BlockCipher64, page: &mut [u8]) {
         // CBC over the whole page, zero IV (the page key is unique per
         // block, which is what provides cross-page distinctness).
-        Self::encrypt_page_silent(cipher, page);
+        let mut prev = 0u64;
+        for chunk in page.chunks_exact_mut(8) {
+            let b = u64::from_be_bytes(chunk.try_into().expect("exact chunk"));
+            let c = cipher.encrypt_block(b ^ prev);
+            chunk.copy_from_slice(&c.to_be_bytes());
+            prev = c;
+        }
         self.counters
             .bump_by(|c| &c.page_encrypts, Self::cipher_blocks(page.len()));
     }
@@ -42,16 +48,6 @@ impl FullPageCodec {
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(page.len()));
         out
-    }
-
-    fn encrypt_page_silent(cipher: &dyn BlockCipher64, page: &mut [u8]) {
-        let mut prev = 0u64;
-        for chunk in page.chunks_exact_mut(8) {
-            let b = u64::from_be_bytes(chunk.try_into().expect("exact chunk"));
-            let c = cipher.encrypt_block(b ^ prev);
-            chunk.copy_from_slice(&c.to_be_bytes());
-            prev = c;
-        }
     }
 
     fn decrypt_page_silent(cipher: &dyn BlockCipher64, page: &[u8]) -> Vec<u8> {
@@ -165,7 +161,7 @@ impl NodeCodec for FullPageCodec {
         let cipher = self.pages.page_cipher(id.as_u64());
         let plain = Self::decrypt_page_silent(cipher.as_ref(), page);
         let node = self.decode_plain(id, &plain)?;
-        Ok(CachedNode::complete(&node, node.keys.clone(), page.len()))
+        Ok(CachedNode::complete(&node, page.len()))
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
@@ -187,41 +183,6 @@ impl NodeCodec for FullPageCodec {
         Probe::resolve(found, entry.is_leaf(), |slot| {
             entry.triplet(slot, never_sealed)
         })
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
-    }
-
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        // `encode`'s exact validation (block-multiple page, shape, fit —
-        // verified by a scratch plaintext serialisation, which is
-        // counter-free) and counter profile: one page_encrypts per cipher
-        // block of the page.
-        if !page_len.is_multiple_of(8) {
-            return Err(CodecError::Corrupt(
-                "page size must be a multiple of the cipher block (8)".into(),
-            ));
-        }
-        let mut scratch = vec![0u8; page_len];
-        self.encode_plain(node, &mut scratch)?;
-        self.counters
-            .bump_by(|c| &c.page_encrypts, Self::cipher_blocks(page_len));
-        Ok(CachedNode::complete(node, node.keys.clone(), page_len))
-    }
-
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        // Counter-silent physical seal producing `encode`'s exact page
-        // bytes (CBC under the page key is deterministic).
-        if !page.len().is_multiple_of(8) {
-            return Err(CodecError::Corrupt(
-                "page size must be a multiple of the cipher block (8)".into(),
-            ));
-        }
-        self.encode_plain(&entry.node(never_sealed)?, page)?;
-        let cipher = self.pages.page_cipher(entry.id().as_u64());
-        Self::encrypt_page_silent(cipher.as_ref(), page);
-        Ok(())
     }
 }
 

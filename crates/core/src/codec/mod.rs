@@ -328,41 +328,6 @@ impl sks_btree_core::NodeCodec for AnyCodec {
             AnyCodec::FullPage(c) => c.decode_cached(entry),
         }
     }
-
-    fn supports_write_behind(&self) -> bool {
-        match self {
-            AnyCodec::Plain(c) => c.supports_write_behind(),
-            AnyCodec::Substitution(c) => c.supports_write_behind(),
-            AnyCodec::BayerMetzger(c) => c.supports_write_behind(),
-            AnyCodec::FullPage(c) => c.supports_write_behind(),
-        }
-    }
-
-    fn encode_to_cache(
-        &self,
-        node: &sks_btree_core::Node,
-        page_len: usize,
-    ) -> Result<sks_btree_core::CachedNode, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.encode_to_cache(node, page_len),
-            AnyCodec::Substitution(c) => c.encode_to_cache(node, page_len),
-            AnyCodec::BayerMetzger(c) => c.encode_to_cache(node, page_len),
-            AnyCodec::FullPage(c) => c.encode_to_cache(node, page_len),
-        }
-    }
-
-    fn encode_from_cache(
-        &self,
-        entry: &sks_btree_core::CachedNode,
-        page: &mut [u8],
-    ) -> Result<(), CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.encode_from_cache(entry, page),
-            AnyCodec::Substitution(c) => c.encode_from_cache(entry, page),
-            AnyCodec::BayerMetzger(c) => c.encode_from_cache(entry, page),
-            AnyCodec::FullPage(c) => c.encode_from_cache(entry, page),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -457,7 +422,8 @@ mod tests {
     /// The cache entry's contract, for every scheme: whatever mix of
     /// probes and whole-node decodes an entry has served, each answer and
     /// each counter delta is the raw page operation's — for an entry
-    /// filled lazily from the page and for one born complete alike.
+    /// filled lazily from the page and (Plain, FullPage) for one born
+    /// complete by `decode_for_cache` alike.
     #[test]
     fn cached_entries_replay_raw_probe_and_decode_exactly_for_every_scheme() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -481,8 +447,7 @@ mod tests {
                 };
                 let mut page = vec![0u8; config.block_size];
                 codec.encode(&node, &mut page).unwrap();
-                let lazy = codec.decode_for_cache(node.id, &page).unwrap();
-                let born = codec.encode_to_cache(&node, page.len()).unwrap();
+                let entry = codec.decode_for_cache(node.id, &page).unwrap();
                 for step in 0..40 {
                     let what = format!("{scheme:?} round {round} step {step}");
                     if rng.gen_bool(0.15) {
@@ -490,17 +455,13 @@ mod tests {
                         // (Not `== node`: the figure-literal construction
                         // is not injective, with or without a cache.)
                         assert!(raw.0.is_ok(), "{what}");
-                        for entry in [&lazy, &born] {
-                            let cached = charged(&counters, || codec.decode_cached(entry));
-                            assert_eq!(cached, raw, "{what}: decode");
-                        }
+                        let cached = charged(&counters, || codec.decode_cached(&entry));
+                        assert_eq!(cached, raw, "{what}: decode");
                     } else {
                         let key = rng.gen_range(0..15u64);
                         let raw = charged(&counters, || codec.probe(node.id, &page, key));
-                        for entry in [&lazy, &born] {
-                            let cached = charged(&counters, || codec.probe_cached(entry, key));
-                            assert_eq!(cached, raw, "{what}: probe {key}");
-                        }
+                        let cached = charged(&counters, || codec.probe_cached(&entry, key));
+                        assert_eq!(cached, raw, "{what}: probe {key}");
                     }
                 }
             }
@@ -651,19 +612,15 @@ mod tests {
                     assert_eq!(sealed > 0, overwrites > 0, "{what}");
                 }
 
-                // Nothing is copied from an image of another block, nor
-                // from one born complete (it stores no cryptograms).
+                // Nothing is copied from an image of another block.
                 let mut moved = after.clone();
                 moved.id = BlockId(after.id.0 + 1);
-                let born = codec.encode_to_cache(&after, block_size).unwrap();
-                for (node, image) in [(&moved, &image), (&after, &born)] {
-                    codec.encode(node, &mut scratch).unwrap();
-                    let (_, copied) = charged(&counters, || {
-                        codec.encode_over(node, Some(image), &mut over).unwrap();
-                    });
-                    assert!(over == scratch, "{what}: the medium differs");
-                    assert_eq!(copied.triplet_seals_reused, 0, "{what}");
-                }
+                codec.encode(&moved, &mut scratch).unwrap();
+                let (_, copied) = charged(&counters, || {
+                    codec.encode_over(&moved, Some(&image), &mut over).unwrap();
+                });
+                assert!(over == scratch, "{what}: the medium differs");
+                assert_eq!(copied.triplet_seals_reused, 0, "{what}");
             }
         }
     }

@@ -16,9 +16,7 @@
 
 use std::sync::Arc;
 
-use sks_btree_core::{
-    never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe, Triplet, NODE_HEADER_LEN,
-};
+use sks_btree_core::{CachedNode, CodecError, Node, NodeCodec, Probe, Triplet, NODE_HEADER_LEN};
 use sks_storage::{BlockId, OpCounters, PageReader, PageWriter};
 
 use crate::codec::{pack_payload, unpack_payload, TripletSealer};
@@ -129,45 +127,6 @@ impl SubstitutionCodec {
             .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))
     }
 
-    /// The one page writer: header, then per slot the raw key field
-    /// `raw_key(i)` yields (none for an internal node's leftmost pointer)
-    /// and the pointer cryptogram `E(b ‖ a ‖ p)` — copied from `prev`
-    /// where that image of this block holds a slot deciphered to the same
-    /// `(a, p)`, sealed otherwise. Charges no logical counter.
-    fn write_page(
-        &self,
-        node: &Node,
-        prev: Option<&CachedNode>,
-        page: &mut [u8],
-        mut raw_key: impl FnMut(usize) -> Result<u64, CodecError>,
-    ) -> Result<(), CodecError> {
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let prev = prev.filter(|image| image.id() == node.id);
-        let (mut from, mut reused) = (0, 0);
-        for (slot, t) in node.slots().enumerate() {
-            if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
-                w.put_u64(raw_key(i)?)?;
-            }
-            // The key sits outside the cryptogram, as in the image's memo.
-            let want = Triplet { key: 0, ..t };
-            let len = self.sealer.sealed_len();
-            match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
-                Some(ct) => {
-                    reused += 1;
-                    w.put_bytes(ct)?;
-                }
-                None => {
-                    let payload = pack_payload(node.id.0, t.data_ptr, t.child);
-                    w.put_bytes(&self.sealer.seal(&payload))?;
-                }
-            }
-        }
-        w.pad_remaining();
-        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
-        Ok(())
-    }
-
     fn map_disguise_err(e: crate::disguise::DisguiseError) -> CodecError {
         match e {
             crate::disguise::DisguiseError::OutOfDomain { key, domain } => CodecError::KeyDomain {
@@ -201,12 +160,37 @@ impl NodeCodec for SubstitutionCodec {
         if !node.is_leaf() {
             self.counters.bump(|c| &c.ptr_encrypts);
         }
-        self.write_page(node, prev, page, |i| {
-            let disguised = self.disguise.disguise(node.keys[i]);
-            let disguised = disguised.map_err(Self::map_disguise_err)?;
-            self.counters.bump(|c| &c.ptr_encrypts);
-            Ok(disguised)
-        })
+        // Header, then per slot the disguised key (none for an internal
+        // node's leftmost pointer) and the pointer cryptogram `E(b ‖ a ‖ p)`
+        // — copied from `prev` where that image of this block holds a slot
+        // deciphered to the same `(a, p)`, sealed otherwise.
+        let mut w = PageWriter::new(page);
+        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
+        let prev = prev.filter(|image| image.id() == node.id);
+        let (mut from, mut reused) = (0, 0);
+        for (slot, t) in node.slots().enumerate() {
+            if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
+                let disguised = self.disguise.disguise(node.keys[i]);
+                w.put_u64(disguised.map_err(Self::map_disguise_err)?)?;
+                self.counters.bump(|c| &c.ptr_encrypts);
+            }
+            // The key sits outside the cryptogram, as in the image's memo.
+            let want = Triplet { key: 0, ..t };
+            let len = self.sealer.sealed_len();
+            match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
+                Some(ct) => {
+                    reused += 1;
+                    w.put_bytes(ct)?;
+                }
+                None => {
+                    let payload = pack_payload(node.id.0, t.data_ptr, t.child);
+                    w.put_bytes(&self.sealer.seal(&payload))?;
+                }
+            }
+        }
+        w.pad_remaining();
+        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
+        Ok(())
     }
 
     fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
@@ -303,56 +287,6 @@ impl NodeCodec for SubstitutionCodec {
             *key = self.recover(raw)?;
         }
         Ok(node)
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
-    }
-
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        // `encode`'s exact validation and counter profile with the seals
-        // skipped: shape check, fit check, one ptr_encrypts per pointer
-        // cryptogram, and the real *counted* disguise per key (which also
-        // enforces the key domain). The disguised values become the raw-key
-        // sidecar, so the eventual seal and every cached probe/decode
-        // replay use the same on-page key fields.
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        let end = self.key_offset(node.is_leaf(), node.n());
-        if end > page_len {
-            return Err(CodecError::Overflow(sks_storage::PageOverflow {
-                offset: page_len,
-                requested: end - page_len,
-                page_len,
-            }));
-        }
-        if !node.is_leaf() {
-            self.counters.bump(|c| &c.ptr_encrypts);
-        }
-        let mut raw_keys = Vec::with_capacity(node.n());
-        for i in 0..node.n() {
-            let disguised = self
-                .disguise
-                .disguise(node.keys[i])
-                .map_err(Self::map_disguise_err)?;
-            raw_keys.push(disguised);
-            self.counters.bump(|c| &c.ptr_encrypts);
-        }
-        Ok(CachedNode::complete(node, raw_keys, page_len))
-    }
-
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        // Counter-silent physical seal: same page bytes as `encode`, with
-        // the disguised key fields replayed from the sidecar instead of
-        // re-running the (already charged) disguise.
-        let node = &entry.node(never_sealed)?;
-        let raw_keys = entry.raw_keys();
-        if raw_keys.len() != node.n() {
-            return Err(CodecError::Corrupt(format!(
-                "write-behind entry for block {} lacks its disguised keys",
-                node.id
-            )));
-        }
-        self.write_page(node, None, page, |i| Ok(raw_keys[i]))
     }
 }
 

@@ -204,17 +204,6 @@ pub struct SchemeConfig {
     /// ([`crate::EncipheredBTree::compact_nodes`]). `0` disables online
     /// compaction.
     pub compaction: usize,
-    /// Dead-ratio floor for checkpoint-integrated compaction, as a
-    /// percentage: a data block becomes a victim only once at least this
-    /// fraction of its records are tombstoned. Rewriting a block
-    /// re-seals all its live records and repoints the tree (one node
-    /// unseal + re-seal per move), so without a floor a checkpoint will
-    /// happily spend hundreds of cipher operations reclaiming a
-    /// one-dead-record block — maintenance proportional to database
-    /// size, not to churn. `0` restores that drain-everything behavior;
-    /// the explicit [`crate::EncipheredBTree::compact_step`] API always
-    /// drains regardless of this knob.
-    pub compaction_floor: u8,
     /// Process-wide dirty-page budget across *all* engine partitions
     /// (file backend): when the sum of every partition's pinned dirty set
     /// exceeds this, the engine flushes the dirtiest partition in the
@@ -230,30 +219,6 @@ pub struct SchemeConfig {
     /// events. The *logical* paper counters are byte-identical at every
     /// level — only physical telemetry changes.
     pub observability: sks_storage::ObsLevel,
-    /// Write-behind budget for node re-sealing: up to this many dirty
-    /// B-tree nodes are held decoded *above* the crypto boundary,
-    /// absorbing multiple mutations before being re-enciphered (on
-    /// eviction, cache pressure, flush or checkpoint). The logical
-    /// encode counters keep charging the paper's per-mutation cost —
-    /// physical skips are visible in `node_writes_deferred` /
-    /// `node_reseals`. Durability is unchanged: the WAL already covers
-    /// every mutation, and every flush/checkpoint seals the set. `0`
-    /// (the default) disables: every mutation re-seals immediately.
-    /// Opt in with [`SchemeConfig::write_behind`]
-    /// ([`SchemeConfig::DEFAULT_WRITE_BEHIND`] is a good budget).
-    pub write_behind: usize,
-    /// Delta-encoded reverse-index persistence: when on (the default)
-    /// each flush appends only the block→keys entries that changed since
-    /// the last epoch as a new chain segment, instead of rewriting the
-    /// whole chain — O(changed blocks) per epoch instead of O(live).
-    /// A periodic full rewrite ([`SchemeConfig::index_rewrite_period`])
-    /// bounds chain length. Off forces the PR 7 full rewrite every time.
-    pub index_delta: bool,
-    /// After this many consecutive delta segments the next persist
-    /// rewrites the whole chain, bounding load-time chain walks and
-    /// reclaiming superseded segments. `0` means "rewrite every time"
-    /// (equivalent to `index_delta: false`).
-    pub index_rewrite_period: u32,
 }
 
 impl SchemeConfig {
@@ -277,12 +242,8 @@ impl SchemeConfig {
             dirty_high_water: 0,
             record_cache: Self::DEFAULT_RECORD_CACHE,
             compaction: Self::DEFAULT_COMPACTION,
-            compaction_floor: Self::DEFAULT_COMPACTION_FLOOR,
             global_dirty_budget: 0,
             observability: sks_storage::ObsLevel::Counters,
-            write_behind: 0,
-            index_delta: true,
-            index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
         }
     }
 
@@ -311,12 +272,8 @@ impl SchemeConfig {
             dirty_high_water: 0,
             record_cache: Self::DEFAULT_RECORD_CACHE,
             compaction: Self::DEFAULT_COMPACTION,
-            compaction_floor: Self::DEFAULT_COMPACTION_FLOOR,
             global_dirty_budget: 0,
             observability: sks_storage::ObsLevel::Counters,
-            write_behind: 0,
-            index_delta: true,
-            index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
         }
     }
 
@@ -331,44 +288,6 @@ impl SchemeConfig {
     /// partition). Small enough that a checkpoint's latency stays bounded,
     /// large enough that sustained delete churn converges.
     pub const DEFAULT_COMPACTION: usize = 32;
-
-    /// Default dead-ratio floor for checkpoint compaction (percent dead
-    /// before a block qualifies as a victim). A quarter-dead block
-    /// reclaims enough per rewrite to justify re-sealing its live
-    /// records; anything lighter is deferred until churn concentrates.
-    pub const DEFAULT_COMPACTION_FLOOR: u8 = 25;
-
-    /// Suggested write-behind budget for callers that opt in (dirty
-    /// decoded nodes held above the crypto boundary per tree). Sized to
-    /// cover a hot root-to-leaf mutation path many times over while
-    /// keeping plaintext residency bounded. The field default is `0`
-    /// (re-seal on every mutation).
-    pub const DEFAULT_WRITE_BEHIND: usize = 64;
-
-    /// Default full-rewrite period for the delta-encoded reverse index:
-    /// a delta chain never grows past this many segments before being
-    /// collapsed, so load-time chain walks stay bounded.
-    pub const DEFAULT_INDEX_REWRITE_PERIOD: u32 = 16;
-
-    /// Builder-style delta-index knob (see the `index_delta` field).
-    pub fn index_delta(mut self, on: bool) -> Self {
-        self.index_delta = on;
-        self
-    }
-
-    /// Builder-style full-rewrite period for the delta index (see the
-    /// `index_rewrite_period` field; 0 rewrites every persist).
-    pub fn index_rewrite_period(mut self, segments: u32) -> Self {
-        self.index_rewrite_period = segments;
-        self
-    }
-
-    /// Builder-style write-behind knob (dirty decoded nodes held above
-    /// the crypto boundary; 0 re-seals on every mutation).
-    pub fn write_behind(mut self, nodes: usize) -> Self {
-        self.write_behind = nodes;
-        self
-    }
 
     /// Builder-style node-cache knob (capacity in nodes; 0 disables).
     pub fn node_cache(mut self, capacity: usize) -> Self {
@@ -386,13 +305,6 @@ impl SchemeConfig {
     /// checkpoint per partition; 0 disables online compaction).
     pub fn compaction(mut self, blocks_per_checkpoint: usize) -> Self {
         self.compaction = blocks_per_checkpoint;
-        self
-    }
-
-    /// Builder-style dead-ratio floor for checkpoint compaction (see the
-    /// `compaction_floor` field; percent, 0 drains any-dead blocks).
-    pub fn compaction_floor(mut self, min_dead_pct: u8) -> Self {
-        self.compaction_floor = min_dead_pct;
         self
     }
 
@@ -456,8 +368,7 @@ impl SchemeConfig {
         t
     }
 
-    fn build_sealer(&self, counters: &OpCounters) -> Result<Arc<dyn TripletSealer>, CoreError> {
-        let _ = counters;
+    fn build_sealer(&self) -> Result<Arc<dyn TripletSealer>, CoreError> {
         Ok(match self.sealer {
             SealerKind::Des => Arc::new(BlockCipherSealer::des(self.tree_key)),
             SealerKind::Speck => Arc::new(BlockCipherSealer::speck(
@@ -567,7 +478,7 @@ impl SchemeConfig {
                         .build_disguise(counters)?
                         .unwrap_or_else(|| Arc::new(IdentityDisguise)),
                 };
-                let sealer = self.build_sealer(counters)?;
+                let sealer = self.build_sealer()?;
                 Ok((
                     AnyCodec::Substitution(SubstitutionCodec::new(
                         disguise.clone(),

@@ -91,6 +91,11 @@ const INDEX_HEADER: usize = 16;
 /// never collides with a record nonce.
 const INDEX_SLOT: u16 = u16::MAX;
 
+/// Delta segments the reverse-index chain may grow by before the next
+/// persist rewrites it whole, bounding load-time chain walks and
+/// reclaiming superseded segments.
+const INDEX_REWRITE_PERIOD: u32 = 16;
+
 /// A decoded record held by the [`RecordCache`]. The plaintext is wiped
 /// when the last reference drops (eviction, invalidation, cache drop), so
 /// heap re-use cannot scrape record bytes out of dead memory.
@@ -207,11 +212,6 @@ pub struct RecordStore<S: BlockStore> {
     /// Delta segments written since the last full chain rewrite
     /// (persisted in the superblock so reopens keep bounding the chain).
     index_delta_epochs: u32,
-    /// Delta-persistence knobs (see `SchemeConfig::index_delta` /
-    /// `index_rewrite_period`), plumbed in via
-    /// [`RecordStore::set_delta_config`].
-    delta_enabled: bool,
-    rewrite_period: u32,
     /// Blocks compaction reclaimed but whose free-list push is deferred
     /// until the caller's *node* device has committed its repointed
     /// image ([`RecordStore::apply_pending_frees`]). While quarantined a
@@ -254,8 +254,6 @@ impl<S: BlockStore> RecordStore<S> {
             chain_blocks: Vec::new(),
             index_dirty_blocks: Some(HashSet::new()),
             index_delta_epochs: 0,
-            delta_enabled: true,
-            rewrite_period: crate::config::SchemeConfig::DEFAULT_INDEX_REWRITE_PERIOD,
             pending_free: Vec::new(),
         };
         this.write_superblock()?;
@@ -307,8 +305,6 @@ impl<S: BlockStore> RecordStore<S> {
             chain_blocks: Vec::new(),
             index_dirty_blocks: None,
             index_delta_epochs,
-            delta_enabled: true,
-            rewrite_period: crate::config::SchemeConfig::DEFAULT_INDEX_REWRITE_PERIOD,
             pending_free: Vec::new(),
         };
         // Trust the persisted index only when it was written complete and
@@ -347,14 +343,6 @@ impl<S: BlockStore> RecordStore<S> {
         page[40] = self.index_persisted_complete as u8;
         page[41..45].copy_from_slice(&self.index_delta_epochs.to_be_bytes());
         Ok(self.store.write_block(BlockId(0), &page)?)
-    }
-
-    /// Plumbs the delta-persistence knobs down from the scheme config
-    /// (see `SchemeConfig::index_delta` / `index_rewrite_period`). A
-    /// period of 0 forces a full rewrite on every persist.
-    pub fn set_delta_config(&mut self, enabled: bool, rewrite_period: u32) {
-        self.delta_enabled = enabled;
-        self.rewrite_period = rewrite_period;
     }
 
     /// Records that `block`'s index entry changed since the last persist.
@@ -1195,7 +1183,8 @@ impl<S: BlockStore> RecordStore<S> {
     /// and the dirty-entry set is exact, only the *changed* block entries
     /// are written, as a delta segment prepended to the chain —
     /// O(changed blocks) per epoch instead of O(live) — with a full
-    /// rewrite every `rewrite_period` delta epochs to bound chain length.
+    /// rewrite every [`INDEX_REWRITE_PERIOD`] delta epochs to bound chain
+    /// length.
     /// Otherwise the previous chain is freed and rewritten wholesale;
     /// when the index is incomplete (unkeyed inserts happened) the chain
     /// is cleared instead, so a reopen rebuilds rather than trusting a
@@ -1209,11 +1198,9 @@ impl<S: BlockStore> RecordStore<S> {
         // Delta eligibility: the persisted chain must be a complete image
         // whose distance from the current maps the dirty set measures
         // exactly.
-        let delta_ok = self.delta_enabled
-            && self.rewrite_period > 0
-            && self.rindex_complete
+        let delta_ok = self.rindex_complete
             && self.index_persisted_complete
-            && self.index_delta_epochs < self.rewrite_period
+            && self.index_delta_epochs < INDEX_REWRITE_PERIOD
             && self.index_dirty_blocks.is_some();
         let mut wrote_delta = false;
         if delta_ok {

@@ -290,13 +290,11 @@ impl EncipheredBTree {
             BTree::open(node_store, codec)?
         };
         tree.enable_node_cache(config.node_cache);
-        tree.enable_write_behind(config.write_behind);
-        let mut records = if create {
+        let records = if create {
             RecordStore::create(data_store, config.data_key, config.record_cache)?
         } else {
             RecordStore::open(data_store, config.data_key, config.record_cache)?
         };
-        records.set_delta_config(config.index_delta, config.index_rewrite_period);
         let mut this = EncipheredBTree {
             config,
             counters,
@@ -399,14 +397,12 @@ impl EncipheredBTree {
         let (codec, disguise) = config.build_codec(&counters)?;
         let (node_store, data_store) = build_stores(&config, &counters, true)?;
         let mut records = RecordStore::create(data_store, config.data_key, config.record_cache)?;
-        records.set_delta_config(config.index_delta, config.index_rewrite_period);
         let mut pairs = Vec::with_capacity(items.len());
         for (key, record) in items {
             pairs.push((*key, records.insert_keyed(*key, record)?));
         }
         let mut tree = BTree::bulk_load(node_store, codec, &pairs)?;
         tree.enable_node_cache(config.node_cache);
-        tree.enable_write_behind(config.write_behind);
         let mut this = EncipheredBTree {
             config,
             counters,
@@ -648,23 +644,12 @@ impl EncipheredBTree {
     /// unbuffered backends). The engine's dirty high-water trigger watches
     /// this.
     pub fn dirty_pages(&self) -> usize {
-        // A write-behind node is a dirty page the pool has not seen yet:
-        // it still owes the medium one block write, so governance budgets
-        // must count it.
-        self.tree.store().dirty_pages()
-            + self.records.store().dirty_pages()
-            + self.tree.deferred_nodes()
+        self.tree.store().dirty_pages() + self.records.store().dirty_pages()
     }
 
     /// Nodes currently held in the node cache.
     pub fn cached_nodes(&self) -> usize {
         self.tree.cached_nodes()
-    }
-
-    /// Dirty write-behind nodes awaiting their physical re-seal (0 unless
-    /// [`crate::config::SchemeConfig::write_behind`] opted in).
-    pub fn deferred_nodes(&self) -> usize {
-        self.tree.deferred_nodes()
     }
 
     /// Records currently held decoded in the record cache.
@@ -1220,86 +1205,6 @@ mod tests {
                 scheme.name()
             );
             assert!(on.node_cache_hits > 0, "{}", scheme.name());
-        }
-    }
-
-    /// Write-behind's load-bearing invariant (PR 7's mirror of the node
-    /// cache's): with deferred re-sealing on, every *logical* operation
-    /// counter reads exactly as it does with it off, for every measured
-    /// scheme, across mutations, reads of dirty nodes, budget evictions
-    /// and the final flush.
-    #[test]
-    fn write_behind_preserves_logical_counters_exactly() {
-        for scheme in Scheme::MEASURED {
-            let n = 300u64;
-            let mut cfg = SchemeConfig::with_capacity(scheme, n + 2);
-            cfg.block_size = 512;
-            let run = |write_behind: usize| {
-                let mut cfg = cfg.clone();
-                cfg.write_behind = write_behind;
-                let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
-                for k in 1..n {
-                    tree.insert(k, vec![k as u8]).unwrap();
-                }
-                tree.counters().reset();
-                // Mutation-heavy mix over dirty and clean nodes — updates,
-                // deletes, re-inserts, point reads of hot (dirty) keys, a
-                // range scan — then the flush that seals every deferred
-                // node.
-                for k in (1..n).step_by(5) {
-                    tree.insert(k, vec![(k + 1) as u8]).unwrap();
-                }
-                for k in (1..n).step_by(9) {
-                    tree.delete(k).unwrap();
-                }
-                for k in (1..n).step_by(9) {
-                    tree.insert(k, vec![7]).unwrap();
-                }
-                for k in (1..n).step_by(3) {
-                    let _ = tree.get_pointer(k).unwrap();
-                }
-                assert!(!tree.range(n / 4, n / 2).unwrap().is_empty());
-                tree.flush().unwrap();
-                assert_eq!(tree.deferred_nodes(), 0, "flush seals everything");
-                tree.snapshot()
-            };
-            let off = run(0);
-            // A budget small enough that the workload also exercises
-            // budget-pressure eviction, not just the final flush.
-            let on = run(4);
-            assert_eq!(off.node_writes_deferred, 0);
-            assert!(
-                on.node_writes_deferred > 0,
-                "{}: write-behind never engaged",
-                scheme.name()
-            );
-            assert!(
-                on.node_reseals > 0 && on.node_reseals < on.node_writes_deferred,
-                "{}: deferral must absorb writes (deferred {}, resealed {})",
-                scheme.name(),
-                on.node_writes_deferred,
-                on.node_reseals
-            );
-            // Logical fields must match exactly; only the physical-I/O
-            // telemetry (block writes, reseals, cache traffic) may differ
-            // — that difference is the optimisation.
-            let mut on_masked = on;
-            on_masked.block_reads = off.block_reads;
-            on_masked.block_writes = off.block_writes;
-            on_masked.cache_hits = off.cache_hits;
-            on_masked.cache_misses = off.cache_misses;
-            on_masked.cache_evicts = off.cache_evicts;
-            on_masked.node_cache_hits = off.node_cache_hits;
-            on_masked.node_cache_misses = off.node_cache_misses;
-            on_masked.node_writes_deferred = off.node_writes_deferred;
-            on_masked.node_reseals = off.node_reseals;
-            on_masked.triplet_seals_reused = off.triplet_seals_reused;
-            assert_eq!(
-                on_masked,
-                off,
-                "{}: write-behind changed the logical cost model",
-                scheme.name()
-            );
         }
     }
 

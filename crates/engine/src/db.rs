@@ -218,6 +218,13 @@ pub struct SksDb {
 const WAL_FILE: &str = "wal.sks";
 /// Block size of the WAL's backing [`FileDisk`].
 const WAL_BLOCK_SIZE: usize = 4096;
+/// Dead-ratio floor, in percent, for the compaction each checkpoint runs:
+/// a data block becomes a victim only once a quarter of its records are
+/// dead. Rewriting a block re-seals its live records and repoints the
+/// tree, so a lighter block is deferred until churn concentrates in it —
+/// which keeps the steady-state checkpoint proportional to change, not to
+/// database size. [`SksDb::compact`] still drains.
+const COMPACTION_FLOOR_PCT: u8 = 25;
 const META_FILE: &str = "engine.sks";
 const LOCK_FILE: &str = "engine.lock";
 const META_MAGIC: &[u8; 8] = b"SKSENGN1";
@@ -1330,7 +1337,6 @@ impl SksDb {
             // cross-device crash window to wait out).
             let flush_timer = self.counters.obs().start();
             let compaction_budget = self.config.scheme.compaction;
-            let compaction_floor = self.config.scheme.compaction_floor;
             let handles: Vec<_> = self
                 .partitions
                 .iter()
@@ -1338,10 +1344,9 @@ impl SksDb {
                     s.spawn(move || -> Result<CompactionReport, EngineError> {
                         let mut guard = p.write().expect("partition lock");
                         // Floored: checkpoint maintenance only rewrites
-                        // blocks churn has made worth reclaiming
-                        // (SksDb::compact still drains).
+                        // blocks churn has made worth reclaiming.
                         let mut report =
-                            guard.compact_step_floored(compaction_budget, compaction_floor)?;
+                            guard.compact_step_floored(compaction_budget, COMPACTION_FLOOR_PCT)?;
                         report.absorb(guard.compact_nodes(compaction_budget)?);
                         guard.flush()?;
                         Ok(report)

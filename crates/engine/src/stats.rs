@@ -2,8 +2,7 @@
 //! [`crate::SksDb::stats`] call, carrying the logical paper counters,
 //! per-op latency histograms (per partition and merged), the stage-
 //! attributed write-path breakdown and the space-governance picture —
-//! serialisable to JSON with no dependencies (hand-rolled, in
-//! `bench_report`'s style).
+//! serialisable to JSON with no dependencies (hand-rolled).
 //!
 //! Privacy contract: nothing in a snapshot derives from key or value
 //! *bytes* — only counts, byte lengths, durations and block/partition

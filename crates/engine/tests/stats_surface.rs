@@ -180,6 +180,10 @@ fn insert_batch_amortises_commits() {
         "one commit per partition group, not per record: {} fsyncs",
         delta.wal_fsyncs
     );
+    assert!(
+        delta.wal_sealed_batches > 0,
+        "insert_batch never sealed a multi-record group"
+    );
     for k in 0..100u64 {
         assert_eq!(db.get(k).unwrap().unwrap(), vec![k as u8; 16]);
     }

@@ -1,13 +1,11 @@
-//! The pipelined write path end to end: write-behind node re-sealing
-//! must move *physical* work only — every logical paper counter
-//! byte-identical with it on or off, for every measured scheme — and the
-//! plaintext staged in memory (group bodies, deferred nodes) must never
-//! reach the medium or the flight recorder. Plus the sorted-ingest
-//! `bulk_load` fast path riding the same machinery.
+//! The pipelined write path end to end: the plaintext staged in memory
+//! (group bodies awaiting their seal) must never reach the medium or the
+//! flight recorder. Plus the sorted-ingest `bulk_load` fast path riding
+//! the same machinery.
 
 use sks_core::{ObsLevel, Scheme, SchemeConfig, StorageBackend};
 use sks_engine::{EngineConfig, SksDb};
-use sks_storage::{OpSnapshot, SyncPolicy};
+use sks_storage::SyncPolicy;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sks_pipe_{}_{}", std::process::id(), name));
@@ -19,82 +17,11 @@ fn rec(k: u64) -> Vec<u8> {
     format!("pipeline-record-{k:05}").into_bytes()
 }
 
-/// The contract, engine-wide: run one mixed workload twice — write-behind
-/// on, then off — and demand byte-identical logical counters for every
-/// measured scheme. Only the physical telemetry (block I/O, cache
-/// traffic, reseals) may move; that difference *is* the optimisation.
-#[test]
-fn write_pipeline_preserves_logical_counters_exactly() {
-    for scheme in Scheme::MEASURED {
-        let run = |write_behind: bool| -> OpSnapshot {
-            let name = format!("pin_{}_{}", scheme.name(), write_behind);
-            let dir = tmpdir(&name);
-            let cfg = SchemeConfig::with_capacity(scheme, 4096)
-                .partitions(2)
-                .write_behind(if write_behind { 8 } else { 0 });
-            let db = SksDb::open(&dir, EngineConfig::new(cfg).sync(SyncPolicy::EveryN(4))).unwrap();
-            // Keys start at 1: some disguise domains exclude 0.
-            for k in 1..200u64 {
-                db.insert(k, rec(k)).unwrap();
-            }
-            db.insert_batch((200..260u64).map(|k| (k, rec(k))).collect())
-                .unwrap();
-            for k in (1..200u64).step_by(5) {
-                db.insert(k, rec(k + 1)).unwrap();
-            }
-            for k in (1..200u64).step_by(9) {
-                db.delete(k).unwrap();
-            }
-            for k in (1..260u64).step_by(3) {
-                let _ = db.get(k).unwrap();
-            }
-            assert!(!db.range(40, 120).unwrap().is_empty());
-            db.flush().unwrap();
-            let snap = db.snapshot();
-            drop(db);
-            std::fs::remove_dir_all(&dir).ok();
-            snap
-        };
-        let on = run(true);
-        let off = run(false);
-        assert!(
-            on.wal_sealed_batches > 0,
-            "{}: insert_batch never sealed a multi-record group",
-            scheme.name()
-        );
-        assert!(
-            on.node_writes_deferred > 0,
-            "{}: write-behind never engaged",
-            scheme.name()
-        );
-        // Mask exactly the physical fields; everything else — disguise
-        // ops, key/pointer/page encipherments, record seals, WAL appends,
-        // logical WAL bytes, fsync cadence — must agree to the byte.
-        let mut on_masked = on;
-        on_masked.block_reads = off.block_reads;
-        on_masked.block_writes = off.block_writes;
-        on_masked.cache_hits = off.cache_hits;
-        on_masked.cache_misses = off.cache_misses;
-        on_masked.cache_evicts = off.cache_evicts;
-        on_masked.node_cache_hits = off.node_cache_hits;
-        on_masked.node_cache_misses = off.node_cache_misses;
-        on_masked.node_writes_deferred = off.node_writes_deferred;
-        on_masked.node_reseals = off.node_reseals;
-        on_masked.triplet_seals_reused = off.triplet_seals_reused;
-        assert_eq!(
-            on_masked,
-            off,
-            "{}: the pipeline changed the logical cost model",
-            scheme.name()
-        );
-    }
-}
-
 /// Attack sweep over the staging windows the pipeline introduces: while
-/// record plaintext sits in the batch-staging buffer and dirty nodes sit
-/// unsealed in the write-behind set, nothing readable may exist on the
-/// medium — and nothing readable may ever enter the flight recorder or
-/// the stats surface, before or after the seals land.
+/// record plaintext sits in the batch-staging buffer and dirty pages sit
+/// in the no-steal pool, nothing readable may exist on the medium — and
+/// nothing readable may ever enter the flight recorder or the stats
+/// surface, before or after the checkpoint lands.
 #[test]
 fn staged_plaintext_never_reaches_medium_or_recorder() {
     let dir = tmpdir("staged_leak");
@@ -120,7 +47,6 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
 
     let cfg = SchemeConfig::with_capacity(Scheme::Oval, 4096)
         .partitions(2)
-        .write_behind(64)
         .backend(StorageBackend::File {
             dir: dir.clone(),
             pool_pages: 64,
@@ -130,8 +56,8 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
 
     // Bulk loads and batches seal multi-record plaintext bodies borrowed
     // from the caller, single inserts stage theirs; the small fsync
-    // period leaves committed-but-unsynced tails; write-behind holds the
-    // mutated nodes unsealed. Scan the medium in exactly that state.
+    // period leaves committed-but-unsynced tails. Scan the medium in
+    // exactly that state.
     db.bulk_load((0..30u64).map(|k| (k, needle.to_vec())).collect())
         .unwrap();
     db.insert_batch((30..60u64).map(|k| (k, needle.to_vec())).collect())
@@ -141,8 +67,8 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
     }
     scan_medium(&dir);
 
-    // Seal everything (deferred nodes included) and scan again — the
-    // sealed image must be just as silent.
+    // Flush and checkpoint everything and scan again — the
+    // checkpointed image must be just as silent.
     db.flush().unwrap();
     db.checkpoint().unwrap();
     scan_medium(&dir);

@@ -154,13 +154,6 @@ counters! {
     /// staged records under one CTR body + CRC; a commit of one record
     /// is a frame too but not counted here).
     wal_sealed_batches,
-    /// Node writes absorbed by the write-behind set instead of paying a
-    /// physical re-encipherment (the *logical* encode counters are still
-    /// charged per mutation — this is the physical saving).
-    node_writes_deferred,
-    /// Physical node re-encipherments paid when a write-behind node is
-    /// finally sealed (eviction, cache pressure, flush, checkpoint).
-    node_reseals,
     /// Triplet cryptograms a node write copied from the image it replaced
     /// instead of sealing again (the *logical* encrypt counters are still
     /// charged per triplet — logical encrypts minus this is the number of

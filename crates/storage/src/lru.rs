@@ -1,10 +1,10 @@
 //! The one bounded map behind every cache in the engine.
 //!
 //! The cipher boundary sits between memory and disk (Bayer & Metzger):
-//! ciphertext pages are cached below it ([`crate::BufferPool`]), decoded
-//! nodes and records above it (`NodeCache`, the write-behind set, the
-//! record cache). All of them need the same decision — what is bounded,
-//! and what goes next — so it is made here once: a hash map for lookup
+//! ciphertext pages are cached below it ([`crate::BufferPool`]), nodes
+//! and records above it (`NodeCache`, the record cache). All of them
+//! need the same decision — what is bounded, and what goes next — so it
+//! is made here once: a hash map for lookup
 //! plus a recency list threaded through a slab by index, which makes
 //! look-up-and-touch, insert, remove and victim choice all O(1).
 //!

@@ -364,13 +364,13 @@ proptest! {
     /// The delta-persisted reverse index ≡ the map a full tree scan
     /// rebuilds, under arbitrary churn, checkpoints, crashes (reopen to
     /// the last committed epoch) and clean reopens, on both backends —
-    /// with a small rewrite period so full rewrites and delta segments
-    /// interleave, and zero O(dataset) fallbacks throughout.
+    /// full rewrites and delta segments interleaved — and zero O(dataset)
+    /// fallbacks throughout.
     #[test]
     fn prop_delta_persisted_index_equals_scan_under_crashes(seed in any::<u64>()) {
         let on_disk = file_backend();
         let dir = tmpdir(&format!("delta_prop_{seed}"));
-        let mut cfg = config(2_048).index_delta(true).index_rewrite_period(4);
+        let mut cfg = config(2_048);
         if on_disk {
             cfg = cfg.on_disk(&dir);
         }
@@ -453,6 +453,46 @@ proptest! {
         drop(tree);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The periodic full rewrite, deterministically: after a whole-chain
+/// rewrite, sixteen consecutive small epochs each persist as a delta
+/// segment, the seventeenth rewrites the whole chain again, and a clean
+/// reopen trusts the result.
+#[test]
+fn delta_chain_is_rewritten_whole_after_sixteen_segments() {
+    let dir = tmpdir("delta_period");
+    let cfg = config(4_096).on_disk(&dir);
+    let items: Vec<(u64, Vec<u8>)> = (0..2_000u64).map(|k| (k, rec(k))).collect();
+    let mut tree = EncipheredBTree::bulk_create(cfg.clone(), &items).unwrap();
+    tree.flush().unwrap(); // the first persist writes the whole chain
+    let flushes = |tree: &EncipheredBTree| {
+        let s = tree.snapshot();
+        (s.index_delta_flushes, s.index_full_flushes)
+    };
+    let (deltas, fulls) = flushes(&tree);
+    for epoch in 1..=17u64 {
+        let key = 2_000 + epoch;
+        tree.insert(key, rec(key)).unwrap();
+        tree.flush().unwrap();
+        let want = if epoch <= 16 {
+            (deltas + epoch, fulls)
+        } else {
+            (deltas + 16, fulls + 1)
+        };
+        assert_eq!(flushes(&tree), want, "epoch {epoch}: (delta, full)");
+    }
+    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
+    drop(tree);
+    let tree = EncipheredBTree::open(cfg).unwrap();
+    assert!(
+        tree.reverse_index_complete(),
+        "a clean reopen must trust the rewritten chain"
+    );
+    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
+    assert_eq!(tree.len(), 2_017);
+    drop(tree);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Builds a probe rig whose committed image B ends in a *delta* epoch

@@ -75,11 +75,6 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     height: u32,
     /// CLRS minimum degree: nodes hold `t-1 ..= 2t-1` keys (root exempt).
     t: usize,
-    /// Opaque application stamp persisted in the superblock. The
-    /// enciphered-tree layer records the data device's index epoch here
-    /// at each flush, so a reopen can tell whether the two devices
-    /// committed in step.
-    stamp: u64,
     /// Node cache for the read paths (None = disabled). Entries are
     /// invalidated on every node re-encode/free, so a cached image always
     /// matches the page's current content.
@@ -230,7 +225,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             count: 0,
             height: 1,
             t,
-            stamp: 0,
             cache: None,
         };
         let root = Node::leaf(root_id);
@@ -256,7 +250,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         let count = r.get_u64().map_err(CodecError::from)?;
         let height = r.get_u32().map_err(CodecError::from)?;
         let t = r.get_u32().map_err(CodecError::from)? as usize;
-        let stamp = r.get_u64().map_err(CodecError::from)?;
         if t < 2 || 2 * t - 1 > max_keys {
             return Err(TreeError::Codec(CodecError::Corrupt(format!(
                 "superblock degree t={t} incompatible with codec fanout {max_keys}"
@@ -270,7 +263,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             count,
             height,
             t,
-            stamp,
             cache: None,
         })
     }
@@ -301,22 +293,10 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             w.put_u64(self.count).map_err(CodecError::from)?;
             w.put_u32(self.height).map_err(CodecError::from)?;
             w.put_u32(self.t as u32).map_err(CodecError::from)?;
-            w.put_u64(self.stamp).map_err(CodecError::from)?;
             w.pad_remaining();
         }
         self.store.write_block(self.superblock, &page)?;
         Ok(())
-    }
-
-    /// The persisted application stamp (see the field docs).
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Sets the application stamp; persisted by the next superblock
-    /// write ([`BTree::flush`] always writes one).
-    pub fn set_stamp(&mut self, stamp: u64) {
-        self.stamp = stamp;
     }
 
     /// Persists metadata and flushes the store.
@@ -597,28 +577,33 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         }
     }
 
-    /// Repoints an *existing* key at a new data pointer without touching
-    /// the tree structure (no splits, no balancing) — the record-store
-    /// compactor uses this after rewriting a record into a fresh block.
-    /// Returns the previous pointer, or `None` (and changes nothing) when
-    /// the key is absent.
+    /// Repoints `key` from `expected` to `new` without touching the tree
+    /// structure (no splits, no balancing): a compare-and-swap in one
+    /// descent. The record-store compactor uses this after rewriting a
+    /// record into a fresh block; it learnt the key from the record on
+    /// the medium, so a stale copy of a key must never take the key over.
+    /// Returns whether the key was repointed — an absent key, or one
+    /// pointing anywhere but `expected`, changes nothing.
     pub fn replace_ptr(
         &mut self,
         key: u64,
-        ptr: RecordPtr,
-    ) -> Result<Option<RecordPtr>, TreeError> {
+        expected: RecordPtr,
+        new: RecordPtr,
+    ) -> Result<bool, TreeError> {
         let mut node = self.read_node(self.root)?;
         loop {
             match node.search(key) {
                 NodeSearch::Here(i) => {
-                    let old = node.data_ptrs[i];
-                    node.data_ptrs[i] = ptr;
+                    if node.data_ptrs[i] != expected {
+                        return Ok(false);
+                    }
+                    node.data_ptrs[i] = new;
                     self.write_node(&node)?;
-                    return Ok(Some(old));
+                    return Ok(true);
                 }
                 NodeSearch::Child(i) => {
                     if node.is_leaf() {
-                        return Ok(None);
+                        return Ok(false);
                     }
                     node = self.read_node(node.children[i])?;
                 }

@@ -643,10 +643,9 @@ fn a_rewritten_node_is_invalidated_and_refilled_from_its_new_page() {
     // Rewriting the leaf drops its entry; the next probe must refill from
     // the new page, never serve the old image.
     let cached = tree.cached_nodes();
-    assert_eq!(
-        tree.replace_ptr(42, RecordPtr(4242)).unwrap(),
-        Some(RecordPtr(42))
-    );
+    assert!(tree
+        .replace_ptr(42, RecordPtr(42), RecordPtr(4242))
+        .unwrap());
     assert_eq!(tree.cached_nodes(), cached - 1);
     let before = misses(&tree);
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
@@ -654,5 +653,27 @@ fn a_rewritten_node_is_invalidated_and_refilled_from_its_new_page() {
     assert_eq!(tree.cached_nodes(), cached);
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
     assert_eq!(misses(&tree), before + 1);
+    tree.validate().unwrap();
+}
+
+#[test]
+fn replace_ptr_repoints_only_from_the_expected_pointer() {
+    let mut tree = make_tree(256);
+    for k in 0..100u64 {
+        tree.insert(k, RecordPtr(k)).unwrap();
+    }
+    let writes = |tree: &BTree<_, _>| tree.counters().snapshot().block_writes;
+    let before = writes(&tree);
+    // A stale expectation and an absent key change nothing, write nothing.
+    assert!(!tree.replace_ptr(42, RecordPtr(7), RecordPtr(4242)).unwrap());
+    assert!(!tree
+        .replace_ptr(1_000, RecordPtr(1_000), RecordPtr(1))
+        .unwrap());
+    assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)));
+    assert_eq!(writes(&tree), before);
+    assert!(tree
+        .replace_ptr(42, RecordPtr(42), RecordPtr(4242))
+        .unwrap());
+    assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
     tree.validate().unwrap();
 }

@@ -667,7 +667,12 @@ mod tests {
                 for tree in [&mut sealed_whole, &mut resealed] {
                     let old = match op {
                         0..=2 => tree.insert(key, ptr),
-                        3 => tree.replace_ptr(key, ptr),
+                        3 => match tree.get(key) {
+                            Ok(Some(cur)) => tree
+                                .replace_ptr(key, cur, ptr)
+                                .map(|done| done.then_some(cur)),
+                            other => other,
+                        },
                         4 | 5 => tree.delete(key),
                         _ => tree.compact_nodes(2).map(|_| None),
                     };
@@ -776,7 +781,7 @@ mod tests {
             "a delete that rebalances nothing seals none"
         );
         let repoint = cost(&mut tree, &|tree| {
-            assert!(tree.replace_ptr(key, RecordPtr(3)).unwrap().is_some());
+            assert!(tree.replace_ptr(key, RecordPtr(1), RecordPtr(3)).unwrap());
         });
         assert_eq!(repoint, (1, n), "replace_ptr seals its one triplet");
 

@@ -99,7 +99,7 @@ impl SecurityFilter {
         let mut blob = Vec::with_capacity(8 + ct.len());
         blob.extend_from_slice(&mac.to_be_bytes());
         blob.extend_from_slice(&ct);
-        let ptr = self.store.insert(&blob)?;
+        let ptr = self.store.insert_keyed(k_hat, &blob)?;
         if let Some(old) = self.dbms.insert(k_hat, ptr)? {
             self.store.delete(old)?;
         }
@@ -115,6 +115,12 @@ impl SecurityFilter {
         let Some(blob) = self.store.get(ptr)? else {
             return Err(CoreError::Record("dangling pointer in DBMS index".into()));
         };
+        self.open_blob(k_hat, &blob).map(Some)
+    }
+
+    /// Verifies a stored `mac ‖ ciphertext` blob against its disguised key
+    /// and deciphers the record body.
+    fn open_blob(&self, k_hat: u64, blob: &[u8]) -> Result<Vec<u8>, CoreError> {
         if blob.len() < 8 {
             return Err(CoreError::Integrity("blob too short for checksum".into()));
         }
@@ -122,11 +128,11 @@ impl SecurityFilter {
         let ct = &blob[8..];
         if self.checksum(k_hat, ct) != stored_mac {
             return Err(CoreError::Integrity(format!(
-                "checksum mismatch for key {key}: record tampered or swapped"
+                "checksum mismatch at disguised key {k_hat}: record tampered or swapped"
             )));
         }
         self.counters.bump(|c| &c.data_decrypts);
-        Ok(Some(ctr_xor(&self.record_cipher, k_hat, ct)))
+        Ok(ctr_xor(&self.record_cipher, k_hat, ct))
     }
 
     /// Deletes the record under `key`.
@@ -160,15 +166,7 @@ impl SecurityFilter {
             let Some(blob) = self.store.get(ptr)? else {
                 continue;
             };
-            let stored_mac = u64::from_be_bytes(blob[0..8].try_into().expect("length checked"));
-            let ct = &blob[8..];
-            if self.checksum(k_hat, ct) != stored_mac {
-                return Err(CoreError::Integrity(format!(
-                    "checksum mismatch in range scan at disguised key {k_hat}"
-                )));
-            }
-            self.counters.bump(|c| &c.data_decrypts);
-            out.push((key, ctr_xor(&self.record_cipher, k_hat, ct)));
+            out.push((key, self.open_blob(k_hat, &blob)?));
         }
         Ok(out)
     }
@@ -198,7 +196,7 @@ impl SecurityFilter {
         let last = blob.len() - 1;
         blob[last] ^= 0xFF;
         self.store.delete(ptr)?;
-        let new_ptr = self.store.insert(&blob)?;
+        let new_ptr = self.store.insert_keyed(k_hat, &blob)?;
         self.dbms.insert(k_hat, new_ptr)?;
         Ok(())
     }

@@ -65,11 +65,13 @@ impl<S: BlockStore> MultilevelRecordStore<S> {
     ) -> Result<RecordPtr, CoreError> {
         let cipher = self.level_cipher(clearance, level)?;
         // Frame: [level u32][ciphertext…] — the level tag is public
-        // metadata (clearance labels usually are).
+        // metadata (clearance labels usually are). There is no tree here
+        // and nothing ever compacts, so the record's owning key is just
+        // its level tag.
         let mut framed = Vec::with_capacity(4 + record.len());
         framed.extend_from_slice(&level.to_be_bytes());
         framed.extend_from_slice(&sks_crypto::modes::ctr_xor(&cipher, level as u64, record));
-        self.store.insert(&framed)
+        self.store.insert_keyed(level as u64, &framed)
     }
 
     /// The level tag of a stored record (readable by anyone — labels are

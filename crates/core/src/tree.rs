@@ -17,7 +17,7 @@ use sks_btree_core::{render_with, BTree, RecordPtr};
 use sks_crypto::modes::ctr_xor;
 use sks_crypto::speck::Speck64;
 use sks_storage::{
-    BlockId, BlockStore, DynBlockStore, MemDisk, OpCounters, OpSnapshot, PagedFileStore, Stage,
+    BlockStore, DynBlockStore, MemDisk, OpCounters, OpSnapshot, PagedFileStore, Stage,
 };
 
 use crate::codec::AnyCodec;
@@ -31,7 +31,7 @@ const DATA_FILE: &str = "data.sks";
 const MANIFEST_FILE: &str = "manifest.sks";
 
 /// Orphan-sweep budget per compaction budget unit: each victim block the
-/// caller pays for also buys this many reverse-index slots of sweeping.
+/// caller pays for also buys this many live record slots of sweeping.
 const SWEEP_SLOTS_PER_BLOCK: usize = 4;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"SKSMANF1";
@@ -130,9 +130,9 @@ pub struct CompactionReport {
     pub orphaned_records: u64,
     /// Orphaned copies tombstoned by this pass — both the move-then-
     /// discover path (an orphan surfacing inside a victim block) and the
-    /// reverse-index sweep. Their space returns through later passes.
+    /// orphan sweep. Their space returns through later passes.
     pub orphans_collected: u64,
-    /// Reverse-index slots the orphan sweep examined (its bounded work).
+    /// Live record slots the orphan sweep examined (its bounded work).
     pub sweep_slots: u64,
     /// Live sealed nodes slid into lower free slots by node-device
     /// compaction.
@@ -166,7 +166,7 @@ pub struct EncipheredBTree {
     records: RecordStore<DynBlockStore>,
     disguise: Option<Arc<dyn KeyDisguise>>,
     /// Orphan-sweep resume point: the last `(block, slot)` examined. The
-    /// sweep round-robins the reverse index across compaction passes.
+    /// sweep round-robins the data pages across compaction passes.
     sweep_cursor: (u32, u16),
 }
 
@@ -274,7 +274,7 @@ impl EncipheredBTree {
     }
 
     /// Shared assembly for every constructor: codec → tree → caches →
-    /// record store, plus the post-open cross-device sync check.
+    /// record store.
     fn assemble(
         config: SchemeConfig,
         counters: OpCounters,
@@ -295,18 +295,14 @@ impl EncipheredBTree {
         } else {
             RecordStore::open(data_store, config.data_key, config.record_cache)?
         };
-        let mut this = EncipheredBTree {
+        Ok(EncipheredBTree {
             config,
             counters,
             tree,
             records,
             disguise,
             sweep_cursor: (0, 0),
-        };
-        if !create {
-            this.sync_devices_after_open()?;
-        }
-        Ok(this)
+        })
     }
 
     /// Reopens a tree persisted by the file backend. Fails closed — before
@@ -362,24 +358,6 @@ impl EncipheredBTree {
         data_store: DynBlockStore,
     ) -> Result<Self, CoreError> {
         Self::assemble(config, counters, node_store, data_store, false, None)
-    }
-
-    /// Post-open cross-device synchronisation. The tree superblock's
-    /// stamp says which data index epoch the node device last committed
-    /// against. If it matches the persisted index epoch the two devices
-    /// are in step: the trusted index may reclaim quarantined victims a
-    /// crash leaked. If it does not (a crash landed between the two
-    /// device checkpoints), the index describes a *newer* data image
-    /// than the tree references — it must not be trusted, and no block
-    /// may be reclaimed (the old pointers still aim at intact victim
-    /// content); maintenance rebuilds everything from the tree itself.
-    fn sync_devices_after_open(&mut self) -> Result<(), CoreError> {
-        if self.tree.stamp() == self.records.index_epoch() {
-            self.records.reconcile_unreferenced_blocks()?;
-        } else {
-            self.records.distrust_index();
-        }
-        Ok(())
     }
 
     /// Whether `dir` holds a persisted enciphered tree (its manifest).
@@ -455,28 +433,30 @@ impl EncipheredBTree {
     /// Cross-device crash safety is a three-step protocol, because the
     /// two devices checkpoint independently:
     ///
-    /// 1. the data device commits first (new records, compaction copies,
-    ///    the reverse index — compaction victims still *allocated*), so
-    ///    a crash here leaves the old tree reading the intact old image;
+    /// 1. the data device commits first (new records and compaction
+    ///    copies — compaction victims still *allocated*), so a crash here
+    ///    leaves the old tree reading the intact old image;
     /// 2. the node device commits the repointed tree — a crash between 1
     ///    and 2 leaves old pointers aimed at intact victim content
     ///    (compaction copies records, never erases the source), and a
     ///    crash after 2 leaves new pointers aimed at the committed
     ///    copies: either way every committed read is correct;
     /// 3. only now the quarantined victim blocks go onto the free list
-    ///    (plus tail truncation) and the data device commits again — a
-    ///    crash before this commit merely *leaks* the victims, and the
-    ///    next trusted open reclaims them (they are exactly the
-    ///    allocated blocks the committed index does not describe).
+    ///    (plus tail truncation) and the data device commits again.
     ///
-    /// No window dangles a pointer or reuses a referenced block; the
-    /// worst crash outcome is transient unreferenced garbage.
+    /// Nothing frees a block on open. A block is freed only as a victim
+    /// whose every live slot was moved or proven, against the tree, to be
+    /// an orphan — and, by the quarantine above, only once the node device
+    /// has committed the tree that proof was made against. So no window
+    /// dangles a pointer or reuses a referenced block; the worst crash
+    /// outcome is unreferenced garbage. A crash between 1 and 2 leaves
+    /// orphan copies in fresh blocks without tombstones, which the orphan
+    /// sweep collects. A crash before 3 commits merely *leaks* the
+    /// victims: their slots are orphans and their dead ratio still
+    /// qualifies them, so the first compaction pass after reopen reclaims
+    /// them.
     pub fn flush(&mut self) -> Result<(), CoreError> {
         self.records.flush()?;
-        // Stamp the tree with the data epoch it is committing against:
-        // a reopen compares the stamp to the persisted index epoch to
-        // detect the two devices having committed out of step.
-        self.tree.set_stamp(self.records.index_epoch());
         self.tree.flush()?;
         if self.records.has_pending_frees() {
             self.records.apply_pending_frees()?;
@@ -673,38 +653,11 @@ impl EncipheredBTree {
         (store.num_blocks(), store.free_blocks())
     }
 
-    /// Whether the persistent reverse index currently covers every live
-    /// record (compaction passes are O(victims) iff this holds).
-    pub fn reverse_index_complete(&self) -> bool {
-        self.records.reverse_index_complete()
-    }
-
-    /// The reverse index as sorted `(data block, slot, key)` rows — for
-    /// observability and the index ≡ tree-scan equivalence tests.
-    pub fn reverse_index_snapshot(&self) -> Vec<(u32, u16, u64)> {
-        self.records.reverse_index_snapshot()
-    }
-
-    /// Rebuilds the reverse index from one full tree scan — the O(dataset)
-    /// fallback `compact_step` runs when unkeyed churn (or a detected-
-    /// stale index after a crash on an unbuffered medium) left it
-    /// incomplete. Counted in `compact_index_fallbacks`; every subsequent
-    /// pass is O(victims) again.
-    pub fn rebuild_reverse_index(&mut self) -> Result<(), CoreError> {
-        self.counters.bump(|c| &c.compact_index_fallbacks);
-        // The dead/live accounting must be complete before the rebuilt
-        // index can be marked (and later persisted as) complete — a
-        // trusted reopen loads both from the same chain, and persisting
-        // an empty dead map as trusted would forget pending tombstones
-        // for the life of the store.
-        self.records.pending_tombstones()?;
-        let mut entries = Vec::new();
-        for item in self.tree.iter_range(0, u64::MAX) {
-            let (k, ptr) = item?;
-            entries.push((ptr, k));
-        }
-        self.records.adopt_reverse_index(entries);
-        Ok(())
+    /// Live record slots in the data store, from its per-block accounting
+    /// (rebuilt from the slot directories after a reopen). Once a drain has
+    /// collected every orphan it equals [`EncipheredBTree::len`].
+    pub fn live_record_slots(&mut self) -> Result<u64, CoreError> {
+        self.records.live_record_slots()
     }
 
     /// Free-list membership of both devices, as `(node ids, data ids)` —
@@ -737,18 +690,21 @@ impl EncipheredBTree {
     /// post-pass image — never a mix. The engine runs this inside its
     /// fuzzy checkpoint, per partition, under the partition write lock.
     ///
-    /// Cost/accounting: the victims' live slots map to their tree keys
-    /// through the persistent reverse index — O(victims), no tree scan —
-    /// and the repointing runs through the normal (counted) tree paths, so
-    /// the pass's node visits and decipherments are *visible* in the
+    /// Cost/accounting: each moved record names its owning key itself —
+    /// the key is sealed in the record the move already unseals, so the
+    /// pass is O(victims) with no tree scan. The tree repoints the key
+    /// only if it still points at the old slot
+    /// ([`BTree::replace_ptr`] is a compare-and-swap), so a stale copy
+    /// read off the medium can never take its key over; a copy the tree
+    /// does not point at is an orphan and is tombstoned at once. The
+    /// repointing runs through the normal (counted) tree paths, so the
+    /// pass's node visits and decipherments are *visible* in the
     /// operation counters, exactly as real maintenance I/O would be. Only
     /// the record bytes' own re-encipherment is charged to
     /// `compact_moved_records` instead of `data_encrypts` (the record is
-    /// moved, not logically written). If unkeyed churn ever left the index
-    /// incomplete, one full scan rebuilds it first (visible in
-    /// `compact_index_fallbacks`) and every later pass is O(victims)
-    /// again. Counter-sensitive experiments simply run without deletes or
-    /// with `compaction(0)`. A pass with no tombstones is free.
+    /// moved, not logically written). Counter-sensitive experiments
+    /// simply run without deletes or with `compaction(0)`. A pass with no
+    /// tombstones and an empty sweep window is free.
     ///
     /// This entry point drains: every block with even a single dead
     /// record qualifies as a victim, so looping until `freed_blocks`
@@ -778,16 +734,16 @@ impl EncipheredBTree {
             return Ok(report);
         }
         let t = self.counters.obs().start();
-        // Reverse-index sweep against the tree: orphaned copies that no
-        // pointer references (the PR 5 carry-over) are actively
-        // tombstoned here instead of lingering until their block happens
-        // to become a victim. Bounded work, resumed round-robin across
-        // passes via the persistent cursor.
-        if self.records.reverse_index_complete() {
-            let (slots, collected) = self.sweep_orphans(max_blocks * SWEEP_SLOTS_PER_BLOCK)?;
-            report.sweep_slots = slots;
-            report.orphans_collected += collected;
-        }
+        // Orphan sweep against the tree: copies that no pointer
+        // references are actively tombstoned here instead of lingering
+        // until their block happens to become a victim — and a crash
+        // between the two device checkpoints leaves such copies in fresh
+        // blocks without a single tombstone, which no victim pass would
+        // ever pick. Bounded work, resumed round-robin across passes via
+        // the cursor.
+        let (slots, collected) = self.sweep_orphans(max_blocks * SWEEP_SLOTS_PER_BLOCK)?;
+        report.sweep_slots = slots;
+        report.orphans_collected += collected;
         if !self.records.may_have_tombstones() {
             self.counters.obs().stage(Stage::CompactData, t);
             return Ok(report);
@@ -797,29 +753,21 @@ impl EncipheredBTree {
             self.counters.obs().stage(Stage::CompactData, t);
             return Ok(report);
         }
-        if !self.records.reverse_index_complete() {
-            self.rebuild_reverse_index()?;
-        }
         for block in victims {
             for (old, new, key) in self.records.compact_block(block)? {
-                match key.map(|k| self.tree.replace_ptr(k, new)).transpose()? {
-                    Some(Some(prev)) => {
-                        debug_assert_eq!(prev, old, "key repointed from its old slot");
-                        report.moved_records += 1;
-                    }
-                    // A live slot the tree does not reference: either the
-                    // index had no owner for it (unkeyed API use) or the
-                    // key is gone from the tree (a torn cross-device
-                    // image left the data device ahead). The copy is
-                    // unreferenced garbage — tombstone it now so a later
-                    // pass reclaims the space, rather than carrying it
-                    // forever.
-                    Some(None) | None => {
-                        report.orphaned_records += 1;
-                        if self.records.delete(new)? {
-                            report.orphans_collected += 1;
-                            self.counters.bump(|c| &c.compact_orphans_collected);
-                        }
+                if self.tree.replace_ptr(key, old, new)? {
+                    report.moved_records += 1;
+                } else {
+                    // A live slot the tree does not point at: the key is
+                    // gone or lives elsewhere (a stale copy, or a torn
+                    // cross-device image left the data device ahead). The
+                    // copy is unreferenced garbage — tombstone it now so
+                    // a later pass reclaims the space, rather than
+                    // carrying it forever.
+                    report.orphaned_records += 1;
+                    if self.records.delete(new)? {
+                        report.orphans_collected += 1;
+                        self.counters.bump(|c| &c.compact_orphans_collected);
                     }
                 }
             }
@@ -837,30 +785,26 @@ impl EncipheredBTree {
         Ok(report)
     }
 
-    /// Bounded reverse-index sweep: examines up to `budget` live indexed
-    /// slots (resuming from the persistent cursor, wrapping at the end)
-    /// and tombstones any the tree no longer points at. Only runs when
-    /// the reverse index is complete — an incomplete index cannot prove a
-    /// slot is orphaned. The tree probes run through the normal counted
-    /// paths, so the sweep's logical cost is visible like any other
-    /// maintenance I/O.
+    /// Bounded orphan sweep: examines up to `budget` live record slots
+    /// (resuming from the cursor, wrapping at the end), reads the key each
+    /// one seals — its first cipher block only — and tombstones any slot
+    /// the tree does not point back at. The tree probes run through the
+    /// normal counted paths, so the sweep's logical cost is visible like
+    /// any other maintenance I/O.
     fn sweep_orphans(&mut self, budget: usize) -> Result<(u64, u64), CoreError> {
         if budget == 0 {
             return Ok((0, 0));
         }
-        let mut rows = self
-            .records
-            .reverse_index_rows_after(self.sweep_cursor, budget);
+        let mut rows = self.records.keyed_slots_after(self.sweep_cursor, budget)?;
         if rows.is_empty() && self.sweep_cursor != (0, 0) {
-            // End of the index: wrap to the start for the next round.
+            // End of the store: wrap to the start for the next round.
             self.sweep_cursor = (0, 0);
-            rows = self.records.reverse_index_rows_after((0, 0), budget);
+            rows = self.records.keyed_slots_after((0, 0), budget)?;
         }
         let examined = rows.len() as u64;
         let mut collected = 0u64;
-        for (b, s, key) in rows {
-            self.sweep_cursor = (b, s);
-            let ptr = RecordPtr::pack(BlockId(b), s);
+        for (ptr, key) in rows {
+            self.sweep_cursor = (ptr.block().as_u32(), ptr.slot());
             if self.tree.get(key)? != Some(ptr) && self.records.delete(ptr)? {
                 collected += 1;
                 self.counters.bump(|c| &c.compact_orphans_collected);
@@ -1297,10 +1241,10 @@ mod tests {
         assert_eq!(s.data_decrypts, 50, "logical unseals still reported");
     }
 
-    /// The maintenance orphan sweep: keyed record copies no tree pointer
+    /// The maintenance orphan sweep: record copies no tree pointer
     /// references (the state an interrupted compaction move leaves
-    /// behind) are found by walking the reverse index against the tree
-    /// and tombstoned, with the work and the reclaim count reported.
+    /// behind) are found by walking the data pages against the tree and
+    /// tombstoned, with the work and the reclaim count reported.
     #[test]
     fn orphan_sweep_reclaims_unreferenced_keyed_records() {
         let mut tree = EncipheredBTree::create_in_memory(SchemeConfig::demo(Scheme::Oval)).unwrap();
@@ -1308,7 +1252,7 @@ mod tests {
             tree.insert(k, vec![k as u8; 16]).unwrap();
         }
         // Plant stale copies under live keys, straight into the record
-        // store: each gets a reverse-index row but no tree pointer.
+        // store: each seals its key but has no tree pointer.
         const ORPHANS: u64 = 4;
         for k in 0..ORPHANS {
             tree.records.insert_keyed(k, &[0xAB; 16]).unwrap();
@@ -1333,6 +1277,39 @@ mod tests {
         // A clean tree yields nothing further: the sweep is idempotent.
         let r = tree.compact_step(4).unwrap();
         assert_eq!(r.orphans_collected, 0);
+    }
+
+    /// A record's key comes from the medium, so a stale copy of a live key
+    /// must never repoint it: the compactor's repoint is a compare-and-
+    /// swap against the slot it moved. Here a stale copy of key 5 sits in
+    /// a block that becomes a victim before the orphan sweep reaches it.
+    #[test]
+    fn a_stale_copy_in_a_victim_never_repoints_its_key() {
+        let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 100);
+        cfg.block_size = 512;
+        let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+        let live = |k: u64| vec![k as u8; 200]; // 2 records per data page
+        for k in 0..10u64 {
+            tree.insert(k, live(k)).unwrap();
+        }
+        let stale = tree.records.insert_keyed(5, &[0xEE; 200]).unwrap();
+        for k in 20..26u64 {
+            tree.insert(k, live(k)).unwrap();
+        }
+        // Kill the stale copy's neighbour: its block is the only victim.
+        let neighbour = (20..26u64)
+            .find(|&k| tree.get_pointer(k).unwrap().unwrap().block() == stale.block())
+            .expect("the next insert shares the stale copy's page");
+        tree.delete(neighbour).unwrap();
+        // A one-block pass sweeps only the first few slots, then moves
+        // the victim: the stale copy must come out an orphan.
+        let r = tree.compact_step(1).unwrap();
+        assert_eq!((r.freed_blocks, r.moved_records), (1, 0), "{r:?}");
+        assert_eq!(r.orphaned_records, 1, "{r:?}");
+        while tree.compact_step(16).unwrap().freed_blocks > 0 {}
+        assert_eq!(tree.get(5).unwrap().unwrap(), live(5));
+        assert_eq!(tree.live_record_slots().unwrap(), tree.len());
+        tree.validate().unwrap();
     }
 
     /// Online compaction: delete-heavy churn stops leaking space, live

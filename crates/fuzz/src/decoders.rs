@@ -1,7 +1,8 @@
 //! Corrupt-ciphertext fuzzing of every sealed decoder: WAL streams
 //! (single-record, group and txn frames), node codecs for every scheme,
-//! record-store pages and reverse-index chains behind a tree directory,
-//! and whole engine directories (WAL + store files).
+//! record-store pages behind a tree directory (randomly corrupted, and
+//! with a slot cut shorter than the key every record seals), and whole
+//! engine directories (WAL + store files).
 //!
 //! The fail-closed contract every case asserts:
 //!
@@ -18,9 +19,9 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sks_btree_core::{Node, NodeCodec, RecordPtr};
-use sks_core::{EncipheredBTree, Scheme, SchemeConfig};
+use sks_core::{CoreError, EncipheredBTree, Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb, Wal, WalOp};
-use sks_storage::{BlockId, OpCounters, SyncPolicy};
+use sks_storage::{BlockId, BlockStore, OpCounters, PagedFileStore, SyncPolicy};
 
 use crate::mutate::mutate;
 use crate::rng::FuzzRng;
@@ -41,14 +42,15 @@ fn assert_sealed_error(context: &str, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Dispatches one decoder-fuzz case per seed, rotating through the four
+/// Dispatches one decoder-fuzz case per seed, rotating through the five
 /// decoder families so a contiguous seed range sweeps all of them.
 pub fn run_decoder_case(seed: u64, backend: Backend) -> Result<(), String> {
-    match seed % 4 {
+    match seed % 5 {
         0 => run_wal_stream_case(seed),
         1 => run_node_codec_case(seed),
         2 => run_tree_dir_case(seed),
-        _ => run_engine_dir_case(seed, backend),
+        3 => run_engine_dir_case(seed, backend),
+        _ => run_data_page_case(seed),
     }
 }
 
@@ -249,14 +251,14 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds an on-disk tree (nodes + record store + reverse index +
-/// manifest), corrupts one of its files, and reopens: opening and
-/// reading must fail closed — no panic, no marker plaintext in errors.
+/// Builds an on-disk tree (nodes + record store + manifest), corrupts one
+/// of its files, and reopens: opening and reading must fail closed — no
+/// panic, no marker plaintext in errors.
 pub fn run_tree_dir_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0003);
     let scratch = ScratchDir::new("dec-tree", seed);
     let dir = scratch.path().join("tree");
-    let scheme = Scheme::ALL[(seed / 4) as usize % Scheme::ALL.len()];
+    let scheme = Scheme::ALL[(seed / 5) as usize % Scheme::ALL.len()];
     let mk_config = || SchemeConfig::with_capacity(scheme, 64).on_disk(&dir);
 
     {
@@ -268,7 +270,7 @@ pub fn run_tree_dir_case(seed: u64) -> Result<(), String> {
             tree.insert(key, format!("{MARKER}-{key}").into_bytes())
                 .map_err(|e| format!("insert: {e}"))?;
         }
-        // A few deletes so the reverse-index delta chain has entries.
+        // A few deletes so the data pages carry tombstones.
         for key in [3u64, 7, 11] {
             tree.delete(key).map_err(|e| format!("delete: {e}"))?;
         }
@@ -310,6 +312,84 @@ pub fn run_tree_dir_case(seed: u64) -> Result<(), String> {
             "corrupt {victim_name} ({scheme:?}) panicked tree open/read"
         )),
         Ok(r) => r.map_err(|e| format!("{e} (victim {victim_name}, {scheme:?})")),
+    }
+}
+
+/// Cuts one live record slot of an on-disk tree shorter than the 8-byte
+/// key every record seals, then reopens: the read of that record, and the
+/// maintenance pass whose orphan sweep meets the slot, must fail closed
+/// with a record error — no panic, no marker plaintext in errors — while
+/// every other record still reads back intact.
+pub fn run_data_page_case(seed: u64) -> Result<(), String> {
+    let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0005);
+    let scratch = ScratchDir::new("dec-page", seed);
+    let dir = scratch.path().join("tree");
+    let scheme = Scheme::ALL[(seed / 5) as usize % Scheme::ALL.len()];
+    let mk_config = || SchemeConfig::with_capacity(scheme, 64).on_disk(&dir);
+    let value = |key: u64| format!("{MARKER}-{key}").into_bytes();
+    let (live, victim, ptr) = {
+        let mut tree =
+            EncipheredBTree::create(mk_config()).map_err(|e| format!("create tree: {e}"))?;
+        for key in 1..=12 {
+            tree.insert(key, value(key))
+                .map_err(|e| format!("insert: {e}"))?;
+        }
+        for key in [3u64, 7, 11] {
+            tree.delete(key).map_err(|e| format!("delete: {e}"))?;
+        }
+        tree.flush().map_err(|e| format!("flush: {e}"))?;
+        // The keys that read back intact (the figure-literal
+        // ExponentiationPaper construction cannot tell 1 from 2).
+        let live: Vec<u64> = (1..=12)
+            .filter(|&k| tree.get(k).ok().flatten() == Some(value(k)))
+            .collect();
+        let victim = live[rng.below(live.len() as u64) as usize];
+        let ptr = tree
+            .get_pointer(victim)
+            .map_err(|e| format!("get_pointer: {e}"))?
+            .ok_or("the victim key is live")?;
+        (live, victim, ptr)
+    };
+
+    // The slot directory entry is `off u16, len u16` at 12 + 4·slot.
+    let short = rng.below(8) as u16;
+    {
+        let io = |e: sks_storage::StorageError| format!("data.sks: {e}");
+        let mut store =
+            PagedFileStore::open(dir.join("data.sks"), 8, OpCounters::new()).map_err(io)?;
+        let mut page = store.read_block_vec(ptr.block()).map_err(io)?;
+        let at = 12 + 4 * ptr.slot() as usize + 2;
+        page[at..at + 2].copy_from_slice(&short.to_be_bytes());
+        store.write_block(ptr.block(), &page).map_err(io)?;
+        store.flush().map_err(io)?;
+    }
+
+    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+        let mut tree = EncipheredBTree::open(mk_config()).map_err(|e| format!("open: {e}"))?;
+        match tree.get(victim) {
+            Err(CoreError::Record(e)) => assert_sealed_error("short slot get", &e)?,
+            other => {
+                return Err(format!(
+                    "a {short}-byte slot read as {:?}",
+                    other.map(|v| v.map(|bytes| bytes.len()))
+                ))
+            }
+        }
+        for key in live.iter().filter(|&&k| k != victim) {
+            if tree.get(*key).ok().flatten() != Some(value(*key)) {
+                return Err(format!("key {key} next to the short slot was lost"));
+            }
+        }
+        match tree.compact_step(64) {
+            Err(CoreError::Record(e)) => assert_sealed_error("short slot sweep", &e),
+            other => Err(format!("the sweep over a {short}-byte slot gave {other:?}")),
+        }
+    }));
+    match outcome {
+        Err(_) => Err(format!(
+            "a {short}-byte slot ({scheme:?}) panicked the stack"
+        )),
+        Ok(r) => r.map_err(|e| format!("{e} ({scheme:?})")),
     }
 }
 

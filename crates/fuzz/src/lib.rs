@@ -17,9 +17,9 @@
 //!   frames across block-size / sync-policy / pipeline configurations.
 //! - [`decoders`]: corrupt-ciphertext fuzzing of every sealed decoder —
 //!   WAL streams, node codecs for every disguise scheme, record-store
-//!   pages, reverse-index chains, tree manifests — asserting the
-//!   fail-closed contract: a clean `Err`, never a panic, and no plaintext
-//!   echoed into error text.
+//!   pages (including slots shorter than their sealed key), tree
+//!   manifests — asserting the fail-closed contract: a clean `Err`, never
+//!   a panic, and no plaintext echoed into error text.
 
 pub mod decoders;
 pub mod model;

@@ -35,8 +35,8 @@ proptest! {
     // through `SKS_TEST_BACKEND`.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Record store, reverse index and manifest decoders fail closed when
-    /// any tree file is corrupted.
+    /// Record store and manifest decoders fail closed when any tree file
+    /// is corrupted.
     #[test]
     fn tree_directory_decoders_fail_closed(seed in 0u64..1_000_000) {
         if let Err(e) = decoders::run_tree_dir_case(seed) {

@@ -334,8 +334,9 @@ pub enum Stage {
     /// Waiting for a free swap buffer in the double-buffered WAL writer
     /// (back-pressure from the in-flight write/fsync of the other buffer).
     WalSwap,
-    /// Persisting the reverse index (delta segment or full rewrite) at
-    /// flush/checkpoint time.
+    /// Never recorded: the engine has no index to flush since records
+    /// carry their key. Kept only because the frozen benchmark harness
+    /// (`sks_bench/src/metrics.rs`) names it.
     IndexFlush,
     /// Applying one grouped replay batch through the bulk-fill path
     /// during recovery.

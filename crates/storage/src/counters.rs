@@ -98,15 +98,11 @@ counters! {
     /// (the device physically shrinks; on the file backend the store
     /// file is cut at the new high-water mark).
     device_truncated_blocks,
-    /// Compaction passes that could not trust the persistent reverse
-    /// index and had to rebuild it with a full tree scan. Stays 0 on the
-    /// keyed hot path — the pin for the O(victims) claim.
-    compact_index_fallbacks,
     /// Orphaned record copies tombstoned by maintenance (both the
-    /// move-then-discover path inside `compact_step` and the
-    /// reverse-index sweep against the tree).
+    /// move-then-discover path inside `compact_step` and the orphan
+    /// sweep against the tree).
     compact_orphans_collected,
-    /// Reverse-index slots examined by the orphan sweep (the sweep's
+    /// Live record slots examined by the orphan sweep (the sweep's
     /// bounded work, reported so `stats()` can show sweep progress).
     compact_sweep_slots,
     /// Cipher-block (or RSA-block) encryptions of *search-key* material.
@@ -159,15 +155,6 @@ counters! {
     /// charged per triplet — logical encrypts minus this is the number of
     /// physical seals).
     triplet_seals_reused,
-    /// Reverse-index persists that wrote only the changed block entries
-    /// as a delta segment prepended to the existing chain.
-    index_delta_flushes,
-    /// Reverse-index persists that rewrote the whole chain (periodic
-    /// rewrite, first persist, or delta ineligibility).
-    index_full_flushes,
-    /// Encrypted index-chain payload bytes written by reverse-index
-    /// persists — the O(changed) vs O(live) evidence.
-    index_flush_bytes,
     /// Replay groups applied through the bulk-fill path during recovery
     /// (each covers a contiguous run of records for one partition).
     replay_batches,

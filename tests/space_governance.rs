@@ -1,19 +1,21 @@
 //! Space & memory governance, proven by a fault-injection test layer:
 //!
-//! * crash probes — [`FailStore`] kills the stack mid reverse-index
-//!   update, mid node-relocation and mid deadest-first compaction pass
-//!   (plus a seeded kill-point sweep); every reopen recovers to a
-//!   consistent image;
-//! * the persistent reverse index ≡ the map a full tree scan rebuilds,
-//!   under arbitrary insert/delete/compact/reopen churn, on both
-//!   backends (`SKS_TEST_BACKEND` matrix);
+//! * crash probes — [`FailStore`] kills the stack at and around the
+//!   data device's checkpoint, between the two device checkpoints, mid
+//!   node-relocation and mid deadest-first compaction pass (plus a
+//!   seeded kill-point sweep); every reopen recovers to a consistent
+//!   image, and after a drain the data store holds exactly one live
+//!   record slot per tree key;
+//! * the same slot ≡ key invariant under arbitrary
+//!   insert/delete/compact/reopen/crash churn, on both backends
+//!   (`SKS_TEST_BACKEND` matrix);
 //! * the compaction report counts victims freed through the tombstone
 //!   fast path (the PR 4 under-count regression);
 //! * sustained churn + shrink-to-10% keeps `nodes.sks` + `data.sks`
-//!   within 2× a fresh build of the live set, with zero reverse-map
-//!   full-scan rebuilds on the hot path;
+//!   within 2× a fresh build of the live set;
 //! * every logical counter reads identically with governance on vs off,
-//!   for every measured scheme.
+//!   for every measured scheme;
+//! * a data store of an older format version is refused at open.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,8 +23,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sks_btree::core::{EncipheredBTree, Scheme, SchemeConfig};
-use sks_btree::storage::{FailMode, FailPlan, FailStore, OpCounters, PagedFileStore};
+use sks_btree::core::{CoreError, EncipheredBTree, Scheme, SchemeConfig};
+use sks_btree::storage::{
+    BlockId, BlockStore, FailMode, FailPlan, FailStore, OpCounters, PagedFileStore,
+};
 
 const BLOCK: usize = 512;
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -48,18 +52,25 @@ fn rec(k: u64) -> Vec<u8> {
     format!("space-governance-record-{k:06}-{}", "x".repeat(64)).into_bytes()
 }
 
-/// The reverse index a full tree scan would rebuild, in snapshot shape.
-fn scan_index(tree: &EncipheredBTree) -> Vec<(u32, u16, u64)> {
-    let mut rows: Vec<(u32, u16, u64)> = tree
-        .tree()
-        .iter_range(0, u64::MAX)
-        .map(|item| {
-            let (k, ptr) = item.unwrap();
-            (ptr.block().as_u32(), ptr.slot(), k)
-        })
-        .collect();
-    rows.sort_unstable();
-    rows
+/// Compacts until two passes in a row free and collect nothing. Each
+/// pass's orphan-sweep budget covers every live slot these tests create,
+/// so two idle passes include one whole sweep round from the start of the
+/// store: every orphan is gone, and every live slot is a tree key's.
+fn drain(tree: &mut EncipheredBTree) {
+    let mut idle = 0;
+    while idle < 2 {
+        let r = tree.compact_step(1_000).unwrap();
+        idle = if r.freed_blocks == 0 && r.orphans_collected == 0 {
+            idle + 1
+        } else {
+            0
+        };
+    }
+    assert_eq!(
+        tree.live_record_slots().unwrap(),
+        tree.len(),
+        "a drained store holds one live slot per key"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -126,13 +137,9 @@ fn assert_consistent(tree: &mut EncipheredBTree, model: &std::collections::BTree
         assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v), "key {k}");
     }
     assert_eq!(tree.len(), model.len() as u64);
-    // The reverse index the reopen loaded (or will rebuild) must agree
-    // with the tree itself.
-    if tree.reverse_index_complete() {
-        assert_eq!(tree.reverse_index_snapshot(), scan_index(tree));
-    }
-    // And compaction still works after the crash.
-    while tree.compact_step(64).unwrap().freed_blocks > 0 {}
+    // Compaction still works after the crash, and reclaims whatever
+    // orphans it left.
+    drain(tree);
     tree.compact_nodes(1_000).unwrap();
     tree.validate().unwrap();
     for (k, v) in model {
@@ -144,30 +151,25 @@ fn assert_consistent(tree: &mut EncipheredBTree, model: &std::collections::BTree
     }
 }
 
-/// Kill mid reverse-index update: the fault fires inside the sealed
-/// index-chain rewrite that `flush` runs, after a committed checkpoint.
+/// Kill at the data device's checkpoint — the first step of `flush` —
+/// after a committed checkpoint: neither device commits the epoch.
 #[test]
-fn crash_mid_reverse_index_update_recovers() {
-    let (rig, mut tree) = ProbeRig::create("rindex_crash");
+fn crash_at_data_device_checkpoint_recovers() {
+    let (rig, mut tree) = ProbeRig::create("data_flush_crash");
     let mut model = std::collections::BTreeMap::new();
     for k in 0..300u64 {
         tree.insert(k, rec(k)).unwrap();
         model.insert(k, rec(k));
     }
-    tree.flush().unwrap(); // committed image A, index chain included
+    tree.flush().unwrap(); // committed image A
     for k in 300..400u64 {
         tree.insert(k, rec(k)).unwrap();
     }
-    // Fail an early write of the *data* device during the next flush —
-    // the index chain rewrite is among the first things it does.
-    rig.data_plan.arm_nth_write(1, FailMode::Error);
+    rig.data_plan.arm_nth_flush(1);
     assert!(tree.flush().is_err(), "injected fault must surface");
     drop(tree); // the kill: buffered epoch discarded
     let mut tree = rig.reopen();
-    assert!(
-        tree.reverse_index_complete(),
-        "image A's persisted index is trusted after the crash"
-    );
+    assert_eq!(tree.live_record_slots().unwrap(), 300, "image A's records");
     assert_consistent(&mut tree, &model);
     rig.cleanup();
 }
@@ -284,7 +286,7 @@ fn seeded_kill_point_sweep_recovers_everywhere() {
 }
 
 // ---------------------------------------------------------------------
-// Reverse index ≡ full tree scan (backend matrix proptest)
+// Live record slots ≡ tree keys (backend matrix proptests)
 // ---------------------------------------------------------------------
 
 /// Which backend the matrix axis selects (`SKS_TEST_BACKEND=memory|file`;
@@ -299,10 +301,13 @@ fn file_backend() -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+    /// Without crashes nothing ever leaves an orphan, so the accounting
+    /// holds one live slot per key at every checkpoint and clean reopen
+    /// (rebuilt there from the slot directories), not only after a drain.
     #[test]
-    fn prop_reverse_index_equals_tree_scan_under_churn(seed in any::<u64>()) {
+    fn prop_live_record_slots_equal_len_under_churn(seed in any::<u64>()) {
         let on_disk = file_backend();
-        let dir = tmpdir(&format!("rindex_prop_{seed}"));
+        let dir = tmpdir(&format!("slots_prop_{seed}"));
         let mut cfg = config(2_048);
         if on_disk {
             cfg = cfg.on_disk(&dir);
@@ -328,6 +333,7 @@ proptest! {
                 _ => {
                     let r = tree.compact_step(rng.gen_range(1..16)).unwrap();
                     prop_assert_eq!(r.orphaned_records, 0);
+                    prop_assert_eq!(r.orphans_collected, 0);
                     tree.compact_nodes(8).unwrap();
                 }
             }
@@ -336,17 +342,11 @@ proptest! {
                 tree.flush().unwrap();
                 drop(tree);
                 tree = EncipheredBTree::open(cfg.clone()).unwrap();
-                prop_assert!(
-                    tree.reverse_index_complete(),
-                    "clean reopen must trust the persisted index"
-                );
+                prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
             }
         }
-        // The incrementally-maintained index ≡ the scan-rebuilt map.
-        prop_assert!(tree.reverse_index_complete());
-        prop_assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
-        // All-keyed churn: the O(dataset) fallback never ran.
-        prop_assert_eq!(tree.snapshot().compact_index_fallbacks, 0);
+        prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
+        drain(&mut tree);
         for (k, v) in &model {
             prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
         }
@@ -355,21 +355,15 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Delta-encoded index persistence: equivalence + crash probes
-// ---------------------------------------------------------------------
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// The delta-persisted reverse index ≡ the map a full tree scan
-    /// rebuilds, under arbitrary churn, checkpoints, crashes (reopen to
-    /// the last committed epoch) and clean reopens, on both backends —
-    /// full rewrites and delta segments interleaved — and zero O(dataset)
-    /// fallbacks throughout.
+    /// Live record slots ≡ tree keys after a drain, under arbitrary
+    /// churn, checkpoints, crashes (reopen to the last committed image)
+    /// and clean reopens, on both backends.
     #[test]
-    fn prop_delta_persisted_index_equals_scan_under_crashes(seed in any::<u64>()) {
+    fn prop_live_record_slots_equal_len_after_drain_under_crashes(seed in any::<u64>()) {
         let on_disk = file_backend();
-        let dir = tmpdir(&format!("delta_prop_{seed}"));
+        let dir = tmpdir(&format!("crash_prop_{seed}"));
         let mut cfg = config(2_048);
         if on_disk {
             cfg = cfg.on_disk(&dir);
@@ -400,53 +394,23 @@ proptest! {
                 }
             }
             if on_disk && rng.gen_bool(0.03) {
-                // Checkpoint: the epoch — and its delta segment or
-                // periodic full rewrite — commits.
+                // Checkpoint, sometimes followed by a clean reopen.
                 tree.flush().unwrap();
                 committed = model.clone();
                 if rng.gen_bool(0.5) {
                     drop(tree);
                     tree = EncipheredBTree::open(cfg.clone()).unwrap();
-                    prop_assert!(
-                        tree.reverse_index_complete(),
-                        "clean reopen must trust the persisted chain"
-                    );
                 }
             } else if on_disk && rng.gen_bool(0.01) {
                 // Crash: the buffered epoch dies; the reopen serves the
-                // last committed image through its committed chain.
+                // last committed image.
                 drop(tree);
                 tree = EncipheredBTree::open(cfg.clone()).unwrap();
-                prop_assert!(
-                    tree.reverse_index_complete(),
-                    "crash reopen must trust the committed chain"
-                );
                 model = committed.clone();
             }
         }
-        // Force one observable delta epoch: settle pending state, then
-        // two small churn+persist rounds. Whatever the period counter
-        // says, at most one of them can be a forced full rewrite (which
-        // resets the period), so at least one must ride the delta path.
-        tree.flush().unwrap();
-        for round in 0..2u64 {
-            for k in 0..5u64 {
-                let key = 1_500 + round * 10 + k;
-                tree.insert(key, rec(key)).unwrap();
-                model.insert(key, rec(key));
-            }
-            tree.flush().unwrap();
-        }
-        prop_assert!(
-            tree.snapshot().index_delta_flushes >= 1,
-            "a small epoch must persist as a delta segment: {:?}",
-            tree.snapshot()
-        );
-        // The delta-reassembled index ≡ the scan-rebuilt map.
-        prop_assert!(tree.reverse_index_complete());
-        prop_assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
-        // All-keyed maintenance: the O(dataset) fallback never ran.
-        prop_assert_eq!(tree.snapshot().compact_index_fallbacks, 0);
+        drain(&mut tree);
+        prop_assert_eq!(tree.len(), model.len() as u64);
         for (k, v) in &model {
             prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
         }
@@ -455,50 +419,10 @@ proptest! {
     }
 }
 
-/// The periodic full rewrite, deterministically: after a whole-chain
-/// rewrite, sixteen consecutive small epochs each persist as a delta
-/// segment, the seventeenth rewrites the whole chain again, and a clean
-/// reopen trusts the result.
-#[test]
-fn delta_chain_is_rewritten_whole_after_sixteen_segments() {
-    let dir = tmpdir("delta_period");
-    let cfg = config(4_096).on_disk(&dir);
-    let items: Vec<(u64, Vec<u8>)> = (0..2_000u64).map(|k| (k, rec(k))).collect();
-    let mut tree = EncipheredBTree::bulk_create(cfg.clone(), &items).unwrap();
-    tree.flush().unwrap(); // the first persist writes the whole chain
-    let flushes = |tree: &EncipheredBTree| {
-        let s = tree.snapshot();
-        (s.index_delta_flushes, s.index_full_flushes)
-    };
-    let (deltas, fulls) = flushes(&tree);
-    for epoch in 1..=17u64 {
-        let key = 2_000 + epoch;
-        tree.insert(key, rec(key)).unwrap();
-        tree.flush().unwrap();
-        let want = if epoch <= 16 {
-            (deltas + epoch, fulls)
-        } else {
-            (deltas + 16, fulls + 1)
-        };
-        assert_eq!(flushes(&tree), want, "epoch {epoch}: (delta, full)");
-    }
-    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
-    drop(tree);
-    let tree = EncipheredBTree::open(cfg).unwrap();
-    assert!(
-        tree.reverse_index_complete(),
-        "a clean reopen must trust the rewritten chain"
-    );
-    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
-    assert_eq!(tree.len(), 2_017);
-    drop(tree);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Builds a probe rig whose committed image B ends in a *delta* epoch
-/// (proven by the counter), with a further uncommitted churn pending —
-/// the setup both delta crash probes share.
-fn delta_rig(
+/// Builds a probe rig whose committed image B ends in a small epoch on
+/// top of image A, with a further uncommitted batch of inserts pending —
+/// the setup both two-epoch crash probes share.
+fn two_epoch_rig(
     name: &str,
 ) -> (
     ProbeRig,
@@ -511,65 +435,66 @@ fn delta_rig(
         tree.insert(k, rec(k)).unwrap();
         model.insert(k, rec(k));
     }
-    tree.flush().unwrap(); // image A: the full index rewrite
+    tree.flush().unwrap(); // image A
     for k in 300..320u64 {
         tree.insert(k, rec(k)).unwrap();
         model.insert(k, rec(k));
     }
     tree.flush().unwrap(); // image B: a small epoch
-    assert!(
-        tree.snapshot().index_delta_flushes >= 1,
-        "image B's small epoch must persist as a delta segment"
-    );
-    // The doomed epoch: churn that only ever lives in the buffer.
+                           // The doomed epoch: records that never reach a committed tree.
     for k in 320..340u64 {
         tree.insert(k, rec(k)).unwrap();
-    }
-    for k in 0..10u64 {
-        tree.delete(k).unwrap();
     }
     (rig, tree, model)
 }
 
-/// Kill mid delta-chain flush: the fault fires on a data-device write
-/// while the doomed epoch's pages — its delta segment among them — are
-/// going down. The reopen trusts image B's committed chain (full image
-/// plus delta segment) and serves exactly image B.
+/// Kill just past the data device's checkpoint: the doomed epoch's
+/// records commit on the data device, then the node checkpoint dies. The
+/// reopened tree is image B; the committed records are orphans in fresh
+/// blocks with no tombstone, so no victim pass would ever pick them — the
+/// orphan sweep must collect them.
 #[test]
-fn crash_mid_delta_chain_flush_recovers() {
-    let (rig, mut tree, model) = delta_rig("delta_write_crash");
-    rig.data_plan.arm_nth_write(1, FailMode::Error);
-    assert!(tree.flush().is_err(), "injected fault must surface");
-    drop(tree); // the kill: buffered epoch discarded
+fn crash_after_data_device_checkpoint_leaves_orphans_the_sweep_collects() {
+    let (rig, mut tree, model) = two_epoch_rig("data_ahead_crash");
+    rig.node_plan.arm_nth_flush(1);
+    assert!(tree.flush().is_err(), "node checkpoint must fail");
+    drop(tree);
     let mut tree = rig.reopen();
-    assert!(
-        tree.reverse_index_complete(),
-        "image B's full+delta chain is trusted after the crash"
+    assert_eq!(tree.len(), 320, "image B's tree");
+    assert_eq!(
+        tree.live_record_slots().unwrap(),
+        340,
+        "the data device committed the doomed epoch"
     );
-    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
+    assert_eq!(tree.pending_tombstones().unwrap(), 0, "no victim to pick");
+    // Each pass sweeps 64 slots, so twenty passes cover the store more
+    // than once.
+    let collected: u64 = (0..20)
+        .map(|_| tree.compact_step(16).unwrap().orphans_collected)
+        .sum();
+    assert_eq!(collected, 20, "every orphan is found by the sweep");
     assert_consistent(&mut tree, &model);
     rig.cleanup();
 }
 
-/// Kill between the delta flush and the epoch stamp: every page write of
-/// the doomed epoch lands, but the data device's commit — the journal
-/// flush that stamps the epoch — dies. The reopen must serve image B as
-/// if the delta flush never happened, and the next epoch must commit
-/// cleanly on the recovered chain.
+/// Kill at the data device's checkpoint after a small epoch, with deletes
+/// and a compaction pass in the doomed epoch: the reopen must serve image
+/// B as if the doomed epoch never happened, and the next epoch must
+/// commit cleanly on top of it.
 #[test]
-fn crash_between_delta_flush_and_epoch_stamp_recovers() {
-    let (rig, mut tree, mut model) = delta_rig("delta_stamp_crash");
+fn crash_at_data_device_checkpoint_after_a_small_epoch_recovers() {
+    let (rig, mut tree, mut model) = two_epoch_rig("small_epoch_crash");
+    for k in 0..40u64 {
+        tree.delete(k).unwrap();
+    }
+    assert!(tree.compact_step(64).unwrap().freed_blocks > 0);
     rig.data_plan.arm_nth_flush(1);
-    assert!(tree.flush().is_err(), "the epoch stamp must fail");
+    assert!(tree.flush().is_err(), "the data checkpoint must fail");
     drop(tree);
     let mut tree = rig.reopen();
-    assert!(
-        tree.reverse_index_complete(),
-        "the unstamped delta pages must not shadow image B's chain"
-    );
-    assert_eq!(tree.reverse_index_snapshot(), scan_index(&tree));
+    assert_eq!(tree.live_record_slots().unwrap(), 320, "image B's records");
     assert_consistent(&mut tree, &model);
-    // The next epoch commits cleanly on top of the recovered chain.
+    // The next epoch commits cleanly on top of the recovered image.
     for k in 400..410u64 {
         tree.insert(k, rec(k)).unwrap();
         model.insert(k, rec(k));
@@ -696,8 +621,8 @@ proptest! {
                 break;
             }
         }
-        // O(victims) held throughout: the full-scan fallback never ran.
-        prop_assert_eq!(tree.snapshot().compact_index_fallbacks, 0);
+        // No orphan ever appeared: one live record slot per key.
+        prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
         for &k in &live {
             prop_assert_eq!(tree.get(k).unwrap().unwrap(), rec(k));
         }
@@ -787,11 +712,11 @@ fn governance_preserves_logical_counters_exactly() {
 }
 
 /// The cross-device window the flush protocol closes: after a compaction
-/// pass, the data device commits (copies + index, victims still
-/// allocated) and then the *node* checkpoint dies. The reopened stack
-/// reads every committed record through its old pointers — the victims'
-/// content is intact because quarantined reclaims are never freed before
-/// the node device commits.
+/// pass, the data device commits (copies, victims still allocated) and
+/// then the *node* checkpoint dies. The reopened stack reads every
+/// committed record through its old pointers — the victims' content is
+/// intact because quarantined reclaims are never freed before the node
+/// device commits — and the copies are orphans the next drain collects.
 #[test]
 fn crash_between_device_checkpoints_after_compaction_keeps_reads_safe() {
     let (rig, mut tree) = ProbeRig::create("cross_device");
@@ -813,17 +738,24 @@ fn crash_between_device_checkpoints_after_compaction_keeps_reads_safe() {
     assert!(tree.flush().is_err(), "node checkpoint must fail");
     drop(tree);
     let mut tree = rig.reopen();
+    assert_eq!(
+        tree.live_record_slots().unwrap(),
+        tree.len() + r.moved_records,
+        "each moved record left a committed orphan copy"
+    );
     // Old pointers, intact victims: every committed read is correct.
     assert_consistent(&mut tree, &model);
     rig.cleanup();
 }
 
 /// The leak window after both devices committed but before the deferred
-/// frees did: the quarantined victims are exactly the allocated blocks
-/// the committed index does not describe, and the next trusted open
-/// reclaims them.
+/// frees did: nothing frees a block on open, but the quarantined victims
+/// are still allocated with their tombstones, so their dead ratio still
+/// qualifies them, and their live slots are orphans (the tree points at
+/// the copies). The first compaction pass after reopen collects those
+/// orphans and reclaims the victims.
 #[test]
-fn leaked_quarantine_blocks_are_reclaimed_on_reopen() {
+fn leaked_quarantine_blocks_are_reclaimed_by_the_first_pass_after_reopen() {
     let (rig, mut tree) = ProbeRig::create("leak_reclaim");
     let mut model = std::collections::BTreeMap::new();
     for k in 0..300u64 {
@@ -837,17 +769,26 @@ fn leaked_quarantine_blocks_are_reclaimed_on_reopen() {
     tree.flush().unwrap();
     let r = tree.compact_step(1_000).unwrap();
     assert!(r.freed_blocks > 0);
-    // Data flush #1 (copies + index) and the node flush succeed; data
-    // flush #2 — the one that commits the quarantined frees — dies.
+    // Data flush #1 (copies) and the node flush succeed; data flush #2 —
+    // the one that commits the quarantined frees — dies.
     rig.data_plan.arm_nth_flush(2);
     assert!(tree.flush().is_err(), "free-commit flush must fail");
     drop(tree);
     let mut tree = rig.reopen();
-    assert!(tree.reverse_index_complete(), "index trusted after crash");
+    let first = tree.compact_step(1_000).unwrap();
+    assert!(
+        first.freed_blocks >= r.freed_blocks,
+        "the first pass reclaims the leaked victims: {first:?} vs {r:?}"
+    );
+    assert_eq!(
+        first.orphans_collected, r.moved_records,
+        "the victims' live slots were orphans"
+    );
+    tree.flush().unwrap(); // commit the reclaims
     let (_, free) = tree.data_block_usage();
     assert!(
         free as u64 >= r.freed_blocks,
-        "reopen reconciled the leaked victims: {free} free vs {} quarantined",
+        "{free} free vs {} leaked",
         r.freed_blocks
     );
     assert_consistent(&mut tree, &model);
@@ -860,8 +801,44 @@ fn leaked_quarantine_blocks_are_reclaimed_on_reopen() {
     let (total_after, _) = tree.data_block_usage();
     assert!(
         total_after <= total_before + 2,
-        "reinserts must reuse reconciled blocks: {total_before} -> {total_after}"
+        "reinserts must reuse reclaimed blocks: {total_before} -> {total_after}"
     );
     assert_consistent(&mut tree, &model);
     rig.cleanup();
+}
+
+/// A data store written before records carried their key (format version
+/// 2) is refused at open, fail-closed: a typed error naming the version,
+/// and the file left exactly as it was.
+#[test]
+fn open_refuses_a_version_2_store() {
+    let dir = tmpdir("v2_store");
+    let cfg = config(256).on_disk(&dir);
+    {
+        let mut tree = EncipheredBTree::create(cfg.clone()).unwrap();
+        for k in 0..20u64 {
+            tree.insert(k, rec(k)).unwrap();
+        }
+        tree.flush().unwrap();
+    }
+    let data = dir.join("data.sks");
+    {
+        let mut store = PagedFileStore::open(&data, 8, OpCounters::new()).unwrap();
+        let mut superblock = store.read_block_vec(BlockId(0)).unwrap();
+        assert_eq!(&superblock[0..8], b"SKSRECS1");
+        superblock[8..12].copy_from_slice(&2u32.to_be_bytes());
+        store.write_block(BlockId(0), &superblock).unwrap();
+        store.flush().unwrap();
+    }
+    let before = std::fs::read(&data).unwrap();
+    match EncipheredBTree::open(cfg) {
+        Err(CoreError::Record(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+        other => panic!("a version-2 store must be refused, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read(&data).unwrap(),
+        before,
+        "refusal wrote nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -182,36 +182,12 @@ pub struct SchemeConfig {
     /// eviction; the medium still holds only enciphered bytes. `0`
     /// disables the cache.
     pub node_cache: usize,
-    /// Dirty-page high-water mark per tree partition (file backend): when
-    /// a mutation leaves more dirty pages than this buffered in the
-    /// no-steal pool, the engine kicks a background checkpoint so memory
-    /// stays bounded under sustained writes. `0` disables the trigger;
-    /// standalone (non-engine) trees ignore it.
-    pub dirty_high_water: usize,
     /// Capacity (in records) of the decoded-record LRU above the data
     /// blocks' CTR unseal: repeated `get`s of a hot record pay zero
     /// *physical* unseals while the logical `data_decrypts` counter keeps
     /// reporting the paper's per-get cost. Entries are RAM-only,
     /// invalidated on delete/compaction, zeroized on drop. `0` disables.
     pub record_cache: usize,
-    /// Record-store compaction budget: how many tombstoned data blocks
-    /// each checkpoint may rewrite per partition
-    /// ([`crate::EncipheredBTree::compact_step`]); live records move into
-    /// fresh blocks and dead blocks return to the storage free list, so
-    /// delete-heavy workloads stop leaking space. Victims are chosen
-    /// dead-ratio first, and the same budget bounds the checkpoint's
-    /// node-device sliding pass
-    /// ([`crate::EncipheredBTree::compact_nodes`]). `0` disables online
-    /// compaction.
-    pub compaction: usize,
-    /// Process-wide dirty-page budget across *all* engine partitions
-    /// (file backend): when the sum of every partition's pinned dirty set
-    /// exceeds this, the engine flushes the dirtiest partition in the
-    /// background, bounding total checkpoint-buffered RAM for the whole
-    /// process (the per-partition [`SchemeConfig::dirty_high_water`]
-    /// trigger still applies independently). `0` disables the global
-    /// budget; standalone trees ignore it.
-    pub global_dirty_budget: usize,
     /// Physical observability level (see [`sks_storage::ObsLevel`]):
     /// `Off` strips every probe to a `None` check, `Counters` (default)
     /// keeps counting plus rare flight-recorder events, `Histograms` adds
@@ -239,10 +215,7 @@ impl SchemeConfig {
             partitions: 1,
             backend: StorageBackend::Memory,
             node_cache: Self::DEFAULT_NODE_CACHE,
-            dirty_high_water: 0,
             record_cache: Self::DEFAULT_RECORD_CACHE,
-            compaction: Self::DEFAULT_COMPACTION,
-            global_dirty_budget: 0,
             observability: sks_storage::ObsLevel::Counters,
         }
     }
@@ -269,10 +242,7 @@ impl SchemeConfig {
             partitions: 1,
             backend: StorageBackend::Memory,
             node_cache: Self::DEFAULT_NODE_CACHE,
-            dirty_high_water: 0,
             record_cache: Self::DEFAULT_RECORD_CACHE,
-            compaction: Self::DEFAULT_COMPACTION,
-            global_dirty_budget: 0,
             observability: sks_storage::ObsLevel::Counters,
         }
     }
@@ -284,11 +254,6 @@ impl SchemeConfig {
     /// Default decoded-record cache capacity (records).
     pub const DEFAULT_RECORD_CACHE: usize = 1024;
 
-    /// Default per-checkpoint compaction budget (data blocks per
-    /// partition). Small enough that a checkpoint's latency stays bounded,
-    /// large enough that sustained delete churn converges.
-    pub const DEFAULT_COMPACTION: usize = 32;
-
     /// Builder-style node-cache knob (capacity in nodes; 0 disables).
     pub fn node_cache(mut self, capacity: usize) -> Self {
         self.node_cache = capacity;
@@ -298,27 +263,6 @@ impl SchemeConfig {
     /// Builder-style record-cache knob (capacity in records; 0 disables).
     pub fn record_cache(mut self, capacity: usize) -> Self {
         self.record_cache = capacity;
-        self
-    }
-
-    /// Builder-style compaction knob (tombstoned data blocks rewritten per
-    /// checkpoint per partition; 0 disables online compaction).
-    pub fn compaction(mut self, blocks_per_checkpoint: usize) -> Self {
-        self.compaction = blocks_per_checkpoint;
-        self
-    }
-
-    /// Builder-style dirty high-water knob (dirty pages per partition; 0
-    /// disables the automatic background checkpoint).
-    pub fn dirty_high_water(mut self, pages: usize) -> Self {
-        self.dirty_high_water = pages;
-        self
-    }
-
-    /// Builder-style process-wide dirty budget (dirty pages summed across
-    /// all engine partitions; 0 disables the global trigger).
-    pub fn global_dirty_budget(mut self, pages: usize) -> Self {
-        self.global_dirty_budget = pages;
         self
     }
 

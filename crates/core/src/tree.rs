@@ -621,8 +621,8 @@ impl EncipheredBTree {
 
     /// Dirty pages currently buffered across both stores (file backend:
     /// the no-steal pool's pinned set awaiting the next checkpoint; 0 for
-    /// unbuffered backends). The engine's dirty high-water trigger watches
-    /// this.
+    /// unbuffered backends). The engine reports it per partition in its
+    /// stats.
     pub fn dirty_pages(&self) -> usize {
         self.tree.store().dirty_pages() + self.records.store().dirty_pages()
     }

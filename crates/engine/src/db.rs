@@ -30,13 +30,14 @@
 //! isolation model.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 
-use sks_core::{CompactionReport, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend};
+use sks_core::{
+    CompactionReport, CoreError, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend,
+};
 use sks_storage::{
-    Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy,
-    NO_PARTITION,
+    wipe, Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage,
+    SyncPolicy, NO_PARTITION,
 };
 
 use crate::error::EngineError;
@@ -139,15 +140,8 @@ impl Router {
     }
 }
 
-/// What the single background governance worker should do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AutoJob {
-    /// Full fuzzy checkpoint (per-partition dirty high-water breach).
-    Checkpoint,
-    /// Flush only the dirtiest partition's pages (process-wide dirty
-    /// budget breach).
-    FlushDirtiest,
-}
+/// One `(key, value)` write of a batch or bulk load.
+type Insert = (u64, Vec<u8>);
 
 /// Per-partition client-op latency histograms. Allocated up front;
 /// recording is lock-free and happens only at `Histograms` and above
@@ -175,6 +169,9 @@ impl OpHist {
 pub struct SksDb {
     partitions: Vec<RwLock<EncipheredBTree>>,
     router: Router,
+    /// Largest value a record slot holds (every partition has the same
+    /// block size), checked at routing time so the WAL never logs it.
+    max_value_len: usize,
     wal: Mutex<Wal>,
     counters: OpCounters,
     /// Per-partition get/put/delete/batch latency histograms.
@@ -191,22 +188,11 @@ pub struct SksDb {
     recovery: RecoveryReport,
     wal_path: PathBuf,
     config: EngineConfig,
-    /// Serialises whole checkpoints against each other (manual and
-    /// background); readers and writers are *not* behind this lock.
+    /// Serialises whole checkpoints against each other; readers and
+    /// writers are *not* behind this lock.
     checkpoint_serial: Mutex<()>,
     /// What the most recent checkpoint's compaction passes reclaimed.
     last_compaction: Mutex<CompactionReport>,
-    /// Handle back to the owning `Arc`, so a dirty high-water breach can
-    /// hand a background thread its own reference to the engine.
-    self_ref: Weak<SksDb>,
-    /// Mutation counter throttling the global-budget probe (the budget is
-    /// a soft bound; probing every mutation would put an O(partitions)
-    /// read-lock sweep on the hot path).
-    governance_tick: AtomicU64,
-    /// At most one background checkpoint in flight.
-    auto_ckpt_running: AtomicBool,
-    auto_ckpt_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    auto_ckpt_error: Mutex<Option<String>>,
     /// Exclusive advisory lock on the database directory, held for the
     /// engine's lifetime. A second engine opening the same directory
     /// would checkpoint over this one's WAL and page stores by path and
@@ -225,6 +211,9 @@ const WAL_BLOCK_SIZE: usize = 4096;
 /// which keeps the steady-state checkpoint proportional to change, not to
 /// database size. [`SksDb::compact`] still drains.
 const COMPACTION_FLOOR_PCT: u8 = 25;
+/// Data blocks (and node moves) each checkpoint's compaction may spend per
+/// partition: bounds checkpoint latency, yet lets delete churn converge.
+const COMPACTION_BUDGET: usize = 32;
 const META_FILE: &str = "engine.sks";
 const LOCK_FILE: &str = "engine.lock";
 const META_MAGIC: &[u8; 8] = b"SKSENGN1";
@@ -472,11 +461,12 @@ impl SksDb {
             meta.write(db_dir)?;
         }
 
-        Ok(Arc::new_cyclic(|self_ref| SksDb {
+        Ok(Arc::new(SksDb {
             op_hist: (0..n).map(|_| OpHist::new()).collect(),
             range_hist: Histogram::new(),
             txn_hist: Histogram::new(),
             txns: TxnManager::new(),
+            max_value_len: partitions[0].max_record_len(),
             partitions: partitions.into_iter().map(RwLock::new).collect(),
             router,
             wal: Mutex::new(wal),
@@ -486,13 +476,30 @@ impl SksDb {
             config,
             checkpoint_serial: Mutex::new(()),
             last_compaction: Mutex::new(CompactionReport::default()),
-            governance_tick: AtomicU64::new(0),
-            self_ref: self_ref.clone(),
-            auto_ckpt_running: AtomicBool::new(false),
-            auto_ckpt_handle: Mutex::new(None),
-            auto_ckpt_error: Mutex::new(None),
             _dir_lock: dir_lock,
         }))
+    }
+
+    /// Routes a write of `value` under `key`: the router's domain check,
+    /// then the record store's length bound, so a write the tree would
+    /// refuse never reaches the log.
+    pub(crate) fn route_insert(&self, key: u64, value: &[u8]) -> Result<usize, EngineError> {
+        let (p, max) = (self.router.partition_of(key)?, self.max_value_len);
+        if value.len() > max {
+            let msg = format!("record of {} bytes exceeds max {max}", value.len());
+            return Err(CoreError::Record(msg).into());
+        }
+        Ok(p)
+    }
+
+    /// Routes every item through [`SksDb::route_insert`] into one group
+    /// per partition, before anything is logged.
+    fn route_groups(&self, items: Vec<Insert>) -> Result<Vec<Vec<Insert>>, EngineError> {
+        let mut groups: Vec<Vec<Insert>> = (0..self.partitions.len()).map(|_| Vec::new()).collect();
+        for (key, value) in items {
+            groups[self.route_insert(key, &value)?].push((key, value));
+        }
+        Ok(groups)
     }
 
     /// A session handle for one logical client. Sessions are cheap clones
@@ -642,15 +649,14 @@ impl SksDb {
     pub fn insert(&self, key: u64, value: Vec<u8>) -> Result<Option<Vec<u8>>, EngineError> {
         let timer = self.counters.obs().start();
         let value_len = value.len() as u64;
-        let p = self.router.partition_of(key)?;
-        let (result, over_high_water) = {
+        let p = self.route_insert(key, &value)?;
+        let result = {
             let mut tree = self.partitions[p].write().expect("partition lock");
             self.log_autocommit(|wal| wal.append_insert(key, &value).map(|_| ()))?;
             let result = tree.insert(key, value)?;
             self.txns.note_commit_with(|| vec![(key, result.clone())]);
-            (result, self.over_high_water(&tree))
+            result
         };
-        self.after_mutation(over_high_water);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].put.record(ns);
@@ -668,11 +674,7 @@ impl SksDb {
     /// same read-committed contract as [`SksDb::range`]. Returns the
     /// number of records written.
     pub fn insert_batch(&self, items: Vec<(u64, Vec<u8>)>) -> Result<usize, EngineError> {
-        let mut groups: Vec<Vec<(u64, Vec<u8>)>> =
-            (0..self.partitions.len()).map(|_| Vec::new()).collect();
-        for (key, value) in items {
-            groups[self.router.partition_of(key)?].push((key, value));
-        }
+        let groups = self.route_groups(items)?;
         let mut written = 0usize;
         for (p, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
@@ -680,7 +682,7 @@ impl SksDb {
             }
             let timer = self.counters.obs().start();
             let count = group.len();
-            let over_high_water = {
+            {
                 let mut tree = self.partitions[p].write().expect("partition lock");
                 self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
                 let mut priors = Vec::with_capacity(group.len());
@@ -688,10 +690,8 @@ impl SksDb {
                     priors.push((key, tree.insert(key, value)?));
                 }
                 self.txns.note_commit(priors);
-                self.over_high_water(&tree)
-            };
+            }
             written += count;
-            self.after_mutation(over_high_water);
             if let Some(t) = timer {
                 let ns = t.elapsed().as_nanos() as u64;
                 self.op_hist[p].batch.record(ns);
@@ -711,7 +711,8 @@ impl SksDb {
     /// uniform fill — instead of one root-to-leaf descent per record.
     ///
     /// Fails closed without touching anything when the keys are not
-    /// strictly ascending or any partition already holds keys. Like
+    /// strictly ascending, a key or value is out of bounds, or any
+    /// partition already holds keys (checked under every write lock). Like
     /// [`SksDb::insert_batch`] the load is not one transaction across
     /// partitions: a crash mid-load replays the partition groups already
     /// committed to the log and loses the rest. Returns the number of
@@ -723,39 +724,36 @@ impl SksDb {
                 w[0].0, w[1].0
             )));
         }
-        for (p, tree) in self.partitions.iter().enumerate() {
-            let len = tree.read().expect("partition lock").len();
-            if len != 0 {
-                return Err(EngineError::Config(format!(
-                    "bulk_load requires an empty database (partition {p} holds {len} keys)"
-                )));
-            }
-        }
         // Hash routing filters the ascending stream into per-partition
         // subsequences, so each group is itself strictly ascending.
-        let mut groups: Vec<Vec<(u64, Vec<u8>)>> =
-            (0..self.partitions.len()).map(|_| Vec::new()).collect();
-        for (key, value) in items {
-            groups[self.router.partition_of(key)?].push((key, value));
+        let groups = self.route_groups(items)?;
+        // Every write lock, in ascending order, before the emptiness
+        // check: no concurrent insert can fill a partition between the
+        // check and the logged load.
+        let mut trees: Vec<_> = self
+            .partitions
+            .iter()
+            .map(|p| p.write().expect("partition lock"))
+            .collect();
+        if let Some((p, tree)) = trees.iter().enumerate().find(|(_, t)| !t.is_empty()) {
+            return Err(EngineError::Config(format!(
+                "bulk_load requires an empty database (partition {p} holds {} keys)",
+                tree.len()
+            )));
         }
         let mut written = 0usize;
-        for (p, group) in groups.into_iter().enumerate() {
+        for ((p, group), tree) in groups.into_iter().enumerate().zip(&mut trees) {
             if group.is_empty() {
                 continue;
             }
             let timer = self.counters.obs().start();
             let count = group.len();
-            let over_high_water = {
-                let mut tree = self.partitions[p].write().expect("partition lock");
-                self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
-                tree.bulk_load(&group)?;
-                // Loaded into an empty tree: every prior is `None`.
-                self.txns
-                    .note_commit_with(|| group.iter().map(|&(k, _)| (k, None)).collect());
-                self.over_high_water(&tree)
-            };
+            self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
+            tree.bulk_load(&group)?;
+            // Loaded into an empty tree: every prior is `None`.
+            self.txns
+                .note_commit_with(|| group.iter().map(|&(k, _)| (k, None)).collect());
             written += count;
-            self.after_mutation(over_high_water);
             if let Some(t) = timer {
                 let ns = t.elapsed().as_nanos() as u64;
                 self.op_hist[p].batch.record(ns);
@@ -771,14 +769,13 @@ impl SksDb {
     pub fn delete(&self, key: u64) -> Result<Option<Vec<u8>>, EngineError> {
         let timer = self.counters.obs().start();
         let p = self.router.partition_of(key)?;
-        let (result, over_high_water) = {
+        let result = {
             let mut tree = self.partitions[p].write().expect("partition lock");
             self.log_autocommit(|wal| wal.append_delete(key).map(|_| ()))?;
             let result = tree.delete(key)?;
             self.txns.note_commit_with(|| vec![(key, result.clone())]);
-            (result, self.over_high_water(&tree))
+            result
         };
-        self.after_mutation(over_high_water);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].delete.record(ns);
@@ -934,9 +931,10 @@ impl SksDb {
             by_part.entry(p).or_default().push((key, value));
         }
         let parts = by_part.len();
-        let mut guards: Vec<(usize, std::sync::RwLockWriteGuard<'_, EncipheredBTree>)> = by_part
-            .keys()
-            .map(|&p| (p, self.partitions[p].write().expect("partition lock")))
+        // Each locked partition with the number of writes it receives.
+        let mut guards: Vec<_> = by_part
+            .iter()
+            .map(|(&p, g)| (g.len(), self.partitions[p].write().expect("partition lock")))
             .collect();
         // First-committer-wins: any written key committed by someone else
         // after our snapshot aborts us. Under the write locks, so no
@@ -950,6 +948,12 @@ impl SksDb {
                 .find(|(_, g)| g.iter().any(|&(k, _)| k == key))
                 .map(|(&p, _)| p)
                 .unwrap_or(usize::MAX);
+            // Nothing will be written: wipe the values, as an abort does.
+            for (_, value) in by_part.values_mut().flatten() {
+                if let Some(v) = value {
+                    wipe::bytes(v);
+                }
+            }
             self.counters.bump(|c| &c.txn_conflicts);
             self.counters
                 .obs()
@@ -957,54 +961,44 @@ impl SksDb {
             return Err(EngineError::Conflict { key, partition });
         }
         mid();
+        // The values move into the frame's ops and from there into the
+        // trees, in ascending partition order like `guards`.
+        let ops: Vec<WalOp> = by_part
+            .into_values()
+            .flatten()
+            .map(|(key, value)| match value {
+                Some(value) => WalOp::Insert { key, value },
+                None => WalOp::Delete { key },
+            })
+            .collect();
         let ticket = {
             let mut wal = self.wal.lock().expect("wal lock");
-            if keys == 1 {
+            match &ops[..] {
                 // Single-key commit: exactly the autocommit sequence.
-                let (key, value) = &by_part.values().next().expect("one group")[0];
-                match value {
-                    Some(v) => wal.append_insert(*key, v)?,
-                    None => wal.append_delete(*key)?,
-                };
-                wal.commit()?
+                [WalOp::Insert { key, value }] => wal.append_insert(*key, value)?,
+                [WalOp::Delete { key }] => wal.append_delete(*key)?,
+                _ => wal.append_txn(&ops)?,
+            };
+            if parts > 1 {
+                wal.commit_durable()?
             } else {
-                let ops: Vec<WalOp> = by_part
-                    .values()
-                    .flatten()
-                    .map(|(k, v)| match v {
-                        Some(value) => WalOp::Insert {
-                            key: *k,
-                            value: value.clone(),
-                        },
-                        None => WalOp::Delete { key: *k },
-                    })
-                    .collect();
-                wal.append_txn(&ops)?;
-                if parts > 1 {
-                    wal.commit_durable()?
-                } else {
-                    wal.commit()?
-                }
+                wal.commit()?
             }
         };
         self.wait_durable(ticket)?;
         // Apply and collect undo priors, every lock still held.
-        let mut priors = Vec::with_capacity(keys as usize);
-        let mut over = false;
-        for (p, tree) in guards.iter_mut() {
-            let group = by_part.remove(p).expect("group for locked partition");
-            for (key, value) in group {
-                let old = match value {
-                    Some(v) => tree.insert(key, v)?,
-                    None => tree.delete(key)?,
-                };
-                priors.push((key, old));
+        let mut priors = Vec::with_capacity(ops.len());
+        let mut ops = ops.into_iter();
+        for (writes, tree) in guards.iter_mut() {
+            for op in ops.by_ref().take(*writes) {
+                priors.push(match op {
+                    WalOp::Insert { key, value } => (key, tree.insert(key, value)?),
+                    WalOp::Delete { key } => (key, tree.delete(key)?),
+                });
             }
-            over |= self.over_high_water(tree);
         }
         self.txns.note_commit(priors);
         drop(guards);
-        self.after_mutation(over);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.txn_hist.record(ns);
@@ -1014,178 +1008,6 @@ impl SksDb {
                 .note(EventKind::TxnCommit, NO_PARTITION, keys, parts as u64, ns);
         }
         Ok(())
-    }
-
-    /// Whether this partition's buffered dirty set breached the configured
-    /// high-water mark (0 = trigger disabled). Checked while the caller
-    /// still holds the partition lock — the query is a cheap counter read.
-    fn over_high_water(&self, tree: &EncipheredBTree) -> bool {
-        let hw = self.config.scheme.dirty_high_water;
-        hw > 0 && tree.dirty_pages() > hw
-    }
-
-    /// How many mutations pass between probes of the process-wide dirty
-    /// budget. The probe sweeps every partition (a read lock + a pool
-    /// counter each), so it is sampled rather than run per mutation; the
-    /// budget is a soft bound and one sampling interval of drift is
-    /// noise next to the budget itself.
-    const GLOBAL_BUDGET_PROBE_EVERY: u64 = 16;
-
-    /// Post-mutation memory governance, run with no partition lock held:
-    /// a per-partition high-water breach kicks a full background
-    /// checkpoint; otherwise a (sampled) breach of the *process-wide*
-    /// dirty budget kicks a background flush of the dirtiest partition —
-    /// the cheapest action that sheds the most pinned pages.
-    fn after_mutation(&self, over_high_water: bool) {
-        if over_high_water {
-            self.kick_auto(AutoJob::Checkpoint);
-            return;
-        }
-        if self.config.scheme.global_dirty_budget == 0 {
-            return;
-        }
-        let tick = self.governance_tick.fetch_add(1, Ordering::Relaxed);
-        if tick.is_multiple_of(Self::GLOBAL_BUDGET_PROBE_EVERY) && self.over_global_budget() {
-            self.kick_auto(AutoJob::FlushDirtiest);
-        }
-    }
-
-    /// Whether the sum of every partition's pinned dirty set exceeds the
-    /// process-wide budget (0 = disabled). Takes the partition read locks
-    /// one at a time, never while another is held.
-    fn over_global_budget(&self) -> bool {
-        let budget = self.config.scheme.global_dirty_budget;
-        budget > 0 && self.global_dirty_pages() > budget
-    }
-
-    /// Total dirty pages pinned across all partitions.
-    pub fn global_dirty_pages(&self) -> usize {
-        self.dirty_pages_per_partition().iter().sum()
-    }
-
-    /// Flushes (journaled page checkpoint, no WAL cut) partitions in
-    /// dirtiest-first order until the process-wide dirty set is back
-    /// under the configured budget — proportional response instead of
-    /// one flush per breach, so a single governance kick converges even
-    /// when many partitions are dirty at once. With the budget disabled
-    /// (0) a single dirtiest-partition flush runs, preserving the old
-    /// contract for direct callers. Safe without touching the log: pages
-    /// ahead of the WAL replay idempotently. Locks are taken one
-    /// partition at a time, never nested, so foreground traffic only
-    /// ever waits on the one partition currently being flushed.
-    fn flush_dirtiest_partition(&self) -> Result<(), EngineError> {
-        let budget = self.config.scheme.global_dirty_budget;
-        let mut flushed = std::collections::HashSet::new();
-        loop {
-            let dirty = self.dirty_pages_per_partition();
-            if budget > 0 && dirty.iter().sum::<usize>() <= budget {
-                return Ok(());
-            }
-            // Dirtiest first, skipping partitions this sweep already
-            // flushed: a foreground writer may re-dirty one mid-sweep,
-            // and chasing it forever would starve the worker thread.
-            let Some((i, &max)) = dirty
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !flushed.contains(i))
-                .max_by_key(|&(_, &d)| d)
-            else {
-                return Ok(());
-            };
-            if max == 0 {
-                return Ok(());
-            }
-            {
-                let mut guard = self.partitions[i].write().expect("partition lock");
-                guard.flush()?;
-            }
-            flushed.insert(i);
-            if budget == 0 {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Kicks one background governance job (no-op when one is already in
-    /// flight). Called after the partition lock is released so the job
-    /// never waits on its own trigger.
-    fn kick_auto(&self, job: AutoJob) {
-        // The handle-slot mutex is held across the running-flag swap,
-        // the spawn and the parking, so two racing kicks cannot
-        // interleave — without it, a kick could park its own finished
-        // thread over a *running* one and then block joining it.
-        let mut slot = self.auto_ckpt_handle.lock().expect("auto ckpt handle");
-        if self.auto_ckpt_running.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let Some(db) = self.self_ref.upgrade() else {
-            self.auto_ckpt_running.store(false, Ordering::Release);
-            return;
-        };
-        let handle = std::thread::spawn(move || {
-            let timer = db.counters.obs().start();
-            let result = match job {
-                AutoJob::Checkpoint => db.checkpoint(),
-                AutoJob::FlushDirtiest => db.flush_dirtiest_partition(),
-            };
-            db.counters.obs().note(
-                EventKind::AutoWork,
-                NO_PARTITION,
-                job as u64,
-                result.is_err() as u64,
-                timer.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-            if let Err(e) = result {
-                *db.auto_ckpt_error.lock().expect("auto ckpt error slot") = Some(e.to_string());
-            }
-            db.auto_ckpt_running.store(false, Ordering::Release);
-        });
-        // Park the handle, reaping the previous worker — it stored
-        // `running = false` before we won the swap, so its thread is at
-        // (or within an instant of) exit and the join cannot stall.
-        if let Some(prev) = slot.replace(handle) {
-            let _ = prev.join();
-        }
-    }
-
-    /// Blocks until any in-flight background checkpoint has finished.
-    /// Call before dropping the last engine handle when the database
-    /// directory must be immediately reopenable: a background checkpoint
-    /// holds its own reference to the engine, so until it completes the
-    /// directory lock stays held (a racing reopen fails closed with
-    /// "already open" rather than corrupting anything) and any error it
-    /// hits is only observable via
-    /// [`SksDb::take_auto_checkpoint_error`].
-    pub fn wait_for_auto_checkpoint(&self) {
-        loop {
-            let handle = self
-                .auto_ckpt_handle
-                .lock()
-                .expect("auto ckpt handle")
-                .take();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => {
-                    if !self.auto_ckpt_running.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // A kick raced us between swap(true) and parking its
-                    // handle; yield and re-check.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// The first error a background checkpoint hit, if any (sticky until
-    /// read).
-    pub fn take_auto_checkpoint_error(&self) -> Option<String> {
-        self.auto_ckpt_error
-            .lock()
-            .expect("auto ckpt error slot")
-            .take()
     }
 
     /// Which partition `key` routes to (observability; the assignment
@@ -1336,7 +1158,6 @@ impl SksDb {
             // device applies the pass's quarantined frees at once (no
             // cross-device crash window to wait out).
             let flush_timer = self.counters.obs().start();
-            let compaction_budget = self.config.scheme.compaction;
             let handles: Vec<_> = self
                 .partitions
                 .iter()
@@ -1346,8 +1167,8 @@ impl SksDb {
                         // Floored: checkpoint maintenance only rewrites
                         // blocks churn has made worth reclaiming.
                         let mut report =
-                            guard.compact_step_floored(compaction_budget, COMPACTION_FLOOR_PCT)?;
-                        report.absorb(guard.compact_nodes(compaction_budget)?);
+                            guard.compact_step_floored(COMPACTION_BUDGET, COMPACTION_FLOOR_PCT)?;
+                        report.absorb(guard.compact_nodes(COMPACTION_BUDGET)?);
                         guard.flush()?;
                         Ok(report)
                     })
@@ -1405,8 +1226,8 @@ impl SksDb {
     /// budget, under the partition write locks, one partition at a time.
     /// The reclaimed blocks are quarantined until the next checkpoint's
     /// flush protocol commits them (see `EncipheredBTree::flush`);
-    /// calling [`SksDb::checkpoint`] runs this automatically with the
-    /// configured [`SchemeConfig::compaction`] budget.
+    /// [`SksDb::checkpoint`] runs a floored pass of its own with a fixed
+    /// budget of `COMPACTION_BUDGET` (32) blocks.
     pub fn compact(
         &self,
         max_blocks_per_partition: usize,
@@ -1508,26 +1329,6 @@ fn open_wal(
 /// Makes directory-entry mutations (create, rename) durable.
 fn sync_dir(dir: &Path) -> Result<(), EngineError> {
     Ok(sks_storage::sync_dir(dir)?)
-}
-
-impl Drop for SksDb {
-    fn drop(&mut self) {
-        // Reap the parked background-checkpoint worker. When the worker
-        // itself holds the final engine reference, this drop runs *on*
-        // that thread — joining yourself deadlocks, so skip (the thread
-        // is at exit anyway).
-        // Tolerate a poisoned slot: panicking inside drop-during-panic
-        // would abort.
-        let handle = match self.auto_ckpt_handle.get_mut() {
-            Ok(slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        };
-        if let Some(h) = handle {
-            if h.thread().id() != std::thread::current().id() {
-                let _ = h.join();
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for SksDb {

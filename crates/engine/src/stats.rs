@@ -41,8 +41,10 @@ pub struct PartitionStats {
     pub len: u64,
     /// Dirty pages pinned in this partition's buffer pool (file backend).
     pub dirty_pages: usize,
-    /// Latency histograms by op, [`OPS`] order. Empty histograms (op
-    /// never ran, or observability below `Histograms`) have `count == 0`.
+    /// Latency histograms of the per-partition ops — `get`, `put`,
+    /// `delete` and `batch`, in that order (`range` and `txn` are kept
+    /// engine-wide only). Empty histograms (op never ran, or observability
+    /// below `Histograms`) have `count == 0`.
     pub ops: Vec<(&'static str, HistogramSnapshot)>,
 }
 

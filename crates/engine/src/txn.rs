@@ -267,9 +267,9 @@ pub struct Txn {
     db: Arc<SksDb>,
     snapshot: u64,
     /// Buffered writes: key → (its partition, `Some` = insert/overwrite,
-    /// `None` = delete). The partition is routed (and the key's domain
-    /// checked) once, at buffering time — the same one-disguise-per-key
-    /// cost the autocommit path pays.
+    /// `None` = delete). The partition is routed (and the key's domain and
+    /// the value's length checked) once, at buffering time — the same
+    /// one-disguise-per-key cost the autocommit path pays.
     writes: BTreeMap<u64, (usize, Option<Vec<u8>>)>,
     state: TxnState,
 }
@@ -336,10 +336,11 @@ impl Txn {
     }
 
     /// Buffers an insert (or overwrite). Validated against the key
-    /// domain immediately; durable only at [`Txn::commit`].
+    /// domain and the record length bound immediately; durable only at
+    /// [`Txn::commit`].
     pub fn insert(&mut self, key: u64, value: Vec<u8>) -> Result<(), EngineError> {
         self.check_active()?;
-        let p = self.db.partition_of(key)?; // domain check before buffering
+        let p = self.db.route_insert(key, &value)?;
         if let Some((_, Some(old))) = self.writes.insert(key, (p, Some(value))) {
             let mut old = old;
             wipe::bytes(&mut old);

@@ -148,55 +148,6 @@ fn crash_between_flush_and_wal_cut_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sustained writes with a dirty high-water mark: background checkpoints
-/// keep the WAL (and the pinned dirty set) from growing without bound,
-/// and lose nothing.
-#[test]
-fn dirty_high_water_auto_checkpoint_bounds_growth() {
-    let dir = tmpdir("auto_ckpt");
-    let mut cfg = config(&dir, true);
-    // Small pages so a sustained write run really accumulates a dirty
-    // set, and a low mark so the trigger must fire along the way.
-    cfg.scheme.block_size = 512;
-    cfg.scheme = cfg.scheme.dirty_high_water(32);
-    let record = |k: u64| format!("auto-checkpoint-record-{k:06}").into_bytes();
-    {
-        let db = SksDb::open(&dir, cfg.clone()).expect("open");
-        let session = db.session();
-        let mut prev_wal_len = db.wal_len_bytes();
-        let mut saw_cut = false;
-        let mut max_dirty = 0usize;
-        for k in 0..4_000u64 {
-            session.insert(k, record(k)).unwrap();
-            // A background cut is visible as the only way the log ever
-            // shrinks (appends are monotone).
-            let len = db.wal_len_bytes();
-            if len < prev_wal_len {
-                saw_cut = true;
-            }
-            prev_wal_len = len;
-            max_dirty = max_dirty.max(db.dirty_pages_per_partition().iter().sum());
-        }
-        db.wait_for_auto_checkpoint();
-        assert_eq!(db.take_auto_checkpoint_error(), None);
-        assert!(saw_cut, "no background checkpoint ever cut the log");
-        assert!(
-            max_dirty > 32,
-            "workload never breached the high-water mark (max dirty {max_dirty}); \
-             the trigger was not exercised"
-        );
-        db.validate().unwrap();
-    }
-    // Everything survives a reopen.
-    let db = SksDb::open(&dir, cfg).expect("reopen");
-    assert_eq!(db.len(), 4_000);
-    for k in (0..4_000u64).step_by(271) {
-        assert_eq!(db.get(k).unwrap(), Some(record(k)));
-    }
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Readers and writers make progress while *node-device compaction* runs
 /// inside the fuzzy checkpoint: after a shrink-heavy prelude, the
 /// checkpoint's compaction passes must do real sliding work (relocations

@@ -984,7 +984,7 @@ fn checkpoint_runs_record_compaction_and_reclaims_space() {
             .iter()
             .map(|&(total, free)| total - free)
             .sum();
-        // Checkpoints run the configured compaction budget per partition;
+        // Checkpoints run a fixed compaction budget per partition;
         // repeat until the garbage is gone.
         let mut freed = 0u64;
         for _ in 0..32 {

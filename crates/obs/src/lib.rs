@@ -427,8 +427,6 @@ pub enum EventKind {
     /// Orphan sweep inside a compaction pass. `a` = slots examined,
     /// `b` = orphans collected.
     OrphanSweep,
-    /// Background worker fired. `a` = 0 checkpoint, 1 flush-dirtiest.
-    AutoWork,
     /// Recovery began. `a` = WAL blocks on disk.
     RecoveryStart,
     /// One WAL record replayed (FullTrace) — `a` = seq, `b` = bytes.
@@ -466,7 +464,6 @@ impl EventKind {
             EventKind::CheckpointEnd => "checkpoint_end",
             EventKind::Compaction => "compaction",
             EventKind::OrphanSweep => "orphan_sweep",
-            EventKind::AutoWork => "auto_work",
             EventKind::RecoveryStart => "recovery_start",
             EventKind::RecoveryReplay => "recovery_replay",
             EventKind::RecoveryEnd => "recovery_end",

@@ -139,8 +139,7 @@ pub trait BlockStore {
     /// Number of dirty pages buffered in memory awaiting the next flush.
     /// Unbuffered stores (where every write hits the medium) report 0; the
     /// no-steal [`crate::PagedFileStore`] reports its pinned dirty set,
-    /// which is what an engine's dirty high-water checkpoint trigger
-    /// watches.
+    /// which only its next flush releases.
     fn dirty_pages(&self) -> usize {
         0
     }

@@ -1,5 +1,5 @@
-//! SIGKILL probe for space governance: `write` churns forever with
-//! dead-ratio compaction + node shrinking + the global dirty budget on; `check`
+//! SIGKILL probe for space governance: `write` churns forever, and every
+//! checkpoint runs dead-ratio compaction + node shrinking; `check`
 //! reopens the killed directory, validates, and reports device usage.
 use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
 use sks_btree::engine::{EngineConfig, SksDb};
@@ -11,9 +11,7 @@ fn config(dir: &std::path::Path) -> EngineConfig {
         .backend(StorageBackend::File {
             dir: dir.to_path_buf(),
             pool_pages: 128,
-        })
-        .compaction(32)
-        .global_dirty_budget(24);
+        });
     EngineConfig::new(scheme).sync(SyncPolicy::Always)
 }
 

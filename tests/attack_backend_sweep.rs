@@ -180,8 +180,7 @@ fn churn(tree: &mut EncipheredBTree, ops: &[(u8, u64, usize)]) -> BTreeMap<u64, 
 fn churn_config(scheme: Scheme, dir: Option<&std::path::Path>) -> SchemeConfig {
     let mut cfg = SchemeConfig::with_capacity(scheme, 300)
         .node_cache(512)
-        .record_cache(512)
-        .compaction(8);
+        .record_cache(512);
     cfg.block_size = BLOCK;
     if let Some(dir) = dir {
         cfg = cfg.on_disk(dir);

@@ -1,9 +1,13 @@
 //! Durability and fault injection: enciphered trees on real files, trees
-//! behind the block cache, and corrupted media producing typed errors
-//! instead of garbage or panics.
+//! behind the block cache, corrupted media producing typed errors
+//! instead of garbage or panics, and engine writes the tree would refuse
+//! kept out of the log.
+
+use std::sync::Arc;
 
 use sks_btree::btree::{BTree, CodecError, RecordPtr, TreeError};
-use sks_btree::core::{Scheme, SchemeConfig};
+use sks_btree::core::{CoreError, Scheme, SchemeConfig};
+use sks_btree::engine::{EngineConfig, EngineError, SksDb};
 use sks_btree::storage::{BlockId, BlockStore, FileDisk, MemDisk, OpCounters, PagedFileStore};
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -195,4 +199,88 @@ fn bulk_create_equivalence() {
             i.total_encrypts()
         );
     }
+}
+
+/// A value twice the largest a 4 KiB record slot holds.
+fn over_long_value() -> Vec<u8> {
+    vec![0xAB; 8 * 1024]
+}
+
+fn record(k: u64) -> Vec<u8> {
+    format!("record-{k:03}").into_bytes()
+}
+
+/// Runs `doomed` — a write carrying one value longer than a record slot
+/// holds — against a fresh two-partition engine with 4 KiB blocks, and
+/// checks that it is refused before anything reaches the log: the call
+/// fails with the record store's own error, the log and the key count
+/// are unchanged, and a reopen (which replays the whole log) finds the
+/// same key count.
+fn assert_refused_before_logging(
+    name: &str,
+    doomed: impl FnOnce(&Arc<SksDb>) -> Result<(), EngineError>,
+) {
+    let dir = tmpfile(name);
+    std::fs::remove_dir_all(&dir).ok();
+    let config =
+        || EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2));
+    let len = {
+        let db = SksDb::open(&dir, config()).unwrap();
+        assert!(db.config().scheme.block_size == 4096);
+        let (wal, len) = (db.wal_len_bytes(), db.len());
+        let err = doomed(&db).expect_err("an over-long value must be refused");
+        assert!(
+            matches!(err, EngineError::Core(CoreError::Record(_))),
+            "got: {err}"
+        );
+        assert_eq!(db.wal_len_bytes(), wal, "the refused write reached the log");
+        assert_eq!(db.len(), len, "the refused write was partly applied");
+        len
+    };
+    let db = SksDb::open(&dir, config()).unwrap();
+    assert_eq!(
+        db.len(),
+        len,
+        "the reopen replayed part of the refused write"
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn engine_insert_refuses_an_over_long_value_before_logging() {
+    assert_refused_before_logging("doomed_insert", |db| {
+        db.insert(7, over_long_value()).map(|_| ())
+    });
+}
+
+#[test]
+fn engine_insert_batch_refuses_an_over_long_value_before_logging() {
+    assert_refused_before_logging("doomed_batch", |db| {
+        let items = (0..20u64)
+            .map(|k| (k, if k == 7 { over_long_value() } else { record(k) }))
+            .collect();
+        db.insert_batch(items).map(|_| ())
+    });
+}
+
+#[test]
+fn engine_bulk_load_refuses_an_over_long_value_before_logging() {
+    assert_refused_before_logging("doomed_bulk_load", |db| {
+        let items = (0..20u64)
+            .map(|k| (k, if k == 7 { over_long_value() } else { record(k) }))
+            .collect();
+        db.bulk_load(items).map(|_| ())
+    });
+}
+
+#[test]
+fn engine_txn_insert_refuses_an_over_long_value_before_logging() {
+    assert_refused_before_logging("doomed_txn", |db| {
+        let mut txn = db.begin();
+        for k in 0..10u64 {
+            txn.insert(k, if k == 5 { over_long_value() } else { record(k) })?;
+        }
+        txn.commit()
+    });
 }

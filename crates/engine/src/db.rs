@@ -6,9 +6,10 @@
 //! serialize only within a partition. The router hashes the *disguised*
 //! key — the same `f(k)` the paper writes to disk — so even the
 //! partition-assignment pattern an opponent could observe carries no key
-//! order. Every mutation is appended to a shared write-ahead log (one
-//! `Mutex`, group commit per [`SyncPolicy`]) *before* it touches the tree,
-//! and recovery replays the log through the identical router path.
+//! order. Every mutation is written to a shared write-ahead log (one
+//! `Mutex`, group commit per [`SyncPolicy`]) *before* it touches the tree
+//! — the commit writes, and when due fsyncs, inline — and recovery
+//! replays the log through the identical router path.
 //!
 //! Lock order is always `partition.write (ascending partition id) →
 //! wal.lock`, and reads take no WAL lock at all. Range scans visit
@@ -44,7 +45,7 @@ use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
 use crate::txn::{KeyPriors, Txn, TxnManager};
-use crate::wal::{SyncTicket, Wal, WalOp, WalReplay};
+use crate::wal::{Wal, WalOp, WalReplay};
 
 use std::collections::BTreeMap;
 
@@ -450,9 +451,6 @@ impl SksDb {
             sync_dir(db_dir)?;
             (wal, RecoveryReport::default())
         };
-        // The pipelined write path: a writer thread overlaps the next
-        // group's sealing with the previous group's device write + fsync.
-        let wal = wal.enable_pipeline();
 
         // Persist the layout facts (last, once stores + log exist) so the
         // next open can refuse incompatible configurations.
@@ -786,41 +784,22 @@ impl SksDb {
         Ok(result)
     }
 
-    /// Completes an overlapped group commit: waits for the fsync ticket
-    /// (when [`Wal::commit`] handed one out) with the WAL lock
-    /// already released, so another partition's writer can seal the next
-    /// group while this group's fsync is in flight. The wait is this
-    /// thread's durability barrier — charged to the same `WalFsync`
-    /// stage an inline fsync would be. On error the tree has not been
-    /// mutated (callers wait before applying), and the WAL's sticky
-    /// writer error fail-stops every later commit.
-    fn wait_durable(&self, ticket: Option<SyncTicket>) -> Result<(), EngineError> {
-        let Some(ticket) = ticket else {
-            return Ok(());
-        };
-        let timer = self.counters.obs().start();
-        ticket.wait()?;
-        self.counters.obs().stage(Stage::WalFsync, timer);
-        Ok(())
-    }
-
     /// The one autocommit logging sequence every single-group mutation
-    /// takes: append(s) + policy-driven group commit under the WAL lock,
-    /// then the durability wait with the lock released. Callers hold the
-    /// partition write lock across this and the tree apply; explicit
-    /// multi-key transactions run the same sequence via
-    /// [`SksDb::commit_txn_with_hook`] with more partition locks and one
-    /// atomic commit frame.
+    /// takes, under the WAL lock: append(s), then the policy-driven
+    /// commit, which writes the group to the log file (and fsyncs when
+    /// due) before it returns. Callers hold the partition write lock
+    /// across this and the tree apply, so the tree never holds a write
+    /// the log file lacks; on error the tree has not been mutated and the
+    /// WAL fail-stops every later commit. Explicit multi-key transactions
+    /// run the same sequence via [`SksDb::commit_txn_with_hook`] with more
+    /// partition locks and one atomic commit frame.
     fn log_autocommit(
         &self,
         append: impl FnOnce(&mut Wal) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let ticket = {
-            let mut wal = self.wal.lock().expect("wal lock");
-            append(&mut wal)?;
-            wal.commit()?
-        };
-        self.wait_durable(ticket)
+        let mut wal = self.wal.lock().expect("wal lock");
+        append(&mut wal)?;
+        wal.commit()
     }
 
     /// Begins an explicit multi-key transaction: snapshot reads as of
@@ -904,17 +883,19 @@ impl SksDb {
     /// commit can never deadlock another commit, a batch group or
     /// `flush_pages`, which all walk ascending); validate
     /// first-committer-wins against `snapshot` *under* those locks; seal
-    /// all writes as **one** WAL commit frame; wait out the durability
-    /// barrier; apply to the trees; record undo priors — all before any
-    /// lock is released, so no reader ever sees a half-applied commit.
+    /// all writes as **one** WAL commit frame and write it to the log file
+    /// (fsyncing when due) under the WAL lock; apply to the trees; record
+    /// undo priors — all before any lock is released, so no reader ever
+    /// sees a half-applied commit.
     ///
     /// Framing and durability: a single-key transaction degenerates to
     /// the autocommit sequence exactly (a group of one, policy-driven
     /// commit). A multi-key frame is all-or-nothing under torn-tail
     /// replay by construction; when it spans ≥ 2 partitions the commit
-    /// additionally *forces* its fsync before the apply, so a checkpoint
-    /// flushing one partition's pages can never outlive a lost log frame
-    /// that also touched another partition.
+    /// additionally *forces* its fsync inline before the apply
+    /// (`Wal::commit_with(true)`), so a checkpoint flushing one
+    /// partition's pages can never outlive a log frame lost to a power
+    /// failure that also touched another partition.
     pub(crate) fn commit_txn_with_hook(
         &self,
         writes: BTreeMap<u64, (usize, Option<Vec<u8>>)>,
@@ -971,7 +952,7 @@ impl SksDb {
                 None => WalOp::Delete { key },
             })
             .collect();
-        let ticket = {
+        {
             let mut wal = self.wal.lock().expect("wal lock");
             match &ops[..] {
                 // Single-key commit: exactly the autocommit sequence.
@@ -979,13 +960,8 @@ impl SksDb {
                 [WalOp::Delete { key }] => wal.append_delete(*key)?,
                 _ => wal.append_txn(&ops)?,
             };
-            if parts > 1 {
-                wal.commit_durable()?
-            } else {
-                wal.commit()?
-            }
-        };
-        self.wait_durable(ticket)?;
+            wal.commit_with(parts > 1)?;
+        }
         // Apply and collect undo priors, every lock still held.
         let mut priors = Vec::with_capacity(ops.len());
         let mut ops = ops.into_iter();
@@ -1122,42 +1098,28 @@ impl SksDb {
 
     fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
         let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
-        let tmp_path = self.wal_path.with_extension("tmp");
-        // One scope around every thread the checkpoint starts, so each is
-        // joined on every exit: `checkpoint_serial` is released when this
-        // function returns, and a fresh-log helper still running past an
-        // early error would truncate the `wal.tmp` of the next checkpoint
-        // under its handle.
-        std::thread::scope(|s| {
-            // Phase 1, only with a page image to cut the log against (the
-            // one place the checkpoint asks which backend it runs on):
-            // mark the fuzzy epoch — the sequence number and byte offset
-            // where the retained tail will begin, so the cut scans
-            // O(tail) instead of re-reading the whole log — and start the
-            // fresh log on its own thread, so its durability work (header
-            // write + fsync) overlaps the partition flushes below. A
-            // `.tmp` left by a failed checkpoint is overwritten by the
-            // next one. Detached counters: the rewrite is not client
-            // traffic and must not inflate wal_appends/wal_bytes.
-            let cut = self.config.scheme.backend.is_file().then(|| {
-                let mark = {
-                    let wal = self.wal.lock().expect("wal lock");
-                    (wal.next_seq(), wal.len_bytes())
-                };
-                let fresh = s.spawn(|| create_wal(&tmp_path, &self.config, OpCounters::new()));
-                (mark, fresh)
-            });
+        // Phase 1, only with a page image to cut the log against (the one
+        // place the checkpoint asks which backend it runs on): mark the
+        // fuzzy epoch — the sequence number and byte offset where the
+        // retained tail will begin, so the cut scans O(tail) instead of
+        // re-reading the whole log.
+        let mark = self.config.scheme.backend.is_file().then(|| {
+            let wal = self.wal.lock().expect("wal lock");
+            (wal.next_seq(), wal.len_bytes())
+        });
 
-            // Phase 2. Each partition first runs its bounded record-store
-            // compaction pass and then the node-device sliding pass, both
-            // under the write lock (crash-safe because on the file
-            // backend nothing reaches the medium until the journaled
-            // page-store checkpoint commits, and on the memory backend
-            // state is reconstructed from the WAL anyway). The truncated
-            // devices physically shrink at the flush, which on a memory
-            // device applies the pass's quarantined frees at once (no
-            // cross-device crash window to wait out).
-            let flush_timer = self.counters.obs().start();
+        // Phase 2. Each partition first runs its bounded record-store
+        // compaction pass and then the node-device sliding pass, both under
+        // the write lock (crash-safe because on the file backend nothing
+        // reaches the medium until the journaled page-store checkpoint
+        // commits, and on the memory backend state is reconstructed from
+        // the WAL anyway). The truncated devices physically shrink at the
+        // flush, which on a memory device applies the pass's quarantined
+        // frees at once (no cross-device crash window to wait out). These
+        // per-partition threads are the only ones the engine starts, and
+        // the scope joins every one of them on every exit.
+        let flush_timer = self.counters.obs().start();
+        let compacted = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .partitions
                 .iter()
@@ -1179,45 +1141,50 @@ impl SksDb {
             for h in handles {
                 compacted.absorb(h.join().expect("partition flush thread")?);
             }
-            *self.last_compaction.lock().expect("compaction report") = compacted;
-            self.counters
-                .obs()
-                .stage(Stage::CheckpointFlush, flush_timer);
-            self.counters
-                .obs()
-                .note(EventKind::CheckpointPhase, NO_PARTITION, 2, 0, 0);
-            let Some(((mark_seq, mark_offset), fresh)) = cut else {
-                return Ok(());
-            };
+            Ok::<_, EngineError>(compacted)
+        })?;
+        *self.last_compaction.lock().expect("compaction report") = compacted;
+        self.counters
+            .obs()
+            .stage(Stage::CheckpointFlush, flush_timer);
+        self.counters
+            .obs()
+            .note(EventKind::CheckpointPhase, NO_PARTITION, 2, 0, 0);
+        let Some((mark_seq, mark_offset)) = mark else {
+            return Ok(());
+        };
 
-            // Phase 3: cut the log, carrying the fuzzy tail. Writers are
-            // blocked only for this re-append + rename.
-            let cut_timer = self.counters.obs().start();
-            let mut fresh = fresh.join().expect("wal create thread")?;
-            let mut wal = self.wal.lock().expect("wal lock");
-            // Every tail frame is re-sealed as one frame: the frame
-            // boundary *is* the atomicity guarantee a reopen relies on,
-            // so no commit unit (a transaction least of all) is split or
-            // merged by the rewrite. A failed scan returns here, before
-            // the rename, and the old log stands.
-            for group in wal.records_since(mark_seq, mark_offset)? {
-                fresh.append_txn(&group)?;
-            }
-            fresh.flush()?;
-            std::fs::rename(&tmp_path, &self.wal_path)?;
-            // fsync the directory: without it the rename itself is not
-            // durable, and a power failure could revert to the old log
-            // even though later commits fsynced the new inode's data.
-            sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
-            // The fresh Wal's file handle survives the rename (same
-            // inode); from here on it carries client traffic, so it
-            // re-adopts the engine's shared counters — and the pipelined
-            // write path.
-            fresh.adopt_counters(self.counters.clone());
-            *wal = fresh.enable_pipeline();
-            self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
-            Ok(())
-        })
+        // Phase 3: cut the log, carrying the fuzzy tail. The fresh log is
+        // created (header write + fsync) before the WAL lock is taken, so
+        // writers are blocked only for the re-append + rename. A `.tmp`
+        // left by a failed checkpoint is overwritten here. Detached
+        // counters: the rewrite is not client traffic and must not inflate
+        // wal_appends/wal_bytes.
+        let cut_timer = self.counters.obs().start();
+        let tmp_path = self.wal_path.with_extension("tmp");
+        let mut fresh = create_wal(&tmp_path, &self.config, OpCounters::new())?;
+        let mut wal = self.wal.lock().expect("wal lock");
+        // Every tail frame is re-sealed as one frame: the frame boundary
+        // *is* the atomicity guarantee a reopen relies on, so no commit
+        // unit (a transaction least of all) is split or merged by the
+        // rewrite. A failed scan returns here, before the rename, and the
+        // old log stands.
+        for group in wal.records_since(mark_seq, mark_offset)? {
+            fresh.append_txn(&group)?;
+        }
+        fresh.flush()?;
+        std::fs::rename(&tmp_path, &self.wal_path)?;
+        // fsync the directory: without it the rename itself is not
+        // durable, and a power failure could revert to the old log even
+        // though later commits fsynced the new inode's data.
+        sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
+        // The fresh Wal's file handle survives the rename (same inode);
+        // from here on it carries client traffic, so it re-adopts the
+        // engine's shared counters.
+        fresh.adopt_counters(self.counters.clone());
+        *wal = fresh;
+        self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
+        Ok(())
     }
 
     /// One manual space-governance pass over every partition: up to

@@ -18,6 +18,7 @@
 //! semantics on its key.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use sks_core::EncipheredBTree;
 use sks_storage::{Event, Stage};
@@ -45,11 +46,9 @@ pub enum RecoveryPath {
 pub struct RecoveryReport {
     /// Which path recovery took (see [`RecoveryPath`]).
     pub path: RecoveryPath,
-    /// Intact records replayed into the tree.
+    /// Intact records replayed into the tree (every one the log held:
+    /// a record that does not replay fails the open).
     pub records_replayed: u64,
-    /// Records whose re-application failed (e.g. a logged key that no
-    /// longer fits the configured domain) — skipped, not fatal.
-    pub records_skipped: u64,
     /// Whether the log ended in an interrupted write.
     pub torn_tail: bool,
     /// Bytes discarded past the last intact record.
@@ -80,6 +79,13 @@ impl RecoveryReport {
 /// WAL holds the whole dataset between checkpoints; cloning would double
 /// peak memory at open).
 ///
+/// Fails closed: a logged record this configuration cannot route or
+/// apply — a key outside the domain, a value longer than the record
+/// slots hold — was acknowledged, so the open is refused rather than the
+/// record dropped (on the file backend the next checkpoint would cut it
+/// out of the log for good). The error names the record's seq and
+/// partition, never its key or value.
+///
 /// Records route to their partitions first — partitions are independent
 /// (the router is deterministic per key), so each partition's run can be
 /// applied as one batch while relative order within it is preserved. A
@@ -98,76 +104,78 @@ pub(crate) fn apply_replay(
         bytes_discarded: replay.bytes_discarded,
         ..RecoveryReport::default()
     };
-    let mut groups: Vec<Vec<WalOp>> = (0..partitions.len()).map(|_| Vec::new()).collect();
-    for WalRecord { seq, op } in replay.records {
-        report.last_seq = seq;
-        let key = match op {
-            WalOp::Insert { key, .. } | WalOp::Delete { key } => key,
+    // The admission checks a live write passes before it is logged.
+    let max_len = partitions[0].max_record_len();
+    let mut groups: Vec<Vec<WalRecord>> = (0..partitions.len()).map(|_| Vec::new()).collect();
+    for record in replay.records {
+        report.last_seq = record.seq;
+        let (key, len) = match &record.op {
+            WalOp::Insert { key, value } => (*key, value.len()),
+            WalOp::Delete { key } => (*key, 0),
         };
-        match router.partition_of(key) {
-            Ok(p) => groups[p].push(op),
-            Err(_) => report.records_skipped += 1,
+        let Ok(p) = router.partition_of(key) else {
+            let why = "its key is outside the configured domain";
+            return Err(unreplayable(record.seq, "none", why));
+        };
+        if len > max_len {
+            let why = format!("its {len}-byte value exceeds the {max_len}-byte record limit");
+            return Err(unreplayable(record.seq, p, &why));
         }
+        groups[p].push(record);
     }
-    for (p, mut ops) in groups.into_iter().enumerate() {
-        if ops.is_empty() {
-            continue;
-        }
+    for (p, mut run) in groups.into_iter().enumerate() {
         let tree = &mut partitions[p];
-        if tree.is_empty() && ops.len() > 1 {
+        if tree.is_empty() && run.len() > 1 {
             let t = tree.counters().obs().start();
             // Fold the run into its final image: for each surviving key,
             // the index of the insert whose value wins.
             let mut winners: BTreeMap<u64, usize> = BTreeMap::new();
-            for (i, op) in ops.iter().enumerate() {
-                match op {
+            for (i, record) in run.iter().enumerate() {
+                match record.op {
                     WalOp::Insert { key, .. } => {
-                        winners.insert(*key, i);
+                        winners.insert(key, i);
                     }
                     WalOp::Delete { key } => {
-                        winners.remove(key);
+                        winners.remove(&key);
                     }
                 }
             }
             let mut items: Vec<(u64, Vec<u8>)> = Vec::with_capacity(winners.len());
             for (&key, &i) in &winners {
-                let WalOp::Insert { value, .. } = &mut ops[i] else {
+                let WalOp::Insert { value, .. } = &mut run[i].op else {
                     unreachable!("winner indices point at inserts");
                 };
                 items.push((key, std::mem::take(value)));
             }
-            match tree.bulk_load(&items) {
-                Ok(()) => {
-                    report.records_replayed += ops.len() as u64;
-                    tree.counters().bump(|c| &c.replay_batches);
-                    tree.counters().obs().stage(Stage::ReplayBatch, t);
-                    continue;
-                }
-                Err(_) => {
-                    // Rare (e.g. a logged record no longer fits the
-                    // configured blocks — bulk_load is all-or-nothing).
-                    // Put the payloads back and take the exact
-                    // per-record path below, which skips only the
-                    // failing records.
-                    for (item, (_, &i)) in items.iter_mut().zip(&winners) {
-                        let WalOp::Insert { value, .. } = &mut ops[i] else {
-                            unreachable!("winner indices point at inserts");
-                        };
-                        *value = std::mem::take(&mut item.1);
-                    }
-                }
+            if tree.bulk_load(&items).is_err() {
+                let seqs = format!("{}..={}", run[0].seq, run[run.len() - 1].seq);
+                return Err(unreplayable(seqs, p, "the tree refused the run"));
             }
+            report.records_replayed += run.len() as u64;
+            tree.counters().bump(|c| &c.replay_batches);
+            tree.counters().obs().stage(Stage::ReplayBatch, t);
+            continue;
         }
-        for op in ops {
+        for WalRecord { seq, op } in run {
             let applied = match op {
-                WalOp::Insert { key, value } => tree.insert(key, value),
-                WalOp::Delete { key } => tree.delete(key),
+                WalOp::Insert { key, value } => tree.insert(key, value).map(drop),
+                WalOp::Delete { key } => tree.delete(key).map(drop),
             };
-            match applied {
-                Ok(_) => report.records_replayed += 1,
-                Err(_) => report.records_skipped += 1,
+            if applied.is_err() {
+                return Err(unreplayable(seq, p, "the tree refused it"));
             }
+            report.records_replayed += 1;
         }
     }
     Ok(report)
+}
+
+/// The refusal for a logged record (or a partition's run of records,
+/// `seqs`) that does not replay. Names where it sits, and why, but never
+/// the underlying error's text, which may carry the key.
+fn unreplayable(seqs: impl Display, partition: impl Display, why: &str) -> EngineError {
+    EngineError::Config(format!(
+        "wal record seq {seqs} (partition {partition}) does not replay under this \
+         configuration: {why}; refusing to open rather than drop an acknowledged write"
+    ))
 }

@@ -18,13 +18,13 @@ use sks_storage::{HistogramSnapshot, ObsLevel, OpSnapshot, Stage};
 pub const OPS: [&str; 6] = ["get", "put", "delete", "range", "batch", "txn"];
 
 /// The stages whose sum is the *write-path breakdown*: every other stage
-/// ([`Stage::BlockRead`]/[`Stage::BlockWrite`]/[`Stage::StoreFsync`],
-/// [`Stage::WalSwap`] — which nests inside the WAL stages' device writes —
-/// and the compaction and checkpoint passes) either nests inside one of
-/// these or runs off the client path, so summing only these six never
-/// counts a nanosecond twice. `SealBatch` is the group-commit seal at the
-/// commit boundary, disjoint from both `WalAppend` (staging) and
-/// `WalFsync` (the barrier).
+/// ([`Stage::BlockRead`]/[`Stage::BlockWrite`]/[`Stage::StoreFsync`] and
+/// the compaction and checkpoint passes) either nests inside one of these
+/// or runs off the client path, so summing only these six never counts a
+/// nanosecond twice ([`Stage::WalSwap`] is never recorded). `SealBatch`
+/// is the group-commit seal at the commit boundary, disjoint from both
+/// `WalAppend` (staging and the inline tail-block write) and `WalFsync`
+/// (the inline barrier).
 pub const WRITE_PATH_STAGES: [Stage; 6] = [
     Stage::RecordSeal,
     Stage::WalAppend,

@@ -44,23 +44,23 @@
 //! before it is recovered, everything after is scrubbed back to zeros so
 //! a later replay cannot resurrect stale bytes.
 //!
-//! Durability follows a [`SyncPolicy`]: `Always` forces the device on
-//! every commit; `EveryN(n)` is group commit — the block writes happen per
-//! commit (so a process crash loses nothing) but only every `n`-th commit
-//! pays the physical fsync (so a power failure can lose at most the last
-//! `n − 1` commits). On a pipelined device ([`Wal::enable_pipeline`]) the
-//! fsync runs on the writer thread and the commit returns a
-//! [`SyncTicket`] to wait on outside the log's lock. Those bounds assume
-//! the standard WAL storage model: rewriting the partially-filled tail
-//! block preserves its unchanged leading sectors (sector-level write
-//! atomicity), so a torn tail-block write can damage at most the frames
-//! not yet fsynced. Any I/O error in the append path fail-stops the
-//! handle ([`EngineError::WalPoisoned`]): a half-written frame must not
-//! be built upon, and reopening replays the log back to a consistent
-//! prefix.
+//! A commit runs on the caller's thread, start to finish: seal the staged
+//! group, write the tail block to the device, and — when the
+//! [`SyncPolicy`] (or [`Wal::commit_durable`]) says so — fsync. So a
+//! commit that has returned is in the log file, and a process crash loses
+//! nothing acknowledged under any policy. The policy decides only what a
+//! power failure can lose: `Always` fsyncs every commit, so nothing;
+//! `EveryN(n)` is group commit — every `n`-th commit pays the fsync, so
+//! at most the last `n − 1` commits; `Never` everything since the last
+//! [`Wal::flush`]. Those bounds assume the standard WAL storage model:
+//! rewriting the partially-filled tail block preserves its unchanged
+//! leading sectors (sector-level write atomicity), so a torn tail-block
+//! write can damage at most the frames not yet fsynced. Any I/O error in
+//! the append path fail-stops the handle ([`EngineError::WalPoisoned`]):
+//! a half-written frame must not be built upon, and reopening replays the
+//! log back to a consistent prefix.
 
 use std::path::Path;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
@@ -86,13 +86,6 @@ pub trait WalDevice: std::fmt::Debug {
     fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError>;
     fn sync(&mut self) -> Result<(), StorageError>;
     fn set_counters(&mut self, counters: OpCounters);
-    /// Pipelined devices only: enqueues an fsync behind every write
-    /// accepted so far and returns the ticket that reports it. `None`
-    /// (the default) means the device has no queue and the caller pays
-    /// [`WalDevice::sync`] inline.
-    fn submit_sync(&mut self) -> Option<Result<SyncTicket, StorageError>> {
-        None
-    }
 }
 
 impl WalDevice for FileDisk {
@@ -161,278 +154,17 @@ impl WalDevice for FailStore<FileDisk> {
 /// The one device type a [`Wal`] runs on.
 type Device = Box<dyn WalDevice + Send>;
 
-// ---------------------------------------------------------------------------
-// Double-buffered writer: a WalDevice that overlaps block writes and
-// fsyncs with the caller's next group seal.
-// ---------------------------------------------------------------------------
-
-/// A queued unit of work for the writer thread.
-enum WriterJob {
-    Write {
-        id: BlockId,
-        data: Vec<u8>,
-    },
-    /// An fsync enqueued behind the writes it must cover; completion is
-    /// reported through [`SyncState`] to the matching [`SyncTicket`].
-    Sync {
-        ticket: u64,
-    },
-}
-
-/// Completion state for fsyncs executed asynchronously on the writer
-/// thread, shared with every [`SyncTicket`] so one can be waited on
-/// after every `Wal` lock has been released.
+/// Never constructed: [`Wal::commit_durable`] pays its fsync inline and
+/// always returns `None`. The type survives only because the frozen
+/// benchmark (`sks_bench/src/layers.rs`) still matches on it; once the
+/// harness drops that match, this type goes too.
+#[doc(hidden)]
 #[derive(Debug)]
-struct SyncState {
-    /// Highest completed ticket, and the first error any asynchronous
-    /// sync surfaced (sticky, mirroring `WriterShared::error`).
-    done: Mutex<(u64, Option<StorageError>)>,
-    completed: Condvar,
-}
-
-/// State shared between the foreground handle and the writer thread.
-#[derive(Debug)]
-struct WriterShared {
-    disk: Mutex<Device>,
-    /// Jobs enqueued but not yet executed; `sync`/reads drain to zero.
-    inflight: Mutex<u32>,
-    drained: Condvar,
-    /// First error the writer thread hit. Sticky: once an asynchronous
-    /// write has failed the stream past it is unknowable, so every later
-    /// device call fails until the log is reopened (the `Wal` turns the
-    /// first surfaced error into its poison fail-stop).
-    error: Mutex<Option<StorageError>>,
-    syncs: Arc<SyncState>,
-}
-
-/// Handle to one asynchronous WAL fsync. The commit that produced it is
-/// durable only once `wait` returns `Ok`; the caller must not acknowledge
-/// the commit before then.
-#[derive(Debug)]
-pub struct SyncTicket {
-    state: Arc<SyncState>,
-    seq: u64,
-}
+pub enum SyncTicket {}
 
 impl SyncTicket {
-    /// Blocks until the fsync this ticket names has completed, surfacing
-    /// the first error any asynchronous sync hit. The error is sticky:
-    /// once one fsync has failed, the durability of everything after it
-    /// is unknowable, so every later waiter fails too.
     pub fn wait(self) -> Result<(), StorageError> {
-        let mut done = self.state.done.lock().expect("wal sync state");
-        while done.0 < self.seq && done.1.is_none() {
-            done = self.state.completed.wait(done).expect("wal sync state");
-        }
-        match &done.1 {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Double-buffered WAL device: `write_block` hands the sealed block to a
-/// small writer thread through a two-slot channel (the two swap buffers)
-/// and returns, so sealing group N+1 overlaps the device write (and, at
-/// the group-commit boundary, the fsync) of group N. `sync` drains the
-/// queue and then syncs the device, so every durability point the
-/// [`SyncPolicy`] promises still holds exactly — the pipeline moves work
-/// off the hot path, never past a commit's durability barrier. Reads
-/// drain first too, so replay-style scans observe every queued write.
-#[derive(Debug)]
-struct DoubleBuffered {
-    shared: Arc<WriterShared>,
-    /// `None` only during teardown.
-    tx: Option<mpsc::SyncSender<WriterJob>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    counters: OpCounters,
-    block_size: usize,
-    /// Ticket the next [`WalDevice::submit_sync`] will hand out.
-    next_ticket: u64,
-}
-
-/// Number of swap buffers: one block in flight on the device while the
-/// foreground seals into the other.
-const SWAP_BUFFERS: usize = 2;
-
-impl DoubleBuffered {
-    fn new(disk: Device, counters: OpCounters) -> Self {
-        let block_size = disk.block_size();
-        let shared = Arc::new(WriterShared {
-            disk: Mutex::new(disk),
-            inflight: Mutex::new(0),
-            drained: Condvar::new(),
-            error: Mutex::new(None),
-            syncs: Arc::new(SyncState {
-                done: Mutex::new((0, None)),
-                completed: Condvar::new(),
-            }),
-        });
-        let (tx, rx) = mpsc::sync_channel::<WriterJob>(SWAP_BUFFERS);
-        let worker = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("sks-wal-writer".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        WriterJob::Write { id, data } => {
-                            let result = worker
-                                .disk
-                                .lock()
-                                .expect("wal device")
-                                .write_block(id, &data);
-                            if let Err(e) = result {
-                                let mut slot = worker.error.lock().expect("wal writer error");
-                                slot.get_or_insert(e);
-                            }
-                        }
-                        WriterJob::Sync { ticket } => {
-                            // A sync after a failed asynchronous write
-                            // must not report durability the stream no
-                            // longer has: the sticky write error wins
-                            // over whatever the device would say now.
-                            let prior = worker.error.lock().expect("wal writer error").clone();
-                            let result = match prior {
-                                Some(e) => Err(e),
-                                None => worker.disk.lock().expect("wal device").sync(),
-                            };
-                            let mut done = worker.syncs.done.lock().expect("wal sync state");
-                            done.0 = ticket;
-                            if let Err(e) = result {
-                                worker
-                                    .error
-                                    .lock()
-                                    .expect("wal writer error")
-                                    .get_or_insert(e.clone());
-                                done.1.get_or_insert(e);
-                            }
-                            drop(done);
-                            worker.syncs.completed.notify_all();
-                        }
-                    }
-                    let mut inflight = worker.inflight.lock().expect("wal inflight");
-                    *inflight -= 1;
-                    worker.drained.notify_all();
-                }
-            })
-            .expect("spawn wal writer thread");
-        DoubleBuffered {
-            shared,
-            tx: Some(tx),
-            handle: Some(handle),
-            counters,
-            block_size,
-            next_ticket: 0,
-        }
-    }
-
-    /// Blocks until every queued write has executed.
-    fn drain(&self) {
-        let mut inflight = self.shared.inflight.lock().expect("wal inflight");
-        while *inflight > 0 {
-            inflight = self.shared.drained.wait(inflight).expect("wal inflight");
-        }
-    }
-
-    /// Surfaces (without clearing) the writer thread's first error.
-    fn check_error(&self) -> Result<(), StorageError> {
-        match &*self.shared.error.lock().expect("wal writer error") {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
-    /// Hands `job` to the writer thread. The send blocks while both swap
-    /// buffers are in flight — the pipeline's back-pressure.
-    fn enqueue(&mut self, job: WriterJob) -> Result<(), StorageError> {
-        self.check_error()?;
-        *self.shared.inflight.lock().expect("wal inflight") += 1;
-        let sent = self.tx.as_ref().expect("writer channel open").send(job);
-        if sent.is_err() {
-            // Writer thread gone: surface whatever killed it.
-            *self.shared.inflight.lock().expect("wal inflight") -= 1;
-            self.check_error()?;
-            return Err(StorageError::Io("wal writer thread exited".into()));
-        }
-        Ok(())
-    }
-}
-
-impl Drop for DoubleBuffered {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the channel; the thread drains and exits
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl WalDevice for DoubleBuffered {
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.shared.disk.lock().expect("wal device").num_blocks()
-    }
-
-    fn allocate(&mut self) -> Result<BlockId, StorageError> {
-        self.check_error()?;
-        self.shared.disk.lock().expect("wal device").allocate()
-    }
-
-    fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        let timer = self.counters.obs().start();
-        let sent = self.enqueue(WriterJob::Write {
-            id,
-            data: data.to_vec(),
-        });
-        // Waiting for a free swap buffer is reported as its own stage.
-        self.counters.obs().stage(Stage::WalSwap, timer);
-        sent
-    }
-
-    fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError> {
-        // Reads must observe every accepted write (records_since scans the
-        // stream mid-life); drain, then read through. Reads keep working
-        // after a write error — inspecting the wreckage is recovery's job.
-        self.drain();
-        self.shared
-            .disk
-            .lock()
-            .expect("wal device")
-            .read_block_partial(id)
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        self.drain();
-        self.check_error()?;
-        self.shared.disk.lock().expect("wal device").sync()
-    }
-
-    fn set_counters(&mut self, counters: OpCounters) {
-        self.drain();
-        self.counters = counters.clone();
-        self.shared
-            .disk
-            .lock()
-            .expect("wal device")
-            .set_counters(counters);
-    }
-
-    /// The job channel is FIFO, so by the time the writer thread reaches
-    /// the sync every earlier `write_block` has hit the device — the sync
-    /// covers exactly the commits sealed before it was submitted, and the
-    /// foreground is free to seal the next group meanwhile.
-    fn submit_sync(&mut self) -> Option<Result<SyncTicket, StorageError>> {
-        let seq = self.next_ticket + 1;
-        Some(self.enqueue(WriterJob::Sync { ticket: seq }).map(|()| {
-            self.next_ticket = seq;
-            SyncTicket {
-                state: Arc::clone(&self.shared.syncs),
-                seq,
-            }
-        }))
+        match self {}
     }
 }
 
@@ -702,21 +434,6 @@ impl Wal {
     #[doc(hidden)]
     pub fn set_seal_batch(&mut self, _on: bool) {}
 
-    /// Routes the device through the double-buffered writer pipeline:
-    /// block writes are handed to a small writer thread through two swap
-    /// buffers, so sealing the next group overlaps the previous group's
-    /// device write, and a commit's fsync is enqueued behind its blocks
-    /// and reported through a [`SyncTicket`] instead of being paid
-    /// inline. Durability barriers are unchanged — `flush` drains the
-    /// pipe before syncing the device. Call once per handle.
-    pub fn enable_pipeline(self) -> Self {
-        let piped = DoubleBuffered::new(self.disk, self.counters.clone());
-        Wal {
-            disk: Box::new(piped),
-            ..self
-        }
-    }
-
     /// Re-points counter accounting at a different shared set (used by
     /// checkpointing, which writes its snapshot against detached counters
     /// so internal rewrites don't masquerade as client traffic, then
@@ -946,36 +663,30 @@ impl Wal {
         Ok(())
     }
 
-    /// Ends the current group and makes everything appended so far
-    /// visible to the device, then applies the [`SyncPolicy`]. When this
-    /// commit's policy point demands an fsync and the device is pipelined
-    /// ([`Wal::enable_pipeline`]), the fsync is enqueued on the writer
-    /// thread behind the group's sealed blocks and its [`SyncTicket`]
-    /// returned instead of being waited for here. The durability barrier
-    /// moves out of this handle's lock scope — it does not weaken: the
-    /// commit is durable only once the ticket's `wait` returns `Ok`, and
-    /// the caller must not acknowledge it before then. Meanwhile another
-    /// thread can take this handle and seal group N+1 while group N's
-    /// fsync runs. Returns `Ok(None)` when no fsync was due, or when one
-    /// was due and was paid inline (a device without a pipeline).
-    pub fn commit(&mut self) -> Result<Option<SyncTicket>, EngineError> {
+    /// Ends the current group: seals it, writes it to the device and,
+    /// when this commit's [`SyncPolicy`] point demands it, fsyncs — all
+    /// before returning, so the group is in the log file once this
+    /// returns `Ok`.
+    pub fn commit(&mut self) -> Result<(), EngineError> {
         self.commit_with(false)
     }
 
-    /// [`Wal::commit`] with the sync policy overridden to *pay the
-    /// durability barrier now*: multi-partition transaction commits use
-    /// this so their one atomic frame is durable before any tree effect
-    /// becomes visible — under a lazy [`SyncPolicy`] a fuzzy checkpoint
-    /// could otherwise flush one partition's post-apply pages while a
-    /// crash loses the log frame that also touched another partition,
-    /// splitting the transaction.
+    /// [`Wal::commit`] with the sync policy overridden to fsync now.
+    /// Always `Ok(None)`: the `Option<SyncTicket>` survives only for the
+    /// frozen benchmark (see [`SyncTicket`]).
     pub fn commit_durable(&mut self) -> Result<Option<SyncTicket>, EngineError> {
-        self.commit_with(true)
+        self.commit_with(true).map(|()| None)
     }
 
-    /// The one commit sequence: seal, write the tail block out, then pay
-    /// (or enqueue) the fsync when `durable` or the policy demands it.
-    fn commit_with(&mut self, durable: bool) -> Result<Option<SyncTicket>, EngineError> {
+    /// The one commit sequence: seal, write the tail block out, then
+    /// fsync when `durable` or the policy demands it. The engine's
+    /// multi-partition transaction commits pass `durable` so their one
+    /// atomic frame is durable before any tree effect becomes visible —
+    /// under a lazy [`SyncPolicy`] a fuzzy checkpoint could otherwise
+    /// flush one partition's post-apply pages while a power failure loses
+    /// the log frame that also touched another partition, splitting the
+    /// transaction.
+    pub(crate) fn commit_with(&mut self, durable: bool) -> Result<(), EngineError> {
         self.check_poison()?;
         self.seal_staged()?;
         let timer = self.counters.obs().start();
@@ -984,34 +695,14 @@ impl Wal {
         }
         self.pending_commits += 1;
         if !(durable || self.policy.should_sync(self.pending_commits)) {
-            return Ok(None);
+            return Ok(());
         }
         let amortised = self.pending_commits;
-        let ticket = match self.disk.submit_sync() {
-            None => {
-                self.force_sync()?;
-                None
-            }
-            Some(submitted) => {
-                self.counters.bump(|c| &c.wal_fsyncs);
-                match submitted {
-                    Ok(ticket) => {
-                        self.pending_commits = 0;
-                        Some(ticket)
-                    }
-                    Err(e) => {
-                        // Same fail-stop as a failed inline fsync: the
-                        // durability of pending commits is unknowable.
-                        self.poisoned = true;
-                        return Err(e.into());
-                    }
-                }
-            }
-        };
+        self.force_sync()?;
         self.counters
             .obs()
             .note(EventKind::GroupCommit, NO_PARTITION, amortised as u64, 0, 0);
-        Ok(ticket)
+        Ok(())
     }
 
     /// Unconditional seal + write-out + inline fsync (checkpoint/shutdown
@@ -1509,15 +1200,11 @@ mod tests {
 
     #[test]
     fn torn_tail_truncated_file_recovers_whole_group_prefix() {
-        // 20 records as singleton commits on the direct device, then as
-        // group commits of five on the pipelined one.
-        for (group, chop, pipelined) in [(1u64, 300, false), (5, 100, true)] {
+        // 20 records as singleton commits, then as group commits of five.
+        for (group, chop) in [(1u64, 300), (5, 100)] {
             let path = tmpfile(&format!("torn_truncate_{group}"));
             {
                 let mut wal = create(&path, 128);
-                if pipelined {
-                    wal = wal.enable_pipeline();
-                }
                 for k in 0..20u64 {
                     wal.append_insert(k, &[0xCD; 45]).unwrap();
                     if (k + 1) % group == 0 {
@@ -1584,7 +1271,7 @@ mod tests {
     #[test]
     fn records_since_returns_the_fuzzy_tail() {
         let path = tmpfile("records_since");
-        let mut wal = create(&path, 128).enable_pipeline();
+        let mut wal = create(&path, 128);
         for batch in 0..2u64 {
             for i in 0..4 {
                 wal.append_insert(batch * 4 + i, b"pre").unwrap();
@@ -1655,9 +1342,8 @@ mod tests {
         let path = tmpfile("batch_roundtrip");
         let counters = OpCounters::new();
         {
-            let mut wal = Wal::create(&path, 256, KEY, SyncPolicy::Always, counters.clone())
-                .unwrap()
-                .enable_pipeline();
+            let mut wal =
+                Wal::create(&path, 256, KEY, SyncPolicy::Always, counters.clone()).unwrap();
             // Two group commits of five records, one of three.
             for batch in 0..3u64 {
                 let n = if batch < 2 { 5 } else { 3 };

@@ -96,15 +96,14 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
     assert_eq!(db.get(3).unwrap().unwrap(), b"after-recovery".to_vec());
 }
 
-/// Crash-probe sweep over the *pipelined* write path: group sealing over
-/// the double-buffered writer thread, a fault — torn write, clean write
-/// error, or a killed fsync — armed at a seed-derived stage boundary,
-/// twelve seeds. Every reopen must recover a *consistent prefix* of the
-/// logical stream: some whole number of leading group commits, never a
-/// partial group, never a record out of order, and a log that accepts
-/// writes again.
+/// Crash-probe sweep over the write path: group sealing with a fault —
+/// torn write, clean write error, or a killed fsync — armed at a
+/// seed-derived stage boundary, twelve seeds. Every reopen must recover a
+/// *consistent prefix* of the logical stream: some whole number of
+/// leading group commits, never a partial group, never a record out of
+/// order, and a log that accepts writes again.
 #[test]
-fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
+fn wal_fault_sweep_recovers_consistent_prefixes() {
     const BLOCK: usize = 512;
     const BATCHES: u64 = 30;
     const PER_BATCH: u64 = 3;
@@ -121,22 +120,19 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
         let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
         let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
         let mut wal =
-            Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(4), counters)
-                .unwrap()
-                .enable_pipeline();
+            Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(4), counters).unwrap();
 
         // Seed-derived fault: two thirds hit a block write (alternating
         // torn and clean-error — the group-seal/device-write boundary),
-        // one third kills an fsync (the group-commit barrier; it dies on
-        // the writer thread and must surface through the sync ticket).
+        // one third kills an fsync (the group-commit barrier, paid inline
+        // by the commit it falls due on).
         match seed % 3 {
             0 => drop(plan.arm_from_seed(seed, 35, FailMode::Torn)),
             1 => drop(plan.arm_from_seed(seed, 35, FailMode::Error)),
             _ => plan.arm_nth_flush(seed / 3 + 1),
         }
 
-        // Drive group commits until the fault surfaces (the pipeline may
-        // report it one commit late — that is the point of the sweep).
+        // Drive group commits until the fault surfaces.
         'workload: for batch in 0..BATCHES {
             for i in 0..PER_BATCH {
                 let k = batch * PER_BATCH + i;
@@ -144,12 +140,7 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
                     break 'workload;
                 }
             }
-            let committed = match wal.commit() {
-                Ok(Some(ticket)) => ticket.wait().is_ok(),
-                Ok(None) => true,
-                Err(_) => false,
-            };
-            if !committed {
+            if wal.commit().is_err() {
                 break 'workload;
             }
         }
@@ -214,70 +205,45 @@ fn pipelined_wal_fault_sweep_recovers_consistent_prefixes() {
     );
 }
 
-/// The overlapped-fsync fault window, surgically: group N's fsync is
-/// killed on the writer thread while group N+1 is already sealed behind
-/// it. The failure must surface on N's ticket (a killed overlapped fsync
-/// is never silently acked), every commit behind it must fail through
-/// the sticky error, and the reopened log must hold a consistent
-/// whole-group prefix containing everything that was acked durable.
+/// A killed group-commit fsync: group 1's inline fsync dies, so its
+/// commit returns `Err` (a killed fsync is never acknowledged), the
+/// handle fail-stops and the next commit fails too, and the reopened log
+/// holds a whole-group prefix containing at least the acknowledged
+/// group 0 and nothing past the poison point.
 #[test]
-fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
+fn killed_fsync_fail_stops_and_keeps_the_acked_prefix() {
     const BLOCK: usize = 512;
-    let dir = tmpdir("overlap_kill");
+    let dir = tmpdir("fsync_kill");
     let config =
         EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096)).sync(SyncPolicy::Always);
     let wal_path = dir.join("wal.sks");
-    let value = |k: u64| format!("overlap-record-{k:04}").into_bytes();
+    let value = |k: u64| format!("killed-sync-record-{k:04}").into_bytes();
 
     let counters = OpCounters::new();
     let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
     let (fail, plan) = FailStore::new(disk);
-    let mut wal = Wal::create_on_device(fail, config.wal_key(), SyncPolicy::Always, counters)
-        .unwrap()
-        .enable_pipeline();
+    let mut wal =
+        Wal::create_on_device(fail, config.wal_key(), SyncPolicy::Always, counters).unwrap();
 
-    // Group 0: committed, fsync overlapped, acked durable.
+    // Group 0: committed and fsynced inline — acknowledged durable.
     for k in 0..3u64 {
         wal.append_insert(k, &value(k)).unwrap();
     }
-    let t0 = wal
-        .commit()
-        .unwrap()
-        .expect("Always policy syncs every commit");
-    t0.wait().unwrap();
+    wal.commit().unwrap();
 
-    // Arm the kill: the next fsync — group 1's — dies on the writer
-    // thread.
+    // Arm the kill: the next fsync — group 1's — dies.
     plan.arm_nth_flush(1);
-
-    // Group 1 seals and submits its doomed fsync…
     for k in 3..6u64 {
         wal.append_insert(k, &value(k)).unwrap();
     }
-    let t1 = wal.commit().unwrap().expect("ticket for the doomed sync");
-
-    // …and group 2 seals behind it while that fsync is in flight (or
-    // already dead — the race is the point: whichever side observes the
-    // error first, it must never be lost).
-    let g2 = (|| {
-        for k in 6..9u64 {
-            wal.append_insert(k, &value(k))?;
-        }
-        wal.commit()
-    })();
-
-    // The doomed group's waiter sees the failure.
-    assert!(t1.wait().is_err(), "group 1's ticket must surface the kill");
+    assert!(
+        wal.commit().is_err(),
+        "group 1's commit must surface the kill"
+    );
     assert!(plan.tripped(), "the armed fsync fired");
-    match g2 {
-        // If group 2 got in before the error landed, its sync sits
-        // behind the dead one in the FIFO and inherits the failure.
-        Ok(Some(t2)) => assert!(t2.wait().is_err(), "a sync behind a killed fsync must fail"),
-        Ok(None) => panic!("Always policy returns a ticket"),
-        // Or the seal already observed the sticky error — also correct.
-        Err(_) => {}
-    }
-    // The handle fail-stops rather than acking over the hole.
+    assert!(wal.is_poisoned(), "a killed fsync fail-stops the handle");
+
+    // The handle refuses rather than acks over the hole.
     let _ = wal.append_insert(99, b"must-not-commit");
     assert!(
         wal.commit().is_err(),
@@ -286,14 +252,15 @@ fn killed_overlapped_fsync_with_next_group_sealed_recovers() {
     drop(wal);
 
     // Reopen through the engine: a whole-group prefix that includes at
-    // least the acked group and nothing past the poison point.
+    // least the acked group and nothing past the poison point (group 1's
+    // blocks were written before its fsync died, so it may replay too).
     let db = SksDb::open(&dir, config).unwrap();
     let report = db.recovery_report();
     assert_eq!(report.path, RecoveryPath::FullReplay);
     let n = report.records_replayed;
     assert!(n >= 3, "the acked group is durable: {n} records");
     assert_eq!(n % 3, 0, "whole group commits only, got {n}");
-    assert!(n <= 9, "nothing past the poisoned commit replays");
+    assert!(n <= 6, "nothing past the poisoned commit replays");
     for k in 0..n {
         assert_eq!(
             db.get(k).unwrap().as_deref(),

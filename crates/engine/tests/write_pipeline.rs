@@ -1,7 +1,8 @@
-//! The pipelined write path end to end: the plaintext staged in memory
-//! (group bodies awaiting their seal) must never reach the medium or the
-//! flight recorder. Plus the sorted-ingest `bulk_load` fast path riding
-//! the same machinery.
+//! The write path end to end — stage, then seal, write and (when due)
+//! fsync inline at the commit: the plaintext staged in memory (group
+//! bodies awaiting their seal) must never reach the medium or the flight
+//! recorder. Plus the sorted-ingest `bulk_load` fast path riding the same
+//! machinery.
 
 use sks_core::{ObsLevel, Scheme, SchemeConfig, StorageBackend};
 use sks_engine::{EngineConfig, SksDb};
@@ -17,7 +18,7 @@ fn rec(k: u64) -> Vec<u8> {
     format!("pipeline-record-{k:05}").into_bytes()
 }
 
-/// Attack sweep over the staging windows the pipeline introduces: while
+/// Attack sweep over the staging windows of the write path: while
 /// record plaintext sits in the batch-staging buffer and dirty pages sit
 /// in the no-steal pool, nothing readable may exist on the medium — and
 /// nothing readable may ever enter the flight recorder or the stats

@@ -13,8 +13,8 @@
 //!   lost.
 //! - [`wal_fault`]: the bare WAL under arbitrary fuzzed op sequences and
 //!   seeded write/flush faults, generalising the fixed-workload
-//!   `pipelined_wal_fault_sweep` to single-record, multi-record and txn
-//!   frames across block-size / sync-policy / pipeline configurations.
+//!   `wal_fault_sweep` to single-record, multi-record and txn frames
+//!   across block-size / sync-policy configurations.
 //! - [`decoders`]: corrupt-ciphertext fuzzing of every sealed decoder —
 //!   WAL streams, node codecs for every disguise scheme, record-store
 //!   pages (including slots shorter than their sealed key), tree

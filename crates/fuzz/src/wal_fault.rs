@@ -1,7 +1,7 @@
 //! The bare-WAL fault fuzzer: generalises the engine's fixed-workload
-//! `pipelined_wal_fault_sweep` to *arbitrary fuzzed op sequences*. Each
-//! seed draws a log configuration (block size, sync policy, pipelining),
-//! a mixed stream of single-record / multi-record / txn commit units,
+//! `wal_fault_sweep` to *arbitrary fuzzed op sequences*. Each seed draws
+//! a log configuration (block size, sync policy), a mixed stream of
+//! single-record / multi-record / txn commit units,
 //! and one [`KillPoint`] on the underlying
 //! [`FileDisk`]; after the kill the log is reopened with the plain
 //! (fault-free) device and checked for:
@@ -11,8 +11,8 @@
 //! - **frame atomicity**: the prefix ends on a frame boundary — a commit
 //!   group or txn body never resurfaces half-applied;
 //! - **durability floor**: everything covered by a successful fsync
-//!   barrier (a commit that paid its fsync inline, a waited sync ticket,
-//!   an explicit flush) is in the prefix;
+//!   barrier (a commit that paid its fsync, an explicit flush) is in the
+//!   prefix;
 //! - **usability**: the recovered log accepts appends and survives a
 //!   second clean reopen.
 //!
@@ -47,7 +47,6 @@ pub struct WalFaultReport {
 struct LogShape {
     block_size: usize,
     policy: SyncPolicy,
-    pipeline: bool,
 }
 
 fn draw_shape(rng: &mut FuzzRng) -> LogShape {
@@ -59,7 +58,6 @@ fn draw_shape(rng: &mut FuzzRng) -> LogShape {
     LogShape {
         block_size: if rng.chance(50) { 256 } else { 512 },
         policy,
-        pipeline: rng.chance(50),
     }
 }
 
@@ -89,9 +87,6 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
     let (store, plan) = FailStore::new(disk);
     let mut wal = Wal::create_on_device(store, WAL_KEY, shape.policy, counters.clone())
         .map_err(|e| format!("create wal: {e}"))?;
-    if shape.pipeline {
-        wal = wal.enable_pipeline();
-    }
 
     // Arm only after the sentinel is durably down: a kill during the
     // very first format correctly leaves an unopenable log — a dead end,
@@ -141,14 +136,12 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
             break 'units;
         }
 
-        // Commit, tracking the durability floor: a due fsync either comes
-        // back as a ticket to wait on (pipelined device) or was paid
-        // inline, which shows as a `wal_fsyncs` bump with no ticket.
+        // Commit, tracking the durability floor: a due fsync is paid
+        // inline, which shows as a `wal_fsyncs` bump.
         let fsyncs_before = counters.snapshot().wal_fsyncs;
-        let synced = wal.commit().and_then(|ticket| match ticket {
-            Some(t) => t.wait().map(|()| true).map_err(Into::into),
-            None => Ok(counters.snapshot().wal_fsyncs > fsyncs_before),
-        });
+        let synced = wal
+            .commit()
+            .map(|()| counters.snapshot().wal_fsyncs > fsyncs_before);
         match synced {
             Ok(synced) => {
                 committed = submitted.len();

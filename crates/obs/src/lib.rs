@@ -331,8 +331,9 @@ pub enum Stage {
     /// their one WAL frame — a group of one included (one Speck-CTR pass
     /// and one CRC over the whole group body).
     SealBatch,
-    /// Waiting for a free swap buffer in the double-buffered WAL writer
-    /// (back-pressure from the in-flight write/fsync of the other buffer).
+    /// Never recorded: the WAL writes and fsyncs inline, with no swap
+    /// buffer to wait for. Kept only because the frozen benchmark harness
+    /// (`sks_bench/src/metrics.rs:379`) names it.
     WalSwap,
     /// Never recorded: the engine has no index to flush since records
     /// carry their key. Kept only because the frozen benchmark harness
@@ -431,7 +432,8 @@ pub enum EventKind {
     RecoveryStart,
     /// One WAL record replayed (FullTrace) — `a` = seq, `b` = bytes.
     RecoveryReplay,
-    /// Recovery finished. `a` = records replayed, `b` = records skipped.
+    /// Recovery finished. `a` = records replayed, `b` = torn-tail bytes
+    /// discarded.
     RecoveryEnd,
     /// A torn WAL tail was scrubbed. `a` = byte offset of the cut,
     /// `b` = bytes discarded.

@@ -1,9 +1,15 @@
-//! SIGKILL probe for space governance: `write` churns forever, and every
-//! checkpoint runs dead-ratio compaction + node shrinking; `check`
-//! reopens the killed directory, validates, and reports device usage.
+//! SIGKILL probe for space governance and acknowledged writes: `write`
+//! churns forever under group commit (`SyncPolicy::EveryN(32)`), every
+//! checkpoint runs dead-ratio compaction + node shrinking, and each
+//! finished op prints `ACK <op>`; `check <dir> [<op>]` reopens the killed
+//! directory, validates, reports device usage and — given the last
+//! acknowledged op — requires every acknowledged write to be there: a
+//! process crash loses nothing acknowledged under any sync policy.
 use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
 use sks_btree::engine::{EngineConfig, SksDb};
 use sks_btree::storage::SyncPolicy;
+
+const KEYS: u64 = 8_000;
 
 fn config(dir: &std::path::Path) -> EngineConfig {
     let scheme = SchemeConfig::with_capacity(Scheme::Oval, 16_384)
@@ -12,7 +18,42 @@ fn config(dir: &std::path::Path) -> EngineConfig {
             dir: dir.to_path_buf(),
             pool_pages: 128,
         });
-    EngineConfig::new(scheme).sync(SyncPolicy::Always)
+    EngineConfig::new(scheme).sync(SyncPolicy::EveryN(32))
+}
+
+fn value(k: u64) -> Vec<u8> {
+    vec![(k % 251) as u8; 900]
+}
+
+/// What op `i` writes: it inserts one key and, every third op, deletes
+/// another.
+fn op(i: u64) -> (u64, Option<u64>) {
+    (i % KEYS, i.is_multiple_of(3).then_some((i / 3) % KEYS))
+}
+
+/// Checks the reopened database against ops `0..=acked`. The op after
+/// `acked` may have been cut short by the kill, so the keys it touches may
+/// hold either state; every other key must be exactly as acknowledged.
+fn check_acked(db: &SksDb, acked: u64) {
+    let mut present = vec![false; KEYS as usize];
+    for i in 0..=acked {
+        let (insert, delete) = op(i);
+        present[insert as usize] = true;
+        if let Some(d) = delete {
+            present[d as usize] = false;
+        }
+    }
+    let (insert, delete) = op(acked + 1);
+    let in_flight = |k| k == insert || Some(k) == delete;
+    for k in (0..KEYS).filter(|&k| !in_flight(k)) {
+        let expected = present[k as usize].then(|| value(k));
+        assert_eq!(
+            db.get(k).unwrap(),
+            expected,
+            "key {k} lost an acknowledged write"
+        );
+    }
+    println!("acknowledged writes through op {acked}: all present");
 }
 
 fn main() {
@@ -26,11 +67,12 @@ fn main() {
             println!("READY");
             let mut i = 0u64;
             loop {
-                let k = i % 8_000;
-                s.insert(k, vec![(k % 251) as u8; 900]).unwrap();
-                if i.is_multiple_of(3) {
-                    s.delete((i / 3) % 8_000).ok();
+                let (insert, delete) = op(i);
+                s.insert(insert, value(insert)).unwrap();
+                if let Some(d) = delete {
+                    s.delete(d).unwrap();
                 }
+                println!("ACK {i}");
                 if i % 2_000 == 1_999 {
                     db.checkpoint().unwrap();
                     println!("CKPT {i} report {:?}", db.last_compaction_report());
@@ -42,6 +84,9 @@ fn main() {
             let db = SksDb::open(&dir, config(&dir)).unwrap();
             println!("recovery: {:?}", db.recovery_report());
             db.validate().unwrap();
+            if let Some(acked) = args.next() {
+                check_acked(&db, acked.parse().expect("last acknowledged op"));
+            }
             let n = db.len();
             let usage = db.data_block_usage_per_partition();
             println!("records: {n}, data usage: {usage:?}");

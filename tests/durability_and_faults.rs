@@ -1,14 +1,19 @@
 //! Durability and fault injection: enciphered trees on real files, trees
 //! behind the block cache, corrupted media producing typed errors
-//! instead of garbage or panics, and engine writes the tree would refuse
-//! kept out of the log.
+//! instead of garbage or panics, engine writes the tree would refuse
+//! kept out of the log, logged writes a reopen cannot apply refused
+//! rather than dropped, and acknowledged commits in the log file the
+//! moment they return.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sks_btree::btree::{BTree, CodecError, RecordPtr, TreeError};
 use sks_btree::core::{CoreError, Scheme, SchemeConfig};
-use sks_btree::engine::{EngineConfig, EngineError, SksDb};
-use sks_btree::storage::{BlockId, BlockStore, FileDisk, MemDisk, OpCounters, PagedFileStore};
+use sks_btree::engine::{EngineConfig, EngineError, SksDb, Wal, WalOp};
+use sks_btree::storage::{
+    BlockId, BlockStore, FileDisk, MemDisk, OpCounters, PagedFileStore, SyncPolicy,
+};
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -283,4 +288,125 @@ fn engine_txn_insert_refuses_an_over_long_value_before_logging() {
         }
         txn.commit()
     });
+}
+
+/// A logged record the configuration can no longer apply fails the open
+/// instead of being dropped: a memory-backend database holds a value half
+/// a block long, and a reopen with a quarter of the block size (whose
+/// record slots cannot hold it) is refused with an error naming the
+/// record's seq but none of its bytes. The refused open leaves the log
+/// as it was, so a reopen with the original configuration still serves
+/// the value.
+#[test]
+fn replay_refuses_a_record_the_configuration_cannot_apply() {
+    let dir = tmpfile("unreplayable");
+    std::fs::remove_dir_all(&dir).ok();
+    let scheme = || SchemeConfig::with_capacity(Scheme::Oval, 1_000);
+    let key = 777u64;
+    let value = b"SECRET-VALUE-".repeat(4096 / 2 / 13);
+    {
+        let db = SksDb::open(&dir, EngineConfig::new(scheme())).unwrap();
+        assert_eq!(db.config().scheme.block_size, 4096);
+        db.insert(key, value.clone()).unwrap();
+    }
+
+    let mut small = scheme();
+    small.block_size = 4096 / 4;
+    let err = SksDb::open(&dir, EngineConfig::new(small)).expect_err("the open must be refused");
+    let msg = err.to_string();
+    assert!(msg.contains("seq 2"), "the error names the record: {msg}");
+    assert!(
+        !msg.contains(&key.to_string()) && !msg.contains("SECRET"),
+        "the error carries no key or value bytes: {msg}"
+    );
+
+    let db = SksDb::open(&dir, EngineConfig::new(scheme())).unwrap();
+    assert_eq!(db.recovery_report().records_replayed, 1);
+    assert_eq!(db.get(key).unwrap(), Some(value));
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Acknowledged means in the log file, under a lazy sync policy too: a
+/// copy of `wal.sks` taken the moment `insert`, `insert_batch` or
+/// `Txn::commit` returns — no flush, no drop, so exactly what a process
+/// crash would leave behind — replays every acknowledged write.
+#[test]
+fn acknowledged_commits_are_in_the_log_file_when_they_return() {
+    let dir = tmpfile("acked_in_file");
+    std::fs::remove_dir_all(&dir).ok();
+    let copy = tmpfile("acked_in_file.copy");
+    let config = EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2))
+        .sync(SyncPolicy::EveryN(1000));
+    let db = SksDb::open(&dir, config.clone()).unwrap();
+    let fsyncs = db.snapshot().wal_fsyncs;
+    let mut acked: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let assert_acked_replay = |acked: &BTreeMap<u64, Vec<u8>>| {
+        std::fs::copy(dir.join("wal.sks"), &copy).unwrap();
+        let (_, replay) = Wal::open(
+            &copy,
+            config.wal_key(),
+            SyncPolicy::Always,
+            OpCounters::new(),
+        )
+        .unwrap();
+        assert!(!replay.torn_tail);
+        let mut replayed = BTreeMap::new();
+        for r in replay.records {
+            match r.op {
+                WalOp::Insert { key, value } => replayed.insert(key, value),
+                WalOp::Delete { key } => replayed.remove(&key),
+            };
+        }
+        assert_eq!(
+            &replayed, acked,
+            "an acknowledged write is missing from the log file"
+        );
+    };
+
+    for k in 0..16u64 {
+        db.insert(k, record(k)).unwrap();
+        acked.insert(k, record(k));
+        assert_acked_replay(&acked);
+    }
+    db.delete(5).unwrap();
+    acked.remove(&5);
+    assert_acked_replay(&acked);
+    let batch: Vec<(u64, Vec<u8>)> = (16..48u64).map(|k| (k, record(k))).collect();
+    db.insert_batch(batch.clone()).unwrap();
+    acked.extend(batch);
+    assert_acked_replay(&acked);
+    // A one-key and a one-partition transaction commit as the policy
+    // says; neither pays an fsync here.
+    let p = db.partition_of(200).unwrap();
+    let same_partition: Vec<u64> = (200..300u64)
+        .filter(|&k| db.partition_of(k).unwrap() == p)
+        .take(4)
+        .collect();
+    for keys in [vec![100u64], same_partition] {
+        let mut txn = db.begin();
+        for &k in &keys {
+            txn.insert(k, record(k)).unwrap();
+            acked.insert(k, record(k));
+        }
+        txn.commit().unwrap();
+        assert_acked_replay(&acked);
+    }
+    assert_eq!(
+        db.snapshot().wal_fsyncs,
+        fsyncs,
+        "every commit so far was acknowledged without an fsync"
+    );
+    // A transaction over both partitions (which forces its fsync).
+    let mut txn = db.begin();
+    for k in 300..308u64 {
+        txn.insert(k, record(k)).unwrap();
+        acked.insert(k, record(k));
+    }
+    txn.commit().unwrap();
+    assert_acked_replay(&acked);
+
+    drop(db);
+    std::fs::remove_file(&copy).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,37 +17,38 @@
 //! per-partition-consistent (not globally snapshot) view — the classic
 //! read-committed engine contract.
 //!
-//! Since PR 9 every mutation is a transaction. The plain
-//! `insert/delete/insert_batch/bulk_load` entry points are *implicit
-//! autocommit* transactions: one WAL group + one tree apply under the
-//! partition lock, with counters and framing byte-identical to the
-//! pre-transaction engine. Explicit multi-key transactions
-//! ([`Session::begin`] → [`crate::Txn`]) buffer their writes and run the
-//! same commit sequence once, over every written partition's lock (taken
-//! in the global ascending order — that is what makes cross-partition
-//! commit deadlock-free) with **one** atomic WAL commit frame. Snapshot
-//! reads rewind the current trees through the `TxnManager`
-//! undo overlay, so they never block writers. See `txn.rs` for the
-//! isolation model.
+//! Every mutation is a transaction, and there is one commit sequence:
+//! `insert`, `delete`, each `insert_batch` partition group and
+//! [`crate::Txn::commit`] all run one private function that write-locks
+//! the written partitions in ascending id (the global order that makes
+//! cross-partition commit deadlock-free), checks first-committer-wins
+//! when a transaction's snapshot is given, logs every write as **one**
+//! WAL group, applies it, and records the priors in the `TxnManager`'s
+//! undo overlay — all before a lock drops. `bulk_load` builds its trees
+//! bottom-up but logs through the same group append. Reads share one
+//! path as well: a snapshot read is the read-committed read rewound
+//! through the overlay, so it never blocks writers. A logged commit that
+//! a tree then refuses halts the engine: every client and maintenance
+//! call returns [`EngineError::WalPoisoned`] until a reopen replays the
+//! log. See `txn.rs` for the isolation model.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use sks_core::{
     CompactionReport, CoreError, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend,
 };
 use sks_storage::{
-    wipe, Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage,
-    SyncPolicy, NO_PARTITION,
+    Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy,
+    NO_PARTITION,
 };
 
 use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
-use crate::txn::{KeyPriors, Txn, TxnManager};
+use crate::txn::{wipe_values, KeyValues, Txn, TxnManager};
 use crate::wal::{Wal, WalOp, WalReplay};
-
-use std::collections::BTreeMap;
 
 /// Engine-level configuration wrapping the paper-level [`SchemeConfig`].
 #[derive(Debug, Clone)]
@@ -180,12 +181,18 @@ pub struct SksDb {
     /// Range-scan latency (a range crosses every partition, so it gets
     /// one engine-wide histogram instead of a per-partition slot).
     range_hist: Histogram,
-    /// Explicit-transaction commit latency (a txn may span partitions, so
-    /// engine-wide like `range_hist`).
-    txn_hist: Histogram,
+    /// Explicit-transaction commit latency, recorded by [`Txn::commit`]
+    /// (a txn may span partitions, so engine-wide like `range_hist`).
+    pub(crate) txn_hist: Histogram,
     /// Commit epochs, live snapshots and the undo-version overlay backing
     /// snapshot reads and first-committer-wins validation.
     txns: TxnManager,
+    /// Set when a logged commit failed to apply, so the trees may hold
+    /// part of it. From then on every client and maintenance call refuses
+    /// with [`EngineError::WalPoisoned`] until a reopen replays the log.
+    /// Set under the commit's partition write locks and read under a
+    /// partition lock, so no call queued behind that commit slips past.
+    halted: AtomicBool,
     recovery: RecoveryReport,
     wal_path: PathBuf,
     config: EngineConfig,
@@ -464,6 +471,7 @@ impl SksDb {
             range_hist: Histogram::new(),
             txn_hist: Histogram::new(),
             txns: TxnManager::new(),
+            halted: AtomicBool::new(false),
             max_value_len: partitions[0].max_record_len(),
             partitions: partitions.into_iter().map(RwLock::new).collect(),
             router,
@@ -500,12 +508,15 @@ impl SksDb {
         Ok(groups)
     }
 
-    /// A session handle for one logical client. Sessions are cheap clones
-    /// of the shared engine and are `Send`, one per thread.
+    /// A [`Session`] for one logical client: a cheap, `Send` clone of the
+    /// shared engine, one per thread. The unmodified-DBMS fiction of the
+    /// paper maps here: a session speaks plain `get/insert/delete/range`
+    /// over plaintext keys and never sees disguises, seals, partitions or
+    /// the log. Its plain mutations are autocommit transactions and
+    /// [`SksDb::begin`] hands out an explicit [`Txn`]; both run the one
+    /// commit sequence.
     pub fn session(self: &Arc<Self>) -> Session {
-        Session {
-            db: Arc::clone(self),
-        }
+        Arc::clone(self)
     }
 
     pub fn recovery_report(&self) -> &RecoveryReport {
@@ -612,12 +623,32 @@ impl SksDb {
         self.wal.lock().expect("wal lock").len_bytes()
     }
 
+    /// Read-committed point read (use [`Txn::get`] for a snapshot read).
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>, EngineError> {
+        self.read(key, None)
+    }
+
+    /// The one point read: the partition's current value, rewound through
+    /// the undo overlay to `snapshot` when one is given. Without one the
+    /// overlay's mutex is never touched. The partition read lock is
+    /// released *before* the rewind — safe either way the race falls,
+    /// because an overlay entry for a commit that applied after our tree
+    /// read holds exactly the value we just read.
+    pub(crate) fn read(
+        &self,
+        key: u64,
+        snapshot: Option<u64>,
+    ) -> Result<Option<Vec<u8>>, EngineError> {
         let timer = self.counters.obs().start();
         let p = self.router.partition_of(key)?;
-        let result = {
+        let current = {
             let tree = self.partitions[p].read().expect("partition lock");
+            self.check_halted()?;
             tree.get(key)?
+        };
+        let result = match snapshot {
+            Some(snapshot) => self.txns.rewind(key, snapshot, current),
+            None => current,
         };
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
@@ -630,31 +661,24 @@ impl SksDb {
         Ok(result)
     }
 
-    /// Inserts (or replaces) the record under `key`.
+    /// Inserts (or replaces) the record under `key`: an implicit
+    /// *autocommit* transaction of one write through the one commit
+    /// sequence an explicit [`Txn`] runs.
     ///
     /// Failure semantics: an error from the WAL *commit* step (e.g. an
     /// fsync failure) leaves the operation's outcome indeterminate — the
     /// record may already sit durably in the log even though the error
-    /// was returned. The WAL fail-stops on such errors (every later write
-    /// returns [`EngineError::WalPoisoned`]); reopening the database
-    /// replays the log and decides the final outcome, exactly as a crash
-    /// at commit time would.
-    ///
-    /// This is an implicit *autocommit* transaction: the same
-    /// log-then-apply commit sequence an explicit [`Txn`] runs, with one
-    /// key and one partition, so its counters and WAL framing are
-    /// byte-identical to the pre-transaction engine.
+    /// was returned. The WAL fail-stops on such errors, and a tree that
+    /// refuses a logged write halts the engine; either way every later
+    /// call returns [`EngineError::WalPoisoned`], and reopening the
+    /// database replays the log and decides the final outcome, exactly as
+    /// a crash at commit time would.
     pub fn insert(&self, key: u64, value: Vec<u8>) -> Result<Option<Vec<u8>>, EngineError> {
         let timer = self.counters.obs().start();
         let value_len = value.len() as u64;
         let p = self.route_insert(key, &value)?;
-        let result = {
-            let mut tree = self.partitions[p].write().expect("partition lock");
-            self.log_autocommit(|wal| wal.append_insert(key, &value).map(|_| ()))?;
-            let result = tree.insert(key, value)?;
-            self.txns.note_commit_with(|| vec![(key, result.clone())]);
-            result
-        };
+        let write = vec![(p, vec![(key, Some(value))])];
+        let result = self.commit(write, None, || {})?.pop().and_then(|(_, v)| v);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].put.record(ns);
@@ -666,11 +690,11 @@ impl SksDb {
     }
 
     /// Inserts many records, amortising WAL commits: the batch is grouped
-    /// by partition and each group pays *one* group-commit instead of one
-    /// per record. Partition groups apply atomically with respect to each
-    /// other's locks but the batch as a whole is not a transaction — the
-    /// same read-committed contract as [`SksDb::range`]. Returns the
-    /// number of records written.
+    /// by partition and each group is *one* autocommit transaction — one
+    /// WAL group, one commit — instead of one per record. The batch as a
+    /// whole is not a transaction — the same read-committed contract as
+    /// [`SksDb::range`] (use [`SksDb::begin`] for cross-partition
+    /// atomicity). Returns the number of records written.
     pub fn insert_batch(&self, items: Vec<(u64, Vec<u8>)>) -> Result<usize, EngineError> {
         let groups = self.route_groups(items)?;
         let mut written = 0usize;
@@ -680,15 +704,8 @@ impl SksDb {
             }
             let timer = self.counters.obs().start();
             let count = group.len();
-            {
-                let mut tree = self.partitions[p].write().expect("partition lock");
-                self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
-                let mut priors = Vec::with_capacity(group.len());
-                for (key, value) in group {
-                    priors.push((key, tree.insert(key, value)?));
-                }
-                self.txns.note_commit(priors);
-            }
+            let writes = group.into_iter().map(|(k, v)| (k, Some(v))).collect();
+            wipe_values(self.commit(vec![(p, writes)], None, || {})?);
             written += count;
             if let Some(t) = timer {
                 let ns = t.elapsed().as_nanos() as u64;
@@ -733,6 +750,7 @@ impl SksDb {
             .iter()
             .map(|p| p.write().expect("partition lock"))
             .collect();
+        self.check_halted()?;
         if let Some((p, tree)) = trees.iter().enumerate().find(|(_, t)| !t.is_empty()) {
             return Err(EngineError::Config(format!(
                 "bulk_load requires an empty database (partition {p} holds {} keys)",
@@ -746,11 +764,17 @@ impl SksDb {
             }
             let timer = self.counters.obs().start();
             let count = group.len();
-            self.log_autocommit(|wal| wal.append_insert_group(&group).map(|_| ()))?;
-            tree.bulk_load(&group)?;
+            {
+                let mut wal = self.wal.lock().expect("wal lock");
+                wal.append_group(group.iter().map(|(k, v)| (*k, Some(&v[..]))))?;
+                wal.commit()?;
+            }
+            if let Err(e) = tree.bulk_load(&group) {
+                self.halted.store(true, Ordering::Release);
+                return Err(e.into());
+            }
             // Loaded into an empty tree: every prior is `None`.
-            self.txns
-                .note_commit_with(|| group.iter().map(|&(k, _)| (k, None)).collect());
+            self.txns.note_commit(group.iter().map(|&(k, _)| (k, None)));
             written += count;
             if let Some(t) = timer {
                 let ns = t.elapsed().as_nanos() as u64;
@@ -767,13 +791,8 @@ impl SksDb {
     pub fn delete(&self, key: u64) -> Result<Option<Vec<u8>>, EngineError> {
         let timer = self.counters.obs().start();
         let p = self.router.partition_of(key)?;
-        let result = {
-            let mut tree = self.partitions[p].write().expect("partition lock");
-            self.log_autocommit(|wal| wal.append_delete(key).map(|_| ()))?;
-            let result = tree.delete(key)?;
-            self.txns.note_commit_with(|| vec![(key, result.clone())]);
-            result
-        };
+        let write = vec![(p, vec![(key, None)])];
+        let result = self.commit(write, None, || {})?.pop().and_then(|(_, v)| v);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].delete.record(ns);
@@ -784,22 +803,96 @@ impl SksDb {
         Ok(result)
     }
 
-    /// The one autocommit logging sequence every single-group mutation
-    /// takes, under the WAL lock: append(s), then the policy-driven
-    /// commit, which writes the group to the log file (and fsyncs when
-    /// due) before it returns. Callers hold the partition write lock
-    /// across this and the tree apply, so the tree never holds a write
-    /// the log file lacks; on error the tree has not been mutated and the
-    /// WAL fail-stops every later commit. Explicit multi-key transactions
-    /// run the same sequence via [`SksDb::commit_txn_with_hook`] with more
-    /// partition locks and one atomic commit frame.
-    fn log_autocommit(
+    /// The one commit sequence. `insert`, `delete`, each `insert_batch`
+    /// partition group and [`Txn::commit`] all run it; `groups` holds
+    /// each written partition's writes, partitions ascending, none empty.
+    ///
+    /// 1. Write-lock the written partitions in ascending id — the
+    ///    engine's global lock order, so a commit can never deadlock
+    ///    another commit, a checkpoint or `flush_pages`.
+    /// 2. Given a transaction's `snapshot`, check first-committer-wins
+    ///    under those locks: a written key committed by anyone else after
+    ///    the snapshot refuses the commit with [`EngineError::Conflict`].
+    /// 3. Run `mid` (a test hook).
+    /// 4. Under the WAL lock, append every write as one group and commit
+    ///    it: the frame is in the log file before this returns, and is
+    ///    fsynced inline when it spans ≥ 2 partitions, so a checkpoint
+    ///    flushing one partition's pages can never outlive a frame lost to
+    ///    a power failure that also touched another.
+    /// 5. Apply each write and record the priors in the undo overlay,
+    ///    every lock still held, so no reader sees half a commit.
+    ///
+    /// Returns each key's prior value, in write order. On every error the
+    /// values and priors not handed on are wiped. An error after step 4
+    /// leaves the log holding a commit the trees hold only part of, so it
+    /// halts the engine ([`SksDb::check_halted`]) until a reopen replays
+    /// the log and decides the outcome.
+    pub(crate) fn commit(
         &self,
-        append: impl FnOnce(&mut Wal) -> Result<(), EngineError>,
-    ) -> Result<(), EngineError> {
-        let mut wal = self.wal.lock().expect("wal lock");
-        append(&mut wal)?;
-        wal.commit()
+        groups: Vec<(usize, KeyValues)>,
+        snapshot: Option<u64>,
+        mid: impl FnOnce(),
+    ) -> Result<KeyValues, EngineError> {
+        let writes = || groups.iter().flat_map(|(_, w)| w);
+        let mut trees: Vec<_> = groups
+            .iter()
+            .map(|&(p, _)| self.partitions[p].write().expect("partition lock"))
+            .collect();
+        let mut logged = self.check_halted();
+        if let (Ok(()), Some(snapshot)) = (&logged, snapshot) {
+            if let Some(key) = self.txns.conflict(writes().map(|&(k, _)| k), snapshot) {
+                let partition = groups
+                    .iter()
+                    .find(|(_, w)| w.iter().any(|&(k, _)| k == key))
+                    .map_or(usize::MAX, |&(p, _)| p);
+                self.counters.bump(|c| &c.txn_conflicts);
+                let keys = writes().count() as u64;
+                self.counters
+                    .obs()
+                    .note(EventKind::TxnConflict, partition as u32, keys, 0, 0);
+                logged = Err(EngineError::Conflict { key, partition });
+            }
+        }
+        if logged.is_ok() {
+            mid();
+            let mut wal = self.wal.lock().expect("wal lock");
+            logged = wal
+                .append_group(writes().map(|(k, v)| (*k, v.as_deref())))
+                .and_then(|_| wal.commit_with(groups.len() > 1));
+        }
+        if let Err(e) = logged {
+            wipe_values(groups.into_iter().flat_map(|(_, w)| w));
+            return Err(e);
+        }
+        let mut priors = Vec::with_capacity(writes().count());
+        let mut ops = (groups.into_iter().enumerate())
+            .flat_map(|(i, (_, w))| w.into_iter().map(move |(key, value)| (i, key, value)));
+        let applied = ops.by_ref().try_for_each(|(i, key, value)| {
+            let prior = match value {
+                Some(value) => trees[i].insert(key, value)?,
+                None => trees[i].delete(key)?,
+            };
+            priors.push((key, prior));
+            Ok::<_, CoreError>(())
+        });
+        if let Err(e) = applied {
+            self.halted.store(true, Ordering::Release);
+            wipe_values(ops.map(|(_, key, value)| (key, value)).chain(priors));
+            return Err(e.into());
+        }
+        self.txns
+            .note_commit(priors.iter().map(|(k, v)| (*k, v.as_deref())));
+        Ok(priors)
+    }
+
+    /// Refuses service once a logged commit failed to apply (see
+    /// `halted`): [`EngineError::WalPoisoned`] until the database is
+    /// reopened.
+    fn check_halted(&self) -> Result<(), EngineError> {
+        if self.halted.load(Ordering::Acquire) {
+            return Err(EngineError::WalPoisoned);
+        }
+        Ok(())
     }
 
     /// Begins an explicit multi-key transaction: snapshot reads as of
@@ -821,171 +914,6 @@ impl SksDb {
         self.txns.overlay_len()
     }
 
-    /// Point read as of snapshot epoch `snapshot`: the current tree value
-    /// rewound through the undo overlay. The partition read lock is
-    /// released *before* the overlay probe — safe either way the race
-    /// falls, because an overlay entry for a commit that applied after
-    /// our tree read holds exactly the value we just read.
-    pub(crate) fn snapshot_get(
-        &self,
-        key: u64,
-        snapshot: u64,
-    ) -> Result<Option<Vec<u8>>, EngineError> {
-        let timer = self.counters.obs().start();
-        let p = self.router.partition_of(key)?;
-        let current = {
-            let tree = self.partitions[p].read().expect("partition lock");
-            tree.get(key)?
-        };
-        let result = self.txns.rewind(key, snapshot, current);
-        if let Some(t) = timer {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.op_hist[p].get.record(ns);
-            let len = result.as_ref().map_or(0, |v| v.len() as u64);
-            self.counters
-                .obs()
-                .note(EventKind::Get, p as u32, len, 0, ns);
-        }
-        Ok(result)
-    }
-
-    /// Range scan `lo..=hi` as of snapshot epoch `snapshot`: the merged
-    /// current-tree scan rewound through the undo overlay (post-snapshot
-    /// overwrites revert, deletes resurrect, inserts vanish).
-    pub(crate) fn snapshot_range(
-        &self,
-        lo: u64,
-        hi: u64,
-        snapshot: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
-        let timer = self.counters.obs().start();
-        let mut out = Vec::new();
-        for part in &self.partitions {
-            let tree = part.read().expect("partition lock");
-            out.extend(tree.range(lo, hi)?);
-        }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        let out = self.txns.rewind_range(lo, hi, snapshot, out);
-        if let Some(t) = timer {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.range_hist.record(ns);
-            self.counters
-                .obs()
-                .note(EventKind::Range, NO_PARTITION, out.len() as u64, 0, ns);
-        }
-        Ok(out)
-    }
-
-    /// Commits an explicit transaction's buffered writes atomically.
-    ///
-    /// Sequence: take every written partition's write lock in ascending
-    /// partition order (the engine's global lock order — cross-partition
-    /// commit can never deadlock another commit, a batch group or
-    /// `flush_pages`, which all walk ascending); validate
-    /// first-committer-wins against `snapshot` *under* those locks; seal
-    /// all writes as **one** WAL commit frame and write it to the log file
-    /// (fsyncing when due) under the WAL lock; apply to the trees; record
-    /// undo priors — all before any lock is released, so no reader ever
-    /// sees a half-applied commit.
-    ///
-    /// Framing and durability: a single-key transaction degenerates to
-    /// the autocommit sequence exactly (a group of one, policy-driven
-    /// commit). A multi-key frame is all-or-nothing under torn-tail
-    /// replay by construction; when it spans ≥ 2 partitions the commit
-    /// additionally *forces* its fsync inline before the apply
-    /// (`Wal::commit_with(true)`), so a checkpoint flushing one
-    /// partition's pages can never outlive a log frame lost to a power
-    /// failure that also touched another partition.
-    pub(crate) fn commit_txn_with_hook(
-        &self,
-        writes: BTreeMap<u64, (usize, Option<Vec<u8>>)>,
-        snapshot: u64,
-        mid: impl FnOnce(),
-    ) -> Result<(), EngineError> {
-        debug_assert!(!writes.is_empty());
-        let timer = self.counters.obs().start();
-        let keys = writes.len() as u64;
-        // Group by the partition [`Txn::insert`] routed each key to;
-        // BTreeMap keeps the lock order ascending.
-        let mut by_part: BTreeMap<usize, KeyPriors> = BTreeMap::new();
-        for (key, (p, value)) in writes {
-            by_part.entry(p).or_default().push((key, value));
-        }
-        let parts = by_part.len();
-        // Each locked partition with the number of writes it receives.
-        let mut guards: Vec<_> = by_part
-            .iter()
-            .map(|(&p, g)| (g.len(), self.partitions[p].write().expect("partition lock")))
-            .collect();
-        // First-committer-wins: any written key committed by someone else
-        // after our snapshot aborts us. Under the write locks, so no
-        // competing commit can slip between validation and our frame.
-        if let Some(key) = self
-            .txns
-            .conflict(by_part.values().flatten().map(|(k, _)| *k), snapshot)
-        {
-            let partition = by_part
-                .iter()
-                .find(|(_, g)| g.iter().any(|&(k, _)| k == key))
-                .map(|(&p, _)| p)
-                .unwrap_or(usize::MAX);
-            // Nothing will be written: wipe the values, as an abort does.
-            for (_, value) in by_part.values_mut().flatten() {
-                if let Some(v) = value {
-                    wipe::bytes(v);
-                }
-            }
-            self.counters.bump(|c| &c.txn_conflicts);
-            self.counters
-                .obs()
-                .note(EventKind::TxnConflict, partition as u32, keys, 0, 0);
-            return Err(EngineError::Conflict { key, partition });
-        }
-        mid();
-        // The values move into the frame's ops and from there into the
-        // trees, in ascending partition order like `guards`.
-        let ops: Vec<WalOp> = by_part
-            .into_values()
-            .flatten()
-            .map(|(key, value)| match value {
-                Some(value) => WalOp::Insert { key, value },
-                None => WalOp::Delete { key },
-            })
-            .collect();
-        {
-            let mut wal = self.wal.lock().expect("wal lock");
-            match &ops[..] {
-                // Single-key commit: exactly the autocommit sequence.
-                [WalOp::Insert { key, value }] => wal.append_insert(*key, value)?,
-                [WalOp::Delete { key }] => wal.append_delete(*key)?,
-                _ => wal.append_txn(&ops)?,
-            };
-            wal.commit_with(parts > 1)?;
-        }
-        // Apply and collect undo priors, every lock still held.
-        let mut priors = Vec::with_capacity(ops.len());
-        let mut ops = ops.into_iter();
-        for (writes, tree) in guards.iter_mut() {
-            for op in ops.by_ref().take(*writes) {
-                priors.push(match op {
-                    WalOp::Insert { key, value } => (key, tree.insert(key, value)?),
-                    WalOp::Delete { key } => (key, tree.delete(key)?),
-                });
-            }
-        }
-        self.txns.note_commit(priors);
-        drop(guards);
-        if let Some(t) = timer {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.txn_hist.record(ns);
-            self.counters.obs().stage_ns(Stage::TxnCommit, ns);
-            self.counters
-                .obs()
-                .note(EventKind::TxnCommit, NO_PARTITION, keys, parts as u64, ns);
-        }
-        Ok(())
-    }
-
     /// Which partition `key` routes to (observability; the assignment
     /// pattern carries no key order — it hashes the disguised key).
     pub fn partition_of(&self, key: u64) -> Result<usize, EngineError> {
@@ -1001,15 +929,34 @@ impl SksDb {
             .collect()
     }
 
-    /// Range scan `lo..=hi` across all partitions, merged in key order.
+    /// Read-committed range scan `lo..=hi` across all partitions, merged
+    /// in key order (per-partition-consistent; use [`Txn::range`] for a
+    /// snapshot-consistent scan).
     pub fn range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
+        self.scan(lo, hi, None)
+    }
+
+    /// The one range scan: every partition's `lo..=hi`, merged, then —
+    /// given a `snapshot` — rewound through the undo overlay
+    /// (post-snapshot overwrites revert, deletes resurrect, inserts
+    /// vanish). Without one the overlay's mutex is never touched.
+    pub(crate) fn scan(
+        &self,
+        lo: u64,
+        hi: u64,
+        snapshot: Option<u64>,
+    ) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
         let timer = self.counters.obs().start();
         let mut out = Vec::new();
         for part in &self.partitions {
             let tree = part.read().expect("partition lock");
+            self.check_halted()?;
             out.extend(tree.range(lo, hi)?);
         }
         out.sort_unstable_by_key(|&(k, _)| k);
+        if let Some(snapshot) = snapshot {
+            out = self.txns.rewind_range(lo, hi, snapshot, out);
+        }
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.range_hist.record(ns);
@@ -1022,6 +969,7 @@ impl SksDb {
 
     /// Forces every pending WAL byte to stable storage.
     pub fn flush(&self) -> Result<(), EngineError> {
+        self.check_halted()?;
         self.wal.lock().expect("wal lock").flush()
     }
 
@@ -1098,6 +1046,7 @@ impl SksDb {
 
     fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
         let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
+        self.check_halted()?;
         // Phase 1, only with a page image to cut the log against (the one
         // place the checkpoint asks which backend it runs on): mark the
         // fuzzy epoch — the sequence number and byte offset where the
@@ -1126,6 +1075,9 @@ impl SksDb {
                 .map(|p| {
                     s.spawn(move || -> Result<CompactionReport, EngineError> {
                         let mut guard = p.write().expect("partition lock");
+                        // A halted engine's trees may hold half a logged
+                        // commit: never flush that to the page stores.
+                        self.check_halted()?;
                         // Floored: checkpoint maintenance only rewrites
                         // blocks churn has made worth reclaiming.
                         let mut report =
@@ -1170,7 +1122,7 @@ impl SksDb {
         // rewrite. A failed scan returns here, before the rename, and the
         // old log stands.
         for group in wal.records_since(mark_seq, mark_offset)? {
-            fresh.append_txn(&group)?;
+            fresh.append_group(group.iter().map(WalOp::entry))?;
         }
         fresh.flush()?;
         std::fs::rename(&tmp_path, &self.wal_path)?;
@@ -1203,6 +1155,7 @@ impl SksDb {
         let mut total = CompactionReport::default();
         for part in &self.partitions {
             let mut guard = part.write().expect("partition lock");
+            self.check_halted()?;
             let pass = guard
                 .compact_step(max_blocks_per_partition)
                 .and_then(|mut r| {
@@ -1251,6 +1204,7 @@ impl SksDb {
             .iter()
             .map(|p| p.write().expect("partition lock"))
             .collect();
+        self.check_halted()?;
         for guard in &mut guards {
             guard.flush()?;
         }
@@ -1308,75 +1262,12 @@ impl std::fmt::Debug for SksDb {
     }
 }
 
-/// Per-client handle: a cheap, `Send` clone of the shared engine. The
-/// unmodified-DBMS fiction of the paper maps here: a session speaks plain
-/// `get/insert/delete/range` over plaintext keys and never sees disguises,
-/// seals, partitions or the log.
-///
-/// Every session mutation is a transaction. The plain methods below are
-/// *autocommit* wrappers: each one runs the engine's single commit
-/// sequence (log → durability barrier → tree apply, under the partition
-/// lock) for one implicit single-group transaction, with counters and
-/// WAL framing byte-identical to the pre-transaction API. For multi-key
-/// atomicity, [`Session::begin`] hands out an explicit [`Txn`] whose
-/// buffered writes commit through the very same sequence — once, as one
-/// atomic WAL frame, across every written partition.
-#[derive(Clone, Debug)]
-pub struct Session {
-    db: Arc<SksDb>,
-}
-
-impl Session {
-    /// Begins an explicit multi-key transaction: snapshot reads as of
-    /// now (never blocking writers), buffered writes, atomic
-    /// cross-partition commit. Dropping it uncommitted aborts.
-    pub fn begin(&self) -> Txn {
-        self.db.begin()
-    }
-
-    /// Read-committed point read (autocommit; use [`Txn::get`] for
-    /// snapshot reads).
-    pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>, EngineError> {
-        self.db.get(key)
-    }
-
-    /// Autocommit single-key insert: an implicit one-write transaction.
-    pub fn insert(&self, key: u64, value: Vec<u8>) -> Result<Option<Vec<u8>>, EngineError> {
-        self.db.insert(key, value)
-    }
-
-    /// Autocommit batch: one implicit transaction *per partition group*
-    /// (amortised commits, not cross-partition atomicity — use
-    /// [`Session::begin`] for that).
-    pub fn insert_batch(&self, items: Vec<(u64, Vec<u8>)>) -> Result<usize, EngineError> {
-        self.db.insert_batch(items)
-    }
-
-    /// Autocommit sorted-ingest fast path (one implicit transaction per
-    /// partition group, like [`Session::insert_batch`]).
-    pub fn bulk_load(&self, items: Vec<(u64, Vec<u8>)>) -> Result<usize, EngineError> {
-        self.db.bulk_load(items)
-    }
-
-    /// Autocommit single-key delete: an implicit one-write transaction.
-    pub fn delete(&self, key: u64) -> Result<Option<Vec<u8>>, EngineError> {
-        self.db.delete(key)
-    }
-
-    /// Read-committed range scan (per-partition-consistent; use
-    /// [`Txn::range`] for a snapshot-consistent scan).
-    pub fn range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
-        self.db.range(lo, hi)
-    }
-
-    pub fn db(&self) -> &Arc<SksDb> {
-        &self.db
-    }
-}
+/// Per-client handle: the shared engine itself. A session speaks plain
+/// `get/insert/delete/range` over plaintext keys (see [`SksDb::session`]).
+pub type Session = Arc<SksDb>;
 
 // Sessions are handed to worker threads; the engine is shared behind Arc.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SksDb>();
-    assert_send_sync::<Session>();
 };

@@ -12,9 +12,12 @@ pub enum EngineError {
     Storage(StorageError),
     /// Filesystem-level failure outside the block device (rename, stat).
     Io(std::io::Error),
-    /// An earlier append-path I/O error left the WAL in an unknown state;
-    /// the handle fail-stops and the database must be reopened (recovery
-    /// replays the log back to a consistent prefix).
+    /// The engine fail-stopped: an earlier append-path I/O error left the
+    /// WAL in an unknown state, or a logged commit failed to apply and the
+    /// trees may hold part of it. Every later write (and, after a failed
+    /// apply, every read and maintenance call too) refuses; the database
+    /// must be reopened, and recovery replays the log to decide the
+    /// outcome.
     WalPoisoned,
     /// Invalid engine configuration.
     Config(String),
@@ -70,7 +73,8 @@ impl std::fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "io error: {e}"),
             EngineError::WalPoisoned => write!(
                 f,
-                "wal poisoned by an earlier I/O error; reopen the database to recover"
+                "wal poisoned by an earlier I/O error or a logged commit that failed \
+                 to apply; reopen the database to recover"
             ),
             EngineError::Config(msg) => write!(f, "engine config: {msg}"),
             EngineError::Conflict { key, partition } => write!(

@@ -8,8 +8,9 @@
 //!
 //! * [`db`] — [`SksDb`]: the key space sharded over N `RwLock`ed tree
 //!   partitions (concurrent readers, per-partition serialized writers)
-//!   with a router that hashes the *disguised* key, and the per-client
-//!   [`Session`] handle.
+//!   with a router that hashes the *disguised* key, one commit sequence
+//!   every write runs, and the per-client [`Session`] handle (an
+//!   `Arc<SksDb>`).
 //! * [`wal`] — the write-ahead log layered on `sks-storage`'s
 //!   [`sks_storage::FileDisk`]: CRC-framed records with sealed bodies (the
 //!   log is the only durable state, so it must leak no keys or values),

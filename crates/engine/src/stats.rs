@@ -22,9 +22,11 @@ pub const OPS: [&str; 6] = ["get", "put", "delete", "range", "batch", "txn"];
 /// the compaction and checkpoint passes) either nests inside one of these
 /// or runs off the client path, so summing only these six never counts a
 /// nanosecond twice ([`Stage::WalSwap`] is never recorded). `SealBatch`
-/// is the group-commit seal at the commit boundary, disjoint from both
-/// `WalAppend` (staging and the inline tail-block write) and `WalFsync`
-/// (the inline barrier).
+/// is every commit's group append — building, sealing and appending its
+/// one frame — disjoint from both `WalAppend` (the commit's inline
+/// tail-block write; the engine stages nothing, so only the frozen
+/// benchmark's staged appends time anything else under it) and
+/// `WalFsync` (the inline barrier).
 pub const WRITE_PATH_STAGES: [Stage; 6] = [
     Stage::RecordSeal,
     Stage::WalAppend,

@@ -22,19 +22,28 @@
 //! `get` takes, so they wait only while a commit is mid-apply on that
 //! one partition — never on the whole database, and never on the WAL.
 //!
-//! Atomicity and durability: a multi-key commit is one sealed
-//! [`crate::Wal`] frame (all-or-nothing under torn-tail recovery), and a
-//! commit spanning ≥ 2 partitions always pays its fsync *before* any
-//! tree effect becomes visible, so no crash can persist half of it
-//! through a fuzzy checkpoint's page flush. Deadlock freedom: commit
-//! acquires its partitions' write locks in ascending partition-id order,
-//! the same global order every other multi-lock path uses.
+//! One commit sequence: [`Txn::commit`] and the autocommit
+//! `insert`/`delete`/`insert_batch` all run the engine's single commit
+//! function (lock → validate → log → apply → record priors); a
+//! transaction only adds its snapshot, which turns on the
+//! first-committer-wins check. Reads share one path the same way: a
+//! snapshot read is the read-committed read plus a rewind.
+//!
+//! Atomicity and durability: a commit is one sealed [`crate::Wal`] frame
+//! (all-or-nothing under torn-tail recovery), and a commit spanning ≥ 2
+//! partitions always pays its fsync *before* any tree effect becomes
+//! visible, so no crash can persist half of it through a fuzzy
+//! checkpoint's page flush. A logged commit a tree then refuses halts the
+//! engine rather than serve the half it applied (see
+//! [`EngineError::WalPoisoned`]). Deadlock freedom: commit acquires its
+//! partitions' write locks in ascending partition-id order, the same
+//! global order every other multi-lock path uses.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sks_storage::{wipe, EventKind, NO_PARTITION};
+use sks_storage::{wipe, EventKind, Stage, NO_PARTITION};
 
 use crate::db::SksDb;
 use crate::error::EngineError;
@@ -47,9 +56,40 @@ fn wipe_prior(prior: &mut Option<Vec<u8>>) {
     }
 }
 
-/// `(key, value before the commit)` pairs — `None` = the key did not
-/// exist. What a commit reports to the overlay and what `rewind` serves.
-pub(crate) type KeyPriors = Vec<(u64, Option<Vec<u8>>)>;
+/// Wipes the plaintext of `(key, value)` pairs a commit drops instead of
+/// handing them on: writes it never applied, priors nobody asked for.
+pub(crate) fn wipe_values(values: impl IntoIterator<Item = (u64, Option<Vec<u8>>)>) {
+    for (_, mut value) in values {
+        wipe_prior(&mut value);
+    }
+}
+
+/// `(key, value)` pairs, `None` meaning absent: a commit's writes (`None`
+/// deletes), the priors it returns (`None`: the key did not exist), and
+/// the `(epoch, prior)` versions the overlay keeps per key.
+pub(crate) type KeyValues = Vec<(u64, Option<Vec<u8>>)>;
+
+/// Lays `(key, value)` entries over key-sorted scan `rows`: a value
+/// replaces or adds its key's row, `None` removes it. The one merge a
+/// scan is rewound through — to a snapshot's priors, then to a
+/// transaction's own buffered writes.
+fn overlay<'a>(
+    rows: Vec<(u64, Vec<u8>)>,
+    entries: impl IntoIterator<Item = (u64, Option<&'a [u8]>)>,
+) -> Vec<(u64, Vec<u8>)> {
+    let mut entries = entries.into_iter().peekable();
+    if entries.peek().is_none() {
+        return rows;
+    }
+    let mut map: BTreeMap<u64, Vec<u8>> = rows.into_iter().collect();
+    for (key, value) in entries {
+        match value {
+            Some(v) => map.insert(key, v.to_vec()),
+            None => map.remove(&key),
+        };
+    }
+    map.into_iter().collect()
+}
 
 /// Undo entries and live-snapshot registry. One per engine, shared by
 /// every commit path (explicit transactions *and* implicit autocommit
@@ -62,7 +102,7 @@ struct VersionInner {
     /// `None` means the key did not exist before the commit. Entries are
     /// recorded only while ≥ 1 snapshot is live and pruned as snapshots
     /// release, so the overlay is empty whenever no transaction is open.
-    versions: BTreeMap<u64, KeyPriors>,
+    versions: BTreeMap<u64, KeyValues>,
 }
 
 /// The engine's transaction heart: the global commit epoch, the live
@@ -131,34 +171,25 @@ impl TxnManager {
     }
 
     /// Records one committed group: assigns it the next commit epoch
-    /// and, when any snapshot is live, stores each written key's prior
-    /// value in the overlay. Must be called while every affected
+    /// and, when any snapshot is live, copies each written key's prior
+    /// value into the overlay. `priors` is walked only then, so a commit
+    /// with no snapshot open — a bulk load's whole group included — builds
+    /// and clones nothing. Must be called while every affected
     /// partition's write lock is still held — that is what makes the
     /// commit atomic to snapshot readers (they either wait out the whole
     /// apply or rewind through the entries recorded here).
-    pub(crate) fn note_commit(&self, priors: KeyPriors) -> u64 {
+    pub(crate) fn note_commit<'a>(
+        &self,
+        priors: impl IntoIterator<Item = (u64, Option<&'a [u8]>)>,
+    ) {
         let mut inner = self.inner.lock().expect("txn manager");
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         if !inner.snapshots.is_empty() {
             for (key, prior) in priors {
+                let prior = prior.map(<[u8]>::to_vec);
                 inner.versions.entry(key).or_default().push((epoch, prior));
             }
         }
-        epoch
-    }
-
-    /// [`TxnManager::note_commit`] with the priors built lazily, so the
-    /// single-op fast paths clone an old value only when a snapshot is
-    /// actually live.
-    pub(crate) fn note_commit_with(&self, priors: impl FnOnce() -> KeyPriors) -> u64 {
-        let mut inner = self.inner.lock().expect("txn manager");
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        if !inner.snapshots.is_empty() {
-            for (key, prior) in priors() {
-                inner.versions.entry(key).or_default().push((epoch, prior));
-            }
-        }
-        epoch
     }
 
     /// First-committer-wins validation: the first written key the overlay
@@ -212,23 +243,11 @@ impl TxnManager {
         rows: Vec<(u64, Vec<u8>)>,
     ) -> Vec<(u64, Vec<u8>)> {
         let inner = self.inner.lock().expect("txn manager");
-        if inner.versions.is_empty() {
-            return rows;
-        }
-        let mut map: BTreeMap<u64, Vec<u8>> = rows.into_iter().collect();
-        for (key, entries) in inner.versions.range(lo..=hi) {
-            if let Some((_, prior)) = entries.iter().find(|(e, _)| *e > snapshot) {
-                match prior {
-                    Some(v) => {
-                        map.insert(*key, v.clone());
-                    }
-                    None => {
-                        map.remove(key);
-                    }
-                }
-            }
-        }
-        map.into_iter().collect()
+        let priors = inner.versions.range(lo..=hi).filter_map(|(key, entries)| {
+            let (_, prior) = entries.iter().find(|(e, _)| *e > snapshot)?;
+            Some((*key, prior.as_deref()))
+        });
+        overlay(rows, priors)
     }
 
     /// Overlay entry count (tests: must drain to zero when the last
@@ -253,16 +272,18 @@ enum TxnState {
 /// One multi-key transaction: snapshot reads as of `begin`, buffered
 /// writes (read-your-own-writes), and an atomic commit.
 ///
-/// Obtained from [`crate::Session::begin`] (or [`SksDb::begin`]). Writes
-/// buffer in memory — nothing touches the WAL or the trees until
-/// [`Txn::commit`], which validates first-committer-wins against the
-/// snapshot, seals every write into **one** WAL commit frame, and
-/// applies to all partitions under their write locks (taken in ascending
-/// partition order — the engine's global lock order) so no reader ever
-/// observes half of it. Dropping an uncommitted transaction aborts it.
+/// Obtained from [`SksDb::begin`] (on a [`crate::Session`] too, which is
+/// an `Arc<SksDb>`). Writes buffer in memory — nothing touches the WAL or
+/// the trees until [`Txn::commit`], which validates first-committer-wins
+/// against the snapshot, seals every write into **one** WAL commit frame,
+/// and applies to all partitions under their write locks (taken in
+/// ascending partition order — the engine's global lock order) so no
+/// reader ever observes half of it. Dropping an uncommitted transaction
+/// aborts it.
 ///
 /// A single-key commit degenerates to exactly the autocommit write path
-/// — same WAL frame, same counters — plus the conflict check.
+/// — same WAL frame, same counters — plus the conflict check: both run
+/// the one commit function, and the snapshot is the only difference.
 pub struct Txn {
     db: Arc<SksDb>,
     snapshot: u64,
@@ -310,29 +331,16 @@ impl Txn {
         if let Some((_, buffered)) = self.writes.get(&key) {
             return Ok(buffered.clone());
         }
-        self.db.snapshot_get(key, self.snapshot)
+        self.db.read(key, Some(self.snapshot))
     }
 
     /// Snapshot range scan `lo..=hi`, merged across partitions with this
     /// transaction's own buffered writes overlaid.
     pub fn range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
         self.check_active()?;
-        let rows = self.db.snapshot_range(lo, hi, self.snapshot)?;
-        if self.writes.range(lo..=hi).next().is_none() {
-            return Ok(rows);
-        }
-        let mut map: BTreeMap<u64, Vec<u8>> = rows.into_iter().collect();
-        for (key, (_, value)) in self.writes.range(lo..=hi) {
-            match value {
-                Some(v) => {
-                    map.insert(*key, v.clone());
-                }
-                None => {
-                    map.remove(key);
-                }
-            }
-        }
-        Ok(map.into_iter().collect())
+        let rows = self.db.scan(lo, hi, Some(self.snapshot))?;
+        let own = self.writes.range(lo..=hi);
+        Ok(overlay(rows, own.map(|(k, (_, v))| (*k, v.as_deref()))))
     }
 
     /// Buffers an insert (or overwrite). Validated against the key
@@ -382,9 +390,17 @@ impl Txn {
     #[doc(hidden)]
     pub fn commit_with_hook(&mut self, mid: impl FnOnce()) -> Result<(), EngineError> {
         self.check_active()?;
-        let writes = std::mem::take(&mut self.writes);
         let counters = self.db.counters().clone();
-        if writes.is_empty() {
+        let timer = counters.obs().start();
+        let keys = self.writes.len() as u64;
+        // One group per partition `insert`/`delete` routed a key to; the
+        // BTreeMap keeps the lock order ascending.
+        let mut groups: BTreeMap<usize, KeyValues> = BTreeMap::new();
+        for (key, (p, value)) in std::mem::take(&mut self.writes) {
+            groups.entry(p).or_default().push((key, value));
+        }
+        let parts = groups.len() as u64;
+        if parts == 0 {
             self.finish();
             counters.bump(|c| &c.txn_commits);
             counters
@@ -392,34 +408,43 @@ impl Txn {
                 .note(EventKind::TxnCommit, NO_PARTITION, 0, 0, 0);
             return Ok(());
         }
-        match self.db.commit_txn_with_hook(writes, self.snapshot, mid) {
-            Ok(()) => {
-                self.finish();
-                counters.bump(|c| &c.txn_commits);
-                Ok(())
-            }
+        let snapshot = Some(self.snapshot);
+        match self.db.commit(groups.into_iter().collect(), snapshot, mid) {
+            Ok(priors) => wipe_values(priors),
             Err(e @ EngineError::Conflict { .. }) => {
                 // Validation refused before anything touched the WAL or
                 // a tree: a clean, retryable abort.
                 self.finish();
                 counters.bump(|c| &c.txn_aborts);
-                Err(e)
+                return Err(e);
             }
             Err(e) => {
                 self.state = TxnState::Poisoned;
                 self.db.txns().release_snapshot(self.snapshot);
                 counters.bump(|c| &c.txn_aborts);
-                Err(e)
+                return Err(e);
             }
         }
+        if let Some(t) = timer {
+            let ns = t.elapsed().as_nanos() as u64;
+            self.db.txn_hist.record(ns);
+            counters.obs().stage_ns(Stage::TxnCommit, ns);
+            counters
+                .obs()
+                .note(EventKind::TxnCommit, NO_PARTITION, keys, parts, ns);
+        }
+        self.finish();
+        counters.bump(|c| &c.txn_commits);
+        Ok(())
     }
 
     /// Aborts: discards the buffered writes (wiped) and releases the
     /// snapshot. Dropping an active transaction does the same.
     pub fn abort(&mut self) -> Result<(), EngineError> {
         self.check_active()?;
-        let buffered = self.writes.len() as u64;
-        self.discard_writes();
+        let writes = std::mem::take(&mut self.writes);
+        let buffered = writes.len() as u64;
+        wipe_values(writes.into_iter().map(|(key, (_, value))| (key, value)));
         self.finish();
         let counters = self.db.counters();
         counters.bump(|c| &c.txn_aborts);
@@ -427,15 +452,6 @@ impl Txn {
             .obs()
             .note(EventKind::TxnAbort, NO_PARTITION, buffered, 0, 0);
         Ok(())
-    }
-
-    fn discard_writes(&mut self) {
-        for (_, (_, value)) in self.writes.iter_mut() {
-            if let Some(v) = value {
-                wipe::bytes(v);
-            }
-        }
-        self.writes.clear();
     }
 
     fn finish(&mut self) {
@@ -446,16 +462,8 @@ impl Txn {
 
 impl Drop for Txn {
     fn drop(&mut self) {
-        if self.state == TxnState::Active {
-            let buffered = self.writes.len() as u64;
-            self.discard_writes();
-            self.finish();
-            let counters = self.db.counters();
-            counters.bump(|c| &c.txn_aborts);
-            counters
-                .obs()
-                .note(EventKind::TxnAbort, NO_PARTITION, buffered, 0, 0);
-        }
+        // A spent or poisoned handle has nothing left to abort.
+        let _ = self.abort();
     }
 }
 

@@ -13,13 +13,20 @@
 //!
 //! with `count ≥ 1` and the CRC covering `first_seq ‖ nonce ‖ blen ‖
 //! ciphertext`. A frame is a *group* of `count` records holding the
-//! consecutive sequence numbers `first_seq..first_seq + count`: everything
-//! appended between two commit boundaries is sealed as one group, a single
-//! record is a group of one, and a multi-key transaction
-//! ([`Wal::append_txn`]) is a group sealed on its own. Every frame replays
-//! all-or-nothing — one CRC covers the whole group — which is the
+//! consecutive sequence numbers `first_seq..first_seq + count`. Every frame
+//! replays all-or-nothing — one CRC covers the whole group — which is the
 //! atomicity a transaction needs and the reason a checkpoint cut can
 //! carry the log tail over by re-sealing it frame for frame.
+//!
+//! The append surface is one call: [`Wal::append_group`] seals borrowed
+//! `(key, Some(value) | None)` ops as one frame, and a [`Wal::commit`]
+//! after it writes the frame out. Every engine commit (a single write is a
+//! group of one), every `bulk_load` partition group and every frame a
+//! checkpoint cut carries over goes through it. The staged
+//! [`Wal::append_insert`] / [`Wal::append_delete`] path, which buffers
+//! records until the next commit seals them as one group, is kept only
+//! because the frozen benchmark's layer timings call it; the engine never
+//! stages.
 //!
 //! The body — operations, search keys and record values — is sealed with
 //! an independent stream cipher (Speck64-CTR keyed from the engine's WAL
@@ -28,9 +35,10 @@
 //! rewrites). The log is the database's only durable representation, so
 //! leaving it plaintext would hand the paper's opponent everything the
 //! disguised tree withholds; sealing it keeps the §5 discipline that
-//! stored key material is never readable off the medium. Records wait for
-//! their commit boundary in a plaintext staging buffer that is wiped as
-//! soon as the group is sealed.
+//! stored key material is never readable off the medium. A group is sealed
+//! where its frame is built, from the caller's borrowed values; staged
+//! records wait in a plaintext buffer that is wiped as soon as they are
+//! sealed.
 //!
 //! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
 //! record sealing a constant, written at creation. Opening with the wrong
@@ -191,6 +199,17 @@ const KEYCHECK_MAGIC: &[u8; 16] = b"SKSWAL-KEYCHECK1";
 pub enum WalOp {
     Insert { key: u64, value: Vec<u8> },
     Delete { key: u64 },
+}
+
+impl WalOp {
+    /// The op as [`Wal::append_group`] takes it: `(key, Some(value))` for
+    /// an insert, `(key, None)` for a delete.
+    pub(crate) fn entry(&self) -> (u64, Option<&[u8]>) {
+        match self {
+            WalOp::Insert { key, value } => (*key, Some(value)),
+            WalOp::Delete { key } => (*key, None),
+        }
+    }
 }
 
 /// One recovered record.
@@ -414,7 +433,7 @@ impl Wal {
 
     /// Bytes the logical stream occupies once everything appended so far
     /// is sealed — a frame boundary only at a group boundary (right after
-    /// a commit, flush or `append_txn`).
+    /// a commit, flush or `append_group`).
     pub fn len_bytes(&self) -> u64 {
         match self.tail_id {
             Some(id) => id.0 as u64 * self.block_size as u64 + self.tail_used as u64,
@@ -501,57 +520,29 @@ impl Wal {
         Ok(groups)
     }
 
-    /// Appends `ops` as one frame sealed on its own — a multi-key
-    /// transaction's writes: one sealed body, one CRC, `ops.len()`
-    /// consecutive seqs, so replay recovers all of it or none of it.
-    /// Anything staged before it is sealed first so frames stay in seq
-    /// order. The logical `wal_appends`/`wal_bytes` charge is per record
-    /// exactly as if the ops had been appended individually —
-    /// transactional framing cannot move the paper's counters; only the
-    /// physical `wal_txn_frames` telemetry records the grouping. Returns
-    /// the first seq of the frame.
-    pub fn append_txn(&mut self, ops: &[WalOp]) -> Result<u64, EngineError> {
-        let group = ops.iter().map(|op| match op {
-            WalOp::Insert { key, value } => (OP_INSERT, *key, &value[..]),
-            WalOp::Delete { key } => (OP_DELETE, *key, &[][..]),
-        });
-        let first_seq = self.append_group(group, Stage::WalAppend)?;
-        if !ops.is_empty() {
-            self.counters.bump(|c| &c.wal_txn_frames);
-        }
-        Ok(first_seq)
-    }
-
-    /// Appends `items` as inserts forming one group, sealed on its own
-    /// straight from the caller's values — a bulk load's tens of megabytes
-    /// are never staged. Charged exactly as the same records appended one
-    /// by one and sealed by the next commit. Anything staged before is
-    /// sealed first so frames stay in seq order. Returns the first seq of
-    /// the frame.
-    pub fn append_insert_group(&mut self, items: &[(u64, Vec<u8>)]) -> Result<u64, EngineError> {
-        let group = items
-            .iter()
-            .map(|(key, value)| (OP_INSERT, *key, &value[..]));
-        let first_seq = self.append_group(group, Stage::SealBatch)?;
-        if items.len() >= 2 {
-            self.counters.bump(|c| &c.wal_sealed_batches);
-        }
-        Ok(first_seq)
-    }
-
-    /// Seals `group` as one frame of its own behind whatever was staged,
-    /// charging each record as if framed alone and timing the whole as
-    /// `stage`. An empty group writes nothing (the grammar has no empty
-    /// frame). Returns the first seq of the frame.
-    fn append_group<'a>(
-        &mut self,
-        group: impl Iterator<Item = Entry<'a>> + Clone,
-        stage: Stage,
-    ) -> Result<u64, EngineError> {
+    /// Appends `ops` — `(key, Some(value))` inserts or overwrites,
+    /// `(key, None)` deletes, the values borrowed from wherever the caller
+    /// holds them — as one frame sealed on its own: one sealed body, one
+    /// CRC, consecutive seqs, so replay recovers all of it or none of it.
+    /// Each record is charged `wal_appends`/`wal_bytes` exactly as if it
+    /// were framed alone, so grouping never moves the paper's counters;
+    /// the seal is timed as [`Stage::SealBatch`]. Anything staged before is
+    /// sealed first so frames stay in seq order. An empty group writes
+    /// nothing (the grammar has no empty frame). Returns the first seq of
+    /// the frame; a [`Wal::commit`] writes it out.
+    pub fn append_group<'a, I>(&mut self, ops: I) -> Result<u64, EngineError>
+    where
+        I: IntoIterator<Item = (u64, Option<&'a [u8]>)>,
+        I::IntoIter: Clone,
+    {
         self.check_poison()?;
         self.seal_staged()?;
         let first_seq = self.next_seq;
         let timer = self.counters.obs().start();
+        let group = ops.into_iter().map(|(key, value)| match value {
+            Some(value) => (OP_INSERT, key, value),
+            None => (OP_DELETE, key, &[][..]),
+        });
         let mut count = 0;
         for (_, _, value) in group.clone() {
             self.charge(value.len());
@@ -560,7 +551,7 @@ impl Wal {
         if count > 0 {
             self.write_frame(first_seq, group)?;
             self.next_seq += count;
-            self.counters.obs().stage(stage, timer);
+            self.counters.obs().stage(Stage::SealBatch, timer);
         }
         Ok(first_seq)
     }
@@ -612,9 +603,6 @@ impl Wal {
         }
         let timer = self.counters.obs().start();
         let staged = std::mem::take(&mut self.staged); // wiped when dropped
-        if staged.len() >= 2 {
-            self.counters.bump(|c| &c.wal_sealed_batches);
-        }
         let group = staged.iter().map(|s| (s.op, s.key, &s.value[..]));
         self.write_frame(self.next_seq - staged.len() as u64, group)?;
         self.counters.obs().stage(Stage::SealBatch, timer);
@@ -622,12 +610,16 @@ impl Wal {
     }
 
     /// Seals `group` as the frame starting at `first_seq` and appends it
-    /// to the stream.
+    /// to the stream. The one place a frame of ≥ 2 records is counted as
+    /// a sealed batch.
     fn write_frame<'a>(
         &mut self,
         first_seq: u64,
         group: impl Iterator<Item = Entry<'a>> + Clone,
     ) -> Result<(), EngineError> {
+        if group.clone().nth(1).is_some() {
+            self.counters.bump(|c| &c.wal_sealed_batches);
+        }
         let nonce = self.next_nonce();
         let frame = build_frame(&self.cipher, first_seq, nonce, group);
         if let Err(e) = self.append_bytes(&frame) {
@@ -1385,7 +1377,7 @@ mod tests {
         // A staged record ahead of the txn is sealed first, as its own
         // frame, so the transaction is a group of exactly its own ops.
         wal.append_insert(2, b"ahead").unwrap();
-        let first = wal.append_txn(&ops).unwrap();
+        let first = wal.append_group(ops.iter().map(WalOp::entry)).unwrap();
         wal.commit().unwrap();
         let delta = counters.snapshot().delta(&before);
         // Per-record logical charge, as if appended individually.
@@ -1395,8 +1387,9 @@ mod tests {
             4 * (HEADER_LEN + BODY_MIN) as u64
                 + (b"ahead".len() + b"txn-a".len() + b"txn-b".len()) as u64
         );
-        assert_eq!(delta.wal_txn_frames, 1);
-        assert_eq!(delta.wal_sealed_batches, 0);
+        // The multi-op group is one sealed batch; the staged singleton
+        // sealed ahead of it is not.
+        assert_eq!(delta.wal_sealed_batches, 1);
         // The frame consumed three consecutive seqs.
         assert_eq!(wal.next_seq(), first + 3);
 
@@ -1435,8 +1428,9 @@ mod tests {
                 Wal::create(&path, 128, KEY, SyncPolicy::Always, counters.clone()).unwrap();
             wal.append_insert(99, b"ahead").unwrap();
             if grouped {
-                assert_eq!(wal.append_insert_group(&[]).unwrap(), 3, "sealed 'ahead'");
-                assert_eq!(wal.append_insert_group(&items).unwrap(), 3);
+                assert_eq!(wal.append_group([]).unwrap(), 3, "sealed 'ahead'");
+                let group = items.iter().map(|(k, v)| (*k, Some(&v[..])));
+                assert_eq!(wal.append_group(group).unwrap(), 3);
             } else {
                 wal.commit().unwrap();
                 for (k, v) in &items {
@@ -1471,7 +1465,7 @@ mod tests {
             wal.append_insert(k, &[7; 20]).unwrap();
             wal.commit().unwrap();
         }
-        wal.append_txn(&[ins(20, b"half-a"), ins(21, b"half-b")])
+        wal.append_group([(20, Some(&b"half-a"[..])), (21, Some(&b"half-b"[..]))])
             .unwrap();
         wal.commit().unwrap();
         let logical_len = wal.len_bytes() as usize;

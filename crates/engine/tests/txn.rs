@@ -160,7 +160,54 @@ fn txn_snapshot_reads_and_state_machine() {
     assert_eq!(snap.txn_commits, 2);
     assert_eq!(snap.txn_aborts, 2);
     assert_eq!(db.txn_overlay_len(), 0);
+
+    // Batch commits reach the overlay too: a snapshot held across an
+    // insert_batch that overwrites two keys and inserts a third rewinds
+    // all three, and a txn whose snapshot predates the batch conflicts
+    // on any key it wrote.
+    let t = session.begin();
+    let mut stale = session.begin();
+    let before = t.range(1, 600).unwrap();
+    session
+        .insert_batch(vec![
+            (1, b"batch-1".to_vec()),
+            (2, b"batch-2".to_vec()),
+            (600, b"batch-600".to_vec()),
+        ])
+        .unwrap();
+    assert_eq!(session.get(600).unwrap().unwrap(), b"batch-600".to_vec());
+    assert_eq!(t.get(1).unwrap().unwrap(), rec(1));
+    assert_eq!(t.get(2).unwrap().unwrap(), rec(2));
+    assert_eq!(t.get(600).unwrap(), None);
+    assert_eq!(t.range(1, 600).unwrap(), before, "scan rewinds the batch");
+    stale.insert(2, b"stale".to_vec()).unwrap();
+    assert!(matches!(
+        stale.commit(),
+        Err(EngineError::Conflict { key: 2, .. })
+    ));
+    drop(t);
+    assert_eq!(db.txn_overlay_len(), 0);
     drop(session);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The same for a bulk load into a fresh database.
+    let dir = tmpdir("semantics_bulk");
+    let db = SksDb::open(&dir, config(4, 4096)).unwrap();
+    let t = db.begin();
+    let mut stale = db.begin();
+    db.bulk_load((1..=20u64).map(|k| (k, rec(k))).collect())
+        .unwrap();
+    assert_eq!(db.get(5).unwrap().unwrap(), rec(5));
+    assert_eq!(t.get(5).unwrap(), None, "loaded keys are invisible");
+    assert!(t.range(1, 20).unwrap().is_empty(), "scan rewinds the load");
+    stale.insert(5, b"stale".to_vec()).unwrap();
+    assert!(matches!(
+        stale.commit(),
+        Err(EngineError::Conflict { key: 5, .. })
+    ));
+    drop(t);
+    assert_eq!(db.txn_overlay_len(), 0);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -213,8 +260,8 @@ fn conflicts_are_first_committer_wins() {
     let snap = db.snapshot();
     assert_eq!(snap.txn_conflicts, 1);
     // Exactly one commit above was multi-key (the retry); the winner's
-    // single write kept legacy framing.
-    assert_eq!(snap.wal_txn_frames, 1, "multi-key commits seal txn frames");
+    // single write is a frame of one, not a sealed batch.
+    assert_eq!(snap.wal_sealed_batches, 1, "multi-key commits seal batches");
     assert_eq!(db.txn_overlay_len(), 0);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
@@ -308,7 +355,7 @@ fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
         t.insert(keys[1], b"post-ckpt-1".to_vec()).unwrap();
         t.insert(keys[2], b"post-ckpt-2".to_vec()).unwrap();
         t.commit().unwrap();
-        assert!(db.snapshot().wal_txn_frames >= 3);
+        assert!(db.snapshot().txn_commits >= 3);
         // Kill: drop without flush (Always already made commits durable).
     }
     let db = SksDb::open(&dir, make()).unwrap();
@@ -367,14 +414,9 @@ fn txn_commit_kill_point_sweep_is_all_or_nothing() {
             _ => plan.arm_nth_flush(seed + 1),
         }
         'workload: for t in 0..TXNS {
-            let ops: Vec<sks_engine::WalOp> = [100 + t, 200 + t, 300 + t]
-                .iter()
-                .map(|&k| sks_engine::WalOp::Insert {
-                    key: k,
-                    value: enc(t),
-                })
-                .collect();
-            if wal.append_txn(&ops).is_err() || wal.commit().is_err() {
+            let value = enc(t);
+            let group = [100 + t, 200 + t, 300 + t].map(|k| (k, Some(&value[..])));
+            if wal.append_group(group).is_err() || wal.commit().is_err() {
                 break 'workload;
             }
         }
@@ -426,11 +468,11 @@ fn txn_commit_kill_point_sweep_is_all_or_nothing() {
     );
 }
 
-/// The cost-model pin: autocommit ops through `SksDb`, through `Session`
-/// wrappers, and as explicit singleton transactions must agree on every
+/// The cost-model pin: autocommit ops through `SksDb`, through a
+/// `Session`, and as explicit singleton transactions must agree on every
 /// logical counter (the txn bookkeeping counters masked for the explicit
-/// run — they are the only thing allowed to move), with zero txn frames
-/// in the log, for every measured scheme.
+/// run — they are the only thing allowed to move), with no sealed batch
+/// but the `insert_batch` groups, for every measured scheme.
 #[test]
 fn transactions_preserve_logical_counters_exactly() {
     for scheme in Scheme::MEASURED {
@@ -518,19 +560,18 @@ fn transactions_preserve_logical_counters_exactly() {
         assert_eq!(
             direct,
             auto,
-            "{}: Session autocommit wrappers diverged from SksDb",
+            "{}: Session autocommit diverged from SksDb",
+            scheme.name()
+        );
+        assert!(
+            (1..=2).contains(&direct.wal_sealed_batches),
+            "{}: only the insert_batch partition groups seal batches",
             scheme.name()
         );
         assert_eq!(
-            direct.wal_txn_frames,
-            0,
-            "{}: autocommit must keep legacy framing",
-            scheme.name()
-        );
-        assert_eq!(
-            explicit.wal_txn_frames,
-            0,
-            "{}: singleton txns must keep legacy framing",
+            explicit.wal_sealed_batches,
+            direct.wal_sealed_batches,
+            "{}: singleton txns must seal frames of one",
             scheme.name()
         );
         assert_eq!(direct.txn_begins, 0, "{}", scheme.name());

@@ -74,8 +74,12 @@ pub fn run_wal_stream_case(seed: u64) -> Result<(), String> {
             })
             .collect();
         if ops.len() >= 2 && rng.chance(40) {
-            wal.append_txn(&ops)
-                .map_err(|e| format!("append_txn: {e}"))?;
+            let group = ops.iter().filter_map(|op| match op {
+                WalOp::Insert { key, value } => Some((*key, Some(&value[..]))),
+                WalOp::Delete { .. } => None,
+            });
+            wal.append_group(group)
+                .map_err(|e| format!("append_group: {e}"))?;
         } else {
             for op in &ops {
                 if let WalOp::Insert { key, value } = op {

@@ -121,7 +121,11 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
 
         // Append.
         let append_result: Result<(), sks_engine::EngineError> = if is_txn {
-            wal.append_txn(&ops).map(|_| ())
+            let group = ops.iter().map(|op| match op {
+                WalOp::Insert { key, value } => (*key, Some(&value[..])),
+                WalOp::Delete { key } => (*key, None),
+            });
+            wal.append_group(group).map(|_| ())
         } else {
             ops.iter().try_fold((), |(), op| match op {
                 WalOp::Insert { key, value } => wal.append_insert(*key, value).map(|_| ()),

@@ -146,9 +146,10 @@ counters! {
     wal_fsyncs,
     /// Write-ahead-log records replayed during crash recovery.
     wal_replayed,
-    /// Multi-record WAL frames sealed by group commit (each covers ≥2
-    /// staged records under one CTR body + CRC; a commit of one record
-    /// is a frame too but not counted here).
+    /// Multi-record WAL frames sealed (each covers ≥2 records under one
+    /// CTR body + CRC — a batch group, a bulk-load group or a multi-key
+    /// transaction; a commit of one record is a frame too but not
+    /// counted here).
     wal_sealed_batches,
     /// Triplet cryptograms a node write copied from the image it replaced
     /// instead of sealing again (the *logical* encrypt counters are still
@@ -158,7 +159,7 @@ counters! {
     /// Replay groups applied through the bulk-fill path during recovery
     /// (each covers a contiguous run of records for one partition).
     replay_batches,
-    /// Transactions begun (`Session::begin`). Implicit autocommit ops are
+    /// Transactions begun (`SksDb::begin`). Implicit autocommit ops are
     /// *not* counted here — their cost model is pinned to the pre-txn
     /// counters, so only explicit transactions move the txn_* family.
     txn_begins,
@@ -171,9 +172,6 @@ counters! {
     /// Commits refused by first-committer-wins validation: a written key
     /// was overwritten by another commit after this txn's snapshot.
     txn_conflicts,
-    /// Multi-key transaction WAL frames sealed (one atomic frame per
-    /// multi-key txn; single-key txns take the autocommit path).
-    wal_txn_frames,
 }
 
 /// Cheaply cloneable handle to a shared counter set.

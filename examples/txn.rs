@@ -78,8 +78,8 @@ fn main() {
 
     let snap = db.snapshot();
     println!(
-        "txn commits={} aborts={} conflicts={} wal txn frames={}",
-        snap.txn_commits, snap.txn_aborts, snap.txn_conflicts, snap.wal_txn_frames
+        "txn commits={} aborts={} conflicts={} wal sealed batches={}",
+        snap.txn_commits, snap.txn_aborts, snap.txn_conflicts, snap.wal_sealed_batches
     );
 
     // "Crash": drop the engine with a second transfer buffered but never

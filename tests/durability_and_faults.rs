@@ -2,14 +2,14 @@
 //! behind the block cache, corrupted media producing typed errors
 //! instead of garbage or panics, engine writes the tree would refuse
 //! kept out of the log, logged writes a reopen cannot apply refused
-//! rather than dropped, and acknowledged commits in the log file the
-//! moment they return.
+//! rather than dropped, acknowledged commits in the log file the moment
+//! they return, and a logged commit the trees refuse halting the engine.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sks_btree::btree::{BTree, CodecError, RecordPtr, TreeError};
-use sks_btree::core::{CoreError, Scheme, SchemeConfig};
+use sks_btree::core::{CoreError, Scheme, SchemeConfig, StorageBackend};
 use sks_btree::engine::{EngineConfig, EngineError, SksDb, Wal, WalOp};
 use sks_btree::storage::{
     BlockId, BlockStore, FileDisk, MemDisk, OpCounters, PagedFileStore, SyncPolicy,
@@ -408,5 +408,99 @@ fn acknowledged_commits_are_in_the_log_file_when_they_return() {
 
     drop(db);
     std::fs::remove_file(&copy).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A logged commit that a tree refuses half-way is never served half
+/// applied. Partition 1's data pages rot on disk (every byte past the
+/// `FileDisk` header and the superblock) between a checkpoint and a
+/// reopen, so a transaction over both partitions is logged, applies to
+/// partition 0 and is refused by partition 1. From then on the engine
+/// fail-stops: every client and maintenance call returns `WalPoisoned`,
+/// so nothing reads or persists the half that applied. A reopen over the
+/// rotten pages is refused; with the pages restored, it replays the whole
+/// transaction.
+#[test]
+fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
+    let dir = tmpfile("fail_stop");
+    std::fs::remove_dir_all(&dir).ok();
+    let config = || {
+        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000)
+            .partitions(2)
+            .record_cache(0)
+            .backend(StorageBackend::File {
+                dir: dir.clone(),
+                pool_pages: 64,
+            });
+        EngineConfig::new(scheme)
+    };
+    let (a, b) = {
+        let db = SksDb::open(&dir, config()).unwrap();
+        db.insert_batch((0..400u64).map(|k| (k, record(k))).collect())
+            .unwrap();
+        db.checkpoint().unwrap();
+        let first_in = |p| (0..400u64).find(|&k| db.partition_of(k).unwrap() == p);
+        (first_in(0).unwrap(), first_in(1).unwrap())
+    };
+    let data = dir.join("part-001").join("data.sks");
+    let clean = std::fs::read(&data).unwrap();
+    let mut rotten = clean.clone();
+    for byte in &mut rotten[8192 + 4096..] {
+        *byte ^= 0xFF;
+    }
+    std::fs::write(&data, &rotten).unwrap();
+
+    let db = SksDb::open(&dir, config()).unwrap();
+    let mut txn = db.begin();
+    txn.insert(a, b"new-a".to_vec()).unwrap();
+    txn.insert(b, b"new-b".to_vec()).unwrap();
+    let err = txn.commit().expect_err("partition 1 refuses its write");
+    assert!(
+        matches!(err, EngineError::Core(CoreError::Record(_))),
+        "got: {err}"
+    );
+    let halted = |what: &str, result: Result<(), EngineError>| {
+        let err = result.expect_err(what);
+        assert_eq!(
+            err.to_string(),
+            EngineError::WalPoisoned.to_string(),
+            "{what}"
+        );
+    };
+    halted("get a", db.get(a).map(drop));
+    halted("get b", db.get(b).map(drop));
+    halted("range", db.range(0, 400).map(drop));
+    halted("snapshot get", db.begin().get(a).map(drop));
+    halted("insert", db.insert(401, record(401)).map(drop));
+    halted("delete", db.delete(a).map(drop));
+    halted(
+        "insert_batch",
+        db.insert_batch(vec![(402, record(402))]).map(drop),
+    );
+    halted(
+        "bulk_load",
+        db.bulk_load(vec![(403, record(403))]).map(drop),
+    );
+    let mut retry = db.begin();
+    retry.insert(404, record(404)).unwrap();
+    halted("txn commit", retry.commit());
+    halted("checkpoint", db.checkpoint());
+    halted("compact", db.compact(8).map(drop));
+    halted("flush", db.flush());
+    halted("flush_pages", db.flush_pages());
+    drop((txn, retry, db));
+
+    let err = SksDb::open(&dir, config()).expect_err("the rotten pages refuse the replay");
+    assert!(
+        err.to_string().contains("the tree refused it"),
+        "got: {err}"
+    );
+    std::fs::write(&data, &clean).unwrap();
+    let db = SksDb::open(&dir, config()).unwrap();
+    assert_eq!(db.get(a).unwrap().unwrap(), b"new-a");
+    assert_eq!(db.get(b).unwrap().unwrap(), b"new-b");
+    assert_eq!(db.len(), 400);
+    db.validate().unwrap();
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -87,18 +87,8 @@ fn sentinel_singleton_and_txn_are_the_same_frame_shape() {
     wal.append_insert(7, b"solo").unwrap();
     wal.commit().unwrap();
     let singleton_end = wal.len_bytes() as usize;
-    wal.append_txn(&[
-        WalOp::Insert {
-            key: 1,
-            value: b"a".to_vec(),
-        },
-        WalOp::Delete { key: 2 },
-        WalOp::Insert {
-            key: 3,
-            value: b"ccc".to_vec(),
-        },
-    ])
-    .unwrap();
+    wal.append_group([(1, Some(&b"a"[..])), (2, None), (3, Some(&b"ccc"[..]))])
+        .unwrap();
     wal.commit().unwrap();
     let txn_end = wal.len_bytes() as usize;
     drop(wal);

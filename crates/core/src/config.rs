@@ -104,14 +104,14 @@ pub enum SealerKind {
 /// Where the enciphered node/record blocks live.
 ///
 /// The paper's threat model is an opponent holding the *storage medium*;
-/// `Memory` simulates that medium in RAM (every byte lost on restart;
-/// under an engine the WAL is the whole durable state, never cut, and a
-/// restart replays all of it — the test and experiment backend), while
-/// `File` puts the same enciphered blocks on an actual on-disk device
-/// behind a no-steal buffer pool with journaled checkpoints — datasets
-/// larger than RAM, restarts that replay only the WAL tail. Only
-/// enciphered bytes ever reach the file either way; the backend changes
-/// *where* the opponent's view lives, never *what* it contains.
+/// `Memory` simulates that medium in RAM (every byte lost on restart —
+/// the paper's experimental setup), while `File` puts the same enciphered
+/// blocks on an actual on-disk device behind a no-steal buffer pool with
+/// journaled checkpoints. Only enciphered bytes ever reach the file
+/// either way; the backend changes *where* the opponent's view lives,
+/// never *what* it contains. This choice is the single-tree API's: an
+/// engine always keeps its partitions on disk under its own directory
+/// and reads only `pool_pages` here (the default pool for `Memory`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageBackend {
     /// Simulated in-RAM device (the paper's experimental setup).
@@ -136,10 +136,6 @@ impl StorageBackend {
             dir: dir.into(),
             pool_pages: Self::DEFAULT_POOL_PAGES,
         }
-    }
-
-    pub fn is_file(&self) -> bool {
-        matches!(self, StorageBackend::File { .. })
     }
 }
 
@@ -171,7 +167,8 @@ pub struct SchemeConfig {
     pub partitions: usize,
     /// Where the enciphered blocks live (see [`StorageBackend`]). The
     /// `create_in_memory*` constructors ignore this; the backend-aware
-    /// [`crate::EncipheredBTree::create`]/`open` and the engine honour it.
+    /// [`crate::EncipheredBTree::create`]/`open` honour it, and the engine
+    /// reads only its pool size.
     pub backend: StorageBackend,
     /// Capacity (in nodes) of the node cache serving the read paths. A
     /// node is cached as stored and a probe deciphers only the triplet it

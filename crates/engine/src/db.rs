@@ -227,23 +227,25 @@ const LOCK_FILE: &str = "engine.lock";
 const META_MAGIC: &[u8; 8] = b"SKSENGN1";
 const META_VERSION: u32 = 1;
 
-/// Persisted engine layout: the facts a reopen must agree on. On the file
-/// backend the partition count is baked into the on-disk routing (each
-/// partition holds the keys its hash slot routed there), so reopening
-/// with a different count — or with the memory backend, which would
-/// ignore the checkpointed pages entirely — must fail closed instead of
-/// silently losing data.
+/// Persisted engine layout: the facts a reopen must agree on. The
+/// partition count is baked into the checkpointed stores (each partition
+/// holds the keys its hash slot routed there), so reopening with a
+/// different count must fail closed instead of silently losing data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EngineMeta {
     partitions: u32,
-    file_backend: bool,
+    /// Set for a directory an older engine wrote with no page stores,
+    /// whose log is its whole history (a backend byte of 0 on disk). It
+    /// opens through [`RecoveryPath::FullReplay`], which routes every
+    /// record afresh, so any partition count may open it.
+    log_only: bool,
 }
 
 impl EngineMeta {
     fn of(config: &EngineConfig) -> Self {
         EngineMeta {
             partitions: config.scheme.partitions as u32,
-            file_backend: config.scheme.backend.is_file(),
+            log_only: false,
         }
     }
 
@@ -252,7 +254,7 @@ impl EngineMeta {
         buf.extend_from_slice(META_MAGIC);
         buf.extend_from_slice(&META_VERSION.to_be_bytes());
         buf.extend_from_slice(&self.partitions.to_be_bytes());
-        buf.push(self.file_backend as u8);
+        buf.push(!self.log_only as u8);
         let path = db_dir.join(META_FILE);
         use std::io::Write;
         let mut file = std::fs::File::create(&path)?;
@@ -283,27 +285,13 @@ impl EngineMeta {
         }
         Ok(Some(EngineMeta {
             partitions: u32::from_be_bytes(buf[12..16].try_into().expect("fixed width")),
-            file_backend: buf[16] != 0,
+            log_only: buf[16] == 0,
         }))
     }
 
     /// Refuses configurations that would silently orphan persisted data.
     fn check_compatible(&self, config: &EngineConfig) -> Result<(), EngineError> {
-        if !self.file_backend {
-            // Memory-backend databases carry their whole state in the WAL,
-            // which replays through the router per key — any partition
-            // count (and an upgrade to the file backend) is safe.
-            return Ok(());
-        }
-        if !config.scheme.backend.is_file() {
-            return Err(EngineError::Config(
-                "this database was created on the file backend; reopening with the \
-                 memory backend would ignore the checkpointed pages and silently drop \
-                 data — configure StorageBackend::File"
-                    .into(),
-            ));
-        }
-        if self.partitions as usize != config.scheme.partitions {
+        if !self.log_only && self.partitions as usize != config.scheme.partitions {
             return Err(EngineError::Config(format!(
                 "this database was created with {} partitions; the on-disk layout is \
                  fixed, but the config asks for {} — reopen with partitions({})",
@@ -314,13 +302,13 @@ impl EngineMeta {
     }
 }
 
-/// Directory of partition `i`'s on-disk stores (file backend only).
+/// Directory of partition `i`'s on-disk stores.
 fn partition_dir(db_dir: &Path, i: usize) -> PathBuf {
     db_dir.join(format!("part-{i:03}"))
 }
 
 /// Refuses a directory holding a `snap-*` entry. Older engines
-/// checkpointed the memory backend by writing the live set to
+/// checkpointed a log-only directory by writing the live set to
 /// `snap-NNN.sks` files and cutting the log down to the tail, so the log
 /// beside such a file is not the whole history: replaying it alone would
 /// silently drop every record older than that cut.
@@ -339,34 +327,37 @@ fn refuse_legacy_snapshots(db_dir: &Path) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// The per-partition scheme config: on the file backend each partition's
-/// stores are re-rooted under the database directory (whatever directory
-/// the caller put in `StorageBackend::File.dir` is only used when the
-/// config drives a standalone tree).
+/// The per-partition scheme config: every partition keeps its page stores
+/// under the database directory, whatever the backend says. For the
+/// engine the backend supplies only the buffer-pool size (`File.dir` is
+/// only used when the config drives a standalone tree, and `Memory` gets
+/// the default pool).
 fn partition_config(scheme: &SchemeConfig, db_dir: &Path, i: usize) -> SchemeConfig {
-    let mut config = scheme.clone();
-    if let StorageBackend::File { pool_pages, .. } = &scheme.backend {
-        config.backend = StorageBackend::File {
-            dir: partition_dir(db_dir, i),
-            pool_pages: *pool_pages,
-        };
+    let pool_pages = match scheme.backend {
+        StorageBackend::File { pool_pages, .. } => pool_pages,
+        StorageBackend::Memory => StorageBackend::DEFAULT_POOL_PAGES,
+    };
+    let dir = partition_dir(db_dir, i);
+    SchemeConfig {
+        backend: StorageBackend::File { dir, pool_pages },
+        ..scheme.clone()
     }
-    config
 }
 
 impl SksDb {
-    /// Opens (or creates) the database in `dir`. If a WAL exists its
-    /// intact records are replayed; a torn tail is detected, reported via
-    /// [`SksDb::recovery_report`], and scrubbed.
+    /// Opens (or creates) the database in `dir`: each partition's page
+    /// stores live under `dir/part-NNN`, and the log is `dir/wal.sks`.
+    /// The partition count is fixed when the database is created.
     ///
-    /// On the memory backend the log is the database — no checkpoint cuts
-    /// it — and every tree is rebuilt from all of it
-    /// ([`RecoveryPath::FullReplay`]), an O(history) restart. On the file
-    /// backend persisted partitions are reopened from their checkpointed
-    /// pages and only the log tail is replayed
-    /// ([`RecoveryPath::TailReplay`]) — an O(tail) restart. A directory
-    /// holding a partition snapshot of an older engine (`snap-*`), whose
-    /// log is tail-only, is refused before anything in it is touched.
+    /// Persisted partitions are reopened from their checkpointed pages
+    /// and only the log tail since the last checkpoint is replayed
+    /// ([`RecoveryPath::TailReplay`]) — an O(tail) restart. A torn tail is
+    /// detected, reported via [`SksDb::recovery_report`], and scrubbed.
+    ///
+    /// Fails closed, before anything is touched, on a directory whose
+    /// metadata exists but whose log is gone (the writes since the last
+    /// checkpoint are lost), and on one holding a partition snapshot of
+    /// an older engine (`snap-*`), whose log is tail-only.
     pub fn open<P: AsRef<Path>>(dir: P, config: EngineConfig) -> Result<Arc<Self>, EngineError> {
         if config.scheme.partitions == 0 {
             return Err(EngineError::Config("partitions must be >= 1".into()));
@@ -394,24 +385,31 @@ impl SksDb {
         let stored_meta = EngineMeta::read(db_dir)?;
         if let Some(meta) = &stored_meta {
             meta.check_compatible(&config)?;
+            // The metadata is written only once the log is durable, and a
+            // checkpoint replaces the log by rename, so a database with
+            // metadata always has a log. Creating a fresh one would serve
+            // the last checkpoint and drop every write acknowledged since.
+            if !wal_path.exists() {
+                return Err(EngineError::Config(format!(
+                    "{} is missing from an existing database; refusing to open \
+                     without the writes it holds",
+                    wal_path.display()
+                )));
+            }
         }
 
         let counters = OpCounters::with_observability(config.scheme.observability);
         let router = Router::new(&config.scheme, &counters)?;
         let n = config.scheme.partitions;
         // Reopen persisted partitions only when *all* of them are present.
-        let persisted = config.scheme.backend.is_file()
-            && (0..n).all(|i| EncipheredBTree::exists_on_disk(partition_dir(db_dir, i)));
-        // A database the metadata says is file-backed but whose partition
-        // stores are (partially) missing is damaged: creating fresh trees
-        // would truncate the survivors and "recover" from a WAL that a
-        // checkpoint may already have emptied. Fail instead of losing
-        // data silently.
-        if !persisted && stored_meta.map(|m| m.file_backend).unwrap_or(false) {
+        let persisted = (0..n).all(|i| EncipheredBTree::exists_on_disk(partition_dir(db_dir, i)));
+        // A database whose partition stores are (partially) missing is
+        // damaged: creating fresh trees would truncate the survivors and
+        // "recover" from a WAL that a checkpoint may already have emptied.
+        // Fail instead of losing data silently.
+        if !persisted && stored_meta.is_some_and(|m| !m.log_only) {
             return Err(EngineError::Config(
-                "partition stores are missing or damaged (engine metadata says this \
-                 database is file-backed); refusing to rebuild over them"
-                    .into(),
+                "partition stores are missing or damaged; refusing to rebuild over them".into(),
             ));
         }
         let mut partitions = Vec::with_capacity(n);
@@ -920,8 +918,8 @@ impl SksDb {
         self.router.partition_of(key)
     }
 
-    /// Dirty pages currently buffered per partition (file backend; all
-    /// zeros on the memory backend).
+    /// Dirty pages each partition's buffer pool pins until the next
+    /// checkpoint.
     pub fn dirty_pages_per_partition(&self) -> Vec<usize> {
         self.partitions
             .iter()
@@ -981,23 +979,17 @@ impl SksDb {
         Ok(())
     }
 
-    /// Fuzzy checkpoint: partition maintenance and — on the file backend —
-    /// a cut of the replay work a reopen must do, *without* stalling the
-    /// engine. Clients keep reading and writing throughout; a client
-    /// blocks only while its own partition is being compacted and flushed.
-    ///
-    /// Three phases, of which the memory backend runs only the second: it
-    /// has no page image to cut the log against, so its log is the
-    /// database and is never cut.
+    /// Fuzzy checkpoint: partition maintenance and a cut of the replay
+    /// work a reopen must do, *without* stalling the engine. Clients keep
+    /// reading and writing throughout; a client blocks only while its own
+    /// partition is being compacted and flushed.
     ///
     /// 1. **Mark** the dirty epoch: note the WAL sequence number; every
     ///    record from it onward will survive the cut.
     /// 2. **Compact and flush partitions**, all *in parallel* (one thread
     ///    each, write-locking only that partition): the bounded
-    ///    record-store and node-device compaction passes, then the flush
-    ///    — on the file backend the journaled page-store checkpoint of
-    ///    the partition's dirty pages, on the memory backend the release
-    ///    of the blocks the pass freed.
+    ///    record-store and node-device compaction passes, then the
+    ///    journaled page-store checkpoint of the partition's dirty pages.
     /// 3. **Cut the WAL** — only after every partition committed: the
     ///    records appended since the mark (the fuzzy tail) are carried
     ///    into a fresh log, which atomically renames over the old one.
@@ -1047,26 +1039,21 @@ impl SksDb {
     fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
         let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
         self.check_halted()?;
-        // Phase 1, only with a page image to cut the log against (the one
-        // place the checkpoint asks which backend it runs on): mark the
-        // fuzzy epoch — the sequence number and byte offset where the
-        // retained tail will begin, so the cut scans O(tail) instead of
-        // re-reading the whole log.
-        let mark = self.config.scheme.backend.is_file().then(|| {
+        // Phase 1: mark the fuzzy epoch — the sequence number and byte
+        // offset where the retained tail will begin, so the cut scans
+        // O(tail) instead of re-reading the whole log.
+        let (mark_seq, mark_offset) = {
             let wal = self.wal.lock().expect("wal lock");
             (wal.next_seq(), wal.len_bytes())
-        });
+        };
 
         // Phase 2. Each partition first runs its bounded record-store
         // compaction pass and then the node-device sliding pass, both under
-        // the write lock (crash-safe because on the file backend nothing
-        // reaches the medium until the journaled page-store checkpoint
-        // commits, and on the memory backend state is reconstructed from
-        // the WAL anyway). The truncated devices physically shrink at the
-        // flush, which on a memory device applies the pass's quarantined
-        // frees at once (no cross-device crash window to wait out). These
-        // per-partition threads are the only ones the engine starts, and
-        // the scope joins every one of them on every exit.
+        // the write lock (crash-safe because nothing reaches the medium
+        // until the journaled page-store checkpoint commits). The truncated
+        // devices physically shrink at the flush. These per-partition
+        // threads are the only ones the engine starts, and the scope joins
+        // every one of them on every exit.
         let flush_timer = self.counters.obs().start();
         let compacted = std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -1102,9 +1089,6 @@ impl SksDb {
         self.counters
             .obs()
             .note(EventKind::CheckpointPhase, NO_PARTITION, 2, 0, 0);
-        let Some((mark_seq, mark_offset)) = mark else {
-            return Ok(());
-        };
 
         // Phase 3: cut the log, carrying the fuzzy tail. The fresh log is
         // created (header write + fsync) before the WAL lock is taken, so
@@ -1195,9 +1179,8 @@ impl SksDb {
     }
 
     /// Flushes every partition's pages and the WAL to stable storage
-    /// without truncating the log — a graceful-shutdown helper for the
-    /// file backend (the next open still tail-replays, but the page
-    /// stores are current).
+    /// without truncating the log — a graceful-shutdown helper (the next
+    /// open still tail-replays, but the page stores are current).
     pub fn flush_pages(&self) -> Result<(), EngineError> {
         let mut guards: Vec<_> = self
             .partitions

@@ -13,13 +13,14 @@
 //!   `Arc<SksDb>`).
 //! * [`wal`] — the write-ahead log layered on `sks-storage`'s
 //!   [`sks_storage::FileDisk`]: CRC-framed records with sealed bodies (the
-//!   log is the only durable state, so it must leak no keys or values),
+//!   log sits on the medium beside the pages, so it must leak no keys or
+//!   values),
 //!   group commit under a [`sks_storage::SyncPolicy`], torn-tail detection
 //!   and scrubbing.
 //! * [`recovery`] — replay of the log into the partitions on open, with a
 //!   [`RecoveryReport`] describing what was found and which
-//!   [`RecoveryPath`] was taken (full replay for memory-backed trees,
-//!   tail-only replay for checkpointed file-backed trees).
+//!   [`RecoveryPath`] was taken (tail-only replay over checkpointed
+//!   stores).
 //! * [`txn`] — [`Txn`]: explicit multi-key transactions with snapshot
 //!   reads (never blocking writers) and atomic cross-partition commits —
 //!   one WAL commit frame, partition write locks taken in the global
@@ -27,13 +28,12 @@
 //!   transactions through the same commit sequence.
 //! * [`error`] — [`EngineError`].
 //!
-//! The backing store for the trees themselves is pluggable through
-//! [`sks_core::StorageBackend`]: `Memory` reproduces the paper's
-//! simulated-device experiments (the log is the database: never cut,
-//! replayed whole on every open), while `File` puts the enciphered
-//! node/record pages on disk behind a no-steal buffer pool, turning
-//! checkpoints into page flushes + log truncation and restarts into
-//! O(tail) instead of O(history).
+//! Every partition keeps its enciphered node/record pages on disk under
+//! the database directory, behind a no-steal buffer pool: a checkpoint
+//! flushes the pages and truncates the log, and a restart replays only
+//! the tail since. Of [`sks_core::StorageBackend`] the engine reads only
+//! the pool size; `Memory` (the paper's simulated device) stays a
+//! single-tree backend.
 //!
 //! ```
 //! use sks_core::{Scheme, SchemeConfig};

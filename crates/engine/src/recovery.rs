@@ -1,15 +1,11 @@
 //! Crash recovery: replaying a WAL into the partitioned tree on open.
 //!
-//! What replay costs depends on the backend. With memory-backed trees
-//! (the paper's experimental setup) the log is the *only* durable state
-//! and no checkpoint ever cuts it, so the entire history is replayed —
-//! [`RecoveryPath::FullReplay`]. With the file backend the checkpointed
-//! tree pages are already on disk; the persisted partitions are opened
-//! and only the WAL *tail* (writes since the last checkpoint) is
-//! replayed — [`RecoveryPath::TailReplay`], an O(tail) restart. Either
-//! way records go through the same router/partition path a live write
-//! takes, so the recovered state is bit-for-bit the state a non-crashed
-//! process would hold.
+//! The checkpointed tree pages are already on disk: the persisted
+//! partitions are opened and only the WAL *tail* (writes since the last
+//! checkpoint) is replayed — [`RecoveryPath::TailReplay`], an O(tail)
+//! restart. Records go through the same router/partition path a live
+//! write takes, so the recovered state is bit-for-bit the state a
+//! non-crashed process would hold.
 //!
 //! Tail replay is sound against a checkpoint that was interrupted
 //! half-way: re-applying a log whose effects are partially present
@@ -33,11 +29,12 @@ pub enum RecoveryPath {
     /// Fresh database: no log existed, nothing to recover.
     #[default]
     ColdStart,
-    /// Memory backend (or missing on-disk partitions): the whole state
-    /// was rebuilt by replaying the entire log.
+    /// No checkpointed stores existed at open (a hand-built log, or a
+    /// log-only directory from an older engine): fresh stores were
+    /// created and the whole log was replayed into them.
     FullReplay,
-    /// File backend: persisted partitions were opened from their
-    /// checkpointed pages and only the log tail was replayed.
+    /// Persisted partitions were opened from their checkpointed pages and
+    /// only the log tail was replayed.
     TailReplay,
 }
 
@@ -82,8 +79,8 @@ impl RecoveryReport {
 /// Fails closed: a logged record this configuration cannot route or
 /// apply — a key outside the domain, a value longer than the record
 /// slots hold — was acknowledged, so the open is refused rather than the
-/// record dropped (on the file backend the next checkpoint would cut it
-/// out of the log for good). The error names the record's seq and
+/// record dropped (the next checkpoint would cut it out of the log for
+/// good). The error names the record's seq and
 /// partition, never its key or value.
 ///
 /// Records route to their partitions first — partitions are independent
@@ -92,8 +89,8 @@ impl RecoveryReport {
 /// pristine partition takes the batched path: the run folds into its
 /// final image (last writer wins, deletes erase) and the tree builds
 /// bottom-up through `bulk_load`, paying batch seal cost instead of one
-/// sealed mutation per record. A partition that already holds data (the
-/// file backend's tail replay) keeps the exact per-record path.
+/// sealed mutation per record. A partition that already holds data (a
+/// tail replay) keeps the exact per-record path.
 pub(crate) fn apply_replay(
     partitions: &mut [EncipheredBTree],
     router: &Router,

@@ -41,7 +41,7 @@ pub const WRITE_PATH_STAGES: [Stage; 6] = [
 pub struct PartitionStats {
     /// Keys currently stored in this partition.
     pub len: u64,
-    /// Dirty pages pinned in this partition's buffer pool (file backend).
+    /// Dirty pages pinned in this partition's buffer pool.
     pub dirty_pages: usize,
     /// Latency histograms of the per-partition ops — `get`, `put`,
     /// `delete` and `batch`, in that order (`range` and `txn` are kept

@@ -17,14 +17,15 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn config(dir: &std::path::Path, file_backend: bool) -> EngineConfig {
-    let mut scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(4);
-    if file_backend {
-        scheme = scheme.backend(StorageBackend::File {
-            dir: dir.to_path_buf(),
+/// The engine takes only the pool size from the backend; 64 frames keep
+/// the pool under eviction pressure while checkpoints run.
+fn config() -> EngineConfig {
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
+        .partitions(4)
+        .backend(StorageBackend::File {
+            dir: std::env::temp_dir(),
             pool_pages: 64,
         });
-    }
     EngineConfig::new(scheme).sync(SyncPolicy::EveryN(16))
 }
 
@@ -33,9 +34,10 @@ fn config(dir: &std::path::Path, file_backend: bool) -> EngineConfig {
 /// the mid-checkpoint hook. Under the old stop-the-world checkpoint
 /// (all partitions write-locked for the duration) this deadlocks; the
 /// fuzzy checkpoint completes because clients are never globally blocked.
-fn progress_during_checkpoint(file_backend: bool, name: &str) {
-    let dir = tmpdir(name);
-    let db = SksDb::open(&dir, config(&dir, file_backend)).expect("open");
+#[test]
+fn file_backend_clients_progress_during_checkpoint() {
+    let dir = tmpdir("file_progress");
+    let db = SksDb::open(&dir, config()).expect("open");
     let session = db.session();
     for k in 0..2_000u64 {
         session.insert(k, format!("base-{k}").into_bytes()).unwrap();
@@ -84,7 +86,7 @@ fn progress_during_checkpoint(file_backend: bool, name: &str) {
     let written: Vec<u64> = (10_000..10_000 + total.min(5_000)).collect();
     drop(session);
     drop(db);
-    let db = SksDb::open(&dir, config(&dir, file_backend)).expect("reopen");
+    let db = SksDb::open(&dir, config()).expect("reopen");
     for k in written {
         assert_eq!(
             db.get(k).unwrap(),
@@ -98,16 +100,6 @@ fn progress_during_checkpoint(file_backend: bool, name: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn file_backend_clients_progress_during_checkpoint() {
-    progress_during_checkpoint(true, "file_progress");
-}
-
-#[test]
-fn memory_backend_clients_progress_during_checkpoint() {
-    progress_during_checkpoint(false, "mem_progress");
-}
-
 /// A crash *between* the partition-flush phase and the WAL cut (pages
 /// durable, log untrimmed) must recover every record: replaying the full
 /// old log over the newer images converges.
@@ -115,7 +107,7 @@ fn memory_backend_clients_progress_during_checkpoint() {
 fn crash_between_flush_and_wal_cut_recovers() {
     let dir = tmpdir("crash_between_phases");
     {
-        let db = SksDb::open(&dir, config(&dir, true)).expect("open");
+        let db = SksDb::open(&dir, config()).expect("open");
         let session = db.session();
         for k in 0..1_000u64 {
             session.insert(k, format!("a-{k}").into_bytes()).unwrap();
@@ -131,7 +123,7 @@ fn crash_between_flush_and_wal_cut_recovers() {
         // left untrimmed. Then crash.
         db.flush_pages().expect("flush pages");
     }
-    let db = SksDb::open(&dir, config(&dir, true)).expect("recover");
+    let db = SksDb::open(&dir, config()).expect("recover");
     for k in 0..1_000u64 {
         let want = if k % 5 == 0 {
             None
@@ -154,9 +146,10 @@ fn crash_between_flush_and_wal_cut_recovers() {
 /// and/or tail truncation) while a worker thread demonstrably reads and
 /// writes mid-flight — and nothing racing the governed checkpoint is
 /// lost.
-fn progress_during_node_compaction(file_backend: bool, name: &str) {
-    let dir = tmpdir(name);
-    let db = SksDb::open(&dir, config(&dir, file_backend)).expect("open");
+#[test]
+fn file_backend_clients_progress_during_node_compaction() {
+    let dir = tmpdir("file_node_compact");
+    let db = SksDb::open(&dir, config()).expect("open");
     let session = db.session();
     // Grow, then delete the early-inserted range: the survivors live in
     // high-numbered node blocks, so the checkpoint's sliding pass has
@@ -233,14 +226,4 @@ fn progress_during_node_compaction(file_backend: bool, name: &str) {
     drop(session);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn file_backend_clients_progress_during_node_compaction() {
-    progress_during_node_compaction(true, "file_node_compact");
-}
-
-#[test]
-fn memory_backend_clients_progress_during_node_compaction() {
-    progress_during_node_compaction(false, "mem_node_compact");
 }

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use sks_core::{Scheme, SchemeConfig, StorageBackend};
-use sks_engine::{EngineConfig, EngineError, RecoveryPath, SksDb};
-use sks_storage::SyncPolicy;
+use sks_engine::{EngineConfig, EngineError, RecoveryPath, SksDb, Wal};
+use sks_storage::{OpCounters, SyncPolicy};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sks_engine_it_{}_{}", std::process::id(), name));
@@ -16,50 +16,15 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Whether the CI matrix pinned a backend for the generic tests
-/// (`SKS_TEST_BACKEND=memory|file`; unset = memory). The engine re-roots
-/// each partition's stores under the database directory, so the file
-/// backend's own `dir` is a placeholder.
-fn env_backend() -> Option<StorageBackend> {
-    match std::env::var("SKS_TEST_BACKEND").as_deref() {
-        Ok("file") => Some(StorageBackend::File {
-            dir: std::env::temp_dir(),
-            pool_pages: 64,
-        }),
-        Ok("memory") | Err(_) => None,
-        Ok(other) => panic!("SKS_TEST_BACKEND must be 'memory' or 'file', got {other:?}"),
-    }
-}
-
-fn env_is_file_backend() -> bool {
-    env_backend().is_some()
-}
-
-/// Backend-generic config: runs on the memory backend by default and on
-/// whatever the `SKS_TEST_BACKEND` matrix axis selects in CI.
+/// The engine keeps each partition's page stores under the database
+/// directory and takes only the pool size from the backend; 64 frames
+/// keep the pool under eviction pressure.
 fn config(partitions: usize, capacity: u64) -> EngineConfig {
-    let mut scheme = SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions);
-    if let Some(backend) = env_backend() {
-        scheme = scheme.backend(backend);
-    }
-    EngineConfig::new(scheme)
-}
-
-/// Memory-backend config for tests that assert memory-specific semantics
-/// (full WAL replay, a log no checkpoint cuts, repartitioning) regardless
-/// of the matrix axis.
-fn memory_config(partitions: usize, capacity: u64) -> EngineConfig {
-    EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions))
-}
-
-/// File-backend config: the engine re-roots each partition's stores under
-/// the database directory, so the backend's own `dir` is a placeholder.
-fn file_config(dir: &std::path::Path, partitions: usize, capacity: u64) -> EngineConfig {
     EngineConfig::new(
         SchemeConfig::with_capacity(Scheme::Oval, capacity)
             .partitions(partitions)
             .backend(StorageBackend::File {
-                dir: dir.to_path_buf(),
+                dir: std::env::temp_dir(),
                 pool_pages: 64,
             }),
     )
@@ -67,6 +32,32 @@ fn file_config(dir: &std::path::Path, partitions: usize, capacity: u64) -> Engin
 
 fn record_for(k: u64) -> Vec<u8> {
     format!("record-{k:06}").into_bytes()
+}
+
+/// Builds the layout an older engine's log-only design left: a log of
+/// `n` single-record commits under `cfg`'s log key that is the whole
+/// history, and an `engine.sks` (magic, version 1, partition count,
+/// backend byte 0) that records no stores.
+fn build_log_only_dir(dir: &std::path::Path, cfg: &EngineConfig, partitions: u32, n: u64) {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut wal = Wal::create(
+        dir.join("wal.sks"),
+        4096,
+        cfg.wal_key(),
+        SyncPolicy::Always,
+        OpCounters::new(),
+    )
+    .unwrap();
+    for k in 0..n {
+        let value = record_for(k);
+        wal.append_group([(k, Some(&value[..]))]).unwrap();
+        wal.commit().unwrap();
+    }
+    let mut meta = b"SKSENGN1".to_vec();
+    meta.extend_from_slice(&1u32.to_be_bytes());
+    meta.extend_from_slice(&partitions.to_be_bytes());
+    meta.push(0);
+    std::fs::write(dir.join("engine.sks"), meta).unwrap();
 }
 
 #[test]
@@ -205,16 +196,11 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
         let before = db.wal_len_bytes();
         db.checkpoint().unwrap();
         let after = db.wal_len_bytes();
-        if env_is_file_backend() {
-            // Durability lives in the pages: the cut leaves an empty tail.
-            assert!(
-                after < before / 4,
-                "checkpoint must compact ({before} -> {after} bytes)"
-            );
-        } else {
-            // The log is the database: a checkpoint never cuts it.
-            assert_eq!(after, before, "memory-backend log must stand");
-        }
+        // Durability lives in the pages: the cut leaves an empty tail.
+        assert!(
+            after < before / 4,
+            "checkpoint must compact ({before} -> {after} bytes)"
+        );
         // Post-checkpoint writes land in the log the checkpoint left.
         s.insert(499, b"post-checkpoint".to_vec()).unwrap();
     }
@@ -236,8 +222,7 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
 /// already rotated-out tail block), the checkpoint must error *before*
 /// renaming the fresh log over the old one — a short tail would silently
 /// drop acknowledged records. The old log stands: with the rot undone, a
-/// reopen still replays every acknowledged record. (File backend: the
-/// memory backend never cuts its log.)
+/// reopen still replays every acknowledged record.
 #[test]
 fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
     const WAL_BLOCK: u64 = 4096;
@@ -248,7 +233,7 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
         raw[at as usize] ^= 0x01;
         std::fs::write(&wal_path, &raw).unwrap();
     };
-    let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
+    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
     for k in 0..100u64 {
         db.insert(k, record_for(k)).unwrap();
     }
@@ -275,7 +260,7 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
     flip(rotted);
     drop(db);
 
-    let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
+    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
     assert!(!db.recovery_report().torn_tail);
     assert_eq!(db.len(), 400);
     for k in 0..400u64 {
@@ -428,7 +413,7 @@ fn file_backend_recovers_tail_only_after_checkpoint() {
     const N: u64 = 300;
     const TAIL: u64 = 40;
     {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 4096)).unwrap();
+        let db = SksDb::open(&dir, config(4, 4096)).unwrap();
         assert_eq!(
             db.recovery_report().path,
             RecoveryPath::ColdStart,
@@ -455,7 +440,7 @@ fn file_backend_recovers_tail_only_after_checkpoint() {
     }
     let total_writes = N + N / 5 + TAIL + 2;
     {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 4096)).unwrap();
+        let db = SksDb::open(&dir, config(4, 4096)).unwrap();
         let report = db.recovery_report();
         assert_eq!(report.path, RecoveryPath::TailReplay);
         assert_eq!(
@@ -486,80 +471,11 @@ fn file_backend_recovers_tail_only_after_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn memory_backend_reports_full_replay() {
-    let dir = tmpdir("memory_path");
-    {
-        let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
-        assert_eq!(db.recovery_report().path, RecoveryPath::ColdStart);
-        db.session().insert(1, b"x".to_vec()).unwrap();
-    }
-    let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
-    assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// On the memory backend the log is the database: no checkpoint cuts it,
-/// nothing else is ever written beside it, and a kill + reopen — under a
-/// different partition count, even — replays the whole history.
-#[test]
-fn memory_backend_log_is_the_database() {
-    let dir = tmpdir("memory_log_is_db");
-    let only_the_log = |when: &str| {
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            assert!(
-                !name.starts_with("snap-") && !name.ends_with(".tmp"),
-                "{when}: {name} appeared beside the log"
-            );
-        }
-    };
-    let mut model = BTreeMap::new();
-    let mut appended = 0u64;
-    {
-        let db = SksDb::open(&dir, memory_config(3, 1024).sync(SyncPolicy::Always)).unwrap();
-        for round in 0..3u64 {
-            for k in round * 100..round * 100 + 100 {
-                db.insert(k, record_for(k)).unwrap();
-                model.insert(k, record_for(k));
-                appended += 1;
-            }
-            for k in (round..round * 100 + 100).step_by(7) {
-                db.insert(k, record_for(k + round)).unwrap();
-                model.insert(k, record_for(k + round));
-                appended += 1;
-            }
-            for k in (round..round * 100 + 100).step_by(11) {
-                db.delete(k).unwrap();
-                model.remove(&k);
-                appended += 1;
-            }
-            let before = db.wal_len_bytes();
-            db.checkpoint().unwrap();
-            assert_eq!(db.wal_len_bytes(), before, "round {round}: log was cut");
-            only_the_log(&format!("checkpoint {round}"));
-        }
-        // The kill: drop without flush (Always made every commit durable).
-    }
-    let db = SksDb::open(&dir, memory_config(5, 1024)).unwrap();
-    let report = db.recovery_report();
-    assert_eq!(report.path, RecoveryPath::FullReplay);
-    assert_eq!(report.records_replayed, appended, "the whole history");
-    assert_eq!(db.len(), model.len() as u64);
-    for k in 0..300u64 {
-        assert_eq!(db.get(k).unwrap(), model.get(&k).cloned(), "key {k}");
-    }
-    db.validate().unwrap();
-    only_the_log("reopen");
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A kill after a checkpoint — with post-checkpoint inserts, overwrites
 /// *and deletions of checkpointed keys* in the tail — must converge on
-/// exactly the pre-kill state on either backend: the tail's deletes
-/// override the checkpointed state (the resurrection hazard), and a second
-/// checkpoint cycle over the recovered database survives another reopen.
+/// exactly the pre-kill state: the tail's deletes override the
+/// checkpointed state (the resurrection hazard), and a second checkpoint
+/// cycle over the recovered database survives another reopen.
 #[test]
 fn tail_overrides_checkpointed_state_after_kill() {
     let dir = tmpdir("tail_overrides");
@@ -598,12 +514,7 @@ fn tail_overrides_checkpointed_state_after_kill() {
         // already made every commit durable).
     }
     let db = SksDb::open(&dir, make()).unwrap();
-    let want = if env_is_file_backend() {
-        RecoveryPath::TailReplay
-    } else {
-        RecoveryPath::FullReplay
-    };
-    assert_eq!(db.recovery_report().path, want);
+    assert_eq!(db.recovery_report().path, RecoveryPath::TailReplay);
     assert_eq!(db.len(), model.len() as u64);
     for (k, v) in &model {
         assert_eq!(db.get(*k).unwrap().as_ref(), Some(v), "key {k}");
@@ -627,36 +538,30 @@ fn tail_overrides_checkpointed_state_after_kill() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A directory an older engine's memory backend checkpointed holds
-/// `snap-NNN.sks` files and a log cut down to the tail. Replaying that
-/// log alone would silently drop everything older than the cut, so any
-/// `snap-*` entry refuses the open — on both backends, before the log or
-/// anything else in the directory is touched.
+/// An older engine's log-only design checkpointed into `snap-NNN.sks`
+/// files beside a log cut down to the tail. Replaying that log alone
+/// would silently drop everything older than the cut, so any `snap-*`
+/// entry refuses the open before the log is touched or any store is
+/// created.
 #[test]
 fn directory_with_legacy_snapshot_is_refused() {
     let dir = tmpdir("legacy_snap");
-    {
-        let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
-        for k in 0..40u64 {
-            db.insert(k, record_for(k)).unwrap();
-        }
-    }
+    build_log_only_dir(&dir, &config(2, 256), 2, 40);
     let wal_path = dir.join("wal.sks");
     let log = std::fs::read(&wal_path).unwrap();
     let snap = dir.join("snap-000.sks");
     std::fs::write(&snap, b"").unwrap();
-    for cfg in [memory_config(2, 256), file_config(&dir, 2, 256)] {
-        let err = SksDb::open(&dir, cfg).map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, EngineError::Config(_)) && err.to_string().contains("snap-000.sks"),
-            "the refusal must name its cause, got: {err}"
-        );
-        assert_eq!(std::fs::read(&wal_path).unwrap(), log, "log was touched");
-        assert!(!dir.join("part-000").exists(), "stores were created");
-    }
+    let err = SksDb::open(&dir, config(2, 256)).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(err, EngineError::Config(_)) && err.to_string().contains("snap-000.sks"),
+        "the refusal must name its cause, got: {err}"
+    );
+    assert_eq!(std::fs::read(&wal_path).unwrap(), log, "log was touched");
+    assert!(!dir.join("part-000").exists(), "stores were created");
     // Nothing was damaged: without the stray file the log replays whole.
     std::fs::remove_file(&snap).unwrap();
-    let db = SksDb::open(&dir, memory_config(2, 256)).unwrap();
+    let db = SksDb::open(&dir, config(2, 256)).unwrap();
+    assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
     assert_eq!(db.recovery_report().records_replayed, 40);
     assert_eq!(db.get(7).unwrap().unwrap(), record_for(7));
     drop(db);
@@ -672,7 +577,7 @@ fn replaying_full_log_over_flushed_pages_converges() {
     let dir = tmpdir("file_converge");
     const N: u64 = 150;
     {
-        let db = SksDb::open(&dir, file_config(&dir, 2, 2048)).unwrap();
+        let db = SksDb::open(&dir, config(2, 2048)).unwrap();
         let s = db.session();
         for k in 0..N {
             s.insert(k, record_for(k)).unwrap();
@@ -686,7 +591,7 @@ fn replaying_full_log_over_flushed_pages_converges() {
             s.insert(1000 + k, record_for(1000 + k)).unwrap();
         }
     }
-    let db = SksDb::open(&dir, file_config(&dir, 2, 2048)).unwrap();
+    let db = SksDb::open(&dir, config(2, 2048)).unwrap();
     let report = db.recovery_report();
     assert_eq!(report.path, RecoveryPath::TailReplay);
     assert_eq!(
@@ -717,7 +622,7 @@ fn file_backend_writes_no_plaintext_to_any_disk_file() {
     // Keys with distinctive big-endian byte patterns inside the domain.
     let secret_keys: Vec<u64> = vec![0xBEEF, 0xCAFE, 0xF00D, 0xFACE, 0xD00D, 0xB00B];
     {
-        let db = SksDb::open(&dir, file_config(&dir, 2, 70_000)).unwrap();
+        let db = SksDb::open(&dir, config(2, 70_000)).unwrap();
         let s = db.session();
         for (i, &k) in secret_keys.iter().enumerate() {
             s.insert(k, format!("ENGINE-TOP-SECRET-RECORD-{i:04}").into_bytes())
@@ -768,11 +673,11 @@ fn file_backend_writes_no_plaintext_to_any_disk_file() {
 fn file_backend_wrong_key_fails_closed() {
     let dir = tmpdir("file_wrong_key");
     {
-        let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
+        let db = SksDb::open(&dir, config(2, 1024)).unwrap();
         db.session().insert(3, b"sealed".to_vec()).unwrap();
         db.checkpoint().unwrap();
     }
-    let mut bad = file_config(&dir, 2, 1024);
+    let mut bad = config(2, 1024);
     bad.scheme.data_key ^= 0x100;
     let err = SksDb::open(&dir, bad).map(|_| ()).unwrap_err();
     assert!(
@@ -780,7 +685,7 @@ fn file_backend_wrong_key_fails_closed() {
         "wrong key must fail closed before touching pages, got: {err}"
     );
     // Nothing was damaged: the right key still opens and reads.
-    let db = SksDb::open(&dir, file_config(&dir, 2, 1024)).unwrap();
+    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
     assert_eq!(db.session().get(3).unwrap().unwrap(), b"sealed");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -790,7 +695,7 @@ fn file_backend_survives_checkpoint_cycles_with_churn() {
     let dir = tmpdir("file_churn");
     let mut model = BTreeMap::new();
     {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 2048)).unwrap();
+        let db = SksDb::open(&dir, config(4, 2048)).unwrap();
         let s = db.session();
         for round in 0..4u64 {
             for k in 0..250u64 {
@@ -810,7 +715,7 @@ fn file_backend_survives_checkpoint_cycles_with_churn() {
             model.insert(k, v);
         }
     }
-    let db = SksDb::open(&dir, file_config(&dir, 4, 2048)).unwrap();
+    let db = SksDb::open(&dir, config(4, 2048)).unwrap();
     assert_eq!(db.recovery_report().path, RecoveryPath::TailReplay);
     assert_eq!(
         db.recovery_report().records_replayed,
@@ -833,7 +738,7 @@ fn file_backend_survives_checkpoint_cycles_with_churn() {
 fn file_backend_refuses_incompatible_layouts() {
     let dir = tmpdir("file_layout_guard");
     {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 1024)).unwrap();
+        let db = SksDb::open(&dir, config(4, 1024)).unwrap();
         let s = db.session();
         for k in 0..100u64 {
             s.insert(k, record_for(k)).unwrap();
@@ -841,24 +746,13 @@ fn file_backend_refuses_incompatible_layouts() {
         db.checkpoint().unwrap(); // WAL now empty: the pages are the data
     }
     // Different partition count: the on-disk routing no longer matches.
-    let err = SksDb::open(&dir, file_config(&dir, 2, 1024))
-        .map(|_| ())
-        .unwrap_err();
+    let err = SksDb::open(&dir, config(2, 1024)).map(|_| ()).unwrap_err();
     assert!(format!("{err}").contains("partitions"), "got: {err}");
-    let err = SksDb::open(&dir, file_config(&dir, 8, 1024))
-        .map(|_| ())
-        .unwrap_err();
+    let err = SksDb::open(&dir, config(8, 1024)).map(|_| ()).unwrap_err();
     assert!(format!("{err}").contains("partitions"), "got: {err}");
-    // Memory backend over a file-backed database: would ignore the pages.
-    let err = SksDb::open(&dir, memory_config(4, 1024))
-        .map(|_| ())
-        .unwrap_err();
-    assert!(format!("{err}").contains("file backend"), "got: {err}");
     // A damaged partition set must not be silently truncated and rebuilt.
     std::fs::remove_dir_all(dir.join("part-002")).unwrap();
-    let err = SksDb::open(&dir, file_config(&dir, 4, 1024))
-        .map(|_| ())
-        .unwrap_err();
+    let err = SksDb::open(&dir, config(4, 1024)).map(|_| ()).unwrap_err();
     assert!(
         format!("{err}").contains("missing or damaged"),
         "got: {err}"
@@ -868,64 +762,30 @@ fn file_backend_refuses_incompatible_layouts() {
 
 #[test]
 fn memory_database_upgrades_to_file_backend() {
-    // A memory-backend database carries its whole state in the WAL, so
-    // reopening the same directory with the file backend is a lossless
-    // migration: full replay into fresh on-disk trees, tail replay after.
+    // An older engine's memory backend left a log-only directory. Opening
+    // it is a lossless migration under any partition count: full replay
+    // into fresh stores, tail replay after.
     let dir = tmpdir("upgrade");
+    build_log_only_dir(&dir, &config(4, 512), 2, 200);
     {
-        let db = SksDb::open(&dir, memory_config(4, 512)).unwrap();
-        let s = db.session();
-        for k in 0..200u64 {
-            s.insert(k, record_for(k)).unwrap();
-        }
-        // A checkpoint before the upgrade changes nothing about that: the
-        // memory backend's log is never cut, so it still holds all 200.
-        db.checkpoint().unwrap();
-    }
-    {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 512)).unwrap();
+        let db = SksDb::open(&dir, config(4, 512)).unwrap();
         assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
         assert_eq!(db.recovery_report().records_replayed, 200);
         assert_eq!(db.len(), 200);
         db.checkpoint().unwrap();
     }
     {
-        let db = SksDb::open(&dir, file_config(&dir, 4, 512)).unwrap();
+        let db = SksDb::open(&dir, config(4, 512)).unwrap();
         assert_eq!(db.recovery_report().path, RecoveryPath::TailReplay);
         assert_eq!(db.len(), 200);
         let s = db.session();
         for k in 0..200u64 {
             assert_eq!(s.get(k).unwrap().unwrap(), record_for(k), "key {k}");
         }
-        // And the migrated database is now locked to the file backend.
-        drop(s);
     }
-    let err = SksDb::open(&dir, memory_config(4, 512))
-        .map(|_| ())
-        .unwrap_err();
-    assert!(format!("{err}").contains("file backend"), "got: {err}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn memory_backend_still_reopens_with_different_partition_count() {
-    // The WAL replays per key through the router, so the memory backend
-    // keeps its layout independence.
-    let dir = tmpdir("memory_repartition");
-    {
-        let db = SksDb::open(&dir, memory_config(2, 512)).unwrap();
-        let s = db.session();
-        for k in 0..150u64 {
-            s.insert(k, record_for(k)).unwrap();
-        }
-    }
-    let db = SksDb::open(&dir, memory_config(6, 512)).unwrap();
-    assert_eq!(db.len(), 150);
-    db.validate().unwrap();
-    let s = db.session();
-    for k in 0..150u64 {
-        assert_eq!(s.get(k).unwrap().unwrap(), record_for(k), "key {k}");
-    }
+    // And the migrated database's partition count is now fixed.
+    let err = SksDb::open(&dir, config(2, 512)).map(|_| ()).unwrap_err();
+    assert!(format!("{err}").contains("partitions"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -965,7 +825,7 @@ fn checkpoint_runs_record_compaction_and_reclaims_space() {
         v
     };
     {
-        let cfg = file_config(&dir, 2, N + 64);
+        let cfg = config(2, N + 64);
         let db = SksDb::open(&dir, cfg).unwrap();
         let s = db.session();
         for k in 0..N {
@@ -1010,7 +870,7 @@ fn checkpoint_runs_record_compaction_and_reclaims_space() {
     }
     // The compacted image recovers: every live record survives, every
     // deleted one stays dead.
-    let db = SksDb::open(&dir, file_config(&dir, 2, N + 64)).unwrap();
+    let db = SksDb::open(&dir, config(2, N + 64)).unwrap();
     db.validate().unwrap();
     let s = db.session();
     for k in 0..N {

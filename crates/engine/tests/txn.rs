@@ -18,25 +18,17 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Backend-generic config, driven by the CI matrix's `SKS_TEST_BACKEND`
-/// axis (unset = memory).
-fn env_backend() -> Option<StorageBackend> {
-    match std::env::var("SKS_TEST_BACKEND").as_deref() {
-        Ok("file") => Some(StorageBackend::File {
-            dir: std::env::temp_dir(),
-            pool_pages: 64,
-        }),
-        Ok("memory") | Err(_) => None,
-        Ok(other) => panic!("SKS_TEST_BACKEND must be 'memory' or 'file', got {other:?}"),
-    }
-}
-
+/// The engine takes only the pool size from the backend; 64 frames keep
+/// the pool under eviction pressure.
 fn config(partitions: usize, capacity: u64) -> EngineConfig {
-    let mut scheme = SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions);
-    if let Some(backend) = env_backend() {
-        scheme = scheme.backend(backend);
-    }
-    EngineConfig::new(scheme)
+    EngineConfig::new(
+        SchemeConfig::with_capacity(Scheme::Oval, capacity)
+            .partitions(partitions)
+            .backend(StorageBackend::File {
+                dir: std::env::temp_dir(),
+                pool_pages: 64,
+            }),
+    )
 }
 
 fn rec(k: u64) -> Vec<u8> {
@@ -317,15 +309,7 @@ fn snapshot_reader_progresses_while_commit_holds_its_locks() {
 #[test]
 fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
     let dir = tmpdir("ckpt");
-    // Pinned to the file backend: the memory backend never cuts its log.
-    let make = || {
-        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 4096).partitions(3);
-        EngineConfig::new(scheme.backend(StorageBackend::File {
-            dir: std::env::temp_dir(),
-            pool_pages: 64,
-        }))
-        .sync(SyncPolicy::Always)
-    };
+    let make = || config(3, 4096).sync(SyncPolicy::Always);
     let keys;
     {
         let db = SksDb::open(&dir, make()).unwrap();

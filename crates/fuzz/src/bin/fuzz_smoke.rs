@@ -9,15 +9,14 @@
 //!
 //! Flags: `--driver all|opseq|walfault|decoder` (default `all`),
 //! `--seeds N` (per driver; default 24/24/48), `--start N` (first seed,
-//! default 0), `--backend memory|file` (default from `SKS_TEST_BACKEND`).
+//! default 0).
 
-use sks_fuzz::{decoders, op_seq, wal_fault, Backend};
+use sks_fuzz::{decoders, op_seq, wal_fault};
 
 fn main() {
     let mut driver = String::from("all");
     let mut seeds: Option<u64> = None;
     let mut start = 0u64;
-    let mut backend = Backend::from_env();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -29,18 +28,8 @@ fn main() {
             "--driver" => driver = value("--driver"),
             "--seeds" => seeds = Some(value("--seeds").parse().expect("--seeds: not a number")),
             "--start" => start = value("--start").parse().expect("--start: not a number"),
-            "--backend" => {
-                backend = match value("--backend").as_str() {
-                    "file" => Backend::File,
-                    "memory" => Backend::Memory,
-                    other => panic!("--backend: unknown backend {other:?}"),
-                }
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: fuzz_smoke [--driver all|opseq|walfault|decoder] \
-                     [--seeds N] [--start N] [--backend memory|file]"
-                );
+                println!("usage: fuzz_smoke [--driver all|opseq|walfault|decoder] [--seeds N] [--start N]");
                 return;
             }
             other => panic!("unknown flag {other:?}"),
@@ -57,23 +46,20 @@ fn main() {
     if run_opseq {
         let n = seeds.unwrap_or(24);
         for seed in start..start + n {
-            match op_seq::run_op_sequence_case(seed, backend) {
+            match op_seq::run_op_sequence_case(seed) {
                 Ok(report) => crashes += report.crashes,
-                Err(e) => die("opseq", seed, backend, &e),
+                Err(e) => die("opseq", seed, &e),
             }
             total += 1;
         }
-        println!(
-            "opseq: {n} seeds on the {} backend, {crashes} injected crashes, all recoveries consistent",
-            backend.name()
-        );
+        println!("opseq: {n} seeds, {crashes} injected crashes, all recoveries consistent");
     }
     if run_walfault {
         let n = seeds.unwrap_or(24);
         for seed in start..start + n {
             match wal_fault::run_wal_fault_case(seed) {
                 Ok(report) => faults += report.fired as usize,
-                Err(e) => die("walfault", seed, backend, &e),
+                Err(e) => die("walfault", seed, &e),
             }
             total += 1;
         }
@@ -82,8 +68,8 @@ fn main() {
     if run_decoder {
         let n = seeds.unwrap_or(48);
         for seed in start..start + n {
-            if let Err(e) = decoders::run_decoder_case(seed, backend) {
-                die("decoder", seed, backend, &e);
+            if let Err(e) = decoders::run_decoder_case(seed) {
+                die("decoder", seed, &e);
             }
             total += 1;
         }
@@ -93,16 +79,12 @@ fn main() {
     println!("fuzz-smoke: {total} seeds green");
 }
 
-fn die(driver: &str, seed: u64, backend: Backend, error: &str) -> ! {
-    eprintln!(
-        "FUZZ FAILURE: driver={driver} seed={seed} backend={}",
-        backend.name()
-    );
+fn die(driver: &str, seed: u64, error: &str) -> ! {
+    eprintln!("FUZZ FAILURE: driver={driver} seed={seed}");
     eprintln!("  {error}");
     eprintln!(
         "  reproduce: cargo run -p sks-fuzz --bin fuzz_smoke -- \
-         --driver {driver} --start {seed} --seeds 1 --backend {}",
-        backend.name()
+         --driver {driver} --start {seed} --seeds 1"
     );
     std::process::exit(1);
 }

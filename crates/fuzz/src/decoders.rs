@@ -25,7 +25,7 @@ use sks_storage::{BlockId, BlockStore, OpCounters, PagedFileStore, SyncPolicy};
 
 use crate::mutate::mutate;
 use crate::rng::FuzzRng;
-use crate::{Backend, ScratchDir};
+use crate::ScratchDir;
 
 const WAL_KEY: u128 = 0xFEED_FACE_CAFE_BEEF_0011_2233_4455_6677;
 /// Planted in every sealed value; must never surface in error text.
@@ -44,12 +44,12 @@ fn assert_sealed_error(context: &str, text: &str) -> Result<(), String> {
 
 /// Dispatches one decoder-fuzz case per seed, rotating through the five
 /// decoder families so a contiguous seed range sweeps all of them.
-pub fn run_decoder_case(seed: u64, backend: Backend) -> Result<(), String> {
+pub fn run_decoder_case(seed: u64) -> Result<(), String> {
     match seed % 5 {
         0 => run_wal_stream_case(seed),
         1 => run_node_codec_case(seed),
         2 => run_tree_dir_case(seed),
-        3 => run_engine_dir_case(seed, backend),
+        3 => run_engine_dir_case(seed),
         _ => run_data_page_case(seed),
     }
 }
@@ -397,21 +397,17 @@ pub fn run_data_page_case(seed: u64) -> Result<(), String> {
     }
 }
 
-/// Builds a full engine directory (WAL, plus checkpointed store files on
-/// the file backend), corrupts one file, and reopens the database:
-/// recovery must fail closed or come up readable — no panic, no marker
-/// plaintext in errors.
-pub fn run_engine_dir_case(seed: u64, backend: Backend) -> Result<(), String> {
+/// Builds a full engine directory (WAL plus checkpointed store files),
+/// corrupts one file, and reopens the database: recovery must fail closed
+/// or come up readable — no panic, no marker plaintext in errors.
+pub fn run_engine_dir_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0004);
-    let scratch = ScratchDir::new(&format!("dec-eng-{}", backend.name()), seed);
+    let scratch = ScratchDir::new("dec-eng", seed);
     let dir = scratch.path();
     let mk_config = || {
-        let storage = match backend {
-            Backend::Memory => sks_core::StorageBackend::Memory,
-            Backend::File => sks_core::StorageBackend::File {
-                dir: dir.join("store"),
-                pool_pages: 32,
-            },
+        let storage = sks_core::StorageBackend::File {
+            dir: dir.to_path_buf(),
+            pool_pages: 32,
         };
         EngineConfig::new(
             SchemeConfig::with_capacity(Scheme::Oval, 128)
@@ -484,10 +480,7 @@ pub fn run_engine_dir_case(seed: u64, backend: Backend) -> Result<(), String> {
         Ok(())
     }));
     match outcome {
-        Err(_) => Err(format!(
-            "corrupt {victim_name} ({}) panicked engine open/read",
-            backend.name()
-        )),
-        Ok(r) => r.map_err(|e| format!("{e} (victim {victim_name}, {})", backend.name())),
+        Err(_) => Err(format!("corrupt {victim_name} panicked engine open/read")),
+        Ok(r) => r.map_err(|e| format!("{e} (victim {victim_name})")),
     }
 }

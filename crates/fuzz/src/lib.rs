@@ -28,34 +28,6 @@ pub mod op_seq;
 pub mod rng;
 pub mod wal_fault;
 
-/// Which storage backend the op-sequence driver runs the engine on.
-/// Mirrors the workspace-wide `SKS_TEST_BACKEND` axis used by the engine
-/// integration tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    Memory,
-    File,
-}
-
-impl Backend {
-    /// Reads `SKS_TEST_BACKEND` (`memory` | `file`), defaulting to
-    /// `memory` when unset or unrecognised — the same convention as
-    /// `tests/engine_integration.rs`.
-    pub fn from_env() -> Self {
-        match std::env::var("SKS_TEST_BACKEND").as_deref() {
-            Ok("file") => Backend::File,
-            _ => Backend::Memory,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Memory => "memory",
-            Backend::File => "file",
-        }
-    }
-}
-
 /// A scratch directory that cleans up after itself (success or panic).
 /// Unique per (label, seed) so parallel test binaries never collide.
 pub struct ScratchDir {

@@ -22,7 +22,7 @@ use sks_storage::{FailPlan, KillPoint, SyncPolicy};
 
 use crate::model::{ShadowModel, Unit};
 use crate::rng::FuzzRng;
-use crate::{Backend, ScratchDir};
+use crate::ScratchDir;
 
 /// Keyspace the driver works over — small enough that inserts, deletes
 /// and range scans collide constantly (the interesting regime for B-tree
@@ -42,13 +42,10 @@ pub struct OpSeqReport {
     pub final_keys: usize,
 }
 
-fn make_config(backend: Backend, dir: &std::path::Path, partitions: usize) -> EngineConfig {
-    let storage = match backend {
-        Backend::Memory => StorageBackend::Memory,
-        Backend::File => StorageBackend::File {
-            dir: dir.join("store"),
-            pool_pages: 64,
-        },
+fn make_config(dir: &std::path::Path, partitions: usize) -> EngineConfig {
+    let storage = StorageBackend::File {
+        dir: dir.to_path_buf(),
+        pool_pages: 64,
     };
     let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
         .partitions(partitions)
@@ -60,9 +57,9 @@ fn make_config(backend: Backend, dir: &std::path::Path, partitions: usize) -> En
 
 /// One seeded case. Returns the report, or a description of the first
 /// divergence (the seed is appended by the caller).
-pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, String> {
+pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
     let mut rng = FuzzRng::new(seed ^ 0x05EC_0DE5_EEDF_ACE1);
-    let scratch = ScratchDir::new(&format!("opseq-{}", backend.name()), seed);
+    let scratch = ScratchDir::new("opseq", seed);
     let dir = scratch.path();
     let partitions = 1 + rng.below(2) as usize;
 
@@ -71,11 +68,8 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
     // half-created database that correctly refuses to open — a dead end
     // for the driver, not a bug. Checkpoint-time WAL creation *is*
     // fuzzed (the plan is shared with the fresh log's device).
-    let mut db: Arc<SksDb> = SksDb::open(
-        dir,
-        make_config(backend, dir, partitions).wal_fault(plan.clone()),
-    )
-    .map_err(|e| format!("initial open failed: {e}"))?;
+    let mut db: Arc<SksDb> = SksDb::open(dir, make_config(dir, partitions).wal_fault(plan.clone()))
+        .map_err(|e| format!("initial open failed: {e}"))?;
 
     let mut report = OpSeqReport::default();
     let kill = plan.arm_kill_point(rng.next_u64(), 24, 12);
@@ -89,9 +83,9 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
     let mut unit_no = 0;
     while unit_no < total_units {
         unit_no += 1;
-        // A mid-sequence checkpoint is guaranteed so the file backend's
-        // cut path (and its fresh fault-wrapped WAL) is always exercised;
-        // the rest of the mix is drawn from the seed.
+        // A mid-sequence checkpoint is guaranteed so the log cut (and its
+        // fresh fault-wrapped WAL) is always exercised; the rest of the
+        // mix is drawn from the seed.
         let roll = if unit_no == total_units / 2 {
             90
         } else {
@@ -186,8 +180,8 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
                     Err(e) => Err(format!("range failed (reads must survive faults): {e}")),
                 }
             }
-            // Checkpoint: no logical change. On the file backend it cuts
-            // the WAL; a fault here fires inside the cut (old log stays
+            // Checkpoint: no logical change. It cuts the WAL; a fault
+            // here fires inside the cut (old log stays
             // authoritative) and the crash path below must still land on
             // the full acked image.
             89..=93 => step_noop(db.checkpoint(), &mut model),
@@ -209,11 +203,8 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
             // fault plan, and the database MUST reopen.
             drop(db);
             plan.reset();
-            db = SksDb::open(
-                dir,
-                make_config(backend, dir, partitions).wal_fault(plan.clone()),
-            )
-            .map_err(|e| format!("unit {unit_no}: reopen after crash failed: {e}"))?;
+            db = SksDb::open(dir, make_config(dir, partitions).wal_fault(plan.clone()))
+                .map_err(|e| format!("unit {unit_no}: reopen after crash failed: {e}"))?;
             let recovered: BTreeMap<u64, Vec<u8>> = db
                 .range(0, u64::MAX)
                 .map_err(|e| format!("unit {unit_no}: post-recovery scan failed: {e}"))?
@@ -245,7 +236,7 @@ pub fn run_op_sequence_case(seed: u64, backend: Backend) -> Result<OpSeqReport, 
     // And it must survive one last clean close-and-reopen.
     drop(db);
     plan.reset();
-    let db = SksDb::open(dir, make_config(backend, dir, partitions))
+    let db = SksDb::open(dir, make_config(dir, partitions))
         .map_err(|e| format!("final reopen failed: {e}"))?;
     let reopened: BTreeMap<u64, Vec<u8>> = db
         .range(0, u64::MAX)

@@ -1,12 +1,12 @@
 //! Property: `decode(mutate(valid_bytes))` is an error or a semantically
-//! valid result — never a panic — for every disguise scheme's node codec
-//! and for the sealed WAL stream on both engine backends. The seeded
+//! valid result — never a panic — for every disguise scheme's node codec,
+//! the sealed WAL stream and whole engine directories. The seeded
 //! drivers in `sks_fuzz::decoders` do the heavy sweeping; this pins the
 //! property in proptest form so the contract is stated (and re-checked)
 //! independently of the driver plumbing.
 
 use proptest::prelude::*;
-use sks_fuzz::{decoders, Backend};
+use sks_fuzz::decoders;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -31,8 +31,7 @@ proptest! {
 
 proptest! {
     // Whole-directory cases build real trees/engines; keep the case count
-    // CI-sized. The backend axis is covered explicitly below rather than
-    // through `SKS_TEST_BACKEND`.
+    // CI-sized.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Record store and manifest decoders fail closed when any tree file
@@ -44,14 +43,12 @@ proptest! {
         }
     }
 
-    /// Engine recovery (WAL + store superblocks) fails
-    /// closed on both backends when any sealed file is corrupted.
+    /// Engine recovery (WAL + store superblocks) fails closed when any
+    /// sealed file is corrupted.
     #[test]
-    fn engine_recovery_fails_closed_on_both_backends(seed in 0u64..1_000_000) {
-        for backend in [Backend::Memory, Backend::File] {
-            if let Err(e) = decoders::run_engine_dir_case(seed, backend) {
-                panic!("seed {seed} ({}): {e}", backend.name());
-            }
+    fn engine_recovery_fails_closed(seed in 0u64..1_000_000) {
+        if let Err(e) = decoders::run_engine_dir_case(seed) {
+            panic!("seed {seed}: {e}");
         }
     }
 }

@@ -1,17 +1,15 @@
 //! Fixed-seed regression coverage: a slice of every fuzz driver runs in
-//! the ordinary test suite, on the backend chosen by `SKS_TEST_BACKEND`
-//! (`memory` default | `file`), so the drivers themselves can never rot.
-//! The full sweep runs in CI as the `fuzz-smoke` job via the
-//! `fuzz_smoke` binary.
+//! the ordinary test suite, so the drivers themselves can never rot. The
+//! full sweep runs in CI as the `fuzz-smoke` job via the `fuzz_smoke`
+//! binary.
 
-use sks_fuzz::{decoders, op_seq, wal_fault, Backend};
+use sks_fuzz::{decoders, op_seq, wal_fault};
 
 #[test]
 fn op_sequence_crash_seeds_recover_consistently() {
-    let backend = Backend::from_env();
-    for seed in 0..8 {
-        if let Err(e) = op_seq::run_op_sequence_case(seed, backend) {
-            panic!("opseq seed {seed} ({}): {e}", backend.name());
+    for seed in (0..8).chain([101]) {
+        if let Err(e) = op_seq::run_op_sequence_case(seed) {
+            panic!("opseq seed {seed}: {e}");
         }
     }
 }
@@ -34,10 +32,9 @@ fn wal_fault_seeds_replay_consistently() {
 /// walk schemes 0–3.
 #[test]
 fn decoder_seeds_fail_closed() {
-    let backend = Backend::from_env();
     for seed in 0..20 {
-        if let Err(e) = decoders::run_decoder_case(seed, backend) {
-            panic!("decoder seed {seed} ({}): {e}", backend.name());
+        if let Err(e) = decoders::run_decoder_case(seed) {
+            panic!("decoder seed {seed}: {e}");
         }
     }
 }
@@ -49,17 +46,5 @@ fn decoder_seeds_fail_closed() {
 fn short_data_slot_fails_closed() {
     if let Err(e) = decoders::run_data_page_case(4) {
         panic!("data-page seed 4: {e}");
-    }
-}
-
-/// Both engine backends get direct op-sequence coverage regardless of the
-/// env axis — crash-and-reopen semantics differ materially between them
-/// (full-log replay vs store files + tail).
-#[test]
-fn op_sequence_covers_both_backends() {
-    for backend in [Backend::Memory, Backend::File] {
-        if let Err(e) = op_seq::run_op_sequence_case(101, backend) {
-            panic!("opseq seed 101 ({}): {e}", backend.name());
-        }
     }
 }

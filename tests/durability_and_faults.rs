@@ -2,15 +2,17 @@
 //! behind the block cache, corrupted media producing typed errors
 //! instead of garbage or panics, engine writes the tree would refuse
 //! kept out of the log, logged writes a reopen cannot apply refused
-//! rather than dropped, acknowledged commits in the log file the moment
-//! they return, and a logged commit the trees refuse halting the engine.
+//! rather than dropped, one engine durability design whatever the
+//! backend, a missing log refused, acknowledged commits in the log file
+//! the moment they return, and a logged commit the trees refuse halting
+//! the engine.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sks_btree::btree::{BTree, CodecError, RecordPtr, TreeError};
 use sks_btree::core::{CoreError, Scheme, SchemeConfig, StorageBackend};
-use sks_btree::engine::{EngineConfig, EngineError, SksDb, Wal, WalOp};
+use sks_btree::engine::{EngineConfig, EngineError, RecoveryPath, SksDb, Wal, WalOp};
 use sks_btree::storage::{
     BlockId, BlockStore, FileDisk, MemDisk, OpCounters, PagedFileStore, SyncPolicy,
 };
@@ -291,16 +293,20 @@ fn engine_txn_insert_refuses_an_over_long_value_before_logging() {
 }
 
 /// A logged record the configuration can no longer apply fails the open
-/// instead of being dropped: a memory-backend database holds a value half
-/// a block long, and a reopen with a quarter of the block size (whose
+/// instead of being dropped: a database's log holds a value half a block
+/// long, and an open of that log with a quarter of the block size (whose
 /// record slots cannot hold it) is refused with an error naming the
-/// record's seq but none of its bytes. The refused open leaves the log
-/// as it was, so a reopen with the original configuration still serves
-/// the value.
+/// record's seq but none of its bytes. The log is copied alone into a
+/// fresh directory, so the open builds fresh stores and reaches replay
+/// (the database's own manifest would refuse the block size first). The
+/// refused open leaves that log as it was, and the database still serves
+/// the value under the original configuration.
 #[test]
 fn replay_refuses_a_record_the_configuration_cannot_apply() {
     let dir = tmpfile("unreplayable");
+    let log_only = tmpfile("unreplayable.log");
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&log_only).ok();
     let scheme = || SchemeConfig::with_capacity(Scheme::Oval, 1_000);
     let key = 777u64;
     let value = b"SECRET-VALUE-".repeat(4096 / 2 / 13);
@@ -309,21 +315,134 @@ fn replay_refuses_a_record_the_configuration_cannot_apply() {
         assert_eq!(db.config().scheme.block_size, 4096);
         db.insert(key, value.clone()).unwrap();
     }
+    std::fs::create_dir_all(&log_only).unwrap();
+    let log = log_only.join("wal.sks");
+    std::fs::copy(dir.join("wal.sks"), &log).unwrap();
+    let logged = std::fs::read(&log).unwrap();
 
     let mut small = scheme();
     small.block_size = 4096 / 4;
-    let err = SksDb::open(&dir, EngineConfig::new(small)).expect_err("the open must be refused");
+    let err =
+        SksDb::open(&log_only, EngineConfig::new(small)).expect_err("the open must be refused");
     let msg = err.to_string();
     assert!(msg.contains("seq 2"), "the error names the record: {msg}");
     assert!(
         !msg.contains(&key.to_string()) && !msg.contains("SECRET"),
         "the error carries no key or value bytes: {msg}"
     );
+    assert_eq!(
+        std::fs::read(&log).unwrap(),
+        logged,
+        "the refusal touched the log"
+    );
 
     let db = SksDb::open(&dir, EngineConfig::new(scheme())).unwrap();
     assert_eq!(db.recovery_report().records_replayed, 1);
     assert_eq!(db.get(key).unwrap(), Some(value));
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&log_only).ok();
+}
+
+/// The engine runs one durability design whatever the backend says: a
+/// default-config engine (`StorageBackend::Memory`) keeps checkpointed
+/// page files in its directory and cuts its log at a checkpoint, so a
+/// reopen replays only the writes since.
+#[test]
+fn default_config_engine_checkpoints_pages_and_replays_only_the_tail() {
+    let dir = tmpfile("default_design");
+    std::fs::remove_dir_all(&dir).ok();
+    let config =
+        || EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2));
+    assert_eq!(config().scheme.backend, StorageBackend::Memory);
+    const TAIL: u64 = 25;
+    {
+        let db = SksDb::open(&dir, config()).unwrap();
+        for k in 0..300u64 {
+            db.insert(k, record(k)).unwrap();
+        }
+        let before = db.wal_len_bytes();
+        db.checkpoint().unwrap();
+        assert!(
+            db.wal_len_bytes() < before,
+            "the checkpoint cut the log ({before} -> {} bytes)",
+            db.wal_len_bytes()
+        );
+        for k in 300..300 + TAIL {
+            db.insert(k, record(k)).unwrap();
+        }
+    }
+    assert!(dir.join("part-000").join("manifest.sks").exists());
+    let db = SksDb::open(&dir, config()).unwrap();
+    let report = db.recovery_report();
+    assert_eq!(report.path, RecoveryPath::TailReplay);
+    assert_eq!(report.records_replayed, TAIL, "only the tail replays");
+    assert_eq!(db.len(), 300 + TAIL);
+    for k in (0..300 + TAIL).step_by(7) {
+        assert_eq!(db.get(k).unwrap().unwrap(), record(k), "key {k}");
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The backend names only a pool size to the engine, so a database
+/// created with `StorageBackend::File` reopens under the default config
+/// and serves every record.
+#[test]
+fn a_file_config_database_reopens_under_the_default_config() {
+    let dir = tmpfile("file_then_default");
+    std::fs::remove_dir_all(&dir).ok();
+    let scheme = || SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2);
+    {
+        let file = scheme().backend(StorageBackend::File {
+            dir: dir.clone(),
+            pool_pages: 16,
+        });
+        let db = SksDb::open(&dir, EngineConfig::new(file)).unwrap();
+        db.insert_batch((0..200u64).map(|k| (k, record(k))).collect())
+            .unwrap();
+        db.checkpoint().unwrap();
+        db.delete(7).unwrap();
+    }
+    let db = SksDb::open(&dir, EngineConfig::new(scheme())).unwrap();
+    assert_eq!(db.recovery_report().path, RecoveryPath::TailReplay);
+    assert_eq!(db.len(), 199);
+    for k in 0..200u64 {
+        let want = (k != 7).then(|| record(k));
+        assert_eq!(db.get(k).unwrap(), want, "key {k}");
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fail closed on a missing log: `engine.sks` is written only after the
+/// log is durable, so a database whose metadata survives but whose
+/// `wal.sks` is gone has lost every write since its last checkpoint. The
+/// open is refused with an error naming the file rather than serving the
+/// checkpoint over a fresh log.
+#[test]
+fn an_open_refuses_a_database_whose_log_is_missing() {
+    let dir = tmpfile("missing_log");
+    std::fs::remove_dir_all(&dir).ok();
+    let config =
+        || EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2));
+    {
+        let db = SksDb::open(&dir, config()).unwrap();
+        for k in 0..50u64 {
+            db.insert(k, record(k)).unwrap();
+        }
+        db.checkpoint().unwrap();
+        db.insert(50, record(50)).unwrap();
+    }
+    std::fs::remove_file(dir.join("wal.sks")).unwrap();
+    let err = SksDb::open(&dir, config())
+        .map(drop)
+        .expect_err("an open without the log must be refused");
+    assert!(
+        matches!(err, EngineError::Config(_)) && err.to_string().contains("wal.sks"),
+        "the refusal names the missing log, got: {err}"
+    );
+    assert!(!dir.join("wal.sks").exists(), "the refusal created a log");
     std::fs::remove_dir_all(&dir).ok();
 }
 

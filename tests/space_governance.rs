@@ -7,8 +7,7 @@
 //!   image, and after a drain the data store holds exactly one live
 //!   record slot per tree key;
 //! * the same slot ≡ key invariant under arbitrary
-//!   insert/delete/compact/reopen/crash churn, on both backends
-//!   (`SKS_TEST_BACKEND` matrix);
+//!   insert/delete/compact/reopen/crash churn, on both tree backends;
 //! * the compaction report counts victims freed through the tombstone
 //!   fast path (the PR 4 under-count regression);
 //! * sustained churn + shrink-to-10% keeps `nodes.sks` + `data.sks`
@@ -286,18 +285,8 @@ fn seeded_kill_point_sweep_recovers_everywhere() {
 }
 
 // ---------------------------------------------------------------------
-// Live record slots ≡ tree keys (backend matrix proptests)
+// Live record slots ≡ tree keys (proptests over both tree backends)
 // ---------------------------------------------------------------------
-
-/// Which backend the matrix axis selects (`SKS_TEST_BACKEND=memory|file`;
-/// unset = memory).
-fn file_backend() -> bool {
-    match std::env::var("SKS_TEST_BACKEND").as_deref() {
-        Ok("file") => true,
-        Ok("memory") | Err(_) => false,
-        Ok(other) => panic!("SKS_TEST_BACKEND must be 'memory' or 'file', got {other:?}"),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -306,52 +295,53 @@ proptest! {
     /// (rebuilt there from the slot directories), not only after a drain.
     #[test]
     fn prop_live_record_slots_equal_len_under_churn(seed in any::<u64>()) {
-        let on_disk = file_backend();
-        let dir = tmpdir(&format!("slots_prop_{seed}"));
-        let mut cfg = config(2_048);
-        if on_disk {
-            cfg = cfg.on_disk(&dir);
-        }
-        let mut tree = if on_disk {
-            EncipheredBTree::create(cfg.clone()).unwrap()
-        } else {
-            EncipheredBTree::create_in_memory(cfg.clone()).unwrap()
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut model = std::collections::BTreeMap::new();
-        for _ in 0..400 {
-            let k = rng.gen_range(0..1_000u64);
-            match rng.gen_range(0..10u32) {
-                0..=5 => {
-                    tree.insert(k, rec(k)).unwrap();
-                    model.insert(k, rec(k));
+        for on_disk in [false, true] {
+            let dir = tmpdir(&format!("slots_prop_{seed}"));
+            let mut cfg = config(2_048);
+            if on_disk {
+                cfg = cfg.on_disk(&dir);
+            }
+            let mut tree = if on_disk {
+                EncipheredBTree::create(cfg.clone()).unwrap()
+            } else {
+                EncipheredBTree::create_in_memory(cfg.clone()).unwrap()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model = std::collections::BTreeMap::new();
+            for _ in 0..400 {
+                let k = rng.gen_range(0..1_000u64);
+                match rng.gen_range(0..10u32) {
+                    0..=5 => {
+                        tree.insert(k, rec(k)).unwrap();
+                        model.insert(k, rec(k));
+                    }
+                    6..=8 => {
+                        let got = tree.delete(k).unwrap();
+                        prop_assert_eq!(got, model.remove(&k));
+                    }
+                    _ => {
+                        let r = tree.compact_step(rng.gen_range(1..16)).unwrap();
+                        prop_assert_eq!(r.orphaned_records, 0);
+                        prop_assert_eq!(r.orphans_collected, 0);
+                        tree.compact_nodes(8).unwrap();
+                    }
                 }
-                6..=8 => {
-                    let got = tree.delete(k).unwrap();
-                    prop_assert_eq!(got, model.remove(&k));
-                }
-                _ => {
-                    let r = tree.compact_step(rng.gen_range(1..16)).unwrap();
-                    prop_assert_eq!(r.orphaned_records, 0);
-                    prop_assert_eq!(r.orphans_collected, 0);
-                    tree.compact_nodes(8).unwrap();
+                // File backend: occasionally checkpoint and reopen mid-churn.
+                if on_disk && rng.gen_bool(0.02) {
+                    tree.flush().unwrap();
+                    drop(tree);
+                    tree = EncipheredBTree::open(cfg.clone()).unwrap();
+                    prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
                 }
             }
-            // File backend: occasionally checkpoint and reopen mid-churn.
-            if on_disk && rng.gen_bool(0.02) {
-                tree.flush().unwrap();
-                drop(tree);
-                tree = EncipheredBTree::open(cfg.clone()).unwrap();
-                prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
+            prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
+            drain(&mut tree);
+            for (k, v) in &model {
+                prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
             }
+            drop(tree);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        prop_assert_eq!(tree.live_record_slots().unwrap(), tree.len());
-        drain(&mut tree);
-        for (k, v) in &model {
-            prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
-        }
-        drop(tree);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -359,63 +349,64 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     /// Live record slots ≡ tree keys after a drain, under arbitrary
     /// churn, checkpoints, crashes (reopen to the last committed image)
-    /// and clean reopens, on both backends.
+    /// and clean reopens, on both tree backends.
     #[test]
     fn prop_live_record_slots_equal_len_after_drain_under_crashes(seed in any::<u64>()) {
-        let on_disk = file_backend();
-        let dir = tmpdir(&format!("crash_prop_{seed}"));
-        let mut cfg = config(2_048);
-        if on_disk {
-            cfg = cfg.on_disk(&dir);
-        }
-        let mut tree = if on_disk {
-            EncipheredBTree::create(cfg.clone()).unwrap()
-        } else {
-            EncipheredBTree::create_in_memory(cfg.clone()).unwrap()
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut model = std::collections::BTreeMap::new();
-        let mut committed = model.clone();
-        for _ in 0..400 {
-            let k = rng.gen_range(0..1_000u64);
-            match rng.gen_range(0..10u32) {
-                0..=5 => {
-                    tree.insert(k, rec(k)).unwrap();
-                    model.insert(k, rec(k));
-                }
-                6..=8 => {
-                    let got = tree.delete(k).unwrap();
-                    prop_assert_eq!(got, model.remove(&k));
-                }
-                _ => {
-                    let r = tree.compact_step(rng.gen_range(1..16)).unwrap();
-                    prop_assert_eq!(r.orphaned_records, 0);
-                    tree.compact_nodes(8).unwrap();
-                }
+        for on_disk in [false, true] {
+            let dir = tmpdir(&format!("crash_prop_{seed}"));
+            let mut cfg = config(2_048);
+            if on_disk {
+                cfg = cfg.on_disk(&dir);
             }
-            if on_disk && rng.gen_bool(0.03) {
-                // Checkpoint, sometimes followed by a clean reopen.
-                tree.flush().unwrap();
-                committed = model.clone();
-                if rng.gen_bool(0.5) {
+            let mut tree = if on_disk {
+                EncipheredBTree::create(cfg.clone()).unwrap()
+            } else {
+                EncipheredBTree::create_in_memory(cfg.clone()).unwrap()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model = std::collections::BTreeMap::new();
+            let mut committed = model.clone();
+            for _ in 0..400 {
+                let k = rng.gen_range(0..1_000u64);
+                match rng.gen_range(0..10u32) {
+                    0..=5 => {
+                        tree.insert(k, rec(k)).unwrap();
+                        model.insert(k, rec(k));
+                    }
+                    6..=8 => {
+                        let got = tree.delete(k).unwrap();
+                        prop_assert_eq!(got, model.remove(&k));
+                    }
+                    _ => {
+                        let r = tree.compact_step(rng.gen_range(1..16)).unwrap();
+                        prop_assert_eq!(r.orphaned_records, 0);
+                        tree.compact_nodes(8).unwrap();
+                    }
+                }
+                if on_disk && rng.gen_bool(0.03) {
+                    // Checkpoint, sometimes followed by a clean reopen.
+                    tree.flush().unwrap();
+                    committed = model.clone();
+                    if rng.gen_bool(0.5) {
+                        drop(tree);
+                        tree = EncipheredBTree::open(cfg.clone()).unwrap();
+                    }
+                } else if on_disk && rng.gen_bool(0.01) {
+                    // Crash: the buffered epoch dies; the reopen serves the
+                    // last committed image.
                     drop(tree);
                     tree = EncipheredBTree::open(cfg.clone()).unwrap();
+                    model = committed.clone();
                 }
-            } else if on_disk && rng.gen_bool(0.01) {
-                // Crash: the buffered epoch dies; the reopen serves the
-                // last committed image.
-                drop(tree);
-                tree = EncipheredBTree::open(cfg.clone()).unwrap();
-                model = committed.clone();
             }
+            drain(&mut tree);
+            prop_assert_eq!(tree.len(), model.len() as u64);
+            for (k, v) in &model {
+                prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
+            }
+            drop(tree);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drain(&mut tree);
-        prop_assert_eq!(tree.len(), model.len() as u64);
-        for (k, v) in &model {
-            prop_assert_eq!(tree.get(*k).unwrap().as_ref(), Some(v));
-        }
-        drop(tree);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -49,6 +49,7 @@
 //! scrape it out of dead memory.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use sks_storage::{wipe, BlockId, LruMap, Obs, Stage};
 
@@ -197,25 +198,26 @@ impl CachedNode {
         // it a load and a copy, with the first touch out of line.
         match self.memo.get(slot).and_then(OnceLock::get) {
             Some(t) => Ok(*t),
-            None => self.unseal_slot(slot, unseal),
+            None => self.unseal_slot(slot, unseal, &mut self.obs.start()),
         }
     }
 
-    /// First touch of `slot`: deciphers its cryptogram, timed, and
-    /// memoises the answer.
+    /// First touch of `slot`: deciphers its cryptogram and memoises the
+    /// answer, closing one [`Stage::NodeUnseal`] sample that runs from
+    /// `clock` ([`Obs::lap`]).
     #[cold]
     fn unseal_slot(
         &self,
         slot: usize,
         unseal: impl FnOnce(&[u8]) -> Result<Triplet, CodecError>,
+        clock: &mut Option<Instant>,
     ) -> Result<Triplet, CodecError> {
         let missing = || CodecError::Corrupt(format!("node {} has no slot {slot}", self.id));
         let cell = self.memo.get(slot).ok_or_else(missing)?;
         let at = slot * self.sealed_len;
         let ct = self.sealed.get(at..at + self.sealed_len);
-        let clock = self.obs.start();
         let t = unseal(ct.ok_or_else(missing)?)?;
-        self.obs.stage(Stage::NodeUnseal, clock);
+        self.obs.lap(Stage::NodeUnseal, clock);
         // Readers racing to this point deciphered the same cryptogram to
         // the same triplet; whichever `set` lands, the cell holds it.
         let _ = cell.set(t);
@@ -229,9 +231,13 @@ impl CachedNode {
         &self,
         mut unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
     ) -> Result<Node, CodecError> {
+        // One clock read per slot deciphered: each sample starts where the
+        // previous one ended, so together they time the whole loop.
+        let mut clock = None;
         for (slot, cell) in self.memo.iter().enumerate() {
             if cell.get().is_none() {
-                self.unseal_slot(slot, &mut unseal)?;
+                clock = clock.or_else(|| self.obs.start());
+                self.unseal_slot(slot, &mut unseal, &mut clock)?;
             }
         }
         // Every cell is set now (cells are write-once), so the columns

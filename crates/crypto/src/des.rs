@@ -2,9 +2,16 @@
 //! specification.
 //!
 //! The paper (§5) names DES as one of the two cryptosystems suitable for
-//! enciphering node and data blocks. This is a straightforward table-driven
-//! implementation validated against published test vectors — built for
-//! fidelity to the 1977 standard, **not** for protecting real data.
+//! enciphering node and data blocks. Built for fidelity to the 1977
+//! standard, **not** for protecting real data.
+//!
+//! The FIPS tables below are the only source of the cipher. At compile
+//! time `const fn`s fold them into lookup tables: IP, FP, PC1 and PC2
+//! become one table per input byte (`out = OR over j of T[j][byte j]`),
+//! and each S-box merges with P into one `[u32; 64]` table whose six input
+//! bits are read straight off a rotation of R, so E is never evaluated.
+//! The bit-at-a-time cipher those tables are derived from lives on in the
+//! tests as their oracle, next to the published test vectors.
 
 use crate::cipher::BlockCipher64;
 
@@ -32,19 +39,6 @@ const FP: [u8; 64] = [
     35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26,
     33, 1, 41,  9, 49, 17, 57, 25,
-];
-
-/// Expansion E: 32 → 48 bits.
-#[rustfmt::skip]
-const E: [u8; 48] = [
-    32,  1,  2,  3,  4,  5,
-     4,  5,  6,  7,  8,  9,
-     8,  9, 10, 11, 12, 13,
-    12, 13, 14, 15, 16, 17,
-    16, 17, 18, 19, 20, 21,
-    20, 21, 22, 23, 24, 25,
-    24, 25, 26, 27, 28, 29,
-    28, 29, 30, 31, 32,  1,
 ];
 
 /// Permutation P applied to the S-box output.
@@ -144,32 +138,89 @@ const SBOX: [[u8; 64]; 8] = [
 
 /// Applies a 1-indexed bit permutation table: output bit `i` (MSB-first) is
 /// input bit `table[i]` of a `width`-bit word (also MSB-first).
-fn permute(input: u64, width: u32, table: &[u8]) -> u64 {
+const fn permute(input: u64, width: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &src in table {
-        out = (out << 1) | ((input >> (width - src as u32)) & 1);
+    let mut i = 0;
+    while i < table.len() {
+        out = (out << 1) | ((input >> (width - table[i] as u32)) & 1);
+        i += 1;
     }
     out
 }
 
-/// The DES round function f(R, K).
-fn feistel_f(r: u32, subkey: u64) -> u32 {
-    let expanded = permute(r as u64, 32, &E); // 48 bits
-    let x = expanded ^ subkey;
-    let mut out = 0u32;
-    for (i, sbox) in SBOX.iter().enumerate() {
-        let chunk = ((x >> (42 - 6 * i)) & 0x3f) as u8;
-        let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
-        let col = (chunk >> 1) & 0x0f;
-        out = (out << 4) | sbox[(row * 16 + col) as usize] as u32;
+/// `permute` as one lookup per input byte: entry `[j][b]` is the image of
+/// the `width`-bit word whose byte `j` (most significant first) is `b` and
+/// whose other bits are 0. A bit permutation distributes over OR, so a
+/// word's image is the OR of its bytes' entries ([`lookup`]).
+const fn byte_tables<const BYTES: usize>(table: &[u8], width: u32) -> [[u64; 256]; BYTES] {
+    let mut out = [[0u64; 256]; BYTES];
+    let mut j = 0;
+    while j < BYTES {
+        let shift = width - 8 * (j as u32 + 1);
+        let mut b = 1usize;
+        while b < 256 {
+            // `b` is `b & (b - 1)`, built already, plus its lowest set bit.
+            let low = b.trailing_zeros();
+            out[j][b] = out[j][b & (b - 1)] | permute(1 << (shift + low), width, table);
+            b += 1;
+        }
+        j += 1;
     }
-    permute(out as u64, 32, &P) as u32
+    out
 }
 
-/// A DES key schedule (16 round subkeys).
+/// The low `BYTES` bytes of `input` pushed through their [`byte_tables`].
+fn lookup<const BYTES: usize>(tables: &[[u64; 256]; BYTES], input: u64) -> u64 {
+    let bytes = input.to_be_bytes();
+    tables
+        .iter()
+        .zip(&bytes[8 - BYTES..])
+        .fold(0, |out, (table, &b)| out | table[b as usize])
+}
+
+static IP_TABLES: [[u64; 256]; 8] = byte_tables(&IP, 64);
+static FP_TABLES: [[u64; 256]; 8] = byte_tables(&FP, 64);
+static PC1_TABLES: [[u64; 256]; 8] = byte_tables(&PC1, 64);
+static PC2_TABLES: [[u64; 256]; 7] = byte_tables(&PC2, 56);
+
+/// S-box `i` followed by P: entry `[i][x]` is P applied to the 32-bit word
+/// holding S-box `i`'s output for the six-bit input `x` in nibble `i`
+/// (most significant first) and zeros elsewhere. P distributes over OR, so
+/// f is the OR of one entry per S-box.
+static SP_TABLES: [[u32; 64]; 8] = {
+    let mut out = [[0u32; 64]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut x = 0;
+        while x < 64 {
+            let row = ((x & 0x20) >> 4) | (x & 0x01);
+            let col = (x >> 1) & 0x0f;
+            let s = SBOX[i][row * 16 + col] as u64;
+            out[i][x] = permute(s << (28 - 4 * i), 32, &P) as u32;
+            x += 1;
+        }
+        i += 1;
+    }
+    out
+};
+
+/// The DES round function f(R, K), `subkey` as its eight six-bit chunks.
+/// E's row `i` is bits 4i … 4i + 5 of R (1-indexed, wrapping 0 → 32 and
+/// 33 → 1): the top six bits of R rotated left by 4i − 1.
+fn feistel_f(r: u32, subkey: &[u8; 8]) -> u32 {
+    let mut out = 0;
+    for (i, (sp, &k)) in SP_TABLES.iter().zip(subkey).enumerate() {
+        let x = (r.rotate_left((4 * i as u32 + 31) % 32) >> 26) as u8 ^ k;
+        out |= sp[(x & 0x3f) as usize];
+    }
+    out
+}
+
+/// A DES key schedule: 16 round subkeys, each as the eight six-bit chunks
+/// its S-boxes read.
 #[derive(Clone)]
 pub struct Des {
-    subkeys: [u64; 16],
+    subkeys: [[u8; 8]; 16],
 }
 
 impl std::fmt::Debug for Des {
@@ -181,16 +232,18 @@ impl std::fmt::Debug for Des {
 impl Des {
     /// Expands a 64-bit key (parity bits ignored, per the standard).
     pub fn new(key: u64) -> Self {
-        let permuted = permute(key, 64, &PC1); // 56 bits
+        let permuted = lookup(&PC1_TABLES, key); // 56 bits
         let mut c = ((permuted >> 28) & 0x0fff_ffff) as u32;
         let mut d = (permuted & 0x0fff_ffff) as u32;
-        let mut subkeys = [0u64; 16];
-        for round in 0..16 {
-            let shift = SHIFTS[round] as u32;
+        let mut subkeys = [[0u8; 8]; 16];
+        for (subkey, &shift) in subkeys.iter_mut().zip(&SHIFTS) {
+            let shift = shift as u32;
             c = ((c << shift) | (c >> (28 - shift))) & 0x0fff_ffff;
             d = ((d << shift) | (d >> (28 - shift))) & 0x0fff_ffff;
-            let cd = ((c as u64) << 28) | d as u64;
-            subkeys[round] = permute(cd, 56, &PC2);
+            let k = lookup(&PC2_TABLES, ((c as u64) << 28) | d as u64); // 48 bits
+            for (i, chunk) in subkey.iter_mut().enumerate() {
+                *chunk = (k >> (42 - 6 * i)) as u8 & 0x3f;
+            }
         }
         Des { subkeys }
     }
@@ -200,33 +253,24 @@ impl Des {
         Des::new(u64::from_be_bytes(key))
     }
 
-    fn crypt(&self, block: u64, decrypt: bool) -> u64 {
-        let permuted = permute(block, 64, &IP);
-        let mut l = (permuted >> 32) as u32;
-        let mut r = permuted as u32;
-        for round in 0..16 {
-            let subkey = if decrypt {
-                self.subkeys[15 - round]
-            } else {
-                self.subkeys[round]
-            };
-            let new_r = l ^ feistel_f(r, subkey);
-            l = r;
-            r = new_r;
+    fn crypt<'a>(block: u64, subkeys: impl Iterator<Item = &'a [u8; 8]>) -> u64 {
+        let permuted = lookup(&IP_TABLES, block);
+        let (mut l, mut r) = ((permuted >> 32) as u32, permuted as u32);
+        for subkey in subkeys {
+            (l, r) = (r, l ^ feistel_f(r, subkey));
         }
         // Note the swap: the final round output is (R16, L16).
-        let preoutput = ((r as u64) << 32) | l as u64;
-        permute(preoutput, 64, &FP)
+        lookup(&FP_TABLES, ((r as u64) << 32) | l as u64)
     }
 }
 
 impl BlockCipher64 for Des {
     fn encrypt_block(&self, block: u64) -> u64 {
-        self.crypt(block, false)
+        Des::crypt(block, self.subkeys.iter())
     }
 
     fn decrypt_block(&self, block: u64) -> u64 {
-        self.crypt(block, true)
+        Des::crypt(block, self.subkeys.iter().rev())
     }
 }
 
@@ -278,6 +322,96 @@ mod tests {
         // "Now is t" under the sequential key.
         (0x0123456789ABCDEF, 0x4E6F772069732074, 0x3FA40E8A984D4815),
     ];
+
+    /// Expansion E: 32 → 48 bits.
+    #[rustfmt::skip]
+    const E: [u8; 48] = [
+        32,  1,  2,  3,  4,  5,
+         4,  5,  6,  7,  8,  9,
+         8,  9, 10, 11, 12, 13,
+        12, 13, 14, 15, 16, 17,
+        16, 17, 18, 19, 20, 21,
+        20, 21, 22, 23, 24, 25,
+        24, 25, 26, 27, 28, 29,
+        28, 29, 30, 31, 32,  1,
+    ];
+
+    /// The oracle: DES straight from FIPS 46, one bit at a time — every
+    /// permutation (IP, FP, E, P, PC1, PC2) through `permute`, the S-boxes
+    /// indexed by row and column. The lookup tables must agree with it.
+    fn oracle_subkeys(key: u64) -> [u64; 16] {
+        let permuted = permute(key, 64, &PC1);
+        let mut c = ((permuted >> 28) & 0x0fff_ffff) as u32;
+        let mut d = (permuted & 0x0fff_ffff) as u32;
+        let mut subkeys = [0u64; 16];
+        for round in 0..16 {
+            let shift = SHIFTS[round] as u32;
+            c = ((c << shift) | (c >> (28 - shift))) & 0x0fff_ffff;
+            d = ((d << shift) | (d >> (28 - shift))) & 0x0fff_ffff;
+            let cd = ((c as u64) << 28) | d as u64;
+            subkeys[round] = permute(cd, 56, &PC2);
+        }
+        subkeys
+    }
+
+    fn oracle_f(r: u32, subkey: u64) -> u32 {
+        let x = permute(r as u64, 32, &E) ^ subkey;
+        let mut out = 0u32;
+        for (i, sbox) in SBOX.iter().enumerate() {
+            let chunk = ((x >> (42 - 6 * i)) & 0x3f) as u8;
+            let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
+            let col = (chunk >> 1) & 0x0f;
+            out = (out << 4) | sbox[(row * 16 + col) as usize] as u32;
+        }
+        permute(out as u64, 32, &P) as u32
+    }
+
+    fn oracle_crypt(subkeys: &[u64; 16], block: u64, decrypt: bool) -> u64 {
+        let permuted = permute(block, 64, &IP);
+        let mut l = (permuted >> 32) as u32;
+        let mut r = permuted as u32;
+        for round in 0..16 {
+            let subkey = subkeys[if decrypt { 15 - round } else { round }];
+            let new_r = l ^ oracle_f(r, subkey);
+            l = r;
+            r = new_r;
+        }
+        permute(((r as u64) << 32) | l as u64, 64, &FP)
+    }
+
+    /// The lookup tables against the bit-at-a-time oracle on 20 000 seeded
+    /// (key, block) pairs, in both directions; the oracle itself is pinned
+    /// to the published vectors first.
+    #[test]
+    fn tables_match_the_bit_at_a_time_oracle() {
+        for &(key, pt, ct) in &VECTORS {
+            let subkeys = oracle_subkeys(key);
+            assert_eq!(oracle_crypt(&subkeys, pt, false), ct);
+            assert_eq!(oracle_crypt(&subkeys, ct, true), pt);
+        }
+        // SplitMix64, so the pairs are the same on every run.
+        let mut state = 0x5EED_0DE5_0000_0001u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..20_000 {
+            let (key, block) = (next(), next());
+            let (des, subkeys) = (Des::new(key), oracle_subkeys(key));
+            assert_eq!(
+                des.encrypt_block(block),
+                oracle_crypt(&subkeys, block, false),
+                "encrypt key={key:016X} block={block:016X}"
+            );
+            assert_eq!(
+                des.decrypt_block(block),
+                oracle_crypt(&subkeys, block, true),
+                "decrypt key={key:016X} block={block:016X}"
+            );
+        }
+    }
 
     #[test]
     fn debug_redacts_the_key() {

@@ -4,7 +4,9 @@
 //! from scratch (the offline dependency set contains no cryptography, and
 //! reproducing the 1976/1977/1978-era machinery is part of the exercise):
 //!
-//! * [`des`] — FIPS 46 DES and 3DES (§5 names DES for node/data blocks).
+//! * [`des`] — FIPS 46 DES and 3DES (§5 names DES for node/data blocks):
+//!   S-box∘P and per-byte permutation tables built at compile time from
+//!   the FIPS tables, checked against a bit-at-a-time test oracle.
 //! * [`rsa`] / [`bignum`] — textbook RSA in secret-parameter mode over an
 //!   in-crate bignum (§5's second cryptosystem).
 //! * [`speck`] — Speck64/128, the modern software stand-in for the

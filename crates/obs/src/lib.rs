@@ -640,6 +640,18 @@ impl Obs {
         }
     }
 
+    /// Closes a stage clock opened by [`Obs::start`] or an earlier lap and
+    /// reopens it at the same instant, so back-to-back samples tile an
+    /// interval with one clock read each.
+    #[inline]
+    pub fn lap(&self, stage: Stage, clock: &mut Option<Instant>) {
+        if let (Some(t), Some(inner)) = (clock.as_mut(), self.inner.as_ref()) {
+            let now = Instant::now();
+            inner.stages[stage as usize].record(now.duration_since(*t).as_nanos() as u64);
+            *t = now;
+        }
+    }
+
     /// Records a pre-measured duration into a stage histogram.
     #[inline]
     pub fn stage_ns(&self, stage: Stage, ns: u64) {

@@ -106,6 +106,37 @@ fn file_backend_node_image_matches_memdisk() {
     }
 }
 
+/// The medium pinned bit for bit: FNV-1a-64 over `build`'s node image and
+/// then its data image, block by block, equals the digest recorded for
+/// each scheme. A cipher, codec or allocator change that moves one byte of
+/// the opponent's view fails here, whichever backend it touches.
+#[test]
+fn medium_digests_are_pinned() {
+    for (scheme, pinned) in [
+        (Scheme::Oval, 0xb27a_261f_3023_d716u64),
+        (Scheme::BayerMetzger, 0xecb8_1081_8ca7_87d3),
+        (Scheme::BayerMetzgerPage, 0x1d58_3fd9_8d84_47f6),
+        (Scheme::SumOfTreatments, 0x7bd8_1c06_5dc5_5199),
+    ] {
+        let tree = build(scheme, None);
+        let nodes = tree.raw_node_image().unwrap();
+        let data = tree.raw_data_image().unwrap();
+        let digest = nodes
+            .iter()
+            .chain(&data)
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            digest,
+            pinned,
+            "{}: medium digest {digest:016x}",
+            scheme.name()
+        );
+    }
+}
+
 /// Full attack run against both backends: every leakage metric the
 /// harness computes must agree — the backend changes *where* the
 /// opponent's view lives, never what it contains (ROADMAP PR-2 open

@@ -1,9 +1,10 @@
-//! The quantitative experiments E1–E8 (see DESIGN.md §4).
+//! The quantitative experiments E1–E8; each one's doc comment names the
+//! paper section whose claim it measures.
 //!
 //! The paper has no measured evaluation; each experiment operationalises one
 //! of its comparative *claims* and prints the table the authors would have.
-//! Counts come from the shared [`sks_storage::OpCounters`]; wall-clock is
-//! secondary (the Criterion benches cover it properly).
+//! Counts come from the shared [`sks_storage::OpCounters`] and are exact;
+//! wall-clock columns are secondary (the engine's clocks are `sks_bench`'s).
 
 use std::time::Instant;
 
@@ -12,6 +13,32 @@ use sks_core::{layouts_at, Scheme, SchemeConfig, SchemeLayout, SealerKind};
 use sks_storage::OpSnapshot;
 
 use crate::workload::{build_tree, ground_truth, lookup_keys};
+
+/// The key counts `repro` runs the size-dependent experiments at.
+#[derive(Debug, Clone, Copy)]
+pub struct Scale {
+    /// E4's key count.
+    pub n_small: u64,
+    /// E1, E2 and E6's key count.
+    pub n_mid: u64,
+    /// E4's delete + reinsert pairs.
+    pub churn: usize,
+}
+
+impl Scale {
+    /// `repro --quick`, the scale the golden test pins.
+    pub const QUICK: Scale = Scale {
+        n_small: 400,
+        n_mid: 800,
+        churn: 100,
+    };
+    /// `repro` without `--quick`.
+    pub const FULL: Scale = Scale {
+        n_small: 2_000,
+        n_mid: 5_000,
+        churn: 500,
+    };
+}
 
 /// One measured row of E1/E2.
 #[derive(Debug, Clone)]
@@ -94,8 +121,8 @@ pub fn e1_decryptions(n_keys: u64, block_sizes: &[usize]) -> (String, Vec<Search
     (out, rows)
 }
 
-/// E2 — wall-clock search throughput (the cheap in-process version; the
-/// Criterion bench `search_throughput` is authoritative).
+/// E2 — wall-clock search latency behind E1's counts (§3): an in-process
+/// timing of the same lookups, the only E-table with no exact column.
 pub fn e2_throughput(n_keys: u64, block_size: usize) -> (String, Vec<SearchCostRow>) {
     let schemes = [
         Scheme::Plaintext,
@@ -358,7 +385,7 @@ pub fn e7_pointer_ciphers() -> (String, Vec<(String, f64, usize)>) {
             Box::new(RsaSealer::new(RsaKey::generate(&mut rng, 512)).unwrap()),
         ),
     ];
-    let payload = crate::seal_payload_for_bench(7, 0xAABB, 3);
+    let payload = seal_payload(7, 0xAABB, 3);
     let mut out = String::new();
     out.push_str("E7  Pointer seal/unseal cost (§5: DES vs secret-parameter RSA)\n\n");
     out.push_str(&format!(
@@ -383,6 +410,15 @@ pub fn e7_pointer_ciphers() -> (String, Vec<(String, f64, usize)>) {
         rows.push((name.clone(), us, sealer.sealed_len()));
     }
     (out, rows)
+}
+
+/// E7's sample of the paper's pointer payload `b ‖ a ‖ p`.
+fn seal_payload(block: u32, a: u64, p: u32) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    out[0..4].copy_from_slice(&block.to_be_bytes());
+    out[4..12].copy_from_slice(&a.to_be_bytes());
+    out[12..16].copy_from_slice(&p.to_be_bytes());
+    out
 }
 
 /// E8 — secret material per scheme (§4.1/§6's "small amount of information

@@ -4,22 +4,13 @@
 //!   (T1: lines→ovals; T2: exponentiation grid; T3: cumulative sums).
 //! * [`figures`] — the Figure 1–3 B-trees, logical and disk views.
 //! * [`experiments`] — the quantitative experiments E1–E8 derived from the
-//!   paper's claims (DESIGN.md §4 maps each to its section).
+//!   paper's claims; each one's doc comment names the section it measures.
 //! * [`workload`] — deterministic key sets, tree builders, ground truth.
 //!
-//! The `repro` binary drives all of it; the Criterion benches under
-//! `benches/` cover wall-clock measurements per experiment.
+//! The `repro` binary prints all of it; the root `tests/paper_artefacts.rs`
+//! pins every deterministic line of `repro --quick` as golden text.
 
 pub mod experiments;
 pub mod figures;
 pub mod tables;
 pub mod workload;
-
-/// Builds a pointer-seal payload for the cipher microbenches (E7).
-pub fn seal_payload_for_bench(block: u32, a: u64, p: u32) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&block.to_be_bytes());
-    out[4..12].copy_from_slice(&a.to_be_bytes());
-    out[12..16].copy_from_slice(&p.to_be_bytes());
-    out
-}

@@ -1,6 +1,6 @@
 //! Bit-exact regeneration of the paper's printed tables (T1, T2, T3).
 
-use sks_core::disguise::{KeyDisguise, PaperExpSubstitution, SumSubstitution};
+use sks_core::disguise::{KeyDisguise, PaperExpSubstitution};
 use sks_core::OvalSubstitution;
 use sks_designs::DifferenceSet;
 use sks_storage::OpCounters;
@@ -89,11 +89,6 @@ pub fn t3_column() -> Vec<u128> {
 pub fn t1_substitution_pairs() -> Vec<(u64, u64)> {
     let d = OvalSubstitution::paper_example(OpCounters::new());
     (0..13).map(|k| (k, d.disguise(k).unwrap())).collect()
-}
-
-/// The sum-substitution object used by F3 (capacity-bounded per §4.3).
-pub fn t3_substitution() -> SumSubstitution {
-    SumSubstitution::paper_example(OpCounters::new())
 }
 
 #[cfg(test)]

@@ -1,10 +1,6 @@
-//! Workload generation shared by the repro binary and the Criterion
-//! benches: deterministic key sets, tree builders per scheme, ground
-//! truth extraction for the attack experiments, and the concurrent
-//! session-workload driver for the engine benches.
-
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+//! Workload generation for the experiments: deterministic key sets, tree
+//! builders per scheme, and ground truth extraction for the attack
+//! experiment.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -12,7 +8,6 @@ use rand::{Rng, SeedableRng};
 
 use sks_attack::{Edge, GroundTruth};
 use sks_core::{EncipheredBTree, Scheme, SchemeConfig};
-use sks_engine::SksDb;
 
 /// Deterministic shuffled key set `start..start+n`.
 pub fn shuffled_keys(start: u64, n: u64, seed: u64) -> Vec<u64> {
@@ -85,99 +80,9 @@ pub fn ground_truth(tree: &EncipheredBTree) -> GroundTruth {
     GroundTruth { edges, key_pairs }
 }
 
-// ---- concurrent engine workloads -----------------------------------------
-
-/// Specification of a concurrent mixed workload against an [`SksDb`]:
-/// `threads` sessions each issue `ops_per_thread` operations over
-/// `0..key_space`, of which `read_pct`% are point reads and the rest are
-/// inserts (overwrites included). Fully deterministic per (thread, seed).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineWorkload {
-    pub threads: usize,
-    pub ops_per_thread: usize,
-    /// 0..=100; 100 is a read-only scan mix.
-    pub read_pct: u8,
-    pub key_space: u64,
-    pub seed: u64,
-}
-
-/// Wall-clock result of one workload run.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineRunStats {
-    pub total_ops: u64,
-    pub reads: u64,
-    pub writes: u64,
-    pub elapsed: Duration,
-}
-
-impl EngineRunStats {
-    pub fn ops_per_sec(&self) -> f64 {
-        self.total_ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Loads `0..n` sequentially through one session (bench/demo setup).
-pub fn prefill_engine(db: &Arc<SksDb>, n: u64) {
-    let session = db.session();
-    for k in 0..n {
-        session
-            .insert(k, record_for(k))
-            .expect("prefill key in domain");
-    }
-}
-
-/// Runs the workload: all sessions start on a barrier, the clock covers
-/// the whole storm, and per-thread op counts are returned aggregated.
-pub fn run_engine_workload(db: &Arc<SksDb>, w: &EngineWorkload) -> EngineRunStats {
-    assert!(w.threads >= 1 && w.read_pct <= 100 && w.key_space >= 1);
-    let barrier = Arc::new(Barrier::new(w.threads + 1));
-    let mut handles = Vec::with_capacity(w.threads);
-    for t in 0..w.threads {
-        let session = db.session();
-        let barrier = Arc::clone(&barrier);
-        let w = *w;
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(w.seed ^ (t as u64).wrapping_mul(0x9E37));
-            let mut reads = 0u64;
-            let mut writes = 0u64;
-            barrier.wait();
-            for _ in 0..w.ops_per_thread {
-                let key = rng.gen_range(0..w.key_space);
-                if rng.gen_range(0u8..100) < w.read_pct {
-                    let _ = session.get(key).expect("in-domain read");
-                    reads += 1;
-                } else {
-                    session
-                        .insert(key, record_for(key))
-                        .expect("in-domain write");
-                    writes += 1;
-                }
-            }
-            (reads, writes)
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    let mut reads = 0;
-    let mut writes = 0;
-    for h in handles {
-        let (r, v) = h.join().expect("workload thread");
-        reads += r;
-        writes += v;
-    }
-    let elapsed = start.elapsed();
-    EngineRunStats {
-        total_ops: reads + writes,
-        reads,
-        writes,
-        elapsed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sks_engine::EngineConfig;
 
     #[test]
     fn shuffled_keys_are_a_permutation() {
@@ -215,29 +120,5 @@ mod tests {
         let keys = keys_for(Scheme::Exponentiation, 50, 9);
         assert!(!keys.contains(&0));
         assert!(keys.contains(&50));
-    }
-
-    #[test]
-    fn engine_workload_runs_mixed_sessions() {
-        let dir = std::env::temp_dir().join(format!("sks_bench_workload_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = SchemeConfig::with_capacity(Scheme::Oval, 600).partitions(4);
-        let db = SksDb::open(&dir, EngineConfig::new(cfg)).unwrap();
-        prefill_engine(&db, 200);
-        let stats = run_engine_workload(
-            &db,
-            &EngineWorkload {
-                threads: 4,
-                ops_per_thread: 250,
-                read_pct: 70,
-                key_space: 500,
-                seed: 11,
-            },
-        );
-        assert_eq!(stats.total_ops, 1000);
-        assert!(stats.reads > 0 && stats.writes > 0);
-        assert!(stats.ops_per_sec() > 0.0);
-        db.validate().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

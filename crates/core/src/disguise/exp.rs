@@ -11,7 +11,7 @@
 //! (The paper's own worked example reduces exponents mod `v = N` instead,
 //! which is not injective; [`super::PaperExpSubstitution`] reproduces that
 //! literal construction for Figure 2 while this type is used for all
-//! quantitative experiments. The deviation is documented in DESIGN.md.)
+//! quantitative experiments.)
 
 use sks_designs::arith::{inv_mod, pow_mod};
 use sks_designs::diffset::DifferenceSet;

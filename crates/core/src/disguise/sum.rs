@@ -77,6 +77,7 @@ impl SumSubstitution {
         &self.design
     }
 
+    /// §4.3's starting line *w*, part of the secret: key `x` sits on `L_{w+x}`.
     pub fn starting_line(&self) -> u64 {
         self.w
     }

@@ -574,21 +574,6 @@ impl EncipheredBTree {
         })
     }
 
-    /// Streaming range scan in callback form: `f` is invoked once per
-    /// in-range `(key, record)` pair, in key order.
-    pub fn range_for_each(
-        &self,
-        lo: u64,
-        hi: u64,
-        mut f: impl FnMut(u64, Vec<u8>) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        for item in self.iter_range(lo, hi) {
-            let (k, record) = item?;
-            f(k, record)?;
-        }
-        Ok(())
-    }
-
     /// Range scan: all `(key, record)` pairs with `lo <= key <= hi` in key
     /// order — the operation §1 motivates and §4.3 keeps possible.
     /// Convenience over [`EncipheredBTree::iter_range`] for small ranges;
@@ -643,13 +628,6 @@ impl EncipheredBTree {
     /// pinning the high-water mark.
     pub fn data_block_usage(&self) -> (u32, u32) {
         let store = self.records.store();
-        (store.num_blocks(), store.free_blocks())
-    }
-
-    /// Node-store footprint, same shape as
-    /// [`EncipheredBTree::data_block_usage`].
-    pub fn node_block_usage(&self) -> (u32, u32) {
-        let store = self.tree.store();
         (store.num_blocks(), store.free_blocks())
     }
 

@@ -181,10 +181,6 @@ impl CyclicDesign {
         CyclicDesign { ds }
     }
 
-    pub fn difference_set(&self) -> &DifferenceSet {
-        &self.ds
-    }
-
     pub fn v(&self) -> u64 {
         self.ds.v()
     }

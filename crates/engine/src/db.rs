@@ -525,10 +525,6 @@ impl SksDb {
         &self.config
     }
 
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Aggregated operation counters across WAL and every partition.
     pub fn snapshot(&self) -> OpSnapshot {
         self.counters.snapshot()

@@ -311,11 +311,6 @@ impl Txn {
         }
     }
 
-    /// The commit epoch this transaction's reads see.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.snapshot
-    }
-
     fn check_active(&self) -> Result<(), EngineError> {
         match self.state {
             TxnState::Active => Ok(()),

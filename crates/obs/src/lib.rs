@@ -662,13 +662,6 @@ impl Obs {
         }
     }
 
-    /// Microseconds since this handle's epoch (0 when Off).
-    pub fn now_micros(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Records a flight-recorder event. Rare kinds (checkpoints, recovery,
     /// compaction, scrubs) record from [`Level::Counters`] up; hot kinds
     /// (per-op traffic) only at [`Level::FullTrace`].

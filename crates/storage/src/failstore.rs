@@ -124,11 +124,6 @@ impl FailPlan {
         point
     }
 
-    /// Disarms without clearing the trip state.
-    pub fn disarm(&self) {
-        self.inner.lock().expect("fail plan").armed_at = None;
-    }
-
     /// Clears everything: the store works normally again.
     pub fn reset(&self) {
         *self.inner.lock().expect("fail plan") = PlanInner::default();

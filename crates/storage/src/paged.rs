@@ -190,11 +190,6 @@ impl PagedFileStore {
         })
     }
 
-    /// Number of frames currently cached (observability/tests).
-    pub fn cached_frames(&self) -> usize {
-        self.inner.lock().expect("paged store lock").pool.len()
-    }
-
     /// Number of dirty (pinned) frames awaiting the next checkpoint.
     pub fn dirty_frames(&self) -> usize {
         self.inner

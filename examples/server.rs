@@ -8,12 +8,19 @@
 //! cargo run --release --example server
 //! ```
 
-use sks_bench::workload::{prefill_engine, run_engine_workload, EngineWorkload};
+use std::time::Instant;
+
 use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
 use sks_btree::engine::{EngineConfig, RecoveryPath, SksDb};
 use sks_btree::storage::SyncPolicy;
 
 const KEY_SPACE: u64 = 4_096;
+const CLIENTS: u64 = 4;
+const OPS_PER_CLIENT: u64 = 1_000;
+
+fn record(k: u64) -> Vec<u8> {
+    format!("employee:{k:08}").into_bytes()
+}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("sks_server_example_{}", std::process::id()));
@@ -33,30 +40,32 @@ fn main() {
         dir.display()
     );
 
-    // ---- phase 1: serve a mixed workload from concurrent sessions ------
+    // ---- phase 1: preload, then serve concurrent client sessions --------
     let db = SksDb::open(&dir, config.clone()).expect("open engine");
-    prefill_engine(&db, KEY_SPACE / 2);
+    let preload = (0..KEY_SPACE / 2).map(|k| (k, record(k))).collect();
+    db.insert_batch(preload).expect("preload");
     println!("\nphase 1: preloaded {} records", db.len());
 
-    for &(threads, read_pct) in &[(1usize, 90u8), (4, 90), (8, 90), (4, 50)] {
-        let stats = run_engine_workload(
-            &db,
-            &EngineWorkload {
-                threads,
-                ops_per_thread: 4_000 / threads,
-                read_pct,
-                key_space: KEY_SPACE,
-                seed: 0xFEED ^ threads as u64,
-            },
-        );
-        println!(
-            "  {threads} session(s), {read_pct:>3}% reads: {:>8.0} ops/s  ({} reads, {} writes, {:?})",
-            stats.ops_per_sec(),
-            stats.reads,
-            stats.writes,
-            stats.elapsed,
-        );
-    }
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let session = db.session();
+            s.spawn(move || {
+                for i in 0..OPS_PER_CLIENT {
+                    let key = (i * 7_919 + client * 1_031) % KEY_SPACE;
+                    if i % 4 == 0 {
+                        session.insert(key, record(key)).expect("write");
+                    } else {
+                        session.get(key).expect("read");
+                    }
+                }
+            });
+        }
+    });
+    println!(
+        "  {CLIENTS} sessions x {OPS_PER_CLIENT} ops (1 in 4 a write) in {:?}",
+        start.elapsed()
+    );
     let snap = db.snapshot();
     println!(
         "  partition fill: {:?}\n  wal: {} appends, {} fsyncs (group commit), {} bytes",

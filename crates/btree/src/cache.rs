@@ -27,11 +27,17 @@
 //! a deterministic function of the block number and the triplet's content.
 //!
 //! Keying: an entry is logically keyed by `(page, version)` — the version
-//! being "the bytes currently on the page". The tree invalidates eagerly
+//! being "the bytes currently on the page". The tree takes the entry out
 //! on every node re-encode and free (the only sites that change a page's
 //! version), so an entry is present exactly when it images the page's
-//! current content; a stale image can never serve a probe. (The image a
-//! write takes out of the cache serves that one encode and is dropped.)
+//! current content; a stale image can never serve a probe. A re-encode
+//! that took an entry out puts back, once the new page is on the medium,
+//! the image of that page ([`crate::NodeCodec::cache_written`]): built
+//! from the plaintext node just written, it is complete and cost no
+//! cryptography, so the next visit deciphers nothing. A write to a block
+//! that had no entry caches nothing — writes replace entries, never add
+//! them — and a write that fails leaves its block with no entry, so the
+//! next visit refills from the medium.
 //!
 //! Bound and eviction: eight mutex shards, each an [`LruMap`] — the same
 //! O(1) recency list every cache in the workspace runs on — holding an
@@ -40,13 +46,16 @@
 //!
 //! Security model: entries live in RAM only. Nothing here ever reaches
 //! the medium (the stores below continue to hold only enciphered bytes).
-//! A per-triplet scheme's entry holds in plaintext only what searches
-//! actually deciphered — the pointers they followed under key
-//! substitution, the triplets they crossed under Bayer–Metzger; the rest
-//! of the node stays as enciphered as it is on the medium — and that,
-//! with the raw key fields, is zeroized when the last reference drops
-//! (eviction, invalidation, or cache drop), so later heap re-use cannot
-//! scrape it out of dead memory.
+//! A per-triplet scheme's entry filled from the medium holds in plaintext
+//! only what searches actually deciphered — the pointers they followed
+//! under key substitution, the triplets they crossed under Bayer–Metzger;
+//! the rest of the node stays as enciphered as it is on the medium. An
+//! entry put back by a write holds its whole node, until it is evicted or
+//! rewritten. Either way the bound is the capacity: at most that many
+//! entries, each at most one whole node. What an entry holds, with the raw
+//! key fields, is zeroized when the last reference drops (eviction,
+//! invalidation, or cache drop), so later heap re-use cannot scrape it out
+//! of dead memory.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -144,6 +153,27 @@ impl CachedNode {
         }
     }
 
+    /// This entry with its memo pre-filled, slot by slot in page order,
+    /// from `slots` — what a write knows of the page it has just sealed, so
+    /// the entry it caches is complete without a single unseal. Each value
+    /// must be what unsealing that slot's cryptogram returns; a count that
+    /// differs from the page's slots is refused (and the entry scrubbed).
+    pub fn with_memo(self, slots: impl IntoIterator<Item = Triplet>) -> Result<Self, CodecError> {
+        let (mut cells, mut slots) = (self.memo.iter(), slots.into_iter());
+        for (cell, t) in cells.by_ref().zip(slots.by_ref()) {
+            let _ = cell.set(t);
+        }
+        if cells.len() != 0 || slots.next().is_some() {
+            // Dropping `self` scrubs whatever was filled in.
+            return Err(CodecError::Corrupt(format!(
+                "node {}: the written node does not have the page's {} slots",
+                self.id,
+                self.memo.len()
+            )));
+        }
+        Ok(self)
+    }
+
     /// Records every physical unseal this entry performs from now on as a
     /// [`Stage::NodeUnseal`] sample on `obs`. The clock is read only when
     /// a cryptogram is actually deciphered, never on a memoised slot.
@@ -182,6 +212,12 @@ impl CachedNode {
 
     pub fn raw_keys(&self) -> &[u64] {
         &self.raw_keys
+    }
+
+    /// Whether every slot is deciphered, so completing the node unseals
+    /// nothing.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.memo.iter().all(|cell| cell.get().is_some())
     }
 
     /// The deciphered content of `slot`. The first call on a slot hands
@@ -231,29 +267,33 @@ impl CachedNode {
         &self,
         mut unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
     ) -> Result<Node, CodecError> {
-        // One clock read per slot deciphered: each sample starts where the
-        // previous one ended, so together they time the whole loop.
-        let mut clock = None;
+        let mut node = Node {
+            id: self.id,
+            keys: Vec::with_capacity(self.n()),
+            data_ptrs: Vec::with_capacity(self.n()),
+            children: Vec::with_capacity(if self.is_leaf { 0 } else { self.slots() }),
+        };
+        // One pass, each cell read once. One clock read per slot
+        // deciphered: each sample starts where the previous one ended, so
+        // together they time the whole loop.
+        let (mut clock, first_key) = (None, self.key_slot(0));
         for (slot, cell) in self.memo.iter().enumerate() {
-            if cell.get().is_none() {
-                clock = clock.or_else(|| self.obs.start());
-                self.unseal_slot(slot, &mut unseal, &mut clock)?;
+            let t = match cell.get() {
+                Some(&t) => t,
+                None => {
+                    clock = clock.or_else(|| self.obs.start());
+                    self.unseal_slot(slot, &mut unseal, &mut clock)?
+                }
+            };
+            if !self.is_leaf {
+                node.children.push(BlockId(t.child));
+            }
+            if slot >= first_key {
+                node.keys.push(t.key);
+                node.data_ptrs.push(RecordPtr(t.data_ptr));
             }
         }
-        // Every cell is set now (cells are write-once), so the columns
-        // are straight copies out of the memo.
-        let known = |cell: &OnceLock<Triplet>| cell.get().copied().unwrap_or_default();
-        let keyed = self.memo.get(self.key_slot(0)..).unwrap_or_default();
-        let children = match self.is_leaf {
-            true => Vec::new(),
-            false => self.memo.iter().map(|c| BlockId(known(c).child)).collect(),
-        };
-        Ok(Node {
-            id: self.id,
-            keys: keyed.iter().map(|c| known(c).key).collect(),
-            data_ptrs: (keyed.iter().map(|c| RecordPtr(known(c).data_ptr))).collect(),
-            children,
-        })
+        Ok(node)
     }
 
     /// The stored `len`-byte cryptogram of the first slot at or after

@@ -151,6 +151,20 @@ pub trait NodeCodec {
         ))
     }
 
+    /// The cache entry for `page` as [`NodeCodec::encode_over`] has just
+    /// written it from `node` — the image the tree puts back in place of
+    /// the one the write replaced. Counter-silent like
+    /// [`NodeCodec::decode_for_cache`], and equal to what a fill of `page`
+    /// from the medium would become once fully deciphered; but built from
+    /// the plaintext `node`, so it is born complete with no cryptography:
+    /// a per-triplet scheme wraps the page as stored and pre-fills each
+    /// slot's memo with what its unseal would return
+    /// ([`CachedNode::with_memo`]); a whole-page or plaintext scheme
+    /// returns [`CachedNode::complete`] and never deciphers the page it
+    /// just enciphered. Required, so that no codec falls back to an image
+    /// its next visit must decipher.
+    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError>;
+
     /// Searches a cached node, bumping *exactly* the counters a raw-page
     /// [`NodeCodec::probe`] of the same page would bump — the logical paper
     /// cost — and returning the identical [`Probe`], error cases included.
@@ -355,6 +369,10 @@ impl NodeCodec for PlainCodec {
         // plaintext ones.
         let node = self.decode(id, page)?;
         Ok(CachedNode::complete(&node, page.len()))
+    }
+
+    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
+        Ok(CachedNode::complete(node, page.len()))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {

@@ -75,9 +75,10 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     height: u32,
     /// CLRS minimum degree: nodes hold `t-1 ..= 2t-1` keys (root exempt).
     t: usize,
-    /// Node cache for the read paths (None = disabled). Entries are
-    /// invalidated on every node re-encode/free, so a cached image always
-    /// matches the page's current content.
+    /// Node cache for every node visit (None = disabled). Every node
+    /// re-encode/free takes its block's entry out, and a re-encode that
+    /// took one puts back the image of the page it wrote, so a cached
+    /// image always matches the page's current content.
     cache: Option<NodeCache>,
 }
 
@@ -284,6 +285,13 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         self.cache.as_ref().map(NodeCache::len).unwrap_or(0)
     }
 
+    /// The node cache, if enabled — for tests that inspect its entries
+    /// against the medium. Not part of the data-path API.
+    #[doc(hidden)]
+    pub fn node_cache(&self) -> Option<&NodeCache> {
+        self.cache.as_ref()
+    }
+
     fn write_superblock(&mut self) -> Result<(), TreeError> {
         let mut page = vec![0u8; self.store.block_size()];
         {
@@ -327,7 +335,16 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         };
         if let Some(entry) = cache.get(id) {
             self.counters().bump(|c| &c.node_cache_hits);
-            return Ok(self.codec.decode_cached(&entry)?);
+            // A whole entry deciphers nothing, but its decode still costs
+            // key recovery and node assembly: one `NodeSeal` sample, so
+            // the write path's breakdown holds it. (An entry with slots
+            // left times its unseals as `NodeUnseal` laps instead; timing
+            // it here too would count them twice.)
+            let obs = self.counters().obs();
+            let t = obs.start().filter(|_| entry.is_complete());
+            let node = self.codec.decode_cached(&entry)?;
+            obs.stage(Stage::NodeSeal, t);
+            return Ok(node);
         }
         let entry = self.fill(id)?;
         let node = self.codec.decode_cached(&entry)?;
@@ -358,11 +375,21 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // never serve another probe. It is still the image this write
         // replaces — completed by the update path's `read_node` — so the
         // codec may copy from it the cryptograms of unchanged triplets.
-        let prev = self.cache.as_ref().and_then(|c| c.invalidate(node.id));
         let t = self.counters().obs().start();
+        let prev = self.cache.as_ref().and_then(|c| c.invalidate(node.id));
         let mut page = vec![0u8; self.store.block_size()];
         self.codec.encode_over(node, prev.as_deref(), &mut page)?;
         self.store.write_block(node.id, &page)?;
+        // The new page is on the medium: its image, built from `node` with
+        // no cryptography, takes the old one's place, so the next visit
+        // deciphers nothing. Only a block that had an entry gets one back
+        // (writes never grow the cache), and an image the codec cannot
+        // build is simply not cached — the next visit refills.
+        if let (Some(cache), Some(_)) = (&self.cache, prev) {
+            if let Ok(image) = self.codec.cache_written(node, &page) {
+                cache.insert(node.id, image.timed(self.counters().obs()));
+            }
+        }
         self.counters().obs().stage(Stage::NodeSeal, t);
         Ok(())
     }

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 
 use sks_storage::{BlockId, BlockStore, MemDisk, OpCounters};
 
-use crate::codec::PlainCodec;
-use crate::node::RecordPtr;
+use crate::codec::{NodeCodec, PlainCodec};
+use crate::node::{NodeSearch, RecordPtr};
 use crate::tree::{BTree, TreeError};
 
 fn make_tree(block_size: usize) -> BTree<MemDisk, PlainCodec> {
@@ -627,8 +627,19 @@ proptest! {
 // Node cache entries
 // ---------------------------------------------------------------------------
 
+/// The block of the node holding `key`.
+fn node_of<S: BlockStore>(tree: &BTree<S, PlainCodec>, key: u64) -> BlockId {
+    let mut node = tree.inspect_node(tree.root_id()).unwrap();
+    loop {
+        match node.search(key) {
+            NodeSearch::Here(_) => return node.id,
+            NodeSearch::Child(i) => node = tree.inspect_node(node.children[i]).unwrap(),
+        }
+    }
+}
+
 #[test]
-fn a_rewritten_node_is_invalidated_and_refilled_from_its_new_page() {
+fn a_rewritten_nodes_entry_is_replaced_by_its_new_pages_image() {
     let mut tree = make_tree(256);
     tree.enable_node_cache(64);
     for k in 0..100u64 {
@@ -640,19 +651,85 @@ fn a_rewritten_node_is_invalidated_and_refilled_from_its_new_page() {
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)));
     assert_eq!(misses(&tree), warm, "second probe is all hits");
 
-    // Rewriting the leaf drops its entry; the next probe must refill from
-    // the new page, never serve the old image.
+    // Rewriting the leaf swaps its entry for the image of the new page:
+    // the next probe is a hit, and it answers with the new pointer.
     let cached = tree.cached_nodes();
+    let leaf = node_of(&tree, 42);
+    let old = tree.node_cache().unwrap().get(leaf).unwrap();
     assert!(tree
         .replace_ptr(42, RecordPtr(42), RecordPtr(4242))
         .unwrap());
-    assert_eq!(tree.cached_nodes(), cached - 1);
+    assert_eq!(tree.cached_nodes(), cached);
+    let new = tree.node_cache().unwrap().get(leaf).unwrap();
+    assert!(!std::sync::Arc::ptr_eq(&old, &new), "a new entry");
+    let page = tree.store().read_block_vec(leaf).unwrap();
+    let on_medium = tree.codec().decode(leaf, &page).unwrap();
+    assert_eq!(new.node(crate::never_sealed).unwrap(), on_medium);
     let before = misses(&tree);
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
-    assert_eq!(misses(&tree), before + 1);
-    assert_eq!(tree.cached_nodes(), cached);
-    assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
-    assert_eq!(misses(&tree), before + 1);
+    assert_eq!(misses(&tree), before, "no refill");
+    tree.validate().unwrap();
+}
+
+/// Writes replace entries and never add them: a block with no entry —
+/// here every block, after a bulk load — gets none from being written.
+#[test]
+fn a_write_to_an_uncached_block_caches_nothing() {
+    let items: Vec<(u64, RecordPtr)> = (0..300u64).map(|k| (k, RecordPtr(k))).collect();
+    let counters = OpCounters::new();
+    let disk = MemDisk::with_counters(256, counters.clone());
+    let mut tree = BTree::create(disk, PlainCodec::new(counters)).unwrap();
+    tree.enable_node_cache(1024);
+    tree.bulk_fill(&items).unwrap();
+    assert_eq!(tree.cached_nodes(), 0, "a bulk load caches nothing");
+    assert_eq!(tree.get(7).unwrap(), Some(RecordPtr(7)));
+    let path = tree.cached_nodes();
+    assert_eq!(path as u32, tree.height());
+    // Inserts past the end split the rightmost leaf: each new right half
+    // is a fresh block.
+    for k in 1_000..1_050u64 {
+        tree.insert(k, RecordPtr(k)).unwrap();
+    }
+    // No eviction and no free: one entry per miss, none from a write.
+    let s = tree.counters().snapshot();
+    assert!(s.splits > 0);
+    assert_eq!(tree.cached_nodes(), s.node_cache_misses as usize);
+}
+
+/// A failed write fails closed: the block's old entry is gone, no image
+/// of the page that never reached the medium takes its place, and the
+/// next visit refills from what the medium holds.
+#[test]
+fn a_failed_node_write_leaves_no_entry_and_the_next_get_refills() {
+    use sks_storage::{FailMode, FailStore};
+    let counters = OpCounters::new();
+    let (disk, plan) = FailStore::new(MemDisk::with_counters(256, counters.clone()));
+    let mut tree = BTree::create(disk, PlainCodec::new(counters)).unwrap();
+    tree.enable_node_cache(64);
+    for k in 0..100u64 {
+        tree.insert(k, RecordPtr(k)).unwrap();
+    }
+    assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)));
+    let leaf = node_of(&tree, 42);
+    let cache = |tree: &BTree<_, PlainCodec>| tree.node_cache().unwrap().get(leaf);
+    assert!(cache(&tree).is_some());
+    let cached = tree.cached_nodes();
+
+    // The overwrite's first write is its leaf's.
+    plan.arm_nth_write(1, FailMode::Error);
+    assert!(tree.insert(42, RecordPtr(4242)).is_err());
+    assert!(plan.tripped());
+    assert!(cache(&tree).is_none(), "the failed write left no entry");
+    assert_eq!(tree.cached_nodes(), cached - 1);
+
+    plan.reset();
+    let misses = tree.counters().snapshot().node_cache_misses;
+    assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)), "the medium's");
+    assert_eq!(tree.counters().snapshot().node_cache_misses, misses + 1);
+    let refilled = cache(&tree).expect("refilled from the medium");
+    let data_ptrs = refilled.node(crate::never_sealed).unwrap().data_ptrs;
+    assert!(data_ptrs.contains(&RecordPtr(42)));
+    assert!(!data_ptrs.contains(&RecordPtr(4242)));
     tree.validate().unwrap();
 }
 

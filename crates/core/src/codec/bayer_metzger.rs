@@ -250,6 +250,13 @@ impl NodeCodec for BayerMetzgerCodec {
         ))
     }
 
+    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
+        // The page as stored, each slot's memo the whole triplet its
+        // unseal returns, key included.
+        self.decode_for_cache(node.id, page)?
+            .with_memo(node.slots())
+    }
+
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
         // Physically, only the slots the binary search crosses that no
         // earlier probe of this entry deciphered. One that does not

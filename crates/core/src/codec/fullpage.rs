@@ -164,6 +164,12 @@ impl NodeCodec for FullPageCodec {
         Ok(CachedNode::complete(&node, page.len()))
     }
 
+    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
+        // The node just enciphered is the whole entry: nothing is
+        // deciphered back.
+        Ok(CachedNode::complete(node, page.len()))
+    }
+
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw decode deciphers the whole page.
         self.counters

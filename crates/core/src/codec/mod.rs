@@ -304,6 +304,19 @@ impl sks_btree_core::NodeCodec for AnyCodec {
         }
     }
 
+    fn cache_written(
+        &self,
+        node: &sks_btree_core::Node,
+        page: &[u8],
+    ) -> Result<sks_btree_core::CachedNode, CodecError> {
+        match self {
+            AnyCodec::Plain(c) => c.cache_written(node, page),
+            AnyCodec::Substitution(c) => c.cache_written(node, page),
+            AnyCodec::BayerMetzger(c) => c.cache_written(node, page),
+            AnyCodec::FullPage(c) => c.cache_written(node, page),
+        }
+    }
+
     fn probe_cached(
         &self,
         entry: &sks_btree_core::CachedNode,
@@ -336,9 +349,9 @@ mod tests {
     use crate::{Scheme, SchemeConfig, SealerKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sks_btree_core::{BTree, Node, NodeCodec, RecordPtr};
+    use sks_btree_core::{never_sealed, BTree, CachedNode, Node, NodeCodec, RecordPtr};
     use sks_crypto::pagekey::{PageCipherKind, PageKeyScheme};
-    use sks_storage::{BlockId, MemDisk, OpCounters, OpSnapshot};
+    use sks_storage::{BlockId, BlockStore, MemDisk, OpCounters, OpSnapshot};
 
     fn sealers() -> Vec<Box<dyn TripletSealer>> {
         let mut rng = StdRng::seed_from_u64(7);
@@ -707,6 +720,122 @@ mod tests {
             assert_eq!(resealed.len(), 0, "{name}: drained");
         }
     }
+
+    /// The image a write leaves in the node cache is its page's fresh fill,
+    /// deciphered: for every cache-supporting scheme, after a seeded mix of
+    /// inserts, overwrites, `replace_ptr`s, deletes and node-device passes,
+    /// every resident entry holds each slot's real unseal, answers every
+    /// probe and decode with the fresh entry's results and logical
+    /// counters, and as the `prev` of a later write yields the from-scratch
+    /// page.
+    #[test]
+    fn a_written_image_is_the_fresh_fill_of_its_page_for_every_scheme() {
+        for scheme in Scheme::MEASURED {
+            let mut config = SchemeConfig::with_capacity(scheme, 700);
+            config.block_size = 256;
+            let counters = OpCounters::new();
+            let (codec, _) = config.build_codec(&counters).unwrap();
+            let disk = MemDisk::with_counters(config.block_size, counters.clone());
+            let mut tree = BTree::create(disk, codec).unwrap();
+            tree.enable_node_cache(1024);
+            // No get: every entry is an update path's complete read or a
+            // written image.
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut model = std::collections::BTreeMap::new();
+            for step in 0..600 {
+                let what = format!("{scheme:?} step {step}");
+                let live: Vec<u64> = model.keys().copied().collect();
+                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+                let ptr = RecordPtr(rng.gen());
+                match rng.gen_range(0..8) {
+                    _ if step < 200 || live.is_empty() => {
+                        let key = rng.gen_range(1..600);
+                        assert_eq!(tree.insert(key, ptr).expect(&what), model.insert(key, ptr));
+                    }
+                    0..=2 => {
+                        let key = match rng.gen_bool(0.5) {
+                            true => pick(&mut rng),
+                            false => rng.gen_range(1..600),
+                        };
+                        assert_eq!(tree.insert(key, ptr).expect(&what), model.insert(key, ptr));
+                    }
+                    3 | 4 => {
+                        let key = pick(&mut rng);
+                        assert!(tree.replace_ptr(key, model[&key], ptr).expect(&what));
+                        model.insert(key, ptr);
+                    }
+                    5 | 6 => {
+                        let key = pick(&mut rng);
+                        assert_eq!(tree.delete(key).expect(&what), model.remove(&key));
+                    }
+                    _ => {
+                        tree.compact_nodes(2).expect(&what);
+                    }
+                }
+            }
+            // The last write replaces its leaf's entry rather than drop it.
+            let (&key, &ptr) = model.iter().next().unwrap();
+            let resident = tree.cached_nodes();
+            assert!(tree.replace_ptr(key, ptr, RecordPtr(1)).unwrap());
+            assert_eq!(tree.cached_nodes(), resident, "{scheme:?}");
+            assert!(tree.counters().snapshot().compact_moved_nodes > 0);
+
+            let (cache, codec) = (tree.node_cache().unwrap(), tree.codec());
+            let mut checked = 0;
+            for id in (0..tree.store().num_blocks()).map(BlockId) {
+                let Some(kept) = cache.get(id) else { continue };
+                let what = format!("{scheme:?} block {id}");
+                let page = tree.store().read_block_vec(id).unwrap();
+                let fresh = || codec.decode_for_cache(id, &page).unwrap();
+                let whole = fresh();
+                codec.decode_cached(&whole).unwrap();
+                assert_eq!(kept.raw_keys(), whole.raw_keys(), "{what}");
+                assert_eq!(
+                    (kept.is_leaf(), kept.slots(), kept.page_len()),
+                    (whole.is_leaf(), whole.slots(), whole.page_len()),
+                    "{what}"
+                );
+                for slot in 0..whole.slots() {
+                    let unsealed = whole.triplet(slot, never_sealed);
+                    assert_eq!(kept.triplet(slot, never_sealed), unsealed, "{what}");
+                }
+
+                let decode = |entry: &CachedNode| charged(&counters, || codec.decode_cached(entry));
+                let (node, charge) = decode(&kept);
+                assert_eq!((node.clone(), charge), decode(&fresh()), "{what}: decode");
+                let node = node.unwrap();
+                let probes = node.keys.iter().flat_map(|&k| [k - 1, k, k + 1]);
+                let (lazy, warm) = (fresh(), fresh());
+                codec.decode_cached(&warm).unwrap();
+                for key in probes.chain([0, 700]) {
+                    let want = charged(&counters, || codec.probe_cached(&lazy, key));
+                    let got = charged(&counters, || codec.probe_cached(&kept, key));
+                    assert_eq!(got, want, "{what}: probe {key}");
+                    let warm = charged(&counters, || codec.probe_cached(&warm, key));
+                    assert_eq!(got, warm, "{what}: probe {key}");
+                }
+
+                // Re-encoding the node over its image rebuilds the page;
+                // an edited node over it writes the from-scratch page.
+                let mut over = vec![0u8; config.block_size];
+                codec.encode_over(&node, Some(&kept), &mut over).unwrap();
+                assert!(over == page, "{what}: the page differs");
+                let mut edited = node;
+                if let Some(a) = edited.data_ptrs.first_mut() {
+                    *a = RecordPtr(a.0 ^ 0x5A5A);
+                }
+                let mut scratch = vec![0u8; config.block_size];
+                codec.encode(&edited, &mut scratch).unwrap();
+                codec.encode_over(&edited, Some(&kept), &mut over).unwrap();
+                assert!(over == scratch, "{what}: the edited page differs");
+                checked += 1;
+            }
+            assert_eq!(checked, tree.cached_nodes(), "{scheme:?}");
+            assert!(checked > 10, "{scheme:?}: {checked} entries");
+            tree.validate().unwrap();
+        }
+    }
+
     /// What a node write costs in physical seals, pinned on a height-3
     /// tree for any per-triplet codec: `make` builds the codec, its
     /// counters and a reader of the triplets physically sealed so far.

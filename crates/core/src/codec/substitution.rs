@@ -262,6 +262,13 @@ impl NodeCodec for SubstitutionCodec {
         ))
     }
 
+    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
+        // The page as stored, each slot's memo what its unseal returns:
+        // the pointers, with the key left disguised in the raw key fields.
+        self.decode_for_cache(node.id, page)?
+            .with_memo(node.slots().map(|t| Triplet { key: 0, ..t }))
+    }
+
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
         let raw_keys = entry.raw_keys();
         let found = self.locate(raw_keys.len(), key, |i| Ok(raw_keys[i]))?;

@@ -175,9 +175,11 @@ pub struct SchemeConfig {
     /// follows, once: a cold search pays what the scheme promises, and
     /// repeated point reads of a cached node pay zero *physical*
     /// decipherments, while the logical operation counters keep reporting
-    /// the paper's per-scheme cost. Entries are RAM-only and zeroized on
-    /// eviction; the medium still holds only enciphered bytes. `0`
-    /// disables the cache.
+    /// the paper's per-scheme cost. A node write replaces its node's entry
+    /// with the image of the page it wrote, so updating that node again
+    /// deciphers nothing. Entries are RAM-only and zeroized on eviction;
+    /// the medium still holds only enciphered bytes. `0` disables the
+    /// cache.
     pub node_cache: usize,
     /// Capacity (in records) of the decoded-record LRU above the data
     /// blocks' CTR unseal: repeated `get`s of a hot record pay zero

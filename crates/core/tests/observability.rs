@@ -17,12 +17,15 @@ fn node_unseal_samples(tree: &EncipheredBTree) -> u64 {
 
 /// A workload touching every counted path: inserts (with replaces),
 /// gets (hits and misses), deletes, range scans, compaction sweeps and
-/// node-device passes, and a flush. The gets run through the node cache
-/// (on by default) over leaves the inserts just invalidated, so they
-/// cross the get path's timed sites — the miss fill and each physical
-/// lazy unseal — at every level that reads a clock.
+/// node-device passes, and a flush. Small pages make a tree of many more
+/// nodes than the node cache holds, so the gets keep missing: they cross
+/// the get path's timed sites — the miss fill and each physical lazy
+/// unseal — at every level that reads a clock.
 fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
-    let cfg = SchemeConfig::with_capacity(scheme, 512).observability(level);
+    let mut cfg = SchemeConfig::with_capacity(scheme, 512)
+        .node_cache(8)
+        .observability(level);
+    cfg.block_size = 256;
     let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
     // Exponentiation disguises exclude key 0; start at 1 everywhere so
     // the workload is scheme-independent.

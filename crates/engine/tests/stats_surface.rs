@@ -1,8 +1,9 @@
 //! The first-class stats surface end to end: per-op latency histograms,
 //! the stage-attributed write-path breakdown (the PR's acceptance bar:
 //! the breakdown must explain ≥90% of measured insert wall time on the
-//! file backend), observability levels, the no-plaintext telemetry
-//! guarantee, and batch commit amortisation.
+//! file backend), the node cache keeping what writes seal, observability
+//! levels, the no-plaintext telemetry guarantee, and batch commit
+//! amortisation.
 
 use std::time::Instant;
 
@@ -77,6 +78,41 @@ fn write_path_breakdown_explains_insert_wall_time() {
     ] {
         assert!(json.contains(key), "stats JSON missing {key}:\n{json}");
     }
+}
+
+/// A write keeps the node it sealed: overwriting one key again and again
+/// finds its whole path in the node cache every time after the first —
+/// no miss, no physical unseal — while the logical pointer decipherments
+/// keep climbing by the same amount per overwrite.
+#[test]
+fn repeated_overwrites_decipher_nothing_after_the_first() {
+    let dir = tmpdir("overwrites");
+    let scheme =
+        SchemeConfig::with_capacity(Scheme::Oval, 4096).observability(ObsLevel::Histograms);
+    let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();
+    db.insert_batch((0..1_000u64).map(|k| (k, vec![k as u8; 32])).collect())
+        .unwrap();
+    let unseals = || db.stats().stage(Stage::NodeUnseal).map_or(0, |h| h.count);
+    let overwrite = |round: u64| {
+        let before = db.snapshot();
+        db.insert(500, vec![round as u8; 32]).unwrap();
+        db.snapshot().delta(&before)
+    };
+    let first = overwrite(0);
+    assert!(first.ptr_decrypts > 0);
+    let (before, unsealed) = (db.snapshot(), unseals());
+    for round in 1..100 {
+        let delta = overwrite(round);
+        assert_eq!(delta.ptr_decrypts, first.ptr_decrypts, "round {round}");
+    }
+    let delta = db.snapshot().delta(&before);
+    assert_eq!(
+        delta.node_cache_misses, 0,
+        "every visit after the first hits"
+    );
+    assert_eq!(unseals(), unsealed, "and deciphers nothing");
+    assert_eq!(delta.ptr_decrypts, 99 * first.ptr_decrypts);
+    assert_eq!(db.get(500).unwrap().unwrap(), vec![99u8; 32]);
 }
 
 /// `Off` means off: no histograms, no events — while the logical

@@ -307,7 +307,10 @@ pub enum Stage {
     BlockWrite,
     /// Device fsync outside the WAL (checkpoint flushes).
     StoreFsync,
-    /// Enciphering a B-tree node into its sealed page (`write_node`).
+    /// Enciphering a B-tree node into its sealed page (`write_node`), and
+    /// the node codec work that deciphers nothing: decoding a cache entry
+    /// that is already whole (`read_node` hit — key recovery and node
+    /// assembly).
     NodeSeal,
     /// Deciphering a sealed page into a node (`read_node` cache miss).
     NodeUnseal,

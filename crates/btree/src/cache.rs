@@ -12,7 +12,7 @@
 //! triplets of §3's binary search-and-decrypt under Bayer–Metzger). The
 //! *logical* operation counters keep reporting the paper's per-scheme
 //! cost either way (see [`crate::NodeCodec::probe_cached`]), so every
-//! comparative claim stays measurable with the cache on. Only an update,
+//! comparative claim stays measurable at any cache size. Only an update,
 //! scan or validation — which needs the whole node — deciphers the
 //! remainder ([`crate::NodeCodec::decode_cached`]). Codecs with nothing
 //! to be lazy about (whole-page encipherment, plaintext) build their
@@ -346,7 +346,8 @@ const SHARDS: usize = 8;
 
 impl NodeCache {
     /// A cache holding at most `capacity` nodes (rounded up to a
-    /// multiple of the shard count).
+    /// multiple of the shard count, and at least one node per shard: the
+    /// floor every tree starts at).
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         NodeCache {

@@ -3,10 +3,14 @@
 //! This is the paper's entire design space in one trait. §2/§3 (Bayer &
 //! Metzger) encipher everything; §4 disguises keys and enciphers only
 //! pointers; a plaintext codec is the no-security baseline. The codec owns
-//! the page layout, all cryptography, *and the in-page search procedure* —
+//! the page layout, all cryptography, *and the in-node search procedure* —
 //! because the number of decryptions a search costs (`log₂n` for
 //! search-and-decrypt vs. one for substitution) depends on how the probe
-//! walks the ciphertext, the probe must run against the raw page.
+//! walks the ciphertext. Every node visit goes through the node cache, so
+//! there is one read path: a page is wrapped as stored, with no counter
+//! moved ([`NodeCodec::decode_for_cache`]), and the probe or decode of
+//! that entry charges what walking the raw page would
+//! ([`NodeCodec::probe_cached`], [`NodeCodec::decode_cached`]).
 
 use sks_storage::{BlockId, OpCounters, PageOverflow, PageReader, PageWriter};
 
@@ -85,19 +89,17 @@ impl Probe {
     }
 }
 
-/// Encodes/decodes nodes to raw pages and searches within raw pages.
+/// Encodes nodes to pages, wraps pages in cache entries, and searches and
+/// decodes those entries.
 pub trait NodeCodec {
-    /// Serialises (and enciphers/disguises) `node` into `page`, from
-    /// scratch: [`NodeCodec::encode_over`] with no previous image.
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError>;
-
-    /// [`NodeCodec::encode`] for a write that replaces a page whose image
-    /// `prev` the caller still holds: the same page bytes, the same
-    /// counters charged, but a scheme that seals triplet by triplet copies
-    /// from `prev` the stored cryptogram of every triplet the write leaves
-    /// unchanged ([`CachedNode::stored_cryptogram`], matched in key order)
-    /// and seals only the rest. That is sound because such a cryptogram is
-    /// a deterministic function of the block number and the triplet's
+    /// Serialises (and enciphers/disguises) `node` into `page`. A write
+    /// that replaces a page whose image `prev` the caller still holds gets
+    /// the same page bytes and the same counters charged as one with no
+    /// image, but a scheme that seals triplet by triplet copies from `prev`
+    /// the stored cryptogram of every triplet the write leaves unchanged
+    /// ([`CachedNode::stored_cryptogram`], matched in key order) and seals
+    /// only the rest. That is sound because such a cryptogram is a
+    /// deterministic function of the block number and the triplet's
     /// content, and fail-closed: a slot `prev` never deciphered, one whose
     /// unseal failed, and every slot of an image of another block are
     /// sealed afresh. Schemes with nothing to copy ignore `prev`.
@@ -106,34 +108,7 @@ pub trait NodeCodec {
         node: &Node,
         prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError> {
-        let _ = prev;
-        self.encode(node, page)
-    }
-
-    /// Fully materialises the plaintext node from a page, decrypting
-    /// whatever the scheme requires. Update paths (insert/delete/split)
-    /// use this.
-    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError>;
-
-    /// Searches the *raw page* for `key`, decrypting as little as the
-    /// scheme allows. This is where the paper's per-node decryption counts
-    /// come from.
-    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError>;
-
-    /// Maximum number of triplets that fit a page of `page_size` bytes.
-    fn max_keys(&self, page_size: usize) -> usize;
-
-    /// Human-readable scheme name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Whether this codec implements the node-cache hooks
-    /// ([`NodeCodec::decode_for_cache`] / [`NodeCodec::probe_cached`] /
-    /// [`NodeCodec::decode_cached`]). Codecs that do not opt in are simply
-    /// never cached.
-    fn supports_node_cache(&self) -> bool {
-        false
-    }
+    ) -> Result<(), CodecError>;
 
     /// Wraps a page in a cacheable entry *without bumping any operation
     /// counters*: cache maintenance is physical work outside the paper's
@@ -144,12 +119,7 @@ pub trait NodeCodec {
     /// nothing to be lazy about (whole-page, plaintext) returns an entry
     /// born complete. A page whose header does not parse, or whose entry
     /// count outruns the page, is an error and is never cached.
-    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
-        let _ = (id, page);
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
-    }
+    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError>;
 
     /// The cache entry for `page` as [`NodeCodec::encode_over`] has just
     /// written it from `node` — the image the tree puts back in place of
@@ -161,35 +131,44 @@ pub trait NodeCodec {
     /// slot's memo with what its unseal would return
     /// ([`CachedNode::with_memo`]); a whole-page or plaintext scheme
     /// returns [`CachedNode::complete`] and never deciphers the page it
-    /// just enciphered. Required, so that no codec falls back to an image
-    /// its next visit must decipher.
+    /// just enciphered.
     fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError>;
 
-    /// Searches a cached node, bumping *exactly* the counters a raw-page
-    /// [`NodeCodec::probe`] of the same page would bump — the logical paper
-    /// cost — and returning the identical [`Probe`], error cases included.
+    /// Searches a cached node for `key`, bumping *exactly* the counters a
+    /// search of the raw page costs — the paper's per-node decryption
+    /// counts — and returning its [`Probe`], error cases included.
     /// Physically it deciphers only the slots the search reads that the
     /// entry has not memoised yet ([`CachedNode::triplet`]): under key
     /// substitution the one pointer followed, once per entry lifetime.
-    fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        let _ = (entry, key);
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
-    }
+    fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError>;
 
     /// Materialises the plaintext node from a cached entry, bumping
-    /// *exactly* the counters a raw-page [`NodeCodec::decode`] of the same
-    /// page would bump — so range scans and update-path descents served
-    /// from the cache report the identical logical cost — and returning
-    /// the node the raw decode returns. Physically it deciphers only what
-    /// the entry still lacks ([`CachedNode::node`]): nothing for an entry
-    /// born or already made complete.
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        let _ = entry;
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
+    /// *exactly* the counters a whole-page decode costs — so range scans
+    /// and update-path descents report the scheme's logical cost. Physically
+    /// it deciphers only what the entry still lacks ([`CachedNode::node`]):
+    /// nothing for an entry born or already made complete.
+    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError>;
+
+    /// Maximum number of triplets that fit a page of `page_size` bytes.
+    fn max_keys(&self, page_size: usize) -> usize;
+
+    /// Human-readable scheme name for reports.
+    fn name(&self) -> &'static str;
+
+    /// [`NodeCodec::encode_over`] with no previous image: every triplet
+    /// sealed from scratch.
+    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+        self.encode_over(node, None, page)
+    }
+
+    /// The plaintext node a page holds: a fresh entry, decoded.
+    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
+        self.decode_cached(&self.decode_for_cache(id, page)?)
+    }
+
+    /// One search of a page for `key`: a fresh entry, probed.
+    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
+        self.probe_cached(&self.decode_for_cache(id, page)?, key)
     }
 }
 
@@ -261,10 +240,10 @@ impl PlainCodec {
         PlainCodec { counters }
     }
 
-    /// The binary search `probe` (keys read off the raw page) and
-    /// `probe_cached` (keys from the entry) both run, compare for compare:
-    /// `Ok(i)` when triplet `i` holds `key`, else `Err(c)`, the child slot
-    /// it belongs under.
+    /// The binary search `probe_cached` runs over an entry's keys (and
+    /// the raw-page oracle over the page's), compare for compare: `Ok(i)`
+    /// when triplet `i` holds `key`, else `Err(c)`, the child slot it
+    /// belongs under.
     fn search(
         &self,
         n: usize,
@@ -283,10 +262,39 @@ impl PlainCodec {
         }
         Ok(Err(lo))
     }
+
+    /// The search straight off the raw page, reading only the fields it
+    /// compares and follows: the oracle [`NodeCodec::probe_cached`] is
+    /// checked against.
+    #[cfg(test)]
+    fn raw_probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
+        let mut r = PageReader::new(page);
+        let (is_leaf, n) = read_header(&mut r, PLAIN_TAG, id)?;
+        let at = |offset: usize| -> Result<PageReader<'_>, CodecError> {
+            let mut rr = PageReader::new(page);
+            rr.seek(offset)?;
+            Ok(rr)
+        };
+        let found = self.search(n, key, |i| Ok(at(NODE_HEADER_LEN + i * 16)?.get_u64()?))?;
+        match found {
+            Ok(i) => Ok(Probe::Found {
+                data_ptr: RecordPtr(at(NODE_HEADER_LEN + i * 16 + 8)?.get_u64()?),
+            }),
+            Err(_) if is_leaf => Ok(Probe::Missing),
+            Err(c) => Ok(Probe::Descend {
+                child: BlockId(at(NODE_HEADER_LEN + n * 16 + c * 4)?.get_u32()?),
+            }),
+        }
+    }
 }
 
 impl NodeCodec for PlainCodec {
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+    fn encode_over(
+        &self,
+        node: &Node,
+        _prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
         node.check_shape().map_err(CodecError::Corrupt)?;
         let mut w = PageWriter::new(page);
         write_header(&mut w, PLAIN_TAG, node)?;
@@ -301,7 +309,10 @@ impl NodeCodec for PlainCodec {
         Ok(())
     }
 
-    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
+    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
+        // Nothing to be lazy about, and plain decoding touches no
+        // counters: the entry is born complete, its search keys the
+        // plaintext ones.
         let mut r = PageReader::new(page);
         let (is_leaf, n) = read_header(&mut r, PLAIN_TAG, id)?;
         let mut keys = Vec::with_capacity(n);
@@ -323,51 +334,6 @@ impl NodeCodec for PlainCodec {
             children,
         };
         node.check_shape().map_err(CodecError::Corrupt)?;
-        Ok(node)
-    }
-
-    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
-        // Plaintext keys: binary search directly on the page.
-        let mut r = PageReader::new(page);
-        let (is_leaf, n) = read_header(&mut r, PLAIN_TAG, id)?;
-        let at = |offset: usize| -> Result<PageReader<'_>, CodecError> {
-            let mut rr = PageReader::new(page);
-            rr.seek(offset)?;
-            Ok(rr)
-        };
-        let found = self.search(n, key, |i| Ok(at(NODE_HEADER_LEN + i * 16)?.get_u64()?))?;
-        match found {
-            Ok(i) => Ok(Probe::Found {
-                data_ptr: RecordPtr(at(NODE_HEADER_LEN + i * 16 + 8)?.get_u64()?),
-            }),
-            Err(_) if is_leaf => Ok(Probe::Missing),
-            Err(c) => Ok(Probe::Descend {
-                child: BlockId(at(NODE_HEADER_LEN + n * 16 + c * 4)?.get_u32()?),
-            }),
-        }
-    }
-
-    fn max_keys(&self, page_size: usize) -> usize {
-        // header + n*(8 key + 8 data ptr) + (n+1)*4 child ptr <= page
-        if page_size <= NODE_HEADER_LEN + 4 {
-            return 0;
-        }
-        (page_size - NODE_HEADER_LEN - 4) / 20
-    }
-
-    fn name(&self) -> &'static str {
-        "plaintext"
-    }
-
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
-    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // Nothing to be lazy about, and plain decoding touches no
-        // counters: the entry is born complete, its search keys the
-        // plaintext ones.
-        let node = self.decode(id, page)?;
         Ok(CachedNode::complete(&node, page.len()))
     }
 
@@ -384,8 +350,20 @@ impl NodeCodec for PlainCodec {
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A raw plaintext decode touches no counters either.
+        // A plaintext decode touches no counters.
         entry.node(never_sealed)
+    }
+
+    fn max_keys(&self, page_size: usize) -> usize {
+        // header + n*(8 key + 8 data ptr) + (n+1)*4 child ptr <= page
+        if page_size <= NODE_HEADER_LEN + 4 {
+            return 0;
+        }
+        (page_size - NODE_HEADER_LEN - 4) / 20
+    }
+
+    fn name(&self) -> &'static str {
+        "plaintext"
     }
 }
 
@@ -496,6 +474,56 @@ mod tests {
         let s = counters.snapshot();
         assert!(s.key_compares >= 1);
         assert_eq!(s.total_decrypts(), 0);
+    }
+
+    /// The cached search answers and charges what the raw page's does:
+    /// for seeded nodes, and seeded corruptions of their pages that still
+    /// fill an entry, every probe of the entry equals the raw-page
+    /// oracle's, counters included.
+    #[test]
+    fn cached_probes_replay_the_raw_page_search_exactly() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let counters = OpCounters::new();
+        let codec = PlainCodec::new(counters.clone());
+        let charged = |probe: &dyn Fn() -> Result<Probe, CodecError>| {
+            let before = counters.snapshot();
+            let out = probe();
+            (out, counters.snapshot().delta(&before))
+        };
+        let mut rng = StdRng::seed_from_u64(37);
+        let (mut compared, mut corrupt) = (0, 0);
+        for round in 0..400u32 {
+            let keys: Vec<u64> = (1..=12).filter(|_| rng.gen_bool(0.6)).collect();
+            let node = Node {
+                id: BlockId(round),
+                data_ptrs: keys.iter().map(|k| RecordPtr(k * 100 + 7)).collect(),
+                children: match round % 2 {
+                    0 => Vec::new(),
+                    _ => (0..=keys.len() as u32).map(|c| BlockId(50 + c)).collect(),
+                },
+                keys: keys.iter().map(|k| 10 * k).collect(),
+            };
+            let mut page = vec![0u8; 256];
+            codec.encode(&node, &mut page).unwrap();
+            if round % 4 >= 2 {
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..page.len());
+                    page[at] ^= rng.gen_range(1..256u16) as u8;
+                }
+            }
+            let Ok(entry) = codec.decode_for_cache(node.id, &page) else {
+                continue;
+            };
+            for key in (0..135).step_by(5) {
+                let cached = charged(&|| codec.probe_cached(&entry, key));
+                let raw = charged(&|| codec.raw_probe(node.id, &page, key));
+                assert_eq!(cached, raw, "round {round}, key {key}");
+            }
+            compared += 1;
+            corrupt += usize::from(round % 4 >= 2);
+        }
+        assert!(compared > 250 && corrupt > 50, "{compared} / {corrupt}");
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! The disk-resident B-tree of `[search key, data pointer, tree pointer]`
 //! triplets.
 //!
-//! Every node access round-trips through the [`BlockStore`] and the
-//! [`NodeCodec`], so operation counters reflect exactly what a paged,
-//! enciphered B-tree would do: searches *probe* raw pages (paying only the
-//! decryptions the scheme requires), while structure modifications decode
-//! and re-encode whole nodes (paying the re-encipherment costs §3 of the
-//! paper analyses).
+//! Every node access goes through the [`NodeCache`] and the [`NodeCodec`],
+//! so operation counters reflect exactly what a paged, enciphered B-tree
+//! would do: searches *probe* nodes (paying only the decryptions the
+//! scheme requires), while structure modifications decode and re-encode
+//! whole nodes (paying the re-encipherment costs §3 of the paper
+//! analyses). A cache miss reads the block from the [`BlockStore`].
+//!
+//! No node lies deeper than the tree's height, so every root-to-leaf
+//! descent stops there: a child pointer that would lead deeper — a
+//! corrupt page, possibly one pointing back up the tree — fails the
+//! operation as [`CodecError::Corrupt`] instead of looping.
 //!
 //! The balancing algorithm is the classic preemptive-split/merge B-tree
 //! (CLRS ch. 18) with minimum degree `t` derived from the codec's fanout.
@@ -75,11 +80,11 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     height: u32,
     /// CLRS minimum degree: nodes hold `t-1 ..= 2t-1` keys (root exempt).
     t: usize,
-    /// Node cache for every node visit (None = disabled). Every node
+    /// The node cache every node visit goes through. Every node
     /// re-encode/free takes its block's entry out, and a re-encode that
     /// took one puts back the image of the page it wrote, so a cached
     /// image always matches the page's current content.
-    cache: Option<NodeCache>,
+    cache: NodeCache,
 }
 
 impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
@@ -226,7 +231,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             count: 0,
             height: 1,
             t,
-            cache: None,
+            cache: NodeCache::new(0),
         };
         let root = Node::leaf(root_id);
         tree.write_node(&root)?;
@@ -256,6 +261,14 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 "superblock degree t={t} incompatible with codec fanout {max_keys}"
             ))));
         }
+        // Each level holds at least one node, so a larger height is forged
+        // — and would lift the bound every descent stops at.
+        let blocks = store.num_blocks();
+        if height == 0 || height > blocks {
+            return Err(TreeError::Codec(CodecError::Corrupt(format!(
+                "superblock height {height} impossible on a store of {blocks} blocks"
+            ))));
+        }
         Ok(BTree {
             store,
             codec,
@@ -264,32 +277,28 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             count,
             height,
             t,
-            cache: None,
+            cache: NodeCache::new(0),
         })
     }
 
-    /// Enables the node cache with room for `capacity` nodes (0 disables
-    /// it). Only effective for codecs that implement the
-    /// cache hooks ([`NodeCodec::supports_node_cache`]); the logical
-    /// operation counters are unaffected either way.
+    /// Resizes the node cache to `capacity` nodes, dropping what it
+    /// holds. A tree starts at the floor, one node per shard, which is
+    /// also what `0` asks for. The logical operation counters are the same
+    /// at every size.
     pub fn enable_node_cache(&mut self, capacity: usize) {
-        self.cache = if capacity > 0 && self.codec.supports_node_cache() {
-            Some(NodeCache::new(capacity))
-        } else {
-            None
-        };
+        self.cache = NodeCache::new(capacity);
     }
 
     /// Nodes currently held in the node cache.
     pub fn cached_nodes(&self) -> usize {
-        self.cache.as_ref().map(NodeCache::len).unwrap_or(0)
+        self.cache.len()
     }
 
-    /// The node cache, if enabled — for tests that inspect its entries
-    /// against the medium. Not part of the data-path API.
+    /// The node cache — for tests that inspect its entries against the
+    /// medium. Not part of the data-path API.
     #[doc(hidden)]
-    pub fn node_cache(&self) -> Option<&NodeCache> {
-        self.cache.as_ref()
+    pub fn node_cache(&self) -> &NodeCache {
+        &self.cache
     }
 
     fn write_superblock(&mut self) -> Result<(), TreeError> {
@@ -316,24 +325,17 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- node I/O ------------------------------------------------------
 
-    /// Reads and fully materialises a node. With the node cache enabled
-    /// the codec completes the cached entry — deciphering whatever its
-    /// probes have not yet — while replaying a raw decode's exact logical
-    /// counter profile ([`NodeCodec::decode_cached`]); a miss first caches
-    /// the page as stored ([`BTree::fill`]). Range scans, update-path
-    /// descents and validation walks thus report identical logical costs
-    /// with the cache on or off, and pay a node's decipherment at most
-    /// once while it stays cached.
+    /// Reads and fully materialises a node: the codec completes the
+    /// cached entry — deciphering whatever its probes have not yet — while
+    /// charging a whole-node decode's exact logical counter profile
+    /// ([`NodeCodec::decode_cached`]); a miss first caches the page as
+    /// stored ([`BTree::fill`]). Range scans, update-path descents and
+    /// validation walks thus report the scheme's logical cost at any cache
+    /// size, and pay a node's decipherment at most once while it stays
+    /// cached.
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
         self.counters().bump(|c| &c.node_visits);
-        let Some(cache) = &self.cache else {
-            let t = self.counters().obs().start();
-            let page = self.store.read_block_vec(id)?;
-            let node = self.codec.decode(id, &page)?;
-            self.counters().obs().stage(Stage::NodeUnseal, t);
-            return Ok(node);
-        };
-        if let Some(entry) = cache.get(id) {
+        if let Some(entry) = self.cache.get(id) {
             self.counters().bump(|c| &c.node_cache_hits);
             // A whole entry deciphers nothing, but its decode still costs
             // key recovery and node assembly: one `NodeSeal` sample, so
@@ -348,8 +350,27 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         }
         let entry = self.fill(id)?;
         let node = self.codec.decode_cached(&entry)?;
-        cache.insert(id, entry);
+        self.cache.insert(id, entry);
         Ok(node)
+    }
+
+    /// [`BTree::read_node`] of a node a root-to-leaf descent reached at
+    /// `depth` (the root's is 1). No node lies deeper than the tree's
+    /// height, so a descent that would has followed a corrupt child
+    /// pointer — perhaps one back up the tree — and fails closed.
+    fn read_at(&self, id: BlockId, depth: u32) -> Result<Node, TreeError> {
+        self.check_depth(depth)?;
+        self.read_node(id)
+    }
+
+    fn check_depth(&self, depth: u32) -> Result<(), TreeError> {
+        if depth > self.height {
+            return Err(TreeError::Codec(CodecError::Corrupt(format!(
+                "a descent reached depth {depth} of a tree of height {}",
+                self.height
+            ))));
+        }
+        Ok(())
     }
 
     /// The cache-miss half of a node visit: fetches page `id` and wraps
@@ -376,7 +397,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // replaces — completed by the update path's `read_node` — so the
         // codec may copy from it the cryptograms of unchanged triplets.
         let t = self.counters().obs().start();
-        let prev = self.cache.as_ref().and_then(|c| c.invalidate(node.id));
+        let prev = self.cache.invalidate(node.id);
         let mut page = vec![0u8; self.store.block_size()];
         self.codec.encode_over(node, prev.as_deref(), &mut page)?;
         self.store.write_block(node.id, &page)?;
@@ -385,9 +406,10 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // deciphers nothing. Only a block that had an entry gets one back
         // (writes never grow the cache), and an image the codec cannot
         // build is simply not cached — the next visit refills.
-        if let (Some(cache), Some(_)) = (&self.cache, prev) {
+        if prev.is_some() {
             if let Ok(image) = self.codec.cache_written(node, &page) {
-                cache.insert(node.id, image.timed(self.counters().obs()));
+                self.cache
+                    .insert(node.id, image.timed(self.counters().obs()));
             }
         }
         self.counters().obs().stage(Stage::NodeSeal, t);
@@ -401,9 +423,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     fn free_node(&mut self, id: BlockId) -> Result<(), TreeError> {
-        if let Some(cache) = &self.cache {
-            cache.invalidate(id);
-        }
+        self.cache.invalidate(id);
         Ok(self.store.free(id)?)
     }
 
@@ -457,39 +477,34 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- search --------------------------------------------------------
 
-    /// Point lookup via raw-page probes — the paper's search path. Costs
+    /// Point lookup via node probes — the paper's search path. Costs
     /// exactly the decryptions the codec's scheme requires per node
-    /// *logically*; with the node cache enabled, a cached node serves the
-    /// probe from RAM — physically deciphering a triplet only the first
-    /// time a probe reads it — while the counters still record the same
-    /// logical cost.
+    /// *logically*; physically a cached node serves the probe from RAM,
+    /// deciphering a triplet only the first time a probe reads it.
     pub fn get(&self, key: u64) -> Result<Option<RecordPtr>, TreeError> {
-        let mut cur = self.root;
+        let (mut cur, mut depth) = (self.root, 1);
         loop {
+            self.check_depth(depth)?;
             self.counters().bump(|c| &c.node_visits);
             match self.probe_node(cur, key)? {
                 Probe::Found { data_ptr } => return Ok(Some(data_ptr)),
                 Probe::Missing => return Ok(None),
-                Probe::Descend { child } => cur = child,
+                Probe::Descend { child } => (cur, depth) = (child, depth + 1),
             }
         }
     }
 
     /// One node visit of the search path: a cached entry serves the probe
-    /// (deciphering at most the slots it reads, once), a miss caches the
-    /// page as stored first, and without a cache it is a raw-page probe.
+    /// (deciphering at most the slots it reads, once), and a miss caches
+    /// the page as stored first.
     fn probe_node(&self, id: BlockId, key: u64) -> Result<Probe, TreeError> {
-        let Some(cache) = &self.cache else {
-            let page = self.store.read_block_vec(id)?;
-            return Ok(self.codec.probe(id, &page, key)?);
-        };
-        if let Some(entry) = cache.get(id) {
+        if let Some(entry) = self.cache.get(id) {
             self.counters().bump(|c| &c.node_cache_hits);
             return Ok(self.codec.probe_cached(&entry, key)?);
         }
         let entry = self.fill(id)?;
         let probe = self.codec.probe_cached(&entry, key)?;
-        cache.insert(id, entry);
+        self.cache.insert(id, entry);
         Ok(probe)
     }
 
@@ -554,6 +569,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         Ok(())
     }
 
+    /// Inserts below `node`, the root, descending with preemptive splits.
     fn insert_nonfull(
         &mut self,
         mut node: Node,
@@ -561,6 +577,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         ptr: RecordPtr,
     ) -> Result<Option<RecordPtr>, TreeError> {
         debug_assert!(node.n() < self.max_keys_per_node());
+        let mut depth = 1;
         loop {
             match node.search(key) {
                 NodeSearch::Here(i) => {
@@ -577,7 +594,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                         self.count += 1;
                         return Ok(None);
                     }
-                    let child = self.read_node(node.children[i])?;
+                    depth += 1;
+                    let child = self.read_at(node.children[i], depth)?;
                     if child.n() == self.max_keys_per_node() {
                         self.split_child(&mut node, i)?;
                         self.write_node(&node)?;
@@ -617,7 +635,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         expected: RecordPtr,
         new: RecordPtr,
     ) -> Result<bool, TreeError> {
-        let mut node = self.read_node(self.root)?;
+        let (mut node, mut depth) = (self.read_node(self.root)?, 1);
         loop {
             match node.search(key) {
                 NodeSearch::Here(i) => {
@@ -632,7 +650,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                     if node.is_leaf() {
                         return Ok(false);
                     }
-                    node = self.read_node(node.children[i])?;
+                    depth += 1;
+                    node = self.read_at(node.children[i], depth)?;
                 }
             }
         }
@@ -668,7 +687,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             )));
         };
         // Locate the parent before mutating anything.
-        let mut cur = self.read_node(self.root)?;
+        let (mut cur, mut depth) = (self.read_node(self.root)?, 1);
         loop {
             let i = match cur.search(guide) {
                 NodeSearch::Child(i) => i,
@@ -694,7 +713,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 self.counters().bump(|c| &c.compact_moved_nodes);
                 return Ok(());
             }
-            cur = self.read_node(cur.children[i])?;
+            depth += 1;
+            cur = self.read_at(cur.children[i], depth)?;
         }
     }
 
@@ -745,7 +765,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// Removes `key`, returning its data pointer if it was present.
     pub fn delete(&mut self, key: u64) -> Result<Option<RecordPtr>, TreeError> {
         let root_node = self.read_node(self.root)?;
-        let result = self.delete_from(root_node, key)?;
+        let result = self.delete_from(root_node, key, 1)?;
         // Shrink the root if it became an empty internal node.
         let root_node = self.read_node(self.root)?;
         if root_node.n() == 0 && !root_node.is_leaf() {
@@ -758,7 +778,13 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         Ok(result)
     }
 
-    fn delete_from(&mut self, mut node: Node, key: u64) -> Result<Option<RecordPtr>, TreeError> {
+    /// Deletes `key` from the subtree of `node`, which sits at `depth`.
+    fn delete_from(
+        &mut self,
+        mut node: Node,
+        key: u64,
+        depth: u32,
+    ) -> Result<Option<RecordPtr>, TreeError> {
         match node.search(key) {
             NodeSearch::Here(i) => {
                 if node.is_leaf() {
@@ -770,47 +796,47 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 }
                 let left_id = node.children[i];
                 let right_id = node.children[i + 1];
-                let left = self.read_node(left_id)?;
+                let left = self.read_at(left_id, depth + 1)?;
                 if left.n() >= self.t {
                     // Replace with predecessor, then delete it below.
-                    let (pk, pp) = self.max_entry_under(left)?;
+                    let (pk, pp) = self.max_entry_under(left, depth + 1)?;
                     let old = node.data_ptrs[i];
                     node.keys[i] = pk;
                     node.data_ptrs[i] = pp;
                     self.write_node(&node)?;
                     let next = self.read_node(left_id)?;
-                    let removed = self.delete_from(next, pk)?;
+                    let removed = self.delete_from(next, pk, depth + 1)?;
                     debug_assert!(removed.is_some());
                     return Ok(Some(old));
                 }
-                let right = self.read_node(right_id)?;
+                let right = self.read_at(right_id, depth + 1)?;
                 if right.n() >= self.t {
-                    let (sk, sp) = self.min_entry_under(right)?;
+                    let (sk, sp) = self.min_entry_under(right, depth + 1)?;
                     let old = node.data_ptrs[i];
                     node.keys[i] = sk;
                     node.data_ptrs[i] = sp;
                     self.write_node(&node)?;
                     let next = self.read_node(right_id)?;
-                    let removed = self.delete_from(next, sk)?;
+                    let removed = self.delete_from(next, sk, depth + 1)?;
                     debug_assert!(removed.is_some());
                     return Ok(Some(old));
                 }
                 // Both children minimal: merge around the key, then recurse.
                 self.merge_children(&mut node, i)?;
                 let merged = self.read_node(node.children[i])?;
-                self.delete_from(merged, key)
+                self.delete_from(merged, key, depth + 1)
             }
             NodeSearch::Child(i) => {
                 if node.is_leaf() {
                     return Ok(None); // absent
                 }
-                let child = self.read_node(node.children[i])?;
+                let child = self.read_at(node.children[i], depth + 1)?;
                 let child = if child.n() < self.t {
                     self.fill_child(&mut node, i, child)?
                 } else {
                     child
                 };
-                self.delete_from(child, key)
+                self.delete_from(child, key, depth + 1)
             }
         }
     }
@@ -891,25 +917,35 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         Ok(())
     }
 
-    /// Largest `(key, ptr)` in the subtree rooted at `node`.
-    fn max_entry_under(&self, mut node: Node) -> Result<(u64, RecordPtr), TreeError> {
+    /// Largest `(key, ptr)` in the subtree rooted at `node`, at `depth`.
+    fn max_entry_under(
+        &self,
+        mut node: Node,
+        mut depth: u32,
+    ) -> Result<(u64, RecordPtr), TreeError> {
         loop {
             if node.is_leaf() {
                 let i = node.n() - 1;
                 return Ok((node.keys[i], node.data_ptrs[i]));
             }
             let last = *node.children.last().expect("internal node has children");
-            node = self.read_node(last)?;
+            depth += 1;
+            node = self.read_at(last, depth)?;
         }
     }
 
-    /// Smallest `(key, ptr)` in the subtree rooted at `node`.
-    fn min_entry_under(&self, mut node: Node) -> Result<(u64, RecordPtr), TreeError> {
+    /// Smallest `(key, ptr)` in the subtree rooted at `node`, at `depth`.
+    fn min_entry_under(
+        &self,
+        mut node: Node,
+        mut depth: u32,
+    ) -> Result<(u64, RecordPtr), TreeError> {
         loop {
             if node.is_leaf() {
                 return Ok((node.keys[0], node.data_ptrs[0]));
             }
-            node = self.read_node(node.children[0])?;
+            depth += 1;
+            node = self.read_at(node.children[0], depth)?;
         }
     }
 
@@ -919,7 +955,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             return Ok(None);
         }
         let root = self.read_node(self.root)?;
-        self.min_entry_under(root).map(Some)
+        self.min_entry_under(root, 1).map(Some)
     }
 
     /// Largest entry in the tree.
@@ -928,7 +964,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             return Ok(None);
         }
         let root = self.read_node(self.root)?;
-        self.max_entry_under(root).map(Some)
+        self.max_entry_under(root, 1).map(Some)
     }
 
     // ---- range scans ---------------------------------------------------
@@ -938,8 +974,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// memory stays O(tree height) however wide the range. This is the
     /// operation §1 motivates and §4.3 preserves: whole-subtree access
     /// works because triplet *positions* are never based on disguised
-    /// values. Node visits go through the node cache when enabled
-    /// (identical logical counters either way).
+    /// values.
     pub fn iter_range(&self, lo: u64, hi: u64) -> RangeIter<'_, S, C> {
         let mut iter = RangeIter {
             tree: self,
@@ -1012,7 +1047,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         counted: &mut u64,
         leaf_depth: &mut Option<u32>,
     ) -> Result<(), TreeError> {
-        let node = self.read_node(id)?;
+        let node = self.read_at(id, depth)?;
         node.check_shape().map_err(TreeError::Invalid)?;
         node.check_sorted().map_err(TreeError::Invalid)?;
         if !is_root && node.n() < self.t - 1 {
@@ -1114,8 +1149,10 @@ pub struct RangeIter<'a, S: BlockStore, C: NodeCodec> {
 
 impl<S: BlockStore, C: NodeCodec> RangeIter<'_, S, C> {
     /// Reads `id` and pushes it positioned at its first in-range event.
+    /// The stack holds one frame per level, so its length is the depth
+    /// `id` is read at.
     fn push_node(&mut self, id: BlockId) {
-        match self.tree.read_node(id) {
+        match self.tree.read_at(id, self.stack.len() as u32 + 1) {
             Ok(node) => {
                 // First key index i with keys[i] >= lo. Child i (spanning
                 // strictly below keys[i]) can hold in-range entries only

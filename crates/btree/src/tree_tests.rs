@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use sks_storage::{BlockId, BlockStore, MemDisk, OpCounters};
 
-use crate::codec::{NodeCodec, PlainCodec};
+use crate::codec::{CodecError, NodeCodec, PlainCodec};
 use crate::node::{NodeSearch, RecordPtr};
 use crate::tree::{BTree, TreeError};
 
@@ -655,12 +655,12 @@ fn a_rewritten_nodes_entry_is_replaced_by_its_new_pages_image() {
     // the next probe is a hit, and it answers with the new pointer.
     let cached = tree.cached_nodes();
     let leaf = node_of(&tree, 42);
-    let old = tree.node_cache().unwrap().get(leaf).unwrap();
+    let old = tree.node_cache().get(leaf).unwrap();
     assert!(tree
         .replace_ptr(42, RecordPtr(42), RecordPtr(4242))
         .unwrap());
     assert_eq!(tree.cached_nodes(), cached);
-    let new = tree.node_cache().unwrap().get(leaf).unwrap();
+    let new = tree.node_cache().get(leaf).unwrap();
     assert!(!std::sync::Arc::ptr_eq(&old, &new), "a new entry");
     let page = tree.store().read_block_vec(leaf).unwrap();
     let on_medium = tree.codec().decode(leaf, &page).unwrap();
@@ -711,7 +711,7 @@ fn a_failed_node_write_leaves_no_entry_and_the_next_get_refills() {
     }
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)));
     let leaf = node_of(&tree, 42);
-    let cache = |tree: &BTree<_, PlainCodec>| tree.node_cache().unwrap().get(leaf);
+    let cache = |tree: &BTree<_, PlainCodec>| tree.node_cache().get(leaf);
     assert!(cache(&tree).is_some());
     let cached = tree.cached_nodes();
 
@@ -731,6 +731,78 @@ fn a_failed_node_write_leaves_no_entry_and_the_next_get_refills() {
     assert!(data_ptrs.contains(&RecordPtr(42)));
     assert!(!data_ptrs.contains(&RecordPtr(4242)));
     tree.validate().unwrap();
+}
+
+/// Runs `op` on `tree` on a thread of its own and returns its result,
+/// failing the test if it has not returned within 10 s.
+fn within_10s<T: Send + 'static>(
+    tree: BTree<MemDisk, PlainCodec>,
+    op: impl FnOnce(&mut BTree<MemDisk, PlainCodec>) -> T + Send + 'static,
+) -> (BTree<MemDisk, PlainCodec>, T) {
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut tree = tree;
+        let out = op(&mut tree);
+        let _ = done.send((tree, out));
+    });
+    outcome
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the operation did not return")
+}
+
+/// A child pointer back up the tree must fail the descent, not loop: a
+/// leaf page rewritten as an internal node whose children are all the root
+/// turns every root-to-leaf walk through it into a cycle. Each operation
+/// that descends stops at the tree's height and fails closed.
+#[test]
+fn a_cyclic_child_pointer_fails_every_descent_closed() {
+    let mut tree = make_tree(256);
+    for k in 0..200u64 {
+        tree.insert(2 * k, RecordPtr(k)).unwrap();
+    }
+    let mut leaf = tree.inspect_node(tree.root_id()).unwrap();
+    while !leaf.is_leaf() {
+        leaf = tree.inspect_node(leaf.children[0]).unwrap();
+    }
+    assert!(tree.height() >= 2);
+    // The leaf's keys over children that are all the root: an absent key
+    // between its first two descends into the second child.
+    let key = leaf.keys[0] + 1;
+    let (root, counters) = (tree.root_id(), tree.counters().clone());
+    let forged = crate::node::Node {
+        children: vec![root; leaf.n() + 1],
+        ..leaf.clone()
+    };
+    let mut page = vec![0u8; 256];
+    tree.codec().encode(&forged, &mut page).unwrap();
+    let mut store = tree.into_store().unwrap();
+    store.write_block(leaf.id, &page).unwrap();
+    let tree = BTree::open(store, PlainCodec::new(counters.clone())).unwrap();
+    let too_deep = |result: Result<(), TreeError>| match result {
+        Err(TreeError::Codec(CodecError::Corrupt(msg))) => msg.contains("depth"),
+        _ => false,
+    };
+
+    let (tree, got) = within_10s(tree, move |tree| tree.get(key).map(drop));
+    assert!(too_deep(got), "get");
+    let (tree, got) = within_10s(tree, |tree| tree.range(0, u64::MAX).map(drop));
+    assert!(too_deep(got), "range");
+    let (tree, got) = within_10s(tree, |tree| tree.validate());
+    assert!(too_deep(got), "validate");
+    let (tree, got) = within_10s(tree, move |tree| tree.insert(key, RecordPtr(1)).map(drop));
+    assert!(too_deep(got), "insert");
+
+    // A superblock claiming more levels than the store has blocks would
+    // lift that bound: the open refuses it.
+    let mut store = tree.into_store().unwrap();
+    let mut superblock = store.read_block_vec(BlockId(0)).unwrap();
+    let height_at = 8 + 4 + 8; // after the magic, the root and the count
+    superblock[height_at..height_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+    store.write_block(BlockId(0), &superblock).unwrap();
+    assert!(matches!(
+        BTree::open(store, PlainCodec::new(counters)),
+        Err(TreeError::Codec(CodecError::Corrupt(msg))) if msg.contains("height")
+    ));
 }
 
 #[test]

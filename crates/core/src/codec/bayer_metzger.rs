@@ -100,8 +100,8 @@ impl BayerMetzgerCodec {
     }
 
     /// §3's binary search-and-decrypt over slots read through `slot`: the
-    /// raw page for `probe`, the cache entry for `probe_cached`, charged
-    /// alike. A binary search never revisits a triplet, so each step is
+    /// cache entry for `probe_cached`, the raw page for the test oracle,
+    /// charged alike. A binary search never revisits a triplet, so each step is
     /// one key decryption; the descent pointer rides in the last triplet
     /// that compared below `key` (already deciphered), or in the keyless
     /// leftmost seal when none did — the one extra pointer decryption.
@@ -143,15 +143,30 @@ impl BayerMetzgerCodec {
             child: BlockId(t.child),
         })
     }
+
+    /// The search straight off the raw page, deciphering each triplet it
+    /// crosses: the oracle [`NodeCodec::probe_cached`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn raw_probe(
+        &self,
+        id: BlockId,
+        page: &[u8],
+        key: u64,
+    ) -> Result<Probe, CodecError> {
+        let mut r = PageReader::new(page);
+        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
+        let mut cipher = None;
+        self.search(n, is_leaf, key, |slot| {
+            let mut r = PageReader::new(page);
+            r.seek(NODE_HEADER_LEN + slot * SEALED_TRIPLET_LEN)?;
+            self.unseal_triplet(&mut cipher, id, r.get_bytes(SEALED_TRIPLET_LEN)?)
+        })
+    }
 }
 
 type PageCipher = Box<dyn BlockCipher64 + Send + Sync>;
 
 impl NodeCodec for BayerMetzgerCodec {
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
-        self.encode_over(node, None, page)
-    }
-
     fn encode_over(
         &self,
         node: &Node,
@@ -196,21 +211,6 @@ impl NodeCodec for BayerMetzgerCodec {
         Ok(())
     }
 
-    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
-        self.decode_cached(&self.decode_for_cache(id, page)?)
-    }
-
-    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
-        let mut r = PageReader::new(page);
-        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-        let mut cipher = None;
-        self.search(n, is_leaf, key, |slot| {
-            let mut r = PageReader::new(page);
-            r.seek(NODE_HEADER_LEN + slot * SEALED_TRIPLET_LEN)?;
-            self.unseal_triplet(&mut cipher, id, r.get_bytes(SEALED_TRIPLET_LEN)?)
-        })
-    }
-
     fn max_keys(&self, page_size: usize) -> usize {
         let fixed = NODE_HEADER_LEN + SEALED_TRIPLET_LEN; // header + leftmost
         if page_size <= fixed {
@@ -221,10 +221,6 @@ impl NodeCodec for BayerMetzgerCodec {
 
     fn name(&self) -> &'static str {
         "bayer-metzger"
-    }
-
-    fn supports_node_cache(&self) -> bool {
-        true
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
@@ -261,7 +257,7 @@ impl NodeCodec for BayerMetzgerCodec {
         // Physically, only the slots the binary search crosses that no
         // earlier probe of this entry deciphered. One that does not
         // unseal is never memoised, so it fails again on every probe that
-        // crosses it — where the raw probe fails.
+        // crosses it.
         let mut cipher = None;
         self.search(entry.n(), entry.is_leaf(), key, |slot| {
             entry.triplet(slot, |ct| self.unseal_triplet(&mut cipher, entry.id(), ct))
@@ -269,9 +265,10 @@ impl NodeCodec for BayerMetzgerCodec {
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A raw decode decrypts every keyed triplet (one key_decrypt each)
-        // plus the keyless leftmost-pointer seal on internal nodes;
-        // physically, whatever this entry has not deciphered yet.
+        // A whole-node decode decrypts every keyed triplet (one
+        // key_decrypt each) plus the keyless leftmost-pointer seal on
+        // internal nodes; physically, whatever this entry has not
+        // deciphered yet.
         if !entry.is_leaf() {
             self.counters.bump(|c| &c.ptr_decrypts);
         }
@@ -482,7 +479,7 @@ mod tests {
         page[BayerMetzgerCodec::triplet_offset(false, 4) + 20] ^= 1;
         let entry = codec.decode_for_cache(BlockId(7), &page).unwrap();
         for key in [5, 10, 25, 30, 45, 50, 55] {
-            let raw = codec.probe(BlockId(7), &page, key);
+            let raw = codec.raw_probe(BlockId(7), &page, key);
             let cached = codec.probe_cached(&entry, key);
             assert_eq!(format!("{raw:?}"), format!("{cached:?}"), "key {key}");
         }

@@ -43,14 +43,9 @@ impl FullPageCodec {
             .bump_by(|c| &c.page_encrypts, Self::cipher_blocks(page.len()));
     }
 
-    fn decrypt_page(&self, cipher: &dyn BlockCipher64, page: &[u8]) -> Vec<u8> {
-        let out = Self::decrypt_page_silent(cipher, page);
-        self.counters
-            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(page.len()));
-        out
-    }
-
-    fn decrypt_page_silent(cipher: &dyn BlockCipher64, page: &[u8]) -> Vec<u8> {
+    /// Deciphers the whole page (the physical work; callers charge
+    /// `page_decrypts`).
+    fn decrypt_page(cipher: &dyn BlockCipher64, page: &[u8]) -> Vec<u8> {
         let mut out = vec![0u8; page.len()];
         let mut prev = 0u64;
         for (i, chunk) in page.chunks_exact(8).enumerate() {
@@ -103,10 +98,25 @@ impl FullPageCodec {
         node.check_shape().map_err(CodecError::Corrupt)?;
         Ok(node)
     }
+
+    /// A whole-page decode straight off the medium, charged as it goes:
+    /// the oracle [`NodeCodec::decode_cached`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn raw_decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
+        self.counters
+            .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(page.len()));
+        let cipher = self.pages.page_cipher(id.as_u64());
+        self.decode_plain(id, &Self::decrypt_page(cipher.as_ref(), page))
+    }
 }
 
 impl NodeCodec for FullPageCodec {
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+    fn encode_over(
+        &self,
+        node: &Node,
+        _prev: Option<&CachedNode>,
+        page: &mut [u8],
+    ) -> Result<(), CodecError> {
         if !page.len().is_multiple_of(8) {
             return Err(CodecError::Corrupt(
                 "page size must be a multiple of the cipher block (8)".into(),
@@ -116,23 +126,6 @@ impl NodeCodec for FullPageCodec {
         let cipher = self.pages.page_cipher(node.id.as_u64());
         self.encrypt_page(cipher.as_ref(), page);
         Ok(())
-    }
-
-    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
-        if !page.len().is_multiple_of(8) {
-            return Err(CodecError::Corrupt(
-                "page size must be a multiple of the cipher block (8)".into(),
-            ));
-        }
-        let cipher = self.pages.page_cipher(id.as_u64());
-        let plain = self.decrypt_page(cipher.as_ref(), page);
-        self.decode_plain(id, &plain)
-    }
-
-    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
-        // No partial access is possible: the whole page must be decrypted,
-        // which is all a cache entry of this scheme is.
-        self.probe_cached(&self.decode_for_cache(id, page)?, key)
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -146,10 +139,6 @@ impl NodeCodec for FullPageCodec {
         "bm-full-page"
     }
 
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // Nothing to be lazy about — one cryptogram holds everything — so
         // the entry is born complete, its search keys the deciphered ones.
@@ -159,7 +148,7 @@ impl NodeCodec for FullPageCodec {
             ));
         }
         let cipher = self.pages.page_cipher(id.as_u64());
-        let plain = Self::decrypt_page_silent(cipher.as_ref(), page);
+        let plain = Self::decrypt_page(cipher.as_ref(), page);
         let node = self.decode_plain(id, &plain)?;
         Ok(CachedNode::complete(&node, page.len()))
     }
@@ -171,15 +160,15 @@ impl NodeCodec for FullPageCodec {
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A raw decode deciphers the whole page.
+        // A decode deciphers the whole page.
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
         entry.node(never_sealed)
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        // A raw probe has no partial access: it always charges the whole
-        // page's worth of block decryptions before searching.
+        // No partial access: a probe always charges the whole page's worth
+        // of block decryptions before searching.
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
         let found = entry.raw_keys().binary_search(&key);

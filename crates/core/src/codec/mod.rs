@@ -214,15 +214,6 @@ pub enum AnyCodec {
 }
 
 impl sks_btree_core::NodeCodec for AnyCodec {
-    fn encode(&self, node: &sks_btree_core::Node, page: &mut [u8]) -> Result<(), CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.encode(node, page),
-            AnyCodec::Substitution(c) => c.encode(node, page),
-            AnyCodec::BayerMetzger(c) => c.encode(node, page),
-            AnyCodec::FullPage(c) => c.encode(node, page),
-        }
-    }
-
     fn encode_over(
         &self,
         node: &sks_btree_core::Node,
@@ -234,33 +225,6 @@ impl sks_btree_core::NodeCodec for AnyCodec {
             AnyCodec::Substitution(c) => c.encode_over(node, prev, page),
             AnyCodec::BayerMetzger(c) => c.encode_over(node, prev, page),
             AnyCodec::FullPage(c) => c.encode_over(node, prev, page),
-        }
-    }
-
-    fn decode(
-        &self,
-        id: sks_storage::BlockId,
-        page: &[u8],
-    ) -> Result<sks_btree_core::Node, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.decode(id, page),
-            AnyCodec::Substitution(c) => c.decode(id, page),
-            AnyCodec::BayerMetzger(c) => c.decode(id, page),
-            AnyCodec::FullPage(c) => c.decode(id, page),
-        }
-    }
-
-    fn probe(
-        &self,
-        id: sks_storage::BlockId,
-        page: &[u8],
-        key: u64,
-    ) -> Result<sks_btree_core::Probe, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.probe(id, page, key),
-            AnyCodec::Substitution(c) => c.probe(id, page, key),
-            AnyCodec::BayerMetzger(c) => c.probe(id, page, key),
-            AnyCodec::FullPage(c) => c.probe(id, page, key),
         }
     }
 
@@ -279,15 +243,6 @@ impl sks_btree_core::NodeCodec for AnyCodec {
             AnyCodec::Substitution(c) => c.name(),
             AnyCodec::BayerMetzger(c) => c.name(),
             AnyCodec::FullPage(c) => c.name(),
-        }
-    }
-
-    fn supports_node_cache(&self) -> bool {
-        match self {
-            AnyCodec::Plain(c) => c.supports_node_cache(),
-            AnyCodec::Substitution(c) => c.supports_node_cache(),
-            AnyCodec::BayerMetzger(c) => c.supports_node_cache(),
-            AnyCodec::FullPage(c) => c.supports_node_cache(),
         }
     }
 
@@ -349,7 +304,9 @@ mod tests {
     use crate::{Scheme, SchemeConfig, SealerKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sks_btree_core::{never_sealed, BTree, CachedNode, Node, NodeCodec, RecordPtr};
+    use sks_btree_core::{
+        never_sealed, BTree, CachedNode, Node, NodeCache, NodeCodec, RecordPtr, TreeError,
+    };
     use sks_crypto::pagekey::{PageCipherKind, PageKeyScheme};
     use sks_storage::{BlockId, BlockStore, MemDisk, OpCounters, OpSnapshot};
 
@@ -432,19 +389,44 @@ mod tests {
         (out, counters.snapshot().delta(&before))
     }
 
+    /// The raw-page search a scheme's cached probe is checked against,
+    /// where it has one of its own: straight off the page, deciphering
+    /// only what the search reads.
+    fn raw_probe(codec: &AnyCodec, id: BlockId, page: &[u8], key: u64) -> Option<ProbeResult> {
+        match codec {
+            AnyCodec::Substitution(c) => Some(c.raw_probe(id, page, key)),
+            AnyCodec::BayerMetzger(c) => Some(c.raw_probe(id, page, key)),
+            _ => None,
+        }
+    }
+
+    /// The raw-page decode a scheme's cached decode is checked against,
+    /// where it has one of its own.
+    fn raw_decode(codec: &AnyCodec, id: BlockId, page: &[u8]) -> Option<Result<Node, CodecError>> {
+        match codec {
+            AnyCodec::FullPage(c) => Some(c.raw_decode(id, page)),
+            _ => None,
+        }
+    }
+
+    type ProbeResult = Result<sks_btree_core::Probe, CodecError>;
+
     /// The cache entry's contract, for every scheme: whatever mix of
     /// probes and whole-node decodes an entry has served, each answer and
-    /// each counter delta is the raw page operation's — for an entry
-    /// filled lazily from the page and (Plain, FullPage) for one born
-    /// complete by `decode_for_cache` alike.
+    /// each counter delta is the raw page operation's — the scheme's own
+    /// raw-page oracle where it has one, a fresh entry of the page where
+    /// it does not. Half the pages are damaged first (a few bytes of the
+    /// node flipped): where such a page still fills an entry, the entry
+    /// fails exactly where, and as, the oracle does.
     #[test]
     fn cached_entries_replay_raw_probe_and_decode_exactly_for_every_scheme() {
         let mut rng = StdRng::seed_from_u64(21);
+        let (mut damaged_compared, mut damaged_failures) = (0, 0);
         for scheme in Scheme::ALL {
             let counters = OpCounters::new();
             let config = SchemeConfig::with_capacity(scheme, 64);
             let (codec, _) = config.build_codec(&counters).unwrap();
-            for round in 0..10u32 {
+            for round in 0..20u32 {
                 // Keys inside every scheme's disguise domain (the
                 // figure-literal ExponentiationPaper caps it at 13).
                 let keys: Vec<u64> = (1..=12).filter(|_| rng.gen_bool(0.6)).collect();
@@ -460,24 +442,93 @@ mod tests {
                 };
                 let mut page = vec![0u8; config.block_size];
                 codec.encode(&node, &mut page).unwrap();
-                let entry = codec.decode_for_cache(node.id, &page).unwrap();
+                let damaged = round % 4 >= 2;
+                if damaged {
+                    // Within the first 384 bytes, which hold every node
+                    // here.
+                    for _ in 0..rng.gen_range(1..4) {
+                        page[rng.gen_range(0..384)] ^= rng.gen_range(1..256u16) as u8;
+                    }
+                }
+                // A page that does not fill an entry is never cached.
+                let Ok(entry) = codec.decode_for_cache(node.id, &page) else {
+                    assert!(damaged, "{scheme:?} round {round}");
+                    continue;
+                };
+                damaged_compared += usize::from(damaged);
                 for step in 0..40 {
                     let what = format!("{scheme:?} round {round} step {step}");
                     if rng.gen_bool(0.15) {
-                        let raw = charged(&counters, || codec.decode(node.id, &page));
+                        let raw = charged(&counters, || {
+                            raw_decode(&codec, node.id, &page)
+                                .unwrap_or_else(|| codec.decode(node.id, &page))
+                        });
                         // (Not `== node`: the figure-literal construction
-                        // is not injective, with or without a cache.)
-                        assert!(raw.0.is_ok(), "{what}");
+                        // is not injective.)
+                        assert!(damaged || raw.0.is_ok(), "{what}");
+                        damaged_failures += usize::from(raw.0.is_err());
                         let cached = charged(&counters, || codec.decode_cached(&entry));
                         assert_eq!(cached, raw, "{what}: decode");
                     } else {
                         let key = rng.gen_range(0..15u64);
-                        let raw = charged(&counters, || codec.probe(node.id, &page, key));
+                        let raw = charged(&counters, || {
+                            raw_probe(&codec, node.id, &page, key)
+                                .unwrap_or_else(|| codec.probe(node.id, &page, key))
+                        });
+                        damaged_failures += usize::from(raw.0.is_err());
                         let cached = charged(&counters, || codec.probe_cached(&entry, key));
                         assert_eq!(cached, raw, "{what}: probe {key}");
                     }
                 }
             }
+        }
+        assert!(
+            damaged_compared > 15,
+            "{damaged_compared} damaged pages filled"
+        );
+        assert!(
+            damaged_failures > 15,
+            "{damaged_failures} failures compared"
+        );
+    }
+
+    /// A codec that seals every write from scratch: its `encode_over`
+    /// ignores the image of the page the write replaces, so a tree over it
+    /// writes what one with no images to copy from would.
+    struct FromScratch<C>(C);
+
+    impl<C: NodeCodec> NodeCodec for FromScratch<C> {
+        fn encode_over(
+            &self,
+            node: &Node,
+            _prev: Option<&CachedNode>,
+            page: &mut [u8],
+        ) -> Result<(), CodecError> {
+            self.0.encode_over(node, None, page)
+        }
+
+        fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
+            self.0.decode_for_cache(id, page)
+        }
+
+        fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
+            self.0.cache_written(node, page)
+        }
+
+        fn probe_cached(&self, entry: &CachedNode, key: u64) -> ProbeResult {
+            self.0.probe_cached(entry, key)
+        }
+
+        fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
+            self.0.decode_cached(entry)
+        }
+
+        fn max_keys(&self, page_size: usize) -> usize {
+            self.0.max_keys(page_size)
+        }
+
+        fn name(&self) -> &'static str {
+            self.0.name()
         }
     }
 
@@ -638,24 +689,53 @@ mod tests {
         }
     }
 
+    /// An empty tree over `codec` on a fresh store of `block_size` blocks
+    /// that charges `counters`.
+    fn empty_tree<C: NodeCodec>(
+        codec: C,
+        counters: OpCounters,
+        block_size: usize,
+    ) -> BTree<MemDisk, C> {
+        BTree::create(MemDisk::with_counters(block_size, counters), codec).unwrap()
+    }
+
+    /// One operation of the seeded sequences below on `tree`: 0–2 insert
+    /// `key`, 3 repoints it with `replace_ptr`, 4–5 delete it, and 6 runs a
+    /// node-device compaction pass. Returns the key's previous pointer.
+    fn apply<C: NodeCodec>(
+        tree: &mut BTree<MemDisk, C>,
+        op: u32,
+        key: u64,
+        ptr: RecordPtr,
+    ) -> Result<Option<RecordPtr>, TreeError> {
+        match op {
+            0..=2 => tree.insert(key, ptr),
+            3 => match tree.get(key) {
+                Ok(Some(cur)) => tree
+                    .replace_ptr(key, cur, ptr)
+                    .map(|done| done.then_some(cur)),
+                other => other,
+            },
+            4 | 5 => tree.delete(key),
+            _ => tree.compact_nodes(2).map(|_| None),
+        }
+    }
+
     /// The optimisation is invisible on the medium: one seeded sequence of
     /// inserts, overwrites, `replace_ptr`s, deletes (borrows, merges, a
     /// shrinking root), splits and node relocations, driven through two
-    /// trees — node cache off, so every write seals its whole node, and
-    /// node cache on, so a write seals only what it changed — leaves every
+    /// trees — one over [`FromScratch`], so every write seals its whole
+    /// node, and one that seals only what a write changed — leaves every
     /// block of the two media byte-identical after every operation, and
     /// the two logical cost models equal.
     #[test]
     fn the_medium_is_bit_identical_with_and_without_per_triplet_reseal() {
         for (name, block_size, make) in per_triplet_codecs() {
-            let trees = [0usize, 1024].map(|node_cache| {
-                let (codec, counters) = make();
-                let disk = MemDisk::with_counters(block_size, counters);
-                let mut tree = BTree::create(disk, codec).unwrap();
-                tree.enable_node_cache(node_cache);
-                tree
-            });
-            let [mut sealed_whole, mut resealed] = trees;
+            let (codec, counters) = make();
+            let mut sealed_whole = empty_tree(FromScratch(codec), counters, block_size);
+            let (codec, counters) = make();
+            let mut resealed = empty_tree(codec, counters, block_size);
+            resealed.enable_node_cache(1024);
             let mut rng = StdRng::seed_from_u64(29);
             let mut live: Vec<u64> = Vec::new();
             // (A debug-build RSA seal costs a millisecond: that leg is short.)
@@ -677,18 +757,11 @@ mod tests {
                     _ if live.is_empty() => continue,
                     _ => (live[rng.gen_range(0..live.len())], RecordPtr(rng.gen())),
                 };
-                for tree in [&mut sealed_whole, &mut resealed] {
-                    let old = match op {
-                        0..=2 => tree.insert(key, ptr),
-                        3 => match tree.get(key) {
-                            Ok(Some(cur)) => tree
-                                .replace_ptr(key, cur, ptr)
-                                .map(|done| done.then_some(cur)),
-                            other => other,
-                        },
-                        4 | 5 => tree.delete(key),
-                        _ => tree.compact_nodes(2).map(|_| None),
-                    };
+                let olds = [
+                    apply(&mut sealed_whole, op, key, ptr),
+                    apply(&mut resealed, op, key, ptr),
+                ];
+                for old in olds {
                     let was_live = op == 6 || old.expect(&what).is_some();
                     assert_eq!(was_live, op == 6 || live.contains(&key), "{what}");
                 }
@@ -780,7 +853,7 @@ mod tests {
             assert_eq!(tree.cached_nodes(), resident, "{scheme:?}");
             assert!(tree.counters().snapshot().compact_moved_nodes > 0);
 
-            let (cache, codec) = (tree.node_cache().unwrap(), tree.codec());
+            let (cache, codec) = (tree.node_cache(), tree.codec());
             let mut checked = 0;
             for id in (0..tree.store().num_blocks()).map(BlockId) {
                 let Some(kept) = cache.get(id) else { continue };
@@ -839,15 +912,19 @@ mod tests {
     /// What a node write costs in physical seals, pinned on a height-3
     /// tree for any per-triplet codec: `make` builds the codec, its
     /// counters and a reader of the triplets physically sealed so far.
-    /// Through the node cache a write seals only the triplets it changed;
-    /// without it, the whole node as ever.
+    /// A write seals only the triplets it changed — at the floor cache
+    /// size too — while one over [`FromScratch`] seals its whole node.
     pub(super) fn check_writes_seal_only_what_they_change<C: NodeCodec>(
         make: &dyn Fn() -> (C, OpCounters, Box<dyn Fn() -> u64>),
     ) {
-        let build = |node_cache: usize| {
-            let (codec, counters, sealed) = make();
-            let disk = MemDisk::with_counters(256, counters);
-            let mut tree = BTree::create(disk, codec).unwrap();
+        /// 250 keys into a tree over `codec` with a node cache of
+        /// `node_cache` nodes: height 3.
+        fn grown<D: NodeCodec>(
+            codec: D,
+            counters: OpCounters,
+            node_cache: usize,
+        ) -> BTree<MemDisk, D> {
+            let mut tree = empty_tree(codec, counters, 256);
             tree.enable_node_cache(node_cache);
             // Even keys in a scattered order, so odd ones are free and
             // nodes fill unevenly.
@@ -856,12 +933,12 @@ mod tests {
                 tree.insert(key, RecordPtr(key)).unwrap();
             }
             assert_eq!(tree.height(), 3);
-            (tree, sealed)
-        };
-        // A leaf an update reaches without rebalancing anything — neither
-        // full nor minimal (or, for the split, full), under such a parent
-        // and a root with room — with its parent's key count.
-        let quiet_leaf = |tree: &BTree<MemDisk, C>, full: bool| {
+            tree
+        }
+        /// A leaf an update reaches without rebalancing anything — neither
+        /// full nor minimal (or, for the split, full), under such a parent
+        /// and a root with room — with its parent's key count.
+        fn quiet_leaf<D: NodeCodec>(tree: &BTree<MemDisk, D>, full: bool) -> (u64, Node) {
             let (t, max) = (tree.min_degree(), tree.max_keys_per_node());
             let roomy = |n: usize| (t..max).contains(&n);
             let root = tree.inspect_node(tree.root_id()).unwrap();
@@ -877,31 +954,34 @@ mod tests {
             };
             let mut leaves = leaves.filter(|(_, leaf)| wanted(leaf));
             leaves.next().expect("250 scattered keys leave such a leaf")
-        };
-        let logical = |s: OpSnapshot| s.key_encrypts + s.ptr_encrypts;
-
-        let (mut tree, sealed) = build(1024);
-        // (triplets physically sealed, logical encipherments) of one op.
-        type Op<'a, C> = &'a dyn Fn(&mut BTree<MemDisk, C>);
-        let cost = |tree: &mut BTree<MemDisk, C>, op: Op<C>| {
+        }
+        /// (triplets physically sealed, logical encipherments) of `op`.
+        fn cost<D: NodeCodec>(
+            tree: &mut BTree<MemDisk, D>,
+            sealed: &dyn Fn() -> u64,
+            op: impl FnOnce(&mut BTree<MemDisk, D>),
+        ) -> (u64, u64) {
             let (held, before) = (sealed(), tree.counters().snapshot());
             op(tree);
             let delta = tree.counters().snapshot().delta(&before);
-            let physical = sealed() - held;
-            assert_eq!(physical, logical(delta) - delta.triplet_seals_reused);
-            (physical, logical(delta))
-        };
+            let (physical, logical) = (sealed() - held, delta.key_encrypts + delta.ptr_encrypts);
+            assert_eq!(physical, logical - delta.triplet_seals_reused);
+            (physical, logical)
+        }
+
+        let (codec, counters, sealed) = make();
+        let mut tree = grown(codec, counters, 1024);
         let (_, leaf) = quiet_leaf(&tree, false);
         let (key, n) = (leaf.keys[0], leaf.n() as u64);
-        let overwrite = cost(&mut tree, &|tree| {
+        let overwrite = cost(&mut tree, &sealed, |tree| {
             assert!(tree.insert(key, RecordPtr(1)).unwrap().is_some());
         });
         assert_eq!(overwrite, (1, n), "an overwrite seals its one triplet");
-        let fresh = cost(&mut tree, &|tree| {
+        let fresh = cost(&mut tree, &sealed, |tree| {
             assert!(tree.insert(key + 1, RecordPtr(2)).unwrap().is_none());
         });
         assert_eq!(fresh, (1, n + 1), "an insert seals the new triplet");
-        let delete = cost(&mut tree, &|tree| {
+        let delete = cost(&mut tree, &sealed, |tree| {
             assert!(tree.delete(key + 1).unwrap().is_some());
         });
         assert_eq!(
@@ -909,7 +989,7 @@ mod tests {
             (0, n),
             "a delete that rebalances nothing seals none"
         );
-        let repoint = cost(&mut tree, &|tree| {
+        let repoint = cost(&mut tree, &sealed, |tree| {
             assert!(tree.replace_ptr(key, RecordPtr(1), RecordPtr(3)).unwrap());
         });
         assert_eq!(repoint, (1, n), "replace_ptr seals its one triplet");
@@ -921,7 +1001,7 @@ mod tests {
         let (parent_n, leaf) = quiet_leaf(&tree, true);
         let t = tree.min_degree() as u64;
         let splits = tree.counters().snapshot().splits;
-        let split = cost(&mut tree, &|tree| {
+        let split = cost(&mut tree, &sealed, |tree| {
             assert!(tree
                 .insert(leaf.keys[0] + 1, RecordPtr(4))
                 .unwrap()
@@ -932,17 +1012,26 @@ mod tests {
         assert_eq!(tree.counters().snapshot().splits, splits + 1);
         tree.validate().unwrap();
 
-        // Without the cache there is no previous image: every write seals
-        // its whole node, as it always has.
-        let (mut tree, sealed) = build(0);
+        // At the floor — one node per shard — the leaf an overwrite has
+        // just read is still cached when it is written: one triplet again.
+        let (codec, counters, sealed) = make();
+        let mut tree = grown(codec, counters, 0);
+        assert!(tree.cached_nodes() <= NodeCache::new(0).capacity());
         let (_, leaf) = quiet_leaf(&tree, false);
-        let (held, before) = (sealed(), tree.counters().snapshot());
-        tree.insert(leaf.keys[0], RecordPtr(1)).unwrap();
-        let delta = tree.counters().snapshot().delta(&before);
-        assert_eq!(delta.triplet_seals_reused, 0);
-        assert_eq!(
-            (sealed() - held, logical(delta)),
-            (leaf.n() as u64, leaf.n() as u64)
-        );
+        let overwrite = cost(&mut tree, &sealed, |tree| {
+            assert!(tree.insert(leaf.keys[0], RecordPtr(1)).unwrap().is_some());
+        });
+        assert_eq!(overwrite, (1, leaf.n() as u64), "an overwrite at the floor");
+
+        // With nothing copied from the replaced image, every write seals
+        // its whole node.
+        let (codec, counters, sealed) = make();
+        let mut tree = grown(FromScratch(codec), counters, 1024);
+        let (_, leaf) = quiet_leaf(&tree, false);
+        let overwrite = cost(&mut tree, &sealed, |tree| {
+            assert!(tree.insert(leaf.keys[0], RecordPtr(1)).unwrap().is_some());
+        });
+        let n = leaf.n() as u64;
+        assert_eq!(overwrite, (n, n), "an overwrite sealed from scratch");
     }
 }

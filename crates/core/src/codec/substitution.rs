@@ -71,6 +71,7 @@ impl SubstitutionCodec {
     }
 
     /// Reads the raw disguised key of entry `i` from the page.
+    #[cfg(test)]
     fn raw_key_at(&self, page: &[u8], is_leaf: bool, i: usize) -> Result<u64, CodecError> {
         let mut r = PageReader::new(page);
         r.seek(self.key_offset(is_leaf, i))?;
@@ -78,11 +79,11 @@ impl SubstitutionCodec {
     }
 
     /// The in-node search — comparisons on (dis)guised values only, no
-    /// pointer deciphered — over key fields read through `raw_at`: the raw
-    /// page for `probe`, the cache entry for `probe_cached`, so both run
-    /// the identical disguise/recover/compare sequence. `Ok(i)` when
-    /// triplet `i` holds `key`, else `Err(c)`, the child slot it belongs
-    /// under.
+    /// pointer deciphered — over key fields read through `raw_at`: the
+    /// cache entry for `probe_cached`, the raw page for the test oracle,
+    /// so both run the identical disguise/recover/compare sequence.
+    /// `Ok(i)` when triplet `i` holds `key`, else `Err(c)`, the child slot
+    /// it belongs under.
     fn locate(
         &self,
         n: usize,
@@ -127,6 +128,32 @@ impl SubstitutionCodec {
             .map_err(|e| CodecError::Corrupt(format!("recover failed: {e}")))
     }
 
+    /// The search straight off the raw page, deciphering only the one
+    /// pointer its answer lives in: the oracle
+    /// [`NodeCodec::probe_cached`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn raw_probe(
+        &self,
+        id: BlockId,
+        page: &[u8],
+        key: u64,
+    ) -> Result<Probe, CodecError> {
+        let mut r = PageReader::new(page);
+        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
+        let found = self.locate(n, key, |i| self.raw_key_at(page, is_leaf, i))?;
+        // Exactly one pointer decryption: the slot the answer lives in
+        // (p₀ in the leftmost seal, aᵢ and child i+1 in entry i's).
+        Probe::resolve(found, is_leaf, |slot| {
+            self.counters.bump(|c| &c.ptr_decrypts);
+            // An internal node's slot 0 follows the header and its slot
+            // i+1 key i; a leaf's slot i follows key i.
+            let after_key = if is_leaf { 8 } else { 0 };
+            let mut r = PageReader::new(page);
+            r.seek(NODE_HEADER_LEN + slot * self.entry_len() + after_key)?;
+            self.unseal(id, r.get_bytes(self.sealer.sealed_len())?)
+        })
+    }
+
     fn map_disguise_err(e: crate::disguise::DisguiseError) -> CodecError {
         match e {
             crate::disguise::DisguiseError::OutOfDomain { key, domain } => CodecError::KeyDomain {
@@ -143,10 +170,6 @@ impl SubstitutionCodec {
 }
 
 impl NodeCodec for SubstitutionCodec {
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
-        self.encode_over(node, None, page)
-    }
-
     fn encode_over(
         &self,
         node: &Node,
@@ -193,27 +216,6 @@ impl NodeCodec for SubstitutionCodec {
         Ok(())
     }
 
-    fn decode(&self, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
-        self.decode_cached(&self.decode_for_cache(id, page)?)
-    }
-
-    fn probe(&self, id: BlockId, page: &[u8], key: u64) -> Result<Probe, CodecError> {
-        let mut r = PageReader::new(page);
-        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-        let found = self.locate(n, key, |i| self.raw_key_at(page, is_leaf, i))?;
-        // Exactly one pointer decryption: the slot the answer lives in
-        // (p₀ in the leftmost seal, aᵢ and child i+1 in entry i's).
-        Probe::resolve(found, is_leaf, |slot| {
-            self.counters.bump(|c| &c.ptr_decrypts);
-            // An internal node's slot 0 follows the header and its slot
-            // i+1 key i; a leaf's slot i follows key i.
-            let after_key = if is_leaf { 8 } else { 0 };
-            let mut r = PageReader::new(page);
-            r.seek(NODE_HEADER_LEN + slot * self.entry_len() + after_key)?;
-            self.unseal(id, r.get_bytes(self.sealer.sealed_len())?)
-        })
-    }
-
     fn max_keys(&self, page_size: usize) -> usize {
         // Internal node (worst case): header + leftmost seal + n entries.
         let fixed = NODE_HEADER_LEN + self.sealer.sealed_len();
@@ -225,10 +227,6 @@ impl NodeCodec for SubstitutionCodec {
 
     fn name(&self) -> &'static str {
         "substitution"
-    }
-
-    fn supports_node_cache(&self) -> bool {
-        true
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
@@ -272,8 +270,8 @@ impl NodeCodec for SubstitutionCodec {
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
         let raw_keys = entry.raw_keys();
         let found = self.locate(raw_keys.len(), key, |i| Ok(raw_keys[i]))?;
-        // The raw probe's one logical pointer decryption; physically the
-        // slot is unsealed only the first time a probe follows it.
+        // One logical pointer decryption, the slot the answer lives in;
+        // physically it is unsealed only the first time a probe follows it.
         Probe::resolve(found, entry.is_leaf(), |slot| {
             self.counters.bump(|c| &c.ptr_decrypts);
             entry.triplet(slot, |ct| self.unseal(entry.id(), ct))
@@ -281,11 +279,11 @@ impl NodeCodec for SubstitutionCodec {
     }
 
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A raw decode unseals every pointer cryptogram (plus the lone
-        // leftmost one on internal nodes) and runs the *real* disguise
+        // A whole-node decode unseals every pointer cryptogram (plus the
+        // lone leftmost one on internal nodes) and runs the *real* disguise
         // recovery per key: charge the unseals, physically unseal what no
         // probe has yet, and run the recoveries against the raw key fields
-        // — their counter profile (recover_ops, dlog_ops …) is the raw
+        // — their counter profile (recover_ops, dlog_ops …) is the
         // decode's step for step, and their results are the node's keys.
         self.counters
             .bump_by(|c| &c.ptr_decrypts, entry.slots() as u64);
@@ -676,12 +674,12 @@ mod tests {
 
         let entry = codec.decode_for_cache(BlockId(7), &page).unwrap();
         for key in [2, 1, 9] {
-            let raw = codec.probe(BlockId(7), &page, key);
+            let raw = codec.raw_probe(BlockId(7), &page, key);
             assert!(raw.is_ok(), "the probe never crosses the bad triplet");
             assert_eq!(codec.probe_cached(&entry, key), raw);
         }
         for _ in 0..2 {
-            let raw = codec.probe(BlockId(7), &page, 5);
+            let raw = codec.raw_probe(BlockId(7), &page, 5);
             assert!(raw.is_err());
             assert_eq!(codec.probe_cached(&entry, 5), raw, "no memo of a failure");
         }

@@ -170,16 +170,17 @@ pub struct SchemeConfig {
     /// [`crate::EncipheredBTree::create`]/`open` honour it, and the engine
     /// reads only its pool size.
     pub backend: StorageBackend,
-    /// Capacity (in nodes) of the node cache serving the read paths. A
-    /// node is cached as stored and a probe deciphers only the triplet it
-    /// follows, once: a cold search pays what the scheme promises, and
-    /// repeated point reads of a cached node pay zero *physical*
-    /// decipherments, while the logical operation counters keep reporting
-    /// the paper's per-scheme cost. A node write replaces its node's entry
-    /// with the image of the page it wrote, so updating that node again
-    /// deciphers nothing. Entries are RAM-only and zeroized on eviction;
-    /// the medium still holds only enciphered bytes. `0` disables the
-    /// cache.
+    /// Capacity (in nodes) of the node cache every node visit goes
+    /// through. A node is cached as stored and a probe deciphers only the
+    /// triplet it follows, once: a cold search pays what the scheme
+    /// promises, and repeated point reads of a cached node pay zero
+    /// *physical* decipherments, while the logical operation counters keep
+    /// reporting the paper's per-scheme cost at every size. A node write
+    /// replaces its node's entry with the image of the page it wrote, so
+    /// updating that node again deciphers nothing. Entries are RAM-only
+    /// and zeroized on eviction; the medium still holds only enciphered
+    /// bytes. The cache cannot be turned off: `0` asks for its floor, one
+    /// node per shard.
     pub node_cache: usize,
     /// Capacity (in records) of the decoded-record LRU above the data
     /// blocks' CTR unseal: repeated `get`s of a hot record pay zero
@@ -253,7 +254,8 @@ impl SchemeConfig {
     /// Default decoded-record cache capacity (records).
     pub const DEFAULT_RECORD_CACHE: usize = 1024;
 
-    /// Builder-style node-cache knob (capacity in nodes; 0 disables).
+    /// Builder-style node-cache knob (capacity in nodes; 0 is the floor,
+    /// one node per shard).
     pub fn node_cache(mut self, capacity: usize) -> Self {
         self.node_cache = capacity;
         self

@@ -1080,9 +1080,10 @@ mod tests {
         assert_eq!(s_sub.key_decrypts, 0, "substitution never decrypts keys");
     }
 
-    /// The cache's load-bearing invariant: with the plaintext node cache
-    /// on, every logical operation counter reads *exactly* as it does
-    /// with the cache off, for every scheme, across hits and misses.
+    /// The cache's load-bearing invariant: with a node cache large enough
+    /// to hold the tree, every logical operation counter reads *exactly*
+    /// as it does at the floor (`node_cache(0)`: one node per shard), for
+    /// every scheme, across hits and misses.
     #[test]
     fn node_cache_preserves_logical_counters_exactly() {
         for scheme in Scheme::MEASURED {
@@ -1109,8 +1110,9 @@ mod tests {
             };
             let (off, off_cached) = run(0);
             let (on, on_cached) = run(4096);
-            assert_eq!(off_cached, 0);
-            assert!(on_cached > 0, "{}: cache never filled", scheme.name());
+            let floor = sks_btree_core::NodeCache::new(0).capacity();
+            assert!(off_cached <= floor, "{}: {off_cached}", scheme.name());
+            assert!(on_cached > floor, "{}: cache never filled", scheme.name());
             // Compare every *logical* field; the physical-I/O telemetry
             // (block reads, pool and node-cache hit/miss counts) is
             // allowed — and expected — to differ: that is the saving.
@@ -1131,9 +1133,9 @@ mod tests {
     }
 
     /// PR 4 extension of the pinning above: range scans and record `get`s
-    /// with *both* caches on (plaintext node cache + decoded-record cache)
-    /// report logical counters identical to both caches off, for every
-    /// measured scheme.
+    /// with *both* caches large (node cache + decoded-record cache) report
+    /// logical counters identical to the node cache at its floor and the
+    /// record cache off, for every measured scheme.
     #[test]
     fn caches_preserve_logical_counters_on_range_and_get() {
         for scheme in Scheme::MEASURED {
@@ -1163,8 +1165,14 @@ mod tests {
             };
             let (off, off_nodes, off_records) = run(0, 0);
             let (on, on_nodes, on_records) = run(4096, 4096);
-            assert_eq!((off_nodes, off_records), (0, 0));
-            assert!(on_nodes > 0, "{}: node cache never filled", scheme.name());
+            let floor = sks_btree_core::NodeCache::new(0).capacity();
+            assert!(off_nodes <= floor, "{}: {off_nodes}", scheme.name());
+            assert_eq!(off_records, 0);
+            assert!(
+                on_nodes > floor,
+                "{}: node cache never filled",
+                scheme.name()
+            );
             assert!(
                 on_records > 0,
                 "{}: record cache never filled",

@@ -119,8 +119,9 @@ pub fn run_wal_stream_case(seed: u64) -> Result<(), String> {
 }
 
 /// Encodes one node under every scheme's codec, then decodes / probes
-/// seeded corruptions of the page — raw, and through a cache entry
-/// wrapping the corrupt bytes: must never panic, and whatever `Ok` decode
+/// seeded corruptions of the page — each through a fresh cache entry, and
+/// many times through one long-lived entry wrapping the corrupt bytes:
+/// must never panic, and whatever `Ok` decode
 /// survives must uphold basic node invariants. The node is then written
 /// back over that entry: a write copies from the image it replaces only
 /// cryptograms that unsealed, under this block's binding, to the very
@@ -183,9 +184,10 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let decoded = codec.decode(node.id, &corrupt);
                     let probed = codec.probe(node.id, &corrupt, probe_key);
-                    // The same bytes through a cache entry: it must fail
-                    // closed wherever a probe or the whole-node decode
-                    // crosses the damage, exactly as the raw page does.
+                    // The same bytes through one entry that serves many
+                    // probes: it must fail closed wherever a probe or the
+                    // whole-node decode crosses the damage, exactly as a
+                    // fresh entry does.
                     let cached = codec.decode_for_cache(node.id, &corrupt).map(|entry| {
                         let same_key = codec.probe_cached(&entry, probe_key);
                         let mut errors: Vec<String> = (1..4)
@@ -229,7 +231,7 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                     Ok((same_key, again, errors, wrote)) => {
                         if same_key != probed || again != probed {
                             return Err(format!(
-                                "{scheme:?}: cached probe diverged from the raw probe of \
+                                "{scheme:?}: cached probe diverged from a fresh probe of \
                                  the same corrupt page (node {})",
                                 node.id.0
                             ));

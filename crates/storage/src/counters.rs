@@ -72,11 +72,11 @@ counters! {
     /// Buffer-pool frames evicted (dirty evictions also pay a
     /// `block_writes`).
     cache_evicts,
-    /// Plaintext node-cache hits (probes that paid zero physical
-    /// decipherments; the *logical* decrypt counters are still bumped).
+    /// Node-cache hits (node visits served from RAM; the *logical*
+    /// decrypt counters are still bumped).
     node_cache_hits,
-    /// Plaintext node-cache misses (probes that read and deciphered the
-    /// raw page, then filled the cache).
+    /// Node-cache misses (node visits that read the page and filled the
+    /// cache with it).
     node_cache_misses,
     /// Decoded-record cache hits (gets that paid zero physical unseals;
     /// the *logical* data_decrypts counter is still bumped).

@@ -102,6 +102,9 @@ fn enciphered_tree_behind_paged_file_store() {
     tree.flush().unwrap(); // checkpoint: pages reach the file, frames go clean
     counters.reset();
     for _ in 0..50 {
+        // An emptied node cache, so every node visit of the get reaches
+        // the store below it.
+        tree.enable_node_cache(0);
         assert_eq!(tree.get(123).unwrap(), Some(RecordPtr(123)));
     }
     let s = counters.snapshot();

@@ -24,6 +24,8 @@
 //!   preemptive split/merge balancing; every access counted.
 //! * [`render`] — ASCII renderings for the paper's figures.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod codec;
 pub mod node;

@@ -25,6 +25,8 @@
 //! module; `cargo run --release -p sks-bench --bin repro` regenerates the
 //! paper's tables, figures and measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod config;
 pub mod disguise;

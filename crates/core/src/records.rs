@@ -15,6 +15,16 @@
 //! touching the other. Nothing else maps a slot to its key: compaction
 //! reads each owner from the record it is already unsealing to move it.
 //!
+//! Records are sealed and unsealed against the page the store lends
+//! ([`BlockStore::read_with`], [`BlockStore::update_with`]) — on the file
+//! backend, the buffer-pool frame itself. A `get` copies only the sealed
+//! value out of the page, into the buffer it returns, and runs the CTR
+//! pass there once the store is let go; an insert seals its slot, and a
+//! delete writes its tombstone, inside the page. No operation copies the
+//! whole page out and back. Only the maintenance paths that want an owned
+//! page (compaction's victim read, the orphan sweep, the reopen-time
+//! accounting sweep) read one.
+//!
 //! Two engine-grade facilities sit on top of the paper's static view:
 //!
 //! * **Tombstone accounting + compaction support** (`records::compact`)
@@ -32,10 +42,12 @@
 //!   It is the workspace's one [`LruMap`] behind a mutex, keyed by record
 //!   pointer and holding only the value: a hit is an O(1)
 //!   look-up-and-touch, a store over its bound drops its least recently
-//!   used record. Entries are RAM-only, invalidated on delete/compaction,
-//!   and zeroized when the last reference drops. Each store (engine
-//!   partition) has its own, so the plaintext-record RAM of a process is
-//!   `record_cache × partitions`.
+//!   used record. Point gets and logical inserts add records; range scans
+//!   ([`RecordStore::get_scanned`]) and compaction moves do not, so a scan
+//!   cannot evict the point-get hot set. Entries are RAM-only,
+//!   invalidated on delete/compaction, and zeroized when the last
+//!   reference drops. Each store (engine partition) has its own, so the
+//!   plaintext-record RAM of a process is `record_cache × partitions`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,7 +55,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use sks_btree_core::RecordPtr;
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
-use sks_storage::{wipe, BlockId, BlockStore, LruMap, PageReader, PageWriter};
+use sks_storage::{wipe, BlockId, BlockStore, LruMap, PageReader};
 
 use crate::error::CoreError;
 
@@ -139,6 +151,10 @@ pub struct RecordStore<S: BlockStore> {
     cipher: Speck64,
     /// Block currently being filled.
     open_block: Option<BlockId>,
+    /// Free bytes left on `open_block` (what [`RecordStore::seal_into`]
+    /// last left there), so an insert that will not fit opens a fresh
+    /// block without touching the full one.
+    open_free: usize,
     /// Next page generation (mirrors the superblock).
     next_gen: u64,
     /// Decoded-record LRU (None = disabled).
@@ -221,6 +237,7 @@ impl<S: BlockStore> RecordStore<S> {
             store,
             cipher: Speck64::from_u128(data_key),
             open_block: None,
+            open_free: 0,
             next_gen,
             cache: (cache_capacity > 0).then(|| RecordCache::new(cache_capacity)),
             dead: HashMap::new(),
@@ -297,18 +314,15 @@ impl<S: BlockStore> RecordStore<S> {
         Ok((generation, n_slots, free_off))
     }
 
-    /// Reads `ptr`'s page and checks its slot exists, returning the page
-    /// and its generation.
-    fn read_slot_page(&self, ptr: RecordPtr) -> Result<(Vec<u8>, u64), CoreError> {
-        let page = self.store.read_block_vec(ptr.block())?;
-        let (generation, n_slots, _) = Self::read_page_meta(&page)?;
-        if ptr.slot() >= n_slots {
+    /// Checks `slot` exists on `page`, returning the page's generation.
+    fn check_slot(page: &[u8], slot: u16) -> Result<u64, CoreError> {
+        let (generation, n_slots, _) = Self::read_page_meta(page)?;
+        if slot >= n_slots {
             return Err(CoreError::Record(format!(
-                "slot {} out of range (page has {n_slots})",
-                ptr.slot()
+                "slot {slot} out of range (page has {n_slots})"
             )));
         }
-        Ok((page, generation))
+        Ok(generation)
     }
 
     fn slot_entry(page: &[u8], slot: u16) -> Result<(u16, u16), CoreError> {
@@ -355,15 +369,23 @@ impl<S: BlockStore> RecordStore<S> {
         u64::from_be_bytes(key.try_into().expect("one cipher block"))
     }
 
-    /// Deciphers only the value of a sealed slot: it starts at the second
-    /// CTR block, so its keystream starts one counter later.
+    /// CTR nonce of a slot's value: it starts at the second CTR block, so
+    /// its keystream starts one counter after the key's.
+    fn value_nonce(generation: u64, slot: u16) -> u64 {
+        Self::nonce(generation, slot).wrapping_add(1)
+    }
+
+    /// Deciphers only the value of a sealed slot.
     fn open_value(&self, generation: u64, slot: u16, sealed: &[u8]) -> Vec<u8> {
-        let nonce = Self::nonce(generation, slot).wrapping_add(1);
-        ctr_xor(&self.cipher, nonce, &sealed[KEY_LEN..])
+        ctr_xor(
+            &self.cipher,
+            Self::value_nonce(generation, slot),
+            &sealed[KEY_LEN..],
+        )
     }
 
     /// Free bytes left in a page with the given metadata.
-    fn free_space(&self, n_slots: u16, free_off: u16) -> usize {
+    fn free_space(n_slots: u16, free_off: u16) -> usize {
         let dir_end = PAGE_HEADER + n_slots as usize * SLOT_ENTRY;
         (free_off as usize).saturating_sub(dir_end + SLOT_ENTRY)
     }
@@ -378,6 +400,10 @@ impl<S: BlockStore> RecordStore<S> {
     /// move's encipherment is charged to `compact_moved_records` instead
     /// of the paper's `data_encrypts` — moving an already-stored record is
     /// storage maintenance, not a logical write.
+    ///
+    /// The record is sealed straight into the open block's page where the
+    /// store lends it ([`BlockStore::update_with`]); a fresh block's page
+    /// is built here and written whole.
     fn insert_inner(
         &mut self,
         key: u64,
@@ -391,57 +417,34 @@ impl<S: BlockStore> RecordStore<S> {
                 self.max_record_len()
             )));
         }
-        let len = KEY_LEN + value.len();
         let t = self.store.counters().obs().start();
-        // Find or open a block with room.
-        let block_size = self.store.block_size();
-        let open = match self.open_block {
-            Some(b) => {
-                let page = self.store.read_block_vec(b)?;
-                let (_, n_slots, free_off) = Self::read_page_meta(&page)?;
-                (self.free_space(n_slots, free_off) >= len).then_some((b, page))
+        let (block, slot) = match self.open_block {
+            Some(b) if self.open_free >= KEY_LEN + value.len() => {
+                let cipher = &self.cipher;
+                let mut sealed = None;
+                self.store.update_with(b, &mut |page| {
+                    sealed = Some(Self::seal_into(cipher, page, key, value));
+                })?;
+                let (slot, free) = sealed.expect("update_with lends the page")?;
+                self.open_free = free;
+                (b, slot)
             }
-            None => None,
-        };
-        let (block, mut page) = match open {
-            Some(open) => open,
-            None => {
+            _ => {
+                let block_size = self.store.block_size();
                 let nb = self.store.allocate_min()?;
-                let fresh = self.init_page(block_size)?;
+                let mut page = self.init_page(block_size)?;
+                let (slot, free) = Self::seal_into(&self.cipher, &mut page, key, value)?;
+                self.store.write_block(nb, &page)?;
                 self.open_block = Some(nb);
-                (nb, fresh)
+                self.open_free = free;
+                (nb, slot)
             }
         };
-        let (generation, n_slots, free_off) = Self::read_page_meta(&page)?;
-        let slot = n_slots;
-        let new_off = free_off as usize - len;
-        // Seal `key ‖ value` in place under the per-(generation, slot)
-        // nonce: the page buffer never holds the plaintext afterwards.
         if logical {
             self.store.counters().bump(|c| &c.data_encrypts);
         } else {
             self.store.counters().bump(|c| &c.compact_moved_records);
         }
-        let sealed = &mut page[new_off..new_off + len];
-        sealed[..KEY_LEN].copy_from_slice(&key.to_be_bytes());
-        sealed[KEY_LEN..].copy_from_slice(value);
-        ctr_xor_in_place(&self.cipher, Self::nonce(generation, slot), sealed);
-        // Slot directory entry.
-        {
-            let mut w = PageWriter::new(&mut page);
-            w.put_u64(generation)
-                .map_err(|e| CoreError::Record(e.to_string()))?;
-            w.put_u16(n_slots + 1)
-                .map_err(|e| CoreError::Record(e.to_string()))?;
-            w.put_u16(new_off as u16)
-                .map_err(|e| CoreError::Record(e.to_string()))?;
-        }
-        {
-            let dir_off = PAGE_HEADER + slot as usize * SLOT_ENTRY;
-            page[dir_off..dir_off + 2].copy_from_slice(&(new_off as u16).to_be_bytes());
-            page[dir_off + 2..dir_off + 4].copy_from_slice(&(len as u16).to_be_bytes());
-        }
-        self.store.write_block(block, &page)?;
         let ptr = RecordPtr::pack(block, slot);
         *self.live.entry(block.0).or_default() += 1;
         if logical {
@@ -458,6 +461,38 @@ impl<S: BlockStore> RecordStore<S> {
             .obs()
             .stage(sks_storage::Stage::RecordSeal, t);
         Ok(ptr)
+    }
+
+    /// Seals `key ‖ value` into the next slot of `page` under the
+    /// per-(generation, slot) nonce — the page never holds the plaintext
+    /// afterwards — and appends the slot to the directory. Returns the
+    /// slot and the free bytes left. A page without room for the record
+    /// fails closed, untouched.
+    fn seal_into(
+        cipher: &Speck64,
+        page: &mut [u8],
+        key: u64,
+        value: &[u8],
+    ) -> Result<(u16, usize), CoreError> {
+        let (generation, n_slots, free_off) = Self::read_page_meta(page)?;
+        let len = KEY_LEN + value.len();
+        if Self::free_space(n_slots, free_off) < len {
+            return Err(CoreError::Record(format!(
+                "open page has no room for a {len}-byte slot"
+            )));
+        }
+        let slot = n_slots;
+        let new_off = free_off as usize - len;
+        let sealed = &mut page[new_off..new_off + len];
+        sealed[..KEY_LEN].copy_from_slice(&key.to_be_bytes());
+        sealed[KEY_LEN..].copy_from_slice(value);
+        ctr_xor_in_place(cipher, Self::nonce(generation, slot), sealed);
+        page[8..10].copy_from_slice(&(n_slots + 1).to_be_bytes());
+        page[10..12].copy_from_slice(&(new_off as u16).to_be_bytes());
+        let dir_off = PAGE_HEADER + slot as usize * SLOT_ENTRY;
+        page[dir_off..dir_off + 2].copy_from_slice(&(new_off as u16).to_be_bytes());
+        page[dir_off + 2..dir_off + 4].copy_from_slice(&(len as u16).to_be_bytes());
+        Ok((slot, Self::free_space(n_slots + 1, new_off as u16)))
     }
 
     /// Hands out the next page generation, bumping and persisting the
@@ -487,13 +522,25 @@ impl<S: BlockStore> RecordStore<S> {
     }
 
     /// Fetches and deciphers a record's value. `None` for tombstoned
-    /// slots.
+    /// slots. A record unsealed here joins the record cache.
     ///
     /// The logical `data_decrypts` counter is bumped per live get — the
     /// paper's per-scheme cost — whether the plaintext comes from the
     /// physical CTR unseal or from the decoded-record cache (which only
     /// skips the *physical* work, tracked by `record_cache_hits`).
     pub fn get(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
+        self.fetch(ptr, true)
+    }
+
+    /// [`RecordStore::get`] as a range scan reads: a record the cache
+    /// holds is served from it, but one unsealed here is not added. A scan
+    /// touches each record once, so admitting them would only evict the
+    /// point-get hot set. Counted exactly as `get` is.
+    pub fn get_scanned(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
+        self.fetch(ptr, false)
+    }
+
+    fn fetch(&self, ptr: RecordPtr, admit: bool) -> Result<Option<Vec<u8>>, CoreError> {
         if let Some(cache) = &self.cache {
             if let Some(entry) = cache.get(ptr) {
                 self.store.counters().bump(|c| &c.record_cache_hits);
@@ -502,15 +549,27 @@ impl<S: BlockStore> RecordStore<S> {
             }
         }
         let t = self.store.counters().obs().start();
-        let (page, generation) = self.read_slot_page(ptr)?;
-        let Some(sealed) = Self::sealed_slot(&page, ptr.slot())? else {
+        // Only the sealed value leaves the page the store lends, straight
+        // into the buffer returned; the CTR pass runs on that buffer once
+        // the store (and its lock) is let go.
+        let mut copied = None;
+        self.store.read_with(ptr.block(), &mut |page| {
+            copied = Some(Self::check_slot(page, ptr.slot()).and_then(|generation| {
+                Ok(Self::sealed_slot(page, ptr.slot())?
+                    .map(|sealed| (generation, sealed[KEY_LEN..].to_vec())))
+            }));
+        })?;
+        let Some((generation, mut value)) = copied.expect("read_with lends the page")? else {
             return Ok(None);
         };
         self.store.counters().bump(|c| &c.data_decrypts);
-        let value = self.open_value(generation, ptr.slot(), sealed);
+        let nonce = Self::value_nonce(generation, ptr.slot());
+        ctr_xor_in_place(&self.cipher, nonce, &mut value);
         if let Some(cache) = &self.cache {
             self.store.counters().bump(|c| &c.record_cache_misses);
-            cache.insert(ptr, value.clone());
+            if admit {
+                cache.insert(ptr, value.clone());
+            }
         }
         self.store
             .counters()
@@ -521,13 +580,13 @@ impl<S: BlockStore> RecordStore<S> {
 
     /// Tombstones a record. Space is reclaimed by the compaction sweep
     /// ([`crate::EncipheredBTree::compact_step`]), not here.
+    /// The tombstone is written into the page where the store lends it.
     pub fn delete(&mut self, ptr: RecordPtr) -> Result<bool, CoreError> {
-        // `read_slot_page` proved the directory entry lies on the page.
-        let (mut page, _) = self.read_slot_page(ptr)?;
-        let dir_off = PAGE_HEADER + ptr.slot() as usize * SLOT_ENTRY;
-        let was_live = page[dir_off..dir_off + 2] != TOMBSTONE.to_be_bytes();
-        page[dir_off..dir_off + 2].copy_from_slice(&TOMBSTONE.to_be_bytes());
-        self.store.write_block(ptr.block(), &page)?;
+        let mut marked = None;
+        self.store.update_with(ptr.block(), &mut |page| {
+            marked = Some(Self::tombstone(page, ptr.slot()));
+        })?;
+        let was_live = marked.expect("update_with lends the page")?;
         if let Some(cache) = &self.cache {
             cache.invalidate(ptr);
         }
@@ -538,6 +597,18 @@ impl<S: BlockStore> RecordStore<S> {
                 *n = n.saturating_sub(1);
             }
         }
+        Ok(was_live)
+    }
+
+    /// Marks `slot` a tombstone in `page`'s directory and reports whether
+    /// it was live. A slot the page does not hold fails closed, the page
+    /// untouched.
+    fn tombstone(page: &mut [u8], slot: u16) -> Result<bool, CoreError> {
+        // `check_slot` proves the directory entry lies on the page.
+        Self::check_slot(page, slot)?;
+        let dir_off = PAGE_HEADER + slot as usize * SLOT_ENTRY;
+        let was_live = page[dir_off..dir_off + 2] != TOMBSTONE.to_be_bytes();
+        page[dir_off..dir_off + 2].copy_from_slice(&TOMBSTONE.to_be_bytes());
         Ok(was_live)
     }
 }
@@ -690,6 +761,8 @@ mod tests {
         let p = rs.insert_keyed(1, b"x").unwrap();
         let bogus = RecordPtr::pack(p.block(), 99);
         assert!(matches!(rs.get(bogus), Err(CoreError::Record(_))));
+        assert!(matches!(rs.delete(bogus), Err(CoreError::Record(_))));
+        assert_eq!(rs.get(p).unwrap().unwrap(), b"x");
     }
 
     /// A slot directory entry too short to hold the key prefix fails
@@ -783,6 +856,48 @@ mod tests {
         assert_eq!(rs.get(p).unwrap().unwrap(), b"soon gone");
         rs.delete(p).unwrap();
         assert_eq!(rs.get(p).unwrap(), None, "stale cache entry must not serve");
+    }
+
+    /// A store fault on the page an operation reads or writes fails the
+    /// operation, and the page is as it was: nothing half-sealed or
+    /// half-tombstoned reaches the medium.
+    #[test]
+    fn a_failed_page_read_or_write_fails_the_operation_and_leaves_the_page() {
+        use sks_storage::{FailMode, FailPlan, FailStore};
+        type Rig = (RecordStore<FailStore<MemDisk>>, FailPlan, RecordPtr);
+        let rig = || -> Rig {
+            let (disk, plan) = FailStore::new(MemDisk::new(256));
+            let mut rs = RecordStore::create(disk, KEY, 0).unwrap();
+            let ptr = rs.insert_keyed(1, b"kept").unwrap();
+            (rs, plan, ptr)
+        };
+        let page = |rs: &RecordStore<FailStore<MemDisk>>, ptr: RecordPtr| {
+            rs.store().inner().raw_image()[ptr.block().as_u32() as usize].clone()
+        };
+        for fault in ["read", "write"] {
+            let arm = |plan: &FailPlan| match fault {
+                "read" => plan.arm_nth_read(1),
+                _ => plan.arm_nth_write(1, FailMode::Error),
+            };
+            let (mut rs, plan, ptr) = rig();
+            let before = page(&rs, ptr);
+            arm(&plan);
+            assert!(rs.insert_keyed(2, b"more").is_err(), "insert, {fault}");
+            assert_eq!(page(&rs, ptr), before, "insert, {fault}");
+
+            let (mut rs, plan, ptr) = rig();
+            arm(&plan);
+            assert!(rs.delete(ptr).is_err(), "delete, {fault}");
+            assert_eq!(page(&rs, ptr), before, "delete, {fault}");
+            plan.reset();
+            assert_eq!(rs.get(ptr).unwrap().unwrap(), b"kept", "{fault}");
+        }
+        let (rs, plan, ptr) = rig();
+        plan.arm_nth_read(1);
+        assert!(rs.get(ptr).is_err(), "get, read");
+        assert_eq!(rs.store().counters().snapshot().data_decrypts, 0);
+        plan.reset();
+        assert_eq!(rs.get(ptr).unwrap().unwrap(), b"kept");
     }
 
     #[test]

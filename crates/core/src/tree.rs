@@ -559,7 +559,9 @@ impl EncipheredBTree {
     /// memory stays O(tree height + one record) however wide the range.
     /// Node visits are served from the plaintext node cache and record
     /// unseals from the record cache when enabled; the logical counters
-    /// report the paper's per-scheme cost either way.
+    /// report the paper's per-scheme cost either way. A scan never adds a
+    /// record to the record cache ([`RecordStore::get_scanned`]): it
+    /// touches each record once, and the cache keeps the point-get set.
     pub fn iter_range(
         &self,
         lo: u64,
@@ -568,7 +570,7 @@ impl EncipheredBTree {
         self.tree.iter_range(lo, hi).map(move |item| {
             let (k, ptr) = item?;
             self.records
-                .get(ptr)?
+                .get_scanned(ptr)?
                 .ok_or_else(|| CoreError::Record(format!("dangling data pointer for key {k}")))
                 .map(|record| (k, record))
         })
@@ -1225,6 +1227,50 @@ mod tests {
         assert_eq!(s.record_cache_misses, 0);
         assert_eq!(s.record_cache_hits, 50);
         assert_eq!(s.data_decrypts, 50, "logical unseals still reported");
+    }
+
+    /// Range scans look records up in the record cache but never add to
+    /// it; point gets do. Both report the same logical unseals.
+    #[test]
+    fn range_scans_do_not_fill_the_record_cache_but_point_gets_do() {
+        let dir = tmpdir("scan_admission");
+        let n = 120u64;
+        let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 500).on_disk(&dir);
+        cfg.block_size = 512;
+        cfg.record_cache = 4 * n as usize;
+        {
+            let mut tree = EncipheredBTree::create(cfg.clone()).unwrap();
+            for k in 0..n {
+                tree.insert(k, vec![k as u8; 40]).unwrap();
+            }
+            tree.flush().unwrap();
+        }
+        // Each reopen starts with an empty record cache.
+        let scanned = EncipheredBTree::open(cfg.clone()).unwrap();
+        scanned.counters().reset();
+        assert_eq!(scanned.range(0, n).unwrap().len(), n as usize);
+        let by_scan = scanned.snapshot();
+        assert_eq!(scanned.cached_records(), 0, "a scan admits nothing");
+        assert_eq!(by_scan.record_cache_misses, n);
+
+        let got = EncipheredBTree::open(cfg).unwrap();
+        got.counters().reset();
+        for k in 0..n {
+            assert_eq!(got.get(k).unwrap().unwrap(), vec![k as u8; 40]);
+        }
+        let by_get = got.snapshot();
+        assert_eq!(got.cached_records(), n as usize, "point gets fill it");
+        assert_eq!(by_scan.data_decrypts, n);
+        assert_eq!(by_get.data_decrypts, by_scan.data_decrypts);
+
+        // A scan over what point gets cached is served from the cache and
+        // leaves it as it was.
+        got.counters().reset();
+        assert_eq!(got.range(0, n).unwrap().len(), n as usize);
+        let warm = got.snapshot();
+        assert_eq!((warm.record_cache_hits, warm.data_decrypts), (n, n));
+        assert_eq!(got.cached_records(), n as usize);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The maintenance orphan sweep: record copies no tree pointer

@@ -5,6 +5,16 @@
 pub trait BlockCipher64 {
     fn encrypt_block(&self, block: u64) -> u64;
     fn decrypt_block(&self, block: u64) -> u64;
+
+    /// Encrypts four independent blocks in place — the CTR keystream's
+    /// unit of work. The default is four [`Self::encrypt_block`] calls; a
+    /// cipher whose rounds can run several blocks side by side overrides
+    /// it, and must write exactly what the default writes.
+    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
+        for b in blocks {
+            *b = self.encrypt_block(*b);
+        }
+    }
 }
 
 /// Blanket impl so `&C` works wherever `C` does.
@@ -16,6 +26,10 @@ impl<C: BlockCipher64 + ?Sized> BlockCipher64 for &C {
     fn decrypt_block(&self, block: u64) -> u64 {
         (**self).decrypt_block(block)
     }
+
+    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
+        (**self).encrypt_lanes(blocks)
+    }
 }
 
 impl<C: BlockCipher64 + ?Sized> BlockCipher64 for Box<C> {
@@ -25,6 +39,10 @@ impl<C: BlockCipher64 + ?Sized> BlockCipher64 for Box<C> {
 
     fn decrypt_block(&self, block: u64) -> u64 {
         (**self).decrypt_block(block)
+    }
+
+    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
+        (**self).encrypt_lanes(blocks)
     }
 }
 

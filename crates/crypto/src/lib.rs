@@ -22,6 +22,8 @@
 //! algorithms for a systems-reproduction study. None of this is suitable
 //! for protecting real data today.
 
+#![forbid(unsafe_code)]
+
 pub mod bignum;
 pub mod cipher;
 pub mod des;

@@ -5,6 +5,14 @@
 //! paper assumes *hardware* DES — a modern ARX cipher is the honest software
 //! stand-in for that assumption) and as a second, independent
 //! `BlockCipher64` to keep the codecs honestly generic.
+//!
+//! [`BlockCipher64::encrypt_lanes`] runs four blocks through the rounds
+//! side by side, in plain safe Rust: the four lanes are independent, so a
+//! round's additions, rotations and XORs run together instead of waiting
+//! on one block's dependency chain, and the compiler is free to pack them
+//! into vector registers. Each lane computes exactly what
+//! [`BlockCipher64::encrypt_block`] computes, so a CTR keystream drawn four
+//! counters at a time is bit-identical to one drawn a counter at a time.
 
 use crate::cipher::BlockCipher64;
 
@@ -81,6 +89,19 @@ impl BlockCipher64 for Speck64 {
         }
         ((x as u64) << 32) | y as u64
     }
+
+    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
+        let mut x = blocks.map(|b| (b >> 32) as u32);
+        let mut y = blocks.map(|b| b as u32);
+        for &k in &self.round_keys {
+            for (x, y) in x.iter_mut().zip(&mut y) {
+                round_enc(x, y, k);
+            }
+        }
+        for ((b, x), y) in blocks.iter_mut().zip(x).zip(y) {
+            *b = ((x as u64) << 32) | y as u64;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -98,6 +119,22 @@ mod tests {
         let ct = 0x8c6fa548454e028bu64;
         assert_eq!(cipher.encrypt_block(pt), ct);
         assert_eq!(cipher.decrypt_block(ct), pt);
+    }
+
+    /// The four-lane path is four single-block encryptions, on the
+    /// official vector in every lane position and on mixed lanes.
+    #[test]
+    fn encrypt_lanes_equals_four_encrypt_block_calls() {
+        let cipher = Speck64::new([0x1b1a1918, 0x13121110, 0x0b0a0908, 0x03020100]);
+        let (pt, ct) = (0x3b7265747475432du64, 0x8c6fa548454e028bu64);
+        for lane in 0..4 {
+            let mut blocks = [0, 1, u64::MAX, 0xdead_beef];
+            blocks[lane] = pt;
+            let want = blocks.map(|b| cipher.encrypt_block(b));
+            cipher.encrypt_lanes(&mut blocks);
+            assert_eq!(blocks, want, "lane {lane}");
+            assert_eq!(blocks[lane], ct, "lane {lane}");
+        }
     }
 
     #[test]
@@ -120,6 +157,15 @@ mod tests {
         fn prop_roundtrip(key in any::<u128>(), pt in any::<u64>()) {
             let cipher = Speck64::from_u128(key);
             prop_assert_eq!(cipher.decrypt_block(cipher.encrypt_block(pt)), pt);
+        }
+
+        #[test]
+        fn prop_lanes_match_single_blocks(key in any::<u128>(), a in any::<u64>(), b in any::<u64>(), c in any::<u64>(), d in any::<u64>()) {
+            let cipher = Speck64::from_u128(key);
+            let blocks = [a, b, c, d];
+            let mut lanes = blocks;
+            cipher.encrypt_lanes(&mut lanes);
+            prop_assert_eq!(lanes, blocks.map(|b| cipher.encrypt_block(b)));
         }
 
         #[test]

@@ -51,6 +51,8 @@
 //! **Security warning:** like the rest of the workspace this reproduces a
 //! 1990 paper; the ciphers are historical. Do not store real secrets.
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod error;
 pub mod recovery;

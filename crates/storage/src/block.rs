@@ -131,6 +131,30 @@ pub trait BlockStore {
         Ok(buf)
     }
 
+    /// Calls `f` with block `id`'s bytes. A store that holds the page in
+    /// memory lends it in place; the default reads a copy. Either way the
+    /// counters move as one [`Self::read_block`] moves them.
+    fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
+        let page = self.read_block_vec(id)?;
+        f(&page);
+        Ok(())
+    }
+
+    /// Lets `f` rewrite block `id` in place: the counters move as one
+    /// [`Self::read_block`] then one [`Self::write_block`] move them, and
+    /// the default is exactly that read-modify-write of a copy (so a
+    /// wrapper that intercepts writes sees this one). A failed read calls
+    /// nothing; a failed write leaves what the store's write leaves.
+    fn update_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [u8]),
+    ) -> Result<(), StorageError> {
+        let mut page = self.read_block_vec(id)?;
+        f(&mut page);
+        self.write_block(id, &page)
+    }
+
     /// Flushes buffered state to the backing medium (no-op by default).
     fn flush(&mut self) -> Result<(), StorageError> {
         Ok(())
@@ -220,6 +244,18 @@ impl<S: BlockStore + ?Sized> BlockStore for Box<S> {
 
     fn read_block_vec(&self, id: BlockId) -> Result<Vec<u8>, StorageError> {
         (**self).read_block_vec(id)
+    }
+
+    fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
+        (**self).read_with(id, f)
+    }
+
+    fn update_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [u8]),
+    ) -> Result<(), StorageError> {
+        (**self).update_with(id, f)
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {

@@ -56,50 +56,68 @@ impl<S: BlockStore> BufferPool<S> {
         pool
     }
 
-    /// Evicts least-recently-used frames down to capacity, sparing `keep`:
-    /// the frame the caller is in the middle of handing out. Under
-    /// no-steal only clean frames are on the recency list, so when `keep`
-    /// is the one clean frame among pinned dirty ones the pool stays over
-    /// capacity until the next checkpoint.
-    fn evict_if_needed(&mut self, keep: BlockId) -> Result<(), StorageError> {
-        while self.frames.peek_lru().is_some_and(|&id| id != keep) {
-            let Some((victim, frame)) = self.frames.evict() else {
-                break;
-            };
-            self.store.counters().bump(|c| &c.cache_evicts);
-            if frame.dirty {
-                self.dirty -= 1;
-                self.store.write_block(victim, &frame.data)?;
-                self.store.counters().obs().note(
-                    sks_obs::EventKind::Eviction,
-                    sks_obs::NO_PARTITION,
-                    victim.0 as u64,
-                    0,
-                    0,
-                );
-            }
+    /// The frame of `id`, read in on a miss (one look-up on a hit), with
+    /// the hit or miss counted. A miss makes room before the new frame
+    /// goes in, which evicts what inserting it and then evicting down to
+    /// capacity around it would.
+    fn resident<'a>(
+        store: &mut S,
+        frames: &'a mut LruMap<BlockId, Frame>,
+        dirty: &mut usize,
+        id: BlockId,
+    ) -> Result<&'a mut Frame, StorageError> {
+        let (frame, hit) =
+            frames.get_or_try_insert_with(id, |frames| -> Result<_, StorageError> {
+                store.counters().bump(|c| &c.cache_misses);
+                let data = store.read_block_vec(id)?;
+                evict(frames, store, dirty, 1, None)?;
+                Ok(Frame { data, dirty: false })
+            })?;
+        if hit {
+            store.counters().bump(|c| &c.cache_hits);
         }
-        Ok(())
+        Ok(frame)
     }
 
     /// Reads through the cache.
     pub fn read(&mut self, id: BlockId) -> Result<&[u8], StorageError> {
-        if self.frames.get(&id).is_some() {
-            self.store.counters().bump(|c| &c.cache_hits);
-        } else {
-            self.store.counters().bump(|c| &c.cache_misses);
-            let data = self.store.read_block_vec(id)?;
-            self.frames.insert(id, Frame { data, dirty: false });
-            self.evict_if_needed(id)?;
+        let Self {
+            store,
+            frames,
+            dirty,
+            ..
+        } = self;
+        Ok(&Self::resident(store, frames, dirty, id)?.data)
+    }
+
+    /// Read-modify-write of `id`'s frame in place: counted and evicted
+    /// exactly as a [`BufferPool::read`] followed by a
+    /// [`BufferPool::write`] of the modified page, with no copy of it.
+    pub fn update<R>(
+        &mut self,
+        id: BlockId,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, StorageError> {
+        let Self {
+            store,
+            frames,
+            dirty,
+            no_steal,
+        } = self;
+        let frame = Self::resident(store, frames, dirty, id)?;
+        let out = f(&mut frame.data);
+        if !std::mem::replace(&mut frame.dirty, true) {
+            *dirty += 1;
         }
-        Ok(&self
-            .frames
-            .peek(&id)
-            .expect("resident: hit or just read")
-            .data)
+        if *no_steal {
+            frames.pin(&id);
+        }
+        evict(frames, store, dirty, 0, Some(id))?;
+        Ok(out)
     }
 
     /// Writes through the cache (write-back: dirty until flush/eviction).
+    /// A resident frame takes the bytes in place.
     pub fn write(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         if data.len() != self.store.block_size() {
             return Err(StorageError::WrongBlockSize {
@@ -107,17 +125,33 @@ impl<S: BlockStore> BufferPool<S> {
                 got: data.len(),
             });
         }
-        let frame = Frame {
-            data: data.to_vec(),
-            dirty: true,
+        let was_dirty = match self.frames.get_mut(&id) {
+            Some(frame) => {
+                frame.data.copy_from_slice(data);
+                std::mem::replace(&mut frame.dirty, true)
+            }
+            None => {
+                let frame = Frame {
+                    data: data.to_vec(),
+                    dirty: true,
+                };
+                self.frames.insert(id, frame);
+                false
+            }
         };
-        if !self.frames.insert(id, frame).is_some_and(|old| old.dirty) {
+        if !was_dirty {
             self.dirty += 1;
         }
         if self.no_steal {
             self.frames.pin(&id);
         }
-        self.evict_if_needed(id)
+        evict(
+            &mut self.frames,
+            &mut self.store,
+            &mut self.dirty,
+            0,
+            Some(id),
+        )
     }
 
     /// Flushes all dirty frames to the store.
@@ -213,6 +247,39 @@ impl<S: BlockStore> BufferPool<S> {
         self.flush()?;
         Ok(self.store)
     }
+}
+
+/// Evicts least-recently-used frames until `incoming` more would fit the
+/// capacity, and writes dirty victims back. `keep` is spared: the frame
+/// the caller is in the middle of handing out. Under no-steal only clean
+/// frames are on the recency list, so when `keep` is the one clean frame
+/// among pinned dirty ones the pool stays over capacity until the next
+/// checkpoint.
+fn evict<S: BlockStore>(
+    frames: &mut LruMap<BlockId, Frame>,
+    store: &mut S,
+    dirty: &mut usize,
+    incoming: usize,
+    keep: Option<BlockId>,
+) -> Result<(), StorageError> {
+    while frames.len() + incoming > frames.capacity()
+        && frames.peek_lru().is_some_and(|&id| Some(id) != keep)
+    {
+        let (victim, frame) = frames.pop_lru().expect("a frame was peeked");
+        store.counters().bump(|c| &c.cache_evicts);
+        if frame.dirty {
+            *dirty -= 1;
+            store.write_block(victim, &frame.data)?;
+            store.counters().obs().note(
+                sks_obs::EventKind::Eviction,
+                sks_obs::NO_PARTITION,
+                victim.0 as u64,
+                0,
+                0,
+            );
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

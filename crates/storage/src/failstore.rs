@@ -10,6 +10,12 @@
 //! test can inspect the wreckage before "rebooting" (reopening the
 //! underlying store through the normal recovery path).
 //!
+//! A plan can instead fail the Nth `read_block` ([`FailPlan::arm_nth_read`]),
+//! for probes that a failed read leaves the medium untouched. The provided
+//! [`BlockStore::read_with`] and [`BlockStore::update_with`] are not
+//! overridden, so they run through this wrapper's `read_block` and
+//! `write_block` and meet every armed fault.
+//!
 //! Arming is deterministic: either an explicit write ordinal, or one
 //! derived from a seed ([`FailPlan::arm_from_seed`]) so a probe can sweep
 //! reproducible kill points without hand-picking them.
@@ -49,6 +55,9 @@ struct PlanInner {
     /// Fail when `flushes_seen` reaches this ordinal (1-based) — the
     /// inner flush never runs, modelling a kill mid-checkpoint.
     flush_armed_at: Option<u64>,
+    reads_seen: u64,
+    /// Fail when `reads_seen` reaches this ordinal (1-based).
+    read_armed_at: Option<u64>,
     tripped: bool,
 }
 
@@ -86,6 +95,18 @@ impl FailPlan {
         *p = PlanInner {
             flushes_seen: 0,
             flush_armed_at: Some(nth),
+            ..PlanInner::default()
+        };
+    }
+
+    /// Arms the plan on the `nth` *read* (1-based, counted from now): it
+    /// errors without filling the caller's buffer. Re-arming resets
+    /// counters and trip state.
+    pub fn arm_nth_read(&self, nth: u64) {
+        assert!(nth >= 1, "read ordinals are 1-based");
+        let mut p = self.inner.lock().expect("fail plan");
+        *p = PlanInner {
+            read_armed_at: Some(nth),
             ..PlanInner::default()
         };
     }
@@ -153,6 +174,17 @@ impl FailPlan {
             }
             _ => Ok(None),
         }
+    }
+
+    /// Returns Err when this read should fail (and trips the plan).
+    fn on_read(&self) -> Result<(), StorageError> {
+        let mut p = self.inner.lock().expect("fail plan");
+        p.reads_seen += 1;
+        if p.read_armed_at == Some(p.reads_seen) {
+            p.tripped = true;
+            return Err(poisoned());
+        }
+        Ok(())
     }
 
     fn check_alive(&self) -> Result<(), StorageError> {
@@ -264,6 +296,7 @@ impl<S: BlockStore> BlockStore for FailStore<S> {
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.plan.on_read()?;
         self.inner.read_block(id, buf)
     }
 
@@ -367,6 +400,36 @@ mod tests {
             plan.arm_from_seed(42, 1_000, FailMode::Error),
             plan.arm_from_seed(43, 1_000, FailMode::Error)
         );
+    }
+
+    #[test]
+    fn nth_read_fails_and_fail_stops_mutations() {
+        let (mut store, plan) = FailStore::new(MemDisk::new(64));
+        let a = store.allocate().unwrap();
+        store.write_block(a, &[5u8; 64]).unwrap();
+        plan.arm_nth_read(2);
+        store
+            .read_with(a, &mut |page| assert_eq!(page, [5u8; 64]))
+            .unwrap();
+        let mut called = false;
+        assert!(store.update_with(a, &mut |_| called = true).is_err());
+        assert!(!called, "a failed read hands out no page");
+        assert!(plan.tripped());
+        assert!(store.write_block(a, &[6u8; 64]).is_err(), "fail-stopped");
+        assert_eq!(store.read_block_vec(a).unwrap(), vec![5u8; 64]);
+    }
+
+    /// The provided borrowed-access methods go through the wrapper's
+    /// write, so an armed write fault fires on them.
+    #[test]
+    fn update_with_meets_an_armed_write() {
+        let (mut store, plan) = FailStore::new(MemDisk::new(64));
+        let a = store.allocate().unwrap();
+        store.write_block(a, &[1u8; 64]).unwrap();
+        plan.arm_nth_write(1, FailMode::Error);
+        assert!(store.update_with(a, &mut |page| page.fill(9)).is_err());
+        assert!(plan.tripped());
+        assert_eq!(store.read_block_vec(a).unwrap(), vec![1u8; 64]);
     }
 
     #[test]

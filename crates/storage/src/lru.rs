@@ -136,6 +136,31 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         Some(&self.entry(i).value)
     }
 
+    /// [`LruMap::get`], mutably.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let i = *self.index.get(key)?;
+        self.touch(i);
+        Some(&mut self.entry_mut(i).value)
+    }
+
+    /// [`LruMap::get_mut`] in one look-up, or on a miss the value `fill`
+    /// makes, inserted as the most recently used entry. `fill` is handed
+    /// the map, so it can make room before the entry goes in; an error
+    /// from it inserts nothing. The flag says whether `key` was a hit.
+    pub fn get_or_try_insert_with<E>(
+        &mut self,
+        key: K,
+        fill: impl FnOnce(&mut Self) -> Result<V, E>,
+    ) -> Result<(&mut V, bool), E> {
+        if let Some(&i) = self.index.get(&key) {
+            self.touch(i);
+            return Ok((&mut self.entry_mut(i).value, true));
+        }
+        let value = fill(self)?;
+        let i = self.insert_new(key, value);
+        Ok((&mut self.entry_mut(i).value, false))
+    }
+
     /// Looks `key` up without touching the recency order.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.index.get(key).map(|&i| &self.entry(i).value)
@@ -155,6 +180,13 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
             self.touch(i);
             return Some(std::mem::replace(&mut self.entry_mut(i).value, value));
         }
+        self.insert_new(key, value);
+        None
+    }
+
+    /// Inserts an absent `key` as the most recently used entry and returns
+    /// its slot.
+    fn insert_new(&mut self, key: K, value: V) -> usize {
         let entry = Entry {
             key,
             value,
@@ -174,7 +206,7 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         };
         self.index.insert(key, i);
         self.link_mru(i);
-        None
+        i
     }
 
     pub fn remove(&mut self, key: &K) -> Option<V> {
@@ -384,7 +416,7 @@ pub(crate) mod tests {
         for step in 0..ops {
             let r = splitmix64(&mut rng);
             let key = (r >> 8) as u32 % keys as u32;
-            match r % 16 {
+            match r % 18 {
                 0..=4 => {
                     assert_eq!(lru.insert(key, r), model.insert(key, r), "step {step}");
                     loop {
@@ -409,6 +441,49 @@ pub(crate) mod tests {
                     model.unpin(key);
                 }
                 14 => assert_eq!(lru.pop_lru(), model.pop_lru(), "step {step}"),
+                15 => {
+                    if let Some(v) = lru.get_mut(&key) {
+                        *v ^= 2;
+                    }
+                    if let Some(v) = model.get(key).copied() {
+                        model.map.insert(key, v ^ 2);
+                    }
+                }
+                16 => {
+                    // A fill that makes room first (as the buffer pool's
+                    // miss does), or fails and inserts nothing.
+                    let fails = r & 0x100 != 0;
+                    let mut popped = Vec::new();
+                    let got = lru.get_or_try_insert_with(key, |lru| {
+                        if fails {
+                            return Err(());
+                        }
+                        while lru.len() >= capacity {
+                            match lru.pop_lru() {
+                                Some(victim) => popped.push(victim),
+                                None => break,
+                            }
+                        }
+                        Ok(r)
+                    });
+                    let want = match model.get(key).copied() {
+                        Some(v) => Ok((v, true)),
+                        None if fails => Err(()),
+                        None => {
+                            let mut want_popped = Vec::new();
+                            while model.map.len() >= capacity {
+                                match model.pop_lru() {
+                                    Some(victim) => want_popped.push(victim),
+                                    None => break,
+                                }
+                            }
+                            assert_eq!(popped, want_popped, "step {step}");
+                            model.insert(key, r);
+                            Ok((r, false))
+                        }
+                    };
+                    assert_eq!(got.map(|(v, hit)| (*v, hit)), want, "step {step}");
+                }
                 _ => {
                     if let Some(v) = lru.peek_mut(&key) {
                         *v ^= 1;

@@ -164,6 +164,25 @@ impl BlockStore for MemDisk {
         Ok(())
     }
 
+    fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
+        self.check(id)?;
+        self.counters.bump(|c| &c.block_reads);
+        f(&self.blocks[id.0 as usize]);
+        Ok(())
+    }
+
+    fn update_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [u8]),
+    ) -> Result<(), StorageError> {
+        self.check(id)?;
+        self.counters.bump(|c| &c.block_reads);
+        self.counters.bump(|c| &c.block_writes);
+        f(&mut self.blocks[id.0 as usize]);
+        Ok(())
+    }
+
     fn counters(&self) -> &OpCounters {
         &self.counters
     }

@@ -316,6 +316,26 @@ impl BlockStore for PagedFileStore {
         inner.pool.write(id, data)
     }
 
+    /// Lends the pool frame itself, under the store's lock.
+    fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
+        let mut inner = self.inner.lock().expect("paged store lock");
+        inner.check(id)?;
+        f(inner.pool.read(id)?);
+        Ok(())
+    }
+
+    /// Rewrites the pool frame in place: it turns dirty and, under the
+    /// no-steal policy, pinned, as a written frame does.
+    fn update_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [u8]),
+    ) -> Result<(), StorageError> {
+        let inner = self.inner.get_mut().expect("paged store lock");
+        inner.check(id)?;
+        inner.pool.update(id, f)
+    }
+
     fn counters(&self) -> &OpCounters {
         &self.counters
     }

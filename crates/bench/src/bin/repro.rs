@@ -2,12 +2,12 @@
 //! reproduction.
 //!
 //! ```text
-//! repro --all                  everything (tables, figures, E1–E8)
+//! repro --all                  everything (tables, figures, E1–E10)
 //! repro --tables               T1 T2 T3
 //! repro --figures              F1 F2 F3 (+ the plaintext reference)
 //! repro --table t1|t2|t3
 //! repro --figure f1|f2|f3
-//! repro --exp e1|e2|…|e8       one experiment
+//! repro --exp e1|e2|…|e10      one experiment
 //! repro --quick                everything at the small scale
 //! ```
 //!
@@ -20,7 +20,7 @@ use sks_bench::{figures, tables};
 
 const TABLES: [&str; 3] = ["t1", "t2", "t3"];
 const FIGURES: [&str; 3] = ["f1", "f2", "f3"];
-const EXPERIMENTS: [&str; 8] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"];
+const EXPERIMENTS: [&str; 10] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
 
 const USAGE: &str =
     "usage: repro [--all | --quick | --tables | --figures | --table tN | --figure fN | --exp eN] [--quick]";
@@ -63,6 +63,8 @@ fn render(section: &str, scale: Scale) -> String {
         "e6" => experiments::e6_ranges(scale.n_mid, 1024).0,
         "e7" => experiments::e7_pointer_ciphers().0,
         "e8" => experiments::e8_secret_material(&[1_000, 10_000, 100_000]).0,
+        "e9" => experiments::e9_security_filter(),
+        "e10" => experiments::e10_multilevel_records(),
         other => unreachable!("section {other} is checked while parsing"),
     }
 }

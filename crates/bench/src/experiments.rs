@@ -1,4 +1,4 @@
-//! The quantitative experiments E1–E8; each one's doc comment names the
+//! The quantitative experiments E1–E10; each one's doc comment names the
 //! paper section whose claim it measures.
 //!
 //! The paper has no measured evaluation; each experiment operationalises one
@@ -9,8 +9,12 @@
 use std::time::Instant;
 
 use sks_attack::{AttackReport, DiskImage, FormatKnowledge};
-use sks_core::{layouts_at, Scheme, SchemeConfig, SchemeLayout, SealerKind};
-use sks_storage::OpSnapshot;
+use sks_core::{
+    layouts_at, EncipheredBTree, FilterSecrets, KeyDisguise, MultilevelRecordStore, Scheme,
+    SchemeConfig, SchemeLayout, SealerKind, SecurityFilter, SumSubstitution,
+};
+use sks_designs::diffset::DifferenceSet;
+use sks_storage::{MemDisk, OpCounters, OpSnapshot};
 
 use crate::workload::{build_tree, ground_truth, lookup_keys};
 
@@ -439,7 +443,7 @@ pub fn e8_secret_material(capacities: &[u64]) -> (String, Vec<(String, u64, usiz
             Scheme::ConversionTable,
         ] {
             let cfg = SchemeConfig::with_capacity(scheme, r);
-            let counters = sks_storage::OpCounters::new();
+            let counters = OpCounters::new();
             let disguise = cfg
                 .build_disguise(&counters)
                 .expect("build")
@@ -458,6 +462,187 @@ pub fn e8_secret_material(capacities: &[u64]) -> (String, Vec<(String, u64, usiz
     out.push_str("    claim check: design-based schemes stay O(k) (fits the paper's smartcard);\n");
     out.push_str("    the conversion table grows linearly with R\n");
     (out, rows)
+}
+
+/// The counters that moved in any phase, one row each, one column per
+/// phase.
+fn counter_table(phases: &[(&str, OpSnapshot)]) -> String {
+    let mut out = format!("    {:<22}", "counter");
+    for (name, _) in phases {
+        out.push_str(&format!(" {name:>12}"));
+    }
+    out.push('\n');
+    let columns: Vec<Vec<(&str, u64)>> = phases.iter().map(|(_, s)| s.fields()).collect();
+    for (i, &(field, _)) in columns[0].iter().enumerate() {
+        if columns.iter().all(|c| c[i].1 == 0) {
+            continue;
+        }
+        out.push_str(&format!("    {field:<22}"));
+        for c in &columns {
+            out.push_str(&format!(" {:>12}", c[i].1));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// E9's personnel record for employee `emp`.
+fn personnel_record(emp: u64) -> String {
+    format!(
+        "name=Employee{emp:03};grade={};salary={}",
+        emp % 9,
+        42_000 + (emp * 577) % 30_000
+    )
+}
+
+/// E9 — the §4.3 security filter: a trusted filter substitutes every key
+/// with its order-preserving sum-of-treatments value and seals the record,
+/// so the DBMS below is an unmodified plaintext B-tree that never sees a
+/// real key, yet still answers range queries and keeps the plaintext shape.
+pub fn e9_security_filter() -> String {
+    const RECORDS: u64 = 400;
+    const BLOCK: usize = 1024;
+    let design = DifferenceSet::singer(31).expect("Singer design, v = 993");
+    let substitution =
+        SumSubstitution::new(design, 12, 900, OpCounters::new()).expect("w + R < v - 1");
+    let mut out = String::new();
+    out.push_str("E9  §4.3 security filter in front of an unmodified plaintext DBMS\n\n");
+    out.push_str(&format!(
+        "    filter secret: ({},{},1) design + starting line w = 12, {} bytes\n",
+        substitution.design().v(),
+        substitution.design().k(),
+        substitution.secret_size_bytes()
+    ));
+    let mut filter = SecurityFilter::new(
+        FilterSecrets {
+            substitution,
+            record_key: 0x0F1E_2D3C_4B5A_6978_8796_A5B4_C3D2_E1F0,
+            checksum_key: 0x1357_9BDF_0246_8ACE,
+        },
+        BLOCK,
+    )
+    .expect("filter");
+    let mut cfg = SchemeConfig::with_capacity(Scheme::Plaintext, 900);
+    cfg.block_size = BLOCK;
+    let mut plain = EncipheredBTree::create_in_memory(cfg).expect("plaintext tree");
+    for emp in 0..RECORDS {
+        let record = personnel_record(emp);
+        filter.insert(emp, record.as_bytes()).expect("insert");
+        plain.insert(emp, record.into_bytes()).expect("insert");
+    }
+    let load = filter.snapshot();
+    out.push_str(&format!(
+        "    {} records loaded through the filter; DBMS height {}, plaintext tree height {}\n",
+        filter.len(),
+        filter.dbms_height(),
+        plain.height()
+    ));
+
+    let visible = filter.dbms_visible_keys().expect("scan");
+    let leaked = visible.iter().filter(|&&k| k < RECORDS).count();
+    out.push_str(&format!(
+        "    DBMS-visible keys (first 8 of {}): {:?}\n",
+        visible.len(),
+        &visible[..8]
+    ));
+    out.push_str(&format!(
+        "    visible keys in ascending order: {}; real ids among them: {leaked}\n\n",
+        visible.windows(2).all(|w| w[0] < w[1])
+    ));
+
+    filter.counters().reset();
+    let rows = filter.range(100, 109).expect("range");
+    let range = filter.snapshot();
+    out.push_str(&format!(
+        "    range(100..=109) through the filter: {} records\n",
+        rows.len()
+    ));
+    for (emp, record) in &rows {
+        out.push_str(&format!(
+            "      {emp:>4}  {}\n",
+            String::from_utf8_lossy(record)
+        ));
+    }
+    out.push('\n');
+    out.push_str(&counter_table(&[("load 400", load), ("range", range)]));
+
+    filter.tamper_with(77).expect("tamper");
+    let verdict = match filter.get(77) {
+        Err(e) => format!("refused: {e}"),
+        Ok(_) => "served (the checksum missed it)".to_string(),
+    };
+    out.push_str(&format!(
+        "\n    one byte of record 77 flipped on the medium; get(77) {verdict}\n"
+    ));
+    out.push_str("    claim check: the DBMS sees only disguised keys, in order, and keeps the plaintext height\n");
+    out
+}
+
+/// E10 — §5's multilevel suggestion: every record is sealed under its
+/// security level's key from the Akl–Taylor hierarchy, and a clearance
+/// derives the keys of its own and every less sensitive level only.
+pub fn e10_multilevel_records() -> String {
+    const LEVELS: u32 = 4;
+    let counters = OpCounters::new();
+    let mut mls =
+        MultilevelRecordStore::new(MemDisk::with_counters(512, counters.clone()), LEVELS, 2026);
+    let mut out = String::new();
+    out.push_str(
+        "E10  §5 multilevel records: one key per security level (Akl–Taylor hierarchy)\n\n",
+    );
+    out.push_str(&format!(
+        "    {} levels over a {}-bit RSA modulus; level 1 is the most privileged\n\n",
+        mls.hierarchy().levels(),
+        mls.hierarchy().modulus().bit_length()
+    ));
+    let authority = mls.hierarchy().clearance(1).expect("level 1");
+    let ptrs: Vec<_> = (1..=LEVELS)
+        .map(|level| {
+            let record = format!("level-{level} dossier");
+            mls.insert(&authority, level, record.as_bytes())
+                .expect("insert")
+        })
+        .collect();
+    let insert = counters.snapshot();
+    for (level, &ptr) in (1..=LEVELS).zip(&ptrs) {
+        let label = mls.level_of(ptr).expect("read").expect("present");
+        out.push_str(&format!(
+            "    sealed \"level-{level} dossier\" at level {level}; public label {label}\n"
+        ));
+    }
+
+    counters.reset();
+    out.push_str(&format!("\n    {:<10}", "clearance"));
+    for level in 1..=LEVELS {
+        out.push_str(&format!(" {:>8}", format!("L{level}")));
+    }
+    out.push('\n');
+    let mut refusal = String::new();
+    for have in 1..=LEVELS {
+        let clearance = mls.hierarchy().clearance(have).expect("level");
+        out.push_str(&format!("    {have:<10}"));
+        for &ptr in &ptrs {
+            let cell = match mls.get(&clearance, ptr) {
+                Ok(Some(_)) => "opens",
+                Ok(None) => "missing",
+                Err(e) => {
+                    if refusal.is_empty() {
+                        refusal = e.to_string();
+                    }
+                    "refused"
+                }
+            };
+            out.push_str(&format!(" {cell:>8}"));
+        }
+        out.push('\n');
+    }
+    let opens = counters.snapshot();
+    out.push_str(&format!("    first refusal: {refusal}\n\n"));
+    out.push_str(&counter_table(&[("insert 4", insert), ("open 4x4", opens)]));
+    out.push_str(
+        "\n    claim check: a clearance opens its own level and every less sensitive one, never more\n",
+    );
+    out
 }
 
 #[cfg(test)]

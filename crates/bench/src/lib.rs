@@ -3,7 +3,7 @@
 //! * [`tables`] — bit-exact regeneration of the paper's printed tables
 //!   (T1: lines→ovals; T2: exponentiation grid; T3: cumulative sums).
 //! * [`figures`] — the Figure 1–3 B-trees, logical and disk views.
-//! * [`experiments`] — the quantitative experiments E1–E8 derived from the
+//! * [`experiments`] — the quantitative experiments E1–E10 derived from the
 //!   paper's claims; each one's doc comment names the section it measures.
 //! * [`workload`] — deterministic key sets, tree builders, ground truth.
 //!

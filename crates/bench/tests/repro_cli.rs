@@ -13,7 +13,7 @@ fn repro(args: &[&str]) -> Output {
 #[test]
 fn unknown_names_and_arguments_exit_2() {
     for args in [
-        &["--exp", "e9"][..],
+        &["--exp", "e11"][..],
         &["--table", "t9"],
         &["--figure", "f4"],
         &["--exp"],

@@ -211,6 +211,71 @@ fn bulk_create_equivalence() {
     }
 }
 
+/// FNV-1a-64 over a tree's node image, then its data image.
+fn medium_digest(tree: &sks_btree::core::EncipheredBTree) -> u64 {
+    let nodes = tree.raw_node_image().unwrap();
+    let data = tree.raw_data_image().unwrap();
+    nodes
+        .iter()
+        .chain(&data)
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `bulk_create` writes the same medium and charges the same counters on
+/// both backends, and those bytes and counts are pinned: the medium's
+/// FNV-1a-64 digest and every non-zero counter after the build.
+#[test]
+fn bulk_create_medium_and_counters_are_pinned() {
+    use sks_btree::core::EncipheredBTree;
+    let items: Vec<(u64, Vec<u8>)> = (0..800u64)
+        .map(|k| (k, format!("bulk-{k}").into_bytes()))
+        .collect();
+    for (scheme, pinned_digest, pinned_counters) in [
+        (Scheme::Oval, 0x50d8_3675_f376_e641u64, "block_reads=768 block_writes=881 allocs=79 ptr_encrypts=804 data_encrypts=800 disguise_ops=800"),
+        (Scheme::BayerMetzger, 0xf463_df60_bab0_4577, "block_reads=768 block_writes=881 allocs=79 key_encrypts=800 ptr_encrypts=4 data_encrypts=800"),
+        (Scheme::BayerMetzgerPage, 0xd352_08fe_21cc_4eb9, "block_reads=768 block_writes=870 allocs=68 page_encrypts=2240 data_encrypts=800"),
+        (Scheme::SumOfTreatments, 0x0056_ad1a_cc1a_7a4f, "block_reads=768 block_writes=881 allocs=79 ptr_encrypts=804 data_encrypts=800 disguise_ops=800"),
+    ] {
+        let mut cfg = SchemeConfig::with_capacity(scheme, 900);
+        cfg.block_size = 512;
+        let tree = EncipheredBTree::bulk_create(cfg.clone(), &items).unwrap();
+        let counters: Vec<String> = tree
+            .snapshot()
+            .fields()
+            .into_iter()
+            .filter(|&(_, v)| v != 0)
+            .map(|(name, v)| format!("{name}={v}"))
+            .collect();
+        let counters = counters.join(" ");
+        let digest = medium_digest(&tree);
+        assert_eq!(
+            (digest, counters.as_str()),
+            (pinned_digest, pinned_counters),
+            "{}: digest {digest:#018x}, counters {counters:?}",
+            scheme.name()
+        );
+
+        let dir = tmpfile(&format!("bulk_pin_{}", scheme.name()));
+        std::fs::remove_dir_all(&dir).ok();
+        cfg.backend = StorageBackend::file(&dir);
+        let on_file = EncipheredBTree::bulk_create(cfg.clone(), &items).unwrap();
+        assert_eq!(medium_digest(&on_file), digest, "{}", scheme.name());
+        drop(on_file);
+        let reopened = EncipheredBTree::open(cfg).unwrap();
+        assert_eq!(
+            reopened.range(0, 900).unwrap(),
+            tree.range(0, 900).unwrap(),
+            "{}",
+            scheme.name()
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A value twice the largest a 4 KiB record slot holds.
 fn over_long_value() -> Vec<u8> {
     vec![0xAB; 8 * 1024]

@@ -2,7 +2,8 @@
 //! `repro --quick` prints, regenerated through the same `sks_bench`
 //! functions with the same arguments and compared with `tests/golden/`.
 //!
-//! Tables T1–T3, figures F0–F3 and experiments E1, E3, E4, E5 and E8 are
+//! Tables T1–T3, figures F0–F3 and experiments E1, E3, E4, E5, E8, E9
+//! (the §4.3 security filter) and E10 (the §5 multilevel records) are
 //! pinned verbatim. E6 and E7 also print a wall-clock column, so their
 //! golden files hold each row without it (the columns `repro` prints
 //! before the clock). E2 is wall-clock only and is not pinned.
@@ -100,4 +101,22 @@ fn e7_pointer_ciphers_without_the_clock() {
 fn e8_secret_material() {
     let (text, _) = experiments::e8_secret_material(&[1_000, 10_000, 100_000]);
     pin("e8.txt", include_str!("golden/e8.txt"), &text);
+}
+
+#[test]
+fn e9_security_filter() {
+    pin(
+        "e9.txt",
+        include_str!("golden/e9.txt"),
+        &experiments::e9_security_filter(),
+    );
+}
+
+#[test]
+fn e10_multilevel_records() {
+    pin(
+        "e10.txt",
+        include_str!("golden/e10.txt"),
+        &experiments::e10_multilevel_records(),
+    );
 }

@@ -508,11 +508,6 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         Ok(probe)
     }
 
-    /// `true` iff the key is present.
-    pub fn contains(&self, key: u64) -> Result<bool, TreeError> {
-        Ok(self.get(key)?.is_some())
-    }
-
     // ---- insert --------------------------------------------------------
 
     /// Inserts (or replaces) `key → ptr`. Returns the previous pointer when

@@ -84,20 +84,8 @@ impl ExpSubstitution {
         })
     }
 
-    /// Paper-scale demo parameters: the `(13,4,1)` design with `g = 7`,
-    /// `N = 13` and `t = 7` (note `gcd(7, 12) = 1`, so the invertible
-    /// reading accepts the paper's multiplier unchanged).
-    pub fn paper_scale(counters: OpCounters) -> Self {
-        ExpSubstitution::new(DifferenceSet::paper_13_4_1(), 7, 13, 7, counters)
-            .expect("demo parameters are valid")
-    }
-
     pub fn modulus(&self) -> u64 {
         self.n
-    }
-
-    pub fn generator(&self) -> u64 {
-        self.g
     }
 
     pub fn design(&self) -> &DifferenceSet {
@@ -163,8 +151,16 @@ mod tests {
     use crate::disguise::testutil::assert_disguise_contract;
     use sks_designs::primes::next_prime;
 
+    /// The paper's demo parameters: the `(13,4,1)` design with `g = 7`,
+    /// `N = 13` and `t = 7` (note `gcd(7, 12) = 1`, so the invertible
+    /// reading accepts the paper's multiplier unchanged).
+    fn paper_scale_with(counters: OpCounters) -> ExpSubstitution {
+        ExpSubstitution::new(DifferenceSet::paper_13_4_1(), 7, 13, 7, counters)
+            .expect("demo parameters are valid")
+    }
+
     fn paper_scale() -> ExpSubstitution {
-        ExpSubstitution::paper_scale(OpCounters::new())
+        paper_scale_with(OpCounters::new())
     }
 
     #[test]
@@ -226,7 +222,7 @@ mod tests {
     #[test]
     fn counts_dlogs_and_disguises() {
         let counters = OpCounters::new();
-        let d = ExpSubstitution::paper_scale(counters.clone());
+        let d = paper_scale_with(counters.clone());
         let _ = d.disguise(5).unwrap();
         let _ = d.recover(5).unwrap();
         let s = counters.snapshot();

@@ -100,21 +100,6 @@ impl PaperExpSubstitution {
             .map(|y| self.design.oval_in_base_order(y, self.t))
             .collect()
     }
-
-    /// Whether a key is inside the collision-free domain (its treatment's
-    /// oval exponent does not alias `g`'s order wraparound).
-    pub fn key_is_unambiguous(&self, key: u64) -> bool {
-        if key == 0 || key >= self.n {
-            return false;
-        }
-        let Ok((_, _, e)) = self.scan_for_treatment(key) else {
-            return false;
-        };
-        let oval_exp = mul_mod(e, self.t, self.design.v());
-        // Ambiguous iff either exponent is a multiple of the group order
-        // N−1 (exponents 0 and N−1 denote the same element, the identity).
-        e % (self.n - 1) != 0 && !oval_exp.is_multiple_of(self.n - 1)
-    }
 }
 
 impl KeyDisguise for PaperExpSubstitution {
@@ -168,6 +153,21 @@ mod tests {
         PaperExpSubstitution::paper_example(OpCounters::new())
     }
 
+    /// Whether a key is inside the collision-free domain (its treatment's
+    /// oval exponent does not alias `g`'s order wraparound).
+    fn key_is_unambiguous(d: &PaperExpSubstitution, key: u64) -> bool {
+        if key == 0 || key >= d.n {
+            return false;
+        }
+        let Ok((_, _, e)) = d.scan_for_treatment(key) else {
+            return false;
+        };
+        let oval_exp = mul_mod(e, d.t, d.design.v());
+        // Ambiguous iff either exponent is a multiple of the group order
+        // N−1 (exponents 0 and N−1 denote the same element, the identity).
+        e % (d.n - 1) != 0 && !oval_exp.is_multiple_of(d.n - 1)
+    }
+
     #[test]
     fn exponent_grids_match_page_55() {
         let d = paper();
@@ -211,14 +211,14 @@ mod tests {
         let d = paper();
         assert_eq!(d.disguise(1).unwrap(), 1);
         assert_eq!(d.disguise(2).unwrap(), 1);
-        assert!(!d.key_is_unambiguous(1) || !d.key_is_unambiguous(2));
+        assert!(!key_is_unambiguous(&d, 1) || !key_is_unambiguous(&d, 2));
     }
 
     #[test]
     fn roundtrip_on_unambiguous_domain() {
         let d = paper();
         for key in 3..13u64 {
-            if d.key_is_unambiguous(key) {
+            if key_is_unambiguous(&d, key) {
                 let dk = d.disguise(key).unwrap();
                 assert_eq!(d.recover(dk).unwrap(), key, "key {key}");
             }

@@ -51,16 +51,6 @@ impl OvalSubstitution {
     pub fn design(&self) -> &DifferenceSet {
         &self.design
     }
-
-    pub fn multiplier(&self) -> u64 {
-        self.t
-    }
-
-    /// The oval image of line `L_y` in base order (a row of the right-hand
-    /// table on p. 53).
-    pub fn oval(&self, y: u64) -> Vec<u64> {
-        self.design.oval_in_base_order(y, self.t)
-    }
 }
 
 impl KeyDisguise for OvalSubstitution {
@@ -170,13 +160,6 @@ mod tests {
         let mut sorted = disguised.clone();
         sorted.sort_unstable();
         assert_ne!(disguised, sorted, "oval substitution must scramble order");
-    }
-
-    #[test]
-    fn oval_rows_match_design() {
-        let d = paper();
-        assert_eq!(d.oval(0), vec![0, 7, 8, 11]);
-        assert_eq!(d.oval(1), vec![7, 1, 2, 5]);
     }
 
     #[test]

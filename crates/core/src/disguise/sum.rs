@@ -22,7 +22,6 @@ use super::{bump_disguise, bump_recover, DisguiseError, KeyDisguise};
 #[derive(Debug, Clone)]
 pub struct SumSubstitution {
     design: DifferenceSet,
-    w: u64,
     /// `prefix[x] = Σ_{α=w}^{w+x} line_sum(α)` — the substitute for key `x`.
     prefix: Vec<u64>,
     counters: OpCounters,
@@ -61,7 +60,6 @@ impl SumSubstitution {
         }
         Ok(SumSubstitution {
             design,
-            w,
             prefix,
             counters,
         })
@@ -77,19 +75,9 @@ impl SumSubstitution {
         &self.design
     }
 
-    /// §4.3's starting line *w*, part of the secret: key `x` sits on `L_{w+x}`.
-    pub fn starting_line(&self) -> u64 {
-        self.w
-    }
-
     /// Number of supported keys `R`.
     pub fn capacity(&self) -> u64 {
         self.prefix.len() as u64
-    }
-
-    /// The full substitute table (for regenerating the §4.3 table).
-    pub fn substitute_table(&self) -> &[u64] {
-        &self.prefix
     }
 }
 
@@ -146,7 +134,6 @@ mod tests {
         for (k, &expected) in want.iter().enumerate() {
             assert_eq!(d.disguise(k as u64).unwrap(), expected, "key {k}");
         }
-        assert_eq!(d.substitute_table(), &want);
     }
 
     #[test]

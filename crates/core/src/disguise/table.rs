@@ -39,33 +39,6 @@ impl TableDisguise {
             counters,
         }
     }
-
-    /// Wraps an explicit mapping (must be a permutation of `[0, len)`).
-    pub fn from_permutation(
-        forward: Vec<u64>,
-        counters: OpCounters,
-    ) -> Result<Self, DisguiseError> {
-        let n = forward.len() as u64;
-        let mut seen = vec![false; forward.len()];
-        for &v in &forward {
-            if v >= n || seen[v as usize] {
-                return Err(DisguiseError::BadParameters(
-                    "mapping is not a permutation of [0, len)".into(),
-                ));
-            }
-            seen[v as usize] = true;
-        }
-        let inverse = forward
-            .iter()
-            .enumerate()
-            .map(|(k, &v)| (v, k as u64))
-            .collect();
-        Ok(TableDisguise {
-            forward,
-            inverse,
-            counters,
-        })
-    }
 }
 
 impl KeyDisguise for TableDisguise {
@@ -119,15 +92,6 @@ mod tests {
         let d = TableDisguise::random(&mut rng, 500, OpCounters::new());
         let keys: Vec<u64> = (0..500).collect();
         assert_disguise_contract(&d, &keys);
-    }
-
-    #[test]
-    fn explicit_permutation() {
-        let d = TableDisguise::from_permutation(vec![2, 0, 1], OpCounters::new()).unwrap();
-        assert_eq!(d.disguise(0).unwrap(), 2);
-        assert_eq!(d.recover(2).unwrap(), 0);
-        assert!(TableDisguise::from_permutation(vec![0, 0, 1], OpCounters::new()).is_err());
-        assert!(TableDisguise::from_permutation(vec![0, 3], OpCounters::new()).is_err());
     }
 
     #[test]

@@ -177,8 +177,8 @@ impl SecurityFilter {
         Ok(self.dbms.scan_all()?.into_iter().map(|(k, _)| k).collect())
     }
 
-    /// The DBMS's tree shape is the plaintext shape (§4.3's claim) — exposed
-    /// for tests and experiments.
+    /// The DBMS's tree height: the plaintext tree's (§4.3's claim), as
+    /// `repro`'s E9 prints it.
     pub fn dbms_height(&self) -> u32 {
         self.dbms.height()
     }

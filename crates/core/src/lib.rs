@@ -21,7 +21,7 @@
 //!   (§5's multilevel suggestion).
 //! * [`layout`] — the storage/fanout/depth arithmetic of experiment E3.
 //!
-//! The experiment index (E1–E8) lives in `sks-bench`'s `experiments`
+//! The experiment index (E1–E10) lives in `sks-bench`'s `experiments`
 //! module; `cargo run --release -p sks-bench --bin repro` regenerates the
 //! paper's tables, figures and measurements.
 

@@ -75,7 +75,7 @@ impl<S: BlockStore> MultilevelRecordStore<S> {
     }
 
     /// The level tag of a stored record (readable by anyone — labels are
-    /// public; contents are not).
+    /// public; contents are not), as `repro`'s E10 prints it (§5).
     pub fn level_of(&self, ptr: RecordPtr) -> Result<Option<Level>, CoreError> {
         let Some(framed) = self.store.get(ptr)? else {
             return Ok(None);

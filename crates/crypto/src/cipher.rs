@@ -1,6 +1,6 @@
 //! Core cipher traits shared across the crate.
 
-/// A 64-bit block cipher. DES, 3DES and Speck64 implement this; the
+/// A 64-bit block cipher. DES and Speck64 implement this; the
 /// Bayer–Metzger page scheme and all block modes are generic over it.
 pub trait BlockCipher64 {
     fn encrypt_block(&self, block: u64) -> u64;
@@ -46,33 +46,10 @@ impl<C: BlockCipher64 + ?Sized> BlockCipher64 for Box<C> {
     }
 }
 
-/// The identity "cipher" — used by plaintext baselines so the same code path
-/// (and the same operation counters) run with cryptography disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityCipher;
-
-impl BlockCipher64 for IdentityCipher {
-    fn encrypt_block(&self, block: u64) -> u64 {
-        block
-    }
-
-    fn decrypt_block(&self, block: u64) -> u64 {
-        block
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::des::Des;
-
-    #[test]
-    fn identity_is_identity() {
-        for x in [0u64, 1, u64::MAX] {
-            assert_eq!(IdentityCipher.encrypt_block(x), x);
-            assert_eq!(IdentityCipher.decrypt_block(x), x);
-        }
-    }
 
     #[test]
     fn trait_objects_and_refs_work() {

@@ -248,11 +248,6 @@ impl Des {
         Des { subkeys }
     }
 
-    /// Creates a key schedule from 8 key bytes (big-endian).
-    pub fn from_key_bytes(key: [u8; 8]) -> Self {
-        Des::new(u64::from_be_bytes(key))
-    }
-
     fn crypt<'a>(block: u64, subkeys: impl Iterator<Item = &'a [u8; 8]>) -> u64 {
         let permuted = lookup(&IP_TABLES, block);
         let (mut l, mut r) = ((permuted >> 32) as u32, permuted as u32);
@@ -271,38 +266,6 @@ impl BlockCipher64 for Des {
 
     fn decrypt_block(&self, block: u64) -> u64 {
         Des::crypt(block, self.subkeys.iter().rev())
-    }
-}
-
-/// Triple DES in EDE mode with three independent keys (2-key 3DES when
-/// `k1 == k3`). Included because §5 notes the data-block cipher may differ
-/// from the pointer cipher.
-#[derive(Debug, Clone)]
-pub struct TripleDes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
-}
-
-impl TripleDes {
-    pub fn new(k1: u64, k2: u64, k3: u64) -> Self {
-        TripleDes {
-            k1: Des::new(k1),
-            k2: Des::new(k2),
-            k3: Des::new(k3),
-        }
-    }
-}
-
-impl BlockCipher64 for TripleDes {
-    fn encrypt_block(&self, block: u64) -> u64 {
-        self.k3
-            .encrypt_block(self.k2.decrypt_block(self.k1.encrypt_block(block)))
-    }
-
-    fn decrypt_block(&self, block: u64) -> u64 {
-        self.k1
-            .decrypt_block(self.k2.encrypt_block(self.k3.decrypt_block(block)))
     }
 }
 
@@ -416,16 +379,10 @@ mod tests {
     #[test]
     fn debug_redacts_the_key() {
         let key = 0xA5A5_5A5A_DEAD_BEEFu64;
-        let shown = [
-            format!("{:?}", Des::new(key)),
-            format!("{:?}", TripleDes::new(key, !key, key)),
-        ];
-        for shown in shown.map(|s| s.to_lowercase()) {
-            assert!(shown.contains("des { subkeys: <redacted> }"), "{shown}");
-            assert!(!shown.contains("{{"), "{shown}");
-            assert!(!shown.contains(&key.to_string()), "{shown}");
-            assert!(!shown.contains(&format!("{key:x}")), "{shown}");
-        }
+        let shown = format!("{:?}", Des::new(key)).to_lowercase();
+        assert!(shown.contains("des { subkeys: <redacted> }"), "{shown}");
+        assert!(!shown.contains(&key.to_string()), "{shown}");
+        assert!(!shown.contains(&format!("{key:x}")), "{shown}");
     }
 
     #[test]
@@ -468,27 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn from_key_bytes_matches_u64() {
-        let key = 0x133457799BBCDFF1u64;
-        let a = Des::new(key);
-        let b = Des::from_key_bytes(key.to_be_bytes());
-        assert_eq!(a.encrypt_block(42), b.encrypt_block(42));
-    }
-
-    #[test]
-    fn triple_des_roundtrip_and_degeneration() {
-        let tdes = TripleDes::new(0x1111111111111111, 0x2222222222222222, 0x3333333333333333);
-        for pt in [0u64, 0x0123456789ABCDEF] {
-            assert_eq!(tdes.decrypt_block(tdes.encrypt_block(pt)), pt);
-        }
-        // With all keys equal, 3DES degenerates to single DES.
-        let k = 0x133457799BBCDFF1u64;
-        let tdes = TripleDes::new(k, k, k);
-        let des = Des::new(k);
-        assert_eq!(tdes.encrypt_block(7), des.encrypt_block(7));
-    }
-
-    #[test]
     fn avalanche_on_plaintext() {
         let des = Des::new(0x133457799BBCDFF1);
         let base = des.encrypt_block(0x0123456789ABCDEF);
@@ -503,12 +439,6 @@ mod tests {
         fn prop_roundtrip(key in any::<u64>(), pt in any::<u64>()) {
             let des = Des::new(key);
             prop_assert_eq!(des.decrypt_block(des.encrypt_block(pt)), pt);
-        }
-
-        #[test]
-        fn prop_triple_des_roundtrip(k1 in any::<u64>(), k2 in any::<u64>(), k3 in any::<u64>(), pt in any::<u64>()) {
-            let t = TripleDes::new(k1, k2, k3);
-            prop_assert_eq!(t.decrypt_block(t.encrypt_block(pt)), pt);
         }
     }
 }

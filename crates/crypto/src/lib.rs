@@ -4,14 +4,14 @@
 //! from scratch (the offline dependency set contains no cryptography, and
 //! reproducing the 1976/1977/1978-era machinery is part of the exercise):
 //!
-//! * [`des`] — FIPS 46 DES and 3DES (§5 names DES for node/data blocks):
+//! * [`des`] — FIPS 46 DES (§5 names DES for node/data blocks):
 //!   S-box∘P and per-byte permutation tables built at compile time from
 //!   the FIPS tables, checked against a bit-at-a-time test oracle.
 //! * [`rsa`] / [`bignum`] — textbook RSA in secret-parameter mode over an
 //!   in-crate bignum (§5's second cryptosystem).
 //! * [`speck`] — Speck64/128, the modern software stand-in for the
 //!   *hardware* encryption module Bayer–Metzger assume.
-//! * [`modes`] — ECB/CBC/CTR and a CBC-MAC checksum (Denning-style, for the
+//! * [`modes`] — CBC/CTR and a CBC-MAC checksum (Denning-style, for the
 //!   §4.3 security filter).
 //! * [`pagekey`] — the Bayer–Metzger per-page key derivation `PK(K_E, P_id)`.
 //! * [`oneway`] — one-way functions for the disguise function `f` of §3.
@@ -35,8 +35,8 @@ pub mod rsa;
 pub mod speck;
 
 pub use bignum::BigUint;
-pub use cipher::{BlockCipher64, IdentityCipher};
-pub use des::{Des, TripleDes};
+pub use cipher::BlockCipher64;
+pub use des::Des;
 pub use modes::ModeError;
 pub use multilevel::{ClearanceKey, KeyHierarchy};
 pub use pagekey::{PageCipherKind, PageKeyScheme};

@@ -1,10 +1,10 @@
-//! Block-cipher modes of operation over [`BlockCipher64`]: ECB, CBC and CTR
-//! with PKCS#7-style padding where applicable.
+//! Block-cipher modes of operation over [`BlockCipher64`]: CBC and CTR
+//! with PKCS#7-style padding where applicable, and a CBC-MAC.
 //!
 //! Bayer & Metzger propose both block and progressive (stream) encipherment
 //! of pages; our node codecs use CBC for whole-page encipherment (a block
-//! mode with position dependence) and per-unit ECB for the lazily decrypted
-//! triplet scheme, and CTR stands in for their progressive cipher.
+//! mode with position dependence) and a single block per unit for the lazily
+//! decrypted triplet scheme, and CTR stands in for their progressive cipher.
 //!
 //! CTR draws its keystream four counters at a time
 //! ([`BlockCipher64::encrypt_lanes`]), which a cipher such as Speck64 runs
@@ -63,28 +63,6 @@ pub fn unpad(data: &[u8]) -> Result<Vec<u8>, ModeError> {
 fn blocks_of(data: &[u8]) -> impl Iterator<Item = u64> + '_ {
     data.chunks_exact(BLOCK)
         .map(|c| u64::from_be_bytes(c.try_into().expect("exact chunk")))
-}
-
-/// ECB encryption with PKCS#7 padding.
-pub fn ecb_encrypt<C: BlockCipher64>(cipher: &C, plaintext: &[u8]) -> Vec<u8> {
-    let padded = pad(plaintext);
-    let mut out = Vec::with_capacity(padded.len());
-    for b in blocks_of(&padded) {
-        out.extend_from_slice(&cipher.encrypt_block(b).to_be_bytes());
-    }
-    out
-}
-
-/// ECB decryption with padding validation.
-pub fn ecb_decrypt<C: BlockCipher64>(cipher: &C, ciphertext: &[u8]) -> Result<Vec<u8>, ModeError> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK) {
-        return Err(ModeError::RaggedCiphertext);
-    }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    for b in blocks_of(ciphertext) {
-        out.extend_from_slice(&cipher.decrypt_block(b).to_be_bytes());
-    }
-    unpad(&out)
 }
 
 /// CBC encryption with PKCS#7 padding and an explicit 64-bit IV.
@@ -217,11 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn ecb_leaks_equal_blocks_cbc_does_not() {
+    fn cbc_hides_equal_blocks() {
         let c = des();
         let data = [0x42u8; 32]; // four identical blocks
-        let ecb = ecb_encrypt(&c, &data);
-        assert_eq!(ecb[0..8], ecb[8..16], "ECB exposes repetition");
         let cbc = cbc_encrypt(&c, 0xdeadbeef, &data);
         assert_ne!(cbc[0..8], cbc[8..16], "CBC hides repetition");
     }
@@ -325,12 +301,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn prop_ecb_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256), key in any::<u64>()) {
-            let c = Des::new(key);
-            prop_assert_eq!(ecb_decrypt(&c, &ecb_encrypt(&c, &data)).unwrap(), data);
-        }
-
         #[test]
         fn prop_cbc_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256), key in any::<u128>(), iv in any::<u64>()) {
             let c = Speck64::from_u128(key);

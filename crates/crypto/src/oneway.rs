@@ -2,24 +2,11 @@
 //!
 //! §3 of the paper: *"The function f can be a one way function, or even an
 //! encryption function."* We provide a Davies–Meyer compression function
-//! over a 64-bit block cipher (one-way under the ideal-cipher model) plus a
-//! fast non-cryptographic mixer for experiments that only need a fixed
-//! pseudo-random relabelling.
+//! over Speck64 (one-way under the ideal-cipher model) and a 64-bit hash
+//! chained from it.
 
 use crate::cipher::BlockCipher64;
-use crate::des::Des;
 use crate::speck::Speck64;
-
-/// Davies–Meyer: `H(x) = E_x(m) ⊕ m` — the *input* is used as the DES key,
-/// so inverting requires breaking the cipher's key schedule.
-///
-/// Caveat inherited from DES: parity bits of the key are ignored, so inputs
-/// differing only in bits 0, 8, 16, … of each byte collide. Use
-/// [`davies_meyer_speck`] when injectivity over dense integer ranges
-/// matters.
-pub fn davies_meyer_des(x: u64, m: u64) -> u64 {
-    Des::new(x).encrypt_block(m) ^ m
-}
 
 /// Davies–Meyer over Speck64/128 (input expanded to the 128-bit key by
 /// concatenating `x` with its bitwise complement).
@@ -44,24 +31,6 @@ pub fn hash64(data: &[u8]) -> u64 {
     davies_meyer_speck(state, data.len() as u64)
 }
 
-/// SplitMix64 finaliser — an invertible-but-scrambling mixer. This is the
-/// *non*-secure relabelling baseline used to contrast with design-based
-/// disguises in the security experiments.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// Inverse of [`mix64`] (it is a bijection on `u64`).
-pub fn unmix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 31) ^ (x >> 62)).wrapping_mul(0x319642b2d24d8ec3);
-    x = (x ^ (x >> 27) ^ (x >> 54)).wrapping_mul(0x96de1b173f119089);
-    x = x ^ (x >> 30) ^ (x >> 60);
-    x.wrapping_sub(0x9e3779b97f4a7c15)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,21 +39,13 @@ mod tests {
 
     #[test]
     fn davies_meyer_is_deterministic_and_spread() {
-        let a = davies_meyer_des(1, 0);
-        assert_eq!(a, davies_meyer_des(1, 0));
-        assert_ne!(a, davies_meyer_des(2, 0));
-        assert_ne!(a, davies_meyer_des(1, 1));
+        let a = davies_meyer_speck(1, 0);
+        assert_eq!(a, davies_meyer_speck(1, 0));
+        assert_ne!(a, davies_meyer_speck(2, 0));
+        assert_ne!(a, davies_meyer_speck(1, 1));
         // Speck keys every bit, so sequential inputs must not collide.
         let outs: HashSet<u64> = (0..512u64).map(|x| davies_meyer_speck(x, 0)).collect();
         assert_eq!(outs.len(), 512, "no collisions among 512 sequential inputs");
-    }
-
-    #[test]
-    fn davies_meyer_des_collides_on_parity_bits() {
-        // DES ignores key parity bits (LSB of each byte): documented caveat.
-        assert_eq!(davies_meyer_des(0, 0), davies_meyer_des(1, 0));
-        // Flipping a *keyed* bit changes the output.
-        assert_ne!(davies_meyer_des(0, 0), davies_meyer_des(2, 0));
     }
 
     #[test]
@@ -100,19 +61,7 @@ mod tests {
         assert_eq!(hash64(b"stable"), hash64(b"stable"));
     }
 
-    #[test]
-    fn mix64_avalanche() {
-        let d = (mix64(0) ^ mix64(1)).count_ones();
-        assert!((16..=48).contains(&d), "weak mixing: {d}");
-    }
-
     proptest! {
-        #[test]
-        fn prop_mix64_bijective(x in any::<u64>()) {
-            prop_assert_eq!(unmix64(mix64(x)), x);
-            prop_assert_eq!(mix64(unmix64(x)), x);
-        }
-
         #[test]
         fn prop_hash64_no_trivial_collisions(a in any::<u64>(), b in any::<u64>()) {
             prop_assume!(a != b);

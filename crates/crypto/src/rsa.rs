@@ -17,17 +17,12 @@ use crate::bignum::BigUint;
 pub enum RsaError {
     /// Message value is not strictly below the modulus.
     MessageTooLarge,
-    /// Ciphertext buffer has the wrong length for this key.
-    BadCiphertextLength { expected: usize, got: usize },
 }
 
 impl std::fmt::Display for RsaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RsaError::MessageTooLarge => write!(f, "RSA message must be less than the modulus"),
-            RsaError::BadCiphertextLength { expected, got } => {
-                write!(f, "RSA ciphertext must be {expected} bytes, got {got}")
-            }
         }
     }
 }
@@ -70,18 +65,6 @@ impl RsaKey {
                 d,
                 modulus_bytes,
             };
-        }
-    }
-
-    /// Constructs a key from explicit parameters (used by tests and by the
-    /// multilevel hierarchy). No validation beyond basic sanity.
-    pub fn from_parts(n: BigUint, e: BigUint, d: BigUint) -> Self {
-        let modulus_bytes = n.bit_length().div_ceil(8);
-        RsaKey {
-            n,
-            e,
-            d,
-            modulus_bytes,
         }
     }
 
@@ -129,42 +112,6 @@ impl RsaKey {
         let c = self.encrypt_value(&m)?;
         Ok(c.to_bytes_be_padded(self.ciphertext_len()))
     }
-
-    /// Inverse of [`Self::encrypt_bytes`].
-    pub fn decrypt_bytes(&self, ciphertext: &[u8]) -> Result<Vec<u8>, RsaError> {
-        if ciphertext.len() != self.ciphertext_len() {
-            return Err(RsaError::BadCiphertextLength {
-                expected: self.ciphertext_len(),
-                got: ciphertext.len(),
-            });
-        }
-        let c = BigUint::from_bytes_be(ciphertext);
-        let m = self.decrypt_value(&c)?;
-        let framed = m.to_bytes_be();
-        if framed.is_empty() {
-            return Ok(vec![]); // zero-length message of length byte 0
-        }
-        let len = framed[0] as usize;
-        if len != framed.len() - 1 {
-            // Leading zero bytes of the frame are stripped by the numeric
-            // round-trip; reconstruct by left-padding.
-            let mut padded = vec![0u8; 0];
-            let need = len + 1;
-            if framed.len() < need {
-                padded = vec![0u8; need - framed.len()];
-            }
-            let mut full = padded;
-            full.extend_from_slice(&framed);
-            if full.len() == need {
-                return Ok(full[1..].to_vec());
-            }
-            // Genuinely inconsistent: wrong key or corrupt data. Return the
-            // raw bytes; the caller's integrity check (block-number binding)
-            // rejects it.
-            return Ok(framed[1..].to_vec());
-        }
-        Ok(framed[1..].to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -179,14 +126,23 @@ mod tests {
         RsaKey::generate(&mut rng, bits)
     }
 
+    /// Deciphers `ct` and checks it is the frame `encrypt_bytes` builds
+    /// for `msg`: the length byte, then the message.
+    fn deciphers_to(key: &RsaKey, ct: &[u8], msg: &[u8]) -> bool {
+        let mut frame = vec![msg.len() as u8];
+        frame.extend_from_slice(msg);
+        key.decrypt_value(&BigUint::from_bytes_be(ct)).unwrap() == BigUint::from_bytes_be(&frame)
+    }
+
     #[test]
     fn textbook_toy_key() {
         // p = 61, q = 53 → n = 3233, φ = 3120, e = 17, d = 2753.
-        let key = RsaKey::from_parts(
-            BigUint::from_u64(3233),
-            BigUint::from_u64(17),
-            BigUint::from_u64(2753),
-        );
+        let key = RsaKey {
+            n: BigUint::from_u64(3233),
+            e: BigUint::from_u64(17),
+            d: BigUint::from_u64(2753),
+            modulus_bytes: 2,
+        };
         let m = BigUint::from_u64(65);
         let c = key.encrypt_value(&m).unwrap();
         assert_eq!(c, BigUint::from_u64(2790)); // classic worked example
@@ -218,7 +174,7 @@ mod tests {
         for msg in [&b""[..], b"x", b"pointer:00042", &[0u8, 0, 0, 7]] {
             let ct = key.encrypt_bytes(msg).unwrap();
             assert_eq!(ct.len(), 32, "cryptograms are fixed width");
-            assert_eq!(key.decrypt_bytes(&ct).unwrap(), msg);
+            assert!(deciphers_to(&key, &ct, msg), "{msg:?}");
         }
     }
 
@@ -227,7 +183,7 @@ mod tests {
         let key = test_key(128, 4);
         let msg = [0u8, 0, 0, 0, 1, 2];
         let ct = key.encrypt_bytes(&msg).unwrap();
-        assert_eq!(key.decrypt_bytes(&ct).unwrap(), msg);
+        assert!(deciphers_to(&key, &ct, &msg));
     }
 
     #[test]
@@ -235,15 +191,6 @@ mod tests {
         let key = test_key(64, 5);
         let msg = vec![1u8; key.max_plaintext_len()];
         assert_eq!(key.encrypt_bytes(&msg), Err(RsaError::MessageTooLarge));
-    }
-
-    #[test]
-    fn ciphertext_length_validated() {
-        let key = test_key(128, 6);
-        assert!(matches!(
-            key.decrypt_bytes(&[0u8; 3]),
-            Err(RsaError::BadCiphertextLength { .. })
-        ));
     }
 
     #[test]
@@ -271,7 +218,7 @@ mod tests {
         fn prop_roundtrip_256(data in proptest::collection::vec(any::<u8>(), 0..30)) {
             let key = test_key(256, 42);
             let ct = key.encrypt_bytes(&data).unwrap();
-            prop_assert_eq!(key.decrypt_bytes(&ct).unwrap(), data);
+            prop_assert!(deciphers_to(&key, &ct, &data));
         }
     }
 }

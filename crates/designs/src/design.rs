@@ -2,8 +2,8 @@
 //!
 //! The paper treats the blocks of the development as *lines* and indexes them
 //! `L₀ … L_{v−1}`. [`BlockDesign`] materialises all `v` blocks (fine for the
-//! worked examples and tests); [`CyclicDesign`] answers line queries lazily
-//! in `O(k)` so that Singer designs with `v` in the millions cost no memory.
+//! worked examples and tests); at Singer scale the disguises ask the
+//! [`DifferenceSet`] for single lines instead.
 
 use crate::diffset::{DesignError, DifferenceSet};
 
@@ -27,31 +27,6 @@ impl BlockDesign {
             lambda: ds.lambda(),
             blocks,
         }
-    }
-
-    /// Wraps explicit blocks (they are verified by [`BlockDesign::verify_bibd`],
-    /// not here, so exotic designs can be represented too).
-    pub fn from_blocks(v: u64, lambda: u64, blocks: Vec<Vec<u64>>) -> Result<Self, DesignError> {
-        if blocks.is_empty() {
-            return Err(DesignError::BadParameters("no blocks".into()));
-        }
-        let k = blocks[0].len() as u64;
-        if blocks.iter().any(|b| b.len() as u64 != k) {
-            return Err(DesignError::BadParameters(
-                "all blocks must have equal size".into(),
-            ));
-        }
-        if blocks.iter().flatten().any(|&x| x >= v) {
-            return Err(DesignError::BadParameters(
-                "block elements must lie in [0, v)".into(),
-            ));
-        }
-        Ok(BlockDesign {
-            v,
-            k,
-            lambda,
-            blocks,
-        })
     }
 
     pub fn v(&self) -> u64 {
@@ -87,10 +62,6 @@ impl BlockDesign {
             ));
         }
         Ok(r)
-    }
-
-    pub fn blocks(&self) -> &[Vec<u64>] {
-        &self.blocks
     }
 
     pub fn block(&self, y: u64) -> &[u64] {
@@ -143,18 +114,6 @@ impl BlockDesign {
         Ok(())
     }
 
-    /// The `v × b` incidence matrix: entry `(x, y)` is 1 iff point `x` lies
-    /// on block `y`. Row-major `Vec<Vec<u8>>` for small designs.
-    pub fn incidence_matrix(&self) -> Vec<Vec<u8>> {
-        let mut m = vec![vec![0u8; self.blocks.len()]; self.v as usize];
-        for (y, block) in self.blocks.iter().enumerate() {
-            for &x in block {
-                m[x as usize][y] = 1;
-            }
-        }
-        m
-    }
-
     /// For `λ = 1` symmetric designs (projective planes): checks the oval
     /// property for a point set — no three of the given points are collinear
     /// (lie on a common block).
@@ -169,72 +128,24 @@ impl BlockDesign {
     }
 }
 
-/// A lazy view of the development of a difference set: answers per-line
-/// queries without materialising `v` blocks.
-#[derive(Debug, Clone)]
-pub struct CyclicDesign {
-    ds: DifferenceSet,
-}
-
-impl CyclicDesign {
-    pub fn new(ds: DifferenceSet) -> Self {
-        CyclicDesign { ds }
-    }
-
-    pub fn v(&self) -> u64 {
-        self.ds.v()
-    }
-
-    pub fn k(&self) -> u64 {
-        self.ds.k()
-    }
-
-    /// Line `L_y` (sorted).
-    pub fn line(&self, y: u64) -> Vec<u64> {
-        self.ds.line(y)
-    }
-
-    /// Does point `x` lie on line `L_y`? `O(log k)`.
-    pub fn incident(&self, x: u64, y: u64) -> bool {
-        let v = self.ds.v();
-        let x = x % v;
-        let y = y % v;
-        // x on L_y  iff  (x - y) mod v ∈ D.
-        let d = crate::arith::sub_mod(x, y, v);
-        self.ds.base().binary_search(&d).is_ok()
-    }
-
-    /// All lines through point `x` — exactly `k` of them (`r = k` in a
-    /// symmetric design): `L_{(x − d) mod v}` for `d ∈ D`.
-    pub fn lines_through(&self, x: u64) -> Vec<u64> {
-        let v = self.ds.v();
-        let x = x % v;
-        let mut ys: Vec<u64> = self
-            .ds
-            .base()
-            .iter()
-            .map(|&d| crate::arith::sub_mod(x, d, v))
-            .collect();
-        ys.sort_unstable();
-        ys
-    }
-
-    /// The first line containing `x` when scanning `L₀, L₁, …` — the scan
-    /// order §4.1 prescribes for locating a search key's treatment.
-    pub fn first_line_containing(&self, x: u64) -> u64 {
-        self.lines_through(x)
-            .into_iter()
-            .min()
-            .expect("every point lies on k >= 1 lines")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn paper() -> DifferenceSet {
         DifferenceSet::paper_13_4_1()
+    }
+
+    /// The `v × b` incidence matrix: entry `(x, y)` is 1 iff point `x`
+    /// lies on block `y`.
+    fn incidence_matrix(d: &BlockDesign) -> Vec<Vec<u8>> {
+        let mut m = vec![vec![0u8; d.blocks.len()]; d.v as usize];
+        for (y, block) in d.blocks.iter().enumerate() {
+            for &x in block {
+                m[x as usize][y] = 1;
+            }
+        }
+        m
     }
 
     #[test]
@@ -264,7 +175,7 @@ mod tests {
     #[test]
     fn incidence_matrix_row_and_column_sums() {
         let d = BlockDesign::develop(&paper());
-        let m = d.incidence_matrix();
+        let m = incidence_matrix(&d);
         for row in &m {
             assert_eq!(row.iter().map(|&x| x as u64).sum::<u64>(), 4); // r = k
         }
@@ -284,7 +195,7 @@ mod tests {
             DifferenceSet::quadratic_residue(11).unwrap(),
         ] {
             let d = BlockDesign::develop(&ds);
-            let m = d.incidence_matrix();
+            let m = incidence_matrix(&d);
             let v = d.v() as usize;
             let (k, lambda) = (d.k(), d.lambda());
             for i in 0..v {
@@ -299,17 +210,15 @@ mod tests {
 
     #[test]
     fn verify_rejects_corrupt_design() {
-        let mut blocks = BlockDesign::develop(&paper()).blocks().to_vec();
+        let mut blocks = BlockDesign::develop(&paper()).blocks;
         blocks[5] = vec![0, 1, 2, 3]; // not a translate
-        let d = BlockDesign::from_blocks(13, 1, blocks).unwrap();
+        let d = BlockDesign {
+            v: 13,
+            k: 4,
+            lambda: 1,
+            blocks,
+        };
         assert!(d.verify_bibd().is_err());
-    }
-
-    #[test]
-    fn from_blocks_validates_shape() {
-        assert!(BlockDesign::from_blocks(13, 1, vec![]).is_err());
-        assert!(BlockDesign::from_blocks(13, 1, vec![vec![0, 1], vec![0, 1, 2]]).is_err());
-        assert!(BlockDesign::from_blocks(13, 1, vec![vec![0, 13]]).is_err());
     }
 
     #[test]
@@ -326,52 +235,5 @@ mod tests {
         // multiplied-design, so just assert is_arc() answers consistently.)
         let img = paper().multiply(7).unwrap();
         let _ = d.is_arc(&img); // must not panic; value asserted in plane.rs tests
-    }
-
-    #[test]
-    fn cyclic_design_incidence_agrees_with_materialised() {
-        let ds = paper();
-        let lazy = CyclicDesign::new(ds.clone());
-        let full = BlockDesign::develop(&ds);
-        for x in 0..13 {
-            for y in 0..13 {
-                assert_eq!(
-                    lazy.incident(x, y),
-                    full.block(y).contains(&x),
-                    "x={x} y={y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lines_through_point() {
-        let lazy = CyclicDesign::new(paper());
-        for x in 0..13 {
-            let ys = lazy.lines_through(x);
-            assert_eq!(ys.len(), 4);
-            for &y in &ys {
-                assert!(lazy.incident(x, y));
-            }
-        }
-        // Scanning from L0 upward, key 7 first appears on line L4 ({4,5,7,0}).
-        assert_eq!(lazy.first_line_containing(7), 4);
-        // Key 0 is on L0 itself.
-        assert_eq!(lazy.first_line_containing(0), 0);
-    }
-
-    #[test]
-    fn cyclic_design_scales_to_singer_sizes() {
-        let ds = DifferenceSet::singer(101).unwrap(); // v = 10303
-        let lazy = CyclicDesign::new(ds);
-        let v = lazy.v();
-        assert_eq!(v, 101 * 101 + 101 + 1);
-        for x in [0u64, 1, v / 2, v - 1] {
-            let ys = lazy.lines_through(x);
-            assert_eq!(ys.len() as u64, lazy.k());
-            for y in ys {
-                assert!(lazy.incident(x, y));
-            }
-        }
     }
 }

@@ -17,8 +17,6 @@
 //!   have `v ≫ R`, where `R` is the number of records").
 //! * [`DifferenceSet::quadratic_residue`] — Paley `(p, (p−1)/2, (p−3)/4)`
 //!   sets for primes `p ≡ 3 (mod 4)`.
-//! * [`DifferenceSet::brute_force`] — exhaustive search for tiny parameters
-//!   (test oracle).
 
 use crate::arith::{coprime, mul_mod};
 use crate::gfext::GfCubic;
@@ -35,8 +33,6 @@ pub enum DesignError {
         count: u64,
         expected: u64,
     },
-    /// No set exists / was found for the requested parameters.
-    NotFound,
 }
 
 impl std::fmt::Display for DesignError {
@@ -51,7 +47,6 @@ impl std::fmt::Display for DesignError {
                 f,
                 "not a difference set: residue {residue} occurs {count} times, expected {expected}"
             ),
-            DesignError::NotFound => write!(f, "no difference set found"),
         }
     }
 }
@@ -134,41 +129,6 @@ impl DifferenceSet {
         DifferenceSet::new(v, 1, base)
     }
 
-    /// Twin-prime construction: for primes `p` and `p + 2`, the residues
-    /// `i mod p(p+2)` whose components are both quadratic residues or both
-    /// non-residues, together with the multiples of `p + 2`, form a
-    /// `(p(p+2), (v−1)/2, (v−3)/4)` difference set.
-    pub fn twin_prime(p: u64) -> Result<Self, DesignError> {
-        let q = p + 2;
-        if !is_prime(p) || !is_prime(q) {
-            return Err(DesignError::BadParameters(format!(
-                "twin-prime construction needs p and p+2 prime, got p = {p}"
-            )));
-        }
-        let v = p * q;
-        let legendre = |x: u64, m: u64| -> i32 {
-            // 0 for x ≡ 0, +1 for QR, −1 for non-residue.
-            let x = x % m;
-            if x == 0 {
-                0
-            } else if crate::arith::pow_mod(x, (m - 1) / 2, m) == 1 {
-                1
-            } else {
-                -1
-            }
-        };
-        let mut base: Vec<u64> = Vec::with_capacity(((v - 1) / 2) as usize);
-        for i in 0..v {
-            let lp = legendre(i, p);
-            let lq = legendre(i, q);
-            // Both QR or both non-QR (product +1), or divisible by q.
-            if lp * lq == 1 || (i % q == 0) {
-                base.push(i);
-            }
-        }
-        DifferenceSet::new(v, (v - 3) / 4, base)
-    }
-
     /// Paley construction: quadratic residues mod a prime `p ≡ 3 (mod 4)`
     /// form a `(p, (p−1)/2, (p−3)/4)` difference set.
     pub fn quadratic_residue(p: u64) -> Result<Self, DesignError> {
@@ -184,55 +144,6 @@ impl DifferenceSet {
         base.sort_unstable();
         base.dedup();
         DifferenceSet::new(p, (p - 3) / 4, base)
-    }
-
-    /// Exhaustive search for a `(v, k, λ)` set containing 0 (every set can be
-    /// translated to contain 0). Only sensible for tiny `v`; used as a test
-    /// oracle and for exotic small parameters.
-    pub fn brute_force(v: u64, k: u64, lambda: u64) -> Result<Self, DesignError> {
-        if v > 40 {
-            return Err(DesignError::BadParameters(
-                "brute force capped at v <= 40".into(),
-            ));
-        }
-        if k > v || k * (k - 1) != lambda * (v - 1) {
-            return Err(DesignError::NotFound);
-        }
-        fn rec(v: u64, k: u64, lambda: u64, chosen: &mut Vec<u64>, next: u64) -> bool {
-            if chosen.len() as u64 == k {
-                return check_differences(v, lambda, chosen).is_ok();
-            }
-            for c in next..v {
-                chosen.push(c);
-                // Prune: no pairwise difference may already exceed λ.
-                if partial_ok(v, lambda, chosen) && rec(v, k, lambda, chosen, c + 1) {
-                    return true;
-                }
-                chosen.pop();
-            }
-            false
-        }
-        fn partial_ok(v: u64, lambda: u64, chosen: &[u64]) -> bool {
-            let mut counts = vec![0u64; v as usize];
-            for (i, &a) in chosen.iter().enumerate() {
-                for (j, &b) in chosen.iter().enumerate() {
-                    if i != j {
-                        let d = crate::arith::sub_mod(a, b, v);
-                        counts[d as usize] += 1;
-                        if counts[d as usize] > lambda {
-                            return false;
-                        }
-                    }
-                }
-            }
-            true
-        }
-        let mut chosen = vec![0u64];
-        if rec(v, k, lambda, &mut chosen, 1) {
-            DifferenceSet::new(v, lambda, chosen)
-        } else {
-            Err(DesignError::NotFound)
-        }
     }
 
     /// Number of treatments (points) `v`.
@@ -483,21 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn twin_prime_sets() {
-        for p in [3u64, 5, 11, 17] {
-            let ds = DifferenceSet::twin_prime(p).unwrap();
-            let v = p * (p + 2);
-            assert_eq!(ds.v(), v, "p={p}");
-            assert_eq!(ds.k(), (v - 1) / 2);
-            assert_eq!(ds.lambda(), (v - 3) / 4);
-            ds.verify().unwrap();
-        }
-        // p or p+2 composite.
-        assert!(DifferenceSet::twin_prime(7).is_err()); // 9 composite
-        assert!(DifferenceSet::twin_prime(4).is_err());
-    }
-
-    #[test]
     fn quadratic_residue_sets() {
         for p in [7u64, 11, 19, 23, 31] {
             let ds = DifferenceSet::quadratic_residue(p).unwrap();
@@ -507,19 +403,6 @@ mod tests {
         }
         assert!(DifferenceSet::quadratic_residue(13).is_err()); // 13 ≡ 1 mod 4
         assert!(DifferenceSet::quadratic_residue(15).is_err()); // composite
-    }
-
-    #[test]
-    fn brute_force_finds_fano() {
-        // (7,3,1): the Fano plane.
-        let ds = DifferenceSet::brute_force(7, 3, 1).unwrap();
-        assert_eq!(ds.k(), 3);
-        ds.verify().unwrap();
-    }
-
-    #[test]
-    fn brute_force_rejects_impossible() {
-        assert!(DifferenceSet::brute_force(8, 3, 1).is_err()); // k(k-1) != λ(v-1)
     }
 
     #[test]

@@ -60,20 +60,9 @@ impl Gf {
         inv_mod(a % self.p, self.p)
     }
 
-    /// `a / b`; `None` when `b == 0`.
-    #[inline]
-    pub fn div(&self, a: u64, b: u64) -> Option<u64> {
-        self.inv(b).map(|bi| self.mul(a, bi))
-    }
-
     #[inline]
     pub fn pow(&self, a: u64, e: u64) -> u64 {
         pow_mod(a, e, self.p)
-    }
-
-    /// Iterator over all field elements `0..p`.
-    pub fn elements(&self) -> impl Iterator<Item = u64> {
-        0..self.p
     }
 
     /// Evaluates the polynomial with coefficients `coeffs` (low-to-high
@@ -83,16 +72,6 @@ impl Gf {
             .iter()
             .rev()
             .fold(0u64, |acc, &c| self.add(self.mul(acc, x), c))
-    }
-
-    /// `true` iff `a` is a quadratic residue mod `p` (Euler's criterion);
-    /// zero counts as a residue.
-    pub fn is_square(&self, a: u64) -> bool {
-        let a = a % self.p;
-        if a == 0 || self.p == 2 {
-            return true;
-        }
-        self.pow(a, (self.p - 1) / 2) == 1
     }
 }
 
@@ -110,7 +89,7 @@ mod tests {
                 assert_eq!(f.mul(a, b), (a * b) % 13);
                 assert_eq!(f.add(a, f.neg(a)), 0);
                 if b != 0 {
-                    let q = f.div(a, b).unwrap();
+                    let q = f.mul(a, f.inv(b).unwrap());
                     assert_eq!(f.mul(q, b), a);
                 }
             }
@@ -127,7 +106,6 @@ mod tests {
     fn inverse_of_zero_is_none() {
         let f = Gf::new(7);
         assert_eq!(f.inv(0), None);
-        assert_eq!(f.div(3, 0), None);
     }
 
     #[test]
@@ -137,13 +115,6 @@ mod tests {
         assert_eq!(f.eval_poly(&[3, 2, 1], 5), 12);
         assert_eq!(f.eval_poly(&[], 5), 0);
         assert_eq!(f.eval_poly(&[7], 5), 7);
-    }
-
-    #[test]
-    fn quadratic_residues_of_13() {
-        let f = Gf::new(13);
-        let squares: Vec<u64> = (1..13).filter(|&a| f.is_square(a)).collect();
-        assert_eq!(squares, vec![1, 3, 4, 9, 10, 12]);
     }
 
     proptest! {

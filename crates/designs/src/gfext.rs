@@ -90,11 +90,6 @@ impl GfCubic {
         u64::try_from(o).expect("p^3 - 1 must fit in u64 for this construction")
     }
 
-    /// Modulus coefficients `[a0, a1, a2]`.
-    pub fn modulus_poly(&self) -> [u64; 3] {
-        self.modulus_poly
-    }
-
     pub fn zero(&self) -> Elt {
         [0, 0, 0]
     }
@@ -106,11 +101,6 @@ impl GfCubic {
     /// The adjoined root `α` of the modulus cubic.
     pub fn alpha(&self) -> Elt {
         [0, 1, 0]
-    }
-
-    /// Embeds a base-field scalar.
-    pub fn scalar(&self, c: u64) -> Elt {
-        [self.base.reduce(c), 0, 0]
     }
 
     pub fn is_zero(&self, a: &Elt) -> bool {
@@ -130,14 +120,6 @@ impl GfCubic {
             self.base.sub(a[0], b[0]),
             self.base.sub(a[1], b[1]),
             self.base.sub(a[2], b[2]),
-        ]
-    }
-
-    pub fn scale(&self, c: u64, a: &Elt) -> Elt {
-        [
-            self.base.mul(c, a[0]),
-            self.base.mul(c, a[1]),
-            self.base.mul(c, a[2]),
         ]
     }
 
@@ -357,7 +339,7 @@ mod tests {
     fn mul_matches_manual_gf2() {
         // GF(8) with some irreducible cubic; check α³ resolves per modulus.
         let f = GfCubic::new(2);
-        let [a0, a1, a2] = f.modulus_poly();
+        let [a0, a1, a2] = f.modulus_poly;
         let alpha = f.alpha();
         let a3 = f.mul(&f.mul(&alpha, &alpha), &alpha);
         // α³ = -(a2 α² + a1 α + a0) = a2 α² + a1 α + a0 over GF(2)

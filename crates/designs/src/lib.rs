@@ -13,11 +13,11 @@
 //! * [`dlog`] — baby-step/giant-step discrete logs (finding the treatment
 //!   `e` with `g^e ≡ k`, §4.2).
 //! * [`diffset`] — difference sets: the paper's `(13,4,1)` set, Singer sets
-//!   for any prime order, quadratic-residue sets, exhaustive search; line,
-//!   oval (`t·L_y`) and cumulative-sum queries.
-//! * [`design`] — developments into BIBDs, verification, incidence
-//!   matrices, lazy line queries at Singer scale.
-//! * [`plane`] — `PG(2, p)` with homogeneous coordinates and conic ovals,
+//!   for any prime order, quadratic-residue sets; line, oval (`t·L_y`) and
+//!   cumulative-sum queries.
+//! * [`design`] — developments into BIBDs, verification and the arc
+//!   (oval) property.
+//! * [`plane`] — `PG(2, p)` with homogeneous coordinates and arcs,
 //!   cross-validating the combinatorial view.
 
 pub mod arith;
@@ -29,7 +29,7 @@ pub mod gfext;
 pub mod plane;
 pub mod primes;
 
-pub use design::{BlockDesign, CyclicDesign};
+pub use design::BlockDesign;
 pub use diffset::{DesignError, DifferenceSet};
 pub use dlog::DlogTable;
 pub use gf::Gf;

@@ -50,11 +50,6 @@ impl ProjectivePlane {
         self.points.len() as u64
     }
 
-    /// All points (lines are the same set by duality).
-    pub fn points(&self) -> &[Homog] {
-        &self.points
-    }
-
     /// Normalises arbitrary homogeneous coordinates to the canonical
     /// representative; `None` for the zero vector.
     pub fn normalize(&self, coords: [u64; 3]) -> Option<Homog> {
@@ -125,16 +120,6 @@ impl ProjectivePlane {
         true
     }
 
-    /// The standard conic `{(1, t, t²) : t ∈ GF(p)} ∪ {(0, 0, 1)}` — an oval
-    /// of `n + 1` points for odd `p` (Segre's theorem says every oval in odd
-    /// order planes is such a conic).
-    pub fn standard_conic(&self) -> Vec<Homog> {
-        let f = &self.field;
-        let mut pts: Vec<Homog> = f.elements().map(|t| Homog([1, t, f.mul(t, t)])).collect();
-        pts.push(Homog([0, 0, 1]));
-        pts
-    }
-
     /// Enumerates all lines (dual points) of the plane.
     pub fn lines(&self) -> Vec<Homog> {
         self.points.clone()
@@ -160,7 +145,7 @@ mod tests {
     #[test]
     fn two_points_one_line_axiom() {
         let plane = ProjectivePlane::new(3);
-        let pts = plane.points().to_vec();
+        let pts = plane.points.clone();
         for (i, a) in pts.iter().enumerate() {
             for b in &pts[i + 1..] {
                 let l = plane.line_through(a, b).unwrap();
@@ -184,25 +169,12 @@ mod tests {
         for (i, l1) in lines.iter().enumerate() {
             for l2 in &lines[i + 1..] {
                 let common = plane
-                    .points()
+                    .points
                     .iter()
                     .filter(|pt| plane.incident(pt, l1) && plane.incident(pt, l2))
                     .count();
                 assert_eq!(common, 1);
             }
-        }
-    }
-
-    #[test]
-    fn standard_conic_is_an_oval() {
-        for p in [3u64, 5, 7, 11, 13] {
-            let plane = ProjectivePlane::new(p);
-            let conic = plane.standard_conic();
-            assert_eq!(conic.len() as u64, p + 1, "oval size is n+1");
-            assert!(
-                plane.is_arc(&conic),
-                "conic must have no 3 collinear (p={p})"
-            );
         }
     }
 

@@ -64,26 +64,6 @@ pub fn next_prime(mut n: u64) -> u64 {
     }
 }
 
-/// Largest prime `<= n`, if any.
-pub fn prev_prime(mut n: u64) -> Option<u64> {
-    if n < 2 {
-        return None;
-    }
-    if n == 2 {
-        return Some(2);
-    }
-    if n.is_multiple_of(2) {
-        n -= 1;
-    }
-    while n >= 3 {
-        if is_prime(n) {
-            return Some(n);
-        }
-        n -= 2;
-    }
-    Some(2)
-}
-
 /// Pollard's rho with Brent's cycle detection. Returns a non-trivial factor
 /// of composite `n` (which must be odd, composite and not a prime power check
 /// is not required — any composite works eventually).
@@ -171,32 +151,6 @@ pub fn distinct_prime_factors(n: u64) -> Vec<u64> {
     factorize(n).into_iter().map(|(p, _)| p).collect()
 }
 
-/// Euler's totient via factorisation.
-pub fn euler_phi(n: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let mut phi = n;
-    for (p, _) in factorize(n) {
-        phi = phi / p * (p - 1);
-    }
-    phi
-}
-
-/// Multiplicative order of `a` modulo prime `p` (requires `gcd(a,p) = 1`).
-pub fn order_mod_prime(a: u64, p: u64) -> u64 {
-    debug_assert!(is_prime(p));
-    debug_assert!(!a.is_multiple_of(p));
-    let group = p - 1;
-    let mut ord = group;
-    for (q, _) in factorize(group) {
-        while ord.is_multiple_of(q) && pow_mod(a, ord / q, p) == 1 {
-            ord /= q;
-        }
-    }
-    ord
-}
-
 /// `true` iff `g` generates the multiplicative group of `Z_p` (`p` prime).
 pub fn is_primitive_root(g: u64, p: u64) -> bool {
     if p == 2 {
@@ -253,13 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn next_prev_prime() {
+    fn next_prime_rounds_up() {
         assert_eq!(next_prime(0), 2);
         assert_eq!(next_prime(14), 17);
         assert_eq!(next_prime(17), 17);
-        assert_eq!(prev_prime(1), None);
-        assert_eq!(prev_prime(2), Some(2));
-        assert_eq!(prev_prime(16), Some(13));
     }
 
     #[test]
@@ -289,34 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn phi_known() {
-        assert_eq!(euler_phi(1), 1);
-        assert_eq!(euler_phi(10), 4);
-        assert_eq!(euler_phi(97), 96);
-        assert_eq!(euler_phi(36), 12);
-    }
-
-    #[test]
     fn primitive_roots_of_13() {
         // Z_13* generators: 2, 6, 7, 11. The paper uses g = 7.
         let roots: Vec<u64> = (1..13).filter(|&g| is_primitive_root(g, 13)).collect();
         assert_eq!(roots, vec![2, 6, 7, 11]);
         assert_eq!(primitive_root(13), 2);
         assert!(is_primitive_root(7, 13));
-    }
-
-    #[test]
-    fn order_divides_group() {
-        for p in [13u64, 97, 1009] {
-            for a in 2..20 {
-                if a % p != 0 {
-                    let ord = order_mod_prime(a, p);
-                    assert_eq!((p - 1) % ord, 0);
-                    assert_eq!(pow_mod(a, ord, p), 1);
-                    assert!((1..ord).all(|e| pow_mod(a, e, p) != 1));
-                }
-            }
-        }
     }
 
     proptest! {

@@ -362,11 +362,6 @@ impl Txn {
         Ok(())
     }
 
-    /// Keys currently buffered for write.
-    pub fn pending_writes(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Atomically commits every buffered write. On
     /// [`EngineError::Conflict`] nothing was written and the transaction
     /// is aborted — begin a new one to retry. On any other error the

@@ -48,10 +48,6 @@ impl ShadowModel {
         self.units.len()
     }
 
-    pub fn acked(&self) -> usize {
-        self.acked
-    }
-
     /// Records a unit the engine acknowledged.
     pub fn push_acked(&mut self, unit: Unit) {
         debug_assert_eq!(self.acked, self.units.len(), "acks are a prefix");
@@ -169,7 +165,7 @@ mod tests {
         m.push_unacked(Unit::insert(2, b"b".to_vec()));
         m.settle(1);
         assert_eq!(m.submitted(), 1);
-        assert_eq!(m.acked(), 1);
+        assert_eq!(m.acked, 1);
         assert!(!m.image().contains_key(&2));
     }
 }

@@ -240,10 +240,6 @@ impl<S: BlockStore> FailStore<S> {
         FailStore { inner, plan }
     }
 
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     pub fn inner(&self) -> &S {
         &self.inner
     }
@@ -253,11 +249,6 @@ impl<S: BlockStore> FailStore<S> {
     /// can run on a fault-injected file disk.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// The plan handle (same one [`FailStore::new`] returned).
-    pub fn plan(&self) -> &FailPlan {
-        &self.plan
     }
 }
 

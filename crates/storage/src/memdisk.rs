@@ -58,11 +58,6 @@ impl MemDisk {
     pub fn raw_image(&self) -> Vec<Vec<u8>> {
         self.blocks.clone()
     }
-
-    /// Number of live (non-freed) blocks.
-    pub fn live_blocks(&self) -> u32 {
-        (self.blocks.len() - self.freed.len()) as u32
-    }
 }
 
 /// Index of the smallest id on a free stack (shared by the in-memory and
@@ -288,6 +283,5 @@ mod tests {
         let image = disk.raw_image();
         assert_eq!(image.len(), 1);
         assert_eq!(image[0], vec![0xAB; 64], "freed data is not scrubbed");
-        assert_eq!(disk.live_blocks(), 0);
     }
 }

@@ -35,10 +35,6 @@ impl<'a> PageWriter<'a> {
         PageWriter { page, pos: 0 }
     }
 
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     pub fn remaining(&self) -> usize {
         self.page.len() - self.pos
     }
@@ -99,10 +95,6 @@ pub struct PageReader<'a> {
 impl<'a> PageReader<'a> {
     pub fn new(page: &'a [u8]) -> Self {
         PageReader { page, pos: 0 }
-    }
-
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     pub fn remaining(&self) -> usize {

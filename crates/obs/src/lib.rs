@@ -424,8 +424,6 @@ pub enum EventKind {
     TornTailScrub,
     /// WAL group commit forced a sync. `a` = commits in the batch.
     GroupCommit,
-    /// Buffer-pool eviction wrote back a dirty frame. `a` = block id.
-    Eviction,
     /// Transaction began. `a` = snapshot epoch it reads at.
     TxnBegin,
     /// Transaction committed. `a` = keys written, `b` = partitions spanned.
@@ -455,7 +453,6 @@ impl EventKind {
             EventKind::RecoveryEnd => "recovery_end",
             EventKind::TornTailScrub => "torn_tail_scrub",
             EventKind::GroupCommit => "group_commit",
-            EventKind::Eviction => "eviction",
             EventKind::TxnBegin => "txn_begin",
             EventKind::TxnCommit => "txn_commit",
             EventKind::TxnAbort => "txn_abort",
@@ -475,7 +472,6 @@ impl EventKind {
                 | EventKind::Batch
                 | EventKind::RecoveryReplay
                 | EventKind::GroupCommit
-                | EventKind::Eviction
                 | EventKind::TxnBegin
                 | EventKind::TxnCommit
         )

@@ -6,28 +6,30 @@
 //! save physical I/O but **not** decryption work, exactly as in the paper's
 //! model where the hardware crypto unit sits at the disk interface.
 //!
+//! The pool has one policy, no-steal: a dirty frame is never written back
+//! by eviction, only by [`BufferPool::flush`] (or a checkpoint's own
+//! write path), so the store behind the pool changes only at those
+//! points — the discipline a checkpointed file store needs, where the
+//! on-disk image must stay a consistent snapshot between checkpoints.
+//! The pool exceeds its capacity rather than write a dirty frame early.
+//!
 //! Frames live in one [`LruMap`]: a hit, a miss, a discard and the choice
-//! of a victim are O(1) whatever the pool holds. Under the no-steal policy
-//! a dirty frame is *pinned* — in the map, off the recency list — so the
-//! least recently used clean frame is simply the head of the list, however
-//! many thousand dirty pages a bulk load has parked between checkpoints.
+//! of a victim are O(1) whatever the pool holds. A dirty frame is
+//! *pinned* — in the map, off the recency list — so the least recently
+//! used clean frame is simply the head of the list, however many thousand
+//! dirty pages a bulk load has parked between checkpoints.
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::lru::LruMap;
 
-/// Write-back LRU cache of whole blocks.
+/// No-steal LRU cache of whole blocks.
 #[derive(Debug)]
 pub struct BufferPool<S: BlockStore> {
     store: S,
-    /// Cached frames in recency order; no-steal dirty frames are pinned.
+    /// Cached frames in recency order; dirty frames are pinned.
     frames: LruMap<BlockId, Frame>,
     /// Frames with `dirty` set.
     dirty: usize,
-    /// No-steal policy: dirty frames are pinned and never written back by
-    /// eviction. The pool then exceeds its capacity rather than flush — the
-    /// discipline checkpointed file backends need, where the on-disk image
-    /// must stay a consistent snapshot between explicit checkpoints.
-    no_steal: bool,
 }
 
 #[derive(Debug)]
@@ -37,23 +39,16 @@ struct Frame {
 }
 
 impl<S: BlockStore> BufferPool<S> {
+    /// A pool of `capacity` frames over `store`. Eviction only ever drops
+    /// clean frames, so `store` is written exclusively at
+    /// [`BufferPool::flush`] and [`BufferPool::write_through`].
     pub fn new(store: S, capacity: usize) -> Self {
         assert!(capacity >= 1);
         BufferPool {
             store,
             frames: LruMap::new(capacity),
             dirty: 0,
-            no_steal: false,
         }
-    }
-
-    /// A pool that pins dirty frames (see the `no_steal` field): eviction
-    /// only ever drops clean frames, so the backing store is mutated
-    /// exclusively by [`BufferPool::flush`]-time write-back.
-    pub fn new_no_steal(store: S, capacity: usize) -> Self {
-        let mut pool = Self::new(store, capacity);
-        pool.no_steal = true;
-        pool
     }
 
     /// The frame of `id`, read in on a miss (one look-up on a hit), with
@@ -63,14 +58,13 @@ impl<S: BlockStore> BufferPool<S> {
     fn resident<'a>(
         store: &mut S,
         frames: &'a mut LruMap<BlockId, Frame>,
-        dirty: &mut usize,
         id: BlockId,
     ) -> Result<&'a mut Frame, StorageError> {
         let (frame, hit) =
             frames.get_or_try_insert_with(id, |frames| -> Result<_, StorageError> {
                 store.counters().bump(|c| &c.cache_misses);
                 let data = store.read_block_vec(id)?;
-                evict(frames, store, dirty, 1, None)?;
+                evict(frames, store, 1, None);
                 Ok(Frame { data, dirty: false })
             })?;
         if hit {
@@ -81,13 +75,7 @@ impl<S: BlockStore> BufferPool<S> {
 
     /// Reads through the cache.
     pub fn read(&mut self, id: BlockId) -> Result<&[u8], StorageError> {
-        let Self {
-            store,
-            frames,
-            dirty,
-            ..
-        } = self;
-        Ok(&Self::resident(store, frames, dirty, id)?.data)
+        Ok(&Self::resident(&mut self.store, &mut self.frames, id)?.data)
     }
 
     /// Read-modify-write of `id`'s frame in place: counted and evicted
@@ -98,26 +86,18 @@ impl<S: BlockStore> BufferPool<S> {
         id: BlockId,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, StorageError> {
-        let Self {
-            store,
-            frames,
-            dirty,
-            no_steal,
-        } = self;
-        let frame = Self::resident(store, frames, dirty, id)?;
+        let frame = Self::resident(&mut self.store, &mut self.frames, id)?;
         let out = f(&mut frame.data);
         if !std::mem::replace(&mut frame.dirty, true) {
-            *dirty += 1;
+            self.dirty += 1;
         }
-        if *no_steal {
-            frames.pin(&id);
-        }
-        evict(frames, store, dirty, 0, Some(id))?;
+        self.frames.pin(&id);
+        evict(&mut self.frames, &self.store, 0, Some(id));
         Ok(out)
     }
 
-    /// Writes through the cache (write-back: dirty until flush/eviction).
-    /// A resident frame takes the bytes in place.
+    /// Writes into the cache: the frame stays dirty, and pinned, until
+    /// [`BufferPool::flush`]. A resident frame takes the bytes in place.
     pub fn write(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         if data.len() != self.store.block_size() {
             return Err(StorageError::WrongBlockSize {
@@ -142,16 +122,9 @@ impl<S: BlockStore> BufferPool<S> {
         if !was_dirty {
             self.dirty += 1;
         }
-        if self.no_steal {
-            self.frames.pin(&id);
-        }
-        evict(
-            &mut self.frames,
-            &mut self.store,
-            &mut self.dirty,
-            0,
-            Some(id),
-        )
+        self.frames.pin(&id);
+        evict(&mut self.frames, &self.store, 0, Some(id));
+        Ok(())
     }
 
     /// Flushes all dirty frames to the store.
@@ -221,7 +194,8 @@ impl<S: BlockStore> BufferPool<S> {
         self.frames.unpin_all();
     }
 
-    /// Number of cached frames (may exceed `capacity` under no-steal).
+    /// Number of cached frames (may exceed `capacity`: dirty frames are
+    /// never evicted).
     pub fn len(&self) -> usize {
         self.frames.len()
     }
@@ -249,37 +223,24 @@ impl<S: BlockStore> BufferPool<S> {
     }
 }
 
-/// Evicts least-recently-used frames until `incoming` more would fit the
-/// capacity, and writes dirty victims back. `keep` is spared: the frame
-/// the caller is in the middle of handing out. Under no-steal only clean
-/// frames are on the recency list, so when `keep` is the one clean frame
-/// among pinned dirty ones the pool stays over capacity until the next
-/// checkpoint.
+/// Drops least-recently-used frames until `incoming` more would fit the
+/// capacity. `keep` is spared: the frame the caller is in the middle of
+/// handing out. Only clean frames are on the recency list, so a victim is
+/// never written back; when `keep` is the one clean frame among pinned
+/// dirty ones the pool stays over capacity until the next flush.
 fn evict<S: BlockStore>(
     frames: &mut LruMap<BlockId, Frame>,
-    store: &mut S,
-    dirty: &mut usize,
+    store: &S,
     incoming: usize,
     keep: Option<BlockId>,
-) -> Result<(), StorageError> {
+) {
     while frames.len() + incoming > frames.capacity()
         && frames.peek_lru().is_some_and(|&id| Some(id) != keep)
     {
-        let (victim, frame) = frames.pop_lru().expect("a frame was peeked");
+        let (_, frame) = frames.pop_lru().expect("a frame was peeked");
+        debug_assert!(!frame.dirty, "dirty frames are pinned");
         store.counters().bump(|c| &c.cache_evicts);
-        if frame.dirty {
-            *dirty -= 1;
-            store.write_block(victim, &frame.data)?;
-            store.counters().obs().note(
-                sks_obs::EventKind::Eviction,
-                sks_obs::NO_PARTITION,
-                victim.0 as u64,
-                0,
-                0,
-            );
-        }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -322,19 +283,24 @@ mod tests {
     }
 
     #[test]
-    fn write_back_on_eviction_and_flush() {
+    fn a_dirty_frame_outlives_eviction_and_only_flush_writes_it() {
         let disk = disk_with_blocks(3);
         let mut pool = BufferPool::new(disk, 1);
         pool.write(BlockId(0), &[0xAA; 64]).unwrap();
-        // Evict block 0 by reading block 1.
+        // Reading block 1 cannot evict the dirty block 0.
         let _ = pool.read(BlockId(1)).unwrap();
+        assert_eq!(pool.read(BlockId(0)).unwrap(), &[0xAA; 64][..]);
         assert_eq!(
             pool.store().read_block_vec(BlockId(0)).unwrap(),
-            vec![0xAA; 64],
-            "dirty frame written back on eviction"
+            vec![0u8; 64],
+            "eviction never writes a dirty frame back"
         );
         pool.write(BlockId(2), &[0xBB; 64]).unwrap();
         pool.flush().unwrap();
+        assert_eq!(
+            pool.store().read_block_vec(BlockId(0)).unwrap(),
+            vec![0xAA; 64]
+        );
         assert_eq!(
             pool.store().read_block_vec(BlockId(2)).unwrap(),
             vec![0xBB; 64]
@@ -378,9 +344,9 @@ mod tests {
     }
 
     #[test]
-    fn no_steal_pins_dirty_frames_past_capacity() {
+    fn dirty_frames_stay_pinned_past_capacity() {
         let disk = disk_with_blocks(4);
-        let mut pool = BufferPool::new_no_steal(disk, 2);
+        let mut pool = BufferPool::new(disk, 2);
         pool.write(BlockId(0), &[0xA0; 64]).unwrap();
         pool.write(BlockId(1), &[0xA1; 64]).unwrap();
         pool.write(BlockId(2), &[0xA2; 64]).unwrap();
@@ -399,12 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn no_steal_read_miss_with_all_dirty_pool_survives() {
+    fn a_read_miss_into_an_all_dirty_pool_survives() {
         // Regression: with the pool full of pinned dirty frames, a read
         // miss inserts a clean frame that is the *only* eviction
         // candidate; it must not be evicted out from under the caller.
         let disk = disk_with_blocks(4);
-        let mut pool = BufferPool::new_no_steal(disk, 2);
+        let mut pool = BufferPool::new(disk, 2);
         pool.write(BlockId(0), &[0xA0; 64]).unwrap();
         pool.write(BlockId(1), &[0xA1; 64]).unwrap();
         assert_eq!(pool.read(BlockId(2)).unwrap(), &[2u8; 64][..]);
@@ -419,7 +385,7 @@ mod tests {
     #[test]
     fn dirty_frames_reports_the_write_set() {
         let disk = disk_with_blocks(3);
-        let mut pool = BufferPool::new_no_steal(disk, 4);
+        let mut pool = BufferPool::new(disk, 4);
         pool.write(BlockId(2), &[2; 64]).unwrap();
         pool.write(BlockId(0), &[0; 64]).unwrap();
         let _ = pool.read(BlockId(1)).unwrap();
@@ -430,42 +396,77 @@ mod tests {
     }
 
     #[test]
-    fn steal_mode_replays_a_trace_exactly_like_the_vec_scan_lru() {
+    fn a_trace_replays_exactly_like_the_vec_scan_lru_with_dirty_frames_pinned() {
         use crate::lru::tests::{splitmix64, VecLru};
         const BLOCKS: u32 = 40;
         const CAPACITY: usize = 7;
         let mut pool = BufferPool::new(disk_with_blocks(BLOCKS), CAPACITY);
-        // The oracle holds each resident block's dirty bit.
-        let mut model = VecLru::<bool>::new();
+        // The oracle holds each resident block's dirty bit and contents;
+        // `disk` what the store holds.
+        let mut model = VecLru::<(bool, u8)>::new();
+        let mut disk: Vec<u8> = (0..BLOCKS).map(|i| i as u8).collect();
         let mut rng = 0x5EED;
         let mut before = pool.store().counters().snapshot();
         for step in 0..10_000 {
             let r = splitmix64(&mut rng);
             let id = (r >> 8) as u32 % BLOCKS;
-            let (mut hits, mut misses, mut evicts, mut write_backs) = (0, 0, 0, 0);
-            match r % 8 {
-                0..=4 => {
-                    let _ = pool.read(BlockId(id)).unwrap();
-                    if model.get(id).is_some() {
-                        hits = 1;
-                    } else {
-                        misses = 1;
-                        model.insert(id, false);
-                    }
+            let (mut hits, mut misses, mut evicts, mut writes) = (0, 0, 0, 0);
+            // Evicts clean frames, least recent first, until `incoming`
+            // more fit; a dirty frame is pinned, never a victim.
+            let mut evict = |model: &mut VecLru<(bool, u8)>, incoming: usize| {
+                while model.map.len() + incoming > CAPACITY {
+                    let Some((_, (dirty, _))) = model.pop_lru() else {
+                        break;
+                    };
+                    assert!(!dirty, "step {step}: a dirty frame was a victim");
+                    evicts += 1;
                 }
-                5 | 6 => {
-                    pool.write(BlockId(id), &[step as u8; 64]).unwrap();
-                    model.insert(id, true);
+            };
+            match r % 16 {
+                0..=9 => {
+                    let got = pool.read(BlockId(id)).unwrap()[0];
+                    let want = match model.get(id) {
+                        Some(&(_, byte)) => {
+                            hits = 1;
+                            byte
+                        }
+                        None => {
+                            misses = 1;
+                            evict(&mut model, 1);
+                            model.insert(id, (false, disk[id as usize]));
+                            disk[id as usize]
+                        }
+                    };
+                    assert_eq!(got, want, "step {step}: read of block {id}");
                 }
-                _ => {
+                10..=12 => {
+                    let byte = step as u8;
+                    pool.write(BlockId(id), &[byte; 64]).unwrap();
+                    model.insert(id, (true, byte));
+                    model.pin(id);
+                    evict(&mut model, 0);
+                }
+                13 | 14 => {
                     pool.discard(BlockId(id));
                     model.remove(id);
                 }
-            }
-            while model.map.len() > CAPACITY {
-                let (_, dirty) = model.pop_lru().expect("over capacity");
-                evicts += 1;
-                write_backs += dirty as u64;
+                _ => {
+                    pool.flush().unwrap();
+                    let mut dirty: Vec<u32> = model
+                        .map
+                        .iter()
+                        .filter(|(_, &(d, _))| d)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    dirty.sort_unstable();
+                    for id in dirty {
+                        let frame = model.map.get_mut(&id).expect("listed");
+                        frame.0 = false;
+                        disk[id as usize] = frame.1;
+                        model.unpin(id);
+                        writes += 1;
+                    }
+                }
             }
             let after = pool.store().counters().snapshot();
             assert_eq!(
@@ -475,24 +476,31 @@ mod tests {
                     after.cache_evicts - before.cache_evicts,
                     after.block_writes - before.block_writes,
                 ),
-                (hits, misses, evicts, write_backs),
+                (hits, misses, evicts, writes),
                 "step {step}"
             );
             assert_eq!(pool.len(), model.map.len(), "step {step}");
-            let dirty = model.map.values().filter(|&&d| d).count();
+            let dirty = model.map.values().filter(|&&(d, _)| d).count();
             assert_eq!(pool.dirty_count(), dirty, "step {step}");
             before = after;
+        }
+        for id in 0..BLOCKS {
+            assert_eq!(
+                pool.store().read_block_vec(BlockId(id)).unwrap()[0],
+                disk[id as usize],
+                "block {id} on the store"
+            );
         }
     }
 
     #[test]
-    fn no_steal_holds_fifty_thousand_pinned_frames_and_sheds_them_after_flush() {
+    fn the_pool_holds_fifty_thousand_pinned_frames_and_sheds_them_after_flush() {
         const N: u32 = 50_000;
         let mut disk = MemDisk::new(64);
         for _ in 0..=N {
             disk.allocate().unwrap();
         }
-        let mut pool = BufferPool::new_no_steal(disk, 16);
+        let mut pool = BufferPool::new(disk, 16);
         let page = |i: u32, round: u8| {
             let mut p = [round; 64];
             p[..4].copy_from_slice(&i.to_be_bytes());

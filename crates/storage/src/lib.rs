@@ -12,8 +12,8 @@
 //! * [`filedisk`] — file-backed device with a persistent free list.
 //! * [`lru`] — [`LruMap`], the one bounded map (O(1) recency list with
 //!   pinning) behind every cache in the workspace.
-//! * [`bufferpool`] — write-back LRU cache at the memory↔disk boundary,
-//!   with an optional no-steal (pin-dirty) policy.
+//! * [`bufferpool`] — no-steal LRU cache at the memory↔disk boundary:
+//!   dirty frames stay pinned until a flush writes them.
 //! * [`failstore`] — fault-injection wrapper failing (or tearing) the Nth
 //!   write, for deterministic crash probes.
 //! * [`paged`] — [`PagedFileStore`]: the file backend's store — the pool

@@ -6,8 +6,8 @@
 //! holds if nothing dribbles onto the file between checkpoints, so this
 //! store enforces three disciplines on top of the plain pool:
 //!
-//! 1. **No-steal caching** — dirty pages are pinned in memory
-//!    ([`BufferPool::new_no_steal`]); eviction drops clean frames only.
+//! 1. **No-steal caching** — dirty pages are pinned in memory (the
+//!    [`BufferPool`]'s one policy); eviction drops clean frames only.
 //! 2. **Shadowed allocation** — `allocate`/`free` mutate an in-memory
 //!    mirror of the device's free list; the [`FileDisk`] header and
 //!    intrusive free chain are rewritten only at checkpoint.
@@ -123,11 +123,7 @@ impl PagedFileStore {
         std::fs::remove_file(&journal_path).ok();
         let disk = FileDisk::create_with_counters(path, block_size, counters.clone())?;
         Ok(PagedFileStore {
-            inner: Mutex::new(Inner::new(
-                BufferPool::new_no_steal(disk, pool_pages),
-                0,
-                Vec::new(),
-            )),
+            inner: Mutex::new(Inner::new(BufferPool::new(disk, pool_pages), 0, Vec::new())),
             block_size,
             counters,
             journal_path,
@@ -179,7 +175,7 @@ impl PagedFileStore {
         let block_size = disk.block_size();
         Ok(PagedFileStore {
             inner: Mutex::new(Inner::new(
-                BufferPool::new_no_steal(disk, pool_pages),
+                BufferPool::new(disk, pool_pages),
                 num_blocks,
                 free,
             )),

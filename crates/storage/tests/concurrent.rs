@@ -1,13 +1,13 @@
 //! Multi-thread (barrier-based, loom-free) tests of the storage layer
 //! under the kind of access the engine generates: a shared buffer pool
-//! absorbing write-back traffic from many threads, and a `FileDisk`
+//! absorbing writes and flushes from many threads, and a `FileDisk`
 //! free list being hammered by concurrent allocate/free cycles.
 //!
 //! `BufferPool` and `FileDisk` are `&mut self` APIs — the engine shares
 //! them behind locks, never lock-free — so these tests drive them through
 //! a `Mutex` exactly as a caller would, and assert the *data* invariants
-//! that matter across threads: no lost writes on eviction, no
-//! double-handed-out blocks, free-list reuse instead of file growth.
+//! that matter across threads: no lost writes across eviction and flush,
+//! no double-handed-out blocks, free-list reuse instead of file growth.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex};
@@ -21,12 +21,15 @@ fn tmpfile(name: &str) -> std::path::PathBuf {
 }
 
 /// Every thread owns a disjoint set of blocks and rewrites them through a
-/// pool far smaller than the working set, forcing continual write-back
-/// eviction while other threads interleave. After the storm, every
-/// block's final content must be the last value its owner wrote — nothing
-/// lost in eviction, nothing cross-written.
+/// pool far smaller than the working set, flushing the pool after each of
+/// its rounds while other threads interleave. A dirty frame stays pinned
+/// however far the pool runs over capacity, so nothing reaches the store
+/// but a flush; a flushed frame is clean and the next miss evicts it.
+/// After the storm, every block's final content must be the last value
+/// its owner wrote — nothing lost in eviction or flush, nothing
+/// cross-written.
 #[test]
-fn bufferpool_write_back_eviction_under_contention() {
+fn bufferpool_pins_dirty_frames_until_flush_under_contention() {
     const THREADS: usize = 8;
     const BLOCKS_PER_THREAD: u32 = 16;
     const ROUNDS: u8 = 25;
@@ -53,12 +56,19 @@ fn bufferpool_write_back_eviction_under_contention() {
                     for b in my_first..my_first + BLOCKS_PER_THREAD {
                         let fill = fill_byte(t, b, round);
                         let mut pool = pool.lock().unwrap();
+                        let writes = pool.store().counters().snapshot().block_writes;
                         pool.write(BlockId(b), &[fill; BLOCK_SIZE]).unwrap();
                         // Read-your-writes through the cache, interleaved
-                        // with everyone else's evictions.
+                        // with everyone else's evictions and flushes.
                         let got = pool.read(BlockId(b)).unwrap();
                         assert_eq!(got, &[fill; BLOCK_SIZE][..], "thread {t} block {b}");
+                        assert_eq!(
+                            pool.store().counters().snapshot().block_writes,
+                            writes,
+                            "only a flush writes to the store"
+                        );
                     }
+                    pool.lock().unwrap().flush().unwrap();
                 }
             })
         })
@@ -72,12 +82,13 @@ fn bufferpool_write_back_eviction_under_contention() {
         .into_inner()
         .unwrap();
     // Eviction must have actually happened for this test to mean anything.
-    let evictions = {
+    let flushed = {
         let s = pool.store().counters().snapshot();
         assert!(
-            s.block_writes > 0,
-            "a 7-frame pool over 128 hot blocks must write back"
+            s.cache_evicts > 0,
+            "a 7-frame pool over 128 hot blocks must evict"
         );
+        assert_eq!(pool.dirty_count(), 0, "every round ended in a flush");
         s.block_writes
     };
     pool.flush().unwrap();
@@ -89,7 +100,7 @@ fn bufferpool_write_back_eviction_under_contention() {
             assert_eq!(
                 disk.read_block_vec(BlockId(b)).unwrap(),
                 want,
-                "final content of block {b} (owner {t}) survived {evictions} write-backs"
+                "final content of block {b} (owner {t}) survived {flushed} flushed writes"
             );
         }
     }

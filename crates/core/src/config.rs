@@ -101,7 +101,8 @@ pub enum SealerKind {
     Rsa(usize),
 }
 
-/// Where the enciphered node/record blocks live.
+/// Where a single [`crate::EncipheredBTree`]'s enciphered node/record
+/// blocks live.
 ///
 /// The paper's threat model is an opponent holding the *storage medium*;
 /// `Memory` simulates that medium in RAM (every byte lost on restart —
@@ -109,9 +110,9 @@ pub enum SealerKind {
 /// blocks on an actual on-disk device behind a no-steal buffer pool with
 /// journaled checkpoints. Only enciphered bytes ever reach the file
 /// either way; the backend changes *where* the opponent's view lives,
-/// never *what* it contains. This choice is the single-tree API's: an
-/// engine always keeps its partitions on disk under its own directory
-/// and reads only `pool_pages` here (the default pool for `Memory`).
+/// never *what* it contains. An engine ignores this choice: it always
+/// keeps its partitions on disk under its own directory, each with a
+/// pool of [`StorageBackend::DEFAULT_POOL_PAGES`] frames per store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageBackend {
     /// Simulated in-RAM device (the paper's experimental setup).
@@ -126,8 +127,9 @@ pub enum StorageBackend {
 }
 
 impl StorageBackend {
-    /// Default pool size: enough to keep a hot tree's upper levels
-    /// resident without hiding the I/O cost of leaf traffic.
+    /// Default pool size, and the engine's for every partition: enough to
+    /// keep a hot tree's upper levels resident without hiding the I/O
+    /// cost of leaf traffic.
     pub const DEFAULT_POOL_PAGES: usize = 256;
 
     /// Convenience constructor for the file backend with the default pool.
@@ -165,10 +167,10 @@ pub struct SchemeConfig {
     /// covering the whole key domain; a router hashes disguised keys to
     /// pick one). `1` means unsharded. Ignored by the single-tree API.
     pub partitions: usize,
-    /// Where the enciphered blocks live (see [`StorageBackend`]). The
-    /// `create_in_memory*` constructors ignore this; the backend-aware
-    /// [`crate::EncipheredBTree::create`]/`open` honour it, and the engine
-    /// reads only its pool size.
+    /// Where the enciphered blocks live (see [`StorageBackend`]).
+    /// [`crate::EncipheredBTree::create_in_memory`] ignores this; the
+    /// backend-aware [`crate::EncipheredBTree::create`]/`open` honour it,
+    /// and the engine reads none of it.
     pub backend: StorageBackend,
     /// Capacity (in nodes) of the node cache every node visit goes
     /// through. A node is cached as stored and a probe deciphers only the

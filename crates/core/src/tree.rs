@@ -224,44 +224,24 @@ impl EncipheredBTree {
     /// Builds the whole stack in memory from a [`SchemeConfig`] (the
     /// paper's simulated-device setup; ignores `config.backend`).
     pub fn create_in_memory(config: SchemeConfig) -> Result<Self, CoreError> {
-        let counters = OpCounters::with_observability(config.observability);
-        Self::create_in_memory_with_counters(config, counters)
-    }
-
-    /// [`EncipheredBTree::create_in_memory`] sharing an existing counter
-    /// set — an engine running several tree partitions aggregates them all
-    /// into one account this way.
-    pub fn create_in_memory_with_counters(
-        config: SchemeConfig,
-        counters: OpCounters,
-    ) -> Result<Self, CoreError> {
-        let config = SchemeConfig {
+        Self::create(SchemeConfig {
             backend: StorageBackend::Memory,
             ..config
-        };
-        Self::create_with_counters(config, counters)
+        })
     }
 
     /// Builds a fresh stack on whatever backend `config.backend` names
     /// (truncating any previous on-disk state for the file backend).
     pub fn create(config: SchemeConfig) -> Result<Self, CoreError> {
         let counters = OpCounters::with_observability(config.observability);
-        Self::create_with_counters(config, counters)
-    }
-
-    /// [`EncipheredBTree::create`] sharing an existing counter set.
-    pub fn create_with_counters(
-        config: SchemeConfig,
-        counters: OpCounters,
-    ) -> Result<Self, CoreError> {
         Self::create_with_shared_disguise(config, counters, None)
     }
 
-    /// [`EncipheredBTree::create_with_counters`] reusing a prebuilt key
-    /// disguise (see [`SchemeConfig::build_codec_with`]). An engine's
-    /// partitions all use an identical disguise, so the engine builds
-    /// the difference-set design once and shares it instead of paying
-    /// the construction per partition.
+    /// [`EncipheredBTree::create`] into an existing counter set, reusing a
+    /// prebuilt key disguise (see [`SchemeConfig::build_codec_with`]). An
+    /// engine's partitions share one counter set and an identical
+    /// disguise, so the engine builds the difference-set design once and
+    /// shares it instead of paying the construction per partition.
     pub fn create_with_shared_disguise(
         config: SchemeConfig,
         counters: OpCounters,
@@ -310,21 +290,14 @@ impl EncipheredBTree {
     /// keys, a different scheme, or a different block size.
     pub fn open(config: SchemeConfig) -> Result<Self, CoreError> {
         let counters = OpCounters::with_observability(config.observability);
-        Self::open_with_counters(config, counters)
-    }
-
-    /// [`EncipheredBTree::open`] sharing an existing counter set.
-    pub fn open_with_counters(
-        config: SchemeConfig,
-        counters: OpCounters,
-    ) -> Result<Self, CoreError> {
         Self::open_with_shared_disguise(config, counters, None)
     }
 
-    /// [`EncipheredBTree::open_with_counters`] reusing a prebuilt key
-    /// disguise (see [`EncipheredBTree::create_with_shared_disguise`]) —
-    /// the multi-partition reopen path stays O(1) design constructions
-    /// instead of O(partitions).
+    /// [`EncipheredBTree::open`] into an existing counter set, reusing a
+    /// prebuilt key disguise (see
+    /// [`EncipheredBTree::create_with_shared_disguise`]) — the
+    /// multi-partition reopen path stays O(1) design constructions instead
+    /// of O(partitions).
     pub fn open_with_shared_disguise(
         config: SchemeConfig,
         counters: OpCounters,
@@ -372,23 +345,9 @@ impl EncipheredBTree {
     /// `config.backend` like [`EncipheredBTree::create`].
     pub fn bulk_create(config: SchemeConfig, items: &[(u64, Vec<u8>)]) -> Result<Self, CoreError> {
         let counters = OpCounters::with_observability(config.observability);
-        let (codec, disguise) = config.build_codec(&counters)?;
         let (node_store, data_store) = build_stores(&config, &counters, true)?;
-        let mut records = RecordStore::create(data_store, config.data_key, config.record_cache)?;
-        let mut pairs = Vec::with_capacity(items.len());
-        for (key, record) in items {
-            pairs.push((*key, records.insert_keyed(*key, record)?));
-        }
-        let mut tree = BTree::bulk_load(node_store, codec, &pairs)?;
-        tree.enable_node_cache(config.node_cache);
-        let mut this = EncipheredBTree {
-            config,
-            counters,
-            tree,
-            records,
-            disguise,
-            sweep_cursor: (0, 0),
-        };
+        let mut this = Self::assemble(config, counters, node_store, data_store, true, None)?;
+        this.bulk_load(items)?;
         this.seal_backend()?;
         Ok(this)
     }

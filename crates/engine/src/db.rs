@@ -328,18 +328,13 @@ fn refuse_legacy_snapshots(db_dir: &Path) -> Result<(), EngineError> {
 }
 
 /// The per-partition scheme config: every partition keeps its page stores
-/// under the database directory, whatever the backend says. For the
-/// engine the backend supplies only the buffer-pool size (`File.dir` is
-/// only used when the config drives a standalone tree, and `Memory` gets
-/// the default pool).
+/// under the database directory, behind a buffer pool of
+/// [`StorageBackend::DEFAULT_POOL_PAGES`] frames per store. The engine
+/// reads nothing from `scheme.backend`, which only a standalone tree
+/// uses.
 fn partition_config(scheme: &SchemeConfig, db_dir: &Path, i: usize) -> SchemeConfig {
-    let pool_pages = match scheme.backend {
-        StorageBackend::File { pool_pages, .. } => pool_pages,
-        StorageBackend::Memory => StorageBackend::DEFAULT_POOL_PAGES,
-    };
-    let dir = partition_dir(db_dir, i);
     SchemeConfig {
-        backend: StorageBackend::File { dir, pool_pages },
+        backend: StorageBackend::file(partition_dir(db_dir, i)),
         ..scheme.clone()
     }
 }

@@ -29,11 +29,12 @@
 //! * [`error`] — [`EngineError`].
 //!
 //! Every partition keeps its enciphered node/record pages on disk under
-//! the database directory, behind a no-steal buffer pool: a checkpoint
-//! flushes the pages and truncates the log, and a restart replays only
-//! the tail since. Of [`sks_core::StorageBackend`] the engine reads only
-//! the pool size; `Memory` (the paper's simulated device) stays a
-//! single-tree backend.
+//! the database directory, behind a no-steal buffer pool of
+//! [`sks_core::StorageBackend::DEFAULT_POOL_PAGES`] frames per store: a
+//! checkpoint flushes the pages and truncates the log, and a restart
+//! replays only the tail since. The engine reads nothing from
+//! [`sks_core::StorageBackend`]; that choice, `Memory` (the paper's
+//! simulated device) included, belongs to the single-tree API.
 //!
 //! ```
 //! use sks_core::{Scheme, SchemeConfig};

@@ -4,7 +4,7 @@
 //! and the shrunken devices reopen as a valid image that serves every
 //! surviving record.
 
-use sks_core::{Scheme, SchemeConfig, StorageBackend};
+use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb};
 use sks_storage::SyncPolicy;
 
@@ -17,13 +17,8 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn file_config(dir: &std::path::Path, partitions: usize) -> EngineConfig {
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
-        .partitions(partitions)
-        .backend(StorageBackend::File {
-            dir: dir.to_path_buf(),
-            pool_pages: 256,
-        });
+fn file_config(partitions: usize) -> EngineConfig {
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(partitions);
     EngineConfig::new(scheme).sync(SyncPolicy::EveryN(32))
 }
 
@@ -37,7 +32,7 @@ fn rec(k: u64) -> Vec<u8> {
 #[test]
 fn checkpoint_compacts_and_shrinks_the_node_device() {
     let dir = tmpdir("node_shrink");
-    let db = SksDb::open(&dir, file_config(&dir, 2)).unwrap();
+    let db = SksDb::open(&dir, file_config(2)).unwrap();
     let session = db.session();
     for k in 0..4_000u64 {
         session.insert(k, rec(k)).unwrap();
@@ -91,7 +86,7 @@ fn checkpoint_compacts_and_shrinks_the_node_device() {
 fn shrunken_database_reopens_cleanly() {
     let dir = tmpdir("shrunk_reopen");
     {
-        let db = SksDb::open(&dir, file_config(&dir, 2)).unwrap();
+        let db = SksDb::open(&dir, file_config(2)).unwrap();
         let session = db.session();
         for k in 0..1_000u64 {
             session.insert(k, rec(k)).unwrap();
@@ -108,7 +103,7 @@ fn shrunken_database_reopens_cleanly() {
         }
     }
     {
-        let db = SksDb::open(&dir, file_config(&dir, 2)).unwrap();
+        let db = SksDb::open(&dir, file_config(2)).unwrap();
         assert_eq!(db.len(), 100);
         let session = db.session();
         for k in 900..1_000u64 {

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sks_core::{Scheme, SchemeConfig, StorageBackend};
+use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb};
 use sks_storage::SyncPolicy;
 
@@ -17,15 +17,9 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The engine takes only the pool size from the backend; 64 frames keep
-/// the pool under eviction pressure while checkpoints run.
+/// Four partitions, each with the engine's fixed buffer pool.
 fn config() -> EngineConfig {
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
-        .partitions(4)
-        .backend(StorageBackend::File {
-            dir: std::env::temp_dir(),
-            pool_pages: 64,
-        });
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(4);
     EngineConfig::new(scheme).sync(SyncPolicy::EveryN(16))
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use sks_core::{Scheme, SchemeConfig, StorageBackend};
+use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, EngineError, RecoveryPath, SksDb, Wal};
 use sks_storage::{OpCounters, SyncPolicy};
 
@@ -17,17 +17,9 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 }
 
 /// The engine keeps each partition's page stores under the database
-/// directory and takes only the pool size from the backend; 64 frames
-/// keep the pool under eviction pressure.
+/// directory, behind its fixed buffer pool.
 fn config(partitions: usize, capacity: u64) -> EngineConfig {
-    EngineConfig::new(
-        SchemeConfig::with_capacity(Scheme::Oval, capacity)
-            .partitions(partitions)
-            .backend(StorageBackend::File {
-                dir: std::env::temp_dir(),
-                pool_pages: 64,
-            }),
-    )
+    EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions))
 }
 
 fn record_for(k: u64) -> Vec<u8> {

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use sks_core::{ObsLevel, Scheme, SchemeConfig, StorageBackend};
+use sks_core::{ObsLevel, Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, EventKind, SksDb, Stage};
 use sks_storage::SyncPolicy;
 
@@ -24,12 +24,8 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 #[test]
 fn write_path_breakdown_explains_insert_wall_time() {
     let dir = tmpdir("write_path");
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 4096)
-        .backend(StorageBackend::File {
-            dir: dir.clone(),
-            pool_pages: 64,
-        })
-        .observability(ObsLevel::Histograms);
+    let scheme =
+        SchemeConfig::with_capacity(Scheme::Oval, 4096).observability(ObsLevel::Histograms);
     let db = SksDb::open(&dir, EngineConfig::new(scheme).sync(SyncPolicy::Always)).unwrap();
 
     const N: u64 = 200;

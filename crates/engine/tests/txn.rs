@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
-use sks_core::{Scheme, SchemeConfig, StorageBackend};
+use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, EngineError, SksDb, Wal};
 use sks_storage::{FailMode, FailPlan, FailStore, FileDisk, OpCounters, OpSnapshot, SyncPolicy};
 
@@ -18,17 +18,9 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The engine takes only the pool size from the backend; 64 frames keep
-/// the pool under eviction pressure.
+/// `partitions` partitions, each with the engine's fixed buffer pool.
 fn config(partitions: usize, capacity: u64) -> EngineConfig {
-    EngineConfig::new(
-        SchemeConfig::with_capacity(Scheme::Oval, capacity)
-            .partitions(partitions)
-            .backend(StorageBackend::File {
-                dir: std::env::temp_dir(),
-                pool_pages: 64,
-            }),
-    )
+    EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, capacity).partitions(partitions))
 }
 
 fn rec(k: u64) -> Vec<u8> {

@@ -4,7 +4,7 @@
 //! recorder. Plus the sorted-ingest `bulk_load` fast path riding the same
 //! machinery.
 
-use sks_core::{ObsLevel, Scheme, SchemeConfig, StorageBackend};
+use sks_core::{ObsLevel, Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb};
 use sks_storage::SyncPolicy;
 
@@ -48,10 +48,6 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
 
     let cfg = SchemeConfig::with_capacity(Scheme::Oval, 4096)
         .partitions(2)
-        .backend(StorageBackend::File {
-            dir: dir.clone(),
-            pool_pages: 64,
-        })
         .observability(ObsLevel::FullTrace);
     let db = SksDb::open(&dir, EngineConfig::new(cfg).sync(SyncPolicy::EveryN(8))).unwrap();
 
@@ -107,12 +103,7 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
 fn bulk_load_sorted_ingest_end_to_end() {
     let dir = tmpdir("bulk_load");
     let config = || {
-        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 8192)
-            .partitions(3)
-            .backend(StorageBackend::File {
-                dir: dir.clone(),
-                pool_pages: 128,
-            });
+        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 8192).partitions(3);
         EngineConfig::new(scheme).sync(SyncPolicy::EveryN(32))
     };
     let db = SksDb::open(&dir, config()).unwrap();
@@ -165,12 +156,7 @@ fn bulk_load_sorted_ingest_end_to_end() {
 fn bulk_load_replays_from_the_log_after_a_crash() {
     let dir = tmpdir("bulk_crash");
     let config = || {
-        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 8192)
-            .partitions(2)
-            .backend(StorageBackend::File {
-                dir: dir.clone(),
-                pool_pages: 64,
-            });
+        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 8192).partitions(2);
         EngineConfig::new(scheme).sync(SyncPolicy::Always)
     };
     {

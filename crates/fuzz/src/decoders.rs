@@ -407,16 +407,8 @@ pub fn run_engine_dir_case(seed: u64) -> Result<(), String> {
     let scratch = ScratchDir::new("dec-eng", seed);
     let dir = scratch.path();
     let mk_config = || {
-        let storage = sks_core::StorageBackend::File {
-            dir: dir.to_path_buf(),
-            pool_pages: 32,
-        };
-        EngineConfig::new(
-            SchemeConfig::with_capacity(Scheme::Oval, 128)
-                .partitions(2)
-                .backend(storage),
-        )
-        .sync(SyncPolicy::Always)
+        EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 128).partitions(2))
+            .sync(SyncPolicy::Always)
     };
 
     {

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sks_core::{Scheme, SchemeConfig, StorageBackend};
+use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb};
 use sks_storage::{FailPlan, KillPoint, SyncPolicy};
 
@@ -42,14 +42,8 @@ pub struct OpSeqReport {
     pub final_keys: usize,
 }
 
-fn make_config(dir: &std::path::Path, partitions: usize) -> EngineConfig {
-    let storage = StorageBackend::File {
-        dir: dir.to_path_buf(),
-        pool_pages: 64,
-    };
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY)
-        .partitions(partitions)
-        .backend(storage);
+fn make_config(partitions: usize) -> EngineConfig {
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(partitions);
     // Always-sync so every Ok is a durability promise the model can hold
     // the engine to; weaker policies would only allow prefix checks.
     EngineConfig::new(scheme).sync(SyncPolicy::Always)
@@ -68,7 +62,7 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
     // half-created database that correctly refuses to open — a dead end
     // for the driver, not a bug. Checkpoint-time WAL creation *is*
     // fuzzed (the plan is shared with the fresh log's device).
-    let mut db: Arc<SksDb> = SksDb::open(dir, make_config(dir, partitions).wal_fault(plan.clone()))
+    let mut db: Arc<SksDb> = SksDb::open(dir, make_config(partitions).wal_fault(plan.clone()))
         .map_err(|e| format!("initial open failed: {e}"))?;
 
     let mut report = OpSeqReport::default();
@@ -203,7 +197,7 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
             // fault plan, and the database MUST reopen.
             drop(db);
             plan.reset();
-            db = SksDb::open(dir, make_config(dir, partitions).wal_fault(plan.clone()))
+            db = SksDb::open(dir, make_config(partitions).wal_fault(plan.clone()))
                 .map_err(|e| format!("unit {unit_no}: reopen after crash failed: {e}"))?;
             let recovered: BTreeMap<u64, Vec<u8>> = db
                 .range(0, u64::MAX)
@@ -236,7 +230,7 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
     // And it must survive one last clean close-and-reopen.
     drop(db);
     plan.reset();
-    let db = SksDb::open(dir, make_config(dir, partitions))
+    let db = SksDb::open(dir, make_config(partitions))
         .map_err(|e| format!("final reopen failed: {e}"))?;
     let reopened: BTreeMap<u64, Vec<u8>> = db
         .range(0, u64::MAX)

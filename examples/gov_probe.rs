@@ -5,19 +5,14 @@
 //! directory, validates, reports device usage and — given the last
 //! acknowledged op — requires every acknowledged write to be there: a
 //! process crash loses nothing acknowledged under any sync policy.
-use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
+use sks_btree::core::{Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, SksDb};
 use sks_btree::storage::SyncPolicy;
 
 const KEYS: u64 = 8_000;
 
-fn config(dir: &std::path::Path) -> EngineConfig {
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 16_384)
-        .partitions(4)
-        .backend(StorageBackend::File {
-            dir: dir.to_path_buf(),
-            pool_pages: 128,
-        });
+fn config() -> EngineConfig {
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 16_384).partitions(4);
     EngineConfig::new(scheme).sync(SyncPolicy::EveryN(32))
 }
 
@@ -62,7 +57,7 @@ fn main() {
     let dir = std::path::PathBuf::from(args.next().expect("dir"));
     match mode.as_str() {
         "write" => {
-            let db = SksDb::open(&dir, config(&dir)).unwrap();
+            let db = SksDb::open(&dir, config()).unwrap();
             let s = db.session();
             println!("READY");
             let mut i = 0u64;
@@ -81,7 +76,7 @@ fn main() {
             }
         }
         "check" => {
-            let db = SksDb::open(&dir, config(&dir)).unwrap();
+            let db = SksDb::open(&dir, config()).unwrap();
             println!("recovery: {:?}", db.recovery_report());
             db.validate().unwrap();
             if let Some(acked) = args.next() {

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
+use sks_btree::core::{Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, RecoveryPath, SksDb};
 use sks_btree::storage::SyncPolicy;
 
@@ -26,12 +26,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("sks_server_example_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, KEY_SPACE + 64)
-        .partitions(8)
-        .backend(StorageBackend::File {
-            dir: dir.clone(), // re-rooted per partition by the engine
-            pool_pages: 128,
-        });
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, KEY_SPACE + 64).partitions(8);
     let config = EngineConfig::new(scheme).sync(SyncPolicy::EveryN(32));
 
     println!("== sks-engine server demo (file backend) ==");

@@ -453,9 +453,9 @@ fn default_config_engine_checkpoints_pages_and_replays_only_the_tail() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The backend names only a pool size to the engine, so a database
-/// created with `StorageBackend::File` reopens under the default config
-/// and serves every record.
+/// The engine reads nothing from the backend, so a database created
+/// with `StorageBackend::File` reopens under the default config and
+/// serves every record.
 #[test]
 fn a_file_config_database_reopens_under_the_default_config() {
     let dir = tmpfile("file_then_default");
@@ -614,11 +614,7 @@ fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
     let config = || {
         let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000)
             .partitions(2)
-            .record_cache(0)
-            .backend(StorageBackend::File {
-                dir: dir.clone(),
-                pool_pages: 64,
-            });
+            .record_cache(0);
         EngineConfig::new(scheme)
     };
     let (a, b) = {

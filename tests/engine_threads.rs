@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use sks_btree::core::{Scheme, SchemeConfig, StorageBackend};
+use sks_btree::core::{Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, SksDb};
 
 fn threads() -> usize {
@@ -34,12 +34,7 @@ fn settled(baseline: usize) -> usize {
 fn the_engine_leaves_no_thread_running_between_calls() {
     let dir = std::env::temp_dir().join(format!("sks_it_{}_threads", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000)
-        .partitions(2)
-        .backend(StorageBackend::File {
-            dir: dir.clone(),
-            pool_pages: 64,
-        });
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2);
 
     let baseline = threads();
     let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();

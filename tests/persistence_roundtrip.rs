@@ -103,8 +103,7 @@ proptest! {
         let dir = tmpdir("engine");
         let config = EngineConfig::new(
             SchemeConfig::with_capacity(Scheme::Oval, 256)
-                .partitions(2)
-                .backend(StorageBackend::File { dir: dir.clone(), pool_pages: 32 }),
+                .partitions(2),
         );
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         {

@@ -621,9 +621,10 @@ pub fn e10_multilevel_records() -> String {
     for have in 1..=LEVELS {
         let clearance = mls.hierarchy().clearance(have).expect("level");
         out.push_str(&format!("    {have:<10}"));
-        for &ptr in &ptrs {
+        for (level, &ptr) in (1..=LEVELS).zip(&ptrs) {
             let cell = match mls.get(&clearance, ptr) {
-                Ok(Some(_)) => "opens",
+                Ok(Some(body)) if body == format!("level-{level} dossier").as_bytes() => "opens",
+                Ok(Some(_)) => "garbled",
                 Ok(None) => "missing",
                 Err(e) => {
                     if refusal.is_empty() {

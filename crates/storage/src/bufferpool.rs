@@ -64,7 +64,7 @@ impl<S: BlockStore> BufferPool<S> {
             frames.get_or_try_insert_with(id, |frames| -> Result<_, StorageError> {
                 store.counters().bump(|c| &c.cache_misses);
                 let data = store.read_block_vec(id)?;
-                evict(frames, store, 1, None);
+                evict(frames, store, 1);
                 Ok(Frame { data, dirty: false })
             })?;
         if hit {
@@ -92,7 +92,7 @@ impl<S: BlockStore> BufferPool<S> {
             self.dirty += 1;
         }
         self.frames.pin(&id);
-        evict(&mut self.frames, &self.store, 0, Some(id));
+        evict(&mut self.frames, &self.store, 0);
         Ok(out)
     }
 
@@ -123,7 +123,7 @@ impl<S: BlockStore> BufferPool<S> {
             self.dirty += 1;
         }
         self.frames.pin(&id);
-        evict(&mut self.frames, &self.store, 0, Some(id));
+        evict(&mut self.frames, &self.store, 0);
         Ok(())
     }
 
@@ -224,20 +224,15 @@ impl<S: BlockStore> BufferPool<S> {
 }
 
 /// Drops least-recently-used frames until `incoming` more would fit the
-/// capacity. `keep` is spared: the frame the caller is in the middle of
-/// handing out. Only clean frames are on the recency list, so a victim is
-/// never written back; when `keep` is the one clean frame among pinned
-/// dirty ones the pool stays over capacity until the next flush.
-fn evict<S: BlockStore>(
-    frames: &mut LruMap<BlockId, Frame>,
-    store: &S,
-    incoming: usize,
-    keep: Option<BlockId>,
-) {
-    while frames.len() + incoming > frames.capacity()
-        && frames.peek_lru().is_some_and(|&id| Some(id) != keep)
-    {
-        let (_, frame) = frames.pop_lru().expect("a frame was peeked");
+/// capacity. Only clean frames are on the recency list, so a victim is
+/// never written back, and a frame just written (pinned) is never one;
+/// when every frame is dirty the pool stays over capacity until the next
+/// flush.
+fn evict<S: BlockStore>(frames: &mut LruMap<BlockId, Frame>, store: &S, incoming: usize) {
+    while frames.len() + incoming > frames.capacity() {
+        let Some((_, frame)) = frames.pop_lru() else {
+            break;
+        };
         debug_assert!(!frame.dirty, "dirty frames are pinned");
         store.counters().bump(|c| &c.cache_evicts);
     }

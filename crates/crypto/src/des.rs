@@ -381,6 +381,7 @@ mod tests {
         let key = 0xA5A5_5A5A_DEAD_BEEFu64;
         let shown = format!("{:?}", Des::new(key)).to_lowercase();
         assert!(shown.contains("des { subkeys: <redacted> }"), "{shown}");
+        assert!(!shown.contains("{{"), "{shown}");
         assert!(!shown.contains(&key.to_string()), "{shown}");
         assert!(!shown.contains(&format!("{key:x}")), "{shown}");
     }

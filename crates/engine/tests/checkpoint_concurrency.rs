@@ -33,8 +33,12 @@ fn file_backend_clients_progress_during_checkpoint() {
     let dir = tmpdir("file_progress");
     let db = SksDb::open(&dir, config()).expect("open");
     let session = db.session();
+    // Values of about a page each: every partition's record store outgrows
+    // its fixed pool, so the checkpoint runs under eviction pressure.
     for k in 0..2_000u64 {
-        session.insert(k, format!("base-{k}").into_bytes()).unwrap();
+        let mut value = format!("base-{k}").into_bytes();
+        value.resize(3_000, b'.');
+        session.insert(k, value).unwrap();
     }
 
     let ops_done = Arc::new(AtomicU64::new(0));
@@ -61,6 +65,7 @@ fn file_backend_clients_progress_during_checkpoint() {
 
     // The checkpoint may only complete after the worker has demonstrably
     // progressed *while it was in flight*.
+    let evicts_before = db.snapshot().cache_evicts;
     let before = ops_done.load(Ordering::Acquire);
     db.checkpoint_with_hook(|| {
         while ops_done.load(Ordering::Acquire) < before + 20 {
@@ -72,6 +77,8 @@ fn file_backend_clients_progress_during_checkpoint() {
     stop.store(true, Ordering::Release);
     let total = worker.join().expect("worker");
     assert!(total >= before + 20);
+    let evicts = db.snapshot().cache_evicts - evicts_before;
+    assert!(evicts > 0, "the checkpoint ran without eviction pressure");
     db.validate().unwrap();
 
     // Nothing racing the checkpoint was lost — including writes that

@@ -4,80 +4,14 @@
 //! A personnel database stores salary records. The DBMS below the filter is
 //! a perfectly ordinary plaintext B-tree — it never sees a real employee id
 //! or a plaintext salary — yet range queries still work because the
-//! sum-of-treatments substitution preserves key order.
+//! sum-of-treatments substitution preserves key order. The demo is `repro`'s
+//! E9 section (`sks_bench::experiments::e9_security_filter`), whose text
+//! `tests/golden/e9.txt` pins.
 //!
 //! ```sh
 //! cargo run --example personnel
 //! ```
 
-use sks_btree::core::{FilterSecrets, KeyDisguise, SecurityFilter, SumSubstitution};
-use sks_btree::designs::DifferenceSet;
-use sks_btree::storage::OpCounters;
-
 fn main() {
-    // Secret material (the paper: small enough for a smartcard).
-    let design = DifferenceSet::singer(31).expect("Singer design, v = 993");
-    let substitution =
-        SumSubstitution::new(design, 12, 900, OpCounters::new()).expect("w + R < v - 1");
-    println!(
-        "filter secret: (v,k,λ) = ({},{},1) design + starting line w=12 — {} bytes total",
-        substitution.design().v(),
-        substitution.design().k(),
-        substitution.secret_size_bytes()
-    );
-
-    let mut filter = SecurityFilter::new(
-        FilterSecrets {
-            substitution,
-            record_key: 0x0F1E_2D3C_4B5A_6978_8796_A5B4_C3D2_E1F0,
-            checksum_key: 0x1357_9BDF_0246_8ACE,
-        },
-        1024,
-    )
-    .expect("filter");
-
-    // HR inserts employee records through the filter.
-    for emp in 0..400u64 {
-        let record = format!(
-            "name=Employee{emp:03};grade={};salary={}",
-            emp % 9,
-            42_000 + (emp * 577) % 30_000
-        );
-        filter.insert(emp, record.as_bytes()).expect("insert");
-    }
-    println!(
-        "loaded {} personnel records through the filter\n",
-        filter.len()
-    );
-
-    // Exact retrieval with checksum verification.
-    let rec = filter.get(123).expect("verified get").expect("present");
-    println!("get(123) -> {}", String::from_utf8_lossy(&rec));
-
-    // Range query over employee ids 100..=109 — runs on the *unmodified*
-    // DBMS because disguised keys preserve order.
-    println!("\nrange(100..=109):");
-    for (emp, rec) in filter.range(100, 109).expect("range") {
-        println!("  {emp}: {}", String::from_utf8_lossy(&rec));
-    }
-
-    // What the DBMS administrator (or an attacker who owns the DBMS) sees.
-    let visible = filter.dbms_visible_keys().expect("scan");
-    println!(
-        "\nDBMS-visible index keys (first 8 of {}): {:?}",
-        visible.len(),
-        &visible[..8]
-    );
-    assert!(
-        visible.iter().all(|&k| k > 400),
-        "no real employee id leaks"
-    );
-
-    // Tampering with a stored record is caught by the Denning-style
-    // cryptographic checksum.
-    filter.tamper_with(77).expect("simulate hostile DBA");
-    match filter.get(77) {
-        Err(e) => println!("\ntamper detection: {e}"),
-        Ok(_) => unreachable!("tampering must be detected"),
-    }
+    print!("{}", sks_bench::experiments::e9_security_filter());
 }

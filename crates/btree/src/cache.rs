@@ -14,9 +14,13 @@
 //! cost either way (see [`crate::NodeCodec::probe_cached`]), so every
 //! comparative claim stays measurable at any cache size. Only an update,
 //! scan or validation — which needs the whole node — deciphers the
-//! remainder ([`crate::NodeCodec::decode_cached`]). Codecs with nothing
-//! to be lazy about (whole-page encipherment, plaintext) build their
-//! entries complete.
+//! remainder and recovers the plaintext keys ([`crate::NodeCodec::complete`]),
+//! and the entry memoises those keys too: from then on a whole-node visit
+//! charges a decode's counters and computes nothing, a range scan reads
+//! keys and pointers straight from the entry, and an update builds its
+//! [`Node`] from it ([`CachedNode::to_node`]). Codecs with nothing to be
+//! lazy about (whole-page encipherment, plaintext) build their entries
+//! complete.
 //!
 //! The write side is the mirror image: the entry an update has just
 //! completed is the image its write replaces, so the tree hands it to the
@@ -25,6 +29,8 @@
 //! ([`CachedNode::stored_cryptogram`]) and seals only the rest — the bytes
 //! a from-scratch seal would produce, because a per-triplet cryptogram is
 //! a deterministic function of the block number and the triplet's content.
+//! Under key substitution the disguised field of every unchanged key is
+//! copied the same way ([`CachedNode::stored_key`]).
 //!
 //! Keying: an entry is logically keyed by `(page, version)` — the version
 //! being "the bytes currently on the page". The tree takes the entry out
@@ -50,11 +56,15 @@
 //! only what searches actually deciphered — the pointers they followed
 //! under key substitution, the triplets they crossed under Bayer–Metzger;
 //! the rest of the node stays as enciphered as it is on the medium. An
-//! entry put back by a write holds its whole node, until it is evicted or
-//! rewritten. Either way the bound is the capacity: at most that many
-//! entries, each at most one whole node. What an entry holds, with the raw
-//! key fields, is zeroized when the last reference drops (eviction,
-//! invalidation, or cache drop), so later heap re-use cannot scrape it out
+//! entry completed by an update, scan or validation, or put back by a
+//! write, holds its whole node — pointers and plaintext keys — until it is
+//! evicted or rewritten. Either way the bound is the capacity: at most
+//! that many entries, each at most one whole node, plus at most one entry
+//! per tree level that each in-flight range scan holds (as it held one
+//! decoded node per level before entries kept their keys). What an entry
+//! holds — memoised triplets, plaintext keys and raw key fields — is
+//! zeroized when the last reference drops (eviction, invalidation, cache
+//! drop, or the scan moving on), so later heap re-use cannot scrape it out
 //! of dead memory.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -100,6 +110,10 @@ pub struct CachedNode {
     sealed: Vec<u8>,
     sealed_len: usize,
     memo: Box<[OnceLock<Triplet>]>,
+    /// The plaintext keys in triplet order, memoised by the first
+    /// completion ([`CachedNode::fill_keys`]) or by a write's image. Set
+    /// only once every slot is memoised, so "keys known" is "complete".
+    keys: OnceLock<Vec<u64>>,
     /// Where the time of each physical unseal is recorded (off unless the
     /// tree installs its channel, see [`CachedNode::timed`]).
     obs: Obs,
@@ -133,6 +147,7 @@ impl CachedNode {
             sealed,
             sealed_len,
             memo: (0..slots).map(|_| OnceLock::new()).collect(),
+            keys: OnceLock::new(),
             obs: Obs::default(),
         }
     }
@@ -149,27 +164,38 @@ impl CachedNode {
             sealed: Vec::new(),
             sealed_len: 0,
             memo: node.slots().map(OnceLock::from).collect(),
+            keys: OnceLock::from(node.keys.clone()),
             obs: Obs::default(),
         }
     }
 
     /// This entry with its memo pre-filled, slot by slot in page order,
     /// from `slots` — what a write knows of the page it has just sealed, so
-    /// the entry it caches is complete without a single unseal. Each value
-    /// must be what unsealing that slot's cryptogram returns; a count that
-    /// differs from the page's slots is refused (and the entry scrubbed).
-    pub fn with_memo(self, slots: impl IntoIterator<Item = Triplet>) -> Result<Self, CodecError> {
+    /// the entry it caches is complete without a single unseal — and its
+    /// plaintext `keys` memoised, when given. Each value must be what
+    /// unsealing that slot's cryptogram, or completing the entry, returns;
+    /// a count that differs from the page's is refused (and the entry
+    /// scrubbed).
+    pub fn with_memo(
+        self,
+        slots: impl IntoIterator<Item = Triplet>,
+        keys: Option<&[u64]>,
+    ) -> Result<Self, CodecError> {
         let (mut cells, mut slots) = (self.memo.iter(), slots.into_iter());
         for (cell, t) in cells.by_ref().zip(slots.by_ref()) {
             let _ = cell.set(t);
         }
-        if cells.len() != 0 || slots.next().is_some() {
+        let wrong_keys = keys.is_some_and(|keys| keys.len() != self.n());
+        if cells.len() != 0 || slots.next().is_some() || wrong_keys {
             // Dropping `self` scrubs whatever was filled in.
             return Err(CodecError::Corrupt(format!(
                 "node {}: the written node does not have the page's {} slots",
                 self.id,
                 self.memo.len()
             )));
+        }
+        if let Some(keys) = keys {
+            let _ = self.keys.set(keys.to_vec());
         }
         Ok(self)
     }
@@ -214,10 +240,12 @@ impl CachedNode {
         &self.raw_keys
     }
 
-    /// Whether every slot is deciphered, so completing the node unseals
-    /// nothing.
-    pub(crate) fn is_complete(&self) -> bool {
-        self.memo.iter().all(|cell| cell.get().is_some())
+    /// The plaintext keys in triplet order, once the entry is complete
+    /// ([`CachedNode::fill_keys`]): `Some` means every slot is memoised,
+    /// so a visit that finds them deciphers nothing.
+    #[inline]
+    pub fn keys(&self) -> Option<&[u64]> {
+        self.keys.get().map(Vec::as_slice)
     }
 
     /// The deciphered content of `slot`. The first call on a slot hands
@@ -260,36 +288,82 @@ impl CachedNode {
         Ok(t)
     }
 
-    /// The whole plaintext node: every slot not yet memoised is unsealed
-    /// (and memoised) first. Keys are the slots' `key` fields — codecs
-    /// that keep keys outside the cryptograms fill them in afterwards.
-    pub fn node(
+    /// Completes the entry and returns its plaintext keys: every slot not
+    /// yet memoised is unsealed (and memoised) first, then `key_of(i, t)`
+    /// gives triplet `i`'s key from its slot's content `t` — codecs that
+    /// keep keys outside the cryptograms recover them from
+    /// [`CachedNode::raw_keys`] — and the keys are memoised, so later
+    /// calls return them at once. The first failure is returned and
+    /// nothing after it runs: no key is memoised unless all are.
+    pub fn fill_keys(
         &self,
         mut unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
-    ) -> Result<Node, CodecError> {
+        mut key_of: impl FnMut(usize, &Triplet) -> Result<u64, CodecError>,
+    ) -> Result<&[u64], CodecError> {
+        if let Some(keys) = self.keys() {
+            return Ok(keys);
+        }
+        // One clock read per slot deciphered: each sample starts where the
+        // previous one ended, so together they time the whole loop.
+        let mut clock = None;
+        for (slot, cell) in self.memo.iter().enumerate() {
+            if cell.get().is_none() {
+                clock = clock.or_else(|| self.obs.start());
+                self.unseal_slot(slot, &mut unseal, &mut clock)?;
+            }
+        }
+        let mut keys = Vec::with_capacity(self.n());
+        for i in 0..self.n() {
+            match self
+                .triplet(self.key_slot(i), never_sealed)
+                .and_then(|t| key_of(i, &t))
+            {
+                Ok(key) => keys.push(key),
+                Err(e) => {
+                    wipe::words(&mut keys);
+                    return Err(e);
+                }
+            }
+        }
+        // A reader that raced here memoised the same keys: wipe the copy.
+        if let Err(mut lost) = self.keys.set(keys) {
+            wipe::words(&mut lost);
+        }
+        Ok(self.keys().unwrap_or_default())
+    }
+
+    /// The data pointer of triplet `i`, once its slot is memoised.
+    #[inline]
+    pub fn data_ptr(&self, i: usize) -> Option<RecordPtr> {
+        let cell = self.memo.get(self.key_slot(i))?;
+        cell.get().map(|t| RecordPtr(t.data_ptr))
+    }
+
+    /// Child `c` of an internal node, once its slot is memoised.
+    #[inline]
+    pub fn child(&self, c: usize) -> Option<BlockId> {
+        let cell = self.memo.get(c).filter(|_| !self.is_leaf)?;
+        cell.get().map(|t| BlockId(t.child))
+    }
+
+    /// The plaintext node of a complete entry, built from its memos with
+    /// no cryptography; an entry not yet complete is an error.
+    pub fn to_node(&self) -> Result<Node, CodecError> {
+        let incomplete = || CodecError::Corrupt(format!("node {} is not complete", self.id));
+        let keys = self.keys().ok_or_else(incomplete)?;
         let mut node = Node {
             id: self.id,
-            keys: Vec::with_capacity(self.n()),
-            data_ptrs: Vec::with_capacity(self.n()),
+            keys: keys.to_vec(),
+            data_ptrs: Vec::with_capacity(keys.len()),
             children: Vec::with_capacity(if self.is_leaf { 0 } else { self.slots() }),
         };
-        // One pass, each cell read once. One clock read per slot
-        // deciphered: each sample starts where the previous one ended, so
-        // together they time the whole loop.
-        let (mut clock, first_key) = (None, self.key_slot(0));
+        let first_key = self.key_slot(0);
         for (slot, cell) in self.memo.iter().enumerate() {
-            let t = match cell.get() {
-                Some(&t) => t,
-                None => {
-                    clock = clock.or_else(|| self.obs.start());
-                    self.unseal_slot(slot, &mut unseal, &mut clock)?
-                }
-            };
+            let t = cell.get().ok_or_else(incomplete)?;
             if !self.is_leaf {
                 node.children.push(BlockId(t.child));
             }
             if slot >= first_key {
-                node.keys.push(t.key);
                 node.data_ptrs.push(RecordPtr(t.data_ptr));
             }
         }
@@ -314,6 +388,24 @@ impl CachedNode {
         Some(ct)
     }
 
+    /// The stored key field of the first triplet at or after `*from` whose
+    /// memoised plaintext key is `key`, advancing `*from` past it — so a
+    /// rewritten node's keys, ascending, are matched against this image in
+    /// key order, as [`CachedNode::stored_cryptogram`] matches slots. The
+    /// walk stops at the first larger key. `None`, and `*from` unmoved,
+    /// when no such triplet remains, the keys are not memoised, or the
+    /// scheme keeps its keys inside the cryptograms.
+    pub fn stored_key(&self, from: &mut usize, key: u64) -> Option<u64> {
+        let keys = self.keys()?;
+        let i = *from + keys.get(*from..)?.iter().take_while(|&&k| k < key).count();
+        if keys.get(i) != Some(&key) {
+            return None;
+        }
+        let raw = *self.raw_keys.get(i)?;
+        *from = i + 1;
+        Some(raw)
+    }
+
     /// Zeroes everything deciphered or key-derived in place (the sealed
     /// image is ciphertext, as public as the medium).
     fn scrub(&mut self) {
@@ -321,6 +413,9 @@ impl CachedNode {
             if let Some(t) = cell.get_mut() {
                 wipe::words(std::slice::from_mut(t));
             }
+        }
+        if let Some(keys) = self.keys.get_mut() {
+            wipe::words(keys);
         }
         wipe::words(&mut self.raw_keys);
     }
@@ -370,9 +465,9 @@ impl NodeCache {
 
     /// Inserts (or replaces) the image of `id`, evicting the least
     /// recently used entry of the shard when full.
-    pub fn insert(&self, id: BlockId, entry: CachedNode) {
+    pub fn insert(&self, id: BlockId, entry: impl Into<Arc<CachedNode>>) {
         let mut shard = self.shard(id);
-        shard.insert(id.0, Arc::new(entry));
+        shard.insert(id.0, entry.into());
         while shard.evict().is_some() {}
     }
 
@@ -437,6 +532,16 @@ mod tests {
                 child: u32::from(ct[0]) + 40,
             })
         }
+    }
+
+    /// The whole node of `e`: completed through `unseal`, its keys read
+    /// from the slots.
+    fn whole(
+        e: &CachedNode,
+        unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
+    ) -> Result<Node, CodecError> {
+        e.fill_keys(unseal, |_, t| Ok(t.key))?;
+        e.to_node()
     }
 
     #[test]
@@ -519,12 +624,52 @@ mod tests {
         assert_eq!(e.triplet(2, unseal_counting(&calls)).unwrap(), t);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "memoised after the first");
 
-        let node = e.node(unseal_counting(&calls)).unwrap();
+        let node = whole(&e, unseal_counting(&calls)).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 4, "the three other slots");
         assert_eq!(node.keys, vec![10, 20, 30]);
         assert_eq!(node.data_ptrs, [100, 200, 300].map(RecordPtr));
         assert_eq!(node.children, [40, 41, 42, 43].map(BlockId));
-        assert_eq!(e.node(never_sealed).unwrap(), node, "complete now");
+        assert_eq!(whole(&e, never_sealed).unwrap(), node, "complete now");
+    }
+
+    #[test]
+    fn keys_are_memoised_whole_and_lend_their_fields_in_key_order() {
+        let calls = AtomicUsize::new(0);
+        let e = lazy_internal();
+        let tenth = |i: usize, _: &Triplet| Ok([10, 20, 30][i] / 10);
+        // A failed recovery memoises no key, though every slot is unsealed.
+        let failed = e.fill_keys(unseal_counting(&calls), |i, t| match i {
+            2 => Err(CodecError::Corrupt("bad key".into())),
+            _ => tenth(i, t),
+        });
+        assert!(failed.is_err());
+        assert_eq!((e.keys(), calls.load(Ordering::Relaxed)), (None, 4));
+        assert!(e.to_node().is_err(), "not complete");
+        assert_eq!(e.fill_keys(never_sealed, tenth).unwrap(), [1, 2, 3]);
+        assert_eq!(e.to_node().unwrap().keys, [1, 2, 3]);
+        assert_eq!(e.fill_keys(never_sealed, |_, _| Ok(9)).unwrap(), [1, 2, 3]);
+
+        // The stored field of a memoised key, found at or after the cursor.
+        let mut from = 0;
+        assert_eq!(e.stored_key(&mut from, 2), Some(20));
+        assert_eq!(e.stored_key(&mut from, 1), None, "behind the cursor");
+        assert_eq!(e.stored_key(&mut from, 2), None, "already lent");
+        assert_eq!((e.stored_key(&mut from, 3), from), (Some(30), 3));
+        assert_eq!(lazy_internal().stored_key(&mut 0, 1), None, "no keys yet");
+
+        // A write's image takes the node's keys only if they fit the page.
+        let slots = (0..4).map(|c| Triplet {
+            child: c,
+            ..Triplet::default()
+        });
+        assert!(lazy_internal()
+            .with_memo(slots.clone(), Some(&[1, 2]))
+            .is_err());
+        let written = lazy_internal().with_memo(slots, Some(&[1, 2, 3])).unwrap();
+        assert_eq!(
+            written.to_node().unwrap().children,
+            [0, 1, 2, 3].map(BlockId)
+        );
     }
 
     #[test]
@@ -533,7 +678,7 @@ mod tests {
         let e = lazy_internal();
         let err = e.triplet(1, |_| Err(CodecError::Corrupt("bad seal".into())));
         assert_eq!(err, Err(CodecError::Corrupt("bad seal".into())));
-        assert!(e.node(never_sealed).is_err(), "slot 0 has no memo yet");
+        assert!(whole(&e, never_sealed).is_err(), "slot 0 has no memo yet");
         assert_eq!(e.triplet(1, unseal_counting(&calls)).unwrap().child, 41);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "the retry did unseal");
         assert!(e.triplet(4, unseal_counting(&calls)).is_err(), "no slot 4");
@@ -553,16 +698,16 @@ mod tests {
             (BlockId(9), false, 2, 3)
         );
         assert_eq!(e.triplet(0, never_sealed).unwrap().child, 4);
-        assert_eq!(e.node(never_sealed).unwrap(), node);
+        assert_eq!(whole(&e, never_sealed).unwrap(), node);
         let leaf = Node::leaf(BlockId(3));
         let e = CachedNode::complete(&leaf, 256);
         assert_eq!((e.n(), e.slots()), (0, 0));
-        assert_eq!(e.node(never_sealed).unwrap(), leaf);
+        assert_eq!(whole(&e, never_sealed).unwrap(), leaf);
     }
 
     #[test]
     fn two_threads_sharing_an_entry_agree_with_one() {
-        let expect = lazy_internal().node(unseal_counting(&AtomicUsize::new(0)));
+        let expect = whole(&lazy_internal(), unseal_counting(&AtomicUsize::new(0)));
         let expect = expect.unwrap();
         let calls = AtomicUsize::new(0);
         let shared = Arc::new(lazy_internal());
@@ -591,7 +736,7 @@ mod tests {
         });
         let unseals = calls.load(Ordering::Relaxed);
         assert!((4..=8).contains(&unseals), "a lost race may repeat one");
-        assert_eq!(shared.node(never_sealed).unwrap(), expect);
+        assert_eq!(whole(&shared, never_sealed).unwrap(), expect);
     }
 
     #[test]
@@ -604,9 +749,20 @@ mod tests {
         assert_eq!(e.triplet(2, never_sealed).unwrap(), Triplet::default());
         assert!(e.raw_keys().iter().all(|&k| k == 0));
         assert!(e.triplet(1, never_sealed).is_err(), "never deciphered");
+        assert_eq!(e.keys(), None, "never completed");
+        // A completed entry's plaintext keys are zeroed with the rest.
+        let mut e = lazy_internal();
+        let keys = e.fill_keys(unseal_counting(&AtomicUsize::new(0)), |i, t| {
+            Ok(t.key + i as u64)
+        });
+        assert_eq!(keys.unwrap(), [10, 21, 32]);
+        e.scrub();
+        assert_eq!(e.keys(), Some(&[0; 3][..]));
+        assert!((0..4).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default())));
         let mut e = entry(1, 42);
         e.scrub();
         assert_eq!(e.triplet(0, never_sealed).unwrap(), Triplet::default());
         assert_eq!(e.raw_keys(), [0]);
+        assert_eq!(e.keys(), Some(&[0][..]));
     }
 }

@@ -8,9 +8,9 @@
 //! search-and-decrypt vs. one for substitution) depends on how the probe
 //! walks the ciphertext. Every node visit goes through the node cache, so
 //! there is one read path: a page is wrapped as stored, with no counter
-//! moved ([`NodeCodec::decode_for_cache`]), and the probe or decode of
+//! moved ([`NodeCodec::decode_for_cache`]), and the probe or completion of
 //! that entry charges what walking the raw page would
-//! ([`NodeCodec::probe_cached`], [`NodeCodec::decode_cached`]).
+//! ([`NodeCodec::probe_cached`], [`NodeCodec::complete`]).
 
 use sks_storage::{BlockId, OpCounters, PageOverflow, PageReader, PageWriter};
 
@@ -102,7 +102,9 @@ pub trait NodeCodec {
     /// deterministic function of the block number and the triplet's
     /// content, and fail-closed: a slot `prev` never deciphered, one whose
     /// unseal failed, and every slot of an image of another block are
-    /// sealed afresh. Schemes with nothing to copy ignore `prev`.
+    /// sealed afresh. A scheme that disguises keys copies the stored field
+    /// of every key `prev` has memoised ([`CachedNode::stored_key`]) the
+    /// same way. Schemes with nothing to copy ignore `prev`.
     fn encode_over(
         &self,
         node: &Node,
@@ -142,12 +144,14 @@ pub trait NodeCodec {
     /// substitution the one pointer followed, once per entry lifetime.
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError>;
 
-    /// Materialises the plaintext node from a cached entry, bumping
-    /// *exactly* the counters a whole-page decode costs — so range scans
-    /// and update-path descents report the scheme's logical cost. Physically
-    /// it deciphers only what the entry still lacks ([`CachedNode::node`]):
-    /// nothing for an entry born or already made complete.
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError>;
+    /// Completes a cached entry, bumping *exactly* the counters a
+    /// whole-page decode costs — so range scans and update-path descents
+    /// report the scheme's logical cost — and leaving its plaintext keys
+    /// memoised ([`CachedNode::keys`]). Physically it deciphers only what
+    /// the entry still lacks and recovers the keys once
+    /// ([`CachedNode::fill_keys`]); on an entry already complete it only
+    /// charges, computing nothing, where the scheme can charge by count.
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError>;
 
     /// Maximum number of triplets that fit a page of `page_size` bytes.
     fn max_keys(&self, page_size: usize) -> usize;
@@ -159,6 +163,13 @@ pub trait NodeCodec {
     /// sealed from scratch.
     fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
         self.encode_over(node, None, page)
+    }
+
+    /// The plaintext node of a cached entry: [`NodeCodec::complete`], then
+    /// the node built from the entry's memos ([`CachedNode::to_node`]).
+    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
+        self.complete(entry)?;
+        entry.to_node()
     }
 
     /// The plaintext node a page holds: a fresh entry, decoded.
@@ -349,9 +360,10 @@ impl NodeCodec for PlainCodec {
         })
     }
 
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A plaintext decode touches no counters.
-        entry.node(never_sealed)
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
+        // A plaintext decode touches no counters, and the entry was born
+        // complete.
+        entry.fill_keys(never_sealed, |_, t| Ok(t.key)).map(drop)
     }
 
     fn max_keys(&self, page_size: usize) -> usize {

@@ -18,8 +18,9 @@
 //!   nodes as stored plus the triplets probes have deciphered, so a search
 //!   pays each physical decipherment once and only for what it follows,
 //!   and a node a write has sealed stays whole, so the next update of it
-//!   pays none — while the logical counters keep reporting the paper's
-//!   cost.
+//!   pays none; a node completed once keeps its plaintext keys, so later
+//!   whole-node visits and range scans recompute nothing — while the
+//!   logical counters keep reporting the paper's cost.
 //! * [`tree`] — create/open, get/insert/delete/range, validation; CLRS
 //!   preemptive split/merge balancing; every access counted.
 //! * [`render`] — ASCII renderings for the paper's figures.

@@ -16,6 +16,8 @@
 //! The balancing algorithm is the classic preemptive-split/merge B-tree
 //! (CLRS ch. 18) with minimum degree `t` derived from the codec's fanout.
 
+use std::sync::Arc;
+
 use sks_storage::{BlockId, BlockStore, OpCounters, PageReader, PageWriter, Stage, StorageError};
 
 use crate::cache::{CachedNode, NodeCache};
@@ -325,33 +327,46 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- node I/O ------------------------------------------------------
 
-    /// Reads and fully materialises a node: the codec completes the
-    /// cached entry — deciphering whatever its probes have not yet — while
-    /// charging a whole-node decode's exact logical counter profile
-    /// ([`NodeCodec::decode_cached`]); a miss first caches the page as
-    /// stored ([`BTree::fill`]). Range scans, update-path descents and
-    /// validation walks thus report the scheme's logical cost at any cache
-    /// size, and pay a node's decipherment at most once while it stays
-    /// cached.
+    /// Reads and fully materialises a node: [`BTree::visit`], then the
+    /// node built from the completed entry.
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
+        self.visit(id, |entry| entry.to_node())
+    }
+
+    /// A whole-node visit: the codec completes the cached entry —
+    /// deciphering whatever its probes have not yet and recovering its
+    /// keys, once — while charging a whole-node decode's exact logical
+    /// counter profile ([`NodeCodec::complete`]); a miss first caches the
+    /// page as stored ([`BTree::fill`]). Then `read` takes what it needs
+    /// from the entry. Range scans, update-path descents and validation
+    /// walks thus report the scheme's logical cost at any cache size, and
+    /// pay a node's decipherment and key recovery at most once while it
+    /// stays cached.
+    fn visit<T>(
+        &self,
+        id: BlockId,
+        read: impl FnOnce(&Arc<CachedNode>) -> Result<T, CodecError>,
+    ) -> Result<T, TreeError> {
         self.counters().bump(|c| &c.node_visits);
         if let Some(entry) = self.cache.get(id) {
             self.counters().bump(|c| &c.node_cache_hits);
-            // A whole entry deciphers nothing, but its decode still costs
-            // key recovery and node assembly: one `NodeSeal` sample, so
-            // the write path's breakdown holds it. (An entry with slots
-            // left times its unseals as `NodeUnseal` laps instead; timing
-            // it here too would count them twice.)
+            // A whole entry deciphers nothing, but its visit still charges
+            // the decode and builds what `read` wants: one `NodeSeal`
+            // sample, so the write path's breakdown holds it. (An entry
+            // with slots left times its unseals as `NodeUnseal` laps
+            // instead; timing it here too would count them twice.)
             let obs = self.counters().obs();
-            let t = obs.start().filter(|_| entry.is_complete());
-            let node = self.codec.decode_cached(&entry)?;
+            let t = obs.start().filter(|_| entry.keys().is_some());
+            self.codec.complete(&entry)?;
+            let out = read(&entry)?;
             obs.stage(Stage::NodeSeal, t);
-            return Ok(node);
+            return Ok(out);
         }
-        let entry = self.fill(id)?;
-        let node = self.codec.decode_cached(&entry)?;
+        let entry = Arc::new(self.fill(id)?);
+        self.codec.complete(&entry)?;
+        let out = read(&entry)?;
         self.cache.insert(id, entry);
-        Ok(node)
+        Ok(out)
     }
 
     /// [`BTree::read_node`] of a node a root-to-leaf descent reached at
@@ -1119,18 +1134,24 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 }
 
-/// One in-flight node of a [`RangeIter`]: the decoded node plus the next
-/// event index. For an internal node with `n` keys the events are
-/// `child₀, key₀, child₁, key₁, …, childₙ` (event `2i` = descend child
-/// `i`, event `2i+1` = yield key `i`); a leaf's events are just its keys.
+/// One in-flight node of a [`RangeIter`]: the node's completed cache entry
+/// plus the next event index. For an internal node with `n` keys the
+/// events are `child₀, key₀, child₁, key₁, …, childₙ` (event `2i` =
+/// descend child `i`, event `2i+1` = yield key `i`); a leaf's events are
+/// just its keys.
 struct RangeFrame {
-    node: Node,
+    entry: Arc<CachedNode>,
     event: usize,
 }
 
+/// Why a frame's reads cannot fail: only complete entries are pushed, and
+/// a complete entry has its keys and every slot memoised.
+const COMPLETE: &str = "a pushed entry has its keys and every slot memoised";
+
 /// Streaming in-order range iterator over a [`BTree`] (see
-/// [`BTree::iter_range`]). Holds at most one decoded node per tree level;
-/// errors are yielded once and end the iteration.
+/// [`BTree::iter_range`]). Holds at most one node entry per tree level,
+/// reading keys and pointers from it with no node built; errors are
+/// yielded once and end the iteration.
 pub struct RangeIter<'a, S: BlockStore, C: NodeCodec> {
     tree: &'a BTree<S, C>,
     stack: Vec<RangeFrame>,
@@ -1143,25 +1164,33 @@ pub struct RangeIter<'a, S: BlockStore, C: NodeCodec> {
 }
 
 impl<S: BlockStore, C: NodeCodec> RangeIter<'_, S, C> {
-    /// Reads `id` and pushes it positioned at its first in-range event.
-    /// The stack holds one frame per level, so its length is the depth
-    /// `id` is read at.
+    /// Visits `id` and pushes its entry positioned at its first in-range
+    /// event. The stack holds one frame per level, so its length is the
+    /// depth `id` is read at.
     fn push_node(&mut self, id: BlockId) {
-        match self.tree.read_at(id, self.stack.len() as u32 + 1) {
-            Ok(node) => {
+        let depth = self.stack.len() as u32 + 1;
+        let visit = self.tree.check_depth(depth).and_then(|()| {
+            self.tree.visit(id, |entry| match entry.keys() {
+                Some(_) => Ok(Arc::clone(entry)),
+                None => Err(CodecError::Corrupt(format!("node {id} is not complete"))),
+            })
+        });
+        match visit {
+            Ok(entry) => {
                 // First key index i with keys[i] >= lo. Child i (spanning
                 // strictly below keys[i]) can hold in-range entries only
                 // when keys[i] > lo, matching the recursive walk's
                 // `i == n || keys[i] > lo` descend predicate exactly.
-                let i = node.keys.partition_point(|&k| k < self.lo);
-                let event = if node.is_leaf() {
+                let keys = entry.keys().expect(COMPLETE);
+                let i = keys.partition_point(|&k| k < self.lo);
+                let event = if entry.is_leaf() {
                     i
-                } else if i < node.n() && node.keys[i] == self.lo {
+                } else if keys.get(i) == Some(&self.lo) {
                     2 * i + 1
                 } else {
                     2 * i
                 };
-                self.stack.push(RangeFrame { node, event });
+                self.stack.push(RangeFrame { entry, event });
             }
             Err(e) => {
                 self.stack.clear();
@@ -1180,13 +1209,15 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
                 return Some(Err(e));
             }
             let frame = self.stack.last_mut()?;
-            let node = &frame.node;
-            let n = node.n();
-            if node.is_leaf() {
+            let entry = &frame.entry;
+            let keys = entry.keys().expect(COMPLETE);
+            let n = keys.len();
+            let yielded = |i: usize| (keys[i], entry.data_ptr(i).expect(COMPLETE));
+            if entry.is_leaf() {
                 let i = frame.event;
-                if i < n && node.keys[i] <= self.hi {
+                if i < n && keys[i] <= self.hi {
                     frame.event += 1;
-                    return Some(Ok((node.keys[i], node.data_ptrs[i])));
+                    return Some(Ok(yielded(i)));
                 }
                 self.stack.pop();
                 continue;
@@ -1200,20 +1231,20 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             if e % 2 == 1 {
                 // Key event.
                 let i = (e - 1) / 2;
-                if node.keys[i] > self.hi {
+                if keys[i] > self.hi {
                     self.stack.pop();
                     continue;
                 }
-                return Some(Ok((node.keys[i], node.data_ptrs[i])));
+                return Some(Ok(yielded(i)));
             }
             // Child event: child i spans the open interval
             // (keys[i-1], keys[i]); descend only if it intersects [lo, hi].
             let i = e / 2;
-            if i > 0 && node.keys[i - 1] >= self.hi {
+            if i > 0 && keys[i - 1] >= self.hi {
                 self.stack.pop();
                 continue;
             }
-            let child = node.children[i];
+            let child = entry.child(i).expect(COMPLETE);
             self.push_node(child);
             // A failed push left pending_err set; the loop head yields it.
         }

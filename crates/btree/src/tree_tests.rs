@@ -664,7 +664,7 @@ fn a_rewritten_nodes_entry_is_replaced_by_its_new_pages_image() {
     assert!(!std::sync::Arc::ptr_eq(&old, &new), "a new entry");
     let page = tree.store().read_block_vec(leaf).unwrap();
     let on_medium = tree.codec().decode(leaf, &page).unwrap();
-    assert_eq!(new.node(crate::never_sealed).unwrap(), on_medium);
+    assert_eq!(new.to_node().unwrap(), on_medium);
     let before = misses(&tree);
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(4242)));
     assert_eq!(misses(&tree), before, "no refill");
@@ -727,7 +727,7 @@ fn a_failed_node_write_leaves_no_entry_and_the_next_get_refills() {
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)), "the medium's");
     assert_eq!(tree.counters().snapshot().node_cache_misses, misses + 1);
     let refilled = cache(&tree).expect("refilled from the medium");
-    let data_ptrs = refilled.node(crate::never_sealed).unwrap().data_ptrs;
+    let data_ptrs = refilled.to_node().unwrap().data_ptrs;
     assert!(data_ptrs.contains(&RecordPtr(42)));
     assert!(!data_ptrs.contains(&RecordPtr(4242)));
     tree.validate().unwrap();

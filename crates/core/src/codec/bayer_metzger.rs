@@ -248,9 +248,9 @@ impl NodeCodec for BayerMetzgerCodec {
 
     fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
         // The page as stored, each slot's memo the whole triplet its
-        // unseal returns, key included.
+        // unseal returns, key included, and the keys memoised.
         self.decode_for_cache(node.id, page)?
-            .with_memo(node.slots())
+            .with_memo(node.slots(), Some(&node.keys))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
@@ -264,17 +264,18 @@ impl NodeCodec for BayerMetzgerCodec {
         })
     }
 
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
         // A whole-node decode decrypts every keyed triplet (one
         // key_decrypt each) plus the keyless leftmost-pointer seal on
         // internal nodes; physically, whatever this entry has not
-        // deciphered yet.
+        // deciphered yet. The keys come out of the triplets.
         if !entry.is_leaf() {
             self.counters.bump(|c| &c.ptr_decrypts);
         }
         self.counters.bump_by(|c| &c.key_decrypts, entry.n() as u64);
         let mut cipher = None;
-        entry.node(|ct| self.unseal_triplet(&mut cipher, entry.id(), ct))
+        let unseal = |ct: &[u8]| self.unseal_triplet(&mut cipher, entry.id(), ct);
+        entry.fill_keys(unseal, |_, t| Ok(t.key)).map(drop)
     }
 }
 

@@ -159,11 +159,11 @@ impl NodeCodec for FullPageCodec {
         Ok(CachedNode::complete(node, page.len()))
     }
 
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        // A decode deciphers the whole page.
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
+        // A decode deciphers the whole page; the entry was born complete.
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
-        entry.node(never_sealed)
+        entry.fill_keys(never_sealed, |_, t| Ok(t.key)).map(drop)
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {

@@ -285,15 +285,12 @@ impl sks_btree_core::NodeCodec for AnyCodec {
         }
     }
 
-    fn decode_cached(
-        &self,
-        entry: &sks_btree_core::CachedNode,
-    ) -> Result<sks_btree_core::Node, CodecError> {
+    fn complete(&self, entry: &sks_btree_core::CachedNode) -> Result<(), CodecError> {
         match self {
-            AnyCodec::Plain(c) => c.decode_cached(entry),
-            AnyCodec::Substitution(c) => c.decode_cached(entry),
-            AnyCodec::BayerMetzger(c) => c.decode_cached(entry),
-            AnyCodec::FullPage(c) => c.decode_cached(entry),
+            AnyCodec::Plain(c) => c.complete(entry),
+            AnyCodec::Substitution(c) => c.complete(entry),
+            AnyCodec::BayerMetzger(c) => c.complete(entry),
+            AnyCodec::FullPage(c) => c.complete(entry),
         }
     }
 }
@@ -519,8 +516,8 @@ mod tests {
             self.0.probe_cached(entry, key)
         }
 
-        fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-            self.0.decode_cached(entry)
+        fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
+            self.0.complete(entry)
         }
 
         fn max_keys(&self, page_size: usize) -> usize {
@@ -581,6 +578,7 @@ mod tests {
         snapshot.node_cache_hits = 0;
         snapshot.node_cache_misses = 0;
         snapshot.triplet_seals_reused = 0;
+        snapshot.key_disguises_reused = 0;
         snapshot
     }
 
@@ -797,10 +795,10 @@ mod tests {
     /// The image a write leaves in the node cache is its page's fresh fill,
     /// deciphered: for every cache-supporting scheme, after a seeded mix of
     /// inserts, overwrites, `replace_ptr`s, deletes and node-device passes,
-    /// every resident entry holds each slot's real unseal, answers every
-    /// probe and decode with the fresh entry's results and logical
-    /// counters, and as the `prev` of a later write yields the from-scratch
-    /// page.
+    /// every resident entry holds each slot's real unseal and the keys
+    /// completing a fresh fill recovers, answers every probe and decode
+    /// with the fresh entry's results and logical counters, and as the
+    /// `prev` of a later write yields the from-scratch page.
     #[test]
     fn a_written_image_is_the_fresh_fill_of_its_page_for_every_scheme() {
         for scheme in Scheme::MEASURED {
@@ -861,8 +859,12 @@ mod tests {
                 let page = tree.store().read_block_vec(id).unwrap();
                 let fresh = || codec.decode_for_cache(id, &page).unwrap();
                 let whole = fresh();
-                codec.decode_cached(&whole).unwrap();
+                codec.complete(&whole).unwrap();
                 assert_eq!(kept.raw_keys(), whole.raw_keys(), "{what}");
+                // Every resident entry is complete, its keys the fresh
+                // fill's recoveries.
+                assert!(kept.keys().is_some(), "{what}");
+                assert_eq!(kept.keys(), whole.keys(), "{what}");
                 assert_eq!(
                     (kept.is_leaf(), kept.slots(), kept.page_len()),
                     (whole.is_leaf(), whole.slots(), whole.page_len()),
@@ -907,6 +909,123 @@ mod tests {
             assert!(checked > 10, "{scheme:?}: {checked} entries");
             tree.validate().unwrap();
         }
+    }
+
+    /// One range scan as `RangeIter` walked it before it read cache
+    /// entries: whole `Node`s (each visit a completion and a node build,
+    /// through `inspect_node`), the same descend and stop rules, the first
+    /// error ending the scan. Appends to `out`; `false` once it is over.
+    fn node_walk<C: NodeCodec>(
+        tree: &BTree<MemDisk, C>,
+        id: BlockId,
+        (lo, hi): (u64, u64),
+        out: &mut Vec<Result<(u64, RecordPtr), String>>,
+    ) -> bool {
+        let node = match tree.inspect_node(id) {
+            Ok(node) => node,
+            Err(e) => {
+                out.push(Err(e.to_string()));
+                return false;
+            }
+        };
+        let first = node.keys.partition_point(|&k| k < lo);
+        for i in first..=node.n() {
+            // Child i, unless key i is `lo` itself; then key i.
+            let starts_at_key = i == first && node.keys.get(i) == Some(&lo);
+            let child = !node.is_leaf() && !starts_at_key;
+            if child && i > 0 && node.keys[i - 1] >= hi {
+                return true;
+            }
+            if child && !node_walk(tree, node.children[i], (lo, hi), out) {
+                return false;
+            }
+            match node.keys.get(i) {
+                Some(&k) if k <= hi => out.push(Ok((k, node.data_ptrs[i]))),
+                _ => return true,
+            }
+        }
+        true
+    }
+
+    /// Range scans walk cache entries and build no node: for every
+    /// measured scheme, and the literal exponentiation construction that
+    /// cannot charge by count, seeded ranges over a tree — as written,
+    /// then with a third of its leaves damaged on the medium — yield what
+    /// the whole-`Node` walk yields, an error once and then nothing, and
+    /// charge the same logical counters, over fresh and completed entries.
+    #[test]
+    fn range_scans_over_entries_replay_the_node_walk_for_every_scheme() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut failed_scans = 0;
+        for scheme in Scheme::MEASURED
+            .into_iter()
+            .chain([Scheme::ExponentiationPaper])
+        {
+            // (The literal construction's domain is 1..13.)
+            let (keys, span, block_size) = match scheme {
+                Scheme::ExponentiationPaper => (12, 13, 128),
+                _ => (300, 700, 256),
+            };
+            let mut config = SchemeConfig::with_capacity(scheme, 700);
+            config.block_size = block_size;
+            let counters = OpCounters::new();
+            let items: Vec<(u64, RecordPtr)> = (1..=keys)
+                .map(|k| (k * span / (keys + 1), RecordPtr(k * 7 + 1)))
+                .collect();
+            let codec = config.build_codec(&counters).unwrap().0;
+            let disk = MemDisk::with_counters(block_size, counters.clone());
+            let mut tree = BTree::bulk_load(disk, codec, &items).unwrap();
+            for damaged in [false, true] {
+                if damaged {
+                    let mut leaves = vec![];
+                    let mut todo = vec![tree.root_id()];
+                    while let Some(id) = todo.pop() {
+                        let node = tree.inspect_node(id).unwrap();
+                        match node.is_leaf() {
+                            true => leaves.push(id),
+                            false => todo.extend(node.children),
+                        }
+                    }
+                    let mut store = tree.into_store().unwrap();
+                    for &id in leaves.iter().step_by(3) {
+                        let mut page = store.read_block_vec(id).unwrap();
+                        page[rng.gen_range(8..48)] ^= rng.gen_range(1..256u16) as u8;
+                        store.write_block(id, &page).unwrap();
+                    }
+                    let codec = config.build_codec(&counters).unwrap().0;
+                    tree = BTree::open(store, codec).unwrap();
+                }
+                tree.enable_node_cache(1024);
+                for round in 0..60 {
+                    let what = format!("{scheme:?} damaged {damaged} round {round}");
+                    let (lo, hi) = (rng.gen_range(0..span + 9), rng.gen_range(0..span + 9));
+                    let scan = || {
+                        charged(&counters, || {
+                            let iter = tree.iter_range(lo, hi);
+                            iter.map(|r| r.map_err(|e| e.to_string())).collect()
+                        })
+                    };
+                    let (entries, cost): (Vec<_>, _) = scan();
+                    let (walked, walk_cost) = charged(&counters, || {
+                        let mut out = Vec::new();
+                        if lo <= hi {
+                            node_walk(&tree, tree.root_id(), (lo, hi), &mut out);
+                        }
+                        out
+                    });
+                    assert_eq!(entries, walked, "{what}");
+                    assert_eq!(logical(cost), logical(walk_cost), "{what}");
+                    let failures = entries.iter().filter(|r| r.is_err()).count();
+                    assert!(failures == 0 || entries.last().unwrap().is_err(), "{what}");
+                    assert!(failures <= 1, "{what}");
+                    failed_scans += failures;
+                    let (again, again_cost) = scan();
+                    assert_eq!(again, entries, "{what}");
+                    assert_eq!(logical(again_cost), logical(cost), "{what}");
+                }
+            }
+        }
+        assert!(failed_scans > 20, "{failed_scans} failed scans compared");
     }
 
     /// What a node write costs in physical seals, pinned on a height-3

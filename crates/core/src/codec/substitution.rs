@@ -13,6 +13,13 @@
 //! search-and-decrypt (§6's headline claim). On reorganisation the keys are
 //! re-disguised (cheap integer ops, counted separately) but never
 //! re-*encrypted*.
+//!
+//! Through the node cache a key is disguised or recovered physically at
+//! most once while its node stays cached: a completed entry keeps its
+//! plaintext keys and a write copies the stored field of every unchanged
+//! key, while the counters are charged per key as before
+//! ([`KeyDisguise::charge`]). A disguise that cannot charge by count
+//! computes every time.
 
 use std::sync::Arc;
 
@@ -29,6 +36,10 @@ pub struct SubstitutionCodec {
     disguise: Arc<dyn KeyDisguise>,
     sealer: Arc<dyn TripletSealer>,
     counters: OpCounters,
+    /// Whether the disguise charges by count ([`KeyDisguise::charge`]):
+    /// then a node's own keys are what recovering its fields returns, and
+    /// a key's stored field is its disguise.
+    by_count: bool,
 }
 
 impl SubstitutionCodec {
@@ -37,10 +48,13 @@ impl SubstitutionCodec {
         sealer: Arc<dyn TripletSealer>,
         counters: OpCounters,
     ) -> Self {
+        // Charging nothing asks whether the disguise can charge at all.
+        let by_count = disguise.charge(0, 0);
         SubstitutionCodec {
             disguise,
             sealer,
             counters,
+            by_count,
         }
     }
 
@@ -154,6 +168,60 @@ impl SubstitutionCodec {
         })
     }
 
+    /// Header, then per slot the disguised key (none for an internal
+    /// node's leftmost pointer) and the pointer cryptogram `E(b ‖ a ‖ p)`.
+    /// Where `prev` images this block, a slot deciphered to the same
+    /// `(a, p)` lends its cryptogram and — when the disguise charges by
+    /// count — a memoised key equal to the node's lends its stored field;
+    /// the rest are sealed and disguised afresh.
+    fn write_page(
+        &self,
+        node: &Node,
+        prev: Option<&CachedNode>,
+        page: &mut [u8],
+        tally: &mut Tally,
+    ) -> Result<(), CodecError> {
+        if !node.is_leaf() {
+            tally.ptr_encrypts += 1;
+        }
+        let mut w = PageWriter::new(page);
+        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
+        let prev = prev.filter(|image| image.id() == node.id);
+        let key_image = prev.filter(|_| self.by_count);
+        let (len, mut from, mut key_from) = (self.sealer.sealed_len(), 0, 0);
+        for (slot, t) in node.slots().enumerate() {
+            if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
+                let key = node.keys[i];
+                let disguised = match key_image.and_then(|img| img.stored_key(&mut key_from, key)) {
+                    Some(field) => {
+                        tally.keys_copied += 1;
+                        field
+                    }
+                    None => self
+                        .disguise
+                        .disguise(key)
+                        .map_err(Self::map_disguise_err)?,
+                };
+                w.put_u64(disguised)?;
+                tally.ptr_encrypts += 1;
+            }
+            // The key sits outside the cryptogram, as in the image's memo.
+            let want = Triplet { key: 0, ..t };
+            match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
+                Some(ct) => {
+                    tally.seals_copied += 1;
+                    w.put_bytes(ct)?;
+                }
+                None => {
+                    let payload = pack_payload(node.id.0, t.data_ptr, t.child);
+                    w.put_bytes(&self.sealer.seal(&payload))?;
+                }
+            }
+        }
+        w.pad_remaining();
+        Ok(())
+    }
+
     fn map_disguise_err(e: crate::disguise::DisguiseError) -> CodecError {
         match e {
             crate::disguise::DisguiseError::OutOfDomain { key, domain } => CodecError::KeyDomain {
@@ -169,6 +237,14 @@ impl SubstitutionCodec {
     }
 }
 
+/// What one page write charged, tallied as it goes.
+#[derive(Default)]
+struct Tally {
+    ptr_encrypts: u64,
+    keys_copied: u64,
+    seals_copied: u64,
+}
+
 impl NodeCodec for SubstitutionCodec {
     fn encode_over(
         &self,
@@ -177,43 +253,23 @@ impl NodeCodec for SubstitutionCodec {
         page: &mut [u8],
     ) -> Result<(), CodecError> {
         // One ptr_encrypts per pointer cryptogram on the page — the lone
-        // leftmost tree pointer `E(b ‖ 0 ‖ p₀)`, then each entry's — copied
-        // or sealed alike, and the real *counted* disguise per key.
+        // leftmost tree pointer `E(b ‖ 0 ‖ p₀)`, then each entry's once its
+        // key field is written — copied or sealed alike, and one counted
+        // disguise per key, copied or computed alike. Tallied as the page
+        // is written and charged once, where it stops: a failure charges
+        // what it charged when each was bumped in turn.
         node.check_shape().map_err(CodecError::Corrupt)?;
-        if !node.is_leaf() {
-            self.counters.bump(|c| &c.ptr_encrypts);
-        }
-        // Header, then per slot the disguised key (none for an internal
-        // node's leftmost pointer) and the pointer cryptogram `E(b ‖ a ‖ p)`
-        // — copied from `prev` where that image of this block holds a slot
-        // deciphered to the same `(a, p)`, sealed otherwise.
-        let mut w = PageWriter::new(page);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        let prev = prev.filter(|image| image.id() == node.id);
-        let (mut from, mut reused) = (0, 0);
-        for (slot, t) in node.slots().enumerate() {
-            if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
-                let disguised = self.disguise.disguise(node.keys[i]);
-                w.put_u64(disguised.map_err(Self::map_disguise_err)?)?;
-                self.counters.bump(|c| &c.ptr_encrypts);
-            }
-            // The key sits outside the cryptogram, as in the image's memo.
-            let want = Triplet { key: 0, ..t };
-            let len = self.sealer.sealed_len();
-            match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
-                Some(ct) => {
-                    reused += 1;
-                    w.put_bytes(ct)?;
-                }
-                None => {
-                    let payload = pack_payload(node.id.0, t.data_ptr, t.child);
-                    w.put_bytes(&self.sealer.seal(&payload))?;
-                }
-            }
-        }
-        w.pad_remaining();
-        self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
-        Ok(())
+        let mut tally = Tally::default();
+        let written = self.write_page(node, prev, page, &mut tally);
+        self.counters
+            .bump_by(|c| &c.ptr_encrypts, tally.ptr_encrypts);
+        let charged = self.disguise.charge(tally.keys_copied, 0);
+        debug_assert!(charged || tally.keys_copied == 0);
+        self.counters
+            .bump_by(|c| &c.triplet_seals_reused, tally.seals_copied);
+        self.counters
+            .bump_by(|c| &c.key_disguises_reused, tally.keys_copied);
+        written
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -261,10 +317,14 @@ impl NodeCodec for SubstitutionCodec {
     }
 
     fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // The page as stored, each slot's memo what its unseal returns:
-        // the pointers, with the key left disguised in the raw key fields.
+        // The page as stored, each slot's memo what its unseal returns —
+        // the pointers, with the key left disguised in the raw key fields —
+        // and the node's keys, which are what completing the entry would
+        // recover when the disguise charges by count. Otherwise the first
+        // visit recovers them.
+        let keys = self.by_count.then_some(node.keys.as_slice());
         self.decode_for_cache(node.id, page)?
-            .with_memo(node.slots().map(|t| Triplet { key: 0, ..t }))
+            .with_memo(node.slots().map(|t| Triplet { key: 0, ..t }), keys)
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
@@ -278,20 +338,29 @@ impl NodeCodec for SubstitutionCodec {
         })
     }
 
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
         // A whole-node decode unseals every pointer cryptogram (plus the
         // lone leftmost one on internal nodes) and runs the *real* disguise
         // recovery per key: charge the unseals, physically unseal what no
-        // probe has yet, and run the recoveries against the raw key fields
-        // — their counter profile (recover_ops, dlog_ops …) is the
-        // decode's step for step, and their results are the node's keys.
+        // probe has yet, and recover the keys once, the first time —
+        // counter profile (recover_ops, dlog_ops …) step for step. After
+        // that the recoveries are charged by count, or, where the disguise
+        // cannot charge, run again.
         self.counters
             .bump_by(|c| &c.ptr_decrypts, entry.slots() as u64);
-        let mut node = entry.node(|ct| self.unseal(entry.id(), ct))?;
-        for (key, &raw) in node.keys.iter_mut().zip(entry.raw_keys()) {
-            *key = self.recover(raw)?;
+        let raw_keys = entry.raw_keys();
+        if entry.keys().is_none() {
+            let unseal = |ct: &[u8]| self.unseal(entry.id(), ct);
+            return entry
+                .fill_keys(unseal, |i, _| self.recover(raw_keys[i]))
+                .map(drop);
         }
-        Ok(node)
+        if self.disguise.charge(0, raw_keys.len() as u64) {
+            return Ok(());
+        }
+        raw_keys
+            .iter()
+            .try_for_each(|&raw| self.recover(raw).map(drop))
     }
 }
 
@@ -691,5 +760,188 @@ mod tests {
         // A header that does not parse is never wrapped at all.
         page[0] ^= 0xFF;
         assert!(codec.decode_for_cache(BlockId(7), &page).is_err());
+    }
+
+    /// A disguise that counts its physical `disguise` and `recover` calls
+    /// and passes everything through, charging included.
+    struct CountingDisguise {
+        inner: Arc<dyn KeyDisguise>,
+        disguised: std::sync::atomic::AtomicU64,
+        recovered: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingDisguise {
+        fn calls(&self) -> (u64, u64) {
+            let load =
+                |n: &std::sync::atomic::AtomicU64| n.load(std::sync::atomic::Ordering::Relaxed);
+            (load(&self.disguised), load(&self.recovered))
+        }
+    }
+
+    impl KeyDisguise for CountingDisguise {
+        fn disguise(&self, key: u64) -> Result<u64, crate::disguise::DisguiseError> {
+            self.disguised
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.disguise(key)
+        }
+        fn recover(&self, disguised: u64) -> Result<u64, crate::disguise::DisguiseError> {
+            self.recovered
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.recover(disguised)
+        }
+        fn order_preserving(&self) -> bool {
+            self.inner.order_preserving()
+        }
+        fn charge(&self, disguises: u64, recoveries: u64) -> bool {
+            self.inner.charge(disguises, recoveries)
+        }
+        fn domain_size(&self) -> Option<u64> {
+            self.inner.domain_size()
+        }
+        fn secret_size_bytes(&self) -> usize {
+            self.inner.secret_size_bytes()
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// The key half of the paper's claim as physical work: through the
+    /// node cache a key is recovered at most once while its node stays
+    /// cached, and a write disguises only the keys it changed — while the
+    /// logical counters charge every key, as a whole-node decode and
+    /// re-disguise would.
+    #[test]
+    fn cached_nodes_recover_each_key_once_and_writes_disguise_only_new_keys() {
+        use sks_btree_core::BTree;
+        use sks_storage::MemDisk;
+
+        let counters = OpCounters::new();
+        let (_, disguise) = crate::SchemeConfig::with_capacity(crate::Scheme::Oval, 1100)
+            .build_codec(&counters)
+            .unwrap();
+        let disguise = Arc::new(CountingDisguise {
+            inner: disguise.unwrap(),
+            disguised: Default::default(),
+            recovered: Default::default(),
+        });
+        let sealer = Arc::new(BlockCipherSealer::des(0xA5A5_5A5A_0F0F_F0F0));
+        let codec = SubstitutionCodec::new(disguise.clone(), sealer, counters.clone());
+        let items: Vec<(u64, RecordPtr)> = (1..=500).map(|k| (2 * k, RecordPtr(k))).collect();
+        let disk = MemDisk::with_counters(256, counters.clone());
+        let mut tree = BTree::bulk_load(disk, codec, &items).unwrap();
+        tree.enable_node_cache(1024);
+        assert_eq!(tree.height(), 3);
+
+        // (physical disguises, physical recoveries, counter delta) of `op`.
+        let cost = |tree: &mut BTree<MemDisk, SubstitutionCodec>,
+                    op: &dyn Fn(&mut BTree<MemDisk, SubstitutionCodec>)| {
+            let (calls, before) = (disguise.calls(), counters.snapshot());
+            op(tree);
+            let (disguised, recovered) = disguise.calls();
+            let delta = counters.snapshot().delta(&before);
+            (disguised - calls.0, recovered - calls.1, delta)
+        };
+        let scan = |tree: &mut BTree<MemDisk, SubstitutionCodec>| {
+            assert_eq!(tree.range(200, 600).unwrap(), items[99..300]);
+        };
+        // The first scan fills and completes its nodes: one recovery per
+        // key of each node it visits, physical and logical alike.
+        let (disguised, recovered, first) = cost(&mut tree, &scan);
+        assert_eq!(disguised, 0);
+        assert_eq!(recovered, first.recover_ops);
+        assert!(first.recover_ops > 200, "{first:?}");
+        // The same scan again recomputes nothing and charges the same.
+        let (disguised, recovered, again) = cost(&mut tree, &scan);
+        assert_eq!((disguised, recovered), (0, 0));
+        assert_eq!(again.node_cache_misses, 0);
+        let logical = |mut s: sks_storage::OpSnapshot| {
+            (s.block_reads, s.node_cache_hits, s.node_cache_misses) = (0, 0, 0);
+            s
+        };
+        assert_eq!(logical(again), logical(first));
+
+        // Overwriting one pointer in a leaf the scan completed disguises
+        // no key physically: every stored field is copied, every
+        // disguise still charged.
+        let leaf = tree.inspect_node(tree.root_id()).unwrap().children[1];
+        let leaf = tree.inspect_node(leaf).unwrap().children[1];
+        let leaf = tree.inspect_node(leaf).unwrap();
+        let (key, old) = (leaf.keys[leaf.n() / 2], leaf.data_ptrs[leaf.n() / 2]);
+        let (disguised, recovered, overwrite) = cost(&mut tree, &|tree| {
+            assert!(tree.replace_ptr(key, old, RecordPtr(7)).unwrap());
+        });
+        assert_eq!((disguised, recovered), (0, 0));
+        let n = leaf.n() as u64;
+        assert_eq!(overwrite.key_disguises_reused, n);
+        assert_eq!(overwrite.disguise_ops, n);
+        assert_eq!(overwrite.triplet_seals_reused, n - 1);
+        assert_eq!(tree.get(key).unwrap(), Some(RecordPtr(7)));
+        tree.validate().unwrap();
+    }
+
+    /// A write that fails part-way — here on a key outside the disguise's
+    /// domain — charges over an image exactly what it charges from
+    /// scratch: every pointer and every disguise up to the failure.
+    #[test]
+    fn a_failed_write_over_an_image_charges_what_one_from_scratch_does() {
+        let (codec, counters) = codec_with_shared(|c| Arc::new(OvalSubstitution::paper_example(c)));
+        let charged = |op: &dyn Fn()| {
+            let before = counters.snapshot();
+            op();
+            let mut delta = counters.snapshot().delta(&before);
+            (delta.triplet_seals_reused, delta.key_disguises_reused) = (0, 0);
+            delta
+        };
+        let before = sample_internal();
+        let mut page = vec![0u8; 256];
+        codec.encode(&before, &mut page).unwrap();
+        let image = codec.cache_written(&before, &page).unwrap();
+        assert_eq!(image.keys(), Some(&before.keys[..]));
+        for at in 0..=before.n() {
+            let mut after = before.clone();
+            // Key 20 is outside the paper design's domain of 13.
+            after.keys.insert(at, 20);
+            after.data_ptrs.insert(at, RecordPtr(200));
+            after.children.insert(at + 1, BlockId(20));
+            let write = |prev| {
+                let mut out = vec![0u8; 256];
+                let err = codec.encode_over(&after, prev, &mut out).unwrap_err();
+                assert!(matches!(err, CodecError::KeyDomain { key: 20, .. }));
+            };
+            let from_scratch = charged(&|| write(None));
+            assert_eq!(from_scratch.disguise_ops, at as u64);
+            assert_eq!(from_scratch.ptr_encrypts, at as u64 + 1);
+            assert_eq!(charged(&|| write(Some(&image))), from_scratch, "at {at}");
+        }
+    }
+
+    /// Under a disguise that cannot charge by count — the literal §4.2
+    /// construction, which is not injective — a write's image leaves the
+    /// keys to the first visit to recover, so every decode returns what
+    /// recovering the page's fields gives, and copies no key field.
+    #[test]
+    fn a_disguise_that_cannot_charge_recovers_and_disguises_every_time() {
+        let (codec, counters) = codec_with_shared(|c| {
+            Arc::new(crate::disguise::PaperExpSubstitution::paper_example(c))
+        });
+        let mut leaf = Node::leaf(BlockId(3));
+        leaf.keys = (1..=10).collect();
+        leaf.data_ptrs = (1..=10).map(RecordPtr).collect();
+        let mut page = vec![0u8; 256];
+        codec.encode(&leaf, &mut page).unwrap();
+        let image = codec.cache_written(&leaf, &page).unwrap();
+        assert_eq!(image.keys(), None);
+        let recovered = codec.decode(BlockId(3), &page).unwrap();
+        assert_eq!(codec.decode_cached(&image).unwrap(), recovered);
+        let before = counters.snapshot();
+        assert_eq!(codec.decode_cached(&image).unwrap(), recovered);
+        assert_eq!(counters.snapshot().delta(&before).recover_ops, 10);
+        let before = counters.snapshot();
+        codec
+            .encode_over(&recovered, Some(&image), &mut page)
+            .unwrap();
+        let delta = counters.snapshot().delta(&before);
+        assert_eq!((delta.disguise_ops, delta.key_disguises_reused), (10, 0));
     }
 }

@@ -19,7 +19,7 @@ use sks_designs::dlog::DlogTable;
 use sks_designs::primes::{is_prime, is_primitive_root};
 use sks_storage::OpCounters;
 
-use super::{bump_disguise, bump_recover, DisguiseError, KeyDisguise};
+use super::{bump_by_count, bump_disguise, bump_recover, DisguiseError, KeyDisguise};
 
 /// The invertible exponentiation substitution `k̂ = k^t mod N`.
 ///
@@ -129,6 +129,15 @@ impl KeyDisguise for ExpSubstitution {
 
     fn order_preserving(&self) -> bool {
         false
+    }
+
+    fn charge(&self, disguises: u64, recoveries: u64) -> bool {
+        // Each disguise also runs one counted discrete log.
+        bump_by_count(&self.counters, disguises, recoveries);
+        if disguises > 0 {
+            self.counters.bump_by(|c| &c.dlog_ops, disguises);
+        }
+        true
     }
 
     fn domain_size(&self) -> Option<u64> {

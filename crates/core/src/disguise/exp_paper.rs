@@ -132,6 +132,14 @@ impl KeyDisguise for PaperExpSubstitution {
         false
     }
 
+    fn charge(&self, _disguises: u64, _recoveries: u64) -> bool {
+        // The line scan counts one comparison per point it reads, so no
+        // two calls need cost the same; and the literal construction is
+        // not injective, so a recovered key need not disguise back to its
+        // field. Callers compute.
+        false
+    }
+
     fn domain_size(&self) -> Option<u64> {
         Some(self.n)
     }

@@ -75,6 +75,18 @@ pub trait KeyDisguise: Send + Sync {
     /// comparisons against on-disk values.
     fn order_preserving(&self) -> bool;
 
+    /// Charges the counters exactly as `disguises` successful
+    /// [`KeyDisguise::disguise`] calls and `recoveries` successful
+    /// [`KeyDisguise::recover`] calls would, computing nothing, and
+    /// returns `true`. Only a disguise may do so whose successful calls
+    /// each move the same counters by the same amounts, and whose
+    /// `disguise` and `recover` are exact inverses on every value `recover`
+    /// accepts: a node codec then keeps a node's recovered keys, and the
+    /// stored fields they came from, instead of computing either again.
+    /// Any other disguise charges nothing and returns `false`, and its
+    /// callers compute.
+    fn charge(&self, disguises: u64, recoveries: u64) -> bool;
+
     /// Largest valid key plus one, if the domain is bounded.
     fn domain_size(&self) -> Option<u64>;
 
@@ -103,6 +115,11 @@ impl KeyDisguise for IdentityDisguise {
         true
     }
 
+    fn charge(&self, _disguises: u64, _recoveries: u64) -> bool {
+        // Nothing computed, nothing counted.
+        true
+    }
+
     fn domain_size(&self) -> Option<u64> {
         None
     }
@@ -123,6 +140,17 @@ pub(crate) fn bump_disguise(counters: &OpCounters) {
 
 pub(crate) fn bump_recover(counters: &OpCounters) {
     counters.bump(|c| &c.recover_ops);
+}
+
+/// What `disguises` calls of [`bump_disguise`] and `recoveries` of
+/// [`bump_recover`] charge, in two adds.
+pub(crate) fn bump_by_count(counters: &OpCounters, disguises: u64, recoveries: u64) {
+    if disguises > 0 {
+        counters.bump_by(|c| &c.disguise_ops, disguises);
+    }
+    if recoveries > 0 {
+        counters.bump_by(|c| &c.recover_ops, recoveries);
+    }
 }
 
 #[cfg(test)]
@@ -163,6 +191,73 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Scheme, SchemeConfig};
+    use sks_storage::OpSnapshot;
+    use std::sync::Arc;
+
+    /// Runs `op` and returns its result with the counters it moved.
+    fn charged<T>(counters: &OpCounters, op: impl FnOnce() -> T) -> (T, OpSnapshot) {
+        let before = counters.snapshot();
+        let out = op();
+        (out, counters.snapshot().delta(&before))
+    }
+
+    /// The disguise `scheme` runs on `counters`; `None` is the identity.
+    fn disguise_of(scheme: Option<Scheme>, counters: &OpCounters) -> Arc<dyn KeyDisguise> {
+        match scheme {
+            None => Arc::new(IdentityDisguise),
+            Some(scheme) => SchemeConfig::with_capacity(scheme, 64)
+                .build_disguise(counters)
+                .unwrap()
+                .unwrap(),
+        }
+    }
+
+    /// `charge(n, m)` moves every counter exactly as `n` real disguises
+    /// and `m` real recoveries do, for every disguise that charges; the
+    /// literal exponentiation construction, whose calls cost different
+    /// numbers of comparisons, refuses and charges nothing.
+    #[test]
+    fn charging_by_count_equals_calling_for_every_disguise() {
+        for scheme in [
+            Some(Scheme::Oval),
+            Some(Scheme::Exponentiation),
+            Some(Scheme::SumOfTreatments),
+            Some(Scheme::ConversionTable),
+            None,
+            Some(Scheme::ExponentiationPaper),
+        ] {
+            let counters = OpCounters::new();
+            let d = disguise_of(scheme, &counters);
+            // Keys inside every domain (the literal construction's is
+            // 1..13).
+            let fields: Vec<u64> = (1..=12).map(|k| d.disguise(k).unwrap()).collect();
+            for (n, m) in [(0, 0), (1, 0), (0, 1), (5, 7), (12, 12)] {
+                let ((), calls) = charged(&counters, || {
+                    for k in 1..=n {
+                        d.disguise(k).unwrap();
+                    }
+                    for &field in &fields[..m as usize] {
+                        d.recover(field).unwrap();
+                    }
+                });
+                let (charges, by_count) = charged(&counters, || d.charge(n, m));
+                let what = format!("{}: charge({n}, {m})", d.name());
+                if scheme == Some(Scheme::ExponentiationPaper) {
+                    assert!(!charges, "{what}");
+                    assert_eq!(by_count, OpSnapshot::default(), "{what}");
+                } else {
+                    assert!(charges, "{what}");
+                    assert_eq!(by_count, calls, "{what}");
+                }
+            }
+        }
+        // Why the literal construction refuses: its calls' costs differ.
+        let counters = OpCounters::new();
+        let d = disguise_of(Some(Scheme::ExponentiationPaper), &counters);
+        let compares = |k| charged(&counters, || d.disguise(k).unwrap()).1.key_compares;
+        assert_ne!(compares(1), compares(12));
+    }
 
     #[test]
     fn identity_contract() {

@@ -14,7 +14,7 @@ use sks_designs::arith::{inv_mod, mul_mod};
 use sks_designs::diffset::DifferenceSet;
 use sks_storage::OpCounters;
 
-use super::{bump_disguise, bump_recover, DisguiseError, KeyDisguise};
+use super::{bump_by_count, bump_disguise, bump_recover, DisguiseError, KeyDisguise};
 
 /// The oval substitution `k̂ = k·t mod v`.
 #[derive(Debug, Clone)]
@@ -77,6 +77,11 @@ impl KeyDisguise for OvalSubstitution {
 
     fn order_preserving(&self) -> bool {
         false
+    }
+
+    fn charge(&self, disguises: u64, recoveries: u64) -> bool {
+        bump_by_count(&self.counters, disguises, recoveries);
+        true
     }
 
     fn domain_size(&self) -> Option<u64> {

@@ -16,7 +16,7 @@
 use sks_designs::diffset::DifferenceSet;
 use sks_storage::OpCounters;
 
-use super::{bump_disguise, bump_recover, DisguiseError, KeyDisguise};
+use super::{bump_by_count, bump_disguise, bump_recover, DisguiseError, KeyDisguise};
 
 /// The cumulative-sum substitution.
 #[derive(Debug, Clone)]
@@ -102,6 +102,11 @@ impl KeyDisguise for SumSubstitution {
     }
 
     fn order_preserving(&self) -> bool {
+        true
+    }
+
+    fn charge(&self, disguises: u64, recoveries: u64) -> bool {
+        bump_by_count(&self.counters, disguises, recoveries);
         true
     }
 

@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use sks_storage::OpCounters;
 
-use super::{bump_disguise, bump_recover, DisguiseError, KeyDisguise};
+use super::{bump_by_count, bump_disguise, bump_recover, DisguiseError, KeyDisguise};
 
 /// An explicit random-permutation disguise over `[0, n)`.
 #[derive(Debug, Clone)]
@@ -63,6 +63,11 @@ impl KeyDisguise for TableDisguise {
 
     fn order_preserving(&self) -> bool {
         false
+    }
+
+    fn charge(&self, disguises: u64, recoveries: u64) -> bool {
+        bump_by_count(&self.counters, disguises, recoveries);
+        true
     }
 
     fn domain_size(&self) -> Option<u64> {

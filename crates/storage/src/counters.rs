@@ -156,6 +156,10 @@ counters! {
     /// charged per triplet — logical encrypts minus this is the number of
     /// physical seals).
     triplet_seals_reused,
+    /// Disguised key fields a node write copied from the image it replaced
+    /// instead of disguising the key again (the logical `disguise_ops`
+    /// are still charged per key — this is the physical saving).
+    key_disguises_reused,
     /// Replay groups applied through the bulk-fill path during recovery
     /// (each covers a contiguous run of records for one partition).
     replay_batches,

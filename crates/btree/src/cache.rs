@@ -16,11 +16,11 @@
 //! scan or validation — which needs the whole node — deciphers the
 //! remainder and recovers the plaintext keys ([`crate::NodeCodec::complete`]),
 //! and the entry memoises those keys too: from then on a whole-node visit
-//! charges a decode's counters and computes nothing, a range scan reads
-//! keys and pointers straight from the entry, and an update builds its
-//! [`Node`] from it ([`CachedNode::to_node`]). Codecs with nothing to be
-//! lazy about (whole-page encipherment, plaintext) build their entries
-//! complete.
+//! charges a decode's counters and computes nothing, and range scans and
+//! update descents read keys, pointers and children straight from the
+//! entry; only a node an update rewrites is built as a [`Node`]
+//! ([`CachedNode::to_node`]). Codecs with nothing to be lazy about
+//! (whole-page encipherment, plaintext) build their entries complete.
 //!
 //! The write side is the mirror image: the entry an update has just
 //! completed is the image its write replaces, so the tree hands it to the
@@ -38,9 +38,11 @@
 //! version), so an entry is present exactly when it images the page's
 //! current content; a stale image can never serve a probe. A re-encode
 //! that took an entry out puts back, once the new page is on the medium,
-//! the image of that page ([`crate::NodeCodec::cache_written`]): built
-//! from the plaintext node just written, it is complete and cost no
-//! cryptography, so the next visit deciphers nothing. A write to a block
+//! the image of that page, which the encoder returned as it wrote it
+//! ([`crate::NodeCodec::encode_over`], [`CachedNode::written`]): the key
+//! fields and cryptograms it laid down and the plaintext it laid them
+//! down from, so it is complete, cost no cryptography and no re-parse of
+//! the page, and the next visit deciphers nothing. A write to a block
 //! that had no entry caches nothing — writes replace entries, never add
 //! them — and a write that fails leaves its block with no entry, so the
 //! next visit refills from the medium.
@@ -57,11 +59,12 @@
 //! under key substitution, the triplets they crossed under Bayer–Metzger;
 //! the rest of the node stays as enciphered as it is on the medium. An
 //! entry completed by an update, scan or validation, or put back by a
-//! write, holds its whole node — pointers and plaintext keys — until it is
-//! evicted or rewritten. Either way the bound is the capacity: at most
-//! that many entries, each at most one whole node, plus at most one entry
-//! per tree level that each in-flight range scan holds (as it held one
-//! decoded node per level before entries kept their keys). What an entry
+//! write (its encoder's image), holds its whole node — pointers and
+//! plaintext keys — until it is evicted or rewritten. Either way the
+//! bound is the capacity: at most that many entries, each at most one
+//! whole node, plus at most one entry per tree level that each in-flight
+//! range scan or update descent holds (as each held one decoded node per
+//! level before entries kept their keys). What an entry
 //! holds — memoised triplets, plaintext keys and raw key fields — is
 //! zeroized when the last reference drops (eviction, invalidation, cache
 //! drop, or the scan moving on), so later heap re-use cannot scrape it out
@@ -91,8 +94,9 @@ pub struct Triplet {
 /// Slots are the page's cryptograms in page order: a leaf's slot `i` is
 /// triplet `i`; an internal node's slot 0 is the leftmost tree pointer and
 /// slot `i + 1` triplet `i` — so child `c` of an internal node always sits
-/// in slot `c`. Each slot has a write-once memo cell that readers sharing
-/// the entry through its `Arc` fill without a lock.
+/// in slot `c`. An entry filled from the medium gives each slot a
+/// write-once memo cell that readers sharing the entry through its `Arc`
+/// fill without a lock; an entry born whole holds its slots as they are.
 #[derive(Debug)]
 pub struct CachedNode {
     id: BlockId,
@@ -106,10 +110,10 @@ pub struct CachedNode {
     /// are sealed inside (Bayer–Metzger).
     raw_keys: Vec<u64>,
     /// The slots' cryptograms as stored, back to back, `sealed_len` bytes
-    /// each. Empty for an entry born complete.
+    /// each. Empty for a whole-page or plaintext scheme's entry.
     sealed: Vec<u8>,
     sealed_len: usize,
-    memo: Box<[OnceLock<Triplet>]>,
+    memo: Slots,
     /// The plaintext keys in triplet order, memoised by the first
     /// completion ([`CachedNode::fill_keys`]) or by a write's image. Set
     /// only once every slot is memoised, so "keys known" is "complete".
@@ -117,6 +121,35 @@ pub struct CachedNode {
     /// Where the time of each physical unseal is recorded (off unless the
     /// tree installs its channel, see [`CachedNode::timed`]).
     obs: Obs,
+}
+
+/// A [`CachedNode`]'s deciphered slots. An entry filled from the medium
+/// starts with every cell empty and its probes fill them; an entry born
+/// whole — a write's image, a whole-page or plaintext decode — knows every
+/// slot at once and holds them in a plain slice, which costs no per-slot
+/// cell set-up to build and no cell walk to read or wipe.
+#[derive(Debug)]
+enum Slots {
+    Lazy(Box<[OnceLock<Triplet>]>),
+    Whole(Box<[Triplet]>),
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        match self {
+            Slots::Lazy(cells) => cells.len(),
+            Slots::Whole(slots) => slots.len(),
+        }
+    }
+
+    /// The content of `slot`, if it is known.
+    #[inline]
+    fn get(&self, slot: usize) -> Option<Triplet> {
+        match self {
+            Slots::Lazy(cells) => cells.get(slot)?.get().copied(),
+            Slots::Whole(slots) => slots.get(slot).copied(),
+        }
+    }
 }
 
 /// The `unseal` argument for entries born complete, whose slots never
@@ -146,58 +179,49 @@ impl CachedNode {
             raw_keys,
             sealed,
             sealed_len,
-            memo: (0..slots).map(|_| OnceLock::new()).collect(),
+            memo: Slots::Lazy((0..slots).map(|_| OnceLock::new()).collect()),
             keys: OnceLock::new(),
             obs: Obs::default(),
         }
     }
 
-    /// An entry born complete from a plaintext `node` (codecs that
-    /// decipher a page all at once): every slot known, no sealed image,
-    /// the node's own keys as the search keys.
-    pub fn complete(node: &Node, page_len: usize) -> Self {
+    /// The image of the page an encoder has just written from `node`,
+    /// born whole: the key fields and cryptograms it laid down (`raw_keys`,
+    /// and `sealed`, `sealed_len` bytes per slot), each slot in page order
+    /// what unsealing its cryptogram returns (`slots`), and — when
+    /// `keys_known`, that is when recovering the key fields gives back the
+    /// node's keys — the node's keys memoised. Otherwise the first
+    /// completion recovers them.
+    pub fn written(
+        node: &Node,
+        page_len: usize,
+        raw_keys: Vec<u64>,
+        sealed: Vec<u8>,
+        sealed_len: usize,
+        slots: impl Iterator<Item = Triplet>,
+        keys_known: bool,
+    ) -> Self {
         CachedNode {
             id: node.id,
             is_leaf: node.is_leaf(),
             page_len,
-            raw_keys: node.keys.clone(),
-            sealed: Vec::new(),
-            sealed_len: 0,
-            memo: node.slots().map(OnceLock::from).collect(),
-            keys: OnceLock::from(node.keys.clone()),
+            raw_keys,
+            sealed,
+            sealed_len,
+            memo: Slots::Whole(slots.collect()),
+            keys: keys_known
+                .then(|| node.keys.clone())
+                .map_or_else(OnceLock::new, OnceLock::from),
             obs: Obs::default(),
         }
     }
 
-    /// This entry with its memo pre-filled, slot by slot in page order,
-    /// from `slots` — what a write knows of the page it has just sealed, so
-    /// the entry it caches is complete without a single unseal — and its
-    /// plaintext `keys` memoised, when given. Each value must be what
-    /// unsealing that slot's cryptogram, or completing the entry, returns;
-    /// a count that differs from the page's is refused (and the entry
-    /// scrubbed).
-    pub fn with_memo(
-        self,
-        slots: impl IntoIterator<Item = Triplet>,
-        keys: Option<&[u64]>,
-    ) -> Result<Self, CodecError> {
-        let (mut cells, mut slots) = (self.memo.iter(), slots.into_iter());
-        for (cell, t) in cells.by_ref().zip(slots.by_ref()) {
-            let _ = cell.set(t);
-        }
-        let wrong_keys = keys.is_some_and(|keys| keys.len() != self.n());
-        if cells.len() != 0 || slots.next().is_some() || wrong_keys {
-            // Dropping `self` scrubs whatever was filled in.
-            return Err(CodecError::Corrupt(format!(
-                "node {}: the written node does not have the page's {} slots",
-                self.id,
-                self.memo.len()
-            )));
-        }
-        if let Some(keys) = keys {
-            let _ = self.keys.set(keys.to_vec());
-        }
-        Ok(self)
+    /// An entry born complete from a plaintext `node` (codecs that
+    /// decipher a page all at once, or write it in the clear): every slot
+    /// known, no sealed image, the node's own keys as the search keys.
+    pub fn complete(node: &Node, page_len: usize) -> Self {
+        let keys = node.keys.clone();
+        Self::written(node, page_len, keys, Vec::new(), 0, node.slots(), true)
     }
 
     /// Records every physical unseal this entry performs from now on as a
@@ -218,7 +242,7 @@ impl CachedNode {
 
     /// Number of triplets `n`.
     pub fn n(&self) -> usize {
-        self.memo.len().saturating_sub(self.key_slot(0))
+        self.slots().saturating_sub(self.key_slot(0))
     }
 
     /// Number of slots (cryptograms on the page): `n`, plus the leftmost
@@ -260,8 +284,8 @@ impl CachedNode {
     ) -> Result<Triplet, CodecError> {
         // The memoised case is the whole hot path of a cached search: keep
         // it a load and a copy, with the first touch out of line.
-        match self.memo.get(slot).and_then(OnceLock::get) {
-            Some(t) => Ok(*t),
+        match self.memo.get(slot) {
+            Some(t) => Ok(t),
             None => self.unseal_slot(slot, unseal, &mut self.obs.start()),
         }
     }
@@ -277,7 +301,11 @@ impl CachedNode {
         clock: &mut Option<Instant>,
     ) -> Result<Triplet, CodecError> {
         let missing = || CodecError::Corrupt(format!("node {} has no slot {slot}", self.id));
-        let cell = self.memo.get(slot).ok_or_else(missing)?;
+        // A whole entry knows every slot it has.
+        let Slots::Lazy(cells) = &self.memo else {
+            return Err(missing());
+        };
+        let cell = cells.get(slot).ok_or_else(missing)?;
         let at = slot * self.sealed_len;
         let ct = self.sealed.get(at..at + self.sealed_len);
         let t = unseal(ct.ok_or_else(missing)?)?;
@@ -306,10 +334,12 @@ impl CachedNode {
         // One clock read per slot deciphered: each sample starts where the
         // previous one ended, so together they time the whole loop.
         let mut clock = None;
-        for (slot, cell) in self.memo.iter().enumerate() {
-            if cell.get().is_none() {
-                clock = clock.or_else(|| self.obs.start());
-                self.unseal_slot(slot, &mut unseal, &mut clock)?;
+        if let Slots::Lazy(cells) = &self.memo {
+            for (slot, cell) in cells.iter().enumerate() {
+                if cell.get().is_none() {
+                    clock = clock.or_else(|| self.obs.start());
+                    self.unseal_slot(slot, &mut unseal, &mut clock)?;
+                }
             }
         }
         let mut keys = Vec::with_capacity(self.n());
@@ -335,15 +365,15 @@ impl CachedNode {
     /// The data pointer of triplet `i`, once its slot is memoised.
     #[inline]
     pub fn data_ptr(&self, i: usize) -> Option<RecordPtr> {
-        let cell = self.memo.get(self.key_slot(i))?;
-        cell.get().map(|t| RecordPtr(t.data_ptr))
+        let t = self.memo.get(self.key_slot(i))?;
+        Some(RecordPtr(t.data_ptr))
     }
 
     /// Child `c` of an internal node, once its slot is memoised.
     #[inline]
     pub fn child(&self, c: usize) -> Option<BlockId> {
-        let cell = self.memo.get(c).filter(|_| !self.is_leaf)?;
-        cell.get().map(|t| BlockId(t.child))
+        let t = self.memo.get(c).filter(|_| !self.is_leaf)?;
+        Some(BlockId(t.child))
     }
 
     /// The plaintext node of a complete entry, built from its memos with
@@ -358,13 +388,25 @@ impl CachedNode {
             children: Vec::with_capacity(if self.is_leaf { 0 } else { self.slots() }),
         };
         let first_key = self.key_slot(0);
-        for (slot, cell) in self.memo.iter().enumerate() {
-            let t = cell.get().ok_or_else(incomplete)?;
-            if !self.is_leaf {
-                node.children.push(BlockId(t.child));
+        match &self.memo {
+            Slots::Whole(slots) => {
+                let keyed = slots.get(first_key..).unwrap_or_default();
+                node.data_ptrs
+                    .extend(keyed.iter().map(|t| RecordPtr(t.data_ptr)));
+                if !self.is_leaf {
+                    node.children.extend(slots.iter().map(|t| BlockId(t.child)));
+                }
             }
-            if slot >= first_key {
-                node.data_ptrs.push(RecordPtr(t.data_ptr));
+            Slots::Lazy(cells) => {
+                for (slot, cell) in cells.iter().enumerate() {
+                    let t = cell.get().ok_or_else(incomplete)?;
+                    if !self.is_leaf {
+                        node.children.push(BlockId(t.child));
+                    }
+                    if slot >= first_key {
+                        node.data_ptrs.push(RecordPtr(t.data_ptr));
+                    }
+                }
             }
         }
         Ok(node)
@@ -377,12 +419,19 @@ impl CachedNode {
     /// `None`, and `*from` unmoved, when no such slot remains: a slot never
     /// deciphered, or whose unseal failed, matches nothing, and an entry
     /// born complete (or of another cryptogram width) stores none.
+    #[inline]
     pub fn stored_cryptogram(&self, from: &mut usize, want: &Triplet, len: usize) -> Option<&[u8]> {
         if self.sealed_len != len {
             return None;
         }
-        let held = |cell: &OnceLock<Triplet>| cell.get() == Some(want);
-        let slot = *from + self.memo.get(*from..)?.iter().position(held)?;
+        let at = match &self.memo {
+            Slots::Lazy(cells) => cells
+                .get(*from..)?
+                .iter()
+                .position(|c| c.get() == Some(want)),
+            Slots::Whole(slots) => slots.get(*from..)?.iter().position(|t| t == want),
+        };
+        let slot = *from + at?;
         let ct = self.sealed.get(slot * len..(slot + 1) * len)?;
         *from = slot + 1;
         Some(ct)
@@ -395,6 +444,7 @@ impl CachedNode {
     /// walk stops at the first larger key. `None`, and `*from` unmoved,
     /// when no such triplet remains, the keys are not memoised, or the
     /// scheme keeps its keys inside the cryptograms.
+    #[inline]
     pub fn stored_key(&self, from: &mut usize, key: u64) -> Option<u64> {
         let keys = self.keys()?;
         let i = *from + keys.get(*from..)?.iter().take_while(|&&k| k < key).count();
@@ -409,10 +459,13 @@ impl CachedNode {
     /// Zeroes everything deciphered or key-derived in place (the sealed
     /// image is ciphertext, as public as the medium).
     fn scrub(&mut self) {
-        for cell in self.memo.iter_mut() {
-            if let Some(t) = cell.get_mut() {
-                wipe::words(std::slice::from_mut(t));
+        match &mut self.memo {
+            Slots::Lazy(cells) => {
+                for t in cells.iter_mut().filter_map(OnceLock::get_mut) {
+                    wipe::words(std::slice::from_mut(t));
+                }
             }
+            Slots::Whole(slots) => wipe::words(slots),
         }
         if let Some(keys) = self.keys.get_mut() {
             wipe::words(keys);
@@ -521,6 +574,17 @@ mod tests {
     fn lazy_internal() -> CachedNode {
         let sealed = (0u8..4).collect();
         CachedNode::sealed(BlockId(7), false, 256, vec![10, 20, 30], sealed, 1)
+    }
+
+    /// The node [`lazy_internal`] deciphers to: slot `s` holds child
+    /// `s + 40`, and triplet `i` data pointer `100 (i + 1)`.
+    fn internal() -> Node {
+        Node {
+            id: BlockId(7),
+            keys: vec![10, 20, 30],
+            data_ptrs: [100, 200, 300].map(RecordPtr).to_vec(),
+            children: [40, 41, 42, 43].map(BlockId).to_vec(),
+        }
     }
 
     fn unseal_counting(calls: &AtomicUsize) -> impl Fn(&[u8]) -> Result<Triplet, CodecError> + '_ {
@@ -657,19 +721,33 @@ mod tests {
         assert_eq!((e.stored_key(&mut from, 3), from), (Some(30), 3));
         assert_eq!(lazy_internal().stored_key(&mut 0, 1), None, "no keys yet");
 
-        // A write's image takes the node's keys only if they fit the page.
-        let slots = (0..4).map(|c| Triplet {
-            child: c,
-            ..Triplet::default()
-        });
-        assert!(lazy_internal()
-            .with_memo(slots.clone(), Some(&[1, 2]))
-            .is_err());
-        let written = lazy_internal().with_memo(slots, Some(&[1, 2, 3])).unwrap();
+        // A write's image is whole at birth, and takes the node's keys
+        // only when told they are what a completion would recover.
+        let (node, sealed) = (internal(), (0u8..4).collect::<Vec<_>>());
+        let image = |keys_known| {
+            let slots = node.slots().map(|t| Triplet { key: 0, ..t });
+            let raw_keys = vec![1, 2, 3];
+            CachedNode::written(&node, 256, raw_keys, sealed.clone(), 1, slots, keys_known)
+        };
+        let written = image(true);
+        assert_eq!(written.keys(), Some(&node.keys[..]));
+        assert_eq!(written.to_node().unwrap(), node);
+        assert_eq!(written.stored_key(&mut 0, 20), Some(2));
+        assert_eq!(written.child(3), Some(BlockId(43)));
+        let unknown = image(false);
         assert_eq!(
-            written.to_node().unwrap().children,
-            [0, 1, 2, 3].map(BlockId)
+            (unknown.keys(), unknown.data_ptr(1)),
+            (None, Some(RecordPtr(200)))
         );
+        let t = Triplet {
+            key: 0,
+            data_ptr: 200,
+            child: 42,
+        };
+        assert_eq!(unknown.stored_cryptogram(&mut 0, &t, 1), Some(&[2u8][..]));
+        let recovered = unknown.fill_keys(never_sealed, |i, _| Ok(10 * (i as u64 + 1)));
+        assert_eq!(recovered.unwrap(), node.keys, "no unseal needed");
+        assert_eq!(unknown.to_node().unwrap(), node);
     }
 
     #[test]
@@ -759,10 +837,18 @@ mod tests {
         e.scrub();
         assert_eq!(e.keys(), Some(&[0; 3][..]));
         assert!((0..4).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default())));
-        let mut e = entry(1, 42);
-        e.scrub();
-        assert_eq!(e.triplet(0, never_sealed).unwrap(), Triplet::default());
-        assert_eq!(e.raw_keys(), [0]);
-        assert_eq!(e.keys(), Some(&[0][..]));
+        // Entries born whole hold their slots in a plain slice: a write's
+        // image, as an encoder builds it, and a plaintext decode's entry.
+        let node = internal();
+        let slots = node.slots().map(|t| Triplet { key: 0, ..t });
+        let image = CachedNode::written(&node, 256, vec![1, 2, 3], vec![9; 4], 1, slots, true);
+        for mut e in [image, CachedNode::complete(&node, 256), entry(1, 42)] {
+            assert!(e.triplet(e.slots() - 1, never_sealed).unwrap() != Triplet::default());
+            e.scrub();
+            let zero = (0..e.slots()).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default()));
+            assert!(zero, "every slot");
+            assert!(e.keys().unwrap().iter().all(|&k| k == 0), "the keys");
+            assert!(e.raw_keys().iter().all(|&k| k == 0), "the raw keys");
+        }
     }
 }

@@ -105,12 +105,21 @@ pub trait NodeCodec {
     /// sealed afresh. A scheme that disguises keys copies the stored field
     /// of every key `prev` has memoised ([`CachedNode::stored_key`]) the
     /// same way. Schemes with nothing to copy ignore `prev`.
+    ///
+    /// Returns the cache entry of the page as written, the image the tree
+    /// puts back in place of the one the write replaced. It equals what a
+    /// fill of `page` from the medium becomes once fully deciphered, but it
+    /// is built from what the encoder laid down (key fields, cryptograms)
+    /// and the plaintext it laid them down from, so it is born whole
+    /// ([`CachedNode::written`]; [`CachedNode::complete`] for a whole-page
+    /// or plaintext scheme) at no counter, no cryptography and no re-parse
+    /// of the page. A failed write returns no image.
     fn encode_over(
         &self,
         node: &Node,
         prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError>;
+    ) -> Result<CachedNode, CodecError>;
 
     /// Wraps a page in a cacheable entry *without bumping any operation
     /// counters*: cache maintenance is physical work outside the paper's
@@ -122,19 +131,6 @@ pub trait NodeCodec {
     /// born complete. A page whose header does not parse, or whose entry
     /// count outruns the page, is an error and is never cached.
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError>;
-
-    /// The cache entry for `page` as [`NodeCodec::encode_over`] has just
-    /// written it from `node` — the image the tree puts back in place of
-    /// the one the write replaced. Counter-silent like
-    /// [`NodeCodec::decode_for_cache`], and equal to what a fill of `page`
-    /// from the medium would become once fully deciphered; but built from
-    /// the plaintext `node`, so it is born complete with no cryptography:
-    /// a per-triplet scheme wraps the page as stored and pre-fills each
-    /// slot's memo with what its unseal would return
-    /// ([`CachedNode::with_memo`]); a whole-page or plaintext scheme
-    /// returns [`CachedNode::complete`] and never deciphers the page it
-    /// just enciphered.
-    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError>;
 
     /// Searches a cached node for `key`, bumping *exactly* the counters a
     /// search of the raw page costs — the paper's per-node decryption
@@ -161,7 +157,7 @@ pub trait NodeCodec {
 
     /// [`NodeCodec::encode_over`] with no previous image: every triplet
     /// sealed from scratch.
-    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+    fn encode(&self, node: &Node, page: &mut [u8]) -> Result<CachedNode, CodecError> {
         self.encode_over(node, None, page)
     }
 
@@ -235,6 +231,47 @@ pub fn read_header(
     Ok((is_leaf, n))
 }
 
+/// Lays `node` out in the clear under codec `tag`: the header, a key and
+/// a data pointer per triplet, then the children. The plaintext codec's
+/// page, and the one the whole-page scheme enciphers.
+pub fn write_plain(tag: u8, node: &Node, page: &mut [u8]) -> Result<(), CodecError> {
+    node.check_shape().map_err(CodecError::Corrupt)?;
+    let mut w = PageWriter::new(page);
+    write_header(&mut w, tag, node)?;
+    for (&k, &a) in node.keys.iter().zip(&node.data_ptrs) {
+        w.put_u64(k)?;
+        w.put_u64(a.0)?;
+    }
+    for &c in &node.children {
+        w.put_u32(c.0)?;
+    }
+    w.pad_remaining();
+    Ok(())
+}
+
+/// The node [`write_plain`] laid out on the page of block `id`.
+pub fn read_plain(tag: u8, id: BlockId, page: &[u8]) -> Result<Node, CodecError> {
+    let mut r = PageReader::new(page);
+    let (is_leaf, n) = read_header(&mut r, tag, id)?;
+    let mut node = Node {
+        id,
+        keys: Vec::with_capacity(n),
+        data_ptrs: Vec::with_capacity(n),
+        children: Vec::with_capacity(if is_leaf { 0 } else { n + 1 }),
+    };
+    for _ in 0..n {
+        node.keys.push(r.get_u64()?);
+        node.data_ptrs.push(RecordPtr(r.get_u64()?));
+    }
+    if !is_leaf {
+        for _ in 0..=n {
+            node.children.push(BlockId(r.get_u32()?));
+        }
+    }
+    node.check_shape().map_err(CodecError::Corrupt)?;
+    Ok(node)
+}
+
 /// The plaintext codec: no cryptography at all. This is the "no security"
 /// baseline every enciphered scheme is compared against, and the codec used
 /// for trees *behind* a high-level security filter (§4.3), where protection
@@ -305,51 +342,19 @@ impl NodeCodec for PlainCodec {
         node: &Node,
         _prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError> {
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        let mut w = PageWriter::new(page);
-        write_header(&mut w, PLAIN_TAG, node)?;
-        for (&k, &a) in node.keys.iter().zip(&node.data_ptrs) {
-            w.put_u64(k)?;
-            w.put_u64(a.0)?;
-        }
-        for &c in &node.children {
-            w.put_u32(c.0)?;
-        }
-        w.pad_remaining();
-        Ok(())
+    ) -> Result<CachedNode, CodecError> {
+        write_plain(PLAIN_TAG, node, page)?;
+        Ok(CachedNode::complete(node, page.len()))
     }
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // Nothing to be lazy about, and plain decoding touches no
         // counters: the entry is born complete, its search keys the
         // plaintext ones.
-        let mut r = PageReader::new(page);
-        let (is_leaf, n) = read_header(&mut r, PLAIN_TAG, id)?;
-        let mut keys = Vec::with_capacity(n);
-        let mut data_ptrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(r.get_u64()?);
-            data_ptrs.push(RecordPtr(r.get_u64()?));
-        }
-        let mut children = Vec::new();
-        if !is_leaf {
-            for _ in 0..=n {
-                children.push(BlockId(r.get_u32()?));
-            }
-        }
-        let node = Node {
-            id,
-            keys,
-            data_ptrs,
-            children,
-        };
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        Ok(CachedNode::complete(&node, page.len()))
-    }
-
-    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
-        Ok(CachedNode::complete(node, page.len()))
+        Ok(CachedNode::complete(
+            &read_plain(PLAIN_TAG, id, page)?,
+            page.len(),
+        ))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {

@@ -120,14 +120,6 @@ impl Node {
         }
         Ok(())
     }
-
-    /// Index of `key`, or the child slot to descend into.
-    pub fn search(&self, key: u64) -> NodeSearch {
-        match self.keys.binary_search(&key) {
-            Ok(i) => NodeSearch::Here(i),
-            Err(i) => NodeSearch::Child(i),
-        }
-    }
 }
 
 /// Result of an in-node key search.
@@ -137,6 +129,17 @@ pub enum NodeSearch {
     Here(usize),
     /// Key absent; belongs in / under child slot `i`.
     Child(usize),
+}
+
+impl NodeSearch {
+    /// Where `key` lies among a node's strictly ascending `keys`: its
+    /// index, or the child slot to descend into.
+    pub fn in_keys(keys: &[u64], key: u64) -> Self {
+        match keys.binary_search(&key) {
+            Ok(i) => NodeSearch::Here(i),
+            Err(i) => NodeSearch::Child(i),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -185,10 +188,11 @@ mod tests {
     #[test]
     fn node_search_semantics() {
         let node = sample_internal();
-        assert_eq!(node.search(20), NodeSearch::Here(1));
-        assert_eq!(node.search(5), NodeSearch::Child(0));
-        assert_eq!(node.search(15), NodeSearch::Child(1));
-        assert_eq!(node.search(35), NodeSearch::Child(3));
+        let search = |key| NodeSearch::in_keys(&node.keys, key);
+        assert_eq!(search(20), NodeSearch::Here(1));
+        assert_eq!(search(5), NodeSearch::Child(0));
+        assert_eq!(search(15), NodeSearch::Child(1));
+        assert_eq!(search(35), NodeSearch::Child(3));
     }
 
     #[test]

@@ -87,6 +87,9 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     /// took one puts back the image of the page it wrote, so a cached
     /// image always matches the page's current content.
     cache: NodeCache,
+    /// The buffer every node and superblock write encodes its page into,
+    /// reused so that a write allocates no page.
+    page: Vec<u8>,
 }
 
 impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
@@ -234,6 +237,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             height: 1,
             t,
             cache: NodeCache::new(0),
+            page: vec![0; page_size],
         };
         let root = Node::leaf(root_id);
         tree.write_node(&root)?;
@@ -280,6 +284,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             height,
             t,
             cache: NodeCache::new(0),
+            page: vec![0; page_size],
         })
     }
 
@@ -304,9 +309,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     fn write_superblock(&mut self) -> Result<(), TreeError> {
-        let mut page = vec![0u8; self.store.block_size()];
         {
-            let mut w = PageWriter::new(&mut page);
+            let mut w = PageWriter::new(&mut self.page);
             w.put_u64(SUPER_MAGIC).map_err(CodecError::from)?;
             w.put_u32(self.root.0).map_err(CodecError::from)?;
             w.put_u64(self.count).map_err(CodecError::from)?;
@@ -314,7 +318,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             w.put_u32(self.t as u32).map_err(CodecError::from)?;
             w.pad_remaining();
         }
-        self.store.write_block(self.superblock, &page)?;
+        self.store.write_block(self.superblock, &self.page)?;
         Ok(())
     }
 
@@ -327,55 +331,55 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- node I/O ------------------------------------------------------
 
-    /// Reads and fully materialises a node: [`BTree::visit`], then the
-    /// node built from the completed entry.
+    /// Reads a node to rewrite it: [`BTree::visit`], then the node built
+    /// from the completed entry ([`BTree::node_of`]).
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
-        self.visit(id, |entry| entry.to_node())
+        self.node_of(&*self.visit(id)?)
     }
 
     /// A whole-node visit: the codec completes the cached entry —
     /// deciphering whatever its probes have not yet and recovering its
     /// keys, once — while charging a whole-node decode's exact logical
     /// counter profile ([`NodeCodec::complete`]); a miss first caches the
-    /// page as stored ([`BTree::fill`]). Then `read` takes what it needs
-    /// from the entry. Range scans, update-path descents and validation
-    /// walks thus report the scheme's logical cost at any cache size, and
-    /// pay a node's decipherment and key recovery at most once while it
-    /// stays cached.
-    fn visit<T>(
-        &self,
-        id: BlockId,
-        read: impl FnOnce(&Arc<CachedNode>) -> Result<T, CodecError>,
-    ) -> Result<T, TreeError> {
+    /// page as stored ([`BTree::fill`]). Returns the completed entry, for
+    /// update descents, range scans and validation walks to read keys,
+    /// children and data pointers from: they thus report the scheme's
+    /// logical cost at any cache size, and pay a node's decipherment and
+    /// key recovery at most once while it stays cached.
+    fn visit(&self, id: BlockId) -> Result<Arc<CachedNode>, TreeError> {
         self.counters().bump(|c| &c.node_visits);
-        if let Some(entry) = self.cache.get(id) {
-            self.counters().bump(|c| &c.node_cache_hits);
-            // A whole entry deciphers nothing, but its visit still charges
-            // the decode and builds what `read` wants: one `NodeSeal`
-            // sample, so the write path's breakdown holds it. (An entry
-            // with slots left times its unseals as `NodeUnseal` laps
-            // instead; timing it here too would count them twice.)
-            let obs = self.counters().obs();
-            let t = obs.start().filter(|_| entry.keys().is_some());
-            self.codec.complete(&entry)?;
-            let out = read(&entry)?;
-            obs.stage(Stage::NodeSeal, t);
-            return Ok(out);
-        }
-        let entry = Arc::new(self.fill(id)?);
+        let (entry, hit) = match self.cache.get(id) {
+            Some(entry) => {
+                self.counters().bump(|c| &c.node_cache_hits);
+                (entry, true)
+            }
+            None => (Arc::new(self.fill(id)?), false),
+        };
+        // A whole entry deciphers nothing, but its visit still charges
+        // the decode: one `NodeSeal` sample, so the write path's breakdown
+        // holds it. (An entry with slots left times its unseals as
+        // `NodeUnseal` laps instead; timing it here too would count them
+        // twice.)
+        let obs = self.counters().obs();
+        let t = obs.start().filter(|_| hit && entry.keys().is_some());
         self.codec.complete(&entry)?;
-        let out = read(&entry)?;
-        self.cache.insert(id, entry);
-        Ok(out)
+        obs.stage(Stage::NodeSeal, t);
+        if entry.keys().is_none() {
+            return Err(CodecError::Corrupt(format!("node {id} is not complete")).into());
+        }
+        if !hit {
+            self.cache.insert(id, Arc::clone(&entry));
+        }
+        Ok(entry)
     }
 
-    /// [`BTree::read_node`] of a node a root-to-leaf descent reached at
-    /// `depth` (the root's is 1). No node lies deeper than the tree's
-    /// height, so a descent that would has followed a corrupt child
-    /// pointer — perhaps one back up the tree — and fails closed.
-    fn read_at(&self, id: BlockId, depth: u32) -> Result<Node, TreeError> {
+    /// [`BTree::visit`] of a node a root-to-leaf walk reached at `depth`
+    /// (the root's is 1). No node lies deeper than the tree's height, so a
+    /// walk that would has followed a corrupt child pointer — perhaps one
+    /// back up the tree — and fails closed.
+    fn visit_at(&self, id: BlockId, depth: u32) -> Result<Arc<CachedNode>, TreeError> {
         self.check_depth(depth)?;
-        self.read_node(id)
+        self.visit(id)
     }
 
     fn check_depth(&self, depth: u32) -> Result<(), TreeError> {
@@ -386,6 +390,24 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             ))));
         }
         Ok(())
+    }
+
+    /// The node of a visited entry, built to be rewritten with no
+    /// cryptography ([`CachedNode::to_node`]). Timed as a
+    /// [`Stage::NodeSeal`] sample, with the write it is built for.
+    fn node_of(&self, entry: &CachedNode) -> Result<Node, TreeError> {
+        let obs = self.counters().obs();
+        let t = obs.start();
+        let node = entry.to_node()?;
+        obs.stage(Stage::NodeSeal, t);
+        Ok(node)
+    }
+
+    /// An entry standing for `node`, which a descent has just written and
+    /// goes on from: born complete from it, read like a visited entry, and
+    /// never cached.
+    fn written(&self, node: &Node) -> Arc<CachedNode> {
+        Arc::new(CachedNode::complete(node, self.page.len()))
     }
 
     /// The cache-miss half of a node visit: fetches page `id` and wraps
@@ -409,23 +431,21 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     fn write_node(&mut self, node: &Node) -> Result<(), TreeError> {
         // Re-encoding changes the page's version: the old image must
         // never serve another probe. It is still the image this write
-        // replaces — completed by the update path's `read_node` — so the
-        // codec may copy from it the cryptograms of unchanged triplets.
+        // replaces — completed by the update path's visit — so the codec
+        // may copy from it the cryptograms of unchanged triplets.
         let t = self.counters().obs().start();
         let prev = self.cache.invalidate(node.id);
-        let mut page = vec![0u8; self.store.block_size()];
-        self.codec.encode_over(node, prev.as_deref(), &mut page)?;
-        self.store.write_block(node.id, &page)?;
-        // The new page is on the medium: its image, built from `node` with
-        // no cryptography, takes the old one's place, so the next visit
-        // deciphers nothing. Only a block that had an entry gets one back
-        // (writes never grow the cache), and an image the codec cannot
-        // build is simply not cached — the next visit refills.
+        let image = self
+            .codec
+            .encode_over(node, prev.as_deref(), &mut self.page)?;
+        self.store.write_block(node.id, &self.page)?;
+        // The new page is on the medium: the image the encoder built as it
+        // wrote it takes the old one's place, so the next visit deciphers
+        // nothing. It is born whole and never unseals, so it needs no
+        // timing channel. Only a block that had an entry gets one back
+        // (writes never grow the cache); a failed write caches nothing.
         if prev.is_some() {
-            if let Ok(image) = self.codec.cache_written(node, &page) {
-                self.cache
-                    .insert(node.id, image.timed(self.counters().obs()));
-            }
+            self.cache.insert(node.id, image);
         }
         self.counters().obs().stage(Stage::NodeSeal, t);
         Ok(())
@@ -528,8 +548,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// Inserts (or replaces) `key → ptr`. Returns the previous pointer when
     /// the key was already present.
     pub fn insert(&mut self, key: u64, ptr: RecordPtr) -> Result<Option<RecordPtr>, TreeError> {
-        let root_node = self.read_node(self.root)?;
-        let root_node = if root_node.n() == self.max_keys_per_node() {
+        let root = self.visit(self.root)?;
+        let root = if root.n() == self.max_keys_per_node() {
             // Grow upward: new root over the old one, then split.
             let new_root_id = self.allocate_node()?;
             let mut new_root = Node {
@@ -542,11 +562,11 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             self.write_node(&new_root)?;
             self.root = new_root_id;
             self.height += 1;
-            new_root
+            self.written(&new_root)
         } else {
-            root_node
+            root
         };
-        let res = self.insert_nonfull(root_node, key, ptr)?;
+        let res = self.insert_nonfull(root, key, ptr)?;
         self.write_superblock()?;
         Ok(res)
     }
@@ -580,17 +600,20 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     /// Inserts below `node`, the root, descending with preemptive splits.
+    /// Each level is read from its cache entry; only a node the insert
+    /// rewrites is built.
     fn insert_nonfull(
         &mut self,
-        mut node: Node,
+        mut node: Arc<CachedNode>,
         key: u64,
         ptr: RecordPtr,
     ) -> Result<Option<RecordPtr>, TreeError> {
         debug_assert!(node.n() < self.max_keys_per_node());
         let mut depth = 1;
         loop {
-            match node.search(key) {
+            match NodeSearch::in_keys(keys(&node), key) {
                 NodeSearch::Here(i) => {
+                    let mut node = self.node_of(&node)?;
                     let old = node.data_ptrs[i];
                     node.data_ptrs[i] = ptr;
                     self.write_node(&node)?;
@@ -598,6 +621,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 }
                 NodeSearch::Child(i) => {
                     if node.is_leaf() {
+                        let mut node = self.node_of(&node)?;
                         node.keys.insert(i, key);
                         node.data_ptrs.insert(i, ptr);
                         self.write_node(&node)?;
@@ -605,25 +629,22 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                         return Ok(None);
                     }
                     depth += 1;
-                    let child = self.read_at(node.children[i], depth)?;
+                    let child = self.visit_at(child(&node, i), depth)?;
                     if child.n() == self.max_keys_per_node() {
-                        self.split_child(&mut node, i)?;
-                        self.write_node(&node)?;
+                        let mut parent = self.node_of(&node)?;
+                        self.split_child(&mut parent, i)?;
+                        self.write_node(&parent)?;
                         // The promoted median may be the key itself.
-                        match key.cmp(&node.keys[i]) {
+                        node = match key.cmp(&parent.keys[i]) {
                             std::cmp::Ordering::Equal => {
-                                let old = node.data_ptrs[i];
-                                node.data_ptrs[i] = ptr;
-                                self.write_node(&node)?;
+                                let old = parent.data_ptrs[i];
+                                parent.data_ptrs[i] = ptr;
+                                self.write_node(&parent)?;
                                 return Ok(Some(old));
                             }
-                            std::cmp::Ordering::Greater => {
-                                node = self.read_node(node.children[i + 1])?;
-                            }
-                            std::cmp::Ordering::Less => {
-                                node = self.read_node(node.children[i])?;
-                            }
-                        }
+                            std::cmp::Ordering::Greater => self.visit(parent.children[i + 1])?,
+                            std::cmp::Ordering::Less => self.visit(parent.children[i])?,
+                        };
                     } else {
                         node = child;
                     }
@@ -645,13 +666,14 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         expected: RecordPtr,
         new: RecordPtr,
     ) -> Result<bool, TreeError> {
-        let (mut node, mut depth) = (self.read_node(self.root)?, 1);
+        let (mut node, mut depth) = (self.visit(self.root)?, 1);
         loop {
-            match node.search(key) {
+            match NodeSearch::in_keys(keys(&node), key) {
                 NodeSearch::Here(i) => {
-                    if node.data_ptrs[i] != expected {
+                    if data_ptr(&node, i) != expected {
                         return Ok(false);
                     }
+                    let mut node = self.node_of(&node)?;
                     node.data_ptrs[i] = new;
                     self.write_node(&node)?;
                     return Ok(true);
@@ -661,7 +683,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                         return Ok(false);
                     }
                     depth += 1;
-                    node = self.read_at(node.children[i], depth)?;
+                    node = self.visit_at(child(&node, i), depth)?;
                 }
             }
         }
@@ -680,9 +702,10 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         if from == self.superblock {
             return Err(TreeError::Invalid("cannot relocate the superblock".into()));
         }
-        let mut node = self.read_node(from)?;
+        let moved = self.visit(from)?;
         if from == self.root {
             self.store.claim_free(to)?;
+            let mut node = self.node_of(&moved)?;
             node.id = to;
             self.write_node(&node)?;
             self.root = to;
@@ -691,20 +714,20 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             self.counters().bump(|c| &c.compact_moved_nodes);
             return Ok(());
         }
-        let Some(&guide) = node.keys.first() else {
+        let Some(&guide) = keys(&moved).first() else {
             return Err(TreeError::Invalid(format!(
                 "non-root node {from} has no keys"
             )));
         };
         // Locate the parent before mutating anything.
-        let (mut cur, mut depth) = (self.read_node(self.root)?, 1);
+        let (mut cur, mut depth) = (self.visit(self.root)?, 1);
         loop {
-            let i = match cur.search(guide) {
+            let i = match NodeSearch::in_keys(keys(&cur), guide) {
                 NodeSearch::Child(i) => i,
                 NodeSearch::Here(_) => {
                     return Err(TreeError::Invalid(format!(
                         "key {guide} of node {from} duplicated in ancestor {}",
-                        cur.id
+                        cur.id()
                     )))
                 }
             };
@@ -713,18 +736,20 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                     "node {from} is unreachable from the root"
                 )));
             }
-            if cur.children[i] == from {
+            if child(&cur, i) == from {
                 self.store.claim_free(to)?;
+                let mut node = self.node_of(&moved)?;
                 node.id = to;
                 self.write_node(&node)?;
-                cur.children[i] = to;
-                self.write_node(&cur)?;
+                let mut parent = self.node_of(&cur)?;
+                parent.children[i] = to;
+                self.write_node(&parent)?;
                 self.free_node(from)?;
                 self.counters().bump(|c| &c.compact_moved_nodes);
                 return Ok(());
             }
             depth += 1;
-            cur = self.read_at(cur.children[i], depth)?;
+            cur = self.visit_at(child(&cur, i), depth)?;
         }
     }
 
@@ -774,13 +799,13 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     /// Removes `key`, returning its data pointer if it was present.
     pub fn delete(&mut self, key: u64) -> Result<Option<RecordPtr>, TreeError> {
-        let root_node = self.read_node(self.root)?;
-        let result = self.delete_from(root_node, key, 1)?;
+        let root = self.visit(self.root)?;
+        let result = self.delete_from(root, key, 1)?;
         // Shrink the root if it became an empty internal node.
-        let root_node = self.read_node(self.root)?;
-        if root_node.n() == 0 && !root_node.is_leaf() {
+        let root = self.visit(self.root)?;
+        if root.n() == 0 && !root.is_leaf() {
             let old_root = self.root;
-            self.root = root_node.children[0];
+            self.root = child(&root, 0);
             self.free_node(old_root)?;
             self.height -= 1;
         }
@@ -789,60 +814,67 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     /// Deletes `key` from the subtree of `node`, which sits at `depth`.
+    /// Each level is read from its cache entry; only a node the delete
+    /// rewrites is built.
     fn delete_from(
         &mut self,
-        mut node: Node,
+        node: Arc<CachedNode>,
         key: u64,
         depth: u32,
     ) -> Result<Option<RecordPtr>, TreeError> {
-        match node.search(key) {
+        match NodeSearch::in_keys(keys(&node), key) {
             NodeSearch::Here(i) => {
                 if node.is_leaf() {
+                    let mut node = self.node_of(&node)?;
                     let _ = node.keys.remove(i);
                     let old = node.data_ptrs.remove(i);
                     self.write_node(&node)?;
                     self.count -= 1;
                     return Ok(Some(old));
                 }
-                let left_id = node.children[i];
-                let right_id = node.children[i + 1];
-                let left = self.read_at(left_id, depth + 1)?;
+                let left_id = child(&node, i);
+                let right_id = child(&node, i + 1);
+                let left = self.visit_at(left_id, depth + 1)?;
                 if left.n() >= self.t {
                     // Replace with predecessor, then delete it below.
-                    let (pk, pp) = self.max_entry_under(left, depth + 1)?;
+                    let (pk, pp) = self.end_entry_under(left, depth + 1, true)?;
+                    let mut node = self.node_of(&node)?;
                     let old = node.data_ptrs[i];
                     node.keys[i] = pk;
                     node.data_ptrs[i] = pp;
                     self.write_node(&node)?;
-                    let next = self.read_node(left_id)?;
+                    let next = self.visit(left_id)?;
                     let removed = self.delete_from(next, pk, depth + 1)?;
                     debug_assert!(removed.is_some());
                     return Ok(Some(old));
                 }
-                let right = self.read_at(right_id, depth + 1)?;
+                let right = self.visit_at(right_id, depth + 1)?;
                 if right.n() >= self.t {
-                    let (sk, sp) = self.min_entry_under(right, depth + 1)?;
+                    let (sk, sp) = self.end_entry_under(right, depth + 1, false)?;
+                    let mut node = self.node_of(&node)?;
                     let old = node.data_ptrs[i];
                     node.keys[i] = sk;
                     node.data_ptrs[i] = sp;
                     self.write_node(&node)?;
-                    let next = self.read_node(right_id)?;
+                    let next = self.visit(right_id)?;
                     let removed = self.delete_from(next, sk, depth + 1)?;
                     debug_assert!(removed.is_some());
                     return Ok(Some(old));
                 }
                 // Both children minimal: merge around the key, then recurse.
+                let mut node = self.node_of(&node)?;
                 self.merge_children(&mut node, i)?;
-                let merged = self.read_node(node.children[i])?;
+                let merged = self.visit(node.children[i])?;
                 self.delete_from(merged, key, depth + 1)
             }
             NodeSearch::Child(i) => {
                 if node.is_leaf() {
                     return Ok(None); // absent
                 }
-                let child = self.read_at(node.children[i], depth + 1)?;
+                let child = self.visit_at(child(&node, i), depth + 1)?;
                 let child = if child.n() < self.t {
-                    self.fill_child(&mut node, i, child)?
+                    let mut parent = self.node_of(&node)?;
+                    self.fill_child(&mut parent, i, child)?
                 } else {
                     child
                 };
@@ -858,13 +890,15 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         &mut self,
         parent: &mut Node,
         i: usize,
-        mut child: Node,
-    ) -> Result<Node, TreeError> {
+        child: Arc<CachedNode>,
+    ) -> Result<Arc<CachedNode>, TreeError> {
         debug_assert_eq!(child.n(), self.t - 1);
         // Borrow from the left sibling.
         if i > 0 {
-            let mut left = self.read_node(parent.children[i - 1])?;
+            let left = self.visit(parent.children[i - 1])?;
             if left.n() >= self.t {
+                let mut left = self.node_of(&left)?;
+                let mut child = self.node_of(&child)?;
                 child.keys.insert(0, parent.keys[i - 1]);
                 child.data_ptrs.insert(0, parent.data_ptrs[i - 1]);
                 parent.keys[i - 1] = left.keys.pop().expect("left has >= t keys");
@@ -877,13 +911,15 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 self.write_node(&child)?;
                 self.write_node(parent)?;
                 self.counters().bump(|c| &c.borrows);
-                return Ok(child);
+                return Ok(self.written(&child));
             }
         }
         // Borrow from the right sibling.
         if i + 1 < parent.children.len() {
-            let mut right = self.read_node(parent.children[i + 1])?;
+            let right = self.visit(parent.children[i + 1])?;
             if right.n() >= self.t {
+                let mut right = self.node_of(&right)?;
+                let mut child = self.node_of(&child)?;
                 child.keys.push(parent.keys[i]);
                 child.data_ptrs.push(parent.data_ptrs[i]);
                 parent.keys[i] = right.keys.remove(0);
@@ -895,68 +931,58 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 self.write_node(&child)?;
                 self.write_node(parent)?;
                 self.counters().bump(|c| &c.borrows);
-                return Ok(child);
+                return Ok(self.written(&child));
             }
         }
         // Merge with a sibling.
-        if i > 0 {
-            self.merge_children(parent, i - 1)?;
-            self.read_node(parent.children[i - 1])
-        } else {
-            self.merge_children(parent, i)?;
-            self.read_node(parent.children[i])
-        }
+        let at = i.saturating_sub(1);
+        self.merge_children(parent, at)?;
+        self.visit(parent.children[at])
     }
 
     /// Merges `children[i]`, separator key `i`, and `children[i+1]` into a
     /// single node at slot `i`. Writes the merged child and the parent;
-    /// frees the right child's block.
+    /// frees the right child's block, which is read from its entry.
     fn merge_children(&mut self, parent: &mut Node, i: usize) -> Result<(), TreeError> {
         let mut left = self.read_node(parent.children[i])?;
-        let right = self.read_node(parent.children[i + 1])?;
+        let right = self.visit(parent.children[i + 1])?;
         left.keys.push(parent.keys.remove(i));
         left.data_ptrs.push(parent.data_ptrs.remove(i));
-        left.keys.extend_from_slice(&right.keys);
-        left.data_ptrs.extend_from_slice(&right.data_ptrs);
-        left.children.extend_from_slice(&right.children);
+        let n = right.n();
+        left.keys.extend_from_slice(keys(&right));
+        left.data_ptrs.extend((0..n).map(|j| data_ptr(&right, j)));
+        if !right.is_leaf() {
+            left.children.extend((0..=n).map(|c| child(&right, c)));
+        }
         parent.children.remove(i + 1);
         self.write_node(&left)?;
         self.write_node(parent)?;
-        self.free_node(right.id)?;
+        self.free_node(right.id())?;
         self.counters().bump(|c| &c.merges);
         Ok(())
     }
 
-    /// Largest `(key, ptr)` in the subtree rooted at `node`, at `depth`.
-    fn max_entry_under(
+    /// The greatest `(key, ptr)` in the subtree rooted at `node`, at
+    /// `depth`, when `last`; otherwise the least.
+    fn end_entry_under(
         &self,
-        mut node: Node,
+        mut node: Arc<CachedNode>,
         mut depth: u32,
+        last: bool,
     ) -> Result<(u64, RecordPtr), TreeError> {
-        loop {
-            if node.is_leaf() {
-                let i = node.n() - 1;
-                return Ok((node.keys[i], node.data_ptrs[i]));
-            }
-            let last = *node.children.last().expect("internal node has children");
+        while !node.is_leaf() {
             depth += 1;
-            node = self.read_at(last, depth)?;
+            node = self.visit_at(child(&node, if last { node.n() } else { 0 }), depth)?;
         }
-    }
-
-    /// Smallest `(key, ptr)` in the subtree rooted at `node`, at `depth`.
-    fn min_entry_under(
-        &self,
-        mut node: Node,
-        mut depth: u32,
-    ) -> Result<(u64, RecordPtr), TreeError> {
-        loop {
-            if node.is_leaf() {
-                return Ok((node.keys[0], node.data_ptrs[0]));
-            }
-            depth += 1;
-            node = self.read_at(node.children[0], depth)?;
-        }
+        // Only a corrupt medium puts an empty leaf below a separator.
+        let i = if last {
+            node.n().checked_sub(1)
+        } else {
+            (node.n() > 0).then_some(0)
+        };
+        let empty = || CodecError::Corrupt(format!("leaf {} holds no key", node.id()));
+        let i = i.ok_or_else(empty)?;
+        Ok((keys(&node)[i], data_ptr(&node, i)))
     }
 
     /// Smallest entry in the tree.
@@ -964,8 +990,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         if self.is_empty() {
             return Ok(None);
         }
-        let root = self.read_node(self.root)?;
-        self.min_entry_under(root, 1).map(Some)
+        let root = self.visit(self.root)?;
+        self.end_entry_under(root, 1, false).map(Some)
     }
 
     /// Largest entry in the tree.
@@ -973,8 +999,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         if self.is_empty() {
             return Ok(None);
         }
-        let root = self.read_node(self.root)?;
-        self.max_entry_under(root, 1).map(Some)
+        let root = self.visit(self.root)?;
+        self.end_entry_under(root, 1, true).map(Some)
     }
 
     // ---- range scans ---------------------------------------------------
@@ -1057,7 +1083,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         counted: &mut u64,
         leaf_depth: &mut Option<u32>,
     ) -> Result<(), TreeError> {
-        let node = self.read_at(id, depth)?;
+        self.check_depth(depth)?;
+        let node = self.read_node(id)?;
         node.check_shape().map_err(TreeError::Invalid)?;
         node.check_sorted().map_err(TreeError::Invalid)?;
         if !is_root && node.n() < self.t - 1 {
@@ -1134,6 +1161,26 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 }
 
+/// Why reads of a visited entry cannot fail: [`BTree::visit`] returns only
+/// complete entries, and a complete entry has its keys and every slot
+/// memoised.
+const COMPLETE: &str = "a visited entry has its keys and every slot memoised";
+
+/// The keys of a visited entry.
+fn keys(entry: &CachedNode) -> &[u64] {
+    entry.keys().expect(COMPLETE)
+}
+
+/// Child `c` of a visited internal entry.
+fn child(entry: &CachedNode, c: usize) -> BlockId {
+    entry.child(c).expect(COMPLETE)
+}
+
+/// The data pointer of triplet `i` of a visited entry.
+fn data_ptr(entry: &CachedNode, i: usize) -> RecordPtr {
+    entry.data_ptr(i).expect(COMPLETE)
+}
+
 /// One in-flight node of a [`RangeIter`]: the node's completed cache entry
 /// plus the next event index. For an internal node with `n` keys the
 /// events are `child₀, key₀, child₁, key₁, …, childₙ` (event `2i` =
@@ -1143,10 +1190,6 @@ struct RangeFrame {
     entry: Arc<CachedNode>,
     event: usize,
 }
-
-/// Why a frame's reads cannot fail: only complete entries are pushed, and
-/// a complete entry has its keys and every slot memoised.
-const COMPLETE: &str = "a pushed entry has its keys and every slot memoised";
 
 /// Streaming in-order range iterator over a [`BTree`] (see
 /// [`BTree::iter_range`]). Holds at most one node entry per tree level,
@@ -1169,19 +1212,13 @@ impl<S: BlockStore, C: NodeCodec> RangeIter<'_, S, C> {
     /// depth `id` is read at.
     fn push_node(&mut self, id: BlockId) {
         let depth = self.stack.len() as u32 + 1;
-        let visit = self.tree.check_depth(depth).and_then(|()| {
-            self.tree.visit(id, |entry| match entry.keys() {
-                Some(_) => Ok(Arc::clone(entry)),
-                None => Err(CodecError::Corrupt(format!("node {id} is not complete"))),
-            })
-        });
-        match visit {
+        match self.tree.visit_at(id, depth) {
             Ok(entry) => {
                 // First key index i with keys[i] >= lo. Child i (spanning
                 // strictly below keys[i]) can hold in-range entries only
                 // when keys[i] > lo, matching the recursive walk's
                 // `i == n || keys[i] > lo` descend predicate exactly.
-                let keys = entry.keys().expect(COMPLETE);
+                let keys = keys(&entry);
                 let i = keys.partition_point(|&k| k < self.lo);
                 let event = if entry.is_leaf() {
                     i
@@ -1210,9 +1247,9 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             }
             let frame = self.stack.last_mut()?;
             let entry = &frame.entry;
-            let keys = entry.keys().expect(COMPLETE);
+            let keys = keys(entry);
             let n = keys.len();
-            let yielded = |i: usize| (keys[i], entry.data_ptr(i).expect(COMPLETE));
+            let yielded = |i: usize| (keys[i], data_ptr(entry, i));
             if entry.is_leaf() {
                 let i = frame.event;
                 if i < n && keys[i] <= self.hi {
@@ -1244,7 +1281,7 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
                 self.stack.pop();
                 continue;
             }
-            let child = entry.child(i).expect(COMPLETE);
+            let child = child(entry, i);
             self.push_node(child);
             // A failed push left pending_err set; the loop head yields it.
         }

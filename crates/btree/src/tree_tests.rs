@@ -631,7 +631,7 @@ proptest! {
 fn node_of<S: BlockStore>(tree: &BTree<S, PlainCodec>, key: u64) -> BlockId {
     let mut node = tree.inspect_node(tree.root_id()).unwrap();
     loop {
-        match node.search(key) {
+        match NodeSearch::in_keys(&node.keys, key) {
             NodeSearch::Here(_) => return node.id,
             NodeSearch::Child(i) => node = tree.inspect_node(node.children[i]).unwrap(),
         }

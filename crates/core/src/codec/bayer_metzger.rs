@@ -172,7 +172,7 @@ impl NodeCodec for BayerMetzgerCodec {
         node: &Node,
         prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError> {
+    ) -> Result<CachedNode, CodecError> {
         // One ptr_encrypts for the lone leftmost pointer, and one
         // key_encrypts per triplet — the whole triplet, key included, is
         // one cryptogram: the key re-encipherment §3 complains about —
@@ -186,14 +186,15 @@ impl NodeCodec for BayerMetzgerCodec {
         // pointer of an internal node, then every triplet — copied from
         // `prev` where that image of this block holds a slot deciphered to
         // the same triplet, sealed otherwise (the page cipher is keyed only
-        // if something is).
+        // if something is). The image is the page as laid down, each
+        // slot's memo the whole triplet, key included, and the keys
+        // memoised.
         let mut w = PageWriter::new(page);
         sks_btree_core::codec::write_header(&mut w, TAG, node)?;
         let prev = prev.filter(|image| image.id() == node.id);
         let mut cipher: Option<PageCipher> = None;
-        let (mut from, mut reused) = (0, 0);
+        let (len, mut from, mut reused) = (SEALED_TRIPLET_LEN, 0, 0);
         for t in node.slots() {
-            let len = SEALED_TRIPLET_LEN;
             match prev.and_then(|image| image.stored_cryptogram(&mut from, &t, len)) {
                 Some(ct) => {
                     reused += 1;
@@ -208,7 +209,18 @@ impl NodeCodec for BayerMetzgerCodec {
         }
         w.pad_remaining();
         self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
-        Ok(())
+        // The cryptograms lie back to back on the page.
+        let sealed = page[NODE_HEADER_LEN..Self::triplet_offset(node.is_leaf(), node.n())].to_vec();
+        let (page_len, slots) = (page.len(), node.slots());
+        Ok(CachedNode::written(
+            node,
+            page_len,
+            Vec::new(),
+            sealed,
+            len,
+            slots,
+            true,
+        ))
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -244,13 +256,6 @@ impl NodeCodec for BayerMetzgerCodec {
             sealed.to_vec(),
             SEALED_TRIPLET_LEN,
         ))
-    }
-
-    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // The page as stored, each slot's memo the whole triplet its
-        // unseal returns, key included, and the keys memoised.
-        self.decode_for_cache(node.id, page)?
-            .with_memo(node.slots(), Some(&node.keys))
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {

@@ -7,10 +7,11 @@
 //! each probe pays `B/8` block decryptions versus `log₂ n` triplets
 //! (Bayer–Metzger refined) versus one pointer seal (the paper's scheme).
 
-use sks_btree_core::{never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe, RecordPtr};
+use sks_btree_core::codec::{read_plain, write_plain};
+use sks_btree_core::{never_sealed, CachedNode, CodecError, Node, NodeCodec, Probe};
 use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::pagekey::PageKeyScheme;
-use sks_storage::{BlockId, OpCounters, PageReader, PageWriter};
+use sks_storage::{BlockId, OpCounters};
 
 const TAG: u8 = 0x50; // 'P'
 
@@ -57,48 +58,6 @@ impl FullPageCodec {
         out
     }
 
-    /// Serialises the node plaintext (PlainCodec-like layout but with this
-    /// codec's tag) into `buf`.
-    fn encode_plain(&self, node: &Node, buf: &mut [u8]) -> Result<(), CodecError> {
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        let mut w = PageWriter::new(buf);
-        sks_btree_core::codec::write_header(&mut w, TAG, node)?;
-        for (&k, &a) in node.keys.iter().zip(&node.data_ptrs) {
-            w.put_u64(k)?;
-            w.put_u64(a.0)?;
-        }
-        for &c in &node.children {
-            w.put_u32(c.0)?;
-        }
-        w.pad_remaining();
-        Ok(())
-    }
-
-    fn decode_plain(&self, id: BlockId, buf: &[u8]) -> Result<Node, CodecError> {
-        let mut r = PageReader::new(buf);
-        let (is_leaf, n) = sks_btree_core::codec::read_header(&mut r, TAG, id)?;
-        let mut keys = Vec::with_capacity(n);
-        let mut data_ptrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(r.get_u64()?);
-            data_ptrs.push(RecordPtr(r.get_u64()?));
-        }
-        let mut children = Vec::new();
-        if !is_leaf {
-            for _ in 0..=n {
-                children.push(BlockId(r.get_u32()?));
-            }
-        }
-        let node = Node {
-            id,
-            keys,
-            data_ptrs,
-            children,
-        };
-        node.check_shape().map_err(CodecError::Corrupt)?;
-        Ok(node)
-    }
-
     /// A whole-page decode straight off the medium, charged as it goes:
     /// the oracle [`NodeCodec::decode_cached`] is checked against.
     #[cfg(test)]
@@ -106,7 +65,7 @@ impl FullPageCodec {
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(page.len()));
         let cipher = self.pages.page_cipher(id.as_u64());
-        self.decode_plain(id, &Self::decrypt_page(cipher.as_ref(), page))
+        read_plain(TAG, id, &Self::decrypt_page(cipher.as_ref(), page))
     }
 }
 
@@ -116,16 +75,18 @@ impl NodeCodec for FullPageCodec {
         node: &Node,
         _prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError> {
+    ) -> Result<CachedNode, CodecError> {
         if !page.len().is_multiple_of(8) {
             return Err(CodecError::Corrupt(
                 "page size must be a multiple of the cipher block (8)".into(),
             ));
         }
-        self.encode_plain(node, page)?;
+        write_plain(TAG, node, page)?;
         let cipher = self.pages.page_cipher(node.id.as_u64());
         self.encrypt_page(cipher.as_ref(), page);
-        Ok(())
+        // The node just enciphered is the whole image: nothing is
+        // deciphered back.
+        Ok(CachedNode::complete(node, page.len()))
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
@@ -149,14 +110,8 @@ impl NodeCodec for FullPageCodec {
         }
         let cipher = self.pages.page_cipher(id.as_u64());
         let plain = Self::decrypt_page(cipher.as_ref(), page);
-        let node = self.decode_plain(id, &plain)?;
+        let node = read_plain(TAG, id, &plain)?;
         Ok(CachedNode::complete(&node, page.len()))
-    }
-
-    fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
-        // The node just enciphered is the whole entry: nothing is
-        // deciphered back.
-        Ok(CachedNode::complete(node, page.len()))
     }
 
     fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
@@ -184,6 +139,7 @@ impl NodeCodec for FullPageCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sks_btree_core::RecordPtr;
     use sks_crypto::pagekey::PageCipherKind;
 
     fn codec() -> (FullPageCodec, OpCounters) {

@@ -1,7 +1,7 @@
 //! Node-block encipherment codecs — §3 and §5 of the paper.
 //!
 //! Four on-disk formats, all implementing
-//! [`NodeCodec`](sks_btree_core::NodeCodec):
+//! [`NodeCodec`]:
 //!
 //! * [`SubstitutionCodec`] — **the paper's format**: per triplet,
 //!   `f(k), E(b ‖ a ‖ p)` — disguised key in plaintext, pointers sealed with
@@ -26,12 +26,13 @@ pub use bayer_metzger::BayerMetzgerCodec;
 pub use fullpage::FullPageCodec;
 pub use substitution::SubstitutionCodec;
 
-use sks_btree_core::CodecError;
+use sks_btree_core::{CachedNode, CodecError, Node, NodeCodec, Probe};
 use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::des::Des;
 use sks_crypto::rsa::RsaKey;
 use sks_crypto::speck::Speck64;
 use sks_crypto::BigUint;
+use sks_storage::BlockId;
 
 /// Fixed pointer-seal payload: `b(4) ‖ a(8) ‖ p(4)` = 16 bytes.
 pub const SEAL_PAYLOAD_LEN: usize = 16;
@@ -213,85 +214,46 @@ pub enum AnyCodec {
     FullPage(FullPageCodec),
 }
 
-impl sks_btree_core::NodeCodec for AnyCodec {
+/// `call` on whichever codec `self` holds, bound to `c`.
+macro_rules! each {
+    ($self:ident, $c:ident => $call:expr) => {
+        match $self {
+            AnyCodec::Plain($c) => $call,
+            AnyCodec::Substitution($c) => $call,
+            AnyCodec::BayerMetzger($c) => $call,
+            AnyCodec::FullPage($c) => $call,
+        }
+    };
+}
+
+impl NodeCodec for AnyCodec {
     fn encode_over(
         &self,
-        node: &sks_btree_core::Node,
-        prev: Option<&sks_btree_core::CachedNode>,
+        node: &Node,
+        prev: Option<&CachedNode>,
         page: &mut [u8],
-    ) -> Result<(), CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.encode_over(node, prev, page),
-            AnyCodec::Substitution(c) => c.encode_over(node, prev, page),
-            AnyCodec::BayerMetzger(c) => c.encode_over(node, prev, page),
-            AnyCodec::FullPage(c) => c.encode_over(node, prev, page),
-        }
+    ) -> Result<CachedNode, CodecError> {
+        each!(self, c => c.encode_over(node, prev, page))
     }
 
     fn max_keys(&self, page_size: usize) -> usize {
-        match self {
-            AnyCodec::Plain(c) => c.max_keys(page_size),
-            AnyCodec::Substitution(c) => c.max_keys(page_size),
-            AnyCodec::BayerMetzger(c) => c.max_keys(page_size),
-            AnyCodec::FullPage(c) => c.max_keys(page_size),
-        }
+        each!(self, c => c.max_keys(page_size))
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            AnyCodec::Plain(c) => c.name(),
-            AnyCodec::Substitution(c) => c.name(),
-            AnyCodec::BayerMetzger(c) => c.name(),
-            AnyCodec::FullPage(c) => c.name(),
-        }
+        each!(self, c => c.name())
     }
 
-    fn decode_for_cache(
-        &self,
-        id: sks_storage::BlockId,
-        page: &[u8],
-    ) -> Result<sks_btree_core::CachedNode, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.decode_for_cache(id, page),
-            AnyCodec::Substitution(c) => c.decode_for_cache(id, page),
-            AnyCodec::BayerMetzger(c) => c.decode_for_cache(id, page),
-            AnyCodec::FullPage(c) => c.decode_for_cache(id, page),
-        }
+    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
+        each!(self, c => c.decode_for_cache(id, page))
     }
 
-    fn cache_written(
-        &self,
-        node: &sks_btree_core::Node,
-        page: &[u8],
-    ) -> Result<sks_btree_core::CachedNode, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.cache_written(node, page),
-            AnyCodec::Substitution(c) => c.cache_written(node, page),
-            AnyCodec::BayerMetzger(c) => c.cache_written(node, page),
-            AnyCodec::FullPage(c) => c.cache_written(node, page),
-        }
+    fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
+        each!(self, c => c.probe_cached(entry, key))
     }
 
-    fn probe_cached(
-        &self,
-        entry: &sks_btree_core::CachedNode,
-        key: u64,
-    ) -> Result<sks_btree_core::Probe, CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.probe_cached(entry, key),
-            AnyCodec::Substitution(c) => c.probe_cached(entry, key),
-            AnyCodec::BayerMetzger(c) => c.probe_cached(entry, key),
-            AnyCodec::FullPage(c) => c.probe_cached(entry, key),
-        }
-    }
-
-    fn complete(&self, entry: &sks_btree_core::CachedNode) -> Result<(), CodecError> {
-        match self {
-            AnyCodec::Plain(c) => c.complete(entry),
-            AnyCodec::Substitution(c) => c.complete(entry),
-            AnyCodec::BayerMetzger(c) => c.complete(entry),
-            AnyCodec::FullPage(c) => c.complete(entry),
-        }
+    fn complete(&self, entry: &CachedNode) -> Result<(), CodecError> {
+        each!(self, c => c.complete(entry))
     }
 }
 
@@ -500,16 +462,12 @@ mod tests {
             node: &Node,
             _prev: Option<&CachedNode>,
             page: &mut [u8],
-        ) -> Result<(), CodecError> {
+        ) -> Result<CachedNode, CodecError> {
             self.0.encode_over(node, None, page)
         }
 
         fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
             self.0.decode_for_cache(id, page)
-        }
-
-        fn cache_written(&self, node: &Node, page: &[u8]) -> Result<CachedNode, CodecError> {
-            self.0.cache_written(node, page)
         }
 
         fn probe_cached(&self, entry: &CachedNode, key: u64) -> ProbeResult {
@@ -798,7 +756,12 @@ mod tests {
     /// every resident entry holds each slot's real unseal and the keys
     /// completing a fresh fill recovers, answers every probe and decode
     /// with the fresh entry's results and logical counters, and as the
-    /// `prev` of a later write yields the from-scratch page.
+    /// `prev` of a later write yields the from-scratch page. And the image
+    /// `encode_over` returns is that fill, completed, for every scheme the
+    /// literal exponentiation construction included: written from scratch
+    /// or over an image, it holds the same slots, raw key fields,
+    /// cryptograms and memoised keys — none where the disguise cannot
+    /// charge by count, which leaves the keys to the first completion.
     #[test]
     fn a_written_image_is_the_fresh_fill_of_its_page_for_every_scheme() {
         for scheme in Scheme::MEASURED {
@@ -908,6 +871,63 @@ mod tests {
             assert_eq!(checked, tree.cached_nodes(), "{scheme:?}");
             assert!(checked > 10, "{scheme:?}: {checked} entries");
             tree.validate().unwrap();
+        }
+
+        let mut rng = StdRng::seed_from_u64(37);
+        let literal = [Scheme::ExponentiationPaper];
+        for scheme in Scheme::MEASURED.into_iter().chain(literal) {
+            let mut config = SchemeConfig::with_capacity(scheme, 64);
+            config.block_size = 512;
+            let (codec, _) = config.build_codec(&OpCounters::new()).unwrap();
+            // Cryptogram width: whole triplets, pointer pairs, or none kept.
+            let width = match scheme {
+                Scheme::BayerMetzger => 24,
+                Scheme::Plaintext | Scheme::BayerMetzgerPage => 0,
+                _ => 16,
+            };
+            let fresh_fill = |image: &CachedNode, page: &[u8], what: &str| {
+                let whole = codec.decode_for_cache(image.id(), page).unwrap();
+                codec.complete(&whole).unwrap();
+                let shape = |e: &CachedNode| (e.is_leaf(), e.slots(), e.page_len());
+                assert_eq!(shape(image), shape(&whole), "{what}");
+                assert_eq!(image.raw_keys(), whole.raw_keys(), "{what}");
+                for slot in 0..whole.slots() {
+                    let t = whole.triplet(slot, never_sealed).unwrap();
+                    assert_eq!(image.triplet(slot, never_sealed), Ok(t), "{what}");
+                    let ct = |e: &CachedNode| {
+                        e.stored_cryptogram(&mut { slot }, &t, width)
+                            .map(<[u8]>::to_vec)
+                    };
+                    assert_eq!(ct(image), ct(&whole), "{what}: slot {slot}");
+                }
+                match scheme {
+                    Scheme::ExponentiationPaper => assert_eq!(image.keys(), None, "{what}"),
+                    _ => assert_eq!(image.keys(), whole.keys(), "{what}"),
+                }
+            };
+            for round in 0..20u32 {
+                let what = format!("{scheme:?} round {round}");
+                // Keys inside the literal construction's domain of 13.
+                let keys: Vec<u64> = (1..=12).filter(|_| rng.gen_bool(0.6)).collect();
+                let node = Node {
+                    id: BlockId(5 + round),
+                    data_ptrs: keys.iter().map(|k| RecordPtr(k * 1000 + 7)).collect(),
+                    children: match round % 2 {
+                        0 => Vec::new(),
+                        _ => (0..=keys.len() as u32).map(|c| BlockId(100 + c)).collect(),
+                    },
+                    keys,
+                };
+                let mut page = vec![0u8; config.block_size];
+                let scratch = codec.encode(&node, &mut page).unwrap();
+                fresh_fill(&scratch, &page, &format!("{what}, from scratch"));
+                let mut edited = node;
+                if let Some(a) = edited.data_ptrs.first_mut() {
+                    *a = RecordPtr(a.0 ^ 0x5A5A);
+                }
+                let over = codec.encode_over(&edited, Some(&scratch), &mut page);
+                fresh_fill(&over.unwrap(), &page, &format!("{what}, over an image"));
+            }
         }
     }
 

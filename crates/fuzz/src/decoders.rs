@@ -168,9 +168,9 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                     let _ = codec.probe_cached(&entry, key);
                 }
                 let (mut over, mut scratch) = (vec![0u8; page.len()], vec![0u8; page.len()]);
-                let wrote = codec.encode_over(&moved, Some(&entry), &mut over);
-                if wrote.is_err() || wrote != codec.encode(&moved, &mut scratch) || over != scratch
-                {
+                let wrote = codec.encode_over(&moved, Some(&entry), &mut over).map(drop);
+                let from_scratch = codec.encode(&moved, &mut scratch).map(drop);
+                if wrote.is_err() || wrote != from_scratch || over != scratch {
                     return Err(format!(
                         "{scheme:?}: a write over an image bound to another block \
                          differs from the from-scratch page (node {})",
@@ -203,7 +203,7 @@ pub fn run_node_codec_case(seed: u64) -> Result<(), String> {
                         let again = codec.probe_cached(&entry, probe_key);
                         let mut over = vec![0u8; page.len()];
                         let wrote = codec.encode_over(node, Some(&entry), &mut over);
-                        (same_key, again, errors, wrote.map(|()| over))
+                        (same_key, again, errors, wrote.map(|_| over))
                     });
                     (decoded, probed, cached)
                 }));

@@ -39,6 +39,7 @@ impl<'a> PageWriter<'a> {
         self.page.len() - self.pos
     }
 
+    #[inline]
     fn claim(&mut self, n: usize) -> Result<&mut [u8], PageOverflow> {
         if self.pos + n > self.page.len() {
             return Err(PageOverflow {
@@ -52,26 +53,31 @@ impl<'a> PageWriter<'a> {
         Ok(slice)
     }
 
+    #[inline]
     pub fn put_u8(&mut self, v: u8) -> Result<(), PageOverflow> {
         self.claim(1)?[0] = v;
         Ok(())
     }
 
+    #[inline]
     pub fn put_u16(&mut self, v: u16) -> Result<(), PageOverflow> {
         self.claim(2)?.copy_from_slice(&v.to_be_bytes());
         Ok(())
     }
 
+    #[inline]
     pub fn put_u32(&mut self, v: u32) -> Result<(), PageOverflow> {
         self.claim(4)?.copy_from_slice(&v.to_be_bytes());
         Ok(())
     }
 
+    #[inline]
     pub fn put_u64(&mut self, v: u64) -> Result<(), PageOverflow> {
         self.claim(8)?.copy_from_slice(&v.to_be_bytes());
         Ok(())
     }
 
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) -> Result<(), PageOverflow> {
         self.claim(v.len())?.copy_from_slice(v);
         Ok(())
@@ -102,6 +108,7 @@ impl<'a> PageReader<'a> {
     }
 
     /// Repositions the cursor (for lazily probing fixed-offset layouts).
+    #[inline]
     pub fn seek(&mut self, pos: usize) -> Result<(), PageOverflow> {
         if pos > self.page.len() {
             return Err(PageOverflow {
@@ -114,6 +121,7 @@ impl<'a> PageReader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PageOverflow> {
         // `n` can come straight from medium bytes; the bound must hold
         // even when `pos + n` would overflow.
@@ -129,22 +137,27 @@ impl<'a> PageReader<'a> {
         Ok(slice)
     }
 
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, PageOverflow> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, PageOverflow> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, PageOverflow> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, PageOverflow> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], PageOverflow> {
         self.take(n)
     }

@@ -9,7 +9,9 @@
 //! order. Every mutation is written to a shared write-ahead log (one
 //! `Mutex`, group commit per [`SyncPolicy`]) *before* it touches the tree
 //! — the commit writes, and when due fsyncs, inline — and recovery
-//! replays the log through the identical router path.
+//! replays the log through the identical router path. Pages never outrun
+//! the log: a partition's pages reach their store only after the log is
+//! durable through every commit applied to it.
 //!
 //! Lock order is always `partition.write (ascending partition id) →
 //! wal.lock`, and reads take no WAL lock at all. Range scans visit
@@ -24,13 +26,17 @@
 //! cross-partition commit deadlock-free), checks first-committer-wins
 //! when a transaction's snapshot is given, logs every write as **one**
 //! WAL group, applies it, and records the priors in the `TxnManager`'s
-//! undo overlay — all before a lock drops. `bulk_load` builds its trees
+//! undo overlay — all before a lock drops. A commit spanning several
+//! partitions is then durable before it is acknowledged, whatever the
+//! policy: under a lazy one it waits for its fsync only after dropping
+//! its locks, sharing that fsync with every frame already written (group
+//! commit), so the wait stalls no other client. `bulk_load` builds its trees
 //! bottom-up but logs through the same group append. Reads share one
 //! path as well: a snapshot read is the read-committed read rewound
 //! through the overlay, so it never blocks writers. A logged commit that
-//! a tree then refuses halts the engine: every client and maintenance
-//! call returns [`EngineError::WalPoisoned`] until a reopen replays the
-//! log. See `txn.rs` for the isolation model.
+//! a tree then refuses, or whose durability wait fails, halts the engine:
+//! every client and maintenance call returns [`EngineError::WalPoisoned`]
+//! until a reopen replays the log. See `txn.rs` for the isolation model.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +54,7 @@ use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
 use crate::txn::{wipe_values, KeyValues, Txn, TxnManager};
-use crate::wal::{Wal, WalOp, WalReplay};
+use crate::wal::{SyncTicket, Wal, WalOp, WalReplay};
 
 /// Engine-level configuration wrapping the paper-level [`SchemeConfig`].
 #[derive(Debug, Clone)]
@@ -188,10 +194,12 @@ pub struct SksDb {
     /// snapshot reads and first-committer-wins validation.
     txns: TxnManager,
     /// Set when a logged commit failed to apply, so the trees may hold
-    /// part of it. From then on every client and maintenance call refuses
-    /// with [`EngineError::WalPoisoned`] until a reopen replays the log.
-    /// Set under the commit's partition write locks and read under a
-    /// partition lock, so no call queued behind that commit slips past.
+    /// part of it, or when an applied commit's durability wait failed. From
+    /// then on every client and maintenance call refuses with
+    /// [`EngineError::WalPoisoned`] until a reopen replays the log. A failed
+    /// apply sets it under the commit's partition write locks, and it is
+    /// read under a partition lock, so no call queued behind that commit
+    /// slips past.
     halted: AtomicBool,
     recovery: RecoveryReport,
     wal_path: PathBuf,
@@ -667,7 +675,10 @@ impl SksDb {
         let value_len = value.len() as u64;
         let p = self.route_insert(key, &value)?;
         let write = vec![(p, vec![(key, Some(value))])];
-        let result = self.commit(write, None, || {})?.pop().and_then(|(_, v)| v);
+        let result = self
+            .commit(write, None, || {}, || {})?
+            .pop()
+            .and_then(|(_, v)| v);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].put.record(ns);
@@ -694,7 +705,7 @@ impl SksDb {
             let timer = self.counters.obs().start();
             let count = group.len();
             let writes = group.into_iter().map(|(k, v)| (k, Some(v))).collect();
-            wipe_values(self.commit(vec![(p, writes)], None, || {})?);
+            wipe_values(self.commit(vec![(p, writes)], None, || {}, || {})?);
             written += count;
             if let Some(t) = timer {
                 let ns = t.elapsed().as_nanos() as u64;
@@ -781,7 +792,10 @@ impl SksDb {
         let timer = self.counters.obs().start();
         let p = self.router.partition_of(key)?;
         let write = vec![(p, vec![(key, None)])];
-        let result = self.commit(write, None, || {})?.pop().and_then(|(_, v)| v);
+        let result = self
+            .commit(write, None, || {}, || {})?
+            .pop()
+            .and_then(|(_, v)| v);
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
             self.op_hist[p].delete.record(ns);
@@ -804,23 +818,31 @@ impl SksDb {
     ///    the snapshot refuses the commit with [`EngineError::Conflict`].
     /// 3. Run `mid` (a test hook).
     /// 4. Under the WAL lock, append every write as one group and commit
-    ///    it: the frame is in the log file before this returns, and is
-    ///    fsynced inline when it spans ≥ 2 partitions, so a checkpoint
-    ///    flushing one partition's pages can never outlive a frame lost to
-    ///    a power failure that also touched another.
+    ///    it: the frame is in the log file before this returns, and
+    ///    fsynced there only when the [`SyncPolicy`] says so.
     /// 5. Apply each write and record the priors in the undo overlay,
     ///    every lock still held, so no reader sees half a commit.
+    /// 6. Release the locks, run `before_wait` (a test hook) and, for a
+    ///    commit spanning ≥ 2 partitions that the policy left unsynced,
+    ///    wait for its frame to be durable before acknowledging it. The
+    ///    wait is group commit: one fsync outside every lock serves each
+    ///    frame written by the time it starts. Applying first is safe
+    ///    because no page reaches its store before the log is durable
+    ///    through every commit applied to it ([`SksDb::checkpoint`],
+    ///    [`SksDb::flush_pages`]).
     ///
     /// Returns each key's prior value, in write order. On every error the
     /// values and priors not handed on are wiped. An error after step 4
-    /// leaves the log holding a commit the trees hold only part of, so it
-    /// halts the engine ([`SksDb::check_halted`]) until a reopen replays
-    /// the log and decides the outcome.
+    /// leaves the log holding a commit the trees hold only part of, or
+    /// one whose durability is unknown, so it halts the engine
+    /// ([`SksDb::check_halted`]) until a reopen replays the log and
+    /// decides the outcome.
     pub(crate) fn commit(
         &self,
         groups: Vec<(usize, KeyValues)>,
         snapshot: Option<u64>,
         mid: impl FnOnce(),
+        before_wait: impl FnOnce(),
     ) -> Result<KeyValues, EngineError> {
         let writes = || groups.iter().flat_map(|(_, w)| w);
         let mut trees: Vec<_> = groups
@@ -842,12 +864,14 @@ impl SksDb {
                 logged = Err(EngineError::Conflict { key, partition });
             }
         }
+        let mut ticket = None;
         if logged.is_ok() {
             mid();
             let mut wal = self.wal.lock().expect("wal lock");
             logged = wal
                 .append_group(writes().map(|(k, v)| (*k, v.as_deref())))
-                .and_then(|_| wal.commit_with(groups.len() > 1));
+                .and_then(|_| wal.commit_with(groups.len() > 1))
+                .map(|t| ticket = t);
         }
         if let Err(e) = logged {
             wipe_values(groups.into_iter().flat_map(|(_, w)| w));
@@ -871,6 +895,13 @@ impl SksDb {
         }
         self.txns
             .note_commit(priors.iter().map(|(k, v)| (*k, v.as_deref())));
+        drop(trees);
+        before_wait();
+        if let Err(e) = ticket.map_or(Ok(()), SyncTicket::wait) {
+            self.halted.store(true, Ordering::Release);
+            wipe_values(priors);
+            return Err(e);
+        }
         Ok(priors)
     }
 
@@ -978,9 +1009,14 @@ impl SksDb {
     /// 1. **Mark** the dirty epoch: note the WAL sequence number; every
     ///    record from it onward will survive the cut.
     /// 2. **Compact and flush partitions**, all *in parallel* (one thread
-    ///    each, write-locking only that partition): the bounded
-    ///    record-store and node-device compaction passes, then the
-    ///    journaled page-store checkpoint of the partition's dirty pages.
+    ///    each, write-locking only that partition): make the log durable
+    ///    through every commit the partition applied (one fsync the
+    ///    partitions share), then the bounded record-store and node-device
+    ///    compaction passes, then the journaled page-store checkpoint of
+    ///    the partition's dirty pages. Because pages never outrun the log,
+    ///    a power failure cannot keep one commit's pages while it loses an
+    ///    earlier commit's frame: a reopen always lands on a prefix of the
+    ///    commit history.
     /// 3. **Cut the WAL** — only after every partition committed: the
     ///    records appended since the mark (the fuzzy tail) are carried
     ///    into a fresh log, which atomically renames over the old one.
@@ -1033,15 +1069,17 @@ impl SksDb {
         // Phase 1: mark the fuzzy epoch — the sequence number and byte
         // offset where the retained tail will begin, so the cut scans
         // O(tail) instead of re-reading the whole log.
-        let (mark_seq, mark_offset) = {
+        let (mark_seq, mark_offset, log) = {
             let wal = self.wal.lock().expect("wal lock");
-            (wal.next_seq(), wal.len_bytes())
+            (wal.next_seq(), wal.len_bytes(), wal.sync_point())
         };
 
-        // Phase 2. Each partition first runs its bounded record-store
-        // compaction pass and then the node-device sliding pass, both under
-        // the write lock (crash-safe because nothing reaches the medium
-        // until the journaled page-store checkpoint commits). The truncated
+        // Phase 2. Each partition first makes the log durable through
+        // every commit it has applied (WAL before data; the partitions
+        // share one fsync), then runs its bounded record-store compaction
+        // pass and the node-device sliding pass, all under the write lock
+        // (crash-safe because nothing reaches the medium until the
+        // journaled page-store checkpoint commits). The truncated
         // devices physically shrink at the flush. These per-partition
         // threads are the only ones the engine starts, and the scope joins
         // every one of them on every exit.
@@ -1051,11 +1089,13 @@ impl SksDb {
                 .partitions
                 .iter()
                 .map(|p| {
+                    let log = &log;
                     s.spawn(move || -> Result<CompactionReport, EngineError> {
                         let mut guard = p.write().expect("partition lock");
                         // A halted engine's trees may hold half a logged
                         // commit: never flush that to the page stores.
                         self.check_halted()?;
+                        log.sync_written()?;
                         // Floored: checkpoint maintenance only rewrites
                         // blocks churn has made worth reclaiming.
                         let mut report =
@@ -1105,6 +1145,10 @@ impl SksDb {
         // durable, and a power failure could revert to the old log even
         // though later commits fsynced the new inode's data.
         sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
+        // Every frame the old log wrote is now durable: in the page
+        // stores or in the fresh log. A commit still waiting on one
+        // returns without an fsync.
+        log.cover_written();
         // The fresh Wal's file handle survives the rename (same inode);
         // from here on it carries client traffic, so it re-adopts the
         // engine's shared counters.
@@ -1169,9 +1213,11 @@ impl SksDb {
             .collect()
     }
 
-    /// Flushes every partition's pages and the WAL to stable storage
-    /// without truncating the log — a graceful-shutdown helper (the next
-    /// open still tail-replays, but the page stores are current).
+    /// Flushes the WAL and then every partition's pages to stable
+    /// storage without truncating the log — a graceful-shutdown helper
+    /// (the next open still tail-replays, but the page stores are
+    /// current). The log goes first, so no page reaches its store ahead
+    /// of the commits it holds.
     pub fn flush_pages(&self) -> Result<(), EngineError> {
         let mut guards: Vec<_> = self
             .partitions
@@ -1179,10 +1225,11 @@ impl SksDb {
             .map(|p| p.write().expect("partition lock"))
             .collect();
         self.check_halted()?;
+        self.wal.lock().expect("wal lock").flush()?;
         for guard in &mut guards {
             guard.flush()?;
         }
-        self.wal.lock().expect("wal lock").flush()
+        Ok(())
     }
 }
 

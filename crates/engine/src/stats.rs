@@ -26,7 +26,8 @@ pub const OPS: [&str; 6] = ["get", "put", "delete", "range", "batch", "txn"];
 /// one frame — disjoint from both `WalAppend` (the commit's inline
 /// tail-block write; the engine stages nothing, so only the frozen
 /// benchmark's staged appends time anything else under it) and
-/// `WalFsync` (the inline barrier).
+/// `WalFsync` (every log fsync: a policy's inline barrier, or the one a
+/// durability wait leads).
 pub const WRITE_PATH_STAGES: [Stage; 6] = [
     Stage::RecordSeal,
     Stage::WalAppend,

@@ -30,14 +30,19 @@
 //! snapshot read is the read-committed read plus a rewind.
 //!
 //! Atomicity and durability: a commit is one sealed [`crate::Wal`] frame
-//! (all-or-nothing under torn-tail recovery), and a commit spanning ≥ 2
-//! partitions always pays its fsync *before* any tree effect becomes
-//! visible, so no crash can persist half of it through a fuzzy
-//! checkpoint's page flush. A logged commit a tree then refuses halts the
-//! engine rather than serve the half it applied (see
-//! [`EngineError::WalPoisoned`]). Deadlock freedom: commit acquires its
-//! partitions' write locks in ascending partition-id order, the same
-//! global order every other multi-lock path uses.
+//! (all-or-nothing under torn-tail recovery), and no page reaches its
+//! store before the log is durable through every commit applied to it, so
+//! no crash can persist half of a transaction through a fuzzy
+//! checkpoint's page flush. A commit spanning ≥ 2 partitions is durable
+//! before it is acknowledged under every policy: it applies under its
+//! locks, releases them, and only then waits for its frame's fsync, which
+//! it shares with every frame already written (group commit);
+//! `SyncPolicy::Always` still fsyncs before the apply. A logged commit a
+//! tree then refuses, or whose wait fails, halts the engine rather than
+//! serve what it applied (see [`EngineError::WalPoisoned`]). Deadlock
+//! freedom: commit acquires its partitions' write locks in ascending
+//! partition-id order, the same global order every other multi-lock path
+//! uses.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -369,7 +374,7 @@ impl Txn {
     /// durable, and reopening the database decides (all-or-nothing,
     /// exactly like a crash at commit time).
     pub fn commit(&mut self) -> Result<(), EngineError> {
-        self.commit_with_hook(|| {})
+        self.commit_hooked(|| {}, || {})
     }
 
     /// [`Txn::commit`] with a test hook invoked mid-commit — after
@@ -379,6 +384,23 @@ impl Txn {
     /// *other* partitions progress while a commit is in flight.
     #[doc(hidden)]
     pub fn commit_with_hook(&mut self, mid: impl FnOnce()) -> Result<(), EngineError> {
+        self.commit_hooked(mid, || {})
+    }
+
+    /// [`Txn::commit`] with a test hook invoked after the apply, once
+    /// every partition lock is released and before a cross-partition
+    /// commit waits for its frame to be durable. Group-commit tests use it
+    /// to put several written frames behind one fsync.
+    #[doc(hidden)]
+    pub fn commit_with_wait_hook(&mut self, before_wait: impl FnOnce()) -> Result<(), EngineError> {
+        self.commit_hooked(|| {}, before_wait)
+    }
+
+    fn commit_hooked(
+        &mut self,
+        mid: impl FnOnce(),
+        before_wait: impl FnOnce(),
+    ) -> Result<(), EngineError> {
         self.check_active()?;
         let counters = self.db.counters().clone();
         let timer = counters.obs().start();
@@ -399,7 +421,10 @@ impl Txn {
             return Ok(());
         }
         let snapshot = Some(self.snapshot);
-        match self.db.commit(groups.into_iter().collect(), snapshot, mid) {
+        match self
+            .db
+            .commit(groups.into_iter().collect(), snapshot, mid, before_wait)
+        {
             Ok(priors) => wipe_values(priors),
             Err(e @ EngineError::Conflict { .. }) => {
                 // Validation refused before anything touched the WAL or

@@ -52,13 +52,12 @@
 //! before it is recovered, everything after is scrubbed back to zeros so
 //! a later replay cannot resurrect stale bytes.
 //!
-//! A commit runs on the caller's thread, start to finish: seal the staged
-//! group, write the tail block to the device, and — when the
-//! [`SyncPolicy`] (or [`Wal::commit_durable`]) says so — fsync. So a
-//! commit that has returned is in the log file, and a process crash loses
-//! nothing acknowledged under any policy. The policy decides only what a
-//! power failure can lose: `Always` fsyncs every commit, so nothing;
-//! `EveryN(n)` is group commit — every `n`-th commit pays the fsync, so
+//! A commit runs on the caller's thread: seal the staged group, write the
+//! tail block to the device, and — when the [`SyncPolicy`] says so —
+//! fsync. So a commit that has returned is in the log file, and a process
+//! crash loses nothing acknowledged under any policy. The policy decides
+//! only what a power failure can lose: `Always` fsyncs every commit, so
+//! nothing; `EveryN(n)` fsyncs once `n` written commits are unsynced, so
 //! at most the last `n − 1` commits; `Never` everything since the last
 //! [`Wal::flush`]. Those bounds assume the standard WAL storage model:
 //! rewriting the partially-filled tail block preserves its unchanged
@@ -67,23 +66,33 @@
 //! the append path fail-stops the handle ([`EngineError::WalPoisoned`]):
 //! a half-written frame must not be built upon, and reopening replays the
 //! log back to a consistent prefix.
+//!
+//! A [`Wal::commit_durable`] the policy left unsynced hands back a
+//! [`SyncTicket`] instead, for the caller to wait on once it has released
+//! its locks. Every fsync goes through the log's one durability point
+//! (seq written through, seq synced through): the first waiter fsyncs a
+//! second handle to the file outside the WAL mutex, on behalf of every
+//! frame already written, and a waiter that fsync covered returns without
+//! one of its own. A failed fsync fail-stops the handle too.
 
 use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex};
 
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 use sks_storage::{
     crc32, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters, Stage,
-    StorageError, SyncPolicy, NO_PARTITION,
+    StorageError, SyncHandle, SyncPolicy, NO_PARTITION,
 };
 
 use crate::error::EngineError;
 
 /// The device surface a [`Wal`] needs: sequential block writes, partial
-/// reads for torn-tail recovery, a physical sync, and counter
-/// re-pointing. [`FileDisk`] is the production device; a
-/// [`FailStore<FileDisk>`] implements it too, so crash probes can tear a
-/// WAL write mid-group-commit and watch recovery scrub the tail.
+/// reads for torn-tail recovery, a second handle that fsyncs the file
+/// outside the log's lock, and counter re-pointing. [`FileDisk`] is the
+/// production device; a [`FailStore<FileDisk>`] implements it too, so
+/// crash probes can tear a WAL write mid-group-commit, or kill its fsync,
+/// and watch recovery scrub the tail.
 pub trait WalDevice: std::fmt::Debug {
     fn block_size(&self) -> usize;
     fn num_blocks(&self) -> u32;
@@ -92,7 +101,9 @@ pub trait WalDevice: std::fmt::Debug {
     /// Best-effort read returning however many bytes exist (zero-padded);
     /// see [`FileDisk::read_block_partial`].
     fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError>;
-    fn sync(&mut self) -> Result<(), StorageError>;
+    /// The handle every fsync of the log goes through; see
+    /// [`FileDisk::sync_handle`].
+    fn sync_handle(&self) -> Result<SyncHandle, StorageError>;
     fn set_counters(&mut self, counters: OpCounters);
 }
 
@@ -117,8 +128,8 @@ impl WalDevice for FileDisk {
         FileDisk::read_block_partial(self, id)
     }
 
-    fn sync(&mut self) -> Result<(), StorageError> {
-        FileDisk::sync(self)
+    fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+        FileDisk::sync_handle(self)
     }
 
     fn set_counters(&mut self, counters: OpCounters) {
@@ -149,9 +160,9 @@ impl WalDevice for FailStore<FileDisk> {
         self.inner().read_block_partial(id)
     }
 
-    fn sync(&mut self) -> Result<(), StorageError> {
-        // Routes through the plan so `arm_nth_flush` can kill a sync.
-        BlockStore::flush(self)
+    fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+        // Counts through the plan so `arm_nth_flush` can kill a sync.
+        FailStore::sync_handle(self)
     }
 
     fn set_counters(&mut self, counters: OpCounters) {
@@ -162,17 +173,165 @@ impl WalDevice for FailStore<FileDisk> {
 /// The one device type a [`Wal`] runs on.
 type Device = Box<dyn WalDevice + Send>;
 
-/// Never constructed: [`Wal::commit_durable`] pays its fsync inline and
-/// always returns `None`. The type survives only because the frozen
-/// benchmark (`sks_bench/src/layers.rs`) still matches on it; once the
-/// harness drops that match, this type goes too.
-#[doc(hidden)]
+/// How far a log is written and how far it is durable, in sequence
+/// numbers; see [`SyncPoint`].
 #[derive(Debug)]
-pub enum SyncTicket {}
+struct SyncState {
+    /// Every frame up to this seq is written to the log file.
+    written: u64,
+    /// Every frame up to this seq is durable.
+    synced: u64,
+    /// Commits written so far, and how many of them the latest fsync
+    /// covered: their difference is what a [`SyncPolicy`] counts, so any
+    /// fsync, whoever paid it, restarts the policy's count.
+    commits: u64,
+    commits_synced: u64,
+    /// A leader's fsync is in flight (it runs with this mutex released).
+    syncing: bool,
+    /// An fsync failed: what the file holds past `synced` is unknowable.
+    failed: bool,
+    /// Where fsyncs are counted (`wal_fsyncs`) and timed
+    /// ([`Stage::WalFsync`]); re-pointed with the log's own counters.
+    counters: OpCounters,
+}
+
+/// A log's one durability point, shared by its [`Wal`] handle and every
+/// [`SyncTicket`] it hands out. Every fsync of the log but the open-time
+/// torn-tail scrub's goes through [`SyncPoint::sync_through`], which is
+/// group commit: a caller whose
+/// frame an earlier fsync covered returns at once, one that finds an
+/// fsync in flight waits it out, and otherwise the caller leads — it
+/// fsyncs through a second handle to the log file, outside both this
+/// point's mutex and the WAL's, everything written so far, on behalf of
+/// every frame that is already written and still waiting.
+#[derive(Debug)]
+pub(crate) struct SyncPoint {
+    handle: SyncHandle,
+    state: Mutex<SyncState>,
+    /// Signalled whenever a leader's fsync ends.
+    done: Condvar,
+}
+
+impl SyncPoint {
+    fn new(handle: SyncHandle, written: u64, counters: OpCounters) -> Self {
+        SyncPoint {
+            handle,
+            state: Mutex::new(SyncState {
+                written,
+                synced: 0,
+                commits: 0,
+                commits_synced: 0,
+                syncing: false,
+                failed: false,
+                counters,
+            }),
+            done: Condvar::new(),
+        }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, SyncState> {
+        self.state.lock().expect("wal sync point")
+    }
+
+    /// Records that every frame up to `seq` is written to the file, by
+    /// `commits` more commits, and returns how many written commits no
+    /// fsync has covered yet.
+    fn wrote_through(&self, seq: u64, commits: u64) -> u64 {
+        let mut state = self.state();
+        state.written = state.written.max(seq);
+        state.commits += commits;
+        state.commits - state.commits_synced
+    }
+
+    fn failed(&self) -> bool {
+        self.state().failed
+    }
+
+    fn set_counters(&self, counters: OpCounters) {
+        self.state().counters = counters;
+    }
+
+    /// Makes the log durable through `seq`, which must already be
+    /// written. Fails with the fsync's own error when this caller's fsync
+    /// failed, and with [`EngineError::WalPoisoned`] once any has.
+    fn sync_through(&self, seq: u64) -> Result<(), EngineError> {
+        let mut state = self.state();
+        debug_assert!(seq <= state.written, "only a written frame can be synced");
+        loop {
+            if state.failed {
+                return Err(EngineError::WalPoisoned);
+            }
+            if state.synced >= seq {
+                return Ok(());
+            }
+            if !state.syncing {
+                break;
+            }
+            state = self.done.wait(state).expect("wal sync point");
+        }
+        // Lead: everything written by now is in the file, so this one
+        // fsync covers it all.
+        let (target, commits) = (state.written, state.commits);
+        state.syncing = true;
+        let counters = state.counters.clone();
+        drop(state);
+        counters.bump(|c| &c.wal_fsyncs);
+        let timer = counters.obs().start();
+        let result = self.handle.sync();
+        let mut state = self.state();
+        state.syncing = false;
+        match result {
+            Ok(()) => {
+                state.synced = state.synced.max(target);
+                state.commits_synced = state.commits_synced.max(commits);
+                counters.obs().stage(Stage::WalFsync, timer);
+            }
+            // An fsync failure may have silently dropped dirty pages
+            // (Linux clears the error flag), so the durability of every
+            // unsynced frame is now unknowable: fail stop rather than
+            // acknowledge anything over a silent hole.
+            Err(_) => state.failed = true,
+        }
+        drop(state);
+        self.done.notify_all();
+        Ok(result?)
+    }
+
+    /// Makes the log durable through everything it has written so far.
+    pub(crate) fn sync_written(&self) -> Result<(), EngineError> {
+        let written = self.state().written;
+        self.sync_through(written)
+    }
+
+    /// Counts every written frame as durable without an fsync: the
+    /// checkpoint cut calls it on the log it retires, once the fresh log
+    /// holding the retained tail is durable and renamed into place, so a
+    /// wait that straddles the cut returns without syncing a file that is
+    /// no longer the log.
+    pub(crate) fn cover_written(&self) {
+        let mut state = self.state();
+        state.synced = state.synced.max(state.written);
+        state.commits_synced = state.commits;
+        drop(state);
+        self.done.notify_all();
+    }
+}
+
+/// A written frame's claim on its durability: [`SyncTicket::wait`]
+/// returns once the frame is durable. Handed out by
+/// [`Wal::commit_durable`], so a caller can release its locks before it
+/// waits, and any number of waiting frames share one fsync.
+#[derive(Debug)]
+pub struct SyncTicket {
+    point: Arc<SyncPoint>,
+    seq: u64,
+}
 
 impl SyncTicket {
-    pub fn wait(self) -> Result<(), StorageError> {
-        match self {}
+    /// Blocks until the frame is durable; see [`Wal::commit_durable`] for
+    /// what an error means.
+    pub fn wait(self) -> Result<(), EngineError> {
+        self.point.sync_through(self.seq)
     }
 }
 
@@ -274,6 +433,8 @@ impl Drop for StagedOp {
 #[derive(Debug)]
 pub struct Wal {
     disk: Device,
+    /// The log's durability point: every fsync goes through it.
+    point: Arc<SyncPoint>,
     block_size: usize,
     /// In-memory image of the block currently being filled.
     tail: Vec<u8>,
@@ -285,7 +446,6 @@ pub struct Wal {
     next_seq: u64,
     nonce_state: u64,
     policy: SyncPolicy,
-    pending_commits: u32,
     tail_dirty: bool,
     /// Set when an append-path I/O error leaves the stream in an unknown
     /// state; every later operation refuses until the log is reopened.
@@ -335,7 +495,7 @@ impl Wal {
         counters: OpCounters,
     ) -> Result<Self, EngineError> {
         let cipher = Speck64::from_u128(wal_key);
-        let mut wal = Wal::positioned(Box::new(disk), cipher, policy, counters, 0, 1);
+        let mut wal = Wal::positioned(Box::new(disk), cipher, policy, counters, 0, 1)?;
         wal.append_keycheck()?;
         Ok(wal)
     }
@@ -366,7 +526,7 @@ impl Wal {
         replay.bytes_discarded = real_end.saturating_sub(pos) as u64;
         counters.bump_by(|c| &c.wal_replayed, replay.records.len() as u64);
 
-        let mut wal = Wal::positioned(disk, cipher, policy, counters, pos, next_seq);
+        let mut wal = Wal::positioned(disk, cipher, policy, counters, pos, next_seq)?;
         if wal.tail_used > 0 {
             let tail_block = BlockId((pos / wal.block_size) as u32);
             let (block, _have) = wal.disk.read_block_partial(tail_block)?;
@@ -397,7 +557,8 @@ impl Wal {
 
     /// A handle whose next append lands at stream offset `pos` with
     /// sequence number `next_seq` (the caller loads the tail block's
-    /// valid prefix when `pos` is mid-block).
+    /// valid prefix when `pos` is mid-block). Nothing already in the file
+    /// counts as durable until its first fsync.
     fn positioned(
         disk: Device,
         cipher: Speck64,
@@ -405,10 +566,12 @@ impl Wal {
         counters: OpCounters,
         pos: usize,
         next_seq: u64,
-    ) -> Self {
+    ) -> Result<Self, EngineError> {
         let block_size = disk.block_size();
-        Wal {
+        let point = SyncPoint::new(disk.sync_handle()?, next_seq - 1, counters.clone());
+        Ok(Wal {
             disk,
+            point: Arc::new(point),
             block_size,
             tail: vec![0u8; block_size],
             tail_used: pos % block_size,
@@ -417,13 +580,12 @@ impl Wal {
             next_seq,
             nonce_state: nonce_seed(),
             policy,
-            pending_commits: 0,
             tail_dirty: false,
             poisoned: false,
             cipher,
             counters,
             staged: Vec::new(),
-        }
+        })
     }
 
     /// Sequence number the next append will get.
@@ -441,9 +603,16 @@ impl Wal {
         }
     }
 
-    /// Whether an earlier append-path failure fail-stopped this handle.
+    /// Whether an earlier append-path or fsync failure fail-stopped this
+    /// handle.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.poisoned || self.point.failed()
+    }
+
+    /// The log's durability point, for a caller that must make the log
+    /// durable without holding the WAL lock (a checkpoint's page flush).
+    pub(crate) fn sync_point(&self) -> Arc<SyncPoint> {
+        Arc::clone(&self.point)
     }
 
     /// No-op. Batch sealing is the only framing now; this shim exists
@@ -459,6 +628,7 @@ impl Wal {
     /// adopts the engine's counters for subsequent appends).
     pub(crate) fn adopt_counters(&mut self, counters: OpCounters) {
         self.disk.set_counters(counters.clone());
+        self.point.set_counters(counters.clone());
         self.counters = counters;
     }
 
@@ -493,8 +663,7 @@ impl Wal {
         from_offset: u64,
     ) -> Result<Vec<Vec<WalOp>>, EngineError> {
         self.check_poison()?;
-        self.seal_staged()?;
-        self.write_tail_if_dirty()?;
+        self.write_out(0)?;
         self.disk.set_counters(OpCounters::new());
         let mut groups = Vec::new();
         let scanned = {
@@ -660,73 +829,85 @@ impl Wal {
     /// before returning, so the group is in the log file once this
     /// returns `Ok`.
     pub fn commit(&mut self) -> Result<(), EngineError> {
-        self.commit_with(false)
+        self.commit_with(false).map(drop)
     }
 
-    /// [`Wal::commit`] with the sync policy overridden to fsync now.
-    /// Always `Ok(None)`: the `Option<SyncTicket>` survives only for the
-    /// frozen benchmark (see [`SyncTicket`]).
+    /// [`Wal::commit`] for a group that must be durable before it is
+    /// acknowledged, without making the caller fsync under its locks:
+    /// when the policy's own fsync did not already cover the frame, the
+    /// returned ticket's [`SyncTicket::wait`] does, sharing one fsync
+    /// with every other frame written by the time it starts. An error
+    /// from the wait fail-stops the log, and the frame's outcome is left
+    /// to the next replay.
     pub fn commit_durable(&mut self) -> Result<Option<SyncTicket>, EngineError> {
-        self.commit_with(true).map(|()| None)
+        self.commit_with(true)
     }
 
     /// The one commit sequence: seal, write the tail block out, then
-    /// fsync when `durable` or the policy demands it. The engine's
-    /// multi-partition transaction commits pass `durable` so their one
-    /// atomic frame is durable before any tree effect becomes visible —
-    /// under a lazy [`SyncPolicy`] a fuzzy checkpoint could otherwise
-    /// flush one partition's post-apply pages while a power failure loses
-    /// the log frame that also touched another partition, splitting the
-    /// transaction.
-    pub(crate) fn commit_with(&mut self, durable: bool) -> Result<(), EngineError> {
+    /// fsync under the caller's locks when the policy demands it. Given
+    /// `durable`, a frame the policy left unsynced comes back with a
+    /// ticket instead: the engine's multi-partition commits apply, drop
+    /// their partition locks and only then wait, so an acknowledged
+    /// transaction is durable under every policy while the fsync stalls
+    /// no other client. Waiting after the apply is safe because no page
+    /// reaches its store before the log is durable through every commit
+    /// it holds (see `SksDb::checkpoint`). `SyncPolicy::Always` still
+    /// fsyncs here, before the caller applies anything.
+    pub(crate) fn commit_with(&mut self, durable: bool) -> Result<Option<SyncTicket>, EngineError> {
         self.check_poison()?;
-        self.seal_staged()?;
         let timer = self.counters.obs().start();
-        if self.write_tail_if_dirty()? {
+        let (seq, wrote, unsynced) = self.write_out(1)?;
+        if wrote {
             self.counters.obs().stage(Stage::WalAppend, timer);
         }
-        self.pending_commits += 1;
-        if !(durable || self.policy.should_sync(self.pending_commits)) {
-            return Ok(());
+        if self
+            .policy
+            .should_sync(unsynced.try_into().unwrap_or(u32::MAX))
+        {
+            self.force_sync()?;
+            self.counters
+                .obs()
+                .note(EventKind::GroupCommit, NO_PARTITION, unsynced, 0, 0);
+            return Ok(None);
         }
-        let amortised = self.pending_commits;
-        self.force_sync()?;
-        self.counters
-            .obs()
-            .note(EventKind::GroupCommit, NO_PARTITION, amortised as u64, 0, 0);
-        Ok(())
+        Ok(durable.then(|| SyncTicket {
+            point: Arc::clone(&self.point),
+            seq,
+        }))
     }
 
-    /// Unconditional seal + write-out + inline fsync (checkpoint/shutdown
-    /// path).
+    /// Unconditional seal + write-out + fsync (checkpoint/shutdown path).
     pub fn flush(&mut self) -> Result<(), EngineError> {
         self.check_poison()?;
-        self.seal_staged()?;
-        self.write_tail_if_dirty()?;
+        self.write_out(0)?;
         self.force_sync()
     }
 
     fn check_poison(&self) -> Result<(), EngineError> {
-        if self.poisoned {
+        if self.is_poisoned() {
             return Err(EngineError::WalPoisoned);
         }
         Ok(())
     }
 
+    /// Seals anything staged and writes the tail block out, so every
+    /// frame appended so far is in the file, and tells the sync point so
+    /// (counting `commits` more commits). Returns the last seq written,
+    /// whether the tail block needed a write, and how many written
+    /// commits are still unsynced.
+    fn write_out(&mut self, commits: u64) -> Result<(u64, bool, u64), EngineError> {
+        self.seal_staged()?;
+        let wrote = self.write_tail_if_dirty()?;
+        let seq = self.next_seq - 1;
+        Ok((seq, wrote, self.point.wrote_through(seq, commits)))
+    }
+
+    /// Makes everything written so far durable through the sync point,
+    /// under the WAL lock (a due policy fsync, or a flush).
     fn force_sync(&mut self) -> Result<(), EngineError> {
-        self.counters.bump(|c| &c.wal_fsyncs);
-        let timer = self.counters.obs().start();
-        if let Err(e) = self.disk.sync() {
-            // An fsync failure may have silently dropped dirty pages
-            // (Linux clears the error flag), so the durability of every
-            // unsynced commit is now unknowable from this handle: fail
-            // stop rather than ack future commits over a silent hole.
-            self.poisoned = true;
-            return Err(e.into());
-        }
-        self.counters.obs().stage(Stage::WalFsync, timer);
-        self.pending_commits = 0;
-        Ok(())
+        let result = self.point.sync_through(self.next_seq - 1);
+        self.poisoned |= result.is_err();
+        result
     }
 
     /// Writes the in-memory tail block out when it holds unwritten
@@ -772,7 +953,7 @@ impl Wal {
                 self.disk.write_block(BlockId(b), &zero)?;
             }
         }
-        self.disk.sync()?;
+        self.point.handle.sync()?;
         Ok(())
     }
 

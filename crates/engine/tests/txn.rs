@@ -9,7 +9,7 @@ use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 use sks_core::{Scheme, SchemeConfig};
-use sks_engine::{EngineConfig, EngineError, SksDb, Wal};
+use sks_engine::{EngineConfig, EngineError, SksDb, SyncTicket, Wal};
 use sks_storage::{FailMode, FailPlan, FailStore, FileDisk, OpCounters, OpSnapshot, SyncPolicy};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -358,90 +358,114 @@ fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
 /// device kills the log mid-stream — torn block write, clean write
 /// error, or a dead fsync — at seed-derived kill points, and every
 /// reopen must observe each transaction either fully applied or fully
-/// absent (and the survivors a prefix in commit order).
+/// absent (and the survivors a prefix in commit order). The sweep runs
+/// twice: under `Always`, where each commit fsyncs inline, and under the
+/// lazy `EveryN(4)`, where each frame is acknowledged once its deferred
+/// durability wait returns — the engine's cross-partition path — so the
+/// fault seeds reach that wait too. There, every acknowledged transaction
+/// must survive, and a failed wait fail-stops the log.
 #[test]
 fn txn_commit_kill_point_sweep_is_all_or_nothing() {
     const BLOCK: usize = 512;
     const TXNS: u64 = 16;
-    let mut faults_fired = 0u32;
-    for run in 0..18u64 {
-        let seed = run / 3;
-        let dir = tmpdir(&format!("kill_{run}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = config(4, 4096).sync(SyncPolicy::Always);
-        let wal_path = dir.join("wal.sks");
+    for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
+        let lazy = policy != SyncPolicy::Always;
+        let mut faults_fired = 0u32;
+        for run in 0..18u64 {
+            let seed = run / 3;
+            let dir = tmpdir(&format!("kill_{run}_{lazy}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let cfg = config(4, 4096).sync(policy);
+            let wal_path = dir.join("wal.sks");
 
-        let counters = OpCounters::new();
-        let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
-        let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
-        let mut wal =
-            Wal::create_on_device(fail, cfg.wal_key(), SyncPolicy::Always, counters).unwrap();
+            let counters = OpCounters::new();
+            let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
+            let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
+            let mut wal = Wal::create_on_device(fail, cfg.wal_key(), policy, counters).unwrap();
 
-        // Committed autocommit prelude, then arm the fault and drive txn
-        // commit frames into it.
-        for k in 1..=4u64 {
-            wal.append_insert(k, &rec(k)).unwrap();
-            wal.commit().unwrap();
-        }
-        wal.flush().unwrap();
-        match run % 3 {
-            0 => drop(plan.arm_from_seed(seed, 12, FailMode::Torn)),
-            1 => drop(plan.arm_from_seed(seed, 12, FailMode::Error)),
-            _ => plan.arm_nth_flush(seed + 1),
-        }
-        'workload: for t in 0..TXNS {
-            let value = enc(t);
-            let group = [100 + t, 200 + t, 300 + t].map(|k| (k, Some(&value[..])));
-            if wal.append_group(group).is_err() || wal.commit().is_err() {
-                break 'workload;
+            // Committed autocommit prelude, then arm the fault and drive txn
+            // commit frames into it.
+            for k in 1..=4u64 {
+                wal.append_insert(k, &rec(k)).unwrap();
+                wal.commit().unwrap();
             }
-        }
-        let _ = wal.flush();
-        if plan.tripped() {
-            faults_fired += 1;
-        }
-        drop(wal);
-
-        // Reboot through the engine over whatever the medium holds.
-        let db = SksDb::open(&dir, cfg).unwrap();
-        for k in 1..=4u64 {
-            assert_eq!(db.get(k).unwrap().unwrap(), rec(k), "run {run}: prelude");
-        }
-        let mut alive_prefix = true;
-        for t in 0..TXNS {
-            let present: Vec<bool> = [100 + t, 200 + t, 300 + t]
-                .iter()
-                .map(|&k| db.get(k).unwrap().is_some())
-                .collect();
-            assert!(
-                present.iter().all(|&p| p) || present.iter().all(|&p| !p),
-                "run {run}: txn {t} replayed partially: {present:?}"
-            );
-            if present[0] {
-                assert!(
-                    alive_prefix,
-                    "run {run}: txn {t} survived after an earlier txn was lost"
-                );
-                for &k in &[100 + t, 200 + t, 300 + t] {
-                    assert_eq!(db.get(k).unwrap().unwrap(), enc(t), "run {run}");
+            wal.flush().unwrap();
+            match run % 3 {
+                0 => drop(plan.arm_from_seed(seed, 12, FailMode::Torn)),
+                1 => drop(plan.arm_from_seed(seed, 12, FailMode::Error)),
+                _ => plan.arm_nth_flush(seed + 1),
+            }
+            let mut acked = 0;
+            'workload: for t in 0..TXNS {
+                let value = enc(t);
+                let group = [100 + t, 200 + t, 300 + t].map(|k| (k, Some(&value[..])));
+                if wal.append_group(group).is_err() {
+                    break 'workload;
                 }
-            } else {
-                alive_prefix = false;
+                let committed = if lazy {
+                    wal.commit_durable()
+                        .and_then(|ticket| ticket.map_or(Ok(()), SyncTicket::wait))
+                } else {
+                    wal.commit()
+                };
+                if committed.is_err() {
+                    if lazy {
+                        assert!(wal.is_poisoned(), "run {run}: a failed wait must fail-stop");
+                    }
+                    break 'workload;
+                }
+                acked = t + 1;
             }
+            let _ = wal.flush();
+            if plan.tripped() {
+                faults_fired += 1;
+            }
+            drop(wal);
+
+            // Reboot through the engine over whatever the medium holds.
+            let db = SksDb::open(&dir, cfg).unwrap();
+            for k in 1..=4u64 {
+                assert_eq!(db.get(k).unwrap().unwrap(), rec(k), "run {run}: prelude");
+            }
+            let mut alive_prefix = true;
+            for t in 0..TXNS {
+                let present: Vec<bool> = [100 + t, 200 + t, 300 + t]
+                    .iter()
+                    .map(|&k| db.get(k).unwrap().is_some())
+                    .collect();
+                assert!(
+                    present.iter().all(|&p| p) || present.iter().all(|&p| !p),
+                    "run {run}: txn {t} replayed partially: {present:?}"
+                );
+                if lazy && t < acked {
+                    assert!(present[0], "run {run}: acknowledged txn {t} was lost");
+                }
+                if present[0] {
+                    assert!(
+                        alive_prefix,
+                        "run {run}: txn {t} survived after an earlier txn was lost"
+                    );
+                    for &k in &[100 + t, 200 + t, 300 + t] {
+                        assert_eq!(db.get(k).unwrap().unwrap(), enc(t), "run {run}");
+                    }
+                } else {
+                    alive_prefix = false;
+                }
+            }
+            // The scrubbed log accepts transactional traffic again.
+            let mut t = db.begin();
+            t.insert(900, b"post-recovery-a".to_vec()).unwrap();
+            t.insert(901, b"post-recovery-b".to_vec()).unwrap();
+            t.commit().unwrap();
+            assert_eq!(db.get(900).unwrap().unwrap(), b"post-recovery-a".to_vec());
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // The scrubbed log accepts transactional traffic again.
-        let mut t = db.begin();
-        t.insert(900, b"post-recovery-a".to_vec()).unwrap();
-        t.insert(901, b"post-recovery-b".to_vec()).unwrap();
-        t.commit().unwrap();
-        assert_eq!(db.get(900).unwrap().unwrap(), b"post-recovery-a".to_vec());
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            faults_fired >= 15,
+            "the sweep must exercise its fault plans: {faults_fired}/18 fired"
+        );
     }
-    assert!(
-        faults_fired >= 15,
-        "the sweep must exercise its fault plans: {faults_fired}/18 fired"
-    );
 }
 
 /// The cost-model pin: autocommit ops through `SksDb`, through a
@@ -679,9 +703,10 @@ proptest! {
         }
         prop_assert_eq!(db.txn_overlay_len(), 0);
 
-        // Durability: the committed state survives a reopen (multi-
-        // partition commits force their fsync regardless of the lazy
-        // policy; same-partition ones are covered by the final flush).
+        // Durability: the committed state survives a reopen (a multi-
+        // partition commit is durable before it is acknowledged, whatever
+        // the lazy policy, its fsync paid after the apply and outside its
+        // locks; same-partition ones are covered by the final flush).
         db.flush().unwrap();
         drop(db);
         let db = SksDb::open(&dir, config(4, 4096).sync(SyncPolicy::EveryN(2))).unwrap();

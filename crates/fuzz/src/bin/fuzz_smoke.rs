@@ -9,9 +9,11 @@
 //!
 //! Flags: `--driver all|opseq|walfault|decoder` (default `all`),
 //! `--seeds N` (per driver; default 24/24/48), `--start N` (first seed,
-//! default 0).
+//! default 0). Each op-sequence seed runs under `SyncPolicy::Always` and
+//! under `SyncPolicy::EveryN(4)`.
 
 use sks_fuzz::{decoders, op_seq, wal_fault};
+use sks_storage::SyncPolicy;
 
 fn main() {
     let mut driver = String::from("all");
@@ -46,13 +48,19 @@ fn main() {
     if run_opseq {
         let n = seeds.unwrap_or(24);
         for seed in start..start + n {
-            match op_seq::run_op_sequence_case(seed) {
-                Ok(report) => crashes += report.crashes,
-                Err(e) => die("opseq", seed, &e),
+            // Each seed runs under the strict and the lazy sync policy.
+            for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
+                match op_seq::run_op_sequence_case_under(seed, policy) {
+                    Ok(report) => crashes += report.crashes,
+                    Err(e) => die("opseq", seed, &format!("under {policy:?}: {e}")),
+                }
             }
             total += 1;
         }
-        println!("opseq: {n} seeds, {crashes} injected crashes, all recoveries consistent");
+        println!(
+            "opseq: {n} seeds under Always and EveryN(4), {crashes} injected crashes, \
+             all recoveries consistent"
+        );
     }
     if run_walfault {
         let n = seeds.unwrap_or(24);

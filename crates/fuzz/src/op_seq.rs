@@ -7,8 +7,17 @@
 //!
 //! - the recovered image equals the fold of a *commit-unit prefix* of the
 //!   submitted history — a batch or transaction is never half-applied;
-//! - under [`SyncPolicy::Always`] every acknowledged (`Ok`-returned) unit
-//!   is in that prefix — durability promises survive the kill;
+//! - every acknowledged (`Ok`-returned) unit is in that prefix —
+//!   durability promises survive the kill. A kill point models a process
+//!   kill, which loses nothing a commit wrote, so this holds under the
+//!   lazy `EveryN(4)` leg ([`run_op_sequence_case_under`]) as well as
+//!   under [`SyncPolicy::Always`]; there, a cross-partition transaction is
+//!   acknowledged only after its deferred durability wait, which the
+//!   seeded fsync kills reach;
+//! - a transaction whose commit failed is never visible: a read the
+//!   engine still serves shows the acknowledged image, so a commit that
+//!   applied and then lost its durability wait must have fail-stopped
+//!   the engine;
 //! - an operation that fails when no fault is armed, or a reopen that
 //!   fails after the plan is cleared, is a real engine bug and fails the
 //!   seed.
@@ -42,16 +51,21 @@ pub struct OpSeqReport {
     pub final_keys: usize,
 }
 
-fn make_config(partitions: usize) -> EngineConfig {
+fn make_config(partitions: usize, policy: SyncPolicy) -> EngineConfig {
     let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(partitions);
-    // Always-sync so every Ok is a durability promise the model can hold
-    // the engine to; weaker policies would only allow prefix checks.
-    EngineConfig::new(scheme).sync(SyncPolicy::Always)
+    EngineConfig::new(scheme).sync(policy)
 }
 
-/// One seeded case. Returns the report, or a description of the first
-/// divergence (the seed is appended by the caller).
+/// One seeded case under [`SyncPolicy::Always`]. Returns the report, or a
+/// description of the first divergence (the seed is appended by the
+/// caller).
 pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
+    run_op_sequence_case_under(seed, SyncPolicy::Always)
+}
+
+/// [`run_op_sequence_case`] with the engine under `policy`: the same
+/// seed draws the same operations and kill points.
+pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeqReport, String> {
     let mut rng = FuzzRng::new(seed ^ 0x05EC_0DE5_EEDF_ACE1);
     let scratch = ScratchDir::new("opseq", seed);
     let dir = scratch.path();
@@ -62,8 +76,9 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
     // half-created database that correctly refuses to open — a dead end
     // for the driver, not a bug. Checkpoint-time WAL creation *is*
     // fuzzed (the plan is shared with the fresh log's device).
-    let mut db: Arc<SksDb> = SksDb::open(dir, make_config(partitions).wal_fault(plan.clone()))
-        .map_err(|e| format!("initial open failed: {e}"))?;
+    let mut db: Arc<SksDb> =
+        SksDb::open(dir, make_config(partitions, policy).wal_fault(plan.clone()))
+            .map_err(|e| format!("initial open failed: {e}"))?;
 
     let mut report = OpSeqReport::default();
     let kill = plan.arm_kill_point(rng.next_u64(), 24, 12);
@@ -142,6 +157,16 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
                 }
                 let result = buffered.and_then(|()| txn.commit());
                 drop(txn); // must not outlive a crash-reopen of `db`
+                if result.is_err() {
+                    for (key, _) in &unit.effects {
+                        if db.get(*key).is_ok_and(|got| got.as_ref() != live.get(key)) {
+                            return Err(format!(
+                                "unit {unit_no}: a failed transaction's write to {key} is \
+                                 visible: the engine served it instead of fail-stopping"
+                            ));
+                        }
+                    }
+                }
                 step(result, unit, &mut model, &mut live)
             }
             // Read checks: no model change, but the live image must match.
@@ -197,7 +222,7 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
             // fault plan, and the database MUST reopen.
             drop(db);
             plan.reset();
-            db = SksDb::open(dir, make_config(partitions).wal_fault(plan.clone()))
+            db = SksDb::open(dir, make_config(partitions, policy).wal_fault(plan.clone()))
                 .map_err(|e| format!("unit {unit_no}: reopen after crash failed: {e}"))?;
             let recovered: BTreeMap<u64, Vec<u8>> = db
                 .range(0, u64::MAX)
@@ -230,7 +255,7 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
     // And it must survive one last clean close-and-reopen.
     drop(db);
     plan.reset();
-    let db = SksDb::open(dir, make_config(partitions))
+    let db = SksDb::open(dir, make_config(partitions, policy))
         .map_err(|e| format!("final reopen failed: {e}"))?;
     let reopened: BTreeMap<u64, Vec<u8>> = db
         .range(0, u64::MAX)

@@ -4,12 +4,25 @@
 //! binary.
 
 use sks_fuzz::{decoders, op_seq, wal_fault};
+use sks_storage::SyncPolicy;
 
 #[test]
 fn op_sequence_crash_seeds_recover_consistently() {
     for seed in (0..8).chain([101]) {
         if let Err(e) = op_seq::run_op_sequence_case(seed) {
             panic!("opseq seed {seed}: {e}");
+        }
+    }
+}
+
+/// The same seeds under the lazy `EveryN(4)` policy, where a
+/// cross-partition transaction waits for its fsync after the apply, so
+/// the seeded fsync kills reach that wait.
+#[test]
+fn op_sequence_crash_seeds_recover_consistently_under_a_lazy_policy() {
+    for seed in (0..8).chain([101]) {
+        if let Err(e) = op_seq::run_op_sequence_case_under(seed, SyncPolicy::EveryN(4)) {
+            panic!("opseq seed {seed} under EveryN(4): {e}");
         }
     }
 }

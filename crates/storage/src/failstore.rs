@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
+use crate::filedisk::{FileDisk, SyncHandle};
 
 /// How the armed write fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +196,7 @@ impl FailPlan {
     }
 
     /// Returns Err when this flush should fail (and trips the plan).
-    fn on_flush(&self) -> Result<(), StorageError> {
+    pub(crate) fn on_flush(&self) -> Result<(), StorageError> {
         let mut p = self.inner.lock().expect("fail plan");
         if p.tripped {
             return Err(poisoned());
@@ -249,6 +250,15 @@ impl<S: BlockStore> FailStore<S> {
     /// can run on a fault-injected file disk.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
+    }
+}
+
+impl FailStore<FileDisk> {
+    /// [`FileDisk::sync_handle`] whose syncs count as this store's
+    /// flushes: [`FailPlan::arm_nth_flush`] and a seeded kill point reach
+    /// them, and a tripped plan fails them.
+    pub fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+        Ok(self.inner.sync_handle()?.with_plan(self.plan.clone()))
     }
 }
 

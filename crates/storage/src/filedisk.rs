@@ -11,6 +11,7 @@ use std::path::Path;
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
+use crate::failstore::FailPlan;
 
 const MAGIC: &[u8; 8] = b"SKSBTRE1";
 const HEADER_LEN: u64 = 8192;
@@ -70,6 +71,35 @@ pub(crate) fn crc32_fold(mut c: u32, data: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
+}
+
+/// An fsync-only handle to a [`FileDisk`]'s file (see
+/// [`FileDisk::sync_handle`]). One taken from a
+/// [`crate::FailStore`]`<FileDisk>` counts each sync against that store's
+/// [`FailPlan`], so a killed flush reaches this path too.
+#[derive(Debug)]
+pub struct SyncHandle {
+    file: File,
+    plan: Option<FailPlan>,
+}
+
+impl SyncHandle {
+    /// Forces every byte written to the file so far to stable storage.
+    pub fn sync(&self) -> Result<(), StorageError> {
+        if let Some(plan) = &self.plan {
+            plan.on_flush()?;
+        }
+        self.file.sync_all()?;
+        Ok(())
+    }
+
+    /// This handle with its syncs counted against `plan`.
+    pub(crate) fn with_plan(self, plan: FailPlan) -> Self {
+        SyncHandle {
+            plan: Some(plan),
+            ..self
+        }
+    }
 }
 
 /// File-backed block device.
@@ -273,6 +303,17 @@ impl FileDisk {
         self.file.sync_all()?;
         self.counters.obs().stage(sks_obs::Stage::StoreFsync, t);
         Ok(())
+    }
+
+    /// A second handle to this device's file that can only fsync it, for
+    /// a caller that makes what it wrote durable without holding the lock
+    /// its writes go through (a log's group commit). A sync through it
+    /// covers every write this device made before the sync began.
+    pub fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+        Ok(SyncHandle {
+            file: self.file.try_clone()?,
+            plan: None,
+        })
     }
 
     /// Walks the persisted free chain into pop order: `result.last()` is

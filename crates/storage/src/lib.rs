@@ -42,7 +42,7 @@ pub use block::{BlockId, BlockStore, DynBlockStore, StorageError};
 pub use bufferpool::BufferPool;
 pub use counters::{OpCounters, OpCountersInner, OpSnapshot};
 pub use failstore::{FailMode, FailPlan, FailStore, KillPoint};
-pub use filedisk::{crc32, sync_dir, FileDisk};
+pub use filedisk::{crc32, sync_dir, FileDisk, SyncHandle};
 pub use lru::LruMap;
 pub use memdisk::MemDisk;
 pub use paged::PagedFileStore;

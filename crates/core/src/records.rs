@@ -11,9 +11,13 @@
 //! owning tree key inside it: a slot holds `E(key ‖ value)` under one CTR
 //! pass, so the key costs 8 bytes of sealed payload and no visible field.
 //! The key occupies exactly the first cipher block, so a reader deciphers
-//! the value alone (a `get`) or the key alone (the orphan sweep) without
-//! touching the other. Nothing else maps a slot to its key: compaction
-//! reads each owner from the record it is already unsealing to move it.
+//! the key alone (the orphan sweep, a read's owner check) or the value
+//! alone without touching the other. A read on a tree key's behalf
+//! ([`RecordStore::get_keyed`], [`RecordStore::peek_keyed`]) refuses a
+//! record sealed under another key, so a data pointer aimed at the wrong
+//! slot fails closed instead of serving that slot. Nothing else maps a
+//! slot to its key: compaction reads each owner from the record it is
+//! already unsealing to move it.
 //!
 //! Records are sealed and unsealed against the page the store lends
 //! ([`BlockStore::read_with`], [`BlockStore::update_with`]) — on the file
@@ -40,14 +44,16 @@
 //!   `get`s of hot records pay zero physical unseals while the *logical*
 //!   `data_decrypts` counter keeps reporting the paper's per-get cost.
 //!   It is the workspace's one [`LruMap`] behind a mutex, keyed by record
-//!   pointer and holding only the value: a hit is an O(1)
-//!   look-up-and-touch, a store over its bound drops its least recently
-//!   used record. Point gets and logical inserts add records; range scans
-//!   ([`RecordStore::get_scanned`]) and compaction moves do not, so a scan
-//!   cannot evict the point-get hot set. Entries are RAM-only,
-//!   invalidated on delete/compaction, and zeroized when the last
-//!   reference drops. Each store (engine partition) has its own, so the
-//!   plaintext-record RAM of a process is `record_cache × partitions`.
+//!   pointer and holding the value and its owning key, which a keyed hit
+//!   checks as a physical read does: a hit is an O(1) look-up-and-touch,
+//!   a store over its bound drops its least recently used record. Point
+//!   gets and logical inserts add records; range scans, the priors an
+//!   overwrite or delete returns ([`RecordStore::peek_keyed`]) and
+//!   compaction moves do not, so none of them evicts the point-get hot
+//!   set. Entries are RAM-only, invalidated on delete/compaction, and
+//!   zeroized when the last reference drops. Each store (engine
+//!   partition) has its own, so the plaintext-record RAM of a process is
+//!   `record_cache × partitions`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -83,17 +89,20 @@ const SUPER_MAGIC: &[u8; 8] = b"SKSRECS1";
 const SUPER_VERSION: u32 = 3;
 const SUPER_LEN: usize = 8 + 4 + 8;
 
-/// A decoded record value held by the [`RecordCache`]. The plaintext is
-/// wiped when the last reference drops (eviction, invalidation, cache
-/// drop), so heap re-use cannot scrape record bytes out of dead memory.
+/// A decoded record held by the [`RecordCache`]: its value and the tree
+/// key that owns it. The plaintext is wiped when the last reference drops
+/// (eviction, invalidation, cache drop), so heap re-use cannot scrape
+/// record bytes out of dead memory.
 #[derive(Debug)]
 struct CachedRecord {
+    owner: u64,
     bytes: Vec<u8>,
 }
 
 impl Drop for CachedRecord {
     fn drop(&mut self) {
         wipe::bytes(&mut self.bytes);
+        wipe::words(std::slice::from_mut(&mut self.owner));
     }
 }
 
@@ -116,9 +125,9 @@ impl RecordCache {
         self.lock().get(&ptr.0).map(Arc::clone)
     }
 
-    fn insert(&self, ptr: RecordPtr, bytes: Vec<u8>) {
+    fn insert(&self, ptr: RecordPtr, owner: u64, bytes: Vec<u8>) {
         let mut lru = self.lock();
-        lru.insert(ptr.0, Arc::new(CachedRecord { bytes }));
+        lru.insert(ptr.0, Arc::new(CachedRecord { owner, bytes }));
         while lru.evict().is_some() {}
     }
 
@@ -453,7 +462,7 @@ impl<S: BlockStore> RecordStore<S> {
                 // gets. Compaction moves skip this — flooding the bounded
                 // cache with relocated records would evict the genuinely
                 // hot set.
-                cache.insert(ptr, value.to_vec());
+                cache.insert(ptr, key, value.to_vec());
             }
         }
         self.store
@@ -521,28 +530,55 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(page)
     }
 
-    /// Fetches and deciphers a record's value. `None` for tombstoned
-    /// slots. A record unsealed here joins the record cache.
+    /// Fetches and deciphers a record's value, whatever key owns it.
+    /// `None` for tombstoned slots. A record unsealed here joins the
+    /// record cache. The tree reads through [`RecordStore::get_keyed`];
+    /// this owner-blind read serves the stores that keep no tree key per
+    /// record (the §4.3 filter, the §5 multilevel store).
     ///
     /// The logical `data_decrypts` counter is bumped per live get — the
     /// paper's per-scheme cost — whether the plaintext comes from the
     /// physical CTR unseal or from the decoded-record cache (which only
     /// skips the *physical* work, tracked by `record_cache_hits`).
     pub fn get(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
-        self.fetch(ptr, true)
+        self.fetch(ptr, None, true)
     }
 
-    /// [`RecordStore::get`] as a range scan reads: a record the cache
-    /// holds is served from it, but one unsealed here is not added. A scan
-    /// touches each record once, so admitting them would only evict the
-    /// point-get hot set. Counted exactly as `get` is.
-    pub fn get_scanned(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
-        self.fetch(ptr, false)
+    /// [`RecordStore::get`] on behalf of tree key `key`: a record sealed
+    /// under any other key is refused with [`CoreError::Record`], whether
+    /// it comes from the page or the cache. Counted exactly as `get` is.
+    pub fn get_keyed(&self, ptr: RecordPtr, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
+        self.fetch(ptr, Some(key), true)
     }
 
-    fn fetch(&self, ptr: RecordPtr, admit: bool) -> Result<Option<Vec<u8>>, CoreError> {
+    /// [`RecordStore::get_keyed`] that looks the cache up but never adds
+    /// to it: a range scan touches each record once, and a prior is
+    /// deleted right after it is read, so admitting either would only
+    /// evict the point-get hot set. Counted exactly as `get` is.
+    pub fn peek_keyed(&self, ptr: RecordPtr, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
+        self.fetch(ptr, Some(key), false)
+    }
+
+    /// Refuses a record sealed under a key other than the `owner` asked
+    /// for. The error names no key: keys are plaintext.
+    fn check_owner(owner: Option<u64>, sealed_under: u64) -> Result<(), CoreError> {
+        match owner {
+            Some(key) if key != sealed_under => Err(CoreError::Record(
+                "the data pointer leads to another key's record".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn fetch(
+        &self,
+        ptr: RecordPtr,
+        owner: Option<u64>,
+        admit: bool,
+    ) -> Result<Option<Vec<u8>>, CoreError> {
         if let Some(cache) = &self.cache {
             if let Some(entry) = cache.get(ptr) {
+                Self::check_owner(owner, entry.owner)?;
                 self.store.counters().bump(|c| &c.record_cache_hits);
                 self.store.counters().bump(|c| &c.data_decrypts);
                 return Ok(Some(entry.bytes.clone()));
@@ -550,25 +586,37 @@ impl<S: BlockStore> RecordStore<S> {
         }
         let t = self.store.counters().obs().start();
         // Only the sealed value leaves the page the store lends, straight
-        // into the buffer returned; the CTR pass runs on that buffer once
-        // the store (and its lock) is let go.
+        // into the buffer returned (the key block into an array); the CTR
+        // passes run once the store (and its lock) is let go.
         let mut copied = None;
         self.store.read_with(ptr.block(), &mut |page| {
             copied = Some(Self::check_slot(page, ptr.slot()).and_then(|generation| {
-                Ok(Self::sealed_slot(page, ptr.slot())?
-                    .map(|sealed| (generation, sealed[KEY_LEN..].to_vec())))
+                Ok(Self::sealed_slot(page, ptr.slot())?.map(|sealed| {
+                    let (key, value) = sealed.split_at(KEY_LEN);
+                    let key: [u8; KEY_LEN] = key.try_into().expect("one cipher block");
+                    (generation, key, value.to_vec())
+                }))
             }));
         })?;
-        let Some((generation, mut value)) = copied.expect("read_with lends the page")? else {
+        let Some((generation, key, mut value)) = copied.expect("read_with lends the page")? else {
             return Ok(None);
         };
+        // The key block first, on its own: a record under another key is
+        // refused before its value is deciphered. The two passes run the
+        // cipher blocks one pass over key ‖ value would, and leave no key
+        // bytes to move out of the value's buffer.
+        let sealed_under = self.open_key(generation, ptr.slot(), &key);
+        Self::check_owner(owner, sealed_under)?;
+        ctr_xor_in_place(
+            &self.cipher,
+            Self::value_nonce(generation, ptr.slot()),
+            &mut value,
+        );
         self.store.counters().bump(|c| &c.data_decrypts);
-        let nonce = Self::value_nonce(generation, ptr.slot());
-        ctr_xor_in_place(&self.cipher, nonce, &mut value);
         if let Some(cache) = &self.cache {
             self.store.counters().bump(|c| &c.record_cache_misses);
             if admit {
-                cache.insert(ptr, value.clone());
+                cache.insert(ptr, sealed_under, value.clone());
             }
         }
         self.store
@@ -847,6 +895,34 @@ mod tests {
         assert_eq!(s.data_decrypts, 10, "logical cost reported per get");
         assert_eq!(s.record_cache_hits, 10, "insert pre-warmed the cache");
         assert_eq!(s.block_reads, 0, "no physical page reads on hits");
+    }
+
+    /// A keyed read serves only the key the record was sealed under, from
+    /// the page and from the cache alike, and names no key when it
+    /// refuses. The owner-blind `get` still serves either record.
+    #[test]
+    fn keyed_reads_refuse_another_keys_record() {
+        for mut rs in [store(), cached_store()] {
+            let (a, b) = (0x0A0A_1111u64, 0x0B0B_2222u64);
+            let pa = rs.insert_keyed(a, b"belongs to a").unwrap();
+            let pb = rs.insert_keyed(b, b"belongs to b").unwrap();
+            for _ in 0..2 {
+                assert_eq!(rs.get_keyed(pa, a).unwrap().unwrap(), b"belongs to a");
+                assert_eq!(rs.peek_keyed(pb, b).unwrap().unwrap(), b"belongs to b");
+                for (ptr, wrong) in [(pa, b), (pb, a)] {
+                    for got in [rs.get_keyed(ptr, wrong), rs.peek_keyed(ptr, wrong)] {
+                        let Err(CoreError::Record(msg)) = got else {
+                            panic!("served another key's record: {got:?}");
+                        };
+                        for key in [a, b] {
+                            assert!(!msg.contains(&key.to_string()), "{msg}");
+                            assert!(!msg.contains(&format!("{key:x}")), "{msg}");
+                        }
+                    }
+                }
+                assert_eq!(rs.get(pb).unwrap().unwrap(), b"belongs to b");
+            }
+        }
     }
 
     #[test]

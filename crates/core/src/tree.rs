@@ -474,7 +474,7 @@ impl EncipheredBTree {
         let ptr = self.records.insert_keyed(key, &record)?;
         match self.tree.insert(key, ptr) {
             Ok(Some(old_ptr)) => {
-                let old = self.records.get(old_ptr)?;
+                let old = self.records.peek_keyed(old_ptr, key)?;
                 self.records.delete(old_ptr)?;
                 Ok(old)
             }
@@ -490,7 +490,7 @@ impl EncipheredBTree {
     /// Fetches the record stored under `key`.
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
         match self.tree.get(key)? {
-            Some(ptr) => self.records.get(ptr),
+            Some(ptr) => self.records.get_keyed(ptr, key),
             None => Ok(None),
         }
     }
@@ -505,7 +505,7 @@ impl EncipheredBTree {
     pub fn delete(&mut self, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
         match self.tree.delete(key)? {
             Some(ptr) => {
-                let old = self.records.get(ptr)?;
+                let old = self.records.peek_keyed(ptr, key)?;
                 self.records.delete(ptr)?;
                 Ok(old)
             }
@@ -519,7 +519,7 @@ impl EncipheredBTree {
     /// Node visits are served from the plaintext node cache and record
     /// unseals from the record cache when enabled; the logical counters
     /// report the paper's per-scheme cost either way. A scan never adds a
-    /// record to the record cache ([`RecordStore::get_scanned`]): it
+    /// record to the record cache ([`RecordStore::peek_keyed`]): it
     /// touches each record once, and the cache keeps the point-get set.
     pub fn iter_range(
         &self,
@@ -529,8 +529,8 @@ impl EncipheredBTree {
         self.tree.iter_range(lo, hi).map(move |item| {
             let (k, ptr) = item?;
             self.records
-                .get_scanned(ptr)?
-                .ok_or_else(|| CoreError::Record(format!("dangling data pointer for key {k}")))
+                .peek_keyed(ptr, k)?
+                .ok_or_else(|| CoreError::Record("dangling data pointer in a range scan".into()))
                 .map(|record| (k, record))
         })
     }
@@ -1229,6 +1229,99 @@ mod tests {
         let warm = got.snapshot();
         assert_eq!((warm.record_cache_hits, warm.data_decrypts), (n, n));
         assert_eq!(got.cached_records(), n as usize);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Overwriting or deleting a key reads its prior without admitting it
+    /// to the record cache, so the prior (about to be deleted) evicts
+    /// none of the hot set.
+    #[test]
+    fn priors_never_evict_hot_records() {
+        let cap = 32u64;
+        let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 500);
+        cfg.record_cache = cap as usize;
+        let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+        // Keys 100.. are written first; the hot set's inserts push them
+        // out of the cache.
+        for k in (100..110u64).chain(0..cap - 1) {
+            tree.insert(k, vec![k as u8; 24]).unwrap();
+        }
+        for (i, prior) in [100u64, 101].into_iter().enumerate() {
+            // The hot set plus the fresh record of the overwrite fill the
+            // cache exactly, so an admitted prior would evict one.
+            for k in 0..cap - 1 {
+                tree.get(k).unwrap();
+            }
+            if i == 0 {
+                tree.insert(prior, vec![0xEE; 24]).unwrap();
+            } else {
+                // A delete's prior: the deleted record leaves the cache.
+                tree.delete(prior).unwrap();
+            }
+            tree.counters().reset();
+            for k in 0..cap - 1 {
+                assert_eq!(tree.get(k).unwrap().unwrap(), vec![k as u8; 24]);
+            }
+            let s = tree.snapshot();
+            assert_eq!(
+                (s.record_cache_hits, s.record_cache_misses),
+                (cap - 1, 0),
+                "every hot record is still resident (prior {prior})"
+            );
+        }
+    }
+
+    /// A data pointer aimed at another key's slot fails closed: swapping
+    /// two slot-directory entries of a checkpointed `data.sks` page makes
+    /// each key's pointer lead to the other's sealed record, and every
+    /// read through the tree refuses it instead of serving what the slot
+    /// deciphers to under the wrong nonce.
+    #[test]
+    fn a_pointer_to_another_keys_slot_is_refused() {
+        let dir = tmpdir("owner_check");
+        let (a, b) = (171u64, 172u64);
+        let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 100).on_disk(&dir);
+        cfg.block_size = 512;
+        {
+            let mut tree = EncipheredBTree::create(cfg.clone()).unwrap();
+            tree.insert(a, b"record of a".to_vec()).unwrap();
+            tree.insert(b, b"record of b".to_vec()).unwrap();
+            assert_eq!(
+                tree.get_pointer(a).unwrap().unwrap().block(),
+                tree.get_pointer(b).unwrap().unwrap().block()
+            );
+            tree.flush().unwrap();
+        }
+        // Data block 1 (after the 8 KiB file header and the superblock)
+        // holds both; its slot directory starts after the 12-byte page
+        // header, 4 bytes per slot.
+        let path = dir.join(DATA_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let dir_at = 8192 + cfg.block_size + 12;
+        let (first, second) = bytes[dir_at..dir_at + 8].split_at_mut(4);
+        first.swap_with_slice(second);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut tree = EncipheredBTree::open(cfg).unwrap();
+        let refused = |got: Result<Option<Vec<u8>>, CoreError>| match got {
+            Err(CoreError::Record(msg)) => {
+                for key in [a, b] {
+                    assert!(!msg.contains(&key.to_string()), "{msg}");
+                }
+            }
+            other => panic!("served another key's record: {other:?}"),
+        };
+        for key in [a, b] {
+            refused(tree.get(key));
+            refused(
+                tree.iter_range(key, key)
+                    .next()
+                    .unwrap()
+                    .map(|(_, v)| Some(v)),
+            );
+        }
+        refused(tree.insert(a, b"new".to_vec()));
+        refused(tree.delete(b));
         std::fs::remove_dir_all(&dir).ok();
     }
 

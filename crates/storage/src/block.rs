@@ -80,16 +80,15 @@ pub trait BlockStore {
     /// blocks still on the free list).
     fn num_blocks(&self) -> u32;
 
-    /// Allocates a zeroed block, reusing freed blocks when available.
+    /// Allocates a zeroed block: the most recently freed one when any is
+    /// free, else a new one at the end of the device.
     fn allocate(&mut self) -> Result<BlockId, StorageError>;
 
     /// Allocates the *lowest-numbered* free block (growing the device only
     /// when the free list is empty). Space-governance layers use this so
     /// refills pack toward the front of the device and the tail becomes
-    /// reclaimable; the default falls back to plain [`Self::allocate`].
-    fn allocate_min(&mut self) -> Result<BlockId, StorageError> {
-        self.allocate()
-    }
+    /// reclaimable.
+    fn allocate_min(&mut self) -> Result<BlockId, StorageError>;
 
     /// Returns a block to the free list.
     fn free(&mut self, id: BlockId) -> Result<(), StorageError>;
@@ -98,21 +97,13 @@ pub trait BlockStore {
     /// [`Self::allocate`] would hand it out). Node-device compaction uses
     /// this to slide a live node into a chosen low slot. Errors when `id`
     /// is not currently free.
-    fn claim_free(&mut self, id: BlockId) -> Result<(), StorageError> {
-        let _ = id;
-        Err(StorageError::Io(
-            "claim_free is not supported by this store".into(),
-        ))
-    }
+    fn claim_free(&mut self, id: BlockId) -> Result<(), StorageError>;
 
     /// Releases every freed block at the device's tail, lowering the
     /// high-water mark (`num_blocks` shrinks; file-backed devices cut the
     /// store file). Returns how many blocks were released. Interior free
-    /// blocks stay on the free list untouched. Default: no-op (stores
-    /// that cannot shrink report 0).
-    fn truncate_free_tail(&mut self) -> Result<u32, StorageError> {
-        Ok(0)
-    }
+    /// blocks stay on the free list untouched.
+    fn truncate_free_tail(&mut self) -> Result<u32, StorageError>;
 
     /// Reads a whole block into `buf` (`buf.len()` must equal
     /// [`Self::block_size`]).
@@ -171,32 +162,19 @@ pub trait BlockStore {
     /// Number of blocks currently on the free list (space reclaimed and
     /// awaiting reuse). Observability for compaction: `num_blocks() -
     /// free_blocks()` is the live footprint of the device.
-    fn free_blocks(&self) -> u32 {
-        0
-    }
+    fn free_blocks(&self) -> u32;
 
-    /// The ids currently on the free list (unspecified order). Free-list
-    /// membership is not a secret — the file backend's intrusive chain is
-    /// plainly visible on the stolen medium — so exposing it costs
-    /// nothing and lets tests compare the *live* images across backends.
-    fn free_block_ids(&self) -> Vec<u32> {
-        Vec::new()
-    }
+    /// The ids currently on the free list, in pop order: the last is the
+    /// next block [`Self::allocate`] hands out. Free-list membership is
+    /// not a secret — the file backend's intrusive chain is plainly
+    /// visible on the stolen medium — so exposing it costs nothing and
+    /// lets tests compare the *live* images across backends.
+    fn free_block_ids(&self) -> Vec<u32>;
 
     /// The opponent's view of the medium: every block's raw bytes in block
     /// order, freed blocks included. For buffered stores this is what is
-    /// physically *on the device*, not what the cache holds. The default
-    /// reads through the legal path and renders freed blocks as zeros;
-    /// concrete devices override with the true stolen-disk image.
-    fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        (0..self.num_blocks())
-            .map(|i| match self.read_block_vec(BlockId(i)) {
-                Ok(b) => Ok(b),
-                Err(StorageError::FreedBlock { .. }) => Ok(vec![0u8; self.block_size()]),
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
+    /// physically *on the device*, not what the cache holds.
+    fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError>;
 }
 
 /// A boxed store is a store — this is what lets the enciphered tree hold a

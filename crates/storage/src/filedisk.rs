@@ -4,6 +4,9 @@
 //! Layout: an 8-KiB header (magic, version, block size, block count, free
 //! list head) followed by the blocks. Freed blocks form an intrusive linked
 //! list: the first four bytes of a freed block store the next free block id.
+//! The chain is read once, at open, into the crate's one allocator
+//! (`freelist.rs`); from then on the device answers every allocation
+//! question from memory and writes the chain only where it changes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -12,6 +15,7 @@ use std::path::Path;
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
 use crate::failstore::FailPlan;
+use crate::freelist::FreeList;
 
 const MAGIC: &[u8; 8] = b"SKSBTRE1";
 const HEADER_LEN: u64 = 8192;
@@ -107,8 +111,9 @@ impl SyncHandle {
 pub struct FileDisk {
     file: File,
     block_size: usize,
-    num_blocks: u32,
-    free_head: u32,
+    /// The persisted allocation state, mirrored: the header's block count
+    /// and the intrusive chain in pop order.
+    alloc: FreeList,
     counters: OpCounters,
 }
 
@@ -135,8 +140,7 @@ impl FileDisk {
         let mut disk = FileDisk {
             file,
             block_size,
-            num_blocks: 0,
-            free_head: NO_FREE,
+            alloc: FreeList::default(),
             counters,
         };
         disk.write_header()?;
@@ -148,8 +152,22 @@ impl FileDisk {
         path: P,
         counters: OpCounters,
     ) -> Result<Self, StorageError> {
-        let mut disk = Self::open(path)?;
-        disk.counters = counters;
+        let (mut disk, mut cur) = Self::open_unchained(path.as_ref(), counters)?;
+        let num_blocks = disk.alloc.num_blocks();
+        // Walk the chain from its head (the next pop) to its end.
+        let mut chain = Vec::new();
+        while cur != NO_FREE {
+            if cur >= num_blocks || chain.len() as u32 >= num_blocks {
+                return Err(StorageError::Corrupt(format!(
+                    "free chain escapes the device at block {cur}"
+                )));
+            }
+            chain.push(cur);
+            let block = disk.read_raw(BlockId(cur))?;
+            cur = u32::from_be_bytes(block[0..4].try_into().expect("4-byte link"));
+        }
+        chain.reverse();
+        disk.alloc = FreeList::new(num_blocks, chain)?;
         Ok(disk)
     }
 
@@ -158,8 +176,20 @@ impl FileDisk {
         self.counters = counters;
     }
 
-    /// Opens an existing store file.
+    /// Opens an existing store file, loading its free chain. A chain that
+    /// leaves the device or loops is refused as corrupt.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {
+        Self::open_with_counters(path, OpCounters::new())
+    }
+
+    /// Opens a store file without reading its free chain, for a caller
+    /// about to impose the whole allocation state with
+    /// [`FileDisk::restore_allocation`]; until then no block reads as
+    /// free. Also returns the header's chain head.
+    pub(crate) fn open_unchained(
+        path: &Path,
+        counters: OpCounters,
+    ) -> Result<(Self, u32), StorageError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut header = [0u8; 28];
         file.seek(SeekFrom::Start(0))?;
@@ -172,15 +202,17 @@ impl FileDisk {
             return Err(StorageError::Corrupt(format!("unknown version {version}")));
         }
         let block_size = u64::from_be_bytes(header[12..20].try_into().unwrap()) as usize;
+        if block_size < 32 {
+            return Err(StorageError::Corrupt(format!("block size {block_size}")));
+        }
         let num_blocks = u32::from_be_bytes(header[20..24].try_into().unwrap());
-        let free_head = u32::from_be_bytes(header[24..28].try_into().unwrap());
-        Ok(FileDisk {
+        let disk = FileDisk {
             file,
             block_size,
-            num_blocks,
-            free_head,
-            counters: OpCounters::new(),
-        })
+            alloc: FreeList::new(num_blocks, Vec::new())?,
+            counters,
+        };
+        Ok((disk, u32::from_be_bytes(header[24..28].try_into().unwrap())))
     }
 
     fn write_header(&mut self) -> Result<(), StorageError> {
@@ -188,8 +220,9 @@ impl FileDisk {
         header[0..8].copy_from_slice(MAGIC);
         header[8..12].copy_from_slice(&1u32.to_be_bytes());
         header[12..20].copy_from_slice(&(self.block_size as u64).to_be_bytes());
-        header[20..24].copy_from_slice(&self.num_blocks.to_be_bytes());
-        header[24..28].copy_from_slice(&self.free_head.to_be_bytes());
+        header[20..24].copy_from_slice(&self.alloc.num_blocks().to_be_bytes());
+        let free_head = self.alloc.ids().last().copied().unwrap_or(NO_FREE);
+        header[24..28].copy_from_slice(&free_head.to_be_bytes());
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
         Ok(())
@@ -197,16 +230,6 @@ impl FileDisk {
 
     fn offset(&self, id: BlockId) -> u64 {
         HEADER_LEN + id.0 as u64 * self.block_size as u64
-    }
-
-    fn check(&self, id: BlockId) -> Result<(), StorageError> {
-        if id.0 >= self.num_blocks {
-            return Err(StorageError::OutOfRange {
-                id: id.0,
-                len: self.num_blocks,
-            });
-        }
-        Ok(())
     }
 
     fn read_raw(&self, id: BlockId) -> Result<Vec<u8>, StorageError> {
@@ -227,7 +250,7 @@ impl FileDisk {
         Ok(buf)
     }
 
-    fn write_raw(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
+    fn write_raw(&self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
@@ -235,17 +258,35 @@ impl FileDisk {
         }
         #[cfg(not(unix))]
         {
-            self.file.seek(SeekFrom::Start(self.offset(id)))?;
-            self.file.write_all(data)?;
+            let mut f = &self.file;
+            f.seek(SeekFrom::Start(self.offset(id)))?;
+            f.write_all(data)?;
         }
         Ok(())
     }
 
-    /// Raw image (for the attacker tooling), freed blocks included.
-    pub fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        (0..self.num_blocks)
-            .map(|i| self.read_raw(BlockId(i)))
-            .collect()
+    /// Writes a free block as the chain stores it: zeros after the link to
+    /// the `next` block down the stack.
+    fn write_link(&self, id: u32, next: u32) -> Result<(), StorageError> {
+        let mut block = vec![0u8; self.block_size];
+        block[0..4].copy_from_slice(&next.to_be_bytes());
+        self.write_raw(BlockId(id), &block)
+    }
+
+    /// Rewrites every link of the chain, and the header, from the
+    /// allocator: what a removal from the middle of the stack costs.
+    fn write_chain(&mut self) -> Result<(), StorageError> {
+        let mut next = NO_FREE;
+        for &id in self.alloc.ids() {
+            self.write_link(id, next)?;
+            next = id;
+        }
+        self.write_header()
+    }
+
+    /// Zeroes a block the allocator just handed out.
+    fn zero(&self, id: BlockId) -> Result<(), StorageError> {
+        self.write_raw(id, &vec![0u8; self.block_size])
     }
 
     /// Best-effort block read for crash recovery: returns however many of
@@ -254,7 +295,7 @@ impl FileDisk {
     /// cut short. A WAL replays through this so a truncated final block
     /// still yields its leading records.
     pub fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         self.counters.bump(|c| &c.block_reads);
         let t = self.counters.obs().start();
         let mut buf = vec![0u8; self.block_size];
@@ -316,65 +357,34 @@ impl FileDisk {
         })
     }
 
-    /// Walks the persisted free chain into pop order: `result.last()` is
-    /// the next block [`FileDisk::allocate`] would hand out. A layer that
-    /// shadows allocation in memory (the paged store) reads its free stack
-    /// from here on open.
-    pub fn free_list_chain(&self) -> Result<Vec<u32>, StorageError> {
-        let mut chain = Vec::new();
-        let mut cur = self.free_head;
-        while cur != NO_FREE {
-            if cur >= self.num_blocks || chain.len() as u32 >= self.num_blocks {
-                return Err(StorageError::Corrupt(format!(
-                    "free chain escapes the device at block {cur}"
-                )));
-            }
-            chain.push(cur);
-            let block = self.read_raw(BlockId(cur))?;
-            cur = u32::from_be_bytes(block[0..4].try_into().expect("4-byte link"));
-        }
-        chain.reverse();
-        Ok(chain)
+    /// The allocation state the device holds, for a layer that shadows
+    /// allocation in memory (the paged store) to start from.
+    pub(crate) fn free_list(&self) -> &FreeList {
+        &self.alloc
     }
 
     /// Imposes a complete allocation state: grows or *shrinks* the device
     /// to `num_blocks` (a shrink cuts the file at the new high-water mark)
     /// and rebuilds the intrusive free chain so that pops come off the
-    /// *end* of `free_stack`. Idempotent for fixed arguments — a
-    /// checkpoint journal can re-apply it after a crash mid-way through a
-    /// previous application. The header is left to the caller's
-    /// [`BlockStore::flush`].
+    /// *end* of `free_stack`. A stack naming a block past `num_blocks`, or
+    /// one twice, is refused as corrupt before anything is written.
+    /// Idempotent for fixed arguments — a checkpoint journal can re-apply
+    /// it after a crash mid-way through a previous application.
     pub fn restore_allocation(
         &mut self,
         num_blocks: u32,
         free_stack: &[u32],
     ) -> Result<(), StorageError> {
-        while self.num_blocks < num_blocks {
-            let id = BlockId(self.num_blocks);
-            self.write_raw(id, &vec![0u8; self.block_size])?;
-            self.num_blocks += 1;
-        }
-        if self.num_blocks > num_blocks {
-            self.file
-                .set_len(HEADER_LEN + num_blocks as u64 * self.block_size as u64)?;
-            self.num_blocks = num_blocks;
-        }
-        let mut next = NO_FREE;
-        for &id in free_stack {
-            if id >= num_blocks {
-                return Err(StorageError::OutOfRange {
-                    id,
-                    len: num_blocks,
-                });
-            }
-            let mut block = vec![0u8; self.block_size];
-            block[0..4].copy_from_slice(&next.to_be_bytes());
-            self.write_raw(BlockId(id), &block)?;
-            next = id;
-        }
-        self.free_head = next;
-        self.write_header()?;
-        Ok(())
+        self.alloc = FreeList::new(num_blocks, free_stack.to_vec())?;
+        self.fit_file()?;
+        self.write_chain()
+    }
+
+    /// Fits the file to the allocator's high-water mark: a cut, or a grow
+    /// that reads as zeros.
+    fn fit_file(&self) -> Result<(), StorageError> {
+        let len = HEADER_LEN + self.alloc.num_blocks() as u64 * self.block_size as u64;
+        Ok(self.file.set_len(len)?)
     }
 }
 
@@ -384,136 +394,49 @@ impl BlockStore for FileDisk {
     }
 
     fn num_blocks(&self) -> u32 {
-        self.num_blocks
+        self.alloc.num_blocks()
     }
 
+    /// Writes the block it hands out and the header, and no other block:
+    /// a pop only moves the chain's head.
     fn allocate(&mut self) -> Result<BlockId, StorageError> {
         self.counters.bump(|c| &c.allocs);
-        if self.free_head != NO_FREE {
-            let id = BlockId(self.free_head);
-            let block = self.read_raw(id)?;
-            self.free_head = u32::from_be_bytes(block[0..4].try_into().unwrap());
-            self.write_raw(id, &vec![0u8; self.block_size])?;
-            self.write_header()?;
-            return Ok(id);
-        }
-        let id = BlockId(self.num_blocks);
-        self.num_blocks += 1;
-        self.write_raw(id, &vec![0u8; self.block_size])?;
+        let id = self.alloc.allocate();
+        self.zero(id)?;
         self.write_header()?;
         Ok(id)
     }
 
     fn allocate_min(&mut self) -> Result<BlockId, StorageError> {
-        if self.free_head == NO_FREE {
-            return self.allocate();
-        }
-        // One walk: find the minimum id plus its predecessor and
-        // successor, then splice it out with a single link rewrite.
-        let mut prev: Option<u32> = None;
-        let mut cur = self.free_head;
-        let mut min = u32::MAX;
-        let mut min_prev: Option<u32> = None;
-        let mut min_next = NO_FREE;
-        let mut hops = 0u32;
-        while cur != NO_FREE {
-            hops += 1;
-            if cur >= self.num_blocks || hops > self.num_blocks {
-                return Err(StorageError::Corrupt(format!(
-                    "free chain escapes the device at block {cur}"
-                )));
-            }
-            let next = u32::from_be_bytes(
-                self.read_raw(BlockId(cur))?[0..4]
-                    .try_into()
-                    .expect("4-byte link"),
-            );
-            if cur < min {
-                min = cur;
-                min_prev = prev;
-                min_next = next;
-            }
-            prev = Some(cur);
-            cur = next;
-        }
         self.counters.bump(|c| &c.allocs);
-        match min_prev {
-            None => {
-                self.free_head = min_next;
-                self.write_header()?;
-            }
-            Some(p) => {
-                let mut block = self.read_raw(BlockId(p))?;
-                block[0..4].copy_from_slice(&min_next.to_be_bytes());
-                self.write_raw(BlockId(p), &block)?;
-            }
-        }
-        self.write_raw(BlockId(min), &vec![0u8; self.block_size])?;
-        Ok(BlockId(min))
+        let id = self.alloc.allocate_min();
+        self.zero(id)?;
+        self.write_chain()?;
+        Ok(id)
     }
 
+    /// Writes the freed block (its link to the old head) and the header.
     fn free(&mut self, id: BlockId) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.free(id)?;
         self.counters.bump(|c| &c.frees);
-        let mut block = vec![0u8; self.block_size];
-        block[0..4].copy_from_slice(&self.free_head.to_be_bytes());
-        self.write_raw(id, &block)?;
-        self.free_head = id.0;
-        self.write_header()?;
-        Ok(())
+        let ids = self.alloc.ids();
+        let next = ids.len().checked_sub(2).map_or(NO_FREE, |i| ids[i]);
+        self.write_link(id.0, next)?;
+        self.write_header()
     }
 
     fn claim_free(&mut self, id: BlockId) -> Result<(), StorageError> {
-        // Walk the intrusive chain and splice `id` out of it: one link
-        // rewrite (predecessor or header), not a whole-chain rebuild.
-        let mut prev: Option<u32> = None;
-        let mut cur = self.free_head;
-        let mut hops = 0u32;
-        while cur != NO_FREE {
-            hops += 1;
-            if cur >= self.num_blocks || hops > self.num_blocks {
-                return Err(StorageError::Corrupt(format!(
-                    "free chain escapes the device at block {cur}"
-                )));
-            }
-            let next = u32::from_be_bytes(
-                self.read_raw(BlockId(cur))?[0..4]
-                    .try_into()
-                    .expect("4-byte link"),
-            );
-            if cur == id.0 {
-                self.counters.bump(|c| &c.allocs);
-                match prev {
-                    None => {
-                        self.free_head = next;
-                        self.write_header()?;
-                    }
-                    Some(p) => {
-                        let mut block = self.read_raw(BlockId(p))?;
-                        block[0..4].copy_from_slice(&next.to_be_bytes());
-                        self.write_raw(BlockId(p), &block)?;
-                    }
-                }
-                self.write_raw(id, &vec![0u8; self.block_size])?;
-                return Ok(());
-            }
-            prev = Some(cur);
-            cur = next;
-        }
-        Err(StorageError::Io(format!("block {} is not free", id.0)))
+        self.alloc.claim(id)?;
+        self.counters.bump(|c| &c.allocs);
+        self.zero(id)?;
+        self.write_chain()
     }
 
     fn truncate_free_tail(&mut self) -> Result<u32, StorageError> {
-        let chain = self.free_list_chain()?;
-        let free: std::collections::HashSet<u32> = chain.iter().copied().collect();
-        let mut new_num = self.num_blocks;
-        while new_num > 0 && free.contains(&(new_num - 1)) {
-            new_num -= 1;
-        }
-        let released = self.num_blocks - new_num;
+        let released = self.alloc.truncate_tail();
         if released > 0 {
-            let kept: Vec<u32> = chain.into_iter().filter(|&f| f < new_num).collect();
-            self.restore_allocation(new_num, &kept)?;
+            self.fit_file()?;
+            self.write_chain()?;
         }
         self.counters
             .bump_by(|c| &c.device_truncated_blocks, released as u64);
@@ -521,7 +444,7 @@ impl BlockStore for FileDisk {
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         if buf.len() != self.block_size {
             return Err(StorageError::WrongBlockSize {
                 expected: self.block_size,
@@ -536,7 +459,7 @@ impl BlockStore for FileDisk {
     }
 
     fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         if data.len() != self.block_size {
             return Err(StorageError::WrongBlockSize {
                 expected: self.block_size,
@@ -563,18 +486,18 @@ impl BlockStore for FileDisk {
     }
 
     fn free_blocks(&self) -> u32 {
-        self.free_list_chain().map(|c| c.len() as u32).unwrap_or(0)
+        self.alloc.ids().len() as u32
     }
 
     fn free_block_ids(&self) -> Vec<u32> {
-        // The intrusive chain *is* the free list; layers that reason
-        // about free membership (reconciliation, node compaction) must
-        // see it, or they would mistake free blocks for live ones.
-        self.free_list_chain().unwrap_or_default()
+        self.alloc.ids().to_vec()
     }
 
+    /// Freed blocks included: the attacker tooling's view of the file.
     fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        FileDisk::raw_image(self)
+        (0..self.alloc.num_blocks())
+            .map(|i| self.read_raw(BlockId(i)))
+            .collect()
     }
 }
 
@@ -645,13 +568,13 @@ mod tests {
         disk.restore_allocation(5, &[3, 1, 4]).unwrap();
         disk.flush().unwrap();
         assert_eq!(disk.num_blocks(), 5);
-        assert_eq!(disk.free_list_chain().unwrap(), vec![3, 1, 4]);
+        assert_eq!(disk.free_block_ids(), vec![3, 1, 4]);
         // Idempotent: applying the same end state again changes nothing.
         disk.restore_allocation(5, &[3, 1, 4]).unwrap();
-        assert_eq!(disk.free_list_chain().unwrap(), vec![3, 1, 4]);
+        assert_eq!(disk.free_block_ids(), vec![3, 1, 4]);
         drop(disk);
         let mut disk = FileDisk::open(&path).unwrap();
-        assert_eq!(disk.free_list_chain().unwrap(), vec![3, 1, 4]);
+        assert_eq!(disk.free_block_ids(), vec![3, 1, 4]);
         // Pop order: 4 first (end of the stack).
         assert_eq!(disk.allocate().unwrap(), BlockId(4));
         assert_eq!(disk.allocate().unwrap(), BlockId(1));

@@ -10,6 +10,8 @@
 //! * [`memdisk`] — in-memory device; [`MemDisk::raw_image`] is the
 //!   opponent's view of the stolen medium.
 //! * [`filedisk`] — file-backed device with a persistent free list.
+//! * `freelist` — the one allocator every device above hands blocks out
+//!   through, so all backends allocate the same ids in the same order.
 //! * [`lru`] — [`LruMap`], the one bounded map (O(1) recency list with
 //!   pinning) behind every cache in the workspace.
 //! * [`bufferpool`] — no-steal LRU cache at the memory↔disk boundary:
@@ -31,6 +33,7 @@ pub mod bufferpool;
 pub mod counters;
 pub mod failstore;
 pub mod filedisk;
+mod freelist;
 pub mod lru;
 pub mod memdisk;
 pub mod paged;

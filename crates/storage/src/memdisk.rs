@@ -6,25 +6,21 @@
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
+use crate::freelist::FreeList;
 
 /// In-memory block device.
 #[derive(Debug, Clone)]
 pub struct MemDisk {
     block_size: usize,
     blocks: Vec<Vec<u8>>,
-    freed: Vec<u32>,
+    alloc: FreeList,
     counters: OpCounters,
 }
 
 impl MemDisk {
     pub fn new(block_size: usize) -> Self {
         assert!(block_size >= 32, "blocks below 32 bytes are not useful");
-        MemDisk {
-            block_size,
-            blocks: Vec::new(),
-            freed: Vec::new(),
-            counters: OpCounters::new(),
-        }
+        Self::with_counters(block_size, OpCounters::new())
     }
 
     /// Creates a disk sharing an existing counter set (so a tree store and a
@@ -33,23 +29,9 @@ impl MemDisk {
         MemDisk {
             block_size,
             blocks: Vec::new(),
-            freed: Vec::new(),
+            alloc: FreeList::default(),
             counters,
         }
-    }
-
-    fn check(&self, id: BlockId) -> Result<(), StorageError> {
-        let idx = id.0 as usize;
-        if idx >= self.blocks.len() {
-            return Err(StorageError::OutOfRange {
-                id: id.0,
-                len: self.blocks.len() as u32,
-            });
-        }
-        if self.freed.contains(&id.0) {
-            return Err(StorageError::FreedBlock { id: id.0 });
-        }
-        Ok(())
     }
 
     /// The raw disk image: every block's bytes in block-number order —
@@ -58,17 +40,16 @@ impl MemDisk {
     pub fn raw_image(&self) -> Vec<Vec<u8>> {
         self.blocks.clone()
     }
-}
 
-/// Index of the smallest id on a free stack (shared by the in-memory and
-/// paged stores so their `allocate_min` pick — and thus the post-pick
-/// stack layout after `swap_remove` — is identical across backends).
-pub(crate) fn lowest_free(freed: &[u32]) -> Option<usize> {
-    freed
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &id)| id)
-        .map(|(pos, _)| pos)
+    /// Zeroes the block the allocator just handed out, growing the device
+    /// when it is new.
+    fn zero(&mut self, id: BlockId) -> BlockId {
+        match self.blocks.get_mut(id.0 as usize) {
+            Some(block) => block.fill(0),
+            None => self.blocks.push(vec![0u8; self.block_size]),
+        }
+        id
+    }
 }
 
 impl BlockStore for MemDisk {
@@ -77,64 +58,44 @@ impl BlockStore for MemDisk {
     }
 
     fn num_blocks(&self) -> u32 {
-        self.blocks.len() as u32
+        self.alloc.num_blocks()
     }
 
     fn allocate(&mut self) -> Result<BlockId, StorageError> {
         self.counters.bump(|c| &c.allocs);
-        if let Some(id) = self.freed.pop() {
-            self.blocks[id as usize].fill(0);
-            return Ok(BlockId(id));
-        }
-        let id = self.blocks.len() as u32;
-        self.blocks.push(vec![0u8; self.block_size]);
-        Ok(BlockId(id))
+        let id = self.alloc.allocate();
+        Ok(self.zero(id))
     }
 
     fn allocate_min(&mut self) -> Result<BlockId, StorageError> {
-        let Some(pos) = lowest_free(&self.freed) else {
-            return self.allocate();
-        };
         self.counters.bump(|c| &c.allocs);
-        let id = self.freed.swap_remove(pos);
-        self.blocks[id as usize].fill(0);
-        Ok(BlockId(id))
+        let id = self.alloc.allocate_min();
+        Ok(self.zero(id))
     }
 
     fn free(&mut self, id: BlockId) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.free(id)?;
         self.counters.bump(|c| &c.frees);
-        self.freed.push(id.0);
         Ok(())
     }
 
     fn claim_free(&mut self, id: BlockId) -> Result<(), StorageError> {
-        let Some(pos) = self.freed.iter().position(|&f| f == id.0) else {
-            return Err(StorageError::Io(format!("block {} is not free", id.0)));
-        };
+        self.alloc.claim(id)?;
         self.counters.bump(|c| &c.allocs);
-        self.freed.swap_remove(pos);
-        self.blocks[id.0 as usize].fill(0);
+        self.zero(id);
         Ok(())
     }
 
     fn truncate_free_tail(&mut self) -> Result<u32, StorageError> {
-        let mut released = 0u32;
-        while let Some(last) = self.blocks.len().checked_sub(1) {
-            let Some(pos) = self.freed.iter().position(|&f| f as usize == last) else {
-                break;
-            };
-            self.freed.swap_remove(pos);
-            self.blocks.pop();
-            released += 1;
-        }
+        let released = self.alloc.truncate_tail();
+        self.blocks.truncate(self.alloc.num_blocks() as usize);
         self.counters
             .bump_by(|c| &c.device_truncated_blocks, released as u64);
         Ok(released)
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         if buf.len() != self.block_size {
             return Err(StorageError::WrongBlockSize {
                 expected: self.block_size,
@@ -147,7 +108,7 @@ impl BlockStore for MemDisk {
     }
 
     fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         if data.len() != self.block_size {
             return Err(StorageError::WrongBlockSize {
                 expected: self.block_size,
@@ -160,7 +121,7 @@ impl BlockStore for MemDisk {
     }
 
     fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         self.counters.bump(|c| &c.block_reads);
         f(&self.blocks[id.0 as usize]);
         Ok(())
@@ -171,7 +132,7 @@ impl BlockStore for MemDisk {
         id: BlockId,
         f: &mut dyn FnMut(&mut [u8]),
     ) -> Result<(), StorageError> {
-        self.check(id)?;
+        self.alloc.check(id)?;
         self.counters.bump(|c| &c.block_reads);
         self.counters.bump(|c| &c.block_writes);
         f(&mut self.blocks[id.0 as usize]);
@@ -183,11 +144,11 @@ impl BlockStore for MemDisk {
     }
 
     fn free_blocks(&self) -> u32 {
-        self.freed.len() as u32
+        self.alloc.ids().len() as u32
     }
 
     fn free_block_ids(&self) -> Vec<u32> {
-        self.freed.clone()
+        self.alloc.ids().to_vec()
     }
 
     fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {

@@ -9,8 +9,10 @@
 //! 1. **No-steal caching** — dirty pages are pinned in memory (the
 //!    [`BufferPool`]'s one policy); eviction drops clean frames only.
 //! 2. **Shadowed allocation** — `allocate`/`free` mutate an in-memory
-//!    mirror of the device's free list; the [`FileDisk`] header and
-//!    intrusive free chain are rewritten only at checkpoint.
+//!    copy of the device's allocation state (`freelist.rs`, the one
+//!    policy [`FileDisk`] and [`crate::MemDisk`] run too); the
+//!    [`FileDisk`] header and intrusive free chain are rewritten only at
+//!    checkpoint.
 //! 3. **Journaled checkpoints** — [`BlockStore::flush`] first writes every
 //!    dirty page plus the allocation end-state to a sidecar journal
 //!    (fsynced), then applies them in place, then truncates the journal in
@@ -29,12 +31,13 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::bufferpool::BufferPool;
 use crate::counters::OpCounters;
 use crate::filedisk::{crc32, crc32_fold, sync_dir, FileDisk, CRC32_INIT};
+use crate::freelist::FreeList;
 
 const JOURNAL_MAGIC: &[u8; 8] = b"SKSJRNL1";
 const JOURNAL_VERSION: u32 = 1;
@@ -56,40 +59,24 @@ pub struct PagedFileStore {
 #[derive(Debug)]
 struct Inner {
     pool: BufferPool<FileDisk>,
-    /// Logical device length (>= the file's until the next checkpoint).
-    num_blocks: u32,
-    /// Free stack mirror: `pop()` yields the next allocation.
-    free: Vec<u32>,
-    /// Membership mirror of `free`, so the per-I/O freed-block check is
-    /// O(1) instead of a scan of the stack.
-    free_set: std::collections::HashSet<u32>,
-    /// Whether allocation state diverged from the file since checkpoint.
-    alloc_dirty: bool,
+    /// Allocation state, ahead of the file's until the next checkpoint.
+    alloc: FreeList,
 }
 
 impl Inner {
-    fn new(pool: BufferPool<FileDisk>, num_blocks: u32, free: Vec<u32>) -> Self {
-        let free_set = free.iter().copied().collect();
+    fn new(pool: BufferPool<FileDisk>) -> Self {
         Inner {
+            alloc: pool.store().free_list().clone(),
             pool,
-            num_blocks,
-            free,
-            free_set,
-            alloc_dirty: false,
         }
     }
 
-    fn check(&self, id: BlockId) -> Result<(), StorageError> {
-        if id.0 >= self.num_blocks {
-            return Err(StorageError::OutOfRange {
-                id: id.0,
-                len: self.num_blocks,
-            });
-        }
-        if self.free_set.contains(&id.0) {
-            return Err(StorageError::FreedBlock { id: id.0 });
-        }
-        Ok(())
+    /// Hands out `id` zeroed. A fresh (or recycled) block reads as zeros
+    /// *through the cache*; the file keeps whatever stale bytes it had
+    /// until checkpoint.
+    fn zero(&mut self, id: BlockId, block_size: usize) -> Result<BlockId, StorageError> {
+        self.pool.write(id, &vec![0u8; block_size])?;
+        Ok(id)
     }
 }
 
@@ -123,7 +110,7 @@ impl PagedFileStore {
         std::fs::remove_file(&journal_path).ok();
         let disk = FileDisk::create_with_counters(path, block_size, counters.clone())?;
         Ok(PagedFileStore {
-            inner: Mutex::new(Inner::new(BufferPool::new(disk, pool_pages), 0, Vec::new())),
+            inner: Mutex::new(Inner::new(BufferPool::new(disk, pool_pages))),
             block_size,
             counters,
             journal_path,
@@ -151,7 +138,9 @@ impl PagedFileStore {
             // entry stays, so a clean open pays no directory fsync (and
             // an already-empty journal costs nothing at all).
             if let Some(journal) = Journal::read(&journal_path)? {
-                let mut disk = FileDisk::open_with_counters(path, counters.clone())?;
+                // The journal's allocation state replaces the chain, which
+                // the interrupted checkpoint may have half rewritten.
+                let (mut disk, _) = FileDisk::open_unchained(path, counters.clone())?;
                 if journal.block_size != disk.block_size() {
                     return Err(StorageError::Corrupt(format!(
                         "journal block size {} != device block size {}",
@@ -170,15 +159,9 @@ impl PagedFileStore {
             }
         }
         let disk = FileDisk::open_with_counters(path, counters.clone())?;
-        let num_blocks = disk.num_blocks();
-        let free = disk.free_list_chain()?;
         let block_size = disk.block_size();
         Ok(PagedFileStore {
-            inner: Mutex::new(Inner::new(
-                BufferPool::new(disk, pool_pages),
-                num_blocks,
-                free,
-            )),
+            inner: Mutex::new(Inner::new(BufferPool::new(disk, pool_pages))),
             block_size,
             counters,
             journal_path,
@@ -188,11 +171,11 @@ impl PagedFileStore {
 
     /// Number of dirty (pinned) frames awaiting the next checkpoint.
     pub fn dirty_frames(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("paged store lock")
-            .pool
-            .dirty_count()
+        self.lock().pool.dirty_count()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("paged store lock")
     }
 }
 
@@ -202,91 +185,44 @@ impl BlockStore for PagedFileStore {
     }
 
     fn num_blocks(&self) -> u32 {
-        self.inner.lock().expect("paged store lock").num_blocks
+        self.lock().alloc.num_blocks()
     }
 
     fn allocate(&mut self) -> Result<BlockId, StorageError> {
         self.counters.bump(|c| &c.allocs);
         let inner = self.inner.get_mut().expect("paged store lock");
-        let id = match inner.free.pop() {
-            Some(id) => {
-                inner.free_set.remove(&id);
-                BlockId(id)
-            }
-            None => {
-                let id = BlockId(inner.num_blocks);
-                inner.num_blocks += 1;
-                id
-            }
-        };
-        // A fresh (or recycled) block reads as zeros *through the cache*;
-        // the file keeps whatever stale bytes it had until checkpoint.
-        inner.pool.write(id, &vec![0u8; self.block_size])?;
-        inner.alloc_dirty = true;
-        Ok(id)
+        let id = inner.alloc.allocate();
+        inner.zero(id, self.block_size)
     }
 
     fn allocate_min(&mut self) -> Result<BlockId, StorageError> {
-        let has_free = {
-            let inner = self.inner.get_mut().expect("paged store lock");
-            !inner.free.is_empty()
-        };
-        if !has_free {
-            return self.allocate();
-        }
         self.counters.bump(|c| &c.allocs);
         let inner = self.inner.get_mut().expect("paged store lock");
-        let pos = crate::memdisk::lowest_free(&inner.free).expect("free list non-empty");
-        let id = inner.free.swap_remove(pos);
-        inner.free_set.remove(&id);
-        inner.pool.write(BlockId(id), &vec![0u8; self.block_size])?;
-        inner.alloc_dirty = true;
-        Ok(BlockId(id))
+        let id = inner.alloc.allocate_min();
+        inner.zero(id, self.block_size)
     }
 
     fn free(&mut self, id: BlockId) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        inner.check(id)?;
+        inner.alloc.free(id)?;
         self.counters.bump(|c| &c.frees);
         inner.pool.discard(id);
-        inner.free.push(id.0);
-        inner.free_set.insert(id.0);
-        inner.alloc_dirty = true;
         Ok(())
     }
 
     fn claim_free(&mut self, id: BlockId) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        let Some(pos) = inner.free.iter().position(|&f| f == id.0) else {
-            return Err(StorageError::Io(format!("block {} is not free", id.0)));
-        };
+        inner.alloc.claim(id)?;
         self.counters.bump(|c| &c.allocs);
-        inner.free.swap_remove(pos);
-        inner.free_set.remove(&id.0);
-        inner.pool.write(id, &vec![0u8; self.block_size])?;
-        inner.alloc_dirty = true;
+        inner.zero(id, self.block_size)?;
         Ok(())
     }
 
+    /// A free block holds no frame (`free` discards it), so the cut
+    /// touches only the allocator.
     fn truncate_free_tail(&mut self) -> Result<u32, StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        let mut released = 0u32;
-        while inner.num_blocks > 0 && inner.free_set.contains(&(inner.num_blocks - 1)) {
-            let id = inner.num_blocks - 1;
-            let pos = inner
-                .free
-                .iter()
-                .position(|&f| f == id)
-                .expect("free_set mirrors free");
-            inner.free.swap_remove(pos);
-            inner.free_set.remove(&id);
-            inner.pool.discard(BlockId(id));
-            inner.num_blocks -= 1;
-            released += 1;
-        }
-        if released > 0 {
-            inner.alloc_dirty = true;
-        }
+        let released = inner.alloc.truncate_tail();
         self.counters
             .bump_by(|c| &c.device_truncated_blocks, released as u64);
         Ok(released)
@@ -299,8 +235,8 @@ impl BlockStore for PagedFileStore {
                 got: buf.len(),
             });
         }
-        let mut inner = self.inner.lock().expect("paged store lock");
-        inner.check(id)?;
+        let mut inner = self.lock();
+        inner.alloc.check(id)?;
         let data = inner.pool.read(id)?;
         buf.copy_from_slice(data);
         Ok(())
@@ -308,14 +244,14 @@ impl BlockStore for PagedFileStore {
 
     fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        inner.check(id)?;
+        inner.alloc.check(id)?;
         inner.pool.write(id, data)
     }
 
     /// Lends the pool frame itself, under the store's lock.
     fn read_with(&self, id: BlockId, f: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock().expect("paged store lock");
-        inner.check(id)?;
+        let mut inner = self.lock();
+        inner.alloc.check(id)?;
         f(inner.pool.read(id)?);
         Ok(())
     }
@@ -328,7 +264,7 @@ impl BlockStore for PagedFileStore {
         f: &mut dyn FnMut(&mut [u8]),
     ) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
-        inner.check(id)?;
+        inner.alloc.check(id)?;
         inner.pool.update(id, f)
     }
 
@@ -341,18 +277,21 @@ impl BlockStore for PagedFileStore {
     }
 
     fn free_blocks(&self) -> u32 {
-        self.inner.lock().expect("paged store lock").free.len() as u32
+        self.lock().alloc.ids().len() as u32
     }
 
     fn free_block_ids(&self) -> Vec<u32> {
-        self.inner.lock().expect("paged store lock").free.clone()
+        self.lock().alloc.ids().to_vec()
     }
 
     /// The checkpoint: journal → apply in place → clear the journal.
     fn flush(&mut self) -> Result<(), StorageError> {
         let inner = self.inner.get_mut().expect("paged store lock");
         let dirty = inner.pool.dirty_ids();
-        if dirty.is_empty() && !inner.alloc_dirty {
+        let on_file = inner.pool.store().free_list();
+        let alloc_dirty =
+            inner.alloc.num_blocks() != on_file.num_blocks() || inner.alloc.ids() != on_file.ids();
+        if dirty.is_empty() && !alloc_dirty {
             // Nothing changed since the last checkpoint; still push the
             // header + fsync so callers get the durability they asked for.
             return inner.pool.store_mut().flush();
@@ -368,18 +307,17 @@ impl BlockStore for PagedFileStore {
             &self.journal_path,
             &self.dir,
             self.block_size,
-            inner.num_blocks,
-            &inner.free,
+            inner.alloc.num_blocks(),
+            inner.alloc.ids(),
             pages,
         )?;
         inner
             .pool
             .store_mut()
-            .restore_allocation(inner.num_blocks, &inner.free)?;
+            .restore_allocation(inner.alloc.num_blocks(), inner.alloc.ids())?;
         inner.pool.write_through(&dirty)?;
         inner.pool.store_mut().flush()?;
         inner.pool.mark_all_clean();
-        inner.alloc_dirty = false;
         // Retire the journal by truncating it in place instead of
         // unlinking it. An empty file fails the magic/CRC parse and is
         // ignored on open; a *stale* journal (truncate lost to a crash)
@@ -397,12 +335,7 @@ impl BlockStore for PagedFileStore {
     /// What is physically on the medium — unflushed dirty frames live in
     /// RAM and are deliberately *not* part of the stolen-disk view.
     fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        self.inner
-            .lock()
-            .expect("paged store lock")
-            .pool
-            .store()
-            .raw_image()
+        self.lock().pool.store().raw_image()
     }
 }
 
@@ -695,6 +628,51 @@ mod tests {
         }
         let retired = std::fs::metadata(journal_path_for(&path)).unwrap();
         assert_eq!(retired.len(), 0, "applied journal retired by truncation");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(journal_path_for(&path)).ok();
+    }
+
+    /// A crash inside a checkpoint's chain rewrite can leave the file's
+    /// free chain looping. The intact journal's allocation state replaces
+    /// that chain unread, so the open recovers instead of refusing it.
+    #[test]
+    fn an_intact_journal_recovers_a_half_rewritten_chain() {
+        let path = tmpfile("half_chain");
+        {
+            let mut store = PagedFileStore::create(&path, 64, 4, OpCounters::new()).unwrap();
+            for _ in 0..4 {
+                store.allocate().unwrap();
+            }
+            store.free(BlockId(1)).unwrap();
+            store.free(BlockId(2)).unwrap();
+            store.flush().unwrap();
+        }
+        // The chain runs 2 → 1; aim block 1's link back at 2.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8192 + 64..8192 + 68].copy_from_slice(&2u32.to_be_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileDisk::open(&path),
+            Err(StorageError::Corrupt(_))
+        ));
+        Journal {
+            block_size: 64,
+            num_blocks: 4,
+            free: vec![1, 2],
+            pages: vec![],
+        }
+        .write(&journal_path_for(&path), &parent_dir(&path))
+        .unwrap();
+        let mut store = PagedFileStore::open(&path, 4, OpCounters::new()).unwrap();
+        assert_eq!(store.free_block_ids(), vec![1, 2]);
+        assert_eq!(store.allocate().unwrap(), BlockId(2));
+        drop(store);
+        let disk = FileDisk::open(&path).unwrap();
+        assert_eq!(
+            disk.free_block_ids(),
+            vec![1, 2],
+            "the chain is whole again"
+        );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(journal_path_for(&path)).ok();
     }

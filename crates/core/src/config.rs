@@ -83,15 +83,6 @@ impl Scheme {
     }
 }
 
-/// Which design parameterises the disguise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DesignChoice {
-    /// The paper's `(13,4,1)` worked-example design.
-    Paper13,
-    /// Singer `(q²+q+1, q+1, 1)` design for prime `q`.
-    Singer(u64),
-}
-
 /// Pointer-seal cipher selection (§5 leaves this open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SealerKind {
@@ -111,37 +102,33 @@ pub enum SealerKind {
 /// journaled checkpoints. Only enciphered bytes ever reach the file
 /// either way; the backend changes *where* the opponent's view lives,
 /// never *what* it contains. An engine ignores this choice: it always
-/// keeps its partitions on disk under its own directory, each with a
-/// pool of [`StorageBackend::DEFAULT_POOL_PAGES`] frames per store.
+/// keeps its partitions on disk under its own directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageBackend {
     /// Simulated in-RAM device (the paper's experimental setup).
     Memory,
     /// File-backed device under `dir` (`nodes.sks` + `data.sks` + a sealed
-    /// manifest), cached by a buffer pool of `pool_pages` frames per
-    /// store.
-    File {
-        dir: std::path::PathBuf,
-        pool_pages: usize,
-    },
+    /// manifest), each store cached by a buffer pool of
+    /// [`StorageBackend::DEFAULT_POOL_PAGES`] frames.
+    File { dir: std::path::PathBuf },
 }
 
 impl StorageBackend {
-    /// Default pool size, and the engine's for every partition: enough to
-    /// keep a hot tree's upper levels resident without hiding the I/O
-    /// cost of leaf traffic.
+    /// Buffer-pool frames of every file-backed store, an engine's
+    /// partitions included: enough to keep a hot tree's upper levels
+    /// resident without hiding the I/O cost of leaf traffic.
     pub const DEFAULT_POOL_PAGES: usize = 256;
 
-    /// Convenience constructor for the file backend with the default pool.
+    /// Convenience constructor for the file backend.
     pub fn file<P: Into<std::path::PathBuf>>(dir: P) -> Self {
-        StorageBackend::File {
-            dir: dir.into(),
-            pool_pages: Self::DEFAULT_POOL_PAGES,
-        }
+        StorageBackend::File { dir: dir.into() }
     }
 }
 
-/// Full configuration for an [`crate::EncipheredBTree`].
+/// Full configuration for an [`crate::EncipheredBTree`]: the choices a
+/// caller makes. §4's derived parameters — the design, the multiplier
+/// `t` and the sum scheme's starting line `w` — follow from `capacity`
+/// and from the constructor that built the configuration.
 #[derive(Debug, Clone)]
 pub struct SchemeConfig {
     pub scheme: Scheme,
@@ -152,16 +139,9 @@ pub struct SchemeConfig {
     pub tree_key: u64,
     /// Independent data-block key (§5).
     pub data_key: u128,
-    pub design: DesignChoice,
-    /// Oval / exponent multiplier `t`.
-    pub t: u64,
-    /// Sum-of-treatments starting line `w`.
-    pub w: u64,
     /// Maximum number of distinct keys the tree must support (`R`). Keys
     /// are `0..capacity` (or `1..=capacity` for exponentiation).
     pub capacity: u64,
-    /// Deterministic seed for table construction / RSA keygen.
-    pub rng_seed: u64,
     /// How many independent tree partitions an engine should shard this
     /// configuration across (each partition is a full `EncipheredBTree`
     /// covering the whole key domain; a router hashes disguised keys to
@@ -172,24 +152,6 @@ pub struct SchemeConfig {
     /// backend-aware [`crate::EncipheredBTree::create`]/`open` honour it,
     /// and the engine reads none of it.
     pub backend: StorageBackend,
-    /// Capacity (in nodes) of the node cache every node visit goes
-    /// through. A node is cached as stored and a probe deciphers only the
-    /// triplet it follows, once: a cold search pays what the scheme
-    /// promises, and repeated point reads of a cached node pay zero
-    /// *physical* decipherments, while the logical operation counters keep
-    /// reporting the paper's per-scheme cost at every size. A node write
-    /// replaces its node's entry with the image of the page it wrote, so
-    /// updating that node again deciphers nothing. Entries are RAM-only
-    /// and zeroized on eviction; the medium still holds only enciphered
-    /// bytes. The cache cannot be turned off: `0` asks for its floor, one
-    /// node per shard.
-    pub node_cache: usize,
-    /// Capacity (in records) of the decoded-record LRU above the data
-    /// blocks' CTR unseal: repeated `get`s of a hot record pay zero
-    /// *physical* unseals while the logical `data_decrypts` counter keeps
-    /// reporting the paper's per-get cost. Entries are RAM-only,
-    /// invalidated on delete/compaction, zeroized on drop. `0` disables.
-    pub record_cache: usize,
     /// Physical observability level (see [`sks_storage::ObsLevel`]):
     /// `Off` strips every probe to a `None` check, `Counters` (default)
     /// keeps counting plus rare flight-recorder events, `Histograms` adds
@@ -197,77 +159,63 @@ pub struct SchemeConfig {
     /// events. The *logical* paper counters are byte-identical at every
     /// level — only physical telemetry changes.
     pub observability: sks_storage::ObsLevel,
+    /// Built by [`SchemeConfig::demo`]: the paper's `(13,4,1)` design,
+    /// `t = 7` and `w = 0` at any capacity. Otherwise the smallest Singer
+    /// design with `v` comfortably above the key domain (§4's `v ≫ R`),
+    /// `t` picked from `v` and `w = 17 mod q²`.
+    paper_scale: bool,
 }
+
+/// Deterministic seed for table construction and RSA key generation.
+const RNG_SEED: u64 = 42;
 
 impl SchemeConfig {
     /// Paper-scale parameters: the `(13,4,1)` design, 13-key domain, 256-byte
     /// blocks. Matches every worked example in the paper.
     pub fn demo(scheme: Scheme) -> Self {
         SchemeConfig {
-            scheme,
             block_size: 256,
-            sealer: SealerKind::Des,
-            tree_key: 0x133457799BBCDFF1,
-            data_key: 0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF,
-            design: DesignChoice::Paper13,
-            t: 7,
-            w: 0,
             capacity: 11, // w + R < v - 1 for the sum scheme
-            rng_seed: 42,
-            partitions: 1,
-            backend: StorageBackend::Memory,
-            node_cache: Self::DEFAULT_NODE_CACHE,
-            record_cache: Self::DEFAULT_RECORD_CACHE,
-            observability: sks_storage::ObsLevel::Counters,
+            paper_scale: true,
+            ..Self::with_capacity(scheme, 0)
         }
     }
 
-    /// Parameters sized for `capacity` records: picks the smallest Singer
-    /// design with `v` comfortably above the key domain (§4's `v ≫ R`).
+    /// Parameters sized for `capacity` records: the design is the smallest
+    /// Singer design with `v` comfortably above the key domain.
     pub fn with_capacity(scheme: Scheme, capacity: u64) -> Self {
-        let mut q = 3u64;
-        // v = q² + q + 1 must exceed capacity + w + margin.
-        while q * q + q + 1 < capacity + 64 {
-            q = next_prime(q + 1);
-        }
         SchemeConfig {
             scheme,
             block_size: 4096,
             sealer: SealerKind::Des,
             tree_key: 0x133457799BBCDFF1,
             data_key: 0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF,
-            design: DesignChoice::Singer(q),
-            t: 0, // auto-pick at build time
-            w: 17 % (q * q),
             capacity,
-            rng_seed: 42,
             partitions: 1,
             backend: StorageBackend::Memory,
-            node_cache: Self::DEFAULT_NODE_CACHE,
-            record_cache: Self::DEFAULT_RECORD_CACHE,
             observability: sks_storage::ObsLevel::Counters,
+            paper_scale: false,
         }
     }
 
-    /// Default node-cache capacity: enough to keep the hot upper levels of
-    /// a large tree cached without unbounded memory.
+    /// Node-cache capacity (nodes) of every tree, an engine's partitions
+    /// included. Every node visit goes through the cache. A node is cached
+    /// as stored and a probe deciphers only the triplet it follows, once:
+    /// a cold search pays what the scheme promises, and repeated point
+    /// reads of a cached node pay zero *physical* decipherments, while the
+    /// logical operation counters keep reporting the paper's per-scheme
+    /// cost. A node write replaces its node's entry with the image of the
+    /// page it wrote, so updating that node again deciphers nothing.
+    /// Entries are RAM-only and zeroized on eviction; the medium still
+    /// holds only enciphered bytes.
     pub const DEFAULT_NODE_CACHE: usize = 1024;
 
-    /// Default decoded-record cache capacity (records).
+    /// Decoded-record cache capacity (records) of every tree, above the
+    /// data blocks' CTR unseal: repeated `get`s of a hot record pay zero
+    /// *physical* unseals while the logical `data_decrypts` counter keeps
+    /// reporting the paper's per-get cost. Entries are RAM-only,
+    /// invalidated on delete/compaction, zeroized on drop.
     pub const DEFAULT_RECORD_CACHE: usize = 1024;
-
-    /// Builder-style node-cache knob (capacity in nodes; 0 is the floor,
-    /// one node per shard).
-    pub fn node_cache(mut self, capacity: usize) -> Self {
-        self.node_cache = capacity;
-        self
-    }
-
-    /// Builder-style record-cache knob (capacity in records; 0 disables).
-    pub fn record_cache(mut self, capacity: usize) -> Self {
-        self.record_cache = capacity;
-        self
-    }
 
     /// Builder-style observability knob (see the `observability` field).
     pub fn observability(mut self, level: sks_storage::ObsLevel) -> Self {
@@ -276,9 +224,9 @@ impl SchemeConfig {
     }
 
     /// Builder-style partition knob for the engine: shard the key space
-    /// across `n` independent trees behind one router (see `sks-engine`).
+    /// across `n` independent trees behind one router (see `sks-engine`,
+    /// which refuses `0`).
     pub fn partitions(mut self, n: usize) -> Self {
-        assert!(n >= 1, "a tree needs at least one partition");
         self.partitions = n;
         self
     }
@@ -289,23 +237,34 @@ impl SchemeConfig {
         self
     }
 
-    /// Shorthand for [`SchemeConfig::backend`] with the file backend and
-    /// default pool size.
+    /// Shorthand for [`SchemeConfig::backend`] with the file backend.
     pub fn on_disk<P: Into<std::path::PathBuf>>(self, dir: P) -> Self {
         self.backend(StorageBackend::file(dir))
     }
 
+    /// The Singer design's order `q`: the smallest prime from 3 up whose
+    /// `v = q² + q + 1` clears the key domain by a margin.
+    fn singer_order(&self) -> u64 {
+        let mut q = 3u64;
+        while q * q + q + 1 < self.capacity + 64 {
+            q = next_prime(q + 1);
+        }
+        q
+    }
+
     /// Materialises the difference set.
     pub fn build_design(&self) -> Result<DifferenceSet, CoreError> {
-        Ok(match self.design {
-            DesignChoice::Paper13 => DifferenceSet::paper_13_4_1(),
-            DesignChoice::Singer(q) => DifferenceSet::singer(q)?,
+        Ok(if self.paper_scale {
+            DifferenceSet::paper_13_4_1()
+        } else {
+            DifferenceSet::singer(self.singer_order())?
         })
     }
 
+    /// Oval / exponent multiplier `t`.
     fn pick_multiplier(&self, v: u64) -> u64 {
-        if self.t != 0 {
-            return self.t;
+        if self.paper_scale {
+            return 7;
         }
         // Deterministic unit of Z_v away from ±1 so the scrambling is real.
         let mut t = v / 2 + 3;
@@ -322,7 +281,7 @@ impl SchemeConfig {
                 ((self.tree_key as u128) << 64) | !self.tree_key as u128,
             )),
             SealerKind::Rsa(bits) => {
-                let mut rng = StdRng::seed_from_u64(self.rng_seed);
+                let mut rng = StdRng::seed_from_u64(RNG_SEED);
                 let key = RsaKey::generate(&mut rng, bits);
                 Arc::new(RsaSealer::new(key)?)
             }
@@ -356,23 +315,28 @@ impl SchemeConfig {
             }
             Scheme::SumOfTreatments => {
                 let ds = self.build_design()?;
-                if self.w + self.capacity >= ds.v() - 1 {
+                // The starting line `w`.
+                let w = if self.paper_scale {
+                    0
+                } else {
+                    17 % self.singer_order().pow(2)
+                };
+                if w + self.capacity >= ds.v() - 1 {
                     return Err(CoreError::Config(format!(
-                        "sum scheme needs w + R < v - 1 (w={}, R={}, v={})",
-                        self.w,
+                        "sum scheme needs w + R < v - 1 (w={w}, R={}, v={})",
                         self.capacity,
                         ds.v()
                     )));
                 }
                 Arc::new(SumSubstitution::new(
                     ds,
-                    self.w,
+                    w,
                     self.capacity,
                     counters.clone(),
                 )?)
             }
             Scheme::ConversionTable => {
-                let mut rng = StdRng::seed_from_u64(self.rng_seed);
+                let mut rng = StdRng::seed_from_u64(RNG_SEED);
                 Arc::new(TableDisguise::random(
                     &mut rng,
                     self.capacity.max(2),

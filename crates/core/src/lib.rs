@@ -41,7 +41,7 @@ pub use codec::{
     AnyCodec, BayerMetzgerCodec, BlockCipherSealer, FullPageCodec, RsaSealer, SubstitutionCodec,
     TripletSealer,
 };
-pub use config::{DesignChoice, Scheme, SchemeConfig, SealerKind, StorageBackend};
+pub use config::{Scheme, SchemeConfig, SealerKind, StorageBackend};
 pub use disguise::{
     DisguiseError, ExpSubstitution, IdentityDisguise, KeyDisguise, OvalSubstitution,
     PaperExpSubstitution, SumSubstitution, TableDisguise,

@@ -53,7 +53,7 @@
 //!   set. Entries are RAM-only, invalidated on delete/compaction, and
 //!   zeroized when the last reference drops. Each store (engine
 //!   partition) has its own, so the plaintext-record RAM of a process is
-//!   `record_cache × partitions`.
+//!   `SchemeConfig::DEFAULT_RECORD_CACHE × partitions`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -188,8 +188,8 @@ fn build_stores(
                 Box::new(MemDisk::with_counters(config.block_size, counters.clone())),
             ))
         }
-        StorageBackend::File { dir, pool_pages } => {
-            let pool_pages = (*pool_pages).max(1);
+        StorageBackend::File { dir } => {
+            let pool_pages = StorageBackend::DEFAULT_POOL_PAGES;
             if create {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| CoreError::Config(format!("create {}: {e}", dir.display())))?;
@@ -224,10 +224,7 @@ impl EncipheredBTree {
     /// Builds the whole stack in memory from a [`SchemeConfig`] (the
     /// paper's simulated-device setup; ignores `config.backend`).
     pub fn create_in_memory(config: SchemeConfig) -> Result<Self, CoreError> {
-        Self::create(SchemeConfig {
-            backend: StorageBackend::Memory,
-            ..config
-        })
+        Self::create(config.backend(StorageBackend::Memory))
     }
 
     /// Builds a fresh stack on whatever backend `config.backend` names
@@ -269,11 +266,12 @@ impl EncipheredBTree {
         } else {
             BTree::open(node_store, codec)?
         };
-        tree.enable_node_cache(config.node_cache);
+        tree.enable_node_cache(SchemeConfig::DEFAULT_NODE_CACHE);
+        let cache = SchemeConfig::DEFAULT_RECORD_CACHE;
         let records = if create {
-            RecordStore::create(data_store, config.data_key, config.record_cache)?
+            RecordStore::create(data_store, config.data_key, cache)?
         } else {
-            RecordStore::open(data_store, config.data_key, config.record_cache)?
+            RecordStore::open(data_store, config.data_key, cache)?
         };
         Ok(EncipheredBTree {
             config,
@@ -377,7 +375,7 @@ impl EncipheredBTree {
     /// manifest, so a crash mid-create can never leave a manifest pointing
     /// at torn stores. Memory backend: nothing to do.
     fn seal_backend(&mut self) -> Result<(), CoreError> {
-        if let StorageBackend::File { dir, .. } = &self.config.backend {
+        if let StorageBackend::File { dir } = &self.config.backend {
             let dir = dir.clone();
             self.flush()?;
             write_manifest(&dir, &self.config)?;
@@ -1041,9 +1039,17 @@ mod tests {
         assert_eq!(s_sub.key_decrypts, 0, "substitution never decrypts keys");
     }
 
+    /// `tree` with its fresh record store reopened through its own layer
+    /// at a decoded-record cache of `capacity` records (0 disables it).
+    fn with_record_cache(mut tree: EncipheredBTree, capacity: usize) -> EncipheredBTree {
+        let store = tree.records.into_store();
+        tree.records = RecordStore::open(store, tree.config.data_key, capacity).unwrap();
+        tree
+    }
+
     /// The cache's load-bearing invariant: with a node cache large enough
     /// to hold the tree, every logical operation counter reads *exactly*
-    /// as it does at the floor (`node_cache(0)`: one node per shard), for
+    /// as it does at the floor (`enable_node_cache(0)`: one node per shard), for
     /// every scheme, across hits and misses.
     #[test]
     fn node_cache_preserves_logical_counters_exactly() {
@@ -1053,9 +1059,8 @@ mod tests {
             cfg.block_size = 512;
             let keys: Vec<u64> = (1..n).collect();
             let run = |node_cache: usize| {
-                let mut cfg = cfg.clone();
-                cfg.node_cache = node_cache;
-                let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+                let mut tree = EncipheredBTree::create_in_memory(cfg.clone()).unwrap();
+                tree.tree.enable_node_cache(node_cache);
                 for &k in &keys {
                     tree.insert(k, vec![k as u8]).unwrap();
                 }
@@ -1105,10 +1110,9 @@ mod tests {
             cfg.block_size = 512;
             let keys: Vec<u64> = (1..n).collect();
             let run = |node_cache: usize, record_cache: usize| {
-                let mut cfg = cfg.clone();
-                cfg.node_cache = node_cache;
-                cfg.record_cache = record_cache;
-                let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+                let mut tree = EncipheredBTree::create_in_memory(cfg.clone()).unwrap();
+                tree.tree.enable_node_cache(node_cache);
+                let mut tree = with_record_cache(tree, record_cache);
                 for &k in &keys {
                     tree.insert(k, vec![k as u8; 24]).unwrap();
                 }
@@ -1196,7 +1200,6 @@ mod tests {
         let n = 120u64;
         let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 500).on_disk(&dir);
         cfg.block_size = 512;
-        cfg.record_cache = 4 * n as usize;
         {
             let mut tree = EncipheredBTree::create(cfg.clone()).unwrap();
             for k in 0..n {
@@ -1238,9 +1241,9 @@ mod tests {
     #[test]
     fn priors_never_evict_hot_records() {
         let cap = 32u64;
-        let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 500);
-        cfg.record_cache = cap as usize;
-        let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+        let cfg = SchemeConfig::with_capacity(Scheme::Oval, 500);
+        let tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+        let mut tree = with_record_cache(tree, cap as usize);
         // Keys 100.. are written first; the hot set's inserts push them
         // out of the cache.
         for k in (100..110u64).chain(0..cap - 1) {

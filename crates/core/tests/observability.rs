@@ -6,7 +6,7 @@
 //! counters alike — to be byte-identical across levels.
 
 use sks_core::{EncipheredBTree, ObsLevel, Scheme, SchemeConfig};
-use sks_storage::Stage;
+use sks_storage::{BlockId, BlockStore, Stage};
 
 /// `node_unseal` samples recorded so far (0 below `Histograms`).
 fn node_unseal_samples(tree: &EncipheredBTree) -> u64 {
@@ -17,14 +17,11 @@ fn node_unseal_samples(tree: &EncipheredBTree) -> u64 {
 
 /// A workload touching every counted path: inserts (with replaces),
 /// gets (hits and misses), deletes, range scans, compaction sweeps and
-/// node-device passes, and a flush. Small pages make a tree of many more
-/// nodes than the node cache holds, so the gets keep missing: they cross
-/// the get path's timed sites — the miss fill and each physical lazy
-/// unseal — at every level that reads a clock.
+/// node-device passes, and a flush. The gets start on an emptied node
+/// cache, so they cross the get path's timed sites — the miss fill and
+/// each physical lazy unseal — at every level that reads a clock.
 fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
-    let mut cfg = SchemeConfig::with_capacity(scheme, 512)
-        .node_cache(8)
-        .observability(level);
+    let mut cfg = SchemeConfig::with_capacity(scheme, 512).observability(level);
     cfg.block_size = 256;
     let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
     // Exponentiation disguises exclude key 0; start at 1 everywhere so
@@ -34,6 +31,10 @@ fn run_workload(scheme: Scheme, level: ObsLevel) -> Vec<(&'static str, u64)> {
     }
     for k in (1..=120u64).step_by(3) {
         tree.insert(k, vec![0xC3; 64]).unwrap(); // replaces
+    }
+    let nodes = tree.tree();
+    for id in 0..nodes.store().num_blocks() {
+        nodes.node_cache().invalidate(BlockId(id));
     }
     let timed_before = node_unseal_samples(&tree);
     for k in 1..=160u64 {

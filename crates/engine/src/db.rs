@@ -187,9 +187,6 @@ pub struct SksDb {
     /// Range-scan latency (a range crosses every partition, so it gets
     /// one engine-wide histogram instead of a per-partition slot).
     range_hist: Histogram,
-    /// Explicit-transaction commit latency, recorded by [`Txn::commit`]
-    /// (a txn may span partitions, so engine-wide like `range_hist`).
-    pub(crate) txn_hist: Histogram,
     /// Commit epochs, live snapshots and the undo-version overlay backing
     /// snapshot reads and first-committer-wins validation.
     txns: TxnManager,
@@ -341,10 +338,9 @@ fn refuse_legacy_snapshots(db_dir: &Path) -> Result<(), EngineError> {
 /// reads nothing from `scheme.backend`, which only a standalone tree
 /// uses.
 fn partition_config(scheme: &SchemeConfig, db_dir: &Path, i: usize) -> SchemeConfig {
-    SchemeConfig {
-        backend: StorageBackend::file(partition_dir(db_dir, i)),
-        ..scheme.clone()
-    }
+    scheme
+        .clone()
+        .backend(StorageBackend::file(partition_dir(db_dir, i)))
 }
 
 impl SksDb {
@@ -470,7 +466,6 @@ impl SksDb {
         Ok(Arc::new(SksDb {
             op_hist: (0..n).map(|_| OpHist::new()).collect(),
             range_hist: Histogram::new(),
-            txn_hist: Histogram::new(),
             txns: TxnManager::new(),
             halted: AtomicBool::new(false),
             max_value_len: partitions[0].max_record_len(),
@@ -567,15 +562,17 @@ impl SksDb {
         if let Some((_, m)) = merged.iter_mut().find(|(n, _)| *n == "range") {
             m.merge(&self.range_hist.snapshot());
         }
+        // An explicit transaction's commit latency is its stage's samples.
+        let stages = self.counters.obs().stages_snapshot();
         if let Some((_, m)) = merged.iter_mut().find(|(n, _)| *n == "txn") {
-            m.merge(&self.txn_hist.snapshot());
+            m.merge(&stages[Stage::TxnCommit as usize].1);
         }
         StatsSnapshot {
             level: self.counters.obs().level(),
             counters: self.counters.snapshot(),
             ops: merged,
             partitions,
-            stages: self.counters.obs().stages_snapshot(),
+            stages,
             wal_len_bytes: self.wal_len_bytes(),
             last_compaction: self.last_compaction_report(),
         }

@@ -442,7 +442,6 @@ impl Txn {
         }
         if let Some(t) = timer {
             let ns = t.elapsed().as_nanos() as u64;
-            self.db.txn_hist.record(ns);
             counters.obs().stage_ns(Stage::TxnCommit, ns);
             counters
                 .obs()

@@ -233,3 +233,27 @@ fn insert_batch_amortises_commits() {
     assert!(kinds.contains(&EventKind::CheckpointBegin));
     assert!(kinds.contains(&EventKind::CheckpointEnd));
 }
+
+/// An explicit transaction's commit latency is recorded once, as the
+/// `TxnCommit` stage, and the stats surface's `txn` op reads that stage.
+#[test]
+fn txn_op_is_the_commit_stage() {
+    let dir = tmpdir("txn_op");
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1024)
+        .partitions(2)
+        .observability(ObsLevel::Histograms);
+    let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();
+    const K: u64 = 7;
+    for k in 0..K {
+        let mut txn = db.begin();
+        txn.insert(2 * k, vec![k as u8; 16]).unwrap();
+        txn.insert(2 * k + 1, vec![k as u8; 16]).unwrap();
+        txn.commit().unwrap();
+    }
+    let stats = db.stats();
+    let txn = stats.op("txn").expect("txn histogram");
+    assert_eq!(txn.count, K);
+    assert_eq!(Some(txn), stats.stage(Stage::TxnCommit));
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}

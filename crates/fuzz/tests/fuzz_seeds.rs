@@ -61,3 +61,13 @@ fn short_data_slot_fails_closed() {
         panic!("data-page seed 4: {e}");
     }
 }
+
+/// An engine-directory case that corrupts `data.sks` so that a range
+/// read reaches, for key 3, a value that was never key 3's: the record's
+/// owner check must refuse it rather than serve it.
+#[test]
+fn engine_dir_seed_1298_refuses_another_keys_record() {
+    if let Err(e) = decoders::run_decoder_case(1298) {
+        panic!("decoder seed 1298: {e}");
+    }
+}

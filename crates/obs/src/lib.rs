@@ -414,8 +414,6 @@ pub enum EventKind {
     OrphanSweep,
     /// Recovery began. `a` = WAL blocks on disk.
     RecoveryStart,
-    /// One WAL record replayed (FullTrace) — `a` = seq, `b` = bytes.
-    RecoveryReplay,
     /// Recovery finished. `a` = records replayed, `b` = torn-tail bytes
     /// discarded.
     RecoveryEnd,
@@ -449,7 +447,6 @@ impl EventKind {
             EventKind::Compaction => "compaction",
             EventKind::OrphanSweep => "orphan_sweep",
             EventKind::RecoveryStart => "recovery_start",
-            EventKind::RecoveryReplay => "recovery_replay",
             EventKind::RecoveryEnd => "recovery_end",
             EventKind::TornTailScrub => "torn_tail_scrub",
             EventKind::GroupCommit => "group_commit",
@@ -470,7 +467,6 @@ impl EventKind {
                 | EventKind::Delete
                 | EventKind::Range
                 | EventKind::Batch
-                | EventKind::RecoveryReplay
                 | EventKind::GroupCommit
                 | EventKind::TxnBegin
                 | EventKind::TxnCommit

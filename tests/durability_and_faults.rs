@@ -462,10 +462,7 @@ fn a_file_config_database_reopens_under_the_default_config() {
     std::fs::remove_dir_all(&dir).ok();
     let scheme = || SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2);
     {
-        let file = scheme().backend(StorageBackend::File {
-            dir: dir.clone(),
-            pool_pages: 16,
-        });
+        let file = scheme().backend(StorageBackend::file(&dir));
         let db = SksDb::open(&dir, EngineConfig::new(file)).unwrap();
         db.insert_batch((0..200u64).map(|k| (k, record(k))).collect())
             .unwrap();
@@ -481,6 +478,20 @@ fn a_file_config_database_reopens_under_the_default_config() {
     }
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Zero partitions is a configuration error from `SksDb::open`, which
+/// refuses it before it creates the directory.
+#[test]
+fn an_open_refuses_zero_partitions_before_touching_the_directory() {
+    let dir = tmpfile("zero_partitions");
+    std::fs::remove_dir_all(&dir).ok();
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(0);
+    let err = SksDb::open(&dir, EngineConfig::new(scheme))
+        .map(drop)
+        .expect_err("zero partitions must be refused");
+    assert!(matches!(err, EngineError::Config(_)), "got: {err}");
+    assert!(!dir.exists(), "the refusal created the directory");
 }
 
 /// Fail closed on a missing log: `engine.sks` is written only after the
@@ -611,12 +622,10 @@ fn acknowledged_commits_are_in_the_log_file_when_they_return() {
 fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
     let dir = tmpfile("fail_stop");
     std::fs::remove_dir_all(&dir).ok();
-    let config = || {
-        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000)
-            .partitions(2)
-            .record_cache(0);
-        EngineConfig::new(scheme)
-    };
+    // Each open starts with an empty record cache, so the commit after
+    // the reopen reads partition 1's rotten page.
+    let config =
+        || EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2));
     let (a, b) = {
         let db = SksDb::open(&dir, config()).unwrap();
         db.insert_batch((0..400u64).map(|k| (k, record(k))).collect())

@@ -157,9 +157,7 @@ fn section_3_cold_search_deciphers_fewer_triplets_under_substitution() {
     // (triplets physically deciphered, logical counter delta) of the same
     // cold point searches under `scheme`.
     let search = |scheme| {
-        let cfg = SchemeConfig::with_capacity(scheme, n + 2)
-            .node_cache(4096)
-            .observability(ObsLevel::Histograms);
+        let cfg = SchemeConfig::with_capacity(scheme, n + 2).observability(ObsLevel::Histograms);
         let tree = EncipheredBTree::bulk_create(cfg, &items).unwrap();
         // A miss is one `NodeUnseal` sample, each triplet a cached node
         // deciphers another.

@@ -8,8 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use sks_btree::core::{EncipheredBTree, Scheme, SchemeConfig, StorageBackend};
+use sks_btree::core::{EncipheredBTree, Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, RecoveryPath, SksDb};
+use sks_btree::storage::{DynBlockStore, OpCounters, PagedFileStore};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -35,20 +36,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any insert/overwrite/delete workload persisted on the file backend
-    /// and reopened equals the in-memory model, record for record — and a
-    /// reopen under a wrong key (either key) fails closed.
+    /// and reopened equals the in-memory model, record for record, at any
+    /// buffer-pool size — and a reopen under a wrong key (either key)
+    /// fails closed.
     #[test]
     fn file_backend_roundtrip_equals_model(
         ops in proptest::collection::vec((0u8..3, 0u64..280, 1usize..40), 1..120),
         pool in 2usize..48,
     ) {
         let dir = tmpdir("core");
-        let cfg = SchemeConfig::with_capacity(Scheme::Oval, 300).backend(
-            StorageBackend::File { dir: dir.clone(), pool_pages: pool },
-        );
+        let cfg = SchemeConfig::with_capacity(Scheme::Oval, 300).on_disk(&dir);
+        // The tree's own open pools every store at the default size; the
+        // workload and the read-back run on stores pooled at `pool`.
+        drop(EncipheredBTree::create(cfg.clone()).unwrap());
+        let open_pooled = || {
+            let counters = OpCounters::new();
+            let store = |name: &str| -> DynBlockStore {
+                Box::new(PagedFileStore::open(dir.join(name), pool, counters.clone()).unwrap())
+            };
+            let (nodes, data) = (store("nodes.sks"), store("data.sks"));
+            EncipheredBTree::open_on_stores(cfg.clone(), counters, nodes, data).unwrap()
+        };
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         {
-            let mut tree = EncipheredBTree::create(cfg.clone()).unwrap();
+            let mut tree = open_pooled();
             for &(op, key, vlen) in &ops {
                 if op < 2 {
                     let v = value_for(key, vlen);
@@ -63,7 +74,7 @@ proptest! {
             // Dropped: only the checkpointed files survive.
         }
         {
-            let tree = EncipheredBTree::open(cfg.clone()).unwrap();
+            let tree = open_pooled();
             tree.validate().unwrap();
             prop_assert_eq!(tree.len(), model.len() as u64);
             for (&k, v) in &model {

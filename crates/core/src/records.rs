@@ -59,6 +59,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sks_btree_core::RecordPtr;
+use sks_crypto::cipher::BlockCipher64;
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 use sks_storage::{wipe, BlockId, BlockStore, LruMap, PageReader};
@@ -152,6 +153,19 @@ impl RecordCache {
     fn len(&self) -> usize {
         self.lock().len()
     }
+}
+
+/// Who places a record: what its encipherment is charged to, and whether
+/// its plaintext pre-warms the record cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    /// A logical insert: charged to `data_encrypts`, pre-warms the cache.
+    Insert,
+    /// A bulk load's insert: charged like one, leaves the cache alone.
+    Load,
+    /// A compaction move: charged to `compact_moved_records`, leaves the
+    /// cache alone.
+    Move,
 }
 
 /// A slotted-page record store with per-record encipherment.
@@ -367,15 +381,11 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(Some(sealed))
     }
 
-    /// Deciphers only the key a sealed slot starts with (its first CTR
-    /// block).
+    /// Deciphers only the key a sealed slot starts with: its first CTR
+    /// block, one keystream word, with nothing allocated.
     fn open_key(&self, generation: u64, slot: u16, sealed: &[u8]) -> u64 {
-        let key = ctr_xor(
-            &self.cipher,
-            Self::nonce(generation, slot),
-            &sealed[..KEY_LEN],
-        );
-        u64::from_be_bytes(key.try_into().expect("one cipher block"))
+        let word = u64::from_be_bytes(sealed[..KEY_LEN].try_into().expect("one cipher block"));
+        word ^ self.cipher.encrypt_block(Self::nonce(generation, slot))
     }
 
     /// CTR nonce of a slot's value: it starts at the second CTR block, so
@@ -402,7 +412,15 @@ impl<S: BlockStore> RecordStore<S> {
     /// Inserts a record owned by tree key `key`, sealing `key ‖ value`,
     /// and returns its pointer.
     pub fn insert_keyed(&mut self, key: u64, value: &[u8]) -> Result<RecordPtr, CoreError> {
-        self.insert_inner(key, value, true)
+        self.insert_inner(key, value, Placement::Insert)
+    }
+
+    /// [`RecordStore::insert_keyed`] for a bulk load: counted the same,
+    /// but the record cache is left alone. A load places hundreds of
+    /// thousands of records no one has asked for yet, and pre-warming the
+    /// bounded cache with each would only evict the one before.
+    pub(crate) fn load_keyed(&mut self, key: u64, value: &[u8]) -> Result<RecordPtr, CoreError> {
+        self.insert_inner(key, value, Placement::Load)
     }
 
     /// Shared placement for logical inserts and the compactor's moves. A
@@ -417,7 +435,7 @@ impl<S: BlockStore> RecordStore<S> {
         &mut self,
         key: u64,
         value: &[u8],
-        logical: bool,
+        placement: Placement,
     ) -> Result<RecordPtr, CoreError> {
         if value.len() > self.max_record_len() {
             return Err(CoreError::Record(format!(
@@ -449,19 +467,19 @@ impl<S: BlockStore> RecordStore<S> {
                 (nb, slot)
             }
         };
-        if logical {
-            self.store.counters().bump(|c| &c.data_encrypts);
-        } else {
+        if placement == Placement::Move {
             self.store.counters().bump(|c| &c.compact_moved_records);
+        } else {
+            self.store.counters().bump(|c| &c.data_encrypts);
         }
         let ptr = RecordPtr::pack(block, slot);
         *self.live.entry(block.0).or_default() += 1;
-        if logical {
+        if placement == Placement::Insert {
             if let Some(cache) = &self.cache {
                 // The plaintext is in hand: pre-warm read-after-write
-                // gets. Compaction moves skip this — flooding the bounded
-                // cache with relocated records would evict the genuinely
-                // hot set.
+                // gets. Compaction moves and bulk loads skip this —
+                // flooding the bounded cache with records no one asked
+                // for would evict the genuinely hot set.
                 cache.insert(ptr, key, value.to_vec());
             }
         }

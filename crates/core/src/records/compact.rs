@@ -13,7 +13,7 @@
 use sks_btree_core::RecordPtr;
 use sks_storage::{BlockId, BlockStore};
 
-use super::{RecordStore, TOMBSTONE};
+use super::{Placement, RecordStore, TOMBSTONE};
 use crate::error::CoreError;
 
 impl<S: BlockStore> RecordStore<S> {
@@ -219,7 +219,7 @@ impl<S: BlockStore> RecordStore<S> {
         let live = self.live_records(block)?;
         let mut moves = Vec::with_capacity(live.len());
         for (slot, key, value) in live {
-            let new_ptr = self.insert_inner(key, &value, false)?;
+            let new_ptr = self.insert_inner(key, &value, Placement::Move)?;
             moves.push((RecordPtr::pack(block, slot), new_ptr, key));
         }
         self.free_block(block);

@@ -355,7 +355,9 @@ impl EncipheredBTree {
     /// (never held a key). Records stream into the data blocks, then the
     /// node tree is built bottom-up with exactly one encipherment pass
     /// per node block — no splits, no rebalancing. The sorted-ingest fast
-    /// path for stacks already owned by an engine partition.
+    /// path for stacks already owned by an engine partition. Unlike
+    /// [`EncipheredBTree::insert`], it pre-warms no record in the record
+    /// cache.
     pub fn bulk_load(&mut self, items: &[(u64, Vec<u8>)]) -> Result<(), CoreError> {
         if !self.is_empty() {
             return Err(CoreError::Config(format!(
@@ -365,7 +367,7 @@ impl EncipheredBTree {
         }
         let mut pairs = Vec::with_capacity(items.len());
         for (key, record) in items {
-            pairs.push((*key, self.records.insert_keyed(*key, record)?));
+            pairs.push((*key, self.records.load_keyed(*key, record)?));
         }
         self.tree.bulk_fill(&pairs)?;
         Ok(())
@@ -1233,6 +1235,26 @@ mod tests {
         assert_eq!((warm.record_cache_hits, warm.data_decrypts), (n, n));
         assert_eq!(got.cached_records(), n as usize);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A bulk load places its records without pre-warming the record
+    /// cache (an insert does), so a load churns no cache; the first point
+    /// get of each record fills it as usual.
+    #[test]
+    fn bulk_loads_leave_the_record_cache_empty() {
+        let items: Vec<(u64, Vec<u8>)> = (0..300u64).map(|k| (k, vec![k as u8; 24])).collect();
+        let config = SchemeConfig::with_capacity(Scheme::Oval, 500);
+        let mut loaded = EncipheredBTree::create(config.clone()).unwrap();
+        loaded.bulk_load(&items).unwrap();
+        assert_eq!(loaded.cached_records(), 0, "bulk_load");
+        let created = EncipheredBTree::bulk_create(config.clone(), &items).unwrap();
+        assert_eq!(created.cached_records(), 0, "bulk_create");
+        assert_eq!(created.get(7).unwrap().unwrap(), vec![7u8; 24]);
+        assert_eq!(created.cached_records(), 1, "a get admits its record");
+
+        let mut inserted = EncipheredBTree::create(config).unwrap();
+        inserted.insert(1, vec![1; 24]).unwrap();
+        assert_eq!(inserted.cached_records(), 1, "an insert pre-warms");
     }
 
     /// Overwriting or deleting a key reads its prior without admitting it

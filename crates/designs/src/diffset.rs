@@ -111,14 +111,7 @@ impl DifferenceSet {
         let gamma = field.primitive_element();
         // Points of PG(2,q) are γ^i for i in [0, v); the trace-zero ones form
         // a line, and their indices form a perfect difference set.
-        let mut base = Vec::with_capacity((q + 1) as usize);
-        let mut x = field.one();
-        for i in 0..v {
-            if field.trace(&x) == 0 {
-                base.push(i);
-            }
-            x = field.mul(&x, &gamma);
-        }
+        let base = field.trace_zero_powers(&gamma, v);
         if base.len() as u64 != q + 1 {
             return Err(DesignError::BadParameters(format!(
                 "Singer hyperplane has {} points, expected {}",
@@ -374,6 +367,32 @@ mod tests {
             assert_eq!(ds.k(), q + 1);
             assert_eq!(ds.lambda(), 1);
             ds.verify().unwrap();
+        }
+    }
+
+    /// The Singer scan as first written: one field product (a modular
+    /// reduction per coefficient product) and one trace per point.
+    fn singer_per_product(q: u64) -> Vec<u64> {
+        let field = GfCubic::new(q);
+        let gamma = field.primitive_element();
+        let mut base = Vec::new();
+        let mut x = field.one();
+        for i in 0..q * q + q + 1 {
+            if field.trace(&x) == 0 {
+                base.push(i);
+            }
+            x = field.mul(&x, &gamma);
+        }
+        base
+    }
+
+    #[test]
+    fn singer_base_sets_equal_the_per_product_scan() {
+        // 227, 229 and 239 are the orders the 50k-key engine workloads
+        // build; 557 is the 300k-key one.
+        for q in [2u64, 3, 5, 7, 11, 13, 31, 101, 211, 227, 229, 239, 557] {
+            let ds = DifferenceSet::singer(q).unwrap();
+            assert_eq!(ds.base(), &singer_per_product(q)[..], "q = {q}");
         }
     }
 

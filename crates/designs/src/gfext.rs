@@ -184,6 +184,37 @@ impl GfCubic {
         )
     }
 
+    /// The exponents `i < n`, ascending, at which `g^i` has trace zero.
+    ///
+    /// Multiplication by a fixed `g` is a `GF(p)`-linear map, so the walk
+    /// `x ← x·g` is a 3×3 matrix product over plain integers with one
+    /// reduction per coefficient, and the trace one dot product with one
+    /// more: four reductions a point instead of one per coefficient
+    /// product. No intermediate overflows: `p³ − 1` fits in `u64`, so
+    /// `p < 2²²` and a sum of three products of residues stays below
+    /// `3p² < 2⁴⁶`.
+    pub(crate) fn trace_zero_powers(&self, g: &Elt, n: u64) -> Vec<u64> {
+        let p = self.characteristic();
+        assert!(u64::try_from(self.order()).is_ok(), "p³ must fit in u64");
+        // Column i of the matrix is α^i · g.
+        let cols = [
+            self.one(),
+            self.alpha(),
+            self.mul(&self.alpha(), &self.alpha()),
+        ]
+        .map(|basis| self.mul(&basis, g));
+        let t = self.trace_basis;
+        let mut out = Vec::new();
+        let mut x = self.one();
+        for i in 0..n {
+            if (x[0] * t[0] + x[1] * t[1] + x[2] * t[2]).is_multiple_of(p) {
+                out.push(i);
+            }
+            x = [0, 1, 2].map(|j| (cols[0][j] * x[0] + cols[1][j] * x[1] + cols[2][j] * x[2]) % p);
+        }
+        out
+    }
+
     /// A generator of the cyclic group `GF(p³)*`, found by deterministic
     /// search certified against the factorisation of `p³ − 1`.
     pub fn primitive_element(&self) -> Elt {

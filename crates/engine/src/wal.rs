@@ -36,9 +36,13 @@
 //! leaving it plaintext would hand the paper's opponent everything the
 //! disguised tree withholds; sealing it keeps the §5 discipline that
 //! stored key material is never readable off the medium. A group is sealed
-//! where its frame is built, from the caller's borrowed values; staged
-//! records wait in a plaintext buffer that is wiped as soon as they are
-//! sealed.
+//! as its frame is streamed to the device, from the caller's borrowed
+//! values: the body is serialised, sealed and folded into the CRC one
+//! block-sized piece at a time, and no frame-sized buffer ever exists
+//! (a bulk load's frame is tens of megabytes). The blocks holding a
+//! frame's tag and CRC are written after the rest of it, so a frame torn
+//! anywhere reads as a clean end of the log. Staged records wait in a
+//! plaintext buffer that is wiped as soon as they are sealed.
 //!
 //! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
 //! record sealing a constant, written at creation. Opening with the wrong
@@ -81,8 +85,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 use sks_storage::{
-    crc32, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters, Stage,
-    StorageError, SyncHandle, SyncPolicy, NO_PARTITION,
+    crc32, crc32_fold, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters,
+    Stage, StorageError, SyncHandle, SyncPolicy, CRC32_INIT, NO_PARTITION,
 };
 
 use crate::error::EngineError;
@@ -408,7 +412,7 @@ fn nonce_seed() -> u64 {
     splitmix64(t ^ addr.rotate_left(32) ^ u64::from(std::process::id()))
 }
 
-/// One record of a group as [`build_frame`] reads it: `(op, key, value)`,
+/// One record of a group as [`Wal::write_frame`] reads it: `(op, key, value)`,
 /// the value borrowed from wherever the caller holds it.
 type Entry<'a> = (u8, u64, &'a [u8]);
 
@@ -447,6 +451,19 @@ pub struct Wal {
     nonce_state: u64,
     policy: SyncPolicy,
     tail_dirty: bool,
+    /// Full blocks of the frame being written that hold its tag or CRC,
+    /// kept back until the CRC is known and the rest of the frame is
+    /// written (see [`Wal::write_frame`]): at most two.
+    held: Vec<(BlockId, Vec<u8>)>,
+    /// Block buffers a held block trades places with the tail through;
+    /// with `held`, always two.
+    spares: Vec<Vec<u8>>,
+    /// The buffer a frame body is serialised and sealed in, piece by
+    /// piece (see [`BodyPiece`]). With `spares`, it makes appending a
+    /// frame allocate nothing.
+    piece: Vec<u8>,
+    /// Stream offset of the frame being written, while one is.
+    frame_start: Option<usize>,
     /// Set when an append-path I/O error leaves the stream in an unknown
     /// state; every later operation refuses until the log is reopened.
     poisoned: bool,
@@ -581,6 +598,10 @@ impl Wal {
             nonce_state: nonce_seed(),
             policy,
             tail_dirty: false,
+            held: Vec::with_capacity(2),
+            spares: vec![vec![0u8; block_size]; 2],
+            piece: Vec::new(),
+            frame_start: None,
             poisoned: false,
             cipher,
             counters,
@@ -781,6 +802,16 @@ impl Wal {
     /// Seals `group` as the frame starting at `first_seq` and appends it
     /// to the stream. The one place a frame of ≥ 2 records is counted as
     /// a sealed batch.
+    ///
+    /// The frame is streamed: the body is serialised, sealed and folded
+    /// into the CRC one block-sized piece at a time, straight from the
+    /// borrowed values, and each piece joins the stream as it is sealed.
+    /// No frame-sized buffer exists (a bulk load's frame is tens of
+    /// megabytes), and appending one allocates nothing. The blocks holding the frame's tag and CRC
+    /// are kept back until the CRC is known and every other block of the
+    /// frame is written, and are written last: until then the log still
+    /// reads zeros where the tag goes, so a frame torn anywhere reads as
+    /// a clean end of the log.
     fn write_frame<'a>(
         &mut self,
         first_seq: u64,
@@ -790,16 +821,116 @@ impl Wal {
             self.counters.bump(|c| &c.wal_sealed_batches);
         }
         let nonce = self.next_nonce();
-        let frame = build_frame(&self.cipher, first_seq, nonce, group);
-        if let Err(e) = self.append_bytes(&frame) {
+        if let Err(e) = self.stream_frame(first_seq, nonce, group) {
             // A half-written frame may sit in the stream; nothing after
             // it could be replayed, so refuse all further use.
             self.poisoned = true;
+            self.spares
+                .extend(self.held.drain(..).map(|(_, block)| block));
+            self.frame_start = None;
             return Err(e);
         }
         Ok(())
     }
 
+    fn stream_frame<'a>(
+        &mut self,
+        first_seq: u64,
+        nonce: u64,
+        group: impl Iterator<Item = Entry<'a>> + Clone,
+    ) -> Result<(), EngineError> {
+        let (mut count, mut body_len) = (0u32, COUNT_LEN);
+        for (_, _, value) in group.clone() {
+            count += 1;
+            body_len += ENTRY_HEADER + value.len();
+        }
+        debug_assert!(count > 0, "the grammar has no empty frame");
+        let header = frame_header(first_seq, nonce, body_len);
+        self.frame_start = Some(self.len_bytes() as usize);
+        self.append_bytes(&header)?;
+        let mut body = BodyPiece::new(
+            std::mem::take(&mut self.piece),
+            self.block_size.next_multiple_of(8),
+            nonce,
+            crc32_fold(CRC32_INIT, &header[5..]),
+        );
+        self.put_body(&mut body, &count.to_be_bytes())?;
+        for (op, key, value) in group {
+            let mut entry = [0u8; ENTRY_HEADER];
+            entry[0] = op;
+            entry[1..9].copy_from_slice(&key.to_be_bytes());
+            entry[9..].copy_from_slice(&(value.len() as u32).to_be_bytes());
+            self.put_body(&mut body, &entry)?;
+            self.put_body(&mut body, value)?;
+        }
+        self.seal_body_piece(&mut body)?;
+        debug_assert_eq!(body.sealed, body_len);
+        let crc = !body.crc;
+        self.piece = body.into_buf();
+        self.finish_frame(crc)
+    }
+
+    /// Serialises `bytes` into the body piece, sealing and appending the
+    /// piece each time it fills.
+    fn put_body(&mut self, body: &mut BodyPiece, mut bytes: &[u8]) -> Result<(), EngineError> {
+        while !bytes.is_empty() {
+            let n = (body.cap - body.buf.len()).min(bytes.len());
+            body.buf.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            if body.buf.len() == body.cap {
+                self.seal_body_piece(body)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seals the piece in place at its keystream offset (the piece size
+    /// is a whole number of cipher blocks, so every piece but the last
+    /// starts on a counter), folds it into the CRC and appends it.
+    fn seal_body_piece(&mut self, body: &mut BodyPiece) -> Result<(), EngineError> {
+        let counter = body.nonce.wrapping_add((body.sealed / 8) as u64);
+        ctr_xor_in_place(&self.cipher, counter, &mut body.buf);
+        body.crc = crc32_fold(body.crc, &body.buf);
+        body.sealed += body.buf.len();
+        self.append_bytes(&body.buf)?;
+        body.buf.clear();
+        Ok(())
+    }
+
+    /// Fills in the open frame's CRC and writes its kept-back blocks: the
+    /// tail first when the frame reaches past them, then the held blocks,
+    /// the one holding the tag last. A frame inside the tail block writes
+    /// nothing here; the commit writes the tail.
+    fn finish_frame(&mut self, crc: u32) -> Result<(), EngineError> {
+        let start = self.frame_start.take().expect("a frame is open");
+        for (i, byte) in crc.to_be_bytes().into_iter().enumerate() {
+            let at = start + 1 + i;
+            let id = BlockId((at / self.block_size) as u32);
+            let off = at % self.block_size;
+            match self.held.iter_mut().find(|(h, _)| *h == id) {
+                Some((_, block)) => block[off] = byte,
+                None => {
+                    debug_assert_eq!(self.tail_id, Some(id), "an unheld CRC byte is in the tail");
+                    self.tail[off] = byte;
+                }
+            }
+        }
+        if self.held.is_empty() {
+            return Ok(());
+        }
+        if self.tail_dirty {
+            self.write_tail()?;
+        }
+        while let Some((id, block)) = self.held.pop() {
+            let written = self.disk.write_block(id, &block);
+            self.spares.push(block);
+            written?;
+        }
+        Ok(())
+    }
+
+    /// Copies `bytes` into the stream, writing each block as it fills,
+    /// except one holding the open frame's tag or CRC, which is held.
     fn append_bytes(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
         let mut off = 0;
         while off < bytes.len() {
@@ -817,7 +948,19 @@ impl Wal {
             off += n;
             self.tail_dirty = true;
             if self.tail_used == self.block_size {
-                self.write_tail()?;
+                let id = self.tail_id.expect("the tail has a block");
+                let block_start = id.0 as usize * self.block_size;
+                if self
+                    .frame_start
+                    .is_some_and(|start| block_start < start + 5)
+                {
+                    let spare = self.spares.pop().expect("a frame holds at most two blocks");
+                    let full = std::mem::replace(&mut self.tail, spare);
+                    self.held.push((id, full));
+                    self.tail_dirty = false;
+                } else {
+                    self.write_tail()?;
+                }
                 self.tail_id = None;
             }
         }
@@ -1110,56 +1253,56 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// One frame sealing the whole group under a single nonce: `tag ‖ crc ‖
-/// first_seq ‖ nonce ‖ blen ‖ E(count ‖ (op ‖ key ‖ vlen ‖ value)*)`.
-fn build_frame<'a>(
-    cipher: &Speck64,
-    first_seq: u64,
+/// The piece of a frame body being serialised (plaintext) until it fills
+/// and is sealed in place; wiped when dropped, so a write that fails
+/// mid-piece leaves no plaintext behind.
+struct BodyPiece {
+    buf: Vec<u8>,
+    /// Bytes a piece holds: a whole number of cipher blocks.
+    cap: usize,
     nonce: u64,
-    group: impl Iterator<Item = Entry<'a>> + Clone,
-) -> Vec<u8> {
-    let (mut count, mut body_len) = (0u32, COUNT_LEN);
-    for (_, _, value) in group.clone() {
-        count += 1;
-        body_len += ENTRY_HEADER + value.len();
-    }
-    debug_assert!(count > 0, "the grammar has no empty frame");
-    // The body is serialised straight behind the header, from values
-    // borrowed where they already lie, and sealed where it lies. A bulk
-    // load seals tens of megabytes as one group; separate staged,
-    // plaintext, sealed and framed buffers of that size were the engine's
-    // peak memory. The exact capacity means no reallocation ever leaves a
-    // plaintext copy behind, and the in-place pass overwrites the only one.
-    let mut frame = frame_header(first_seq, nonce, body_len);
-    frame.extend_from_slice(&count.to_be_bytes());
-    for (op, key, value) in group {
-        frame.push(op);
-        frame.extend_from_slice(&key.to_be_bytes());
-        frame.extend_from_slice(&(value.len() as u32).to_be_bytes());
-        frame.extend_from_slice(value);
-    }
-    debug_assert_eq!(frame.len(), HEADER_LEN + body_len);
-    seal_frame(cipher, nonce, frame)
+    /// Body bytes sealed so far: the keystream offset of `buf[0]`.
+    sealed: usize,
+    /// CRC register over the frame so far.
+    crc: u32,
 }
 
-/// A frame's header (CRC still blank) with room reserved for its body.
-fn frame_header(first_seq: u64, nonce: u64, body_len: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + body_len);
-    frame.push(TAG);
-    frame.extend_from_slice(&[0u8; 4]); // crc placeholder
-    frame.extend_from_slice(&first_seq.to_be_bytes());
-    frame.extend_from_slice(&nonce.to_be_bytes());
-    frame.extend_from_slice(&(body_len as u32).to_be_bytes());
-    frame
+impl BodyPiece {
+    fn new(mut buf: Vec<u8>, cap: usize, nonce: u64, crc: u32) -> Self {
+        debug_assert!(buf.is_empty() && cap.is_multiple_of(8));
+        buf.reserve_exact(cap);
+        BodyPiece {
+            buf,
+            cap,
+            nonce,
+            sealed: 0,
+            crc,
+        }
+    }
+
+    /// The buffer back, once every piece is sealed (it holds ciphertext
+    /// only).
+    fn into_buf(mut self) -> Vec<u8> {
+        debug_assert!(self.buf.is_empty());
+        std::mem::take(&mut self.buf)
+    }
 }
 
-/// Seals the plaintext body lying behind `frame`'s header, in place, and
-/// fills in the CRC over the sealed frame.
-fn seal_frame(cipher: &Speck64, nonce: u64, mut frame: Vec<u8>) -> Vec<u8> {
-    ctr_xor_in_place(cipher, nonce, &mut frame[HEADER_LEN..]);
-    let crc = crc32(&frame[5..]);
-    frame[1..5].copy_from_slice(&crc.to_be_bytes());
-    frame
+impl Drop for BodyPiece {
+    fn drop(&mut self) {
+        wipe::bytes(&mut self.buf);
+    }
+}
+
+/// A frame's header, CRC still blank: `tag ‖ crc ‖ first_seq ‖ nonce ‖
+/// blen`.
+fn frame_header(first_seq: u64, nonce: u64, body_len: usize) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[0] = TAG;
+    header[5..13].copy_from_slice(&first_seq.to_be_bytes());
+    header[13..21].copy_from_slice(&nonce.to_be_bytes());
+    header[21..25].copy_from_slice(&(body_len as u32).to_be_bytes());
+    header
 }
 
 /// Decodes a decrypted group body into `(op, key, value)` entries;
@@ -1190,6 +1333,7 @@ fn decode_group(body: &[u8]) -> Option<Vec<(u8, u64, Vec<u8>)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sks_storage::FailMode;
 
     const KEY: u128 = 0x00AA_BB11_22CC_DD33_44EE_FF55_6677_8899;
 
@@ -1211,6 +1355,127 @@ mod tests {
         WalOp::Insert {
             key,
             value: value.to_vec(),
+        }
+    }
+
+    /// The frame builder the streamed writer replaced, kept as its
+    /// oracle: the whole frame in one buffer, sealed in one pass, one CRC
+    /// over all of it.
+    fn whole_frame(cipher: &Speck64, first_seq: u64, nonce: u64, body: &[u8]) -> Vec<u8> {
+        let mut frame = frame_header(first_seq, nonce, body.len()).to_vec();
+        frame.extend_from_slice(body);
+        ctr_xor_in_place(cipher, nonce, &mut frame[HEADER_LEN..]);
+        let crc = crc32(&frame[5..]);
+        frame[1..5].copy_from_slice(&crc.to_be_bytes());
+        frame
+    }
+
+    /// A group's plaintext body: `count ‖ (op ‖ key ‖ vlen ‖ value)*`.
+    fn group_body(group: &[(u8, u64, Vec<u8>)]) -> Vec<u8> {
+        let mut body = (group.len() as u32).to_be_bytes().to_vec();
+        for (op, key, value) in group {
+            body.push(*op);
+            body.extend_from_slice(&key.to_be_bytes());
+            body.extend_from_slice(&(value.len() as u32).to_be_bytes());
+            body.extend_from_slice(value);
+        }
+        body
+    }
+
+    #[test]
+    fn streamed_frames_are_byte_identical_to_the_whole_frame_builder() {
+        let cipher = Speck64::from_u128(KEY);
+        let insert = |key: u64, len: usize| (OP_INSERT, key, vec![key as u8 ^ 0x5A; len]);
+        for block_size in [64usize, 128, 4096] {
+            // Singleton padding frames move the tail offset each group
+            // starts at; the groups fit one block, cross one boundary, or
+            // span many blocks.
+            for pad in [0usize, 1, 7, 20, 39, 60] {
+                let path = tmpfile(&format!("stream_identity_{block_size}_{pad}"));
+                let mut wal = create(&path, block_size);
+                let mut frames = vec![(1, vec![(OP_KEYCHECK, 0, KEYCHECK_MAGIC.to_vec())])];
+                let shapes: [Vec<(u8, u64, Vec<u8>)>; 4] = [
+                    vec![insert(1, 3)],
+                    vec![insert(2, 10), (OP_DELETE, 3, Vec::new())],
+                    vec![insert(4, block_size / 2), insert(5, block_size / 2)],
+                    (6..16)
+                        .map(|k| insert(k, 3 * block_size + k as usize))
+                        .collect(),
+                ];
+                for group in shapes {
+                    let first = wal
+                        .append_group([(99, Some(&vec![0xEE; pad][..]))])
+                        .unwrap();
+                    frames.push((first, vec![(OP_INSERT, 99, vec![0xEE; pad])]));
+                    let ops = group
+                        .iter()
+                        .map(|(op, key, value)| (*key, (*op == OP_INSERT).then_some(&value[..])));
+                    let first = wal.append_group(ops).unwrap();
+                    wal.commit().unwrap();
+                    frames.push((first, group));
+                }
+                let end = wal.len_bytes() as usize;
+                drop(wal);
+                let raw = std::fs::read(&path).unwrap();
+                let stream = &raw[8192..];
+                let mut at = 0;
+                for (first_seq, group) in &frames {
+                    let nonce = u64::from_be_bytes(stream[at + 13..at + 21].try_into().unwrap());
+                    let want = whole_frame(&cipher, *first_seq, nonce, &group_body(group));
+                    assert_eq!(
+                        &stream[at..at + want.len()],
+                        &want[..],
+                        "block {block_size}, pad {pad}, frame at seq {first_seq}"
+                    );
+                    at += want.len();
+                }
+                assert_eq!(at, end);
+                assert!(
+                    stream[end..].iter().all(|&b| b == 0),
+                    "zero padding after the log"
+                );
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_killed_at_any_write_leaves_its_tag_unwritten() {
+        // A frame of twelve 64-byte blocks: every block but the one
+        // holding the tag is written before it, so a kill at any of the
+        // frame's writes leaves zeros where the tag goes, and replay ends
+        // the log cleanly before the frame.
+        let values: Vec<Vec<u8>> = (0..6).map(|k| vec![k as u8 + 1; 100]).collect();
+        // Logs one record, then the frame, killing its `kill`th write.
+        let run = |kill: Option<u64>| {
+            let path = tmpfile(&format!("kill_frame_{kill:?}"));
+            let (disk, plan) = FailStore::new(FileDisk::create(&path, 64).unwrap());
+            let mut wal =
+                Wal::create_on_device(disk, KEY, SyncPolicy::Never, OpCounters::new()).unwrap();
+            wal.append_group([(1, Some(&b"before"[..]))]).unwrap();
+            wal.commit().unwrap();
+            let start = wal.len_bytes() as usize;
+            // Counted from here; `None` arms a write that never comes.
+            plan.arm_nth_write(kill.unwrap_or(u64::MAX), FailMode::Error);
+            let group = values
+                .iter()
+                .enumerate()
+                .map(|(k, v)| (k as u64 + 10, Some(&v[..])));
+            let outcome = wal.append_group(group).and_then(|_| wal.commit());
+            assert_eq!(outcome.is_err(), kill.is_some());
+            let writes = plan.writes_seen();
+            drop(wal);
+            let tag = std::fs::read(&path).unwrap()[8192 + start];
+            let (_wal, replay) = reopen(&path);
+            std::fs::remove_file(&path).ok();
+            (writes, tag, replay.records.len())
+        };
+        let (writes, tag, records) = run(None);
+        assert!(writes >= 10, "the frame spans many blocks");
+        assert_eq!((tag, records), (TAG, 7));
+        for nth in 1..=writes {
+            let (_, tag, records) = run(Some(nth));
+            assert_eq!((tag, records), (0, 1), "kill at write {nth} of {writes}");
         }
     }
 
@@ -1694,9 +1959,7 @@ mod tests {
         let nonce = 0xDEAD_BEEF_u64;
         let mut body = vec![0u8; COUNT_LEN + 2 * ENTRY_HEADER];
         body[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let mut frame = frame_header(2, nonce, body.len());
-        frame.extend_from_slice(&body);
-        let frame = seal_frame(&cipher, nonce, frame);
+        let frame = whole_frame(&cipher, 2, nonce, &body);
 
         // Splice it in right after the sentinel (the stream starts after
         // the FileDisk's fixed 8 KiB header).

@@ -6,7 +6,7 @@
 
 use sks_core::{ObsLevel, Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb};
-use sks_storage::SyncPolicy;
+use sks_storage::{FailMode, FailPlan, SyncPolicy};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sks_pipe_{}_{}", std::process::id(), name));
@@ -211,5 +211,76 @@ fn bulk_load_rejects_unsorted_and_non_empty() {
     assert_eq!(db.len(), 1, "failed load changed nothing");
     assert_eq!(db.get(7).unwrap().unwrap(), rec(7));
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A process killed at any write or fsync of a two-partition `bulk_load`
+/// reopens with each partition's group whole or empty: nothing of the
+/// trees reaches a store before a checkpoint, and each partition's
+/// frame replays all or nothing.
+#[test]
+fn bulk_load_kill_point_sweep_leaves_each_partition_whole_or_empty() {
+    let config = |plan: &FailPlan| {
+        let scheme = SchemeConfig::with_capacity(Scheme::Oval, 8192).partitions(2);
+        EngineConfig::new(scheme)
+            .sync(SyncPolicy::Always)
+            .wal_fault(plan.clone())
+    };
+    // ~45 KB of log: each partition's frame spans several blocks.
+    let items: Vec<(u64, Vec<u8>)> = (0..400u64).map(|k| (k, vec![k as u8; 100])).collect();
+    let dir = tmpdir("bulk_kill_sweep");
+    // Loads under `arm`, then reopens; returns the load's writes and
+    // fsyncs (unarmed) and each partition's length after the reopen.
+    let run = |arm: &dyn Fn(&FailPlan)| {
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = FailPlan::new();
+        let db = SksDb::open(&dir, config(&plan)).unwrap();
+        let groups: Vec<usize> = (0..2)
+            .map(|p| {
+                let in_p = items
+                    .iter()
+                    .filter(|(k, _)| db.partition_of(*k).unwrap() == p);
+                in_p.count()
+            })
+            .collect();
+        arm(&plan);
+        let before = db.snapshot();
+        let outcome = db.bulk_load(items.clone());
+        assert_eq!(outcome.is_err(), plan.tripped(), "{outcome:?}");
+        let seen = (plan.writes_seen(), db.snapshot().delta(&before).wal_fsyncs);
+        drop(db);
+        plan.reset();
+        let db = SksDb::open(&dir, config(&plan)).unwrap();
+        let lens = db.partition_lens();
+        for (p, (&len, &whole)) in lens.iter().zip(&groups).enumerate() {
+            assert!(
+                len == 0 || len == whole as u64,
+                "partition {p}: {len} of {whole}"
+            );
+        }
+        for (k, v) in &items {
+            if lens[db.partition_of(*k).unwrap()] > 0 {
+                assert_eq!(db.get(*k).unwrap().as_ref(), Some(v), "key {k}");
+            }
+        }
+        db.validate().unwrap();
+        (seen, lens)
+    };
+    let ((writes, fsyncs), lens) = run(&|plan| plan.arm_nth_write(u64::MAX, FailMode::Error));
+    assert!(
+        lens.iter().all(|&l| l > 0) && writes >= 8,
+        "{writes} writes, {lens:?}"
+    );
+    for nth in 1..=writes {
+        let mode = if nth % 2 == 0 {
+            FailMode::Torn
+        } else {
+            FailMode::Error
+        };
+        run(&|plan| plan.arm_nth_write(nth, mode));
+    }
+    for nth in 1..=fsyncs {
+        run(&|plan| plan.arm_nth_flush(nth));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

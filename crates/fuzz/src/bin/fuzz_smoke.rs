@@ -10,9 +10,11 @@
 //! Flags: `--driver all|opseq|walfault|decoder` (default `all`),
 //! `--seeds N` (per driver; default 24/24/48), `--start N` (first seed,
 //! default 0). Each op-sequence seed runs under `SyncPolicy::Always` and
-//! under `SyncPolicy::EveryN(4)`.
+//! under `SyncPolicy::EveryN(4)`, once from an empty database and once
+//! opening with a `bulk_load`.
 
-use sks_fuzz::{decoders, op_seq, wal_fault};
+use sks_fuzz::op_seq::{self, Opening};
+use sks_fuzz::{decoders, wal_fault};
 use sks_storage::SyncPolicy;
 
 fn main() {
@@ -48,18 +50,25 @@ fn main() {
     if run_opseq {
         let n = seeds.unwrap_or(24);
         for seed in start..start + n {
-            // Each seed runs under the strict and the lazy sync policy.
-            for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
-                match op_seq::run_op_sequence_case_under(seed, policy) {
-                    Ok(report) => crashes += report.crashes,
-                    Err(e) => die("opseq", seed, &format!("under {policy:?}: {e}")),
+            // Each seed runs under the strict and the lazy sync policy,
+            // from an empty database and from a bulk load.
+            for opening in [Opening::Empty, Opening::BulkLoad] {
+                for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
+                    match op_seq::run_op_sequence_leg(seed, policy, opening) {
+                        Ok(report) => crashes += report.crashes,
+                        Err(e) => die(
+                            "opseq",
+                            seed,
+                            &format!("under {policy:?}, opening {opening:?}: {e}"),
+                        ),
+                    }
                 }
             }
             total += 1;
         }
         println!(
-            "opseq: {n} seeds under Always and EveryN(4), {crashes} injected crashes, \
-             all recoveries consistent"
+            "opseq: {n} seeds under Always and EveryN(4), from empty and from a bulk load, \
+             {crashes} injected crashes, all recoveries consistent"
         );
     }
     if run_walfault {

@@ -66,8 +66,34 @@ pub fn run_op_sequence_case(seed: u64) -> Result<OpSeqReport, String> {
 /// [`run_op_sequence_case`] with the engine under `policy`: the same
 /// seed draws the same operations and kill points.
 pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeqReport, String> {
+    run_op_sequence_leg(seed, policy, Opening::Empty)
+}
+
+/// How a seed's sequence starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opening {
+    /// The first unit is drawn like every other.
+    Empty,
+    /// The first unit is a seeded `bulk_load` into the empty database,
+    /// run with the kill point already armed, so kills reach the load's
+    /// log frames and the trees built from them.
+    BulkLoad,
+}
+
+/// The roll that [`Opening::BulkLoad`] gives its first unit (every drawn
+/// roll is below it).
+const BULK_LOAD_ROLL: u64 = 100;
+
+/// [`run_op_sequence_case_under`] with the sequence started by `opening`.
+/// [`Opening::Empty`] is that function's leg, draw for draw.
+pub fn run_op_sequence_leg(
+    seed: u64,
+    policy: SyncPolicy,
+    opening: Opening,
+) -> Result<OpSeqReport, String> {
     let mut rng = FuzzRng::new(seed ^ 0x05EC_0DE5_EEDF_ACE1);
-    let scratch = ScratchDir::new("opseq", seed);
+    // One directory per leg: the legs of a seed may run at once.
+    let scratch = ScratchDir::new(&format!("opseq-{policy:?}-{opening:?}"), seed);
     let dir = scratch.path();
     let partitions = 1 + rng.below(2) as usize;
 
@@ -95,7 +121,9 @@ pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeq
         // A mid-sequence checkpoint is guaranteed so the log cut (and its
         // fresh fault-wrapped WAL) is always exercised; the rest of the
         // mix is drawn from the seed.
-        let roll = if unit_no == total_units / 2 {
+        let roll = if unit_no == 1 && opening == Opening::BulkLoad {
+            BULK_LOAD_ROLL
+        } else if unit_no == total_units / 2 {
             90
         } else {
             rng.below(100)
@@ -124,14 +152,8 @@ pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeq
                 let items: Vec<(u64, Vec<u8>)> = (0..n)
                     .map(|_| (rng.below(KEY_SPACE), rng.blob(64)))
                     .collect();
-                let mut groups: Vec<Unit> = (0..partitions).map(|_| Unit::default()).collect();
-                for (key, value) in &items {
-                    let p = db
-                        .partition_of(*key)
-                        .map_err(|e| format!("unit {unit_no}: routing failed: {e}"))?;
-                    groups[p].effects.push((*key, Some(value.clone())));
-                }
-                groups.retain(|g| !g.effects.is_empty());
+                let groups = partition_groups(&db, partitions, &items)
+                    .map_err(|e| format!("unit {unit_no}: {e}"))?;
                 step_units(db.insert_batch(items), groups, &mut model, &mut live)
             }
             // Multi-op transaction: atomic as one WAL txn frame.
@@ -206,6 +228,21 @@ pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeq
             89..=93 => step_noop(db.checkpoint(), &mut model),
             // Compaction: physical-only; no logical change.
             94..=95 => step_noop(db.compact(4).map(|_| ()), &mut model),
+            // Bulk load into the empty database: ascending keys, each
+            // present with even odds. Like a batch, it commits one frame
+            // per partition group, in partition order, so a crash may
+            // land a prefix of the groups.
+            BULK_LOAD_ROLL => {
+                let mut items = Vec::new();
+                for key in 0..KEY_SPACE {
+                    if rng.chance(50) {
+                        items.push((key, rng.blob(200)));
+                    }
+                }
+                let groups = partition_groups(&db, partitions, &items)
+                    .map_err(|e| format!("unit {unit_no}: {e}"))?;
+                step_units(db.bulk_load(items), groups, &mut model, &mut live)
+            }
             // Explicit flush: a durability barrier with no logical change.
             _ => step_noop(db.flush(), &mut model),
         };
@@ -269,6 +306,24 @@ pub fn run_op_sequence_case_under(seed: u64, policy: SyncPolicy) -> Result<OpSeq
     report.units = model.submitted();
     report.final_keys = reopened.len();
     Ok(report)
+}
+
+/// The units a batch or bulk load of `items` commits: one per non-empty
+/// partition group, in partition order.
+fn partition_groups(
+    db: &SksDb,
+    partitions: usize,
+    items: &[(u64, Vec<u8>)],
+) -> Result<Vec<Unit>, String> {
+    let mut groups: Vec<Unit> = (0..partitions).map(|_| Unit::default()).collect();
+    for (key, value) in items {
+        let p = db
+            .partition_of(*key)
+            .map_err(|e| format!("routing failed: {e}"))?;
+        groups[p].effects.push((*key, Some(value.clone())));
+    }
+    groups.retain(|g| !g.effects.is_empty());
+    Ok(groups)
 }
 
 /// Applies one write unit's result to the model: `Ok` acks the unit and

@@ -27,6 +27,22 @@ fn op_sequence_crash_seeds_recover_consistently_under_a_lazy_policy() {
     }
 }
 
+/// The same seeds opening with a `bulk_load`, so the kill points reach
+/// its log frames and the trees built from them.
+#[test]
+fn op_sequence_crash_seeds_recover_consistently_from_a_bulk_load() {
+    let mut crashes = 0;
+    for seed in (0..8).chain([101]) {
+        for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
+            match op_seq::run_op_sequence_leg(seed, policy, op_seq::Opening::BulkLoad) {
+                Ok(report) => crashes += report.crashes,
+                Err(e) => panic!("opseq seed {seed} under {policy:?} from a bulk load: {e}"),
+            }
+        }
+    }
+    assert!(crashes > 0, "the kill points must engage");
+}
+
 #[test]
 fn wal_fault_seeds_replay_consistently() {
     let mut fired = 0usize;

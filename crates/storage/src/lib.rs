@@ -45,7 +45,7 @@ pub use block::{BlockId, BlockStore, DynBlockStore, StorageError};
 pub use bufferpool::BufferPool;
 pub use counters::{OpCounters, OpCountersInner, OpSnapshot};
 pub use failstore::{FailMode, FailPlan, FailStore, KillPoint};
-pub use filedisk::{crc32, sync_dir, FileDisk, SyncHandle};
+pub use filedisk::{crc32, crc32_fold, sync_dir, FileDisk, SyncHandle, CRC32_INIT};
 pub use lru::LruMap;
 pub use memdisk::MemDisk;
 pub use paged::PagedFileStore;

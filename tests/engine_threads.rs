@@ -1,6 +1,6 @@
 //! The engine leaves no thread running between calls: a commit writes and
-//! fsyncs on the caller's thread, and a checkpoint joins its
-//! per-partition flush threads before it returns. Linux-only (it counts
+//! fsyncs on the caller's thread, a bulk load logs and builds on it, and
+//! a checkpoint joins its per-partition flush threads before it returns. Linux-only (it counts
 //! `/proc/self/task`), and the only test in its binary, so no other
 //! test's threads are counted.
 
@@ -38,6 +38,8 @@ fn the_engine_leaves_no_thread_running_between_calls() {
 
     let baseline = threads();
     let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();
+    db.bulk_load((200..400u64).map(|k| (k, b"bulk".to_vec())).collect())
+        .unwrap();
     for k in 0..64u64 {
         db.insert(k, format!("record-{k}").into_bytes()).unwrap();
     }
@@ -53,7 +55,7 @@ fn the_engine_leaves_no_thread_running_between_calls() {
     assert_eq!(
         settled(baseline),
         baseline,
-        "after open, inserts, a multi-partition txn commit and flush"
+        "after open, a bulk load, inserts, a multi-partition txn commit and flush"
     );
 
     db.checkpoint().unwrap();

@@ -110,7 +110,7 @@ fn leaf_history(scheme: Scheme) -> History {
         scratch
     });
     let from_scratch = from_scratch.collect();
-    (images, from_scratch, leaf.keys, pointers)
+    (images, from_scratch, leaf.keys.clone(), pointers)
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The node cache: a bounded, sharded LRU of nodes *as stored*, each
-//! carrying the triplets its probes have deciphered so far.
+//! carrying what its probes have deciphered so far.
 //!
 //! The paper's cost model charges every node visit the decipherments the
 //! scheme requires; a real engine does not have to pay them twice for the
@@ -15,12 +15,26 @@
 //! comparative claim stays measurable at any cache size. Only an update,
 //! scan or validation — which needs the whole node — deciphers the
 //! remainder and recovers the plaintext keys ([`crate::NodeCodec::complete`]),
-//! and the entry memoises those keys too: from then on a whole-node visit
+//! and the entry keeps those keys too: from then on a whole-node visit
 //! charges a decode's counters and computes nothing, and range scans and
 //! update descents read keys, pointers and children straight from the
 //! entry; only a node an update rewrites is built as a [`Node`]
 //! ([`CachedNode::to_node`]). Codecs with nothing to be lazy about
 //! (whole-page encipherment, plaintext) build their entries complete.
+//!
+//! One layout serves every entry, however it was born, and holds each
+//! fact once. The stored columns are what the page holds: the raw key
+//! fields the in-node search compares and the slots' cryptograms. The
+//! deciphered columns hold one word per slot each — data pointers, tree
+//! pointers (internal nodes only) and plaintext keys — beside a bitmap of
+//! the slots known and a flag set once the keys are. A fill from the
+//! medium starts with no bit set and its probes set them as they decipher
+//! slots; a write's image, a whole-page decode and a plaintext decode are
+//! born with every bit set. Readers sharing an entry through its `Arc`
+//! fill it without a lock: whoever deciphers a slot writes its columns
+//! and then sets its bit (Release), and a reader reads a slot's columns
+//! only after seeing its bit (Acquire), so it finds a slot unknown or
+//! whole, never torn. Racers decipher one cryptogram to the same words.
 //!
 //! The write side is the mirror image: the entry an update has just
 //! completed is the image its write replaces, so the tree hands it to the
@@ -65,38 +79,27 @@
 //! whole node, plus at most one entry per tree level that each in-flight
 //! range scan or update descent holds (as each held one decoded node per
 //! level before entries kept their keys). What an entry
-//! holds — memoised triplets, plaintext keys and raw key fields — is
+//! holds — deciphered pointers, plaintext keys and raw key fields — is
 //! zeroized when the last reference drops (eviction, invalidation, cache
 //! drop, or the scan moving on), so later heap re-use cannot scrape it out
 //! of dead memory.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use sks_storage::{wipe, BlockId, LruMap, Obs, Stage};
 
 use crate::codec::CodecError;
-use crate::node::{Node, RecordPtr};
-
-/// One deciphered slot of a [`CachedNode`]. `key` is 0 under schemes that
-/// keep the key outside the cryptogram (substitution: it sits disguised in
-/// [`CachedNode::raw_keys`]); `child` is 0 in a leaf, and an internal
-/// node's lone leftmost-pointer slot carries only `child`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Triplet {
-    pub key: u64,
-    pub data_ptr: u64,
-    pub child: u32,
-}
+use crate::node::{Node, RecordPtr, Triplet};
 
 /// A node as stored plus what has been deciphered of it.
 ///
 /// Slots are the page's cryptograms in page order: a leaf's slot `i` is
 /// triplet `i`; an internal node's slot 0 is the leftmost tree pointer and
 /// slot `i + 1` triplet `i` — so child `c` of an internal node always sits
-/// in slot `c`. An entry filled from the medium gives each slot a
-/// write-once memo cell that readers sharing the entry through its `Arc`
-/// fill without a lock; an entry born whole holds its slots as they are.
+/// in slot `c`. Every deciphered column is indexed by slot.
 #[derive(Debug)]
 pub struct CachedNode {
     id: BlockId,
@@ -105,59 +108,49 @@ pub struct CachedNode {
     /// charge decryptions proportional to it).
     page_len: usize,
     /// The key fields the codec's in-node search compares, in triplet
-    /// order, contiguous: as stored where the scheme keeps them outside
-    /// the cryptograms (disguised under substitution), empty where they
-    /// are sealed inside (Bayer–Metzger).
+    /// order, contiguous, where the scheme keeps them outside the slots
+    /// (disguised under substitution). Empty where a slot's key is part
+    /// of its content — sealed inside it (Bayer–Metzger) or beside it in
+    /// the clear (plaintext) — and the search compares the key column.
     raw_keys: Vec<u64>,
     /// The slots' cryptograms as stored, back to back, `sealed_len` bytes
     /// each. Empty for a whole-page or plaintext scheme's entry.
     sealed: Vec<u8>,
     sealed_len: usize,
-    memo: Slots,
-    /// The plaintext keys in triplet order, memoised by the first
-    /// completion ([`CachedNode::fill_keys`]) or by a write's image. Set
-    /// only once every slot is memoised, so "keys known" is "complete".
-    keys: OnceLock<Vec<u64>>,
+    /// Plaintext keys. A slot's key is written with its slot where it is
+    /// part of the slot's content, and by the completion that recovers
+    /// it otherwise; either way it counts as known only once `complete`
+    /// is set.
+    keys: Box<[AtomicU64]>,
+    data_ptrs: Box<[AtomicU64]>,
+    /// Tree pointers; empty in a leaf.
+    children: Box<[AtomicU32]>,
+    /// One bit per slot: its columns hold what it deciphers to.
+    known: Box<[AtomicU64]>,
+    /// Every slot known and every key with it ([`CachedNode::keys`]).
+    complete: AtomicBool,
     /// Where the time of each physical unseal is recorded (off unless the
     /// tree installs its channel, see [`CachedNode::timed`]).
     obs: Obs,
 }
 
-/// A [`CachedNode`]'s deciphered slots. An entry filled from the medium
-/// starts with every cell empty and its probes fill them; an entry born
-/// whole — a write's image, a whole-page or plaintext decode — knows every
-/// slot at once and holds them in a plain slice, which costs no per-slot
-/// cell set-up to build and no cell walk to read or wipe.
-#[derive(Debug)]
-enum Slots {
-    Lazy(Box<[OnceLock<Triplet>]>),
-    Whole(Box<[Triplet]>),
-}
-
-impl Slots {
-    fn len(&self) -> usize {
-        match self {
-            Slots::Lazy(cells) => cells.len(),
-            Slots::Whole(slots) => slots.len(),
-        }
-    }
-
-    /// The content of `slot`, if it is known.
-    #[inline]
-    fn get(&self, slot: usize) -> Option<Triplet> {
-        match self {
-            Slots::Lazy(cells) => cells.get(slot)?.get().copied(),
-            Slots::Whole(slots) => slots.get(slot).copied(),
-        }
-    }
-}
-
 /// The `unseal` argument for entries born complete, whose slots never
 /// need one.
 pub fn never_sealed(_: &[u8]) -> Result<Triplet, CodecError> {
-    Err(CodecError::Corrupt(
-        "cache entry slot holds neither a triplet nor a cryptogram".into(),
-    ))
+    Err(CodecError::Corrupt("cache entry slot is not sealed".into()))
+}
+
+/// A column of `len` zero words.
+fn zeroed<T: Default>(len: usize) -> Box<[T]> {
+    (0..len).map(|_| T::default()).collect()
+}
+
+/// A bitmap over `slots` slots with every bit set.
+fn all_known(slots: usize) -> Box<[AtomicU64]> {
+    let word = |w: usize| u64::MAX >> (64 - (slots - 64 * w).min(64));
+    (0..slots.div_ceil(64))
+        .map(|w| AtomicU64::new(word(w)))
+        .collect()
 }
 
 impl CachedNode {
@@ -179,28 +172,33 @@ impl CachedNode {
             raw_keys,
             sealed,
             sealed_len,
-            memo: Slots::Lazy((0..slots).map(|_| OnceLock::new()).collect()),
-            keys: OnceLock::new(),
+            keys: zeroed(slots),
+            data_ptrs: zeroed(slots),
+            children: zeroed(if is_leaf { 0 } else { slots }),
+            known: zeroed(slots.div_ceil(64)),
+            complete: AtomicBool::new(false),
             obs: Obs::default(),
         }
     }
 
     /// The image of the page an encoder has just written from `node`,
-    /// born whole: the key fields and cryptograms it laid down (`raw_keys`,
-    /// and `sealed`, `sealed_len` bytes per slot), each slot in page order
-    /// what unsealing its cryptogram returns (`slots`), and — when
-    /// `keys_known`, that is when recovering the key fields gives back the
-    /// node's keys — the node's keys memoised. Otherwise the first
-    /// completion recovers them.
+    /// every slot known: the key fields and cryptograms it laid down
+    /// (`raw_keys`, and `sealed`, `sealed_len` bytes per slot), each slot
+    /// what unsealing its cryptogram returns, and — when `keys_known`,
+    /// that is when recovering the key fields gives back the node's keys
+    /// (always so where the keys are part of the slots) — the node's keys.
+    /// Otherwise the first completion recovers them.
     pub fn written(
         node: &Node,
         page_len: usize,
         raw_keys: Vec<u64>,
         sealed: Vec<u8>,
         sealed_len: usize,
-        slots: impl Iterator<Item = Triplet>,
         keys_known: bool,
     ) -> Self {
+        let lead = || std::iter::repeat_n(0, usize::from(!node.is_leaf()));
+        let keys = node.keys.iter().map(|&k| if keys_known { k } else { 0 });
+        let data_ptrs = node.data_ptrs.iter().map(|a| a.0);
         CachedNode {
             id: node.id,
             is_leaf: node.is_leaf(),
@@ -208,20 +206,20 @@ impl CachedNode {
             raw_keys,
             sealed,
             sealed_len,
-            memo: Slots::Whole(slots.collect()),
-            keys: keys_known
-                .then(|| node.keys.clone())
-                .map_or_else(OnceLock::new, OnceLock::from),
+            keys: lead().chain(keys).map(AtomicU64::new).collect(),
+            data_ptrs: lead().chain(data_ptrs).map(AtomicU64::new).collect(),
+            children: node.children.iter().map(|c| AtomicU32::new(c.0)).collect(),
+            known: all_known(node.n() + usize::from(!node.is_leaf())),
+            complete: AtomicBool::new(keys_known),
             obs: Obs::default(),
         }
     }
 
     /// An entry born complete from a plaintext `node` (codecs that
     /// decipher a page all at once, or write it in the clear): every slot
-    /// known, no sealed image, the node's own keys as the search keys.
+    /// known, no stored columns, the node's keys the ones searches compare.
     pub fn complete(node: &Node, page_len: usize) -> Self {
-        let keys = node.keys.clone();
-        Self::written(node, page_len, keys, Vec::new(), 0, node.slots(), true)
+        Self::written(node, page_len, Vec::new(), Vec::new(), 0, true)
     }
 
     /// Records every physical unseal this entry performs from now on as a
@@ -248,7 +246,7 @@ impl CachedNode {
     /// Number of slots (cryptograms on the page): `n`, plus the leftmost
     /// pointer of an internal node.
     pub fn slots(&self) -> usize {
-        self.memo.len()
+        self.data_ptrs.len()
     }
 
     /// The slot of triplet `i`.
@@ -264,18 +262,41 @@ impl CachedNode {
         &self.raw_keys
     }
 
+    /// Whether a slot's key is part of its content: the scheme keeps no
+    /// key fields outside the slots.
+    fn keys_in_slots(&self) -> bool {
+        self.raw_keys.is_empty()
+    }
+
     /// The plaintext keys in triplet order, once the entry is complete
-    /// ([`CachedNode::fill_keys`]): `Some` means every slot is memoised,
-    /// so a visit that finds them deciphers nothing.
+    /// ([`CachedNode::fill_keys`]): `Some` means every slot is known, so
+    /// a visit that finds them deciphers nothing.
     #[inline]
-    pub fn keys(&self) -> Option<&[u64]> {
-        self.keys.get().map(Vec::as_slice)
+    pub fn keys(&self) -> Option<Keys<'_>> {
+        let keys = || Keys(self.keys.get(self.key_slot(0)..).unwrap_or_default());
+        self.complete.load(Acquire).then(keys)
+    }
+
+    /// The content of `slot` read off the columns, if it is known.
+    #[inline]
+    fn content(&self, slot: usize) -> Option<Triplet> {
+        if self.known.get(slot / 64)?.load(Acquire) >> (slot % 64) & 1 == 0 {
+            return None;
+        }
+        Some(Triplet {
+            key: match self.keys_in_slots() {
+                true => self.keys[slot].load(Relaxed),
+                false => 0,
+            },
+            data_ptr: self.data_ptrs[slot].load(Relaxed),
+            child: self.children.get(slot).map_or(0, |c| c.load(Relaxed)),
+        })
     }
 
     /// The deciphered content of `slot`. The first call on a slot hands
     /// its cryptogram to `unseal` and memoises the answer; later calls —
-    /// from any thread sharing the entry — are served from the memo. A
-    /// failed unseal is returned and never memoised.
+    /// from any thread sharing the entry — read it back. A failed unseal
+    /// is returned and never memoised.
     #[inline]
     pub fn triplet(
         &self,
@@ -283,16 +304,20 @@ impl CachedNode {
         unseal: impl FnOnce(&[u8]) -> Result<Triplet, CodecError>,
     ) -> Result<Triplet, CodecError> {
         // The memoised case is the whole hot path of a cached search: keep
-        // it a load and a copy, with the first touch out of line.
-        match self.memo.get(slot) {
+        // it a bit test and three loads, with the first touch out of line.
+        match self.content(slot) {
             Some(t) => Ok(t),
             None => self.unseal_slot(slot, unseal, &mut self.obs.start()),
         }
     }
 
-    /// First touch of `slot`: deciphers its cryptogram and memoises the
-    /// answer, closing one [`Stage::NodeUnseal`] sample that runs from
-    /// `clock` ([`Obs::lap`]).
+    /// First touch of `slot`: deciphers its cryptogram, writes the answer
+    /// into the columns and then marks the slot known, closing one
+    /// [`Stage::NodeUnseal`] sample that runs from `clock` ([`Obs::lap`]).
+    /// An answer with a field the layout keeps no column for — a tree
+    /// pointer in a leaf, a key where keys sit outside the slots — only a
+    /// damaged cryptogram gives: it is returned but never memoised, so
+    /// the slot lends nothing to a write and completes no node.
     #[cold]
     fn unseal_slot(
         &self,
@@ -301,115 +326,91 @@ impl CachedNode {
         clock: &mut Option<Instant>,
     ) -> Result<Triplet, CodecError> {
         let missing = || CodecError::Corrupt(format!("node {} has no slot {slot}", self.id));
-        // A whole entry knows every slot it has.
-        let Slots::Lazy(cells) = &self.memo else {
-            return Err(missing());
-        };
-        let cell = cells.get(slot).ok_or_else(missing)?;
         let at = slot * self.sealed_len;
         let ct = self.sealed.get(at..at + self.sealed_len);
-        let t = unseal(ct.ok_or_else(missing)?)?;
+        let t = unseal(ct.filter(|_| slot < self.slots()).ok_or_else(missing)?)?;
         self.obs.lap(Stage::NodeUnseal, clock);
-        // Readers racing to this point deciphered the same cryptogram to
-        // the same triplet; whichever `set` lands, the cell holds it.
-        let _ = cell.set(t);
+        let fits = (t.child == 0 || !self.is_leaf) && (t.key == 0 || self.keys_in_slots());
+        if fits {
+            if self.keys_in_slots() {
+                self.keys[slot].store(t.key, Relaxed);
+            }
+            self.data_ptrs[slot].store(t.data_ptr, Relaxed);
+            if let Some(child) = self.children.get(slot) {
+                child.store(t.child, Relaxed);
+            }
+            // Release, after the columns: a reader that sees the bit
+            // (Acquire, in `content`) sees them too.
+            self.known[slot / 64].fetch_or(1 << (slot % 64), Release);
+        }
         Ok(t)
     }
 
     /// Completes the entry and returns its plaintext keys: every slot not
-    /// yet memoised is unsealed (and memoised) first, then `key_of(i, t)`
+    /// yet known is unsealed (and memoised) first, then `key_of(i, t)`
     /// gives triplet `i`'s key from its slot's content `t` — codecs that
     /// keep keys outside the cryptograms recover them from
-    /// [`CachedNode::raw_keys`] — and the keys are memoised, so later
-    /// calls return them at once. The first failure is returned and
-    /// nothing after it runs: no key is memoised unless all are.
+    /// [`CachedNode::raw_keys`] — and the entry is marked complete, so
+    /// later calls return the keys at once. The first failure is returned
+    /// and nothing after it runs: the keys count as known only once all
+    /// are.
     pub fn fill_keys(
         &self,
         mut unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
         mut key_of: impl FnMut(usize, &Triplet) -> Result<u64, CodecError>,
-    ) -> Result<&[u64], CodecError> {
+    ) -> Result<Keys<'_>, CodecError> {
         if let Some(keys) = self.keys() {
             return Ok(keys);
         }
         // One clock read per slot deciphered: each sample starts where the
         // previous one ended, so together they time the whole loop.
         let mut clock = None;
-        if let Slots::Lazy(cells) = &self.memo {
-            for (slot, cell) in cells.iter().enumerate() {
-                if cell.get().is_none() {
-                    clock = clock.or_else(|| self.obs.start());
-                    self.unseal_slot(slot, &mut unseal, &mut clock)?;
-                }
+        for slot in 0..self.slots() {
+            if self.content(slot).is_none() {
+                clock = clock.or_else(|| self.obs.start());
+                self.unseal_slot(slot, &mut unseal, &mut clock)?;
             }
         }
-        let mut keys = Vec::with_capacity(self.n());
-        for i in 0..self.n() {
-            match self
-                .triplet(self.key_slot(i), never_sealed)
-                .and_then(|t| key_of(i, &t))
-            {
-                Ok(key) => keys.push(key),
-                Err(e) => {
-                    wipe::words(&mut keys);
-                    return Err(e);
-                }
+        for slot in 0..self.slots() {
+            let stray = || CodecError::Corrupt(format!("node {} slot {slot} is stray", self.id));
+            let t = self.content(slot).ok_or_else(stray)?;
+            if let Some(i) = slot.checked_sub(self.key_slot(0)) {
+                self.keys[slot].store(key_of(i, &t)?, Relaxed);
             }
         }
-        // A reader that raced here memoised the same keys: wipe the copy.
-        if let Err(mut lost) = self.keys.set(keys) {
-            wipe::words(&mut lost);
-        }
+        // Release, after every key: pairs with the Acquire in `keys`.
+        self.complete.store(true, Release);
         Ok(self.keys().unwrap_or_default())
     }
 
-    /// The data pointer of triplet `i`, once its slot is memoised.
+    /// The data pointer of triplet `i`, once its slot is known.
     #[inline]
     pub fn data_ptr(&self, i: usize) -> Option<RecordPtr> {
-        let t = self.memo.get(self.key_slot(i))?;
+        let t = self.content(self.key_slot(i))?;
         Some(RecordPtr(t.data_ptr))
     }
 
-    /// Child `c` of an internal node, once its slot is memoised.
+    /// Child `c` of an internal node, once its slot is known.
     #[inline]
     pub fn child(&self, c: usize) -> Option<BlockId> {
-        let t = self.memo.get(c).filter(|_| !self.is_leaf)?;
+        let t = self.content(c).filter(|_| !self.is_leaf)?;
         Some(BlockId(t.child))
     }
 
-    /// The plaintext node of a complete entry, built from its memos with
+    /// The plaintext node of a complete entry, built from its columns with
     /// no cryptography; an entry not yet complete is an error.
     pub fn to_node(&self) -> Result<Node, CodecError> {
         let incomplete = || CodecError::Corrupt(format!("node {} is not complete", self.id));
         let keys = self.keys().ok_or_else(incomplete)?;
-        let mut node = Node {
+        let data_ptrs = self.data_ptrs.get(self.key_slot(0)..).unwrap_or_default();
+        let data_ptrs = data_ptrs.iter().map(|a| RecordPtr(a.load(Relaxed)));
+        let children = self.children.iter().map(|c| BlockId(c.load(Relaxed)));
+        Ok(Node {
             id: self.id,
             keys: keys.to_vec(),
-            data_ptrs: Vec::with_capacity(keys.len()),
-            children: Vec::with_capacity(if self.is_leaf { 0 } else { self.slots() }),
-        };
-        let first_key = self.key_slot(0);
-        match &self.memo {
-            Slots::Whole(slots) => {
-                let keyed = slots.get(first_key..).unwrap_or_default();
-                node.data_ptrs
-                    .extend(keyed.iter().map(|t| RecordPtr(t.data_ptr)));
-                if !self.is_leaf {
-                    node.children.extend(slots.iter().map(|t| BlockId(t.child)));
-                }
-            }
-            Slots::Lazy(cells) => {
-                for (slot, cell) in cells.iter().enumerate() {
-                    let t = cell.get().ok_or_else(incomplete)?;
-                    if !self.is_leaf {
-                        node.children.push(BlockId(t.child));
-                    }
-                    if slot >= first_key {
-                        node.data_ptrs.push(RecordPtr(t.data_ptr));
-                    }
-                }
-            }
-        }
-        Ok(node)
+            data_ptrs: data_ptrs.collect(),
+            children: children.collect(),
+        })
     }
 
     /// The stored `len`-byte cryptogram of the first slot at or after
@@ -424,34 +425,25 @@ impl CachedNode {
         if self.sealed_len != len {
             return None;
         }
-        let at = match &self.memo {
-            Slots::Lazy(cells) => cells
-                .get(*from..)?
-                .iter()
-                .position(|c| c.get() == Some(want)),
-            Slots::Whole(slots) => slots.get(*from..)?.iter().position(|t| t == want),
-        };
-        let slot = *from + at?;
+        let slot = (*from..self.slots()).find(|&slot| self.content(slot) == Some(*want))?;
         let ct = self.sealed.get(slot * len..(slot + 1) * len)?;
         *from = slot + 1;
         Some(ct)
     }
 
     /// The stored key field of the first triplet at or after `*from` whose
-    /// memoised plaintext key is `key`, advancing `*from` past it — so a
-    /// rewritten node's keys, ascending, are matched against this image in
-    /// key order, as [`CachedNode::stored_cryptogram`] matches slots. The
-    /// walk stops at the first larger key. `None`, and `*from` unmoved,
-    /// when no such triplet remains, the keys are not memoised, or the
-    /// scheme keeps its keys inside the cryptograms.
+    /// plaintext key is `key`, advancing `*from` past it — so a rewritten
+    /// node's keys, ascending, are matched against this image in key
+    /// order, as [`CachedNode::stored_cryptogram`] matches slots. The walk
+    /// stops at the first larger key. `None`, and `*from` unmoved, when no
+    /// such triplet remains, the keys are not known yet, or the scheme
+    /// keeps no key fields outside its slots.
     #[inline]
     pub fn stored_key(&self, from: &mut usize, key: u64) -> Option<u64> {
         let keys = self.keys()?;
-        let i = *from + keys.get(*from..)?.iter().take_while(|&&k| k < key).count();
-        if keys.get(i) != Some(&key) {
-            return None;
-        }
-        let raw = *self.raw_keys.get(i)?;
+        let ahead = Keys(keys.0.get(*from..)?).iter();
+        let i = *from + ahead.take_while(|&k| k < key).count();
+        let raw = *self.raw_keys.get(i).filter(|_| keys.get(i) == Some(key))?;
         *from = i + 1;
         Some(raw)
     }
@@ -459,17 +451,10 @@ impl CachedNode {
     /// Zeroes everything deciphered or key-derived in place (the sealed
     /// image is ciphertext, as public as the medium).
     fn scrub(&mut self) {
-        match &mut self.memo {
-            Slots::Lazy(cells) => {
-                for t in cells.iter_mut().filter_map(OnceLock::get_mut) {
-                    wipe::words(std::slice::from_mut(t));
-                }
-            }
-            Slots::Whole(slots) => wipe::words(slots),
-        }
-        if let Some(keys) = self.keys.get_mut() {
-            wipe::words(keys);
-        }
+        let words = self.keys.iter_mut().chain(self.data_ptrs.iter_mut());
+        words.for_each(|w| wipe::words(std::slice::from_mut(w.get_mut())));
+        let children = self.children.iter_mut();
+        children.for_each(|c| wipe::words(std::slice::from_mut(c.get_mut())));
         wipe::words(&mut self.raw_keys);
     }
 }
@@ -477,6 +462,47 @@ impl CachedNode {
 impl Drop for CachedNode {
     fn drop(&mut self) {
         self.scrub();
+    }
+}
+
+/// A complete entry's plaintext keys in triplet order, read off its key
+/// column ([`CachedNode::keys`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Keys<'a>(&'a [AtomicU64]);
+
+impl<'a> Keys<'a> {
+    /// Key `i`, if the node has that many.
+    #[inline]
+    pub fn get(self, i: usize) -> Option<u64> {
+        self.0.get(i).map(|k| k.load(Relaxed))
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = u64> + 'a {
+        self.0.iter().map(|k| k.load(Relaxed))
+    }
+
+    pub fn to_vec(self) -> Vec<u64> {
+        self.iter().collect()
+    }
+
+    /// Where `key` lies among the (strictly ascending) keys, as
+    /// [`slice::binary_search`] answers: `Ok(i)` when triplet `i` holds
+    /// it, else `Err(c)`, the child slot it belongs under.
+    #[inline]
+    pub fn binary_search(self, key: u64) -> Result<usize, usize> {
+        self.0.binary_search_by(|k| k.load(Relaxed).cmp(&key))
+    }
+
+    /// How many leading keys are below `key`, as
+    /// [`slice::partition_point`] counts them.
+    pub fn count_below(self, key: u64) -> usize {
+        self.0.partition_point(|k| k.load(Relaxed) < key)
+    }
+}
+
+impl PartialEq for Keys<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -558,6 +584,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
+    /// A complete one-triplet leaf image whose raw key field is its key.
     fn entry(id: u32, key: u64) -> CachedNode {
         let node = Node {
             id: BlockId(id),
@@ -565,47 +592,92 @@ mod tests {
             data_ptrs: vec![RecordPtr(key * 10)],
             children: vec![],
         };
-        CachedNode::complete(&node, 256)
+        CachedNode::written(&node, 256, vec![key], Vec::new(), 0, true)
     }
 
-    /// A lazy internal node with keys 10, 20, 30 whose "cryptograms" are
-    /// the slot number: the test unseal maps slot `s` to a triplet derived
-    /// from it and counts how often it runs.
+    /// The keys of every test node below.
+    const KEYS: [u64; 3] = [10, 20, 30];
+
+    /// A lazy node with keys 10, 20, 30 whose one-byte "cryptograms" name
+    /// what they hold: 0 an internal node's leftmost pointer, `i + 1`
+    /// triplet `i` ([`unseal_for`] deciphers them). Where `keyed` the keys
+    /// are sealed inside the cryptograms (Bayer–Metzger-shaped: no raw key
+    /// fields); otherwise they sit beside them (substitution-shaped: the
+    /// raw key fields are the keys themselves).
+    fn lazy(is_leaf: bool, keyed: bool) -> CachedNode {
+        let sealed = (u8::from(is_leaf)..4).collect();
+        let raw_keys = if keyed { Vec::new() } else { KEYS.to_vec() };
+        CachedNode::sealed(BlockId(7), is_leaf, 256, raw_keys, sealed, 1)
+    }
+
+    /// A lazy internal node, substitution-shaped.
     fn lazy_internal() -> CachedNode {
-        let sealed = (0u8..4).collect();
-        CachedNode::sealed(BlockId(7), false, 256, vec![10, 20, 30], sealed, 1)
+        lazy(false, false)
     }
 
-    /// The node [`lazy_internal`] deciphers to: slot `s` holds child
-    /// `s + 40`, and triplet `i` data pointer `100 (i + 1)`.
-    fn internal() -> Node {
+    /// The node [`lazy`] deciphers to: triplet `i` holds data pointer
+    /// `100 (i + 1)`, and child `c` of an internal node is `40 + c`.
+    fn node(is_leaf: bool) -> Node {
         Node {
             id: BlockId(7),
-            keys: vec![10, 20, 30],
+            keys: KEYS.to_vec(),
             data_ptrs: [100, 200, 300].map(RecordPtr).to_vec(),
-            children: [40, 41, 42, 43].map(BlockId).to_vec(),
+            children: match is_leaf {
+                true => Vec::new(),
+                false => [40, 41, 42, 43].map(BlockId).to_vec(),
+            },
         }
     }
 
-    fn unseal_counting(calls: &AtomicUsize) -> impl Fn(&[u8]) -> Result<Triplet, CodecError> + '_ {
+    fn internal() -> Node {
+        node(false)
+    }
+
+    /// The unseal of [`lazy`]'s cryptograms, counting its calls:
+    /// cryptogram `s` holds data pointer `100 s`, in an internal node child
+    /// `40 + s`, and where `keyed` key `10 s`.
+    fn unseal_for(
+        is_leaf: bool,
+        keyed: bool,
+        calls: &AtomicUsize,
+    ) -> impl Fn(&[u8]) -> Result<Triplet, CodecError> + '_ {
         move |ct| {
             calls.fetch_add(1, Ordering::Relaxed);
+            let s = ct[0];
             Ok(Triplet {
-                key: u64::from(ct[0]) * 10,
-                data_ptr: u64::from(ct[0]) * 100,
-                child: u32::from(ct[0]) + 40,
+                key: if keyed { u64::from(s) * 10 } else { 0 },
+                data_ptr: u64::from(s) * 100,
+                child: if is_leaf { 0 } else { u32::from(s) + 40 },
             })
         }
     }
 
-    /// The whole node of `e`: completed through `unseal`, its keys read
-    /// from the slots.
+    /// [`unseal_for`] a substitution-shaped internal node.
+    fn unseal_counting(calls: &AtomicUsize) -> impl Fn(&[u8]) -> Result<Triplet, CodecError> + '_ {
+        unseal_for(false, false, calls)
+    }
+
+    /// Triplet `i`'s key in `e` from its slot's content `t`: its raw field
+    /// where the entry has raw fields, else the slot's key.
+    fn key_of(e: &CachedNode) -> impl FnMut(usize, &Triplet) -> Result<u64, CodecError> + '_ {
+        move |i, t| Ok(e.raw_keys().get(i).copied().unwrap_or(t.key))
+    }
+
+    /// The whole node of `e`: completed through `unseal`, then built.
     fn whole(
         e: &CachedNode,
         unseal: impl FnMut(&[u8]) -> Result<Triplet, CodecError>,
     ) -> Result<Node, CodecError> {
-        e.fill_keys(unseal, |_, t| Ok(t.key))?;
+        e.fill_keys(unseal, key_of(e))?;
         e.to_node()
+    }
+
+    /// An entry's heap bytes: its stored and deciphered columns.
+    fn heap_bytes(e: &CachedNode) -> usize {
+        use std::mem::size_of_val;
+        let stored = e.raw_keys.capacity() * 8 + e.sealed.capacity();
+        let columns = [size_of_val(&*e.keys), size_of_val(&*e.data_ptrs)];
+        stored + columns.iter().sum::<usize>() + size_of_val(&*e.children) + size_of_val(&*e.known)
     }
 
     #[test]
@@ -700,8 +772,9 @@ mod tests {
     fn keys_are_memoised_whole_and_lend_their_fields_in_key_order() {
         let calls = AtomicUsize::new(0);
         let e = lazy_internal();
-        let tenth = |i: usize, _: &Triplet| Ok([10, 20, 30][i] / 10);
-        // A failed recovery memoises no key, though every slot is unsealed.
+        let tenth = |i: usize, _: &Triplet| Ok(KEYS[i] / 10);
+        // A failed recovery leaves the keys unknown, though every slot is
+        // unsealed.
         let failed = e.fill_keys(unseal_counting(&calls), |i, t| match i {
             2 => Err(CodecError::Corrupt("bad key".into())),
             _ => tenth(i, t),
@@ -709,11 +782,15 @@ mod tests {
         assert!(failed.is_err());
         assert_eq!((e.keys(), calls.load(Ordering::Relaxed)), (None, 4));
         assert!(e.to_node().is_err(), "not complete");
-        assert_eq!(e.fill_keys(never_sealed, tenth).unwrap(), [1, 2, 3]);
+        assert_eq!(
+            e.fill_keys(never_sealed, tenth).unwrap().to_vec(),
+            [1, 2, 3]
+        );
         assert_eq!(e.to_node().unwrap().keys, [1, 2, 3]);
-        assert_eq!(e.fill_keys(never_sealed, |_, _| Ok(9)).unwrap(), [1, 2, 3]);
+        let again = e.fill_keys(never_sealed, |_, _| Ok(9)).unwrap();
+        assert_eq!(again.to_vec(), [1, 2, 3]);
 
-        // The stored field of a memoised key, found at or after the cursor.
+        // The stored field of a known key, found at or after the cursor.
         let mut from = 0;
         assert_eq!(e.stored_key(&mut from, 2), Some(20));
         assert_eq!(e.stored_key(&mut from, 1), None, "behind the cursor");
@@ -721,16 +798,15 @@ mod tests {
         assert_eq!((e.stored_key(&mut from, 3), from), (Some(30), 3));
         assert_eq!(lazy_internal().stored_key(&mut 0, 1), None, "no keys yet");
 
-        // A write's image is whole at birth, and takes the node's keys
-        // only when told they are what a completion would recover.
+        // A write's image knows every slot at birth, and takes the node's
+        // keys only when told they are what a completion would recover.
         let (node, sealed) = (internal(), (0u8..4).collect::<Vec<_>>());
         let image = |keys_known| {
-            let slots = node.slots().map(|t| Triplet { key: 0, ..t });
             let raw_keys = vec![1, 2, 3];
-            CachedNode::written(&node, 256, raw_keys, sealed.clone(), 1, slots, keys_known)
+            CachedNode::written(&node, 256, raw_keys, sealed.clone(), 1, keys_known)
         };
         let written = image(true);
-        assert_eq!(written.keys(), Some(&node.keys[..]));
+        assert_eq!(written.keys().map(Keys::to_vec), Some(node.keys.clone()));
         assert_eq!(written.to_node().unwrap(), node);
         assert_eq!(written.stored_key(&mut 0, 20), Some(2));
         assert_eq!(written.child(3), Some(BlockId(43)));
@@ -746,7 +822,7 @@ mod tests {
         };
         assert_eq!(unknown.stored_cryptogram(&mut 0, &t, 1), Some(&[2u8][..]));
         let recovered = unknown.fill_keys(never_sealed, |i, _| Ok(10 * (i as u64 + 1)));
-        assert_eq!(recovered.unwrap(), node.keys, "no unseal needed");
+        assert_eq!(recovered.unwrap().to_vec(), node.keys, "no unseal needed");
         assert_eq!(unknown.to_node().unwrap(), node);
     }
 
@@ -756,10 +832,36 @@ mod tests {
         let e = lazy_internal();
         let err = e.triplet(1, |_| Err(CodecError::Corrupt("bad seal".into())));
         assert_eq!(err, Err(CodecError::Corrupt("bad seal".into())));
-        assert!(whole(&e, never_sealed).is_err(), "slot 0 has no memo yet");
+        assert!(whole(&e, never_sealed).is_err(), "slot 0 is not known yet");
         assert_eq!(e.triplet(1, unseal_counting(&calls)).unwrap().child, 41);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "the retry did unseal");
         assert!(e.triplet(4, unseal_counting(&calls)).is_err(), "no slot 4");
+
+        // A leaf slot that deciphers to a tree pointer, or a key where the
+        // keys sit outside the cryptograms, is answered as deciphered but
+        // never memoised, and completes no node.
+        let stray_child = |_: &[u8]| {
+            Ok(Triplet {
+                key: 10,
+                data_ptr: 100,
+                child: 9,
+            })
+        };
+        let leaf = lazy(true, true);
+        assert_eq!(leaf.triplet(0, stray_child).unwrap().child, 9);
+        assert!(leaf.triplet(0, never_sealed).is_err(), "not memoised");
+        assert!(leaf.fill_keys(stray_child, key_of(&leaf)).is_err());
+        let stray_key = |_: &[u8]| {
+            Ok(Triplet {
+                key: 10,
+                data_ptr: 100,
+                child: 0,
+            })
+        };
+        let leaf = lazy(true, false);
+        assert_eq!(leaf.triplet(0, stray_key).unwrap().key, 10);
+        assert!(leaf.fill_keys(stray_key, key_of(&leaf)).is_err());
+        assert_eq!(leaf.keys(), None);
     }
 
     #[test]
@@ -783,38 +885,147 @@ mod tests {
         assert_eq!(whole(&e, never_sealed).unwrap(), leaf);
     }
 
+    /// Threads sharing an entry agree with one thread alone, for a leaf
+    /// and an internal node, keys beside the cryptograms
+    /// (substitution-shaped) and inside them (Bayer–Metzger-shaped): two
+    /// probers read every slot in opposite orders while a third thread
+    /// completes the entry and a fourth watches it. Every read finds a
+    /// slot unknown or holding its final value, never part of one.
     #[test]
     fn two_threads_sharing_an_entry_agree_with_one() {
-        let expect = whole(&lazy_internal(), unseal_counting(&AtomicUsize::new(0)));
-        let expect = expect.unwrap();
-        let calls = AtomicUsize::new(0);
-        let shared = Arc::new(lazy_internal());
-        let start = Barrier::new(2);
-        std::thread::scope(|s| {
-            let probers: Vec<_> = [[0usize, 1, 2, 3], [3, 2, 1, 0]]
-                .into_iter()
-                .map(|order| {
-                    let (entry, start, calls) = (Arc::clone(&shared), &start, &calls);
+        for (is_leaf, keyed) in [(false, false), (false, true), (true, false), (true, true)] {
+            let what = format!("leaf {is_leaf}, keys sealed {keyed}");
+            let expect = node(is_leaf);
+            let alone = lazy(is_leaf, keyed);
+            let unseals = AtomicUsize::new(0);
+            let unseal = || unseal_for(is_leaf, keyed, &unseals);
+            assert_eq!(whole(&alone, unseal()).unwrap(), expect, "{what}");
+            let slots: Vec<Triplet> = (0..alone.slots())
+                .map(|slot| alone.triplet(slot, never_sealed).unwrap())
+                .collect();
+
+            unseals.store(0, Ordering::Relaxed);
+            let shared = Arc::new(lazy(is_leaf, keyed));
+            let (shared, slots, expect, start) = (&shared, &slots, &expect, &Barrier::new(4));
+            std::thread::scope(|s| {
+                let probers = [false, true].map(|backward| {
                     s.spawn(move || {
                         start.wait();
-                        order.map(|slot| entry.triplet(slot, unseal_counting(calls)).unwrap())
+                        let mut order: Vec<usize> = (0..slots.len()).collect();
+                        if backward {
+                            order.reverse();
+                        }
+                        for slot in order {
+                            let t = shared.triplet(slot, unseal()).unwrap();
+                            assert_eq!(t, slots[slot], "slot {slot}");
+                        }
                     })
-                })
-                .collect();
-            let mut backward = probers.into_iter().map(|p| p.join().expect("prober"));
-            let forward = backward.next().unwrap();
-            let mut backward = backward.next().unwrap();
-            backward.reverse();
-            assert_eq!(forward, backward);
-            assert_eq!(forward[0].child, expect.children[0].0);
-            for (t, i) in forward[1..].iter().zip(0..) {
-                assert_eq!((t.key, t.data_ptr), (expect.keys[i], expect.data_ptrs[i].0));
-                assert_eq!(t.child, expect.children[i + 1].0);
+                });
+                let completer = s.spawn(move || {
+                    start.wait();
+                    shared.fill_keys(unseal(), key_of(shared)).map(Keys::to_vec)
+                });
+                let watcher = s.spawn(move || {
+                    start.wait();
+                    let unknown = |_: &[u8]| Err(CodecError::Corrupt("unknown".into()));
+                    for _ in 0..10_000 {
+                        for (slot, want) in slots.iter().enumerate() {
+                            if let Ok(t) = shared.triplet(slot, unknown) {
+                                assert_eq!(t, *want, "slot {slot}");
+                            }
+                        }
+                        for (i, want) in expect.data_ptrs.iter().enumerate() {
+                            assert!(shared.data_ptr(i).is_none_or(|a| a == *want));
+                        }
+                        for (c, want) in expect.children.iter().enumerate() {
+                            assert!(shared.child(c).is_none_or(|b| b == *want));
+                        }
+                        if let Some(keys) = shared.keys() {
+                            assert_eq!(keys.to_vec(), expect.keys);
+                            break;
+                        }
+                    }
+                });
+                for prober in probers {
+                    prober.join().expect("prober");
+                }
+                watcher.join().expect("watcher");
+                let keys = completer.join().expect("completer");
+                assert_eq!(keys.unwrap(), expect.keys, "{what}");
+            });
+            let unsealed = unseals.load(Ordering::Relaxed);
+            let range = slots.len()..=3 * slots.len();
+            assert!(
+                range.contains(&unsealed),
+                "{what}: a lost race may repeat one"
+            );
+            assert_eq!(whole(shared, never_sealed).unwrap(), *expect, "{what}");
+        }
+    }
+
+    /// Each fact is held once. A full 4 KiB node, laid out as each
+    /// scheme's codec lays it out, costs its stored columns plus one word
+    /// per slot for each deciphered column and one bitmap word per 64
+    /// slots, whether it was completed from the medium or born as a
+    /// write's image: for a sealed scheme's leaf at most 40 B a slot —
+    /// under Oval an 8-byte key field and a 16-byte pointer cryptogram,
+    /// under Bayer–Metzger a 24-byte triplet cryptogram, then a pointer
+    /// and a key — 4 B more in an internal node (its tree pointer), and
+    /// 16 B for a plaintext leaf.
+    #[test]
+    fn an_entry_holds_each_fact_once() {
+        let full = |n: u64, is_leaf: bool| Node {
+            id: BlockId(7),
+            keys: (1..=n).map(|k| 3 * k).collect(),
+            data_ptrs: (1..=n).map(RecordPtr).collect(),
+            children: match is_leaf {
+                true => Vec::new(),
+                false => (0..=n as u32).map(BlockId).collect(),
+            },
+        };
+        // (node, cryptogram width, raw key fields, bytes per slot)
+        let shapes = [
+            ("Oval leaf", full(169, true), 16, true, 40),
+            ("Oval internal node", full(169, false), 16, true, 44),
+            ("Bayer–Metzger leaf", full(169, true), 24, false, 40),
+            ("plaintext leaf", full(204, true), 0, false, 16),
+        ];
+        for (what, node, width, raw_fields, per_slot) in shapes {
+            let slots = node.n() + usize::from(!node.is_leaf());
+            let raw_keys = || match raw_fields {
+                true => node.keys.clone(),
+                false => Vec::new(),
+            };
+            let sealed = || vec![0xA5; slots * width];
+            let image = match width {
+                0 => CachedNode::complete(&node, 4096),
+                _ => CachedNode::written(&node, 4096, raw_keys(), sealed(), width, true),
+            };
+            let bound = per_slot * slots + slots.div_ceil(64) * 8;
+            let bytes = heap_bytes(&image);
+            assert!(bytes <= bound, "{what}: {bytes} B over {bound}");
+            if width > 0 {
+                // Completed from the medium: the slots unsealed in page
+                // order, the keys recovered from the raw fields or read
+                // out of the slots.
+                let filled =
+                    CachedNode::sealed(node.id, node.is_leaf(), 4096, raw_keys(), sealed(), width);
+                let mut contents = node.slots().map(|t| match raw_fields {
+                    true => Triplet { key: 0, ..t },
+                    false => t,
+                });
+                let unseal = |_: &[u8]| {
+                    contents
+                        .next()
+                        .ok_or_else(|| never_sealed(&[]).unwrap_err())
+                };
+                assert_eq!(whole(&filled, unseal).unwrap(), node, "{what}");
+                assert_eq!(heap_bytes(&filled), bytes, "{what}: one layout");
             }
-        });
-        let unseals = calls.load(Ordering::Relaxed);
-        assert!((4..=8).contains(&unseals), "a lost race may repeat one");
-        assert_eq!(whole(&shared, never_sealed).unwrap(), expect);
+            if what == "Oval leaf" {
+                assert_eq!(bytes, 6784, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -830,24 +1041,23 @@ mod tests {
         assert_eq!(e.keys(), None, "never completed");
         // A completed entry's plaintext keys are zeroed with the rest.
         let mut e = lazy_internal();
-        let keys = e.fill_keys(unseal_counting(&AtomicUsize::new(0)), |i, t| {
-            Ok(t.key + i as u64)
+        let keys = e.fill_keys(unseal_counting(&AtomicUsize::new(0)), |i, _| {
+            Ok(KEYS[i] + i as u64)
         });
-        assert_eq!(keys.unwrap(), [10, 21, 32]);
+        assert_eq!(keys.unwrap().to_vec(), [10, 21, 32]);
         e.scrub();
-        assert_eq!(e.keys(), Some(&[0; 3][..]));
+        assert_eq!(e.keys().map(Keys::to_vec), Some(vec![0; 3]));
         assert!((0..4).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default())));
-        // Entries born whole hold their slots in a plain slice: a write's
-        // image, as an encoder builds it, and a plaintext decode's entry.
+        // Entries born whole hold the same columns: a write's image, as an
+        // encoder builds it, and a plaintext decode's entry.
         let node = internal();
-        let slots = node.slots().map(|t| Triplet { key: 0, ..t });
-        let image = CachedNode::written(&node, 256, vec![1, 2, 3], vec![9; 4], 1, slots, true);
+        let image = CachedNode::written(&node, 256, vec![1, 2, 3], vec![9; 4], 1, true);
         for mut e in [image, CachedNode::complete(&node, 256), entry(1, 42)] {
             assert!(e.triplet(e.slots() - 1, never_sealed).unwrap() != Triplet::default());
             e.scrub();
             let zero = (0..e.slots()).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default()));
             assert!(zero, "every slot");
-            assert!(e.keys().unwrap().iter().all(|&k| k == 0), "the keys");
+            assert!(e.keys().unwrap().iter().all(|k| k == 0), "the keys");
             assert!(e.raw_keys().iter().all(|&k| k == 0), "the raw keys");
         }
     }

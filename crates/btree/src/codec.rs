@@ -14,8 +14,8 @@
 
 use sks_storage::{BlockId, OpCounters, PageOverflow, PageReader, PageWriter};
 
-use crate::cache::{never_sealed, CachedNode, Triplet};
-use crate::node::{Node, RecordPtr};
+use crate::cache::{never_sealed, CachedNode};
+use crate::node::{Node, RecordPtr, Triplet};
 
 /// Errors from node encoding/decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,8 +349,7 @@ impl NodeCodec for PlainCodec {
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // Nothing to be lazy about, and plain decoding touches no
-        // counters: the entry is born complete, its search keys the
-        // plaintext ones.
+        // counters: the entry is born complete.
         Ok(CachedNode::complete(
             &read_plain(PLAIN_TAG, id, page)?,
             page.len(),
@@ -358,8 +357,9 @@ impl NodeCodec for PlainCodec {
     }
 
     fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        let keys = entry.raw_keys();
-        let found = self.search(keys.len(), key, |i| Ok(keys[i]))?;
+        // The entry was born complete: its keys are the page's.
+        let keys = entry.keys().unwrap_or_default();
+        let found = self.search(entry.n(), key, |i| Ok(keys.get(i).unwrap_or_default()))?;
         Probe::resolve(found, entry.is_leaf(), |slot| {
             entry.triplet(slot, never_sealed)
         })

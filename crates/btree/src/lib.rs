@@ -12,7 +12,7 @@
 //! which is precisely the paper's point that the substitution happens
 //! "after the shape of the B-Tree has been determined".
 //!
-//! * [`node`] — plaintext node representation and in-node search.
+//! * [`node`] — plaintext node representation.
 //! * [`codec`] — the [`NodeCodec`] boundary, probe semantics, [`PlainCodec`].
 //! * [`cache`] — the bounded node cache (RAM-only, zeroized on evict):
 //!   nodes as stored plus the triplets probes have deciphered, so a search
@@ -36,8 +36,8 @@ pub mod tree;
 #[cfg(test)]
 mod tree_tests;
 
-pub use cache::{never_sealed, CachedNode, NodeCache, Triplet};
+pub use cache::{never_sealed, CachedNode, Keys, NodeCache};
 pub use codec::{CodecError, NodeCodec, PlainCodec, Probe, NODE_HEADER_LEN};
-pub use node::{Node, NodeSearch, RecordPtr};
+pub use node::{Node, RecordPtr, Triplet};
 pub use render::{render_logical, render_with};
 pub use tree::{BTree, RangeIter, TreeError};

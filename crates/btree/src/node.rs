@@ -6,13 +6,11 @@
 //! *disk* representation of a node is owned entirely by the
 //! [`NodeCodec`](crate::codec::NodeCodec); this struct is always plaintext.
 
-use sks_storage::BlockId;
-
-use crate::cache::Triplet;
+use sks_storage::{wipe, BlockId};
 
 /// Pointer to a record in a data block (opaque to the tree; the record
 /// store packs block number and slot into it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordPtr(pub u64);
 
 impl RecordPtr {
@@ -36,7 +34,23 @@ impl std::fmt::Display for RecordPtr {
     }
 }
 
-/// A plaintext B-tree node.
+/// One slot of a node in page order, as [`Node::slots`] lays it out,
+/// unseals return it and [`crate::CachedNode::triplet`] reads it back:
+/// `(kᵢ, aᵢ, pᵢ)`. `key` is 0 under schemes that keep the key outside the
+/// cryptogram (substitution: it sits disguised in
+/// [`crate::CachedNode::raw_keys`]); `child` is 0 in a leaf, and an
+/// internal node's lone leftmost-pointer slot carries only `child`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Triplet {
+    pub key: u64,
+    pub data_ptr: u64,
+    pub child: u32,
+}
+
+/// A plaintext B-tree node. Its keys and pointers are zeroized when it
+/// drops, as a cache entry's are ([`crate::CachedNode`]): a node is built
+/// to be rewritten, and the plaintext it held must not outlive the write
+/// in freed heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// The block this node lives in (bound into pointer cryptograms as `b`).
@@ -108,6 +122,13 @@ impl Node {
         Ok(())
     }
 
+    /// Zeroes the keys and pointers in place.
+    fn scrub(&mut self) {
+        wipe::words(&mut self.keys);
+        wipe::words(&mut self.data_ptrs);
+        wipe::words(&mut self.children);
+    }
+
     /// Keys must be strictly ascending.
     pub fn check_sorted(&self) -> Result<(), String> {
         for w in self.keys.windows(2) {
@@ -122,23 +143,9 @@ impl Node {
     }
 }
 
-/// Result of an in-node key search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSearch {
-    /// Key found at triplet index `i`.
-    Here(usize),
-    /// Key absent; belongs in / under child slot `i`.
-    Child(usize),
-}
-
-impl NodeSearch {
-    /// Where `key` lies among a node's strictly ascending `keys`: its
-    /// index, or the child slot to descend into.
-    pub fn in_keys(keys: &[u64], key: u64) -> Self {
-        match keys.binary_search(&key) {
-            Ok(i) => NodeSearch::Here(i),
-            Err(i) => NodeSearch::Child(i),
-        }
+impl Drop for Node {
+    fn drop(&mut self) {
+        self.scrub();
     }
 }
 
@@ -186,13 +193,20 @@ mod tests {
     }
 
     #[test]
-    fn node_search_semantics() {
-        let node = sample_internal();
-        let search = |key| NodeSearch::in_keys(&node.keys, key);
-        assert_eq!(search(20), NodeSearch::Here(1));
-        assert_eq!(search(5), NodeSearch::Child(0));
-        assert_eq!(search(15), NodeSearch::Child(1));
-        assert_eq!(search(35), NodeSearch::Child(3));
+    fn nodes_zeroize_on_drop() {
+        // What `Drop` runs, run in place so its effect can be read back.
+        let mut node = sample_internal();
+        node.scrub();
+        assert!(node.keys.iter().all(|&k| k == 0), "the keys");
+        assert!(
+            node.data_ptrs.iter().all(|&a| a == RecordPtr(0)),
+            "the data pointers"
+        );
+        assert!(
+            node.children.iter().all(|&c| c == BlockId(0)),
+            "the children"
+        );
+        assert_eq!((node.n(), node.children.len()), (3, 4), "wiped, not cut");
     }
 
     #[test]

@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 use sks_storage::{BlockId, BlockStore, OpCounters, PageReader, PageWriter, Stage, StorageError};
 
-use crate::cache::{CachedNode, NodeCache};
+use crate::cache::{CachedNode, Keys, NodeCache};
 use crate::codec::{CodecError, NodeCodec, Probe};
-use crate::node::{Node, NodeSearch, RecordPtr};
+use crate::node::{Node, RecordPtr};
 
 /// Errors from tree operations.
 #[derive(Debug)]
@@ -611,15 +611,15 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         debug_assert!(node.n() < self.max_keys_per_node());
         let mut depth = 1;
         loop {
-            match NodeSearch::in_keys(keys(&node), key) {
-                NodeSearch::Here(i) => {
+            match keys(&node).binary_search(key) {
+                Ok(i) => {
                     let mut node = self.node_of(&node)?;
                     let old = node.data_ptrs[i];
                     node.data_ptrs[i] = ptr;
                     self.write_node(&node)?;
                     return Ok(Some(old));
                 }
-                NodeSearch::Child(i) => {
+                Err(i) => {
                     if node.is_leaf() {
                         let mut node = self.node_of(&node)?;
                         node.keys.insert(i, key);
@@ -668,8 +668,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     ) -> Result<bool, TreeError> {
         let (mut node, mut depth) = (self.visit(self.root)?, 1);
         loop {
-            match NodeSearch::in_keys(keys(&node), key) {
-                NodeSearch::Here(i) => {
+            match keys(&node).binary_search(key) {
+                Ok(i) => {
                     if data_ptr(&node, i) != expected {
                         return Ok(false);
                     }
@@ -678,7 +678,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                     self.write_node(&node)?;
                     return Ok(true);
                 }
-                NodeSearch::Child(i) => {
+                Err(i) => {
                     if node.is_leaf() {
                         return Ok(false);
                     }
@@ -714,7 +714,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             self.counters().bump(|c| &c.compact_moved_nodes);
             return Ok(());
         }
-        let Some(&guide) = keys(&moved).first() else {
+        let Some(guide) = keys(&moved).get(0) else {
             return Err(TreeError::Invalid(format!(
                 "non-root node {from} has no keys"
             )));
@@ -722,9 +722,9 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         // Locate the parent before mutating anything.
         let (mut cur, mut depth) = (self.visit(self.root)?, 1);
         loop {
-            let i = match NodeSearch::in_keys(keys(&cur), guide) {
-                NodeSearch::Child(i) => i,
-                NodeSearch::Here(_) => {
+            let i = match keys(&cur).binary_search(guide) {
+                Err(i) => i,
+                Ok(_) => {
                     return Err(TreeError::Invalid(format!(
                         "key {guide} of node {from} duplicated in ancestor {}",
                         cur.id()
@@ -822,8 +822,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         key: u64,
         depth: u32,
     ) -> Result<Option<RecordPtr>, TreeError> {
-        match NodeSearch::in_keys(keys(&node), key) {
-            NodeSearch::Here(i) => {
+        match keys(&node).binary_search(key) {
+            Ok(i) => {
                 if node.is_leaf() {
                     let mut node = self.node_of(&node)?;
                     let _ = node.keys.remove(i);
@@ -867,7 +867,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 let merged = self.visit(node.children[i])?;
                 self.delete_from(merged, key, depth + 1)
             }
-            NodeSearch::Child(i) => {
+            Err(i) => {
                 if node.is_leaf() {
                     return Ok(None); // absent
                 }
@@ -949,7 +949,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         left.keys.push(parent.keys.remove(i));
         left.data_ptrs.push(parent.data_ptrs.remove(i));
         let n = right.n();
-        left.keys.extend_from_slice(keys(&right));
+        left.keys.extend(keys(&right).iter());
         left.data_ptrs.extend((0..n).map(|j| data_ptr(&right, j)));
         if !right.is_leaf() {
             left.children.extend((0..=n).map(|c| child(&right, c)));
@@ -982,7 +982,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         };
         let empty = || CodecError::Corrupt(format!("leaf {} holds no key", node.id()));
         let i = i.ok_or_else(empty)?;
-        Ok((keys(&node)[i], data_ptr(&node, i)))
+        let key = keys(&node).get(i).ok_or_else(empty)?;
+        Ok((key, data_ptr(&node, i)))
     }
 
     /// Smallest entry in the tree.
@@ -1167,7 +1168,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 const COMPLETE: &str = "a visited entry has its keys and every slot memoised";
 
 /// The keys of a visited entry.
-fn keys(entry: &CachedNode) -> &[u64] {
+fn keys(entry: &CachedNode) -> Keys<'_> {
     entry.keys().expect(COMPLETE)
 }
 
@@ -1219,10 +1220,10 @@ impl<S: BlockStore, C: NodeCodec> RangeIter<'_, S, C> {
                 // when keys[i] > lo, matching the recursive walk's
                 // `i == n || keys[i] > lo` descend predicate exactly.
                 let keys = keys(&entry);
-                let i = keys.partition_point(|&k| k < self.lo);
+                let i = keys.count_below(self.lo);
                 let event = if entry.is_leaf() {
                     i
-                } else if keys.get(i) == Some(&self.lo) {
+                } else if keys.get(i) == Some(self.lo) {
                     2 * i + 1
                 } else {
                     2 * i
@@ -1247,14 +1248,14 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             }
             let frame = self.stack.last_mut()?;
             let entry = &frame.entry;
-            let keys = keys(entry);
-            let n = keys.len();
-            let yielded = |i: usize| (keys[i], data_ptr(entry, i));
+            let (keys, n) = (keys(entry), entry.n());
+            // Key `i`, if it is in range.
+            let in_range = |i: usize| keys.get(i).filter(|&k| k <= self.hi);
             if entry.is_leaf() {
                 let i = frame.event;
-                if i < n && keys[i] <= self.hi {
+                if let Some(key) = in_range(i) {
                     frame.event += 1;
-                    return Some(Ok(yielded(i)));
+                    return Some(Ok((key, data_ptr(entry, i))));
                 }
                 self.stack.pop();
                 continue;
@@ -1268,16 +1269,16 @@ impl<S: BlockStore, C: NodeCodec> Iterator for RangeIter<'_, S, C> {
             if e % 2 == 1 {
                 // Key event.
                 let i = (e - 1) / 2;
-                if keys[i] > self.hi {
+                let Some(key) = in_range(i) else {
                     self.stack.pop();
                     continue;
-                }
-                return Some(Ok(yielded(i)));
+                };
+                return Some(Ok((key, data_ptr(entry, i))));
             }
             // Child event: child i spans the open interval
             // (keys[i-1], keys[i]); descend only if it intersects [lo, hi].
             let i = e / 2;
-            if i > 0 && keys[i - 1] >= self.hi {
+            if i > 0 && keys.get(i - 1).is_some_and(|k| k >= self.hi) {
                 self.stack.pop();
                 continue;
             }

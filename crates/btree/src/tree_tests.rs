@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use sks_storage::{BlockId, BlockStore, MemDisk, OpCounters};
 
 use crate::codec::{CodecError, NodeCodec, PlainCodec};
-use crate::node::{NodeSearch, RecordPtr};
+use crate::node::RecordPtr;
 use crate::tree::{BTree, TreeError};
 
 fn make_tree(block_size: usize) -> BTree<MemDisk, PlainCodec> {
@@ -631,9 +631,9 @@ proptest! {
 fn node_of<S: BlockStore>(tree: &BTree<S, PlainCodec>, key: u64) -> BlockId {
     let mut node = tree.inspect_node(tree.root_id()).unwrap();
     loop {
-        match NodeSearch::in_keys(&node.keys, key) {
-            NodeSearch::Here(_) => return node.id,
-            NodeSearch::Child(i) => node = tree.inspect_node(node.children[i]).unwrap(),
+        match node.keys.binary_search(&key) {
+            Ok(_) => return node.id,
+            Err(i) => node = tree.inspect_node(node.children[i]).unwrap(),
         }
     }
 }
@@ -727,7 +727,7 @@ fn a_failed_node_write_leaves_no_entry_and_the_next_get_refills() {
     assert_eq!(tree.get(42).unwrap(), Some(RecordPtr(42)), "the medium's");
     assert_eq!(tree.counters().snapshot().node_cache_misses, misses + 1);
     let refilled = cache(&tree).expect("refilled from the medium");
-    let data_ptrs = refilled.to_node().unwrap().data_ptrs;
+    let data_ptrs = refilled.to_node().unwrap().data_ptrs.clone();
     assert!(data_ptrs.contains(&RecordPtr(42)));
     assert!(!data_ptrs.contains(&RecordPtr(4242)));
     tree.validate().unwrap();
@@ -769,10 +769,8 @@ fn a_cyclic_child_pointer_fails_every_descent_closed() {
     // between its first two descends into the second child.
     let key = leaf.keys[0] + 1;
     let (root, counters) = (tree.root_id(), tree.counters().clone());
-    let forged = crate::node::Node {
-        children: vec![root; leaf.n() + 1],
-        ..leaf.clone()
-    };
+    let mut forged = leaf.clone();
+    forged.children = vec![root; leaf.n() + 1];
     let mut page = vec![0u8; 256];
     tree.codec().encode(&forged, &mut page).unwrap();
     let mut store = tree.into_store().unwrap();

@@ -186,9 +186,8 @@ impl NodeCodec for BayerMetzgerCodec {
         // pointer of an internal node, then every triplet — copied from
         // `prev` where that image of this block holds a slot deciphered to
         // the same triplet, sealed otherwise (the page cipher is keyed only
-        // if something is). The image is the page as laid down, each
-        // slot's memo the whole triplet, key included, and the keys
-        // memoised.
+        // if something is). The image is the page as laid down, each slot
+        // known, key included.
         let mut w = PageWriter::new(page);
         sks_btree_core::codec::write_header(&mut w, TAG, node)?;
         let prev = prev.filter(|image| image.id() == node.id);
@@ -211,14 +210,12 @@ impl NodeCodec for BayerMetzgerCodec {
         self.counters.bump_by(|c| &c.triplet_seals_reused, reused);
         // The cryptograms lie back to back on the page.
         let sealed = page[NODE_HEADER_LEN..Self::triplet_offset(node.is_leaf(), node.n())].to_vec();
-        let (page_len, slots) = (page.len(), node.slots());
         Ok(CachedNode::written(
             node,
-            page_len,
+            page.len(),
             Vec::new(),
             sealed,
             len,
-            slots,
             true,
         ))
     }
@@ -548,7 +545,7 @@ mod tests {
         while let Some(id) = todo.pop() {
             let node = tree.inspect_node(id).unwrap();
             cryptograms += u64::from(!node.is_leaf());
-            todo.extend(node.children);
+            todo.extend(node.children.iter().copied());
         }
         assert_eq!(deciphered(), cryptograms);
     }

@@ -102,7 +102,7 @@ impl NodeCodec for FullPageCodec {
 
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // Nothing to be lazy about — one cryptogram holds everything — so
-        // the entry is born complete, its search keys the deciphered ones.
+        // the entry is born complete.
         if !page.len().is_multiple_of(8) {
             return Err(CodecError::Corrupt(
                 "page size must be a multiple of the cipher block (8)".into(),
@@ -126,7 +126,8 @@ impl NodeCodec for FullPageCodec {
         // of block decryptions before searching.
         self.counters
             .bump_by(|c| &c.page_decrypts, Self::cipher_blocks(entry.page_len()));
-        let found = entry.raw_keys().binary_search(&key);
+        // The entry was born complete: its keys are the page's.
+        let found = entry.keys().unwrap_or_default().binary_search(key);
         if found.is_err() {
             self.counters.bump(|c| &c.key_compares);
         }

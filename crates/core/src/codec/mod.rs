@@ -1003,7 +1003,7 @@ mod tests {
                         let node = tree.inspect_node(id).unwrap();
                         match node.is_leaf() {
                             true => leaves.push(id),
-                            false => todo.extend(node.children),
+                            false => todo.extend(node.children.iter().copied()),
                         }
                     }
                     let mut store = tree.into_store().unwrap();
@@ -1085,7 +1085,7 @@ mod tests {
             let parents = root.children.iter().map(|&c| tree.inspect_node(c).unwrap());
             let leaves = parents.filter(|p| roomy(p.n())).flat_map(|p| {
                 let n = p.n() as u64;
-                (p.children.into_iter()).map(move |c| (n, tree.inspect_node(c).unwrap()))
+                (p.children.clone().into_iter()).map(move |c| (n, tree.inspect_node(c).unwrap()))
             });
             let wanted = |leaf: &Node| match full {
                 true => leaf.n() == max,

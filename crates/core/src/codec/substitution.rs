@@ -174,7 +174,7 @@ impl SubstitutionCodec {
     /// `(a, p)` lends its cryptogram and — when the disguise charges by
     /// count — a memoised key equal to the node's lends its stored field;
     /// the rest are sealed and disguised afresh. Returns the image of the
-    /// page: the fields and cryptograms as laid down, each slot's memo the
+    /// page: the fields and cryptograms as laid down, each slot the
     /// pointers its unseal returns, and the node's keys when they are what
     /// recovering the fields gives back.
     fn write_page(
@@ -193,7 +193,7 @@ impl SubstitutionCodec {
         let key_image = prev.filter(|_| self.by_count);
         let (len, mut from, mut key_from) = (self.sealer.sealed_len(), 0, 0);
         let mut raw_keys = Vec::with_capacity(node.n());
-        let mut sealed = Vec::with_capacity((node.n() + 1) * len);
+        let mut sealed = Vec::with_capacity((node.n() + usize::from(!node.is_leaf())) * len);
         for (slot, t) in node.slots().enumerate() {
             if let Some(i) = slot.checked_sub(usize::from(!node.is_leaf())) {
                 let key = node.keys[i];
@@ -211,7 +211,7 @@ impl SubstitutionCodec {
                 raw_keys.push(disguised);
                 tally.ptr_encrypts += 1;
             }
-            // The key sits outside the cryptogram, as in the image's memo.
+            // The key sits outside the cryptogram: no slot's content holds it.
             let want = Triplet { key: 0, ..t };
             match prev.and_then(|image| image.stored_cryptogram(&mut from, &want, len)) {
                 Some(ct) => {
@@ -229,11 +229,13 @@ impl SubstitutionCodec {
             }
         }
         w.pad_remaining();
-        let slots = node.slots().map(|t| Triplet { key: 0, ..t });
-        let keys_known = self.by_count;
-        let page_len = page.len();
         Ok(CachedNode::written(
-            node, page_len, raw_keys, sealed, len, slots, keys_known,
+            node,
+            page.len(),
+            raw_keys,
+            sealed,
+            len,
+            self.by_count,
         ))
     }
 
@@ -313,7 +315,7 @@ impl NodeCodec for SubstitutionCodec {
         }
         let sealed_len = self.sealer.sealed_len();
         let mut raw_keys = Vec::with_capacity(n);
-        let mut sealed = Vec::with_capacity((n + 1) * sealed_len);
+        let mut sealed = Vec::with_capacity((n + usize::from(!is_leaf)) * sealed_len);
         if !is_leaf {
             sealed.extend_from_slice(r.get_bytes(sealed_len)?);
         }
@@ -373,7 +375,7 @@ mod tests {
     use super::*;
     use crate::codec::BlockCipherSealer;
     use crate::disguise::{IdentityDisguise, OvalSubstitution, SumSubstitution};
-    use sks_btree_core::RecordPtr;
+    use sks_btree_core::{Keys, RecordPtr};
 
     /// Builds a codec whose disguise shares the codec's counter set, so
     /// tests observe disguise/recover ops alongside seal ops.
@@ -689,7 +691,7 @@ mod tests {
         while let Some(id) = todo.pop() {
             let node = tree.inspect_node(id).unwrap();
             cryptograms += usize::from(!node.is_leaf());
-            todo.extend(node.children);
+            todo.extend(node.children.iter().copied());
         }
         let unsealed = sealer.unsealed.lock().unwrap();
         assert!(unsealed.values().all(|&c| c == 1), "unsealed twice");
@@ -900,7 +902,7 @@ mod tests {
         let before = sample_internal();
         let mut page = vec![0u8; 256];
         let image = codec.encode(&before, &mut page).unwrap();
-        assert_eq!(image.keys(), Some(&before.keys[..]));
+        assert_eq!(image.keys().map(Keys::to_vec), Some(before.keys.clone()));
         for at in 0..=before.n() {
             let mut after = before.clone();
             // Key 20 is outside the paper design's domain of 13.

@@ -9,7 +9,7 @@
 
 /// Identifier of a block on the device. Block 0 is conventionally the
 /// superblock of whatever structure lives on the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl BlockId {

@@ -23,10 +23,11 @@
 //! (whole-page encipherment, plaintext) build their entries complete.
 //!
 //! One layout serves every entry, however it was born, and holds each
-//! fact once. The stored columns are what the page holds: the raw key
-//! fields the in-node search compares and the slots' cryptograms. The
-//! deciphered columns hold one word per slot each — data pointers, tree
-//! pointers (internal nodes only) and plaintext keys — beside a bitmap of
+//! fact once. The stored image is what the page holds, copied as it lies
+//! there: the raw key fields the in-node search compares, each beside
+//! its slot's cryptogram. The deciphered columns hold one word per slot
+//! each — data pointers, tree pointers (internal nodes only) and
+//! plaintext keys — beside a bitmap of
 //! the slots known and a flag set once the keys are. A fill from the
 //! medium starts with no bit set and its probes set them as they decipher
 //! slots; a write's image, a whole-page decode and a plaintext decode are
@@ -78,11 +79,20 @@
 //! bound is the capacity: at most that many entries, each at most one
 //! whole node, plus at most one entry per tree level that each in-flight
 //! range scan or update descent holds (as each held one decoded node per
-//! level before entries kept their keys). What an entry
-//! holds — deciphered pointers, plaintext keys and raw key fields — is
+//! level before entries kept their keys). What an entry holds in
+//! plaintext — deciphered pointers and children, plaintext keys — is
 //! zeroized when the last reference drops (eviction, invalidation, cache
 //! drop, or the scan moving on), so later heap re-use cannot scrape it out
-//! of dead memory.
+//! of dead memory. Only the slots the entry's bitmap marks known are
+//! wiped: nothing else was ever written, so an evicted entry that served
+//! one probe rewrites a few words, not the whole node. The raw key fields
+//! and cryptograms are left as they are: they are the page as it lies on
+//! the medium and in the buffer-pool frame it was read from.
+//!
+//! A miss is filled from the page the store lends ([`crate::BTree`] calls
+//! [`sks_storage::BlockStore::read_with`]), on the file backend the pool
+//! frame the page was just read into, so the page reaches its entry with
+//! one copy of the fields the entry keeps.
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
@@ -107,15 +117,19 @@ pub struct CachedNode {
     /// Length in bytes of the page this node images (page-wide schemes
     /// charge decryptions proportional to it).
     page_len: usize,
-    /// The key fields the codec's in-node search compares, in triplet
-    /// order, contiguous, where the scheme keeps them outside the slots
-    /// (disguised under substitution). Empty where a slot's key is part
-    /// of its content — sealed inside it (Bayer–Metzger) or beside it in
-    /// the clear (plaintext) — and the search compares the key column.
-    raw_keys: Vec<u64>,
-    /// The slots' cryptograms as stored, back to back, `sealed_len` bytes
-    /// each. Empty for a whole-page or plaintext scheme's entry.
-    sealed: Vec<u8>,
+    /// The page's slots as stored, from the first slot on, copied in one
+    /// piece: slot by slot its cryptogram, `sealed_len` bytes, and — where
+    /// the scheme keeps the key fields the in-node search compares
+    /// outside the slots (disguised under substitution) — before each
+    /// triplet's cryptogram its 8-byte big-endian key field. An internal
+    /// node's leftmost cryptogram has no key field. Empty for a
+    /// whole-page or plaintext scheme's entry.
+    stored: Vec<u8>,
+    /// Whether `stored` holds key fields. Where it does not, a slot's key
+    /// is part of its content — sealed inside it (Bayer–Metzger) or
+    /// beside it in the clear (plaintext) — and the search compares the
+    /// key column.
+    key_fields: bool,
     sealed_len: usize,
     /// Plaintext keys. A slot's key is written with its slot where it is
     /// part of the slot's content, and by the completion that recovers
@@ -140,6 +154,18 @@ pub fn never_sealed(_: &[u8]) -> Result<Triplet, CodecError> {
     Err(CodecError::Corrupt("cache entry slot is not sealed".into()))
 }
 
+/// Width of a stored key field.
+const KEY_FIELD_LEN: usize = 8;
+
+/// Bytes of key field before each triplet's cryptogram in a stored image.
+fn key_len(key_fields: bool) -> usize {
+    if key_fields {
+        KEY_FIELD_LEN
+    } else {
+        0
+    }
+}
+
 /// A column of `len` zero words.
 fn zeroed<T: Default>(len: usize) -> Box<[T]> {
     (0..len).map(|_| T::default()).collect()
@@ -154,23 +180,31 @@ fn all_known(slots: usize) -> Box<[AtomicU64]> {
 }
 
 impl CachedNode {
-    /// A lazy entry: the node as stored, nothing deciphered. `sealed`
-    /// holds one `sealed_len`-byte cryptogram per slot.
+    /// A lazy entry: the node as stored, nothing deciphered. `stored`
+    /// holds the page's slots, `sealed_len`-byte cryptograms each with a
+    /// key field before it where `key_fields` ([`CachedNode::stored`]'s
+    /// layout).
     pub fn sealed(
         id: BlockId,
         is_leaf: bool,
         page_len: usize,
-        raw_keys: Vec<u64>,
-        sealed: Vec<u8>,
+        stored: Vec<u8>,
+        key_fields: bool,
         sealed_len: usize,
     ) -> Self {
-        let slots = sealed.len().checked_div(sealed_len).unwrap_or(0);
+        // The leftmost cryptogram of an internal node is the one slot
+        // without a key field.
+        let key_len = key_len(key_fields);
+        let lead = if is_leaf { 0 } else { key_len };
+        let slots = (stored.len() + lead)
+            .checked_div(key_len + sealed_len)
+            .unwrap_or(0);
         CachedNode {
             id,
             is_leaf,
             page_len,
-            raw_keys,
-            sealed,
+            stored,
+            key_fields,
             sealed_len,
             keys: zeroed(slots),
             data_ptrs: zeroed(slots),
@@ -182,17 +216,17 @@ impl CachedNode {
     }
 
     /// The image of the page an encoder has just written from `node`,
-    /// every slot known: the key fields and cryptograms it laid down
-    /// (`raw_keys`, and `sealed`, `sealed_len` bytes per slot), each slot
-    /// what unsealing its cryptogram returns, and — when `keys_known`,
-    /// that is when recovering the key fields gives back the node's keys
-    /// (always so where the keys are part of the slots) — the node's keys.
-    /// Otherwise the first completion recovers them.
+    /// every slot known: the slots it laid down (`stored`, laid out as
+    /// [`CachedNode::sealed`] takes them), each slot what unsealing its
+    /// cryptogram returns, and — when `keys_known`, that is when
+    /// recovering the key fields gives back the node's keys (always so
+    /// where the keys are part of the slots) — the node's keys. Otherwise
+    /// the first completion recovers them.
     pub fn written(
         node: &Node,
         page_len: usize,
-        raw_keys: Vec<u64>,
-        sealed: Vec<u8>,
+        stored: Vec<u8>,
+        key_fields: bool,
         sealed_len: usize,
         keys_known: bool,
     ) -> Self {
@@ -203,8 +237,8 @@ impl CachedNode {
             id: node.id,
             is_leaf: node.is_leaf(),
             page_len,
-            raw_keys,
-            sealed,
+            stored,
+            key_fields,
             sealed_len,
             keys: lead().chain(keys).map(AtomicU64::new).collect(),
             data_ptrs: lead().chain(data_ptrs).map(AtomicU64::new).collect(),
@@ -219,7 +253,7 @@ impl CachedNode {
     /// decipher a page all at once, or write it in the clear): every slot
     /// known, no stored columns, the node's keys the ones searches compare.
     pub fn complete(node: &Node, page_len: usize) -> Self {
-        Self::written(node, page_len, Vec::new(), Vec::new(), 0, true)
+        Self::written(node, page_len, Vec::new(), false, 0, true)
     }
 
     /// Records every physical unseal this entry performs from now on as a
@@ -258,14 +292,42 @@ impl CachedNode {
         self.page_len
     }
 
-    pub fn raw_keys(&self) -> &[u64] {
-        &self.raw_keys
+    /// Where `slot`'s cryptogram starts in the stored image.
+    fn sealed_at(&self, slot: usize) -> usize {
+        let key_len = key_len(self.key_fields);
+        let lead = if self.is_leaf { key_len } else { 0 };
+        slot * (key_len + self.sealed_len) + lead
+    }
+
+    /// The stored cryptogram of `slot`, if the entry stores one.
+    fn cryptogram(&self, slot: usize) -> Option<&[u8]> {
+        let at = self.sealed_at(slot);
+        let ct = self.stored.get(at..at + self.sealed_len)?;
+        (slot < self.slots()).then_some(ct)
+    }
+
+    /// The raw key field of triplet `i`, where the scheme keeps key fields
+    /// outside the slots: what the in-node search compares.
+    #[inline]
+    pub fn raw_key(&self, i: usize) -> Option<u64> {
+        if !self.key_fields || i >= self.n() {
+            return None;
+        }
+        let at = self.sealed_at(self.key_slot(i)) - KEY_FIELD_LEN;
+        let field = self.stored.get(at..at + KEY_FIELD_LEN)?;
+        Some(u64::from_be_bytes(field.try_into().expect("8-byte field")))
+    }
+
+    /// Every raw key field, in triplet order ([`CachedNode::raw_key`]);
+    /// none where the keys are part of the slots.
+    pub fn raw_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.n()).map_while(|i| self.raw_key(i))
     }
 
     /// Whether a slot's key is part of its content: the scheme keeps no
     /// key fields outside the slots.
     fn keys_in_slots(&self) -> bool {
-        self.raw_keys.is_empty()
+        !self.key_fields
     }
 
     /// The plaintext keys in triplet order, once the entry is complete
@@ -326,9 +388,7 @@ impl CachedNode {
         clock: &mut Option<Instant>,
     ) -> Result<Triplet, CodecError> {
         let missing = || CodecError::Corrupt(format!("node {} has no slot {slot}", self.id));
-        let at = slot * self.sealed_len;
-        let ct = self.sealed.get(at..at + self.sealed_len);
-        let t = unseal(ct.filter(|_| slot < self.slots()).ok_or_else(missing)?)?;
+        let t = unseal(self.cryptogram(slot).ok_or_else(missing)?)?;
         self.obs.lap(Stage::NodeUnseal, clock);
         let fits = (t.child == 0 || !self.is_leaf) && (t.key == 0 || self.keys_in_slots());
         if fits {
@@ -350,7 +410,7 @@ impl CachedNode {
     /// yet known is unsealed (and memoised) first, then `key_of(i, t)`
     /// gives triplet `i`'s key from its slot's content `t` — codecs that
     /// keep keys outside the cryptograms recover them from
-    /// [`CachedNode::raw_keys`] — and the entry is marked complete, so
+    /// [`CachedNode::raw_key`] — and the entry is marked complete, so
     /// later calls return the keys at once. The first failure is returned
     /// and nothing after it runs: the keys count as known only once all
     /// are.
@@ -426,7 +486,7 @@ impl CachedNode {
             return None;
         }
         let slot = (*from..self.slots()).find(|&slot| self.content(slot) == Some(*want))?;
-        let ct = self.sealed.get(slot * len..(slot + 1) * len)?;
+        let ct = self.cryptogram(slot)?;
         *from = slot + 1;
         Some(ct)
     }
@@ -443,19 +503,35 @@ impl CachedNode {
         let keys = self.keys()?;
         let ahead = Keys(keys.0.get(*from..)?).iter();
         let i = *from + ahead.take_while(|&k| k < key).count();
-        let raw = *self.raw_keys.get(i).filter(|_| keys.get(i) == Some(key))?;
+        let raw = self.raw_key(i).filter(|_| keys.get(i) == Some(key))?;
         *from = i + 1;
         Some(raw)
     }
 
-    /// Zeroes everything deciphered or key-derived in place (the sealed
-    /// image is ciphertext, as public as the medium).
+    /// Zeroes in place what the entry holds in plaintext: the columns of
+    /// every slot the bitmap marks known. That is every word that ever
+    /// held a deciphered key, pointer or child: a slot's columns are
+    /// written only as it becomes known, a completion recovers keys into
+    /// known slots only (and marks the entry complete only once every slot
+    /// is), and the other slots' columns are still the zeros they were
+    /// born as — so a lazy entry a probe or two deciphered wipes those few
+    /// slots, not the whole node. The stored columns, the raw key fields
+    /// and cryptograms, are the page as it lies on the medium and in the
+    /// pool frame it was read from: as public as both, and left as they
+    /// are.
     fn scrub(&mut self) {
-        let words = self.keys.iter_mut().chain(self.data_ptrs.iter_mut());
-        words.for_each(|w| wipe::words(std::slice::from_mut(w.get_mut())));
-        let children = self.children.iter_mut();
-        children.for_each(|c| wipe::words(std::slice::from_mut(c.get_mut())));
-        wipe::words(&mut self.raw_keys);
+        for (w, word) in self.known.iter_mut().enumerate() {
+            let mut bits = *word.get_mut();
+            while bits != 0 {
+                let slot = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wipe::words(std::slice::from_mut(self.keys[slot].get_mut()));
+                wipe::words(std::slice::from_mut(self.data_ptrs[slot].get_mut()));
+                if let Some(child) = self.children.get_mut(slot) {
+                    wipe::words(std::slice::from_mut(child.get_mut()));
+                }
+            }
+        }
     }
 }
 
@@ -592,7 +668,22 @@ mod tests {
             data_ptrs: vec![RecordPtr(key * 10)],
             children: vec![],
         };
-        CachedNode::written(&node, 256, vec![key], Vec::new(), 0, true)
+        CachedNode::written(&node, 256, key.to_be_bytes().to_vec(), true, 0, true)
+    }
+
+    /// Slots laid out as a substitution page lays them, `width`-byte
+    /// cryptograms from `cts` (one per slot): an internal node's leftmost
+    /// cryptogram, then each triplet's key field followed by its slot's.
+    fn laid_out(is_leaf: bool, keys: &[u64], cts: &[u8], width: usize) -> Vec<u8> {
+        let ct = |slot: usize| &cts[slot * width..(slot + 1) * width];
+        let lead = usize::from(!is_leaf);
+        let mut out = Vec::with_capacity(cts.len() + 8 * keys.len());
+        out.extend_from_slice(if is_leaf { &[] } else { ct(0) });
+        for (i, key) in keys.iter().enumerate() {
+            out.extend_from_slice(&key.to_be_bytes());
+            out.extend_from_slice(ct(i + lead));
+        }
+        out
     }
 
     /// The keys of every test node below.
@@ -605,9 +696,12 @@ mod tests {
     /// fields); otherwise they sit beside them (substitution-shaped: the
     /// raw key fields are the keys themselves).
     fn lazy(is_leaf: bool, keyed: bool) -> CachedNode {
-        let sealed = (u8::from(is_leaf)..4).collect();
-        let raw_keys = if keyed { Vec::new() } else { KEYS.to_vec() };
-        CachedNode::sealed(BlockId(7), is_leaf, 256, raw_keys, sealed, 1)
+        let cts: Vec<u8> = (u8::from(is_leaf)..4).collect();
+        let stored = match keyed {
+            true => cts,
+            false => laid_out(is_leaf, &KEYS, &cts, 1),
+        };
+        CachedNode::sealed(BlockId(7), is_leaf, 256, stored, !keyed, 1)
     }
 
     /// A lazy internal node, substitution-shaped.
@@ -660,7 +754,7 @@ mod tests {
     /// Triplet `i`'s key in `e` from its slot's content `t`: its raw field
     /// where the entry has raw fields, else the slot's key.
     fn key_of(e: &CachedNode) -> impl FnMut(usize, &Triplet) -> Result<u64, CodecError> + '_ {
-        move |i, t| Ok(e.raw_keys().get(i).copied().unwrap_or(t.key))
+        move |i, t| Ok(e.raw_key(i).unwrap_or(t.key))
     }
 
     /// The whole node of `e`: completed through `unseal`, then built.
@@ -675,7 +769,7 @@ mod tests {
     /// An entry's heap bytes: its stored and deciphered columns.
     fn heap_bytes(e: &CachedNode) -> usize {
         use std::mem::size_of_val;
-        let stored = e.raw_keys.capacity() * 8 + e.sealed.capacity();
+        let stored = e.stored.capacity();
         let columns = [size_of_val(&*e.keys), size_of_val(&*e.data_ptrs)];
         stored + columns.iter().sum::<usize>() + size_of_val(&*e.children) + size_of_val(&*e.known)
     }
@@ -686,7 +780,7 @@ mod tests {
         assert!(cache.get(BlockId(3)).is_none());
         cache.insert(BlockId(3), entry(3, 7));
         let got = cache.get(BlockId(3)).unwrap();
-        assert_eq!(got.raw_keys(), [7]);
+        assert_eq!(got.raw_keys().collect::<Vec<_>>(), [7]);
         cache.invalidate(BlockId(3));
         assert!(cache.get(BlockId(3)).is_none());
         assert!(cache.is_empty());
@@ -710,7 +804,7 @@ mod tests {
         cache.insert(BlockId(4), entry(4, 1));
         cache.insert(BlockId(4), entry(4, 2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(BlockId(4)).unwrap().raw_keys(), [2]);
+        assert_eq!(cache.get(BlockId(4)).unwrap().raw_key(0), Some(2));
     }
 
     #[test]
@@ -802,8 +896,8 @@ mod tests {
         // keys only when told they are what a completion would recover.
         let (node, sealed) = (internal(), (0u8..4).collect::<Vec<_>>());
         let image = |keys_known| {
-            let raw_keys = vec![1, 2, 3];
-            CachedNode::written(&node, 256, raw_keys, sealed.clone(), 1, keys_known)
+            let stored = laid_out(false, &[1, 2, 3], &sealed, 1);
+            CachedNode::written(&node, 256, stored, true, 1, keys_known)
         };
         let written = image(true);
         assert_eq!(written.keys().map(Keys::to_vec), Some(node.keys.clone()));
@@ -992,14 +1086,14 @@ mod tests {
         ];
         for (what, node, width, raw_fields, per_slot) in shapes {
             let slots = node.n() + usize::from(!node.is_leaf());
-            let raw_keys = || match raw_fields {
-                true => node.keys.clone(),
-                false => Vec::new(),
+            let cts = vec![0xA5; slots * width];
+            let stored = || match raw_fields {
+                true => laid_out(node.is_leaf(), &node.keys, &cts, width),
+                false => cts.clone(),
             };
-            let sealed = || vec![0xA5; slots * width];
             let image = match width {
                 0 => CachedNode::complete(&node, 4096),
-                _ => CachedNode::written(&node, 4096, raw_keys(), sealed(), width, true),
+                _ => CachedNode::written(&node, 4096, stored(), raw_fields, width, true),
             };
             let bound = per_slot * slots + slots.div_ceil(64) * 8;
             let bytes = heap_bytes(&image);
@@ -1009,7 +1103,7 @@ mod tests {
                 // order, the keys recovered from the raw fields or read
                 // out of the slots.
                 let filled =
-                    CachedNode::sealed(node.id, node.is_leaf(), 4096, raw_keys(), sealed(), width);
+                    CachedNode::sealed(node.id, node.is_leaf(), 4096, stored(), raw_fields, width);
                 let mut contents = node.slots().map(|t| match raw_fields {
                     true => Triplet { key: 0, ..t },
                     false => t,
@@ -1036,7 +1130,8 @@ mod tests {
         e.triplet(2, unseal_counting(&AtomicUsize::new(0))).unwrap();
         e.scrub();
         assert_eq!(e.triplet(2, never_sealed).unwrap(), Triplet::default());
-        assert!(e.raw_keys().iter().all(|&k| k == 0));
+        let stored: Vec<u64> = e.raw_keys().collect();
+        assert_eq!(stored, KEYS, "the stored fields, as on the medium");
         assert!(e.triplet(1, never_sealed).is_err(), "never deciphered");
         assert_eq!(e.keys(), None, "never completed");
         // A completed entry's plaintext keys are zeroed with the rest.
@@ -1048,17 +1143,63 @@ mod tests {
         e.scrub();
         assert_eq!(e.keys().map(Keys::to_vec), Some(vec![0; 3]));
         assert!((0..4).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default())));
+        // Lazy entries, a leaf and an internal node, with a few slots
+        // probed and a completion that recovered some keys before a stray
+        // slot failed it: every word that held a deciphered key, pointer or
+        // child is zeroed, though the entry was never complete.
+        let stray_at = |is_leaf: bool, stray: u8| {
+            move |ct: &[u8]| {
+                let s = ct[0];
+                Ok(Triplet {
+                    key: u64::from(s == stray && !is_leaf),
+                    data_ptr: u64::from(s) * 100,
+                    child: if is_leaf {
+                        u32::from(s == stray)
+                    } else {
+                        u32::from(s) + 40
+                    },
+                })
+            }
+        };
+        // (is_leaf, probed slots, the stray cryptogram, slots keyed before
+        // it, non-zero column words)
+        let cases = [(true, [0, 2], 2, [0, 0], 3), (false, [1, 2], 3, [1, 2], 7)];
+        for (is_leaf, probed, stray, keyed, words) in cases {
+            let mut e = lazy(is_leaf, false);
+            for slot in probed {
+                e.triplet(slot, unseal_for(is_leaf, false, &AtomicUsize::new(0)))
+                    .unwrap();
+            }
+            let failed = e.fill_keys(stray_at(is_leaf, stray), key_of(&e));
+            assert!(failed.is_err(), "leaf {is_leaf}: the stray slot fails it");
+            assert_eq!(e.keys(), None);
+            for slot in keyed {
+                assert_ne!(e.keys[slot].load(Relaxed), 0, "leaf {is_leaf}: key {slot}");
+            }
+            let held = |e: &CachedNode| {
+                let words = e.keys.iter().chain(e.data_ptrs.iter());
+                let children = e.children.iter().map(|c| u64::from(c.load(Relaxed)));
+                words
+                    .map(|w| w.load(Relaxed))
+                    .chain(children)
+                    .filter(|&w| w != 0)
+                    .count()
+            };
+            assert_eq!(held(&e), words, "leaf {is_leaf}: plaintext to wipe");
+            e.scrub();
+            assert_eq!(held(&e), 0, "leaf {is_leaf}: every column word");
+        }
         // Entries born whole hold the same columns: a write's image, as an
         // encoder builds it, and a plaintext decode's entry.
         let node = internal();
-        let image = CachedNode::written(&node, 256, vec![1, 2, 3], vec![9; 4], 1, true);
+        let stored = laid_out(false, &[1, 2, 3], &[9; 4], 1);
+        let image = CachedNode::written(&node, 256, stored, true, 1, true);
         for mut e in [image, CachedNode::complete(&node, 256), entry(1, 42)] {
             assert!(e.triplet(e.slots() - 1, never_sealed).unwrap() != Triplet::default());
             e.scrub();
             let zero = (0..e.slots()).all(|s| e.triplet(s, never_sealed) == Ok(Triplet::default()));
             assert!(zero, "every slot");
             assert!(e.keys().unwrap().iter().all(|k| k == 0), "the keys");
-            assert!(e.raw_keys().iter().all(|&k| k == 0), "the raw keys");
         }
     }
 }

@@ -410,20 +410,26 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         Arc::new(CachedNode::complete(node, self.page.len()))
     }
 
-    /// The cache-miss half of a node visit: fetches page `id` and wraps
-    /// it, as stored, in a cache entry ([`NodeCodec::decode_for_cache`] —
-    /// counter-silent, and for per-triplet schemes free of cryptography).
-    /// The caller inserts the entry once its own probe or decode of it
-    /// succeeded, so a page that fails either is never cached. Timing:
-    /// the fill is one [`Stage::NodeUnseal`] sample and every physical
-    /// unseal the entry performs from here on another, so nothing on a
-    /// memoised path reads a clock.
+    /// The cache-miss half of a node visit: wraps page `id`, as stored, in
+    /// a cache entry ([`NodeCodec::decode_for_cache`] — counter-silent, and
+    /// for per-triplet schemes free of cryptography), decoded straight
+    /// from the page the store lends ([`BlockStore::read_with`]: on the
+    /// file backend the pool frame the page was read into), so the page
+    /// is never copied on its way to the entry. The caller inserts the
+    /// entry once its own probe or decode of it succeeded, so a page that
+    /// fails either is never cached. Timing: the fill is one
+    /// [`Stage::NodeUnseal`] sample and every physical unseal the entry
+    /// performs from here on another, so nothing on a memoised path reads
+    /// a clock.
     fn fill(&self, id: BlockId) -> Result<CachedNode, TreeError> {
         self.counters().bump(|c| &c.node_cache_misses);
         let obs = self.counters().obs();
         let t = obs.start();
-        let page = self.store.read_block_vec(id)?;
-        let entry = self.codec.decode_for_cache(id, &page)?.timed(obs);
+        let mut decoded = None;
+        self.store.read_with(id, &mut |page| {
+            decoded = Some(self.codec.decode_for_cache(id, page));
+        })?;
+        let entry = decoded.expect("read_with lends the page")?.timed(obs);
         obs.stage(Stage::NodeUnseal, t);
         Ok(entry)
     }

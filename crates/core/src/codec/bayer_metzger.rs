@@ -213,8 +213,8 @@ impl NodeCodec for BayerMetzgerCodec {
         Ok(CachedNode::written(
             node,
             page.len(),
-            Vec::new(),
             sealed,
+            false,
             len,
             true,
         ))
@@ -249,8 +249,8 @@ impl NodeCodec for BayerMetzgerCodec {
             id,
             is_leaf,
             page.len(),
-            Vec::new(),
             sealed.to_vec(),
+            false,
             SEALED_TRIPLET_LEN,
         ))
     }

@@ -18,6 +18,15 @@
 //! *pinned* — in the map, off the recency list — so the least recently
 //! used clean frame is simply the head of the list, however many thousand
 //! dirty pages a bulk load has parked between checkpoints.
+//!
+//! A miss costs one positioned read. It makes room first, and the store
+//! reads the page straight into the buffer of the frame it evicted; the
+//! map has room made for the pool's capacity up front. So once the pool
+//! is full a miss allocates nothing, zero-fills nothing and copies
+//! nothing: the page goes from the file into the frame, and callers read
+//! it there ([`BlockStore::read_with`] on the paged store). A read that
+//! fails leaves its victim evicted and inserts nothing; the victim was
+//! clean, so nothing is lost.
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::filedisk::{FileDisk, MAX_RUN_BLOCKS};
@@ -47,7 +56,7 @@ impl<S: BlockStore> BufferPool<S> {
         assert!(capacity >= 1);
         BufferPool {
             store,
-            frames: LruMap::new(capacity),
+            frames: LruMap::with_room(capacity),
             dirty: 0,
         }
     }
@@ -55,7 +64,10 @@ impl<S: BlockStore> BufferPool<S> {
     /// The frame of `id`, read in on a miss (one look-up on a hit), with
     /// the hit or miss counted. A miss makes room before the new frame
     /// goes in, which evicts what inserting it and then evicting down to
-    /// capacity around it would.
+    /// capacity around it would, and the store reads the page straight
+    /// into the last victim's buffer: a miss in a full pool allocates
+    /// nothing. A failed read inserts nothing; the victims stay evicted,
+    /// and they were clean, so nothing is lost.
     fn resident<'a>(
         store: &mut S,
         frames: &'a mut LruMap<BlockId, Frame>,
@@ -64,8 +76,10 @@ impl<S: BlockStore> BufferPool<S> {
         let (frame, hit) =
             frames.get_or_try_insert_with(id, |frames| -> Result<_, StorageError> {
                 store.counters().bump(|c| &c.cache_misses);
-                let data = store.read_block_vec(id)?;
-                evict(frames, store, 1);
+                let mut data = evict(frames, store, 1)
+                    .map(|victim| victim.data)
+                    .unwrap_or_else(|| vec![0u8; store.block_size()]);
+                store.read_block(id, &mut data)?;
                 Ok(Frame { data, dirty: false })
             })?;
         if hit {
@@ -244,18 +258,25 @@ impl BufferPool<FileDisk> {
 }
 
 /// Drops least-recently-used frames until `incoming` more would fit the
-/// capacity. Only clean frames are on the recency list, so a victim is
-/// never written back, and a frame just written (pinned) is never one;
-/// when every frame is dirty the pool stays over capacity until the next
-/// flush.
-fn evict<S: BlockStore>(frames: &mut LruMap<BlockId, Frame>, store: &S, incoming: usize) {
+/// capacity, and returns the last one dropped, whose buffer a miss reads
+/// into. Only clean frames are on the recency list, so a victim is never
+/// written back, and a frame just written (pinned) is never one; when
+/// every frame is dirty the pool stays over capacity until the next flush.
+fn evict<S: BlockStore>(
+    frames: &mut LruMap<BlockId, Frame>,
+    store: &S,
+    incoming: usize,
+) -> Option<Frame> {
+    let mut last = None;
     while frames.len() + incoming > frames.capacity() {
         let Some((_, frame)) = frames.pop_lru() else {
             break;
         };
         debug_assert!(!frame.dirty, "dirty frames are pinned");
         store.counters().bump(|c| &c.cache_evicts);
+        last = Some(frame);
     }
+    last
 }
 
 #[cfg(test)]
@@ -394,6 +415,41 @@ mod tests {
         assert_eq!(
             pool.store().read_block_vec(BlockId(0)).unwrap(),
             vec![0u8; 64]
+        );
+    }
+
+    /// A miss makes room before it reads, so a read that fails comes after
+    /// its victim is gone: the pool then holds less, never more, than its
+    /// capacity, no dirty frame was a victim or was written back, nothing
+    /// of the failed block went in, and a retry reads the right bytes.
+    #[test]
+    fn a_failed_miss_inserts_nothing_and_evicts_no_dirty_frame() {
+        let (store, plan) = crate::FailStore::new(disk_with_blocks(5));
+        let mut pool = BufferPool::new(store, 3);
+        pool.write(BlockId(0), &[0xD0; 64]).unwrap();
+        for id in [1, 2] {
+            let _ = pool.read(BlockId(id)).unwrap();
+        }
+        let before = pool.store().counters().snapshot();
+        plan.arm_nth_read(1);
+        assert!(pool.read(BlockId(3)).is_err());
+        let delta = pool.store().counters().snapshot().delta(&before);
+        assert_eq!((delta.cache_misses, delta.cache_evicts), (1, 1));
+        assert_eq!((delta.block_reads, delta.block_writes), (0, 0));
+        assert!(pool.len() <= pool.capacity());
+        assert_eq!(pool.peek(BlockId(3)), None, "the failed block is not in");
+        assert_eq!(pool.peek(BlockId(1)), None, "the victim, least recent");
+        assert_eq!(pool.dirty_count(), 1);
+        assert_eq!(pool.peek(BlockId(0)), Some(&[0xD0; 64][..]));
+        assert_eq!(pool.peek(BlockId(2)), Some(&[2u8; 64][..]));
+        assert_eq!(pool.read(BlockId(3)).unwrap(), &[3u8; 64][..], "retry");
+        assert_eq!(pool.read(BlockId(1)).unwrap(), &[1u8; 64][..]);
+        assert!(pool.len() <= pool.capacity());
+        assert_eq!(pool.read(BlockId(0)).unwrap(), &[0xD0; 64][..]);
+        assert_eq!(
+            pool.store().inner().read_block_vec(BlockId(0)).unwrap(),
+            vec![0u8; 64],
+            "the dirty frame never reached the store"
         );
     }
 

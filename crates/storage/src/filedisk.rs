@@ -7,6 +7,10 @@
 //! The chain is read once, at open, into the crate's one allocator
 //! (`freelist.rs`); from then on the device answers every allocation
 //! question from memory and writes the chain only where it changes.
+//!
+//! A block read is one positioned read (`pread`) straight into the
+//! caller's buffer — under the buffer pool, the frame a miss evicted — so
+//! the device itself allocates and copies nothing on the read path.
 
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
@@ -194,8 +198,9 @@ impl FileDisk {
                 )));
             }
             chain.push(cur);
-            let block = disk.read_raw(BlockId(cur))?;
-            cur = u32::from_be_bytes(block[0..4].try_into().expect("4-byte link"));
+            let mut link = [0u8; 4];
+            disk.read_at(&mut link, disk.offset(BlockId(cur)))?;
+            cur = u32::from_be_bytes(link);
         }
         chain.reverse();
         disk.alloc = FreeList::new(num_blocks, chain)?;
@@ -264,22 +269,22 @@ impl FileDisk {
         HEADER_LEN + id.0 as u64 * self.block_size as u64
     }
 
-    fn read_raw(&self, id: BlockId) -> Result<Vec<u8>, StorageError> {
-        let mut buf = vec![0u8; self.block_size];
-        // Positioned read keeps `&self` reads safe without seeking the
-        // shared cursor.
+    /// Fills `buf` from the file at `offset`. A positioned read keeps
+    /// `&self` reads safe without seeking the shared cursor, and lands in
+    /// the caller's buffer: no copy of the block is made on the way.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(&mut buf, self.offset(id))?;
+            self.file.read_exact_at(buf, offset)?;
         }
         #[cfg(not(unix))]
         {
             let mut f = &self.file;
-            f.seek(SeekFrom::Start(self.offset(id)))?;
-            f.read_exact(&mut buf)?;
+            f.seek(SeekFrom::Start(offset))?;
+            f.read_exact(buf)?;
         }
-        Ok(buf)
+        Ok(())
     }
 
     fn write_raw(&self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
@@ -538,7 +543,7 @@ impl BlockStore for FileDisk {
         }
         self.counters.bump(|c| &c.block_reads);
         let t = self.counters.obs().start();
-        buf.copy_from_slice(&self.read_raw(id)?);
+        self.read_at(buf, self.offset(id))?;
         self.counters.obs().stage(sks_obs::Stage::BlockRead, t);
         Ok(())
     }
@@ -581,7 +586,11 @@ impl BlockStore for FileDisk {
     /// Freed blocks included: the attacker tooling's view of the file.
     fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
         (0..self.alloc.num_blocks())
-            .map(|i| self.read_raw(BlockId(i)))
+            .map(|i| {
+                let mut block = vec![0u8; self.block_size];
+                self.read_at(&mut block, self.offset(BlockId(i)))?;
+                Ok(block)
+            })
             .collect()
     }
 }

@@ -63,6 +63,21 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         }
     }
 
+    /// [`LruMap::new`] with room made up front for `capacity` entries, so
+    /// a map held at its bound — one removal for every insert, as a full
+    /// pool's misses run — never allocates. The index gets room for twice
+    /// as many: a hash table whose removals leave tombstones cleans them
+    /// up in place only while it is at most half full, and grows instead
+    /// above that.
+    pub fn with_room(capacity: usize) -> Self {
+        LruMap {
+            index: HashMap::with_capacity(2 * capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            ..Self::new(capacity)
+        }
+    }
+
     pub fn capacity(&self) -> usize {
         self.capacity
     }

@@ -46,7 +46,7 @@ use sks_core::{
     CompactionReport, CoreError, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend,
 };
 use sks_storage::{
-    Event, EventKind, FailStore, FileDisk, Histogram, OpCounters, OpSnapshot, Stage, SyncPolicy,
+    Event, EventKind, FailStore, Histogram, LogFile, OpCounters, OpSnapshot, Stage, SyncPolicy,
     NO_PARTITION,
 };
 
@@ -65,7 +65,7 @@ pub struct EngineConfig {
     pub sync: SyncPolicy,
     /// Fault-injection plan for the engine's WAL device. `None` (the
     /// default, and the only production setting) runs the WAL directly on
-    /// its [`sks_storage::FileDisk`]; `Some(plan)` wraps every WAL the
+    /// its [`sks_storage::LogFile`]; `Some(plan)` wraps every WAL the
     /// engine builds — including the fresh log each checkpoint cuts to —
     /// in a [`sks_storage::FailStore`] sharing that plan, so the
     /// op-sequence fuzzer can kill the process at any write or fsync and
@@ -215,8 +215,9 @@ pub struct SksDb {
 }
 
 const WAL_FILE: &str = "wal.sks";
-/// Block size of the WAL's backing [`FileDisk`].
-const WAL_BLOCK_SIZE: usize = 4096;
+/// The piece a WAL frame body is sealed and written in, and the replay's
+/// read chunk (see [`Wal::create`]).
+const WAL_PIECE: usize = 4096;
 /// Dead-ratio floor, in percent, for the compaction each checkpoint runs:
 /// a data block becomes a victim only once a quarter of its records are
 /// dead. Rewriting a block re-seals its live records and repoints the
@@ -1243,7 +1244,7 @@ impl SksDb {
 }
 
 /// Creates one of the engine's logs at `path`: on the plain
-/// [`FileDisk`], or on the same disk behind a [`FailStore`] when the
+/// [`LogFile`], or on the same file behind a [`FailStore`] when the
 /// config carries a fault plan — so the plan covers every engine WAL,
 /// including the fresh log each checkpoint cuts to.
 fn create_wal(
@@ -1251,12 +1252,13 @@ fn create_wal(
     config: &EngineConfig,
     counters: OpCounters,
 ) -> Result<Wal, EngineError> {
-    let disk = FileDisk::create_with_counters(path, WAL_BLOCK_SIZE, counters.clone())?;
+    let file = LogFile::create(path, counters.clone())?;
+    let (key, sync) = (config.wal_key(), config.sync);
     match &config.wal_fault {
-        None => Wal::create_on_device(disk, config.wal_key(), config.sync, counters),
+        None => Wal::create_on_device(file, WAL_PIECE, key, sync, counters),
         Some(plan) => {
-            let disk = FailStore::with_plan(disk, plan.clone());
-            Wal::create_on_device(disk, config.wal_key(), config.sync, counters)
+            let file = FailStore::with_plan(file, plan.clone());
+            Wal::create_on_device(file, WAL_PIECE, key, sync, counters)
         }
     }
 }
@@ -1267,12 +1269,12 @@ fn open_wal(
     config: &EngineConfig,
     counters: OpCounters,
 ) -> Result<(Wal, WalReplay), EngineError> {
-    let disk = FileDisk::open_with_counters(path, counters.clone())?;
+    let file = LogFile::open(path, counters.clone())?;
     match &config.wal_fault {
-        None => Wal::open_on_device(disk, config.wal_key(), config.sync, counters),
+        None => Wal::open_on_device(file, config.wal_key(), config.sync, counters),
         Some(plan) => {
-            let disk = FailStore::with_plan(disk, plan.clone());
-            Wal::open_on_device(disk, config.wal_key(), config.sync, counters)
+            let file = FailStore::with_plan(file, plan.clone());
+            Wal::open_on_device(file, config.wal_key(), config.sync, counters)
         }
     }
 }

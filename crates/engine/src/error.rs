@@ -8,7 +8,7 @@ use sks_storage::StorageError;
 pub enum EngineError {
     /// Underlying enciphered-tree failure.
     Core(CoreError),
-    /// Block-device failure (WAL segments live on a `FileDisk`).
+    /// Storage failure: the log's file or a partition's block devices.
     Storage(StorageError),
     /// Filesystem-level failure outside the block device (rename, stat).
     Io(std::io::Error),

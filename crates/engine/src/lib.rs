@@ -11,12 +11,11 @@
 //!   with a router that hashes the *disguised* key, one commit sequence
 //!   every write runs, and the per-client [`Session`] handle (an
 //!   `Arc<SksDb>`).
-//! * [`wal`] — the write-ahead log layered on `sks-storage`'s
-//!   [`sks_storage::FileDisk`]: CRC-framed records with sealed bodies (the
+//! * [`wal`] — the write-ahead log in a plain byte file
+//!   ([`sks_storage::LogFile`]): CRC-framed records with sealed bodies (the
 //!   log sits on the medium beside the pages, so it must leak no keys or
-//!   values),
-//!   group commit under a [`sks_storage::SyncPolicy`], torn-tail detection
-//!   and scrubbing.
+//!   values), each frame's bytes written once, group commit under a
+//!   [`sks_storage::SyncPolicy`], and torn-tail detection and cutting.
 //! * [`recovery`] — replay of the log into the partitions on open, with a
 //!   [`RecoveryReport`] describing what was found and which
 //!   [`RecoveryPath`] was taken (tail-only replay over checkpointed

@@ -22,12 +22,11 @@ pub const OPS: [&str; 6] = ["get", "put", "delete", "range", "batch", "txn"];
 /// the compaction and checkpoint passes) either nests inside one of these
 /// or runs off the client path, so summing only these six never counts a
 /// nanosecond twice ([`Stage::WalSwap`] is never recorded). `SealBatch`
-/// is every commit's group append — building, sealing and appending its
-/// one frame — disjoint from both `WalAppend` (the commit's inline
-/// tail-block write; the engine stages nothing, so only the frozen
-/// benchmark's staged appends time anything else under it) and
-/// `WalFsync` (every log fsync: a policy's inline barrier, or the one a
-/// durability wait leads).
+/// is every commit's group append — building, sealing and writing its
+/// one frame to the log file — disjoint from both `WalAppend` (a staged
+/// append; the engine stages nothing, so only the frozen benchmark's
+/// staged appends record it) and `WalFsync` (every log fsync: a policy's
+/// inline barrier, or the one a durability wait leads).
 pub const WRITE_PATH_STAGES: [Stage; 6] = [
     Stage::RecordSeal,
     Stage::WalAppend,

@@ -1,10 +1,9 @@
-//! Write-ahead log layered on an `sks-storage` [`FileDisk`].
+//! Write-ahead log in a plain byte file ([`WalDevice`]).
 //!
-//! Logical model: an append-only byte stream of self-checking *frames*,
-//! packed across fixed-size blocks of a [`WalDevice`] (frames straddle
-//! block boundaries; blocks are used strictly sequentially, the free list
-//! is never touched). There is one frame grammar, and only this module
-//! knows it:
+//! The file is a 12-byte header — a magic and the piece length, written
+//! once at creation — followed by a stream of self-checking *frames* at
+//! byte offsets. There is one frame grammar, and only this module knows
+//! it:
 //!
 //! ```text
 //! tag(1)=0xA5 ‖ crc32(4) ‖ first_seq(8) ‖ nonce(8) ‖ blen(4) ‖
@@ -19,8 +18,8 @@
 //! carry the log tail over by re-sealing it frame for frame.
 //!
 //! The append surface is one call: [`Wal::append_group`] seals borrowed
-//! `(key, Some(value) | None)` ops as one frame, and a [`Wal::commit`]
-//! after it writes the frame out. Every engine commit (a single write is a
+//! `(key, Some(value) | None)` ops as one frame and writes it, and a
+//! [`Wal::commit`] after it fsyncs as the policy says. Every engine commit (a single write is a
 //! group of one), every `bulk_load` partition group and every frame a
 //! checkpoint cut carries over goes through it. The staged
 //! [`Wal::append_insert`] / [`Wal::append_delete`] path, which buffers
@@ -38,38 +37,46 @@
 //! stored key material is never readable off the medium. A group is sealed
 //! as its frame is streamed to the device, from the caller's borrowed
 //! values: the body is serialised, sealed and folded into the CRC one
-//! block-sized piece at a time, and no frame-sized buffer ever exists
-//! (a bulk load's frame is tens of megabytes). The blocks holding a
-//! frame's tag and CRC are written after the rest of it, so a frame torn
-//! anywhere reads as a clean end of the log. Staged records wait in a
-//! plaintext buffer that is wiped as soon as they are sealed.
+//! piece at a time, and no frame-sized buffer ever exists (a bulk load's
+//! frame is tens of megabytes). A frame whose body fits one piece goes
+//! out as one write of header and body; a longer one writes its pieces
+//! behind a gap the size of its header, then the header last. Staged
+//! records wait in a plaintext buffer that is wiped as soon as they are
+//! sealed.
 //!
 //! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
 //! record sealing a constant, written at creation. Opening with the wrong
-//! key (or a log in any other format) fails the sentinel check and fails
-//! closed with a configuration error — it never touches the data, so a
-//! mistyped key cannot destroy a log it cannot read.
+//! key (or a log in another frame format) fails the sentinel check, and a
+//! file in another container fails the header check before it; either
+//! fails closed with a configuration error and never touches the file, so
+//! a mistyped key cannot destroy a log it cannot read.
 //!
 //! Replay accepts frames while the tag, CRC, the strictly-increasing
 //! sequence number and the sealed body's grammar all hold, and treats the
 //! first violation as the torn tail of an interrupted write: everything
-//! before it is recovered, everything after is scrubbed back to zeros so
-//! a later replay cannot resurrect stale bytes.
+//! before it is recovered, and the file is cut just past it (`set_len`,
+//! then an fsync) so a later replay cannot resurrect stale bytes. A write
+//! torn to any prefix of its bytes fails its frame's CRC, and the tag of a
+//! frame written in pieces is written last: a frame killed at any write
+//! reads as a clean end of the log.
 //!
-//! A commit runs on the caller's thread: seal the staged group, write the
-//! tail block to the device, and — when the [`SyncPolicy`] says so —
-//! fsync. So a commit that has returned is in the log file, and a process
-//! crash loses nothing acknowledged under any policy. The policy decides
-//! only what a power failure can lose: `Always` fsyncs every commit, so
-//! nothing; `EveryN(n)` fsyncs once `n` written commits are unsynced, so
-//! at most the last `n − 1` commits; `Never` everything since the last
-//! [`Wal::flush`]. Those bounds assume the standard WAL storage model:
-//! rewriting the partially-filled tail block preserves its unchanged
-//! leading sectors (sector-level write atomicity), so a torn tail-block
-//! write can damage at most the frames not yet fsynced. Any I/O error in
-//! the append path fail-stops the handle ([`EngineError::WalPoisoned`]):
-//! a half-written frame must not be built upon, and reopening replays the
-//! log back to a consistent prefix.
+//! The file is grown ahead of the writer with `set_len`, in fixed 1 MiB
+//! steps (`GROW_STEP`), so a commit's write lands in space the file
+//! already has and its fsync never has to persist a new length.
+//!
+//! A commit runs on the caller's thread: its frame is written when it is
+//! sealed, and the commit fsyncs when the [`SyncPolicy`] says so. So a
+//! commit that has returned is in the log file, and a process crash loses
+//! nothing acknowledged under any policy. The policy decides only what a
+//! power failure can lose: `Always` fsyncs every commit, so nothing;
+//! `EveryN(n)` fsyncs once `n` written commits are unsynced, so at most
+//! the last `n − 1` commits; `Never` everything since the last
+//! [`Wal::flush`]. Every byte of the log is written once — nothing is
+//! rewritten in place, and the only rewind is open's cut of a torn tail
+//! (`tests::every_log_byte_is_written_once`) — so a torn write can damage
+//! only the frame it carries, which no fsync has covered yet. Any I/O error in the append path fail-stops the
+//! handle ([`EngineError::WalPoisoned`]): a half-written frame must not be
+//! built upon, and reopening replays the log back to a consistent prefix.
 //!
 //! A [`Wal::commit_durable`] the policy left unsynced hands back a
 //! [`SyncTicket`] instead, for the caller to wait on once it has released
@@ -84,97 +91,17 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
+pub use sks_storage::WalDevice;
 use sks_storage::{
-    crc32, crc32_fold, wipe, BlockId, BlockStore, EventKind, FailStore, FileDisk, OpCounters,
-    Stage, StorageError, SyncHandle, SyncPolicy, CRC32_INIT, NO_PARTITION,
+    crc32, crc32_fold, wipe, EventKind, LogFile, OpCounters, Stage, StorageError, SyncHandle,
+    SyncPolicy, CRC32_INIT, NO_PARTITION,
 };
 
 use crate::error::EngineError;
 
-/// The device surface a [`Wal`] needs: sequential block writes, partial
-/// reads for torn-tail recovery, a second handle that fsyncs the file
-/// outside the log's lock, and counter re-pointing. [`FileDisk`] is the
-/// production device; a [`FailStore<FileDisk>`] implements it too, so
-/// crash probes can tear a WAL write mid-group-commit, or kill its fsync,
-/// and watch recovery scrub the tail.
-pub trait WalDevice: std::fmt::Debug {
-    fn block_size(&self) -> usize;
-    fn num_blocks(&self) -> u32;
-    fn allocate(&mut self) -> Result<BlockId, StorageError>;
-    fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError>;
-    /// Best-effort read returning however many bytes exist (zero-padded);
-    /// see [`FileDisk::read_block_partial`].
-    fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError>;
-    /// The handle every fsync of the log goes through; see
-    /// [`FileDisk::sync_handle`].
-    fn sync_handle(&self) -> Result<SyncHandle, StorageError>;
-    fn set_counters(&mut self, counters: OpCounters);
-}
-
-impl WalDevice for FileDisk {
-    fn block_size(&self) -> usize {
-        BlockStore::block_size(self)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        BlockStore::num_blocks(self)
-    }
-
-    fn allocate(&mut self) -> Result<BlockId, StorageError> {
-        BlockStore::allocate(self)
-    }
-
-    fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        BlockStore::write_block(self, id, data)
-    }
-
-    fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError> {
-        FileDisk::read_block_partial(self, id)
-    }
-
-    fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
-        FileDisk::sync_handle(self)
-    }
-
-    fn set_counters(&mut self, counters: OpCounters) {
-        FileDisk::set_counters(self, counters);
-    }
-}
-
-impl WalDevice for FailStore<FileDisk> {
-    fn block_size(&self) -> usize {
-        BlockStore::block_size(self)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        BlockStore::num_blocks(self)
-    }
-
-    fn allocate(&mut self) -> Result<BlockId, StorageError> {
-        BlockStore::allocate(self)
-    }
-
-    fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        BlockStore::write_block(self, id, data)
-    }
-
-    fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError> {
-        // Reads keep working after the plan trips (inspecting the
-        // wreckage is the point of a crash probe).
-        self.inner().read_block_partial(id)
-    }
-
-    fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
-        // Counts through the plan so `arm_nth_flush` can kill a sync.
-        FailStore::sync_handle(self)
-    }
-
-    fn set_counters(&mut self, counters: OpCounters) {
-        self.inner_mut().set_counters(counters);
-    }
-}
-
-/// The one device type a [`Wal`] runs on.
+/// The one device type a [`Wal`] runs on: a [`LogFile`], or one behind a
+/// [`sks_storage::FailStore`] so crash probes can tear a write or kill an
+/// fsync.
 type Device = Box<dyn WalDevice + Send>;
 
 /// How far a log is written and how far it is durable, in sequence
@@ -201,7 +128,7 @@ struct SyncState {
 
 /// A log's one durability point, shared by its [`Wal`] handle and every
 /// [`SyncTicket`] it hands out. Every fsync of the log but the open-time
-/// torn-tail scrub's goes through [`SyncPoint::sync_through`], which is
+/// torn-tail cut's goes through [`SyncPoint::sync_through`], which is
 /// group commit: a caller whose
 /// frame an earlier fsync covered returns at once, one that finds an
 /// fsync in flight waits it out, and otherwise the caller leads — it
@@ -339,6 +266,17 @@ impl SyncTicket {
     }
 }
 
+/// The first bytes of every log file this build writes. A log in any
+/// other container (the block device's `SKSBTRE1` included) is refused.
+const LOG_MAGIC: &[u8; 8] = b"SKSWLOG1";
+/// `magic ‖ piece length`: where the frame stream starts in the file.
+const FILE_HEADER: u64 = 12;
+/// How far the file grows at a time, ahead of the writer.
+const GROW_STEP: u64 = 1 << 20;
+/// Bounds on the piece length a header may name, so a damaged header
+/// cannot size a buffer.
+const PIECE_RANGE: std::ops::RangeInclusive<usize> = 8..=GROW_STEP as usize;
+
 const TAG: u8 = 0xA5;
 /// `tag ‖ crc ‖ first_seq ‖ nonce ‖ blen`.
 const HEADER_LEN: usize = 1 + 4 + 8 + 8 + 4;
@@ -387,7 +325,7 @@ pub struct WalRecord {
 pub struct WalReplay {
     pub records: Vec<WalRecord>,
     /// A frame failed its checks (interrupted write): the valid prefix
-    /// was kept, the rest scrubbed.
+    /// was kept, and the file cut after it.
     pub torn_tail: bool,
     /// Bytes discarded past the last valid frame.
     pub bytes_discarded: u64,
@@ -439,31 +377,18 @@ pub struct Wal {
     disk: Device,
     /// The log's durability point: every fsync goes through it.
     point: Arc<SyncPoint>,
-    block_size: usize,
-    /// In-memory image of the block currently being filled.
-    tail: Vec<u8>,
-    tail_used: usize,
-    /// Block the tail occupies; `None` until the first byte lands.
-    tail_id: Option<BlockId>,
-    /// Next block the stream will move into once the tail fills.
-    next_block: u32,
+    /// Body bytes sealed per piece, and bytes per read on replay.
+    piece_len: usize,
+    /// File offset of the next frame: just past the last one written.
+    end: u64,
+    /// The file's length, kept ahead of `end` (see [`Wal::reserve`]).
+    file_len: u64,
     next_seq: u64,
     nonce_state: u64,
     policy: SyncPolicy,
-    tail_dirty: bool,
-    /// Full blocks of the frame being written that hold its tag or CRC,
-    /// kept back until the CRC is known and the rest of the frame is
-    /// written (see [`Wal::write_frame`]): at most two.
-    held: Vec<(BlockId, Vec<u8>)>,
-    /// Block buffers a held block trades places with the tail through;
-    /// with `held`, always two.
-    spares: Vec<Vec<u8>>,
-    /// The buffer a frame body is serialised and sealed in, piece by
-    /// piece (see [`BodyPiece`]). With `spares`, it makes appending a
-    /// frame allocate nothing.
+    /// The buffer a frame is serialised and sealed in, piece by piece
+    /// (see [`BodyPiece`]): appending a frame allocates nothing.
     piece: Vec<u8>,
-    /// Stream offset of the frame being written, while one is.
-    frame_start: Option<usize>,
     /// Set when an append-path I/O error leaves the stream in an unknown
     /// state; every later operation refuses until the log is reopened.
     poisoned: bool,
@@ -478,6 +403,8 @@ pub struct Wal {
 impl Wal {
     /// Creates a fresh, empty log (truncating any existing file), sealed
     /// under `wal_key`, and durably writes the key-check sentinel.
+    /// `block_size` is the body piece a frame is sealed and written in,
+    /// rounded up to whole cipher blocks, and the replay's read chunk.
     pub fn create<P: AsRef<Path>>(
         path: P,
         block_size: usize,
@@ -485,34 +412,46 @@ impl Wal {
         policy: SyncPolicy,
         counters: OpCounters,
     ) -> Result<Self, EngineError> {
-        let disk = FileDisk::create_with_counters(path, block_size, counters.clone())?;
-        Wal::create_on_device(disk, wal_key, policy, counters)
+        let file = LogFile::create(path, counters.clone())?;
+        Wal::create_on_device(file, block_size, wal_key, policy, counters)
     }
 
-    /// Opens an existing log: verifies the key-check sentinel (failing
-    /// closed, without touching the data, when the key is wrong), replays
-    /// every intact frame, scrubs any torn tail, and positions the
-    /// handle for further appends.
+    /// Opens an existing log: verifies the container and the key-check
+    /// sentinel (failing closed, without touching the file, when either
+    /// is wrong), replays every intact frame, cuts any torn tail, and
+    /// positions the handle for further appends.
     pub fn open<P: AsRef<Path>>(
         path: P,
         wal_key: u128,
         policy: SyncPolicy,
         counters: OpCounters,
     ) -> Result<(Self, WalReplay), EngineError> {
-        let disk = FileDisk::open_with_counters(path, counters.clone())?;
-        Wal::open_on_device(disk, wal_key, policy, counters)
+        let file = LogFile::open(path, counters.clone())?;
+        Wal::open_on_device(file, wal_key, policy, counters)
     }
 
-    /// [`Wal::create`] over an already-constructed device (fault probes
-    /// wrap a [`FileDisk`] in a [`FailStore`] first).
+    /// [`Wal::create`] over an already-constructed, empty device (fault
+    /// probes wrap a [`LogFile`] in a [`sks_storage::FailStore`] first).
     pub fn create_on_device(
         disk: impl WalDevice + Send + 'static,
+        block_size: usize,
         wal_key: u128,
         policy: SyncPolicy,
         counters: OpCounters,
     ) -> Result<Self, EngineError> {
+        let piece_len = block_size.next_multiple_of(8);
+        if !PIECE_RANGE.contains(&piece_len) {
+            return Err(EngineError::Config(format!(
+                "wal piece of {block_size} bytes is outside {PIECE_RANGE:?}"
+            )));
+        }
+        let mut disk: Device = Box::new(disk);
+        let mut header = [0u8; FILE_HEADER as usize];
+        header[..8].copy_from_slice(LOG_MAGIC);
+        header[8..].copy_from_slice(&(piece_len as u32).to_be_bytes());
+        disk.write_at(&header, 0)?;
         let cipher = Speck64::from_u128(wal_key);
-        let mut wal = Wal::positioned(Box::new(disk), cipher, policy, counters, 0, 1)?;
+        let mut wal = Wal::positioned(disk, piece_len, cipher, policy, counters, FILE_HEADER, 1)?;
         wal.append_keycheck()?;
         Ok(wal)
     }
@@ -526,82 +465,76 @@ impl Wal {
     ) -> Result<(Self, WalReplay), EngineError> {
         let disk: Device = Box::new(disk);
         let cipher = Speck64::from_u128(wal_key);
+        let piece_len = read_file_header(&*disk)?;
 
-        // Stream the device block by block: frames are parsed (and their
+        // Stream the file a chunk at a time: frames are parsed (and their
         // sealed bodies decrypted) incrementally, so peak memory is the
         // recovered records plus one compaction window — not a second
-        // whole-log ciphertext copy. A physically truncated final region
-        // (torn file) reads as zeros.
+        // whole-log ciphertext copy.
         let mut replay = WalReplay::default();
-        let mut reader = FrameReader::new(&*disk, &cipher, 1, 0);
+        let mut reader = FrameReader::new(&*disk, &cipher, piece_len, 1, FILE_HEADER)?;
         while let Some(mut records) = reader.next_frame()? {
             replay.records.append(&mut records);
         }
         let (pos, next_seq) = (reader.pos(), reader.expected_seq);
         let real_end = reader.real_end()?;
         replay.torn_tail = real_end > pos;
-        replay.bytes_discarded = real_end.saturating_sub(pos) as u64;
+        replay.bytes_discarded = real_end.saturating_sub(pos);
         counters.bump_by(|c| &c.wal_replayed, replay.records.len() as u64);
 
-        let mut wal = Wal::positioned(disk, cipher, policy, counters, pos, next_seq)?;
-        if wal.tail_used > 0 {
-            let tail_block = BlockId((pos / wal.block_size) as u32);
-            let (block, _have) = wal.disk.read_block_partial(tail_block)?;
-            wal.tail[..wal.tail_used].copy_from_slice(&block[..wal.tail_used]);
-            wal.tail_id = Some(tail_block);
-        }
+        let mut wal = Wal::positioned(disk, piece_len, cipher, policy, counters, pos, next_seq)?;
         if replay.torn_tail {
-            wal.scrub_after(pos)?;
+            // Cut the stale bytes off, durably, so no later replay can
+            // resurrect them; the next append grows the file again.
+            wal.disk.set_len(pos)?;
+            wal.file_len = pos;
+            wal.point.handle.sync()?;
             // Flight-recorder breadcrumb: where the valid stream ended and
             // how many trailing bytes recovery threw away.
             wal.counters.obs().note(
                 EventKind::TornTailScrub,
                 NO_PARTITION,
-                pos as u64,
+                pos - FILE_HEADER,
                 replay.bytes_discarded,
                 0,
             );
         }
         if next_seq == 1 {
             // Only reachable when the log start itself was destroyed (or
-            // the file is brand-new empty): restore the sentinel so the
-            // wrong-key guard holds for the next open.
-            debug_assert_eq!(pos, 0, "keycheck can only be missing at stream start");
+            // creation died between the header and the sentinel): restore
+            // the sentinel so the wrong-key guard holds for the next open.
+            debug_assert_eq!(
+                pos, FILE_HEADER,
+                "keycheck can only be missing at stream start"
+            );
             wal.append_keycheck()?;
         }
         Ok((wal, replay))
     }
 
-    /// A handle whose next append lands at stream offset `pos` with
-    /// sequence number `next_seq` (the caller loads the tail block's
-    /// valid prefix when `pos` is mid-block). Nothing already in the file
-    /// counts as durable until its first fsync.
+    /// A handle whose next frame lands at file offset `end` with sequence
+    /// number `next_seq`. Nothing already in the file counts as durable
+    /// until its first fsync.
     fn positioned(
         disk: Device,
+        piece_len: usize,
         cipher: Speck64,
         policy: SyncPolicy,
         counters: OpCounters,
-        pos: usize,
+        end: u64,
         next_seq: u64,
     ) -> Result<Self, EngineError> {
-        let block_size = disk.block_size();
         let point = SyncPoint::new(disk.sync_handle()?, next_seq - 1, counters.clone());
         Ok(Wal {
+            file_len: disk.file_len()?,
             disk,
             point: Arc::new(point),
-            block_size,
-            tail: vec![0u8; block_size],
-            tail_used: pos % block_size,
-            tail_id: None,
-            next_block: pos.div_ceil(block_size) as u32,
+            piece_len,
+            end,
             next_seq,
             nonce_state: nonce_seed(),
             policy,
-            tail_dirty: false,
-            held: Vec::with_capacity(2),
-            spares: vec![vec![0u8; block_size]; 2],
             piece: Vec::new(),
-            frame_start: None,
             poisoned: false,
             cipher,
             counters,
@@ -614,14 +547,12 @@ impl Wal {
         self.next_seq
     }
 
-    /// Bytes the logical stream occupies once everything appended so far
+    /// Bytes the frame stream occupies once everything appended so far
     /// is sealed — a frame boundary only at a group boundary (right after
-    /// a commit, flush or `append_group`).
+    /// a commit, flush or `append_group`). The stream starts after the
+    /// file's header.
     pub fn len_bytes(&self) -> u64 {
-        match self.tail_id {
-            Some(id) => id.0 as u64 * self.block_size as u64 + self.tail_used as u64,
-            None => self.next_block as u64 * self.block_size as u64,
-        }
+        self.end - FILE_HEADER
     }
 
     /// Whether an earlier append-path or fsync failure fail-stopped this
@@ -669,9 +600,9 @@ impl Wal {
     /// carries into the fresh log it cuts over to, re-sealing each group
     /// as one frame so no commit unit is ever split by the rewrite. The
     /// scan is O(tail), not O(log); anything still staged is sealed and
-    /// the in-memory tail block written out first so the scan sees
-    /// everything appended so far. Reads run against detached counters:
-    /// checkpoint bookkeeping is not client traffic.
+    /// written first so the scan sees everything appended so far. Reads
+    /// run against detached counters: checkpoint bookkeeping is not client
+    /// traffic.
     ///
     /// Fails closed: the scan must account for every sequence number in
     /// `from_seq..next_seq`. If the device no longer holds what this
@@ -687,16 +618,14 @@ impl Wal {
         self.write_out(0)?;
         self.disk.set_counters(OpCounters::new());
         let mut groups = Vec::new();
-        let scanned = {
-            let mut reader = FrameReader::new(&*self.disk, &self.cipher, from_seq, from_offset);
-            loop {
-                match reader.next_frame() {
-                    Ok(Some(records)) => groups.push(records.into_iter().map(|r| r.op).collect()),
-                    Ok(None) => break Ok(reader.expected_seq),
-                    Err(e) => break Err(e),
+        let from = FILE_HEADER + from_offset;
+        let scanned = FrameReader::new(&*self.disk, &self.cipher, self.piece_len, from_seq, from)
+            .and_then(|mut reader| {
+                while let Some(records) = reader.next_frame()? {
+                    groups.push(records.into_iter().map(|r| r.op).collect());
                 }
-            }
-        };
+                Ok(reader.expected_seq)
+            });
         self.disk.set_counters(self.counters.clone());
         let scanned = scanned?;
         if scanned != self.next_seq {
@@ -719,7 +648,8 @@ impl Wal {
     /// the seal is timed as [`Stage::SealBatch`]. Anything staged before is
     /// sealed first so frames stay in seq order. An empty group writes
     /// nothing (the grammar has no empty frame). Returns the first seq of
-    /// the frame; a [`Wal::commit`] writes it out.
+    /// the frame, which is in the file by then; a [`Wal::commit`] ends the
+    /// group.
     pub fn append_group<'a, I>(&mut self, ops: I) -> Result<u64, EngineError>
     where
         I: IntoIterator<Item = (u64, Option<&'a [u8]>)>,
@@ -799,19 +729,19 @@ impl Wal {
         Ok(())
     }
 
-    /// Seals `group` as the frame starting at `first_seq` and appends it
-    /// to the stream. The one place a frame of ≥ 2 records is counted as
-    /// a sealed batch.
+    /// Seals `group` as the frame starting at `first_seq` and writes it
+    /// at the end of the stream. The one place a frame of ≥ 2 records is
+    /// counted as a sealed batch.
     ///
     /// The frame is streamed: the body is serialised, sealed and folded
-    /// into the CRC one block-sized piece at a time, straight from the
-    /// borrowed values, and each piece joins the stream as it is sealed.
-    /// No frame-sized buffer exists (a bulk load's frame is tens of
-    /// megabytes), and appending one allocates nothing. The blocks holding the frame's tag and CRC
-    /// are kept back until the CRC is known and every other block of the
-    /// frame is written, and are written last: until then the log still
-    /// reads zeros where the tag goes, so a frame torn anywhere reads as
-    /// a clean end of the log.
+    /// into the CRC one piece at a time, straight from the borrowed
+    /// values. No frame-sized buffer exists (a bulk load's frame is tens
+    /// of megabytes), and appending one allocates nothing. A body that
+    /// fits one piece goes out with its header as one write. A longer one
+    /// writes each piece as it is sealed, behind a gap the size of the
+    /// header, and the header last, once the CRC is known: until then the
+    /// log reads zeros where the tag goes, so a frame killed at any write
+    /// reads as a clean end of the log.
     fn write_frame<'a>(
         &mut self,
         first_seq: u64,
@@ -825,9 +755,6 @@ impl Wal {
             // A half-written frame may sit in the stream; nothing after
             // it could be replayed, so refuse all further use.
             self.poisoned = true;
-            self.spares
-                .extend(self.held.drain(..).map(|(_, block)| block));
-            self.frame_start = None;
             return Err(e);
         }
         Ok(())
@@ -845,15 +772,10 @@ impl Wal {
             body_len += ENTRY_HEADER + value.len();
         }
         debug_assert!(count > 0, "the grammar has no empty frame");
+        let frame_end = self.end + (HEADER_LEN + body_len) as u64;
+        self.reserve(frame_end)?;
         let header = frame_header(first_seq, nonce, body_len);
-        self.frame_start = Some(self.len_bytes() as usize);
-        self.append_bytes(&header)?;
-        let mut body = BodyPiece::new(
-            std::mem::take(&mut self.piece),
-            self.block_size.next_multiple_of(8),
-            nonce,
-            crc32_fold(CRC32_INIT, &header[5..]),
-        );
+        let mut body = BodyPiece::new(std::mem::take(&mut self.piece), &header, nonce, self.end);
         self.put_body(&mut body, &count.to_be_bytes())?;
         for (op, key, value) in group {
             let mut entry = [0u8; ENTRY_HEADER];
@@ -863,111 +785,70 @@ impl Wal {
             self.put_body(&mut body, &entry)?;
             self.put_body(&mut body, value)?;
         }
-        self.seal_body_piece(&mut body)?;
+        let one_piece = body.sealed == 0;
+        self.seal_body_piece(&mut body);
         debug_assert_eq!(body.sealed, body_len);
         let crc = !body.crc;
+        body.buf[1..5].copy_from_slice(&crc.to_be_bytes());
+        if one_piece {
+            self.disk.write_at(&body.buf, body.start)?;
+        } else {
+            self.write_piece(&body)?;
+            self.disk.write_at(&body.buf[..HEADER_LEN], body.start)?;
+        }
         self.piece = body.into_buf();
-        self.finish_frame(crc)
+        self.end = frame_end;
+        Ok(())
     }
 
-    /// Serialises `bytes` into the body piece, sealing and appending the
-    /// piece each time it fills.
+    /// Grows the file to cover `end`, a whole [`GROW_STEP`] at a time,
+    /// so most frames are written without changing the file's length.
+    fn reserve(&mut self, end: u64) -> Result<(), EngineError> {
+        if end > self.file_len {
+            let len = end.next_multiple_of(GROW_STEP);
+            self.disk.set_len(len)?;
+            self.file_len = len;
+        }
+        Ok(())
+    }
+
+    /// Serialises `bytes` into the body piece. A full piece is sealed and
+    /// written only once more bytes arrive, so the last piece stays in
+    /// the buffer for the frame's end to write (with the header, when it
+    /// is the only one).
     fn put_body(&mut self, body: &mut BodyPiece, mut bytes: &[u8]) -> Result<(), EngineError> {
         while !bytes.is_empty() {
-            let n = (body.cap - body.buf.len()).min(bytes.len());
+            if body.buf.len() == HEADER_LEN + self.piece_len {
+                self.seal_body_piece(body);
+                self.write_piece(body)?;
+                body.buf.truncate(HEADER_LEN);
+            }
+            let n = (HEADER_LEN + self.piece_len - body.buf.len()).min(bytes.len());
             body.buf.extend_from_slice(&bytes[..n]);
             bytes = &bytes[n..];
-            if body.buf.len() == body.cap {
-                self.seal_body_piece(body)?;
-            }
         }
         Ok(())
     }
 
     /// Seals the piece in place at its keystream offset (the piece size
     /// is a whole number of cipher blocks, so every piece but the last
-    /// starts on a counter), folds it into the CRC and appends it.
-    fn seal_body_piece(&mut self, body: &mut BodyPiece) -> Result<(), EngineError> {
+    /// starts on a counter) and folds it into the CRC.
+    fn seal_body_piece(&self, body: &mut BodyPiece) {
         let counter = body.nonce.wrapping_add((body.sealed / 8) as u64);
-        ctr_xor_in_place(&self.cipher, counter, &mut body.buf);
-        body.crc = crc32_fold(body.crc, &body.buf);
-        body.sealed += body.buf.len();
-        self.append_bytes(&body.buf)?;
-        body.buf.clear();
-        Ok(())
+        let piece = &mut body.buf[HEADER_LEN..];
+        ctr_xor_in_place(&self.cipher, counter, piece);
+        body.crc = crc32_fold(body.crc, piece);
+        body.sealed += piece.len();
     }
 
-    /// Fills in the open frame's CRC and writes its kept-back blocks: the
-    /// tail first when the frame reaches past them, then the held blocks,
-    /// the one holding the tag last. A frame inside the tail block writes
-    /// nothing here; the commit writes the tail.
-    fn finish_frame(&mut self, crc: u32) -> Result<(), EngineError> {
-        let start = self.frame_start.take().expect("a frame is open");
-        for (i, byte) in crc.to_be_bytes().into_iter().enumerate() {
-            let at = start + 1 + i;
-            let id = BlockId((at / self.block_size) as u32);
-            let off = at % self.block_size;
-            match self.held.iter_mut().find(|(h, _)| *h == id) {
-                Some((_, block)) => block[off] = byte,
-                None => {
-                    debug_assert_eq!(self.tail_id, Some(id), "an unheld CRC byte is in the tail");
-                    self.tail[off] = byte;
-                }
-            }
-        }
-        if self.held.is_empty() {
-            return Ok(());
-        }
-        if self.tail_dirty {
-            self.write_tail()?;
-        }
-        while let Some((id, block)) = self.held.pop() {
-            let written = self.disk.write_block(id, &block);
-            self.spares.push(block);
-            written?;
-        }
-        Ok(())
+    /// Writes the sealed piece where it lies in the frame.
+    fn write_piece(&mut self, body: &BodyPiece) -> Result<(), EngineError> {
+        let piece = &body.buf[HEADER_LEN..];
+        let at = body.start + (HEADER_LEN + body.sealed - piece.len()) as u64;
+        Ok(self.disk.write_at(piece, at)?)
     }
 
-    /// Copies `bytes` into the stream, writing each block as it fills,
-    /// except one holding the open frame's tag or CRC, which is held.
-    fn append_bytes(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut off = 0;
-        while off < bytes.len() {
-            if self.tail_id.is_none() {
-                let id = BlockId(self.next_block);
-                self.ensure_allocated(id)?;
-                self.tail_id = Some(id);
-                self.next_block += 1;
-                self.tail.fill(0);
-                self.tail_used = 0;
-            }
-            let n = (self.block_size - self.tail_used).min(bytes.len() - off);
-            self.tail[self.tail_used..self.tail_used + n].copy_from_slice(&bytes[off..off + n]);
-            self.tail_used += n;
-            off += n;
-            self.tail_dirty = true;
-            if self.tail_used == self.block_size {
-                let id = self.tail_id.expect("the tail has a block");
-                let block_start = id.0 as usize * self.block_size;
-                if self
-                    .frame_start
-                    .is_some_and(|start| block_start < start + 5)
-                {
-                    let spare = self.spares.pop().expect("a frame holds at most two blocks");
-                    let full = std::mem::replace(&mut self.tail, spare);
-                    self.held.push((id, full));
-                    self.tail_dirty = false;
-                } else {
-                    self.write_tail()?;
-                }
-                self.tail_id = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Ends the current group: seals it, writes it to the device and,
+    /// Ends the current group: seals and writes anything staged and,
     /// when this commit's [`SyncPolicy`] point demands it, fsyncs — all
     /// before returning, so the group is in the log file once this
     /// returns `Ok`.
@@ -986,7 +867,7 @@ impl Wal {
         self.commit_with(true)
     }
 
-    /// The one commit sequence: seal, write the tail block out, then
+    /// The one commit sequence: seal and write anything staged, then
     /// fsync under the caller's locks when the policy demands it. Given
     /// `durable`, a frame the policy left unsynced comes back with a
     /// ticket instead: the engine's multi-partition commits apply, drop
@@ -998,11 +879,7 @@ impl Wal {
     /// fsyncs here, before the caller applies anything.
     pub(crate) fn commit_with(&mut self, durable: bool) -> Result<Option<SyncTicket>, EngineError> {
         self.check_poison()?;
-        let timer = self.counters.obs().start();
-        let (seq, wrote, unsynced) = self.write_out(1)?;
-        if wrote {
-            self.counters.obs().stage(Stage::WalAppend, timer);
-        }
+        let (seq, unsynced) = self.write_out(1)?;
         if self
             .policy
             .should_sync(unsynced.try_into().unwrap_or(u32::MAX))
@@ -1033,16 +910,14 @@ impl Wal {
         Ok(())
     }
 
-    /// Seals anything staged and writes the tail block out, so every
-    /// frame appended so far is in the file, and tells the sync point so
-    /// (counting `commits` more commits). Returns the last seq written,
-    /// whether the tail block needed a write, and how many written
+    /// Seals and writes anything staged, so every frame appended so far
+    /// is in the file, and tells the sync point so (counting `commits`
+    /// more commits). Returns the last seq written and how many written
     /// commits are still unsynced.
-    fn write_out(&mut self, commits: u64) -> Result<(u64, bool, u64), EngineError> {
+    fn write_out(&mut self, commits: u64) -> Result<(u64, u64), EngineError> {
         self.seal_staged()?;
-        let wrote = self.write_tail_if_dirty()?;
         let seq = self.next_seq - 1;
-        Ok((seq, wrote, self.point.wrote_through(seq, commits)))
+        Ok((seq, self.point.wrote_through(seq, commits)))
     }
 
     /// Makes everything written so far durable through the sync point,
@@ -1053,121 +928,110 @@ impl Wal {
         result
     }
 
-    /// Writes the in-memory tail block out when it holds unwritten
-    /// bytes (reporting whether it did), poisoning the handle on failure.
-    fn write_tail_if_dirty(&mut self) -> Result<bool, EngineError> {
-        if !self.tail_dirty {
-            return Ok(false);
-        }
-        if let Err(e) = self.write_tail() {
-            self.poisoned = true;
-            return Err(e);
-        }
-        Ok(true)
-    }
-
-    fn write_tail(&mut self) -> Result<(), EngineError> {
-        let id = self.tail_id.expect("dirty tail always has a block");
-        self.disk.write_block(id, &self.tail)?;
-        self.tail_dirty = false;
-        Ok(())
-    }
-
-    fn ensure_allocated(&mut self, id: BlockId) -> Result<(), EngineError> {
-        while self.disk.num_blocks() <= id.0 {
-            let got = self.disk.allocate()?;
-            debug_assert!(got.0 < self.disk.num_blocks());
-        }
-        Ok(())
-    }
-
-    /// Zeroes every byte of the stream from `pos` onward (torn-tail
-    /// scrub), so stale bytes can never be re-parsed as frames.
-    fn scrub_after(&mut self, pos: usize) -> Result<(), EngineError> {
-        let first_block = (pos / self.block_size) as u32;
-        let zero = vec![0u8; self.block_size];
-        for b in first_block..self.disk.num_blocks() {
-            if b == first_block && !pos.is_multiple_of(self.block_size) {
-                // Preserve the valid prefix inside the boundary block.
-                let mut buf = zero.clone();
-                buf[..self.tail_used].copy_from_slice(&self.tail[..self.tail_used]);
-                self.disk.write_block(BlockId(b), &buf)?;
-            } else {
-                self.disk.write_block(BlockId(b), &zero)?;
-            }
-        }
-        self.point.handle.sync()?;
-        Ok(())
-    }
-
     #[cfg(test)]
     fn poison_for_test(&mut self) {
         self.poisoned = true;
     }
 }
 
+/// Reads a log file's header and returns its piece length, refusing —
+/// before anything is written — a file in any other container.
+fn read_file_header(disk: &dyn WalDevice) -> Result<usize, EngineError> {
+    let mut header = [0u8; FILE_HEADER as usize];
+    if disk.file_len()? >= FILE_HEADER {
+        disk.read_at(&mut header, 0)?;
+    }
+    let piece_len = u32::from_be_bytes(header[8..].try_into().expect("fixed width")) as usize;
+    if &header[..8] != LOG_MAGIC
+        || !PIECE_RANGE.contains(&piece_len)
+        || !piece_len.is_multiple_of(8)
+    {
+        return Err(EngineError::Config(
+            "wal container mismatch: the file does not start with this build's log header".into(),
+        ));
+    }
+    Ok(piece_len)
+}
+
 /// Streaming reader over the frame grammar, shared by replay
 /// ([`Wal::open_on_device`]) and the checkpoint tail scan
-/// ([`Wal::records_since`]): feeds device blocks into a sliding window
-/// and yields one frame's records at a time.
+/// ([`Wal::records_since`]): reads the file a chunk at a time into a
+/// sliding window and yields one frame's records at a time.
 struct FrameReader<'a> {
     disk: &'a dyn WalDevice,
     cipher: &'a Speck64,
-    /// Next device block to feed into the window.
-    next_block: u32,
+    /// Bytes per read.
+    chunk: usize,
+    /// File offset of the next read, and the file's length.
+    next: u64,
+    len: u64,
     /// Unparsed window of the stream; `buf[start..]` is still to parse
-    /// and `buf[0]` sits at absolute stream offset `base`.
+    /// and `buf[0]` sits at file offset `base`.
     buf: Vec<u8>,
     start: usize,
-    base: usize,
-    /// Absolute offset just past the last non-zero byte read so far.
-    real_end: usize,
+    base: u64,
+    /// File offset just past the last non-zero byte read so far.
+    real_end: u64,
     /// Sequence number the next frame must start at.
     expected_seq: u64,
 }
 
 impl<'a> FrameReader<'a> {
-    /// A reader positioned at byte `from_offset`, where the frame
+    /// A reader positioned at file offset `from`, where the frame
     /// starting with record `from_seq` must begin.
-    fn new(disk: &'a dyn WalDevice, cipher: &'a Speck64, from_seq: u64, from_offset: u64) -> Self {
-        let block_size = disk.block_size() as u64;
-        let first_block = from_offset / block_size;
-        FrameReader {
+    fn new(
+        disk: &'a dyn WalDevice,
+        cipher: &'a Speck64,
+        chunk: usize,
+        from_seq: u64,
+        from: u64,
+    ) -> Result<Self, EngineError> {
+        Ok(FrameReader {
+            len: disk.file_len()?,
             disk,
             cipher,
-            next_block: first_block as u32,
+            chunk,
+            next: from,
             buf: Vec::new(),
-            start: (from_offset % block_size) as usize,
-            base: (first_block * block_size) as usize,
+            start: 0,
+            base: from,
             real_end: 0,
             expected_seq: from_seq,
-        }
+        })
     }
 
-    /// Absolute stream offset of the parse cursor: the end of the last
-    /// frame accepted.
-    fn pos(&self) -> usize {
-        self.base + self.start
+    /// File offset of the parse cursor: the end of the last frame
+    /// accepted.
+    fn pos(&self) -> u64 {
+        self.base + self.start as u64
     }
 
-    /// Reads the next device block, or `None` past the device's end.
-    fn read_block(&mut self) -> Result<Option<Vec<u8>>, EngineError> {
-        if self.next_block >= self.disk.num_blocks() {
-            return Ok(None);
+    /// Appends the next chunk of the file to the window; `false` at the
+    /// file's end.
+    fn read_chunk(&mut self) -> Result<bool, EngineError> {
+        let n = self.len.saturating_sub(self.next).min(self.chunk as u64) as usize;
+        if n == 0 {
+            return Ok(false);
         }
-        let (block, _have) = self.disk.read_block_partial(BlockId(self.next_block))?;
-        if let Some(i) = block.iter().rposition(|&x| x != 0) {
-            self.real_end = self.next_block as usize * block.len() + i + 1;
+        let old = self.buf.len();
+        self.buf.resize(old + n, 0);
+        self.disk.read_at(&mut self.buf[old..], self.next)?;
+        if let Some(i) = self.buf[old..].iter().rposition(|&x| x != 0) {
+            self.real_end = self.next + i as u64 + 1;
         }
-        self.next_block += 1;
-        Ok(Some(block))
+        self.next += n as u64;
+        Ok(true)
     }
 
-    /// Reads the rest of the device and returns the absolute offset just
-    /// past its last non-zero byte (replay's torn-tail measure).
-    fn real_end(mut self) -> Result<usize, EngineError> {
-        while self.read_block()?.is_some() {}
-        Ok(self.real_end)
+    /// Reads the rest of the file and returns the offset just past its
+    /// last non-zero byte (replay's torn-tail measure).
+    fn real_end(mut self) -> Result<u64, EngineError> {
+        loop {
+            self.buf.clear();
+            if !self.read_chunk()? {
+                return Ok(self.real_end);
+            }
+        }
     }
 
     /// The next frame's records, or `None` at the end of the valid
@@ -1181,8 +1045,7 @@ impl<'a> FrameReader<'a> {
     /// function that parses the frame grammar.
     fn next_frame(&mut self) -> Result<Option<Vec<WalRecord>>, EngineError> {
         loop {
-            // Empty until the first feed (the cursor may start mid-block).
-            let avail = self.buf.get(self.start..).unwrap_or(&[]);
+            let avail = &self.buf[self.start..];
             if avail.first().is_some_and(|&tag| tag != TAG) {
                 return Ok(None);
             }
@@ -1197,17 +1060,16 @@ impl<'a> FrameReader<'a> {
                 need += blen as usize;
             }
             if avail.len() < need {
-                // Feed the next block, compacting the window first so
-                // long logs don't accumulate.
-                let Some(block) = self.read_block()? else {
-                    return Ok(None);
-                };
-                if self.start > 4 * block.len() {
+                // Read on, compacting the window first so long logs
+                // don't accumulate.
+                if self.start > 4 * self.chunk {
                     self.buf.drain(..self.start);
-                    self.base += self.start;
+                    self.base += self.start as u64;
                     self.start = 0;
                 }
-                self.buf.extend_from_slice(&block);
+                if !self.read_chunk()? {
+                    return Ok(None);
+                }
                 continue;
             }
             let crc = u32::from_be_bytes(avail[1..5].try_into().expect("fixed width"));
@@ -1253,38 +1115,40 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// The piece of a frame body being serialised (plaintext) until it fills
-/// and is sealed in place; wiped when dropped, so a write that fails
-/// mid-piece leaves no plaintext behind.
+/// The frame being written: its header, then the piece of its body being
+/// serialised (plaintext) until it is sealed in place. Wiped when dropped,
+/// so a write that fails mid-piece leaves no plaintext behind.
 struct BodyPiece {
+    /// `header ‖ piece`; the header's CRC is filled in at the end.
     buf: Vec<u8>,
-    /// Bytes a piece holds: a whole number of cipher blocks.
-    cap: usize,
     nonce: u64,
-    /// Body bytes sealed so far: the keystream offset of `buf[0]`.
+    /// File offset of the frame.
+    start: u64,
+    /// Body bytes sealed so far: the keystream offset of the piece.
     sealed: usize,
     /// CRC register over the frame so far.
     crc: u32,
 }
 
 impl BodyPiece {
-    fn new(mut buf: Vec<u8>, cap: usize, nonce: u64, crc: u32) -> Self {
-        debug_assert!(buf.is_empty() && cap.is_multiple_of(8));
-        buf.reserve_exact(cap);
+    fn new(mut buf: Vec<u8>, header: &[u8; HEADER_LEN], nonce: u64, start: u64) -> Self {
+        debug_assert!(buf.is_empty());
+        buf.extend_from_slice(header);
         BodyPiece {
             buf,
-            cap,
             nonce,
+            start,
             sealed: 0,
-            crc,
+            crc: crc32_fold(CRC32_INIT, &header[5..]),
         }
     }
 
     /// The buffer back, once every piece is sealed (it holds ciphertext
     /// only).
     fn into_buf(mut self) -> Vec<u8> {
-        debug_assert!(self.buf.is_empty());
-        std::mem::take(&mut self.buf)
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf
     }
 }
 
@@ -1333,7 +1197,7 @@ fn decode_group(body: &[u8]) -> Option<Vec<(u8, u64, Vec<u8>)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sks_storage::FailMode;
+    use sks_storage::{FailMode, FailStore};
 
     const KEY: u128 = 0x00AA_BB11_22CC_DD33_44EE_FF55_6677_8899;
 
@@ -1387,17 +1251,18 @@ mod tests {
         let cipher = Speck64::from_u128(KEY);
         let insert = |key: u64, len: usize| (OP_INSERT, key, vec![key as u8 ^ 0x5A; len]);
         for block_size in [64usize, 128, 4096] {
-            // Singleton padding frames move the tail offset each group
-            // starts at; the groups fit one block, cross one boundary, or
-            // span many blocks.
+            // Singleton padding frames move the offset each group starts
+            // at; the group bodies fit one piece, fill one exactly, cross
+            // into a second, or span many.
             for pad in [0usize, 1, 7, 20, 39, 60] {
                 let path = tmpfile(&format!("stream_identity_{block_size}_{pad}"));
                 let mut wal = create(&path, block_size);
                 let mut frames = vec![(1, vec![(OP_KEYCHECK, 0, KEYCHECK_MAGIC.to_vec())])];
-                let shapes: [Vec<(u8, u64, Vec<u8>)>; 4] = [
+                let shapes: [Vec<(u8, u64, Vec<u8>)>; 5] = [
                     vec![insert(1, 3)],
                     vec![insert(2, 10), (OP_DELETE, 3, Vec::new())],
                     vec![insert(4, block_size / 2), insert(5, block_size / 2)],
+                    vec![insert(7, block_size - COUNT_LEN - ENTRY_HEADER)],
                     (6..16)
                         .map(|k| insert(k, 3 * block_size + k as usize))
                         .collect(),
@@ -1417,7 +1282,7 @@ mod tests {
                 let end = wal.len_bytes() as usize;
                 drop(wal);
                 let raw = std::fs::read(&path).unwrap();
-                let stream = &raw[8192..];
+                let stream = &raw[FILE_HEADER as usize..];
                 let mut at = 0;
                 for (first_seq, group) in &frames {
                     let nonce = u64::from_be_bytes(stream[at + 13..at + 21].try_into().unwrap());
@@ -1432,7 +1297,7 @@ mod tests {
                 assert_eq!(at, end);
                 assert!(
                     stream[end..].iter().all(|&b| b == 0),
-                    "zero padding after the log"
+                    "the file grown ahead of the log reads zeros"
                 );
                 std::fs::remove_file(&path).ok();
             }
@@ -1441,17 +1306,17 @@ mod tests {
 
     #[test]
     fn a_frame_killed_at_any_write_leaves_its_tag_unwritten() {
-        // A frame of twelve 64-byte blocks: every block but the one
-        // holding the tag is written before it, so a kill at any of the
-        // frame's writes leaves zeros where the tag goes, and replay ends
-        // the log cleanly before the frame.
+        // A frame of eleven 64-byte body pieces: each is written behind a
+        // gap the size of the header, and the header last, so a kill at
+        // any of the frame's writes leaves zeros where the tag goes, and
+        // replay ends the log cleanly before the frame.
         let values: Vec<Vec<u8>> = (0..6).map(|k| vec![k as u8 + 1; 100]).collect();
         // Logs one record, then the frame, killing its `kill`th write.
         let run = |kill: Option<u64>| {
             let path = tmpfile(&format!("kill_frame_{kill:?}"));
-            let (disk, plan) = FailStore::new(FileDisk::create(&path, 64).unwrap());
+            let (disk, plan) = FailStore::new(LogFile::create(&path, OpCounters::new()).unwrap());
             let mut wal =
-                Wal::create_on_device(disk, KEY, SyncPolicy::Never, OpCounters::new()).unwrap();
+                Wal::create_on_device(disk, 64, KEY, SyncPolicy::Never, OpCounters::new()).unwrap();
             wal.append_group([(1, Some(&b"before"[..]))]).unwrap();
             wal.commit().unwrap();
             let start = wal.len_bytes() as usize;
@@ -1465,18 +1330,247 @@ mod tests {
             assert_eq!(outcome.is_err(), kill.is_some());
             let writes = plan.writes_seen();
             drop(wal);
-            let tag = std::fs::read(&path).unwrap()[8192 + start];
+            let tag = std::fs::read(&path).unwrap()[FILE_HEADER as usize + start];
             let (_wal, replay) = reopen(&path);
             std::fs::remove_file(&path).ok();
             (writes, tag, replay.records.len())
         };
         let (writes, tag, records) = run(None);
-        assert!(writes >= 10, "the frame spans many blocks");
+        assert_eq!(writes, 12, "eleven pieces, then the header");
         assert_eq!((tag, records), (TAG, 7));
         for nth in 1..=writes {
             let (_, tag, records) = run(Some(nth));
             assert_eq!((tag, records), (0, 1), "kill at write {nth} of {writes}");
         }
+    }
+
+    /// One I/O a [`Recording`] device saw.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Io {
+        /// `(offset, len)`.
+        Write(u64, u64),
+        SetLen(u64),
+    }
+
+    /// A log device that records every write and length change made
+    /// through it before passing it on.
+    #[derive(Debug)]
+    struct Recording<D> {
+        inner: D,
+        seen: Arc<Mutex<Vec<Io>>>,
+    }
+
+    impl<D> Recording<D> {
+        fn new(inner: D) -> (Self, Arc<Mutex<Vec<Io>>>) {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let seen2 = Arc::clone(&seen);
+            (Recording { inner, seen }, seen2)
+        }
+    }
+
+    impl<D: WalDevice> WalDevice for Recording<D> {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
+            self.inner.read_at(buf, offset)
+        }
+
+        fn write_at(&mut self, data: &[u8], offset: u64) -> Result<(), StorageError> {
+            let io = Io::Write(offset, data.len() as u64);
+            self.seen.lock().unwrap().push(io);
+            self.inner.write_at(data, offset)
+        }
+
+        fn file_len(&self) -> Result<u64, StorageError> {
+            self.inner.file_len()
+        }
+
+        fn set_len(&mut self, len: u64) -> Result<(), StorageError> {
+            self.seen.lock().unwrap().push(Io::SetLen(len));
+            self.inner.set_len(len)
+        }
+
+        fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+            self.inner.sync_handle()
+        }
+
+        fn set_counters(&mut self, counters: OpCounters) {
+            self.inner.set_counters(counters);
+        }
+    }
+
+    fn taken(seen: &Arc<Mutex<Vec<Io>>>) -> Vec<Io> {
+        std::mem::take(&mut *seen.lock().unwrap())
+    }
+
+    /// Asserts that no write touches a byte an earlier write of the same
+    /// file put down. `handles` holds the I/O of each handle the file was
+    /// opened through, in order; the one rewind allowed is a `set_len`
+    /// below what was written as a later handle's first I/O — an open
+    /// cutting a torn tail — after which the cut bytes may be written
+    /// again.
+    fn assert_written_once(handles: &[Vec<Io>]) {
+        let mut written = std::collections::BTreeMap::<u64, u64>::new();
+        for (h, ios) in handles.iter().enumerate() {
+            for (i, &io) in ios.iter().enumerate() {
+                match io {
+                    Io::Write(at, len) => {
+                        let end = at + len;
+                        if let Some((&s, &e)) = written.range(..end).next_back() {
+                            assert!(
+                                e <= at,
+                                "handle {h}, I/O {i}: [{at}, {end}) rewrites [{s}, {e})"
+                            );
+                        }
+                        written.insert(at, end);
+                    }
+                    Io::SetLen(len) => {
+                        if written.values().any(|&e| e > len) {
+                            assert!(h > 0 && i == 0, "handle {h}, I/O {i}: cut to {len}");
+                            written.retain(|&s, _| s < len);
+                            written.values_mut().for_each(|e| *e = (*e).min(len));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_log_byte_is_written_once() {
+        let value = |k: u64, len: usize| vec![k as u8 | 1; len];
+        for policy in [SyncPolicy::Always, SyncPolicy::EveryN(3), SyncPolicy::Never] {
+            let (path, cut_path) = (tmpfile("once_a"), tmpfile("once_b"));
+            // The first log: singleton commits, staged commits, durable
+            // commits and frames of several 64-byte pieces.
+            let file = LogFile::create(&path, OpCounters::new()).unwrap();
+            let (dev, seen) = Recording::new(file);
+            let mut wal = Wal::create_on_device(dev, 64, KEY, policy, OpCounters::new()).unwrap();
+            let commit = |wal: &mut Wal, k: u64, len: usize| {
+                wal.append_group([(k, Some(&value(k, len)[..]))]).unwrap();
+                if let Some(ticket) = wal.commit_durable().unwrap() {
+                    ticket.wait().unwrap();
+                }
+            };
+            for k in 0..10 {
+                commit(&mut wal, k, 3 * k as usize + 1);
+            }
+            for k in 10..13 {
+                wal.append_insert(k, &value(k, 20)).unwrap();
+            }
+            wal.commit().unwrap();
+            let mark = (wal.next_seq(), wal.len_bytes());
+            commit(&mut wal, 13, 300);
+            let long: Vec<Vec<u8>> = (0..4).map(|k| value(k, 100)).collect();
+            wal.append_group(
+                long.iter()
+                    .enumerate()
+                    .map(|(k, v)| (20 + k as u64, Some(&v[..]))),
+            )
+            .unwrap();
+            wal.commit().unwrap();
+            wal.append_insert(30, b"staged at the cut").unwrap();
+
+            // A checkpoint cut: the tail scan writes only what was staged,
+            // and the fresh log is written once too.
+            let groups = wal.records_since(mark.0, mark.1).unwrap();
+            let (file, plan) =
+                FailStore::new(LogFile::create(&cut_path, OpCounters::new()).unwrap());
+            let (dev, cut_seen) = Recording::new(file);
+            let mut fresh = Wal::create_on_device(dev, 64, KEY, policy, OpCounters::new()).unwrap();
+            for group in &groups {
+                fresh.append_group(group.iter().map(WalOp::entry)).unwrap();
+            }
+            fresh.flush().unwrap();
+            commit(&mut wal, 31, 5);
+            drop(wal);
+            assert_written_once(&[taken(&seen)]);
+
+            // The fresh log takes commits, then a frame torn at its
+            // second piece; the reopen cuts the tail and appends again.
+            for k in 40..45 {
+                commit(&mut fresh, k, 40);
+            }
+            let end = fresh.len_bytes();
+            plan.arm_nth_write(2, FailMode::Torn);
+            assert!(fresh
+                .append_group([(50, Some(&value(50, 500)[..]))])
+                .is_err());
+            drop(fresh);
+            let (dev, reopen_seen) =
+                Recording::new(LogFile::open(&cut_path, OpCounters::new()).unwrap());
+            let (mut wal, replay) =
+                Wal::open_on_device(dev, KEY, policy, OpCounters::new()).unwrap();
+            assert!(replay.torn_tail);
+            assert_eq!(wal.len_bytes(), end);
+            for k in 60..70 {
+                commit(&mut wal, k, 200);
+            }
+            drop(wal);
+            let reopened = taken(&reopen_seen);
+            assert_eq!(
+                reopened[0],
+                Io::SetLen(FILE_HEADER + end),
+                "the open cuts first"
+            );
+            assert_written_once(&[taken(&cut_seen), reopened]);
+            let (_, replay) = reopen(&cut_path);
+            assert_eq!(
+                replay.records.len(),
+                groups.iter().map(Vec::len).sum::<usize>() + 15
+            );
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&cut_path).ok();
+        }
+    }
+
+    #[test]
+    fn a_commit_writes_its_frame_once_and_the_file_grows_in_steps() {
+        let path = tmpfile("bytes_and_growth");
+        let (dev, seen) = Recording::new(LogFile::create(&path, OpCounters::new()).unwrap());
+        let mut wal =
+            Wal::create_on_device(dev, 4096, KEY, SyncPolicy::Never, OpCounters::new()).unwrap();
+        taken(&seen);
+
+        // A two-value transaction: exactly its frame's bytes, one write.
+        let start = FILE_HEADER + wal.len_bytes();
+        wal.append_group([(1, Some(&[7u8; 100][..])), (2, Some(&[8u8; 100][..]))])
+            .unwrap();
+        wal.commit().unwrap();
+        let frame = (HEADER_LEN + COUNT_LEN + 2 * (ENTRY_HEADER + 100)) as u64;
+        assert_eq!(taken(&seen), [Io::Write(start, frame)]);
+
+        // Ten thousand small commits: one write each, and the file's
+        // length changes at most once per GROW_STEP of frames.
+        let start = wal.len_bytes();
+        let mut len = std::fs::metadata(&path).unwrap().len();
+        let (mut writes, mut set_lens) = (0, 0);
+        for k in 0..10_000u64 {
+            wal.append_group([(k, Some(&[k as u8; 200][..]))]).unwrap();
+            wal.commit().unwrap();
+            for io in taken(&seen) {
+                match io {
+                    Io::Write(at, n) => {
+                        writes += 1;
+                        assert!(at + n <= len, "commit {k} wrote past the file's length");
+                    }
+                    Io::SetLen(new) => {
+                        set_lens += 1;
+                        assert!(new > len && new.is_multiple_of(GROW_STEP), "grown to {new}");
+                        len = new;
+                    }
+                }
+            }
+        }
+        let framed = wal.len_bytes() - start;
+        assert!(framed > 2 * GROW_STEP, "the commits span several steps");
+        assert_eq!(writes, 10_000);
+        assert!(
+            set_lens <= framed / GROW_STEP + 1,
+            "{set_lens} length changes"
+        );
+        drop(wal);
+        let (_, replay) = reopen(&path);
+        assert_eq!(replay.records.len(), 10_002);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1510,7 +1604,7 @@ mod tests {
         let path = tmpfile("straddle");
         {
             let mut wal = create(&path, 64);
-            // 100-byte values force every frame across block boundaries.
+            // 100-byte values force every frame body across pieces.
             for k in 0..10u64 {
                 wal.append_insert(k, &[k as u8; 100]).unwrap();
                 wal.commit().unwrap();
@@ -1641,7 +1735,7 @@ mod tests {
         // 20 records as singleton commits, then as group commits of five.
         for (group, chop) in [(1u64, 300), (5, 100)] {
             let path = tmpfile(&format!("torn_truncate_{group}"));
-            {
+            let end = {
                 let mut wal = create(&path, 128);
                 for k in 0..20u64 {
                     wal.append_insert(k, &[0xCD; 45]).unwrap();
@@ -1649,14 +1743,15 @@ mod tests {
                         wal.commit().unwrap();
                     }
                 }
-            }
+                FILE_HEADER + wal.len_bytes()
+            };
             // Chop the file mid-way through the last frames' sealed bodies:
-            // a hard truncation of the physical medium. The CRC covers the
-            // whole group, so a torn group must vanish entirely while every
+            // a hard truncation of the physical medium, below the log's
+            // end (the file is grown past it). The CRC covers the whole
+            // group, so a torn group must vanish entirely while every
             // earlier group survives intact.
-            let len = std::fs::metadata(&path).unwrap().len();
             let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.set_len(len - chop).unwrap();
+            f.set_len(end - chop).unwrap();
             drop(f);
 
             let (_wal, replay) = reopen(&path);
@@ -1917,10 +2012,10 @@ mod tests {
         let logical_len = wal.len_bytes() as usize;
         drop(wal);
 
-        // The stream starts after the FileDisk's fixed 8 KiB header, so
-        // this lands 10 bytes before the logical end — mid-payload.
+        // The stream starts after the file's header, so this lands 10
+        // bytes before the logical end — mid-payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8192 + logical_len - 10..][..5].copy_from_slice(&[0xFF; 5]);
+        bytes[FILE_HEADER as usize + logical_len - 10..][..5].copy_from_slice(&[0xFF; 5]);
         std::fs::write(&path, &bytes).unwrap();
 
         let (mut wal, replay) = reopen(&path);
@@ -1928,12 +2023,12 @@ mod tests {
         assert_eq!(replay.records.len(), 7, "all-or-nothing: none of the txn");
         assert_eq!(replay.records[6].seq, 8);
 
-        // The scrub + reopen leaves a log that keeps working.
+        // The cut + reopen leaves a log that keeps working.
         wal.append_insert(99, b"after-recovery").unwrap();
         wal.commit().unwrap();
         drop(wal);
         let (_wal, replay) = reopen(&path);
-        assert!(!replay.torn_tail, "scrubbed log is clean again");
+        assert!(!replay.torn_tail, "the cut log is clean again");
         assert_eq!(replay.records.len(), 8);
         assert_eq!(replay.records[7].op, ins(99, b"after-recovery"));
         std::fs::remove_file(&path).ok();
@@ -1962,15 +2057,15 @@ mod tests {
         let frame = whole_frame(&cipher, 2, nonce, &body);
 
         // Splice it in right after the sentinel (the stream starts after
-        // the FileDisk's fixed 8 KiB header).
+        // the file's header).
         let mut raw = std::fs::read(&path).unwrap();
-        raw[8192 + sentinel_len..][..frame.len()].copy_from_slice(&frame);
+        raw[FILE_HEADER as usize + sentinel_len..][..frame.len()].copy_from_slice(&frame);
         std::fs::write(&path, &raw).unwrap();
 
         let (mut wal, replay) =
             Wal::open(&path, KEY, SyncPolicy::Always, OpCounters::new()).unwrap();
         assert!(replay.records.is_empty(), "corrupt group is a torn tail");
-        assert!(replay.torn_tail, "the damaged frame is scrubbed");
+        assert!(replay.torn_tail, "the damaged frame is cut");
         wal.append_insert(7, b"still-usable").unwrap();
         wal.commit().unwrap();
         drop(wal);

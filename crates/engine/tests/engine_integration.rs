@@ -127,15 +127,15 @@ fn torn_wal_tail_recovers_prefix() {
         logical_len = db.wal_len_bytes();
     }
     // Truncate the WAL mid-record: a crash halfway through a write. The
-    // stream starts after the FileDisk's fixed 8 KiB header, and cutting
-    // 20 bytes before its logical end lands inside the last record (each
+    // stream starts after the log file's 12-byte header, and cutting 20
+    // bytes before its logical end lands inside the last record (each
     // record here is 46 bytes).
     let wal_path = dir.join("wal.sks");
     let f = std::fs::OpenOptions::new()
         .write(true)
         .open(&wal_path)
         .unwrap();
-    f.set_len(8192 + logical_len - 20).unwrap();
+    f.set_len(12 + logical_len - 20).unwrap();
     drop(f);
 
     let db = SksDb::open(&dir, config(2, N + 64)).unwrap();
@@ -209,15 +209,16 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The cut fails closed. If the log device no longer holds the tail the
-/// checkpoint is about to carry over (here: one rotted byte in a full,
-/// already rotated-out tail block), the checkpoint must error *before*
+/// The cut fails closed. If the log file no longer holds the tail the
+/// checkpoint is about to carry over (here: one rotted byte in a frame
+/// of it), the checkpoint must error *before*
 /// renaming the fresh log over the old one — a short tail would silently
 /// drop acknowledged records. The old log stands: with the rot undone, a
 /// reopen still replays every acknowledged record.
 #[test]
 fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
-    const WAL_BLOCK: u64 = 4096;
+    /// The log file's header, ahead of the frame stream.
+    const WAL_HEADER: u64 = 12;
     let dir = tmpdir("cut_fails_closed");
     let wal_path = dir.join("wal.sks");
     let flip = |at: u64| {
@@ -230,8 +231,8 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
         db.insert(k, record_for(k)).unwrap();
     }
     // The tail is what lands after the checkpoint's mark: write several
-    // WAL blocks of it from the mid-checkpoint hook, then rot the first
-    // block that lies wholly inside it (past the FileDisk's 8 KiB header).
+    // KiB of it from the mid-checkpoint hook, then rot a byte inside its
+    // first frame.
     let mark = db.wal_len_bytes();
     let mut rotted = 0;
     let err = db
@@ -240,8 +241,8 @@ fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
                 db.insert(k, record_for(k)).unwrap();
             }
             db.flush().unwrap();
-            assert!(db.wal_len_bytes() > mark + 3 * WAL_BLOCK, "tail too short");
-            rotted = 8192 + (mark / WAL_BLOCK + 1) * WAL_BLOCK + 100;
+            assert!(db.wal_len_bytes() > mark + 3 * 4096, "tail too short");
+            rotted = WAL_HEADER + mark + 30;
             flip(rotted);
         })
         .expect_err("a cut over a rotted tail must fail");

@@ -10,7 +10,7 @@ use std::sync::{mpsc, Arc};
 use proptest::prelude::*;
 use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, EngineError, SksDb, SyncTicket, Wal};
-use sks_storage::{FailMode, FailPlan, FailStore, FileDisk, OpCounters, OpSnapshot, SyncPolicy};
+use sks_storage::{FailMode, FailPlan, FailStore, LogFile, OpCounters, OpSnapshot, SyncPolicy};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sks_txn_{}_{}", std::process::id(), name));
@@ -366,7 +366,7 @@ fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
 /// must survive, and a failed wait fail-stops the log.
 #[test]
 fn txn_commit_kill_point_sweep_is_all_or_nothing() {
-    const BLOCK: usize = 512;
+    const PIECE: usize = 512;
     const TXNS: u64 = 16;
     for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
         let lazy = policy != SyncPolicy::Always;
@@ -379,9 +379,10 @@ fn txn_commit_kill_point_sweep_is_all_or_nothing() {
             let wal_path = dir.join("wal.sks");
 
             let counters = OpCounters::new();
-            let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
-            let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
-            let mut wal = Wal::create_on_device(fail, cfg.wal_key(), policy, counters).unwrap();
+            let file = LogFile::create(&wal_path, counters.clone()).unwrap();
+            let (fail, plan): (FailStore<LogFile>, FailPlan) = FailStore::new(file);
+            let mut wal =
+                Wal::create_on_device(fail, PIECE, cfg.wal_key(), policy, counters).unwrap();
 
             // Committed autocommit prelude, then arm the fault and drive txn
             // commit frames into it.

@@ -1,11 +1,11 @@
 //! Crash probes over a fault-injecting WAL device: a [`FailStore`]
-//! wrapped around the log's [`FileDisk`] tears a commit-record write
-//! mid-group-commit, and recovery must scrub the torn tail *and* name it
+//! wrapped around the log's [`LogFile`] tears a commit-record write
+//! mid-group-commit, and recovery must cut the torn tail *and* name it
 //! in the flight-recorder dump that travels with the [`RecoveryReport`].
 
 use sks_core::{Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, EventKind, RecoveryPath, SksDb, Wal};
-use sks_storage::{FailMode, FailPlan, FailStore, FileDisk, OpCounters, SyncPolicy};
+use sks_storage::{FailMode, FailPlan, FailStore, LogFile, OpCounters, SyncPolicy};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sks_wal_probe_{}_{}", std::process::id(), name));
@@ -23,34 +23,38 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
 
     // Build the engine's WAL over a fault-injecting device, with the
     // exact key the engine will later use to recover it.
-    const BLOCK: usize = 512;
+    const PIECE: usize = 512;
     let counters = OpCounters::new();
-    let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
-    let (fail, plan) = FailStore::new(disk);
-    let mut wal =
-        Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(8), counters).unwrap();
+    let file = LogFile::create(&wal_path, counters.clone()).unwrap();
+    let (fail, plan) = FailStore::new(file);
+    let mut wal = Wal::create_on_device(
+        fail,
+        PIECE,
+        config.wal_key(),
+        SyncPolicy::EveryN(8),
+        counters,
+    )
+    .unwrap();
 
-    // A short committed prefix, durably flushed (well under half a
-    // block, so the torn write below cuts inside the *next* record).
+    // A short committed prefix, durably flushed.
     for k in 0..3u64 {
         wal.append_insert(k, format!("v-{k}").as_bytes()).unwrap();
         wal.commit().unwrap();
     }
     wal.flush().unwrap();
     let intact = wal.len_bytes();
-    assert!(intact < BLOCK as u64 / 2, "prefix must fit the torn half");
 
-    // Arm the device: the very next block write — the group-commit's
-    // tail write carrying the doomed record — lands only its first half.
+    // Arm the device: the very next write — the group commit's one write
+    // of the doomed record's frame — lands only its first half.
     plan.arm_nth_write(1, FailMode::Torn);
-    wal.append_insert(3, &[0xD0; 150]).unwrap(); // frame straddles the cut
+    wal.append_insert(3, &[0xD0; 150]).unwrap(); // the tear cuts the frame
     let err = wal.commit().unwrap_err();
     assert!(plan.tripped(), "the armed write fired: {err}");
     assert!(wal.is_poisoned(), "a torn append fail-stops the handle");
     drop(wal);
 
     // Recovery through the engine: the intact prefix replays, the torn
-    // record is discarded, and the scrub is on the recovery timeline.
+    // record is discarded, and the cut is on the recovery timeline.
     let db = SksDb::open(&dir, config).unwrap();
     let report = db.recovery_report();
     assert_eq!(report.path, RecoveryPath::FullReplay);
@@ -104,7 +108,7 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
 /// order, and a log that accepts writes again.
 #[test]
 fn wal_fault_sweep_recovers_consistent_prefixes() {
-    const BLOCK: usize = 512;
+    const PIECE: usize = 512;
     const BATCHES: u64 = 30;
     const PER_BATCH: u64 = 3;
     let value = |k: u64| format!("sweep-record-{k:04}").into_bytes();
@@ -117,12 +121,18 @@ fn wal_fault_sweep_recovers_consistent_prefixes() {
         let wal_path = dir.join("wal.sks");
 
         let counters = OpCounters::new();
-        let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
-        let (fail, plan): (FailStore<FileDisk>, FailPlan) = FailStore::new(disk);
-        let mut wal =
-            Wal::create_on_device(fail, config.wal_key(), SyncPolicy::EveryN(4), counters).unwrap();
+        let file = LogFile::create(&wal_path, counters.clone()).unwrap();
+        let (fail, plan): (FailStore<LogFile>, FailPlan) = FailStore::new(file);
+        let mut wal = Wal::create_on_device(
+            fail,
+            PIECE,
+            config.wal_key(),
+            SyncPolicy::EveryN(4),
+            counters,
+        )
+        .unwrap();
 
-        // Seed-derived fault: two thirds hit a block write (alternating
+        // Seed-derived fault: two thirds hit a log write (alternating
         // torn and clean-error — the group-seal/device-write boundary),
         // one third kills an fsync (the group-commit barrier, paid inline
         // by the commit it falls due on).
@@ -212,7 +222,7 @@ fn wal_fault_sweep_recovers_consistent_prefixes() {
 /// group 0 and nothing past the poison point.
 #[test]
 fn killed_fsync_fail_stops_and_keeps_the_acked_prefix() {
-    const BLOCK: usize = 512;
+    const PIECE: usize = 512;
     let dir = tmpdir("fsync_kill");
     let config =
         EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096)).sync(SyncPolicy::Always);
@@ -220,10 +230,10 @@ fn killed_fsync_fail_stops_and_keeps_the_acked_prefix() {
     let value = |k: u64| format!("killed-sync-record-{k:04}").into_bytes();
 
     let counters = OpCounters::new();
-    let disk = FileDisk::create_with_counters(&wal_path, BLOCK, counters.clone()).unwrap();
-    let (fail, plan) = FailStore::new(disk);
+    let file = LogFile::create(&wal_path, counters.clone()).unwrap();
+    let (fail, plan) = FailStore::new(file);
     let mut wal =
-        Wal::create_on_device(fail, config.wal_key(), SyncPolicy::Always, counters).unwrap();
+        Wal::create_on_device(fail, PIECE, config.wal_key(), SyncPolicy::Always, counters).unwrap();
 
     // Group 0: committed and fsynced inline — acknowledged durable.
     for k in 0..3u64 {
@@ -253,7 +263,7 @@ fn killed_fsync_fail_stops_and_keeps_the_acked_prefix() {
 
     // Reopen through the engine: a whole-group prefix that includes at
     // least the acked group and nothing past the poison point (group 1's
-    // blocks were written before its fsync died, so it may replay too).
+    // frame was written before its fsync died, so it may replay too).
     let db = SksDb::open(&dir, config).unwrap();
     let report = db.recovery_report();
     assert_eq!(report.path, RecoveryPath::FullReplay);

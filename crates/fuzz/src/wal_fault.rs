@@ -1,10 +1,10 @@
 //! The bare-WAL fault fuzzer: generalises the engine's fixed-workload
 //! `wal_fault_sweep` to *arbitrary fuzzed op sequences*. Each seed draws
-//! a log configuration (block size, sync policy), a mixed stream of
+//! a log configuration (body piece size, sync policy), a mixed stream of
 //! single-record / multi-record / txn commit units,
 //! and one [`KillPoint`] on the underlying
-//! [`FileDisk`]; after the kill the log is reopened with the plain
-//! (fault-free) device and checked for:
+//! [`LogFile`]; after the kill the log is reopened with the plain
+//! (fault-free) file and checked for:
 //!
 //! - **prefix recovery**: the replayed records are exactly a prefix of
 //!   the submitted stream (payload-for-payload);
@@ -18,13 +18,14 @@
 //!
 //! Accounting note: an op whose append or commit *errored* may still
 //! replay — the injected fault can fire after its frame landed (a torn
-//! block keeps its first half; a killed fsync loses nothing already
+//! write keeps a byte prefix of what it carried, which may be the rest of
+//! a frame whose header went last; a killed fsync loses nothing already
 //! written). So the expected stream holds every *submitted* op, the
 //! boundary set marks every frame end including the in-flight one, and
 //! recovery may stop at any boundary at or above the durability floor.
 
 use sks_engine::{Wal, WalOp};
-use sks_storage::{FailStore, FileDisk, KillPoint, OpCounters, SyncPolicy};
+use sks_storage::{FailStore, KillPoint, LogFile, OpCounters, SyncPolicy};
 
 use crate::rng::FuzzRng;
 use crate::ScratchDir;
@@ -45,7 +46,7 @@ pub struct WalFaultReport {
 /// failure so a reproduction sees the same shape.
 #[derive(Debug, Clone, Copy)]
 struct LogShape {
-    block_size: usize,
+    piece_len: usize,
     policy: SyncPolicy,
 }
 
@@ -56,7 +57,7 @@ fn draw_shape(rng: &mut FuzzRng) -> LogShape {
         _ => SyncPolicy::Never,
     };
     LogShape {
-        block_size: if rng.chance(50) { 256 } else { 512 },
+        piece_len: if rng.chance(50) { 256 } else { 512 },
         policy,
     }
 }
@@ -82,16 +83,21 @@ pub fn run_wal_fault_case(seed: u64) -> Result<WalFaultReport, String> {
     let shape = draw_shape(&mut rng);
 
     let counters = OpCounters::new();
-    let disk = FileDisk::create_with_counters(&path, shape.block_size, counters.clone())
-        .map_err(|e| format!("create disk: {e}"))?;
-    let (store, plan) = FailStore::new(disk);
-    let mut wal = Wal::create_on_device(store, WAL_KEY, shape.policy, counters.clone())
-        .map_err(|e| format!("create wal: {e}"))?;
+    let file =
+        LogFile::create(&path, counters.clone()).map_err(|e| format!("create log file: {e}"))?;
+    let (store, plan) = FailStore::new(file);
+    let mut wal = Wal::create_on_device(
+        store,
+        shape.piece_len,
+        WAL_KEY,
+        shape.policy,
+        counters.clone(),
+    )
+    .map_err(|e| format!("create wal: {e}"))?;
 
     // Arm only after the sentinel is durably down: a kill during the
     // very first format correctly leaves an unopenable log — a dead end,
-    // not a finding. Every later write (including tail rewrites of the
-    // sentinel's own block) stays in scope.
+    // not a finding. Every later write stays in scope.
     let kill = plan.arm_kill_point(rng.next_u64(), 20, 8);
 
     // Every op submitted to the log (appends that errored included — see

@@ -1,14 +1,18 @@
-//! [`FailStore`] — a fault-injection [`BlockStore`] wrapper for crash
-//! probes.
+//! [`FailStore`] — a fault-injection wrapper for crash probes, around a
+//! [`BlockStore`] or a log's [`LogFile`].
 //!
-//! The wrapper counts every `write_block` and, when armed, fails the Nth
-//! one — either cleanly ([`FailMode::Error`]: the write never happens) or
-//! as a *torn write* ([`FailMode::Torn`]: only the first half of the block
-//! reaches the inner store before the error). After the injected fault the
-//! store **fail-stops**: every later mutation errors too, modelling a
-//! killed process whose in-memory state is gone. Reads keep working so a
-//! test can inspect the wreckage before "rebooting" (reopening the
-//! underlying store through the normal recovery path).
+//! The wrapper counts every write (`write_block`, or a log's `write_at`)
+//! and, when armed, fails the Nth one — either cleanly
+//! ([`FailMode::Error`]: the write never happens) or as a *torn write*
+//! ([`FailMode::Torn`]: only the first half of it reaches the inner store
+//! before the error — the first half of the block, the rest keeping what
+//! it held, or the first half of a log write's bytes, a byte prefix). A
+//! log's `set_len` fails once the plan has tripped but is not counted.
+//! After the injected fault the store **fail-stops**: every later
+//! mutation errors too, modelling a killed process whose in-memory state
+//! is gone. Reads keep working so a test can inspect the wreckage before
+//! "rebooting" (reopening the underlying store through the normal
+//! recovery path).
 //!
 //! A plan can instead fail the Nth `read_block` ([`FailPlan::arm_nth_read`]),
 //! for probes that a failed read leaves the medium untouched. The provided
@@ -24,15 +28,15 @@ use std::sync::{Arc, Mutex};
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
-use crate::filedisk::{FileDisk, SyncHandle};
+use crate::logfile::{LogFile, SyncHandle, WalDevice};
 
 /// How the armed write fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailMode {
     /// The write errors without touching the inner store.
     Error,
-    /// The first half of the block is written, then the error — a torn
-    /// page on the simulated medium.
+    /// The first half of the write lands, then the error — a torn page
+    /// on the simulated medium, or a log write cut to a byte prefix.
     Torn,
 }
 
@@ -41,7 +45,7 @@ pub enum FailMode {
 /// value lets a fuzz driver log exactly which fault a failing seed maps to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPoint {
-    /// The `nth` (1-based) `write_block` fails with the given mode.
+    /// The `nth` (1-based) write fails with the given mode.
     Write(u64, FailMode),
     /// The `nth` (1-based) flush fails before reaching the inner store.
     Flush(u64),
@@ -214,14 +218,14 @@ fn poisoned() -> StorageError {
     StorageError::Io("injected fault: store is fail-stopped".into())
 }
 
-/// A [`BlockStore`] that forwards to `inner` until its [`FailPlan`] fires.
+/// A store that forwards to `inner` until its [`FailPlan`] fires.
 #[derive(Debug)]
-pub struct FailStore<S: BlockStore> {
+pub struct FailStore<S> {
     inner: S,
     plan: FailPlan,
 }
 
-impl<S: BlockStore> FailStore<S> {
+impl<S> FailStore<S> {
     /// Wraps `inner`; keep the returned plan handle to arm faults.
     pub fn new(inner: S) -> (Self, FailPlan) {
         let plan = FailPlan::new();
@@ -244,21 +248,43 @@ impl<S: BlockStore> FailStore<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Mutable access to the wrapped store — device-specific calls (e.g.
-    /// a [`crate::FileDisk`]'s partial reads) route through here so a WAL
-    /// can run on a fault-injected file disk.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
-impl FailStore<FileDisk> {
-    /// [`FileDisk::sync_handle`] whose syncs count as this store's
-    /// flushes: [`FailPlan::arm_nth_flush`] and a seeded kill point reach
-    /// them, and a tripped plan fails them.
-    pub fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
+impl WalDevice for FailStore<LogFile> {
+    /// Reads keep working after the plan trips (inspecting the wreckage
+    /// is the point of a crash probe).
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
+        self.inner.read_at(buf, offset)
+    }
+
+    fn write_at(&mut self, data: &[u8], offset: u64) -> Result<(), StorageError> {
+        match self.plan.on_write()? {
+            None => self.inner.write_at(data, offset),
+            Some(FailMode::Error) => Err(poisoned()),
+            Some(FailMode::Torn) => {
+                self.inner.write_at(&data[..data.len() / 2], offset)?;
+                Err(poisoned())
+            }
+        }
+    }
+
+    fn file_len(&self) -> Result<u64, StorageError> {
+        self.inner.file_len()
+    }
+
+    fn set_len(&mut self, len: u64) -> Result<(), StorageError> {
+        self.plan.check_alive()?;
+        self.inner.set_len(len)
+    }
+
+    /// Syncs count as this store's flushes: [`FailPlan::arm_nth_flush`]
+    /// and a seeded kill point reach them, and a tripped plan fails them.
+    fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
         Ok(self.inner.sync_handle()?.with_plan(self.plan.clone()))
+    }
+
+    fn set_counters(&mut self, counters: OpCounters) {
+        self.inner.set_counters(counters);
     }
 }
 
@@ -388,6 +414,26 @@ mod tests {
         let got = store.read_block_vec(a).unwrap();
         assert_eq!(&got[..32], &[0xBB; 32][..], "new prefix");
         assert_eq!(&got[32..], &[0xAA; 32][..], "stale suffix");
+    }
+
+    #[test]
+    fn a_torn_log_write_keeps_a_byte_prefix_and_fail_stops() {
+        let path = std::env::temp_dir().join(format!("sks_failstore_{}_log", std::process::id()));
+        let (mut log, plan) = FailStore::new(LogFile::create(&path, OpCounters::new()).unwrap());
+        log.set_len(64).unwrap();
+        log.write_at(&[0xAA; 10], 0).unwrap();
+        plan.arm_nth_write(1, FailMode::Torn);
+        assert!(log.write_at(&[0xBB; 9], 10).is_err());
+        let mut got = [0u8; 24];
+        log.read_at(&mut got, 0).unwrap();
+        assert_eq!(&got[..10], &[0xAA; 10][..]);
+        assert_eq!(&got[10..14], &[0xBB; 4][..], "the first half of the write");
+        assert_eq!(&got[14..], &[0u8; 10][..], "nothing past it");
+        assert!(log.write_at(&[0xCC; 1], 40).is_err(), "fail-stopped");
+        assert!(log.set_len(128).is_err(), "fail-stopped");
+        assert!(log.sync_handle().unwrap().sync().is_err(), "fail-stopped");
+        assert_eq!(log.file_len().unwrap(), 64);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! A block read is one positioned read (`pread`) straight into the
 //! caller's buffer — under the buffer pool, the frame a miss evicted — so
 //! the device itself allocates and copies nothing on the read path.
+//! That positioned read and its write twin are this crate's one platform
+//! split for file I/O; the engine's write-ahead log, a plain byte file
+//! rather than a block device ([`crate::LogFile`]), goes through them too.
 
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
@@ -18,7 +21,6 @@ use std::path::Path;
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
-use crate::failstore::FailPlan;
 use crate::freelist::FreeList;
 
 const MAGIC: &[u8; 8] = b"SKSBTRE1";
@@ -39,6 +41,43 @@ pub fn sync_dir(dir: &Path) -> Result<(), StorageError> {
     #[cfg(not(unix))]
     {
         let _ = dir;
+    }
+    Ok(())
+}
+
+/// Fills `buf` from `file` at `offset` with one positioned read (more
+/// only if the kernel returns short): no seek of the shared cursor, so
+/// `&self` readers stay safe, and the bytes land in the caller's buffer.
+/// The one platform split for positioned reads, shared by [`FileDisk`]
+/// and [`crate::LogFile`].
+pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        file.read_exact_at(buf, offset)?;
+    }
+    #[cfg(not(unix))]
+    {
+        let mut f = file;
+        f.seek(SeekFrom::Start(offset))?;
+        f.read_exact(buf)?;
+    }
+    Ok(())
+}
+
+/// Writes all of `data` to `file` at `offset`: [`read_exact_at`]'s
+/// counterpart.
+pub(crate) fn write_all_at(file: &File, data: &[u8], offset: u64) -> Result<(), StorageError> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        file.write_all_at(data, offset)?;
+    }
+    #[cfg(not(unix))]
+    {
+        let mut f = file;
+        f.seek(SeekFrom::Start(offset))?;
+        f.write_all(data)?;
     }
     Ok(())
 }
@@ -109,35 +148,6 @@ pub fn crc32_fold(mut c: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// An fsync-only handle to a [`FileDisk`]'s file (see
-/// [`FileDisk::sync_handle`]). One taken from a
-/// [`crate::FailStore`]`<FileDisk>` counts each sync against that store's
-/// [`FailPlan`], so a killed flush reaches this path too.
-#[derive(Debug)]
-pub struct SyncHandle {
-    file: File,
-    plan: Option<FailPlan>,
-}
-
-impl SyncHandle {
-    /// Forces every byte written to the file so far to stable storage.
-    pub fn sync(&self) -> Result<(), StorageError> {
-        if let Some(plan) = &self.plan {
-            plan.on_flush()?;
-        }
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    /// This handle with its syncs counted against `plan`.
-    pub(crate) fn with_plan(self, plan: FailPlan) -> Self {
-        SyncHandle {
-            plan: Some(plan),
-            ..self
-        }
-    }
-}
-
 /// File-backed block device.
 #[derive(Debug)]
 pub struct FileDisk {
@@ -177,7 +187,7 @@ impl FileDisk {
         };
         // The whole header region once; later updates rewrite only the
         // fields, the rest of the region staying zeros.
-        disk.write_at(&[0u8; HEADER_LEN as usize], 0)?;
+        write_all_at(&disk.file, &[0u8; HEADER_LEN as usize], 0)?;
         disk.write_header()?;
         Ok(disk)
     }
@@ -199,7 +209,7 @@ impl FileDisk {
             }
             chain.push(cur);
             let mut link = [0u8; 4];
-            disk.read_at(&mut link, disk.offset(BlockId(cur)))?;
+            read_exact_at(&disk.file, &mut link, disk.offset(BlockId(cur)))?;
             cur = u32::from_be_bytes(link);
         }
         chain.reverse();
@@ -252,8 +262,7 @@ impl FileDisk {
     }
 
     /// Rewrites the header's fields (the first 28 bytes of its region):
-    /// one positioned write, with nothing allocated, as every allocation
-    /// of a growing log pays it.
+    /// one positioned write, with nothing allocated.
     fn write_header(&self) -> Result<(), StorageError> {
         let mut header = [0u8; 28];
         header[0..8].copy_from_slice(MAGIC);
@@ -262,48 +271,15 @@ impl FileDisk {
         header[20..24].copy_from_slice(&self.alloc.num_blocks().to_be_bytes());
         let free_head = self.alloc.ids().last().copied().unwrap_or(NO_FREE);
         header[24..28].copy_from_slice(&free_head.to_be_bytes());
-        self.write_at(&header, 0)
+        write_all_at(&self.file, &header, 0)
     }
 
     fn offset(&self, id: BlockId) -> u64 {
         HEADER_LEN + id.0 as u64 * self.block_size as u64
     }
 
-    /// Fills `buf` from the file at `offset`. A positioned read keeps
-    /// `&self` reads safe without seeking the shared cursor, and lands in
-    /// the caller's buffer: no copy of the block is made on the way.
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)?;
-        }
-        Ok(())
-    }
-
     fn write_raw(&self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
-        self.write_at(data, self.offset(id))
-    }
-
-    fn write_at(&self, data: &[u8], offset: u64) -> Result<(), StorageError> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.write_all_at(data, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(data)?;
-        }
-        Ok(())
+        write_all_at(&self.file, data, self.offset(id))
     }
 
     /// Writes a free block as the chain stores it: zeros after the link to
@@ -325,64 +301,17 @@ impl FileDisk {
         self.write_header()
     }
 
-    /// Zeroes a block the allocator just handed out.
-    /// From a static page of zeros, so handing out a block allocates
-    /// nothing (a log hands out one per block it writes).
+    /// Zeroes a block the allocator just handed out, from a static page
+    /// of zeros, so handing out a block allocates nothing.
     fn zero(&self, id: BlockId) -> Result<(), StorageError> {
         static ZEROS: [u8; 4096] = [0; 4096];
         let (mut at, end) = (self.offset(id), self.offset(id) + self.block_size as u64);
         while at < end {
             let n = ((end - at) as usize).min(ZEROS.len());
-            self.write_at(&ZEROS[..n], at)?;
+            write_all_at(&self.file, &ZEROS[..n], at)?;
             at += n as u64;
         }
         Ok(())
-    }
-
-    /// Best-effort block read for crash recovery: returns however many of
-    /// the block's bytes actually exist on the medium (zero-padding the
-    /// rest), instead of failing on a torn tail block whose file range was
-    /// cut short. A WAL replays through this so a truncated final block
-    /// still yields its leading records.
-    pub fn read_block_partial(&self, id: BlockId) -> Result<(Vec<u8>, usize), StorageError> {
-        self.alloc.check(id)?;
-        self.counters.bump(|c| &c.block_reads);
-        let t = self.counters.obs().start();
-        let mut buf = vec![0u8; self.block_size];
-        let offset = self.offset(id);
-        let mut have = 0usize;
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            while have < buf.len() {
-                match self.file.read_at(&mut buf[have..], offset + have as u64) {
-                    Ok(0) => break,
-                    Ok(n) => have += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(offset))?;
-            loop {
-                match std::io::Read::read(&mut f, &mut buf[have..]) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        have += n;
-                        if have == buf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        self.counters.obs().stage(sks_obs::Stage::BlockRead, t);
-        Ok((buf, have))
     }
 
     /// Forces all written blocks to stable storage. (Callers that track
@@ -394,17 +323,6 @@ impl FileDisk {
         self.file.sync_all()?;
         self.counters.obs().stage(sks_obs::Stage::StoreFsync, t);
         Ok(())
-    }
-
-    /// A second handle to this device's file that can only fsync it, for
-    /// a caller that makes what it wrote durable without holding the lock
-    /// its writes go through (a log's group commit). A sync through it
-    /// covers every write this device made before the sync began.
-    pub fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
-        Ok(SyncHandle {
-            file: self.file.try_clone()?,
-            plan: None,
-        })
     }
 
     /// Writes `blocks` over the consecutive blocks from `first` with one
@@ -543,7 +461,7 @@ impl BlockStore for FileDisk {
         }
         self.counters.bump(|c| &c.block_reads);
         let t = self.counters.obs().start();
-        self.read_at(buf, self.offset(id))?;
+        read_exact_at(&self.file, buf, self.offset(id))?;
         self.counters.obs().stage(sks_obs::Stage::BlockRead, t);
         Ok(())
     }
@@ -588,7 +506,7 @@ impl BlockStore for FileDisk {
         (0..self.alloc.num_blocks())
             .map(|i| {
                 let mut block = vec![0u8; self.block_size];
-                self.read_at(&mut block, self.offset(BlockId(i)))?;
+                read_exact_at(&self.file, &mut block, self.offset(BlockId(i)))?;
                 Ok(block)
             })
             .collect()

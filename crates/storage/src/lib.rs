@@ -16,6 +16,8 @@
 //!   pinning) behind every cache in the workspace.
 //! * [`bufferpool`] — no-steal LRU cache at the memory↔disk boundary:
 //!   dirty frames stay pinned until a flush writes them.
+//! * [`logfile`] — [`LogFile`], the write-ahead log's plain byte file,
+//!   and [`WalDevice`], the surface a log writes through.
 //! * [`failstore`] — fault-injection wrapper failing (or tearing) the Nth
 //!   write, for deterministic crash probes.
 //! * [`paged`] — [`PagedFileStore`]: the file backend's store — the pool
@@ -34,6 +36,7 @@ pub mod counters;
 pub mod failstore;
 pub mod filedisk;
 mod freelist;
+pub mod logfile;
 pub mod lru;
 pub mod memdisk;
 pub mod paged;
@@ -45,7 +48,8 @@ pub use block::{BlockId, BlockStore, DynBlockStore, StorageError};
 pub use bufferpool::BufferPool;
 pub use counters::{OpCounters, OpCountersInner, OpSnapshot};
 pub use failstore::{FailMode, FailPlan, FailStore, KillPoint};
-pub use filedisk::{crc32, crc32_fold, sync_dir, FileDisk, SyncHandle, CRC32_INIT};
+pub use filedisk::{crc32, crc32_fold, sync_dir, FileDisk, CRC32_INIT};
+pub use logfile::{LogFile, SyncHandle, WalDevice};
 pub use lru::LruMap;
 pub use memdisk::MemDisk;
 pub use paged::PagedFileStore;

@@ -17,8 +17,8 @@ use sks_btree::storage::{crc32, BlockId, BlockStore, FileDisk, OpCounters, SyncP
 
 const KEY: u128 = 0x0F1E_2D3C_4B5A_6978_8796_A5B4_C3D2_E1F0;
 const BLOCK: usize = 512;
-/// The `FileDisk` header precedes block 0 of the stream.
-const STREAM_START: usize = 8192;
+/// The log file's header (magic and piece length) precedes the stream.
+const STREAM_START: usize = 12;
 const HEADER_LEN: usize = 25;
 const TAG: u8 = 0xA5;
 const OP_INSERT: u8 = 1;
@@ -194,42 +194,63 @@ fn corrupt_bodies_under_a_valid_crc_replay_as_a_clean_prefix() {
     }
 }
 
-/// A log written in the parent commit's format — a legacy
-/// `E(op ‖ key ‖ value)` sentinel under the same `0xA5` tag — must be
-/// *refused* by the seq-1 sentinel check, like a wrong key: a
-/// configuration error, and not one byte of the file touched. Treating it
-/// as a torn tail would scrub a log this build merely cannot read.
+/// Logs this build cannot read must be *refused*, like a wrong key: a
+/// configuration error, and not one byte of the file touched. Treating
+/// one as a torn tail would cut a log this build merely cannot read. Two
+/// older formats, both in the block-device container (`FileDisk`, magic
+/// `SKSBTRE1`): a legacy `E(op ‖ key ‖ value)` grammar under the same
+/// `0xA5` tag, and today's frame grammar in blocks, as the log was
+/// written before it became a plain byte file.
 #[test]
 fn parent_format_log_is_refused_not_scrubbed() {
-    let path = tmpfile("parent_format");
     let legacy_body = |op: u8, key: u64, value: &[u8]| {
         let mut b = vec![op];
         b.extend_from_slice(&key.to_be_bytes());
         b.extend_from_slice(value);
         b
     };
-    let mut block = vec![0u8; BLOCK];
-    let sentinel = seal_frame(1, 0x1111, &legacy_body(OP_KEYCHECK, 0, b"SKSWAL-KEYCHECK1"));
-    let record = seal_frame(2, 0x2222, &legacy_body(OP_INSERT, 5, b"legacy-record"));
-    block[..sentinel.len()].copy_from_slice(&sentinel);
-    block[sentinel.len()..sentinel.len() + record.len()].copy_from_slice(&record);
-    {
-        let mut disk = FileDisk::create(&path, BLOCK).unwrap();
-        let id = disk.allocate().unwrap();
-        assert_eq!(id, BlockId(0));
-        disk.write_block(id, &block).unwrap();
-        disk.flush().unwrap();
-    }
-    let before = std::fs::read(&path).unwrap();
+    let group_body = |op: u8, key: u64, value: &[u8]| {
+        [
+            &1u32.to_be_bytes()[..],
+            &entry(op, key, value.len() as u32, value),
+        ]
+        .concat()
+    };
+    let cases = [
+        (
+            "legacy grammar",
+            seal_frame(1, 0x1111, &legacy_body(OP_KEYCHECK, 0, b"SKSWAL-KEYCHECK1")),
+            seal_frame(2, 0x2222, &legacy_body(OP_INSERT, 5, b"legacy-record")),
+        ),
+        (
+            "block container",
+            seal_frame(1, 0x3333, &group_body(OP_KEYCHECK, 0, b"SKSWAL-KEYCHECK1")),
+            seal_frame(2, 0x4444, &group_body(OP_INSERT, 5, b"block-record")),
+        ),
+    ];
+    for (i, (name, sentinel, record)) in cases.into_iter().enumerate() {
+        let path = tmpfile(&format!("parent_format_{i}"));
+        let mut block = vec![0u8; BLOCK];
+        block[..sentinel.len()].copy_from_slice(&sentinel);
+        block[sentinel.len()..sentinel.len() + record.len()].copy_from_slice(&record);
+        {
+            let mut disk = FileDisk::create(&path, BLOCK).unwrap();
+            let id = disk.allocate().unwrap();
+            assert_eq!(id, BlockId(0));
+            disk.write_block(id, &block).unwrap();
+            disk.flush().unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
 
-    let err = Wal::open(&path, KEY, SyncPolicy::Always, OpCounters::new())
-        .map(|_| ())
-        .expect_err("a parent-format log must be refused");
-    assert!(matches!(err, EngineError::Config(_)), "got: {err}");
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        before,
-        "a refused open must not modify the file"
-    );
-    std::fs::remove_file(&path).ok();
+        let err = Wal::open(&path, KEY, SyncPolicy::Always, OpCounters::new())
+            .map(|_| ())
+            .expect_err("an older-format log must be refused");
+        assert!(matches!(err, EngineError::Config(_)), "{name}: got {err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "{name}: a refused open must not modify the file"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }

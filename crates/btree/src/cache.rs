@@ -182,8 +182,8 @@ fn all_known(slots: usize) -> Box<[AtomicU64]> {
 impl CachedNode {
     /// A lazy entry: the node as stored, nothing deciphered. `stored`
     /// holds the page's slots, `sealed_len`-byte cryptograms each with a
-    /// key field before it where `key_fields` ([`CachedNode::stored`]'s
-    /// layout).
+    /// key field before it where `key_fields` (the layout of the entry's
+    /// private `stored` field).
     pub fn sealed(
         id: BlockId,
         is_leaf: bool,

@@ -21,13 +21,20 @@
 //!
 //! Records are sealed and unsealed against the page the store lends
 //! ([`BlockStore::read_with`], [`BlockStore::update_with`]) — on the file
-//! backend, the buffer-pool frame itself. A `get` copies only the sealed
-//! value out of the page, into the buffer it returns, and runs the CTR
-//! pass there once the store is let go; an insert seals its slot, and a
-//! delete writes its tombstone, inside the page. No operation copies the
-//! whole page out and back. Only the maintenance paths that want an owned
-//! page (compaction's victim read, the orphan sweep, the reopen-time
-//! accounting sweep) read one.
+//! backend, the buffer-pool frame itself. Every read goes through one run
+//! reader: a range scan's `(key, pointer)` pairs are split into runs on
+//! one data block, and a point get is a run of one. A run takes one
+//! record-cache lock for its hits and one page lend for the rest, which
+//! copies only each sealed key block and value out of the page, the value
+//! straight into the buffer the read returns. Once the store is let go,
+//! one keystream pass ([`ctr_xor_each`], drawing the counters of every
+//! record of the run through the cipher's wide lanes) opens the key
+//! blocks, every owner is checked, and only then a second pass opens the
+//! values. An insert seals its slot, and a delete writes its tombstone,
+//! inside the page. No operation copies the whole page out and back. Only
+//! the maintenance paths that want an owned page (compaction's victim
+//! read, the orphan sweep, the reopen-time accounting sweep) read one;
+//! they open keys and values through the same two passes.
 //!
 //! Two engine-grade facilities sit on top of the paper's static view:
 //!
@@ -59,8 +66,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sks_btree_core::RecordPtr;
-use sks_crypto::cipher::BlockCipher64;
-use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
+use sks_crypto::modes::{ctr_xor_each, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 use sks_storage::{wipe, BlockId, BlockStore, LruMap, PageReader};
 
@@ -80,6 +86,10 @@ const KEY_LEN: usize = 8;
 /// Low nonce bits reserved for a slot's CTR block index. A slot's sealed
 /// length is a `u16`, so it spans at most 2^16 / 8 = 2^13 cipher blocks.
 const SLOT_CTR_BITS: u32 = 13;
+/// The most records one page lend serves. A run of more records on one
+/// data block (records under ≈ 50 bytes at 4 KiB) is read this many at a
+/// time.
+const RUN_BATCH: usize = 64;
 
 /// Superblock (block 0) layout: magic, format version, next page
 /// generation. Rewritten in place whenever a fresh page is initialised; on
@@ -107,6 +117,42 @@ impl Drop for CachedRecord {
     }
 }
 
+/// How a record read answers to the record's owner and the record cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    /// Owner-blind ([`RecordStore::get`]); admits what it deciphers.
+    Blind,
+    /// On each key's behalf; admits what it deciphers (point gets).
+    Keyed,
+    /// On each key's behalf; admits nothing (range scans and priors).
+    Peek,
+}
+
+/// One record of a run, between the page lend and the answer.
+enum Fetched {
+    /// A tombstoned slot — and every record the cache did not serve
+    /// until the page lend copies it.
+    Tombstone,
+    /// Served by the record cache: the plaintext, its owner checked.
+    Hit(Vec<u8>),
+    /// Copied off the page: the key block and the value, sealed until
+    /// the run's keystream passes open them in place.
+    Sealed([u8; KEY_LEN], Vec<u8>),
+}
+
+/// The records of a run copied off the page, as `(slot, key block, value)`.
+fn sealed<'a>(
+    run: &'a [(u64, RecordPtr)],
+    fetched: &'a mut [Fetched],
+) -> impl Iterator<Item = (u16, &'a mut [u8; KEY_LEN], &'a mut Vec<u8>)> {
+    run.iter()
+        .zip(fetched)
+        .filter_map(|(&(_, ptr), record)| match record {
+            Fetched::Sealed(key, value) => Some((ptr.slot(), key, value)),
+            _ => None,
+        })
+}
+
 /// Bounded LRU of *decoded* record values keyed by record pointer,
 /// interior-mutable so the read path can fill it behind `&self`. Capacity
 /// is a record count. Entries are RAM-only and zeroized on drop.
@@ -122,12 +168,13 @@ impl RecordCache {
         self.0.lock().expect("record cache")
     }
 
-    fn get(&self, ptr: RecordPtr) -> Option<Arc<CachedRecord>> {
-        self.lock().get(&ptr.0).map(Arc::clone)
+    fn insert(&self, ptr: RecordPtr, owner: u64, bytes: Vec<u8>) {
+        Self::admit(&mut self.lock(), ptr, owner, bytes);
     }
 
-    fn insert(&self, ptr: RecordPtr, owner: u64, bytes: Vec<u8>) {
-        let mut lru = self.lock();
+    /// Adds a record under a lock the caller holds, evicting down to the
+    /// bound.
+    fn admit(lru: &mut LruMap<u64, Arc<CachedRecord>>, ptr: RecordPtr, owner: u64, bytes: Vec<u8>) {
         lru.insert(ptr.0, Arc::new(CachedRecord { owner, bytes }));
         while lru.evict().is_some() {}
     }
@@ -381,11 +428,10 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(Some(sealed))
     }
 
-    /// Deciphers only the key a sealed slot starts with: its first CTR
-    /// block, one keystream word, with nothing allocated.
-    fn open_key(&self, generation: u64, slot: u16, sealed: &[u8]) -> u64 {
-        let word = u64::from_be_bytes(sealed[..KEY_LEN].try_into().expect("one cipher block"));
-        word ^ self.cipher.encrypt_block(Self::nonce(generation, slot))
+    /// The sealed key block a sealed slot starts with
+    /// ([`RecordStore::sealed_slot`] proves it is there).
+    fn key_block(sealed: &[u8]) -> [u8; KEY_LEN] {
+        sealed[..KEY_LEN].try_into().expect("one cipher block")
     }
 
     /// CTR nonce of a slot's value: it starts at the second CTR block, so
@@ -394,13 +440,31 @@ impl<S: BlockStore> RecordStore<S> {
         Self::nonce(generation, slot).wrapping_add(1)
     }
 
-    /// Deciphers only the value of a sealed slot.
-    fn open_value(&self, generation: u64, slot: u16, sealed: &[u8]) -> Vec<u8> {
-        ctr_xor(
-            &self.cipher,
-            Self::value_nonce(generation, slot),
-            &sealed[KEY_LEN..],
-        )
+    /// Deciphers in place the key blocks of records sealed on a page of
+    /// `generation`, given as `(slot, key block)`: one keystream pass,
+    /// with nothing allocated.
+    fn open_keys<'a>(
+        &self,
+        generation: u64,
+        keys: impl IntoIterator<Item = (u16, &'a mut [u8; KEY_LEN])>,
+    ) {
+        let blocks = keys
+            .into_iter()
+            .map(|(slot, key)| (Self::nonce(generation, slot), &mut key[..]));
+        ctr_xor_each(&self.cipher, blocks);
+    }
+
+    /// Deciphers in place the values of records sealed on a page of
+    /// `generation`, given as `(slot, value)`: one keystream pass.
+    fn open_values<'a>(
+        &self,
+        generation: u64,
+        values: impl IntoIterator<Item = (u16, &'a mut [u8])>,
+    ) {
+        let values = values
+            .into_iter()
+            .map(|(slot, value)| (Self::value_nonce(generation, slot), value));
+        ctr_xor_each(&self.cipher, values);
     }
 
     /// Free bytes left in a page with the given metadata.
@@ -559,89 +623,184 @@ impl<S: BlockStore> RecordStore<S> {
     /// physical CTR unseal or from the decoded-record cache (which only
     /// skips the *physical* work, tracked by `record_cache_hits`).
     pub fn get(&self, ptr: RecordPtr) -> Result<Option<Vec<u8>>, CoreError> {
-        self.fetch(ptr, None, true)
+        self.read_one(0, ptr, Read::Blind)
     }
 
     /// [`RecordStore::get`] on behalf of tree key `key`: a record sealed
     /// under any other key is refused with [`CoreError::Record`], whether
     /// it comes from the page or the cache. Counted exactly as `get` is.
     pub fn get_keyed(&self, ptr: RecordPtr, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
-        self.fetch(ptr, Some(key), true)
+        self.read_one(key, ptr, Read::Keyed)
     }
 
     /// [`RecordStore::get_keyed`] that looks the cache up but never adds
-    /// to it: a range scan touches each record once, and a prior is
-    /// deleted right after it is read, so admitting either would only
-    /// evict the point-get hot set. Counted exactly as `get` is.
+    /// to it: a prior is deleted right after it is read, so admitting it
+    /// would only evict the point-get hot set. Counted exactly as `get`
+    /// is.
     pub fn peek_keyed(&self, ptr: RecordPtr, key: u64) -> Result<Option<Vec<u8>>, CoreError> {
-        self.fetch(ptr, Some(key), false)
+        self.read_one(key, ptr, Read::Peek)
     }
 
-    /// Refuses a record sealed under a key other than the `owner` asked
-    /// for. The error names no key: keys are plaintext.
-    fn check_owner(owner: Option<u64>, sealed_under: u64) -> Result<(), CoreError> {
-        match owner {
-            Some(key) if key != sealed_under => Err(CoreError::Record(
-                "the data pointer leads to another key's record".into(),
-            )),
-            _ => Ok(()),
-        }
-    }
-
-    fn fetch(
+    /// The records of a range scan's `(key, pointer)` pairs, in order,
+    /// each read on its key's behalf and, as [`RecordStore::peek_keyed`]
+    /// reads, never admitted to the cache: a scan touches each record
+    /// once. A pointer to a tombstone fails as dangling. Counted exactly
+    /// as one `get` per pair is.
+    pub(crate) fn scan_keyed(
         &self,
-        ptr: RecordPtr,
-        owner: Option<u64>,
-        admit: bool,
-    ) -> Result<Option<Vec<u8>>, CoreError> {
-        if let Some(cache) = &self.cache {
-            if let Some(entry) = cache.get(ptr) {
-                Self::check_owner(owner, entry.owner)?;
-                self.store.counters().bump(|c| &c.record_cache_hits);
-                self.store.counters().bump(|c| &c.data_decrypts);
-                return Ok(Some(entry.bytes.clone()));
-            }
-        }
-        let t = self.store.counters().obs().start();
-        // Only the sealed value leaves the page the store lends, straight
-        // into the buffer returned (the key block into an array); the CTR
-        // passes run once the store (and its lock) is let go.
-        let mut copied = None;
-        self.store.read_with(ptr.block(), &mut |page| {
-            copied = Some(Self::check_slot(page, ptr.slot()).and_then(|generation| {
-                Ok(Self::sealed_slot(page, ptr.slot())?.map(|sealed| {
-                    let (key, value) = sealed.split_at(KEY_LEN);
-                    let key: [u8; KEY_LEN] = key.try_into().expect("one cipher block");
-                    (generation, key, value.to_vec())
-                }))
-            }));
+        reads: &[(u64, RecordPtr)],
+    ) -> Result<Vec<(u64, Vec<u8>)>, CoreError> {
+        let mut out = Vec::with_capacity(reads.len());
+        self.read_runs::<RUN_BATCH>(reads, Read::Peek, &mut |key, value| {
+            let value = value
+                .ok_or_else(|| CoreError::Record("dangling data pointer in a range scan".into()))?;
+            out.push((key, value));
+            Ok(())
         })?;
-        let Some((generation, key, mut value)) = copied.expect("read_with lends the page")? else {
-            return Ok(None);
-        };
-        // The key block first, on its own: a record under another key is
-        // refused before its value is deciphered. The two passes run the
-        // cipher blocks one pass over key ‖ value would, and leave no key
-        // bytes to move out of the value's buffer.
-        let sealed_under = self.open_key(generation, ptr.slot(), &key);
-        Self::check_owner(owner, sealed_under)?;
-        ctr_xor_in_place(
-            &self.cipher,
-            Self::value_nonce(generation, ptr.slot()),
-            &mut value,
-        );
-        self.store.counters().bump(|c| &c.data_decrypts);
+        Ok(out)
+    }
+
+    fn read_one(&self, key: u64, ptr: RecordPtr, how: Read) -> Result<Option<Vec<u8>>, CoreError> {
+        let mut out = None;
+        self.read_runs::<1>(&[(key, ptr)], how, &mut |_, value| {
+            out = value;
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The one record-reading path. Reads `(key, pointer)` pairs and hands
+    /// `emit` each key with its value, in order (`None` for a tombstoned
+    /// slot). Consecutive pairs on one data block form a run, read up to
+    /// `N` records at a time ([`RecordStore::read_run`]).
+    fn read_runs<const N: usize>(
+        &self,
+        reads: &[(u64, RecordPtr)],
+        how: Read,
+        emit: &mut dyn FnMut(u64, Option<Vec<u8>>) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let mut rest = reads;
+        while let Some(&(_, first)) = rest.first() {
+            let len = rest
+                .iter()
+                .take(N)
+                .take_while(|(_, ptr)| ptr.block() == first.block())
+                .count();
+            let (run, tail) = rest.split_at(len);
+            let mut fetched: [Fetched; N] = std::array::from_fn(|_| Fetched::Tombstone);
+            self.read_run(run, how, &mut fetched[..len])?;
+            for (&(key, _), record) in run.iter().zip(&mut fetched) {
+                match std::mem::replace(record, Fetched::Tombstone) {
+                    Fetched::Hit(value) | Fetched::Sealed(_, value) => emit(key, Some(value))?,
+                    Fetched::Tombstone => emit(key, None)?,
+                }
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    /// Reads one run, records on one data block, into `fetched`: one
+    /// record-cache lock serves its hits; the rest are copied out of one
+    /// page lend ([`BlockStore::read_with`]), and once the store is let
+    /// go, one keystream pass opens their key blocks. Every owner is
+    /// checked before any value is deciphered, so a run that holds
+    /// another key's record fails with no value opened. Then one pass
+    /// opens the values. The keystream never leaves the cipher's stack
+    /// buffer, which is wiped.
+    fn read_run(
+        &self,
+        run: &[(u64, RecordPtr)],
+        how: Read,
+        fetched: &mut [Fetched],
+    ) -> Result<(), CoreError> {
+        let counters = self.store.counters();
+        let mut hits = 0u64;
         if let Some(cache) = &self.cache {
-            self.store.counters().bump(|c| &c.record_cache_misses);
-            if admit {
-                cache.insert(ptr, sealed_under, value.clone());
+            let mut lru = cache.lock();
+            for (&(key, ptr), record) in run.iter().zip(fetched.iter_mut()) {
+                if let Some(entry) = lru.get(&ptr.0) {
+                    Self::check_owner(how, key, entry.owner)?;
+                    *record = Fetched::Hit(entry.bytes.clone());
+                    hits += 1;
+                }
             }
         }
-        self.store
-            .counters()
-            .obs()
-            .stage(sks_storage::Stage::RecordUnseal, t);
-        Ok(Some(value))
+        if hits < run.len() as u64 {
+            let t = counters.obs().start();
+            let mut lent = None;
+            self.store.read_with(run[0].1.block(), &mut |page| {
+                lent = Some(Self::copy_sealed(page, run, fetched));
+            })?;
+            let generation = lent.expect("read_with lends the page")?;
+            self.open_keys(
+                generation,
+                sealed(run, fetched).map(|(slot, key, _)| (slot, key)),
+            );
+            for (&(key, _), record) in run.iter().zip(fetched.iter()) {
+                if let Fetched::Sealed(owner, _) = record {
+                    Self::check_owner(how, key, u64::from_be_bytes(*owner))?;
+                }
+            }
+            self.open_values(
+                generation,
+                sealed(run, fetched).map(|(slot, _, value)| (slot, &mut value[..])),
+            );
+            let opened = sealed(run, fetched).count() as u64;
+            counters.bump_by(|c| &c.data_decrypts, opened);
+            if let Some(cache) = &self.cache {
+                counters.bump_by(|c| &c.record_cache_misses, opened);
+                if how != Read::Peek {
+                    let mut lru = cache.lock();
+                    let block = run[0].1.block();
+                    for (slot, owner, value) in sealed(run, fetched) {
+                        let (ptr, owner) =
+                            (RecordPtr::pack(block, slot), u64::from_be_bytes(*owner));
+                        RecordCache::admit(&mut lru, ptr, owner, value.clone());
+                    }
+                }
+            }
+            counters.obs().stage(sks_storage::Stage::RecordUnseal, t);
+        }
+        if hits > 0 {
+            counters.bump_by(|c| &c.record_cache_hits, hits);
+            counters.bump_by(|c| &c.data_decrypts, hits);
+        }
+        Ok(())
+    }
+
+    /// Copies, out of the lent `page`, the sealed key block and value of
+    /// every record of `run` the cache did not serve (tombstones stay
+    /// [`Fetched::Tombstone`]), and returns the page's generation. Only
+    /// those bytes leave the page, the value straight into the buffer the
+    /// read returns.
+    fn copy_sealed(
+        page: &[u8],
+        run: &[(u64, RecordPtr)],
+        fetched: &mut [Fetched],
+    ) -> Result<u64, CoreError> {
+        let (generation, _, _) = Self::read_page_meta(page)?;
+        for (&(_, ptr), record) in run.iter().zip(fetched) {
+            if matches!(record, Fetched::Hit(_)) {
+                continue;
+            }
+            Self::check_slot(page, ptr.slot())?;
+            if let Some(sealed) = Self::sealed_slot(page, ptr.slot())? {
+                *record = Fetched::Sealed(Self::key_block(sealed), sealed[KEY_LEN..].to_vec());
+            }
+        }
+        Ok(generation)
+    }
+
+    /// Refuses a record sealed under a key other than the one a keyed
+    /// read asks for. The error names no key: keys are plaintext.
+    fn check_owner(how: Read, key: u64, sealed_under: u64) -> Result<(), CoreError> {
+        if how != Read::Blind && key != sealed_under {
+            return Err(CoreError::Record(
+                "the data pointer leads to another key's record".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Tombstones a record. Space is reclaimed by the compaction sweep
@@ -737,7 +896,10 @@ mod tests {
         let mut plain = key.to_be_bytes().to_vec();
         plain.extend_from_slice(value);
         let nonce = RecordStore::<MemDisk>::nonce(generation, ptr.slot());
-        assert_eq!(sealed, ctr_xor(&rs.cipher, nonce, &plain));
+        assert_eq!(
+            sealed,
+            sks_crypto::modes::ctr_xor(&rs.cipher, nonce, &plain)
+        );
         assert_eq!(rs.keyed_slots_after((0, 0), 8).unwrap(), [(ptr, key)]);
         assert_eq!(rs.get(ptr).unwrap().unwrap(), value);
     }
@@ -940,6 +1102,56 @@ mod tests {
                 }
                 assert_eq!(rs.get(pb).unwrap().unwrap(), b"belongs to b");
             }
+        }
+    }
+
+    /// A run whose middle pointer leads to another key's record fails
+    /// closed, naming no key, before any value of the run is deciphered:
+    /// every value the page lend copied is still the ciphertext on the
+    /// page, and no logical unseal is counted.
+    #[test]
+    fn a_run_holding_another_keys_record_deciphers_no_value() {
+        for mut rs in [store(), cached_store()] {
+            let keys = [0x0A0A_1111u64, 0x0B0B_2222, 0x0C0C_3333, 0x0D0D_4444];
+            let ptrs: Vec<RecordPtr> = keys
+                .iter()
+                .map(|&k| rs.insert_keyed(k, b"twenty bytes a value").unwrap())
+                .collect();
+            let block = ptrs[0].block();
+            assert!(ptrs.iter().all(|p| p.block() == block), "one page");
+            let [a, b, c, _] = keys;
+            let run = [(a, ptrs[0]), (b, ptrs[3]), (c, ptrs[2])];
+            if let Some(cache) = &rs.cache {
+                // A hit for the first record, so hits and copies mix.
+                cache.lock().remove(&ptrs[2].0);
+                cache.lock().remove(&ptrs[3].0);
+            }
+            rs.store().counters().reset();
+
+            let mut fetched: [Fetched; 3] = std::array::from_fn(|_| Fetched::Tombstone);
+            let got = rs.read_run(&run, Read::Peek, &mut fetched);
+            let Err(CoreError::Record(msg)) = got else {
+                panic!("served another key's record: {got:?}");
+            };
+            for key in keys {
+                assert!(!msg.contains(&key.to_string()), "{msg}");
+                assert!(!msg.contains(&format!("{key:x}")), "{msg}");
+            }
+            let page = rs.store().raw_image()[block.as_u32() as usize].clone();
+            let mut copied = 0;
+            for (&(_, ptr), record) in run.iter().zip(&fetched) {
+                if let Fetched::Sealed(_, value) = record {
+                    let sealed = RecordStore::<MemDisk>::sealed_slot(&page, ptr.slot())
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!(&value[..], &sealed[KEY_LEN..], "a value was deciphered");
+                    copied += 1;
+                }
+            }
+            assert!(copied >= 2, "the run's misses were copied off the page");
+            assert_eq!(rs.store().counters().snapshot().data_decrypts, 0);
+            assert!(matches!(rs.scan_keyed(&run), Err(CoreError::Record(_))));
+            assert_eq!(rs.scan_keyed(&[run[0], run[2]]).unwrap().len(), 2);
         }
     }
 

@@ -13,7 +13,7 @@
 use sks_btree_core::RecordPtr;
 use sks_storage::{BlockId, BlockStore};
 
-use super::{Placement, RecordStore, TOMBSTONE};
+use super::{Placement, RecordStore, KEY_LEN, TOMBSTONE};
 use crate::error::CoreError;
 
 impl<S: BlockStore> RecordStore<S> {
@@ -95,17 +95,26 @@ impl<S: BlockStore> RecordStore<S> {
         for b in blocks {
             let page = self.store.read_block_vec(BlockId(b))?;
             let (generation, n_slots, _) = Self::read_page_meta(&page)?;
+            let mut keys = Vec::new();
             for slot in 0..n_slots {
-                if out.len() == limit {
-                    return Ok(out);
+                if out.len() + keys.len() == limit {
+                    break;
                 }
                 if (b, slot) <= cursor {
                     continue;
                 }
                 if let Some(sealed) = Self::sealed_slot(&page, slot)? {
-                    let key = self.open_key(generation, slot, sealed);
-                    out.push((RecordPtr::pack(BlockId(b), slot), key));
+                    keys.push((slot, Self::key_block(sealed)));
                 }
+            }
+            self.open_keys(generation, keys.iter_mut().map(|(slot, key)| (*slot, key)));
+            out.extend(
+                keys.into_iter().map(|(slot, key)| {
+                    (RecordPtr::pack(BlockId(b), slot), u64::from_be_bytes(key))
+                }),
+            );
+            if out.len() == limit {
+                break;
             }
         }
         Ok(out)
@@ -149,17 +158,26 @@ impl<S: BlockStore> RecordStore<S> {
     fn live_records(&self, block: BlockId) -> Result<Vec<(u16, u64, Vec<u8>)>, CoreError> {
         let page = self.store.read_block_vec(block)?;
         let (generation, n_slots, _) = Self::read_page_meta(&page)?;
-        let mut out = Vec::new();
+        let mut sealed = Vec::new();
         for slot in 0..n_slots {
-            if let Some(sealed) = Self::sealed_slot(&page, slot)? {
-                out.push((
-                    slot,
-                    self.open_key(generation, slot, sealed),
-                    self.open_value(generation, slot, sealed),
-                ));
+            if let Some(record) = Self::sealed_slot(&page, slot)? {
+                sealed.push((slot, Self::key_block(record), record[KEY_LEN..].to_vec()));
             }
         }
-        Ok(out)
+        self.open_keys(
+            generation,
+            sealed.iter_mut().map(|(slot, key, _)| (*slot, key)),
+        );
+        self.open_values(
+            generation,
+            sealed
+                .iter_mut()
+                .map(|(slot, _, value)| (*slot, &mut value[..])),
+        );
+        Ok(sealed
+            .into_iter()
+            .map(|(slot, key, value)| (slot, u64::from_be_bytes(key), value))
+            .collect())
     }
 
     /// Quarantines compaction victim `block`, dropping its cache entries

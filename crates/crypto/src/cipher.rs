@@ -6,11 +6,12 @@ pub trait BlockCipher64 {
     fn encrypt_block(&self, block: u64) -> u64;
     fn decrypt_block(&self, block: u64) -> u64;
 
-    /// Encrypts four independent blocks in place — the CTR keystream's
-    /// unit of work. The default is four [`Self::encrypt_block`] calls; a
-    /// cipher whose rounds can run several blocks side by side overrides
-    /// it, and must write exactly what the default writes.
-    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
+    /// Encrypts every block of `blocks` in place — the CTR keystream's
+    /// unit of work, however many blocks it holds. The default is one
+    /// [`Self::encrypt_block`] call per block; a cipher whose rounds can
+    /// run several blocks side by side overrides it, and must write
+    /// exactly what the default writes.
+    fn encrypt_blocks(&self, blocks: &mut [u64]) {
         for b in blocks {
             *b = self.encrypt_block(*b);
         }
@@ -27,8 +28,8 @@ impl<C: BlockCipher64 + ?Sized> BlockCipher64 for &C {
         (**self).decrypt_block(block)
     }
 
-    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
-        (**self).encrypt_lanes(blocks)
+    fn encrypt_blocks(&self, blocks: &mut [u64]) {
+        (**self).encrypt_blocks(blocks)
     }
 }
 
@@ -41,8 +42,8 @@ impl<C: BlockCipher64 + ?Sized> BlockCipher64 for Box<C> {
         (**self).decrypt_block(block)
     }
 
-    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
-        (**self).encrypt_lanes(blocks)
+    fn encrypt_blocks(&self, blocks: &mut [u64]) {
+        (**self).encrypt_blocks(blocks)
     }
 }
 

@@ -22,7 +22,7 @@
 //! algorithms for a systems-reproduction study. None of this is suitable
 //! for protecting real data today.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod bignum;
 pub mod cipher;

@@ -6,15 +6,20 @@
 //! stand-in for that assumption) and as a second, independent
 //! `BlockCipher64` to keep the codecs honestly generic.
 //!
-//! [`BlockCipher64::encrypt_lanes`] runs four blocks through the rounds
-//! side by side, in plain safe Rust: the four lanes are independent, so a
-//! round's additions, rotations and XORs run together instead of waiting
-//! on one block's dependency chain, and the compiler is free to pack them
-//! into vector registers. Each lane computes exactly what
-//! [`BlockCipher64::encrypt_block`] computes, so a CTR keystream drawn four
-//! counters at a time is bit-identical to one drawn a counter at a time.
+//! [`BlockCipher64::encrypt_blocks`] runs many blocks through the rounds
+//! side by side: the blocks are independent, so a round's additions,
+//! rotations and XORs run on whole vectors instead of waiting on one
+//! block's dependency chain. The kernel lives in `lanes`, the crate's one
+//! module allowed `unsafe`: plain Rust compiled at 4 lanes for any
+//! target, and on x86-64 also at 16 lanes under AVX2 and 32 under
+//! AVX-512, the widest the processor runs chosen at run time. Each lane
+//! computes exactly what [`BlockCipher64::encrypt_block`] computes, so a
+//! CTR keystream drawn many counters at a time is bit-identical to one
+//! drawn a counter at a time.
 
 use crate::cipher::BlockCipher64;
+
+mod lanes;
 
 const ROUNDS: usize = 27;
 
@@ -30,7 +35,7 @@ impl std::fmt::Debug for Speck64 {
     }
 }
 
-#[inline]
+#[inline(always)]
 fn round_enc(x: &mut u32, y: &mut u32, k: u32) {
     *x = x.rotate_right(8).wrapping_add(*y) ^ k;
     *y = y.rotate_left(3) ^ *x;
@@ -90,17 +95,17 @@ impl BlockCipher64 for Speck64 {
         ((x as u64) << 32) | y as u64
     }
 
-    fn encrypt_lanes(&self, blocks: &mut [u64; 4]) {
-        let mut x = blocks.map(|b| (b >> 32) as u32);
-        let mut y = blocks.map(|b| b as u32);
-        for &k in &self.round_keys {
-            for (x, y) in x.iter_mut().zip(&mut y) {
-                round_enc(x, y, k);
-            }
+    /// The widest lane kernel the processor runs, except that a lone
+    /// block takes the scalar rounds: a whole vector for one block costs
+    /// about four single-block encryptions (≈ 120 ns against ≈ 30 on a
+    /// 2-core x86-64 host with AVX-512), and a point read's owner check
+    /// is one block.
+    fn encrypt_blocks(&self, blocks: &mut [u64]) {
+        if let [one] = blocks {
+            *one = self.encrypt_block(*one);
+            return;
         }
-        for ((b, x), y) in blocks.iter_mut().zip(x).zip(y) {
-            *b = ((x as u64) << 32) | y as u64;
-        }
+        lanes::encrypt_blocks(&self.round_keys, blocks);
     }
 }
 
@@ -121,19 +126,22 @@ mod tests {
         assert_eq!(cipher.decrypt_block(ct), pt);
     }
 
-    /// The four-lane path is four single-block encryptions, on the
-    /// official vector in every lane position and on mixed lanes.
+    /// The wide path is one single-block encryption per block, on the
+    /// official vector in every position of a 40-block run (a whole
+    /// vector and a ragged tail for every kernel) and among mixed blocks.
     #[test]
-    fn encrypt_lanes_equals_four_encrypt_block_calls() {
+    fn encrypt_blocks_equals_one_encrypt_block_call_per_block() {
         let cipher = Speck64::new([0x1b1a1918, 0x13121110, 0x0b0a0908, 0x03020100]);
         let (pt, ct) = (0x3b7265747475432du64, 0x8c6fa548454e028bu64);
-        for lane in 0..4 {
-            let mut blocks = [0, 1, u64::MAX, 0xdead_beef];
-            blocks[lane] = pt;
-            let want = blocks.map(|b| cipher.encrypt_block(b));
-            cipher.encrypt_lanes(&mut blocks);
-            assert_eq!(blocks, want, "lane {lane}");
-            assert_eq!(blocks[lane], ct, "lane {lane}");
+        for at in 0..40 {
+            let mut blocks: Vec<u64> = (0..40u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            blocks[at] = pt;
+            let want: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
+            cipher.encrypt_blocks(&mut blocks);
+            assert_eq!(blocks, want, "position {at}");
+            assert_eq!(blocks[at], ct, "position {at}");
         }
     }
 
@@ -160,12 +168,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_lanes_match_single_blocks(key in any::<u128>(), a in any::<u64>(), b in any::<u64>(), c in any::<u64>(), d in any::<u64>()) {
+        fn prop_blocks_match_single_blocks(key in any::<u128>(), blocks in proptest::collection::vec(any::<u64>(), 0..80)) {
             let cipher = Speck64::from_u128(key);
-            let blocks = [a, b, c, d];
-            let mut lanes = blocks;
-            cipher.encrypt_lanes(&mut lanes);
-            prop_assert_eq!(lanes, blocks.map(|b| cipher.encrypt_block(b)));
+            let mut wide = blocks.clone();
+            cipher.encrypt_blocks(&mut wide);
+            let single: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
+            prop_assert_eq!(wide, single);
         }
 
         #[test]

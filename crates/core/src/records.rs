@@ -11,8 +11,8 @@
 //! owning tree key inside it: a slot holds `E(key ‖ value)` under one CTR
 //! pass, so the key costs 8 bytes of sealed payload and no visible field.
 //! The key occupies exactly the first cipher block, so a reader deciphers
-//! the key alone (the orphan sweep, a read's owner check) or the value
-//! alone without touching the other. A read on a tree key's behalf
+//! the key alone (a read's owner check) or the value alone without
+//! touching the other. A read on a tree key's behalf
 //! ([`RecordStore::get_keyed`], [`RecordStore::peek_keyed`]) refuses a
 //! record sealed under another key, so a data pointer aimed at the wrong
 //! slot fails closed instead of serving that slot. Nothing else maps a
@@ -31,10 +31,10 @@
 //! record of the run through the cipher's wide lanes) opens the key
 //! blocks, every owner is checked, and only then a second pass opens the
 //! values. An insert seals its slot, and a delete writes its tombstone,
-//! inside the page. No operation copies the whole page out and back. Only
-//! the maintenance paths that want an owned page (compaction's victim
-//! read, the orphan sweep, the reopen-time accounting sweep) read one;
-//! they open keys and values through the same two passes.
+//! inside the page. No operation copies the whole page out and back: the
+//! maintenance reads (compaction's victim read, the reopen-time accounting
+//! sweep) borrow the page too, and open keys and values through the same
+//! two passes.
 //!
 //! Two engine-grade facilities sit on top of the paper's static view:
 //!
@@ -232,20 +232,12 @@ pub struct RecordStore<S: BlockStore> {
     /// Tombstoned-slot count per block. Complete only when
     /// `accounting_complete`.
     dead: HashMap<u32, u32>,
-    /// Live-record count per block (drives dead-ratio victim choice and
-    /// the orphan sweep's walk). Complete only when `accounting_complete`.
+    /// Live-record count per block (drives dead-ratio victim choice).
+    /// Complete only when `accounting_complete`.
     live: HashMap<u32, u32>,
     /// Whether `dead`/`live` cover the whole store (a reopened store
     /// rebuilds them from the slot directories on first use).
     accounting_complete: bool,
-    /// Blocks compaction reclaimed but whose free-list push is deferred
-    /// until the caller's *node* device has committed its repointed
-    /// image ([`RecordStore::apply_pending_frees`]). While quarantined a
-    /// block is neither allocatable nor a compaction candidate, and the
-    /// committed data image keeps it allocated — so a crash between the
-    /// two device checkpoints leaves the old tree pointers aimed at
-    /// intact victim content, never at a freed or recycled block.
-    pending_free: Vec<u32>,
 }
 
 impl<S: BlockStore> RecordStore<S> {
@@ -313,7 +305,6 @@ impl<S: BlockStore> RecordStore<S> {
             dead: HashMap::new(),
             live: HashMap::new(),
             accounting_complete,
-            pending_free: Vec::new(),
         }
     }
 
@@ -336,11 +327,6 @@ impl<S: BlockStore> RecordStore<S> {
 
     pub fn into_store(self) -> S {
         self.store
-    }
-
-    /// Flushes the underlying store (a checkpoint on buffered backends).
-    pub fn flush(&mut self) -> Result<(), CoreError> {
-        Ok(self.store.flush()?)
     }
 
     /// Records currently held decoded in the record cache.
@@ -900,7 +886,6 @@ mod tests {
             sealed,
             sks_crypto::modes::ctr_xor(&rs.cipher, nonce, &plain)
         );
-        assert_eq!(rs.keyed_slots_after((0, 0), 8).unwrap(), [(ptr, key)]);
         assert_eq!(rs.get(ptr).unwrap().unwrap(), value);
     }
 
@@ -994,8 +979,7 @@ mod tests {
     }
 
     /// A slot directory entry too short to hold the key prefix fails
-    /// closed on every path that reads a slot: get, the orphan sweep's
-    /// key read and a compaction move.
+    /// closed on every path that reads a slot: get and a compaction move.
     #[test]
     fn a_slot_shorter_than_its_key_fails_closed() {
         for short in 0..KEY_LEN as u16 {
@@ -1010,10 +994,6 @@ mod tests {
             disk.write_block(block, &page).unwrap();
             let mut rs = RecordStore::open(disk, KEY, 0).unwrap();
             assert!(matches!(rs.get(ptrs[0]), Err(CoreError::Record(_))));
-            assert!(matches!(
-                rs.keyed_slots_after((0, 0), 8),
-                Err(CoreError::Record(_))
-            ));
             assert_eq!(rs.victims(8, 0).unwrap(), [block]);
             assert!(matches!(rs.compact_block(block), Err(CoreError::Record(_))));
             assert_eq!(rs.get(ptrs[2]).unwrap().unwrap(), [6u8; 100]);
@@ -1233,7 +1213,6 @@ mod tests {
         for v in rs.victims(64, 0).unwrap() {
             rs.compact_block(v).unwrap();
         }
-        rs.apply_pending_frees().unwrap();
         // Fill the open block, then the next insert recycles the freed one.
         let _p3 = rs.insert_keyed(1, &rec).unwrap();
         let p4 = rs.insert_keyed(1, &rec).unwrap();

@@ -1,14 +1,17 @@
-//! Record-store compaction: the dead/live accounting, victim choice, the
-//! orphan sweep's key walk, `compact_block` and the quarantine of reclaimed
-//! blocks until the node device commits.
+//! Record-store compaction: the dead/live accounting, victim choice and
+//! `compact_block`.
 //!
 //! Deletes tombstone slots and the store tracks the dead set per block; the
 //! compactor ([`crate::EncipheredBTree::compact_step`]) rewrites a block's
 //! live records into fresh slots and returns the block to the store's free
-//! list, victims deadest ratio first. The per-block live/dead counts come
-//! from the slot directory, which marks tombstones in plaintext: complete
-//! from `create`, and rebuilt after a reopen by one header-only sweep with
-//! no cryptography on the first pass that needs them.
+//! list at once, victims deadest ratio first. Nothing of that reaches the
+//! medium before the next checkpoint, which commits the data file and the
+//! node file holding the repointed tree together, so no reopen sees a
+//! freed block that a committed pointer still names. The per-block
+//! live/dead counts come from the slot directory, which marks tombstones in
+//! plaintext: complete from `create`, and rebuilt after a reopen by one
+//! header-only sweep with no cryptography on the first pass that needs
+//! them. Both maintenance reads borrow the page where the store holds it.
 
 use sks_btree_core::RecordPtr;
 use sks_storage::{BlockId, BlockStore};
@@ -29,18 +32,15 @@ impl<S: BlockStore> RecordStore<S> {
         self.dead.clear();
         self.live.clear();
         for b in 1..self.store.num_blocks() {
-            let page = match self.store.read_block_vec(BlockId(b)) {
-                Ok(page) => page,
+            let mut counted = Ok((0, 0));
+            let read = self.store.read_with(BlockId(b), &mut |page| {
+                counted = Self::count_slots(page);
+            });
+            let (n_slots, dead) = match read {
+                Ok(()) => counted?,
                 Err(sks_storage::StorageError::FreedBlock { .. }) => continue,
                 Err(e) => return Err(e.into()),
             };
-            let (_, n_slots, _) = Self::read_page_meta(&page)?;
-            let mut dead = 0u32;
-            for slot in 0..n_slots {
-                if Self::slot_entry(&page, slot)?.0 == TOMBSTONE {
-                    dead += 1;
-                }
-            }
             if dead > 0 {
                 self.dead.insert(b, dead);
             }
@@ -53,6 +53,18 @@ impl<S: BlockStore> RecordStore<S> {
         Ok(())
     }
 
+    /// A data page's slot count and how many of its slots are tombstones.
+    fn count_slots(page: &[u8]) -> Result<(u16, u32), CoreError> {
+        let (_, n_slots, _) = Self::read_page_meta(page)?;
+        let mut dead = 0u32;
+        for slot in 0..n_slots {
+            if Self::slot_entry(page, slot)?.0 == TOMBSTONE {
+                dead += 1;
+            }
+        }
+        Ok((n_slots, dead))
+    }
+
     /// Total tombstoned slots awaiting compaction (rebuilds the accounting
     /// if this store was reopened).
     pub fn pending_tombstones(&mut self) -> Result<u64, CoreError> {
@@ -61,7 +73,7 @@ impl<S: BlockStore> RecordStore<S> {
     }
 
     /// Live record slots across the store, from the accounting (rebuilt if
-    /// this store was reopened). Quarantined victims are not counted.
+    /// this store was reopened).
     pub(crate) fn live_record_slots(&mut self) -> Result<u64, CoreError> {
         self.ensure_accounting()?;
         Ok(self.live.values().map(|&l| l as u64).sum())
@@ -71,53 +83,6 @@ impl<S: BlockStore> RecordStore<S> {
     /// a freshly reopened store until the first sweep rebuilds the map).
     pub fn may_have_tombstones(&self) -> bool {
         !self.accounting_complete || !self.dead.is_empty()
-    }
-
-    /// Up to `limit` live slots strictly after the `(block, slot)` cursor,
-    /// ascending, each with the key its record seals — the orphan sweep's
-    /// bounded window. Walks the data pages the accounting lists as
-    /// holding live records and deciphers only each slot's first CTR
-    /// block, silently (maintenance is below the paper's cost model).
-    pub(crate) fn keyed_slots_after(
-        &mut self,
-        cursor: (u32, u16),
-        limit: usize,
-    ) -> Result<Vec<(RecordPtr, u64)>, CoreError> {
-        self.ensure_accounting()?;
-        let mut blocks: Vec<u32> = self
-            .live
-            .iter()
-            .filter(|&(&b, &n)| n > 0 && b >= cursor.0)
-            .map(|(&b, _)| b)
-            .collect();
-        blocks.sort_unstable();
-        let mut out = Vec::new();
-        for b in blocks {
-            let page = self.store.read_block_vec(BlockId(b))?;
-            let (generation, n_slots, _) = Self::read_page_meta(&page)?;
-            let mut keys = Vec::new();
-            for slot in 0..n_slots {
-                if out.len() + keys.len() == limit {
-                    break;
-                }
-                if (b, slot) <= cursor {
-                    continue;
-                }
-                if let Some(sealed) = Self::sealed_slot(&page, slot)? {
-                    keys.push((slot, Self::key_block(sealed)));
-                }
-            }
-            self.open_keys(generation, keys.iter_mut().map(|(slot, key)| (*slot, key)));
-            out.extend(
-                keys.into_iter().map(|(slot, key)| {
-                    (RecordPtr::pack(BlockId(b), slot), u64::from_be_bytes(key))
-                }),
-            );
-            if out.len() == limit {
-                break;
-            }
-        }
-        Ok(out)
     }
 
     /// The next `max_blocks` compaction victims, *deadest ratio first*
@@ -154,16 +119,14 @@ impl<S: BlockStore> RecordStore<S> {
     }
 
     /// Deciphers the live records of `block` (silently — compaction is
-    /// below the paper's cost model) as `(slot, key, value)`.
+    /// below the paper's cost model) as `(slot, key, value)`. The sealed
+    /// records are copied out of the lent page, not the page itself.
     fn live_records(&self, block: BlockId) -> Result<Vec<(u16, u64, Vec<u8>)>, CoreError> {
-        let page = self.store.read_block_vec(block)?;
-        let (generation, n_slots, _) = Self::read_page_meta(&page)?;
-        let mut sealed = Vec::new();
-        for slot in 0..n_slots {
-            if let Some(record) = Self::sealed_slot(&page, slot)? {
-                sealed.push((slot, Self::key_block(record), record[KEY_LEN..].to_vec()));
-            }
-        }
+        let mut copied = Ok((0, Vec::new()));
+        self.store.read_with(block, &mut |page| {
+            copied = Self::sealed_records(page);
+        })?;
+        let (generation, mut sealed) = copied?;
         self.open_keys(
             generation,
             sealed.iter_mut().map(|(slot, key, _)| (*slot, key)),
@@ -180,10 +143,23 @@ impl<S: BlockStore> RecordStore<S> {
             .collect())
     }
 
-    /// Quarantines compaction victim `block`, dropping its cache entries
-    /// and accounting: the physical free waits for the node device's
-    /// checkpoint (see `pending_free`).
-    fn free_block(&mut self, block: BlockId) {
+    /// A data page's generation and its live records as `(slot, sealed
+    /// key block, sealed value)`.
+    #[allow(clippy::type_complexity)]
+    fn sealed_records(page: &[u8]) -> Result<(u64, Vec<(u16, [u8; KEY_LEN], Vec<u8>)>), CoreError> {
+        let (generation, n_slots, _) = Self::read_page_meta(page)?;
+        let mut sealed = Vec::new();
+        for slot in 0..n_slots {
+            if let Some(record) = Self::sealed_slot(page, slot)? {
+                sealed.push((slot, Self::key_block(record), record[KEY_LEN..].to_vec()));
+            }
+        }
+        Ok((generation, sealed))
+    }
+
+    /// Returns compaction victim `block` to the store's free list,
+    /// dropping its cache entries and accounting.
+    fn free_block(&mut self, block: BlockId) -> Result<(), CoreError> {
         if let Some(cache) = &self.cache {
             cache.invalidate_block(block);
         }
@@ -192,31 +168,13 @@ impl<S: BlockStore> RecordStore<S> {
         if self.open_block == Some(block) {
             self.open_block = None;
         }
-        self.pending_free.push(block.0);
+        self.store.free(block)?;
         self.store.counters().bump(|c| &c.compact_freed_blocks);
-    }
-
-    /// Whether compaction-reclaimed blocks are still quarantined awaiting
-    /// [`RecordStore::apply_pending_frees`].
-    pub fn has_pending_frees(&self) -> bool {
-        !self.pending_free.is_empty()
-    }
-
-    /// Pushes every quarantined block onto the store's free list. Call
-    /// only once the *node* device has committed the repointed tree (the
-    /// enciphered-tree flush sequences this); the frees then become
-    /// durable with this device's next checkpoint. Returns how many
-    /// blocks were released.
-    pub fn apply_pending_frees(&mut self) -> Result<u32, CoreError> {
-        let n = self.pending_free.len() as u32;
-        for b in std::mem::take(&mut self.pending_free) {
-            self.store.free(BlockId(b))?;
-        }
-        Ok(n)
+        Ok(())
     }
 
     /// Compacts one victim block: rewrites its live records into fresh
-    /// slots (via the open fill block) and quarantines it. Returns the
+    /// slots (via the open fill block) and frees it. Returns the
     /// moves as `(old_ptr, new_ptr, owning key)`, the key read from the
     /// record itself, so the caller can repoint its tree. A block the
     /// accounting says is fully dead skips the decipher-and-move work
@@ -231,7 +189,7 @@ impl<S: BlockStore> RecordStore<S> {
         debug_assert_ne!(self.open_block, Some(block), "never compact the fill block");
         if self.accounting_complete && self.live.get(&block.0).copied().unwrap_or(0) == 0 {
             // Fully dead: free without a single unseal.
-            self.free_block(block);
+            self.free_block(block)?;
             return Ok(Vec::new());
         }
         let live = self.live_records(block)?;
@@ -240,7 +198,7 @@ impl<S: BlockStore> RecordStore<S> {
             let new_ptr = self.insert_inner(key, &value, Placement::Move)?;
             moves.push((RecordPtr::pack(block, slot), new_ptr, key));
         }
-        self.free_block(block);
+        self.free_block(block)?;
         Ok(moves)
     }
 
@@ -284,10 +242,6 @@ mod tests {
             moves += rs.compact_block(v).unwrap().len();
         }
         assert_eq!(moves, 0, "every record was dead");
-        // Reclaims are quarantined until the caller's node device has
-        // committed; apply them as the enciphered-tree flush would.
-        assert!(rs.has_pending_frees());
-        rs.apply_pending_frees().unwrap();
         use sks_storage::BlockStore as _;
         assert!(
             rs.store().free_blocks() >= blocks_before - 2,
@@ -407,32 +361,6 @@ mod tests {
         assert_eq!(old, p1);
         assert_eq!(key, 501, "the record sealed its owner");
         assert_eq!(rs.get(new).unwrap().unwrap(), rec);
-    }
-
-    /// The sweep window walks live slots in `(block, slot)` order from a
-    /// cursor, skipping tombstones and quarantined victims.
-    #[test]
-    fn keyed_slots_after_walks_live_slots_from_the_cursor() {
-        let mut rs = store();
-        let ptrs = fill(&mut rs, 8, &[3u8; 48]); // 4 per 256-byte page
-        rs.delete(ptrs[1]).unwrap();
-        let all: Vec<(RecordPtr, u64)> = ptrs
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != 1)
-            .map(|(k, &p)| (p, k as u64))
-            .collect();
-        assert_eq!(rs.keyed_slots_after((0, 0), 100).unwrap(), all);
-        assert_eq!(rs.keyed_slots_after((0, 0), 2).unwrap(), all[..2]);
-        let cursor = (ptrs[2].block().as_u32(), ptrs[2].slot());
-        assert_eq!(rs.keyed_slots_after(cursor, 100).unwrap(), all[2..]);
-        rs.compact_block(ptrs[0].block()).unwrap();
-        assert_eq!(rs.keyed_slots_after((0, 0), 100).unwrap().len(), all.len());
-        assert!(rs
-            .keyed_slots_after((0, 0), 100)
-            .unwrap()
-            .iter()
-            .all(|(p, _)| p.block() != ptrs[0].block()));
     }
 
     #[test]

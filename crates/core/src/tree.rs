@@ -6,9 +6,11 @@
 //!
 //! The devices are pluggable ([`crate::config::StorageBackend`]): the
 //! paper's simulated in-RAM medium, or an on-disk [`PagedFileStore`] pair
-//! under a directory — `nodes.sks`, `data.sks` and a sealed `manifest.sks`
-//! whose key-check lets a reopen with the wrong keys fail closed *before*
-//! any page is touched. Either way only enciphered bytes reach the store.
+//! under a directory — `nodes.sks` and `data.sks`, which checkpoint
+//! together through one journal (`checkpoint.journal`), and a sealed
+//! `manifest.sks` whose key-check lets a reopen with the wrong keys fail
+//! closed *before* any page is touched. Either way only enciphered bytes
+//! reach the store.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -29,10 +31,8 @@ use crate::records::RecordStore;
 const NODES_FILE: &str = "nodes.sks";
 const DATA_FILE: &str = "data.sks";
 const MANIFEST_FILE: &str = "manifest.sks";
-
-/// Orphan-sweep budget per compaction budget unit: each victim block the
-/// caller pays for also buys this many live record slots of sweeping.
-const SWEEP_SLOTS_PER_BLOCK: usize = 4;
+/// The one journal both files checkpoint through.
+const JOURNAL_FILE: &str = "checkpoint.journal";
 
 const MANIFEST_MAGIC: &[u8; 8] = b"SKSMANF1";
 const MANIFEST_VERSION: u32 = 1;
@@ -128,12 +128,10 @@ pub struct CompactionReport {
     /// Live slots no tree pointer referenced (should be 0; counted, not
     /// fatal).
     pub orphaned_records: u64,
-    /// Orphaned copies tombstoned by this pass — both the move-then-
-    /// discover path (an orphan surfacing inside a victim block) and the
-    /// orphan sweep. Their space returns through later passes.
+    /// Orphaned copies tombstoned by this pass: a victim's live slot the
+    /// tree does not point at is moved, found unreferenced, and
+    /// tombstoned. Their space returns through later passes.
     pub orphans_collected: u64,
-    /// Live record slots the orphan sweep examined (its bounded work).
-    pub sweep_slots: u64,
     /// Live sealed nodes slid into lower free slots by node-device
     /// compaction.
     pub moved_nodes: u64,
@@ -151,7 +149,6 @@ impl CompactionReport {
         self.freed_blocks += other.freed_blocks;
         self.orphaned_records += other.orphaned_records;
         self.orphans_collected += other.orphans_collected;
-        self.sweep_slots += other.sweep_slots;
         self.moved_nodes += other.moved_nodes;
         self.node_blocks_truncated += other.node_blocks_truncated;
         self.data_blocks_truncated += other.data_blocks_truncated;
@@ -165,9 +162,6 @@ pub struct EncipheredBTree {
     tree: BTree<DynBlockStore, AnyCodec>,
     records: RecordStore<DynBlockStore>,
     disguise: Option<Arc<dyn KeyDisguise>>,
-    /// Orphan-sweep resume point: the last `(block, slot)` examined. The
-    /// sweep round-robins the data pages across compaction passes.
-    sweep_cursor: (u32, u16),
 }
 
 /// One node-store/data-store pair, built per the configured backend.
@@ -190,32 +184,18 @@ fn build_stores(
         }
         StorageBackend::File { dir } => {
             let pool_pages = StorageBackend::DEFAULT_POOL_PAGES;
-            if create {
+            let [nodes, data] = if create {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| CoreError::Config(format!("create {}: {e}", dir.display())))?;
                 // A stale manifest from an older incarnation must not make
                 // a later open trust half-truncated stores.
                 std::fs::remove_file(dir.join(MANIFEST_FILE)).ok();
-                let nodes = PagedFileStore::create(
-                    dir.join(NODES_FILE),
-                    config.block_size,
-                    pool_pages,
-                    counters.clone(),
-                )?;
-                let data = PagedFileStore::create(
-                    dir.join(DATA_FILE),
-                    config.block_size,
-                    pool_pages,
-                    counters.clone(),
-                )?;
-                Ok((Box::new(nodes), Box::new(data)))
+                EncipheredBTree::create_file_stores(dir, config.block_size, pool_pages, counters)?
             } else {
                 verify_manifest(dir, config)?;
-                let nodes =
-                    PagedFileStore::open(dir.join(NODES_FILE), pool_pages, counters.clone())?;
-                let data = PagedFileStore::open(dir.join(DATA_FILE), pool_pages, counters.clone())?;
-                Ok((Box::new(nodes), Box::new(data)))
-            }
+                EncipheredBTree::open_file_stores(dir, pool_pages, counters)?
+            };
+            Ok((Box::new(nodes), Box::new(data)))
         }
     }
 }
@@ -251,7 +231,10 @@ impl EncipheredBTree {
     }
 
     /// Shared assembly for every constructor: codec → tree → caches →
-    /// record store.
+    /// record store. The two stores must become durable in one commit
+    /// ([`BlockStore::commit_group`]): a checkpoint flushes through the
+    /// node store alone, and two files that committed apart could reopen
+    /// with a tree pointing at records its data file never received.
     fn assemble(
         config: SchemeConfig,
         counters: OpCounters,
@@ -260,6 +243,13 @@ impl EncipheredBTree {
         create: bool,
         shared_disguise: Option<Arc<dyn KeyDisguise>>,
     ) -> Result<Self, CoreError> {
+        if node_store.commit_group() != data_store.commit_group() {
+            return Err(CoreError::Config(
+                "the node and data stores commit separately; open them as one checkpoint \
+                 group (EncipheredBTree::create_file_stores)"
+                    .into(),
+            ));
+        }
         let (codec, disguise) = config.build_codec_with(&counters, shared_disguise)?;
         let mut tree = if create {
             BTree::create(node_store, codec)?
@@ -279,7 +269,6 @@ impl EncipheredBTree {
             tree,
             records,
             disguise,
-            sweep_cursor: (0, 0),
         })
     }
 
@@ -306,10 +295,12 @@ impl EncipheredBTree {
     }
 
     /// Builds the stack over caller-supplied node/data stores instead of
-    /// the config's backend — custom devices, or fault-injection wrappers
-    /// ([`sks_storage::FailStore`]) for crash probes. Both stores should
-    /// share `counters`; no backend manifest is written (the caller owns
-    /// the medium's lifecycle).
+    /// the config's backend — custom devices, other pool sizes, or
+    /// fault-injection wrappers ([`sks_storage::FailStore`]) for crash
+    /// probes. Both stores should share `counters` and must commit
+    /// together (on files: the pair [`EncipheredBTree::create_file_stores`]
+    /// makes), or the build is refused; no backend manifest is written
+    /// (the caller owns the medium's lifecycle).
     pub fn create_on_stores(
         config: SchemeConfig,
         counters: OpCounters,
@@ -329,6 +320,40 @@ impl EncipheredBTree {
         data_store: DynBlockStore,
     ) -> Result<Self, CoreError> {
         Self::assemble(config, counters, node_store, data_store, false, None)
+    }
+
+    /// Creates the file backend's stores in the existing `dir`:
+    /// `nodes.sks` and `data.sks`, one checkpoint group committing through
+    /// `checkpoint.journal`, each behind `pool_pages` frames. No manifest
+    /// is written.
+    pub fn create_file_stores(
+        dir: &Path,
+        block_size: usize,
+        pool_pages: usize,
+        counters: &OpCounters,
+    ) -> Result<[PagedFileStore; 2], CoreError> {
+        Ok(PagedFileStore::create_group(
+            dir.join(JOURNAL_FILE),
+            [dir.join(NODES_FILE), dir.join(DATA_FILE)],
+            block_size,
+            pool_pages,
+            counters.clone(),
+        )?)
+    }
+
+    /// Opens the stores [`EncipheredBTree::create_file_stores`] made. No
+    /// manifest key-check runs.
+    pub fn open_file_stores(
+        dir: &Path,
+        pool_pages: usize,
+        counters: &OpCounters,
+    ) -> Result<[PagedFileStore; 2], CoreError> {
+        Ok(PagedFileStore::open_group(
+            dir.join(JOURNAL_FILE),
+            [dir.join(NODES_FILE), dir.join(DATA_FILE)],
+            pool_pages,
+            counters.clone(),
+        )?)
     }
 
     /// Whether `dir` holds a persisted enciphered tree (its manifest).
@@ -385,44 +410,12 @@ impl EncipheredBTree {
         Ok(())
     }
 
-    /// Checkpoints both stores: the node superblock plus every dirty page
-    /// reaches the backing medium atomically (journal-protected on the
-    /// file backend). A no-op memory-backend flush is free.
-    ///
-    /// Cross-device crash safety is a three-step protocol, because the
-    /// two devices checkpoint independently:
-    ///
-    /// 1. the data device commits first (new records and compaction
-    ///    copies — compaction victims still *allocated*), so a crash here
-    ///    leaves the old tree reading the intact old image;
-    /// 2. the node device commits the repointed tree — a crash between 1
-    ///    and 2 leaves old pointers aimed at intact victim content
-    ///    (compaction copies records, never erases the source), and a
-    ///    crash after 2 leaves new pointers aimed at the committed
-    ///    copies: either way every committed read is correct;
-    /// 3. only now the quarantined victim blocks go onto the free list
-    ///    (plus tail truncation) and the data device commits again.
-    ///
-    /// Nothing frees a block on open. A block is freed only as a victim
-    /// whose every live slot was moved or proven, against the tree, to be
-    /// an orphan — and, by the quarantine above, only once the node device
-    /// has committed the tree that proof was made against. So no window
-    /// dangles a pointer or reuses a referenced block; the worst crash
-    /// outcome is unreferenced garbage. A crash between 1 and 2 leaves
-    /// orphan copies in fresh blocks without tombstones, which the orphan
-    /// sweep collects. A crash before 3 commits merely *leaks* the
-    /// victims: their slots are orphans and their dead ratio still
-    /// qualifies them, so the first compaction pass after reopen reclaims
-    /// them.
+    /// Checkpoints both stores as one commit: the node superblock plus
+    /// every dirty page of both files reaches the backing medium
+    /// atomically (one journal on the file backend), so a reopen finds
+    /// both files at the same checkpoint. A memory-backend flush is free.
     pub fn flush(&mut self) -> Result<(), CoreError> {
-        self.records.flush()?;
-        self.tree.flush()?;
-        if self.records.has_pending_frees() {
-            self.records.apply_pending_frees()?;
-            self.records.truncate_tail()?;
-            self.records.flush()?;
-        }
-        Ok(())
+        Ok(self.tree.flush()?)
     }
 
     pub fn scheme(&self) -> Scheme {
@@ -630,7 +623,9 @@ impl EncipheredBTree {
     /// `compact_moved_records` instead of `data_encrypts` (the record is
     /// moved, not logically written). Counter-sensitive experiments
     /// simply run without deletes or with `compaction(0)`. A pass with no
-    /// tombstones and an empty sweep window is free.
+    /// tombstones is free. Victims return to the free list at once: the
+    /// repointed tree and the freed blocks reach the medium in the same
+    /// checkpoint.
     ///
     /// This entry point drains: every block with even a single dead
     /// record qualifies as a victim, so looping until `freed_blocks`
@@ -660,16 +655,6 @@ impl EncipheredBTree {
             return Ok(report);
         }
         let t = self.counters.obs().start();
-        // Orphan sweep against the tree: copies that no pointer
-        // references are actively tombstoned here instead of lingering
-        // until their block happens to become a victim — and a crash
-        // between the two device checkpoints leaves such copies in fresh
-        // blocks without a single tombstone, which no victim pass would
-        // ever pick. Bounded work, resumed round-robin across passes via
-        // the cursor.
-        let (slots, collected) = self.sweep_orphans(max_blocks * SWEEP_SLOTS_PER_BLOCK)?;
-        report.sweep_slots = slots;
-        report.orphans_collected += collected;
         if !self.records.may_have_tombstones() {
             self.counters.obs().stage(Stage::CompactData, t);
             return Ok(report);
@@ -685,11 +670,10 @@ impl EncipheredBTree {
                     report.moved_records += 1;
                 } else {
                     // A live slot the tree does not point at: the key is
-                    // gone or lives elsewhere (a stale copy, or a torn
-                    // cross-device image left the data device ahead). The
-                    // copy is unreferenced garbage — tombstone it now so
-                    // a later pass reclaims the space, rather than
-                    // carrying it forever.
+                    // gone or lives elsewhere (a stale copy read off the
+                    // medium). The copy is unreferenced garbage —
+                    // tombstone it now so a later pass reclaims the
+                    // space, rather than carrying it forever.
                     report.orphaned_records += 1;
                     if self.records.delete(new)? {
                         report.orphans_collected += 1;
@@ -702,51 +686,9 @@ impl EncipheredBTree {
             // still a reclaimed block (the PR 4 report under-counted it).
             report.freed_blocks += 1;
         }
-        // This pass's reclaims are quarantined until the next flush (see
-        // [`EncipheredBTree::flush`]); the truncation below can only act
-        // on frees already safely committed to the free list by earlier
-        // flushes.
         report.data_blocks_truncated = self.records.truncate_tail()? as u64;
         self.counters.obs().stage(Stage::CompactData, t);
         Ok(report)
-    }
-
-    /// Bounded orphan sweep: examines up to `budget` live record slots
-    /// (resuming from the cursor, wrapping at the end), reads the key each
-    /// one seals — its first cipher block only — and tombstones any slot
-    /// the tree does not point back at. The tree probes run through the
-    /// normal counted paths, so the sweep's logical cost is visible like
-    /// any other maintenance I/O.
-    fn sweep_orphans(&mut self, budget: usize) -> Result<(u64, u64), CoreError> {
-        if budget == 0 {
-            return Ok((0, 0));
-        }
-        let mut rows = self.records.keyed_slots_after(self.sweep_cursor, budget)?;
-        if rows.is_empty() && self.sweep_cursor != (0, 0) {
-            // End of the store: wrap to the start for the next round.
-            self.sweep_cursor = (0, 0);
-            rows = self.records.keyed_slots_after((0, 0), budget)?;
-        }
-        let examined = rows.len() as u64;
-        let mut collected = 0u64;
-        for (ptr, key) in rows {
-            self.sweep_cursor = (ptr.block().as_u32(), ptr.slot());
-            if self.tree.get(key)? != Some(ptr) && self.records.delete(ptr)? {
-                collected += 1;
-                self.counters.bump(|c| &c.compact_orphans_collected);
-            }
-        }
-        self.counters.bump_by(|c| &c.compact_sweep_slots, examined);
-        if collected > 0 {
-            self.counters.obs().note(
-                sks_storage::EventKind::OrphanSweep,
-                sks_storage::NO_PARTITION,
-                examined,
-                collected,
-                0,
-            );
-        }
-        Ok((examined, collected))
     }
 
     /// One bounded pass of node-device compaction: up to `max_moves` live
@@ -1332,48 +1274,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The maintenance orphan sweep: record copies no tree pointer
-    /// references (the state an interrupted compaction move leaves
-    /// behind) are found by walking the data pages against the tree and
-    /// tombstoned, with the work and the reclaim count reported.
-    #[test]
-    fn orphan_sweep_reclaims_unreferenced_keyed_records() {
-        let mut tree = EncipheredBTree::create_in_memory(SchemeConfig::demo(Scheme::Oval)).unwrap();
-        for k in 0..=10u64 {
-            tree.insert(k, vec![k as u8; 16]).unwrap();
-        }
-        // Plant stale copies under live keys, straight into the record
-        // store: each seals its key but has no tree pointer.
-        const ORPHANS: u64 = 4;
-        for k in 0..ORPHANS {
-            tree.records.insert_keyed(k, &[0xAB; 16]).unwrap();
-        }
-        let mut collected = 0u64;
-        let mut slots = 0u64;
-        for _ in 0..8 {
-            let r = tree.compact_step(4).unwrap();
-            collected += r.orphans_collected;
-            slots += r.sweep_slots;
-        }
-        assert_eq!(collected, ORPHANS, "every planted orphan is reclaimed");
-        assert!(slots >= ORPHANS, "the sweep reports its examined slots");
-        let s = tree.snapshot();
-        assert_eq!(s.compact_orphans_collected, ORPHANS);
-        assert_eq!(s.compact_sweep_slots, slots);
-        // The live records under the same keys are untouched.
-        for k in 0..=10u64 {
-            assert_eq!(tree.get(k).unwrap().unwrap(), vec![k as u8; 16]);
-        }
-        tree.validate().unwrap();
-        // A clean tree yields nothing further: the sweep is idempotent.
-        let r = tree.compact_step(4).unwrap();
-        assert_eq!(r.orphans_collected, 0);
-    }
-
     /// A record's key comes from the medium, so a stale copy of a live key
     /// must never repoint it: the compactor's repoint is a compare-and-
     /// swap against the slot it moved. Here a stale copy of key 5 sits in
-    /// a block that becomes a victim before the orphan sweep reaches it.
+    /// a block that becomes a victim.
     #[test]
     fn a_stale_copy_in_a_victim_never_repoints_its_key() {
         let mut cfg = SchemeConfig::with_capacity(Scheme::Oval, 100);
@@ -1392,8 +1296,8 @@ mod tests {
             .find(|&k| tree.get_pointer(k).unwrap().unwrap().block() == stale.block())
             .expect("the next insert shares the stale copy's page");
         tree.delete(neighbour).unwrap();
-        // A one-block pass sweeps only the first few slots, then moves
-        // the victim: the stale copy must come out an orphan.
+        // A one-block pass moves the victim: the stale copy must come out
+        // an orphan.
         let r = tree.compact_step(1).unwrap();
         assert_eq!((r.freed_blocks, r.moved_records), (1, 0), "{r:?}");
         assert_eq!(r.orphaned_records, 1, "{r:?}");
@@ -1428,8 +1332,6 @@ mod tests {
             freed += r.freed_blocks;
         }
         assert!(freed > 0, "tombstoned blocks were reclaimed");
-        // Reclaims are quarantined until the flush protocol commits them.
-        tree.flush().unwrap();
         let (_, free_after) = tree.data_block_usage();
         assert!(free_after > free_before);
         tree.validate().unwrap();
@@ -1449,7 +1351,6 @@ mod tests {
                 tree.delete(k).unwrap();
             }
             while tree.compact_step(1_000).unwrap().freed_blocks > 0 {}
-            tree.flush().unwrap(); // commit the reclaims so churn can reuse them
             totals.push(tree.data_block_usage().0);
         }
         assert!(

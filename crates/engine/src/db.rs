@@ -240,18 +240,12 @@ const META_VERSION: u32 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EngineMeta {
     partitions: u32,
-    /// Set for a directory an older engine wrote with no page stores,
-    /// whose log is its whole history (a backend byte of 0 on disk). It
-    /// opens through [`RecoveryPath::FullReplay`], which routes every
-    /// record afresh, so any partition count may open it.
-    log_only: bool,
 }
 
 impl EngineMeta {
     fn of(config: &EngineConfig) -> Self {
         EngineMeta {
             partitions: config.scheme.partitions as u32,
-            log_only: false,
         }
     }
 
@@ -260,7 +254,8 @@ impl EngineMeta {
         buf.extend_from_slice(META_MAGIC);
         buf.extend_from_slice(&META_VERSION.to_be_bytes());
         buf.extend_from_slice(&self.partitions.to_be_bytes());
-        buf.push(!self.log_only as u8);
+        // The backend byte: 1, page stores beside the log.
+        buf.push(1);
         let path = db_dir.join(META_FILE);
         use std::io::Write;
         let mut file = std::fs::File::create(&path)?;
@@ -289,15 +284,32 @@ impl EngineMeta {
                 "unknown engine metadata version {version}"
             )));
         }
+        match buf[16] {
+            1 => {}
+            // An older engine's log-only directory: no page stores, and a
+            // log in a block container this engine's log refuses.
+            0 => {
+                return Err(EngineError::Config(format!(
+                    "{} describes a log-only database written by an older engine, \
+                     whose log this engine cannot read; refusing to open",
+                    path.display()
+                )))
+            }
+            other => {
+                return Err(EngineError::Config(format!(
+                    "unknown backend byte {other} in {}",
+                    path.display()
+                )))
+            }
+        }
         Ok(Some(EngineMeta {
             partitions: u32::from_be_bytes(buf[12..16].try_into().expect("fixed width")),
-            log_only: buf[16] == 0,
         }))
     }
 
     /// Refuses configurations that would silently orphan persisted data.
     fn check_compatible(&self, config: &EngineConfig) -> Result<(), EngineError> {
-        if !self.log_only && self.partitions as usize != config.scheme.partitions {
+        if self.partitions as usize != config.scheme.partitions {
             return Err(EngineError::Config(format!(
                 "this database was created with {} partitions; the on-disk layout is \
                  fixed, but the config asks for {} — reopen with partitions({})",
@@ -356,8 +368,9 @@ impl SksDb {
     ///
     /// Fails closed, before anything is touched, on a directory whose
     /// metadata exists but whose log is gone (the writes since the last
-    /// checkpoint are lost), and on one holding a partition snapshot of
-    /// an older engine (`snap-*`), whose log is tail-only.
+    /// checkpoint are lost), on one holding a partition snapshot of an
+    /// older engine (`snap-*`), whose log is tail-only, and on an older
+    /// engine's log-only directory.
     pub fn open<P: AsRef<Path>>(dir: P, config: EngineConfig) -> Result<Arc<Self>, EngineError> {
         if config.scheme.partitions == 0 {
             return Err(EngineError::Config("partitions must be >= 1".into()));
@@ -366,22 +379,9 @@ impl SksDb {
         let db_dir = dir.as_ref();
         let wal_path = db_dir.join(WAL_FILE);
 
-        // One engine per directory, enforced before anything is touched:
-        // a second instance would checkpoint over this one's log and
-        // stores by path. The flock dies with the process, so a crashed
-        // engine never wedges its directory.
-        let dir_lock = std::fs::File::create(db_dir.join(LOCK_FILE))?;
-        if let Err(e) = dir_lock.try_lock() {
-            return Err(EngineError::Config(format!(
-                "database directory {} is already open in another engine \
-                 instance (lock unavailable: {e}); two engines on one \
-                 directory would corrupt it",
-                db_dir.display()
-            )));
-        }
-
+        // The refusals that only read come first, so a refused open
+        // leaves the directory as it found it.
         refuse_legacy_snapshots(db_dir)?;
-
         let stored_meta = EngineMeta::read(db_dir)?;
         if let Some(meta) = &stored_meta {
             meta.check_compatible(&config)?;
@@ -398,6 +398,20 @@ impl SksDb {
             }
         }
 
+        // One engine per directory, enforced before anything is written:
+        // a second instance would checkpoint over this one's log and
+        // stores by path. The flock dies with the process, so a crashed
+        // engine never wedges its directory.
+        let dir_lock = std::fs::File::create(db_dir.join(LOCK_FILE))?;
+        if let Err(e) = dir_lock.try_lock() {
+            return Err(EngineError::Config(format!(
+                "database directory {} is already open in another engine \
+                 instance (lock unavailable: {e}); two engines on one \
+                 directory would corrupt it",
+                db_dir.display()
+            )));
+        }
+
         let counters = OpCounters::with_observability(config.scheme.observability);
         let router = Router::new(&config.scheme, &counters)?;
         let n = config.scheme.partitions;
@@ -407,7 +421,7 @@ impl SksDb {
         // damaged: creating fresh trees would truncate the survivors and
         // "recover" from a WAL that a checkpoint may already have emptied.
         // Fail instead of losing data silently.
-        if !persisted && stored_meta.is_some_and(|m| !m.log_only) {
+        if !persisted && stored_meta.is_some() {
             return Err(EngineError::Config(
                 "partition stores are missing or damaged; refusing to rebuild over them".into(),
             ));
@@ -1172,10 +1186,11 @@ impl SksDb {
     /// `max_blocks_per_partition` tombstoned data blocks rewritten
     /// (deadest first) plus a node-device sliding pass of the same
     /// budget, under the partition write locks, one partition at a time.
-    /// The reclaimed blocks are quarantined until the next checkpoint's
-    /// flush protocol commits them (see `EncipheredBTree::flush`);
-    /// [`SksDb::checkpoint`] runs a floored pass of its own with a fixed
-    /// budget of `COMPACTION_BUDGET` (32) blocks.
+    /// The reclaimed blocks are free for reuse at once, and reach the
+    /// medium with the repointed tree in the partition's next checkpoint
+    /// (one commit of both its files); [`SksDb::checkpoint`] runs a
+    /// floored pass of its own with a fixed budget of
+    /// `COMPACTION_BUDGET` (32) blocks.
     pub fn compact(
         &self,
         max_blocks_per_partition: usize,

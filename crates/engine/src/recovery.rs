@@ -29,9 +29,9 @@ pub enum RecoveryPath {
     /// Fresh database: no log existed, nothing to recover.
     #[default]
     ColdStart,
-    /// No checkpointed stores existed at open (a hand-built log, or a
-    /// log-only directory from an older engine): fresh stores were
-    /// created and the whole log was replayed into them.
+    /// No checkpointed stores existed at open (a log with no
+    /// `engine.sks` beside it): fresh stores were created and the whole
+    /// log was replayed into them.
     FullReplay,
     /// Persisted partitions were opened from their checkpointed pages and
     /// only the log tail was replayed.

@@ -172,13 +172,12 @@ impl StatsSnapshot {
         let c = &self.last_compaction;
         out.push_str(&format!(
             "  \"last_compaction\": {{ \"moved_records\": {}, \"freed_blocks\": {}, \
-             \"orphaned_records\": {}, \"orphans_collected\": {}, \"sweep_slots\": {}, \
+             \"orphaned_records\": {}, \"orphans_collected\": {}, \
              \"moved_nodes\": {}, \"node_blocks_truncated\": {}, \"data_blocks_truncated\": {} }},\n",
             c.moved_records,
             c.freed_blocks,
             c.orphaned_records,
             c.orphans_collected,
-            c.sweep_slots,
             c.moved_nodes,
             c.node_blocks_truncated,
             c.data_blocks_truncated,

@@ -551,13 +551,6 @@ fn directory_with_legacy_snapshot_is_refused() {
     );
     assert_eq!(std::fs::read(&wal_path).unwrap(), log, "log was touched");
     assert!(!dir.join("part-000").exists(), "stores were created");
-    // Nothing was damaged: without the stray file the log replays whole.
-    std::fs::remove_file(&snap).unwrap();
-    let db = SksDb::open(&dir, config(2, 256)).unwrap();
-    assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
-    assert_eq!(db.recovery_report().records_replayed, 40);
-    assert_eq!(db.get(7).unwrap().unwrap(), record_for(7));
-    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -753,32 +746,29 @@ fn file_backend_refuses_incompatible_layouts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An older engine's log-only directory (backend byte 0 in
+/// `engine.sks`) is refused with a config error before the open creates
+/// anything: no lock file, no partition stores.
 #[test]
-fn memory_database_upgrades_to_file_backend() {
-    // An older engine's memory backend left a log-only directory. Opening
-    // it is a lossless migration under any partition count: full replay
-    // into fresh stores, tail replay after.
-    let dir = tmpdir("upgrade");
-    build_log_only_dir(&dir, &config(4, 512), 2, 200);
-    {
-        let db = SksDb::open(&dir, config(4, 512)).unwrap();
-        assert_eq!(db.recovery_report().path, RecoveryPath::FullReplay);
-        assert_eq!(db.recovery_report().records_replayed, 200);
-        assert_eq!(db.len(), 200);
-        db.checkpoint().unwrap();
-    }
-    {
-        let db = SksDb::open(&dir, config(4, 512)).unwrap();
-        assert_eq!(db.recovery_report().path, RecoveryPath::TailReplay);
-        assert_eq!(db.len(), 200);
-        let s = db.session();
-        for k in 0..200u64 {
-            assert_eq!(s.get(k).unwrap().unwrap(), record_for(k), "key {k}");
-        }
-    }
-    // And the migrated database's partition count is now fixed.
+fn a_log_only_directory_is_refused_before_anything_is_created() {
+    let dir = tmpdir("log_only");
+    build_log_only_dir(&dir, &config(4, 512), 2, 20);
+    let listing = |dir: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing(&dir);
+    assert_eq!(before, ["engine.sks", "wal.sks"]);
     let err = SksDb::open(&dir, config(2, 512)).map(|_| ()).unwrap_err();
-    assert!(format!("{err}").contains("partitions"), "got: {err}");
+    assert!(
+        matches!(err, EngineError::Config(_)) && err.to_string().contains("log-only"),
+        "got: {err}"
+    );
+    assert_eq!(listing(&dir), before, "the refused open created files");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -67,7 +67,6 @@ fn write_path_breakdown_explains_insert_wall_time() {
         "\"wal_fsync\"",
         "\"record_seal\"",
         "\"counters\"",
-        "\"compact_sweep_slots\"",
         "\"compact_orphans_collected\"",
         "\"partitions\"",
         "\"p99_ns\"",

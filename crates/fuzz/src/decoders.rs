@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use sks_btree_core::{Node, NodeCodec, RecordPtr};
 use sks_core::{CoreError, EncipheredBTree, Scheme, SchemeConfig};
 use sks_engine::{EngineConfig, SksDb, Wal, WalOp};
-use sks_storage::{BlockId, BlockStore, OpCounters, PagedFileStore, SyncPolicy};
+use sks_storage::{BlockId, BlockStore, OpCounters, SyncPolicy};
 
 use crate::mutate::mutate;
 use crate::rng::FuzzRng;
@@ -323,9 +323,11 @@ pub fn run_tree_dir_case(seed: u64) -> Result<(), String> {
 
 /// Cuts one live record slot of an on-disk tree shorter than the 8-byte
 /// key every record seals, then reopens: the read of that record, and the
-/// maintenance pass whose orphan sweep meets the slot, must fail closed
-/// with a record error — no panic, no marker plaintext in errors — while
-/// every other record still reads back intact.
+/// maintenance pass whose victim read meets the slot (its page holds the
+/// tombstones of the deleted keys, and nothing is the open fill block
+/// after a reopen), must fail closed with a record error — no panic, no
+/// marker plaintext in errors — while every other record still reads back
+/// intact.
 pub fn run_data_page_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed ^ 0xDEC0_DE5A_11ED_0005);
     let scratch = ScratchDir::new("dec-page", seed);
@@ -361,8 +363,8 @@ pub fn run_data_page_case(seed: u64) -> Result<(), String> {
     let short = rng.below(8) as u16;
     {
         let io = |e: sks_storage::StorageError| format!("data.sks: {e}");
-        let mut store =
-            PagedFileStore::open(dir.join("data.sks"), 8, OpCounters::new()).map_err(io)?;
+        let [_, mut store] = EncipheredBTree::open_file_stores(&dir, 8, &OpCounters::new())
+            .map_err(|e| format!("open stores: {e}"))?;
         let mut page = store.read_block_vec(ptr.block()).map_err(io)?;
         let at = 12 + 4 * ptr.slot() as usize + 2;
         page[at..at + 2].copy_from_slice(&short.to_be_bytes());
@@ -387,8 +389,8 @@ pub fn run_data_page_case(seed: u64) -> Result<(), String> {
             }
         }
         match tree.compact_step(64) {
-            Err(CoreError::Record(e)) => assert_sealed_error("short slot sweep", &e),
-            other => Err(format!("the sweep over a {short}-byte slot gave {other:?}")),
+            Err(CoreError::Record(e)) => assert_sealed_error("short slot compaction", &e),
+            other => Err(format!("compacting a {short}-byte slot gave {other:?}")),
         }
     }));
     match outcome {

@@ -409,9 +409,9 @@ pub enum EventKind {
     CheckpointEnd,
     /// Compaction pass finished. `a` = records moved, `b` = blocks freed.
     Compaction,
-    /// Orphan sweep inside a compaction pass. `a` = slots examined,
-    /// `b` = orphans collected.
-    OrphanSweep,
+    /// A page store's checkpoint journal committed. `a` = pages
+    /// journaled, `b` = files the one commit covers.
+    PageCommit,
     /// Recovery began. `a` = WAL blocks on disk.
     RecoveryStart,
     /// Recovery finished. `a` = records replayed, `b` = torn-tail bytes
@@ -445,7 +445,7 @@ impl EventKind {
             EventKind::CheckpointPhase => "checkpoint_phase",
             EventKind::CheckpointEnd => "checkpoint_end",
             EventKind::Compaction => "compaction",
-            EventKind::OrphanSweep => "orphan_sweep",
+            EventKind::PageCommit => "page_commit",
             EventKind::RecoveryStart => "recovery_start",
             EventKind::RecoveryEnd => "recovery_end",
             EventKind::TornTailScrub => "torn_tail_scrub",

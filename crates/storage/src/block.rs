@@ -151,6 +151,13 @@ pub trait BlockStore {
         Ok(())
     }
 
+    /// Identifies the commit [`Self::flush`] makes durable: stores
+    /// reporting the same group become durable together. `None` (the
+    /// default) for a store with no medium to make durable.
+    fn commit_group(&self) -> Option<usize> {
+        None
+    }
+
     /// Number of dirty pages buffered in memory awaiting the next flush.
     /// Unbuffered stores (where every write hits the medium) report 0; the
     /// no-steal [`crate::PagedFileStore`] reports its pinned dirty set,
@@ -238,6 +245,10 @@ impl<S: BlockStore + ?Sized> BlockStore for Box<S> {
 
     fn flush(&mut self) -> Result<(), StorageError> {
         (**self).flush()
+    }
+
+    fn commit_group(&self) -> Option<usize> {
+        (**self).commit_group()
     }
 
     fn dirty_pages(&self) -> usize {

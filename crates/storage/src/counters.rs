@@ -98,13 +98,9 @@ counters! {
     /// (the device physically shrinks; on the file backend the store
     /// file is cut at the new high-water mark).
     device_truncated_blocks,
-    /// Orphaned record copies tombstoned by maintenance (both the
-    /// move-then-discover path inside `compact_step` and the orphan
-    /// sweep against the tree).
+    /// Orphaned record copies tombstoned by maintenance: a compaction
+    /// victim's live slot the tree does not point at.
     compact_orphans_collected,
-    /// Live record slots examined by the orphan sweep (the sweep's
-    /// bounded work, reported so `stats()` can show sweep progress).
-    compact_sweep_slots,
     /// Cipher-block (or RSA-block) encryptions of *search-key* material.
     key_encrypts,
     /// Cipher-block (or RSA-block) decryptions of *search-key* material.

@@ -355,6 +355,10 @@ impl<S: BlockStore> BlockStore for FailStore<S> {
         self.inner.flush()
     }
 
+    fn commit_group(&self) -> Option<usize> {
+        self.inner.commit_group()
+    }
+
     fn dirty_pages(&self) -> usize {
         self.inner.dirty_pages()
     }

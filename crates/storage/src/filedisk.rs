@@ -493,6 +493,11 @@ impl BlockStore for FileDisk {
         Ok(())
     }
 
+    /// A group of one, named by where the device lives.
+    fn commit_group(&self) -> Option<usize> {
+        Some(self as *const FileDisk as usize)
+    }
+
     fn free_blocks(&self) -> u32 {
         self.alloc.ids().len() as u32
     }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use crate::block::{BlockId, StorageError};
 
 /// A device's allocation state: its high-water mark and its free stack.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FreeList {
     num_blocks: u32,
     /// Pop order: `last()` is the next block `allocate` hands out.

@@ -696,3 +696,95 @@ fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every partition checkpoint is one journaled commit of both files: per
+/// dirty partition, one journal write (one `page_commit` event covering
+/// two files) and two store fsyncs — whether it runs through
+/// `EncipheredBTree::flush`, `SksDb::checkpoint` or `SksDb::flush_pages`.
+/// A tree over two stores that would commit apart is refused.
+#[test]
+fn a_partition_checkpoint_is_one_journaled_commit_of_both_files() {
+    use sks_btree::core::{EncipheredBTree, ObsLevel};
+    use sks_btree::storage::{Event, EventKind, Stage};
+    let commits = |events: Vec<Event>| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::PageCommit)
+            .map(|e| e.b)
+            .collect()
+    };
+    let scheme =
+        || SchemeConfig::with_capacity(Scheme::Oval, 1_000).observability(ObsLevel::Histograms);
+
+    let dir = tmpfile("one_commit_tree");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut tree = EncipheredBTree::create(scheme().on_disk(&dir)).unwrap();
+    let fsyncs = |c: &OpCounters| {
+        c.obs()
+            .stages_snapshot()
+            .into_iter()
+            .find(|(stage, _)| *stage == Stage::StoreFsync)
+            .map_or(0, |(_, h)| h.count)
+    };
+    let events = commits(tree.counters().obs().recent_events()).len();
+    let synced = fsyncs(tree.counters());
+    for k in 0..200 {
+        tree.insert(k, record(k)).unwrap();
+    }
+    for k in (0..200).step_by(3) {
+        tree.delete(k).unwrap();
+    }
+    assert!(tree.compact_step(8).unwrap().freed_blocks > 0);
+    tree.flush().unwrap();
+    assert_eq!(
+        commits(tree.counters().obs().recent_events())[events..],
+        [2],
+        "one journal, covering both files"
+    );
+    assert_eq!(fsyncs(tree.counters()) - synced, 2, "one fsync per file");
+    drop(tree);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = tmpfile("one_commit_engine");
+    std::fs::remove_dir_all(&dir).ok();
+    let db = SksDb::open(&dir, EngineConfig::new(scheme().partitions(2))).unwrap();
+    let store_fsyncs = || db.stats().stage(Stage::StoreFsync).map_or(0, |h| h.count);
+    for round in 0..2u64 {
+        for k in 0..100 {
+            db.insert(k, record(k + round)).unwrap();
+        }
+        let (events, synced) = (commits(db.recent_events()).len(), store_fsyncs());
+        if round == 0 {
+            db.checkpoint().unwrap();
+        } else {
+            db.flush_pages().unwrap();
+        }
+        assert_eq!(
+            commits(db.recent_events())[events..],
+            [2, 2],
+            "round {round}: one journal per partition"
+        );
+        assert_eq!(
+            store_fsyncs() - synced,
+            4,
+            "round {round}: two per partition"
+        );
+    }
+    drop(db);
+
+    let counters = OpCounters::new();
+    let apart =
+        |name: &str| PagedFileStore::create(dir.join(name), 4096, 8, counters.clone()).unwrap();
+    let (nodes, data) = (apart("a.sks"), apart("b.sks"));
+    let built = EncipheredBTree::create_on_stores(
+        SchemeConfig::with_capacity(Scheme::Oval, 100),
+        counters.clone(),
+        Box::new(nodes),
+        Box::new(data),
+    );
+    match built {
+        Err(CoreError::Config(msg)) => assert!(msg.contains("commit separately"), "{msg}"),
+        other => panic!("stores that commit apart were accepted: {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

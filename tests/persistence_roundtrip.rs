@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use sks_btree::core::{EncipheredBTree, Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, RecoveryPath, SksDb};
-use sks_btree::storage::{DynBlockStore, OpCounters, PagedFileStore};
+use sks_btree::storage::OpCounters;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -51,11 +51,9 @@ proptest! {
         drop(EncipheredBTree::create(cfg.clone()).unwrap());
         let open_pooled = || {
             let counters = OpCounters::new();
-            let store = |name: &str| -> DynBlockStore {
-                Box::new(PagedFileStore::open(dir.join(name), pool, counters.clone()).unwrap())
-            };
-            let (nodes, data) = (store("nodes.sks"), store("data.sks"));
-            EncipheredBTree::open_on_stores(cfg.clone(), counters, nodes, data).unwrap()
+            let [nodes, data] = EncipheredBTree::open_file_stores(&dir, pool, &counters).unwrap();
+            EncipheredBTree::open_on_stores(cfg.clone(), counters, Box::new(nodes), Box::new(data))
+                .unwrap()
         };
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         {

@@ -1,11 +1,13 @@
 //! Space & memory governance, proven by a fault-injection test layer:
 //!
-//! * crash probes — [`FailStore`] kills the stack at and around the
-//!   data device's checkpoint, between the two device checkpoints, mid
-//!   node-relocation and mid deadest-first compaction pass (plus a
-//!   seeded kill-point sweep); every reopen recovers to a consistent
-//!   image, and after a drain the data store holds exactly one live
-//!   record slot per tree key;
+//! * crash probes — [`FailStore`] kills the stack at the partition's
+//!   checkpoint, mid node-relocation and mid deadest-first compaction
+//!   pass (plus a seeded kill-point sweep); every reopen recovers to a
+//!   consistent image, and after a drain the data store holds exactly
+//!   one live record slot per tree key;
+//! * the checkpoint is one commit of both files, shown with forged
+//!   journals: an intact partition journal over half-applied files opens
+//!   to the post-image in both files, a torn one to the pre-image;
 //! * the same slot ≡ key invariant under arbitrary
 //!   insert/delete/compact/reopen/crash churn, on both tree backends;
 //! * the compaction report counts victims freed through the tombstone
@@ -24,7 +26,7 @@ use rand::{Rng, SeedableRng};
 
 use sks_btree::core::{CoreError, EncipheredBTree, Scheme, SchemeConfig};
 use sks_btree::storage::{
-    BlockId, BlockStore, FailMode, FailPlan, FailStore, OpCounters, PagedFileStore,
+    crc32, BlockId, BlockStore, FailMode, FailPlan, FailStore, FileDisk, OpCounters, PagedFileStore,
 };
 
 const BLOCK: usize = 512;
@@ -51,10 +53,8 @@ fn rec(k: u64) -> Vec<u8> {
     format!("space-governance-record-{k:06}-{}", "x".repeat(64)).into_bytes()
 }
 
-/// Compacts until two passes in a row free and collect nothing. Each
-/// pass's orphan-sweep budget covers every live slot these tests create,
-/// so two idle passes include one whole sweep round from the start of the
-/// store: every orphan is gone, and every live slot is a tree key's.
+/// Compacts until two passes in a row free and collect nothing: every
+/// tombstone is reclaimed, and every live slot is a tree key's.
 fn drain(tree: &mut EncipheredBTree) {
     let mut idle = 0;
     while idle < 2 {
@@ -76,9 +76,11 @@ fn drain(tree: &mut EncipheredBTree) {
 // Fault-injection crash probes
 // ---------------------------------------------------------------------
 
-/// A file-backed stack whose node and data devices are wrapped in
-/// [`FailStore`]s, built over journaled paged stores so a "kill" (fault +
-/// drop without flush) recovers to the last checkpoint.
+/// A file-backed stack whose node and data files are wrapped in
+/// [`FailStore`]s, built over the partition's one checkpoint group so a
+/// "kill" (fault + drop without flush) recovers to the last checkpoint.
+/// The tree's checkpoint flushes through the node handle, so
+/// `node_plan`'s flushes are the partition's commits.
 struct ProbeRig {
     dir: std::path::PathBuf,
     node_plan: FailPlan,
@@ -90,10 +92,8 @@ impl ProbeRig {
         let dir = tmpdir(name);
         std::fs::create_dir_all(&dir).unwrap();
         let counters = OpCounters::new();
-        let nodes =
-            PagedFileStore::create(dir.join("nodes.sks"), BLOCK, 128, counters.clone()).unwrap();
-        let data =
-            PagedFileStore::create(dir.join("data.sks"), BLOCK, 128, counters.clone()).unwrap();
+        let [nodes, data] =
+            EncipheredBTree::create_file_stores(&dir, BLOCK, 128, &counters).unwrap();
         let (nodes, node_plan) = FailStore::new(nodes);
         let (data, data_plan) = FailStore::new(data);
         let tree = EncipheredBTree::create_on_stores(
@@ -114,12 +114,10 @@ impl ProbeRig {
     }
 
     /// "Reboot": reopen the same files through the normal recovery path
-    /// (journal replay inside `PagedFileStore::open`).
+    /// (journal replay inside `PagedFileStore::open_group`).
     fn reopen(&self) -> EncipheredBTree {
         let counters = OpCounters::new();
-        let nodes =
-            PagedFileStore::open(self.dir.join("nodes.sks"), 128, counters.clone()).unwrap();
-        let data = PagedFileStore::open(self.dir.join("data.sks"), 128, counters.clone()).unwrap();
+        let [nodes, data] = EncipheredBTree::open_file_stores(&self.dir, 128, &counters).unwrap();
         EncipheredBTree::open_on_stores(config(4_096), counters, Box::new(nodes), Box::new(data))
             .unwrap()
     }
@@ -150,8 +148,8 @@ fn assert_consistent(tree: &mut EncipheredBTree, model: &std::collections::BTree
     }
 }
 
-/// Kill at the data device's checkpoint — the first step of `flush` —
-/// after a committed checkpoint: neither device commits the epoch.
+/// Kill at the partition's checkpoint, after a committed one: neither
+/// file commits the epoch.
 #[test]
 fn crash_at_data_device_checkpoint_recovers() {
     let (rig, mut tree) = ProbeRig::create("data_flush_crash");
@@ -164,7 +162,7 @@ fn crash_at_data_device_checkpoint_recovers() {
     for k in 300..400u64 {
         tree.insert(k, rec(k)).unwrap();
     }
-    rig.data_plan.arm_nth_flush(1);
+    rig.node_plan.arm_nth_flush(1);
     assert!(tree.flush().is_err(), "injected fault must surface");
     drop(tree); // the kill: buffered epoch discarded
     let mut tree = rig.reopen();
@@ -439,36 +437,7 @@ fn two_epoch_rig(
     (rig, tree, model)
 }
 
-/// Kill just past the data device's checkpoint: the doomed epoch's
-/// records commit on the data device, then the node checkpoint dies. The
-/// reopened tree is image B; the committed records are orphans in fresh
-/// blocks with no tombstone, so no victim pass would ever pick them — the
-/// orphan sweep must collect them.
-#[test]
-fn crash_after_data_device_checkpoint_leaves_orphans_the_sweep_collects() {
-    let (rig, mut tree, model) = two_epoch_rig("data_ahead_crash");
-    rig.node_plan.arm_nth_flush(1);
-    assert!(tree.flush().is_err(), "node checkpoint must fail");
-    drop(tree);
-    let mut tree = rig.reopen();
-    assert_eq!(tree.len(), 320, "image B's tree");
-    assert_eq!(
-        tree.live_record_slots().unwrap(),
-        340,
-        "the data device committed the doomed epoch"
-    );
-    assert_eq!(tree.pending_tombstones().unwrap(), 0, "no victim to pick");
-    // Each pass sweeps 64 slots, so twenty passes cover the store more
-    // than once.
-    let collected: u64 = (0..20)
-        .map(|_| tree.compact_step(16).unwrap().orphans_collected)
-        .sum();
-    assert_eq!(collected, 20, "every orphan is found by the sweep");
-    assert_consistent(&mut tree, &model);
-    rig.cleanup();
-}
-
-/// Kill at the data device's checkpoint after a small epoch, with deletes
+/// Kill at the partition's checkpoint after a small epoch, with deletes
 /// and a compaction pass in the doomed epoch: the reopen must serve image
 /// B as if the doomed epoch never happened, and the next epoch must
 /// commit cleanly on top of it.
@@ -479,8 +448,8 @@ fn crash_at_data_device_checkpoint_after_a_small_epoch_recovers() {
         tree.delete(k).unwrap();
     }
     assert!(tree.compact_step(64).unwrap().freed_blocks > 0);
-    rig.data_plan.arm_nth_flush(1);
-    assert!(tree.flush().is_err(), "the data checkpoint must fail");
+    rig.node_plan.arm_nth_flush(1);
+    assert!(tree.flush().is_err(), "the checkpoint must fail");
     drop(tree);
     let mut tree = rig.reopen();
     assert_eq!(tree.live_record_slots().unwrap(), 320, "image B's records");
@@ -578,8 +547,7 @@ proptest! {
                 }
             }
             // Governance + checkpoint, exactly as an engine checkpoint
-            // runs it (the flush protocol commits the quarantined
-            // reclaims so the next round can reuse them).
+            // runs it.
             while tree.compact_step(64).unwrap().freed_blocks > 0 {}
             tree.compact_nodes(10_000).unwrap();
             tree.flush().unwrap();
@@ -591,9 +559,8 @@ proptest! {
                 tree.delete(k).unwrap();
             }
         }
-        // Compact-and-checkpoint to quiescence: tail truncation can only
-        // release frees committed by an earlier flush, so convergence
-        // takes a few checkpoint cycles (as it does in the engine).
+        // Compact-and-checkpoint to quiescence, as the engine's
+        // checkpoints would.
         loop {
             let mut did = 0u64;
             loop {
@@ -702,100 +669,165 @@ fn governance_preserves_logical_counters_exactly() {
     }
 }
 
-/// The cross-device window the flush protocol closes: after a compaction
-/// pass, the data device commits (copies, victims still allocated) and
-/// then the *node* checkpoint dies. The reopened stack reads every
-/// committed record through its old pointers — the victims' content is
-/// intact because quarantined reclaims are never freed before the node
-/// device commits — and the copies are orphans the next drain collects.
-#[test]
-fn crash_between_device_checkpoints_after_compaction_keeps_reads_safe() {
-    let (rig, mut tree) = ProbeRig::create("cross_device");
-    let mut model = std::collections::BTreeMap::new();
-    for k in 0..300u64 {
-        tree.insert(k, rec(k)).unwrap();
-        model.insert(k, rec(k));
-    }
-    for k in (0..300u64).step_by(2) {
-        tree.delete(k).unwrap();
-        model.remove(&k);
-    }
-    tree.flush().unwrap(); // image A committed on both devices
-    let r = tree.compact_step(1_000).unwrap();
-    assert!(r.moved_records > 0, "the pass moved live records: {r:?}");
-    // The node device's checkpoint dies: the data device commits image B
-    // (copies present, victims still allocated), the tree stays at A.
-    rig.node_plan.arm_nth_flush(1);
-    assert!(tree.flush().is_err(), "node checkpoint must fail");
-    drop(tree);
-    let mut tree = rig.reopen();
-    assert_eq!(
-        tree.live_record_slots().unwrap(),
-        tree.len() + r.moved_records,
-        "each moved record left a committed orphan copy"
-    );
-    // Old pointers, intact victims: every committed read is correct.
-    assert_consistent(&mut tree, &model);
-    rig.cleanup();
+/// Two committed checkpoints of a probe partition, A and B, with a
+/// compaction pass (moves, victims freed, the tail cut), a node-device
+/// pass, inserts and deletes between them; both files' bytes at each, and
+/// the model each serves. Image B's tree points at records in blocks
+/// image A never allocated, and image A's pointers name blocks image B
+/// freed: a reopen that mixed the two files would lose records.
+struct TwoCheckpoints {
+    rig: ProbeRig,
+    model_a: std::collections::BTreeMap<u64, Vec<u8>>,
+    model_b: std::collections::BTreeMap<u64, Vec<u8>>,
+    files_a: [Vec<u8>; 2],
+    files_b: [Vec<u8>; 2],
 }
 
-/// The leak window after both devices committed but before the deferred
-/// frees did: nothing frees a block on open, but the quarantined victims
-/// are still allocated with their tombstones, so their dead ratio still
-/// qualifies them, and their live slots are orphans (the tree points at
-/// the copies). The first compaction pass after reopen collects those
-/// orphans and reclaims the victims.
+const FILES: [&str; 2] = ["nodes.sks", "data.sks"];
+
+impl TwoCheckpoints {
+    fn new(name: &str) -> Self {
+        let (rig, mut tree) = ProbeRig::create(name);
+        let mut model = std::collections::BTreeMap::new();
+        for k in 0..300u64 {
+            tree.insert(k, rec(k)).unwrap();
+            model.insert(k, rec(k));
+        }
+        for k in (0..300u64).step_by(2) {
+            tree.delete(k).unwrap();
+            model.remove(&k);
+        }
+        tree.flush().unwrap();
+        let model_a = model.clone();
+        let files_a = FILES.map(|f| std::fs::read(rig.dir.join(f)).unwrap());
+        let r = tree.compact_step(1_000).unwrap();
+        assert!(r.moved_records > 0 && r.freed_blocks > 0, "{r:?}");
+        tree.compact_nodes(1_000).unwrap();
+        for k in 300..340u64 {
+            tree.insert(k, rec(k)).unwrap();
+            model.insert(k, rec(k));
+        }
+        for k in (1..60u64).step_by(4) {
+            tree.delete(k).unwrap();
+            model.remove(&k);
+        }
+        tree.flush().unwrap();
+        drop(tree);
+        let files_b = FILES.map(|f| std::fs::read(rig.dir.join(f)).unwrap());
+        TwoCheckpoints {
+            rig,
+            model_a,
+            model_b: model,
+            files_a,
+            files_b,
+        }
+    }
+
+    /// The bytes of a partition journal that takes both files to image
+    /// B, forged the way a checkpoint lays one out: magic, version 2, the
+    /// block size and the file count; then per file its block count, its
+    /// free stack and its pages (here every allocated block); a CRC over
+    /// it all.
+    fn journal_to_b(&self) -> Vec<u8> {
+        let mut out = b"SKSJRNL1".to_vec();
+        out.extend_from_slice(&2u32.to_be_bytes());
+        out.extend_from_slice(&(BLOCK as u64).to_be_bytes());
+        out.extend_from_slice(&(FILES.len() as u32).to_be_bytes());
+        let forge = self.rig.dir.join("forge.sks");
+        for bytes in &self.files_b {
+            std::fs::write(&forge, bytes).unwrap();
+            let disk = FileDisk::open(&forge).unwrap();
+            let free = disk.free_block_ids();
+            out.extend_from_slice(&disk.num_blocks().to_be_bytes());
+            out.extend_from_slice(&(free.len() as u32).to_be_bytes());
+            for id in &free {
+                out.extend_from_slice(&id.to_be_bytes());
+            }
+            let live: Vec<u32> = (0..disk.num_blocks())
+                .filter(|b| !free.contains(b))
+                .collect();
+            out.extend_from_slice(&(live.len() as u32).to_be_bytes());
+            for b in live {
+                out.extend_from_slice(&b.to_be_bytes());
+                out.extend_from_slice(&disk.read_block_vec(BlockId(b)).unwrap());
+            }
+        }
+        std::fs::remove_file(&forge).unwrap();
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_be_bytes());
+        out
+    }
+
+    /// Lays a crash's leftovers down: both files' bytes and the journal.
+    fn crash_state(&self, files: [&[u8]; 2], journal: &[u8]) {
+        for (name, bytes) in FILES.iter().zip(files) {
+            std::fs::write(self.rig.dir.join(name), bytes).unwrap();
+        }
+        std::fs::write(self.rig.dir.join("checkpoint.journal"), journal).unwrap();
+    }
+
+    fn files_now(&self) -> [Vec<u8>; 2] {
+        FILES.map(|f| std::fs::read(self.rig.dir.join(f)).unwrap())
+    }
+}
+
+/// A crash after the partition journal reached the disk, wherever the
+/// in-place writes stopped: each file at image A, half written (the
+/// first half of its bytes B's, the rest A's), or at B (a journal whose
+/// retirement was lost), in every combination. The reopen finishes the
+/// commit: both files hold image B byte for byte, and the tree serves
+/// model B.
 #[test]
-fn leaked_quarantine_blocks_are_reclaimed_by_the_first_pass_after_reopen() {
-    let (rig, mut tree) = ProbeRig::create("leak_reclaim");
-    let mut model = std::collections::BTreeMap::new();
-    for k in 0..300u64 {
-        tree.insert(k, rec(k)).unwrap();
-        model.insert(k, rec(k));
+fn an_intact_partition_journal_over_half_applied_files_opens_to_the_post_image() {
+    let cp = TwoCheckpoints::new("intact_journal");
+    let journal = cp.journal_to_b();
+    let half = |i: usize| -> Vec<u8> {
+        let (a, b) = (&cp.files_a[i], &cp.files_b[i]);
+        let cut = b.len() / 2;
+        let mut mixed = b[..cut].to_vec();
+        mixed.extend_from_slice(a.get(cut..).unwrap_or_default());
+        mixed
+    };
+    let states = |i: usize| [cp.files_a[i].clone(), half(i), cp.files_b[i].clone()];
+    for (n, nodes) in states(0).iter().enumerate() {
+        for (d, data) in states(1).iter().enumerate() {
+            cp.crash_state([nodes, data], &journal);
+            let mut tree = cp.rig.reopen();
+            assert_eq!(
+                cp.files_now(),
+                cp.files_b,
+                "nodes state {n}, data state {d}"
+            );
+            assert_consistent(&mut tree, &cp.model_b);
+        }
     }
-    for k in (0..300u64).step_by(2) {
-        tree.delete(k).unwrap();
-        model.remove(&k);
+    cp.rig.cleanup();
+}
+
+/// A crash while the partition journal was being written leaves both
+/// files at image A and a torn journal — cut short anywhere, or with a
+/// flipped bit. The reopen discards it: both files stay at image A byte
+/// for byte, and the tree serves model A.
+#[test]
+fn a_torn_partition_journal_opens_to_the_pre_image() {
+    let cp = TwoCheckpoints::new("torn_journal");
+    let journal = cp.journal_to_b();
+    let mut torn: Vec<Vec<u8>> = [0, 1, 8, 12, 20, 24, 28, 40]
+        .into_iter()
+        .chain((1..16).map(|i| journal.len() * i / 16))
+        .chain([journal.len() - 4, journal.len() - 1])
+        .map(|n| journal[..n].to_vec())
+        .collect();
+    let mut flipped = journal.clone();
+    flipped[journal.len() / 3] ^= 0x10;
+    torn.push(flipped);
+    for (i, bytes) in torn.iter().enumerate() {
+        cp.crash_state([&cp.files_a[0], &cp.files_a[1]], bytes);
+        let mut tree = cp.rig.reopen();
+        assert_eq!(cp.files_now(), cp.files_a, "torn journal {i}");
+        assert_consistent(&mut tree, &cp.model_a);
     }
-    tree.flush().unwrap();
-    let r = tree.compact_step(1_000).unwrap();
-    assert!(r.freed_blocks > 0);
-    // Data flush #1 (copies) and the node flush succeed; data flush #2 —
-    // the one that commits the quarantined frees — dies.
-    rig.data_plan.arm_nth_flush(2);
-    assert!(tree.flush().is_err(), "free-commit flush must fail");
-    drop(tree);
-    let mut tree = rig.reopen();
-    let first = tree.compact_step(1_000).unwrap();
-    assert!(
-        first.freed_blocks >= r.freed_blocks,
-        "the first pass reclaims the leaked victims: {first:?} vs {r:?}"
-    );
-    assert_eq!(
-        first.orphans_collected, r.moved_records,
-        "the victims' live slots were orphans"
-    );
-    tree.flush().unwrap(); // commit the reclaims
-    let (_, free) = tree.data_block_usage();
-    assert!(
-        free as u64 >= r.freed_blocks,
-        "{free} free vs {} leaked",
-        r.freed_blocks
-    );
-    assert_consistent(&mut tree, &model);
-    // Churn must reuse the reclaimed blocks instead of growing.
-    let (total_before, _) = tree.data_block_usage();
-    for k in 0..100u64 {
-        tree.insert(k, rec(k)).unwrap();
-        model.insert(k, rec(k));
-    }
-    let (total_after, _) = tree.data_block_usage();
-    assert!(
-        total_after <= total_before + 2,
-        "reinserts must reuse reclaimed blocks: {total_before} -> {total_after}"
-    );
-    assert_consistent(&mut tree, &model);
-    rig.cleanup();
+    cp.rig.cleanup();
 }
 
 /// A data store written before records carried their key (format version

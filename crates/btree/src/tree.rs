@@ -80,6 +80,8 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     root: BlockId,
     count: u64,
     height: u32,
+    /// The log position the last flush covers ([`BTree::flush_covering`]).
+    covered: u64,
     /// CLRS minimum degree: nodes hold `t-1 ..= 2t-1` keys (root exempt).
     t: usize,
     /// The node cache every node visit goes through. Every node
@@ -235,6 +237,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             root: root_id,
             count: 0,
             height: 1,
+            covered: 0,
             t,
             cache: NodeCache::new(0),
             page: vec![0; page_size],
@@ -275,6 +278,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
                 "superblock height {height} impossible on a store of {blocks} blocks"
             ))));
         }
+        let covered = r.get_u64().map_err(CodecError::from)?;
         Ok(BTree {
             store,
             codec,
@@ -282,6 +286,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             root,
             count,
             height,
+            covered,
             t,
             cache: NodeCache::new(0),
             page: vec![0; page_size],
@@ -316,17 +321,33 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             w.put_u64(self.count).map_err(CodecError::from)?;
             w.put_u32(self.height).map_err(CodecError::from)?;
             w.put_u32(self.t as u32).map_err(CodecError::from)?;
+            w.put_u64(self.covered).map_err(CodecError::from)?;
             w.pad_remaining();
         }
         self.store.write_block(self.superblock, &self.page)?;
         Ok(())
     }
 
-    /// Persists metadata and flushes the store.
+    /// Flushes the store. Every change of root, count or height writes
+    /// the superblock at once, so a flush leaves it as it is.
     pub fn flush(&mut self) -> Result<(), TreeError> {
-        self.write_superblock()?;
-        self.store.flush()?;
-        Ok(())
+        Ok(self.store.flush()?)
+    }
+
+    /// [`BTree::flush`] that records `covered` in the superblock: the log
+    /// position through which every logged operation is in the pages it
+    /// makes durable (0 in a tree no log stands behind).
+    pub fn flush_covering(&mut self, covered: u64) -> Result<(), TreeError> {
+        if covered != self.covered {
+            self.covered = covered;
+            self.write_superblock()?;
+        }
+        self.flush()
+    }
+
+    /// The log position the superblock records.
+    pub fn covered(&self) -> u64 {
+        self.covered
     }
 
     // ---- node I/O ------------------------------------------------------

@@ -418,6 +418,12 @@ impl EncipheredBTree {
         Ok(self.tree.flush()?)
     }
 
+    /// [`EncipheredBTree::flush`] that records the log position the pages
+    /// cover in the same commit ([`BTree::flush_covering`]).
+    pub fn flush_covering(&mut self, covered: u64) -> Result<(), CoreError> {
+        Ok(self.tree.flush_covering(covered)?)
+    }
+
     pub fn scheme(&self) -> Scheme {
         self.config.scheme
     }

@@ -11,7 +11,9 @@
 //! — the commit writes, and when due fsyncs, inline — and recovery
 //! replays the log through the identical router path. Pages never outrun
 //! the log: a partition's pages reach their store only after the log is
-//! durable through every commit applied to it.
+//! durable through every commit applied to it, and each partition's
+//! checkpoint records how far into the log its pages reach, so a reopen
+//! replays into it exactly the commits past that point.
 //!
 //! Lock order is always `partition.write (ascending partition id) →
 //! wal.lock`, and reads take no WAL lock at all. Range scans visit
@@ -54,7 +56,7 @@ use crate::error::EngineError;
 use crate::recovery::{apply_replay, RecoveryPath, RecoveryReport};
 use crate::stats::{PartitionStats, StatsSnapshot};
 use crate::txn::{wipe_values, KeyValues, Txn, TxnManager};
-use crate::wal::{SyncTicket, Wal, WalOp, WalReplay};
+use crate::wal::{Device, Scan, SyncTicket, Wal};
 
 /// Engine-level configuration wrapping the paper-level [`SchemeConfig`].
 #[derive(Debug, Clone)]
@@ -65,9 +67,9 @@ pub struct EngineConfig {
     pub sync: SyncPolicy,
     /// Fault-injection plan for the engine's WAL device. `None` (the
     /// default, and the only production setting) runs the WAL directly on
-    /// its [`sks_storage::LogFile`]; `Some(plan)` wraps every WAL the
-    /// engine builds — including the fresh log each checkpoint cuts to —
-    /// in a [`sks_storage::FailStore`] sharing that plan, so the
+    /// its [`sks_storage::LogFile`]s; `Some(plan)` wraps every log file the
+    /// engine opens or creates — including the segment each checkpoint
+    /// starts — in a [`sks_storage::FailStore`] sharing that plan, so the
     /// op-sequence fuzzer can kill the process at any write or fsync and
     /// drive recovery through the exact production path.
     #[doc(hidden)]
@@ -199,11 +201,12 @@ pub struct SksDb {
     /// slips past.
     halted: AtomicBool,
     recovery: RecoveryReport,
-    wal_path: PathBuf,
+    dir: PathBuf,
     config: EngineConfig,
-    /// Serialises whole checkpoints against each other; readers and
-    /// writers are *not* behind this lock.
-    checkpoint_serial: Mutex<()>,
+    /// The numbers of the log's segments, oldest first; the last is the
+    /// one being written. Its lock serialises whole checkpoints against
+    /// each other; readers and writers are *not* behind it.
+    segments: Mutex<Vec<u64>>,
     /// What the most recent checkpoint's compaction passes reclaimed.
     last_compaction: Mutex<CompactionReport>,
     /// Exclusive advisory lock on the database directory, held for the
@@ -214,7 +217,8 @@ pub struct SksDb {
     _dir_lock: std::fs::File,
 }
 
-const WAL_FILE: &str = "wal.sks";
+/// The single log file of an engine older than segmented logs.
+const SINGLE_LOG: &str = "wal.sks";
 /// The piece a WAL frame body is sealed and written in, and the replay's
 /// read chunk (see [`Wal::create`]).
 const WAL_PIECE: usize = 4096;
@@ -262,7 +266,7 @@ impl EngineMeta {
         file.write_all(&buf)?;
         file.sync_all()?;
         drop(file);
-        sync_dir(db_dir)
+        Ok(sks_storage::sync_dir(db_dir)?)
     }
 
     fn read(db_dir: &Path) -> Result<Option<Self>, EngineError> {
@@ -284,23 +288,14 @@ impl EngineMeta {
                 "unknown engine metadata version {version}"
             )));
         }
-        match buf[16] {
-            1 => {}
-            // An older engine's log-only directory: no page stores, and a
-            // log in a block container this engine's log refuses.
-            0 => {
-                return Err(EngineError::Config(format!(
-                    "{} describes a log-only database written by an older engine, \
-                     whose log this engine cannot read; refusing to open",
-                    path.display()
-                )))
-            }
-            other => {
-                return Err(EngineError::Config(format!(
-                    "unknown backend byte {other} in {}",
-                    path.display()
-                )))
-            }
+        // Byte 0 marked an older engine's log-only database, whose
+        // `wal.sks` the open refuses first.
+        if buf[16] != 1 {
+            let path = path.display();
+            return Err(EngineError::Config(format!(
+                "unknown backend byte {} in {path}",
+                buf[16]
+            )));
         }
         Ok(Some(EngineMeta {
             partitions: u32::from_be_bytes(buf[12..16].try_into().expect("fixed width")),
@@ -320,29 +315,76 @@ impl EngineMeta {
     }
 }
 
+/// Segment `n` of the log, numbered as the segments were started
+/// ([`SksDb::checkpoint`]).
+fn segment_path(db_dir: &Path, n: u64) -> PathBuf {
+    db_dir.join(format!("wal-{n}.sks"))
+}
+
+/// Reads every segment, oldest first, and checks, writing nothing, that
+/// they are one log the partitions' pages continue: each starts (its
+/// sentinel's seq) where the one before it ends, the oldest starts no
+/// later than just past the lowest covered number, and a database with
+/// metadata (`existing`) has one. A segment with no sentinel — a
+/// checkpoint died creating it — holds nothing and is passed over; the
+/// next segment started takes its name. Returns the segments' numbers and
+/// the newest one, scanned, holding every segment's records.
+fn read_log(
+    db_dir: &Path,
+    config: &EngineConfig,
+    covered: &[u64],
+    existing: bool,
+) -> Result<Option<(Vec<u64>, Scan)>, EngineError> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(db_dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str());
+        let n = name.and_then(|n| n.strip_prefix("wal-")?.strip_suffix(".sks")?.parse().ok());
+        found.extend(n.filter(|&n| segment_path(db_dir, n) == path));
+    }
+    found.sort_unstable();
+    let (mut numbers, mut records, mut newest) = (Vec::new(), Vec::new(), None::<Scan>);
+    let lowest = covered.iter().min().copied().unwrap_or(0);
+    for n in found {
+        let path = segment_path(db_dir, n);
+        let file = LogFile::open(&path, OpCounters::new())?;
+        let scan = Wal::scan(log_device(file, config), config.wal_key())?;
+        let Some(mut scan) = scan.filter(|s| s.base.is_some()) else {
+            continue;
+        };
+        let base = scan.base.expect("filtered");
+        let (ok, starts) = match &newest {
+            Some(prev) => (base == prev.next_seq, prev.next_seq),
+            None => (base <= lowest + 1, lowest + 1),
+        };
+        if !ok {
+            let why = format!("{} starts at seq {base}, not {starts}", path.display());
+            return Err(refuse_log(why));
+        }
+        records.append(&mut scan.replay.records);
+        numbers.push(n);
+        newest = Some(scan);
+    }
+    // Metadata is written once the log is durable, so a fresh log here
+    // would serve the last checkpoint and drop every write since.
+    if newest.is_none() && existing {
+        let why = format!("{} holds no log segment", db_dir.display());
+        return Err(refuse_log(why));
+    }
+    Ok(newest.map(|mut scan| {
+        scan.replay.records = records;
+        (numbers, scan)
+    }))
+}
+
+/// The refusal of a log with a segment missing or out of place.
+fn refuse_log(why: String) -> EngineError {
+    EngineError::Config(format!("broken log: {why}; refusing to open"))
+}
+
 /// Directory of partition `i`'s on-disk stores.
 fn partition_dir(db_dir: &Path, i: usize) -> PathBuf {
     db_dir.join(format!("part-{i:03}"))
-}
-
-/// Refuses a directory holding a `snap-*` entry. Older engines
-/// checkpointed a log-only directory by writing the live set to
-/// `snap-NNN.sks` files and cutting the log down to the tail, so the log
-/// beside such a file is not the whole history: replaying it alone would
-/// silently drop every record older than that cut.
-fn refuse_legacy_snapshots(db_dir: &Path) -> Result<(), EngineError> {
-    for entry in std::fs::read_dir(db_dir)? {
-        let name = entry?.file_name();
-        if name.to_string_lossy().starts_with("snap-") {
-            return Err(EngineError::Config(format!(
-                "{} holds {name:?}, a partition snapshot written by an older engine whose \
-                 checkpoints cut the log; the log alone no longer reconstructs this \
-                 database — refusing to open",
-                db_dir.display()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// The per-partition scheme config: every partition keeps its page stores
@@ -358,44 +400,41 @@ fn partition_config(scheme: &SchemeConfig, db_dir: &Path, i: usize) -> SchemeCon
 
 impl SksDb {
     /// Opens (or creates) the database in `dir`: each partition's page
-    /// stores live under `dir/part-NNN`, and the log is `dir/wal.sks`.
-    /// The partition count is fixed when the database is created.
+    /// stores live under `dir/part-NNN`, and the log is the segments
+    /// `dir/wal-<n>.sks` ([`SksDb::checkpoint`]). The partition count is
+    /// fixed when the database is created.
     ///
     /// Persisted partitions are reopened from their checkpointed pages
-    /// and only the log tail since the last checkpoint is replayed
-    /// ([`RecoveryPath::TailReplay`]) — an O(tail) restart. A torn tail is
-    /// detected, reported via [`SksDb::recovery_report`], and scrubbed.
+    /// and each is replayed only the logged writes past the log position
+    /// its pages cover ([`RecoveryPath::TailReplay`]) — an O(tail)
+    /// restart. A torn tail is detected, reported via
+    /// [`SksDb::recovery_report`], and scrubbed.
     ///
-    /// Fails closed, before anything is touched, on a directory whose
+    /// Fails closed, before anything is written, on a directory whose
     /// metadata exists but whose log is gone (the writes since the last
-    /// checkpoint are lost), on one holding a partition snapshot of an
-    /// older engine (`snap-*`), whose log is tail-only, and on an older
-    /// engine's log-only directory.
+    /// checkpoint are lost), on segments that do not form one unbroken
+    /// log, and on an older engine's directory: one holding `wal.sks`, a
+    /// single log its checkpoints recorded no position in.
     pub fn open<P: AsRef<Path>>(dir: P, config: EngineConfig) -> Result<Arc<Self>, EngineError> {
         if config.scheme.partitions == 0 {
             return Err(EngineError::Config("partitions must be >= 1".into()));
         }
         std::fs::create_dir_all(&dir)?;
         let db_dir = dir.as_ref();
-        let wal_path = db_dir.join(WAL_FILE);
 
         // The refusals that only read come first, so a refused open
         // leaves the directory as it found it.
-        refuse_legacy_snapshots(db_dir)?;
+        if db_dir.join(SINGLE_LOG).exists() {
+            let why = "the log of an older engine (a log-only database, or one whose \
+                       checkpoints record no log position); refusing to open";
+            let dir = db_dir.display();
+            return Err(EngineError::Config(format!(
+                "{dir} holds {SINGLE_LOG}, {why}"
+            )));
+        }
         let stored_meta = EngineMeta::read(db_dir)?;
         if let Some(meta) = &stored_meta {
             meta.check_compatible(&config)?;
-            // The metadata is written only once the log is durable, and a
-            // checkpoint replaces the log by rename, so a database with
-            // metadata always has a log. Creating a fresh one would serve
-            // the last checkpoint and drop every write acknowledged since.
-            if !wal_path.exists() {
-                return Err(EngineError::Config(format!(
-                    "{} is missing from an existing database; refusing to open \
-                     without the writes it holds",
-                    wal_path.display()
-                )));
-            }
         }
 
         // One engine per directory, enforced before anything is written:
@@ -440,13 +479,16 @@ impl SksDb {
             });
         }
 
-        let (wal, recovery) = if wal_path.exists() {
+        let covered: Vec<u64> = partitions.iter().map(|p| p.tree().covered()).collect();
+        let log = read_log(db_dir, &config, &covered, stored_meta.is_some())?;
+        let (wal, recovery, segments) = if let Some((numbers, newest)) = log {
             counters
                 .obs()
                 .note(EventKind::RecoveryStart, NO_PARTITION, 0, 0, 0);
             let recovery_timer = counters.obs().start();
-            let (wal, replay) = open_wal(&wal_path, &config, counters.clone())?;
-            let mut report = apply_replay(&mut partitions, &router, replay)?;
+            let (wal, replay) = Wal::resume(newest, config.sync, counters.clone())?;
+            let mut report = apply_replay(&mut partitions, &router, &covered, replay)?;
+            counters.bump_by(|c| &c.wal_replayed, report.records_replayed);
             report.path = if persisted {
                 RecoveryPath::TailReplay
             } else {
@@ -462,13 +504,12 @@ impl SksDb {
             // The recovery timeline (including any torn-tail scrub the
             // log open recorded) travels with the report.
             report.events = counters.obs().recent_events();
-            (wal, report)
+            (wal, report, numbers)
         } else {
-            let wal = create_wal(&wal_path, &config, counters.clone())?;
-            // The file's directory entry must be durable too, or a crash
-            // could leave a database directory with no log at all.
-            sync_dir(db_dir)?;
-            (wal, RecoveryReport::default())
+            let mut wal = create_segment(db_dir, 1, &config, counters.clone())?;
+            wal.start_at(1)?;
+            wal.flush()?;
+            (wal, RecoveryReport::default(), vec![1])
         };
 
         // Persist the layout facts (last, once stores + log exist) so the
@@ -489,9 +530,9 @@ impl SksDb {
             wal: Mutex::new(wal),
             counters,
             recovery,
-            wal_path,
+            dir: db_dir.to_path_buf(),
             config,
-            checkpoint_serial: Mutex::new(()),
+            segments: Mutex::new(segments),
             last_compaction: Mutex::new(CompactionReport::default()),
             _dir_lock: dir_lock,
         }))
@@ -1028,43 +1069,30 @@ impl SksDb {
     /// Fuzzy checkpoint: partition maintenance and a cut of the replay
     /// work a reopen must do, *without* stalling the engine. Clients keep
     /// reading and writing throughout; a client blocks only while its own
-    /// partition is being compacted and flushed.
+    /// partition is being compacted and flushed. No log byte is read or
+    /// rewritten, and whole checkpoints are serialised.
     ///
-    /// 1. **Mark** the dirty epoch: note the WAL sequence number; every
-    ///    record from it onward will survive the cut.
-    /// 2. **Compact and flush partitions**, all *in parallel* (one thread
-    ///    each, write-locking only that partition): make the log durable
-    ///    through every commit the partition applied (one fsync the
-    ///    partitions share), then the bounded record-store and node-device
-    ///    compaction passes, then the journaled page-store checkpoint of
-    ///    the partition's dirty pages. Because pages never outrun the log,
-    ///    a power failure cannot keep one commit's pages while it loses an
-    ///    earlier commit's frame: a reopen always lands on a prefix of the
-    ///    commit history.
-    /// 3. **Cut the WAL** — only after every partition committed: the
-    ///    records appended since the mark (the fuzzy tail) are carried
-    ///    into a fresh log, which atomically renames over the old one.
-    ///
-    /// Convergence: an operation between the mark and its partition's
-    /// flush is captured twice (flushed image *and* retained tail) and
-    /// replays idempotently — record pointers are never reused and logged
-    /// operations are last-writer-wins per key, applied in log order. An
-    /// operation after its partition's flush lives in the retained tail
-    /// only. An operation before the mark is in every flushed image (the
-    /// tree update happens under the same partition write lock as its WAL
-    /// append, and the flush queues behind that lock).
-    ///
-    /// Crash safety: the old WAL stands until the rename + directory
-    /// fsync; a crash anywhere earlier recovers from the old log over the
-    /// (possibly partially newer) images, which converges as above.
-    ///
-    /// Whole checkpoints are serialised against each other.
+    /// 1. **Start a segment** `wal-<n+1>.sks` at the mark, unless nothing
+    ///    was logged since the current one began. The current segment is
+    ///    fsynced before the new one's sentinel is written, so a reopen
+    ///    always lands on a prefix of the commit history.
+    /// 2. **Commit partitions**, *in parallel*, each under its write lock:
+    ///    the bounded compaction passes, then, unless it has no dirty page
+    ///    and nothing was logged since its last commit, the log made
+    ///    durable (one fsync the partitions share) and its pages committed
+    ///    with its *covered number*, the log's last sequence number. Every
+    ///    commit logs and applies under its partitions' write locks, so
+    ///    the pages hold exactly the partition's logged writes up to that
+    ///    number, and a reopen replays only those past it.
+    /// 3. **Remove the retired segments**, which every partition now
+    ///    covers, once the current one is durable. One that a crash brings
+    ///    back replays nothing, so this needs no directory fsync.
     pub fn checkpoint(&self) -> Result<(), EngineError> {
         self.checkpoint_with_hook(|| {})
     }
 
     /// [`SksDb::checkpoint`] with a test hook invoked mid-checkpoint —
-    /// after the epoch mark, while the partition flushes are in flight,
+    /// after the segment switch, while the partition commits are in flight,
     /// with no partition lock held by the calling thread. Concurrency
     /// tests use it to *require* reader/writer progress before the
     /// checkpoint may complete.
@@ -1088,44 +1116,56 @@ impl SksDb {
     }
 
     fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
-        let _serial = self.checkpoint_serial.lock().expect("checkpoint serial");
+        let mut segments = self.segments.lock().expect("checkpoint serial");
         self.check_halted()?;
-        // Phase 1: mark the fuzzy epoch — the sequence number and byte
-        // offset where the retained tail will begin, so the cut scans
-        // O(tail) instead of re-reading the whole log.
-        let (mark_seq, mark_offset, log) = {
+        // Phase 1: start a segment. It is created before the WAL lock is
+        // taken, so writers wait only for the retiring segment's fsync and
+        // the sentinel's write.
+        let cut_timer = self.counters.obs().start();
+        let logged = {
             let wal = self.wal.lock().expect("wal lock");
-            (wal.next_seq(), wal.len_bytes(), wal.sync_point())
+            wal.next_seq() > wal.base() + 1
         };
+        if logged {
+            let n = segments.last().expect("the current segment") + 1;
+            let mut next = create_segment(&self.dir, n, &self.config, self.counters.clone())?;
+            let mut wal = self.wal.lock().expect("wal lock");
+            wal.flush()?;
+            next.start_at(wal.next_seq())?;
+            *wal = next;
+            segments.push(n);
+        }
+        self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
 
-        // Phase 2. Each partition first makes the log durable through
-        // every commit it has applied (WAL before data; the partitions
-        // share one fsync), then runs its bounded record-store compaction
-        // pass and the node-device sliding pass, all under the write lock
-        // (crash-safe because nothing reaches the medium until the
-        // journaled page-store checkpoint commits). The truncated
-        // devices physically shrink at the flush. These per-partition
-        // threads are the only ones the engine starts, and the scope joins
-        // every one of them on every exit.
+        // Phase 2, under each partition's write lock: nothing compaction
+        // moves reaches the medium before the journaled commit, and the
+        // log is durable before the pages (WAL before data). These
+        // per-partition threads are the only ones the engine starts, and
+        // the scope joins every one of them on every exit.
         let flush_timer = self.counters.obs().start();
         let compacted = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .partitions
                 .iter()
                 .map(|p| {
-                    let log = &log;
                     s.spawn(move || -> Result<CompactionReport, EngineError> {
                         let mut guard = p.write().expect("partition lock");
                         // A halted engine's trees may hold half a logged
                         // commit: never flush that to the page stores.
                         self.check_halted()?;
-                        log.sync_written()?;
                         // Floored: checkpoint maintenance only rewrites
                         // blocks churn has made worth reclaiming.
                         let mut report =
                             guard.compact_step_floored(COMPACTION_BUDGET, COMPACTION_FLOOR_PCT)?;
                         report.absorb(guard.compact_nodes(COMPACTION_BUDGET)?);
-                        guard.flush()?;
+                        let (covered, log) = {
+                            let wal = self.wal.lock().expect("wal lock");
+                            (wal.next_seq() - 1, wal.sync_point())
+                        };
+                        if guard.dirty_pages() > 0 || guard.tree().covered() != covered {
+                            log.sync_written()?;
+                            guard.flush_covering(covered)?;
+                        }
                         Ok(report)
                     })
                 })
@@ -1145,39 +1185,17 @@ impl SksDb {
             .obs()
             .note(EventKind::CheckpointPhase, NO_PARTITION, 2, 0, 0);
 
-        // Phase 3: cut the log, carrying the fuzzy tail. The fresh log is
-        // created (header write + fsync) before the WAL lock is taken, so
-        // writers are blocked only for the re-append + rename. A `.tmp`
-        // left by a failed checkpoint is overwritten here. Detached
-        // counters: the rewrite is not client traffic and must not inflate
-        // wal_appends/wal_bytes.
+        // Phase 3: the current segment's sentinel is durable before the
+        // segments before it go, so the log never reopens without it.
         let cut_timer = self.counters.obs().start();
-        let tmp_path = self.wal_path.with_extension("tmp");
-        let mut fresh = create_wal(&tmp_path, &self.config, OpCounters::new())?;
-        let mut wal = self.wal.lock().expect("wal lock");
-        // Every tail frame is re-sealed as one frame: the frame boundary
-        // *is* the atomicity guarantee a reopen relies on, so no commit
-        // unit (a transaction least of all) is split or merged by the
-        // rewrite. A failed scan returns here, before the rename, and the
-        // old log stands.
-        for group in wal.records_since(mark_seq, mark_offset)? {
-            fresh.append_group(group.iter().map(WalOp::entry))?;
+        if segments.len() > 1 {
+            let log = self.wal.lock().expect("wal lock").sync_point();
+            log.sync_written()?;
+            while segments.len() > 1 {
+                std::fs::remove_file(segment_path(&self.dir, segments[0]))?;
+                segments.remove(0);
+            }
         }
-        fresh.flush()?;
-        std::fs::rename(&tmp_path, &self.wal_path)?;
-        // fsync the directory: without it the rename itself is not
-        // durable, and a power failure could revert to the old log even
-        // though later commits fsynced the new inode's data.
-        sync_dir(self.wal_path.parent().expect("wal lives in the db dir"))?;
-        // Every frame the old log wrote is now durable: in the page
-        // stores or in the fresh log. A commit still waiting on one
-        // returns without an fsync.
-        log.cover_written();
-        // The fresh Wal's file handle survives the rename (same inode);
-        // from here on it carries client traffic, so it re-adopts the
-        // engine's shared counters.
-        fresh.adopt_counters(self.counters.clone());
-        *wal = fresh;
         self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
         Ok(())
     }
@@ -1238,11 +1256,11 @@ impl SksDb {
             .collect()
     }
 
-    /// Flushes the WAL and then every partition's pages to stable
-    /// storage without truncating the log — a graceful-shutdown helper
-    /// (the next open still tail-replays, but the page stores are
-    /// current). The log goes first, so no page reaches its store ahead
-    /// of the commits it holds.
+    /// Flushes the WAL and then every partition's pages, each covering
+    /// the whole log, to stable storage without starting a segment — a
+    /// graceful-shutdown helper: the next open replays nothing. The log
+    /// goes first, so no page reaches its store ahead of the commits it
+    /// holds.
     pub fn flush_pages(&self) -> Result<(), EngineError> {
         let mut guards: Vec<_> = self
             .partitions
@@ -1250,53 +1268,40 @@ impl SksDb {
             .map(|p| p.write().expect("partition lock"))
             .collect();
         self.check_halted()?;
-        self.wal.lock().expect("wal lock").flush()?;
+        let covered = {
+            let mut wal = self.wal.lock().expect("wal lock");
+            wal.flush()?;
+            wal.next_seq() - 1
+        };
         for guard in &mut guards {
-            guard.flush()?;
+            guard.flush_covering(covered)?;
         }
         Ok(())
     }
 }
 
-/// Creates one of the engine's logs at `path`: on the plain
-/// [`LogFile`], or on the same file behind a [`FailStore`] when the
-/// config carries a fault plan — so the plan covers every engine WAL,
-/// including the fresh log each checkpoint cuts to.
-fn create_wal(
-    path: &Path,
+/// An engine log file, behind a [`FailStore`] sharing the config's
+/// fault plan when it carries one.
+fn log_device(file: LogFile, config: &EngineConfig) -> Device {
+    match &config.wal_fault {
+        None => Box::new(file),
+        Some(plan) => Box::new(FailStore::with_plan(file, plan.clone())),
+    }
+}
+
+/// Creates segment `n` in `db_dir` ([`Wal::create_segment`]), its
+/// directory entry made durable.
+fn create_segment(
+    db_dir: &Path,
+    n: u64,
     config: &EngineConfig,
     counters: OpCounters,
 ) -> Result<Wal, EngineError> {
-    let file = LogFile::create(path, counters.clone())?;
-    let (key, sync) = (config.wal_key(), config.sync);
-    match &config.wal_fault {
-        None => Wal::create_on_device(file, WAL_PIECE, key, sync, counters),
-        Some(plan) => {
-            let file = FailStore::with_plan(file, plan.clone());
-            Wal::create_on_device(file, WAL_PIECE, key, sync, counters)
-        }
-    }
-}
-
-/// [`create_wal`]'s counterpart for an existing log.
-fn open_wal(
-    path: &Path,
-    config: &EngineConfig,
-    counters: OpCounters,
-) -> Result<(Wal, WalReplay), EngineError> {
-    let file = LogFile::open(path, counters.clone())?;
-    match &config.wal_fault {
-        None => Wal::open_on_device(file, config.wal_key(), config.sync, counters),
-        Some(plan) => {
-            let file = FailStore::with_plan(file, plan.clone());
-            Wal::open_on_device(file, config.wal_key(), config.sync, counters)
-        }
-    }
-}
-
-/// Makes directory-entry mutations (create, rename) durable.
-fn sync_dir(dir: &Path) -> Result<(), EngineError> {
-    Ok(sks_storage::sync_dir(dir)?)
+    let file = LogFile::create(segment_path(db_dir, n), counters.clone())?;
+    let (disk, key) = (log_device(file, config), config.wal_key());
+    let wal = Wal::create_segment(disk, WAL_PIECE, key, config.sync, counters)?;
+    sks_storage::sync_dir(db_dir)?;
+    Ok(wal)
 }
 
 impl std::fmt::Debug for SksDb {
@@ -1304,7 +1309,7 @@ impl std::fmt::Debug for SksDb {
         f.debug_struct("SksDb")
             .field("partitions", &self.partitions.len())
             .field("scheme", &self.config.scheme.scheme)
-            .field("wal_path", &self.wal_path)
+            .field("dir", &self.dir)
             .finish()
     }
 }

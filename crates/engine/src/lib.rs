@@ -18,7 +18,7 @@
 //!   [`sks_storage::SyncPolicy`], and torn-tail detection and cutting.
 //! * [`recovery`] — replay of the log into the partitions on open, with a
 //!   [`RecoveryReport`] describing what was found and which
-//!   [`RecoveryPath`] was taken (tail-only replay over checkpointed
+//!   [`RecoveryPath`] was taken (exact replay over checkpointed
 //!   stores).
 //! * [`txn`] — [`Txn`]: explicit multi-key transactions with snapshot
 //!   reads (never blocking writers) and atomic cross-partition commits —
@@ -30,8 +30,9 @@
 //! Every partition keeps its enciphered node/record pages on disk under
 //! the database directory, behind a no-steal buffer pool of
 //! [`sks_core::StorageBackend::DEFAULT_POOL_PAGES`] frames per store: a
-//! checkpoint flushes the pages and truncates the log, and a restart
-//! replays only the tail since. The engine reads nothing from
+//! checkpoint commits each partition's pages with the log position they
+//! cover and removes the log segments every partition covers, and a
+//! restart replays exactly the writes past it. The engine reads nothing from
 //! [`sks_core::StorageBackend`]; that choice, `Memory` (the paper's
 //! simulated device) included, belongs to the single-tree API.
 //!

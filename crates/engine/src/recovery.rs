@@ -1,18 +1,18 @@
 //! Crash recovery: replaying a WAL into the partitioned tree on open.
 //!
 //! The checkpointed tree pages are already on disk: the persisted
-//! partitions are opened and only the WAL *tail* (writes since the last
-//! checkpoint) is replayed — [`RecoveryPath::TailReplay`], an O(tail)
-//! restart. Records go through the same router/partition path a live
-//! write takes, so the recovered state is bit-for-bit the state a
-//! non-crashed process would hold.
+//! partitions are opened and each is replayed only the logged operations
+//! its pages lack ([`RecoveryPath::TailReplay`]), an O(tail) restart.
+//! Records go through the same router/partition path a live write takes,
+//! so the recovered state is bit-for-bit the state a non-crashed process
+//! would hold.
 //!
-//! Tail replay is sound against a checkpoint that was interrupted
-//! half-way: re-applying a log whose effects are partially present
-//! converges, because record pointers are never reused (the data store
-//! only ever appends) and every logged operation has last-writer-wins
-//! semantics on its key.
-
+//! Replay is exact. A partition's checkpoint records its *covered
+//! number*, the log's last sequence number read under its write lock, and
+//! a commit logs and applies under the write locks of every partition it
+//! writes: the pages hold exactly the partition's operations up to that
+//! number, and replay applies those past it. So nothing applies twice, and
+//! a multi-partition frame replays all-or-nothing in every partition.
 use std::collections::BTreeMap;
 use std::fmt::Display;
 
@@ -34,7 +34,7 @@ pub enum RecoveryPath {
     /// log was replayed into them.
     FullReplay,
     /// Persisted partitions were opened from their checkpointed pages and
-    /// only the log tail was replayed.
+    /// each was replayed only the logged writes past its covered number.
     TailReplay,
 }
 
@@ -43,14 +43,16 @@ pub enum RecoveryPath {
 pub struct RecoveryReport {
     /// Which path recovery took (see [`RecoveryPath`]).
     pub path: RecoveryPath,
-    /// Intact records replayed into the tree (every one the log held:
-    /// a record that does not replay fails the open).
+    /// Records replayed into the trees: exactly those past their
+    /// partition's covered number. A record that does not replay fails
+    /// the open.
     pub records_replayed: u64,
     /// Whether the log ended in an interrupted write.
     pub torn_tail: bool,
     /// Bytes discarded past the last intact record.
     pub bytes_discarded: u64,
-    /// Highest sequence number recovered (0 when the log was empty).
+    /// Sequence number of the last record the log holds, replayed or
+    /// covered (0 when it holds none).
     pub last_seq: u64,
     /// The flight-recorder timeline captured at the end of recovery:
     /// `RecoveryStart`, any `TornTailScrub` the log open performed (its
@@ -71,7 +73,8 @@ impl RecoveryReport {
     }
 }
 
-/// Applies replayed records to the partitions. Takes the replay by value
+/// Applies to each partition `p` the replayed records past `covered[p]`,
+/// the log position its pages cover. Takes the replay by value
 /// so record payloads move into the trees instead of being cloned (the
 /// WAL holds the whole dataset between checkpoints; cloning would double
 /// peak memory at open).
@@ -79,8 +82,8 @@ impl RecoveryReport {
 /// Fails closed: a logged record this configuration cannot route or
 /// apply — a key outside the domain, a value longer than the record
 /// slots hold — was acknowledged, so the open is refused rather than the
-/// record dropped (the next checkpoint would cut it out of the log for
-/// good). The error names the record's seq and
+/// record dropped (the next checkpoint would cover it and retire its
+/// segment). The error names the record's seq and
 /// partition, never its key or value.
 ///
 /// Records route to their partitions first — partitions are independent
@@ -89,11 +92,12 @@ impl RecoveryReport {
 /// pristine partition takes the batched path: the run folds into its
 /// final image (last writer wins, deletes erase) and the tree builds
 /// bottom-up through `bulk_load`, paying batch seal cost instead of one
-/// sealed mutation per record. A partition that already holds data (a
-/// tail replay) keeps the exact per-record path.
+/// sealed mutation per record. A partition that already holds data keeps
+/// the per-record path.
 pub(crate) fn apply_replay(
     partitions: &mut [EncipheredBTree],
     router: &Router,
+    covered: &[u64],
     replay: WalReplay,
 ) -> Result<RecoveryReport, EngineError> {
     let mut report = RecoveryReport {
@@ -118,7 +122,9 @@ pub(crate) fn apply_replay(
             let why = format!("its {len}-byte value exceeds the {max_len}-byte record limit");
             return Err(unreplayable(record.seq, p, &why));
         }
-        groups[p].push(record);
+        if record.seq > covered[p] {
+            groups[p].push(record);
+        }
     }
     for (p, mut run) in groups.into_iter().enumerate() {
         let tree = &mut partitions[p];

@@ -33,7 +33,7 @@
 //! (all-or-nothing under torn-tail recovery), and no page reaches its
 //! store before the log is durable through every commit applied to it, so
 //! no crash can persist half of a transaction through a fuzzy
-//! checkpoint's page flush. A commit spanning ≥ 2 partitions is durable
+//! checkpoint's page commit. A commit spanning ≥ 2 partitions is durable
 //! before it is acknowledged under every policy: it applies under its
 //! locks, releases them, and only then waits for its frame's fsync, which
 //! it shares with every frame already written (group commit);

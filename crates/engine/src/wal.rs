@@ -14,14 +14,13 @@
 //! ciphertext`. A frame is a *group* of `count` records holding the
 //! consecutive sequence numbers `first_seq..first_seq + count`. Every frame
 //! replays all-or-nothing — one CRC covers the whole group — which is the
-//! atomicity a transaction needs and the reason a checkpoint cut can
-//! carry the log tail over by re-sealing it frame for frame.
+//! atomicity a transaction needs.
 //!
 //! The append surface is one call: [`Wal::append_group`] seals borrowed
 //! `(key, Some(value) | None)` ops as one frame and writes it, and a
-//! [`Wal::commit`] after it fsyncs as the policy says. Every engine commit (a single write is a
-//! group of one), every `bulk_load` partition group and every frame a
-//! checkpoint cut carries over goes through it. The staged
+//! [`Wal::commit`] after it fsyncs as the policy says. Every engine commit
+//! (a single write is a group of one) and every `bulk_load` partition
+//! group goes through it. The staged
 //! [`Wal::append_insert`] / [`Wal::append_delete`] path, which buffers
 //! records until the next commit seals them as one group, is kept only
 //! because the frozen benchmark's layer timings call it; the engine never
@@ -30,8 +29,8 @@
 //! The body — operations, search keys and record values — is sealed with
 //! an independent stream cipher (Speck64-CTR keyed from the engine's WAL
 //! key, fresh random per-frame nonce stored in the clear so no two frames
-//! ever share keystream, even across checkpoint rewrites or torn-tail
-//! rewrites). The log is the database's only durable representation, so
+//! ever share keystream, even where an open rewrites a cut torn tail).
+//! The log is the database's only durable representation, so
 //! leaving it plaintext would hand the paper's opponent everything the
 //! disguised tree withholds; sealing it keeps the §5 discipline that
 //! stored key material is never readable off the medium. A group is sealed
@@ -44,12 +43,14 @@
 //! records wait in a plaintext buffer that is wiped as soon as they are
 //! sealed.
 //!
-//! Frame `seq 1` is a *key-check sentinel*: a group of one `OP_KEYCHECK`
-//! record sealing a constant, written at creation. Opening with the wrong
-//! key (or a log in another frame format) fails the sentinel check, and a
-//! file in another container fails the header check before it; either
-//! fails closed with a configuration error and never touches the file, so
-//! a mistyped key cannot destroy a log it cannot read.
+//! A file's first frame is a *key-check sentinel*: a group of one
+//! `OP_KEYCHECK` record sealing a constant, whose seq is the file's
+//! *base* — 1 for a [`Wal::create`]d log, and where the log had got to
+//! for a *segment*, a file the engine's log goes on in. Opening with the
+//! wrong key (or a log in another frame format) fails the sentinel check,
+//! and a file in another container fails the header check before it;
+//! either fails closed with a configuration error and never touches the
+//! file, so a mistyped key cannot destroy a log it cannot read.
 //!
 //! Replay accepts frames while the tag, CRC, the strictly-increasing
 //! sequence number and the sealed body's grammar all hold, and treats the
@@ -93,8 +94,8 @@ use sks_crypto::modes::{ctr_xor, ctr_xor_in_place};
 use sks_crypto::speck::Speck64;
 pub use sks_storage::WalDevice;
 use sks_storage::{
-    crc32, crc32_fold, wipe, EventKind, LogFile, OpCounters, Stage, StorageError, SyncHandle,
-    SyncPolicy, CRC32_INIT, NO_PARTITION,
+    crc32, crc32_fold, wipe, EventKind, LogFile, OpCounters, Stage, SyncHandle, SyncPolicy,
+    CRC32_INIT, NO_PARTITION,
 };
 
 use crate::error::EngineError;
@@ -102,7 +103,7 @@ use crate::error::EngineError;
 /// The one device type a [`Wal`] runs on: a [`LogFile`], or one behind a
 /// [`sks_storage::FailStore`] so crash probes can tear a write or kill an
 /// fsync.
-type Device = Box<dyn WalDevice + Send>;
+pub(crate) type Device = Box<dyn WalDevice + Send>;
 
 /// How far a log is written and how far it is durable, in sequence
 /// numbers; see [`SyncPoint`].
@@ -122,14 +123,14 @@ struct SyncState {
     /// An fsync failed: what the file holds past `synced` is unknowable.
     failed: bool,
     /// Where fsyncs are counted (`wal_fsyncs`) and timed
-    /// ([`Stage::WalFsync`]); re-pointed with the log's own counters.
+    /// ([`Stage::WalFsync`]).
     counters: OpCounters,
 }
 
 /// A log's one durability point, shared by its [`Wal`] handle and every
-/// [`SyncTicket`] it hands out. Every fsync of the log but the open-time
-/// torn-tail cut's goes through [`SyncPoint::sync_through`], which is
-/// group commit: a caller whose
+/// [`SyncTicket`] it hands out. Every fsync of the log but a new file's
+/// header's and the open-time torn-tail cut's goes through
+/// [`SyncPoint::sync_through`], which is group commit: a caller whose
 /// frame an earlier fsync covered returns at once, one that finds an
 /// fsync in flight waits it out, and otherwise the caller leads — it
 /// fsyncs through a second handle to the log file, outside both this
@@ -176,10 +177,6 @@ impl SyncPoint {
 
     fn failed(&self) -> bool {
         self.state().failed
-    }
-
-    fn set_counters(&self, counters: OpCounters) {
-        self.state().counters = counters;
     }
 
     /// Makes the log durable through `seq`, which must already be
@@ -232,19 +229,6 @@ impl SyncPoint {
     pub(crate) fn sync_written(&self) -> Result<(), EngineError> {
         let written = self.state().written;
         self.sync_through(written)
-    }
-
-    /// Counts every written frame as durable without an fsync: the
-    /// checkpoint cut calls it on the log it retires, once the fresh log
-    /// holding the retained tail is durable and renamed into place, so a
-    /// wait that straddles the cut returns without syncing a file that is
-    /// no longer the log.
-    pub(crate) fn cover_written(&self) {
-        let mut state = self.state();
-        state.synced = state.synced.max(state.written);
-        state.commits_synced = state.commits;
-        drop(state);
-        self.done.notify_all();
     }
 }
 
@@ -300,17 +284,6 @@ const KEYCHECK_MAGIC: &[u8; 16] = b"SKSWAL-KEYCHECK1";
 pub enum WalOp {
     Insert { key: u64, value: Vec<u8> },
     Delete { key: u64 },
-}
-
-impl WalOp {
-    /// The op as [`Wal::append_group`] takes it: `(key, Some(value))` for
-    /// an insert, `(key, None)` for a delete.
-    pub(crate) fn entry(&self) -> (u64, Option<&[u8]>) {
-        match self {
-            WalOp::Insert { key, value } => (*key, Some(value)),
-            WalOp::Delete { key } => (*key, None),
-        }
-    }
 }
 
 /// One recovered record.
@@ -383,6 +356,8 @@ pub struct Wal {
     end: u64,
     /// The file's length, kept ahead of `end` (see [`Wal::reserve`]).
     file_len: u64,
+    /// The sentinel's sequence number (see the module docs).
+    base: u64,
     next_seq: u64,
     nonce_state: u64,
     policy: SyncPolicy,
@@ -439,21 +414,42 @@ impl Wal {
         policy: SyncPolicy,
         counters: OpCounters,
     ) -> Result<Self, EngineError> {
+        let mut wal = Wal::create_segment(Box::new(disk), block_size, wal_key, policy, counters)?;
+        wal.start_at(1)?;
+        wal.flush()?;
+        Ok(wal)
+    }
+
+    /// A log file holding only its header, made durable: a segment, whose
+    /// sentinel [`Wal::start_at`] writes once its base is known.
+    pub(crate) fn create_segment(
+        mut disk: Device,
+        block_size: usize,
+        wal_key: u128,
+        policy: SyncPolicy,
+        counters: OpCounters,
+    ) -> Result<Self, EngineError> {
         let piece_len = block_size.next_multiple_of(8);
         if !PIECE_RANGE.contains(&piece_len) {
             return Err(EngineError::Config(format!(
                 "wal piece of {block_size} bytes is outside {PIECE_RANGE:?}"
             )));
         }
-        let mut disk: Device = Box::new(disk);
         let mut header = [0u8; FILE_HEADER as usize];
         header[..8].copy_from_slice(LOG_MAGIC);
         header[8..].copy_from_slice(&(piece_len as u32).to_be_bytes());
         disk.write_at(&header, 0)?;
-        let cipher = Speck64::from_u128(wal_key);
-        let mut wal = Wal::positioned(disk, piece_len, cipher, policy, counters, FILE_HEADER, 1)?;
-        wal.append_keycheck()?;
-        Ok(wal)
+        disk.sync_handle()?.sync()?;
+        let scan = Scan {
+            disk,
+            cipher: Speck64::from_u128(wal_key),
+            piece_len,
+            end: FILE_HEADER,
+            base: None,
+            next_seq: 1,
+            replay: WalReplay::default(),
+        };
+        Wal::positioned(scan, policy, counters)
     }
 
     /// [`Wal::open`] over an already-constructed device.
@@ -463,83 +459,126 @@ impl Wal {
         policy: SyncPolicy,
         counters: OpCounters,
     ) -> Result<(Self, WalReplay), EngineError> {
-        let disk: Device = Box::new(disk);
+        let scan = Wal::scan(Box::new(disk), wal_key)?.ok_or_else(container_mismatch)?;
+        counters.bump_by(|c| &c.wal_replayed, scan.replay.records.len() as u64);
+        Wal::resume(scan, policy, counters)
+    }
+
+    /// Reads a log file to the end of its valid frames without writing to
+    /// it. `None` for a file shorter than its header: a segment whose
+    /// creation was cut short. Fails closed on a file in another container
+    /// or under another key.
+    pub(crate) fn scan(disk: Device, wal_key: u128) -> Result<Option<Scan>, EngineError> {
+        if disk.file_len()? < FILE_HEADER {
+            return Ok(None);
+        }
         let cipher = Speck64::from_u128(wal_key);
         let piece_len = read_file_header(&*disk)?;
-
         // Stream the file a chunk at a time: frames are parsed (and their
         // sealed bodies decrypted) incrementally, so peak memory is the
         // recovered records plus one compaction window — not a second
         // whole-log ciphertext copy.
         let mut replay = WalReplay::default();
-        let mut reader = FrameReader::new(&*disk, &cipher, piece_len, 1, FILE_HEADER)?;
+        let mut reader = FrameReader::new(&*disk, &cipher, piece_len)?;
         while let Some(mut records) = reader.next_frame()? {
             replay.records.append(&mut records);
         }
-        let (pos, next_seq) = (reader.pos(), reader.expected_seq);
+        let (end, base, next_seq) = (reader.pos(), reader.base, reader.expected_seq);
         let real_end = reader.real_end()?;
-        replay.torn_tail = real_end > pos;
-        replay.bytes_discarded = real_end.saturating_sub(pos);
-        counters.bump_by(|c| &c.wal_replayed, replay.records.len() as u64);
+        replay.torn_tail = real_end > end;
+        replay.bytes_discarded = real_end.saturating_sub(end);
+        Ok(Some(Scan {
+            disk,
+            cipher,
+            piece_len,
+            end,
+            base,
+            next_seq,
+            replay,
+        }))
+    }
 
-        let mut wal = Wal::positioned(disk, piece_len, cipher, policy, counters, pos, next_seq)?;
+    /// Positions a scanned log for appends: cuts any torn tail off,
+    /// durably, so no later replay can resurrect it, and gives a file
+    /// with no sentinel one at seq 1. Returns what the scan replayed.
+    pub(crate) fn resume(
+        mut scan: Scan,
+        policy: SyncPolicy,
+        counters: OpCounters,
+    ) -> Result<(Self, WalReplay), EngineError> {
+        let replay = std::mem::take(&mut scan.replay);
+        let unstarted = scan.base.is_none();
+        let mut wal = Wal::positioned(scan, policy, counters)?;
         if replay.torn_tail {
-            // Cut the stale bytes off, durably, so no later replay can
-            // resurrect them; the next append grows the file again.
-            wal.disk.set_len(pos)?;
-            wal.file_len = pos;
+            // The next append grows the file again.
+            wal.disk.set_len(wal.end)?;
+            wal.file_len = wal.end;
             wal.point.handle.sync()?;
             // Flight-recorder breadcrumb: where the valid stream ended and
             // how many trailing bytes recovery threw away.
             wal.counters.obs().note(
                 EventKind::TornTailScrub,
                 NO_PARTITION,
-                pos - FILE_HEADER,
+                wal.end - FILE_HEADER,
                 replay.bytes_discarded,
                 0,
             );
         }
-        if next_seq == 1 {
+        if unstarted {
             // Only reachable when the log start itself was destroyed (or
             // creation died between the header and the sentinel): restore
             // the sentinel so the wrong-key guard holds for the next open.
-            debug_assert_eq!(
-                pos, FILE_HEADER,
-                "keycheck can only be missing at stream start"
-            );
-            wal.append_keycheck()?;
+            debug_assert_eq!(wal.end, FILE_HEADER, "no sentinel, no frames");
+            wal.start_at(1)?;
+            wal.flush()?;
         }
         Ok((wal, replay))
     }
 
-    /// A handle whose next frame lands at file offset `end` with sequence
-    /// number `next_seq`. Nothing already in the file counts as durable
-    /// until its first fsync.
+    /// A handle whose next frame lands where the scan ended. Nothing
+    /// already in the file counts as durable until its first fsync.
     fn positioned(
-        disk: Device,
-        piece_len: usize,
-        cipher: Speck64,
+        scan: Scan,
         policy: SyncPolicy,
         counters: OpCounters,
-        end: u64,
-        next_seq: u64,
     ) -> Result<Self, EngineError> {
-        let point = SyncPoint::new(disk.sync_handle()?, next_seq - 1, counters.clone());
+        let point = SyncPoint::new(
+            scan.disk.sync_handle()?,
+            scan.next_seq - 1,
+            counters.clone(),
+        );
         Ok(Wal {
-            file_len: disk.file_len()?,
-            disk,
+            file_len: scan.disk.file_len()?,
+            disk: scan.disk,
             point: Arc::new(point),
-            piece_len,
-            end,
-            next_seq,
+            piece_len: scan.piece_len,
+            end: scan.end,
+            base: scan.base.unwrap_or(0),
+            next_seq: scan.next_seq,
             nonce_state: nonce_seed(),
             policy,
             piece: Vec::new(),
             poisoned: false,
-            cipher,
+            cipher: scan.cipher,
             counters,
             staged: Vec::new(),
         })
+    }
+
+    /// Writes the key-check sentinel at `base`, the first sequence number
+    /// of a file created empty, without an fsync: a segment's sentinel is
+    /// made durable by the first fsync of the segment.
+    pub(crate) fn start_at(&mut self, base: u64) -> Result<(), EngineError> {
+        debug_assert_eq!(self.end, FILE_HEADER, "the sentinel opens the stream");
+        self.write_frame(base, [(OP_KEYCHECK, 0, &KEYCHECK_MAGIC[..])].into_iter())?;
+        (self.base, self.next_seq) = (base, base + 1);
+        self.point.wrote_through(base, 0);
+        Ok(())
+    }
+
+    /// The sequence number of the file's sentinel.
+    pub(crate) fn base(&self) -> u64 {
+        self.base
     }
 
     /// Sequence number the next append will get.
@@ -574,69 +613,12 @@ impl Wal {
     #[doc(hidden)]
     pub fn set_seal_batch(&mut self, _on: bool) {}
 
-    /// Re-points counter accounting at a different shared set (used by
-    /// checkpointing, which writes its snapshot against detached counters
-    /// so internal rewrites don't masquerade as client traffic, then
-    /// adopts the engine's counters for subsequent appends).
-    pub(crate) fn adopt_counters(&mut self, counters: OpCounters) {
-        self.disk.set_counters(counters.clone());
-        self.point.set_counters(counters.clone());
-        self.counters = counters;
-    }
-
     pub fn append_insert(&mut self, key: u64, value: &[u8]) -> Result<u64, EngineError> {
         self.append(OP_INSERT, key, value)
     }
 
     pub fn append_delete(&mut self, key: u64) -> Result<u64, EngineError> {
         self.append(OP_DELETE, key, &[])
-    }
-
-    /// Re-reads the log from byte `from_offset` — which must be the
-    /// frame boundary where record `from_seq` begins (a fuzzy
-    /// checkpoint's epoch mark, captured as `(next_seq, len_bytes)`
-    /// under the log lock) — and returns every client record from it
-    /// onward, in order, one `Vec` per frame: the *tail* the checkpoint
-    /// carries into the fresh log it cuts over to, re-sealing each group
-    /// as one frame so no commit unit is ever split by the rewrite. The
-    /// scan is O(tail), not O(log); anything still staged is sealed and
-    /// written first so the scan sees everything appended so far. Reads
-    /// run against detached counters: checkpoint bookkeeping is not client
-    /// traffic.
-    ///
-    /// Fails closed: the scan must account for every sequence number in
-    /// `from_seq..next_seq`. If the device no longer holds what this
-    /// handle appended (rot, or a rewrite behind its back) the caller
-    /// gets an error *before* it can rename a fresh log over records it
-    /// acknowledged.
-    pub(crate) fn records_since(
-        &mut self,
-        from_seq: u64,
-        from_offset: u64,
-    ) -> Result<Vec<Vec<WalOp>>, EngineError> {
-        self.check_poison()?;
-        self.write_out(0)?;
-        self.disk.set_counters(OpCounters::new());
-        let mut groups = Vec::new();
-        let from = FILE_HEADER + from_offset;
-        let scanned = FrameReader::new(&*self.disk, &self.cipher, self.piece_len, from_seq, from)
-            .and_then(|mut reader| {
-                while let Some(records) = reader.next_frame()? {
-                    groups.push(records.into_iter().map(|r| r.op).collect());
-                }
-                Ok(reader.expected_seq)
-            });
-        self.disk.set_counters(self.counters.clone());
-        let scanned = scanned?;
-        if scanned != self.next_seq {
-            return Err(StorageError::Corrupt(format!(
-                "wal tail scan stopped at seq {scanned} of {}: the log device no longer \
-                 holds what was appended",
-                self.next_seq
-            ))
-            .into());
-        }
-        Ok(groups)
     }
 
     /// Appends `ops` — `(key, Some(value))` inserts or overwrites,
@@ -674,15 +656,6 @@ impl Wal {
             self.counters.obs().stage(Stage::SealBatch, timer);
         }
         Ok(first_seq)
-    }
-
-    /// Writes and fsyncs the key-check sentinel (not client traffic: no
-    /// append counters).
-    fn append_keycheck(&mut self) -> Result<(), EngineError> {
-        debug_assert_eq!(self.next_seq, 1);
-        self.write_frame(1, [(OP_KEYCHECK, 0, &KEYCHECK_MAGIC[..])].into_iter())?;
-        self.next_seq = 2;
-        self.flush()
     }
 
     /// The logical per-record charge: each record costs its own frame,
@@ -934,29 +907,46 @@ impl Wal {
     }
 }
 
+/// A log file read by [`Wal::scan`], not yet written to.
+#[derive(Debug)]
+pub(crate) struct Scan {
+    disk: Device,
+    cipher: Speck64,
+    piece_len: usize,
+    /// File offset just past the last valid frame.
+    end: u64,
+    /// The sentinel's sequence number; `None` when the file holds no
+    /// sentinel (its creation was cut short).
+    pub(crate) base: Option<u64>,
+    /// The sequence number the next frame would take.
+    pub(crate) next_seq: u64,
+    pub(crate) replay: WalReplay,
+}
+
 /// Reads a log file's header and returns its piece length, refusing —
 /// before anything is written — a file in any other container.
 fn read_file_header(disk: &dyn WalDevice) -> Result<usize, EngineError> {
     let mut header = [0u8; FILE_HEADER as usize];
-    if disk.file_len()? >= FILE_HEADER {
-        disk.read_at(&mut header, 0)?;
-    }
+    disk.read_at(&mut header, 0)?;
     let piece_len = u32::from_be_bytes(header[8..].try_into().expect("fixed width")) as usize;
     if &header[..8] != LOG_MAGIC
         || !PIECE_RANGE.contains(&piece_len)
         || !piece_len.is_multiple_of(8)
     {
-        return Err(EngineError::Config(
-            "wal container mismatch: the file does not start with this build's log header".into(),
-        ));
+        return Err(container_mismatch());
     }
     Ok(piece_len)
 }
 
-/// Streaming reader over the frame grammar, shared by replay
-/// ([`Wal::open_on_device`]) and the checkpoint tail scan
-/// ([`Wal::records_since`]): reads the file a chunk at a time into a
-/// sliding window and yields one frame's records at a time.
+fn container_mismatch() -> EngineError {
+    EngineError::Config(
+        "wal container mismatch: the file does not start with this build's log header".into(),
+    )
+}
+
+/// Streaming reader over the frame grammar ([`Wal::scan`]): reads the
+/// file a chunk at a time into a sliding window and yields one frame's
+/// records at a time.
 struct FrameReader<'a> {
     disk: &'a dyn WalDevice,
     cipher: &'a Speck64,
@@ -966,44 +956,44 @@ struct FrameReader<'a> {
     next: u64,
     len: u64,
     /// Unparsed window of the stream; `buf[start..]` is still to parse
-    /// and `buf[0]` sits at file offset `base`.
+    /// and `buf[0]` sits at file offset `window`.
     buf: Vec<u8>,
     start: usize,
-    base: u64,
+    window: u64,
     /// File offset just past the last non-zero byte read so far.
     real_end: u64,
+    /// The sentinel's sequence number, once it has been read.
+    base: Option<u64>,
     /// Sequence number the next frame must start at.
     expected_seq: u64,
 }
 
 impl<'a> FrameReader<'a> {
-    /// A reader positioned at file offset `from`, where the frame
-    /// starting with record `from_seq` must begin.
+    /// A reader at the start of the frame stream.
     fn new(
         disk: &'a dyn WalDevice,
         cipher: &'a Speck64,
         chunk: usize,
-        from_seq: u64,
-        from: u64,
     ) -> Result<Self, EngineError> {
         Ok(FrameReader {
             len: disk.file_len()?,
             disk,
             cipher,
             chunk,
-            next: from,
+            next: FILE_HEADER,
             buf: Vec::new(),
             start: 0,
-            base: from,
+            window: FILE_HEADER,
             real_end: 0,
-            expected_seq: from_seq,
+            base: None,
+            expected_seq: 1,
         })
     }
 
     /// File offset of the parse cursor: the end of the last frame
     /// accepted.
     fn pos(&self) -> u64 {
-        self.base + self.start as u64
+        self.window + self.start as u64
     }
 
     /// Appends the next chunk of the file to the window; `false` at the
@@ -1039,10 +1029,11 @@ impl<'a> FrameReader<'a> {
     /// violation — bad tag, bad CRC, sequence gap, truncated frame, or a
     /// sealed body that breaks the group grammar; the caller tells them
     /// apart by what lies past [`FrameReader::pos`]. The key-check
-    /// sentinel (seq 1) is verified and skipped here, failing with a
-    /// configuration error when a CRC-valid first frame is anything else
-    /// — the wrong key, or a log in another format. This is the only
-    /// function that parses the frame grammar.
+    /// sentinel is verified and skipped here, its sequence number taken as
+    /// the file's base whatever it is, failing with a configuration error
+    /// when a CRC-valid first frame is anything else — the wrong key, or a
+    /// log in another format. This is the only function that parses the
+    /// frame grammar.
     fn next_frame(&mut self) -> Result<Option<Vec<WalRecord>>, EngineError> {
         loop {
             let avail = &self.buf[self.start..];
@@ -1054,7 +1045,8 @@ impl<'a> FrameReader<'a> {
             if avail.len() >= HEADER_LEN {
                 let seq = u64::from_be_bytes(avail[5..13].try_into().expect("fixed width"));
                 let blen = u32::from_be_bytes(avail[21..25].try_into().expect("fixed width"));
-                if (blen as usize) < COUNT_LEN + ENTRY_HEADER || seq != self.expected_seq {
+                let placed = self.base.is_none() || seq == self.expected_seq;
+                if (blen as usize) < COUNT_LEN + ENTRY_HEADER || !placed {
                     return Ok(None);
                 }
                 need += blen as usize;
@@ -1064,7 +1056,7 @@ impl<'a> FrameReader<'a> {
                 // don't accumulate.
                 if self.start > 4 * self.chunk {
                     self.buf.drain(..self.start);
-                    self.base += self.start as u64;
+                    self.window += self.start as u64;
                     self.start = 0;
                 }
                 if !self.read_chunk()? {
@@ -1078,11 +1070,12 @@ impl<'a> FrameReader<'a> {
             }
             let nonce = u64::from_be_bytes(avail[13..21].try_into().expect("fixed width"));
             let entries = decode_group(&ctr_xor(self.cipher, nonce, &avail[HEADER_LEN..need]));
-            if self.expected_seq == 1 {
+            if self.base.is_none() {
                 // Refuse before anything destructive can happen.
+                let seq = u64::from_be_bytes(avail[5..13].try_into().expect("fixed width"));
                 let sentinel = matches!(entries.as_deref(), Some([(OP_KEYCHECK, _, magic)])
                     if magic[..] == KEYCHECK_MAGIC[..]);
-                if !sentinel {
+                if !sentinel || seq == 0 || seq == u64::MAX {
                     return Err(EngineError::Config(
                         "wal key mismatch: the log's key-check sentinel does not unseal under \
                          this tree/data key configuration and frame format"
@@ -1090,7 +1083,7 @@ impl<'a> FrameReader<'a> {
                     ));
                 }
                 self.start += need;
-                self.expected_seq = 2;
+                (self.base, self.expected_seq) = (Some(seq), seq + 1);
                 continue;
             }
             let Some(entries) = entries else {
@@ -1197,7 +1190,7 @@ fn decode_group(body: &[u8]) -> Option<Vec<(u8, u64, Vec<u8>)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sks_storage::{FailMode, FailStore};
+    use sks_storage::{FailMode, FailStore, StorageError};
 
     const KEY: u128 = 0x00AA_BB11_22CC_DD33_44EE_FF55_6677_8899;
 
@@ -1220,6 +1213,22 @@ mod tests {
             key,
             value: value.to_vec(),
         }
+    }
+
+    /// `op` as [`Wal::append_group`] takes it.
+    fn entry(op: &WalOp) -> (u64, Option<&[u8]>) {
+        match op {
+            WalOp::Insert { key, value } => (*key, Some(value)),
+            WalOp::Delete { key } => (*key, None),
+        }
+    }
+
+    /// A segment on `disk` started at `base` (see [`Wal::start_at`]).
+    fn segment(disk: impl WalDevice + Send + 'static, base: u64, policy: SyncPolicy) -> Wal {
+        let mut wal =
+            Wal::create_segment(Box::new(disk), 64, KEY, policy, OpCounters::new()).unwrap();
+        wal.start_at(base).unwrap();
+        wal
     }
 
     /// The frame builder the streamed writer replaced, kept as its
@@ -1391,10 +1400,6 @@ mod tests {
         fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
             self.inner.sync_handle()
         }
-
-        fn set_counters(&mut self, counters: OpCounters) {
-            self.inner.set_counters(counters);
-        }
     }
 
     fn taken(seen: &Arc<Mutex<Vec<Io>>>) -> Vec<Io> {
@@ -1457,7 +1462,6 @@ mod tests {
                 wal.append_insert(k, &value(k, 20)).unwrap();
             }
             wal.commit().unwrap();
-            let mark = (wal.next_seq(), wal.len_bytes());
             commit(&mut wal, 13, 300);
             let long: Vec<Vec<u8>> = (0..4).map(|k| value(k, 100)).collect();
             wal.append_group(
@@ -1467,25 +1471,20 @@ mod tests {
             )
             .unwrap();
             wal.commit().unwrap();
-            wal.append_insert(30, b"staged at the cut").unwrap();
+            wal.append_insert(30, b"staged at the switch").unwrap();
 
-            // A checkpoint cut: the tail scan writes only what was staged,
-            // and the fresh log is written once too.
-            let groups = wal.records_since(mark.0, mark.1).unwrap();
+            // A segment switch: the retiring log writes only what was
+            // staged, and the next segment is written once too.
+            wal.flush().unwrap();
             let (file, plan) =
                 FailStore::new(LogFile::create(&cut_path, OpCounters::new()).unwrap());
             let (dev, cut_seen) = Recording::new(file);
-            let mut fresh = Wal::create_on_device(dev, 64, KEY, policy, OpCounters::new()).unwrap();
-            for group in &groups {
-                fresh.append_group(group.iter().map(WalOp::entry)).unwrap();
-            }
-            fresh.flush().unwrap();
-            commit(&mut wal, 31, 5);
+            let mut fresh = segment(dev, wal.next_seq(), policy);
             drop(wal);
             assert_written_once(&[taken(&seen)]);
 
-            // The fresh log takes commits, then a frame torn at its
-            // second piece; the reopen cuts the tail and appends again.
+            // The segment takes commits, then a frame torn at its second
+            // piece; the reopen cuts the tail and appends again.
             for k in 40..45 {
                 commit(&mut fresh, k, 40);
             }
@@ -1513,10 +1512,7 @@ mod tests {
             );
             assert_written_once(&[taken(&cut_seen), reopened]);
             let (_, replay) = reopen(&cut_path);
-            assert_eq!(
-                replay.records.len(),
-                groups.iter().map(Vec::len).sum::<usize>() + 15
-            );
+            assert_eq!(replay.records.len(), 15);
             std::fs::remove_file(&path).ok();
             std::fs::remove_file(&cut_path).ok();
         }
@@ -1802,52 +1798,6 @@ mod tests {
     }
 
     #[test]
-    fn records_since_returns_the_fuzzy_tail() {
-        let path = tmpfile("records_since");
-        let mut wal = create(&path, 128);
-        for batch in 0..2u64 {
-            for i in 0..4 {
-                wal.append_insert(batch * 4 + i, b"pre").unwrap();
-            }
-            wal.commit().unwrap();
-        }
-        let (mark, mark_offset) = (wal.next_seq(), wal.len_bytes());
-        // After the mark: a committed singleton, a committed triple, and a
-        // staged (uncommitted) pair the scan must still surface — each
-        // comes back as its own group.
-        wal.append_delete(3).unwrap();
-        wal.commit().unwrap();
-        for k in 100..103u64 {
-            wal.append_insert(k, b"tail").unwrap();
-        }
-        wal.commit().unwrap();
-        wal.append_insert(200, b"staged").unwrap();
-        wal.append_delete(201).unwrap();
-        let tail = wal.records_since(mark, mark_offset).unwrap();
-        assert_eq!(
-            tail,
-            vec![
-                vec![WalOp::Delete { key: 3 }],
-                vec![ins(100, b"tail"), ins(101, b"tail"), ins(102, b"tail")],
-                vec![ins(200, b"staged"), WalOp::Delete { key: 201 }],
-            ]
-        );
-        // From the very beginning: every client record, sentinel excluded.
-        let all: usize = wal.records_since(1, 0).unwrap().iter().map(Vec::len).sum();
-        assert_eq!(all, 14);
-        // An empty tail (mark at the stream end) scans to nothing.
-        let (end_seq, end_off) = (wal.next_seq(), wal.len_bytes());
-        assert!(wal.records_since(end_seq, end_off).unwrap().is_empty());
-        // Appends still work after the scan.
-        wal.append_insert(101, b"after").unwrap();
-        wal.commit().unwrap();
-        drop(wal);
-        let (_wal, replay) = reopen(&path);
-        assert_eq!(replay.records.len(), 15);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn poisoned_wal_fail_stops() {
         let path = tmpfile("poison");
         let mut wal = create(&path, 128);
@@ -1903,14 +1853,14 @@ mod tests {
     }
 
     #[test]
-    fn txn_frame_roundtrip_and_tail_grouping() {
+    fn txn_frame_roundtrip() {
         let path = tmpfile("txn_roundtrip");
         let counters = OpCounters::new();
         let mut wal = Wal::create(&path, 128, KEY, SyncPolicy::Always, counters.clone()).unwrap();
         wal.append_insert(1, b"solo").unwrap();
         wal.commit().unwrap();
         let before = counters.snapshot();
-        let ops = vec![
+        let ops = [
             ins(10, b"txn-a"),
             WalOp::Delete { key: 1 },
             ins(11, b"txn-b"),
@@ -1918,7 +1868,7 @@ mod tests {
         // A staged record ahead of the txn is sealed first, as its own
         // frame, so the transaction is a group of exactly its own ops.
         wal.append_insert(2, b"ahead").unwrap();
-        let first = wal.append_group(ops.iter().map(WalOp::entry)).unwrap();
+        let first = wal.append_group(ops.iter().map(entry)).unwrap();
         wal.commit().unwrap();
         let delta = counters.snapshot().delta(&before);
         // Per-record logical charge, as if appended individually.
@@ -1933,12 +1883,6 @@ mod tests {
         assert_eq!(delta.wal_sealed_batches, 1);
         // The frame consumed three consecutive seqs.
         assert_eq!(wal.next_seq(), first + 3);
-
-        // The checkpoint tail scan returns the txn as ONE group, which
-        // the cut re-seals as one frame.
-        let groups = wal.records_since(1, 0).unwrap();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[2], ops);
         drop(wal);
 
         // Replay recovers every record of the frame, in order.
@@ -1979,8 +1923,9 @@ mod tests {
                 }
             }
             wal.commit().unwrap();
-            let groups = wal.records_since(1, 0).unwrap();
-            let shape = (counters.snapshot(), wal.len_bytes(), wal.next_seq(), groups);
+            let (len, next) = (wal.len_bytes(), wal.next_seq());
+            drop(wal);
+            let shape = (counters.snapshot(), len, next, reopen(&path).1.records);
             std::fs::remove_file(&path).ok();
             shape
         };
@@ -1991,8 +1936,59 @@ mod tests {
         assert_eq!(borrowed.0.wal_sealed_batches, 1);
         assert_eq!((staged.1, staged.2), (borrowed.1, borrowed.2));
         assert_eq!(staged.3, borrowed.3);
-        assert_eq!(borrowed.3.len(), 2);
-        assert_eq!(borrowed.3[1].len(), items.len());
+        assert_eq!(borrowed.3.len(), 1 + items.len());
+    }
+
+    #[test]
+    fn a_segment_replays_from_its_base_and_an_unstarted_file_is_told_apart() {
+        let (path, seg_path) = (tmpfile("seg_log"), tmpfile("seg_next"));
+        let mut wal = create(&path, 64);
+        for k in 0..5u64 {
+            wal.append_group([(k, Some(&b"first"[..]))]).unwrap();
+            wal.commit().unwrap();
+        }
+        wal.flush().unwrap();
+        let base = wal.next_seq();
+        assert_eq!((wal.base(), base), (1, 7));
+        let file = LogFile::create(&seg_path, OpCounters::new()).unwrap();
+        let mut seg = segment(file, base, SyncPolicy::Always);
+        seg.append_group([(9, Some(&b"next"[..])), (10, None)])
+            .unwrap();
+        seg.commit().unwrap();
+        drop((wal, seg));
+
+        // A sentinel past seq 1 is the segment's base, not a torn frame.
+        let (seg, replay) = reopen(&seg_path);
+        assert_eq!((seg.base(), seg.next_seq()), (base, base + 3));
+        assert!(!replay.torn_tail);
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [base + 1, base + 2]);
+        assert_eq!(replay.records[1].op, WalOp::Delete { key: 10 });
+        drop(seg);
+
+        // A file holding only its header has no base, and one shorter than
+        // its header is no log at all; a scan writes to neither.
+        let header_only = |path: &std::path::Path| {
+            let file = LogFile::create(path, OpCounters::new()).unwrap();
+            Wal::create_segment(
+                Box::new(file),
+                64,
+                KEY,
+                SyncPolicy::Always,
+                OpCounters::new(),
+            )
+            .unwrap()
+        };
+        drop(header_only(&seg_path));
+        let before = std::fs::read(&seg_path).unwrap();
+        let open = |path: &std::path::Path| LogFile::open(path, OpCounters::new()).unwrap();
+        let scan = Wal::scan(Box::new(open(&seg_path)), KEY).unwrap().unwrap();
+        assert_eq!((scan.base, scan.replay.records.len()), (None, 0));
+        assert_eq!(std::fs::read(&seg_path).unwrap(), before);
+        std::fs::write(&seg_path, &before[..6]).unwrap();
+        assert!(Wal::scan(Box::new(open(&seg_path)), KEY).unwrap().is_none());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&seg_path).ok();
     }
 
     #[test]

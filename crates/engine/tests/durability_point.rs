@@ -219,10 +219,10 @@ fn commits_written_before_the_fsync_share_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A commit whose wait straddles a checkpoint cut is acknowledged, and
-/// pays no fsync: its frame lands in the old log after every partition
-/// synced and flushed, the cut carries it into the fresh log, and the
-/// fresh log's own flush made it durable.
+/// A commit whose wait straddles a checkpoint is acknowledged, and pays
+/// no fsync: its frame lands in the checkpoint's new segment after every
+/// partition synced and committed, and the checkpoint makes that segment
+/// durable before it removes the one it retired.
 #[test]
 fn a_wait_that_straddles_a_checkpoint_returns_ok() {
     let dir = tmpdir("straddle");
@@ -263,8 +263,9 @@ fn a_wait_that_straddles_a_checkpoint_returns_ok() {
     });
     assert_eq!(
         fsyncs(&db),
-        before + 1,
-        "the partitions' shared fsync, and none for the straddling wait"
+        before + 3,
+        "the retiring segment's fsync, the partitions' shared one and the new \
+         segment's before the removal, and none for the straddling wait"
     );
     drop(db);
 

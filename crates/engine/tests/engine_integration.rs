@@ -129,8 +129,9 @@ fn torn_wal_tail_recovers_prefix() {
     // Truncate the WAL mid-record: a crash halfway through a write. The
     // stream starts after the log file's 12-byte header, and cutting 20
     // bytes before its logical end lands inside the last record (each
-    // record here is 46 bytes).
-    let wal_path = dir.join("wal.sks");
+    // record here is 46 bytes). No checkpoint ran, so the log is its
+    // first segment.
+    let wal_path = dir.join("wal-1.sks");
     let f = std::fs::OpenOptions::new()
         .write(true)
         .open(&wal_path)
@@ -206,61 +207,6 @@ fn checkpoint_compacts_wal_and_survives_reopen() {
             format!("round-7-{k}").into_bytes()
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The cut fails closed. If the log file no longer holds the tail the
-/// checkpoint is about to carry over (here: one rotted byte in a frame
-/// of it), the checkpoint must error *before*
-/// renaming the fresh log over the old one — a short tail would silently
-/// drop acknowledged records. The old log stands: with the rot undone, a
-/// reopen still replays every acknowledged record.
-#[test]
-fn checkpoint_cut_fails_closed_when_the_tail_rotted() {
-    /// The log file's header, ahead of the frame stream.
-    const WAL_HEADER: u64 = 12;
-    let dir = tmpdir("cut_fails_closed");
-    let wal_path = dir.join("wal.sks");
-    let flip = |at: u64| {
-        let mut raw = std::fs::read(&wal_path).unwrap();
-        raw[at as usize] ^= 0x01;
-        std::fs::write(&wal_path, &raw).unwrap();
-    };
-    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
-    for k in 0..100u64 {
-        db.insert(k, record_for(k)).unwrap();
-    }
-    // The tail is what lands after the checkpoint's mark: write several
-    // KiB of it from the mid-checkpoint hook, then rot a byte inside its
-    // first frame.
-    let mark = db.wal_len_bytes();
-    let mut rotted = 0;
-    let err = db
-        .checkpoint_with_hook(|| {
-            for k in 100..400u64 {
-                db.insert(k, record_for(k)).unwrap();
-            }
-            db.flush().unwrap();
-            assert!(db.wal_len_bytes() > mark + 3 * 4096, "tail too short");
-            rotted = WAL_HEADER + mark + 30;
-            flip(rotted);
-        })
-        .expect_err("a cut over a rotted tail must fail");
-    assert!(
-        err.to_string().contains("tail scan stopped"),
-        "unexpected error: {err}"
-    );
-    flip(rotted);
-    drop(db);
-
-    let db = SksDb::open(&dir, config(2, 1024)).unwrap();
-    assert!(!db.recovery_report().torn_tail);
-    assert_eq!(db.len(), 400);
-    for k in 0..400u64 {
-        assert_eq!(db.get(k).unwrap().unwrap(), record_for(k), "key {k}");
-    }
-    // And the recovered database checkpoints cleanly.
-    db.checkpoint().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -531,35 +477,11 @@ fn tail_overrides_checkpointed_state_after_kill() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An older engine's log-only design checkpointed into `snap-NNN.sks`
-/// files beside a log cut down to the tail. Replaying that log alone
-/// would silently drop everything older than the cut, so any `snap-*`
-/// entry refuses the open before the log is touched or any store is
-/// created.
+/// `flush_pages` commits every partition covering the whole log, so a
+/// reopen after it replays exactly the writes logged later, although the
+/// log still holds every earlier one.
 #[test]
-fn directory_with_legacy_snapshot_is_refused() {
-    let dir = tmpdir("legacy_snap");
-    build_log_only_dir(&dir, &config(2, 256), 2, 40);
-    let wal_path = dir.join("wal.sks");
-    let log = std::fs::read(&wal_path).unwrap();
-    let snap = dir.join("snap-000.sks");
-    std::fs::write(&snap, b"").unwrap();
-    let err = SksDb::open(&dir, config(2, 256)).map(|_| ()).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Config(_)) && err.to_string().contains("snap-000.sks"),
-        "the refusal must name its cause, got: {err}"
-    );
-    assert_eq!(std::fs::read(&wal_path).unwrap(), log, "log was touched");
-    assert!(!dir.join("part-000").exists(), "stores were created");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn replaying_full_log_over_flushed_pages_converges() {
-    // A crash *between* "pages flushed" and "WAL truncated" (or a
-    // graceful flush with no checkpoint) leaves new pages + the full old
-    // log. Re-applying the whole history over its own effects must
-    // converge to the same state.
+fn flush_pages_leaves_only_later_writes_to_replay() {
     let dir = tmpdir("file_converge");
     const N: u64 = 150;
     {
@@ -571,7 +493,7 @@ fn replaying_full_log_over_flushed_pages_converges() {
         for k in (0..N).step_by(3) {
             s.delete(k).unwrap();
         }
-        // Pages durable, WAL *not* truncated.
+        // Pages durable, no segment started.
         db.flush_pages().unwrap();
         for k in 0..20u64 {
             s.insert(1000 + k, record_for(1000 + k)).unwrap();
@@ -580,11 +502,7 @@ fn replaying_full_log_over_flushed_pages_converges() {
     let db = SksDb::open(&dir, config(2, 2048)).unwrap();
     let report = db.recovery_report();
     assert_eq!(report.path, RecoveryPath::TailReplay);
-    assert_eq!(
-        report.records_replayed,
-        N + N.div_ceil(3) + 20,
-        "the whole (untruncated) log is re-applied"
-    );
+    assert_eq!(report.records_replayed, 20, "only the later writes replay");
     db.validate().unwrap();
     let s = db.session();
     assert_eq!(db.len(), N - N.div_ceil(3) + 20);

@@ -376,7 +376,7 @@ fn txn_commit_kill_point_sweep_is_all_or_nothing() {
             let dir = tmpdir(&format!("kill_{run}_{lazy}"));
             std::fs::create_dir_all(&dir).unwrap();
             let cfg = config(4, 4096).sync(policy);
-            let wal_path = dir.join("wal.sks");
+            let wal_path = dir.join("wal-1.sks");
 
             let counters = OpCounters::new();
             let file = LogFile::create(&wal_path, counters.clone()).unwrap();

@@ -19,7 +19,7 @@ fn torn_commit_record_mid_group_commit_is_scrubbed_and_named() {
     let dir = tmpdir("torn_commit");
     let config = EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096))
         .sync(SyncPolicy::EveryN(8));
-    let wal_path = dir.join("wal.sks");
+    let wal_path = dir.join("wal-1.sks");
 
     // Build the engine's WAL over a fault-injecting device, with the
     // exact key the engine will later use to recover it.
@@ -118,7 +118,7 @@ fn wal_fault_sweep_recovers_consistent_prefixes() {
         let dir = tmpdir(&format!("sweep_{seed}"));
         let config = EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096))
             .sync(SyncPolicy::EveryN(4));
-        let wal_path = dir.join("wal.sks");
+        let wal_path = dir.join("wal-1.sks");
 
         let counters = OpCounters::new();
         let file = LogFile::create(&wal_path, counters.clone()).unwrap();
@@ -226,7 +226,7 @@ fn killed_fsync_fail_stops_and_keeps_the_acked_prefix() {
     let dir = tmpdir("fsync_kill");
     let config =
         EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 4096)).sync(SyncPolicy::Always);
-    let wal_path = dir.join("wal.sks");
+    let wal_path = dir.join("wal-1.sks");
     let value = |k: u64| format!("killed-sync-record-{k:04}").into_bytes();
 
     let counters = OpCounters::new();

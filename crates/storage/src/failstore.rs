@@ -251,9 +251,11 @@ impl<S> FailStore<S> {
 }
 
 impl WalDevice for FailStore<LogFile> {
-    /// Reads keep working after the plan trips (inspecting the wreckage
-    /// is the point of a crash probe).
+    /// Reads count toward [`FailPlan::arm_nth_read`], and keep working
+    /// after the plan trips (inspecting the wreckage is the point of a
+    /// crash probe).
     fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), StorageError> {
+        self.plan.on_read()?;
         self.inner.read_at(buf, offset)
     }
 
@@ -281,10 +283,6 @@ impl WalDevice for FailStore<LogFile> {
     /// and a seeded kill point reach them, and a tripped plan fails them.
     fn sync_handle(&self) -> Result<SyncHandle, StorageError> {
         Ok(self.inner.sync_handle()?.with_plan(self.plan.clone()))
-    }
-
-    fn set_counters(&mut self, counters: OpCounters) {
-        self.inner.set_counters(counters);
     }
 }
 

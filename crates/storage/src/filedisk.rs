@@ -217,11 +217,6 @@ impl FileDisk {
         Ok(disk)
     }
 
-    /// Re-points this device at a different shared counter set.
-    pub fn set_counters(&mut self, counters: OpCounters) {
-        self.counters = counters;
-    }
-
     /// Opens an existing store file, loading its free chain. A chain that
     /// leaves the device or loops is refused as corrupt.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {

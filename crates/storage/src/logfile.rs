@@ -38,8 +38,6 @@ pub trait WalDevice: std::fmt::Debug {
     /// The handle every fsync of the log goes through: a second handle to
     /// the file, so a sync needs no lock the writer holds.
     fn sync_handle(&self) -> Result<SyncHandle, StorageError>;
-    /// Re-points the I/O timers at a different shared counter set.
-    fn set_counters(&mut self, counters: OpCounters);
 }
 
 /// A log's file (see the module docs).
@@ -96,10 +94,6 @@ impl WalDevice for LogFile {
             file: self.file.try_clone()?,
             plan: None,
         })
-    }
-
-    fn set_counters(&mut self, counters: OpCounters) {
-        self.counters = counters;
     }
 }
 

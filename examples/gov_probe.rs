@@ -1,10 +1,14 @@
 //! SIGKILL probe for space governance and acknowledged writes: `write`
 //! churns forever under group commit (`SyncPolicy::EveryN(32)`), every
 //! checkpoint runs dead-ratio compaction + node shrinking, and each
-//! finished op prints `ACK <op>`; `check <dir> [<op>]` reopens the killed
-//! directory, validates, reports device usage and — given the last
-//! acknowledged op — requires every acknowledged write to be there: a
-//! process crash loses nothing acknowledged under any sync policy.
+//! finished op prints `ACK <op>` (and each checkpoint `CKPT <op>`);
+//! `check <dir> [<op> [<ckpt op>]]` reopens the killed directory, prints
+//! the log segments it finds, validates, reports device usage and — given
+//! the last acknowledged op — requires every acknowledged write to be
+//! there: a process crash loses nothing acknowledged under any sync
+//! policy. Given the op of the last `CKPT` line too, it requires the
+//! reopen to have replayed at most the records logged after that op: the
+//! checkpoint covered every earlier one.
 use sks_btree::core::{Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, SksDb};
 use sks_btree::storage::SyncPolicy;
@@ -24,6 +28,11 @@ fn value(k: u64) -> Vec<u8> {
 /// another.
 fn op(i: u64) -> (u64, Option<u64>) {
     (i % KEYS, i.is_multiple_of(3).then_some((i / 3) % KEYS))
+}
+
+/// Records ops `from..=to` log: one or two each.
+fn records(from: u64, to: u64) -> u64 {
+    (from..=to).map(|i| 1 + op(i).1.is_some() as u64).sum()
 }
 
 /// Checks the reopened database against ops `0..=acked`. The op after
@@ -76,11 +85,32 @@ fn main() {
             }
         }
         "check" => {
+            let mut segments: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("wal-"))
+                .collect();
+            segments.sort();
+            println!("log segments: {segments:?}");
             let db = SksDb::open(&dir, config()).unwrap();
             println!("recovery: {:?}", db.recovery_report());
             db.validate().unwrap();
             if let Some(acked) = args.next() {
-                check_acked(&db, acked.parse().expect("last acknowledged op"));
+                let acked = acked.parse().expect("last acknowledged op");
+                check_acked(&db, acked);
+                if let Some(ckpt) = args.next() {
+                    let ckpt: u64 = ckpt.parse().expect("op of the last CKPT line");
+                    // The op after `acked` may have logged before the kill.
+                    let bound = records(ckpt + 1, acked + 1);
+                    let replayed = db.recovery_report().records_replayed;
+                    assert!(
+                        replayed <= bound,
+                        "replayed {replayed} records; ops after {ckpt} logged at most {bound}"
+                    );
+                    println!(
+                        "replayed {replayed} records, at most the {bound} logged after op {ckpt}"
+                    );
+                }
             }
             let n = db.len();
             let usage = db.data_block_usage_per_partition();

@@ -364,8 +364,9 @@ fn engine_txn_insert_refuses_an_over_long_value_before_logging() {
 /// instead of being dropped: a database's log holds a value half a block
 /// long, and an open of that log with a quarter of the block size (whose
 /// record slots cannot hold it) is refused with an error naming the
-/// record's seq but none of its bytes. The log is copied alone into a
-/// fresh directory, so the open builds fresh stores and reaches replay
+/// record's seq but none of its bytes. The log (the database never
+/// checkpointed, so it is one segment, `wal-1.sks`) is copied alone into
+/// a fresh directory, so the open builds fresh stores and reaches replay
 /// (the database's own manifest would refuse the block size first). The
 /// refused open leaves that log as it was, and the database still serves
 /// the value under the original configuration.
@@ -384,8 +385,8 @@ fn replay_refuses_a_record_the_configuration_cannot_apply() {
         db.insert(key, value.clone()).unwrap();
     }
     std::fs::create_dir_all(&log_only).unwrap();
-    let log = log_only.join("wal.sks");
-    std::fs::copy(dir.join("wal.sks"), &log).unwrap();
+    let log = log_only.join("wal-1.sks");
+    std::fs::copy(dir.join("wal-1.sks"), &log).unwrap();
     let logged = std::fs::read(&log).unwrap();
 
     let mut small = scheme();
@@ -494,39 +495,154 @@ fn an_open_refuses_zero_partitions_before_touching_the_directory() {
     assert!(!dir.exists(), "the refusal created the directory");
 }
 
-/// Fail closed on a missing log: `engine.sks` is written only after the
-/// log is durable, so a database whose metadata survives but whose
-/// `wal.sks` is gone has lost every write since its last checkpoint. The
-/// open is refused with an error naming the file rather than serving the
-/// checkpoint over a fresh log.
-#[test]
-fn an_open_refuses_a_database_whose_log_is_missing() {
-    let dir = tmpfile("missing_log");
+/// The sorted names of the files in `dir`.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The names of the log segments in `dir`.
+fn segments(dir: &std::path::Path) -> Vec<String> {
+    listing(dir)
+        .into_iter()
+        .filter(|n| n.starts_with("wal-"))
+        .collect()
+}
+
+/// A two-partition database whose log is three segments, every one of
+/// them needed: two checkpoints each started a segment and then died at
+/// the log fsync before any partition committed, so every partition
+/// still covers nothing. Holds keys `0..90`; returns the directory, the
+/// config and each segment's bytes.
+fn three_needed_segments(name: &str) -> (std::path::PathBuf, EngineConfig, Vec<Vec<u8>>) {
+    use sks_btree::storage::FailPlan;
+    let dir = tmpfile(name);
     std::fs::remove_dir_all(&dir).ok();
-    let config =
-        || EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2));
-    {
-        let db = SksDb::open(&dir, config()).unwrap();
-        for k in 0..50u64 {
+    let plan = FailPlan::new();
+    let config = EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 1_000).partitions(2))
+        .sync(SyncPolicy::EveryN(1000))
+        .wal_fault(plan.clone());
+    for round in 0..3u64 {
+        let db = SksDb::open(&dir, config.clone()).unwrap();
+        for k in 30 * round..30 * (round + 1) {
             db.insert(k, record(k)).unwrap();
         }
-        db.checkpoint().unwrap();
-        db.insert(50, record(50)).unwrap();
+        if round < 2 {
+            // The segment's header fsync, the retiring segment's, then
+            // the partitions' log fsync: it dies.
+            plan.arm_nth_flush(3);
+            db.checkpoint()
+                .expect_err("the partitions' log fsync is dead");
+            assert!(plan.tripped());
+            plan.reset();
+        }
     }
-    std::fs::remove_file(dir.join("wal.sks")).unwrap();
-    let err = SksDb::open(&dir, config())
-        .map(drop)
-        .expect_err("an open without the log must be refused");
+    assert_eq!(segments(&dir), ["wal-1.sks", "wal-2.sks", "wal-3.sks"]);
+    let bytes = segments(&dir)
+        .iter()
+        .map(|n| std::fs::read(dir.join(n)).unwrap())
+        .collect();
+    (dir, config, bytes)
+}
+
+/// Puts the three segments back as they were.
+fn restore(dir: &std::path::Path, bytes: &[Vec<u8>]) {
+    for (i, b) in bytes.iter().enumerate() {
+        std::fs::write(dir.join(format!("wal-{}.sks", i + 1)), b).unwrap();
+    }
+}
+
+/// Asserts that `SksDb::open` refuses `dir` with a config error holding
+/// `names`, and leaves the directory listing as it was.
+fn assert_refused(dir: &std::path::Path, config: &EngineConfig, names: &str, case: &str) {
+    let before = listing(dir);
+    let err = SksDb::open(dir, config.clone()).map(drop).expect_err(case);
     assert!(
-        matches!(err, EngineError::Config(_)) && err.to_string().contains("wal.sks"),
-        "the refusal names the missing log, got: {err}"
+        matches!(err, EngineError::Config(_)) && err.to_string().contains(names),
+        "{case}: got {err}"
     );
-    assert!(!dir.join("wal.sks").exists(), "the refusal created a log");
+    assert_eq!(
+        listing(dir),
+        before,
+        "{case}: the refusal changed the directory"
+    );
+}
+
+/// Fail closed on a missing log: a segment is removed only once every
+/// partition's pages cover it, and `engine.sks` is written only after the
+/// log is durable, so a database with a segment gone — the oldest, one in
+/// the middle, or all of them — has lost writes. The open is refused with
+/// an error naming what is missing rather than serving the pages over
+/// what is left, and writes nothing.
+#[test]
+fn an_open_refuses_a_database_whose_log_is_missing() {
+    let (dir, config, bytes) = three_needed_segments("missing_log");
+    for (gone, names) in [
+        (&["wal-1.sks"][..], "wal-2.sks starts at seq"),
+        (&["wal-2.sks"], "wal-3.sks starts at seq"),
+        (&["wal-1.sks", "wal-2.sks", "wal-3.sks"], "no log segment"),
+    ] {
+        for name in gone {
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
+        assert_refused(&dir, &config, names, &format!("{gone:?} deleted"));
+        restore(&dir, &bytes);
+    }
+    let db = SksDb::open(&dir, config).unwrap();
+    assert_eq!(db.recovery_report().records_replayed, 90);
+    assert_eq!(db.len(), 90);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Segments are one sequence: two whose names are swapped are refused,
+/// not scrubbed as torn, and a directory holding the single `wal.sks` of
+/// an engine whose checkpoints recorded no log position is refused by
+/// name. Neither refusal changes the directory.
+#[test]
+fn an_open_refuses_segments_out_of_order_and_an_older_engines_log() {
+    let (dir, config, bytes) = three_needed_segments("swapped_log");
+    std::fs::write(dir.join("wal-1.sks"), &bytes[1]).unwrap();
+    std::fs::write(dir.join("wal-2.sks"), &bytes[0]).unwrap();
+    assert_refused(&dir, &config, "wal-1.sks starts at seq", "swapped");
+    restore(&dir, &bytes);
+    std::fs::write(dir.join("wal.sks"), &bytes[0]).unwrap();
+    assert_refused(&dir, &config, "wal.sks", "an older engine's log");
+    std::fs::remove_file(dir.join("wal.sks")).unwrap();
+    assert_eq!(SksDb::open(&dir, config).unwrap().len(), 90);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A segment a checkpoint removed, brought back by a crash that lost the
+/// removal, replays nothing: every partition covers it. The next
+/// checkpoint removes it again.
+#[test]
+fn a_removed_segment_that_comes_back_replays_nothing() {
+    let (dir, config, bytes) = three_needed_segments("resurrected");
+    let db = SksDb::open(&dir, config.clone()).unwrap();
+    db.checkpoint().unwrap();
+    assert_eq!(segments(&dir), ["wal-4.sks"]);
+    for k in 90..93 {
+        db.insert(k, record(k)).unwrap();
+    }
+    drop(db);
+    restore(&dir, &bytes);
+    let db = SksDb::open(&dir, config).unwrap();
+    assert_eq!(db.recovery_report().records_replayed, 3);
+    assert_eq!(db.len(), 93);
+    db.checkpoint().unwrap();
+    assert_eq!(segments(&dir), ["wal-5.sks"]);
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Acknowledged means in the log file, under a lazy sync policy too: a
-/// copy of `wal.sks` taken the moment `insert`, `insert_batch` or
+/// copy of the log (`wal-1.sks`: nothing checkpoints here) taken the
+/// moment `insert`, `insert_batch` or
 /// `Txn::commit` returns — no flush, no drop, so exactly what a process
 /// crash would leave behind — replays every acknowledged write.
 #[test]
@@ -540,7 +656,7 @@ fn acknowledged_commits_are_in_the_log_file_when_they_return() {
     let fsyncs = db.snapshot().wal_fsyncs;
     let mut acked: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let assert_acked_replay = |acked: &BTreeMap<u64, Vec<u8>>| {
-        std::fs::copy(dir.join("wal.sks"), &copy).unwrap();
+        std::fs::copy(dir.join("wal-1.sks"), &copy).unwrap();
         let (_, replay) = Wal::open(
             &copy,
             config.wal_key(),
@@ -786,5 +902,43 @@ fn a_partition_checkpoint_is_one_journaled_commit_of_both_files() {
         Err(CoreError::Config(msg)) => assert!(msg.contains("commit separately"), "{msg}"),
         other => panic!("stores that commit apart were accepted: {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint with nothing to do writes nothing: once a checkpoint has
+/// committed every partition, a second one, with nothing logged since,
+/// starts no segment, commits no partition (no `page_commit` event, no
+/// `Stage::StoreFsync` sample) and fsyncs nothing.
+#[test]
+fn an_idle_checkpoint_writes_nothing() {
+    use sks_btree::core::ObsLevel;
+    use sks_btree::storage::{EventKind, Stage};
+    let dir = tmpfile("idle_checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 1_000)
+        .observability(ObsLevel::Histograms)
+        .partitions(2);
+    let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();
+    for k in 0..100 {
+        db.insert(k, record(k)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    let page_commits = || {
+        db.recent_events()
+            .iter()
+            .filter(|e| e.kind == EventKind::PageCommit)
+            .count()
+    };
+    let store_fsyncs = || db.stats().stage(Stage::StoreFsync).map_or(0, |h| h.count);
+    let before = (page_commits(), store_fsyncs(), db.snapshot().wal_fsyncs);
+    let files = listing(&dir);
+    db.checkpoint().unwrap();
+    assert_eq!(
+        (page_commits(), store_fsyncs(), db.snapshot().wal_fsyncs),
+        before,
+        "(page commits, store fsyncs, log fsyncs)"
+    );
+    assert_eq!(listing(&dir), files, "no segment was started");
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -42,7 +42,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use sks_core::{
     CompactionReport, CoreError, EncipheredBTree, KeyDisguise, SchemeConfig, StorageBackend,
@@ -783,12 +783,13 @@ impl SksDb {
     /// build its tree halts the engine: every later call returns
     /// [`EngineError::WalPoisoned`] until a reopen replays the log.
     ///
-    /// The trees are not built on threads beside the log. It halved
-    /// `read_cold`'s bulk load on two cores, but every thread the load
-    /// starts takes an allocator arena of its own, and the arenas then
-    /// shuffled between the load and the checkpoints' threads raised the
-    /// peak memory of the two-partition, 50k-record benchmark workloads
-    /// by 4–10 %.
+    /// The trees are built on the calling thread, like everything the
+    /// engine does. Building them on threads beside the log halved
+    /// `read_cold`'s bulk load on two cores, but raised the peak memory
+    /// of the two-partition, 50k-record benchmark workloads by 4–10 %:
+    /// each thread takes an allocator arena of its own. That was measured
+    /// while checkpoints still flushed partitions on threads of their
+    /// own.
     ///
     /// Fails closed without touching anything when the keys are not
     /// strictly ascending, a key or value is out of bounds, or any
@@ -877,7 +878,7 @@ impl SksDb {
     ///
     /// 1. Write-lock the written partitions in ascending id — the
     ///    engine's global lock order, so a commit can never deadlock
-    ///    another commit, a checkpoint or `flush_pages`.
+    ///    another commit or a checkpoint.
     /// 2. Given a transaction's `snapshot`, check first-committer-wins
     ///    under those locks: a written key committed by anyone else after
     ///    the snapshot refuses the commit with [`EngineError::Conflict`].
@@ -893,8 +894,7 @@ impl SksDb {
     ///    wait is group commit: one fsync outside every lock serves each
     ///    frame written by the time it starts. Applying first is safe
     ///    because no page reaches its store before the log is durable
-    ///    through every commit applied to it ([`SksDb::checkpoint`],
-    ///    [`SksDb::flush_pages`]).
+    ///    through every commit applied to it ([`SksDb::checkpoint`]).
     ///
     /// Returns each key's prior value, in write order. On every error the
     /// values and priors not handed on are wiped. An error after step 4
@@ -1070,38 +1070,44 @@ impl SksDb {
     /// work a reopen must do, *without* stalling the engine. Clients keep
     /// reading and writing throughout; a client blocks only while its own
     /// partition is being compacted and flushed. No log byte is read or
-    /// rewritten, and whole checkpoints are serialised.
+    /// rewritten, and whole checkpoints are serialised. The steps run in
+    /// this order on the calling thread, which starts no other.
     ///
     /// 1. **Start a segment** `wal-<n+1>.sks` at the mark, unless nothing
     ///    was logged since the current one began. The current segment is
     ///    fsynced before the new one's sentinel is written, so a reopen
     ///    always lands on a prefix of the commit history.
-    /// 2. **Commit partitions**, *in parallel*, each under its write lock:
-    ///    the bounded compaction passes, then, unless it has no dirty page
-    ///    and nothing was logged since its last commit, the log made
-    ///    durable (one fsync the partitions share) and its pages committed
-    ///    with its *covered number*, the log's last sequence number. Every
-    ///    commit logs and applies under its partitions' write locks, so
-    ///    the pages hold exactly the partition's logged writes up to that
-    ///    number, and a reopen replays only those past it.
+    /// 2. **Commit partitions**, one at a time in ascending id, each under
+    ///    its write lock: the bounded compaction passes, then, unless it
+    ///    has no dirty page and nothing was logged since its last commit,
+    ///    the log made durable through every commit written so far and
+    ///    its pages committed with its *covered number*, the log's last
+    ///    sequence number. Every commit logs and applies under its
+    ///    partitions' write locks, so the pages hold exactly the
+    ///    partition's logged writes up to that number, and a reopen
+    ///    replays only those past it.
     /// 3. **Remove the retired segments**, which every partition now
     ///    covers, once the current one is durable. One that a crash brings
     ///    back replays nothing, so this needs no directory fsync.
+    ///
+    /// With no write racing it, a checkpoint leaves a reopen nothing to
+    /// replay, so it is also the graceful shutdown.
     pub fn checkpoint(&self) -> Result<(), EngineError> {
-        self.checkpoint_with_hook(|| {})
+        self.checkpoint_with_hook(|_| {})
     }
 
-    /// [`SksDb::checkpoint`] with a test hook invoked mid-checkpoint —
-    /// after the segment switch, while the partition commits are in flight,
-    /// with no partition lock held by the calling thread. Concurrency
-    /// tests use it to *require* reader/writer progress before the
-    /// checkpoint may complete.
+    /// [`SksDb::checkpoint`] with a test hook called between its steps:
+    /// with `0` after the segment switch, and with `p + 1` after
+    /// partition `p`'s commit. It runs on the calling thread with no
+    /// partition lock and no WAL lock held, so tests stop a checkpoint at
+    /// a named step: to copy a crash image, or to write between two
+    /// partitions' commits.
     #[doc(hidden)]
-    pub fn checkpoint_with_hook(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
+    pub fn checkpoint_with_hook(&self, hook: impl FnMut(usize)) -> Result<(), EngineError> {
         let obs = self.counters.obs();
         obs.note(EventKind::CheckpointBegin, NO_PARTITION, 0, 0, 0);
         let begin = obs.start();
-        let result = self.checkpoint_inner(mid);
+        let result = self.checkpoint_inner(hook);
         let ns = begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
         obs.note(
             EventKind::CheckpointEnd,
@@ -1115,7 +1121,7 @@ impl SksDb {
         result.map_err(|e| e.with_trace(self.flight_dump()))
     }
 
-    fn checkpoint_inner(&self, mid: impl FnOnce()) -> Result<(), EngineError> {
+    fn checkpoint_inner(&self, mut hook: impl FnMut(usize)) -> Result<(), EngineError> {
         let mut segments = self.segments.lock().expect("checkpoint serial");
         self.check_halted()?;
         // Phase 1: start a segment. It is created before the WAL lock is
@@ -1136,47 +1142,31 @@ impl SksDb {
             segments.push(n);
         }
         self.counters.obs().stage(Stage::CheckpointCut, cut_timer);
+        hook(0);
 
-        // Phase 2, under each partition's write lock: nothing compaction
-        // moves reaches the medium before the journaled commit, and the
-        // log is durable before the pages (WAL before data). These
-        // per-partition threads are the only ones the engine starts, and
-        // the scope joins every one of them on every exit.
+        // Phase 2, under each partition's write lock in turn: nothing
+        // compaction moves reaches the medium before the journaled
+        // commit, and the log is durable before the pages (WAL before
+        // data).
         let flush_timer = self.counters.obs().start();
-        let compacted = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|p| {
-                    s.spawn(move || -> Result<CompactionReport, EngineError> {
-                        let mut guard = p.write().expect("partition lock");
-                        // A halted engine's trees may hold half a logged
-                        // commit: never flush that to the page stores.
-                        self.check_halted()?;
-                        // Floored: checkpoint maintenance only rewrites
-                        // blocks churn has made worth reclaiming.
-                        let mut report =
-                            guard.compact_step_floored(COMPACTION_BUDGET, COMPACTION_FLOOR_PCT)?;
-                        report.absorb(guard.compact_nodes(COMPACTION_BUDGET)?);
-                        let (covered, log) = {
-                            let wal = self.wal.lock().expect("wal lock");
-                            (wal.next_seq() - 1, wal.sync_point())
-                        };
-                        if guard.dirty_pages() > 0 || guard.tree().covered() != covered {
-                            log.sync_written()?;
-                            guard.flush_covering(covered)?;
-                        }
-                        Ok(report)
-                    })
-                })
-                .collect();
-            mid();
-            let mut compacted = CompactionReport::default();
-            for h in handles {
-                compacted.absorb(h.join().expect("partition flush thread")?);
+        let mut compacted = CompactionReport::default();
+        for p in 0..self.partitions.len() {
+            // Floored: checkpoint maintenance only rewrites blocks churn
+            // has made worth reclaiming.
+            let (mut tree, report) =
+                self.compact_partition(p, COMPACTION_BUDGET, COMPACTION_FLOOR_PCT)?;
+            compacted.absorb(report);
+            let (covered, log) = {
+                let wal = self.wal.lock().expect("wal lock");
+                (wal.next_seq() - 1, wal.sync_point())
+            };
+            if tree.dirty_pages() > 0 || tree.tree().covered() != covered {
+                log.sync_written()?;
+                tree.flush_covering(covered)?;
             }
-            Ok::<_, EngineError>(compacted)
-        })?;
+            drop(tree);
+            hook(p + 1);
+        }
         *self.last_compaction.lock().expect("compaction report") = compacted;
         self.counters
             .obs()
@@ -1200,6 +1190,24 @@ impl SksDb {
         Ok(())
     }
 
+    /// Partition `p`'s compaction passes, under its write lock, which
+    /// comes back held: up to `budget` data blocks at least `floor_pct`
+    /// percent dead rewritten (deadest first), then a node-device sliding
+    /// pass of the same budget. Refuses on a halted engine, whose trees
+    /// may hold half a logged commit.
+    fn compact_partition(
+        &self,
+        p: usize,
+        budget: usize,
+        floor_pct: u8,
+    ) -> Result<(RwLockWriteGuard<'_, EncipheredBTree>, CompactionReport), EngineError> {
+        let mut tree = self.partitions[p].write().expect("partition lock");
+        self.check_halted()?;
+        let mut report = tree.compact_step_floored(budget, floor_pct)?;
+        report.absorb(tree.compact_nodes(budget)?);
+        Ok((tree, report))
+    }
+
     /// One manual space-governance pass over every partition: up to
     /// `max_blocks_per_partition` tombstoned data blocks rewritten
     /// (deadest first) plus a node-device sliding pass of the same
@@ -1215,21 +1223,13 @@ impl SksDb {
     ) -> Result<CompactionReport, EngineError> {
         let timer = self.counters.obs().start();
         let mut total = CompactionReport::default();
-        for part in &self.partitions {
-            let mut guard = part.write().expect("partition lock");
-            self.check_halted()?;
-            let pass = guard
-                .compact_step(max_blocks_per_partition)
-                .and_then(|mut r| {
-                    r.absorb(guard.compact_nodes(max_blocks_per_partition)?);
-                    Ok(r)
-                });
-            match pass {
-                Ok(report) => total.absorb(report),
-                // A failed maintenance pass carries its flight-recorder
-                // dump, like a failed checkpoint.
-                Err(e) => return Err(EngineError::from(e).with_trace(self.flight_dump())),
-            }
+        for p in 0..self.partitions.len() {
+            // A failed maintenance pass carries its flight-recorder dump,
+            // like a failed checkpoint.
+            let (_locked, report) = self
+                .compact_partition(p, max_blocks_per_partition, 0)
+                .map_err(|e| e.with_trace(self.flight_dump()))?;
+            total.absorb(report);
         }
         self.counters.obs().note(
             EventKind::Compaction,
@@ -1254,29 +1254,6 @@ impl SksDb {
             .iter()
             .map(|p| p.read().expect("partition lock").data_block_usage())
             .collect()
-    }
-
-    /// Flushes the WAL and then every partition's pages, each covering
-    /// the whole log, to stable storage without starting a segment — a
-    /// graceful-shutdown helper: the next open replays nothing. The log
-    /// goes first, so no page reaches its store ahead of the commits it
-    /// holds.
-    pub fn flush_pages(&self) -> Result<(), EngineError> {
-        let mut guards: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.write().expect("partition lock"))
-            .collect();
-        self.check_halted()?;
-        let covered = {
-            let mut wal = self.wal.lock().expect("wal lock");
-            wal.flush()?;
-            wal.next_seq() - 1
-        };
-        for guard in &mut guards {
-            guard.flush_covering(covered)?;
-        }
-        Ok(())
     }
 }
 
@@ -1348,7 +1325,7 @@ mod tests {
 
     /// Every client and maintenance call of a halted engine refuses.
     fn assert_halted(db: &Arc<SksDb>) {
-        let calls: [(&str, Result<(), EngineError>); 11] = [
+        let calls: [(&str, Result<(), EngineError>); 10] = [
             ("get", db.get(3).map(drop)),
             ("range", db.range(0, 100).map(drop)),
             ("insert", db.insert(3_000, b"x".to_vec()).map(drop)),
@@ -1368,7 +1345,6 @@ mod tests {
             ("checkpoint", db.checkpoint()),
             ("compact", db.compact(8).map(drop)),
             ("flush", db.flush()),
-            ("flush_pages", db.flush_pages()),
         ];
         for (what, result) in calls {
             // Maintenance calls wrap the error in the flight recorder's

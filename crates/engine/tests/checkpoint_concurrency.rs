@@ -1,8 +1,9 @@
-//! The fuzzy-checkpoint contract, end to end: clients make progress while
-//! a checkpoint is in flight, writes racing the checkpoint are never
+//! The fuzzy-checkpoint contract, end to end: clients read and write
+//! between a checkpoint's steps, writes racing the checkpoint are never
 //! lost, and a crash at any phase boundary recovers a consistent image.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use sks_core::{Scheme, SchemeConfig};
@@ -17,17 +18,30 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else if entry.file_name() != "engine.lock" {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
 /// Four partitions, each with the engine's fixed buffer pool.
 fn config() -> EngineConfig {
     let scheme = SchemeConfig::with_capacity(Scheme::Oval, CAPACITY).partitions(4);
     EngineConfig::new(scheme).sync(SyncPolicy::EveryN(16))
 }
 
-/// Drives reads and writes from a worker thread while a checkpoint runs,
-/// and — crucially — makes the checkpoint *wait* for that progress via
-/// the mid-checkpoint hook. Under the old stop-the-world checkpoint
-/// (all partitions write-locked for the duration) this deadlocks; the
-/// fuzzy checkpoint completes because clients are never globally blocked.
+/// A worker thread reads and writes while a checkpoint runs, and the
+/// checkpointing thread itself reads and writes between every two of the
+/// checkpoint's steps. Under a stop-the-world checkpoint (all partitions
+/// write-locked for the duration) the hook's writes deadlock; the fuzzy
+/// checkpoint holds no partition lock between its steps.
 #[test]
 fn file_backend_clients_progress_during_checkpoint() {
     let dir = tmpdir("file_progress");
@@ -41,11 +55,9 @@ fn file_backend_clients_progress_during_checkpoint() {
         session.insert(k, value).unwrap();
     }
 
-    let ops_done = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let session = session.clone();
-        let ops_done = Arc::clone(&ops_done);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut i = 0u64;
@@ -56,27 +68,31 @@ fn file_backend_clients_progress_during_checkpoint() {
                 session
                     .insert(write_key, format!("during-{write_key}").into_bytes())
                     .unwrap();
-                ops_done.fetch_add(1, Ordering::Release);
                 i += 1;
             }
             i
         })
     };
 
-    // The checkpoint may only complete after the worker has demonstrably
-    // progressed *while it was in flight*.
+    // Between the steps, cold reads of page-sized values and fresh
+    // writes, 8 of each per step.
     let evicts_before = db.snapshot().cache_evicts;
-    let before = ops_done.load(Ordering::Acquire);
-    db.checkpoint_with_hook(|| {
-        while ops_done.load(Ordering::Acquire) < before + 20 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+    let mut hook_writes = Vec::new();
+    db.checkpoint_with_hook(|step| {
+        for i in 0..8 {
+            let k = (step * 8 + i) as u64;
+            assert!(session.get(k * 97 % 2_000).unwrap().is_some(), "key {k}");
+            session
+                .insert(15_000 + k, format!("step-{k}").into_bytes())
+                .unwrap();
+            hook_writes.push(k);
         }
     })
     .expect("checkpoint");
+    assert_eq!(hook_writes.len(), 8 * 5, "the switch and four partitions");
 
     stop.store(true, Ordering::Release);
     let total = worker.join().expect("worker");
-    assert!(total >= before + 20);
     let evicts = db.snapshot().cache_evicts - evicts_before;
     assert!(evicts > 0, "the checkpoint ran without eviction pressure");
     db.validate().unwrap();
@@ -92,6 +108,13 @@ fn file_backend_clients_progress_during_checkpoint() {
         assert_eq!(
             db.get(k).unwrap(),
             Some(format!("during-{k}").into_bytes()),
+            "racing write {k} lost"
+        );
+    }
+    for k in hook_writes {
+        assert_eq!(
+            db.get(15_000 + k).unwrap(),
+            Some(format!("step-{k}").into_bytes()),
             "mid-checkpoint write {k} lost"
         );
     }
@@ -101,12 +124,12 @@ fn file_backend_clients_progress_during_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A crash *between* the partition-flush phase and the WAL cut (pages
-/// durable, log untrimmed) must recover every record: replaying the full
-/// old log over the newer images converges.
+/// A crash *between* the partition commits and the segment removal
+/// (pages durable, the retired segment still there) recovers every
+/// record and replays nothing: every partition covers the whole log.
 #[test]
 fn crash_between_flush_and_wal_cut_recovers() {
-    let dir = tmpdir("crash_between_phases");
+    let (dir, crashed) = (tmpdir("crash_between_phases"), tmpdir("crash_image"));
     {
         let db = SksDb::open(&dir, config()).expect("open");
         let session = db.session();
@@ -120,11 +143,28 @@ fn crash_between_flush_and_wal_cut_recovers() {
         for k in (0..1_000u64).step_by(5) {
             session.delete(k).unwrap();
         }
-        // Phase 2 of a checkpoint without its phase 3: pages flushed, WAL
-        // left untrimmed. Then crash.
-        db.flush_pages().expect("flush pages");
+        // The crash image after the last partition's commit, before the
+        // retired segment goes.
+        db.checkpoint_with_hook(|step| {
+            if step == 4 {
+                copy_dir(&dir, &crashed);
+            }
+        })
+        .expect("checkpoint");
     }
-    let db = SksDb::open(&dir, config()).expect("recover");
+    let segments = std::fs::read_dir(&crashed)
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with("wal-")
+        })
+        .count();
+    assert_eq!(segments, 2, "the retired segment and the current one");
+    let db = SksDb::open(&crashed, config()).expect("recover");
+    assert_eq!(db.recovery_report().records_replayed, 0);
     for k in 0..1_000u64 {
         let want = if k % 5 == 0 {
             None
@@ -139,14 +179,15 @@ fn crash_between_flush_and_wal_cut_recovers() {
     db.validate().unwrap();
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&crashed).ok();
 }
 
 /// Readers and writers make progress while *node-device compaction* runs
 /// inside the fuzzy checkpoint: after a shrink-heavy prelude, the
 /// checkpoint's compaction passes must do real sliding work (relocations
-/// and/or tail truncation) while a worker thread demonstrably reads and
-/// writes mid-flight — and nothing racing the governed checkpoint is
-/// lost.
+/// and/or tail truncation) while a worker thread reads and writes, and
+/// the checkpointing thread reads and writes between every two steps —
+/// and nothing racing the governed checkpoints is lost.
 #[test]
 fn file_backend_clients_progress_during_node_compaction() {
     let dir = tmpdir("file_node_compact");
@@ -162,11 +203,9 @@ fn file_backend_clients_progress_during_node_compaction() {
         session.delete(k).unwrap();
     }
 
-    let ops_done = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let session = session.clone();
-        let ops_done = Arc::clone(&ops_done);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut i = 0u64;
@@ -177,22 +216,25 @@ fn file_backend_clients_progress_during_node_compaction() {
                 session
                     .insert(write_key, format!("during-{write_key}").into_bytes())
                     .unwrap();
-                ops_done.fetch_add(1, Ordering::Release);
                 i += 1;
             }
             i
         })
     };
 
-    // Checkpoint until the governance passes go quiescent, each pass
-    // required to overlap demonstrable client progress.
+    // Checkpoint until the governance passes go quiescent, a read and a
+    // write between every two steps of each.
     let mut governed = sks_core::CompactionReport::default();
+    let mut hook_ops = 0u64;
     for _ in 0..200 {
-        let before = ops_done.load(Ordering::Acquire);
-        db.checkpoint_with_hook(|| {
-            while ops_done.load(Ordering::Acquire) < before + 10 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+        db.checkpoint_with_hook(|_| {
+            let read_key = 3_200 + hook_ops % 800;
+            assert!(session.get(read_key).unwrap().is_some(), "key {read_key}");
+            let write_key = 16_000 + hook_ops % 2_000;
+            session
+                .insert(write_key, format!("step-{write_key}").into_bytes())
+                .unwrap();
+            hook_ops += 1;
         })
         .expect("checkpoint");
         let r = db.last_compaction_report();
@@ -222,6 +264,13 @@ fn file_backend_clients_progress_during_node_compaction() {
             db.get(k).unwrap(),
             Some(format!("during-{k}").into_bytes()),
             "racing write {k} lost"
+        );
+    }
+    for k in 16_000..16_000 + hook_ops.min(2_000) {
+        assert_eq!(
+            db.get(k).unwrap(),
+            Some(format!("step-{k}").into_bytes()),
+            "mid-checkpoint write {k} lost"
         );
     }
     drop(session);

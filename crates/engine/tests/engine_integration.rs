@@ -477,11 +477,11 @@ fn tail_overrides_checkpointed_state_after_kill() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `flush_pages` commits every partition covering the whole log, so a
-/// reopen after it replays exactly the writes logged later, although the
-/// log still holds every earlier one.
+/// A checkpoint with no write racing it commits every partition covering
+/// the whole log — the graceful shutdown — so a reopen after it replays
+/// exactly the writes logged later.
 #[test]
-fn flush_pages_leaves_only_later_writes_to_replay() {
+fn a_checkpoint_leaves_only_later_writes_to_replay() {
     let dir = tmpdir("file_converge");
     const N: u64 = 150;
     {
@@ -493,8 +493,7 @@ fn flush_pages_leaves_only_later_writes_to_replay() {
         for k in (0..N).step_by(3) {
             s.delete(k).unwrap();
         }
-        // Pages durable, no segment started.
-        db.flush_pages().unwrap();
+        db.checkpoint().unwrap();
         for k in 0..20u64 {
             s.insert(1000 + k, record_for(1000 + k)).unwrap();
         }

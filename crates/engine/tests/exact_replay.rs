@@ -1,16 +1,17 @@
 //! Exact replay: each partition's checkpoint commit records the log
 //! position its pages cover, and a reopen replays into it exactly the
 //! logged writes past that position — across checkpoints racing writers
-//! and transactions, and from a crash at every step of a checkpoint. A
-//! checkpoint reads no byte of the log.
+//! and transactions, from a crash at every step of a checkpoint, and from
+//! a dead log fsync at each of a checkpoint's fsyncs. A checkpoint reads
+//! no byte of the log.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use sks_core::{EncipheredBTree, ObsLevel, Scheme, SchemeConfig, StorageBackend};
-use sks_engine::{EngineConfig, EventKind, SksDb, Wal, WalOp};
+use sks_engine::{EngineConfig, SksDb, Wal, WalOp};
 use sks_storage::{FailPlan, OpCounters, SyncPolicy};
 
 const PARTITIONS: usize = 2;
@@ -21,14 +22,18 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-fn scheme() -> SchemeConfig {
+fn scheme(partitions: usize) -> SchemeConfig {
     SchemeConfig::with_capacity(Scheme::Oval, 8_192)
         .observability(ObsLevel::Histograms)
-        .partitions(PARTITIONS)
+        .partitions(partitions)
+}
+
+fn config_of(partitions: usize) -> EngineConfig {
+    EngineConfig::new(scheme(partitions)).sync(SyncPolicy::EveryN(16))
 }
 
 fn config() -> EngineConfig {
-    EngineConfig::new(scheme()).sync(SyncPolicy::EveryN(16))
+    config_of(PARTITIONS)
 }
 
 fn rec(k: u64, round: u64) -> Vec<u8> {
@@ -43,13 +48,13 @@ fn keys_in(db: &SksDb, partition: usize, from: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Each partition's covered number, read from its pages (the database is
-/// closed).
-fn covered(dir: &Path) -> Vec<u64> {
-    (0..PARTITIONS)
+/// Each of `partitions` partitions' covered number, read from its pages
+/// (the database is closed, or `dir` is a copy).
+fn covered(dir: &Path, partitions: usize) -> Vec<u64> {
+    (0..partitions)
         .map(|i| {
             let part = dir.join(format!("part-{i:03}"));
-            EncipheredBTree::open(scheme().backend(StorageBackend::file(part)))
+            EncipheredBTree::open(scheme(partitions).backend(StorageBackend::file(part)))
                 .unwrap()
                 .tree()
                 .covered()
@@ -96,20 +101,26 @@ fn logged(dir: &Path, config: &EngineConfig) -> Vec<(u64, u64)> {
 }
 
 /// How many logged records lie past their partition's covered number:
-/// what a reopen of the closed database at `dir` must replay. `p0` holds
-/// every key written that routes to partition 0.
-fn past_covered(p0: &[u64], dir: &Path, config: &EngineConfig) -> u64 {
-    let covered = covered(dir);
+/// what a reopen of the closed database at `dir` must replay.
+/// `partition_of` routes every key written.
+fn replay_due(dir: &Path, config: &EngineConfig, partition_of: impl Fn(u64) -> usize) -> u64 {
+    let covered = covered(dir, config.scheme.partitions);
     logged(dir, config)
         .into_iter()
-        .filter(|&(seq, key)| seq > covered[usize::from(!p0.contains(&key))])
+        .filter(|&(seq, key)| seq > covered[partition_of(key)])
         .count() as u64
 }
 
-/// Whether every partition's checkpoint journal is retired: no commit is
-/// half done.
-fn journals_retired(dir: &Path) -> bool {
-    (0..PARTITIONS).all(|i| {
+/// [`replay_due`] on two partitions, where `p0` holds every key written
+/// that routes to partition 0.
+fn past_covered(p0: &[u64], dir: &Path, config: &EngineConfig) -> u64 {
+    replay_due(dir, config, |key| usize::from(!p0.contains(&key)))
+}
+
+/// Whether each of `partitions` partitions' checkpoint journal is
+/// retired: no commit is half done.
+fn journals_retired(dir: &Path, partitions: usize) -> bool {
+    (0..partitions).all(|i| {
         let journal = dir.join(format!("part-{i:03}")).join("checkpoint.journal");
         std::fs::metadata(journal).map_or(true, |m| m.len() == 0)
     })
@@ -132,70 +143,60 @@ fn image(db: &SksDb) -> BTreeMap<u64, Vec<u8>> {
     db.range(0, u64::MAX).unwrap().into_iter().collect()
 }
 
-fn page_commits(db: &SksDb) -> usize {
-    db.recent_events()
-        .iter()
-        .filter(|e| e.kind == EventKind::PageCommit)
-        .count()
-}
-
-/// A writer and cross-partition transactions race a checkpoint, which
-/// may only finish once both have committed while it is in flight. After
-/// a crash (a drop with no flush), the reopen replays exactly the logged
-/// writes past each partition's covered number, and holds every write.
+/// A writer and cross-partition transactions race three checkpoints, and
+/// at every step of each the checkpointing thread itself writes and
+/// commits a transfer, so commits land between two partitions' commits
+/// whatever the racing threads do. After a crash (a drop with no flush),
+/// the reopen replays exactly the logged writes past each partition's
+/// covered number, and holds every write.
 #[test]
 fn a_reopen_replays_exactly_the_writes_past_each_covered_number() {
     let dir = tmpdir("racing");
     let db = SksDb::open(&dir, config()).unwrap();
-    let (p0, p1) = (keys_in(&db, 0, 0, 400), keys_in(&db, 1, 0, 400));
+    let (p0, p1) = (keys_in(&db, 0, 0, 500), keys_in(&db, 1, 0, 500));
     for (&a, &b) in p0.iter().zip(&p1).take(200) {
         db.insert(a, rec(a, 0)).unwrap();
         db.insert(b, rec(b, 0)).unwrap();
     }
     db.checkpoint().unwrap();
 
-    let (writes, txns) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let stop = Arc::new(AtomicBool::new(false));
-    let spawn = |body: Box<dyn Fn(u64) + Send>, done: Arc<AtomicU64>| {
+    let spawn = |body: Box<dyn Fn(u64) + Send>| {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut i = 0;
             while !stop.load(Ordering::Acquire) {
                 body(i);
                 i += 1;
-                done.store(i, Ordering::Release);
             }
         })
     };
+    let transfer = |db: &Arc<SksDb>, (a, b): (u64, u64), i: u64| {
+        let mut t = db.begin();
+        t.insert(a, rec(a, 1_000 + i)).unwrap();
+        t.delete(b).unwrap();
+        t.commit().unwrap();
+    };
     let writer = {
-        let (db, keys) = (Arc::clone(&db), [&p0[200..], &p1[200..]].concat());
-        spawn(
-            Box::new(move |i| {
-                let k = keys[i as usize % keys.len()];
-                db.insert(k, rec(k, i + 1)).unwrap();
-            }),
-            Arc::clone(&writes),
-        )
+        let (db, keys) = (Arc::clone(&db), [&p0[200..400], &p1[200..400]].concat());
+        spawn(Box::new(move |i| {
+            let k = keys[i as usize % keys.len()];
+            db.insert(k, rec(k, i + 1)).unwrap();
+        }))
     };
     let transfers = {
         let (db, p0, p1) = (Arc::clone(&db), p0.clone(), p1.clone());
-        spawn(
-            Box::new(move |i| {
-                let (a, b) = (p0[i as usize % 200], p1[i as usize % 200]);
-                let mut t = db.begin();
-                t.insert(a, rec(a, 1_000 + i)).unwrap();
-                t.delete(b).unwrap();
-                t.commit().unwrap();
-            }),
-            Arc::clone(&txns),
-        )
+        spawn(Box::new(move |i| {
+            transfer(&db, (p0[i as usize % 200], p1[i as usize % 200]), i)
+        }))
     };
-    for _ in 0..3 {
-        let (w, t) = (writes.load(Ordering::Acquire), txns.load(Ordering::Acquire));
-        db.checkpoint_with_hook(|| {
-            while writes.load(Ordering::Acquire) < w + 20 || txns.load(Ordering::Acquire) < t + 5 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+    // The checkpointing thread writes keys no racing thread writes, so
+    // its transfers never conflict.
+    for round in 0..3u64 {
+        db.checkpoint_with_hook(|step| {
+            let (i, j) = (10 * round + step as u64, 400 + step);
+            db.insert(p1[j + 50], rec(p1[j + 50], 2_000 + i)).unwrap();
+            transfer(&db, (p0[j], p1[j]), 2_000 + i);
         })
         .unwrap();
     }
@@ -224,107 +225,59 @@ fn a_reopen_replays_exactly_the_writes_past_each_covered_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Where in a checkpoint a crash strikes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kill {
-    /// After the segment switch, before any partition commits.
-    AfterSwitch,
-    /// After partition 0 commits, while partition 1 waits on its lock.
-    BetweenPartitions,
-    /// After every partition committed, before the retired segment goes.
-    BeforeRemoval,
-}
-
 /// A crash image taken at each step of a checkpoint reopens to every
 /// acknowledged write and replays exactly the writes its partitions'
-/// pages do not hold: after the switch, all of them; between the two
-/// partitions' commits, partition 1's; before the removal, none.
+/// pages do not hold: after the segment switch (step 0), all of them;
+/// after partition `p`'s commit (step `p + 1`), those of the partitions
+/// after it; after the last, none. On two partitions and on three.
 #[test]
 fn a_crash_at_each_checkpoint_step_replays_exactly_what_the_pages_lack() {
-    for kill in [
-        Kill::AfterSwitch,
-        Kill::BetweenPartitions,
-        Kill::BeforeRemoval,
-    ] {
-        let (dir, crashed) = (
-            tmpdir(&format!("{kill:?}")),
-            tmpdir(&format!("{kill:?}_image")),
-        );
-        let db = SksDb::open(&dir, config()).unwrap();
-        let (p0, p1) = (keys_in(&db, 0, 0, 60), keys_in(&db, 1, 0, 60));
-        for (&a, &b) in p0.iter().zip(&p1).take(30) {
-            db.insert(a, rec(a, 0)).unwrap();
-            db.insert(b, rec(b, 0)).unwrap();
-        }
-        db.checkpoint().unwrap();
-        // The writes no page holds yet: 20 in partition 0, 10 in 1.
-        for &k in p0[30..50].iter().chain(&p1[30..40]) {
-            db.insert(k, rec(k, 1)).unwrap();
-        }
-        let want = image(&db);
-        // A transaction parked under the write locks of the partitions it
-        // writes keeps their checkpoint threads from committing; it logs
-        // nothing until it is released, after the crash image is taken.
-        let parked: &[u64] = match kill {
-            Kill::AfterSwitch => &[p0[55], p1[55]],
-            Kill::BetweenPartitions => &[p1[55]],
-            Kill::BeforeRemoval => &[],
-        };
-        let (locked, release) = (mpsc::channel(), mpsc::channel::<()>());
-        let (locked_tx, release_rx) = (locked.0, release.1);
-        let holder = {
-            let (db, keys) = (Arc::clone(&db), parked.to_vec());
-            std::thread::spawn(move || {
-                if keys.is_empty() {
-                    return locked_tx.send(()).unwrap();
+    for partitions in [2, 3] {
+        for step in 0..=partitions {
+            let name = format!("step_{partitions}_{step}");
+            let (dir, crashed) = (tmpdir(&name), tmpdir(&format!("{name}_image")));
+            let db = SksDb::open(&dir, config_of(partitions)).unwrap();
+            let keys: Vec<Vec<u64>> = (0..partitions).map(|p| keys_in(&db, p, 0, 60)).collect();
+            for i in 0..30 {
+                for k in keys.iter().map(|part| part[i]) {
+                    db.insert(k, rec(k, 0)).unwrap();
                 }
-                let mut t = db.begin();
-                for &k in &keys {
-                    t.insert(k, rec(k, 2)).unwrap();
-                }
-                t.commit_with_hook(|| {
-                    locked_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                })
-                .unwrap();
-            })
-        };
-        locked.1.recv().unwrap();
-        let commits = page_commits(&db);
-        db.checkpoint_with_hook(|| {
-            let committed = match kill {
-                Kill::AfterSwitch => 0,
-                Kill::BetweenPartitions => 1,
-                Kill::BeforeRemoval => 2,
-            };
-            while page_commits(&db) < commits + committed || !journals_retired(&dir) {
-                std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            copy_dir(&dir, &crashed);
-            release.0.send(()).ok();
-        })
-        .unwrap();
-        holder.join().unwrap();
-        let config = db.config().clone();
+            db.checkpoint().unwrap();
+            // The writes no page holds yet: 10 in the last partition, 10
+            // more in each one before it.
+            for (p, part) in keys.iter().enumerate() {
+                for &k in &part[30..30 + 10 * (partitions - p)] {
+                    db.insert(k, rec(k, 1)).unwrap();
+                }
+            }
+            let want = image(&db);
+            db.checkpoint_with_hook(|at| {
+                if at == step {
+                    assert!(journals_retired(&dir, partitions), "{name}");
+                    copy_dir(&dir, &crashed);
+                }
+            })
+            .unwrap();
+            let config = db.config().clone();
 
-        let expected = past_covered(&p0, &crashed, &config);
-        let lacking = match kill {
-            Kill::AfterSwitch => 30,
-            Kill::BetweenPartitions => 10,
-            Kill::BeforeRemoval => 0,
-        };
-        assert_eq!(expected, lacking, "{kill:?}: the pages lack these writes");
-        let reopened = SksDb::open(&crashed, config).unwrap();
-        assert_eq!(
-            reopened.recovery_report().records_replayed,
-            lacking,
-            "{kill:?}: replay is exact"
-        );
-        assert_eq!(image(&reopened), want, "{kill:?}");
-        reopened.validate().unwrap();
-        drop((db, reopened));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&crashed).ok();
+            let lacking: u64 = (step..partitions)
+                .map(|p| 10 * (partitions - p) as u64)
+                .sum();
+            let due = replay_due(&crashed, &config, |k| db.partition_of(k).unwrap());
+            assert_eq!(due, lacking, "{name}: the pages lack these writes");
+            let reopened = SksDb::open(&crashed, config).unwrap();
+            assert_eq!(
+                reopened.recovery_report().records_replayed,
+                lacking,
+                "{name}: replay is exact"
+            );
+            assert_eq!(image(&reopened), want, "{name}");
+            reopened.validate().unwrap();
+            drop((db, reopened));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&crashed).ok();
+        }
     }
 }
 
@@ -355,4 +308,132 @@ fn a_checkpoint_reads_no_log_byte() {
     assert_eq!(db.len(), 302);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What one checkpoint with a dead log fsync left behind.
+#[derive(Debug, PartialEq)]
+struct Killed {
+    error: String,
+    /// Whether the write between partition 0's commit and partition 1's
+    /// was made (and acknowledged).
+    wrote_between: bool,
+    covered: Vec<u64>,
+    replayed: u64,
+}
+
+/// Three partitions under `SyncPolicy::Never`, their log behind `plan`,
+/// each with 10 writes past its last checkpoint. Returns the config
+/// without the plan, the database and each partition's keys.
+fn three_dirty_partitions(
+    dir: &Path,
+    plan: &FailPlan,
+) -> (EngineConfig, Arc<SksDb>, Vec<Vec<u64>>) {
+    let config = EngineConfig::new(scheme(3)).sync(SyncPolicy::Never);
+    let db = SksDb::open(dir, config.clone().wal_fault(plan.clone())).unwrap();
+    let keys: Vec<Vec<u64>> = (0..3).map(|p| keys_in(&db, p, 0, 40)).collect();
+    for &k in keys.iter().flat_map(|part| &part[..20]) {
+        db.insert(k, rec(k, 0)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    for &k in keys.iter().flat_map(|part| &part[20..30]) {
+        db.insert(k, rec(k, 1)).unwrap();
+    }
+    (config, db, keys)
+}
+
+/// A checkpoint that writes `rec(k, 2)` under one key `k` of partition 0
+/// once that partition has committed. Returns the checkpoint's result
+/// and `k`, when it was written.
+fn checkpoint_writing_between(
+    db: &SksDb,
+    keys: &[Vec<u64>],
+) -> (Result<(), sks_engine::EngineError>, Option<u64>) {
+    let mut written = None;
+    let result = db.checkpoint_with_hook(|step| {
+        if step == 1 {
+            let k = keys[0][35];
+            db.insert(k, rec(k, 2)).unwrap();
+            written = Some(k);
+        }
+    });
+    (result, written)
+}
+
+/// Runs [`checkpoint_writing_between`] over [`three_dirty_partitions`]
+/// with the log's `nth` fsync of the checkpoint dead, and checks that the
+/// checkpoint failed, that the log refused a later write, and that the
+/// reopen holds every acknowledged write and replays exactly what the
+/// pages lack.
+fn checkpoint_with_dead_fsync(name: &str, nth: u64) -> Killed {
+    let (dir, plan) = (tmpdir(name), FailPlan::new());
+    let (config, db, keys) = three_dirty_partitions(&dir, &plan);
+    let mut want = image(&db);
+    plan.arm_nth_flush(nth);
+    let (result, written) = checkpoint_writing_between(&db, &keys);
+    let error = result.expect_err("the armed fsync is dead").to_string();
+    assert!(plan.tripped(), "{name}: the checkpoint reached fsync {nth}");
+    let later = db.insert(keys[1][39], rec(keys[1][39], 3));
+    assert!(
+        later.is_err(),
+        "{name}: the log took a write after a dead fsync"
+    );
+    drop(db);
+
+    plan.reset();
+    want.extend(written.map(|k| (k, rec(k, 2))));
+    let due = replay_due(&dir, &config, |k| {
+        (0..3).find(|&p| keys[p].contains(&k)).unwrap()
+    });
+    let reopened = SksDb::open(&dir, config).unwrap();
+    let replayed = reopened.recovery_report().records_replayed;
+    assert_eq!(replayed, due, "{name}: replay is exact");
+    assert_eq!(image(&reopened), want, "{name}: every acknowledged write");
+    reopened.validate().unwrap();
+    drop(reopened);
+    let killed = Killed {
+        error,
+        wrote_between: written.is_some(),
+        covered: covered(&dir, 3),
+        replayed,
+    };
+    std::fs::remove_dir_all(&dir).ok();
+    killed
+}
+
+/// A checkpoint's log fsyncs come in one order, so each is a kill point
+/// a test can name: a dry run counts them, then each is made to fail in
+/// turn, twice. Every such checkpoint fails, the log refuses later
+/// writes, and the reopen holds every acknowledged write and replays
+/// exactly the logged writes its pages lack — the same outcome both
+/// times.
+#[test]
+fn a_dead_log_fsync_at_each_checkpoint_fsync_replays_exactly_what_the_pages_lack() {
+    let (dir, plan) = (tmpdir("fsync_dry_run"), FailPlan::new());
+    let (_, db, keys) = three_dirty_partitions(&dir, &plan);
+    plan.reset();
+    checkpoint_writing_between(&db, &keys).0.unwrap();
+    let fsyncs = plan.flushes_seen();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        fsyncs, 4,
+        "the new segment's header, the retiring segment, partition 0's sync of \
+         the new sentinel and partition 1's of the write between"
+    );
+
+    let mut outcomes = Vec::new();
+    for nth in 1..=fsyncs {
+        let first = checkpoint_with_dead_fsync(&format!("fsync_{nth}_a"), nth);
+        let again = checkpoint_with_dead_fsync(&format!("fsync_{nth}_b"), nth);
+        assert_eq!(first, again, "fsync {nth}: the same kill, the same outcome");
+        outcomes.push((first.wrote_between, first.replayed));
+    }
+    // Until partition 0 commits, every partition lacks its 10 later
+    // writes; once it has, partitions 1 and 2 lack theirs and partition 0
+    // the write made after its commit.
+    assert_eq!(
+        outcomes,
+        [(false, 30), (false, 30), (false, 30), (true, 21)],
+        "(write between made, records replayed) per dead fsync"
+    );
 }

@@ -2,8 +2,9 @@
 //! the stage-attributed write-path breakdown (the PR's acceptance bar:
 //! the breakdown must explain ≥90% of measured insert wall time on the
 //! file backend), the node cache keeping what writes seal, observability
-//! levels, the no-plaintext telemetry guarantee, and batch commit
-//! amortisation.
+//! levels, the no-plaintext telemetry guarantee, batch commit
+//! amortisation, and a checkpoint's stages nesting inside its flush
+//! phase.
 
 use std::time::Instant;
 
@@ -253,6 +254,55 @@ fn txn_op_is_the_commit_stage() {
     let txn = stats.op("txn").expect("txn histogram");
     assert_eq!(txn.count, K);
     assert_eq!(Some(txn), stats.stage(Stage::TxnCommit));
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint compacts, commits and fsyncs its partitions one after
+/// another on the calling thread, all inside its flush phase, so the
+/// compaction and store-fsync time recorded over one checkpoint is at
+/// most that phase's own: here four partitions, each dirty and holding
+/// tombstones.
+#[test]
+fn checkpoint_stage_time_nests_inside_its_flush_phase() {
+    let dir = tmpdir("checkpoint_nesting");
+    let scheme = SchemeConfig::with_capacity(Scheme::Oval, 4096)
+        .observability(ObsLevel::Histograms)
+        .partitions(4);
+    let db = SksDb::open(&dir, EngineConfig::new(scheme)).unwrap();
+    for k in 0..2_000u64 {
+        db.insert(k, vec![k as u8; 200]).unwrap();
+    }
+    for k in (0..2_000u64).filter(|k| k % 3 != 0) {
+        db.delete(k).unwrap();
+    }
+    assert!(db.dirty_pages_per_partition().iter().all(|&d| d > 0));
+    let inner = [Stage::CompactData, Stage::CompactNodes, Stage::StoreFsync];
+    let time = |stages: &[Stage]| {
+        let stats = db.stats();
+        stages.iter().map(|&s| stats.stage_ns(s)).sum::<u64>()
+    };
+    let count = |stage| db.stats().stage(stage).map_or(0, |h| h.count);
+    let (inner_before, flush_before) = (time(&inner), time(&[Stage::CheckpointFlush]));
+    let (passes, fsyncs) = (count(Stage::CompactData), count(Stage::StoreFsync));
+
+    db.checkpoint().unwrap();
+    let nested = time(&inner) - inner_before;
+    let flush = time(&[Stage::CheckpointFlush]) - flush_before;
+    assert!(
+        db.last_compaction_report().freed_blocks > 0,
+        "the checkpoint's compaction reclaimed nothing"
+    );
+    assert_eq!(
+        count(Stage::CompactData) - passes,
+        4,
+        "one pass per partition"
+    );
+    assert_eq!(count(Stage::StoreFsync) - fsyncs, 8, "two per partition");
+    assert!(
+        0 < nested && nested <= flush,
+        "compaction and store fsyncs took {nested} ns inside a {flush} ns flush phase"
+    );
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -295,9 +295,9 @@ fn snapshot_reader_progresses_while_commit_holds_its_locks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One checkpoint's WAL cut must carry a transaction committed after the
-/// mark as a *single frame* (the cut re-seals txn groups), and reopening
-/// replays it all-or-nothing alongside autocommit traffic.
+/// A transaction committed in the middle of a checkpoint is one frame in
+/// the checkpoint's new segment, and reopening replays it all-or-nothing
+/// alongside autocommit traffic.
 #[test]
 fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
     let dir = tmpdir("ckpt");
@@ -314,16 +314,15 @@ fn checkpoint_cut_preserves_txn_frames_and_reopen_converges() {
         t.insert(keys[0], b"pre-mark-0".to_vec()).unwrap();
         t.insert(keys[1], b"pre-mark-1".to_vec()).unwrap();
         t.commit().unwrap();
-        // …and one committed *mid-checkpoint*, after the mark: it lands in
-        // the fuzzy tail and the cut must re-seal it as one txn frame.
-        let db2 = Arc::clone(&db);
-        let k0 = keys[0];
-        let k2 = keys[2];
-        db.checkpoint_with_hook(move || {
-            let mut t = db2.begin();
-            t.insert(k0, b"mid-ckpt-0".to_vec()).unwrap();
-            t.insert(k2, b"mid-ckpt-2".to_vec()).unwrap();
-            t.commit().unwrap();
+        // …and one committed *mid-checkpoint*, right after the segment
+        // switch: it lands in the new segment as one txn frame.
+        db.checkpoint_with_hook(|step| {
+            if step == 0 {
+                let mut t = db.begin();
+                t.insert(keys[0], b"mid-ckpt-0".to_vec()).unwrap();
+                t.insert(keys[2], b"mid-ckpt-2".to_vec()).unwrap();
+                t.commit().unwrap();
+            }
         })
         .unwrap();
         // Post-checkpoint txn traffic on the fresh log.

@@ -160,6 +160,11 @@ impl FailPlan {
         self.inner.lock().expect("fail plan").writes_seen
     }
 
+    /// Flushes observed since the last arm/reset.
+    pub fn flushes_seen(&self) -> u64 {
+        self.inner.lock().expect("fail plan").flushes_seen
+    }
+
     /// Whether the armed fault has fired.
     pub fn tripped(&self) -> bool {
         self.inner.lock().expect("fail plan").tripped

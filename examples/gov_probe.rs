@@ -2,13 +2,16 @@
 //! churns forever under group commit (`SyncPolicy::EveryN(32)`), every
 //! checkpoint runs dead-ratio compaction + node shrinking, and each
 //! finished op prints `ACK <op>` (and each checkpoint `CKPT <op>`);
-//! `check <dir> [<op> [<ckpt op>]]` reopens the killed directory, prints
-//! the log segments it finds, validates, reports device usage and — given
-//! the last acknowledged op — requires every acknowledged write to be
-//! there: a process crash loses nothing acknowledged under any sync
-//! policy. Given the op of the last `CKPT` line too, it requires the
-//! reopen to have replayed at most the records logged after that op: the
-//! checkpoint covered every earlier one.
+//! `write-pause` churns the same way, but its second checkpoint prints
+//! `PAUSED <op>` once partition 0 has committed and then blocks, so a
+//! kill lands between two partitions' commits, with the retired segment
+//! still there. `check <dir> [<op> [<ckpt op>]]` reopens the killed
+//! directory, prints the log segments it finds, validates, reports
+//! device usage and — given the last acknowledged op — requires every
+//! acknowledged write to be there: a process crash loses nothing
+//! acknowledged under any sync policy. Given the op of the last `CKPT`
+//! line too, it requires the reopen to have replayed at most the records
+//! logged after that op: the checkpoint covered every earlier one.
 use sks_btree::core::{Scheme, SchemeConfig};
 use sks_btree::engine::{EngineConfig, SksDb};
 use sks_btree::storage::SyncPolicy;
@@ -60,30 +63,42 @@ fn check_acked(db: &SksDb, acked: u64) {
     println!("acknowledged writes through op {acked}: all present");
 }
 
+/// Churns until killed, checkpointing every 2 000 ops. Given `pause`,
+/// the second checkpoint stops for good once partition 0 has committed.
+fn write(dir: &std::path::Path, pause: bool) -> ! {
+    let db = SksDb::open(dir, config()).unwrap();
+    println!("READY");
+    let mut i = 0u64;
+    loop {
+        let (insert, delete) = op(i);
+        db.insert(insert, value(insert)).unwrap();
+        if let Some(d) = delete {
+            db.delete(d).unwrap();
+        }
+        println!("ACK {i}");
+        if i % 2_000 == 1_999 {
+            db.checkpoint_with_hook(|step| {
+                if pause && i == 3_999 && step == 1 {
+                    println!("PAUSED {i}");
+                    loop {
+                        std::thread::park();
+                    }
+                }
+            })
+            .unwrap();
+            println!("CKPT {i} report {:?}", db.last_compaction_report());
+        }
+        i += 1;
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mode = args.next().expect("mode: write|check");
+    let mode = args.next().expect("mode: write|write-pause|check");
     let dir = std::path::PathBuf::from(args.next().expect("dir"));
     match mode.as_str() {
-        "write" => {
-            let db = SksDb::open(&dir, config()).unwrap();
-            let s = db.session();
-            println!("READY");
-            let mut i = 0u64;
-            loop {
-                let (insert, delete) = op(i);
-                s.insert(insert, value(insert)).unwrap();
-                if let Some(d) = delete {
-                    s.delete(d).unwrap();
-                }
-                println!("ACK {i}");
-                if i % 2_000 == 1_999 {
-                    db.checkpoint().unwrap();
-                    println!("CKPT {i} report {:?}", db.last_compaction_report());
-                }
-                i += 1;
-            }
-        }
+        "write" => write(&dir, false),
+        "write-pause" => write(&dir, true),
         "check" => {
             let mut segments: Vec<String> = std::fs::read_dir(&dir)
                 .unwrap()

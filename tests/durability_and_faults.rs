@@ -795,7 +795,6 @@ fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
     halted("checkpoint", db.checkpoint());
     halted("compact", db.compact(8).map(drop));
     halted("flush", db.flush());
-    halted("flush_pages", db.flush_pages());
     drop((txn, retry, db));
 
     let err = SksDb::open(&dir, config()).expect_err("the rotten pages refuse the replay");
@@ -816,7 +815,7 @@ fn a_commit_that_fails_to_apply_fail_stops_the_engine() {
 /// Every partition checkpoint is one journaled commit of both files: per
 /// dirty partition, one journal write (one `page_commit` event covering
 /// two files) and two store fsyncs — whether it runs through
-/// `EncipheredBTree::flush`, `SksDb::checkpoint` or `SksDb::flush_pages`.
+/// `EncipheredBTree::flush` or `SksDb::checkpoint`, in every round.
 /// A tree over two stores that would commit apart is refused.
 #[test]
 fn a_partition_checkpoint_is_one_journaled_commit_of_both_files() {
@@ -870,11 +869,7 @@ fn a_partition_checkpoint_is_one_journaled_commit_of_both_files() {
             db.insert(k, record(k + round)).unwrap();
         }
         let (events, synced) = (commits(db.recent_events()).len(), store_fsyncs());
-        if round == 0 {
-            db.checkpoint().unwrap();
-        } else {
-            db.flush_pages().unwrap();
-        }
+        db.checkpoint().unwrap();
         assert_eq!(
             commits(db.recent_events())[events..],
             [2, 2],

@@ -1,8 +1,9 @@
-//! The engine leaves no thread running between calls: a commit writes and
-//! fsyncs on the caller's thread, a bulk load logs and builds on it, and
-//! a checkpoint joins its per-partition flush threads before it returns. Linux-only (it counts
-//! `/proc/self/task`), and the only test in its binary, so no other
-//! test's threads are counted.
+//! The engine starts no thread: a commit writes and fsyncs on the
+//! caller's thread, a bulk load logs and builds on it, and a checkpoint
+//! commits its partitions one after another on it, so the process's
+//! thread count is the baseline even in the middle of a checkpoint.
+//! Linux-only (it counts `/proc/self/task`), and the only test in its
+//! binary, so no other test's threads are counted.
 
 #![cfg(target_os = "linux")]
 
@@ -58,7 +59,15 @@ fn the_engine_leaves_no_thread_running_between_calls() {
         "after open, a bulk load, inserts, a multi-partition txn commit and flush"
     );
 
-    db.checkpoint().unwrap();
+    // Every partition is dirty, so each step follows a commit.
+    let mut steps = Vec::new();
+    db.checkpoint_with_hook(|step| steps.push((step, threads())))
+        .unwrap();
+    let expected: Vec<(usize, usize)> = (0..=2).map(|step| (step, baseline)).collect();
+    assert_eq!(
+        steps, expected,
+        "(checkpoint step, threads) inside the checkpoint"
+    );
     assert_eq!(settled(baseline), baseline, "after checkpoint");
 
     drop(db);

@@ -98,8 +98,9 @@ pub enum SealerKind {
 /// The paper's threat model is an opponent holding the *storage medium*;
 /// `Memory` simulates that medium in RAM (every byte lost on restart —
 /// the paper's experimental setup), while `File` puts the same enciphered
-/// blocks on an actual on-disk device behind a no-steal buffer pool with
-/// journaled checkpoints. Only enciphered bytes ever reach the file
+/// blocks on an actual on-disk device behind a buffer pool that writes
+/// nothing over the last checkpoint's image before the next journaled
+/// checkpoint. Only enciphered bytes ever reach the file
 /// either way; the backend changes *where* the opponent's view lives,
 /// never *what* it contains. An engine ignores this choice: it always
 /// keeps its partitions on disk under its own directory.

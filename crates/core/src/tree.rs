@@ -551,12 +551,21 @@ impl EncipheredBTree {
         self.config.block_size
     }
 
-    /// Dirty pages currently buffered across both stores (file backend:
-    /// the no-steal pool's pinned set awaiting the next checkpoint; 0 for
-    /// unbuffered backends). The engine reports it per partition in its
-    /// stats.
+    /// Pages across both stores the next checkpoint must make durable
+    /// (file backend: the pools' dirty frames plus the pages written back
+    /// early past a file's committed end; 0 for unbuffered backends). The
+    /// engine reports it per partition in its stats.
     pub fn dirty_pages(&self) -> usize {
         self.tree.store().dirty_pages() + self.records.store().dirty_pages()
+    }
+
+    /// Frames the node and data stores' pools hold, as `(nodes, data)`
+    /// (0 for unbuffered backends).
+    pub fn resident_pages(&self) -> (usize, usize) {
+        (
+            self.tree.store().resident_pages(),
+            self.records.store().resident_pages(),
+        )
     }
 
     /// Nodes currently held in the node cache.
@@ -608,11 +617,12 @@ impl EncipheredBTree {
     /// pointers are repointed in place, and the dead blocks return to the
     /// storage free list for reuse.
     ///
-    /// Crash safety on the file backend comes from the no-steal buffer
-    /// pool: nothing the pass does reaches the medium until the next
-    /// journaled checkpoint commits, so a crash mid-compaction recovers to
-    /// the pre-pass image and a crash after the checkpoint to the
-    /// post-pass image — never a mix. The engine runs this inside its
+    /// Crash safety on the file backend comes from the buffer pool: no
+    /// block of the committed image changes until the next journaled
+    /// checkpoint commits (a page the pass writes past a file's committed
+    /// end may reach the file early, where a reopen reads nothing), so a
+    /// crash mid-compaction recovers to the pre-pass image and a crash
+    /// after the checkpoint to the post-pass image — never a mix. The engine runs this inside its
     /// fuzzy checkpoint, per partition, under the partition write lock.
     ///
     /// Cost/accounting: each moved record names its owning key itself —
@@ -1367,8 +1377,8 @@ mod tests {
     }
 
     /// A crash mid-compaction recovers to *either* image: before the
-    /// checkpoint commits, the no-steal pool keeps every compacted page in
-    /// RAM, so the medium still holds the pre-pass image; after the
+    /// checkpoint commits, the pool writes no compacted page over the
+    /// committed image, so the medium still holds the pre-pass image; after the
     /// journaled checkpoint, the post-pass image — never a mix, and never
     /// a lost live record.
     #[test]

@@ -128,17 +128,30 @@ const CHUNK: usize = 32;
 /// alone. The counters of consecutive buffers share each stack chunk, so
 /// many short buffers (the records of one data block) cost one wide pass
 /// rather than a ragged pass each. Each chunk of keystream is wiped from
-/// the stack once used.
+/// the stack once used. A lone buffer of at most one block (a point
+/// read's owner check) takes one [`BlockCipher64::encrypt_block`] instead,
+/// and only its one keystream word is wiped.
 pub fn ctr_xor_each<'a, C: BlockCipher64>(
     cipher: &C,
     buffers: impl IntoIterator<Item = (u64, &'a mut [u8])>,
 ) {
+    let mut buffers = buffers.into_iter().peekable();
+    let mut first = buffers.next();
+    if let Some((nonce, data)) = &mut first {
+        if data.len() <= BLOCK && buffers.peek().is_none() {
+            let mut k = [cipher.encrypt_block(*nonce)];
+            xor_block(data, k[0]);
+            k[0] = 0;
+            std::hint::black_box(&mut k);
+            return;
+        }
+    }
     let mut keystream = [0u64; CHUNK];
     // The pieces of buffers whose counters fill `keystream[..drawn]`, in
     // order: each whole blocks but for a buffer's short last one.
     let mut pieces: [&mut [u8]; CHUNK] = std::array::from_fn(|_| Default::default());
     let (mut drawn, mut held) = (0, 0);
-    for (nonce, mut data) in buffers {
+    for (nonce, mut data) in first.into_iter().chain(buffers) {
         let mut counter = nonce;
         while !data.is_empty() {
             let blocks = data.len().div_ceil(BLOCK).min(CHUNK - drawn);
@@ -331,6 +344,30 @@ mod tests {
                     ctr_xor(&dynamic, nonce, plain),
                     ctr_reference(&speck, nonce, plain),
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A lone buffer (of one block or less: the one-`encrypt_block`
+        /// path) gets the bytes the chunked path gives it, which it takes
+        /// with an empty buffer after it, at every length from 0 to 200.
+        #[test]
+        fn a_lone_buffer_matches_the_chunked_path(
+            data in proptest::collection::vec(any::<u8>(), 200..201),
+            nonce in prop_oneof![any::<u64>(), Just(u64::MAX), Just(u64::MAX - 30)],
+        ) {
+            let speck = Speck64::from_u128(0x0011_2233_4455_6677_8899_aabb_ccdd_eeff);
+            for len in 0..=200 {
+                let mut lone = data[..len].to_vec();
+                ctr_xor_each(&speck, [(nonce, &mut lone[..])]);
+                let mut chunked = data[..len].to_vec();
+                ctr_xor_each(&speck, [(nonce, &mut chunked[..]), (0, &mut [][..])]);
+                prop_assert_eq!(&lone, &chunked, "{} bytes", len);
+                let mut des_lone = data[..len].to_vec();
+                ctr_xor_each(&des(), [(nonce, &mut des_lone[..])]);
+                prop_assert_eq!(des_lone, ctr_reference(&des(), nonce, &data[..len]));
             }
         }
     }

@@ -1005,12 +1005,21 @@ impl SksDb {
         self.router.partition_of(key)
     }
 
-    /// Dirty pages each partition's buffer pool pins until the next
-    /// checkpoint.
+    /// Pages each partition's next checkpoint must make durable: its
+    /// pools' dirty frames and the pages they wrote back early.
     pub fn dirty_pages_per_partition(&self) -> Vec<usize> {
         self.partitions
             .iter()
             .map(|p| p.read().expect("partition lock").dirty_pages())
+            .collect()
+    }
+
+    /// Frames each partition's node and data pools hold, as `(nodes,
+    /// data)`.
+    pub fn resident_pages_per_partition(&self) -> Vec<(usize, usize)> {
+        self.partitions
+            .iter()
+            .map(|p| p.read().expect("partition lock").resident_pages())
             .collect()
     }
 
@@ -1276,8 +1285,12 @@ fn create_segment(
 ) -> Result<Wal, EngineError> {
     let file = LogFile::create(segment_path(db_dir, n), counters.clone())?;
     let (disk, key) = (log_device(file, config), config.wal_key());
-    let wal = Wal::create_segment(disk, WAL_PIECE, key, config.sync, counters)?;
+    let wal = Wal::create_segment(disk, WAL_PIECE, key, config.sync, counters.clone())?;
+    // The entry's fsync is a log fsync too, timed with them; `wal_fsyncs`
+    // counts the file's alone.
+    let timer = counters.obs().start();
     sks_storage::sync_dir(db_dir)?;
+    counters.obs().stage(Stage::WalFsync, timer);
     Ok(wal)
 }
 

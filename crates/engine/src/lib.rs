@@ -28,8 +28,11 @@
 //! * [`error`] — [`EngineError`].
 //!
 //! Every partition keeps its enciphered node/record pages on disk under
-//! the database directory, behind a no-steal buffer pool of
-//! [`sks_core::StorageBackend::DEFAULT_POOL_PAGES`] frames per store: a
+//! the database directory, behind a buffer pool of
+//! [`sks_core::StorageBackend::DEFAULT_POOL_PAGES`] frames per store
+//! (which writes nothing over the last checkpoint's image, and writes
+//! pages past a file's committed end back early once they outnumber its
+//! frames): a
 //! checkpoint commits each partition's pages with the log position they
 //! cover and removes the log segments every partition covers, and a
 //! restart replays exactly the writes past it. The engine reads nothing from

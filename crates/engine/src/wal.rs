@@ -122,14 +122,12 @@ struct SyncState {
     syncing: bool,
     /// An fsync failed: what the file holds past `synced` is unknowable.
     failed: bool,
-    /// Where fsyncs are counted (`wal_fsyncs`) and timed
-    /// ([`Stage::WalFsync`]).
-    counters: OpCounters,
 }
 
 /// A log's one durability point, shared by its [`Wal`] handle and every
-/// [`SyncTicket`] it hands out. Every fsync of the log but a new file's
-/// header's and the open-time torn-tail cut's goes through
+/// [`SyncTicket`] it hands out. Every fsync of the log goes through
+/// [`SyncPoint::fsync`], where it is counted and timed, and all but a new
+/// file's header's and the open-time torn-tail cut's through
 /// [`SyncPoint::sync_through`], which is group commit: a caller whose
 /// frame an earlier fsync covered returns at once, one that finds an
 /// fsync in flight waits it out, and otherwise the caller leads — it
@@ -139,6 +137,9 @@ struct SyncState {
 #[derive(Debug)]
 pub(crate) struct SyncPoint {
     handle: SyncHandle,
+    /// Where fsyncs are counted (`wal_fsyncs`) and timed
+    /// ([`Stage::WalFsync`]).
+    counters: OpCounters,
     state: Mutex<SyncState>,
     /// Signalled whenever a leader's fsync ends.
     done: Condvar,
@@ -148,6 +149,7 @@ impl SyncPoint {
     fn new(handle: SyncHandle, written: u64, counters: OpCounters) -> Self {
         SyncPoint {
             handle,
+            counters,
             state: Mutex::new(SyncState {
                 written,
                 synced: 0,
@@ -155,7 +157,6 @@ impl SyncPoint {
                 commits_synced: 0,
                 syncing: false,
                 failed: false,
-                counters,
             }),
             done: Condvar::new(),
         }
@@ -201,18 +202,14 @@ impl SyncPoint {
         // fsync covers it all.
         let (target, commits) = (state.written, state.commits);
         state.syncing = true;
-        let counters = state.counters.clone();
         drop(state);
-        counters.bump(|c| &c.wal_fsyncs);
-        let timer = counters.obs().start();
-        let result = self.handle.sync();
+        let result = self.fsync();
         let mut state = self.state();
         state.syncing = false;
         match result {
             Ok(()) => {
                 state.synced = state.synced.max(target);
                 state.commits_synced = state.commits_synced.max(commits);
-                counters.obs().stage(Stage::WalFsync, timer);
             }
             // An fsync failure may have silently dropped dirty pages
             // (Linux clears the error flag), so the durability of every
@@ -223,6 +220,16 @@ impl SyncPoint {
         drop(state);
         self.done.notify_all();
         Ok(result?)
+    }
+
+    /// One fsync of the log file, counted in `wal_fsyncs` and timed as
+    /// [`Stage::WalFsync`]: every log fsync goes through here.
+    fn fsync(&self) -> Result<(), sks_storage::StorageError> {
+        self.counters.bump(|c| &c.wal_fsyncs);
+        let timer = self.counters.obs().start();
+        self.handle.sync()?;
+        self.counters.obs().stage(Stage::WalFsync, timer);
+        Ok(())
     }
 
     /// Makes the log durable through everything it has written so far.
@@ -439,7 +446,6 @@ impl Wal {
         header[..8].copy_from_slice(LOG_MAGIC);
         header[8..].copy_from_slice(&(piece_len as u32).to_be_bytes());
         disk.write_at(&header, 0)?;
-        disk.sync_handle()?.sync()?;
         let scan = Scan {
             disk,
             cipher: Speck64::from_u128(wal_key),
@@ -449,7 +455,9 @@ impl Wal {
             next_seq: 1,
             replay: WalReplay::default(),
         };
-        Wal::positioned(scan, policy, counters)
+        let wal = Wal::positioned(scan, policy, counters)?;
+        wal.point.fsync()?;
+        Ok(wal)
     }
 
     /// [`Wal::open`] over an already-constructed device.
@@ -513,7 +521,7 @@ impl Wal {
             // The next append grows the file again.
             wal.disk.set_len(wal.end)?;
             wal.file_len = wal.end;
-            wal.point.handle.sync()?;
+            wal.point.fsync()?;
             // Flight-recorder breadcrumb: where the valid stream ended and
             // how many trailing bytes recovery threw away.
             wal.counters.obs().note(
@@ -1787,8 +1795,8 @@ mod tests {
         assert_eq!(s.wal_sealed_batches, 0, "a group of one is not a batch");
         assert_eq!(
             s.wal_fsyncs,
-            8 + 1,
-            "64 commits at EveryN(8) = 8 fsyncs, +1 for the durable sentinel"
+            8 + 2,
+            "64 commits at EveryN(8) = 8 fsyncs, +2 for the durable header and sentinel"
         );
         // Nothing is lost despite the amortisation (process exit, not
         // power failure).

@@ -263,16 +263,53 @@ fn a_wait_that_straddles_a_checkpoint_returns_ok() {
     });
     assert_eq!(
         fsyncs(&db),
-        before + 3,
-        "the retiring segment's fsync, partition 0's (partition 1 finds \
-         nothing new to sync) and the new segment's before the removal, and \
-         none for the straddling wait"
+        before + 4,
+        "the new segment's header, the retiring segment's fsync, partition \
+         0's (partition 1 finds nothing new to sync) and the new segment's \
+         before the removal, and none for the straddling wait"
     );
     drop(db);
 
     let db = SksDb::open(&dir, config()).unwrap();
     for (k, v) in &writes {
         assert_eq!(db.get(*k).unwrap().as_ref(), Some(v));
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every fsync a checkpoint makes of the log is counted: `wal_fsyncs`
+/// moves by exactly the fsyncs the log's device saw, the new segment's
+/// header included.
+#[test]
+fn a_checkpoint_counts_every_log_fsync_it_makes() {
+    let dir = tmpdir("counted_fsyncs");
+    let plan = FailPlan::new();
+    let db = SksDb::open(&dir, config().wal_fault(plan.clone())).unwrap();
+    for p in 0..2 {
+        for k in keys_in(&db, p, 3) {
+            db.insert(k, rec(k, 0)).unwrap();
+        }
+    }
+    for round in 1..=2usize {
+        plan.reset();
+        let before = fsyncs(&db);
+        db.checkpoint_with_hook(|step| {
+            if step == 1 {
+                // A write between the partitions' commits, for partition
+                // 1's sync to cover.
+                let k = keys_in(&db, 1, 1)[0];
+                db.insert(k, rec(k, round as u64)).unwrap();
+            }
+        })
+        .unwrap();
+        let counted = fsyncs(&db) - before;
+        assert_eq!(counted, plan.flushes_seen(), "round {round}");
+        // Both rounds: the new segment's header and the retiring
+        // segment. Round 1: partition 0's sync of the new sentinel, and
+        // partition 1's of the hook's write. Round 2: partition 0 has
+        // nothing new to commit, so partition 1's sync covers both.
+        assert_eq!(counted, [4, 3][round - 1], "round {round}");
     }
     drop(db);
     std::fs::remove_dir_all(&dir).ok();

@@ -19,10 +19,11 @@ fn rec(k: u64) -> Vec<u8> {
 }
 
 /// Attack sweep over the staging windows of the write path: while
-/// record plaintext sits in the batch-staging buffer and dirty pages sit
-/// in the no-steal pool, nothing readable may exist on the medium — and
+/// record plaintext sits in the batch-staging buffer, dirty pages sit in
+/// the pool and a bulk load's pages have been written back early past the
+/// files' committed ends, nothing readable may exist on the medium — and
 /// nothing readable may ever enter the flight recorder or the stats
-/// surface, before or after the checkpoint lands.
+/// surface, before or after the checkpoint (and its journal) lands.
 #[test]
 fn staged_plaintext_never_reaches_medium_or_recorder() {
     let dir = tmpdir("staged_leak");
@@ -53,10 +54,19 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
 
     // Bulk loads and batches seal multi-record plaintext bodies borrowed
     // from the caller, single inserts stage theirs; the small fsync
-    // period leaves committed-but-unsynced tails. Scan the medium in
-    // exactly that state.
-    db.bulk_load((0..30u64).map(|k| (k, needle.to_vec())).collect())
-        .unwrap();
+    // period leaves committed-but-unsynced tails. The bulk load's values
+    // fill a page each, more pages than a pool holds, so its pages reach
+    // the files before any checkpoint. Scan the medium in exactly that
+    // state.
+    let page = needle.repeat(4_000 / needle.len());
+    db.bulk_load(
+        (0..30u64)
+            .map(|k| (k, needle.to_vec()))
+            .chain((1_000..1_700u64).map(|k| (k, page.clone())))
+            .collect(),
+    )
+    .unwrap();
+    assert!(db.snapshot().pages_written_early > 0);
     db.insert_batch((30..60u64).map(|k| (k, needle.to_vec())).collect())
         .unwrap();
     for k in 60..90u64 {
@@ -69,6 +79,7 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
     db.flush().unwrap();
     db.checkpoint().unwrap();
     scan_medium(&dir);
+    assert!(db.snapshot().journal_pages > 0);
 
     // The telemetry surfaces never carry the plaintext either.
     let rendered = db
@@ -79,6 +90,9 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
         .join("\n");
     assert!(!rendered.is_empty(), "FullTrace records the workload");
     let json = db.stats().to_json();
+    for field in ["\"pages_written_early\"", "\"journal_pages\""] {
+        assert!(json.contains(field), "{field} missing:\n{json}");
+    }
     for doc in [&rendered, &json] {
         assert!(
             !doc.contains("EXTREMELY-SECRET") && !doc.contains("STAGED-ROW"),
@@ -89,6 +103,9 @@ fn staged_plaintext_never_reaches_medium_or_recorder() {
     // And the data is all there, readable, through the sealed path.
     for k in 0..90u64 {
         assert_eq!(db.get(k).unwrap().unwrap(), needle.to_vec());
+    }
+    for k in (1_000..1_700u64).step_by(7) {
+        assert_eq!(db.get(k).unwrap().unwrap(), page);
     }
     db.validate().unwrap();
     drop(db);
@@ -282,5 +299,59 @@ fn bulk_load_kill_point_sweep_leaves_each_partition_whole_or_empty() {
     for nth in 1..=fsyncs {
         run(&|plan| plan.arm_nth_flush(nth));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bulk load of twenty pools' worth of pages and more stays inside the
+/// pools: the pages past each file's committed end are written back early
+/// once more of them are dirty than the pool has frames, so before the
+/// checkpoint every file's pool holds at most its frames, and the
+/// checkpoint journals at most the pages left dirty (a pool's worth per
+/// file, and the superblocks) instead of the load.
+#[test]
+fn a_bulk_load_stays_inside_its_pools_and_its_checkpoint_journals_almost_nothing() {
+    const POOL: usize = sks_core::StorageBackend::DEFAULT_POOL_PAGES;
+    let dir = tmpdir("bulk_in_pool");
+    let cfg = SchemeConfig::with_capacity(Scheme::Oval, 8_192);
+    let db = SksDb::open(&dir, EngineConfig::new(cfg).sync(SyncPolicy::EveryN(32))).unwrap();
+    // A page per value, so at least 20 × POOL data pages.
+    let n = 20 * POOL as u64 + 100;
+    let value = |k: u64| {
+        let mut v = rec(k);
+        v.resize(4_000, b'.');
+        v
+    };
+    db.bulk_load((0..n).map(|k| (k, value(k))).collect())
+        .unwrap();
+    let (nodes, data) = db.resident_pages_per_partition()[0];
+    assert!(
+        nodes <= POOL && data <= POOL,
+        "{nodes} node frames, {data} data frames"
+    );
+    let loaded = db.snapshot();
+    assert!(loaded.pages_written_early >= 20 * POOL as u64 - POOL as u64);
+    assert!(
+        db.dirty_pages_per_partition()[0] as u64 >= n,
+        "the load is pending"
+    );
+    db.checkpoint().unwrap();
+    let journaled = db.snapshot().delta(&loaded).journal_pages;
+    assert!(
+        journaled <= 2 * POOL as u64 + 2,
+        "{journaled} pages journaled"
+    );
+    assert_eq!(db.dirty_pages_per_partition(), [0]);
+    drop(db);
+    let db = SksDb::open(
+        &dir,
+        EngineConfig::new(SchemeConfig::with_capacity(Scheme::Oval, 8_192)),
+    )
+    .unwrap();
+    assert_eq!(db.recovery_report().records_replayed, 0);
+    for k in (0..n).step_by(97) {
+        assert_eq!(db.get(k).unwrap(), Some(value(k)), "key {k}");
+    }
+    db.validate().unwrap();
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

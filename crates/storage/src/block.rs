@@ -158,11 +158,18 @@ pub trait BlockStore {
         None
     }
 
-    /// Number of dirty pages buffered in memory awaiting the next flush.
-    /// Unbuffered stores (where every write hits the medium) report 0; the
-    /// no-steal [`crate::PagedFileStore`] reports its pinned dirty set,
-    /// which only its next flush releases.
+    /// Number of pages written since the last flush that the next flush
+    /// must make durable. Unbuffered stores (where every write hits the
+    /// medium) report 0; [`crate::PagedFileStore`] reports its dirty
+    /// frames plus the pages it wrote back early past the file's
+    /// committed end, each once.
     fn dirty_pages(&self) -> usize {
+        0
+    }
+
+    /// Frames a buffered store holds in memory, clean and dirty; 0 for an
+    /// unbuffered one.
+    fn resident_pages(&self) -> usize {
         0
     }
 
@@ -253,6 +260,10 @@ impl<S: BlockStore + ?Sized> BlockStore for Box<S> {
 
     fn dirty_pages(&self) -> usize {
         (**self).dirty_pages()
+    }
+
+    fn resident_pages(&self) -> usize {
+        (**self).resident_pages()
     }
 
     fn free_blocks(&self) -> u32 {

@@ -6,40 +6,49 @@
 //! save physical I/O but **not** decryption work, exactly as in the paper's
 //! model where the hardware crypto unit sits at the disk interface.
 //!
-//! The pool has one policy, no-steal: a dirty frame is never written back
-//! by eviction, only by [`BufferPool::flush`] (or a checkpoint's own
-//! write path), so the store behind the pool changes only at those
-//! points — the discipline a checkpointed file store needs, where the
-//! on-disk image must stay a consistent snapshot between checkpoints.
-//! The pool exceeds its capacity rather than write a dirty frame early.
+//! Eviction never writes: a dirty frame is *pinned* — in the map, off the
+//! recency list — until [`BufferPool::flush`] (or a checkpoint's own write
+//! path) writes it. So no block the store held at its last flush changes
+//! before the next one, the discipline a checkpointed file store needs,
+//! where the committed image must stay a consistent snapshot between
+//! checkpoints. The one exception needs no undo: over a [`FileDisk`], a
+//! dirty page at or past the file's *committed end* (the block count its
+//! header holds) lies where no committed block does, and, enciphered as
+//! every frame is, shows an opponent nothing the checkpoint would not.
+//! Once more such frames are dirty than the pool has frames,
+//! [`BufferPool::write_back_past_end`] writes them all in coalesced runs,
+//! and they turn clean and evictable. Dirty frames below the end stay
+//! pinned, and the pool exceeds its capacity rather than write one early.
 //!
 //! Frames live in one [`LruMap`]: a hit, a miss, a discard and the choice
-//! of a victim are O(1) whatever the pool holds. A dirty frame is
-//! *pinned* — in the map, off the recency list — so the least recently
-//! used clean frame is simply the head of the list, however many thousand
-//! dirty pages a bulk load has parked between checkpoints.
+//! of a victim are O(1) whatever the pool holds, and the least recently
+//! used clean frame is simply the head of the list, however many dirty
+//! pages are pinned beside it.
 //!
 //! A miss costs one positioned read. It makes room first, and the store
 //! reads the page straight into the buffer of the frame it evicted; the
 //! map has room made for the pool's capacity up front. So once the pool
 //! is full a miss allocates nothing, zero-fills nothing and copies
 //! nothing: the page goes from the file into the frame, and callers read
-//! it there ([`BlockStore::read_with`] on the paged store). A read that
+//! it there ([`BlockStore::read_with`] on the paged store). A write of a
+//! page not resident takes the evicted buffer the same way. A read that
 //! fails leaves its victim evicted and inserts nothing; the victim was
 //! clean, so nothing is lost.
+
+use std::collections::HashSet;
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::filedisk::{FileDisk, MAX_RUN_BLOCKS};
 use crate::lru::LruMap;
 
-/// No-steal LRU cache of whole blocks.
+/// LRU cache of whole blocks whose eviction never writes.
 #[derive(Debug)]
 pub struct BufferPool<S: BlockStore> {
     store: S,
     /// Cached frames in recency order; dirty frames are pinned.
     frames: LruMap<BlockId, Frame>,
-    /// Frames with `dirty` set.
-    dirty: usize,
+    /// What the next flush must make durable.
+    unflushed: Unflushed,
 }
 
 #[derive(Debug)]
@@ -48,16 +57,86 @@ struct Frame {
     dirty: bool,
 }
 
+/// The pages written since the last flush: the dirty frames, and the
+/// pages written back early that no dirty frame holds again. Each is
+/// counted once, so a page written back and then dirtied again is one
+/// page, not two.
+#[derive(Debug)]
+struct Unflushed {
+    /// The store's block count at the last flush: on a file, its
+    /// committed end.
+    end: u32,
+    /// Frames with `dirty` set.
+    dirty: usize,
+    /// Dirty frames at or past `end`.
+    dirty_past_end: usize,
+    /// Pages written back early since the last flush (all at or past
+    /// `end`) that no dirty frame holds, freed ones excepted.
+    written_early: HashSet<BlockId>,
+}
+
+impl Unflushed {
+    fn new(end: u32) -> Self {
+        Unflushed {
+            end,
+            dirty: 0,
+            dirty_past_end: 0,
+            written_early: HashSet::new(),
+        }
+    }
+
+    /// `id`'s frame was written; `was_dirty` is whether it already was.
+    fn dirtied(&mut self, id: BlockId, was_dirty: bool) {
+        if was_dirty {
+            return;
+        }
+        self.dirty += 1;
+        if id.0 >= self.end {
+            self.dirty_past_end += 1;
+            self.written_early.remove(&id);
+        }
+    }
+
+    /// `id`'s dirty frame turned clean.
+    fn cleaned(&mut self, id: BlockId) {
+        self.dirty -= 1;
+        if id.0 >= self.end {
+            self.dirty_past_end -= 1;
+        }
+    }
+
+    /// `id`'s dirty frame, at or past the end, was written back early.
+    fn written_back(&mut self, id: BlockId) {
+        self.cleaned(id);
+        self.written_early.insert(id);
+    }
+
+    /// `id`'s frame (dirty or not) left the pool unwritten: the block was
+    /// freed, so nothing of it needs to be durable.
+    fn discarded(&mut self, id: BlockId, was_dirty: bool) {
+        if was_dirty {
+            self.cleaned(id);
+        } else {
+            self.written_early.remove(&id);
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.dirty + self.written_early.len()
+    }
+}
+
 impl<S: BlockStore> BufferPool<S> {
     /// A pool of `capacity` frames over `store`. Eviction only ever drops
     /// clean frames, so `store` is written exclusively at
-    /// [`BufferPool::flush`] and [`BufferPool::write_through`].
+    /// [`BufferPool::flush`], [`BufferPool::write_through`] and
+    /// [`BufferPool::write_back_past_end`].
     pub fn new(store: S, capacity: usize) -> Self {
         assert!(capacity >= 1);
         BufferPool {
+            unflushed: Unflushed::new(store.num_blocks()),
             store,
             frames: LruMap::with_room(capacity),
-            dirty: 0,
         }
     }
 
@@ -103,16 +182,15 @@ impl<S: BlockStore> BufferPool<S> {
     ) -> Result<R, StorageError> {
         let frame = Self::resident(&mut self.store, &mut self.frames, id)?;
         let out = f(&mut frame.data);
-        if !std::mem::replace(&mut frame.dirty, true) {
-            self.dirty += 1;
-        }
-        self.frames.pin(&id);
-        evict(&mut self.frames, &self.store, 0);
+        let was_dirty = std::mem::replace(&mut frame.dirty, true);
+        self.pin_dirty(id, was_dirty);
         Ok(out)
     }
 
     /// Writes into the cache: the frame stays dirty, and pinned, until
-    /// [`BufferPool::flush`]. A resident frame takes the bytes in place.
+    /// [`BufferPool::flush`] (or, past a file's committed end,
+    /// [`BufferPool::write_back_past_end`]). A resident frame takes the
+    /// bytes in place.
     pub fn write(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         if data.len() != self.store.block_size() {
             return Err(StorageError::WrongBlockSize {
@@ -120,26 +198,43 @@ impl<S: BlockStore> BufferPool<S> {
                 got: data.len(),
             });
         }
-        let was_dirty = match self.frames.get_mut(&id) {
-            Some(frame) => {
-                frame.data.copy_from_slice(data);
-                std::mem::replace(&mut frame.dirty, true)
-            }
-            None => {
-                let frame = Frame {
-                    data: data.to_vec(),
-                    dirty: true,
-                };
-                self.frames.insert(id, frame);
-                false
-            }
-        };
-        if !was_dirty {
-            self.dirty += 1;
-        }
+        self.overwrite(id, |page| page.copy_from_slice(data));
+        Ok(())
+    }
+
+    /// [`BufferPool::write`] of a page of zeros (a block just handed out),
+    /// built in the frame itself: a resident frame is zeroed in place, a
+    /// new one in the buffer of the frame evicted to make room for it, or
+    /// in one zeroed buffer when nothing was.
+    pub fn write_zeroed(&mut self, id: BlockId) {
+        self.overwrite(id, |page| page.fill(0));
+    }
+
+    /// Gives `fill` the frame of `id` to overwrite whole, then marks it
+    /// dirty. A page not resident is not read: its frame takes the buffer
+    /// of the frame making room evicts (the victims a write then evicting
+    /// down to capacity would have), or a zeroed one.
+    fn overwrite(&mut self, id: BlockId, fill: impl FnOnce(&mut [u8])) {
+        let (store, frames) = (&self.store, &mut self.frames);
+        let (frame, _) = frames
+            .get_or_try_insert_with(id, |frames| -> Result<_, std::convert::Infallible> {
+                let data = evict(frames, store, 1)
+                    .map(|victim| victim.data)
+                    .unwrap_or_else(|| vec![0u8; store.block_size()]);
+                Ok(Frame { data, dirty: false })
+            })
+            .unwrap_or_else(|never| match never {});
+        fill(&mut frame.data);
+        let was_dirty = std::mem::replace(&mut frame.dirty, true);
+        self.pin_dirty(id, was_dirty);
+    }
+
+    /// Counts `id`'s frame, just written, as dirty (`was_dirty`: it
+    /// already was), pins it and sheds what the pool holds over capacity.
+    fn pin_dirty(&mut self, id: BlockId, was_dirty: bool) {
+        self.unflushed.dirtied(id, was_dirty);
         self.frames.pin(&id);
         evict(&mut self.frames, &self.store, 0);
-        Ok(())
     }
 
     /// Flushes all dirty frames to the store.
@@ -148,31 +243,39 @@ impl<S: BlockStore> BufferPool<S> {
             let frame = self.frames.peek_mut(&id).expect("collected above");
             self.store.write_block(id, &frame.data)?;
             frame.dirty = false;
-            self.dirty -= 1;
+            self.unflushed.cleaned(id);
             self.frames.unpin(&id);
         }
-        self.store.flush()
+        self.store.flush()?;
+        self.unflushed = Unflushed::new(self.store.num_blocks());
+        Ok(())
     }
 
     /// Drops a block from the cache without writing it back (used after
     /// `free`).
     pub fn discard(&mut self, id: BlockId) {
-        if self.frames.remove(&id).is_some_and(|f| f.dirty) {
-            self.dirty -= 1;
-        }
+        let was_dirty = self.frames.remove(&id).is_some_and(|f| f.dirty);
+        self.unflushed.discarded(id, was_dirty);
     }
 
     /// The dirty frames' ids, in block order — the write set a journaled
     /// checkpoint must make durable. Ids, not images: a bulk load leaves
-    /// tens of megabytes dirty, and the checkpoint reads them in place
+    /// megabytes dirty, and the checkpoint reads them in place
     /// ([`BufferPool::peek`], [`BufferPool::write_through`]).
     pub fn dirty_ids(&self) -> Vec<BlockId> {
-        let mut dirty: Vec<BlockId> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
+        self.dirty_ids_from(0, self.unflushed.dirty)
+    }
+
+    /// The `count` dirty frames' ids at or past block `from`, ascending.
+    fn dirty_ids_from(&self, from: u32, count: usize) -> Vec<BlockId> {
+        let mut dirty = Vec::with_capacity(count);
+        dirty.extend(
+            self.frames
+                .iter()
+                .filter(|(id, f)| f.dirty && id.0 >= from)
+                .map(|(&id, _)| id),
+        );
+        debug_assert_eq!(dirty.len(), count);
         dirty.sort_unstable();
         dirty
     }
@@ -185,16 +288,24 @@ impl<S: BlockStore> BufferPool<S> {
     /// Number of dirty frames (the cheap form of
     /// [`BufferPool::dirty_ids`] for high-water checks).
     pub fn dirty_count(&self) -> usize {
-        self.dirty
+        self.unflushed.dirty
+    }
+
+    /// Pages the next flush must make durable, each once: the dirty
+    /// frames, and the pages [`BufferPool::write_back_past_end`] wrote
+    /// early that no dirty frame holds again.
+    pub fn unflushed_count(&self) -> usize {
+        self.unflushed.count()
     }
 
     /// Declares every cached frame clean *without* writing anything — the
-    /// checkpoint already persisted the dirty set through its own path.
+    /// checkpoint already persisted the dirty set through its own path —
+    /// and takes the store's block count as the new end.
     pub fn mark_all_clean(&mut self) {
         for (_, frame) in self.frames.iter_mut() {
             frame.dirty = false;
         }
-        self.dirty = 0;
+        self.unflushed = Unflushed::new(self.store.num_blocks());
         self.frames.unpin_all();
     }
 
@@ -253,6 +364,32 @@ impl BufferPool<FileDisk> {
         if len > 0 {
             self.store.write_run(first, &run[..len])?;
         }
+        Ok(())
+    }
+
+    /// Once more frames at or past the file's committed end are dirty than
+    /// the pool has frames, writes them all to the file in coalesced runs
+    /// ([`BufferPool::write_through`]); they turn clean and evictable, and
+    /// the pool sheds what it holds over capacity. No committed block lies
+    /// there, so the image a crash reopens to is untouched; the next
+    /// checkpoint makes them durable before its journal, and journals
+    /// none of them. Below that many, it writes nothing.
+    pub fn write_back_past_end(&mut self) -> Result<(), StorageError> {
+        if self.unflushed.dirty_past_end <= self.capacity() {
+            return Ok(());
+        }
+        let ids = self.dirty_ids_from(self.unflushed.end, self.unflushed.dirty_past_end);
+        self.write_through(&ids)?;
+        self.store
+            .counters()
+            .bump_by(|c| &c.pages_written_early, ids.len() as u64);
+        for id in ids {
+            let frame = self.frames.peek_mut(&id).expect("collected above");
+            frame.dirty = false;
+            self.unflushed.written_back(id);
+            self.frames.unpin(&id);
+        }
+        evict(&mut self.frames, &self.store, 0);
         Ok(())
     }
 }

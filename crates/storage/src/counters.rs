@@ -69,9 +69,18 @@ counters! {
     cache_hits,
     /// Buffer-pool misses.
     cache_misses,
-    /// Buffer-pool frames evicted (dirty evictions also pay a
-    /// `block_writes`).
+    /// Buffer-pool frames evicted (always clean: a dirty frame is never a
+    /// victim).
     cache_evicts,
+    /// Dirty pages a buffer pool wrote to its file before the checkpoint,
+    /// all at or past the file's committed end, where no committed block
+    /// lies (each also pays a `block_writes`). A checkpoint journals none
+    /// of them.
+    pages_written_early,
+    /// Page images the checkpoint journals carried: the pages a crash
+    /// between a journal's commit and its in-place application would
+    /// finish from the journal.
+    journal_pages,
     /// Node-cache hits (node visits served from RAM; the *logical*
     /// decrypt counters are still bumped).
     node_cache_hits,

@@ -20,6 +20,11 @@
 //! overridden, so they run through this wrapper's `read_block` and
 //! `write_block` and meet every armed fault.
 //!
+//! A plan also reaches below a [`crate::PagedFileStore`]'s pools
+//! ([`crate::PagedFileStore::inject_faults`]): each physical write of its
+//! files and journal counts as a write and each file fsync as a flush, so
+//! a probe can kill a checkpoint between any two of its steps.
+//!
 //! Arming is deterministic: either an explicit write ordinal, or one
 //! derived from a seed ([`FailPlan::arm_from_seed`]) so a probe can sweep
 //! reproducible kill points without hand-picking them.
@@ -171,10 +176,10 @@ impl FailPlan {
     }
 
     /// Returns the action for the write now being attempted.
-    fn on_write(&self) -> Result<Option<FailMode>, StorageError> {
+    pub(crate) fn on_write(&self) -> Result<Option<FailMode>, StorageError> {
         let mut p = self.inner.lock().expect("fail plan");
         if p.tripped {
-            return Err(poisoned());
+            return Err(injected_fault());
         }
         p.writes_seen += 1;
         match p.armed_at {
@@ -192,14 +197,14 @@ impl FailPlan {
         p.reads_seen += 1;
         if p.read_armed_at == Some(p.reads_seen) {
             p.tripped = true;
-            return Err(poisoned());
+            return Err(injected_fault());
         }
         Ok(())
     }
 
     fn check_alive(&self) -> Result<(), StorageError> {
         if self.inner.lock().expect("fail plan").tripped {
-            return Err(poisoned());
+            return Err(injected_fault());
         }
         Ok(())
     }
@@ -208,18 +213,18 @@ impl FailPlan {
     pub(crate) fn on_flush(&self) -> Result<(), StorageError> {
         let mut p = self.inner.lock().expect("fail plan");
         if p.tripped {
-            return Err(poisoned());
+            return Err(injected_fault());
         }
         p.flushes_seen += 1;
         if p.flush_armed_at == Some(p.flushes_seen) {
             p.tripped = true;
-            return Err(poisoned());
+            return Err(injected_fault());
         }
         Ok(())
     }
 }
 
-fn poisoned() -> StorageError {
+pub(crate) fn injected_fault() -> StorageError {
     StorageError::Io("injected fault: store is fail-stopped".into())
 }
 
@@ -267,10 +272,10 @@ impl WalDevice for FailStore<LogFile> {
     fn write_at(&mut self, data: &[u8], offset: u64) -> Result<(), StorageError> {
         match self.plan.on_write()? {
             None => self.inner.write_at(data, offset),
-            Some(FailMode::Error) => Err(poisoned()),
+            Some(FailMode::Error) => Err(injected_fault()),
             Some(FailMode::Torn) => {
                 self.inner.write_at(&data[..data.len() / 2], offset)?;
-                Err(poisoned())
+                Err(injected_fault())
             }
         }
     }
@@ -333,7 +338,7 @@ impl<S: BlockStore> BlockStore for FailStore<S> {
     fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         match self.plan.on_write()? {
             None => self.inner.write_block(id, data),
-            Some(FailMode::Error) => Err(poisoned()),
+            Some(FailMode::Error) => Err(injected_fault()),
             Some(FailMode::Torn) => {
                 // First half new, second half whatever the block held
                 // (zeros when it held nothing readable).
@@ -344,7 +349,7 @@ impl<S: BlockStore> BlockStore for FailStore<S> {
                     .unwrap_or_else(|_| vec![0u8; data.len()]);
                 torn[..half].copy_from_slice(&data[..half]);
                 self.inner.write_block(id, &torn)?;
-                Err(poisoned())
+                Err(injected_fault())
             }
         }
     }
@@ -364,6 +369,10 @@ impl<S: BlockStore> BlockStore for FailStore<S> {
 
     fn dirty_pages(&self) -> usize {
         self.inner.dirty_pages()
+    }
+
+    fn resident_pages(&self) -> usize {
+        self.inner.resident_pages()
     }
 
     fn free_blocks(&self) -> u32 {

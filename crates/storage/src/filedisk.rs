@@ -14,6 +14,13 @@
 //! That positioned read and its write twin are this crate's one platform
 //! split for file I/O; the engine's write-ahead log, a plain byte file
 //! rather than a block device ([`crate::LogFile`]), goes through them too.
+//!
+//! The header's block count is the file's *committed end*. A buffer pool
+//! may write pages at or past it before the next checkpoint
+//! ([`crate::BufferPool::write_back_past_end`]): no committed block is
+//! there, so the checkpoint image a reopen finds is untouched, and the
+//! file reads them back until the checkpoint moves the end over them.
+//! Every other block past the end fails closed.
 
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
@@ -21,6 +28,7 @@ use std::path::Path;
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::counters::OpCounters;
+use crate::failstore::{injected_fault, FailMode, FailPlan};
 use crate::freelist::FreeList;
 
 const MAGIC: &[u8; 8] = b"SKSBTRE1";
@@ -156,7 +164,13 @@ pub struct FileDisk {
     /// The persisted allocation state, mirrored: the header's block count
     /// and the intrusive chain in pop order.
     alloc: FreeList,
+    /// One past the last block written at or past the committed end since
+    /// the allocation state was last imposed; the committed end when none
+    /// was.
+    written_end: u32,
     counters: OpCounters,
+    /// Crash probes: fails this file's writes and fsyncs as the plan says.
+    fault: Option<FailPlan>,
 }
 
 impl FileDisk {
@@ -183,7 +197,9 @@ impl FileDisk {
             file,
             block_size,
             alloc: FreeList::default(),
+            written_end: 0,
             counters,
+            fault: None,
         };
         // The whole header region once; later updates rewrite only the
         // fields, the rest of the region staying zeros.
@@ -251,7 +267,9 @@ impl FileDisk {
             file,
             block_size,
             alloc: FreeList::new(num_blocks, Vec::new())?,
+            written_end: num_blocks,
             counters,
+            fault: None,
         };
         Ok((disk, u32::from_be_bytes(header[24..28].try_into().unwrap())))
     }
@@ -278,19 +296,21 @@ impl FileDisk {
     }
 
     /// Writes a free block as the chain stores it: zeros after the link to
-    /// the `next` block down the stack.
-    fn write_link(&self, id: u32, next: u32) -> Result<(), StorageError> {
-        let mut block = vec![0u8; self.block_size];
+    /// the `next` block down the stack, from `block`, a zeroed buffer of
+    /// one block that a caller writing several links reuses.
+    fn write_link(&self, block: &mut [u8], id: u32, next: u32) -> Result<(), StorageError> {
         block[0..4].copy_from_slice(&next.to_be_bytes());
-        self.write_raw(BlockId(id), &block)
+        self.write_raw(BlockId(id), block)
     }
 
     /// Rewrites every link of the chain, and the header, from the
-    /// allocator: what a removal from the middle of the stack costs.
+    /// allocator: what a removal from the middle of the stack costs. One
+    /// buffer carries every link.
     fn write_chain(&mut self) -> Result<(), StorageError> {
+        let mut block = vec![0u8; self.block_size];
         let mut next = NO_FREE;
         for &id in self.alloc.ids() {
-            self.write_link(id, next)?;
+            self.write_link(&mut block, id, next)?;
             next = id;
         }
         self.write_header()
@@ -314,6 +334,7 @@ impl FileDisk {
     /// their own layer; the physical sync duration is timed here under
     /// [`sks_obs::Stage::StoreFsync`].)
     pub fn sync(&mut self) -> Result<(), StorageError> {
+        self.fault_flush()?;
         let t = self.counters.obs().start();
         self.file.sync_all()?;
         self.counters.obs().stage(sks_obs::Stage::StoreFsync, t);
@@ -323,7 +344,10 @@ impl FileDisk {
     /// Writes `blocks` over the consecutive blocks from `first` with one
     /// vectored write from where the images lie (at most
     /// [`MAX_RUN_BLOCKS`]). Counted as one `block_writes` per block,
-    /// timed as one [`sks_obs::Stage::BlockWrite`] sample.
+    /// timed as one [`sks_obs::Stage::BlockWrite`] sample. Blocks at or
+    /// past the committed end are accepted: a pool writes pages there
+    /// before the checkpoint that moves the end over them, and the file
+    /// reads them back until then.
     pub(crate) fn write_run(
         &mut self,
         first: BlockId,
@@ -335,7 +359,10 @@ impl FileDisk {
         );
         let mut slices = [IoSlice::new(&[]); MAX_RUN_BLOCKS];
         for (i, block) in blocks.iter().enumerate() {
-            self.alloc.check(BlockId(first.0 + i as u32))?;
+            let id = first.0 + i as u32;
+            if id < self.alloc.num_blocks() {
+                self.alloc.check(BlockId(id))?;
+            }
             if block.len() != self.block_size {
                 return Err(StorageError::WrongBlockSize {
                     expected: self.block_size,
@@ -343,6 +370,19 @@ impl FileDisk {
                 });
             }
             slices[i] = IoSlice::new(block);
+        }
+        if let Some(mode) = self.fault_write()? {
+            if mode == FailMode::Torn {
+                // The first half of the run's bytes land.
+                let mut left = blocks.len() * self.block_size / 2;
+                let mut at = self.offset(first);
+                for block in blocks {
+                    let n = left.min(block.len());
+                    write_all_at(&self.file, &block[..n], at)?;
+                    (left, at) = (left - n, at + n as u64);
+                }
+            }
+            return Err(injected_fault());
         }
         self.counters
             .bump_by(|c| &c.block_writes, blocks.len() as u64);
@@ -357,7 +397,37 @@ impl FileDisk {
             IoSlice::advance_slices(&mut rest, n);
         }
         self.counters.obs().stage(sks_obs::Stage::BlockWrite, t);
+        self.written_end = self.written_end.max(first.0 + blocks.len() as u32);
         Ok(())
+    }
+
+    /// Whether blocks at or past the committed end were written since the
+    /// allocation state was last imposed.
+    pub(crate) fn written_past_end(&self) -> bool {
+        self.written_end > self.alloc.num_blocks()
+    }
+
+    /// A block `read_block` may read: an allocated one, or one written at
+    /// or past the committed end ([`FileDisk::write_run`]).
+    fn check_read(&self, id: BlockId) -> Result<(), StorageError> {
+        if (self.alloc.num_blocks()..self.written_end).contains(&id.0) {
+            return Ok(());
+        }
+        self.alloc.check(id)
+    }
+
+    /// Crash probes: this file's block runs, allocation rewrites and
+    /// fsyncs count against `plan` from now on.
+    pub(crate) fn set_fault(&mut self, plan: FailPlan) {
+        self.fault = Some(plan);
+    }
+
+    fn fault_write(&self) -> Result<Option<FailMode>, StorageError> {
+        self.fault.as_ref().map_or(Ok(None), FailPlan::on_write)
+    }
+
+    fn fault_flush(&self) -> Result<(), StorageError> {
+        self.fault.as_ref().map_or(Ok(()), FailPlan::on_flush)
     }
 
     /// The allocation state the device holds, for a layer that shadows
@@ -378,8 +448,14 @@ impl FileDisk {
         num_blocks: u32,
         free_stack: &[u32],
     ) -> Result<(), StorageError> {
+        let fault = self.fault_write()?;
         self.alloc = FreeList::new(num_blocks, free_stack.to_vec())?;
+        self.written_end = num_blocks;
         self.fit_file()?;
+        if fault.is_some() {
+            // Killed between the cut and the chain.
+            return Err(injected_fault());
+        }
         self.write_chain()
     }
 
@@ -424,7 +500,7 @@ impl BlockStore for FileDisk {
         self.counters.bump(|c| &c.frees);
         let ids = self.alloc.ids();
         let next = ids.len().checked_sub(2).map_or(NO_FREE, |i| ids[i]);
-        self.write_link(id.0, next)?;
+        self.write_link(&mut vec![0u8; self.block_size], id.0, next)?;
         self.write_header()
     }
 
@@ -447,7 +523,7 @@ impl BlockStore for FileDisk {
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.alloc.check(id)?;
+        self.check_read(id)?;
         if buf.len() != self.block_size {
             return Err(StorageError::WrongBlockSize {
                 expected: self.block_size,
@@ -481,6 +557,7 @@ impl BlockStore for FileDisk {
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
+        self.fault_flush()?;
         self.write_header()?;
         let t = self.counters.obs().start();
         self.file.sync_all()?;

@@ -14,8 +14,10 @@
 //!   through, so all backends allocate the same ids in the same order.
 //! * [`lru`] — [`LruMap`], the one bounded map (O(1) recency list with
 //!   pinning) behind every cache in the workspace.
-//! * [`bufferpool`] — no-steal LRU cache at the memory↔disk boundary:
-//!   dirty frames stay pinned until a flush writes them.
+//! * [`bufferpool`] — LRU cache at the memory↔disk boundary: dirty
+//!   frames stay pinned until a flush writes them, but for those past a
+//!   file's committed end, written back early once they outnumber the
+//!   frames.
 //! * [`logfile`] — [`LogFile`], the write-ahead log's plain byte file,
 //!   and [`WalDevice`], the surface a log writes through.
 //! * [`failstore`] — fault-injection wrapper failing (or tearing) the Nth

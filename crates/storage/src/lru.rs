@@ -9,7 +9,7 @@
 //! look-up-and-touch, insert, remove and victim choice all O(1).
 //!
 //! A *pinned* entry stays in the map but leaves the recency list, so it is
-//! never a victim and costs victim choice nothing: the no-steal pool pins
+//! never a victim and costs victim choice nothing: the buffer pool pins
 //! its dirty frames and still finds its least-recent clean frame in O(1).
 //!
 //! The capacity is a bound, not a reservation: nothing is allocated from

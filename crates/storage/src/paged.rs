@@ -4,28 +4,39 @@
 //!
 //! The engine's recovery contract is "on-disk tree image = the state of the
 //! last checkpoint; everything since lives in the WAL tail". That only
-//! holds if nothing dribbles onto a file between checkpoints, and if the
-//! files one structure spans — a partition's node file and data file —
-//! never reopen at different checkpoints. So the files of a group are
+//! holds if no block of that image changes between checkpoints, and if
+//! the files one structure spans — a partition's node file and data file
+//! — never reopen at different checkpoints. So the files of a group are
 //! opened together, one handle each, under three disciplines:
 //!
-//! 1. **No-steal caching** — dirty pages are pinned in memory (the
-//!    [`BufferPool`]'s one policy); eviction drops clean frames only.
+//! 1. **Nothing committed is written early** — a dirty page below its
+//!    file's committed end (the header's block count) is pinned in memory
+//!    until the checkpoint; eviction drops clean frames only. A dirty page
+//!    at or past the end overwrites nothing a reopen reads, so once more
+//!    of them are dirty than the file's pool has frames, the pool writes
+//!    them all back and they turn clean and evictable
+//!    ([`BufferPool::write_back_past_end`]): a bulk load's pages stay
+//!    inside the pool's bound, and the checkpoint journals none of them.
 //! 2. **Shadowed allocation** — `allocate`/`free` mutate an in-memory
 //!    copy of each file's allocation state (`freelist.rs`, the one policy
 //!    [`FileDisk`] and [`crate::MemDisk`] run too); a [`FileDisk`] header
 //!    and intrusive free chain are rewritten only at checkpoint.
 //! 3. **One journaled commit** — [`BlockStore::flush`] through any handle
-//!    first writes every file's dirty pages and allocation end-state to
-//!    the group's one journal (fsynced), then applies them in place and
-//!    fsyncs every file, then truncates the journal in place. A crash at
-//!    any point leaves either every file's old image (journal absent,
-//!    empty, or torn → ignored), a stale journal over the images it
-//!    already produced (re-applied on open — idempotent full-page
-//!    images), or enough to finish every new one (journal intact →
-//!    re-applied on open). Truncating instead of unlinking keeps the
+//!    first makes every page a file wrote back early durable: such a file
+//!    writes its other dirty pages past its end in place too, then
+//!    fsyncs. Then it writes every file's remaining dirty pages and
+//!    allocation end-state to the group's one journal (fsynced), applies
+//!    them in place and fsyncs every file, then truncates the journal in
+//!    place. A crash at any point leaves either every file's old image
+//!    (journal absent, empty, or torn → ignored; pages past the old end
+//!    are read by nothing), a stale journal over the images it already
+//!    produced (re-applied on open — idempotent full-page images), or
+//!    enough to finish every new one (journal intact → re-applied on
+//!    open, over the pages past the old end it left out, which are
+//!    durable by then). Truncating instead of unlinking keeps the
 //!    journal's directory entry stable, so the steady-state checkpoint
-//!    pays no directory fsyncs.
+//!    pays no directory fsyncs. A commit with nothing written early runs
+//!    exactly the journal → apply → truncate sequence.
 //!
 //! Each file keeps its own pool and lock. Pages are cached and journaled
 //! in their *enciphered* form — the pool sits below the crypto boundary,
@@ -35,11 +46,12 @@
 use std::borrow::Cow;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::block::{BlockId, BlockStore, StorageError};
 use crate::bufferpool::BufferPool;
 use crate::counters::OpCounters;
+use crate::failstore::{injected_fault, FailMode, FailPlan};
 use crate::filedisk::{crc32, crc32_fold, sync_dir, FileDisk, CRC32_INIT};
 use crate::freelist::FreeList;
 use crate::pagerw::PageReader;
@@ -67,6 +79,9 @@ struct Group {
     block_size: usize,
     counters: OpCounters,
     journal: PathBuf,
+    /// Crash probes: the journal's write and truncation count against it
+    /// (each file's writes and fsyncs do, in [`FileDisk`]).
+    fault: OnceLock<FailPlan>,
 }
 
 #[derive(Debug)]
@@ -77,11 +92,12 @@ struct Inner {
 }
 
 impl Inner {
-    /// Hands out `id` zeroed. A fresh (or recycled) block reads as zeros
-    /// *through the cache*; the file keeps whatever stale bytes it had
-    /// until checkpoint.
-    fn zero(&mut self, id: BlockId, block_size: usize) -> Result<BlockId, StorageError> {
-        self.pool.write(id, &vec![0u8; block_size])?;
+    /// Hands out `id` zeroed, the page built in its frame. A fresh (or
+    /// recycled) block reads as zeros *through the cache*; a recycled one
+    /// keeps its stale bytes on the file until checkpoint.
+    fn zero(&mut self, id: BlockId) -> Result<BlockId, StorageError> {
+        self.pool.write_zeroed(id);
+        self.pool.write_back_past_end()?;
         Ok(id)
     }
 }
@@ -195,6 +211,22 @@ impl PagedFileStore {
             .lock()
             .expect("paged store lock")
     }
+
+    /// Crash probes: from now on every physical write of the group —
+    /// early write-backs, the journal, each file's allocation rewrite and
+    /// page runs, the journal's truncation — counts as a write of `plan`,
+    /// and every file fsync (early write-backs' and the commit's) as a
+    /// flush, failing as the plan is armed. One plan per group; a second
+    /// call changes nothing.
+    #[doc(hidden)]
+    pub fn inject_faults(&self, plan: FailPlan) {
+        if self.group.fault.set(plan.clone()).is_ok() {
+            for file in &self.group.files {
+                let mut inner = file.lock().expect("paged store lock");
+                inner.pool.store_mut().set_fault(plan.clone());
+            }
+        }
+    }
 }
 
 /// Finishes the checkpoint `journal` holds onto `paths` if it reached its
@@ -252,6 +284,7 @@ impl Group {
                 .collect(),
             counters,
             journal: journal.to_path_buf(),
+            fault: OnceLock::new(),
         });
         std::array::from_fn(|file| PagedFileStore {
             group: group.clone(),
@@ -259,8 +292,9 @@ impl Group {
         })
     }
 
-    /// The checkpoint: one journal for every file → apply in place and
-    /// fsync every file → clear the journal.
+    /// The checkpoint: pages written back early made durable → one
+    /// journal for every file → apply in place and fsync every file →
+    /// clear the journal.
     fn commit(&self) -> Result<(), StorageError> {
         // The only place more than one file's lock is held: all of them,
         // in file order.
@@ -269,15 +303,31 @@ impl Group {
             .iter()
             .map(|f| f.lock().expect("paged store lock"))
             .collect();
-        let dirty: Vec<Vec<BlockId>> = files.iter().map(|f| f.pool.dirty_ids()).collect();
-        let journaled = files
-            .iter()
-            .zip(&dirty)
-            .any(|(f, ids)| !ids.is_empty() || f.alloc != *f.pool.store().free_list());
+        let mut dirty: Vec<Vec<BlockId>> = files.iter().map(|f| f.pool.dirty_ids()).collect();
+        // A file that wrote pages back early writes its other dirty pages
+        // past its committed end in place too, and makes them all durable
+        // before a journal names the end that covers them. The journal
+        // carries only what lies below the end.
+        let mut early = false;
+        for (f, ids) in files.iter_mut().zip(&mut dirty) {
+            if f.pool.store().written_past_end() {
+                let end = f.pool.store().num_blocks();
+                let below = ids.partition_point(|id| id.0 < end);
+                f.pool.write_through(&ids[below..])?;
+                f.pool.store_mut().sync()?;
+                ids.truncate(below);
+                early = true;
+            }
+        }
+        let journaled = early
+            || files
+                .iter()
+                .zip(&dirty)
+                .any(|(f, ids)| !ids.is_empty() || f.alloc != *f.pool.store().free_list());
         if journaled {
             // Journaled and applied from the pools' frames, never copied:
-            // a bulk load checkpoints tens of megabytes of pages, and a
-            // copy of them sets the process's peak memory.
+            // a bulk load checkpoints megabytes of pages, and a copy of
+            // them sets the process's peak memory.
             let journal = Journal {
                 block_size: self.block_size,
                 files: files
@@ -293,8 +343,9 @@ impl Group {
                     })
                     .collect(),
             };
-            journal.write(&self.journal)?;
+            journal.write(&self.journal, self.fault.get())?;
             let pages = dirty.iter().map(|ids| ids.len() as u64).sum();
+            self.counters.bump_by(|c| &c.journal_pages, pages);
             self.counters.obs().note(
                 sks_obs::EventKind::PageCommit,
                 sks_obs::NO_PARTITION,
@@ -323,6 +374,11 @@ impl Group {
             // parse and is ignored on open, and a *stale* one (the
             // truncation lost to a crash) replays full page images of a
             // checkpoint that already committed, which is idempotent.
+            if let Some(plan) = self.fault.get() {
+                if plan.on_write()?.is_some() {
+                    return Err(injected_fault());
+                }
+            }
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(&self.journal)?
@@ -345,14 +401,14 @@ impl BlockStore for PagedFileStore {
         self.group.counters.bump(|c| &c.allocs);
         let mut inner = self.lock();
         let id = inner.alloc.allocate();
-        inner.zero(id, self.group.block_size)
+        inner.zero(id)
     }
 
     fn allocate_min(&mut self) -> Result<BlockId, StorageError> {
         self.group.counters.bump(|c| &c.allocs);
         let mut inner = self.lock();
         let id = inner.alloc.allocate_min();
-        inner.zero(id, self.group.block_size)
+        inner.zero(id)
     }
 
     fn free(&mut self, id: BlockId) -> Result<(), StorageError> {
@@ -367,7 +423,7 @@ impl BlockStore for PagedFileStore {
         let mut inner = self.lock();
         inner.alloc.claim(id)?;
         self.group.counters.bump(|c| &c.allocs);
-        inner.zero(id, self.group.block_size)?;
+        inner.zero(id)?;
         Ok(())
     }
 
@@ -394,7 +450,8 @@ impl BlockStore for PagedFileStore {
     fn write_block(&mut self, id: BlockId, data: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.lock();
         inner.alloc.check(id)?;
-        inner.pool.write(id, data)
+        inner.pool.write(id, data)?;
+        inner.pool.write_back_past_end()
     }
 
     /// Lends the pool frame itself, under the file's lock.
@@ -405,8 +462,8 @@ impl BlockStore for PagedFileStore {
         Ok(())
     }
 
-    /// Rewrites the pool frame in place: it turns dirty and, under the
-    /// no-steal policy, pinned, as a written frame does.
+    /// Rewrites the pool frame in place: it turns dirty, and pinned, as a
+    /// written frame does.
     fn update_with(
         &mut self,
         id: BlockId,
@@ -414,15 +471,22 @@ impl BlockStore for PagedFileStore {
     ) -> Result<(), StorageError> {
         let mut inner = self.lock();
         inner.alloc.check(id)?;
-        inner.pool.update(id, f)
+        inner.pool.update(id, f)?;
+        inner.pool.write_back_past_end()
     }
 
     fn counters(&self) -> &OpCounters {
         &self.group.counters
     }
 
+    /// Each page the next commit must make durable, once: the dirty
+    /// frames and the pages written back early since.
     fn dirty_pages(&self) -> usize {
-        self.lock().pool.dirty_count()
+        self.lock().pool.unflushed_count()
+    }
+
+    fn resident_pages(&self) -> usize {
+        self.lock().pool.len()
     }
 
     fn free_blocks(&self) -> u32 {
@@ -442,8 +506,9 @@ impl BlockStore for PagedFileStore {
         Some(Arc::as_ptr(&self.group) as usize)
     }
 
-    /// What is physically on the medium — unflushed dirty frames live in
-    /// RAM and are deliberately *not* part of the stolen-disk view.
+    /// The committed image on the medium — unflushed dirty frames live in
+    /// RAM, and pages written back early lie past the committed end, so
+    /// neither is part of the stolen-disk view until the checkpoint.
     fn raw_image(&self) -> Result<Vec<Vec<u8>>, StorageError> {
         self.lock().pool.store().raw_image()
     }
@@ -485,8 +550,16 @@ struct FileImage<'a> {
 }
 
 impl Journal<'_> {
-    /// Writes and fsyncs the journal to `path`.
-    fn write(&self, path: &Path) -> Result<(), StorageError> {
+    /// Writes and fsyncs the journal to `path`; a crash probe's `fault`
+    /// fails the write (a torn one lands half the bytes) or the fsync.
+    fn write(&self, path: &Path, fault: Option<&FailPlan>) -> Result<(), StorageError> {
+        let torn = match fault {
+            Some(plan) => match plan.on_write()? {
+                Some(FailMode::Error) => return Err(injected_fault()),
+                mode => mode.is_some(),
+            },
+            None => false,
+        };
         let entry_is_new = !path.exists();
         // Streamed, never assembled: a bulk load journals tens of
         // megabytes of page images, and a buffer holding them a second
@@ -516,6 +589,14 @@ impl Journal<'_> {
         inner.write_all(&(!crc).to_be_bytes())?;
         // `into_inner` flushes and, unlike a drop, reports a failed flush.
         let file = inner.into_inner().map_err(|e| e.into_error())?;
+        if torn {
+            let len = file.metadata()?.len();
+            file.set_len(len / 2)?;
+            return Err(injected_fault());
+        }
+        if let Some(plan) = fault {
+            plan.on_flush()?;
+        }
         file.sync_all()?;
         drop(file);
         // The journal's directory entry must be durable before any
@@ -630,6 +711,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Below the committed end nothing reaches the file before the
+    /// checkpoint, however far the dirty set outgrows the pool: the file
+    /// keeps its bytes, and a crash reopens to the checkpoint.
     #[test]
     fn nothing_reaches_the_file_before_checkpoint() {
         let path = tmpfile("nosteal");
@@ -639,15 +723,122 @@ mod tests {
                 let id = store.allocate().unwrap();
                 store.write_block(id, &[i; 64]).unwrap();
             }
+            store.flush().unwrap();
+            let committed = std::fs::read(&path).unwrap();
+            let before = store.counters().snapshot();
+            for i in 0..6u32 {
+                store.write_block(BlockId(i), &[0xF0; 64]).unwrap();
+            }
             // Dirty pages exceed the pool capacity yet stay pinned.
             assert_eq!(store.dirty_pages(), 6);
-            let s = store.counters().snapshot();
-            assert_eq!(s.block_writes, 0, "no physical write before checkpoint");
+            assert_eq!(store.resident_pages(), 6);
+            let delta = store.counters().snapshot().delta(&before);
+            assert_eq!(delta.block_writes, 0, "no physical write before checkpoint");
+            assert_eq!(delta.pages_written_early, 0);
+            assert_eq!(std::fs::read(&path).unwrap(), committed);
             // Dropped without flush: the "crash".
         }
         {
             let store = PagedFileStore::open(&path, 2, OpCounters::new()).unwrap();
-            assert_eq!(store.num_blocks(), 0, "unflushed epoch fully discarded");
+            assert_eq!(store.num_blocks(), 6, "unflushed epoch fully discarded");
+            for i in 0..6u8 {
+                assert_eq!(
+                    store.read_block_vec(BlockId(i.into())).unwrap(),
+                    vec![i; 64]
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Past the committed end pages may reach the file early: once more
+    /// of them are dirty than the pool has frames, all of them are written
+    /// back and the pool sheds them. The committed bytes stay as they
+    /// were, the file reads the pages back, and a crash still reopens with
+    /// the block count of the last checkpoint.
+    #[test]
+    fn pages_past_the_end_reach_the_file_early_and_a_crash_reopens_at_the_checkpoint() {
+        let path = tmpfile("steal");
+        {
+            let counters = OpCounters::new();
+            let mut store = PagedFileStore::create(&path, 64, 2, counters.clone()).unwrap();
+            let first = store.allocate().unwrap();
+            store.write_block(first, &[0xA0; 64]).unwrap();
+            store.flush().unwrap();
+            let committed = std::fs::read(&path).unwrap();
+            for i in 1..=6u8 {
+                let id = store.allocate().unwrap();
+                store.write_block(id, &[i; 64]).unwrap();
+                assert!(store.resident_pages() <= 3, "block {id:?}");
+            }
+            let s = counters.snapshot();
+            assert_eq!(s.pages_written_early, 6, "three at a time, once 3 > 2");
+            assert_eq!(store.dirty_pages(), 6, "each page once");
+            // Dirtied again after its write-back, a page is still one.
+            store.write_block(BlockId(1), &[0x11; 64]).unwrap();
+            assert_eq!(store.dirty_pages(), 6);
+            // Freed, it needs no durability at all.
+            store.free(BlockId(1)).unwrap();
+            store.free(BlockId(2)).unwrap();
+            assert_eq!(store.dirty_pages(), 4);
+            assert_eq!(
+                &std::fs::read(&path).unwrap()[..committed.len()],
+                &committed[..],
+                "the committed header and block are untouched"
+            );
+            for i in 3..=6u8 {
+                assert_eq!(
+                    store.read_block_vec(BlockId(i.into())).unwrap(),
+                    vec![i; 64]
+                );
+            }
+            // Dropped without flush: the "crash".
+        }
+        {
+            let mut store = PagedFileStore::open(&path, 2, OpCounters::new()).unwrap();
+            assert_eq!(store.num_blocks(), 1, "the checkpoint's block count");
+            assert_eq!(store.read_block_vec(BlockId(0)).unwrap(), vec![0xA0; 64]);
+            assert!(store.read_block_vec(BlockId(1)).is_err(), "past the end");
+            assert_eq!(store.allocate().unwrap(), BlockId(1));
+            assert_eq!(store.read_block_vec(BlockId(1)).unwrap(), vec![0; 64]);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint after early write-backs journals only the pages below
+    /// the committed end; the rest are in place before the journal, and
+    /// every page reopens as written.
+    #[test]
+    fn a_checkpoint_journals_only_the_pages_below_the_committed_end() {
+        let path = tmpfile("steal_commit");
+        let counters = OpCounters::new();
+        {
+            let mut store = PagedFileStore::create(&path, 64, 2, counters.clone()).unwrap();
+            let first = store.allocate().unwrap();
+            store.flush().unwrap();
+            store.write_block(first, &[0xB0; 64]).unwrap();
+            for i in 1..=7u8 {
+                let id = store.allocate().unwrap();
+                store.write_block(id, &[i; 64]).unwrap();
+            }
+            store.free(BlockId(3)).unwrap();
+            let before = counters.snapshot();
+            assert!(before.pages_written_early > 0);
+            store.flush().unwrap();
+            let delta = counters.snapshot().delta(&before);
+            assert_eq!(delta.journal_pages, 1, "block 0 alone");
+            assert_eq!(store.dirty_pages(), 0);
+            assert!(store.resident_pages() <= 2);
+        }
+        let store = PagedFileStore::open(&path, 2, OpCounters::new()).unwrap();
+        assert_eq!(store.num_blocks(), 8);
+        assert_eq!(store.free_block_ids(), vec![3]);
+        assert_eq!(store.read_block_vec(BlockId(0)).unwrap(), vec![0xB0; 64]);
+        for i in [1u8, 2, 4, 5, 6, 7] {
+            assert_eq!(
+                store.read_block_vec(BlockId(i.into())).unwrap(),
+                vec![i; 64]
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -717,7 +908,7 @@ mod tests {
             vec![],
             vec![(BlockId(0), vec![0xEE; 64]), (BlockId(1), vec![0xFF; 64])],
         )
-        .write(&journal_path_for(&path))
+        .write(&journal_path_for(&path), None)
         .unwrap();
         {
             let store = PagedFileStore::open(&path, 4, OpCounters::new()).unwrap();
@@ -755,7 +946,7 @@ mod tests {
             Err(StorageError::Corrupt(_))
         ));
         Journal::of_one(4, vec![1, 2], vec![])
-            .write(&journal_path_for(&path))
+            .write(&journal_path_for(&path), None)
             .unwrap();
         let mut store = PagedFileStore::open(&path, 4, OpCounters::new()).unwrap();
         assert_eq!(store.free_block_ids(), vec![1, 2]);
@@ -811,7 +1002,7 @@ mod tests {
         // it (truncation lost), then reopen twice: both opens must land on
         // the same image.
         Journal::of_one(1, vec![], vec![(BlockId(0), vec![0x77; 64])])
-            .write(&journal_path_for(&path))
+            .write(&journal_path_for(&path), None)
             .unwrap();
         for _ in 0..2 {
             let store = PagedFileStore::open(&path, 4, OpCounters::new()).unwrap();
@@ -888,7 +1079,7 @@ mod tests {
     fn journal_parse_rejects_mutations() {
         let j = Journal::of_one(3, vec![2], vec![(BlockId(0), vec![9; 64])]);
         let path = tmpfile("parse");
-        j.write(&path).unwrap();
+        j.write(&path, None).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         assert!(Journal::parse(&bytes).is_some());
         bytes[20] ^= 1;
@@ -1094,7 +1285,7 @@ mod tests {
                 }
             }
             drop(disks);
-            rig.committed.write(&rig.journal).unwrap();
+            rig.committed.write(&rig.journal, None).unwrap();
             assert_eq!(rig.reopen(), rig.post, "killed after step {kill}");
             assert_eq!(std::fs::metadata(&rig.journal).unwrap().len(), 0);
         }
@@ -1106,7 +1297,7 @@ mod tests {
     #[test]
     fn a_torn_group_journal_opens_to_the_pre_image() {
         let rig = KillRig::new("torn_kill");
-        rig.committed.write(&rig.journal).unwrap();
+        rig.committed.write(&rig.journal, None).unwrap();
         let whole = std::fs::read(&rig.journal).unwrap();
         let flipped = {
             let mut bytes = whole.clone();
@@ -1166,7 +1357,7 @@ mod tests {
         drop((a, b));
         let mut two = Journal::of_one(1, vec![], vec![]);
         two.files.push(FileImage::owned(1, vec![], vec![]));
-        two.write(&journal_path_for(&files[1])).unwrap();
+        two.write(&journal_path_for(&files[1]), None).unwrap();
         match PagedFileStore::open_group(&journal, files.clone(), 4, OpCounters::new()) {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains("b.sks.journal"), "{msg}"),
             other => panic!("expected a refusal, got {other:?}"),

@@ -104,3 +104,46 @@ fn uncached_reads_through_a_full_pool_allocate_nothing() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(journal).ok();
 }
+
+/// A block handed out is zeroed in its frame: allocating `k` blocks
+/// allocates `k` frames while the pool has room, and once it is full of
+/// pages past the file's end, which it writes back early and sheds, the
+/// frames it evicts are the next blocks' frames.
+#[test]
+fn allocating_k_blocks_allocates_k_frames() {
+    let path = std::env::temp_dir().join(format!("sks_alloc_frames_{}", std::process::id()));
+    let counters = OpCounters::new();
+    let mut store = PagedFileStore::create(&path, BLOCK, POOL, counters.clone()).unwrap();
+    let k = POOL as u64;
+    let allocations = allocations_of(|| {
+        for _ in 0..k {
+            store.allocate().unwrap();
+        }
+    });
+    assert_eq!(allocations, k, "{k} blocks into a pool with room");
+    assert_eq!(counters.snapshot().pages_written_early, 0);
+    let more = 8 * k;
+    let allocations = allocations_of(|| {
+        for _ in 0..more {
+            store.allocate().unwrap();
+        }
+    });
+    let early = counters.snapshot().pages_written_early;
+    assert!(early > 0 && store.resident_pages() <= POOL);
+    // What is left: per write-back, the frame of the block that pushed
+    // the pool over and the list of ids written; and the growth of the
+    // set that remembers the pages written early.
+    let write_backs = early / (k + 1);
+    assert!(
+        allocations <= 3 * write_backs && allocations < more / 4,
+        "{more} blocks through a full pool: {allocations} allocations, {write_backs} write-backs"
+    );
+    for b in 0..k + more {
+        store.read_block_vec(BlockId(b as u32)).unwrap();
+    }
+    drop(store);
+    let mut journal = path.clone().into_os_string();
+    journal.push(".journal");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(journal).ok();
+}

@@ -5,7 +5,11 @@
 //! `write-pause` churns the same way, but its second checkpoint prints
 //! `PAUSED <op>` once partition 0 has committed and then blocks, so a
 //! kill lands between two partitions' commits, with the retired segment
-//! still there. `check <dir> [<op> [<ckpt op>]]` reopens the killed
+//! still there. `write-spill` churns the same way but checkpoints only
+//! once a partition's pool has written pages back early past its file's
+//! committed end: it prints `SPILLED <op>` then, before any
+//! checkpoint, and blocks, so a kill leaves those pages on the file with
+//! nothing naming them. `check <dir> [<op> [<ckpt op>]]` reopens the killed
 //! directory, prints the log segments it finds, validates, reports
 //! device usage and — given the last acknowledged op — requires every
 //! acknowledged write to be there: a process crash loses nothing
@@ -63,9 +67,20 @@ fn check_acked(db: &SksDb, acked: u64) {
     println!("acknowledged writes through op {acked}: all present");
 }
 
-/// Churns until killed, checkpointing every 2 000 ops. Given `pause`,
-/// the second checkpoint stops for good once partition 0 has committed.
-fn write(dir: &std::path::Path, pause: bool) -> ! {
+/// How [`write`] stops short of a clean run, for a kill to land in.
+#[derive(PartialEq)]
+enum Stop {
+    /// Never: churns until killed.
+    Never,
+    /// In the second checkpoint, once partition 0 has committed.
+    Pause,
+    /// Before the first checkpoint, once a page was written back early.
+    Spill,
+}
+
+/// Churns until killed, checkpointing every 2 000 ops (under
+/// [`Stop::Spill`], none).
+fn write(dir: &std::path::Path, stop: Stop) -> ! {
     let db = SksDb::open(dir, config()).unwrap();
     println!("READY");
     let mut i = 0u64;
@@ -76,9 +91,15 @@ fn write(dir: &std::path::Path, pause: bool) -> ! {
             db.delete(d).unwrap();
         }
         println!("ACK {i}");
-        if i % 2_000 == 1_999 {
+        if stop == Stop::Spill && db.snapshot().pages_written_early > 0 {
+            println!("SPILLED {i}");
+            loop {
+                std::thread::park();
+            }
+        }
+        if i % 2_000 == 1_999 && stop != Stop::Spill {
             db.checkpoint_with_hook(|step| {
-                if pause && i == 3_999 && step == 1 {
+                if stop == Stop::Pause && i == 3_999 && step == 1 {
                     println!("PAUSED {i}");
                     loop {
                         std::thread::park();
@@ -94,11 +115,14 @@ fn write(dir: &std::path::Path, pause: bool) -> ! {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mode = args.next().expect("mode: write|write-pause|check");
+    let mode = args
+        .next()
+        .expect("mode: write|write-pause|write-spill|check");
     let dir = std::path::PathBuf::from(args.next().expect("dir"));
     match mode.as_str() {
-        "write" => write(&dir, false),
-        "write-pause" => write(&dir, true),
+        "write" => write(&dir, Stop::Never),
+        "write-pause" => write(&dir, Stop::Pause),
+        "write-spill" => write(&dir, Stop::Spill),
         "check" => {
             let mut segments: Vec<String> = std::fs::read_dir(&dir)
                 .unwrap()

@@ -127,6 +127,103 @@ impl ProbeRig {
     }
 }
 
+/// A bulk load whose pages outgrow the pool, and its checkpoint, killed
+/// at each physical step in turn: every write the group makes (the early
+/// write-backs, the pages written in place before the journal, the
+/// journal, each file's allocation rewrite and page runs, the journal's
+/// truncation) failed cleanly and torn, and every fsync (the one made for
+/// the pages written early, the journal's, each file's). Each reopen
+/// validates and holds all of the load or none of it — all of it when
+/// the checkpoint returned — and takes a write and a checkpoint over
+/// whatever the kill left past the committed end.
+#[test]
+fn a_spilling_bulk_load_killed_at_each_physical_step_recovers() {
+    const POOL: usize = 8;
+    let items: Vec<(u64, Vec<u8>)> = (1..=240u64).map(|k| (k * 3, rec(k))).collect();
+    let reopen = |dir: &std::path::Path| {
+        let counters = OpCounters::new();
+        let [nodes, data] = EncipheredBTree::open_file_stores(dir, POOL, &counters).unwrap();
+        EncipheredBTree::open_on_stores(config(4_096), counters, Box::new(nodes), Box::new(data))
+            .unwrap()
+    };
+    // Runs the load under `arm`; returns whether it was acknowledged,
+    // the writes and fsyncs the plan saw, and the pages written early,
+    // and whether the reopen held the load.
+    let run = |name: String, arm: &dyn Fn(&FailPlan)| -> (bool, u64, u64, u64, bool) {
+        let dir = tmpdir(&name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let counters = OpCounters::new();
+        let [nodes, data] =
+            EncipheredBTree::create_file_stores(&dir, BLOCK, POOL, &counters).unwrap();
+        let plan = FailPlan::new();
+        nodes.inject_faults(plan.clone());
+        let mut tree = EncipheredBTree::create_on_stores(
+            config(4_096),
+            counters.clone(),
+            Box::new(nodes),
+            Box::new(data),
+        )
+        .unwrap();
+        tree.flush().unwrap();
+        arm(&plan);
+        let outcome = tree.bulk_load(&items).and_then(|()| tree.flush());
+        assert_eq!(outcome.is_err(), plan.tripped(), "{name}: {outcome:?}");
+        let seen = (plan.writes_seen(), plan.flushes_seen());
+        let early = counters.snapshot().pages_written_early;
+        drop(tree); // the kill
+
+        let mut tree = reopen(&dir);
+        tree.validate().unwrap();
+        let len = tree.len();
+        assert!(
+            len == 0 || len == items.len() as u64,
+            "{name}: {len} records"
+        );
+        assert!(
+            outcome.is_err() || len > 0,
+            "{name}: an acknowledged load is lost"
+        );
+        for (k, v) in &items {
+            assert_eq!(
+                tree.get(*k).unwrap(),
+                (len > 0).then(|| v.clone()),
+                "{name}"
+            );
+        }
+        tree.insert(1, rec(1)).unwrap();
+        tree.flush().unwrap();
+        drop(tree);
+        let tree = reopen(&dir);
+        tree.validate().unwrap();
+        assert_eq!(tree.get(1).unwrap(), Some(rec(1)), "{name}");
+        assert_eq!(tree.len(), len + 1, "{name}");
+        drop(tree);
+        std::fs::remove_dir_all(&dir).ok();
+        (outcome.is_ok(), seen.0, seen.1, early, len > 0)
+    };
+    let (ok, writes, flushes, early, _) = run("spill_dry".into(), &|plan| plan.reset());
+    assert!(ok && early > 2 * POOL as u64, "{early} pages written early");
+    // Both files wrote early: their fsyncs, the journal's, one per file.
+    assert_eq!(flushes, 2 + 1 + 2);
+    let mut held = Vec::new();
+    for n in 1..=writes {
+        for mode in [FailMode::Error, FailMode::Torn] {
+            let (ok, .., kept) = run(format!("spill_w{n}_{mode:?}"), &|plan| {
+                plan.arm_nth_write(n, mode)
+            });
+            held.push((ok, kept));
+        }
+    }
+    for n in 1..=flushes {
+        let (ok, .., kept) = run(format!("spill_f{n}"), &|plan| plan.arm_nth_flush(n));
+        held.push((ok, kept));
+    }
+    // Kills before the journal's commit point reopen without the load,
+    // kills after it with it.
+    assert!(held.iter().all(|&(ok, _)| !ok), "every kill point fired");
+    assert!(held.contains(&(false, false)) && held.contains(&(false, true)));
+}
+
 /// Checks a reopened probe tree against the model of committed state.
 fn assert_consistent(tree: &mut EncipheredBTree, model: &std::collections::BTreeMap<u64, Vec<u8>>) {
     tree.validate().unwrap();
